@@ -61,6 +61,8 @@ class FSM(Component):
             n: State(n, i) for i, n in enumerate(names)
         }
         self._by_code: Tuple[State, ...] = tuple(self._states.values())
+        # state_name runs twice per FSM per settle pass: code -> name
+        self._names: Tuple[str, ...] = tuple(names)
         width = max(1, (len(names) - 1).bit_length())
         self._state_reg = self.reg("state", width=width, default=0)
 
@@ -72,7 +74,7 @@ class FSM(Component):
 
     @property
     def state_name(self) -> str:
-        return self.state.name
+        return self._names[self._state_reg.value]
 
     def s(self, name: str) -> State:
         """Look up a state by name (typo-safe)."""
@@ -82,7 +84,8 @@ class FSM(Component):
             raise KeyError(f"{self.name}: unknown state {name!r}") from None
 
     def in_state(self, name: str) -> bool:
-        return self._state_reg.value == self.s(name).code
+        state = self._states.get(name) or self.s(name)  # s() names the typo
+        return self._state_reg.value == state.code
 
     # -- subclass interface --------------------------------------------------
     def transition(self) -> State:

@@ -23,6 +23,10 @@ from __future__ import annotations
 from typing import Optional
 
 
+def _unlogged(signal: "Signal") -> None:
+    """The activity log of a signal that no :mod:`~repro.hdl.simulator` owns."""
+
+
 class SignalError(Exception):
     """Base class for signal misuse (double-drive, bad stage, ...)."""
 
@@ -98,92 +102,109 @@ class Signal:
 class Wire(Signal):
     """A combinational net, driven during the settle phase.
 
-    The simulator clears the *driven* flag at the start of each settle
-    phase; a combinational process then calls :meth:`drive`.  Driving a
-    wire twice in one settle pass with different values indicates two
-    processes fighting over the net and raises :class:`SignalError`.
+    ``_driven`` is 2 once the wire has been driven in the current
+    settle pass, 1 if only an earlier pass of this cycle drove it (it
+    is in the simulator's driven log and keeps that value), 0 if it
+    sits at its default.  Driving a wire twice in one settle pass with
+    different values indicates two processes fighting over the net and
+    raises :class:`SignalError`.
     """
 
-    __slots__ = ("_driven",)
+    __slots__ = ("_driven", "_log_driven", "_log_changed")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         super().__init__(name, width, default)
-        self._driven = False
+        self._driven = 0
+        self._log_driven = self._log_changed = _unlogged
 
-    def begin_settle(self) -> None:
-        """Called by the simulator once at the start of the settle
-        phase: revert to the default (undriven) value."""
-        self._driven = False
+    def reset(self) -> None:
+        """Revert to the default (undriven) value: what the simulator
+        does inline, at the start of a cycle, to the wires in its
+        driven log."""
+        if self._driven:
+            self._driven = 1
         self._value = self.default
-
-    def clear_driven(self) -> None:
-        """Called between settle passes: keep the value from the
-        previous pass (so early readers observe it) but allow the
-        driver to re-drive."""
-        self._driven = False
 
     def drive(self, value: int) -> bool:
         """Drive the wire; returns True if the value changed.
 
-        The change indication is what the simulator's fixed-point
-        iteration uses to decide whether another settle pass is needed.
+        A change is also appended to the simulator's changed log, which
+        is what its fixed-point iteration uses to decide whether another
+        settle pass is needed.
         """
-        value = self._check(value)
-        if self._driven and self._value != value:
-            raise SignalError(
-                f"wire {self.name} driven to conflicting values "
-                f"{self._value} and {value} in one settle pass"
-            )
-        changed = self._value != value
-        self._value = value
-        self._driven = True
+        if type(value) is not int or value < 0 or value > self._max:
+            value = self._check(value)
+        driven, changed = self._driven, self._value != value
+        if changed:
+            if driven == 2:
+                raise SignalError(
+                    f"wire {self.name} driven to conflicting values "
+                    f"{self._value} and {value} in one settle pass"
+                )
+            self._value = value
+            self._log_changed(self)
+        if not driven:
+            self._log_driven(self)
+        self._driven = 2
         return changed
 
 
 class Reg(Signal):
-    """A clocked register with staged-next-value semantics."""
+    """A clocked register with staged-next-value semantics.
 
-    __slots__ = ("_next", "_staged")
+    ``_staged`` is 2 while a next value is staged, 1 if the register is
+    in the simulator's staged log but its stage was dropped (a later
+    settle pass, :meth:`commit`, :meth:`force`, :meth:`reset`), 0
+    otherwise -- so the log holds a register at most once.
+    """
+
+    __slots__ = ("_next", "_staged", "_log_staged")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         super().__init__(name, width, default)
         self._next: Optional[int] = None
-        self._staged = False
+        self._staged = 0
+        self._log_staged = _unlogged
 
     def stage(self, value: int) -> None:
         """Stage ``value`` to be committed at the next clock edge."""
-        self._next = self._check(value)
-        self._staged = True
+        if type(value) is not int or value < 0 or value > self._max:
+            value = self._check(value)
+        self._next = value
+        if not self._staged:
+            self._log_staged(self)
+        self._staged = 2
 
     @property
     def staged(self) -> bool:
-        return self._staged
+        return self._staged == 2
 
     @property
     def next_value(self) -> int:
         """The value this register will hold after the next edge."""
-        return self._next if self._staged else self._value
+        return self._next if self._staged == 2 else self._value
 
     def unstage(self) -> None:
         """Discard any staged value.
 
-        Called by the simulator between settle passes: combinational
-        logic re-runs every pass, so only the final pass's staging may
-        survive.  Without this, a stage() performed under a condition
-        that a later pass revokes (e.g. a comparator output before its
-        inputs settled) would commit stale data.
+        The simulator does this (inline, for the registers in its
+        staged log) between settle passes: combinational logic re-runs
+        every pass, so only the final pass's staging may survive.
+        Without it, a stage() performed under a condition that a later
+        pass revokes (e.g. a comparator output before its inputs
+        settled) would commit stale data.
         """
         self._next = None
-        self._staged = False
+        if self._staged:
+            self._staged = 1
 
     def commit(self) -> bool:
         """Clock edge: adopt the staged value.  Returns True on change."""
-        if not self._staged:
+        if self._staged != 2:
             return False
         changed = self._value != self._next
         self._value = self._next  # type: ignore[assignment]
-        self._next = None
-        self._staged = False
+        self.unstage()
         return changed
 
     def force(self, value: int) -> None:
@@ -197,10 +218,8 @@ class Reg(Signal):
         :meth:`stage`.
         """
         self._value = self._check(value)
-        self._next = None
-        self._staged = False
+        self.unstage()
 
     def reset(self) -> None:
         super().reset()
-        self._next = None
-        self._staged = False
+        self.unstage()

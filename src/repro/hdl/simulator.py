@@ -2,12 +2,30 @@
 
 Every simulated clock cycle runs in two phases:
 
-1. **Settle** -- all combinational processes are evaluated repeatedly
-   until no wire changes value (a fixed point).  The iteration bound
-   catches combinational loops, which are modelling errors.
+1. **Settle** -- every component that has a ``settle`` runs, in
+   registration order, pass after pass until a pass changes no wire (a
+   fixed point); the iteration bound catches combinational loops, which
+   are modelling errors.  A pass costs what it touches, not what the
+   design declares: ``Wire.drive`` / ``Reg.stage`` append to three logs.
+
+   * *driven* -- wires driven so far this cycle.  Between passes only
+     these become drivable again, keeping their value (a wire driven in
+     pass *k* and not again holds it for the rest of the cycle); at the
+     next cycle only these revert to their default -- every other wire
+     is still at it, so first-pass readers see defaults.
+   * *changed* -- wires whose value a drive changed this pass.  A
+     second, differing drive in one pass raises, so a wire changes at
+     most once per pass and never back: "nothing logged" is exactly
+     "every wire's value before the pass equals its value after".
+   * *staged* -- registers staged so far this cycle.  Between passes
+     only these are unstaged (a stage whose condition a later pass
+     revokes must never commit: only the final pass's staging is
+     authoritative), and the edge commits only these.
+
 2. **Tick** -- all sequential elements (registers, memories, FSM state)
    commit their staged updates atomically, then tracing hooks observe
-   the new architectural state.
+   the new architectural state (wires still hold the settled values of
+   the cycle just ended).
 
 Components register themselves with the simulator on construction, so a
 design is simply a tree of :class:`Component` objects sharing one
@@ -16,7 +34,7 @@ design is simply a tree of :class:`Component` objects sharing one
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.hdl.signal import Reg, Signal, Wire
 
@@ -78,28 +96,49 @@ class Simulator:
     """
 
     def __init__(self, max_settle_passes: int = 64) -> None:
+        if max_settle_passes < 1:
+            raise ValueError(f"max_settle_passes must be >= 1, got {max_settle_passes}")
         self.max_settle_passes = max_settle_passes
         self.cycle = 0
         self._components: List[Component] = []
-        self._wires: List[Wire] = []
-        self._regs: List[Reg] = []
         self._signals: Dict[str, Signal] = {}
-        self._tick_hooks: List[Callable[[int], None]] = []
+        # the activity logs; signals hold their bound ``append``, so
+        # these lists are never rebound
+        self._driven: List[Wire] = []
+        self._changed: List[Wire] = []
+        self._staged: List[Reg] = []
+        # (settles, ticks), built at the first edge after a registration
+        self._hooks: Tuple[Tuple[Callable[[], None], ...], ...] = ()
+        self._tick_hooks: Tuple[Callable[[int], None], ...] = ()
 
     # -- registration ----------------------------------------------------
     def _register_component(self, component: Component) -> None:
         self._components.append(component)
+        self._hooks = ()
+
+    def _bind_hooks(self) -> Tuple[Tuple[Callable[[], None], ...], ...]:
+        """Bound ``settle`` / ``tick`` of the components that override them."""
+        self._hooks = tuple(
+            tuple(
+                getattr(c, name)
+                for c in self._components
+                if getattr(type(c), name) is not getattr(Component, name)
+            )
+            for name in ("settle", "tick")
+        )
+        return self._hooks
 
     def add_wire(self, name: str, width: int = 1, default: int = 0) -> Wire:
         wire = Wire(name, width, default)
         self._add_signal(wire)
-        self._wires.append(wire)
+        wire._log_driven = self._driven.append
+        wire._log_changed = self._changed.append
         return wire
 
     def add_reg(self, name: str, width: int = 1, default: int = 0) -> Reg:
         reg = Reg(name, width, default)
         self._add_signal(reg)
-        self._regs.append(reg)
+        reg._log_staged = self._staged.append
         return reg
 
     def _add_signal(self, signal: Signal) -> None:
@@ -129,30 +168,34 @@ class Simulator:
         """Register a hook called after each clock edge with the cycle
         number just completed (used by waveform recorders and the cycle
         profiler)."""
-        self._tick_hooks.append(hook)
+        self._tick_hooks += (hook,)
 
     def remove_tick_hook(self, hook: Callable[[int], None]) -> None:
-        """Detach a hook previously passed to :meth:`on_tick`."""
-        self._tick_hooks.remove(hook)
+        """Detach a hook previously passed to :meth:`on_tick`.  :meth:`step`
+        iterates the tuple it found, so a hook may detach itself mid-edge."""
+        hooks = list(self._tick_hooks)
+        hooks.remove(hook)
+        self._tick_hooks = tuple(hooks)
 
     # -- simulation ------------------------------------------------------
     def _settle(self) -> None:
-        for wire in self._wires:
-            wire.begin_settle()
+        driven, changed, staged = self._driven, self._changed, self._staged
+        for wire in driven:
+            wire._driven = 0
+            wire._value = wire.default
+        driven.clear()
+        settles = (self._hooks or self._bind_hooks())[0]
         for pass_index in range(self.max_settle_passes):
-            before = [w.value for w in self._wires]
+            changed.clear()
             if pass_index:
-                for wire in self._wires:
-                    wire.clear_driven()
-                # conditional stages from earlier passes may rest on
-                # wire values that this pass revises; only the final
-                # pass's staging is authoritative
-                for reg in self._regs:
-                    reg.unstage()
-            for component in self._components:
-                component.settle()
-            after = [w.value for w in self._wires]
-            if before == after:
+                for wire in driven:
+                    wire._driven = 1
+                for reg in staged:
+                    reg._staged = 1
+                    reg._next = None
+            for settle in settles:
+                settle()
+            if not changed:
                 return
         raise CombinationalLoopError(
             f"combinational logic failed to settle within "
@@ -162,12 +205,17 @@ class Simulator:
     def step(self, cycles: int = 1) -> int:
         """Advance the clock by ``cycles`` edges; returns the new cycle
         count."""
+        staged = self._staged
         for _ in range(cycles):
             self._settle()
-            for reg in self._regs:
-                reg.commit()
-            for component in self._components:
-                component.tick()
+            for reg in staged:
+                if reg._staged == 2:
+                    reg._value = reg._next
+                    reg._next = None
+                reg._staged = 0
+            staged.clear()
+            for tick in (self._hooks or self._bind_hooks())[1]:
+                tick()
             self.cycle += 1
             for hook in self._tick_hooks:
                 hook(self.cycle)
@@ -207,6 +255,13 @@ class Simulator:
         power-on state, cycle counter rezeroed."""
         for signal in self._signals.values():
             signal.reset()
+        for wire in self._driven:
+            wire._driven = 0
+        for reg in self._staged:
+            reg._staged = 0
+        self._driven.clear()
+        self._changed.clear()
+        self._staged.clear()
         for component in self._components:
             component.reset()
         self.cycle = 0

@@ -93,33 +93,34 @@ class InfoBaseLevel(Component):
         return self.write_counter.count.value
 
     def settle(self) -> None:
-        override = bool(self.wr_addr_override.value)
-        full = self.count >= self.depth
-        appending = bool(self.wr_en.value) and not override
-        if appending and full:
+        # runs on every pass of every cycle, three instances: each
+        # signal is read once
+        index_mem, label_mem, op_mem = self.index_mem, self.label_mem, self.op_mem
+        depth, last = self.depth, self.depth - 1
+        wr_en = self.wr_en.value
+        override = self.wr_addr_override.value
+        count = self.write_counter.count.value
+        appending = bool(wr_en) and not override
+        if appending and count >= depth:
             self.overflow.stage(1)
             appending = False
-        writing = appending or (bool(self.wr_en.value) and override)
+        writing = 1 if appending or (wr_en and override) else 0
         # Route the write to all three memory components: appends land
         # at w_index, in-place modifications at the external address.
-        self.index_mem.wr_en.drive(1 if writing else 0)
-        self.label_mem.wr_en.drive(1 if writing else 0)
-        self.op_mem.wr_en.drive(1 if writing else 0)
+        index_mem.wr_en.drive(writing)
+        label_mem.wr_en.drive(writing)
+        op_mem.wr_en.drive(writing)
         if writing:
-            addr = (
-                min(self.wr_addr_ext.value, self.depth - 1)
-                if override
-                else self.count
-            )
-            self.index_mem.wr_addr.drive(addr)
-            self.index_mem.wr_data.drive(self.wr_index.value)
-            self.label_mem.wr_addr.drive(addr)
-            self.label_mem.wr_data.drive(self.wr_label.value)
-            self.op_mem.wr_addr.drive(addr)
-            self.op_mem.wr_data.drive(self.wr_op.value)
+            addr = min(self.wr_addr_ext.value, last) if override else count
+            index_mem.wr_addr.drive(addr)
+            index_mem.wr_data.drive(self.wr_index.value)
+            label_mem.wr_addr.drive(addr)
+            label_mem.wr_data.drive(self.wr_label.value)
+            op_mem.wr_addr.drive(addr)
+            op_mem.wr_data.drive(self.wr_op.value)
         # The write counter increments alongside a successful append
         # and decrements on removal; modify leaves it unchanged.
-        if self.count_dec.value and self.count > 0:
+        if self.count_dec.value and count > 0:
             self.write_counter.en.drive(1)
             self.write_counter.down.drive(1)
         else:
@@ -128,12 +129,12 @@ class InfoBaseLevel(Component):
         # three components, as in Figure 13 -- unless the management
         # path overrides it for a direct read.
         if self.rd_addr_override.value:
-            addr = min(self.rd_addr_ext.value, self.depth - 1)
+            addr = min(self.rd_addr_ext.value, last)
         else:
-            addr = min(self.read_counter.count.value, self.depth - 1)
-        self.index_mem.rd_addr.drive(addr)
-        self.label_mem.rd_addr.drive(addr)
-        self.op_mem.rd_addr.drive(addr)
+            addr = min(self.read_counter.count.value, last)
+        index_mem.rd_addr.drive(addr)
+        label_mem.rd_addr.drive(addr)
+        op_mem.rd_addr.drive(addr)
 
     # -- registered read outputs (1-cycle latency) ----------------------------
     @property

@@ -40,44 +40,44 @@ class TestSignalBasics:
 class TestWire:
     def test_drive_sets_value(self):
         w = Wire("w", width=8)
-        w.begin_settle()
+        w.reset()
         assert w.drive(17) is True
         assert w.value == 17
 
     def test_drive_same_value_reports_no_change(self):
         w = Wire("w", width=8)
-        w.begin_settle()
+        w.reset()
         w.drive(9)
-        w.begin_settle()
+        w.reset()
         changed = w.drive(0)
-        # after begin_settle the wire reverted to default 0, so driving 0
+        # after reset() the wire reverted to default 0, so driving 0
         # is not a change
         assert changed is False
 
     def test_conflicting_drives_raise(self):
         w = Wire("w", width=8)
-        w.begin_settle()
+        w.reset()
         w.drive(1)
         with pytest.raises(SignalError):
             w.drive(2)
 
     def test_redrive_same_value_allowed(self):
         w = Wire("w", width=8)
-        w.begin_settle()
+        w.reset()
         w.drive(3)
         w.drive(3)  # no exception
         assert w.value == 3
 
     def test_begin_settle_reverts_to_default(self):
         w = Wire("w", width=8, default=4)
-        w.begin_settle()
+        w.reset()
         w.drive(200)
-        w.begin_settle()
+        w.reset()
         assert w.value == 4
 
     def test_drive_out_of_range(self):
         w = Wire("w", width=4)
-        w.begin_settle()
+        w.reset()
         with pytest.raises(WidthError):
             w.drive(16)
 

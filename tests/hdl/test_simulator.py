@@ -115,3 +115,79 @@ class TestSimulator:
         sim.on_tick(seen.append)
         sim.step(3)
         assert seen == [1, 2, 3]
+
+    def test_drive_after_reset_is_not_a_conflict(self):
+        # the driven flag used to survive reset(): the next drive of a
+        # different value raised "conflicting values 0 and 5"
+        sim = Simulator()
+        t = _ToggleBit(sim)
+        f = _Follower(sim, t.q)
+        sim.step()
+        sim.reset()
+        assert f.out.drive(1) is True
+        sim.step()
+        assert f.out.value == 0 and t.q.value == 1
+
+    def test_reset_forgets_a_pending_stage(self):
+        sim = Simulator()
+        r = sim.add_reg("r", 8)
+        r.stage(9)
+        sim.reset()
+        sim.step()
+        assert r.value == 0
+
+    def test_hook_detaching_itself_does_not_skip_the_next_hook(self):
+        sim = Simulator()
+        _ToggleBit(sim)
+        first, second = [], []
+
+        def once(cycle):
+            first.append(cycle)
+            sim.remove_tick_hook(once)
+
+        sim.on_tick(once)
+        sim.on_tick(second.append)
+        sim.step(3)
+        assert first == [1]
+        assert second == [1, 2, 3]
+
+    def test_remove_unknown_hook_raises(self):
+        with pytest.raises(ValueError):
+            Simulator().remove_tick_hook(print)
+
+    @pytest.mark.parametrize("passes", [0, -1])
+    def test_settle_bound_below_one_rejected_at_construction(self, passes):
+        with pytest.raises(ValueError, match="max_settle_passes"):
+            Simulator(max_settle_passes=passes)
+
+    def test_component_registered_after_first_edge_participates(self):
+        # the bound settle/tick lists are rebuilt after a registration
+        sim = Simulator()
+        t = _ToggleBit(sim)
+        sim.step()
+        f = _Follower(sim, t.q)
+        sim.settle_only()
+        assert f.out.value == 1
+
+    def test_out_of_width_drive_and_stage_still_rejected(self):
+        from repro.hdl.signal import WidthError
+
+        sim = Simulator()
+        w, r = sim.add_wire("w", 4), sim.add_reg("r", 4)
+        for bad in (16, -1):
+            with pytest.raises(WidthError, match="does not fit in 4 bits"):
+                w.drive(bad)
+            with pytest.raises(WidthError, match="does not fit in 4 bits"):
+                r.stage(bad)
+
+    def test_dropped_stage_is_not_logged_twice(self):
+        sim = Simulator()
+        r = sim.add_reg("r", 8)
+        for drop in (r.unstage, r.commit, lambda: r.force(3), r.reset):
+            r.stage(1)
+            drop()
+            assert not r.staged
+        r.stage(2)
+        assert len(sim._staged) == 1
+        sim.step()
+        assert r.value == 2 and not sim._staged
