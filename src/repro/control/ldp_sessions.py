@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import zlib
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -508,7 +508,10 @@ class MessageLDPProcess:
         ):
             # the legitimate sender signs its messages; a forger set a
             # (wrong) token already, and that forgery must survive
-            msg = replace(msg, auth=session_token(msg.src, msg.dst))
+            msg = LDPMessage(
+                msg.kind, msg.src, msg.dst, msg.fec_id, msg.label,
+                session_token(msg.src, msg.dst),
+            )
         self.message_counts[msg.kind] += 1
         tel = get_telemetry()
         if tel.enabled:

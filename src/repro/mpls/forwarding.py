@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.mpls.errors import (
     LabelLookupMiss,
@@ -40,6 +40,7 @@ from repro.mpls.label import (
     LabelEntry,
     LabelOp,
 )
+from repro.mpls.nhlfe import NHLFE
 from repro.mpls.stack import LabelStack
 from repro.mpls.tables import FTN, ILM
 from repro.net.packet import IPv4Packet, MPLSPacket
@@ -169,6 +170,10 @@ class ForwardingEngine:
         self.ftn = ftn if ftn is not None else FTN()
         self.node_name = node_name
         self.counts = OpCounts()
+        #: neighbour name -> local interface.  The owning node shares
+        #: its map here, so a decision whose NHLFE names no interface is
+        #: built with the local one towards its next hop.
+        self.interfaces: Dict[str, str] = {}
         #: Optional list the telemetry mirror appends to while set --
         #: the flow cache (:mod:`repro.mpls.fastpath`) records one
         #: scalar computation through this hook so a cache hit can
@@ -201,6 +206,23 @@ class ForwardingEngine:
                 label_in=label_in,
                 label_out=label_out,
             )
+        )
+
+    def _forward(
+        self,
+        action: Action,
+        packet: Union[IPv4Packet, MPLSPacket],
+        nhlfe: Optional[NHLFE],
+    ) -> ForwardingDecision:
+        """The decision that sends ``packet`` the way ``nhlfe`` says
+        (nowhere yet when there is none: a popped explicit NULL)."""
+        if nhlfe is None:
+            return ForwardingDecision(action, packet)
+        out_interface = nhlfe.out_interface
+        if out_interface is None and nhlfe.next_hop is not None:
+            out_interface = self.interfaces.get(nhlfe.next_hop)
+        return ForwardingDecision(
+            action, packet, nhlfe.next_hop, out_interface
         )
 
     # -- ingress (LER): unlabelled in, labelled out -------------------------
@@ -243,12 +265,7 @@ class ForwardingEngine:
         if nhlfe.op is not LabelOp.PUSH:
             # An FTN entry that does not push means the FEC is reachable
             # without labels (e.g. a directly attached network).
-            return ForwardingDecision(
-                Action.FORWARD_IP,
-                packet=inner,
-                next_hop=nhlfe.next_hop,
-                out_interface=nhlfe.out_interface,
-            )
+            return self._forward(Action.FORWARD_IP, inner, nhlfe)
         cos = nhlfe.cos if nhlfe.cos is not None else _dscp_to_cos(packet.dscp)
         entry = LabelEntry(
             label=nhlfe.out_label,  # type: ignore[arg-type]
@@ -259,11 +276,8 @@ class ForwardingEngine:
         self.counts.pushes += 1
         if observing:
             self._emit_stack_op(tel, "push", None, entry.label)
-        return ForwardingDecision(
-            Action.FORWARD_MPLS,
-            packet=MPLSPacket(stack, inner),
-            next_hop=nhlfe.next_hop,
-            out_interface=nhlfe.out_interface,
+        return self._forward(
+            Action.FORWARD_MPLS, MPLSPacket(stack, inner), nhlfe
         )
 
     # -- transit / egress: labelled in ------------------------------------
@@ -318,7 +332,6 @@ class ForwardingEngine:
                 Action.DISCARD,
                 reason=f"{self.node_name}: MPLS TTL expired",
             )
-        top = top.decremented()
         self.counts.ttl_updates += 1
         if observing:
             self._mirror(tel, "ttl-update")
@@ -327,15 +340,19 @@ class ForwardingEngine:
             self.counts.swaps += 1
             if observing:
                 self._emit_stack_op(tel, "swap", top.label, nhlfe.out_label)
-            new_top = top.with_label(nhlfe.out_label)  # type: ignore[arg-type]
+            # the TTL decrement and the label rewrite in one new entry
+            new_top = LabelEntry(
+                nhlfe.out_label,  # type: ignore[arg-type]
+                top.cos,
+                top.s,
+                top.ttl - 1,
+            )
             stack = packet.stack.swap(new_top)
-            return ForwardingDecision(
-                Action.FORWARD_MPLS,
-                packet=packet.with_stack(stack),
-                next_hop=nhlfe.next_hop,
-                out_interface=nhlfe.out_interface,
+            return self._forward(
+                Action.FORWARD_MPLS, packet.with_stack(stack), nhlfe
             )
 
+        top = top.decremented()
         if nhlfe.op is LabelOp.PUSH:
             # Tunnel ingress inside the domain: swap semantics do not
             # apply; the existing top stays (with its decremented TTL)
@@ -366,36 +383,24 @@ class ForwardingEngine:
                     ttl=top.ttl,
                 )
             )
-            return ForwardingDecision(
-                Action.FORWARD_MPLS,
-                packet=packet.with_stack(stack),
-                next_hop=nhlfe.next_hop,
-                out_interface=nhlfe.out_interface,
+            return self._forward(
+                Action.FORWARD_MPLS, packet.with_stack(stack), nhlfe
             )
 
         if nhlfe.op is LabelOp.POP:
-            return self._pop_and_continue(
-                packet,
-                top,
-                next_hop=nhlfe.next_hop,
-                out_interface=nhlfe.out_interface,
-            )
+            return self._pop_and_continue(packet, top, nhlfe)
 
         # NOOP: forward unchanged except for the TTL update.
         stack = packet.stack.swap(top)
-        return ForwardingDecision(
-            Action.FORWARD_MPLS,
-            packet=packet.with_stack(stack),
-            next_hop=nhlfe.next_hop,
-            out_interface=nhlfe.out_interface,
+        return self._forward(
+            Action.FORWARD_MPLS, packet.with_stack(stack), nhlfe
         )
 
     def _pop_and_continue(
         self,
         packet: MPLSPacket,
         top: LabelEntry,
-        next_hop: Optional[str] = None,
-        out_interface: Optional[str] = None,
+        nhlfe: Optional[NHLFE] = None,
     ) -> ForwardingDecision:
         """Pop the top entry, propagating the TTL downward (uniform
         model): into the next entry, or into the IP header at the
@@ -411,23 +416,15 @@ class ForwardingEngine:
             if observing:
                 self._emit_stack_op(tel, "pop", top.label, None)
                 self._mirror(tel, "ttl-update")
-            return ForwardingDecision(
-                Action.FORWARD_IP,
-                packet=inner,
-                next_hop=next_hop,
-                out_interface=out_interface,
-            )
+            return self._forward(Action.FORWARD_IP, inner, nhlfe)
         exposed = rest.top.with_ttl(min(top.ttl, rest.top.ttl))
         rest = rest.swap(exposed)
         self.counts.ttl_updates += 1
         if observing:
             self._emit_stack_op(tel, "pop", top.label, exposed.label)
             self._mirror(tel, "ttl-update")
-        return ForwardingDecision(
-            Action.FORWARD_MPLS,
-            packet=packet.with_stack(rest),
-            next_hop=next_hop,
-            out_interface=out_interface,
+        return self._forward(
+            Action.FORWARD_MPLS, packet.with_stack(rest), nhlfe
         )
 
     # -- convenience --------------------------------------------------------

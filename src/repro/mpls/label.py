@@ -18,7 +18,7 @@ stored in the hardware information base's operation memory component
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.mpls.errors import InvalidLabelError
@@ -77,7 +77,8 @@ class LabelEntry:
 
     Instances are immutable; the mutating operations of the data plane
     (TTL decrement, label rewrite) return new entries, which keeps
-    packets safe to share between simulated nodes.
+    packets safe to share between simulated nodes.  The derived copies
+    are built by the constructor, so they pass the same range checks.
     """
 
     label: int
@@ -149,19 +150,19 @@ class LabelEntry:
         """
         if self.ttl == 0:
             raise InvalidLabelError("cannot decrement a zero TTL")
-        return replace(self, ttl=self.ttl - 1)
+        return LabelEntry(self.label, self.cos, self.s, self.ttl - 1)
 
     def with_label(self, label: int) -> "LabelEntry":
-        return replace(self, label=label)
+        return LabelEntry(label, self.cos, self.s, self.ttl)
 
     def with_ttl(self, ttl: int) -> "LabelEntry":
-        return replace(self, ttl=ttl)
+        return LabelEntry(self.label, self.cos, self.s, ttl)
 
     def with_s(self, s: int) -> "LabelEntry":
-        return replace(self, s=s)
+        return LabelEntry(self.label, self.cos, s, self.ttl)
 
     def with_cos(self, cos: int) -> "LabelEntry":
-        return replace(self, cos=cos)
+        return LabelEntry(self.label, cos, self.s, self.ttl)
 
     def __str__(self) -> str:
         return (

@@ -111,6 +111,7 @@ class LSRNode:
         #: neighbour name -> local interface used to reach it; the
         #: network layer fills this in when links are attached.
         self.neighbor_interfaces: Dict[str, str] = {}
+        self.engine.interfaces = self.neighbor_interfaces
         #: the batched fast path's per-node decision cache, armed by
         #: :meth:`enable_batching` (None = scalar processing)
         self.flow_cache = None
@@ -319,9 +320,9 @@ class LSRNode:
         """Resolve a next-hop name into a local interface when the NHLFE
         did not specify one explicitly."""
         if (
-            decision.forwarded
-            and decision.out_interface is None
+            decision.out_interface is None
             and decision.next_hop is not None
+            and decision.forwarded
         ):
             interface = self.neighbor_interfaces.get(decision.next_hop)
             if interface is not None:

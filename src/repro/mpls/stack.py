@@ -3,9 +3,13 @@
 A :class:`LabelStack` is an immutable sequence of
 :class:`~repro.mpls.label.LabelEntry` with the top of the stack first.
 The class enforces the S-bit invariant -- exactly the bottom entry has
-``s == 1`` -- by *computing* the S bits rather than trusting callers, so
-a stack built from any combination of pushes and pops is always
-well-formed on the wire.
+``s == 1`` -- by *computing* the S bits rather than trusting callers:
+the constructor derives the bit of every entry it is given (rewriting
+only an entry whose bit is wrong) and checks the depth limit.  A stack
+is therefore well-formed by construction, and ``push``/``pop``/``swap``
+rely on that: they reuse the tuple they already hold and fix the S bit
+of the one entry that enters, so a hop costs one new entry and one new
+stack, whatever the depth.
 
 The paper notes that real MPLS networks rarely nest more than two or
 three levels; the hardware information base supports exactly three.  The
@@ -35,17 +39,29 @@ class LabelStack:
         entries: Iterable[LabelEntry] = (),
         max_depth: Optional[int] = DEFAULT_MAX_DEPTH,
     ) -> None:
-        fixed = []
-        entry_list = list(entries)
-        for i, entry in enumerate(entry_list):
-            is_bottom = i == len(entry_list) - 1
-            fixed.append(entry.with_s(1 if is_bottom else 0))
+        fixed = list(entries)
+        bottom = len(fixed) - 1
+        for i, entry in enumerate(fixed):
+            s = 1 if i == bottom else 0
+            if entry.s != s:
+                fixed[i] = entry.with_s(s)
         self._entries: Tuple[LabelEntry, ...] = tuple(fixed)
         self.max_depth = max_depth
         if max_depth is not None and len(self._entries) > max_depth:
             raise StackDepthExceeded(
                 f"stack of depth {len(self._entries)} exceeds limit {max_depth}"
             )
+
+    @classmethod
+    def _of(
+        cls, entries: Tuple[LabelEntry, ...], max_depth: Optional[int]
+    ) -> "LabelStack":
+        """A stack over a tuple that is already well-formed (S bits
+        right, depth within ``max_depth``): no per-entry work."""
+        stack = cls.__new__(cls)
+        stack._entries = entries
+        stack.max_depth = max_depth
+        return stack
 
     # -- inspection -------------------------------------------------------
     @property
@@ -95,19 +111,29 @@ class LabelStack:
             raise StackDepthExceeded(
                 f"push would exceed max depth {self.max_depth}"
             )
-        return LabelStack((entry,) + self._entries, self.max_depth)
+        return self._on_top(entry, self._entries)
 
     def pop(self) -> Tuple[LabelEntry, "LabelStack"]:
         """Remove the top entry; returns ``(entry, rest)``."""
         if not self._entries:
             raise StackUnderflow("pop of an empty label stack")
-        return self._entries[0], LabelStack(self._entries[1:], self.max_depth)
+        return self._entries[0], self._of(self._entries[1:], self.max_depth)
 
     def swap(self, new_top: LabelEntry) -> "LabelStack":
         """Replace the top entry (a pop immediately followed by a push)."""
         if not self._entries:
             raise StackUnderflow("swap on an empty label stack")
-        return LabelStack((new_top,) + self._entries[1:], self.max_depth)
+        return self._on_top(new_top, self._entries[1:])
+
+    def _on_top(
+        self, entry: LabelEntry, rest: Tuple[LabelEntry, ...]
+    ) -> "LabelStack":
+        """``entry`` above the well-formed ``rest``: only the entering
+        entry's S bit can be wrong."""
+        s = 0 if rest else 1
+        if entry.s != s:
+            entry = entry.with_s(s)
+        return self._of((entry,) + rest, self.max_depth)
 
     # -- wire format ------------------------------------------------------
     def encode_bytes(self) -> bytes:

@@ -122,7 +122,9 @@ class IPv4Prefix:
         return self._mask
 
     def contains(self, address: Union[str, int, IPv4Address]) -> bool:
-        return (IPv4Address(address).value & self._mask) == self.network.value
+        if not isinstance(address, IPv4Address):
+            address = IPv4Address(address)
+        return (address._value & self._mask) == self.network._value
 
     def __contains__(self, address: Union[str, int, IPv4Address]) -> bool:
         return self.contains(address)

@@ -33,7 +33,7 @@ oracle never sees them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Union
 
 from repro.net.events import EventScheduler
@@ -86,7 +86,7 @@ class FlowAggregate:
     def with_template(
         self, template: Union[IPv4Packet, MPLSPacket]
     ) -> "FlowAggregate":
-        return replace(self, template=template)
+        return FlowAggregate(template, self.count, self.interval)
 
     def created_times(self) -> Iterator[float]:
         base = self.first_created_at

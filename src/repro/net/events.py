@@ -1,9 +1,11 @@
 """Discrete event simulation kernel.
 
-A classic calendar queue over a binary heap: events carry a timestamp, a
-deterministic tiebreak sequence number (so equal-time events fire in
+A binary heap (:mod:`heapq`) of ``(time, seq, fn)`` tuples: a timestamp,
+a deterministic tiebreak sequence number (so equal-time events fire in
 schedule order -- vital for reproducible network simulations), and a
-callback.  The network layer (:mod:`repro.net.link`,
+callback.  ``seq`` is unique per scheduler, so the heap orders entries
+by ``(time, seq)`` with C tuple comparison and never compares two
+callbacks.  The network layer (:mod:`repro.net.link`,
 :mod:`repro.net.network`) schedules packet arrivals, transmission
 completions and protocol timers on one shared scheduler.
 """
@@ -12,21 +14,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional, Set
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled callback.  Returned by :meth:`EventScheduler.at` so
     callers can cancel it."""
 
     time: float
     seq: int
-    fn: Callable[[], Any] = field(compare=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    fn: Callable[[], Any]
 
 
 class EventScheduler:
@@ -35,13 +32,14 @@ class EventScheduler:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: List[Event] = []
-        self._cancelled: set = set()
+        #: ``seq`` of every cancelled event still in the heap
+        self._cancelled: Set[int] = set()
         self._seq = itertools.count()
         self.processed = 0
 
     def at(self, time: float, fn: Callable[[], Any]) -> Event:
         """Schedule ``fn`` to run at absolute ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also a NaN, which would unorder the heap
             raise ValueError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
@@ -51,66 +49,62 @@ class EventScheduler:
 
     def after(self, delay: float, fn: Callable[[], Any]) -> Event:
         """Schedule ``fn`` after a relative ``delay``."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"negative delay {delay}")
-        return self.at(self.now + delay, fn)
+        event = Event(self.now + delay, next(self._seq), fn)
+        heapq.heappush(self._heap, event)
+        return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a pending event (lazy removal)."""
-        self._cancelled.add((event.time, event.seq))
+        """Cancel a pending event (lazy removal).  Cancelling an event
+        that already fired, or cancelling twice, does nothing."""
+        if event in self._heap:
+            self._cancelled.add(event.seq)
 
     @property
     def pending(self) -> int:
         return len(self._heap) - len(self._cancelled)
 
-    def _pop(self) -> Optional[Event]:
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            key = (event.time, event.seq)
-            if key in self._cancelled:
-                self._cancelled.discard(key)
-                continue
-            return event
-        return None
-
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> int:
         """Run events in order until the queue drains or ``until``.
 
         Returns the number of events processed.  ``max_events`` guards
-        against runaway self-rescheduling sources.
+        against runaway self-rescheduling sources: spending it with an
+        event still due raises.
         """
+        heap, cancelled = self._heap, self._cancelled
         count = 0
-        while count < max_events:
-            if not self._heap:
-                break
-            head = self._heap[0]
-            if (head.time, head.seq) in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard((head.time, head.seq))
+        while heap:
+            time, seq, fn = heap[0]
+            if cancelled and seq in cancelled:
+                heapq.heappop(heap)
+                cancelled.discard(seq)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and time > until:
                 break
-            event = self._pop()
-            if event is None:
-                break
-            self.now = event.time
-            event.fn()
+            if count >= max_events:
+                raise RuntimeError(
+                    f"event budget of {max_events} exhausted at t={self.now}"
+                )
+            heapq.heappop(heap)
+            self.now = time
+            fn()
             count += 1
             self.processed += 1
-        else:
-            raise RuntimeError(
-                f"event budget of {max_events} exhausted at t={self.now}"
-            )
         if until is not None and until > self.now:
             self.now = until
         return count
 
     def step(self) -> bool:
         """Run exactly one event; returns False if the queue is empty."""
-        event = self._pop()
-        if event is None:
-            return False
-        self.now = event.time
-        event.fn()
-        self.processed += 1
-        return True
+        heap, cancelled = self._heap, self._cancelled
+        while heap:
+            time, seq, fn = heapq.heappop(heap)
+            if seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            self.now = time
+            fn()
+            self.processed += 1
+            return True
+        return False

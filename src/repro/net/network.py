@@ -518,10 +518,10 @@ class MPLSNetwork:
                 )
 
     def _is_attached(self, node_name: str, packet: IPv4Packet) -> bool:
-        return any(
-            prefix.contains(packet.dst)
-            for prefix, _ in self._hosts.get(node_name, [])
-        )
+        for prefix, _ in self._hosts.get(node_name, ()):
+            if prefix.contains(packet.dst):
+                return True
+        return False
 
     def _deliver(self, node_name: str, packet: IPv4Packet) -> None:
         delivery = Delivery(self.scheduler.now, node_name, packet)

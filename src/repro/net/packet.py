@@ -17,7 +17,7 @@ new packets, which keeps multi-node simulations free of aliasing bugs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.net.addressing import IPv4Address
@@ -50,8 +50,10 @@ class IPv4Packet:
     uid: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "src", IPv4Address(self.src))
-        object.__setattr__(self, "dst", IPv4Address(self.dst))
+        if not isinstance(self.src, IPv4Address):
+            object.__setattr__(self, "src", IPv4Address(self.src))
+        if not isinstance(self.dst, IPv4Address):
+            object.__setattr__(self, "dst", IPv4Address(self.dst))
         if not 0 <= self.ttl <= 255:
             raise ValueError(f"IPv4 TTL {self.ttl} out of range")
         if not 0 <= self.dscp <= 63:
@@ -70,12 +72,15 @@ class IPv4Packet:
     def decremented(self) -> "IPv4Packet":
         if self.ttl == 0:
             raise ValueError("cannot decrement a zero IPv4 TTL")
-        return replace(self, ttl=self.ttl - 1)
+        return self.with_ttl(self.ttl - 1)
 
     def with_ttl(self, ttl: int) -> "IPv4Packet":
         """A copy with the TTL rewritten (identity -- uid, flow, seq --
         preserved; used when the MPLS TTL is copied back at an egress)."""
-        return replace(self, ttl=ttl)
+        return IPv4Packet(
+            self.src, self.dst, ttl, self.dscp, self.protocol, self.payload,
+            self.flow_id, self.seq, self.created_at, self.uid,
+        )
 
     def serialize(self) -> bytes:
         """A compact but faithful-enough header encoding + payload.
