@@ -480,20 +480,14 @@ class HardwareLSRNode(LSRNode):
             return
         clock = tel.events.clock
         anchor = clock() if clock is not None else 0.0
+        name, hz, emit = self.name, STRATIX_EP1S40.clock_hz, tel.events.emit
         for phase, parent, cycle_start, cycle_end in log:
             event = HWOpExecuted(
-                node=self.name,
-                uid=uid,
-                flow_id=flow_id,
-                phase=phase,
-                parent_phase=parent,
-                cycle_start=cycle_start,
-                cycle_end=cycle_end,
-                anchor_time=anchor,
-                clock_hz=STRATIX_EP1S40.clock_hz,
+                name, uid, flow_id, phase, parent,
+                cycle_start, cycle_end, anchor, hz,
             )
             event.time = float(cycle_start)
-            tel.events.emit(event)
+            emit(event)
 
     def _log_update_phases(self, log, offset: int, result) -> None:
         """Record an UPDATE transaction and its RTL-level split."""

@@ -49,7 +49,7 @@ from repro.faults.scenario import Scenario, ScenarioError
 from repro.mpls.fec import PrefixFEC
 from repro.net.network import MPLSNetwork
 from repro.net.traffic import CBRSource
-from repro.obs import ListSink, get_telemetry
+from repro.obs import KindCountSink, get_telemetry
 
 
 def _round(value: Optional[float]) -> Optional[float]:
@@ -457,29 +457,35 @@ def run_scenario(
             nodes=set(run.network.nodes),
         )
     tel = get_telemetry()
-    sink = tel.events.add_sink(ListSink()) if tel.enabled else None
+    # the report reads only the per-kind tally, so no event is retained
+    sink = tel.events.add_sink(KindCountSink()) if tel.enabled else None
     try:
-        processed = run.network.run(until=scenario.duration)
+        try:
+            processed = run.network.run(until=scenario.duration)
+        finally:
+            if sink is not None:
+                tel.events.remove_sink(sink)
+        run.injector.finalize()
+        if run.security is not None:
+            run.security.finalize()
+        if recorder is not None:
+            recorder.finalize()
+            recorder.detach()
+        if run.flows is not None:
+            run.flows.finalize()
+            run.flows.detach()
+        if run.topo is not None:
+            # verify the observed database against ground truth and
+            # publish the health/convergence metrics before summarizing
+            run.topo.finalize(run)
+        return summarize(run, processed, sink, recorder=recorder)
     finally:
-        if sink is not None:
-            tel.events.remove_sink(sink)
-    run.injector.finalize()
-    if run.security is not None:
-        run.security.finalize()
-    if recorder is not None:
-        recorder.finalize()
-        recorder.detach()
-    if run.flows is not None:
-        run.flows.finalize()
-        run.flows.detach()
-    if run.topo is not None:
-        # verify the observed database against ground truth and
-        # publish the health/convergence metrics before summarizing
-        run.topo.finalize(run)
-    report = summarize(run, processed, sink, recorder=recorder)
-    if run.topo is not None:
-        run.topo.detach()
-    return report
+        # nothing stays hooked to the process-global telemetry, however
+        # the run ended; the detaches above are where a clean run needs
+        # them, and repeating one is a no-op
+        for observer in (recorder, run.flows, run.topo):
+            if observer is not None:
+                observer.detach()
 
 
 def _overload_section(run: ChaosRun) -> Dict[str, Any]:
@@ -964,10 +970,7 @@ def summarize(
         }
         report["spans"] = spans_summary
     if sink is not None:
-        kinds: Dict[str, int] = {}
-        for event in sink.events:
-            kinds[event.kind] = kinds.get(event.kind, 0) + 1
-        report["events"] = dict(sorted(kinds.items()))
+        report["events"] = sink.kind_counts()
     return ChaosReport(
         report,
         recorder=recorder,

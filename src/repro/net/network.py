@@ -138,6 +138,9 @@ class MPLSNetwork:
         #: LER name -> list of (prefix, sink) host attachments
         self._hosts: Dict[str, List[Tuple[IPv4Prefix, Optional[Callable]]]] = {}
         self.deliveries: List[Delivery] = []
+        #: flow id -> packets delivered (scalar and aggregate), kept as
+        #: deliveries are recorded so :meth:`delivered_count` never scans
+        self._delivered: Dict[int, int] = {}
         self.drops: List[Drop] = []
         #: failed link key -> (link, saved control-plane attributes)
         self._failed_links: Dict[Tuple[str, str], Tuple[Link, Any]] = {}
@@ -526,6 +529,8 @@ class MPLSNetwork:
     def _deliver(self, node_name: str, packet: IPv4Packet) -> None:
         delivery = Delivery(self.scheduler.now, node_name, packet)
         self.deliveries.append(delivery)
+        delivered = self._delivered
+        delivered[packet.flow_id] = delivered.get(packet.flow_id, 0) + 1
         tel = get_telemetry()
         if tel.enabled:
             tel.packets.labels(node_name, "delivered").inc()
@@ -568,6 +573,9 @@ class MPLSNetwork:
             interval=aggregate.interval,
         )
         self.aggregate_deliveries.append(delivery)
+        self._delivered[inner.flow_id] = (
+            self._delivered.get(inner.flow_id, 0) + aggregate.count
+        )
         tel = get_telemetry()
         if tel.enabled:
             tel.packets.labels(node_name, "delivered").inc(aggregate.count)
@@ -700,16 +708,8 @@ class MPLSNetwork:
 
     def delivered_count(self, flow_id: Optional[int] = None) -> int:
         if flow_id is None:
-            scalar = len(self.deliveries)
-        else:
-            scalar = sum(
-                1 for d in self.deliveries if d.packet.flow_id == flow_id
-            )
-        return scalar + sum(
-            a.count
-            for a in self.aggregate_deliveries
-            if flow_id is None or a.flow_id == flow_id
-        )
+            return sum(self._delivered.values())
+        return self._delivered.get(flow_id, 0)
 
     def drop_count(self) -> int:
         return sum(d.count for d in self.drops)

@@ -48,6 +48,7 @@ from repro.obs.events import (
     InfoBaseProgrammed,
     InfoBaseScrubbed,
     JSONLSink,
+    KindCountSink,
     LabelMappingInstalled,
     LabelMappingWithdrawn,
     LabelOpApplied,
@@ -125,6 +126,7 @@ __all__ = [
     "InfoBaseScrubbed",
     "JSONL_SCHEMA_VERSION",
     "JSONLSink",
+    "KindCountSink",
     "LabelMappingInstalled",
     "LabelMappingWithdrawn",
     "LabelOpApplied",

@@ -26,6 +26,7 @@ reads both schema versions, back-filling the domain for v1 lines.
 
 from __future__ import annotations
 
+import collections
 import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import (
@@ -438,11 +439,31 @@ class ListSink:
     def by_kind(self, kind: str) -> List[Event]:
         return [e for e in self.events if e.kind == kind]
 
+    def kind_counts(self) -> Dict[str, int]:
+        """Events seen per kind, sorted by kind."""
+        return dict(sorted(collections.Counter(e.kind for e in self.events).items()))
+
     def clear(self) -> None:
         self.events.clear()
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+class KindCountSink:
+    """Counts events by kind as they pass and retains none of them --
+    what a run attaches when its report reads only the tally."""
+
+    def __init__(self) -> None:
+        self._counts: Dict[str, int] = {}
+
+    def write(self, event: Event) -> None:
+        counts, kind = self._counts, event.kind
+        counts[kind] = counts.get(kind, 0) + 1
+
+    def kind_counts(self) -> Dict[str, int]:
+        """Events seen per kind, sorted by kind."""
+        return dict(sorted(self._counts.items()))
 
 
 class CallbackSink:
@@ -550,14 +571,19 @@ class EventLog:
         #: Stamp source for events without an explicit time.
         self.clock = clock
         self._sinks: List[Any] = []
+        #: the sinks' bound ``write``s, rebuilt whenever ``_sinks``
+        #: changes so :meth:`emit` resolves nothing per event
+        self._writes: Tuple[Callable[[Event], None], ...] = ()
         self.emitted = 0
 
     def add_sink(self, sink: Any) -> Any:
         self._sinks.append(sink)
+        self._writes = tuple(s.write for s in self._sinks)
         return sink
 
     def remove_sink(self, sink: Any) -> None:
         self._sinks.remove(sink)
+        self._writes = tuple(s.write for s in self._sinks)
 
     @property
     def sinks(self) -> List[Any]:
@@ -573,8 +599,8 @@ class EventLog:
         ):
             event.time = self.clock()
         self.emitted += 1
-        for sink in self._sinks:
-            sink.write(event)
+        for write in self._writes:
+            write(event)
 
 
 def event_kinds() -> List[str]:

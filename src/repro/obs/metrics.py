@@ -143,22 +143,37 @@ class MetricFamily:
             return Gauge()
         return Histogram(self._buckets or DEFAULT_LATENCY_BUCKETS)
 
+    def _by_name(self, kw: Dict[str, object]) -> Tuple[object, ...]:
+        """Keyword label values in ``labelnames`` order."""
+        try:
+            return tuple(kw[n] for n in self.labelnames)
+        except KeyError as exc:
+            raise ValueError(
+                f"{self.name}: missing label {exc.args[0]!r} "
+                f"(schema {list(self.labelnames)})"
+            ) from None
+
     def labels(self, *values: object, **kw: object):
         """The child for one label-value combination.
 
         Accepts positional values in ``labelnames`` order or keyword
         values; everything is coerced to ``str``.
         """
-        if kw:
+        if not kw:
+            # hot callers pass plain strs for an existing child: the
+            # tuple is already the key.  Exact type only -- a str-mixin
+            # Enum hashes like its value but str()s to its member name.
+            for v in values:
+                if type(v) is not str:
+                    break
+            else:
+                child = self._children.get(values)
+                if child is not None:
+                    return child
+        else:
             if values:
                 raise ValueError("pass labels positionally or by name, not both")
-            try:
-                values = tuple(kw[n] for n in self.labelnames)
-            except KeyError as exc:
-                raise ValueError(
-                    f"{self.name}: missing label {exc.args[0]!r} "
-                    f"(schema {list(self.labelnames)})"
-                ) from None
+            values = self._by_name(kw)
             if len(kw) != len(self.labelnames):
                 extra = set(kw) - set(self.labelnames)
                 raise ValueError(f"{self.name}: unknown labels {sorted(extra)}")
@@ -263,7 +278,7 @@ class MetricsRegistry:
         family = self._families.get(name)
         if family is None:
             return 0.0
-        key = tuple(str(labels[n]) for n in family.labelnames)
+        key = tuple(str(v) for v in family._by_name(labels))
         child = family._children.get(key)
         if child is None:
             return 0.0

@@ -135,6 +135,15 @@ class Trace:
     delivered: bool = False
     dropped: bool = False
     probe: bool = False
+    #: node -> its latest hop span, and phase name -> the latest
+    #: hw-phase span: where a hardware phase finds its parent without
+    #: walking ``spans`` (kept by the recorder as it appends)
+    hop_at: Dict[str, Span] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    phase_at: Dict[str, Span] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def trace_id(self) -> str:
@@ -236,6 +245,7 @@ class SpanRecorder:
         self.sampled_out = 0
         self._next_span_id = 1
         self._finalized = False
+        self._detached = False
         self._was_enabled = self.telemetry.enabled
         self.telemetry.enable()
         self.telemetry.spans = self
@@ -258,7 +268,10 @@ class SpanRecorder:
 
     # -- sink protocol -----------------------------------------------------
     def write(self, event: Event) -> None:
-        if isinstance(event, PacketForwarded):
+        # hardware phases are most of a traced hardware run's events
+        if isinstance(event, HWOpExecuted):
+            self._on_hw_op(event)
+        elif isinstance(event, PacketForwarded):
             self._on_hop(event, dropped=False)
         elif isinstance(event, PacketDropped):
             self._on_hop(event, dropped=True)
@@ -266,8 +279,6 @@ class SpanRecorder:
             self._on_delivered(event)
         elif isinstance(event, LabelOpApplied):
             self._pending_ops.setdefault(event.node, []).append(event)
-        elif isinstance(event, HWOpExecuted):
-            self._on_hw_op(event)
         elif isinstance(event, FaultInjected):
             self.fault_windows.append(
                 FaultWindow(
@@ -350,6 +361,7 @@ class SpanRecorder:
             attributes=attributes,
         )
         trace.spans.append(hop)
+        trace.hop_at[event.node] = hop
         if dropped:
             hop.end = time
             trace.dropped = True
@@ -406,40 +418,29 @@ class SpanRecorder:
         start = event.anchor_time + event.cycle_start / hz
         end = event.anchor_time + event.cycle_end / hz
         trace = self._trace_for(event.uid, event.flow_id, start)
+        # an RTL phase hangs off the latest enclosing phase; anything
+        # without one off this node's latest hop, or the root
         parent: Optional[Span] = None
         if event.parent_phase is not None:
-            for span in reversed(trace.spans):
-                if (
-                    span.kind == KIND_HW_PHASE
-                    and span.name == event.parent_phase
-                ):
-                    parent = span
-                    break
+            parent = trace.phase_at.get(event.parent_phase)
         if parent is None:
-            parent = self._last_hop_at(trace, event.node)
-        kind = KIND_RTL if event.parent_phase is not None else KIND_HW_PHASE
-        trace.spans.append(
-            self._span(
-                parent_id=(parent or trace.root).span_id,
-                name=event.phase,
-                kind=kind,
-                start=start,
-                end=end,
-                clock_domain=CLOCK_CYCLES,
-                cycle_start=event.cycle_start,
-                cycle_end=event.cycle_end,
-                attributes={
-                    "node": event.node,
-                    "cycles": event.cycle_end - event.cycle_start,
-                },
-            )
+            parent = trace.hop_at.get(event.node) or trace.root
+        span = Span(
+            self._next_span_id,
+            parent.span_id,
+            event.phase,
+            KIND_HW_PHASE if event.parent_phase is None else KIND_RTL,
+            start,
+            end,
+            CLOCK_CYCLES,
+            event.cycle_start,
+            event.cycle_end,
+            {"node": event.node, "cycles": event.cycle_end - event.cycle_start},
         )
-
-    def _last_hop_at(self, trace: Trace, node: str) -> Optional[Span]:
-        for span in reversed(trace.spans):
-            if span.kind == KIND_HOP and span.attributes.get("node") == node:
-                return span
-        return None
+        self._next_span_id += 1
+        if event.parent_phase is None:
+            trace.phase_at[event.phase] = span
+        trace.spans.append(span)
 
     def _on_probe(self, event: OAMProbeCompleted) -> None:
         trace = self._traces.get(event.uid)
@@ -502,7 +503,7 @@ class SpanRecorder:
                 )
             )
             for hop in trace.hop_spans:
-                if hop.attributes.get("node", "") in window.target:
+                if self._target_names(window.target, hop.attributes["node"]):
                     hop.annotations.append(
                         SpanAnnotation(
                             time=min(max(window.start, hop.start), hop.end or t1),
@@ -511,10 +512,33 @@ class SpanRecorder:
                         )
                     )
 
+    def _target_names(self, target: str, node: str) -> bool:
+        """Whether a fault target (``node``, or ``a-b`` for a link)
+        names ``node`` -- as a whole name, not a substring: ``n10-n11``
+        does not name ``n1``.  Names may contain ``-`` themselves, so
+        the other side of the split must be a known node when the
+        recorder has a ``nodes`` set to check against."""
+        if target == node:
+            return True
+        known, n = self.nodes, len(node)
+        return (
+            target.startswith(node + "-")
+            and (known is None or target[n + 1 :] in known)
+        ) or (
+            target.endswith("-" + node)
+            and (known is None or target[: -n - 1] in known)
+        )
+
     def detach(self) -> None:
         """Stop recording: drop the sink, clear ``telemetry.spans``,
-        restore the telemetry switch."""
-        self.telemetry.events.remove_sink(self)
+        restore the telemetry switch.  A no-op when already detached."""
+        if self._detached:
+            return
+        self._detached = True
+        try:
+            self.telemetry.events.remove_sink(self)
+        except ValueError:
+            pass  # a telemetry reset already dropped the event log
         if self.telemetry.spans is self:
             self.telemetry.spans = None
         if not self._was_enabled:

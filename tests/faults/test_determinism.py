@@ -133,3 +133,37 @@ class TestNoWallClockInReports:
         finally:
             if was_enabled:
                 tel.enable()
+
+
+class TestRunScenarioCleansUp:
+    ARMED = dict(
+        SCENARIO,
+        flows={"active_timeout": 0.5, "idle_timeout": 0.2},
+        topo={"snapshot_every": 32},
+    )
+
+    def test_a_failing_run_leaves_nothing_attached(self, monkeypatch):
+        from repro.net.network import MPLSNetwork
+
+        def broken_run(self, until=None):
+            raise RuntimeError("scheduler wedged")
+
+        monkeypatch.setattr(MPLSNetwork, "run", broken_run)
+        with telemetry_session(enabled=False) as tel:
+            with pytest.raises(RuntimeError, match="wedged"):
+                run_scenario(
+                    Scenario.from_dict(self.ARMED), seed=1, sample_rate=1.0
+                )
+            assert tel.events.sinks == []
+            assert (tel.spans, tel.flows, tel.topo) == (None, None, None)
+            assert not tel.enabled
+
+    def test_a_clean_run_leaves_nothing_attached(self):
+        with telemetry_session(enabled=False) as tel:
+            report = run_scenario(
+                Scenario.from_dict(self.ARMED), seed=1, sample_rate=1.0
+            )
+            assert sum(report["events"].values()) > 0
+            assert tel.events.sinks == []
+            assert (tel.spans, tel.flows, tel.topo) == (None, None, None)
+            assert not tel.enabled

@@ -166,3 +166,82 @@ class TestNetworkPlumbing:
         assert net.delivered_count(a.flow_id) == a.sent
         assert net.delivered_count(b.flow_id) == b.sent
         assert len(net.latencies(a.flow_id)) == a.sent
+
+
+def _scanned_count(net, flow_id=None):
+    """``delivered_count`` by scanning both delivery logs."""
+    return sum(
+        1
+        for d in net.deliveries
+        if flow_id is None or d.packet.flow_id == flow_id
+    ) + sum(
+        a.count
+        for a in net.aggregate_deliveries
+        if flow_id is None or a.flow_id == flow_id
+    )
+
+
+def _assert_counts_match_a_scan(net, extra_ids=()):
+    flow_ids = {d.packet.flow_id for d in net.deliveries}
+    flow_ids.update(a.flow_id for a in net.aggregate_deliveries)
+    assert flow_ids, "nothing was delivered: the comparison is vacuous"
+    flow_ids.update(extra_ids)
+    for flow_id in sorted(flow_ids) + [None, max(flow_ids) + 1]:
+        assert net.delivered_count(flow_id) == _scanned_count(net, flow_id)
+    return flow_ids
+
+
+class TestDeliveredCountAgainstAScan:
+    def test_scalar_run_with_two_flows(self):
+        net, _ = _ldp_network()
+        first, second = _flow(net), _flow(net, duration=0.1, dst="10.2.0.77")
+        net.run(until=1.0)
+        ids = _assert_counts_match_a_scan(net)
+        assert len(ids) == 2
+        assert net.delivered_count() == first.sent + second.sent
+
+    def test_batched_run_mixes_trains_and_sampled_packets(self):
+        from repro.net.aggregate import AggregateCBRSource
+
+        net, _ = _ldp_network()
+        net.enable_batching()
+        sources = [
+            AggregateCBRSource(
+                net.scheduler,
+                net.aggregate_sink("ler-a"),
+                src="10.1.0.5",
+                dst=dst,
+                rate_bps=1e6,
+                packet_size=500,
+                batch=20,
+                stop=0.5,
+                sample_every=10,
+                sample_sink=net.source_sink("ler-a"),
+            )
+            for dst in ("10.2.0.9", "10.2.0.77")
+        ]
+        for source in sources:
+            source.begin()
+        net.run(until=1.0)
+        assert net.deliveries and net.aggregate_deliveries
+        _assert_counts_match_a_scan(net)
+        assert net.delivered_count() == sum(s.sent for s in sources)
+
+    def test_run_with_forged_flows(self):
+        import json
+        from pathlib import Path
+
+        from repro.faults import Scenario
+        from repro.faults.chaos import build_run
+
+        raw = json.loads(
+            (Path(__file__).parents[2] / "examples" / "chaos_security.json")
+            .read_text()
+        )
+        raw["security"] = {"enabled": False}  # let the forgeries through
+        run = build_run(Scenario.from_dict(raw), seed=7)
+        run.network.run(until=run.scenario.duration)
+        forged = list(run.security._forged)
+        _assert_counts_match_a_scan(run.network, extra_ids=forged)
+        leaked = sum(run.network.delivered_count(f) for f in forged)
+        assert 0 < leaked < len(forged)  # some ids delivered, most did not

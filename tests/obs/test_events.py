@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.events import (
     CLOCK_CYCLES,
@@ -14,6 +16,7 @@ from repro.obs.events import (
     FilterSink,
     FSMTransition,
     JSONLSink,
+    KindCountSink,
     LabelOpApplied,
     ListSink,
     PacketDropped,
@@ -93,6 +96,59 @@ class TestEventLog:
         assert len(sink.by_kind("packet-forwarded")) == 1
         assert len(sink.by_kind("packet-dropped")) == 1
         assert len(sink.by_kind("label-op")) == 1
+
+    def test_sink_change_between_emits_is_honoured_by_the_next(self):
+        log = EventLog()
+        first = log.add_sink(ListSink())
+        log.emit(_packet_event(uid=1))
+        second = log.add_sink(ListSink())
+        log.emit(_packet_event(uid=2))
+        log.remove_sink(first)
+        log.emit(_packet_event(uid=3))
+        log.remove_sink(second)
+        log.emit(_packet_event(uid=4))
+        assert [e.uid for e in first.events] == [1, 2]
+        assert [e.uid for e in second.events] == [2, 3]
+        assert log.sinks == [] and log.emitted == 4
+
+    def test_sink_removed_from_inside_a_write_misses_the_next_emit(self):
+        log = EventLog()
+        seen = ListSink()
+
+        def once(event):
+            log.remove_sink(quitter)
+
+        quitter = log.add_sink(CallbackSink(once))
+        log.add_sink(seen)
+        log.emit(_packet_event(uid=1))  # both see it; quitter leaves
+        log.emit(_packet_event(uid=2))
+        assert [e.uid for e in seen.events] == [1, 2]
+        assert log.sinks == [seen]
+
+
+_EVENT_MAKERS = [
+    lambda: _packet_event(),
+    lambda: PacketDropped(node="lsr-1", uid=2, flow_id=7, reason="x"),
+    lambda: LabelOpApplied(node="lsr-1", op="swap", label_in=16, label_out=17),
+    lambda: FSMTransition(fsm="search", src="IDLE", dst="SEARCH"),
+]
+
+
+class TestKindCounts:
+    @given(st.lists(st.sampled_from(_EVENT_MAKERS), max_size=40))
+    def test_counting_sink_matches_a_list_sink_fed_the_same_stream(
+        self, makers
+    ):
+        log = EventLog()
+        kept, counted = log.add_sink(ListSink()), log.add_sink(KindCountSink())
+        for make in makers:
+            log.emit(make())
+        brute = {}
+        for event in kept.events:
+            brute[event.kind] = brute.get(event.kind, 0) + 1
+        assert counted.kind_counts() == kept.kind_counts() == brute
+        assert list(counted.kind_counts()) == sorted(brute)
+        assert list(kept.kind_counts()) == sorted(brute)
 
 
 class TestRecords:

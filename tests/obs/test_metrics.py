@@ -1,11 +1,15 @@
 """Tests for the metrics registry: families, labels, histograms."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.faults.scenario import FaultKind
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricFamily,
     MetricsRegistry,
 )
 
@@ -105,7 +109,87 @@ class TestFamiliesAndLabels:
             fam.inc()
 
 
+class _Loud(str):
+    """A str subclass whose ``str()`` is not itself."""
+
+    def __str__(self) -> str:
+        return self.upper()
+
+
+#: label values whose ``str()`` collide with, or hash like, one another
+_LABEL_VALUES = st.one_of(
+    st.sampled_from(
+        ["link-down", "FaultKind.LINK_DOWN", "1", "True", "None", "1.0",
+         "loud", "LOUD", ""]
+    ),
+    st.sampled_from([1, True, False, 1.0, None]),
+    st.sampled_from([FaultKind.LINK_DOWN, FaultKind.IB_BITFLIP]),
+    st.sampled_from([_Loud("loud"), _Loud("link-down")]),
+)
+
+
+class TestLabelsAgainstBruteForce:
+    """``labels()`` probes ``_children`` with the caller's tuple when
+    every value is exactly a ``str``; the child it returns must always be
+    the one the coerced key ``tuple(str(v) ...)`` selects."""
+
+    @given(
+        st.lists(
+            st.tuples(_LABEL_VALUES, st.sampled_from(["x", 1])), max_size=30
+        )
+    )
+    def test_child_is_the_one_the_coerced_key_selects(self, calls):
+        fam = MetricFamily("x_total", "x", "counter", ("a", "b"))
+        children = {}
+        for values in calls + calls:  # first use, then repeat use
+            key = tuple(str(v) for v in values)
+            child = fam.labels(*values)
+            assert child is fam._children[key]
+            assert children.setdefault(key, child) is child
+            assert fam.labels(b=values[1], a=values[0]) is child
+        assert len(fam) == len(children)
+
+    def test_str_mixin_enum_does_not_alias_its_value(self):
+        fam = MetricFamily("x_total", "x", "counter", ("kind",))
+        plain = fam.labels("link-down")
+        assert fam.labels(FaultKind.LINK_DOWN) is not plain
+        assert fam.labels(str(FaultKind.LINK_DOWN)) is fam.labels(
+            FaultKind.LINK_DOWN
+        )
+        assert fam.labels("link-down") is plain
+
+    def test_errors_keep_their_messages(self):
+        fam = MetricFamily("x_total", "x", "counter", ("a", "b"))
+        fam.labels("1", "2")
+        for args, kw, message in [
+            (("1",), {}, "x_total: expected 2 label values ['a', 'b'], got 1"),
+            (("1", "2", "3"), {},
+             "x_total: expected 2 label values ['a', 'b'], got 3"),
+            ((), {}, "x_total: expected 2 label values ['a', 'b'], got 0"),
+            ((), {"a": "1"},
+             "x_total: missing label 'b' (schema ['a', 'b'])"),
+            ((), {"a": "1", "b": "2", "c": "3"},
+             "x_total: unknown labels ['c']"),
+            (("1",), {"b": "2"},
+             "pass labels positionally or by name, not both"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                fam.labels(*args, **kw)
+            assert str(excinfo.value) == message
+        assert len(fam) == 1  # no failed call left a child behind
+
+
 class TestRegistry:
+    def test_value_with_a_missing_label_names_the_schema(self):
+        reg = MetricsRegistry()
+        reg.counter("x_total", "x", ("node", "action")).labels("a", "swap").inc()
+        with pytest.raises(ValueError) as excinfo:
+            reg.value("x_total", node="a")
+        assert str(excinfo.value) == (
+            "x_total: missing label 'action' (schema ['node', 'action'])"
+        )
+        assert reg.value("x_total", node="a", action="swap") == 1
+
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
         a = reg.counter("x_total", "x", ("n",))

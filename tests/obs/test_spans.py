@@ -204,6 +204,22 @@ class TestFolding:
             tel.events.emit(_forwarded(time=0.001))
             assert rec.traces() == []  # sink is gone
 
+    def test_detach_twice_is_a_no_op(self):
+        with telemetry_session(enabled=False) as tel:
+            rec = SpanRecorder(sample_rate=1.0, telemetry=tel)
+            rec.detach()
+            tel.enable()  # someone else's switch now: leave it alone
+            rec.detach()
+            assert tel.enabled and tel.spans is None
+
+    def test_detach_after_reset_restores_the_switch(self):
+        with telemetry_session(enabled=False) as tel:
+            rec = SpanRecorder(sample_rate=1.0, telemetry=tel)
+            tel.reset()  # drops the event log the recorder was hooked to
+            rec.detach()
+            assert not tel.enabled and tel.spans is None
+            assert tel.events.sinks == []
+
 
 class TestFaultAnnotations:
     def test_overlapping_trace_is_annotated(self):
@@ -211,11 +227,11 @@ class TestFaultAnnotations:
             rec = SpanRecorder(sample_rate=1.0)
             tel.events.emit(_forwarded(node="lsr-1", time=0.010))
             fault = FaultInjected(
-                fault="link-down", target="lsr-1<->lsr-2", detail="cut"
+                fault="link-down", target="lsr-1-lsr-2", detail="cut"
             )
             fault.time = 0.012
             tel.events.emit(fault)
-            heal = FaultHealed(fault="link-down", target="lsr-1<->lsr-2")
+            heal = FaultHealed(fault="link-down", target="lsr-1-lsr-2")
             heal.time = 0.020
             tel.events.emit(heal)
             tel.events.emit(_delivered(node="ler-b", time=0.015))
@@ -224,10 +240,52 @@ class TestFaultAnnotations:
             [note] = trace.root.annotations
             assert note.label == "fault:link-down"
             assert note.time == 0.012
-            assert "lsr-1<->lsr-2 (cut)" == note.detail
+            assert "lsr-1-lsr-2 (cut)" == note.detail
             # the hop at the faulted node carries its own annotation
             [hop_note] = trace.hop_spans[0].annotations
             assert hop_note.label == "fault:link-down"
+
+    @staticmethod
+    def _annotated_hops(nodes, path, target):
+        """Hop nodes annotated when one fault on ``target`` overlaps a
+        packet forwarded along ``path``."""
+        with telemetry_session() as tel:
+            rec = SpanRecorder(sample_rate=1.0, nodes=nodes)
+            fault = FaultInjected(fault="link-down", target=target)
+            fault.time = 0.0
+            tel.events.emit(fault)
+            for i, node in enumerate(path):
+                tel.events.emit(_forwarded(node=node, time=0.001 * (i + 1)))
+            rec.finalize()
+            [trace] = rec.traces()
+            assert len(trace.root.annotations) == 1
+            return [
+                hop.attributes["node"]
+                for hop in trace.hop_spans
+                if hop.annotations
+            ]
+
+    def test_target_names_whole_nodes_not_substrings(self):
+        nodes = [f"n{i}" for i in range(12)]
+        path = ["n1", "n10", "n0", "n11"]
+        # the parent commit annotated the hop at n1 too ("n1" in "n10-n11")
+        assert self._annotated_hops(nodes, path, "n10-n11") == ["n10", "n11"]
+        assert self._annotated_hops(nodes, path, "n1-n0") == ["n1", "n0"]
+        assert self._annotated_hops(nodes, path, "n1") == ["n1"]
+        # without a node set the split is still at whole-name boundaries
+        assert self._annotated_hops(None, path, "n10-n11") == ["n10", "n11"]
+
+    def test_target_split_respects_dashes_inside_names(self):
+        nodes = ["ler", "ler-a", "lsr-1", "a-lsr-1", "1"]
+        path = ["ler", "ler-a", "lsr-1", "1"]
+        # ler-a + lsr-1, or ler + a-lsr-1; never "1"'s link to "ler-a-lsr"
+        assert self._annotated_hops(nodes, path, "ler-a-lsr-1") == [
+            "ler", "ler-a", "lsr-1"
+        ]
+        assert self._annotated_hops(
+            ["ler-a", "lsr-1", "ler"], path, "ler-a-lsr-1"
+        ) == ["ler-a", "lsr-1"]
+        assert self._annotated_hops(nodes, path, "ler-a") == ["ler-a"]
 
     def test_disjoint_trace_is_not_annotated(self):
         with telemetry_session() as tel:
