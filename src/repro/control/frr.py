@@ -111,18 +111,16 @@ class FastRerouteManager:
         single-homed ingress).  A backup identical to the primary means
         there is genuinely nothing to protect with."""
         topo = self.signaler.topology
-        saved = []
-        for a, b in primary.links():
-            attrs = topo.link(a, b)
-            saved.append((a, b, attrs.metric))
-            attrs.metric = attrs.metric * 1000
+        saved = [(a, b, topo.link(a, b).metric) for a, b in primary.links()]
         try:
+            for a, b, metric in saved:
+                topo.set_metric(a, b, metric * 1000)
             route = cspf_path(
                 topo, ingress, egress, bandwidth_bps=bandwidth_bps
             )
         finally:
             for a, b, metric in saved:
-                topo.link(a, b).metric = metric
+                topo.set_metric(a, b, metric)
         if route == primary.path:
             raise SignalingError(
                 f"no disjoint backup exists for {primary.name}"

@@ -45,7 +45,7 @@ from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode
 from repro.net.events import EventScheduler
-from repro.net.topology import Topology
+from repro.net.topology import Topology, TopologyError
 from repro.obs.events import (
     ControlMessageShed,
     LabelMappingInstalled,
@@ -299,9 +299,7 @@ class LDPSpeaker:
                 NHLFE(op=LabelOp.SWAP, out_label=label_in, next_hop=peer),
             )
         if self.node.is_edge:
-            ftn_nhlfe = next(
-                (n for f, n in self.node.ftn if f == state.fec), None
-            )
+            ftn_nhlfe = self.node.ftn.entry_for(state.fec)
             if ftn_nhlfe is not None and ftn_nhlfe.next_hop == peer and (
                 self.node.ftn.is_stale(state.fec)
                 or ftn_nhlfe.out_label != label_in
@@ -497,7 +495,9 @@ class MessageLDPProcess:
 
     # -- transport ---------------------------------------------------------
     def send(self, msg: LDPMessage) -> None:
-        if not self.topology.has_link(msg.src, msg.dst):
+        try:
+            link = self.topology.link(msg.src, msg.dst)
+        except TopologyError:
             return  # adjacency gone (link failed mid-flight)
         sec = self.security
         if (
@@ -517,18 +517,14 @@ class MessageLDPProcess:
         if tel.enabled:
             tel.ldp_messages.labels(msg.kind.value).inc()
         if self.overload is None:
-            delay = (
-                self.topology.link(msg.src, msg.dst).delay_s
-                + self.processing_delay
-            )
             self.scheduler.after(
-                delay, lambda: self.speakers[msg.dst].handle(msg)
+                link.delay_s + self.processing_delay,
+                lambda: self.speakers[msg.dst].handle(msg),
             )
             return
         # overload protection: propagation only, then the receiver's
         # bounded control queue (processing happens at service time)
-        delay = self.topology.link(msg.src, msg.dst).delay_s
-        self.scheduler.after(delay, lambda: self._control_arrive(msg))
+        self.scheduler.after(link.delay_s, lambda: self._control_arrive(msg))
 
     def _control_arrive(self, msg: LDPMessage) -> None:
         """An LDP message reached ``msg.dst``'s control queue."""
@@ -849,10 +845,7 @@ class MessageLDPProcess:
                     peer.node.ilm.mark_stale(label)
                     state = self.fecs.get(fec_id)
                     if state is not None:
-                        ftn_nhlfe = next(
-                            (n for f, n in peer.node.ftn if f == state.fec),
-                            None,
-                        )
+                        ftn_nhlfe = peer.node.ftn.entry_for(state.fec)
                         if (
                             ftn_nhlfe is not None
                             and ftn_nhlfe.next_hop == name

@@ -207,6 +207,7 @@ class PriorityControlQueue:
             deque(),
             deque(),
         )
+        self._depth = 0  #: messages held across the three class queues
         #: True while the queue is between watermarks on the way down
         self.shedding = False
         self.enqueued = 0
@@ -220,11 +221,11 @@ class PriorityControlQueue:
         }
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return self._depth
 
     @property
     def fill_fraction(self) -> float:
-        return len(self) / self.capacity
+        return self._depth / self.capacity
 
     def offer(
         self, item: Any, cls: MessageClass
@@ -235,7 +236,7 @@ class PriorityControlQueue:
         arrival itself (watermark shed or queue full) or a worse-class
         victim evicted to make room for a better-class arrival.
         """
-        depth = len(self)
+        depth = self._depth
         if self.prioritized:
             if self.shedding and depth <= self.low_watermark:
                 self.shedding = False
@@ -258,19 +259,23 @@ class PriorityControlQueue:
             victim, vcls = self._queues[victim_cls].pop()  # newest first
             self.dropped_by_class[vcls] += 1
             dropped.append((victim, vcls, "evicted"))
+            depth -= 1
         bucket = cls if self.prioritized else MessageClass.LIVENESS
         self._queues[bucket].append((item, cls))
         self.enqueued += 1
-        self.max_depth = max(self.max_depth, len(self))
+        depth += 1
+        self._depth = depth
+        if depth > self.max_depth:
+            self.max_depth = depth
         return True, dropped
 
     def pop(self) -> Optional[Tuple[Any, MessageClass]]:
         """Dequeue the best-class head (plain FIFO when unprioritized)."""
         for queue in self._queues:
             if queue:
-                item, cls = queue.popleft()
+                self._depth -= 1
                 self.serviced += 1
-                return item, cls
+                return queue.popleft()
         return None
 
 

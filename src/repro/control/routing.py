@@ -52,13 +52,30 @@ class LinkStateDatabase:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._spf_runs = 0
+        #: source -> result, valid for topology version ``_memo_version``
+        self._memo: Dict[str, SPFResult] = {}
+        self._memo_version = topology.version
 
     @property
     def spf_runs(self) -> int:
+        """Dijkstra executions (memo hits do not count)."""
         return self._spf_runs
 
     def spf(self, source: str) -> SPFResult:
-        """Dijkstra from ``source`` over the link metrics."""
+        """The shortest-path tree from ``source`` over the link metrics.
+
+        Computed once per source per topology version and shared by
+        every caller until the topology changes: treat it as read-only.
+        """
+        if self._memo_version != self.topology.version:
+            self._memo.clear()
+            self._memo_version = self.topology.version
+        result = self._memo.get(source)
+        if result is None:
+            result = self._memo[source] = self._dijkstra(source)
+        return result
+
+    def _dijkstra(self, source: str) -> SPFResult:
         topo = self.topology
         if not topo.has_node(source):
             raise TopologyError(f"unknown SPF source {source!r}")
@@ -72,10 +89,11 @@ class LinkStateDatabase:
             if node in visited:
                 continue
             visited.add(node)
-            for neighbor in topo.neighbors(node):
+            adjacent = topo.adjacent(node)
+            for neighbor in sorted(adjacent):
                 if neighbor in visited:
                     continue
-                weight = topo.link(node, neighbor).metric
+                weight = adjacent[neighbor].metric
                 if weight < 0:
                     raise TopologyError(
                         f"negative metric on {node}-{neighbor}"
@@ -100,5 +118,6 @@ def shortest_path(
     topology: Topology, source: str, destination: str
 ) -> Optional[List[str]]:
     """Convenience: the metric-shortest node path, or None."""
+    # a database of its own, so the caller owns the returned list
     result = LinkStateDatabase(topology).spf(source)
     return result.paths.get(destination)

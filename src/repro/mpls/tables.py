@@ -173,18 +173,33 @@ class ILM:
 class FTN:
     """FEC-To-NHLFE map, resolved most-specific-first.
 
-    Entries are kept sorted by descending FEC specificity; insertion is
-    O(n) and lookup O(n) in the number of FECs, which matches both real
-    LER software (a RIB walk) and the linear search of the paper's
-    hardware information base.
+    Each bank is keyed by FEC, so a write costs one hash probe; the
+    most-specific-first list that lookups walk is rebuilt by the first
+    read after a write.  Lookup stays O(n) in the number of FECs, which
+    matches both real LER software (a RIB walk) and the linear search
+    of the paper's hardware information base.
     """
 
     def __init__(self) -> None:
-        self._entries: List[Tuple[FEC, NHLFE]] = []
-        self._staged: Optional[List[Tuple[FEC, NHLFE]]] = None
+        #: active bank in (re-)install order: with the stable sort in
+        #: :meth:`_ordered`, a re-installed FEC moves behind its equals
+        self._bank: Dict[FEC, NHLFE] = {}
+        self._staged: Optional[Dict[FEC, NHLFE]] = None
+        #: the active bank most-specific-first; None after a write
+        self._entries: Optional[List[Tuple[FEC, NHLFE]]] = []
         self._staged_refreshed: Set[FEC] = set()
         self._stale: Set[FEC] = set()
         self.generation = 0
+
+    @staticmethod
+    def _ordered(bank: Dict[FEC, NHLFE]) -> List[Tuple[FEC, NHLFE]]:
+        return sorted(bank.items(), key=lambda pair: -pair[0].specificity)
+
+    def _view(self) -> List[Tuple[FEC, NHLFE]]:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = self._ordered(self._bank)
+        return entries
 
     # -- shadow-bank transaction ------------------------------------
 
@@ -196,7 +211,7 @@ class FTN:
         """Open a transaction: further mutations go to a shadow bank."""
         if self._staged is not None:
             raise RuntimeError("FTN transaction already open")
-        self._staged = list(self._entries)
+        self._staged = dict(self._bank)
         self._staged_refreshed = set()
 
     def commit(self) -> None:
@@ -206,10 +221,11 @@ class FTN:
         don't resynchronize their info base for a no-op swap."""
         if self._staged is None:
             raise RuntimeError("no FTN transaction open")
-        changed = self._staged != self._entries
-        self._entries = self._staged
+        staged = self._ordered(self._staged)
+        changed = staged != self._view()
+        self._bank, self._entries = self._staged, staged
         self._stale -= self._staged_refreshed
-        self._stale &= {f for f, _ in self._entries}
+        self._stale.intersection_update(self._bank)
         self._staged = None
         self._staged_refreshed = set()
         if changed:
@@ -226,32 +242,31 @@ class FTN:
 
     def install(self, fec: FEC, nhlfe: NHLFE) -> None:
         if self._staged is not None:
-            self._staged = [(f, n) for f, n in self._staged if f != fec]
-            self._staged.append((fec, nhlfe))
-            self._staged.sort(key=lambda pair: -pair[0].specificity)
+            self._staged.pop(fec, None)
+            self._staged[fec] = nhlfe
             self._staged_refreshed.add(fec)
         else:
-            self._entries = [(f, n) for f, n in self._entries if f != fec]
-            self._entries.append((fec, nhlfe))
-            self._entries.sort(key=lambda pair: -pair[0].specificity)
+            self._bank.pop(fec, None)
+            self._bank[fec] = nhlfe
+            self._entries = None
             self._stale.discard(fec)
             self.generation += 1
 
     def remove(self, fec: FEC) -> None:
-        bank = self._staged if self._staged is not None else self._entries
-        before = len(bank)
-        kept = [(f, n) for f, n in bank if f != fec]
-        if len(kept) == before:
+        bank = self._staged if self._staged is not None else self._bank
+        if fec not in bank:
             raise KeyError(f"FEC {fec!r} not installed")
-        if self._staged is not None:
-            self._staged = kept
-        else:
-            self._entries = kept
+        del bank[fec]
+        if self._staged is None:
+            self._entries = None
             self._stale.discard(fec)
             self.generation += 1
 
     def lookup(self, packet: IPv4Packet) -> Tuple[FEC, NHLFE]:
-        for fec, nhlfe in self._entries:
+        entries = self._entries
+        if entries is None:
+            entries = self._view()
+        for fec, nhlfe in entries:
             if fec.matches(packet):
                 return fec, nhlfe
         raise NoRouteError(f"no FEC matches packet to {packet.dst}")
@@ -262,18 +277,24 @@ class FTN:
         except NoRouteError:
             return None
 
+    def entry_for(self, fec: FEC) -> Optional[NHLFE]:
+        """The active NHLFE installed for exactly ``fec`` (no matching,
+        no specificity), or None."""
+        return self._bank.get(fec)
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._bank)
 
     def __iter__(self) -> Iterator[Tuple[FEC, NHLFE]]:
-        return iter(self._entries)
+        return iter(self._view())
 
     def clear(self) -> None:
         if self._staged is not None:
             self._staged.clear()
             self._staged_refreshed.clear()
         else:
-            self._entries.clear()
+            self._bank.clear()
+            self._entries = []
             self._stale.clear()
             self.generation += 1
 
@@ -281,11 +302,11 @@ class FTN:
 
     def mark_all_stale(self) -> int:
         """Stale-mark every installed entry; returns how many."""
-        self._stale = {f for f, _ in self._entries}
+        self._stale = set(self._bank)
         return len(self._stale)
 
     def mark_stale(self, fec: FEC) -> None:
-        if any(f == fec for f, _ in self._entries):
+        if fec in self._bank:
             self._stale.add(fec)
 
     def is_stale(self, fec: FEC) -> bool:
@@ -294,15 +315,15 @@ class FTN:
     def stale_fecs(self) -> List[FEC]:
         # Specificity order (the table's own order) keeps this
         # deterministic without requiring FECs to be sortable.
-        return [f for f, _ in self._entries if f in self._stale]
+        return [f for f, _ in self._view() if f in self._stale]
 
     def flush_stale(self) -> List[FEC]:
         """Remove entries still stale-marked (hold timer expired)."""
-        removed = [f for f, _ in self._entries if f in self._stale]
+        removed = self.stale_fecs()
+        for fec in removed:
+            del self._bank[fec]
         if removed:
-            self._entries = [
-                (f, n) for f, n in self._entries if f not in self._stale
-            ]
+            self._entries = None
             self.generation += 1
         self._stale.clear()
         return removed

@@ -730,11 +730,7 @@ class MPLSNetwork:
         """
         if ingress not in self.nodes or ingress in self._down_nodes:
             return None
-        entry = None
-        for candidate, nhlfe in self.nodes[ingress].ftn:
-            if candidate == fec:
-                entry = nhlfe
-                break
+        entry = self.nodes[ingress].ftn.entry_for(fec)
         if entry is None or entry.next_hop is None:
             return None
         path = [ingress]

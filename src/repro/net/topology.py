@@ -9,8 +9,9 @@ the paper's Figure 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 
 class TopologyError(Exception):
@@ -50,17 +51,26 @@ class LinkAttributes:
 
 
 class Topology:
-    """An undirected multigraph-free graph of nodes and links."""
+    """An undirected multigraph-free graph of nodes and links.
+
+    ``version`` moves on every structural or metric change, so a reader
+    (the SPF memo in :mod:`repro.control.routing`) can tell a stale
+    result from a current one.  Metrics therefore change only through
+    :meth:`set_metric`, never by assigning ``LinkAttributes.metric``.
+    """
 
     def __init__(self) -> None:
-        self._nodes: Set[str] = set()
+        #: node -> {neighbour: attrs}; both directions share one attrs
+        self._adj: Dict[str, Dict[str, LinkAttributes]] = {}
         self._links: Dict[Tuple[str, str], LinkAttributes] = {}
+        self.version = 0
 
     # -- construction -------------------------------------------------------
     def add_node(self, name: str) -> None:
-        if name in self._nodes:
+        if name in self._adj:
             raise TopologyError(f"node {name!r} already exists")
-        self._nodes.add(name)
+        self._adj[name] = {}
+        self.version += 1
 
     def add_link(
         self,
@@ -71,22 +81,13 @@ class Topology:
         delay_s: float = 1e-3,
         affinity: int = 0,
     ) -> LinkAttributes:
-        if a not in self._nodes:
-            raise TopologyError(f"unknown node {a!r}")
-        if b not in self._nodes:
-            raise TopologyError(f"unknown node {b!r}")
-        if a == b:
-            raise TopologyError(f"self-loop on {a!r}")
-        key = self._key(a, b)
-        if key in self._links:
-            raise TopologyError(f"link {a!r}-{b!r} already exists")
         attrs = LinkAttributes(
-            metric=metric,
+            metric=self._checked_metric(a, b, metric),
             bandwidth_bps=bandwidth_bps,
             delay_s=delay_s,
             affinity=affinity,
         )
-        self._links[key] = attrs
+        self.restore_link(a, b, attrs)
         return attrs
 
     def remove_link(self, a: str, b: str) -> None:
@@ -94,19 +95,40 @@ class Topology:
         if key not in self._links:
             raise TopologyError(f"no link {a!r}-{b!r}")
         del self._links[key]
+        del self._adj[a][b]
+        del self._adj[b][a]
+        self.version += 1
 
     def restore_link(self, a: str, b: str, attrs: LinkAttributes) -> None:
         """Re-insert a previously removed adjacency with its saved
         attributes (TE reservations included) -- the heal half of a
         link-failure fault."""
-        if a not in self._nodes:
+        if a not in self._adj:
             raise TopologyError(f"unknown node {a!r}")
-        if b not in self._nodes:
+        if b not in self._adj:
             raise TopologyError(f"unknown node {b!r}")
+        if a == b:
+            raise TopologyError(f"self-loop on {a!r}")
         key = self._key(a, b)
         if key in self._links:
             raise TopologyError(f"link {a!r}-{b!r} already exists")
-        self._links[key] = attrs
+        self._links[key] = self._adj[a][b] = self._adj[b][a] = attrs
+        self.version += 1
+
+    def set_metric(self, a: str, b: str, metric: float) -> None:
+        """Change a link's IGP metric (the only way a metric may move:
+        it is what lets ``version`` vouch for memoised SPF results)."""
+        self.link(a, b).metric = self._checked_metric(a, b, metric)
+        self.version += 1
+
+    @staticmethod
+    def _checked_metric(a: str, b: str, metric: float) -> float:
+        if not (math.isfinite(metric) and metric >= 0):
+            raise TopologyError(
+                f"metric on link {a!r}-{b!r} must be finite and >= 0, "
+                f"got {metric!r}"
+            )
+        return metric
 
     @staticmethod
     def _key(a: str, b: str) -> Tuple[str, str]:
@@ -115,14 +137,14 @@ class Topology:
     # -- queries --------------------------------------------------------
     @property
     def nodes(self) -> List[str]:
-        return sorted(self._nodes)
+        return sorted(self._adj)
 
     @property
     def links(self) -> List[Tuple[str, str]]:
         return sorted(self._links)
 
     def has_node(self, name: str) -> bool:
-        return name in self._nodes
+        return name in self._adj
 
     def has_link(self, a: str, b: str) -> bool:
         return self._key(a, b) in self._links
@@ -133,19 +155,19 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no link {a!r}-{b!r}") from None
 
+    def adjacent(self, node: str) -> Dict[str, LinkAttributes]:
+        """``node``'s live adjacencies, neighbour -> attributes (the
+        index itself: read it, do not write it)."""
+        try:
+            return self._adj[node]
+        except KeyError:
+            raise TopologyError(f"unknown node {node!r}") from None
+
     def neighbors(self, node: str) -> List[str]:
-        if node not in self._nodes:
-            raise TopologyError(f"unknown node {node!r}")
-        out = []
-        for a, b in self._links:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
+        return sorted(self.adjacent(node))
 
     def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
+        return len(self.adjacent(node))
 
     def edges_with_attrs(
         self,
@@ -154,7 +176,7 @@ class Topology:
             yield a, b, attrs
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._adj)
 
 
 # -- builders ---------------------------------------------------------------

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.control.frr import FastRerouteManager
+from repro.control.routing import LinkStateDatabase
 from repro.control.rsvp_te import RSVPTESignaler, SignalingError
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.router import LSRNode, RouterRole
 from repro.net.network import MPLSNetwork
 from repro.net.packet import IPv4Packet
-from repro.net.topology import line, paper_figure1
+from repro.net.topology import Topology, line, paper_figure1
 from repro.net.traffic import CBRSource
 
 
@@ -39,6 +40,54 @@ class TestProtect:
             protected.backup.links()
         )
         assert all("ler-a" in link for link in shared)
+
+    def test_link_disjoint_penalty_goes_through_set_metric(self, monkeypatch):
+        """ler-a is single-homed, so the backup comes from the
+        link-penalising fallback: every metric it touches moves through
+        ``Topology.set_metric`` (an SPF memo sees it come and go) and is
+        back to its own value afterwards."""
+        topo, _, sig = _env()
+        topo.set_metric("lsr-1", "lsr-3", 2)
+        lsdb = LinkStateDatabase(topo)
+        before = lsdb.spf("ler-a")
+        moves = []
+        set_metric = Topology.set_metric
+
+        def recording(self, a, b, metric):
+            moves.append((a, b, metric))
+            set_metric(self, a, b, metric)
+
+        monkeypatch.setattr(Topology, "set_metric", recording)
+        protected = FastRerouteManager(sig).protect(
+            "p1", "ler-a", "ler-b", PrefixFEC("10.2.0.0/16")
+        )
+        primary = list(protected.primary.links())
+        assert moves == [(a, b, 1000.0) for a, b in primary] + [
+            (a, b, 1.0) for a, b in primary
+        ]
+        assert topo.version == 11 + len(moves)
+        assert {
+            (a, b): attrs.metric for a, b, attrs in topo.edges_with_attrs()
+        } == {
+            link: 2 if link == ("lsr-1", "lsr-3") else 1.0
+            for link in topo.links
+        }
+        after = lsdb.spf("ler-a")
+        assert after is not before and after.paths == before.paths
+
+    def test_penalty_is_undone_when_no_route_exists(self):
+        topo = line(3, bandwidth_bps=10e6)
+        nodes = {
+            "n0": LSRNode("n0", RouterRole.LER),
+            "n1": LSRNode("n1", RouterRole.LSR),
+            "n2": LSRNode("n2", RouterRole.LER),
+        }
+        frr = FastRerouteManager(RSVPTESignaler(topo, nodes))
+        with pytest.raises(SignalingError):
+            frr.protect("p1", "n0", "n2", PrefixFEC("10.2.0.0/16"))
+        assert [attrs.metric for _, _, attrs in topo.edges_with_attrs()] == [
+            1.0, 1.0
+        ]
 
     def test_duplicate_name_rejected(self):
         _, _, sig = _env()

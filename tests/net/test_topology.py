@@ -72,6 +72,80 @@ class TestTopology:
         assert all(attrs.metric == 7 for _, _, attrs in edges)
 
 
+class TestVersionAndMetrics:
+    def test_every_mutator_moves_the_version(self):
+        topo = Topology()
+        seen = [topo.version]
+
+        def moved() -> bool:
+            seen.append(topo.version)
+            return seen[-1] == seen[-2] + 1
+
+        topo.add_node("a")
+        assert moved()
+        topo.add_node("b")
+        assert moved()
+        attrs = topo.add_link("a", "b")
+        assert moved()
+        topo.set_metric("a", "b", 7)
+        assert moved() and attrs.metric == 7
+        topo.remove_link("b", "a")
+        assert moved()
+        topo.restore_link("b", "a", attrs)
+        assert moved() and topo.link("a", "b") is attrs
+
+    def test_a_refused_mutation_leaves_the_version(self):
+        topo = line(2)
+        version = topo.version
+        for refused in (
+            lambda: topo.add_node("n0"),
+            lambda: topo.add_link("n0", "n1"),
+            lambda: topo.add_link("n0", "ghost"),
+            lambda: topo.add_link("n0", "n1", metric=-1),
+            lambda: topo.remove_link("n0", "ghost"),
+            lambda: topo.restore_link("n0", "n1", topo.link("n0", "n1")),
+            lambda: topo.set_metric("n0", "ghost", 2),
+            lambda: topo.set_metric("n0", "n1", float("nan")),
+        ):
+            with pytest.raises(TopologyError):
+                refused()
+        assert topo.version == version
+        assert topo.link("n0", "n1").metric == 1.0
+
+    @pytest.mark.parametrize(
+        "metric", [-1, -1e-9, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_metric_must_be_finite_and_non_negative(self, metric):
+        topo = line(3)
+        topo.remove_link("n1", "n2")
+        with pytest.raises(TopologyError, match="'n1'-'n2'"):
+            topo.add_link("n1", "n2", metric=metric)
+        assert not topo.has_link("n1", "n2")
+        with pytest.raises(TopologyError, match="'n0'-'n1'"):
+            topo.set_metric("n0", "n1", metric)
+        assert topo.link("n0", "n1").metric == 1.0
+
+    def test_zero_metric_is_allowed(self):
+        topo = line(2)
+        topo.set_metric("n0", "n1", 0)
+        assert topo.link("n1", "n0").metric == 0
+
+    def test_adjacency_follows_remove_and_restore(self):
+        topo = ring(4)
+        attrs = topo.link("n0", "n3")
+        topo.remove_link("n0", "n3")
+        assert topo.neighbors("n0") == ["n1"] and topo.degree("n3") == 1
+        assert "n3" not in topo.adjacent("n0")
+        topo.restore_link("n3", "n0", attrs)
+        assert topo.neighbors("n0") == ["n1", "n3"]
+        assert topo.adjacent("n0")["n3"] is topo.adjacent("n3")["n0"] is attrs
+
+    def test_restore_refuses_a_self_loop(self):
+        topo = line(2)
+        with pytest.raises(TopologyError, match="self-loop"):
+            topo.restore_link("n0", "n0", topo.link("n0", "n1"))
+
+
 class TestReservations:
     def test_reserve_and_release(self):
         topo = line(2, bandwidth_bps=100.0)
