@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, TextIO, Tuple
 
 from repro.analysis.cycles import measure_table6
 from repro.analysis.report import render_series, render_table
@@ -42,6 +42,9 @@ from repro.core.hybrid import compare_partitions
 from repro.core.timing import worst_case_scenario
 from repro.hw.driver import ModifierDriver
 from repro.mpls.label import LabelEntry, LabelOp
+
+if TYPE_CHECKING:  # pragma: no cover - type-only; repro.faults loads lazily
+    from repro.faults import ChaosReport, Scenario
 
 
 def cmd_table6() -> int:
@@ -182,6 +185,35 @@ def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
     finally:
         stream.close()
     return True
+
+
+def _load_scenario(path: str) -> Optional[Scenario]:
+    """Load a scenario file; on failure print the standard error
+    message and return None (callers turn that into exit 1)."""
+    from repro.faults import Scenario, ScenarioError
+
+    try:
+        return Scenario.load(path)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    except ScenarioError as exc:
+        print(f"error: bad scenario: {exc}", file=sys.stderr)
+    return None
+
+
+def _run(scenario: Scenario, **kwargs) -> Optional[ChaosReport]:
+    """Run a scenario under a fresh telemetry session and return its
+    report; a scenario the harness rejects prints the standard error
+    message and returns None."""
+    from repro.faults import ScenarioError, run_scenario
+    from repro.obs import telemetry_session
+
+    try:
+        with telemetry_session():
+            return run_scenario(scenario, **kwargs)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 # -- telemetry commands ------------------------------------------------------
@@ -371,26 +403,11 @@ def cmd_spans(
     )
 
     if scenario_path is not None:
-        from repro.faults import Scenario, ScenarioError, run_scenario
-
-        try:
-            scenario = Scenario.load(scenario_path)
-        except OSError as exc:
-            print(
-                f"error: cannot read {scenario_path}: {exc}",
-                file=sys.stderr,
-            )
+        scenario = _load_scenario(scenario_path)
+        if scenario is None:
             return 1
-        except ScenarioError as exc:
-            print(f"error: bad scenario: {exc}", file=sys.stderr)
-            return 1
-        try:
-            with telemetry_session():
-                report = run_scenario(
-                    scenario, seed=seed, sample_rate=sample_rate
-                )
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        report = _run(scenario, seed=seed, sample_rate=sample_rate)
+        if report is None:
             return 1
         recorder = report.recorder
         label = scenario.name
@@ -494,9 +511,6 @@ def cmd_chaos(
     ``--list-faults`` instead enumerates the fault taxonomy (kinds,
     target arity, accepted params) and exits.
     """
-    from repro.faults import Scenario, ScenarioError, run_scenario
-    from repro.obs import telemetry_session
-
     if list_faults:
         print(_render_fault_kinds())
         return 0
@@ -504,13 +518,8 @@ def cmd_chaos(
         print("error: chaos needs a scenario file "
               "(e.g. examples/chaos_smoke.json)", file=sys.stderr)
         return 1
-    try:
-        scenario = Scenario.load(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
+    scenario = _load_scenario(scenario_path)
+    if scenario is None:
         return 1
     if audit is not None:
         # the flag arms (or re-periods) the consistency auditor even
@@ -537,13 +546,8 @@ def cmd_chaos(
             **(scenario.controller or {}),
             "enabled": controller == "on",
         }
-    try:
-        with telemetry_session():
-            report = run_scenario(
-                scenario, seed=seed, batching=(batching == "on")
-            )
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _run(scenario, seed=seed, batching=(batching == "on"))
+    if report is None:
         return 1
     text = report.to_json()
     if output:
@@ -582,8 +586,7 @@ def cmd_flows(
     exposition.  All three exports are byte-stable for a seeded
     scenario (the CI flows-smoke step compares two runs with ``cmp``).
     """
-    from repro.faults import Scenario, ScenarioError, run_scenario
-    from repro.obs import telemetry_session, to_prometheus
+    from repro.obs import to_prometheus
     from repro.obs.alerts import render_alert_history
     from repro.obs.flows import (
         flows_to_jsonl,
@@ -595,22 +598,13 @@ def cmd_flows(
         print("error: flows needs a scenario file "
               "(e.g. examples/chaos_flow_alerts.json)", file=sys.stderr)
         return 1
-    try:
-        scenario = Scenario.load(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
+    scenario = _load_scenario(scenario_path)
+    if scenario is None:
         return 1
     if scenario.flows is None:
         scenario.flows = {}
-    try:
-        with telemetry_session() as tel:
-            report = run_scenario(scenario, seed=seed)
-            exposition = to_prometheus(tel.registry)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _run(scenario, seed=seed)
+    if report is None:
         return 1
     accountant = report.flows
     print(render_flow_summary(accountant, report.collector, top=top))
@@ -653,6 +647,8 @@ def cmd_flows(
             return 1
         print(f"flows: matrix snapshots -> {matrix}", file=sys.stderr)
     if prom:
+        # the accountant holds the run's telemetry (and its registry)
+        exposition = to_prometheus(accountant.telemetry.registry)
         if not _write_output(
             prom, lambda handle: handle.write(exposition)
         ):
@@ -815,29 +811,16 @@ def cmd_topo(
     and ``--dot`` as Graphviz -- both byte-stable for a seeded run
     (the CI topo-smoke step compares two runs with ``cmp``).
     """
-    from repro.faults import Scenario, ScenarioError, run_scenario
-    from repro.obs import telemetry_session
-
     times = times or []
-    try:
-        scenario = Scenario.load(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
+    scenario = _load_scenario(scenario_path)
+    if scenario is None:
         return 1
     if scenario.topo is None:
         # the observer is the point of this command: force it on even
         # when the scenario file has no 'topo' key
         scenario.topo = {}
-    try:
-        with telemetry_session():
-            report = run_scenario(
-                scenario, seed=seed, batching=(batching == "on")
-            )
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _run(scenario, seed=seed, batching=(batching == "on"))
+    if report is None:
         return 1
     observer = report.topo
     if observer is None:

@@ -409,14 +409,16 @@ class IngressShedder:
         tel.events.emit(event)
 
     # -- data-plane hook ---------------------------------------------------
-    def guard(self, node: str, packet: IPv4Packet) -> bool:
-        """True when ``packet`` arriving at ingress ``node`` must shed."""
+    def guard(self, node: str, packet: IPv4Packet, count: int = 1) -> bool:
+        """True when ``packet`` arriving at ingress ``node`` must shed;
+        ``count`` is the number of packets it stands for (a train's
+        template is offered once for the whole train)."""
         for entry in self.entries:
             if (
                 entry.shed
                 and entry.ingress == node
                 and entry.matcher.matches(packet)
             ):
-                self.packets_shed += 1
+                self.packets_shed += count
                 return True
         return False

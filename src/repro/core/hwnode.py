@@ -386,43 +386,6 @@ class HardwareLSRNode(LSRNode):
             reason=cached.reason,
         )
 
-    def receive_aggregate(self, aggregate) -> ForwardingDecision:
-        """Process a whole packet train: the first packet runs (or
-        fills) the memo, the rest replay it in O(1) each."""
-        if self._hw_memo is None:
-            raise RuntimeError(
-                f"{self.name}: aggregates need batching enabled"
-            )
-        count = aggregate.count
-        template = aggregate.template
-        self.stats.received += count
-        self._sync_info_base()
-        self._phase_log = None
-        decision = self._forward(template)
-        for _ in range(count - 1):
-            self._forward(template)
-        decision = self._fill_interface(decision)
-        self.stats.record(decision, count)
-        tel = get_telemetry()
-        if tel.enabled:
-            cycles_after = self.hw_data_cycles
-            delta = cycles_after - self._observed_data_cycles
-            self._observed_data_cycles = cycles_after
-            inner = (
-                template.inner
-                if isinstance(template, MPLSPacket)
-                else template
-            )
-            if delta:
-                tel.hw_cycles.labels(self.name, "data").inc(delta)
-                tel.hw_packet_cycles.labels(self.name).observe(delta)
-                if tel.flows is not None:
-                    tel.flows.record_hw_cycles(
-                        self.name, inner.flow_id, delta
-                    )
-        self.observe_aggregate(aggregate, decision)
-        return decision
-
     def hw_memo_stats(self) -> dict:
         return {
             "entries": len(self._hw_memo) if self._hw_memo else 0,
@@ -433,9 +396,19 @@ class HardwareLSRNode(LSRNode):
 
     # -- the hardware data path ---------------------------------------------
     def receive(
-        self, packet: Union[IPv4Packet, MPLSPacket]
+        self,
+        packet: Union[IPv4Packet, MPLSPacket],
+        train=None,
     ) -> ForwardingDecision:
-        self.stats.received += 1
+        if train is None:
+            count = 1
+        elif self._hw_memo is None:
+            raise RuntimeError(
+                f"{self.name}: aggregates need batching enabled"
+            )
+        else:
+            count = train.count
+        self.stats.received += count
         self._sync_info_base()
         # span capture is decided head-of-packet: one global lookup and
         # one boolean when telemetry is off (the hot-path contract;
@@ -444,31 +417,41 @@ class HardwareLSRNode(LSRNode):
         tel_enabled = tel.enabled
         inner = packet.inner if isinstance(packet, MPLSPacket) else packet
         capture = (
-            tel_enabled
+            train is None
+            and tel_enabled
             and tel.spans is not None
             and tel.spans.wants(inner.flow_id, inner.uid)
         )
         self._phase_log = [] if capture else None
         decision = self._forward(packet, bypass_memo=capture)
-        decision = self._fill_interface(decision)
-        self.stats.record(decision)
         if tel_enabled:
-            cycles_after = self.hw_data_cycles
-            delta = cycles_after - self._observed_data_cycles
-            self._observed_data_cycles = cycles_after
-            if delta:
-                tel.hw_cycles.labels(self.name, "data").inc(delta)
-                tel.hw_packet_cycles.labels(self.name).observe(delta)
-                # flow accounting attributes the cycle delta to this
-                # packet's flow record; rides the guard already taken
-                if tel.flows is not None:
-                    tel.flows.record_hw_cycles(
-                        self.name, inner.flow_id, delta
-                    )
-        self.observe(packet, decision)
+            self._publish_cycles(tel, inner.flow_id)
+        for _ in range(count - 1):
+            # the rest of a train replays the memo in O(1) each
+            self._forward(packet)
+            if tel_enabled:
+                self._publish_cycles(tel, inner.flow_id)
+        decision = self._fill_interface(decision)
+        self.stats.record(decision, count)
+        self.observe(packet, decision, train)
         if capture:
             self._emit_phases(tel, inner.uid, inner.flow_id)
         return decision
+
+    def _publish_cycles(self, tel, flow_id: int) -> None:
+        """Publish the data cycles spent since the last call as one
+        packet's cost (a train publishes once per replayed packet, so
+        the per-packet histogram never sees a summed sample)."""
+        cycles_after = self.hw_data_cycles
+        delta = cycles_after - self._observed_data_cycles
+        self._observed_data_cycles = cycles_after
+        if delta:
+            tel.hw_cycles.labels(self.name, "data").inc(delta)
+            tel.hw_packet_cycles.labels(self.name).observe(delta)
+            # flow accounting attributes the cycle delta to this
+            # packet's flow record; rides the guard already taken
+            if tel.flows is not None:
+                tel.flows.record_hw_cycles(self.name, flow_id, delta)
 
     def _emit_phases(self, tel, uid: int, flow_id: int) -> None:
         """Publish the captured phases as cycles-domain events, with

@@ -33,8 +33,8 @@ the scenario's horizon, and distils the outcome into a
 
 Everything in the report derives from simulated time and seeded
 randomness -- the same (scenario, seed) pair yields a byte-identical
-JSON report, which the CI chaos-smoke step checks literally with
-``cmp``.
+JSON report, which the CI determinism-smoke job checks literally
+with ``cmp``.
 """
 
 from __future__ import annotations

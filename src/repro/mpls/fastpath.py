@@ -171,19 +171,23 @@ class FlowCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        #: the decision served by the last :meth:`process` call, for
-        #: :meth:`scale_last` (aggregate processing)
-        self._last: Optional[_CachedDecision] = None
 
     # -- keys ---------------------------------------------------------------
     key_of = staticmethod(key_of)
 
     # -- the fast path ------------------------------------------------------
     def process(
-        self, packet: Union[IPv4Packet, MPLSPacket]
+        self, packet: Union[IPv4Packet, MPLSPacket], count: int = 1
     ) -> ForwardingDecision:
         """Engine-equivalent processing: replay a cached decision, or
-        compute one scalar decision and memoize it."""
+        compute one scalar decision and memoize it.
+
+        ``count > 1`` processes ``packet`` as the template of a train
+        of that many identical packets: op counts and registry mirrors
+        advance ``count`` times, the template's own LabelOpApplied
+        events are emitted once -- aggregates trade event granularity
+        for speed (see :mod:`repro.net.aggregate`).
+        """
         generations = (
             self.engine.ilm.generation,
             self.engine.ftn.generation,
@@ -200,52 +204,19 @@ class FlowCache:
         if cached is not None and cached.observed == observing:
             self.hits += 1
             self._entries.move_to_end(key)
-            self._last = cached
-            decision = self._replay(packet, cached, observing)
+            self._advance(cached, count, observing, events=True)
+            decision = ForwardingDecision(
+                cached.action,
+                packet=self._build(packet, cached),
+                next_hop=cached.next_hop,
+                out_interface=cached.out_interface,
+                reason=cached.reason,
+            )
             if self.cross_check:
                 self._verify(packet, decision)
             return decision
         self.misses += 1
-        return self._fill(packet, key, observing)
-
-    def scale_last(self, extra: int) -> None:
-        """Advance counters as if the last processed packet had been
-        ``extra`` more identical packets (aggregate processing).
-
-        Op counts and registry mirrors scale exactly; per-packet
-        LabelOpApplied events are not multiplied -- aggregates trade
-        event granularity for speed (see :mod:`repro.net.aggregate`).
-        """
-        cached = self._last
-        if cached is None or extra <= 0:
-            return
-        counts = self.engine.counts
-        (
-            ftn_lookups,
-            ilm_lookups,
-            entries_scanned,
-            pushes,
-            pops,
-            swaps,
-            ttl_updates,
-            discards,
-        ) = cached.counts
-        counts.ftn_lookups += ftn_lookups * extra
-        counts.ilm_lookups += ilm_lookups * extra
-        counts.entries_scanned += entries_scanned * extra
-        counts.pushes += pushes * extra
-        counts.pops += pops * extra
-        counts.swaps += swaps * extra
-        counts.ttl_updates += ttl_updates * extra
-        counts.discards += discards * extra
-        if cached.observed and cached.ops:
-            tel = get_telemetry()
-            if tel.enabled:
-                mpls_ops = tel.mpls_ops
-                node = self.engine.node_name
-                for op in cached.ops:
-                    amount = op[2] if op[0] == "m" else 1
-                    mpls_ops.labels(node, op[1]).inc(amount * extra)
+        return self._fill(packet, key, observing, count)
 
     # -- miss: scalar compute + record --------------------------------------
     def _fill(
@@ -253,6 +224,7 @@ class FlowCache:
         packet: Union[IPv4Packet, MPLSPacket],
         key: tuple,
         observing: bool,
+        count: int,
     ) -> ForwardingDecision:
         engine = self.engine
         before = engine.counts
@@ -266,7 +238,7 @@ class FlowCache:
             delta = engine.counts
             engine.counts = before.merged(delta)
         builder, stack, inner_ttl = self._template_of(packet, decision)
-        self._last = self._entries[key] = _CachedDecision(
+        cached = self._entries[key] = _CachedDecision(
             decision.action,
             builder,
             stack,
@@ -290,6 +262,10 @@ class FlowCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+        if count > 1:
+            # the engine advanced everything for the template itself;
+            # the rest of the train advances the same deltas
+            self._advance(cached, count - 1, observing, events=False)
         return decision
 
     @staticmethod
@@ -312,13 +288,23 @@ class FlowCache:
             return _MPLS_INGRESS, out.stack, None
         return _IP_INGRESS, None, None
 
-    # -- hit: replay ---------------------------------------------------------
-    def _replay(
+    # -- replay: advance the counts, rebuild the packet ----------------------
+    def _advance(
         self,
-        packet: Union[IPv4Packet, MPLSPacket],
         cached: _CachedDecision,
+        times: int,
         observing: bool,
-    ) -> ForwardingDecision:
+        events: bool,
+    ) -> None:
+        """Advance the engine's op counts -- and, while observing, the
+        registry mirrors -- as ``times`` packets through ``cached``.
+
+        With ``events`` the recorded LabelOpApplied events are
+        re-emitted too, once (one packet's worth, whatever ``times``):
+        the same registry increments and events as
+        :meth:`ForwardingEngine._mirror` /
+        :meth:`ForwardingEngine._emit_stack_op` produced at fill time.
+        """
         counts = self.engine.counts
         (
             ftn_lookups,
@@ -330,45 +316,33 @@ class FlowCache:
             ttl_updates,
             discards,
         ) = cached.counts
-        counts.ftn_lookups += ftn_lookups
-        counts.ilm_lookups += ilm_lookups
-        counts.entries_scanned += entries_scanned
-        counts.pushes += pushes
-        counts.pops += pops
-        counts.swaps += swaps
-        counts.ttl_updates += ttl_updates
-        counts.discards += discards
-        if observing and cached.ops:
-            self._replay_ops(cached.ops)
-        return ForwardingDecision(
-            cached.action,
-            packet=self._build(packet, cached),
-            next_hop=cached.next_hop,
-            out_interface=cached.out_interface,
-            reason=cached.reason,
-        )
-
-    def _replay_ops(self, ops: Tuple[tuple, ...]) -> None:
-        """Re-emit the telemetry of the recorded scalar computation:
-        the same registry increments and LabelOpApplied events as
-        :meth:`ForwardingEngine._mirror` /
-        :meth:`ForwardingEngine._emit_stack_op` produced at fill time."""
+        counts.ftn_lookups += ftn_lookups * times
+        counts.ilm_lookups += ilm_lookups * times
+        counts.entries_scanned += entries_scanned * times
+        counts.pushes += pushes * times
+        counts.pops += pops * times
+        counts.swaps += swaps * times
+        counts.ttl_updates += ttl_updates * times
+        counts.discards += discards * times
+        if not (observing and cached.ops):
+            return
         tel = get_telemetry()
         node = self.engine.node_name
         mpls_ops = tel.mpls_ops
-        for op in ops:
+        for op in cached.ops:
             if op[0] == "m":
-                mpls_ops.labels(node, op[1]).inc(op[2])
+                mpls_ops.labels(node, op[1]).inc(op[2] * times)
             else:  # ("e", op, label_in, label_out)
-                mpls_ops.labels(node, op[1]).inc()
-                tel.events.emit(
-                    LabelOpApplied(
-                        node=node,
-                        op=op[1],
-                        label_in=op[2],
-                        label_out=op[3],
+                mpls_ops.labels(node, op[1]).inc(times)
+                if events:
+                    tel.events.emit(
+                        LabelOpApplied(
+                            node=node,
+                            op=op[1],
+                            label_in=op[2],
+                            label_out=op[3],
+                        )
                     )
-                )
 
     @staticmethod
     def _build(

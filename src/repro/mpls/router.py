@@ -153,28 +153,47 @@ class LSRNode:
         return self.role is RouterRole.LER
 
     def receive(
-        self, packet: Union[IPv4Packet, MPLSPacket]
+        self,
+        packet: Union[IPv4Packet, MPLSPacket],
+        train=None,
     ) -> ForwardingDecision:
-        """Process one packet through the node's data plane.
+        """Process one packet through the node's data plane -- or,
+        with ``train`` (the :class:`~repro.net.aggregate.FlowAggregate`
+        whose template ``packet`` is), the whole train in one step: one
+        decision on the template shape, counters scaled by its count.
 
         An unlabelled packet arriving at a core LSR is a configuration
         error in the paper's model (only LERs border layer-2 networks),
-        so it is discarded rather than classified.
+        so it is discarded rather than classified.  A train requires
+        batching (the flow cache supplies the per-packet operation
+        deltas that scale to the train).
         """
-        self.stats.received += 1
+        if train is None:
+            count = 1
+        elif self.flow_cache is None:
+            raise RuntimeError(
+                f"{self.name}: aggregates need batching enabled"
+            )
+        else:
+            count = train.count
+        self.stats.received += count
         if isinstance(packet, IPv4Packet) and not self.is_edge:
             decision = ForwardingDecision(
                 Action.DISCARD,
                 reason=f"{self.name}: unlabelled packet at a core LSR",
             )
         elif self.flow_cache is not None:
-            decision = self.flow_cache.process(packet)
+            decision = self.flow_cache.process(packet, count)
         else:
             decision = self.engine.process(packet)
         decision = self._fill_interface(decision)
-        self.stats.record(decision)
-        self.observe(packet, decision)
+        self.stats.record(decision, count)
+        self.observe(packet, decision, train)
         return decision
+
+    def receive_aggregate(self, aggregate) -> ForwardingDecision:
+        """Process a whole train: :meth:`receive` on its template."""
+        return self.receive(aggregate.template, aggregate)
 
     def receive_external(
         self, packet: Union[IPv4Packet, MPLSPacket]
@@ -203,95 +222,44 @@ class LSRNode:
         self.observe(packet, decision)
         return decision
 
-    def receive_aggregate(self, aggregate) -> ForwardingDecision:
-        """Process a whole :class:`~repro.net.aggregate.FlowAggregate`
-        in one step: one decision on the template shape, counters
-        scaled by the aggregate's packet count.
+    def observe(
+        self,
+        packet: Union[IPv4Packet, MPLSPacket],
+        decision: ForwardingDecision,
+        train=None,
+    ) -> None:
+        """Emit the telemetry for one processing step.
 
-        Requires batching (the flow cache supplies the per-packet
-        operation deltas that scale to the train).
+        No-op unless the process-wide telemetry is enabled; the event
+        stream this produces is what :class:`repro.analysis.tracer.
+        NetworkTracer` and ``repro trace`` consume.  A ``train``
+        advances the metrics and flow accounting by its exact
+        packet/byte totals and emits no per-packet event (sampled
+        packets are materialized by the source and observed as real
+        packets instead).
         """
-        if self.flow_cache is None:
-            raise RuntimeError(
-                f"{self.name}: aggregates need batching enabled"
-            )
-        count = aggregate.count
-        template = aggregate.template
-        self.stats.received += count
-        if isinstance(template, IPv4Packet) and not self.is_edge:
-            decision = ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.name}: unlabelled packet at a core LSR",
-            )
-        else:
-            decision = self.flow_cache.process(template)
-            if count > 1:
-                # the cache already advanced counts for the template;
-                # scale the same delta over the rest of the train
-                self.flow_cache.scale_last(count - 1)
-        decision = self._fill_interface(decision)
-        self.stats.record(decision, count)
-        self.observe_aggregate(aggregate, decision)
-        return decision
-
-    def observe_aggregate(self, aggregate, decision) -> None:
-        """Bulk telemetry for one aggregate processing step: exact
-        packet/byte totals on the metrics and flow accounting, no
-        per-packet events (sampled packets are materialized by the
-        source and observed on the scalar path instead)."""
         tel = get_telemetry()
         if not tel.enabled:
             return
-        count = aggregate.count
+        count = 1 if train is None else train.count
         tel.packets.labels(self.name, decision.action.value).inc(count)
+        inner = packet.inner if isinstance(packet, MPLSPacket) else packet
         if decision.action is Action.DISCARD:
             reason = decision.reason or "unspecified"
             tel.drops.labels(
                 self.name, reason.split(":")[-1].strip()
             ).inc(count)
-        elif tel.flows is not None:
-            out = decision.packet
-            tel.flows.record_packet_bulk(
-                self.name,
-                aggregate.flow_id,
-                count,
-                aggregate.length,
-                stack_labels(out) if out is not None else (),
-            )
-
-    def observe(
-        self,
-        packet: Union[IPv4Packet, MPLSPacket],
-        decision: ForwardingDecision,
-    ) -> None:
-        """Emit the per-packet telemetry for one processing step.
-
-        No-op unless the process-wide telemetry is enabled; the event
-        stream this produces is what :class:`repro.analysis.tracer.
-        NetworkTracer` and ``repro trace`` consume.
-        """
-        tel = get_telemetry()
-        if not tel.enabled:
-            return
-        tel.packets.labels(self.name, decision.action.value).inc()
-        inner = packet.inner if isinstance(packet, MPLSPacket) else packet
-        labels_in = stack_labels(packet)
-        ttl_in = packet_ttl(packet)
-        if decision.action is Action.DISCARD:
-            reason = decision.reason or "unspecified"
-            tel.drops.labels(
-                self.name, reason.split(":")[-1].strip()
-            ).inc()
-            tel.events.emit(
-                PacketDropped(
-                    node=self.name,
-                    uid=inner.uid,
-                    flow_id=inner.flow_id,
-                    reason=reason,
-                    labels_in=labels_in,
-                    ttl_in=ttl_in,
+            if train is None:
+                tel.events.emit(
+                    PacketDropped(
+                        node=self.name,
+                        uid=inner.uid,
+                        flow_id=inner.flow_id,
+                        reason=reason,
+                        labels_in=stack_labels(packet),
+                        ttl_in=packet_ttl(packet),
+                    )
                 )
-            )
         else:
             out = decision.packet
             labels_out = stack_labels(out) if out is not None else ()
@@ -299,20 +267,21 @@ class LSRNode:
             # read, one None test when no accountant is attached
             if tel.flows is not None:
                 tel.flows.record_packet(
-                    self.name, inner.flow_id, packet.length, labels_out
+                    self.name, inner.flow_id, packet.length, labels_out, count
                 )
-            tel.events.emit(
-                PacketForwarded(
-                    node=self.name,
-                    uid=inner.uid,
-                    flow_id=inner.flow_id,
-                    action=decision.action.value,
-                    labels_in=labels_in,
-                    labels_out=labels_out,
-                    ttl_in=ttl_in,
-                    next_hop=decision.next_hop,
+            if train is None:
+                tel.events.emit(
+                    PacketForwarded(
+                        node=self.name,
+                        uid=inner.uid,
+                        flow_id=inner.flow_id,
+                        action=decision.action.value,
+                        labels_in=stack_labels(packet),
+                        labels_out=labels_out,
+                        ttl_in=packet_ttl(packet),
+                        next_hop=decision.next_hop,
+                    )
                 )
-            )
 
     def _fill_interface(
         self, decision: ForwardingDecision

@@ -22,12 +22,14 @@ Semantics, and their documented limits:
   overflow or wire-loss draw takes the whole train (a burst is lost
   together), and per-packet telemetry *events* are not emitted for
   bulk packets -- packets that must be individually observable (span
-  sampling) are materialized by the source instead and take the scalar
-  path alongside the aggregate.
+  sampling) are materialized by the source instead and travel as real
+  packets alongside the aggregate.
 
+A train crosses the same data-plane routines as a packet: its template
+is the packet, the aggregate rides along as their ``train`` argument.
 Aggregates only exist in batched mode
-(:meth:`repro.net.network.MPLSNetwork.enable_batching`); the scalar
-oracle never sees them.
+(:meth:`repro.net.network.MPLSNetwork.enable_batching`), where the
+per-node caches supply the per-packet deltas a train scales.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Iterator, List, Optional, Union
 
 from repro.net.events import EventScheduler
 from repro.net.packet import IPv4Packet, MPLSPacket
-from repro.net.traffic import DSCP_BE
+from repro.net.traffic import DSCP_BE, CBRSource
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class AggregateDelivery:
         ]
 
 
-class AggregateCBRSource:
+class AggregateCBRSource(CBRSource):
     """A CBR flow emitted as aggregates, with sampled materialization.
 
     Emits one :class:`FlowAggregate` of up to ``batch`` packets per
@@ -124,13 +126,13 @@ class AggregateCBRSource:
     ``sample_every`` is set, every ``sample_every``-th packet of the
     flow is materialized as a real :class:`IPv4Packet` and injected at
     its exact creation time through ``sample_sink`` (default: the same
-    sink), so span tracing and per-packet telemetry observe it on the
-    scalar path; the aggregate's count excludes materialized packets,
+    sink), so span tracing and per-packet telemetry observe it as a
+    real packet; the aggregate's count excludes materialized packets,
     keeping packet/byte totals exact.
 
-    Mirrors :class:`repro.net.traffic.CBRSource`: same flow-id
-    allocation, same ``(packet_size + 20) * 8 / rate_bps`` spacing,
-    same ``sent`` / ``sent_bytes`` accounting (both bulk and sampled
+    Everything else is :class:`repro.net.traffic.CBRSource`: flow-id
+    allocation, the ``(packet_size + 20) * 8 / rate_bps`` spacing, and
+    the ``sent`` / ``sent_bytes`` accounting (both bulk and sampled
     packets count).
     """
 
@@ -150,40 +152,26 @@ class AggregateCBRSource:
         sample_every: Optional[int] = None,
         sample_sink: Optional[Callable[[IPv4Packet], None]] = None,
     ) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         if sample_every is not None and sample_every < 1:
             raise ValueError(f"sample_every must be >= 1: {sample_every}")
-        from repro.net.addressing import IPv4Address
-        from repro.net.traffic import _flow_counter
-
-        self.scheduler = scheduler
-        self.sink = sink
-        self.src = IPv4Address(src)
-        self.dst = IPv4Address(dst)
-        self.rate_bps = rate_bps
-        self.packet_size = packet_size
+        super().__init__(
+            scheduler,
+            sink,
+            src,
+            dst,
+            rate_bps=rate_bps,
+            packet_size=packet_size,
+            dscp=dscp,
+            start=start,
+            stop=stop,
+        )
         self.batch = batch
-        self.dscp = dscp
         self.ttl = ttl
-        self.start = start
-        self.stop = stop
-        self.interval = (packet_size + 20) * 8 / rate_bps
         self.sample_every = sample_every
         self.sample_sink = sample_sink
-        self.flow_id = next(_flow_counter)
-        self.sent = 0
-        self.sent_bytes = 0
         self.sampled = 0
-        self._running = False
-
-    def begin(self) -> None:
-        if self._running:
-            raise RuntimeError("source already started")
-        self._running = True
-        self.scheduler.at(self.start, self._emit)
 
     def _make_packet(self, seq: int, created_at: float) -> IPv4Packet:
         return IPv4Packet(

@@ -81,9 +81,10 @@ class IPRouterNode(LSRNode):
 
     # -- the data plane -------------------------------------------------------
     def receive(
-        self, packet: Union[IPv4Packet, MPLSPacket]
+        self, packet: Union[IPv4Packet, MPLSPacket], train=None
     ) -> ForwardingDecision:
-        self.stats.received += 1
+        count = 1 if train is None else train.count
+        self.stats.received += count
         if isinstance(packet, MPLSPacket):
             decision = ForwardingDecision(
                 Action.DISCARD,
@@ -92,7 +93,7 @@ class IPRouterNode(LSRNode):
         else:
             decision = self._forward(packet)
         decision = self._fill_interface(decision)
-        self.stats.record(decision)
+        self.stats.record(decision, count)
         return decision
 
     def _forward(self, packet: IPv4Packet) -> ForwardingDecision:

@@ -33,6 +33,7 @@ from repro.mpls.forwarding import Action
 from repro.mpls.label import IMPLICIT_NULL, LabelOp
 from repro.mpls.router import LSRNode, RouterRole, packet_ttl, stack_labels
 from repro.net.addressing import IPv4Prefix
+from repro.net.aggregate import AggregateDelivery, FlowAggregate
 from repro.net.events import EventScheduler
 from repro.net.link import DropTailQueue, Interface, Link
 from repro.net.packet import IPv4Packet, MPLSPacket
@@ -148,16 +149,17 @@ class MPLSNetwork:
         #: down) and the links each crash took out
         self._down_nodes: Dict[str, List[Tuple[str, str]]] = {}
         #: optional ingress admission hook (overload load shedding):
-        #: called with (node, packet) for unlabelled packets before
-        #: lookup; returning True drops the packet as shed
+        #: called with (node, packet, count) for unlabelled packets
+        #: before lookup (count > 1: the packet is a train's template);
+        #: returning True drops them as shed
         self.ingress_guard: Optional[
-            Callable[[str, IPv4Packet], bool]
+            Callable[[str, IPv4Packet, int], bool]
         ] = None
         #: batched fast-path mode (see :meth:`enable_batching`)
         self.batching = False
         #: delivered flow aggregates (batched mode only); scalar
         #: deliveries stay in :attr:`deliveries`
-        self.aggregate_deliveries: List[Any] = []
+        self.aggregate_deliveries: List[AggregateDelivery] = []
         #: the run's :class:`repro.security.SecurityMonitor` (attached
         #: by its ``arm()``); with one attached, TTL-expiry discards
         #: punt exception load to it and :meth:`inject_external` feeds
@@ -268,7 +270,7 @@ class MPLSNetwork:
             self.security_monitor.note_spoof_accepted(packet.inner.flow_id)
         self._process(node_name, packet)
 
-    def inject_aggregate(self, node: str, aggregate: Any) -> None:
+    def inject_aggregate(self, node: str, aggregate: FlowAggregate) -> None:
         """Hand a flow aggregate to a node's data plane (batched mode)."""
         if node not in self.nodes:
             raise KeyError(f"unknown node {node!r}")
@@ -280,7 +282,7 @@ class MPLSNetwork:
             0.0, lambda: self._process_aggregate(node, aggregate)
         )
 
-    def aggregate_sink(self, ler: str) -> Callable[[Any], None]:
+    def aggregate_sink(self, ler: str) -> Callable[[FlowAggregate], None]:
         """A sink for aggregate traffic generators feeding ``ler``."""
         return lambda aggregate: self._process_aggregate(ler, aggregate)
 
@@ -290,15 +292,32 @@ class MPLSNetwork:
         else:
             self._process(iface.node, packet)
 
-    def _process(
-        self, node_name: str, packet: Union[IPv4Packet, MPLSPacket]
+    def _process_aggregate(
+        self, node_name: str, aggregate: FlowAggregate
     ) -> None:
+        """A train at a node: its template takes the one hop ladder.
+        An empty aggregate is a no-op (no events, no accounting)."""
+        if aggregate.count > 0:
+            self._process(node_name, aggregate.template, aggregate)
+
+    def _process(
+        self,
+        node_name: str,
+        packet: Union[IPv4Packet, MPLSPacket],
+        train: Optional[FlowAggregate] = None,
+    ) -> None:
+        """One hop of the data plane.  ``train`` is the aggregate whose
+        template ``packet`` is (None for a real packet): one decision
+        then stands for the whole train, and every drop and exception
+        carries its count."""
+        count = 1 if train is None else train.count
         if node_name in self._down_nodes:
             self._record_drop(
                 self.scheduler.now,
                 node_name,
                 f"{node_name}: node down",
                 packet,
+                count,
             )
             return
         node = self.nodes[node_name]
@@ -308,21 +327,22 @@ class MPLSNetwork:
         if isinstance(packet, IPv4Packet) and self._is_attached(
             node_name, packet
         ):
-            self._deliver(node_name, packet)
+            self._deliver(node_name, packet, train)
             return
         if (
             self.ingress_guard is not None
             and isinstance(packet, IPv4Packet)
-            and self.ingress_guard(node_name, packet)
+            and self.ingress_guard(node_name, packet, count)
         ):
             self._record_drop(
                 self.scheduler.now,
                 node_name,
                 f"{node_name}: overload shed",
                 packet,
+                count,
             )
             return
-        decision = node.receive(packet)
+        decision = node.receive(packet, train)
         # "Pop and continue": a pop whose NHLFE names no next hop (a
         # tunnel tail) exposes the inner label, which must be looked up
         # again at this same node.  The bound is the max stack depth.
@@ -333,20 +353,20 @@ class MPLSNetwork:
             and isinstance(decision.packet, MPLSPacket)
             and relookups < 4
         ):
-            decision = node.receive(decision.packet)
+            decision = node.receive(decision.packet, train)
             relookups += 1
         now = self.scheduler.now
         if decision.action is Action.DISCARD:
             # the node's own telemetry already counted this discard
             self.drops.append(
-                Drop(now, node_name, decision.reason or "unspecified")
+                Drop(now, node_name, decision.reason or "unspecified", count)
             )
             if self.security_monitor is not None and "TTL expired" in (
                 decision.reason or ""
             ):
                 # an expired TTL punts ICMP-style exception work to
                 # the control plane; the monitor rate-limits it
-                self.security_monitor.ttl_exception(node_name, 1)
+                self.security_monitor.ttl_exception(node_name, count)
             return
         if decision.action is Action.DELIVER_LOCAL:
             return
@@ -356,106 +376,7 @@ class MPLSNetwork:
             if decision.next_hop is None or self._is_attached(
                 node_name, inner
             ):
-                self._deliver(node_name, inner)
-                return
-        if decision.next_hop is None:
-            self._record_drop(
-                now, node_name, f"{node_name}: no next hop resolved", out
-            )
-            return
-        link = self._link_of.get((node_name, decision.next_hop))
-        if link is None:
-            self._record_drop(
-                now,
-                node_name,
-                f"{node_name}: no link towards {decision.next_hop}",
-                out,
-            )
-            return
-        channel = link.channel_from(node_name)
-        accepted = channel.send(out, out.length, cos=cos_of_packet(out))
-        if not accepted:
-            self._record_drop(
-                now,
-                node_name,
-                f"{node_name}: queue overflow towards {decision.next_hop}",
-                out,
-            )
-
-    def _process_aggregate(self, node_name: str, aggregate: Any) -> None:
-        """The aggregate counterpart of :meth:`_process`: one decision
-        per hop applied to the whole train.  An empty aggregate is a
-        no-op (no events, no accounting)."""
-        if aggregate.count <= 0:
-            return
-        now = self.scheduler.now
-        if node_name in self._down_nodes:
-            self._record_drop(
-                now,
-                node_name,
-                f"{node_name}: node down",
-                aggregate.template,
-                count=aggregate.count,
-            )
-            return
-        node = self.nodes[node_name]
-        template = aggregate.template
-        if isinstance(template, IPv4Packet) and self._is_attached(
-            node_name, template
-        ):
-            self._deliver_aggregate(node_name, aggregate)
-            return
-        if (
-            self.ingress_guard is not None
-            and isinstance(template, IPv4Packet)
-            and self.ingress_guard(node_name, template)
-        ):
-            self._record_drop(
-                now,
-                node_name,
-                f"{node_name}: overload shed",
-                template,
-                count=aggregate.count,
-            )
-            return
-        decision = node.receive_aggregate(aggregate)
-        relookups = 0
-        while (
-            decision.action is Action.FORWARD_MPLS
-            and decision.next_hop is None
-            and isinstance(decision.packet, MPLSPacket)
-            and relookups < 4
-        ):
-            aggregate = aggregate.with_template(decision.packet)
-            decision = node.receive_aggregate(aggregate)
-            relookups += 1
-        now = self.scheduler.now
-        if decision.action is Action.DISCARD:
-            self.drops.append(
-                Drop(
-                    now,
-                    node_name,
-                    decision.reason or "unspecified",
-                    count=aggregate.count,
-                )
-            )
-            if self.security_monitor is not None and "TTL expired" in (
-                decision.reason or ""
-            ):
-                # count-aware: the whole train punts exception load
-                self.security_monitor.ttl_exception(
-                    node_name, aggregate.count
-                )
-            return
-        if decision.action is Action.DELIVER_LOCAL:
-            return
-        out = decision.packet
-        aggregate = aggregate.with_template(out)
-        if decision.action is Action.FORWARD_IP:
-            if decision.next_hop is None or self._is_attached(
-                node_name, out
-            ):
-                self._deliver_aggregate(node_name, aggregate)
+                self._deliver(node_name, inner, train)
                 return
         if decision.next_hop is None:
             self._record_drop(
@@ -463,7 +384,7 @@ class MPLSNetwork:
                 node_name,
                 f"{node_name}: no next hop resolved",
                 out,
-                count=aggregate.count,
+                count,
             )
             return
         link = self._link_of.get((node_name, decision.next_hop))
@@ -473,20 +394,20 @@ class MPLSNetwork:
                 node_name,
                 f"{node_name}: no link towards {decision.next_hop}",
                 out,
-                count=aggregate.count,
+                count,
             )
             return
         channel = link.channel_from(node_name)
-        accepted = channel.send(
-            aggregate, aggregate.length, cos=cos_of_packet(out)
-        )
+        # the link layer is count-generic: a train rides it as one unit
+        unit = out if train is None else train.with_template(out)
+        accepted = channel.send(unit, unit.length, cos=cos_of_packet(out))
         if not accepted:
             self._record_drop(
                 now,
                 node_name,
                 f"{node_name}: queue overflow towards {decision.next_hop}",
                 out,
-                count=aggregate.count,
+                count,
             )
 
     def _record_drop(
@@ -526,69 +447,66 @@ class MPLSNetwork:
                 return True
         return False
 
-    def _deliver(self, node_name: str, packet: IPv4Packet) -> None:
-        delivery = Delivery(self.scheduler.now, node_name, packet)
-        self.deliveries.append(delivery)
+    def _deliver(
+        self,
+        node_name: str,
+        packet: IPv4Packet,
+        train: Optional[FlowAggregate] = None,
+    ) -> None:
+        """Record ``packet`` -- or the whole ``train`` it stands for --
+        as delivered.  A train lands in :attr:`aggregate_deliveries`
+        with exact packet/byte totals and analytic per-packet latencies
+        (see :class:`~repro.net.aggregate.AggregateDelivery`); it emits
+        no per-packet event and host sinks are not called for it."""
+        now = self.scheduler.now
+        flow_id = packet.flow_id
+        if train is None:
+            count = 1
+            delivery = Delivery(now, node_name, packet)
+            self.deliveries.append(delivery)
+        else:
+            count = train.count
+            delivery = AggregateDelivery(
+                time=now,
+                node=node_name,
+                flow_id=flow_id,
+                count=count,
+                bytes=packet.length * count,
+                first_created_at=packet.created_at,
+                interval=train.interval,
+            )
+            self.aggregate_deliveries.append(delivery)
         delivered = self._delivered
-        delivered[packet.flow_id] = delivered.get(packet.flow_id, 0) + 1
+        delivered[flow_id] = delivered.get(flow_id, 0) + count
         tel = get_telemetry()
         if tel.enabled:
-            tel.packets.labels(node_name, "delivered").inc()
-            tel.delivery_latency.labels(node_name).observe(delivery.latency)
+            tel.packets.labels(node_name, "delivered").inc(count)
+            hist = tel.delivery_latency.labels(node_name)
+            if train is None:
+                hist.observe(delivery.latency)
+            else:
+                for latency in delivery.latencies():
+                    hist.observe(latency)
             # demand accounting (ingress->egress matrix cell) rides the
             # same guard; one None test when no accountant is attached
             if tel.flows is not None:
                 tel.flows.record_delivery(
-                    node_name, packet.flow_id, packet.length
+                    node_name, flow_id, packet.length, count
                 )
-            tel.events.emit(
-                PacketDelivered(
-                    node=node_name,
-                    uid=packet.uid,
-                    flow_id=packet.flow_id,
-                    latency=delivery.latency,
+            if train is None:
+                tel.events.emit(
+                    PacketDelivered(
+                        node=node_name,
+                        uid=packet.uid,
+                        flow_id=flow_id,
+                        latency=delivery.latency,
+                    )
                 )
-            )
+        if train is not None:
+            return
         for prefix, sink in self._hosts.get(node_name, []):
             if sink is not None and prefix.contains(packet.dst):
                 sink(packet)
-
-    def _deliver_aggregate(self, node_name: str, aggregate: Any) -> None:
-        """Record a whole aggregate as delivered: exact packet/byte
-        totals, analytic per-packet latencies (see
-        :class:`~repro.net.aggregate.AggregateDelivery`).  Host sinks
-        receive the aggregate's template only when they opted in via
-        an ``is_aggregate``-aware callable; per-packet sinks are not
-        called for bulk packets."""
-        from repro.net.aggregate import AggregateDelivery
-
-        inner = aggregate.inner
-        delivery = AggregateDelivery(
-            time=self.scheduler.now,
-            node=node_name,
-            flow_id=inner.flow_id,
-            count=aggregate.count,
-            bytes=aggregate.length,
-            first_created_at=aggregate.first_created_at,
-            interval=aggregate.interval,
-        )
-        self.aggregate_deliveries.append(delivery)
-        self._delivered[inner.flow_id] = (
-            self._delivered.get(inner.flow_id, 0) + aggregate.count
-        )
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.packets.labels(node_name, "delivered").inc(aggregate.count)
-            hist = tel.delivery_latency.labels(node_name)
-            for latency in delivery.latencies():
-                hist.observe(latency)
-            if tel.flows is not None:
-                tel.flows.record_delivery_bulk(
-                    node_name,
-                    inner.flow_id,
-                    aggregate.count,
-                    aggregate.length,
-                )
 
     # -- failure injection ---------------------------------------------------
     def fail_link(self, a: str, b: str) -> None:

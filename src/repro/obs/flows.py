@@ -247,49 +247,16 @@ class FlowAccountant:
         flow_id: int,
         size: int,
         labels: Tuple[int, ...] = (),
+        count: int = 1,
     ) -> None:
-        """Account one packet processed at ``node`` (any outcome that
-        moves bytes: forward, deliver, or ingress push)."""
-        now = self._now()
-        key = (node, flow_id)
-        record = self._active.get(key)
-        if record is not None:
-            if now - record.last_seen > self.idle_timeout:
-                self._finish(record, END_IDLE, at=record.last_seen)
-                record = None
-            elif now - record.first_seen > self.active_timeout:
-                self._finish(record, END_ACTIVE, at=now)
-                record = None
-        if record is None:
-            record = self._open(node, flow_id, now)
-        record.packets += 1
-        record.bytes += size
-        record.last_seen = now
-        if labels != record.labels:
-            record.labels = labels
-        pending = self._pending_hw.pop(key, 0)
-        if pending:
-            record.hw_cycles += pending
-        self._active.move_to_end(key)
-        tel = self.telemetry
-        tel.flow_packets.labels(node, record.fec).inc()
-        tel.flow_bytes.labels(node, record.fec).inc(size)
+        """Account ``count`` packets of ``size`` bytes each processed
+        at ``node`` (any outcome that moves bytes: forward, deliver, or
+        ingress push).
 
-    def record_packet_bulk(
-        self,
-        node: str,
-        flow_id: int,
-        count: int,
-        total_bytes: int,
-        labels: Tuple[int, ...] = (),
-    ) -> None:
-        """Account ``count`` packets of one flow processed at ``node``
-        in one step (aggregate processing, batched mode).
-
-        Semantically identical to ``count`` :meth:`record_packet`
-        calls sharing one timestamp: the timeout checks run once (the
-        first call of a same-instant train is the only one that can
-        rotate the record), then the whole train lands on one record.
+        A train (``count > 1``) is ``count`` calls sharing one
+        timestamp: the timeout checks run once (the first call of a
+        same-instant train is the only one that can rotate the record),
+        then the whole train lands on one record.
         """
         if count <= 0:
             return
@@ -305,8 +272,9 @@ class FlowAccountant:
                 record = None
         if record is None:
             record = self._open(node, flow_id, now)
+        nbytes = size * count
         record.packets += count
-        record.bytes += total_bytes
+        record.bytes += nbytes
         record.last_seen = now
         if labels != record.labels:
             record.labels = labels
@@ -316,13 +284,15 @@ class FlowAccountant:
         self._active.move_to_end(key)
         tel = self.telemetry
         tel.flow_packets.labels(node, record.fec).inc(count)
-        tel.flow_bytes.labels(node, record.fec).inc(total_bytes)
+        tel.flow_bytes.labels(node, record.fec).inc(nbytes)
 
-    def record_delivery_bulk(
-        self, node: str, flow_id: int, count: int, total_bytes: int
+    def record_delivery(
+        self, node: str, flow_id: int, size: int, count: int = 1
     ) -> None:
-        """Account a delivered aggregate for the demand matrix: the
-        bulk counterpart of :meth:`record_delivery`."""
+        """Account ``count`` delivered packets of ``size`` bytes each
+        for the demand matrix (the ingress->egress FEC view).  Probe
+        flows (negative ids) belong to the OAM monitor, not the
+        matrix."""
         if flow_id < 0 or count <= 0:
             return
         ingress = self._flow_ingress.get(flow_id, node)
@@ -331,21 +301,7 @@ class FlowAccountant:
         if cell is None:
             cell = self._demands[key] = [0, 0]
         cell[0] += count
-        cell[1] += total_bytes
-
-    def record_delivery(self, node: str, flow_id: int, size: int) -> None:
-        """Account one delivered packet for the demand matrix (the
-        ingress->egress FEC view).  Probe flows (negative ids) belong
-        to the OAM monitor, not the matrix."""
-        if flow_id < 0:
-            return
-        ingress = self._flow_ingress.get(flow_id, node)
-        key = (ingress, node, self.fec_of(flow_id))
-        cell = self._demands.get(key)
-        if cell is None:
-            cell = self._demands[key] = [0, 0]
-        cell[0] += 1
-        cell[1] += size
+        cell[1] += size * count
 
     def record_link_tx(self, src: str, dst: str, size: int) -> None:
         """Account bytes transmitted on a directed link (feeds the

@@ -242,8 +242,7 @@ class TestTelemetryReplay:
             sink = tel.events.add_sink(ListSink())
             engine = _engine()
             cache = FlowCache(engine)
-            cache.process(labelled(200))
-            cache.scale_last(9)
+            cache.process(labelled(200), count=10)
             assert engine.counts.swaps == 10
             assert tel.registry.value(
                 "repro_mpls_ops_total", node="lsr-1", op="swap"
@@ -252,6 +251,23 @@ class TestTelemetryReplay:
                 e for e in sink.events if isinstance(e, LabelOpApplied)
             ]
             assert len(events) == 1  # aggregates trade event granularity
+
+    def test_train_on_a_hit_advances_counters_and_emits_once(self):
+        with telemetry_session() as tel:
+            engine = _engine()
+            cache = FlowCache(engine)
+            cache.process(labelled(200))  # fill
+            sink = tel.events.add_sink(ListSink())
+            cache.process(labelled(200), count=10)  # hit
+            assert (cache.hits, cache.misses) == (1, 1)
+            assert engine.counts.swaps == 11
+            assert tel.registry.value(
+                "repro_mpls_ops_total", node="lsr-1", op="swap"
+            ) == 11
+            events = [
+                e for e in sink.events if isinstance(e, LabelOpApplied)
+            ]
+            assert len(events) == 1
 
 
 class TestCrossCheck:
