@@ -48,5 +48,3 @@ class Counter(Component):
         elif self.en.value:
             delta = -1 if self.down.value else 1
             self.count.stage((self.count.value + delta) % self._modulus)
-        else:
-            self.count.stage(self.count.value)

@@ -103,7 +103,8 @@ class FSM(Component):
             raise TypeError(
                 f"{self.name}.transition() must return a State, got {nxt!r}"
             )
-        self._state_reg.stage(nxt.code)
+        if nxt.code != self._state_reg.value:
+            self._state_reg.stage(nxt.code)
 
     def reset(self) -> None:
         self._state_reg.reset()

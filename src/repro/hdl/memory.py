@@ -71,8 +71,10 @@ class SyncMemory(Component):
                 f"{self.name}: read address {rd} out of range "
                 f"(depth {self.depth})"
             )
-        self.rd_data.stage(self._array[rd])
-        self.rd_data.commit()
+        word = self._array[rd]
+        if word != self.rd_data.value:
+            self.rd_data.stage(word)
+            self.rd_data.commit()
 
     def reset(self) -> None:
         self._array = [0] * self.depth

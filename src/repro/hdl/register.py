@@ -30,5 +30,3 @@ class Register(Component):
             self.q.stage(0)
         elif self.en.value:
             self.q.stage(self.d.value)
-        else:
-            self.q.stage(self.q.value)

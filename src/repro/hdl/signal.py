@@ -16,6 +16,14 @@ All signals carry a bit ``width`` and reject out-of-range values, so a
 modelling bug that would silently truncate in Python is caught loudly
 (the hardware analogue -- a too-narrow bus -- is one of the classic RTL
 mistakes).
+
+**A request that changes nothing is not a request**: holding is not
+staging, re-driving the held value is not driving.  :meth:`Wire.drive`
+and :meth:`Reg.stage` return at once, touching no log and no flag, when
+the signal already holds the value (4 in 5 drives, 9 in 10 stages of the
+label-stack modifier), so no call site guards itself.  The comparison is
+with the value *held*, never with the default: a wire driven earlier in
+the cycle keeps that value, and driving its default then is a real drive.
 """
 
 from __future__ import annotations
@@ -46,9 +54,14 @@ class Signal:
         Bit width; values must satisfy ``0 <= value < 2**width``.
     default:
         Reset / undriven value.
+
+    ``value``, the current value, is a plain slot: a read is one
+    attribute load.  It is read-only by convention -- only this module
+    and the simulator's inlined edge assign it, which
+    ``tests/hdl/test_noop_equivalence.py`` lints ``src/`` for.
     """
 
-    __slots__ = ("name", "width", "default", "_value", "_max")
+    __slots__ = ("name", "width", "default", "value", "_max")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         if width < 1:
@@ -57,7 +70,7 @@ class Signal:
         self.width = width
         self._max = (1 << width) - 1
         self.default = self._check(default)
-        self._value = self.default
+        self.value = self.default
 
     def _check(self, value: int) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -68,46 +81,48 @@ class Signal:
             )
         return value
 
-    @property
-    def value(self) -> int:
-        return self._value
-
     def reset(self) -> None:
         """Return the signal to its default value."""
-        self._value = self.default
+        self.value = self.default
 
     def __int__(self) -> int:
-        return self._value
+        return self.value
 
     def __bool__(self) -> bool:
-        return bool(self._value)
+        return bool(self.value)
 
     def __index__(self) -> int:
-        return self._value
+        return self.value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Signal):
-            return self._value == other._value
+            return self.value == other.value
         if isinstance(other, int):
-            return self._value == other
+            return self.value == other
         return NotImplemented
 
     def __hash__(self) -> int:
         return id(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} {self.name}[{self.width}]={self._value}>"
+        return f"<{type(self).__name__} {self.name}[{self.width}]={self.value}>"
 
 
 class Wire(Signal):
     """A combinational net, driven during the settle phase.
 
-    ``_driven`` is 2 once the wire has been driven in the current
-    settle pass, 1 if only an earlier pass of this cycle drove it (it
-    is in the simulator's driven log and keeps that value), 0 if it
-    sits at its default.  Driving a wire twice in one settle pass with
-    different values indicates two processes fighting over the net and
-    raises :class:`SignalError`.
+    ``_driven`` is 2 once a drive has changed the wire in the current
+    settle pass, 1 if only an earlier pass of this cycle did (it is in
+    the simulator's driven log and keeps that value), 0 if it sits at
+    its default.  Changing a wire twice in one settle pass indicates
+    two processes fighting over the net and raises :class:`SignalError`.
+
+    A drive of the value already held leaves ``_driven`` alone, so a
+    fight is raised by the pass in which both processes change the wire:
+    when the earlier one agrees with the held value at first (it drives
+    the default onto an undriven wire, say), that is the next pass of
+    the same cycle, with the same message.  Two processes that disagree
+    only while the earlier one re-drives the held value are not an error.
     """
 
     __slots__ = ("_driven", "_log_driven", "_log_changed")
@@ -123,7 +138,7 @@ class Wire(Signal):
         driven log."""
         if self._driven:
             self._driven = 1
-        self._value = self.default
+        self.value = self.default
 
     def drive(self, value: int) -> bool:
         """Drive the wire; returns True if the value changed.
@@ -132,21 +147,24 @@ class Wire(Signal):
         is what its fixed-point iteration uses to decide whether another
         settle pass is needed.
         """
+        if value == self.value:
+            return False
         if type(value) is not int or value < 0 or value > self._max:
             value = self._check(value)
-        driven, changed = self._driven, self._value != value
-        if changed:
-            if driven == 2:
-                raise SignalError(
-                    f"wire {self.name} driven to conflicting values "
-                    f"{self._value} and {value} in one settle pass"
-                )
-            self._value = value
-            self._log_changed(self)
+            if value == self.value:
+                return False
+        driven = self._driven
+        if driven == 2:
+            raise SignalError(
+                f"wire {self.name} driven to conflicting values "
+                f"{self.value} and {value} in one settle pass"
+            )
         if not driven:
             self._log_driven(self)
         self._driven = 2
-        return changed
+        self.value = value
+        self._log_changed(self)
+        return True
 
 
 class Reg(Signal):
@@ -167,7 +185,14 @@ class Reg(Signal):
         self._log_staged = _unlogged
 
     def stage(self, value: int) -> None:
-        """Stage ``value`` to be committed at the next clock edge."""
+        """Stage ``value`` to be committed at the next clock edge.
+
+        Staging the value already held is a hold, which needs no stage
+        -- unless an earlier stage of this pass must be overridden (the
+        last stage wins).
+        """
+        if value == self.value and self._staged != 2:
+            return
         if type(value) is not int or value < 0 or value > self._max:
             value = self._check(value)
         self._next = value
@@ -177,12 +202,13 @@ class Reg(Signal):
 
     @property
     def staged(self) -> bool:
+        """Whether a next value is staged (a hold is not)."""
         return self._staged == 2
 
     @property
     def next_value(self) -> int:
         """The value this register will hold after the next edge."""
-        return self._next if self._staged == 2 else self._value
+        return self._next if self._staged == 2 else self.value
 
     def unstage(self) -> None:
         """Discard any staged value.
@@ -202,8 +228,8 @@ class Reg(Signal):
         """Clock edge: adopt the staged value.  Returns True on change."""
         if self._staged != 2:
             return False
-        changed = self._value != self._next
-        self._value = self._next  # type: ignore[assignment]
+        changed = self.value != self._next
+        self.value = self._next  # type: ignore[assignment]
         self.unstage()
         return changed
 
@@ -217,7 +243,7 @@ class Reg(Signal):
         counter), never by ordinary combinational logic -- that must
         :meth:`stage`.
         """
-        self._value = self._check(value)
+        self.value = self._check(value)
         self.unstage()
 
     def reset(self) -> None:

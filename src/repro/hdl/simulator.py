@@ -6,13 +6,14 @@ Every simulated clock cycle runs in two phases:
    registration order, pass after pass until a pass changes no wire (a
    fixed point); the iteration bound catches combinational loops, which
    are modelling errors.  A pass costs what it touches, not what the
-   design declares: ``Wire.drive`` / ``Reg.stage`` append to three logs.
+   design declares: a ``Wire.drive`` / ``Reg.stage`` that changes
+   nothing returns at once, the others append to three logs.
 
-   * *driven* -- wires driven so far this cycle.  Between passes only
-     these become drivable again, keeping their value (a wire driven in
-     pass *k* and not again holds it for the rest of the cycle); at the
-     next cycle only these revert to their default -- every other wire
-     is still at it, so first-pass readers see defaults.
+   * *driven* -- wires a drive has changed so far this cycle.  Between
+     passes only these become drivable again, keeping their value (a
+     wire driven in pass *k* and not again holds it for the rest of the
+     cycle); at the next cycle only these revert to their default --
+     every other wire is still at it, so first-pass readers see defaults.
    * *changed* -- wires whose value a drive changed this pass.  A
      second, differing drive in one pass raises, so a wire changes at
      most once per pass and never back: "nothing logged" is exactly
@@ -182,7 +183,7 @@ class Simulator:
         driven, changed, staged = self._driven, self._changed, self._staged
         for wire in driven:
             wire._driven = 0
-            wire._value = wire.default
+            wire.value = wire.default
         driven.clear()
         settles = (self._hooks or self._bind_hooks())[0]
         for pass_index in range(self.max_settle_passes):
@@ -210,7 +211,7 @@ class Simulator:
             self._settle()
             for reg in staged:
                 if reg._staged == 2:
-                    reg._value = reg._next
+                    reg.value = reg._next
                     reg._next = None
                 reg._staged = 0
             staged.clear()

@@ -122,6 +122,18 @@ def render_ascii(
     return out.getvalue()
 
 
+def _identifier(number: int) -> str:
+    """The VCD identifier code of the ``number``-th signal: base 94 over
+    the printable ASCII ``!``..``~`` IEEE 1364 allows, as many
+    characters as it takes."""
+    code = ""
+    while True:
+        number, digit = divmod(number, 94)
+        code = chr(33 + digit) + code
+        if not number:
+            return code
+
+
 def dump_vcd(
     recorder: WaveformRecorder,
     path: str,
@@ -132,15 +144,11 @@ def dump_vcd(
     The default timescale of 20 ns per cycle corresponds to the paper's
     50 MHz clock on the Altera Stratix device.
     """
-    # VCD identifier codes: printable ASCII starting at '!'
-    ids = {}
-    code = 33
-    for sig in recorder.signals:
-        ids[sig.name] = chr(code)
-        code += 1
-        if code == 127:  # skip DEL, wrap into two-char codes
-            code = 33 * 128
-    with open(path, "w") as fh:
+    ids = {
+        sig.name: _identifier(number)
+        for number, sig in enumerate(recorder.signals)
+    }
+    with open(path, "w", encoding="ascii") as fh:
         fh.write("$date reproduction run $end\n")
         fh.write("$version repro.hdl.waveform $end\n")
         fh.write(f"$timescale {timescale} $end\n")

@@ -446,11 +446,9 @@ class ModifierDriver:
         """Read the pair stored at ``address`` directly (no search)."""
         if level not in (1, 2, 3):
             raise ValueError(f"level must be 1..3, got {level}")
-        if address < 0:
-            raise ValueError(f"negative address {address}")
-        cycles = self._issue(
-            UserOp.READ_ENTRY, level_in=level, data_in=address & 0x7FF
-        )
+        if not 0 <= address <= 0x7FF:
+            raise ValueError(f"address {address} outside the 11-bit address bus")
+        cycles = self._issue(UserOp.READ_ENTRY, level_in=level, data_in=address)
         iface = self.modifier.ib_iface
         valid = bool(iface.mgmt_found.value)
         return ReadEntryResult(

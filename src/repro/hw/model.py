@@ -431,10 +431,10 @@ class FunctionalModifier:
         """Direct read of the pair at ``address`` (5 fixed cycles)."""
         if level not in (1, 2, 3):
             raise ValueError(f"level must be 1..3, got {level}")
-        if address < 0:
-            raise ValueError(f"negative address {address}")
+        if not 0 <= address <= 0x7FF:
+            raise ValueError(f"address {address} outside the 11-bit address bus")
         # the RTL clamps the presented address to the memory depth
-        address = min(address & 0x7FF, self.ib_depth - 1)
+        address = min(address, self.ib_depth - 1)
         lvl = self._levels[level - 1]
         self.total_cycles += READ_ENTRY_CYCLES
         if address >= len(lvl.pairs):

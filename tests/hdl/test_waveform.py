@@ -124,3 +124,51 @@ class TestVCD:
             body = fh.read().split("$enddefinitions $end")[1]
         # one initial value change, then silence
         assert body.count("b111 ") == 1
+
+    def test_identifiers_stay_printable_past_the_94th_signal(self, tmp_path):
+        # the full modifier records 186 signals; one printable character
+        # covers 94
+        sim = Simulator()
+
+        class Bank(Component):
+            def __init__(self, sim):
+                super().__init__(sim, "bank")
+                self.regs = [self.reg(f"r{i}", 1 + i % 7) for i in range(210)]
+
+            def settle(self):
+                for i, reg in enumerate(self.regs):
+                    if (self.sim.cycle + i) % 3:
+                        reg.stage((reg.value + i) % (1 << reg.width))
+
+        Bank(sim)
+        recorder = WaveformRecorder(sim)
+        sim.step(12)
+        path = os.path.join(tmp_path, "wide.vcd")
+        dump_vcd(recorder, path)
+        with open(path, encoding="ascii") as fh:
+            header, body = fh.read().split("$enddefinitions $end\n")
+        names = {}
+        for line in header.splitlines():
+            if line.startswith("$var"):
+                _, _, width, ident, name, _ = line.split()
+                assert ident not in names
+                assert all(33 <= ord(ch) <= 126 for ch in ident)
+                assert int(width) == sim.signal(name).width
+                names[ident] = name
+        assert len(names) == 210
+        # replay the value changes: one snapshot per timestamp (every
+        # cycle changes something here, so every cycle has one)
+        snapshots = []
+        for line in body.splitlines():
+            if line.startswith("#"):
+                snapshots.append(dict(snapshots[-1]) if snapshots else {})
+            elif line.startswith("b"):
+                bits, ident = line[1:].split(" ")
+                snapshots[-1][names[ident]] = int(bits, 2)
+            else:
+                snapshots[-1][names[line[1:]]] = int(line[0])
+        assert len(snapshots) == len(recorder.cycles) == 12
+        assert recorder.trace == {
+            name: [snapshot[name] for snapshot in snapshots]
+            for name in names.values()
+        }

@@ -130,6 +130,16 @@ class TestReadEntry:
         with pytest.raises(ValueError):
             drv.read_entry(2, -1)
 
+    def test_address_beyond_the_bus_is_rejected_not_aliased(self, drv):
+        # 2048 & 0x7FF is 0: it used to read entry 0 back as valid
+        for address in (2048, 2051, 1 << 20):
+            with pytest.raises(ValueError, match=f"address {address} .*11-bit"):
+                drv.read_entry(2, address)
+        before = drv.total_cycles
+        # in range but past the memory: the modelled clamp to depth - 1
+        assert not drv.read_entry(2, 2047).valid
+        assert drv.total_cycles == before + 5
+
 
 class TestLevel1Management:
     def test_modify_by_packet_id(self, drv):
