@@ -519,12 +519,12 @@ class MessageLDPProcess:
         if self.overload is None:
             self.scheduler.after(
                 link.delay_s + self.processing_delay,
-                lambda: self.speakers[msg.dst].handle(msg),
+                self.speakers[msg.dst].handle, msg,
             )
             return
         # overload protection: propagation only, then the receiver's
         # bounded control queue (processing happens at service time)
-        self.scheduler.after(link.delay_s, lambda: self._control_arrive(msg))
+        self.scheduler.after(link.delay_s, self._control_arrive, msg)
 
     def _control_arrive(self, msg: LDPMessage) -> None:
         """An LDP message reached ``msg.dst``'s control queue."""
@@ -550,8 +550,7 @@ class MessageLDPProcess:
         if not self._cpu_busy[msg.dst]:
             self._cpu_busy[msg.dst] = True
             self.scheduler.after(
-                self.overload.service_time_s,
-                lambda: self._service(msg.dst),
+                self.overload.service_time_s, self._service, msg.dst
             )
 
     def _service(self, name: str) -> None:
@@ -570,7 +569,7 @@ class MessageLDPProcess:
             self._last_heard[(name, msg.src)] = self.scheduler.now
         if len(queue):
             self.scheduler.after(
-                self.overload.service_time_s, lambda: self._service(name)
+                self.overload.service_time_s, self._service, name
             )
         else:
             self._cpu_busy[name] = False
@@ -771,8 +770,7 @@ class MessageLDPProcess:
             "down_at": self.scheduler.now,
         }
         self.scheduler.after(
-            self.backoff.first_delay(key),
-            lambda: self._try_reconnect(key),
+            self.backoff.first_delay(key), self._try_reconnect, key
         )
 
     def _jittered(self, key: Tuple[str, str], delay: float) -> float:
@@ -805,8 +803,7 @@ class MessageLDPProcess:
             self.send(LDPMessage(MsgType.HELLO, a, b))
             self.send(LDPMessage(MsgType.HELLO, b, a))
         self.scheduler.after(
-            self.backoff.next_delay(key, attempt),
-            lambda: self._try_reconnect(key),
+            self.backoff.next_delay(key, attempt), self._try_reconnect, key
         )
 
     # -- graceful restart (RFC 3478 semantics) ------------------------------

@@ -50,6 +50,7 @@ forwarding-state holding timer after which unrefreshed entries flush.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -304,7 +305,7 @@ class TrafficSpec:
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "TrafficSpec":
         try:
-            return cls(
+            spec = cls(
                 ingress=raw["ingress"],
                 egress=raw["egress"],
                 prefix=raw["prefix"],
@@ -321,6 +322,20 @@ class TrafficSpec:
             )
         except KeyError as exc:
             raise ScenarioError(f"traffic entry missing {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"traffic entry {raw!r}: {exc}")
+        # every test is positive: a NaN fails them all
+        if not (
+            0 < spec.rate_bps < math.inf
+            and spec.packet_size >= 0
+            and spec.start >= 0
+            and (spec.stop is None or spec.stop >= 0)
+        ):
+            raise ScenarioError(
+                f"traffic entry {raw!r}: rate_bps must be finite and "
+                "positive, packet_size, start and stop must not be negative"
+            )
+        return spec
 
 
 @dataclass

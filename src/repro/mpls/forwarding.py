@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from repro.mpls.errors import (
     LabelLookupMiss,
@@ -132,8 +132,7 @@ class OpCounts:
                 )
 
 
-@dataclass(frozen=True)
-class ForwardingDecision:
+class ForwardingDecision(NamedTuple):
     """The outcome of processing one packet at one node."""
 
     action: Action
@@ -145,6 +144,10 @@ class ForwardingDecision:
     @property
     def forwarded(self) -> bool:
         return self.action in (Action.FORWARD_MPLS, Action.FORWARD_IP)
+
+
+#: every first push goes onto this one (a stack is immutable)
+_EMPTY_STACK = LabelStack()
 
 
 class ForwardingEngine:
@@ -270,9 +273,10 @@ class ForwardingEngine:
         entry = LabelEntry(
             label=nhlfe.out_label,  # type: ignore[arg-type]
             cos=cos,
+            s=1,  # the bottom of the stack: push has no S bit to fix
             ttl=inner.ttl,
         )
-        stack = LabelStack().push(entry)
+        stack = _EMPTY_STACK.push(entry)
         self.counts.pushes += 1
         if observing:
             self._emit_stack_op(tel, "push", None, entry.label)
@@ -341,12 +345,7 @@ class ForwardingEngine:
             if observing:
                 self._emit_stack_op(tel, "swap", top.label, nhlfe.out_label)
             # the TTL decrement and the label rewrite in one new entry
-            new_top = LabelEntry(
-                nhlfe.out_label,  # type: ignore[arg-type]
-                top.cos,
-                top.s,
-                top.ttl - 1,
-            )
+            new_top = top.rewritten(nhlfe.out_label, top.ttl - 1)
             stack = packet.stack.swap(new_top)
             return self._forward(
                 Action.FORWARD_MPLS, packet.with_stack(stack), nhlfe

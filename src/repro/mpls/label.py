@@ -56,6 +56,7 @@ ENTRY_BITS = LABEL_BITS + COS_BITS + S_BITS + TTL_BITS  # 32
 
 _COS_MAX = (1 << COS_BITS) - 1
 _TTL_MAX = (1 << TTL_BITS) - 1
+_new = object.__new__
 
 
 class LabelOp(IntEnum):
@@ -71,14 +72,16 @@ class LabelOp(IntEnum):
     POP = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelEntry:
     """One 32-bit label stack entry.
 
     Instances are immutable; the mutating operations of the data plane
     (TTL decrement, label rewrite) return new entries, which keeps
-    packets safe to share between simulated nodes.  The derived copies
-    are built by the constructor, so they pass the same range checks.
+    packets safe to share between simulated nodes.  A derived copy is
+    built slot by slot: the field that changed passes the constructor's
+    own range check (same exception, same message), the fields it
+    copies were checked when their entry was constructed.
     """
 
     label: int
@@ -150,24 +153,60 @@ class LabelEntry:
         """
         if self.ttl == 0:
             raise InvalidLabelError("cannot decrement a zero TTL")
-        return LabelEntry(self.label, self.cos, self.s, self.ttl - 1)
+        return _copy(self.label, self.cos, self.s, self.ttl - 1)
 
     def with_label(self, label: int) -> "LabelEntry":
-        return LabelEntry(label, self.cos, self.s, self.ttl)
+        if not 0 <= label <= LABEL_MAX:
+            raise InvalidLabelError(
+                f"label {label} outside 20-bit range 0..{LABEL_MAX}"
+            )
+        return _copy(label, self.cos, self.s, self.ttl)
 
     def with_ttl(self, ttl: int) -> "LabelEntry":
-        return LabelEntry(self.label, self.cos, self.s, ttl)
+        if not 0 <= ttl <= _TTL_MAX:
+            raise InvalidLabelError(f"TTL {ttl} outside 8-bit range")
+        return _copy(self.label, self.cos, self.s, ttl)
 
     def with_s(self, s: int) -> "LabelEntry":
-        return LabelEntry(self.label, self.cos, s, self.ttl)
+        if s not in (0, 1):
+            raise InvalidLabelError(f"S bit must be 0 or 1, got {s}")
+        return _copy(self.label, self.cos, s, self.ttl)
 
     def with_cos(self, cos: int) -> "LabelEntry":
-        return LabelEntry(self.label, cos, self.s, self.ttl)
+        if not 0 <= cos <= _COS_MAX:
+            raise InvalidLabelError(f"CoS {cos} outside 3-bit range")
+        return _copy(self.label, cos, self.s, self.ttl)
+
+    def rewritten(self, label: int, ttl: int) -> "LabelEntry":
+        """The swap: a new label and a new TTL in one entry, CoS and S
+        bit kept."""
+        if not 0 <= label <= LABEL_MAX:
+            raise InvalidLabelError(
+                f"label {label} outside 20-bit range 0..{LABEL_MAX}"
+            )
+        if not 0 <= ttl <= _TTL_MAX:
+            raise InvalidLabelError(f"TTL {ttl} outside 8-bit range")
+        return _copy(label, self.cos, self.s, ttl)
 
     def __str__(self) -> str:
         return (
             f"[label={self.label} cos={self.cos} s={self.s} ttl={self.ttl}]"
         )
+
+
+_set_label, _set_cos, _set_s, _set_ttl = (
+    getattr(LabelEntry, name).__set__ for name in LabelEntry.__slots__
+)
+
+
+def _copy(label: int, cos: int, s: int, ttl: int) -> LabelEntry:
+    """An entry from fields its caller has checked: no ``__init__``."""
+    entry = _new(LabelEntry)
+    _set_label(entry, label)
+    _set_cos(entry, cos)
+    _set_s(entry, s)
+    _set_ttl(entry, ttl)
+    return entry
 
 
 def require_real_label(label: int) -> int:

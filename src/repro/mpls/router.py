@@ -295,13 +295,7 @@ class LSRNode:
         ):
             interface = self.neighbor_interfaces.get(decision.next_hop)
             if interface is not None:
-                decision = ForwardingDecision(
-                    decision.action,
-                    packet=decision.packet,
-                    next_hop=decision.next_hop,
-                    out_interface=interface,
-                    reason=decision.reason,
-                )
+                decision = decision._replace(out_interface=interface)
         return decision
 
     def __repr__(self) -> str:

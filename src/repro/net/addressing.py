@@ -47,11 +47,17 @@ class IPv4Address:
         if isinstance(other, int):
             return self._value == other
         if isinstance(other, str):
-            return self._value == _parse_dotted(other)
+            try:
+                return self._value == _parse_dotted(other)
+            except ValueError:  # not an address at all: simply unequal
+                return False
         return NotImplemented
 
     def __lt__(self, other: "IPv4Address") -> bool:
-        return self._value < IPv4Address(other)._value
+        try:
+            return self._value < IPv4Address(other)._value
+        except (TypeError, ValueError):
+            return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._value)
@@ -80,7 +86,9 @@ def _parse_dotted(text: str) -> int:
         raise ValueError(f"{text!r} is not dotted-quad IPv4")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        # ASCII decimal only: str.isdigit alone admits other scripts'
+        # digits and superscripts, and int() caps the digits it takes
+        if not (part.isascii() and part.isdigit() and len(part) <= 3):
             raise ValueError(f"{text!r} is not dotted-quad IPv4")
         octet = int(part)
         if octet > 255:

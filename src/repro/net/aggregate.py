@@ -43,7 +43,10 @@ from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.net.traffic import DSCP_BE, CBRSource
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
+@dataclass(frozen=True, slots=True)
 class FlowAggregate:
     """``count`` identical-shape packets of one flow, as one unit.
 
@@ -88,12 +91,21 @@ class FlowAggregate:
     def with_template(
         self, template: Union[IPv4Packet, MPLSPacket]
     ) -> "FlowAggregate":
-        return FlowAggregate(template, self.count, self.interval)
+        copy = _new(FlowAggregate)
+        _set_template(copy, template)
+        _set_count(copy, self.count)
+        _set_interval(copy, self.interval)
+        return copy
 
     def created_times(self) -> Iterator[float]:
         base = self.first_created_at
         for i in range(self.count):
             yield base + i * self.interval
+
+
+_set_template, _set_count, _set_interval = (
+    getattr(FlowAggregate, name).__set__ for name in FlowAggregate.__slots__
+)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Discrete event simulation kernel.
 
-A binary heap (:mod:`heapq`) of ``(time, seq, fn)`` tuples: a timestamp,
-a deterministic tiebreak sequence number (so equal-time events fire in
-schedule order -- vital for reproducible network simulations), and a
-callback.  ``seq`` is unique per scheduler, so the heap orders entries
-by ``(time, seq)`` with C tuple comparison and never compares two
-callbacks.  The network layer (:mod:`repro.net.link`,
+A binary heap (:mod:`heapq`) of ``(time, seq, fn, args)`` tuples: a
+timestamp, a deterministic tiebreak sequence number (so equal-time
+events fire in schedule order -- vital for reproducible network
+simulations), and a callback with the arguments it is called with -- an
+event carries its arguments, so the per-packet callers hand over a bound
+method instead of building a closure.  ``seq`` is unique per scheduler,
+so the heap orders entries by ``(time, seq)`` with C tuple comparison
+and never compares two callbacks.  The network layer (:mod:`repro.net.link`,
 :mod:`repro.net.network`) schedules packet arrivals, transmission
 completions and protocol timers on one shared scheduler.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, NamedTuple, Optional, Set
+from typing import Any, Callable, List, NamedTuple, Optional, Set, Tuple
 
 
 class Event(NamedTuple):
@@ -23,7 +25,11 @@ class Event(NamedTuple):
 
     time: float
     seq: int
-    fn: Callable[[], Any]
+    fn: Callable[..., Any]
+    args: Tuple[Any, ...] = ()
+
+
+_new_event = tuple.__new__  # skips the generated ``Event.__new__`` frame
 
 
 class EventScheduler:
@@ -37,21 +43,23 @@ class EventScheduler:
         self._seq = itertools.count()
         self.processed = 0
 
-    def at(self, time: float, fn: Callable[[], Any]) -> Event:
-        """Schedule ``fn`` to run at absolute ``time``."""
+    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` to run at absolute ``time``."""
         if not time >= self.now:  # also a NaN, which would unorder the heap
             raise ValueError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        event = Event(time, next(self._seq), fn)
+        event = _new_event(Event, (time, next(self._seq), fn, args))
         heapq.heappush(self._heap, event)
         return event
 
-    def after(self, delay: float, fn: Callable[[], Any]) -> Event:
-        """Schedule ``fn`` after a relative ``delay``."""
+    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` after a relative ``delay``."""
         if not delay >= 0:  # NaN too
             raise ValueError(f"negative delay {delay}")
-        event = Event(self.now + delay, next(self._seq), fn)
+        event = _new_event(
+            Event, (self.now + delay, next(self._seq), fn, args)
+        )
         heapq.heappush(self._heap, event)
         return event
 
@@ -75,7 +83,7 @@ class EventScheduler:
         heap, cancelled = self._heap, self._cancelled
         count = 0
         while heap:
-            time, seq, fn = heap[0]
+            time, seq, fn, args = heap[0]
             if cancelled and seq in cancelled:
                 heapq.heappop(heap)
                 cancelled.discard(seq)
@@ -88,7 +96,7 @@ class EventScheduler:
                 )
             heapq.heappop(heap)
             self.now = time
-            fn()
+            fn(*args)
             count += 1
             self.processed += 1
         if until is not None and until > self.now:
@@ -99,12 +107,12 @@ class EventScheduler:
         """Run exactly one event; returns False if the queue is empty."""
         heap, cancelled = self._heap, self._cancelled
         while heap:
-            time, seq, fn = heapq.heappop(heap)
+            time, seq, fn, args = heapq.heappop(heap)
             if seq in cancelled:
                 cancelled.discard(seq)
                 continue
             self.now = time
-            fn()
+            fn(*args)
             self.processed += 1
             return True
         return False

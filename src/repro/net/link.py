@@ -177,10 +177,9 @@ class SimplexChannel:
                 len(self.queue)
             )
         self._busy = True
-        tx_time = size_bytes * 8 / self.bandwidth_bps
-        epoch = self._epoch
         self.scheduler.after(
-            tx_time, lambda: self._tx_done(packet, size_bytes, epoch)
+            size_bytes * 8 / self.bandwidth_bps,
+            self._tx_done, packet, size_bytes, self._epoch,
         )
 
     def _tx_done(self, packet: Any, size_bytes: int, epoch: int) -> None:
@@ -232,9 +231,7 @@ class SimplexChannel:
                     )
                 else:
                     packet = self.corruptor(packet)
-            self.scheduler.after(
-                self.delay_s, lambda: self._arrive(packet, epoch)
-            )
+            self.scheduler.after(self.delay_s, self._arrive, packet, epoch)
         self._start_next()
 
     def _arrive(self, packet: Any, epoch: int) -> None:

@@ -217,7 +217,7 @@ class MPLSNetwork:
         """Hand a packet to a node's data plane at the current time."""
         if node not in self.nodes:
             raise KeyError(f"unknown node {node!r}")
-        self.scheduler.after(0.0, lambda: self._process(node, packet))
+        self.scheduler.after(0.0, self._process, node, packet)
 
     def source_sink(self, ler: str) -> Callable[[IPv4Packet], None]:
         """A sink for traffic generators feeding ``ler``."""
@@ -237,9 +237,7 @@ class MPLSNetwork:
         """
         if node not in self.nodes:
             raise KeyError(f"unknown node {node!r}")
-        self.scheduler.after(
-            0.0, lambda: self._process_external(node, packet)
-        )
+        self.scheduler.after(0.0, self._process_external, node, packet)
 
     def _process_external(
         self, node_name: str, packet: Union[IPv4Packet, MPLSPacket]
@@ -278,16 +276,14 @@ class MPLSNetwork:
             raise RuntimeError(
                 "aggregates need batching: call enable_batching() first"
             )
-        self.scheduler.after(
-            0.0, lambda: self._process_aggregate(node, aggregate)
-        )
+        self.scheduler.after(0.0, self._process_aggregate, node, aggregate)
 
     def aggregate_sink(self, ler: str) -> Callable[[FlowAggregate], None]:
         """A sink for aggregate traffic generators feeding ``ler``."""
         return lambda aggregate: self._process_aggregate(ler, aggregate)
 
     def _on_arrival(self, iface: Interface, packet: Any) -> None:
-        if getattr(packet, "is_aggregate", False):
+        if packet.is_aggregate:
             self._process_aggregate(iface.node, packet)
         else:
             self._process(iface.node, packet)

@@ -12,6 +12,10 @@ The simulator moves two packet shapes around:
 
 Both are immutable value objects; data-plane transformations produce
 new packets, which keeps multi-node simulations free of aliasing bugs.
+
+A derived packet (``with_ttl``, ``decremented``, ``with_stack``) is built
+slot by slot, not through ``__init__``: it re-checks the field that
+changed, with the constructor's exception and message, and copies the rest.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ if TYPE_CHECKING:  # deferred to break the net <-> mpls import cycle
     from repro.mpls.stack import LabelStack
 
 _packet_ids = itertools.count(1)
+_new = object.__new__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IPv4Packet:
     """A simplified IPv4 datagram.
 
@@ -48,6 +53,10 @@ class IPv4Packet:
     seq: int = 0
     created_at: float = 0.0
     uid: int = field(default_factory=lambda: next(_packet_ids))
+
+    #: class marker: a packet is not a flow aggregate (the link and
+    #: network layers read this instead of importing the aggregate type)
+    is_aggregate = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.src, IPv4Address):
@@ -77,10 +86,20 @@ class IPv4Packet:
     def with_ttl(self, ttl: int) -> "IPv4Packet":
         """A copy with the TTL rewritten (identity -- uid, flow, seq --
         preserved; used when the MPLS TTL is copied back at an egress)."""
-        return IPv4Packet(
-            self.src, self.dst, ttl, self.dscp, self.protocol, self.payload,
-            self.flow_id, self.seq, self.created_at, self.uid,
-        )
+        if not 0 <= ttl <= 255:
+            raise ValueError(f"IPv4 TTL {ttl} out of range")
+        copy = _new(IPv4Packet)
+        _set_src(copy, self.src)
+        _set_dst(copy, self.dst)
+        _set_ttl(copy, ttl)
+        _set_dscp(copy, self.dscp)
+        _set_protocol(copy, self.protocol)
+        _set_payload(copy, self.payload)
+        _set_flow_id(copy, self.flow_id)
+        _set_seq(copy, self.seq)
+        _set_created_at(copy, self.created_at)
+        _set_uid(copy, self.uid)
+        return copy
 
     def serialize(self) -> bytes:
         """A compact but faithful-enough header encoding + payload.
@@ -119,19 +138,32 @@ class IPv4Packet:
         )
 
 
-@dataclass(frozen=True)
+# the slot descriptors' setters: how a frozen instance gets its fields
+# without ``__init__`` (one per field, in declaration order)
+(
+    _set_src, _set_dst, _set_ttl, _set_dscp, _set_protocol, _set_payload,
+    _set_flow_id, _set_seq, _set_created_at, _set_uid,
+) = (getattr(IPv4Packet, name).__set__ for name in IPv4Packet.__slots__)
+
+
+@dataclass(frozen=True, slots=True)
 class MPLSPacket:
     """An IPv4 packet carrying an MPLS label stack."""
 
     stack: LabelStack
     inner: IPv4Packet
 
+    is_aggregate = False
+
     @property
     def length(self) -> int:
         return 4 * self.stack.depth + self.inner.length
 
     def with_stack(self, stack: LabelStack) -> "MPLSPacket":
-        return MPLSPacket(stack, self.inner)
+        copy = _new(MPLSPacket)
+        _set_stack(copy, stack)
+        _set_inner(copy, self.inner)
+        return copy
 
     def serialize(self) -> bytes:
         return self.stack.encode_bytes() + self.inner.serialize()
@@ -147,3 +179,8 @@ class MPLSPacket:
 
     def __repr__(self) -> str:
         return f"<MPLSPacket {self.stack!r} {self.inner.src}->{self.inner.dst}>"
+
+
+_set_stack, _set_inner = (
+    getattr(MPLSPacket, name).__set__ for name in MPLSPacket.__slots__
+)

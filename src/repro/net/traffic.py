@@ -21,6 +21,7 @@ depend on run-to-run reproducibility.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Optional
 
@@ -35,6 +36,15 @@ DSCP_AF41 = 34
 DSCP_BE = 0
 
 _flow_counter = iter(range(1, 1 << 31))
+
+
+def _interval(bits: float, rate: float) -> float:
+    """Seconds between packets of ``bits`` at ``rate``.  Refused unless
+    the rate is finite and the interval is > 0: a source that re-arms
+    itself at a zero interval spins the event loop at one instant."""
+    if not (0 < rate < math.inf and bits > 0):
+        raise ValueError(f"no positive interval: {bits} bits at rate {rate}")
+    return bits / rate
 
 
 class TrafficSource:
@@ -116,10 +126,8 @@ class CBRSource(TrafficSource):
         **kwargs,
     ) -> None:
         super().__init__(scheduler, sink, src, dst, **kwargs)
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
         self.packet_size = packet_size
-        self.interval = (packet_size + 20) * 8 / rate_bps
+        self.interval = _interval((packet_size + 20) * 8, rate_bps)
 
     def _payload_size(self) -> int:
         return self.packet_size
@@ -173,6 +181,11 @@ class VideoSource(TrafficSource):
         **kwargs,
     ) -> None:
         super().__init__(scheduler, sink, src, dst, dscp=dscp, **kwargs)
+        if not 0 < fps < math.inf or gop < 1 or mtu_payload < 1:
+            raise ValueError(
+                "video needs a finite fps > 0, gop >= 1 and mtu_payload "
+                f">= 1, got fps={fps} gop={gop} mtu_payload={mtu_payload}"
+            )
         self.fps = fps
         self.i_frame_size = i_frame_size
         self.p_frame_size = p_frame_size
@@ -225,8 +238,8 @@ class PoissonSource(TrafficSource):
         **kwargs,
     ) -> None:
         super().__init__(scheduler, sink, src, dst, **kwargs)
-        if rate_pps <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < rate_pps < math.inf:
+            raise ValueError(f"rate must be positive and finite: {rate_pps}")
         self.rate_pps = rate_pps
         self.packet_size = packet_size
 
@@ -257,7 +270,7 @@ class OnOffSource(TrafficSource):
         self.mean_on_s = mean_on_s
         self.mean_off_s = mean_off_s
         self.packet_size = packet_size
-        self.interval = (packet_size + 20) * 8 / peak_bps
+        self.interval = _interval((packet_size + 20) * 8, peak_bps)
         self._burst_end = 0.0
 
     def _payload_size(self) -> int:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +104,46 @@ class TestChaosCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["security"]["enabled"] is True
         assert report["security"]["blast_radius_total"] == 0
+
+
+class TestHostileScenarioCLI:
+    """A traffic entry no run can mean ends ``repro chaos`` with one
+    line and a non-zero exit -- never a traceback from inside the event
+    loop, never a source spinning until the event budget (a subprocess
+    with a 5 s limit, so a regression fails instead of hanging)."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("packet_size", -30),   # was: ValueError: negative count
+            ("rate_bps", "inf"),    # was: a zero re-arm interval, >60 s
+            ("rate_bps", "nan"),    # was: negative delay nan
+            ("rate_bps", 0),
+            ("start", -1),
+            ("stop", "nan"),
+            ("rate_bps", "fast"),
+        ],
+    )
+    def test_one_line_non_zero_inside_five_seconds(
+        self, key, value, tmp_path
+    ):
+        with open(os.path.join(EXAMPLES_DIR, "chaos_smoke.json")) as fh:
+            raw = json.load(fh)
+        raw["traffic"][0][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        src = os.path.join(EXAMPLES_DIR, os.pardir, "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "chaos", str(path)],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        assert result.returncode != 0
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: bad scenario: traffic entry {")
+        assert repr(key) in lines[0]
 
 
 class TestTopoCLI:

@@ -196,3 +196,53 @@ class TestRandomSchedule:
     def test_random_spec_validation(self):
         with pytest.raises(ScenarioError):
             RandomFaultSpec.from_dict({"window": [0.5, 0.5]})
+
+
+class TestHostileTraffic:
+    """Numbers a traffic entry cannot mean are refused when the file is
+    read, with the entry named -- not met later inside the event loop."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("packet_size", -30), ("packet_size", -1),
+            ("rate_bps", "inf"), ("rate_bps", "-inf"), ("rate_bps", "nan"),
+            ("rate_bps", 0), ("rate_bps", -2e6), ("rate_bps", 1e400),
+            ("start", -0.1), ("start", "nan"),
+            ("stop", -0.5), ("stop", "nan"),
+        ],
+    )
+    def test_out_of_range_numbers_name_the_entry(self, key, value):
+        doc = _minimal()
+        doc["traffic"][0][key] = value
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(doc)
+        message = str(exc.value)
+        assert message.startswith("traffic entry {")
+        assert repr(key) in message and "'ler-a'" in message
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("rate_bps", "fast"), ("packet_size", "big"), ("start", [1]),
+         ("cos", None), ("stop", {})],
+    )
+    def test_values_that_are_not_numbers(self, key, value):
+        doc = _minimal()
+        doc["traffic"][0][key] = value
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(doc)
+        assert str(exc.value).startswith("traffic entry {")
+
+    def test_an_entry_that_is_not_an_object(self):
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(_minimal(traffic=["ler-a"]))
+
+    def test_the_accepted_edges(self):
+        doc = _minimal()
+        doc["traffic"][0].update(
+            packet_size=0, start=0, stop=0, rate_bps="2e6"
+        )
+        flow = Scenario.from_dict(doc).traffic[0]
+        assert (flow.packet_size, flow.start, flow.stop, flow.rate_bps) == (
+            0, 0.0, 0.0, 2e6
+        )

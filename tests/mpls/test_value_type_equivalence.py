@@ -9,8 +9,20 @@ depth), an entry or a packet is rebuilt field by field with keywords.
 Both sides must give equal objects, equal hashes and equal wire bytes
 after every step of a random operation sequence, and the same exception
 type and message on every misuse.
+
+Since the slotted value types (``@dataclass(frozen=True, slots=True)``)
+the derivations skip ``__init__`` altogether: they fill the slots of a
+new instance and re-check only the field that changed.  The two
+``check_*`` helpers (called from the property tests above them too) and
+``TestSlottedDerivations`` hold every one of them -- ``rewritten`` and
+``FlowAggregate.with_template`` included -- to the same keyword rebuild,
+check that a derived instance is as frozen, as dict-less and as copyable
+as a constructed one, and show the checks catch two seeded mutants.
 """
 
+import copy
+import dataclasses
+import pickle
 from typing import Callable, List, Optional, Tuple
 
 import pytest
@@ -24,7 +36,9 @@ from repro.mpls.errors import (
 )
 from repro.mpls.label import LABEL_MAX, LabelEntry
 from repro.mpls.stack import LabelStack
+from repro.mpls import label as label_module
 from repro.net.addressing import IPv4Address
+from repro.net.aggregate import FlowAggregate
 from repro.net.packet import IPv4Packet, MPLSPacket
 
 #: in-range fields with an arbitrary incoming S bit
@@ -219,6 +233,7 @@ class TestOperationSequences:
         else:
             assert hash(got[1]) == hash(want[1])
             assert got[1].encode_bytes() == want[1].encode_bytes()
+            check_entry_derivation(top, name, arg)
 
 
 class TestMisuseMessages:
@@ -303,6 +318,7 @@ class TestIPv4PacketCopies:
         )
         assert copy.payload is packet.payload
         assert copy.src is packet.src and copy.dst is packet.dst
+        check_packet_copy(packet, ttl)
 
     @given(packets)
     def test_decremented_is_with_ttl_minus_one(self, packet):
@@ -319,3 +335,164 @@ class TestIPv4PacketCopies:
     def test_addresses_are_wrapped_whatever_they_came_as(self, packet):
         assert type(packet.src) is IPv4Address
         assert type(packet.dst) is IPv4Address
+
+
+# -- the slotted derivations ---------------------------------------------------
+def rebuilt_packet(packet: IPv4Packet, ttl: int) -> IPv4Packet:
+    """The oracle's ``with_ttl``: the public constructor, by keyword."""
+    return IPv4Packet(
+        src=packet.src, dst=packet.dst, ttl=ttl, dscp=packet.dscp,
+        protocol=packet.protocol, payload=packet.payload,
+        flow_id=packet.flow_id, seq=packet.seq,
+        created_at=packet.created_at, uid=packet.uid,
+    )
+
+
+def assert_value_twin(got: object, want: object) -> None:
+    """Indistinguishable as values: equality both ways, hash, ``repr``,
+    field by field, and -- where there is one -- the wire encoding."""
+    assert type(got) is type(want)
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    for encode in ("encode_bytes", "serialize"):
+        if hasattr(want, encode):
+            assert getattr(got, encode)() == getattr(want, encode)()
+
+
+def assert_behaves_like_a_constructed_one(derived: object) -> None:
+    """Frozen, dict-less, and round-trips through every generic copy."""
+    assert not hasattr(derived, "__dict__")
+    cls = type(derived)
+    names = [f.name for f in dataclasses.fields(derived)]
+    assert names == list(cls.__slots__)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(derived, name, getattr(derived, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(derived, name)
+    assert dataclasses.replace(derived) == derived
+    if cls is LabelEntry:  # flat: ``asdict`` is its keyword arguments
+        assert cls(**dataclasses.asdict(derived)) == derived
+    for clone in (
+        copy.copy(derived),
+        copy.deepcopy(derived),
+        pickle.loads(pickle.dumps(derived)),
+        pickle.loads(pickle.dumps(derived, protocol=2)),
+    ):
+        assert_value_twin(clone, derived)
+
+
+def check_entry_derivation(top: LabelEntry, name: str, arg: object) -> None:
+    got = outcome(lambda: derived(top, name, arg))
+    want = outcome(lambda: rebuilt(top, name, arg))
+    assert got[0] == want[0], (name, arg, got, want)
+    if got[0] == "raised":
+        assert got == want
+        assert got[1] is InvalidLabelError
+        return
+    assert_value_twin(got[1], want[1])
+    assert_behaves_like_a_constructed_one(got[1])
+
+
+def check_packet_copy(packet: IPv4Packet, ttl: int) -> None:
+    got = outcome(lambda: packet.with_ttl(ttl))
+    want = outcome(lambda: rebuilt_packet(packet, ttl))
+    assert got[0] == want[0], (ttl, got, want)
+    if got[0] == "raised":
+        assert got == want
+        assert got[1] is ValueError
+        return
+    copied = got[1]
+    assert_value_twin(copied, want[1])
+    assert (copied.uid, copied.flow_id, copied.seq) == (
+        packet.uid, packet.flow_id, packet.seq
+    )
+    assert_behaves_like_a_constructed_one(copied)
+
+
+#: every field's two range edges, one step inside and one step outside
+ENTRY_EDGES = [
+    ("with_label", -1), ("with_label", 0), ("with_label", LABEL_MAX),
+    ("with_label", LABEL_MAX + 1),
+    ("with_cos", -1), ("with_cos", 0), ("with_cos", 7), ("with_cos", 8),
+    ("with_s", -1), ("with_s", 0), ("with_s", 1), ("with_s", 2),
+    ("with_ttl", -1), ("with_ttl", 0), ("with_ttl", 255), ("with_ttl", 256),
+    ("decrement", None),
+]
+
+
+class TestSlottedDerivations:
+    @pytest.mark.parametrize("name,arg", ENTRY_EDGES)
+    @pytest.mark.parametrize("ttl", [0, 1, 255])
+    def test_entry_derivations_at_every_range_edge(self, name, arg, ttl):
+        check_entry_derivation(LabelEntry(77, 5, 1, ttl), name, arg)
+
+    @given(
+        entries, st.integers(-1, LABEL_MAX + 2), st.integers(-1, 257)
+    )
+    def test_rewritten_is_the_four_field_constructor(self, top, label, ttl):
+        got = outcome(lambda: top.rewritten(label, ttl))
+        want = outcome(
+            lambda: LabelEntry(label=label, cos=top.cos, s=top.s, ttl=ttl)
+        )
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            # both fields changed, so both are checked, label first
+            assert got == want
+        else:
+            assert_value_twin(got[1], want[1])
+            assert_behaves_like_a_constructed_one(got[1])
+
+    @given(packets, st.lists(entries, min_size=1, max_size=3))
+    def test_with_stack_and_with_template(self, inner, held):
+        stack, other = LabelStack(held), LabelStack(held[:1])
+        labelled = MPLSPacket(other, inner).with_stack(stack)
+        assert_value_twin(labelled, MPLSPacket(stack=stack, inner=inner))
+        assert labelled.inner is inner and labelled.stack is stack
+        assert_behaves_like_a_constructed_one(labelled)
+        train = FlowAggregate(inner, 9, 0.25).with_template(labelled)
+        assert_value_twin(
+            train,
+            FlowAggregate(template=labelled, count=9, interval=0.25),
+        )
+        assert train.flow_id == inner.flow_id and train.is_aggregate
+        assert not labelled.is_aggregate and not inner.is_aggregate
+        assert_behaves_like_a_constructed_one(train)
+
+    def test_generic_dataclass_tools_still_validate(self):
+        entry = LabelEntry(100, 3, 1, 9).decremented()
+        assert dataclasses.asdict(entry) == dict(
+            label=100, cos=3, s=1, ttl=8
+        )
+        assert dataclasses.replace(entry, ttl=7) == LabelEntry(100, 3, 1, 7)
+        with pytest.raises(InvalidLabelError):
+            dataclasses.replace(entry, ttl=256)
+        packet = IPv4Packet(src="10.0.0.1", dst="10.0.0.2").with_ttl(3)
+        assert dataclasses.replace(packet, dscp=46).uid == packet.uid
+        with pytest.raises(ValueError):
+            dataclasses.replace(packet, dscp=64)
+
+    # -- the suite must be able to fail: two seeded mutants -----------------
+    def test_catches_a_derivation_that_skips_its_check(self, monkeypatch):
+        def unchecked_with_ttl(self, ttl):
+            return label_module._copy(self.label, self.cos, self.s, ttl)
+
+        monkeypatch.setattr(LabelEntry, "with_ttl", unchecked_with_ttl)
+        check_entry_derivation(LabelEntry(77, 5, 1, 9), "with_ttl", 255)
+        with pytest.raises(AssertionError):
+            check_entry_derivation(LabelEntry(77, 5, 1, 9), "with_ttl", 256)
+
+    def test_catches_a_copy_that_drops_the_uid(self, monkeypatch):
+        def fresh_uid_with_ttl(self, ttl):
+            return IPv4Packet(
+                self.src, self.dst, ttl, self.dscp, self.protocol,
+                self.payload, self.flow_id, self.seq, self.created_at,
+            )
+
+        packet = IPv4Packet(src="10.0.0.1", dst="10.0.0.2")
+        check_packet_copy(packet, 9)
+        monkeypatch.setattr(IPv4Packet, "with_ttl", fresh_uid_with_ttl)
+        with pytest.raises(AssertionError):
+            check_packet_copy(packet, 9)

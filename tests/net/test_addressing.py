@@ -43,6 +43,47 @@ class TestIPv4Address:
     def test_ordering(self):
         assert IPv4Address("10.0.0.1") < IPv4Address("10.0.0.2")
 
+    def test_equality_with_a_string_that_is_no_address(self):
+        a = IPv4Address("10.0.0.1")
+        assert (a == "hello") is False and (a != "hello") is True
+        assert (a == "10.0.0") is False and (a == "10.0.0.256") is False
+        assert a in ["x", a] and a in ["x", "10.0.0.1"]
+        assert ["x", "y"].count(a) == 0
+        # what did hold still holds
+        assert a == "10.0.0.1" and a == 0x0A000001 and a != "10.0.0.2"
+        assert (a == 1.5) is False and a.__eq__(None) is NotImplemented
+
+    def test_ordering_against_a_non_address(self):
+        a = IPv4Address("10.0.0.1")
+        for other in ("hello", None, 1.5, 1 << 32, "10.0.0.256"):
+            assert a.__lt__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                a < other
+        assert a < "10.0.0.2" and a < 0x0A000002  # wrapped, as before
+        assert sorted([IPv4Address(3), IPv4Address(1)])[0] == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u0661\u0660.\u0660.\u0660.\u0661",  # Arabic-Indic 10.0.0.1
+            "1.2.3.\u00b2",  # superscript two: isdigit(), not int()
+            "1.2.3." + "7" * 5000,  # past int()'s digit limit
+            "1.2.3.0255", "1.2.3.", "1.2.3.-4", "1.2.3.+4", "1.2.3. 4",
+            "1.2.3.4\n", "\uff11.2.3.4",  # full-width one
+        ],
+    )
+    def test_only_ascii_decimal_octets(self, text):
+        with pytest.raises(ValueError) as exc:
+            IPv4Address(text)
+        assert str(exc.value) == f"{text!r} is not dotted-quad IPv4"
+        assert (IPv4Address("1.2.3.4") == text) is False
+
+    def test_octet_range_message_unchanged(self):
+        with pytest.raises(ValueError) as exc:
+            IPv4Address("1.2.3.256")
+        assert str(exc.value) == "octet 256 out of range in '1.2.3.256'"
+        assert IPv4Address("001.02.3.004") == "1.2.3.4"
+
     def test_hashable(self):
         assert len({IPv4Address("1.1.1.1"), IPv4Address("1.1.1.1")}) == 1
 

@@ -1,13 +1,16 @@
 """Tests for the discrete event scheduler."""
 
+import ast
 import functools
 import math
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.events import EventScheduler
+import repro
+from repro.net.events import Event, EventScheduler
 
 
 class TestEventScheduler:
@@ -330,3 +333,153 @@ class TestOrderingContract:
                 assert sched.step() is False
             assert hits == ["tie", "late"]
             assert sched.processed == 2 and sched.now == 2.0
+
+
+class TestEventsCarryTheirArguments:
+    """``at/after(when, fn, *args)`` is the closure ``lambda: fn(*args)``
+    without the closure: same events, same order, same counters."""
+
+    #: (time, how many equal-time children the callback schedules)
+    schedules = st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 7.25]),
+            st.integers(0, 3),
+        ),
+        max_size=40,
+    )
+
+    @staticmethod
+    def _drive(schedule, with_args, cancel=(), until=None, max_events=None):
+        """Issue ``schedule`` one way or the other; return everything
+        observable: firing order, handles, counters, the budget error."""
+        sched = EventScheduler()
+        log, handles = [], []
+
+        def fire(tag, children):
+            log.append((sched.now, tag))
+            for child in range(children):
+                if with_args:
+                    sched.after(0.0, fire, (tag, child), 0)
+                else:
+                    sched.after(0.0, lambda c=child: fire((tag, c), 0))
+
+        for tag, (time, children) in enumerate(schedule):
+            if with_args:
+                handles.append(sched.at(time, fire, tag, children))
+            else:
+                handles.append(
+                    sched.at(time, lambda t=tag, n=children: fire(t, n))
+                )
+        for index in cancel:
+            if index < len(handles):
+                sched.cancel(handles[index])
+        pending_before = sched.pending
+        kwargs = {} if max_events is None else {"max_events": max_events}
+        try:
+            returned = sched.run(until=until, **kwargs)
+        except RuntimeError as exc:
+            returned = str(exc)
+        return (
+            log, [(h.time, h.seq) for h in handles], pending_before,
+            returned, sched.processed, sched.pending, sched.now,
+        )
+
+    @given(
+        schedules,
+        st.lists(st.integers(0, 39), max_size=8),
+        st.sampled_from([None, 0.25, 1.0, 3.0]),
+        st.sampled_from([None, 0, 1, 5, 1000]),
+    )
+    def test_closures_and_arguments_are_the_same_run(
+        self, schedule, cancel, until, max_events
+    ):
+        as_closures = self._drive(schedule, False, cancel, until, max_events)
+        as_arguments = self._drive(schedule, True, cancel, until, max_events)
+        assert as_arguments == as_closures
+
+    def test_arguments_reach_the_callback_in_order(self):
+        sched = EventScheduler()
+        got = []
+        sched.at(1.0, lambda *a: got.append(a), 1, "two", None)
+        sched.after(2.0, got.append, "one argument")
+        sched.at(3.0, lambda: got.append("none"))
+        assert sched.step() and sched.run() == 2
+        assert got == [(1, "two", None), "one argument", "none"]
+
+    def test_handle_carries_fn_and_args(self):
+        sched = EventScheduler()
+        handle = sched.after(1.5, print, "a", 2)
+        assert type(handle) is Event
+        assert handle == (1.5, 0, print, ("a", 2))
+        assert (handle.fn, handle.args) == (print, ("a", 2))
+        assert sched.at(2.0, print).args == ()
+
+    def test_three_field_event_still_constructs(self):
+        event = Event(1.0, 4, print)
+        assert event.args == () and event == (1.0, 4, print, ())
+        assert Event(time=1.0, seq=4, fn=print, args=(1,)).args == (1,)
+
+    def test_cancel_by_a_reconstructed_handle(self):
+        sched = EventScheduler()
+        hits = []
+        handle = sched.at(1.0, hits.append, "x")
+        sched.cancel(Event(*handle))
+        assert sched.pending == 0 and sched.run() == 0 and hits == []
+
+
+#: the per-packet and per-message schedulers: a closure per event there
+#: is the allocation this rule removed
+CLOSURE_FREE = ("net/link.py", "net/network.py", "control/ldp_sessions.py")
+
+
+def _closures_handed_to_the_scheduler(source: str):
+    """(line, what) for every ``<...>scheduler.at/after(...)`` call that
+    is given a ``lambda`` or a function defined inside the caller."""
+    found = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = {
+            node.name
+            for node in ast.walk(outer)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node is not outer
+        }
+        for call in ast.walk(outer):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("at", "after")
+                and ast.unparse(call.func.value).endswith("scheduler")
+            ):
+                continue
+            for arg in list(call.args) + [k.value for k in call.keywords]:
+                if isinstance(arg, ast.Lambda):
+                    found.append((call.lineno, "lambda"))
+                elif isinstance(arg, ast.Name) and arg.id in nested:
+                    found.append((call.lineno, f"nested def {arg.id}"))
+    return sorted(set(found))
+
+
+class TestNoClosurePerEvent:
+    @pytest.mark.parametrize("relative", CLOSURE_FREE)
+    def test_hot_schedulers_hand_over_fn_and_arguments(self, relative):
+        path = os.path.join(os.path.dirname(repro.__file__), relative)
+        with open(path) as fh:
+            source = fh.read()
+        assert "scheduler.after(" in source  # the lint has something to see
+        assert _closures_handed_to_the_scheduler(source) == []
+
+    def test_the_lint_sees_both_shapes(self):
+        source = (
+            "class C:\n"
+            "    def send(self, p):\n"
+            "        def done():\n"
+            "            self.arrive(p)\n"
+            "        self.scheduler.after(1.0, lambda: self.arrive(p))\n"
+            "        self.scheduler.at(2.0, done)\n"
+            "        self.scheduler.after(3.0, self.arrive, p)\n"
+        )
+        assert _closures_handed_to_the_scheduler(source) == [
+            (5, "lambda"), (6, "nested def done"),
+        ]

@@ -1,5 +1,7 @@
 """Tests for the traffic generators."""
 
+import math
+
 import pytest
 
 from repro.net.events import EventScheduler
@@ -159,3 +161,50 @@ class TestFlowIds:
         a = CBRSource(sched, lambda p: None, src="1.1.1.1", dst="2.2.2.2")
         b = CBRSource(sched, lambda p: None, src="1.1.1.1", dst="2.2.2.2")
         assert a.flow_id != b.flow_id
+
+
+class TestHostileRates:
+    """A source that re-arms itself at a zero, negative or NaN interval
+    spins or breaks the event loop: refused at construction."""
+
+    @pytest.mark.parametrize(
+        "rate", [0, -1.0, math.inf, -math.inf, math.nan]
+    )
+    def test_rates_that_are_not_finite_and_positive(self, rate):
+        for cls, key in (
+            (CBRSource, "rate_bps"),
+            (PoissonSource, "rate_pps"),
+            (OnOffSource, "peak_bps"),
+        ):
+            with pytest.raises(ValueError):
+                _run_source(cls, **{key: rate})
+
+    @pytest.mark.parametrize("packet_size", [-20, -30, -1000])
+    def test_intervals_that_are_not_positive(self, packet_size):
+        for cls in (CBRSource, OnOffSource):
+            with pytest.raises(ValueError) as exc:
+                _run_source(cls, packet_size=packet_size)
+            assert "no positive interval" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"fps": 0}, {"fps": -25.0}, {"fps": math.inf}, {"fps": math.nan},
+            {"gop": 0}, {"gop": -3}, {"mtu_payload": 0}, {"mtu_payload": -1},
+        ],
+    )
+    def test_video_parameters(self, bad):
+        with pytest.raises(ValueError) as exc:
+            _run_source(VideoSource, **bad)
+        assert str(exc.value).startswith("video needs a finite fps > 0")
+
+    def test_the_accepted_edge_still_runs(self):
+        source, packets = _run_source(
+            CBRSource, duration=0.01, rate_bps=1e6, packet_size=0
+        )
+        assert packets and source.interval == 20 * 8 / 1e6
+        _, frames = _run_source(
+            VideoSource, duration=0.1, fps=25.0, gop=1, mtu_payload=1,
+            i_frame_size=3, p_frame_size=3,
+        )
+        assert [p.length for p in frames[:3]] == [21, 21, 21]
