@@ -1110,6 +1110,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="flows only: write the run's final Prometheus exposition",
     )
     args = parser.parse_args(argv)
+    # refused before any scenario is built: a rate outside [0, 1] (NaN
+    # fails both bounds) is a traceback from the recorder, a negative N
+    # a slice bound ("all but the last"), not a count
+    problem = None
+    if not 0.0 <= args.sample_rate <= 1.0:
+        problem = f"--sample-rate must be in [0, 1], got {args.sample_rate}"
+    for name in ("slowest", "top"):
+        if getattr(args, name) < 0:
+            problem = f"--{name} must be >= 0, got {getattr(args, name)}"
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     if args.command == "stats":
         return cmd_stats()
     if args.command == "trace":

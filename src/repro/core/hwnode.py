@@ -54,11 +54,7 @@ from repro.mpls.label import LabelOp
 from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
-from repro.obs.events import (
-    HWOpExecuted,
-    InfoBaseProgrammed,
-    InfoBaseScrubbed,
-)
+from repro.obs.events import InfoBaseProgrammed, InfoBaseScrubbed
 from repro.obs.telemetry import get_telemetry
 
 
@@ -454,23 +450,20 @@ class HardwareLSRNode(LSRNode):
                 tel.flows.record_hw_cycles(self.name, flow_id, delta)
 
     def _emit_phases(self, tel, uid: int, flow_id: int) -> None:
-        """Publish the captured phases as cycles-domain events, with
+        """Publish the captured phases as one cycles-domain batch, with
         the cycle-to-scheduler-time anchor (``anchor_time`` is "now":
-        the phases just ran, instantaneously in scheduler time)."""
+        the phases just ran, instantaneously in scheduler time).  The
+        list goes as logged; the node starts a fresh one per packet."""
         log = self._phase_log
         self._phase_log = None
         if not log:
             return
         clock = tel.events.clock
-        anchor = clock() if clock is not None else 0.0
-        name, hz, emit = self.name, STRATIX_EP1S40.clock_hz, tel.events.emit
-        for phase, parent, cycle_start, cycle_end in log:
-            event = HWOpExecuted(
-                name, uid, flow_id, phase, parent,
-                cycle_start, cycle_end, anchor, hz,
-            )
-            event.time = float(cycle_start)
-            emit(event)
+        tel.events.emit_phases(
+            self.name, uid, flow_id,
+            clock() if clock is not None else 0.0,
+            STRATIX_EP1S40.clock_hz, log,
+        )
 
     def _log_update_phases(self, log, offset: int, result) -> None:
         """Record an UPDATE transaction and its RTL-level split."""

@@ -37,6 +37,7 @@ from repro.hw.opcodes import (
     UserOp,
 )
 from repro.mpls.label import LabelEntry, LabelOp
+from repro.obs.telemetry import get_telemetry
 
 #: Table 6's fixed reset cost.
 RESET_CYCLES = 3
@@ -144,27 +145,16 @@ class ModifierDriver:
 
     def _emit_span(self, op_name: str, start_cycle: int, end_cycle: int) -> None:
         ctx = self._span_ctx
-        from repro.obs.telemetry import get_telemetry
-
         tel = get_telemetry()
         if not tel.enabled or tel.spans is None:
             return
-        from repro.obs.events import HWOpExecuted
-
         base = ctx["base_cycle"]
-        event = HWOpExecuted(
-            node=ctx["node"],
-            uid=ctx["uid"],
-            flow_id=ctx["flow_id"],
-            phase=op_name.lower().replace("_", "-"),
-            parent_phase=None,
-            cycle_start=start_cycle - base,
-            cycle_end=end_cycle - base,
-            anchor_time=ctx["anchor_time"],
-            clock_hz=ctx["clock_hz"],
+        phase = op_name.lower().replace("_", "-")
+        tel.events.emit_phases(
+            ctx["node"], ctx["uid"], ctx["flow_id"],
+            ctx["anchor_time"], ctx["clock_hz"],
+            [(phase, None, start_cycle - base, end_cycle - base)],
         )
-        event.time = float(start_cycle - base)
-        tel.events.emit(event)
 
     # -- low-level transaction plumbing -----------------------------------
     def _issue(self, op: UserOp, **operands: int) -> int:

@@ -461,6 +461,10 @@ class KindCountSink:
         counts, kind = self._counts, event.kind
         counts[kind] = counts.get(kind, 0) + 1
 
+    def write_phases(self, node, uid, flow_id, anchor_time, clock_hz, phases):
+        counts, kind = self._counts, HWOpExecuted.kind
+        counts[kind] = counts.get(kind, 0) + len(phases)
+
     def kind_counts(self) -> Dict[str, int]:
         """Events seen per kind, sorted by kind."""
         return dict(sorted(self._counts.items()))
@@ -565,7 +569,14 @@ def read_jsonl(stream: TextIO) -> Iterator[Dict[str, Any]]:
 
 
 class EventLog:
-    """Fans emitted events out to the attached sinks, in order."""
+    """Fans emitted events out to the attached sinks, in order.
+
+    A sink is anything with ``write(event)``.  One that also has
+    ``write_phases(node, uid, flow_id, anchor_time, clock_hz, phases)``
+    takes a packet-hop's hardware phases as the one list the node
+    logged -- ``(phase, parent_phase, cycle_start, cycle_end)`` tuples
+    -- instead of one :class:`HWOpExecuted` per phase.
+    """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         #: Stamp source for events without an explicit time.
@@ -574,16 +585,31 @@ class EventLog:
         #: the sinks' bound ``write``s, rebuilt whenever ``_sinks``
         #: changes so :meth:`emit` resolves nothing per event
         self._writes: Tuple[Callable[[Event], None], ...] = ()
+        #: the same split for :meth:`emit_phases`: bound
+        #: ``write_phases`` of the sinks that take a batch, bound
+        #: ``write`` of the ones that need the events built
+        self._phase_writes: Tuple[Callable[..., None], ...] = ()
+        self._event_writes: Tuple[Callable[[Event], None], ...] = ()
         self.emitted = 0
 
     def add_sink(self, sink: Any) -> Any:
         self._sinks.append(sink)
-        self._writes = tuple(s.write for s in self._sinks)
+        self._bind()
         return sink
 
     def remove_sink(self, sink: Any) -> None:
         self._sinks.remove(sink)
-        self._writes = tuple(s.write for s in self._sinks)
+        self._bind()
+
+    def _bind(self) -> None:
+        sinks = self._sinks
+        self._writes = tuple(s.write for s in sinks)
+        self._phase_writes = tuple(
+            s.write_phases for s in sinks if hasattr(s, "write_phases")
+        )
+        self._event_writes = tuple(
+            s.write for s in sinks if not hasattr(s, "write_phases")
+        )
 
     @property
     def sinks(self) -> List[Any]:
@@ -601,6 +627,28 @@ class EventLog:
         self.emitted += 1
         for write in self._writes:
             write(event)
+
+    def emit_phases(
+        self, node: str, uid: int, flow_id: int, anchor_time: float,
+        clock_hz: float, phases: List[Tuple[str, Optional[str], int, int]],
+    ) -> None:
+        """The one way a hardware phase enters the log: counts as
+        ``len(phases)`` events; batch sinks get the list as logged,
+        every other sink the :class:`HWOpExecuted` stream it always
+        got -- built once, in order, ``time`` = ``cycle_start``."""
+        self.emitted += len(phases)
+        for write_phases in self._phase_writes:
+            write_phases(node, uid, flow_id, anchor_time, clock_hz, phases)
+        writes = self._event_writes
+        if writes:
+            for phase, parent, cycle_start, cycle_end in phases:
+                event = HWOpExecuted(
+                    node, uid, flow_id, phase, parent,
+                    cycle_start, cycle_end, anchor_time, clock_hz,
+                )
+                event.time = float(cycle_start)
+                for write in writes:
+                    write(event)
 
 
 def event_kinds() -> List[str]:

@@ -12,7 +12,10 @@ stream into per-packet trace trees:
   (label-stack-modifier work in RTL cycles, folded from
   ``HWOpExecuted`` and placed on the simulation timeline via the
   cycle-to-time anchor the hardware node publishes), with **RTL spans**
-  (search/modify) nested one level further down.
+  (search/modify) nested one level further down.  Telemetry builds what
+  is read: a hop's phases arrive as one batch
+  (:meth:`~repro.obs.events.EventLog.emit_phases`) and stay one record
+  in the trace until :attr:`Trace.spans` is asked for.
 
 Sampling is head-based and deterministic: the keep/drop decision is a
 pure hash of the packet uid against ``sample_rate`` (with per-flow
@@ -122,6 +125,57 @@ class Span:
         }
 
 
+class _PhaseBatch:
+    """One packet-hop's hardware phases, held in a trace's span list in
+    place of the spans they become when :attr:`Trace.spans` is read.
+    ``hop`` is the node's latest hop span *when the batch arrived*."""
+
+    __slots__ = ("node", "anchor", "hz", "first_id", "hop", "phases")
+    #: read like a span by the scans that must not expand it: no kind,
+    #: no annotations, and the latest end of its phases
+    kind = None
+    annotations = ()
+
+    def __init__(self, node, anchor, hz, first_id, hop, phases) -> None:
+        self.node, self.anchor, self.hz = node, anchor, hz
+        self.first_id, self.hop, self.phases = first_id, hop, phases
+
+    @property
+    def end(self) -> float:
+        return self.anchor + max(p[3] for p in self.phases) / self.hz
+
+    def kinds(self) -> List[str]:
+        return [KIND_HW_PHASE if p[1] is None else KIND_RTL for p in self.phases]
+
+    def expand(self, trace: "Trace", out: List[Span]) -> None:
+        """The hardware-phase fold: ids in arrival order; an RTL phase
+        hangs off the latest enclosing phase, anything without one off
+        this node's latest hop, or the root."""
+        node, anchor, hz, phase_at = self.node, self.anchor, self.hz, trace.phase_at
+        span_id = self.first_id
+        fallback = (self.hop or trace.root).span_id
+        for (phase, parent_phase, cycle_start, cycle_end), kind in zip(
+            self.phases, self.kinds()
+        ):
+            parent = None if parent_phase is None else phase_at.get(parent_phase)
+            span = Span(
+                span_id,
+                fallback if parent is None else parent.span_id,
+                phase,
+                kind,
+                anchor + cycle_start / hz,
+                anchor + cycle_end / hz,
+                CLOCK_CYCLES,
+                cycle_start,
+                cycle_end,
+                {"node": node, "cycles": cycle_end - cycle_start},
+            )
+            span_id += 1
+            if parent_phase is None:
+                phase_at[phase] = span
+            out.append(span)
+
+
 @dataclass
 class Trace:
     """One packet's span tree, keyed by the packet uid."""
@@ -130,20 +184,24 @@ class Trace:
     flow_id: int
     fec: str
     root: Span
-    #: All non-root spans, in creation order.
+    #: All non-root spans, in creation order (a property, installed
+    #: below the class: reading it expands pending phase batches).
     spans: List[Span] = field(default_factory=list)
     delivered: bool = False
     dropped: bool = False
     probe: bool = False
-    #: node -> its latest hop span, and phase name -> the latest
-    #: hw-phase span: where a hardware phase finds its parent without
-    #: walking ``spans`` (kept by the recorder as it appends)
+    #: node -> its latest hop span (kept by the recorder as it
+    #: appends), and phase name -> the latest hw-phase span (kept as
+    #: batches expand, in arrival order): where a hardware phase finds
+    #: its parent without walking ``spans``
     hop_at: Dict[str, Span] = field(
         default_factory=dict, repr=False, compare=False
     )
     phase_at: Dict[str, Span] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: phases still held as :class:`_PhaseBatch` records in ``_items``
+    _pending = 0
 
     @property
     def trace_id(self) -> str:
@@ -157,7 +215,7 @@ class Trace:
     def end(self) -> float:
         if self.root.end is not None:
             return self.root.end
-        ends = [s.end for s in self.spans if s.end is not None]
+        ends = [s.end for s in self._items if s.end is not None]
         return max(ends) if ends else self.root.start
 
     @property
@@ -169,7 +227,7 @@ class Trace:
 
     @property
     def hop_spans(self) -> List[Span]:
-        return self.spans_of_kind(KIND_HOP)
+        return [s for s in self._items if s.kind == KIND_HOP]
 
     @property
     def path(self) -> List[str]:
@@ -177,6 +235,27 @@ class Trace:
 
     def all_spans(self) -> List[Span]:
         return [self.root, *self.spans]
+
+
+def _expanded_spans(trace: Trace) -> List[Span]:
+    """``Trace.spans``: the span list, pending batches expanded in
+    place (same list object, so ``trace.spans.append`` still works)."""
+    items = trace._items
+    if trace._pending:
+        out: List[Span] = []
+        for item in items:
+            if item.kind is None:
+                item.expand(trace, out)
+            else:
+                out.append(item)
+        items[:] = out
+        trace._pending = 0
+    return items
+
+
+Trace.spans = property(  # type: ignore[assignment]
+    _expanded_spans, lambda trace, spans: setattr(trace, "_items", spans)
+)
 
 
 @dataclass
@@ -360,7 +439,7 @@ class SpanRecorder:
             start=time,
             attributes=attributes,
         )
-        trace.spans.append(hop)
+        trace._items.append(hop)
         trace.hop_at[event.node] = hop
         if dropped:
             hop.end = time
@@ -372,7 +451,7 @@ class SpanRecorder:
             self._open_hop[event.uid] = hop
         for op in pending or ():
             op_time = op.time if op.time is not None else time
-            trace.spans.append(
+            trace._items.append(
                 self._span(
                     parent_id=hop.span_id,
                     name=f"{op.op} {op.label_in}->{op.label_out}",
@@ -410,37 +489,29 @@ class SpanRecorder:
             hop.end = time
 
     def _on_hw_op(self, event: HWOpExecuted) -> None:
-        if self.nodes is not None and event.node not in self.nodes:
-            return
-        if not self.wants(event.flow_id, event.uid):
-            return
-        hz = event.clock_hz if event.clock_hz > 0 else 1.0
-        start = event.anchor_time + event.cycle_start / hz
-        end = event.anchor_time + event.cycle_end / hz
-        trace = self._trace_for(event.uid, event.flow_id, start)
-        # an RTL phase hangs off the latest enclosing phase; anything
-        # without one off this node's latest hop, or the root
-        parent: Optional[Span] = None
-        if event.parent_phase is not None:
-            parent = trace.phase_at.get(event.parent_phase)
-        if parent is None:
-            parent = trace.hop_at.get(event.node) or trace.root
-        span = Span(
-            self._next_span_id,
-            parent.span_id,
-            event.phase,
-            KIND_HW_PHASE if event.parent_phase is None else KIND_RTL,
-            start,
-            end,
-            CLOCK_CYCLES,
-            event.cycle_start,
-            event.cycle_end,
-            {"node": event.node, "cycles": event.cycle_end - event.cycle_start},
+        self.write_phases(
+            event.node, event.uid, event.flow_id,
+            event.anchor_time, event.clock_hz,
+            [(event.phase, event.parent_phase, event.cycle_start, event.cycle_end)],
         )
-        self._next_span_id += 1
-        if event.parent_phase is None:
-            trace.phase_at[event.phase] = span
-        trace.spans.append(span)
+
+    def write_phases(self, node, uid, flow_id, anchor_time, clock_hz, phases):
+        """Take one packet-hop's phases as one record: span ids are
+        reserved now, the spans are built when the trace is read."""
+        if not phases or (self.nodes is not None and node not in self.nodes):
+            return
+        if not self.wants(flow_id, uid):
+            return
+        hz = clock_hz if clock_hz > 0 else 1.0
+        trace = self._trace_for(uid, flow_id, anchor_time + phases[0][2] / hz)
+        trace._items.append(
+            _PhaseBatch(
+                node, anchor_time, hz, self._next_span_id,
+                trace.hop_at.get(node), phases,
+            )
+        )
+        trace._pending += len(phases)
+        self._next_span_id += len(phases)
 
     def _on_probe(self, event: OAMProbeCompleted) -> None:
         trace = self._traces.get(event.uid)
@@ -575,9 +646,11 @@ class SpanRecorder:
         kinds: Dict[str, int] = {}
         annotated = 0
         for trace in traces:
-            for span in trace.all_spans():
-                kinds[span.kind] = kinds.get(span.kind, 0) + 1
-            if any(s.annotations for s in trace.all_spans()):
+            items = [trace.root, *trace._items]
+            for item in items:
+                for kind in item.kinds() if item.kind is None else (item.kind,):
+                    kinds[kind] = kinds.get(kind, 0) + 1
+            if any(item.annotations for item in items):
                 annotated += 1
         return {
             "sample_rate": self.sample_rate,

@@ -84,6 +84,14 @@ def _copy(value: Any) -> Any:
     return json.loads(json.dumps(value))
 
 
+class _ObserverSink(CallbackSink):
+    """The observer's sink: ``hw-op`` is in :data:`_IGNORED_KINDS`, so
+    a batch of hardware phases is dropped whole, not built and tested."""
+
+    def write_phases(self, *batch: Any) -> None:
+        pass
+
+
 class TopologyView:
     """An immutable global network view at one instant.
 
@@ -280,7 +288,7 @@ class TopologyObserver:
         if self._sink is not None:
             raise RuntimeError("observer already attached")
         self._tel = tel
-        self._sink = CallbackSink(self.consume)
+        self._sink = _ObserverSink(self.consume)
         tel.events.add_sink(self._sink)
         tel.topo = self
         return self

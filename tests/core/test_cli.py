@@ -146,6 +146,70 @@ class TestHostileScenarioCLI:
         assert repr(key) in lines[0]
 
 
+class TestHostileOptionsCLI:
+    """An option value no run can mean is one ``error:`` line and exit
+    code 2, refused before the scenario is built -- not a traceback
+    from the recorder, not a negative slice bound."""
+
+    SMOKE = os.path.join(EXAMPLES_DIR, "chaos_smoke.json")
+    ALERTS = os.path.join(EXAMPLES_DIR, "chaos_flow_alerts.json")
+
+    def _refused(self, argv, capsys, monkeypatch):
+        import repro.faults
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the scenario was built")
+
+        monkeypatch.setattr(repro.faults.Scenario, "load", no_run)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    @pytest.mark.parametrize("rate", ["2", "-0.1", "nan"])
+    def test_sample_rate_outside_the_unit_interval(
+        self, rate, capsys, monkeypatch
+    ):
+        line = self._refused(
+            ["spans", self.SMOKE, "--seed", "7", "--sample-rate", rate],
+            capsys, monkeypatch,
+        )
+        assert "--sample-rate must be in [0, 1]" in line
+
+    @pytest.mark.parametrize("rate", ["0", "0.25", "1"])
+    def test_sample_rates_in_range_still_run(self, rate, capsys):
+        assert main(
+            ["spans", self.SMOKE, "--seed", "7", "--sample-rate", rate]
+        ) == 0
+        assert f"rate {float(rate)})" in capsys.readouterr().out
+
+    def test_negative_slowest_is_not_a_slice_bound(
+        self, capsys, monkeypatch
+    ):
+        line = self._refused(
+            ["spans", self.SMOKE, "--seed", "7", "--slowest", "-1"],
+            capsys, monkeypatch,
+        )
+        assert "--slowest must be >= 0" in line
+
+    def test_negative_top_is_not_a_slice_bound(self, capsys, monkeypatch):
+        line = self._refused(
+            ["flows", self.ALERTS, "--seed", "7", "--top", "-1"],
+            capsys, monkeypatch,
+        )
+        assert "--top must be >= 0" in line
+
+    def test_zero_prints_the_summary_without_the_list(self, capsys):
+        assert main(["spans", self.SMOKE, "--seed", "7", "--slowest", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "span tracing summary" in out and "slowest" not in out
+        assert main(["flows", self.ALERTS, "--seed", "7", "--top", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "flow accounting summary" in out and "talkers" not in out
+
+
 class TestTopoCLI:
     """``repro topo`` — the topology-observatory query command."""
 
