@@ -29,7 +29,8 @@ from repro.faults.scenario import (
     Scenario,
     ScenarioError,
 )
-from repro.mpls.label import LabelEntry
+from repro.hw.opcodes import KEY_MAX
+from repro.mpls.label import LABEL_MAX, LabelEntry
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs.events import FaultHealed, FaultInjected, StaleEntriesFlushed
@@ -631,9 +632,11 @@ class FaultInjector:
             record.skipped = True
             record.detail = "information base empty; nothing to corrupt"
             return
-        label_xor = int(params.get("label_xor", 0))
-        index_xor = int(params.get("index_xor", 0))
-        op_xor = int(params.get("op_xor", 0))
+        # a scenario file's masks are cut to the memory widths here: the
+        # modifier refuses an out-of-range operand instead of masking it
+        label_xor = int(params.get("label_xor", 0)) & LABEL_MAX
+        index_xor = int(params.get("index_xor", 0)) & KEY_MAX[level]
+        op_xor = int(params.get("op_xor", 0)) & 0x3
         if not (label_xor or index_xor or op_xor):
             label_xor = 1 << self.rng.randrange(20)
         node.modifier.corrupt_pair(

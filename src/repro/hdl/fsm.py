@@ -8,20 +8,30 @@ gives them a common shape:
   changes take effect exactly one clock edge after the transition logic
   decides them -- matching the Moore machines in the paper's Figures
   8-11;
-* subclasses implement :meth:`FSM.transition` (next-state logic, reads
-  inputs, returns the next state) and :meth:`FSM.output` (output logic,
-  drives wires as a function of the *current* state and, for Mealy
-  outputs, the inputs);
-* both run during the settle phase; the state register commits on the
-  tick like every other register.
+* **a state is a method; the pass indexes, it does not compare.**  A
+  subclass gives state ``X`` a handler ``on_X``: it drives that state's
+  outputs -- every one, *including the default drives* (a wire driven
+  by an earlier pass of the cycle keeps that value until something
+  re-drives it) -- stages what the state registers, and returns the
+  next state's name.  Handlers are resolved once, at construction, into
+  a tuple indexed by the state code; :meth:`FSM.settle` calls the
+  current state's and stages the state register when the code differs;
+* a state without a handler runs :meth:`FSM.output` (output logic as a
+  function of the current state and, for Mealy outputs, the inputs)
+  then :meth:`FSM.transition` (next-state logic, returns the next
+  :class:`State`) through the same ``settle`` -- small machines and
+  test oracles are written that way, and may mix the two;
+* all of it runs during the settle phase; the state register commits on
+  the tick like every other register.
 
-States are interned :class:`State` objects so typos fail fast instead of
-silently creating new states.
+States are interned :class:`State` objects and a handler's name is
+checked against them, so typos fail fast instead of silently creating
+new states or falling back.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Tuple
 
 from repro.hdl.simulator import Component, Simulator
 
@@ -50,6 +60,17 @@ class FSM(Component):
         Iterable of state names.  The first is the reset state.
     """
 
+    #: the states this class (with its bases) defines ``on_<STATE>`` for;
+    #: scanned once per class, not per machine built
+    _handled: FrozenSet[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handled = frozenset(
+            attr[3:] for base in cls.__mro__ for attr in vars(base)
+            if attr.startswith("on_")
+        )
+
     def __init__(self, sim: Simulator, name: str, states: Iterable[str]) -> None:
         super().__init__(sim, name)
         names = list(states)
@@ -61,8 +82,17 @@ class FSM(Component):
             n: State(n, i) for i, n in enumerate(names)
         }
         self._by_code: Tuple[State, ...] = tuple(self._states.values())
-        # state_name runs twice per FSM per settle pass: code -> name
         self._names: Tuple[str, ...] = tuple(names)
+        self._codes: Dict[str, int] = {n: i for i, n in enumerate(names)}
+        stray = sorted(self._handled - self._states.keys())
+        if stray:
+            raise ValueError(f"{name}: on_<STATE> for {stray}, not among {names}")
+        # one handler per state, indexed by the state code
+        self._handlers: Tuple[Callable[[], str], ...] = tuple(
+            getattr(self, "on_" + n) if n in self._handled
+            else self._output_then_transition
+            for n in names
+        )
         width = max(1, (len(names) - 1).bit_length())
         self._state_reg = self.reg("state", width=width, default=0)
 
@@ -95,16 +125,26 @@ class FSM(Component):
     def output(self) -> None:
         """Output logic.  Drive wires from the current state/inputs."""
 
-    # -- simulation hooks ------------------------------------------------------
-    def settle(self) -> None:
+    def _output_then_transition(self) -> str:
+        """The handler of every state that has no ``on_<STATE>``."""
         self.output()
         nxt = self.transition()
         if not isinstance(nxt, State):
             raise TypeError(
                 f"{self.name}.transition() must return a State, got {nxt!r}"
             )
-        if nxt.code != self._state_reg.value:
-            self._state_reg.stage(nxt.code)
+        return nxt.name
+
+    # -- simulation hooks ------------------------------------------------------
+    def settle(self) -> None:
+        reg = self._state_reg
+        nxt = self._handlers[reg.value]()
+        try:
+            code = self._codes[nxt]
+        except KeyError:
+            raise KeyError(f"{self.name}: unknown state {nxt!r}") from None
+        if code != reg.value:
+            reg.stage(code)
 
     def reset(self) -> None:
         self._state_reg.reset()

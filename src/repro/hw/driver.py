@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.hdl.signal import Wire
 from repro.hdl.simulator import Component, Simulator
-from repro.hw.model import StagingBackpressure
+from repro.hw.model import PUSH_TAIL_CYCLES, StagingBackpressure, search_cycles
 from repro.hw.modifier import LabelStackModifier
 from repro.hw.opcodes import (
     MgmtResult,
@@ -35,6 +35,11 @@ from repro.hw.opcodes import (
     SearchResult,
     UpdateResult,
     UserOp,
+    check_corruption,
+    check_key,
+    check_level,
+    check_pair,
+    check_update,
 )
 from repro.mpls.label import LabelEntry, LabelOp
 from repro.obs.telemetry import get_telemetry
@@ -47,9 +52,10 @@ BANK_WRITE_CYCLES = 3
 #: Cost of the atomic bank swap (one clock edge).
 BANK_SWAP_CYCLES = 1
 
-#: Safety bound on any single transaction (a full 1024-entry search is
-#: 3077 cycles; anything an order of magnitude beyond that is a hang).
-MAX_TRANSACTION_CYCLES = 40_000
+#: A transaction is a hang once it has run this many times the worst
+#: legitimate one of the design: a nested push found at the last pair
+#: of a full level (3077 + 7 cycles at the paper's depth of 1024).
+HANG_FACTOR = 4
 
 
 class _WireDriver(Component):
@@ -61,6 +67,10 @@ class _WireDriver(Component):
 
     def set(self, wire: Wire, value: int) -> None:
         self._values[wire] = value
+
+    def release(self, *wires: Wire) -> None:
+        for wire in wires:
+            self._values.pop(wire, None)
 
     def clear(self) -> None:
         self._values.clear()
@@ -83,6 +93,11 @@ class ModifierDriver:
         self.modifier = modifier if modifier is not None else LabelStackModifier(**kwargs)
         self.sim = self.modifier.sim
         self._pins = _WireDriver(self.sim, "pins")
+        #: the hang bound, from the depth this information base was built with
+        self.max_transaction_cycles = HANG_FACTOR * (
+            search_cycles(self.modifier.dp.info_base.depth, None)
+            + PUSH_TAIL_CYCLES
+        )
         if staging_limit is not None and staging_limit < 1:
             raise ValueError("staging_limit must be >= 1")
         #: bound on bank writes in flight between drains (None = legacy
@@ -174,30 +189,38 @@ class ModifierDriver:
         if self.modifier.busy:
             raise RuntimeError("modifier is busy; cannot issue a command")
         dp = self.modifier.dp
-        self._pins.set(dp.operation, int(op))
-        for field, value in operands.items():
-            self._pins.set(getattr(dp, field), value)
-        self.sim.step()  # edge 1: the main FSM accepts and latches
-        cycles = 1
-        # the command wires only need to be valid in the accept cycle
-        self._pins.set(dp.operation, int(UserOp.NONE))
-        while cycles < MAX_TRANSACTION_CYCLES:
-            self.sim.step()
-            cycles += 1
-            # Read the registered done pulses directly: registers are
-            # up to date immediately after the edge, whereas the OR'd
-            # `done` wire only refreshes during the next settle phase.
-            done = (
-                self.modifier.search.done.value
-                or self.modifier.ib_iface.done.value
-                or self.modifier.lbl_iface.done.value
+        command = {dp.operation: int(op)}
+        command.update((getattr(dp, field), v) for field, v in operands.items())
+        for pin, value in command.items():
+            self._pins.set(pin, value)
+        try:
+            self.sim.step()  # edge 1: the main FSM accepts and latches
+            cycles = 1
+            # the command wires only need to be valid in the accept cycle
+            self._pins.set(dp.operation, int(UserOp.NONE))
+            while cycles < self.max_transaction_cycles:
+                self.sim.step()
+                cycles += 1
+                # Read the registered done pulses directly: registers are
+                # up to date immediately after the edge, whereas the OR'd
+                # `done` wire only refreshes during the next settle phase.
+                done = (
+                    self.modifier.search.done.value
+                    or self.modifier.ib_iface.done.value
+                    or self.modifier.lbl_iface.done.value
+                )
+                if done and not self.modifier.busy:
+                    self.total_cycles += cycles
+                    return cycles
+            raise TimeoutError(
+                f"{op.name} did not complete within "
+                f"{self.max_transaction_cycles} cycles"
             )
-            if done and not self.modifier.busy:
-                self.total_cycles += cycles
-                return cycles
-        raise TimeoutError(
-            f"{op.name} did not complete within {MAX_TRANSACTION_CYCLES} cycles"
-        )
+        except BaseException:
+            # whatever stopped it, the next transaction must not meet
+            # this one's command on the pins
+            self._pins.release(*command)
+            raise
 
     def set_router_type(self, is_lsr: bool) -> None:
         """Configure the ``rtrtype`` pin (Table 3: low = LER, high = LSR)."""
@@ -243,26 +266,24 @@ class ModifierDriver:
         20-bit label at levels 2-3 (they travel over different input
         pins, as in the paper's datapath).
         """
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_pair(level, index, new_label, op)
         operands = dict(level_in=level, op_in=int(op))
         if level == 1:
             operands["packet_id"] = index
-            operands["data_in"] = new_label & 0xFFFFF
+            operands["data_in"] = new_label
         else:
-            operands["data_in"] = ((index & 0xFFFFF) << 20) | (new_label & 0xFFFFF)
+            operands["data_in"] = (index << 20) | new_label
         self.state_version += 1
         return self._issue(UserOp.WRITE_PAIR, **operands)
 
     def search(self, level: int, key: int) -> SearchResult:
         """Look up a label pair (the read path of Figures 14-16)."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_key(level, "key", key)
         operands = dict(level_in=level)
         if level == 1:
             operands["packet_id"] = key
         else:
-            operands["label_lookup"] = key & 0xFFFFF
+            operands["label_lookup"] = key
         cycles = self._issue(UserOp.SEARCH, **operands)
         found = bool(self.modifier.search.found.value)
         return SearchResult(
@@ -285,6 +306,7 @@ class ModifierDriver:
         is empty (the LER ingress case); otherwise the top label keys
         the search and the TTL comes from the stack entry.
         """
+        check_update(packet_id, ttl, cos)
         cycles = self._issue(
             UserOp.UPDATE,
             packet_id=packet_id,
@@ -339,8 +361,7 @@ class ModifierDriver:
         write port -- but lands in the inactive bank."""
         if self._staged_banks is None:
             raise RuntimeError("no bank transaction open")
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_pair(level, index, new_label, op)
         if (
             self.staging_limit is not None
             and self._staged_since_drain >= self.staging_limit
@@ -350,10 +371,7 @@ class ModifierDriver:
                 f"since last drain)"
             )
         self._staged_since_drain += 1
-        mask = 0xFFFFFFFF if level == 1 else 0xFFFFF
-        self._staged_banks[level - 1].append(
-            (index & mask, new_label & 0xFFFFF, int(op))
-        )
+        self._staged_banks[level - 1].append((index, new_label, int(op)))
         return self._burn("BANK_WRITE", BANK_WRITE_CYCLES)
 
     def bank_commit(self) -> int:
@@ -397,17 +415,14 @@ class ModifierDriver:
         The pair is located by a search on ``index``; an absent index
         reports ``found=False`` and changes nothing.
         """
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_pair(level, index, new_label, op)
         operands = dict(level_in=level, op_in=int(op))
         if level == 1:
             operands["packet_id"] = index
-            operands["data_in"] = new_label & 0xFFFFF
+            operands["data_in"] = new_label
         else:
-            operands["label_lookup"] = index & 0xFFFFF
-            operands["data_in"] = ((index & 0xFFFFF) << 20) | (
-                new_label & 0xFFFFF
-            )
+            operands["label_lookup"] = index
+            operands["data_in"] = (index << 20) | new_label
         cycles = self._issue(UserOp.MODIFY_PAIR, **operands)
         self.state_version += 1
         return MgmtResult(
@@ -418,13 +433,12 @@ class ModifierDriver:
     def remove_pair(self, level: int, index: int) -> MgmtResult:
         """Delete the pair keyed by ``index`` (the last stored pair
         fills the hole, keeping the array dense)."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_key(level, "index", index)
         operands = dict(level_in=level)
         if level == 1:
             operands["packet_id"] = index
         else:
-            operands["label_lookup"] = index & 0xFFFFF
+            operands["label_lookup"] = index
         cycles = self._issue(UserOp.REMOVE_PAIR, **operands)
         self.state_version += 1
         return MgmtResult(
@@ -434,8 +448,7 @@ class ModifierDriver:
 
     def read_entry(self, level: int, address: int) -> ReadEntryResult:
         """Read the pair stored at ``address`` directly (no search)."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_level(level)
         if not 0 <= address <= 0x7FF:
             raise ValueError(f"address {address} outside the 11-bit address bus")
         cycles = self._issue(UserOp.READ_ENTRY, level_in=level, data_in=address)
@@ -461,8 +474,7 @@ class ModifierDriver:
         """Flip bits directly in the information-base memories (an SEU
         model: no transaction, no cycles).  Returns False when
         ``address`` holds no pair."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_corruption(level, index_xor, label_xor, op_xor)
         lvl = self.modifier.dp.info_base.level(level)
         if not 0 <= address < lvl.count:
             return False

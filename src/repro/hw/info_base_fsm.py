@@ -25,7 +25,7 @@ modify = search + 2, remove = search + 4, miss on either = full scan
 
 from __future__ import annotations
 
-from repro.hdl.fsm import FSM, State
+from repro.hdl.fsm import FSM
 from repro.hdl.simulator import Simulator
 from repro.hw.datapath import Datapath
 from repro.hw.opcodes import UserOp
@@ -70,7 +70,9 @@ class InfoBaseInterfaceFSM(FSM):
         #: The found/valid flag of the last management operation.
         self.mgmt_found = self.reg("mgmt_found", 1)
         #: Address the search hit (captured for the write-back).
-        self.mgmt_addr = self.reg("mgmt_addr", 11)
+        self.mgmt_addr = self.reg(
+            "mgmt_addr", max(11, dp.info_base.depth.bit_length())
+        )
         #: Direct-read outputs.
         self.rd_out_index = self.reg("rd_out_index", 32)
         self.rd_out_label = self.reg("rd_out_label", 20)
@@ -98,138 +100,132 @@ class InfoBaseInterfaceFSM(FSM):
             self.dp.lat_data.value & ((1 << 11) - 1), level.depth - 1
         )
 
-    def output(self) -> None:
-        state = self.state_name
+    def _drive_write(self, level) -> None:
+        """The pair on the write port: the index from the packet
+        identifier (level 1 is keyed by it) or from the index half of
+        the 40-bit pair (levels 2-3)."""
         dp = self.dp
-        if state in ("WRITE_PAIR", "MGMT_DONE"):
-            self.finishing.drive(1)
-        elif state == "SEARCH":
-            # retire on the same edge the search machine does
-            self.finishing.drive(self.search.finishing.value)
+        if dp.lat_level.value == 1:
+            level.wr_index.drive(dp.lat_packet_id.value)
         else:
-            self.finishing.drive(0)
-        if state == "WRITE_PAIR":
-            level_num = dp.lat_level.value
-            level = self._level()
-            level.wr_en.drive(1)
-            if level_num == 1:
-                # level 1 is keyed by the 32-bit packet identifier
-                level.wr_index.drive(dp.lat_packet_id.value)
-            else:
-                # levels 2-3 take the index half of the 40-bit pair
-                level.wr_index.drive(dp.lat_pair_index)
-            level.wr_label.drive(dp.lat_pair_label)
-            level.wr_op.drive(dp.lat_op_in.value)
-        elif state == "SEARCH":
-            self._drive_search()
-        elif state in ("SEARCH_MODIFY", "SEARCH_REMOVE"):
-            self._drive_search()
-        elif state == "MOD_WRITE":
-            level = self._level()
-            level.wr_en.drive(1)
-            level.wr_addr_override.drive(1)
-            level.wr_addr_ext.drive(self.mgmt_addr.value)
-            if dp.lat_level.value == 1:
-                level.wr_index.drive(dp.lat_packet_id.value)
-            else:
-                level.wr_index.drive(dp.lat_pair_index)
-            level.wr_label.drive(dp.lat_pair_label)
-            level.wr_op.drive(dp.lat_op_in.value)
-        elif state in ("RM_READ_LAST", "RM_WAIT"):
-            # present the last stored pair's address; its registered
-            # read is valid from RM_WAIT onward
-            level = self._level()
-            level.rd_addr_override.drive(1)
-            level.rd_addr_ext.drive(max(0, level.count - 1))
-        elif state == "RM_WRITE":
-            # copy the last pair into the hole and shrink the count
-            level = self._level()
-            level.wr_en.drive(1)
-            level.wr_addr_override.drive(1)
-            level.wr_addr_ext.drive(self.mgmt_addr.value)
-            level.wr_index.drive(level.rd_index)
-            level.wr_label.drive(level.rd_label)
-            level.wr_op.drive(level.rd_op)
-            level.count_dec.drive(1)
-        elif state in ("READ_ADDR", "READ_WAIT"):
-            level = self._level()
-            level.rd_addr_override.drive(1)
-            level.rd_addr_ext.drive(self._read_addr())
+            level.wr_index.drive(dp.lat_pair_index)
+        level.wr_label.drive(dp.lat_pair_label)
+        level.wr_op.drive(dp.lat_op_in.value)
 
-    def transition(self) -> State:
-        state = self.state_name
-        if state == "IDLE":
-            self.done.stage(0)
-            if self.enable.value:
-                op = self.dp.lat_op.value
-                if op == UserOp.WRITE_PAIR:
-                    return self.s("WRITE_PAIR")
-                if op == UserOp.SEARCH:
-                    return self.s("SEARCH")
-                if op == UserOp.MODIFY_PAIR:
-                    return self.s("SEARCH_MODIFY")
-                if op == UserOp.REMOVE_PAIR:
-                    return self.s("SEARCH_REMOVE")
-                if op == UserOp.READ_ENTRY:
-                    return self.s("READ_ADDR")
-            return self.s("IDLE")
+    def _search_then(self, hit: str, here: str) -> str:
+        """SEARCH_MODIFY / SEARCH_REMOVE: run the search, capture the
+        address it hit for the write-back."""
+        self._drive_search()
+        if not self.search.finishing.value:
+            return here
+        if self.search.found.value:
+            self.mgmt_found.stage(1)
+            self.mgmt_addr.stage(self._level().read_counter.count.value)
+            return hit
+        self.mgmt_found.stage(0)
+        return "MGMT_DONE"
 
-        if state == "WRITE_PAIR":
-            self.done.stage(1)
-            return self.s("IDLE")
+    def _present_last(self) -> None:
+        """The last stored pair's address; its registered read is valid
+        from RM_WAIT onward."""
+        level = self._level()
+        level.rd_addr_override.drive(1)
+        level.rd_addr_ext.drive(max(0, level.count - 1))
 
-        if state == "SEARCH":
-            # the search machine's done pulse is the transaction's done
-            if self.search.finishing.value:
-                return self.s("IDLE")
-            return self.s("SEARCH")
+    # -- one handler per state: its drives, its stages, the next state ----
+    def on_IDLE(self) -> str:
+        self.finishing.drive(0)
+        self.done.stage(0)
+        if self.enable.value:
+            op = self.dp.lat_op.value
+            if op == UserOp.WRITE_PAIR:
+                return "WRITE_PAIR"
+            if op == UserOp.SEARCH:
+                return "SEARCH"
+            if op == UserOp.MODIFY_PAIR:
+                return "SEARCH_MODIFY"
+            if op == UserOp.REMOVE_PAIR:
+                return "SEARCH_REMOVE"
+            if op == UserOp.READ_ENTRY:
+                return "READ_ADDR"
+        return "IDLE"
 
-        if state == "SEARCH_MODIFY":
-            if self.search.finishing.value:
-                if self.search.found.value:
-                    self.mgmt_found.stage(1)
-                    self.mgmt_addr.stage(
-                        self._level().read_counter.count.value
-                    )
-                    return self.s("MOD_WRITE")
-                self.mgmt_found.stage(0)
-                return self.s("MGMT_DONE")
-            return self.s("SEARCH_MODIFY")
-
-        if state == "MOD_WRITE":
-            return self.s("MGMT_DONE")
-
-        if state == "SEARCH_REMOVE":
-            if self.search.finishing.value:
-                if self.search.found.value:
-                    self.mgmt_found.stage(1)
-                    self.mgmt_addr.stage(
-                        self._level().read_counter.count.value
-                    )
-                    return self.s("RM_READ_LAST")
-                self.mgmt_found.stage(0)
-                return self.s("MGMT_DONE")
-            return self.s("SEARCH_REMOVE")
-
-        if state == "RM_READ_LAST":
-            return self.s("RM_WAIT")
-        if state == "RM_WAIT":
-            return self.s("RM_WRITE")
-        if state == "RM_WRITE":
-            return self.s("MGMT_DONE")
-
-        if state == "READ_ADDR":
-            self.mgmt_found.stage(
-                1 if self._read_addr() < self._level().count else 0
-            )
-            return self.s("READ_WAIT")
-        if state == "READ_WAIT":
-            level = self._level()
-            self.rd_out_index.stage(level.rd_index)
-            self.rd_out_label.stage(level.rd_label)
-            self.rd_out_op.stage(level.rd_op)
-            return self.s("MGMT_DONE")
-
-        # MGMT_DONE
+    def on_WRITE_PAIR(self) -> str:
+        self.finishing.drive(1)
+        level = self._level()
+        level.wr_en.drive(1)
+        self._drive_write(level)
         self.done.stage(1)
-        return self.s("IDLE")
+        return "IDLE"
+
+    def on_SEARCH(self) -> str:
+        # retire on the same edge the search machine does: its done
+        # pulse is the transaction's done
+        finishing = self.search.finishing.value
+        self.finishing.drive(finishing)
+        self._drive_search()
+        return "IDLE" if finishing else "SEARCH"
+
+    def on_SEARCH_MODIFY(self) -> str:
+        self.finishing.drive(0)
+        return self._search_then("MOD_WRITE", "SEARCH_MODIFY")
+
+    def on_MOD_WRITE(self) -> str:
+        self.finishing.drive(0)
+        level = self._level()
+        level.wr_en.drive(1)
+        level.wr_addr_override.drive(1)
+        level.wr_addr_ext.drive(self.mgmt_addr.value)
+        self._drive_write(level)
+        return "MGMT_DONE"
+
+    def on_SEARCH_REMOVE(self) -> str:
+        self.finishing.drive(0)
+        return self._search_then("RM_READ_LAST", "SEARCH_REMOVE")
+
+    def on_RM_READ_LAST(self) -> str:
+        self.finishing.drive(0)
+        self._present_last()
+        return "RM_WAIT"
+
+    def on_RM_WAIT(self) -> str:
+        self.finishing.drive(0)
+        self._present_last()
+        return "RM_WRITE"
+
+    def on_RM_WRITE(self) -> str:
+        self.finishing.drive(0)
+        # copy the last pair into the hole and shrink the count
+        level = self._level()
+        level.wr_en.drive(1)
+        level.wr_addr_override.drive(1)
+        level.wr_addr_ext.drive(self.mgmt_addr.value)
+        level.wr_index.drive(level.rd_index)
+        level.wr_label.drive(level.rd_label)
+        level.wr_op.drive(level.rd_op)
+        level.count_dec.drive(1)
+        return "MGMT_DONE"
+
+    def on_READ_ADDR(self) -> str:
+        self.finishing.drive(0)
+        level = self._level()
+        level.rd_addr_override.drive(1)
+        address = self._read_addr()
+        level.rd_addr_ext.drive(address)
+        self.mgmt_found.stage(1 if address < level.count else 0)
+        return "READ_WAIT"
+
+    def on_READ_WAIT(self) -> str:
+        self.finishing.drive(0)
+        level = self._level()
+        level.rd_addr_override.drive(1)
+        level.rd_addr_ext.drive(self._read_addr())
+        self.rd_out_index.stage(level.rd_index)
+        self.rd_out_label.stage(level.rd_label)
+        self.rd_out_op.stage(level.rd_op)
+        return "MGMT_DONE"
+
+    def on_MGMT_DONE(self) -> str:
+        self.finishing.drive(1)
+        self.done.stage(1)
+        return "IDLE"

@@ -26,7 +26,7 @@ after verification costs 5.
 
 from __future__ import annotations
 
-from repro.hdl.fsm import FSM, State
+from repro.hdl.fsm import FSM
 from repro.hdl.simulator import Simulator
 from repro.hw.datapath import Datapath, entry_fields, make_entry
 from repro.hw.opcodes import StackOp, UserOp
@@ -102,82 +102,6 @@ class LabelStackInterfaceFSM(FSM):
             self.search.req_level.drive(min(size, MAX_LEVELS))
             self.search.req_key.drive(label)
 
-    # -- outputs per state ------------------------------------------------
-    def output(self) -> None:
-        state = self.state_name
-        dp = self.dp
-        self.finishing.drive(
-            1
-            if state in ("USER_PUSH", "USER_POP", "DONE", "DISCARD")
-            else 0
-        )
-        if state == "USER_PUSH":
-            dp.stack.op.drive(StackOp.PUSH)
-            dp.stack.data_in.drive(dp.lat_entry_word)
-        elif state == "USER_POP":
-            dp.stack.op.drive(StackOp.POP)
-        elif state == "SEARCH_ENABLE":
-            self._drive_search_request()
-        elif state == "REMOVE_TOP":
-            size = dp.stack.size.value
-            if size > 0:
-                # pop the entry being modified into the entry register
-                # and load its TTL into the TTL counter (``ttlsource`` =
-                # stack entry)
-                dp.stack.op.drive(StackOp.POP)
-                dp.entry_reg.en.drive(1)
-                dp.entry_reg.d.drive(dp.stack.top.value)
-                _label, _cos, _s, ttl = entry_fields(dp.stack.top.value)
-                dp.ttl_counter.load.drive(1)
-                dp.ttl_counter.load_value.drive(ttl)
-            else:
-                # LER ingress: no entry to remove; the TTL and CoS come
-                # from the control path (``ttlsource``/``cosbitssrc`` =
-                # control path)
-                dp.entry_reg.en.drive(1)
-                dp.entry_reg.d.drive(
-                    make_entry(0, dp.lat_cos.value, 0, dp.lat_ttl.value)
-                )
-                dp.ttl_counter.load.drive(1)
-                dp.ttl_counter.load_value.drive(dp.lat_ttl.value)
-        elif state == "UPDATE_TTL":
-            dp.ttl_counter.en.drive(1)
-            dp.ttl_counter.down.drive(1)
-        elif state == "UPDATE_TOP":
-            if dp.stack.size.value > 0:
-                # rewrite the newly exposed top with the decremented TTL
-                word = dp.stack.top.value
-                dp.stack.op.drive(StackOp.WRITE_TOP)
-                dp.stack.data_in.drive(
-                    (word & ~0xFF) | dp.ttl_counter.count.value
-                )
-        elif state == "PUSH_OLD":
-            # restore the old entry beneath the new one, TTL updated
-            word = dp.entry_reg.q.value
-            dp.stack.op.drive(StackOp.PUSH)
-            dp.stack.data_in.drive(
-                (word & ~0xFF) | dp.ttl_counter.count.value
-            )
-        elif state == "PUSH_NEW":
-            # the new entry: label from the information base
-            # (``newlblsrc`` = memory), CoS preserved from the entry
-            # register, TTL from the counter, S bit computed from the
-            # current stack occupancy
-            _label, cos, _s, _ttl = entry_fields(dp.entry_reg.q.value)
-            s_bit = 1 if dp.stack.size.value == 0 else 0
-            dp.stack.op.drive(StackOp.PUSH)
-            dp.stack.data_in.drive(
-                make_entry(
-                    self.search.label_out.value,
-                    cos,
-                    s_bit,
-                    dp.ttl_counter.count.value,
-                )
-            )
-        elif state == "DISCARD":
-            # "the label stack is reset"
-            dp.stack.op.drive(StackOp.CLEAR)
-
     # -- verification -------------------------------------------------------
     def _verify_fails(self) -> bool:
         """The VERIFY INFO checks: expired TTL or an inconsistent
@@ -197,71 +121,140 @@ class LabelStackInterfaceFSM(FSM):
             return True  # deeper than the supported levels
         return False
 
-    # -- transitions -------------------------------------------------------
-    def transition(self) -> State:
-        state = self.state_name
-        if state == "IDLE":
-            self.done.stage(0)
-            self.discard.stage(0)
-            if self.enable.value:
-                op = self.dp.lat_op.value
-                if op == UserOp.USER_PUSH:
-                    return self.s("USER_PUSH")
-                if op == UserOp.USER_POP:
-                    return self.s("USER_POP")
-                if op == UserOp.UPDATE:
-                    self.performed_valid.stage(0)
-                    return self.s("SEARCH_ENABLE")
-            return self.s("IDLE")
+    # -- one handler per state: its drives, its stages, the next state ----
+    def on_IDLE(self) -> str:
+        self.finishing.drive(0)
+        self.done.stage(0)
+        self.discard.stage(0)
+        if self.enable.value:
+            op = self.dp.lat_op.value
+            if op == UserOp.USER_PUSH:
+                return "USER_PUSH"
+            if op == UserOp.USER_POP:
+                return "USER_POP"
+            if op == UserOp.UPDATE:
+                self.performed_valid.stage(0)
+                return "SEARCH_ENABLE"
+        return "IDLE"
 
-        if state in ("USER_PUSH", "USER_POP"):
-            self.done.stage(1)
-            return self.s("IDLE")
-
-        if state == "SEARCH_ENABLE":
-            if self.search.finishing.value:
-                return self.s("GET_RESULT")
-            return self.s("SEARCH_ENABLE")
-
-        if state == "GET_RESULT":
-            self.was_empty.stage(1 if self.dp.stack.size.value == 0 else 0)
-            self.orig_size.stage(self.dp.stack.size.value)
-            if self.search.found.value:
-                return self.s("REMOVE_TOP")
-            return self.s("DISCARD")
-
-        if state == "REMOVE_TOP":
-            return self.s("UPDATE_TTL")
-
-        if state == "UPDATE_TTL":
-            return self.s("VERIFY_INFO")
-
-        if state == "VERIFY_INFO":
-            if self._verify_fails():
-                return self.s("DISCARD")
-            op = self.search.op_out.value
-            self.performed.stage(op)
-            self.performed_valid.stage(1)
-            if op == LabelOp.POP:
-                return self.s("UPDATE_TOP")
-            if op == LabelOp.PUSH and not self.was_empty.value:
-                return self.s("PUSH_OLD")
-            return self.s("PUSH_NEW")  # swap, or push onto empty stack
-
-        if state == "UPDATE_TOP":
-            return self.s("DONE")
-
-        if state == "PUSH_OLD":
-            return self.s("PUSH_NEW")
-
-        if state == "PUSH_NEW":
-            return self.s("DONE")
-
-        if state == "DISCARD":
-            self.done.stage(1)
-            self.discard.stage(1)
-            return self.s("IDLE")
-
-        # DONE
+    def on_USER_PUSH(self) -> str:
+        dp = self.dp
+        self.finishing.drive(1)
+        dp.stack.op.drive(StackOp.PUSH)
+        dp.stack.data_in.drive(dp.lat_entry_word)
         self.done.stage(1)
-        return self.s("IDLE")
+        return "IDLE"
+
+    def on_USER_POP(self) -> str:
+        self.finishing.drive(1)
+        self.dp.stack.op.drive(StackOp.POP)
+        self.done.stage(1)
+        return "IDLE"
+
+    def on_SEARCH_ENABLE(self) -> str:
+        self.finishing.drive(0)
+        self._drive_search_request()
+        return "GET_RESULT" if self.search.finishing.value else "SEARCH_ENABLE"
+
+    def on_GET_RESULT(self) -> str:
+        self.finishing.drive(0)
+        size = self.dp.stack.size.value
+        self.was_empty.stage(1 if size == 0 else 0)
+        self.orig_size.stage(size)
+        return "REMOVE_TOP" if self.search.found.value else "DISCARD"
+
+    def on_REMOVE_TOP(self) -> str:
+        dp = self.dp
+        self.finishing.drive(0)
+        if dp.stack.size.value > 0:
+            # pop the entry being modified into the entry register
+            # and load its TTL into the TTL counter (``ttlsource`` =
+            # stack entry)
+            dp.stack.op.drive(StackOp.POP)
+            dp.entry_reg.en.drive(1)
+            dp.entry_reg.d.drive(dp.stack.top.value)
+            _label, _cos, _s, ttl = entry_fields(dp.stack.top.value)
+            dp.ttl_counter.load.drive(1)
+            dp.ttl_counter.load_value.drive(ttl)
+        else:
+            # LER ingress: no entry to remove; the TTL and CoS come
+            # from the control path (``ttlsource``/``cosbitssrc`` =
+            # control path)
+            dp.entry_reg.en.drive(1)
+            dp.entry_reg.d.drive(
+                make_entry(0, dp.lat_cos.value, 0, dp.lat_ttl.value)
+            )
+            dp.ttl_counter.load.drive(1)
+            dp.ttl_counter.load_value.drive(dp.lat_ttl.value)
+        return "UPDATE_TTL"
+
+    def on_UPDATE_TTL(self) -> str:
+        self.finishing.drive(0)
+        self.dp.ttl_counter.en.drive(1)
+        self.dp.ttl_counter.down.drive(1)
+        return "VERIFY_INFO"
+
+    def on_VERIFY_INFO(self) -> str:
+        self.finishing.drive(0)
+        if self._verify_fails():
+            return "DISCARD"
+        op = self.search.op_out.value
+        self.performed.stage(op)
+        self.performed_valid.stage(1)
+        if op == LabelOp.POP:
+            return "UPDATE_TOP"
+        if op == LabelOp.PUSH and not self.was_empty.value:
+            return "PUSH_OLD"
+        return "PUSH_NEW"  # swap, or push onto empty stack
+
+    def on_UPDATE_TOP(self) -> str:
+        dp = self.dp
+        self.finishing.drive(0)
+        if dp.stack.size.value > 0:
+            # rewrite the newly exposed top with the decremented TTL
+            word = dp.stack.top.value
+            dp.stack.op.drive(StackOp.WRITE_TOP)
+            dp.stack.data_in.drive((word & ~0xFF) | dp.ttl_counter.count.value)
+        return "DONE"
+
+    def on_PUSH_OLD(self) -> str:
+        dp = self.dp
+        self.finishing.drive(0)
+        # restore the old entry beneath the new one, TTL updated
+        word = dp.entry_reg.q.value
+        dp.stack.op.drive(StackOp.PUSH)
+        dp.stack.data_in.drive((word & ~0xFF) | dp.ttl_counter.count.value)
+        return "PUSH_NEW"
+
+    def on_PUSH_NEW(self) -> str:
+        dp = self.dp
+        self.finishing.drive(0)
+        # the new entry: label from the information base
+        # (``newlblsrc`` = memory), CoS preserved from the entry
+        # register, TTL from the counter, S bit computed from the
+        # current stack occupancy
+        _label, cos, _s, _ttl = entry_fields(dp.entry_reg.q.value)
+        s_bit = 1 if dp.stack.size.value == 0 else 0
+        dp.stack.op.drive(StackOp.PUSH)
+        dp.stack.data_in.drive(
+            make_entry(
+                self.search.label_out.value,
+                cos,
+                s_bit,
+                dp.ttl_counter.count.value,
+            )
+        )
+        return "DONE"
+
+    def on_DISCARD(self) -> str:
+        self.finishing.drive(1)
+        # "the label stack is reset"
+        self.dp.stack.op.drive(StackOp.CLEAR)
+        self.done.stage(1)
+        self.discard.stage(1)
+        return "IDLE"
+
+    def on_DONE(self) -> str:
+        self.finishing.drive(1)
+        self.done.stage(1)
+        return "IDLE"

@@ -13,7 +13,7 @@ in ``tests/hw/test_fsm_invariants.py``.
 
 from __future__ import annotations
 
-from repro.hdl.fsm import FSM, State
+from repro.hdl.fsm import FSM
 from repro.hdl.simulator import Simulator
 from repro.hw.datapath import Datapath
 from repro.hw.info_base_fsm import InfoBaseInterfaceFSM
@@ -51,32 +51,22 @@ class MainFSM(FSM):
         self.lbl_iface = lbl_iface
         self.ib_iface = ib_iface
 
-    def output(self) -> None:
-        state = self.state_name
-        if state == "IDLE":
+    def on_IDLE(self) -> str:
+        op = self.dp.operation.value
+        if op != UserOp.NONE:
             # capture the operands the moment a command appears
-            if self.dp.operation.value != UserOp.NONE:
-                self.dp.capture.drive(1)
-        elif state == "LBL_ACTIVE":
-            self.lbl_iface.enable.drive(1)
-        elif state == "IB_ACTIVE":
-            self.ib_iface.enable.drive(1)
+            self.dp.capture.drive(1)
+        if op in _LBL_OPS:
+            return "LBL_ACTIVE"
+        if op in _IB_OPS:
+            return "IB_ACTIVE"
+        return "IDLE"
 
-    def transition(self) -> State:
-        state = self.state_name
-        if state == "IDLE":
-            op = self.dp.operation.value
-            if op in _LBL_OPS:
-                return self.s("LBL_ACTIVE")
-            if op in _IB_OPS:
-                return self.s("IB_ACTIVE")
-            return self.s("IDLE")
-        if state == "LBL_ACTIVE":
-            # retire on the same edge as the interface machine
-            if self.lbl_iface.finishing.value:
-                return self.s("IDLE")
-            return self.s("LBL_ACTIVE")
-        # IB_ACTIVE
-        if self.ib_iface.finishing.value:
-            return self.s("IDLE")
-        return self.s("IB_ACTIVE")
+    def on_LBL_ACTIVE(self) -> str:
+        self.lbl_iface.enable.drive(1)
+        # retire on the same edge as the interface machine
+        return "IDLE" if self.lbl_iface.finishing.value else "LBL_ACTIVE"
+
+    def on_IB_ACTIVE(self) -> str:
+        self.ib_iface.enable.drive(1)
+        return "IDLE" if self.ib_iface.finishing.value else "IB_ACTIVE"

@@ -29,6 +29,11 @@ from repro.hw.opcodes import (
     ReadEntryResult,
     SearchResult,
     UpdateResult,
+    check_corruption,
+    check_key,
+    check_level,
+    check_pair,
+    check_update,
 )
 from repro.mpls.label import LabelEntry, LabelOp
 
@@ -216,6 +221,8 @@ class FunctionalModifier:
         stack_capacity: int = 8,
         staging_limit: Optional[int] = None,
     ) -> None:
+        if ib_depth < 1:
+            raise ValueError(f"information base: depth must be >= 1, got {ib_depth}")
         self.ib_depth = ib_depth
         self.stack_capacity = stack_capacity
         if staging_limit is not None and staging_limit < 1:
@@ -271,14 +278,12 @@ class FunctionalModifier:
     def write_pair(
         self, level: int, index: int, new_label: int, op: LabelOp
     ) -> int:
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_pair(level, index, new_label, op)
         lvl = self._levels[level - 1]
         if len(lvl.pairs) >= self.ib_depth:
             lvl.overflow = True
         else:
-            mask = 0xFFFFFFFF if level == 1 else 0xFFFFF
-            lvl.pairs.append((index & mask, new_label & 0xFFFFF, int(op)))
+            lvl.pairs.append((index, new_label, int(op)))
             self.state_version += 1
         self.total_cycles += WRITE_PAIR_CYCLES
         return WRITE_PAIR_CYCLES
@@ -305,8 +310,7 @@ class FunctionalModifier:
         :meth:`bank_commit`)."""
         if self._staged_levels is None:
             raise RuntimeError("no bank transaction open")
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_pair(level, index, new_label, op)
         if (
             self.staging_limit is not None
             and self._staged_since_drain >= self.staging_limit
@@ -320,8 +324,7 @@ class FunctionalModifier:
         if len(lvl.pairs) >= self.ib_depth:
             lvl.overflow = True
         else:
-            mask = 0xFFFFFFFF if level == 1 else 0xFFFFF
-            lvl.pairs.append((index & mask, new_label & 0xFFFFF, int(op)))
+            lvl.pairs.append((index, new_label, int(op)))
         self.total_cycles += WRITE_PAIR_CYCLES
         return WRITE_PAIR_CYCLES
 
@@ -368,8 +371,7 @@ class FunctionalModifier:
         return None, None, None
 
     def search(self, level: int, key: int) -> SearchResult:
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_key(level, "key", key)
         n = len(self._levels[level - 1].pairs)
         pos, label, op = self._scan(level, key)
         cycles = search_cycles(n, pos)
@@ -391,17 +393,15 @@ class FunctionalModifier:
         self, level: int, index: int, new_label: int, op: LabelOp
     ) -> MgmtResult:
         """Rewrite an existing pair in place (search + 2 cycles)."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_pair(level, index, new_label, op)
         lvl = self._levels[level - 1]
-        mask = 0xFFFFFFFF if level == 1 else 0xFFFFF
         n = len(lvl.pairs)
-        pos, _, _ = self._scan(level, index & mask)
+        pos, _, _ = self._scan(level, index)
         if pos is None:
             cycles = search_cycles(n, None) + MGMT_MISS_TAIL_CYCLES
             self.total_cycles += cycles
             return MgmtResult(found=False, cycles=cycles)
-        lvl.pairs[pos] = (index & mask, new_label & 0xFFFFF, int(op))
+        lvl.pairs[pos] = (index, new_label, int(op))
         self.state_version += 1
         cycles = search_cycles(n, pos) + MODIFY_TAIL_CYCLES
         self.total_cycles += cycles
@@ -410,12 +410,10 @@ class FunctionalModifier:
     def remove_pair(self, level: int, index: int) -> MgmtResult:
         """Delete a pair; the last stored pair fills the hole (search
         + 4 cycles)."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_key(level, "index", index)
         lvl = self._levels[level - 1]
-        mask = 0xFFFFFFFF if level == 1 else 0xFFFFF
         n = len(lvl.pairs)
-        pos, _, _ = self._scan(level, index & mask)
+        pos, _, _ = self._scan(level, index)
         if pos is None:
             cycles = search_cycles(n, None) + MGMT_MISS_TAIL_CYCLES
             self.total_cycles += cycles
@@ -429,8 +427,7 @@ class FunctionalModifier:
 
     def read_entry(self, level: int, address: int) -> ReadEntryResult:
         """Direct read of the pair at ``address`` (5 fixed cycles)."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_level(level)
         if not 0 <= address <= 0x7FF:
             raise ValueError(f"address {address} outside the 11-bit address bus")
         # the RTL clamps the presented address to the memory depth
@@ -454,6 +451,7 @@ class FunctionalModifier:
     def update(
         self, packet_id: int = 0, ttl: int = 64, cos: int = 0
     ) -> UpdateResult:
+        check_update(packet_id, ttl, cos)
         was_empty = not self._stack
         if was_empty:
             level, key = 1, packet_id
@@ -564,18 +562,12 @@ class FunctionalModifier:
         """Flip bits in the stored pair at ``address`` (a soft-error /
         SEU model, not a hardware transaction: zero cycles).  Returns
         False when the address holds no pair."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_corruption(level, index_xor, label_xor, op_xor)
         lvl = self._levels[level - 1]
         if not 0 <= address < len(lvl.pairs):
             return False
         index, label, op = lvl.pairs[address]
-        mask = 0xFFFFFFFF if level == 1 else 0xFFFFF
-        lvl.pairs[address] = (
-            (index ^ index_xor) & mask,
-            (label ^ label_xor) & 0xFFFFF,
-            (op ^ op_xor) & 0x3,
-        )
+        lvl.pairs[address] = (index ^ index_xor, label ^ label_xor, op ^ op_xor)
         self.state_version += 1
         return True
 
@@ -598,6 +590,5 @@ class FunctionalModifier:
 
     def ib_pairs(self, level: int) -> List[Tuple[int, int, int]]:
         """The stored (index, label, op) triples of one level."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1..3, got {level}")
+        check_level(level)
         return list(self._levels[level - 1].pairs)

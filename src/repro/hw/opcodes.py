@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple
 
-from repro.mpls.label import LabelEntry, LabelOp
+from repro.mpls.label import LABEL_MAX, LabelEntry, LabelOp
 
 
 class UserOp(IntEnum):
@@ -43,6 +43,54 @@ class StackOp(IntEnum):
     POP = 2
     CLEAR = 3
     WRITE_TOP = 4  # rewrite the top entry in place (pop's TTL fix-up)
+
+
+# -- the operand contract of the transaction interface -------------------------
+# The widths of the datapath's input pins.  The RTL driver and the
+# functional model both check here, at the transaction boundary, before
+# anything changes: a refused operand costs no cycle, bumps no version,
+# sets no pin, and reads the same from either.  The model is the
+# per-packet cost model of network-scale runs, so an accepted operand
+# costs one call and one chained comparison; the names are for the refusal.
+#: a level-1 key is the 32-bit packet identifier, a level-2/3 key a label
+KEY_MAX = {1: 0xFFFFFFFF, 2: LABEL_MAX, 3: LABEL_MAX}
+
+
+def _refuse(*operands: Tuple[str, int, int]) -> None:
+    for name, value, top in operands:
+        if not 0 <= value <= top:
+            raise ValueError(f"{name} must be 0..{top}, got {value}")
+
+
+def check_level(level: int) -> None:
+    if level not in KEY_MAX:
+        raise ValueError(f"level must be 1..3, got {level}")
+
+
+def check_key(level: int, name: str, value: int) -> None:
+    top = KEY_MAX.get(level)
+    if top is None or not 0 <= value <= top:
+        check_level(level)
+        _refuse((name, value, top))
+
+
+def check_pair(level: int, index: int, new_label: int, op: int) -> None:
+    top = KEY_MAX.get(level)
+    if top is None or not (
+        0 <= index <= top and 0 <= new_label <= LABEL_MAX and 0 <= op <= 3
+    ):
+        check_level(level)
+        _refuse(("index", index, top), ("new_label", new_label, LABEL_MAX), ("op", op, 3))
+
+
+def check_update(packet_id: int, ttl: int, cos: int) -> None:
+    if not (0 <= packet_id <= 0xFFFFFFFF and 0 <= ttl <= 0xFF and 0 <= cos <= 7):
+        _refuse(("packet_id", packet_id, 0xFFFFFFFF), ("ttl", ttl, 0xFF), ("cos", cos, 7))
+
+
+def check_corruption(level: int, index_xor: int, label_xor: int, op_xor: int) -> None:
+    check_key(level, "index_xor", index_xor)
+    _refuse(("label_xor", label_xor, LABEL_MAX), ("op_xor", op_xor, 3))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ Interface:
 
 from __future__ import annotations
 
-from repro.hdl.fsm import FSM, State
+from repro.hdl.fsm import FSM
 from repro.hdl.simulator import Simulator
 from repro.hw.datapath import Datapath
 
@@ -64,83 +64,76 @@ class SearchFSM(FSM):
         num = self.level_num.value
         return self.dp.info_base.level(num if num in (1, 2, 3) else 1)
 
-    def output(self) -> None:
-        self.finishing.drive(
-            1 if self.in_state("FOUND") or self.in_state("MISS") else 0
-        )
-        state = self.state_name
-        if state == "BEGIN":
-            # models the index-source mux selecting the search key and
-            # the read counter's synchronous clear
-            self._level().read_counter.clear.drive(1)
-        elif state == "COMPARE":
-            level = self._level()
-            # key comparison through the datapath comparators: the
-            # 32-bit comparator for packet identifiers (level 1), the
-            # 20-bit comparator for labels (levels 2-3)
-            if self.level_num.value == 1:
-                self.dp.cmp32.a.drive(self.key.value)
-                self.dp.cmp32.b.drive(level.rd_index)
-            else:
-                self.dp.cmp20.a.drive(self.key.value & 0xFFFFF)
-                self.dp.cmp20.b.drive(level.rd_index)
-            # exhaustion test on the 10-bit index comparator:
-            # r_index == w_index - 1 means this was the last stored pair
-            self.dp.cmp10.a.drive(level.read_counter.count.value)
-            self.dp.cmp10.b.drive(max(0, level.count - 1))
-
-    def transition(self) -> State:
-        state = self.state_name
-        if state == "IDLE":
-            if self.req.value:
-                self.key.stage(self.req_key.value)
-                self.level_num.stage(
-                    self.req_level.value if self.req_level.value in (1, 2, 3) else 1
-                )
-                self.done.stage(0)
-                self.miss.stage(0)
-                self.found.stage(0)
-                return self.s("BEGIN")
+    # -- one handler per state: its drives, its stages, the next state ----
+    def on_IDLE(self) -> str:
+        self.finishing.drive(0)
+        if self.req.value:
+            self.key.stage(self.req_key.value)
+            self.level_num.stage(
+                self.req_level.value if self.req_level.value in (1, 2, 3) else 1
+            )
             self.done.stage(0)
             self.miss.stage(0)
-            return self.s("IDLE")
+            self.found.stage(0)
+            return "BEGIN"
+        self.done.stage(0)
+        self.miss.stage(0)
+        return "IDLE"
 
-        if state == "BEGIN":
-            if self._level().count == 0:
-                return self.s("MISS")
-            return self.s("READ")
+    def on_BEGIN(self) -> str:
+        self.finishing.drive(0)
+        # models the index-source mux selecting the search key and
+        # the read counter's synchronous clear
+        level = self._level()
+        level.read_counter.clear.drive(1)
+        return "MISS" if level.count == 0 else "READ"
 
-        if state == "READ":
-            # the level presents r_index to its memories every cycle;
-            # nothing to drive beyond waiting for the registered read
-            return self.s("WAIT")
+    def on_READ(self) -> str:
+        # the level presents r_index to its memories every cycle;
+        # nothing to drive beyond waiting for the registered read
+        self.finishing.drive(0)
+        return "WAIT"
 
-        if state == "WAIT":
-            return self.s("COMPARE")
+    def on_WAIT(self) -> str:
+        self.finishing.drive(0)
+        return "COMPARE"
 
-        if state == "COMPARE":
-            level = self._level()
-            matched = (
-                self.dp.cmp32.eq.value
-                if self.level_num.value == 1
-                else self.dp.cmp20.eq.value
-            )
-            if matched:
-                self.found.stage(1)
-                self.label_out.stage(level.rd_label)
-                self.op_out.stage(level.rd_op)
-                return self.s("FOUND")
-            if self.dp.cmp10.eq.value:
-                self.found.stage(0)
-                return self.s("MISS")
-            level.read_counter.en.drive(1)
-            return self.s("READ")
+    def on_COMPARE(self) -> str:
+        self.finishing.drive(0)
+        dp = self.dp
+        level = self._level()
+        # key comparison through the datapath comparators: the
+        # 32-bit comparator for packet identifiers (level 1), the
+        # 20-bit comparator for labels (levels 2-3)
+        if self.level_num.value == 1:
+            cmp = dp.cmp32
+            cmp.a.drive(self.key.value)
+        else:
+            cmp = dp.cmp20
+            cmp.a.drive(self.key.value & 0xFFFFF)
+        cmp.b.drive(level.rd_index)
+        # exhaustion test on the 10-bit index comparator:
+        # r_index == w_index - 1 means this was the last stored pair
+        dp.cmp10.a.drive(level.read_counter.count.value)
+        dp.cmp10.b.drive(max(0, level.count - 1))
+        if cmp.eq.value:
+            self.found.stage(1)
+            self.label_out.stage(level.rd_label)
+            self.op_out.stage(level.rd_op)
+            return "FOUND"
+        if dp.cmp10.eq.value:
+            self.found.stage(0)
+            return "MISS"
+        level.read_counter.en.drive(1)
+        return "READ"
 
-        if state == "FOUND":
-            self.done.stage(1)
-            return self.s("IDLE")
+    def on_FOUND(self) -> str:
+        self.finishing.drive(1)
+        self.done.stage(1)
+        return "IDLE"
 
-        # MISS
+    def on_MISS(self) -> str:
+        self.finishing.drive(1)
         self.done.stage(1)
         self.miss.stage(1)
-        return self.s("IDLE")
+        return "IDLE"

@@ -110,3 +110,105 @@ class TestFSM:
         Bad(sim)
         with pytest.raises(TypeError):
             sim.step()
+
+
+class _Mixed(FSM):
+    """IDLE and OFF have handlers, ON goes through output()/transition()."""
+
+    def __init__(self, sim, name="mixed", off_goes_to="IDLE"):
+        super().__init__(sim, name, ["IDLE", "ON", "OFF"])
+        self.lamp = self.wire("lamp", 1)
+        self.off_goes_to = off_goes_to
+        self.fallbacks = 0
+
+    def on_IDLE(self):
+        self.lamp.drive(0)
+        return "ON"
+
+    def output(self):
+        self.fallbacks += 1
+        self.lamp.drive(1)
+
+    def transition(self):
+        return self.s("OFF")
+
+    def on_OFF(self):
+        self.lamp.drive(0)
+        return self.off_goes_to
+
+
+class TestStateHandlers:
+    def test_handlers_and_the_fallback_mix_in_one_machine(self):
+        sim = Simulator()
+        fsm = _Mixed(sim)
+        seen = []
+        sim.on_tick(lambda _cycle: seen.append((fsm.state_name, fsm.lamp.value)))
+        sim.step(4)
+        # the lamp is the settled output of the state the edge left
+        assert seen == [("ON", 0), ("OFF", 1), ("IDLE", 0), ("ON", 0)]
+        # ON's one cycle settles in two passes (the lamp changed in the
+        # first); the states with a handler never ask output()
+        assert fsm.fallbacks == 2
+
+    def test_a_handler_is_resolved_once_at_construction(self):
+        sim = Simulator()
+        fsm = _Mixed(sim)
+        assert [handler.__name__ for handler in fsm._handlers] == [
+            "on_IDLE", "_output_then_transition", "on_OFF",
+        ]
+
+    def test_handler_returning_an_unknown_state_names_machine_and_state(self):
+        sim = Simulator()
+        _Mixed(sim, name="ctl.mixed", off_goes_to="NOPE")
+        sim.step(2)
+        with pytest.raises(KeyError) as excinfo:
+            sim.step()
+        assert "ctl.mixed" in str(excinfo.value) and "'NOPE'" in str(excinfo.value)
+
+    def test_it_is_the_error_s_raises(self):
+        sim = Simulator()
+        fsm = _Mixed(sim, off_goes_to="NOPE")
+        with pytest.raises(KeyError) as from_s:
+            fsm.s("NOPE")
+        sim.step(2)
+        with pytest.raises(KeyError) as from_settle:
+            sim.step()
+        assert from_settle.value.args == from_s.value.args
+
+    def test_a_handler_for_a_state_the_machine_lacks_is_refused(self):
+        class Typo(FSM):
+            def __init__(self, sim):
+                super().__init__(sim, "typo", ["IDLE", "RUN"])
+
+            def on_IDLE(self):
+                return "RUN"
+
+            def on_RNU(self):  # meant on_RUN: must not fall back silently
+                return "IDLE"
+
+        with pytest.raises(ValueError, match="typo.*on_<STATE>.*RNU"):
+            Typo(Simulator())
+
+    def test_an_inherited_handler_counts(self):
+        class Base(FSM):
+            def on_A(self):
+                return "B"
+
+        class Derived(Base):
+            def __init__(self, sim):
+                super().__init__(sim, "derived", ["A", "B"])
+
+            def on_B(self):
+                return "A"
+
+        sim = Simulator()
+        fsm = Derived(sim)
+        sim.step()
+        assert fsm.state_name == "B"
+        sim.step()
+        assert fsm.state_name == "A"
+
+    def test_in_state_is_not_a_handler(self):
+        sim = Simulator()
+        fsm = _Blinker(sim)  # defines no on_<STATE>; in_state is the framework's
+        assert fsm._handled == frozenset() and fsm.in_state("IDLE")

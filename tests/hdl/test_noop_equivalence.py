@@ -435,3 +435,22 @@ def test_nothing_outside_the_kernel_assigns_a_signal_value():
         and not isinstance(node.ctx, ast.Load)
     ]
     assert offenders == []
+
+
+# -- a state is a method: the control machines index, they do not compare ------
+def test_no_control_fsm_asks_which_state_it_is_in():
+    """``state_name`` compared to a literal, ``in_state("X")`` and
+    ``return self.s("X")`` are how a pass used to find its branch; a
+    handler is that branch.  Readers outside the pass (``Modifier.busy``,
+    the profiler) live in other files and keep all three."""
+    root = pathlib.Path(repro.__file__).parent
+    machines = sorted((root / "hw").glob("*_fsm.py"))
+    assert len(machines) == 4
+    offenders = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in machines
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("state_name", "state", "in_state", "s")
+    ]
+    assert offenders == []

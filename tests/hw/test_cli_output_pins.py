@@ -1,0 +1,37 @@
+"""The four deterministic RTL-facing CLI outputs, pinned.
+
+``repro stats`` (Table 6 under the cycle profiler, per-state residency
+of every control FSM, the quickstart scenario's metrics), ``repro
+table6``, ``repro worst-case`` (the 6167-cycle composite) and ``repro
+figures`` (the Figure 14-16 lookups) print the same bytes on every run.
+``data/cli_outputs.sha256`` (``sha256sum -c`` format, one
+``<command>.txt`` per line) was computed with the ``src/`` of the commit
+before a state became a method (PR 24); CI's ``perf-smoke`` job checks
+the same file with ``sha256sum -c``.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+PIN_FILE = Path(__file__).parent / "data" / "cli_outputs.sha256"
+COMMANDS = ("stats", "table6", "worst-case", "figures")
+
+
+def _pins():
+    lines = PIN_FILE.read_text().splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_matches_the_parent_commit(command, capsys):
+    assert main([command]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == _pins()[f"{command}.txt"]
+
+
+def test_every_pin_is_recomputed():
+    assert sorted(_pins()) == sorted(f"{command}.txt" for command in COMMANDS)
