@@ -461,36 +461,32 @@ def cmd_spans(
 
 def _render_fault_kinds() -> str:
     """Enumerate every fault kind with its target arity and accepted
-    params, straight from the validation table -- what ``from_dict``
-    accepts is exactly what this prints."""
-    from repro.faults.scenario import (
-        CONTROLLER_KINDS,
-        FAULT_PARAMS,
-        LINK_KINDS,
-        SECURITY_KINDS,
-    )
+    params, straight from the kind table -- what ``from_dict`` accepts
+    is exactly what this prints."""
+    from repro.faults.scenario import FAULT_KINDS, KIND_KEYS
 
+    arity = {
+        "link": "link (two nodes)",
+        "node": "node",
+        "controller": 'the literal "controller"',
+    }
     lines = []
-    for kind, params in FAULT_PARAMS.items():
-        if kind.value == "controller-crash":
-            arity = 'the literal "controller"'
-        elif kind in LINK_KINDS:
-            arity = "link (two nodes)"
-        else:
-            arity = "node"
-        if kind in SECURITY_KINDS:
-            tag = "  [adversarial: needs a 'security' key]"
-        elif kind in CONTROLLER_KINDS:
-            tag = "  [controller: needs a 'controller' key]"
-        else:
-            tag = ""
-        lines.append(f"{kind.value} -- target: {arity}{tag}")
-        if params:
-            for name in sorted(params):
-                lines.append(f"    {name}: {params[name]}")
-        else:
+    for kind, contract in FAULT_KINDS.items():
+        key = contract.key
+        tag = f"  [{KIND_KEYS[key][0]}: needs a '{key}' key]" if key else ""
+        lines.append(f"{kind.value} -- target: {arity[contract.target]}{tag}")
+        for name in sorted(contract.params):
+            lines.append(f"    {name}: {contract.params[name].description}")
+        if not contract.params:
             lines.append("    (no params)")
     return "\n".join(lines)
+
+
+def _arm(scenario: Scenario, key: str, **config) -> None:
+    """Arm the scenario's ``key`` subsystem whatever its file says,
+    ``config`` laid over the file's own: how every CLI override reaches
+    a scenario."""
+    setattr(scenario, key, {**(getattr(scenario, key) or {}), **config})
 
 
 def cmd_chaos(
@@ -521,31 +517,18 @@ def cmd_chaos(
     scenario = _load_scenario(scenario_path)
     if scenario is None:
         return 1
+    # each flag arms its subsystem even when the scenario file doesn't
+    # ask for it: the auditor at that period; overload protection, the
+    # security guards and the PCE switched on, or off for the baseline
     if audit is not None:
-        # the flag arms (or re-periods) the consistency auditor even
-        # when the scenario file doesn't ask for it
-        scenario.audit = {**(scenario.audit or {}), "period": audit}
-    if overload is not None:
-        # same idea: force overload protection on (or run the
-        # unprotected baseline) regardless of the scenario's own key
-        scenario.overload = {
-            **(scenario.overload or {}),
-            "enabled": overload == "on",
-        }
-    if mitigation is not None:
-        # run the same seeded attacks with every guard up, or stand
-        # them all down for the blast-radius baseline
-        scenario.security = {
-            **(scenario.security or {}),
-            "enabled": mitigation == "on",
-        }
-    if controller is not None:
-        # arm the centralized PCE (or run it dark for the distributed
-        # baseline) regardless of the scenario's own key
-        scenario.controller = {
-            **(scenario.controller or {}),
-            "enabled": controller == "on",
-        }
+        _arm(scenario, "audit", period=audit)
+    for key, switch in (
+        ("overload", overload),
+        ("security", mitigation),
+        ("controller", controller),
+    ):
+        if switch is not None:
+            _arm(scenario, key, enabled=switch == "on")
     report = _run(scenario, seed=seed, batching=(batching == "on"))
     if report is None:
         return 1
@@ -601,8 +584,7 @@ def cmd_flows(
     scenario = _load_scenario(scenario_path)
     if scenario is None:
         return 1
-    if scenario.flows is None:
-        scenario.flows = {}
+    _arm(scenario, "flows")
     report = _run(scenario, seed=seed)
     if report is None:
         return 1
@@ -815,10 +797,9 @@ def cmd_topo(
     scenario = _load_scenario(scenario_path)
     if scenario is None:
         return 1
-    if scenario.topo is None:
-        # the observer is the point of this command: force it on even
-        # when the scenario file has no 'topo' key
-        scenario.topo = {}
+    # the observer is the point of this command: force it on even when
+    # the scenario file has no 'topo' key
+    _arm(scenario, "topo")
     report = _run(scenario, seed=seed, batching=(batching == "on"))
     if report is None:
         return 1

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.scenario import (
-    CONTROLLER_KINDS,
-    SECURITY_KINDS,
-    FaultKind,
+    FAULT_KINDS,
+    KIND_KEYS,
     FaultSpec,
     Scenario,
     ScenarioError,
@@ -49,6 +48,11 @@ class FaultRecord:
     recovered_at: Optional[float] = None
     detail: str = ""
     skipped: bool = False
+
+    def skip(self, detail: str) -> None:
+        """The fault could not apply: it stays in the report, unapplied."""
+        self.skipped = True
+        self.detail = detail
 
     @property
     def mttr(self) -> Optional[float]:
@@ -110,6 +114,32 @@ class SwitchoverRecord:
     latency_s: float = 0.0
 
 
+def _methods_by_kind(cls):
+    """Resolve each fault kind's ``_inject_<kind>``, ``_heal_<kind>``
+    and ``_backfill_<kind>`` (``link-down`` -> ``_inject_link_down``)
+    once, when the class is made.  A kind with no ``_inject_`` method,
+    or with neither a heal nor a back-fill to stamp its recovery, is an
+    error then, not when a scenario first uses it."""
+
+    def resolve(prefix):
+        return {
+            kind: getattr(cls, prefix + kind.value.replace("-", "_"), None)
+            for kind, contract in FAULT_KINDS.items()
+            if contract.expand is None  # sugar never reaches the injector
+        }
+
+    cls._injects = resolve("_inject_")
+    cls._heals = resolve("_heal_")
+    cls._backfills = resolve("_backfill_")
+    for kind, inject in cls._injects.items():
+        if inject is None:
+            raise TypeError(f"{cls.__name__} cannot inject {kind.value}")
+        if cls._heals[kind] is None and cls._backfills[kind] is None:
+            raise TypeError(f"{cls.__name__} never recovers {kind.value}")
+    return cls
+
+
+@_methods_by_kind
 class FaultInjector:
     """Schedules and executes the faults of a :class:`Scenario`.
 
@@ -181,86 +211,54 @@ class FaultInjector:
         """Materialize the scenario's schedule and arm every fault."""
         schedule = scenario.materialize(seed)
         for spec in schedule:
-            self._validate(spec, scenario)
+            self._validate(spec)
         for spec in schedule:
             self.schedule_fault(spec)
         return schedule
 
-    def _validate(self, spec: FaultSpec, scenario: Scenario) -> None:
-        if spec.kind in CONTROLLER_KINDS:
-            if self.controller is None:
+    def _validate(self, spec: FaultSpec) -> None:
+        """Refuse a fault this run cannot inject: its kind's row of
+        :data:`FAULT_KINDS` names everything it needs."""
+        kind = spec.kind.value
+        need = FAULT_KINDS[spec.kind]
+        if need.target == "controller":
+            if spec.target != ("controller",):
                 raise ScenarioError(
-                    f"{spec.kind.value} needs a PCE controller "
-                    "(scenario 'controller' key)"
+                    f"{kind} targets the controller itself: "
+                    "use \"target\": [\"controller\"]"
                 )
-            if spec.kind is FaultKind.CONTROLLER_CRASH:
-                if spec.target != ("controller",):
+        else:
+            for node in spec.target:
+                if node not in self.network.nodes:
                     raise ScenarioError(
-                        "controller-crash targets the controller "
-                        "itself: use \"target\": [\"controller\"]"
+                        f"{kind} targets unknown node {node!r}"
                     )
-            elif spec.target[0] not in self.network.nodes:
-                raise ScenarioError(
-                    f"controller-partition targets unknown node "
-                    f"{spec.target[0]!r}"
-                )
-            return
-        for node in spec.target:
-            if node not in self.network.nodes:
-                raise ScenarioError(
-                    f"{spec.kind.value} targets unknown node {node!r}"
-                )
-        if spec.kind is FaultKind.LDP_SESSION_DROP and self.message_ldp is None:
+        planes = {"ldp": self.ldp, "ldp-messages": self.message_ldp,
+                  "frr": self.frr}
+        if need.controls and all(planes[c] is None for c in need.controls):
+            feature = f" ({need.feature})" if need.feature else ""
+            either = " or ".join(repr(c) for c in need.controls)
+            raise ScenarioError(f"{kind}{feature} needs control = {either}")
+        if need.key is not None and getattr(self, need.key) is None:
             raise ScenarioError(
-                "ldp-session-drop needs control = 'ldp-messages'"
+                f"{kind} needs {KIND_KEYS[need.key][1]} "
+                f"(scenario '{need.key}' key)"
             )
-        if (
-            spec.kind is FaultKind.NODE_RESTART
-            and self.ldp is None
-            and self.message_ldp is None
-        ):
+        name = spec.target[0]
+        node = self.network.nodes.get(name)
+        if need.hardware and not hasattr(node, "modifier"):
             raise ScenarioError(
-                "node-restart (graceful restart) needs control = "
-                "'ldp' or 'ldp-messages'"
+                f"{kind} targets software node {name!r}; "
+                "set \"hardware\": true"
             )
-        if spec.kind is FaultKind.IB_BITFLIP:
-            node = self.network.nodes[spec.target[0]]
-            if not hasattr(node, "modifier"):
-                raise ScenarioError(
-                    f"ib-bitflip targets software node {spec.target[0]!r}; "
-                    "set \"hardware\": true"
-                )
-        if (
-            spec.kind is FaultKind.SIGNALING_STORM
-            and self.message_ldp is None
-            and self.frr is None
-        ):
+        if need.edge and not getattr(node, "is_edge", False):
             raise ScenarioError(
-                "signaling-storm needs control = 'ldp-messages' or 'frr'"
+                f"{kind} targets {name!r}, which is not an edge LER: forged "
+                "traffic enters over the trust boundary"
             )
-        if spec.kind in SECURITY_KINDS:
-            if self.message_ldp is None:
-                raise ScenarioError(
-                    f"{spec.kind.value} needs control = 'ldp-messages'"
-                )
-            if self.security is None:
-                raise ScenarioError(
-                    f"{spec.kind.value} needs a security monitor "
-                    "(scenario 'security' key)"
-                )
-        if spec.kind in (FaultKind.LABEL_SPOOF, FaultKind.TTL_FLOOD):
-            node = self.network.nodes[spec.target[0]]
-            if not getattr(node, "is_edge", False):
-                raise ScenarioError(
-                    f"{spec.kind.value} targets {spec.target[0]!r}, "
-                    "which is not an edge LER: forged traffic enters "
-                    "over the trust boundary"
-                )
-        if spec.kind is FaultKind.TTL_FLOOD and not getattr(
-            self.message_ldp, "queues", None
-        ):
+        if need.queues and not getattr(self.message_ldp, "queues", None):
             raise ScenarioError(
-                "ttl-flood needs an 'overload' key: the exception path "
+                f"{kind} needs an 'overload' key: the exception path "
                 "lands in the bounded control queues"
             )
 
@@ -268,34 +266,16 @@ class FaultInjector:
         """Arm one fault's inject (and heal, if any) on the scheduler."""
         record = FaultRecord(spec=spec, injected_at=spec.at)
         self.records.append(record)
-        self.scheduler.at(spec.at, lambda: self._inject(record))
+        self.scheduler.at(spec.at, self._inject, record)
         if spec.heal_at is not None:
-            self.scheduler.at(spec.heal_at, lambda: self._heal(record))
+            self.scheduler.at(spec.heal_at, self._heal, record)
         return record
 
     # -- injection ---------------------------------------------------------
     def _inject(self, record: FaultRecord) -> None:
         spec = record.spec
         record.injected_at = self.scheduler.now
-        handler = {
-            FaultKind.LINK_DOWN: self._inject_link_down,
-            FaultKind.LINK_LOSS: self._inject_link_loss,
-            FaultKind.LINK_CORRUPT: self._inject_link_corrupt,
-            FaultKind.NODE_CRASH: self._inject_node_crash,
-            FaultKind.NODE_RESTART: self._inject_node_restart,
-            FaultKind.LDP_SESSION_DROP: self._inject_session_drop,
-            FaultKind.IB_BITFLIP: self._inject_bitflip,
-            FaultKind.SIGNALING_STORM: self._inject_signaling_storm,
-            FaultKind.LABEL_SPOOF: self._inject_label_spoof,
-            FaultKind.LDP_HIJACK: self._inject_ldp_hijack,
-            FaultKind.XCONNECT_LEAK: self._inject_xconnect_leak,
-            FaultKind.TTL_FLOOD: self._inject_ttl_flood,
-            FaultKind.CONTROLLER_CRASH: self._inject_controller_crash,
-            FaultKind.CONTROLLER_PARTITION: (
-                self._inject_controller_partition
-            ),
-        }[spec.kind]
-        handler(record)
+        self._injects[spec.kind](self, record)
         tel = get_telemetry()
         if tel.enabled:
             tel.faults.labels(spec.kind.value, spec.label).inc()
@@ -311,22 +291,9 @@ class FaultInjector:
             return
         spec = record.spec
         record.healed_at = self.scheduler.now
-        {
-            FaultKind.LINK_DOWN: self._heal_link_down,
-            FaultKind.LINK_LOSS: self._heal_link_loss,
-            FaultKind.LINK_CORRUPT: self._heal_link_corrupt,
-            FaultKind.NODE_CRASH: self._heal_node_crash,
-            FaultKind.NODE_RESTART: self._heal_node_restart,
-            FaultKind.LDP_SESSION_DROP: self._heal_noop,
-            FaultKind.IB_BITFLIP: self._heal_bitflip,
-            FaultKind.SIGNALING_STORM: self._heal_signaling_storm,
-            FaultKind.LABEL_SPOOF: self._recovered,
-            FaultKind.LDP_HIJACK: self._heal_noop,
-            FaultKind.XCONNECT_LEAK: self._heal_noop,
-            FaultKind.TTL_FLOOD: self._heal_ttl_flood,
-            FaultKind.CONTROLLER_CRASH: self._heal_controller_crash,
-            FaultKind.CONTROLLER_PARTITION: self._heal_controller_partition,
-        }[spec.kind](record)
+        heal = self._heals[spec.kind]
+        if heal is not None:  # else finalize() back-fills the recovery
+            heal(self, record)
         tel = get_telemetry()
         if tel.enabled:
             event = FaultHealed(
@@ -350,46 +317,56 @@ class FaultInjector:
     def _inject_link_down(self, record: FaultRecord) -> None:
         a, b = record.spec.target
         if (a, b) not in self.network._link_of:
-            record.skipped = True
-            record.detail = "link already down"
+            record.skip("link already down")
             return
         self.network.fail_link(a, b)
         self._mark_link(a, b, up=False)
         self.scheduler.after(
             self.detection_delay_s,
-            lambda: self._link_loss_detected(a, b, record),
+            self._links_lost, record, [(a, b)], f"link {a}-{b} down",
         )
 
-    def _link_loss_detected(self, a: str, b: str, record: FaultRecord) -> None:
+    def _links_lost(
+        self, record: FaultRecord, links: List[Tuple[str, str]], reason: str
+    ) -> None:
+        """The control plane notices ``links`` went down: FRR switches
+        the LSPs over them to their backups, converged LDP reconverges,
+        message LDP drops the sessions that ran over them."""
         if self.frr is not None:
-            repaired = self.frr.handle_link_failure(a, b)
-            if repaired:
-                self.switchovers.append(
-                    SwitchoverRecord(
-                        time=self.scheduler.now,
-                        link=(a, b),
-                        paths=repaired,
-                        latency_s=self.scheduler.now - record.injected_at,
+            for a, b in links:
+                repaired = self.frr.handle_link_failure(a, b)
+                if repaired:
+                    self.switchovers.append(
+                        SwitchoverRecord(
+                            time=self.scheduler.now,
+                            link=(a, b),
+                            paths=repaired,
+                            latency_s=self.scheduler.now - record.injected_at,
+                        )
                     )
-                )
         if self.ldp is not None:
             self.ldp.reconverge()
         if self.message_ldp is not None:
-            self.message_ldp.drop_session(a, b, reason=f"link {a}-{b} down")
+            for a, b in links:
+                self.message_ldp.drop_session(a, b, reason=reason)
+
+    def _revert(self, links: List[Tuple[str, str]]) -> None:
+        """Tell FRR ``links`` are back; it reverts LSPs to their primaries."""
+        for a, b in links:
+            for name in self.frr.handle_link_recovery(a, b):
+                self.reverts.append((self.scheduler.now, name))
 
     def _heal_link_down(self, record: FaultRecord) -> None:
         a, b = record.spec.target
         self.network.restore_link(a, b)
         self._mark_link(a, b, up=True)
         self.scheduler.after(
-            self.detection_delay_s,
-            lambda: self._link_heal_detected(a, b, record),
+            self.detection_delay_s, self._link_heal_detected, a, b, record
         )
 
     def _link_heal_detected(self, a: str, b: str, record: FaultRecord) -> None:
         if self.frr is not None:
-            for name in self.frr.handle_link_recovery(a, b):
-                self.reverts.append((self.scheduler.now, name))
+            self._revert([(a, b)])
         if self.ldp is not None:
             self.ldp.reconverge()
         # message LDP re-establishes on its own via the backoff retries
@@ -399,11 +376,10 @@ class FaultInjector:
     def _inject_link_loss(self, record: FaultRecord) -> None:
         a, b = record.spec.target
         if (a, b) not in self.network._link_of:
-            record.skipped = True
-            record.detail = "link is down; loss not applied"
+            record.skip("link is down; loss not applied")
             return
         link = self.network.link(a, b)
-        rate = float(record.spec.params.get("rate", 0.2))
+        rate = record.spec.params.get("rate", 0.2)
         record.detail = f"loss rate {rate}"
         link.set_loss(rate)
 
@@ -415,11 +391,10 @@ class FaultInjector:
     def _inject_link_corrupt(self, record: FaultRecord) -> None:
         a, b = record.spec.target
         if (a, b) not in self.network._link_of:
-            record.skipped = True
-            record.detail = "link is down; corruption not applied"
+            record.skip("link is down; corruption not applied")
             return
         link = self.network.link(a, b)
-        rate = float(record.spec.params.get("rate", 0.1))
+        rate = record.spec.params.get("rate", 0.1)
         record.detail = f"corruption rate {rate}"
         link.set_corruption(rate, corruptor=self._corrupt_packet)
 
@@ -445,8 +420,7 @@ class FaultInjector:
     def _inject_node_crash(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
         if name in self.network._down_nodes:
-            record.skipped = True
-            record.detail = "node already down"
+            record.skip("node already down")
             return
         self.network.fail_node(name)
         self._mark_node(name, up=False)
@@ -458,36 +432,8 @@ class FaultInjector:
             self.ldp.down_nodes.add(name)
         self.scheduler.after(
             self.detection_delay_s,
-            lambda: self._crash_detected(name, incident, record),
+            self._links_lost, record, incident, f"node {name} down",
         )
-
-    def _crash_detected(
-        self,
-        name: str,
-        incident: List[Tuple[str, str]],
-        record: FaultRecord,
-    ) -> None:
-        if self.frr is not None:
-            for a, b in incident:
-                repaired = self.frr.handle_link_failure(a, b)
-                if repaired:
-                    self.switchovers.append(
-                        SwitchoverRecord(
-                            time=self.scheduler.now,
-                            link=(a, b),
-                            paths=repaired,
-                            latency_s=(
-                                self.scheduler.now - record.injected_at
-                            ),
-                        )
-                    )
-        if self.ldp is not None:
-            self.ldp.reconverge()
-        if self.message_ldp is not None:
-            for a, b in incident:
-                self.message_ldp.drop_session(
-                    a, b, reason=f"node {name} down"
-                )
 
     def _heal_node_crash(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
@@ -502,40 +448,29 @@ class FaultInjector:
         if self.ldp is not None:
             self.ldp.down_nodes.discard(name)
         self.scheduler.after(
-            self.detection_delay_s,
-            lambda: self._restart_detected(name, restored, record),
+            self.detection_delay_s, self._restart_detected, restored, record
         )
 
     def _restart_detected(
-        self,
-        name: str,
-        restored: List[Tuple[str, str]],
-        record: FaultRecord,
+        self, restored: List[Tuple[str, str]], record: FaultRecord
     ) -> None:
         if self.ldp is not None:
             # the cold restart cleared the node's tables; reconvergence
             # re-programs them (and everyone routing through the node)
             self.ldp.reconverge()
         if self.frr is not None:
-            for a, b in restored:
-                for path in self.frr.handle_link_recovery(a, b):
-                    self.reverts.append((self.scheduler.now, path))
+            self._revert(restored)
         self._recovered(record)
 
     # -- graceful (warm) restart -------------------------------------------
     def _inject_node_restart(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
         if name in self.network._down_nodes or name in self._restarting:
-            record.skipped = True
-            record.detail = "node already down or restarting"
+            record.skip("node already down or restarting")
             return
-        hold_time = float(record.spec.params.get("hold_time", 0.25))
-        if self.ldp is not None:
-            ilm_marked, ftn_marked = self.ldp.begin_graceful_restart(name)
-        else:
-            ilm_marked, ftn_marked = (
-                self.message_ldp.begin_graceful_restart(name)
-            )
+        hold_time = record.spec.params.get("hold_time", 0.25)
+        process = self.ldp if self.ldp is not None else self.message_ldp
+        ilm_marked, ftn_marked = process.begin_graceful_restart(name)
         restart = RestartRecord(
             node=name,
             began_at=self.scheduler.now,
@@ -553,9 +488,7 @@ class FaultInjector:
         if tel.enabled:
             tel.stale_entries.labels(name, "ilm").set(ilm_marked)
             tel.stale_entries.labels(name, "ftn").set(ftn_marked)
-        self.scheduler.after(
-            hold_time, lambda: self._hold_expired(restart)
-        )
+        self.scheduler.after(hold_time, self._hold_expired, restart)
 
     def _heal_node_restart(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
@@ -610,18 +543,22 @@ class FaultInjector:
         restart.ftn_flushed = ftn_flushed
 
     # -- LDP session drop ---------------------------------------------------
-    def _inject_session_drop(self, record: FaultRecord) -> None:
+    def _inject_ldp_session_drop(self, record: FaultRecord) -> None:
         a, b = record.spec.target
         self.message_ldp.drop_session(a, b)
         record.detail = "session reset; backoff reconnect armed"
 
-    def _heal_noop(self, record: FaultRecord) -> None:
-        # recovery is autonomous (the process's own backoff machinery);
-        # finalize() back-fills recovered_at from sessions_recovered
-        pass
+    def _backfill_ldp_session_drop(self, record: FaultRecord) -> None:
+        # recovery is autonomous: whenever the process's own backoff
+        # machinery re-establishes the session
+        want = tuple(sorted(record.spec.target))
+        for when, a, b, _downtime in self.message_ldp.sessions_recovered:
+            if tuple(sorted((a, b))) == want and when >= record.injected_at:
+                record.recovered_at = when
+                return
 
     # -- information-base bit flips ----------------------------------------
-    def _inject_bitflip(self, record: FaultRecord) -> None:
+    def _inject_ib_bitflip(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
         node = self.network.nodes[name]
         params = record.spec.params
@@ -629,14 +566,13 @@ class FaultInjector:
         address = params.get("address")
         level, address = self._pick_slot(node, level, address)
         if level is None:
-            record.skipped = True
-            record.detail = "information base empty; nothing to corrupt"
+            record.skip("information base empty; nothing to corrupt")
             return
         # a scenario file's masks are cut to the memory widths here: the
         # modifier refuses an out-of-range operand instead of masking it
-        label_xor = int(params.get("label_xor", 0)) & LABEL_MAX
-        index_xor = int(params.get("index_xor", 0)) & KEY_MAX[level]
-        op_xor = int(params.get("op_xor", 0)) & 0x3
+        label_xor = params.get("label_xor", 0) & LABEL_MAX
+        index_xor = params.get("index_xor", 0) & KEY_MAX[level]
+        op_xor = params.get("op_xor", 0) & 0x3
         if not (label_xor or index_xor or op_xor):
             label_xor = 1 << self.rng.randrange(20)
         node.modifier.corrupt_pair(
@@ -662,9 +598,9 @@ class FaultInjector:
             return None, None
         if address is None:
             address = self.rng.randrange(counts[level - 1])
-        return int(level), int(address)
+        return level, address
 
-    def _heal_bitflip(self, record: FaultRecord) -> None:
+    def _heal_ib_bitflip(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
         node = self.network.nodes[name]
         reports = node.scrub_info_base()
@@ -678,7 +614,7 @@ class FaultInjector:
         spec = record.spec
         if spec.heal_at is not None:
             return spec.heal_at - spec.at
-        return float(spec.params.get("window", 0.5))
+        return spec.params.get("window", 0.5)
 
     def _storm_lsp_prefix(self, spec: FaultSpec) -> str:
         return f"__storm-{spec.label}-{spec.at:g}"
@@ -702,11 +638,10 @@ class FaultInjector:
 
             neighbors = sorted(self.network.topology.neighbors(target))
             if not neighbors:
-                record.skipped = True
-                record.detail = "target has no neighbors; nothing to flood"
+                record.skip("target has no neighbors; nothing to flood")
                 return
-            mappings = int(spec.params.get("mappings", 2000))
-            hellos = int(spec.params.get("hellos", 100))
+            mappings = spec.params.get("mappings", 2000)
+            hellos = spec.params.get("hellos", 100)
             for i in range(mappings):
                 msg = LDPMessage(
                     MsgType.LABEL_MAPPING,
@@ -716,17 +651,13 @@ class FaultInjector:
                     label=900_000 + i,
                 )
                 when = start + self.rng.uniform(0.0, window)
-                self.scheduler.at(
-                    when, lambda m=msg: self.message_ldp.send(m)
-                )
+                self.scheduler.at(when, self.message_ldp.send, msg)
             for i in range(hellos):
                 msg = LDPMessage(
                     MsgType.HELLO, self.rng.choice(neighbors), target
                 )
                 when = start + self.rng.uniform(0.0, window)
-                self.scheduler.at(
-                    when, lambda m=msg: self.message_ldp.send(m)
-                )
+                self.scheduler.at(when, self.message_ldp.send, msg)
             record.detail = (
                 f"{mappings} mappings + {hellos} hellos over {window:g}s"
             )
@@ -738,8 +669,8 @@ class FaultInjector:
         signaler = self.frr.signaler
         names = sorted(self.network.nodes)
         others = [n for n in names if n != target]
-        setups = int(spec.params.get("setups", 20))
-        bandwidth = float(spec.params.get("bandwidth_bps", 1e6))
+        setups = spec.params.get("setups", 20)
+        bandwidth = spec.params.get("bandwidth_bps", 1e6)
         prefix = self._storm_lsp_prefix(spec)
         attempted = succeeded = 0
         for i in range(setups):
@@ -766,14 +697,16 @@ class FaultInjector:
             f"@ {bandwidth:g} bps"
         )
 
+    def _sessions_up(self, node: str) -> bool:
+        """Is every LDP session of ``node`` (one per neighbour) up?"""
+        sessions = self.message_ldp.speakers[node].sessions
+        neighbors = self.network.topology.neighbors(node)
+        return all(n in sessions for n in neighbors)
+
     def _heal_signaling_storm(self, record: FaultRecord) -> None:
         spec = record.spec
-        target = spec.target[0]
         if self.message_ldp is not None:
-            speaker = self.message_ldp.speakers[target]
-            neighbors = sorted(self.network.topology.neighbors(target))
-            up = all(n in speaker.sessions for n in neighbors)
-            if up:
+            if self._sessions_up(spec.target[0]):
                 # the flood never took a session down: recovered as of
                 # the moment it stopped
                 self._recovered(record)
@@ -794,6 +727,20 @@ class FaultInjector:
         record.detail += f"; {torn} storm LSPs torn down"
         self._recovered(record)
 
+    def _backfill_signaling_storm(self, record: FaultRecord) -> None:
+        # the storm recovers when every session the flood took down has
+        # come back up (under FRR its heal already stamped the recovery)
+        target = record.spec.target[0]
+        if self.message_ldp is None or not self._sessions_up(target):
+            return
+        times = [
+            when
+            for when, a, b, _downtime in self.message_ldp.sessions_recovered
+            if target in (a, b) and when >= record.injected_at
+        ]
+        if times:
+            record.recovered_at = max(times)
+
     # -- adversarial faults --------------------------------------------------
     def _inject_label_spoof(self, record: FaultRecord) -> None:
         """Forge labelled packets over the target LER's trust boundary.
@@ -809,17 +756,16 @@ class FaultInjector:
         monitor = self.security
         window = self._storm_window(record)
         start = self.scheduler.now
-        packets = int(spec.params.get("packets", 40))
-        ttl = int(spec.params.get("ttl", 64))
-        src = str(spec.params.get("src", "203.0.113.66"))
+        packets = spec.params.get("packets", 40)
+        ttl = spec.params.get("ttl", 64)
+        src = spec.params.get("src", "203.0.113.66")
         speaker = self.message_ldp.speakers[target]
         fecs = [
             f for f in sorted(speaker.local_labels)
             if not f.startswith("__")
         ]
         if not fecs:
-            record.skipped = True
-            record.detail = "target announces no FECs; nothing to spoof"
+            record.skip("target announces no FECs; nothing to spoof")
             return
         attack = monitor.begin_attack(spec.kind.value, spec.label, start)
         for i in range(packets):
@@ -838,14 +784,14 @@ class FaultInjector:
             pkt = MPLSPacket(
                 LabelStack([LabelEntry(label=label, ttl=ttl)]), inner
             )
-            self.scheduler.at(
-                when,
-                lambda p=pkt: self.network.inject_external(target, p),
-            )
+            self.scheduler.at(when, self.network.inject_external, target, pkt)
         record.detail = (
             f"{packets} forged stacks across {len(fecs)} FEC(s) "
             f"over {window:g}s"
         )
+
+    # the forged train ends inside the window: the heal is the recovery
+    _heal_label_spoof = _recovered
 
     def _inject_ldp_hijack(self, record: FaultRecord) -> None:
         """Forge an LDP shutdown against the target session.
@@ -871,6 +817,16 @@ class FaultInjector:
         msg = LDPMessage(MsgType.SHUTDOWN, a, b, auth=forged)
         self.message_ldp.send(msg)
         record.detail = f"forged shutdown {a}->{b} with bad auth token"
+
+    def _backfill_ldp_hijack(self, record: FaultRecord) -> None:
+        # a rejected hijack never tore anything down: recovered the
+        # moment it was rejected.  An accepted one recovers exactly like
+        # a session drop.
+        attack = self._attack(record)
+        if attack is not None and attack.packets_rejected:
+            record.recovered_at = attack.detected_at
+        else:
+            self._backfill_ldp_session_drop(record)
 
     def _inject_xconnect_leak(self, record: FaultRecord) -> None:
         """Corrupt one ILM entry so a victim FEC's traffic is switched
@@ -905,8 +861,7 @@ class FaultInjector:
         if victim is not None:
             candidates = [c for c in candidates if c[0] == victim]
         if not candidates:
-            record.skipped = True
-            record.detail = (
+            record.skip(
                 "no transit ILM entry to cross-connect"
                 + (f" for victim {victim!r}" if victim else "")
             )
@@ -923,8 +878,7 @@ class FaultInjector:
         if imposter is not None:
             imposters = [f for f in imposters if f == imposter]
         if not imposters:
-            record.skipped = True
-            record.detail = (
+            record.skip(
                 f"no imposter FEC at {nhlfe.next_hop} to leak "
                 f"{victim} into"
             )
@@ -941,6 +895,19 @@ class FaultInjector:
             f"{imposter}'s LSP"
         )
 
+    def _backfill_xconnect_leak(self, record: FaultRecord) -> None:
+        # quarantine *is* the recovery: the poisoned entry is out of the
+        # table from that audit pass on
+        attack = self._attack(record)
+        if attack is not None:
+            record.recovered_at = attack.mitigated_at
+
+    def _attack(self, record: FaultRecord):
+        """The security monitor's account of an attack fault, if any."""
+        if self.security is None:
+            return None
+        return self.security.attack(record.spec.kind.value, record.spec.label)
+
     def _inject_ttl_flood(self, record: FaultRecord) -> None:
         """Storm the target edge with TTL=1 packets aimed at routed
         prefixes: every one expires at the ingress and punts exception
@@ -951,8 +918,8 @@ class FaultInjector:
         monitor = self.security
         window = self._storm_window(record)
         start = self.scheduler.now
-        packets = int(spec.params.get("packets", 400))
-        src = str(spec.params.get("src", "203.0.113.66"))
+        packets = spec.params.get("packets", 400)
+        src = spec.params.get("src", "203.0.113.66")
         # dst must be a routed prefix: the ingress FTN lookup precedes
         # its TTL check, so an unroutable flood never reaches the
         # exception path.  Skip prefixes homed at the target itself --
@@ -968,8 +935,7 @@ class FaultInjector:
             if prefix not in local
         )
         if not pairs:
-            record.skipped = True
-            record.detail = "no routed prefixes to aim the flood at"
+            record.skip("no routed prefixes to aim the flood at")
             return
         attack = monitor.begin_attack(spec.kind.value, spec.label, start)
         for i in range(packets):
@@ -980,27 +946,18 @@ class FaultInjector:
                 src=src, dst=dst, ttl=1,
                 flow_id=flow_id, seq=i, created_at=when,
             )
-            self.scheduler.at(
-                when,
-                lambda p=pkt: self.network.inject_external(target, p),
-            )
+            self.scheduler.at(when, self.network.inject_external, target, pkt)
         record.detail = f"{packets} TTL=1 packets over {window:g}s"
 
-    def _heal_ttl_flood(self, record: FaultRecord) -> None:
-        target = record.spec.target[0]
-        speaker = self.message_ldp.speakers[target]
-        neighbors = sorted(self.network.topology.neighbors(target))
-        if all(n in speaker.sessions for n in neighbors):
-            # the flood never starved a session to death: recovered as
-            # of the moment it stopped
-            self._recovered(record)
-        # else finalize() back-fills from sessions_recovered
+    # the flood stops: recovered now if it never starved a session to
+    # death, else when the sessions it killed are back
+    _heal_ttl_flood = _heal_signaling_storm
+    _backfill_ttl_flood = _backfill_signaling_storm
 
     # -- controller faults ---------------------------------------------------
     def _inject_controller_crash(self, record: FaultRecord) -> None:
         if not self.controller.alive:
-            record.skipped = True
-            record.detail = "controller already down"
+            record.skip("controller already down")
             return
         self.controller.crash()
         record.detail = (
@@ -1018,11 +975,22 @@ class FaultInjector:
             self._recovered(record)
         # else finalize() back-fills recovered_at from the readopts
 
+    def _backfill_controller_crash(self, record: FaultRecord) -> None:
+        # recovered once every node has been re-adopted after the
+        # restart: the time of the last readopt
+        if record.healed_at is None:
+            return
+        times: Dict[str, float] = {}
+        for entry in self.controller.readopts:
+            if entry["at"] >= record.healed_at:
+                times.setdefault(entry["node"], entry["at"])
+        if all(n in times for n in self.controller.channels):
+            record.recovered_at = max(times.values())
+
     def _inject_controller_partition(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
         if self.controller.channels[name].partitioned:
-            record.skipped = True
-            record.detail = "channel already partitioned"
+            record.skip("channel already partitioned")
             return
         self.controller.cut(name)
         record.detail = f"controller channel to {name} cut"
@@ -1034,6 +1002,15 @@ class FaultInjector:
         if not self.controller.config.enabled:
             self._recovered(record)
         # else finalize() back-fills recovered_at from the readopts
+
+    def _backfill_controller_partition(self, record: FaultRecord) -> None:
+        if record.healed_at is None:
+            return
+        target = record.spec.target[0]
+        for entry in self.controller.readopts:
+            if entry["node"] == target and entry["at"] >= record.healed_at:
+                record.recovered_at = entry["at"]
+                return
 
     # -- timelines ----------------------------------------------------------
     def _mark_link(self, a: str, b: str, up: bool) -> None:
@@ -1064,101 +1041,17 @@ class FaultInjector:
 
     # -- wrap-up ------------------------------------------------------------
     def finalize(self) -> None:
-        """Back-fill recovery times that are observed, not scheduled:
+        """Back-fill recovery times that are observed, not scheduled --
         an LDP session drop recovers whenever the process's backoff
-        machinery re-establishes the session, and a controller fault
-        recovers whenever the PCE's reconnect loop re-adopts."""
-        if self.controller is not None:
-            readopts = list(self.controller.readopts)
-            all_nodes = sorted(self.controller.channels)
-            for record in self.records:
-                if record.recovered_at is not None or record.skipped:
-                    continue
-                if record.spec.kind is FaultKind.CONTROLLER_CRASH:
-                    # recovered once every node has been re-adopted
-                    # after the restart: the time of the last readopt
-                    restart_at = record.healed_at
-                    if restart_at is None:
-                        continue
-                    times: Dict[str, float] = {}
-                    for entry in readopts:
-                        if entry["at"] >= restart_at:
-                            times.setdefault(entry["node"], entry["at"])
-                    if all(n in times for n in all_nodes):
-                        record.recovered_at = max(times.values())
-                elif record.spec.kind is FaultKind.CONTROLLER_PARTITION:
-                    healed_at = record.healed_at
-                    if healed_at is None:
-                        continue
-                    target = record.spec.target[0]
-                    for entry in readopts:
-                        if (
-                            entry["node"] == target
-                            and entry["at"] >= healed_at
-                        ):
-                            record.recovered_at = entry["at"]
-                            break
-        if self.message_ldp is None:
-            return
-        recovered = list(self.message_ldp.sessions_recovered)
+        machinery re-establishes the session, a controller fault
+        whenever the PCE's reconnect loop re-adopts: each unrecovered
+        record's ``_backfill_<kind>``, if its kind has one."""
         for record in self.records:
             if record.recovered_at is not None or record.skipped:
                 continue
-            if record.spec.kind in (
-                FaultKind.LDP_SESSION_DROP,
-                FaultKind.LDP_HIJACK,
-            ):
-                # an accepted hijack recovers exactly like a session
-                # drop: whenever the backoff machinery re-establishes
-                # the torn-down session.  A rejected one never tore
-                # anything down: recovered the moment it was rejected.
-                if (
-                    record.spec.kind is FaultKind.LDP_HIJACK
-                    and self.security is not None
-                ):
-                    attack = self.security.attack(
-                        record.spec.kind.value, record.spec.label
-                    )
-                    if attack is not None and attack.packets_rejected:
-                        record.recovered_at = attack.detected_at
-                        continue
-                want = tuple(sorted(record.spec.target))
-                for when, a, b, _downtime in recovered:
-                    if (
-                        tuple(sorted((a, b))) == want
-                        and when >= record.injected_at
-                    ):
-                        record.recovered_at = when
-                        break
-            elif record.spec.kind is FaultKind.XCONNECT_LEAK:
-                # quarantine *is* the recovery: the poisoned entry is
-                # out of the table from that audit pass on
-                if self.security is not None:
-                    attack = self.security.attack(
-                        record.spec.kind.value, record.spec.label
-                    )
-                    if attack is not None:
-                        record.recovered_at = attack.mitigated_at
-            elif record.spec.kind in (
-                FaultKind.SIGNALING_STORM,
-                FaultKind.TTL_FLOOD,
-            ):
-                # the storm recovers when every session the flood took
-                # down has come back up
-                target = record.spec.target[0]
-                speaker = self.message_ldp.speakers[target]
-                neighbors = sorted(
-                    self.network.topology.neighbors(target)
-                )
-                if not all(n in speaker.sessions for n in neighbors):
-                    continue
-                times = [
-                    when
-                    for when, a, b, _downtime in recovered
-                    if target in (a, b) and when >= record.injected_at
-                ]
-                if times:
-                    record.recovered_at = max(times)
+            backfill = self._backfills[record.spec.kind]
+            if backfill is not None:
+                backfill(self, record)
 
     @property
     def mttr_values(self) -> List[float]:

@@ -54,7 +54,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.mpls.router import RouterRole
 from repro.net.topology import (
@@ -90,115 +90,207 @@ class FaultKind(str, Enum):
     CONTROLLER_PARTITION = "controller-partition"  #: channel cut to one node
 
 
-#: kinds whose target is a link (two node names)
-LINK_KINDS = frozenset(
-    {
-        FaultKind.LINK_DOWN,
-        FaultKind.LINK_FLAP,
-        FaultKind.LINK_LOSS,
-        FaultKind.LINK_CORRUPT,
-        FaultKind.LDP_SESSION_DROP,
-        FaultKind.LDP_HIJACK,
-    }
-)
+def _kind(value: Any) -> FaultKind:
+    try:
+        return FaultKind(value)
+    except ValueError:
+        raise ScenarioError(f"unknown fault kind {value!r}") from None
 
-#: kinds whose target is a single node
-NODE_KINDS = frozenset(
-    {
-        FaultKind.NODE_CRASH,
-        FaultKind.NODE_RESTART,
-        FaultKind.IB_BITFLIP,
-        FaultKind.SIGNALING_STORM,
-        FaultKind.LABEL_SPOOF,
-        FaultKind.XCONNECT_LEAK,
-        FaultKind.TTL_FLOOD,
-    }
-)
 
-#: controller kinds: require the scenario's ``controller`` key so the
-#: fault has a PCE (armed or deliberately disabled) to act on.  The
-#: crash targets the literal node name ``"controller"``; the partition
-#: targets the one node whose channel is cut.
-CONTROLLER_KINDS = frozenset(
-    {
-        FaultKind.CONTROLLER_CRASH,
-        FaultKind.CONTROLLER_PARTITION,
-    }
-)
+def _parser(convert, holds, want):
+    """A param parser: ``convert`` a scenario file's value, then refuse
+    it unless it ``holds`` (``want`` says what would)."""
 
-#: adversarial kinds: require the scenario's ``security`` key so every
-#: attack runs against an armed (or deliberately disarmed) monitor
-SECURITY_KINDS = frozenset(
-    {
-        FaultKind.LABEL_SPOOF,
-        FaultKind.LDP_HIJACK,
-        FaultKind.XCONNECT_LEAK,
-        FaultKind.TTL_FLOOD,
-    }
-)
+    def parse(value):
+        parsed = convert(value)
+        if not holds(parsed):
+            raise ValueError(f"must be {want}")
+        return parsed
 
-#: accepted per-kind scenario params (name -> description).  This is
-#: the single validation table: ``FaultSpec.from_dict`` rejects any
-#: key outside it, and ``repro chaos --list-faults`` renders it, so a
-#: misspelled knob (``losss=0.5``) errors instead of silently
-#: vanishing into an ignored params dict.
-FAULT_PARAMS: Dict[FaultKind, Dict[str, str]] = {
-    FaultKind.LINK_DOWN: {},
-    FaultKind.LINK_FLAP: {
-        "flaps": "number of down/up cycles (default 3)",
-        "period": "cycle length in seconds, 50% duty (default 0.05)",
-    },
-    FaultKind.LINK_LOSS: {
-        "rate": "packet loss probability while active (default 0.2)",
-    },
-    FaultKind.LINK_CORRUPT: {
-        "rate": "label bit-error probability while active (default 0.1)",
-    },
-    FaultKind.NODE_CRASH: {},
-    FaultKind.NODE_RESTART: {
-        "hold_time": "RFC 3478 forwarding-state holding timer in "
-                     "seconds after injection (default 0.25)",
-    },
-    FaultKind.LDP_SESSION_DROP: {},
-    FaultKind.IB_BITFLIP: {
-        "level": "info-base level 1..3 to corrupt (default: seeded)",
-        "address": "entry address within the level (default: seeded)",
-        "label_xor": "XOR mask applied to the stored label (default 0)",
-        "index_xor": "XOR mask applied to the stored index (default 0)",
-        "op_xor": "XOR mask applied to the stored opcode (default 0)",
-    },
-    FaultKind.SIGNALING_STORM: {
-        "mappings": "forged label mappings to flood (default 2000)",
-        "hellos": "forged hellos to flood (default 100)",
-        "window": "storm length in seconds when heal_at is omitted "
-                  "(default 0.5)",
-        "setups": "priority LSP setup bursts, frr control (default 20)",
-        "bandwidth_bps": "bandwidth per burst LSP, frr control "
-                         "(default 1e6)",
-    },
-    FaultKind.LABEL_SPOOF: {
-        "packets": "forged labelled packets to inject (default 40)",
-        "window": "injection window in seconds when heal_at is "
-                  "omitted (default 0.5)",
-        "ttl": "TTL carried by the forged stacks (default 64)",
-        "src": "spoofed source address (default 203.0.113.66)",
-    },
-    FaultKind.LDP_HIJACK: {},
-    FaultKind.XCONNECT_LEAK: {
-        "victim": "FEC id whose ILM entry is corrupted (default: "
-                  "first announced FEC at the target)",
-        "imposter": "FEC id whose LSP receives the leaked traffic "
-                    "(default: first FEC with a different egress)",
-    },
-    FaultKind.TTL_FLOOD: {
-        "packets": "TTL=1 packets to inject (default 400)",
-        "window": "flood length in seconds when heal_at is omitted "
-                  "(default 0.5)",
-        "src": "spoofed source address (default 203.0.113.66)",
-    },
-    FaultKind.CONTROLLER_CRASH: {},
-    FaultKind.CONTROLLER_PARTITION: {},
+    return parse
+
+
+# every test is positive, so a NaN fails them all
+_LOSS = _parser(float, lambda x: 0 <= x < 1, "in [0, 1)")  # as set_loss
+_PROBABILITY = _parser(float, lambda x: 0 <= x <= 1, "in [0, 1]")
+_AMOUNT = _parser(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+_FINITE = _parser(float, math.isfinite, "finite")
+_COUNT = _parser(int, lambda n: n >= 0, ">= 0")
+_LEVEL = _parser(int, lambda n: 1 <= n <= 3, "1, 2 or 3")
+_TTL = _parser(int, lambda n: 0 <= n <= 255, "in 0..255")
+
+
+@dataclass(frozen=True)
+class Param:
+    """One accepted fault param: its ``--list-faults`` line, and how a
+    scenario file's value becomes what the injector reads."""
+
+    description: str
+    parse: Callable[[Any], Any]
+
+
+@dataclass(frozen=True)
+class KindContract:
+    """What the loader, the injector and ``--list-faults`` know about
+    one fault kind: one row of :data:`FAULT_KINDS`."""
+
+    #: ``"link"`` (two node names), ``"node"`` or ``"controller"`` (the
+    #: literal name ``"controller"``)
+    target: str
+    params: Mapping[str, Param] = field(default_factory=dict)
+    #: the scenario key the kind needs (a :data:`KIND_KEYS` name)
+    key: Optional[str] = None
+    #: the ``control`` values any one of which the kind needs (empty: any)
+    controls: Tuple[str, ...] = ()
+    #: what those control planes provide, named in the refusal
+    feature: str = ""
+    #: the target must be an edge LER / a hardware node, and the run
+    #: needs bounded control queues (the ``overload`` key)
+    edge: bool = False
+    hardware: bool = False
+    queues: bool = False
+    #: how the randomized schedule draws a target: ``"link"``,
+    #: ``"core"`` (a node no flow starts or ends at) or None (never: the
+    #: target is part of the fault -- an attack's edge or link, a
+    #: hardware node, the controller)
+    draw_target: Optional[str] = None
+    #: params the randomized schedule draws, uniform in ``(lo, hi)``
+    draw_params: Mapping[str, Tuple[float, float]] = field(
+        default_factory=dict)
+    #: sugar: :meth:`Scenario.materialize` replaces the spec with what
+    #: this returns, so the injector never sees the kind
+    expand: Optional[Callable[["FaultSpec"], List["FaultSpec"]]] = None
+
+
+#: what a scenario key a kind needs arms: (the ``--list-faults`` tag,
+#: what the injector calls it, why such faults need it)
+KIND_KEYS: Dict[str, Tuple[str, str, str]] = {
+    "security": (
+        "adversarial",
+        "a security monitor",
+        "adversarial faults are measured against the security monitor's "
+        "guards (set \"enabled\": false to run them unmitigated)",
+    ),
+    "controller": (
+        "controller",
+        "a PCE controller",
+        "controller faults act on the PCE and its node channels (set "
+        "\"enabled\": false to run them against a dark controller)",
+    ),
 }
+
+
+def _expand_flap(spec: "FaultSpec") -> List["FaultSpec"]:
+    """A flap is sugar for ``flaps`` short link-down/up cycles, each
+    ``period`` long with a 50% duty cycle."""
+    flaps = spec.params.get("flaps", 3)
+    period = spec.params.get("period", 0.05)
+    if flaps < 1 or period <= 0:
+        raise ScenarioError(f"bad flap parameters in {spec!r}")
+    return [
+        FaultSpec(
+            kind=FaultKind.LINK_DOWN,
+            at=round(spec.at + i * period, 9),
+            target=spec.target,
+            heal_at=round(spec.at + i * period + period / 2, 9),
+        )
+        for i in range(flaps)
+    ]
+
+
+_SRC = Param("spoofed source address (default 203.0.113.66)", str)
+
+#: the fault kind contract, one row per kind.  Adding a kind is one row
+#: here plus the injector's ``_inject_<kind>`` method and its
+#: ``_heal_<kind>`` and/or ``_backfill_<kind>``.  ``FaultSpec`` refuses
+#: a param outside the row (a misspelled ``losss=0.5`` errors instead
+#: of vanishing) or one its parser refuses; ``--list-faults`` renders
+#: the rows.
+FAULT_KINDS: Dict[FaultKind, KindContract] = {
+    FaultKind.LINK_DOWN: KindContract("link", draw_target="link"),
+    FaultKind.LINK_FLAP: KindContract("link", {
+        "flaps": Param("number of down/up cycles (default 3)", int),
+        "period": Param("cycle length in seconds, 50% duty (default 0.05)",
+                        _FINITE),
+    }, draw_target="link", expand=_expand_flap),
+    FaultKind.LINK_LOSS: KindContract("link", {
+        "rate": Param("packet loss probability while active (default 0.2)",
+                      _LOSS),
+    }, draw_target="link", draw_params={"rate": (0.05, 0.4)}),
+    FaultKind.LINK_CORRUPT: KindContract("link", {
+        "rate": Param("label bit-error probability while active "
+                      "(default 0.1)", _PROBABILITY),
+    }, draw_target="link", draw_params={"rate": (0.05, 0.3)}),
+    FaultKind.NODE_CRASH: KindContract("node", draw_target="core"),
+    FaultKind.NODE_RESTART: KindContract("node", {
+        "hold_time": Param("RFC 3478 forwarding-state holding timer in "
+                           "seconds after injection (default 0.25)", _AMOUNT),
+    }, controls=("ldp", "ldp-messages"), feature="graceful restart",
+        draw_target="core"),
+    FaultKind.LDP_SESSION_DROP: KindContract(
+        "link", controls=("ldp-messages",), draw_target="link"),
+    FaultKind.IB_BITFLIP: KindContract("node", {
+        "level": Param("info-base level 1..3 to corrupt (default: seeded)",
+                       _LEVEL),
+        "address": Param("entry address within the level (default: seeded)",
+                         _COUNT),
+        "label_xor": Param("XOR mask applied to the stored label (default 0)",
+                           int),
+        "index_xor": Param("XOR mask applied to the stored index (default 0)",
+                           int),
+        "op_xor": Param("XOR mask applied to the stored opcode (default 0)",
+                        int),
+    }, hardware=True),
+    FaultKind.SIGNALING_STORM: KindContract("node", {
+        "mappings": Param("forged label mappings to flood (default 2000)",
+                          _COUNT),
+        "hellos": Param("forged hellos to flood (default 100)", _COUNT),
+        "window": Param("storm length in seconds when heal_at is omitted "
+                        "(default 0.5)", _AMOUNT),
+        "setups": Param("priority LSP setup bursts, frr control (default 20)",
+                        _COUNT),
+        "bandwidth_bps": Param("bandwidth per burst LSP, frr control "
+                               "(default 1e6)", _AMOUNT),
+    }, controls=("ldp-messages", "frr"), draw_target="core"),
+    FaultKind.LABEL_SPOOF: KindContract("node", {
+        "packets": Param("forged labelled packets to inject (default 40)",
+                         _COUNT),
+        "window": Param("injection window in seconds when heal_at is "
+                        "omitted (default 0.5)", _AMOUNT),
+        "ttl": Param("TTL carried by the forged stacks (default 64)", _TTL),
+        "src": _SRC,
+    }, key="security", controls=("ldp-messages",), edge=True),
+    FaultKind.LDP_HIJACK: KindContract(
+        "link", key="security", controls=("ldp-messages",)),
+    FaultKind.XCONNECT_LEAK: KindContract("node", {
+        "victim": Param("FEC id whose ILM entry is corrupted (default: "
+                        "first announced FEC at the target)", str),
+        "imposter": Param("FEC id whose LSP receives the leaked traffic "
+                          "(default: first FEC with a different egress)",
+                          str),
+    }, key="security", controls=("ldp-messages",)),
+    FaultKind.TTL_FLOOD: KindContract("node", {
+        "packets": Param("TTL=1 packets to inject (default 400)", _COUNT),
+        "window": Param("flood length in seconds when heal_at is omitted "
+                        "(default 0.5)", _AMOUNT),
+        "src": _SRC,
+    }, key="security", controls=("ldp-messages",), edge=True, queues=True),
+    FaultKind.CONTROLLER_CRASH: KindContract("controller", key="controller"),
+    # the partition targets the one node whose channel is cut
+    FaultKind.CONTROLLER_PARTITION: KindContract("node", key="controller"),
+}
+
+
+def _kinds(test: Callable[[KindContract], bool]) -> frozenset:
+    return frozenset(k for k, c in FAULT_KINDS.items() if test(c))
+
+
+# views of the table
+LINK_KINDS = _kinds(lambda c: c.target == "link")
+SECURITY_KINDS = _kinds(lambda c: c.key == "security")
+CONTROLLER_KINDS = _kinds(lambda c: c.key == "controller")
+FAULT_PARAMS = {kind: {name: p.description for name, p in c.params.items()}
+                for kind, c in FAULT_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -207,7 +299,9 @@ class FaultSpec:
 
     ``target`` is ``(a, b)`` for link-scoped kinds and ``(node,)`` for
     node-scoped ones.  ``params`` carries kind-specific knobs (loss
-    ``rate``, bit-flip ``level``/``address``, flap ``flaps``/``period``).
+    ``rate``, bit-flip ``level``/``address``, flap ``flaps``/``period``),
+    each parsed by its row of :data:`FAULT_KINDS`; a ``None`` value is
+    the default, as for ``heal_at``.
     """
 
     kind: FaultKind
@@ -217,7 +311,26 @@ class FaultSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        want = 2 if self.kind in LINK_KINDS else 1
+        contract = FAULT_KINDS[self.kind]
+        accepted = contract.params
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise ScenarioError(
+                f"{self.kind.value}: unknown param(s) {', '.join(unknown)} "
+                f"(accepted: {', '.join(sorted(accepted)) or 'none'})"
+            )
+        parsed = {}
+        for name, value in self.params.items():
+            if value is None:
+                continue
+            try:
+                parsed[name] = accepted[name].parse(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioError(
+                    f"{self.kind.value}: bad {name} {value!r}: {exc}"
+                ) from None
+        object.__setattr__(self, "params", parsed)
+        want = 2 if contract.target == "link" else 1
         if len(self.target) != want:
             raise ScenarioError(
                 f"{self.kind.value} targets {want} node(s), "
@@ -237,12 +350,9 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "FaultSpec":
-        try:
-            kind = FaultKind(raw["kind"])
-        except KeyError:
+        if "kind" not in raw:
             raise ScenarioError(f"fault entry missing 'kind': {raw!r}")
-        except ValueError:
-            raise ScenarioError(f"unknown fault kind {raw['kind']!r}")
+        kind = _kind(raw["kind"])
         target = raw.get("target")
         if isinstance(target, str):
             target = (target,)
@@ -255,13 +365,6 @@ class FaultSpec:
             for k, v in raw.items()
             if k not in ("kind", "at", "target", "heal_at")
         }
-        allowed = FAULT_PARAMS[kind]
-        unknown = sorted(set(params) - set(allowed))
-        if unknown:
-            raise ScenarioError(
-                f"{kind.value}: unknown param(s) {', '.join(unknown)} "
-                f"(accepted: {', '.join(sorted(allowed)) or 'none'})"
-            )
         return cls(
             kind=kind,
             at=float(raw.get("at", 0.0)),
@@ -351,7 +454,7 @@ class RandomFaultSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "RandomFaultSpec":
-        kinds = [FaultKind(k) for k in raw.get("kinds", ["link-down"])]
+        kinds = [_kind(k) for k in raw.get("kinds", ["link-down"])]
         window = tuple(float(t) for t in raw.get("window", (0.0, 1.0)))
         if len(window) != 2 or window[1] <= window[0]:
             raise ScenarioError(f"bad random window {window!r}")
@@ -375,6 +478,13 @@ _TOPOLOGY_BUILDERS = {
     "line": line,
     "full_mesh": full_mesh,
 }
+
+#: the optional subsystem keys: each an object configuring what it
+#: arms, or absent (None) to run without it
+_SUBSYSTEM_KEYS = (
+    "audit", "oam", "overload", "flows", "alerts", "security", "topo",
+    "controller",
+)
 
 
 @dataclass
@@ -442,43 +552,31 @@ class Scenario:
                 "'alerts' needs 'flows': the alert engine is evaluated "
                 "on the traffic-matrix collector tick"
             )
-        attack_kinds = {
-            s.kind for s in self.faults if s.kind in SECURITY_KINDS
-        }
+        kinds = {s.kind for s in self.faults}
         if self.random_faults is not None:
-            attack_kinds |= {
-                k for k in self.random_faults.kinds if k in SECURITY_KINDS
-            }
-        if attack_kinds and self.security is None:
-            names = ", ".join(sorted(k.value for k in attack_kinds))
-            raise ScenarioError(
-                f"'{names}' faults need a 'security' key: adversarial "
-                "faults are measured against the security monitor's "
-                "guards (set \"enabled\": false to run them unmitigated)"
+            kinds.update(self.random_faults.kinds)
+        for key, (_, _, why) in KIND_KEYS.items():
+            needing = sorted(
+                k.value for k in kinds if FAULT_KINDS[k].key == key
             )
-        controller_kinds = {
-            s.kind for s in self.faults if s.kind in CONTROLLER_KINDS
-        }
-        if self.random_faults is not None:
-            controller_kinds |= {
-                k
-                for k in self.random_faults.kinds
-                if k in CONTROLLER_KINDS
-            }
-        if controller_kinds and self.controller is None:
-            names = ", ".join(sorted(k.value for k in controller_kinds))
-            raise ScenarioError(
-                f"'{names}' faults need a 'controller' key: controller "
-                "faults act on the PCE and its node channels (set "
-                "\"enabled\": false to run them against a dark "
-                "controller)"
-            )
+            if needing and getattr(self, key) is None:
+                raise ScenarioError(
+                    f"'{', '.join(needing)}' faults need a '{key}' key: {why}"
+                )
 
     # -- construction -------------------------------------------------------
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "Scenario":
         faults = [FaultSpec.from_dict(f) for f in raw.get("faults", [])]
         rand = raw.get("random_faults")
+        subsystems = {}
+        for key in _SUBSYSTEM_KEYS:
+            value = raw.get(key)
+            if value is not None and not isinstance(value, Mapping):
+                raise ScenarioError(
+                    f"'{key}' must be an object, got {value!r}"
+                )
+            subsystems[key] = None if value is None else dict(value)
         return cls(
             name=raw.get("name", "unnamed"),
             description=raw.get("description", ""),
@@ -496,36 +594,7 @@ class Scenario:
             random_faults=(
                 RandomFaultSpec.from_dict(rand) if rand else None
             ),
-            audit=(
-                dict(raw["audit"]) if raw.get("audit") is not None else None
-            ),
-            oam=(
-                dict(raw["oam"]) if raw.get("oam") is not None else None
-            ),
-            overload=(
-                dict(raw["overload"])
-                if raw.get("overload") is not None
-                else None
-            ),
-            flows=(
-                dict(raw["flows"]) if raw.get("flows") is not None else None
-            ),
-            alerts=(
-                dict(raw["alerts"]) if raw.get("alerts") is not None else None
-            ),
-            security=(
-                dict(raw["security"])
-                if raw.get("security") is not None
-                else None
-            ),
-            topo=(
-                dict(raw["topo"]) if raw.get("topo") is not None else None
-            ),
-            controller=(
-                dict(raw["controller"])
-                if raw.get("controller") is not None
-                else None
-            ),
+            **subsystems,
         )
 
     @classmethod
@@ -568,41 +637,23 @@ class Scenario:
 
     # -- schedule expansion -------------------------------------------------
     def materialize(self, seed: int) -> List[FaultSpec]:
-        """The full fault schedule: explicit faults (flaps expanded)
-        plus the seeded randomized schedule, sorted by injection time."""
-        schedule: List[FaultSpec] = []
-        for spec in self.faults:
-            if spec.kind is FaultKind.LINK_FLAP:
-                schedule.extend(_expand_flap(spec))
-            else:
-                schedule.append(spec)
+        """The full fault schedule: explicit faults plus the seeded
+        randomized schedule, sugar (flaps) expanded, sorted by injection
+        time."""
+        schedule = [s for spec in self.faults for s in _expanded(spec)]
         if self.random_faults is not None:
             topo, _ = self.build_topology()
-            schedule.extend(
-                _random_schedule(
-                    self.random_faults, topo, self, seed, schedule
-                )
+            drawn = _random_schedule(
+                self.random_faults, topo, self, seed, schedule
             )
+            schedule.extend(s for spec in drawn for s in _expanded(spec))
         schedule.sort(key=lambda s: (s.at, s.kind.value, s.target))
         return schedule
 
 
-def _expand_flap(spec: FaultSpec) -> List[FaultSpec]:
-    """A flap is sugar for ``flaps`` short link-down/up cycles, each
-    ``period`` long with a 50% duty cycle."""
-    flaps = int(spec.params.get("flaps", 3))
-    period = float(spec.params.get("period", 0.05))
-    if flaps < 1 or period <= 0:
-        raise ScenarioError(f"bad flap parameters in {spec!r}")
-    return [
-        FaultSpec(
-            kind=FaultKind.LINK_DOWN,
-            at=round(spec.at + i * period, 9),
-            target=spec.target,
-            heal_at=round(spec.at + i * period + period / 2, 9),
-        )
-        for i in range(flaps)
-    ]
+def _expanded(spec: FaultSpec) -> List[FaultSpec]:
+    expand = FAULT_KINDS[spec.kind].expand
+    return [spec] if expand is None else expand(spec)
 
 
 def _random_schedule(
@@ -639,25 +690,14 @@ def _random_schedule(
     while len(out) < rand.count and attempts < rand.count * 20:
         attempts += 1
         kind = rng.choice(sorted(rand.kinds, key=lambda k: k.value))
+        contract = FAULT_KINDS[kind]
         if rand.targets is not None:
             target = tuple(rng.choice(rand.targets))
-        elif kind in SECURITY_KINDS:
-            # adversarial kinds need explicit targets: the edge/link
-            # choice is part of the attack, not a random draw
-            continue
-        elif kind in LINK_KINDS:
+        elif contract.draw_target == "link":
             target = rng.choice(links)
-        elif (
-            kind
-            in (
-                FaultKind.NODE_CRASH,
-                FaultKind.NODE_RESTART,
-                FaultKind.SIGNALING_STORM,
-            )
-            and core
-        ):
+        elif contract.draw_target == "core" and core:
             target = (rng.choice(core),)
-        else:  # node-scoped with no core nodes: nothing safe to break
+        else:  # never drawn, or a node kind with no core node to break
             continue
         at = round(rng.uniform(*rand.window), 6)
         outage = max(rand.mean_outage / 10.0,
@@ -669,11 +709,10 @@ def _random_schedule(
         if any(at < hi and heal_at > lo for lo, hi in intervals):
             continue  # overlaps an existing outage on this target
         intervals.append((at, heal_at))
-        params: Dict[str, Any] = {}
-        if kind is FaultKind.LINK_LOSS:
-            params["rate"] = round(rng.uniform(0.05, 0.4), 3)
-        elif kind is FaultKind.LINK_CORRUPT:
-            params["rate"] = round(rng.uniform(0.05, 0.3), 3)
+        params = {
+            name: round(rng.uniform(lo, hi), 3)
+            for name, (lo, hi) in contract.draw_params.items()
+        }
         out.append(
             FaultSpec(
                 kind=kind, at=at, target=target,

@@ -107,10 +107,11 @@ class TestChaosCLI:
 
 
 class TestHostileScenarioCLI:
-    """A traffic entry no run can mean ends ``repro chaos`` with one
-    line and a non-zero exit -- never a traceback from inside the event
-    loop, never a source spinning until the event budget (a subprocess
-    with a 5 s limit, so a regression fails instead of hanging)."""
+    """A traffic entry or fault param no run can mean ends ``repro
+    chaos`` with one line and a non-zero exit -- never a traceback from
+    inside the event loop, never a source spinning until the event
+    budget (a subprocess with a 5 s limit, so a regression fails
+    instead of hanging)."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -127,9 +128,54 @@ class TestHostileScenarioCLI:
     def test_one_line_non_zero_inside_five_seconds(
         self, key, value, tmp_path
     ):
-        with open(os.path.join(EXAMPLES_DIR, "chaos_smoke.json")) as fh:
-            raw = json.load(fh)
+        raw = self._smoke()
         raw["traffic"][0][key] = value
+        line = self._refused(raw, tmp_path)
+        assert line.startswith("error: bad scenario: traffic entry {")
+        assert repr(key) in line
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            # was: ValueError from float() at inject time
+            ({"kind": "link-loss", "target": ["ler-a", "lsr-1"],
+              "rate": "high"}, "link-loss: bad rate 'high'"),
+            # was: ValueError from set_loss, mid-run
+            ({"kind": "link-loss", "target": ["ler-a", "lsr-1"], "rate": 7},
+             "link-loss: bad rate 7"),
+            # was: ValueError from int() while expanding the flap
+            ({"kind": "link-flap", "target": ["lsr-1", "lsr-3"],
+              "flaps": "3x"}, "link-flap: bad flaps '3x'"),
+            # was: ValueError from float() at inject time
+            ({"kind": "node-restart", "target": "lsr-3", "hold_time": "x"},
+             "node-restart: bad hold_time 'x'"),
+            # was: KeyError: 0 from the info base's key widths
+            ({"kind": "ib-bitflip", "target": "lsr-3", "level": 0},
+             "ib-bitflip: bad level 0"),
+        ],
+    )
+    def test_a_fault_param_no_run_can_mean(self, fault, message, tmp_path):
+        raw = self._smoke()
+        raw["faults"].append({"at": 0.3, "heal_at": 0.4, **fault})
+        line = self._refused(raw, tmp_path)
+        assert line.startswith(f"error: bad scenario: {message}: ")
+
+    def test_an_unknown_random_kind(self, tmp_path):
+        # was: ValueError: 'bogus' is not a valid FaultKind
+        raw = self._smoke()
+        raw["random_faults"]["kinds"] = ["bogus"]
+        line = self._refused(raw, tmp_path)
+        assert line == "error: bad scenario: unknown fault kind 'bogus'"
+
+    @staticmethod
+    def _smoke():
+        with open(os.path.join(EXAMPLES_DIR, "chaos_smoke.json")) as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def _refused(raw, tmp_path):
+        """Run ``repro chaos`` on ``raw`` in a subprocess (5 s limit);
+        return its one stderr line after checking the exit and stdout."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         src = os.path.join(EXAMPLES_DIR, os.pardir, "src")
@@ -142,8 +188,7 @@ class TestHostileScenarioCLI:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
-        assert lines[0].startswith("error: bad scenario: traffic entry {")
-        assert repr(key) in lines[0]
+        return lines[0]
 
 
 class TestHostileOptionsCLI:

@@ -73,6 +73,79 @@ class TestFaultSpec:
             )
 
 
+class TestFaultParams:
+    """A param value its kind cannot mean is refused when the file is
+    read, naming the kind and the param -- not met mid-run inside
+    ``set_loss`` or as a ``KeyError`` from the info base."""
+
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [
+            ("link-loss", "rate", "high"),
+            ("link-loss", "rate", 7),        # was: set_loss, mid-run
+            ("link-loss", "rate", 1.0),      # set_loss refuses 1 too
+            ("link-corrupt", "rate", -0.1),
+            ("link-flap", "flaps", "3x"),
+            ("link-flap", "period", "nan"),
+            ("node-restart", "hold_time", "x"),
+            ("node-restart", "hold_time", -1),
+            ("ib-bitflip", "level", 0),      # was: KeyError: 0
+            ("ib-bitflip", "level", 4),
+            ("ib-bitflip", "address", -1),
+            ("ib-bitflip", "label_xor", [1]),
+            ("signaling-storm", "mappings", 1e400),
+            ("signaling-storm", "window", "inf"),
+            ("label-spoof", "ttl", 256),
+            ("ttl-flood", "packets", -5),
+        ],
+    )
+    def test_a_bad_value_names_kind_and_param(self, kind, name, value):
+        target = ["a", "b"] if kind.startswith("link") else ["a"]
+        with pytest.raises(ScenarioError) as exc:
+            FaultSpec.from_dict(
+                {"kind": kind, "at": 0.1, "target": target, name: value}
+            )
+        assert str(exc.value).startswith(f"{kind}: bad {name} {value!r}: ")
+
+    def test_values_are_parsed_to_what_the_injector_reads(self):
+        spec = FaultSpec.from_dict(
+            {"kind": "ib-bitflip", "at": 0.1, "target": "a",
+             "level": "2", "label_xor": 5.0, "address": None}
+        )
+        # null is the default, as for heal_at
+        assert spec.params == {"level": 2, "label_xor": 5}
+        assert FaultSpec.from_dict(spec.to_dict()) == spec
+
+    def test_unknown_random_kind_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError, match="unknown fault kind 'bogus'"):
+            Scenario.from_dict(_minimal(random_faults={"kinds": ["bogus"]}))
+
+    def test_a_random_flap_is_expanded_like_an_explicit_one(self):
+        scenario = Scenario.from_dict(_minimal(random_faults={
+            "count": 2, "kinds": ["link-flap"], "window": [0.1, 0.5],
+        }))
+        schedule = scenario.materialize(seed=3)
+        assert len(schedule) == 6
+        assert {s.kind for s in schedule} == {FaultKind.LINK_DOWN}
+
+
+class TestSubsystemKeys:
+    @pytest.mark.parametrize(
+        "key", ["audit", "oam", "overload", "flows", "alerts", "security",
+                "topo", "controller"],
+    )
+    def test_a_non_object_names_the_key(self, key):
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(_minimal(**{key: 5}))
+        assert str(exc.value) == f"'{key}' must be an object, got 5"
+
+    def test_objects_are_copied_and_absent_keys_are_none(self):
+        audit = {"period": 0.1}
+        scenario = Scenario.from_dict(_minimal(audit=audit, oam=None))
+        assert scenario.audit == audit and scenario.audit is not audit
+        assert scenario.oam is None and scenario.controller is None
+
+
 class TestScenarioParsing:
     def test_minimal_document(self):
         scenario = Scenario.from_dict(_minimal())

@@ -428,8 +428,12 @@ class TestEventsCarryTheirArguments:
 
 
 #: the per-packet and per-message schedulers: a closure per event there
-#: is the allocation this rule removed
-CLOSURE_FREE = ("net/link.py", "net/network.py", "control/ldp_sessions.py")
+#: is the allocation this rule removed; the fault injector's floods
+#: schedule one event per forged packet or message
+CLOSURE_FREE = (
+    "net/link.py", "net/network.py", "control/ldp_sessions.py",
+    "faults/injector.py",
+)
 
 
 def _closures_handed_to_the_scheduler(source: str):
