@@ -187,30 +187,31 @@ def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
     return True
 
 
-def _load_scenario(path: str) -> Optional[Scenario]:
-    """Load a scenario file; on failure print the standard error
-    message and return None (callers turn that into exit 1)."""
-    from repro.faults import Scenario, ScenarioError
-
-    try:
-        return Scenario.load(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-    except ScenarioError as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
-    return None
-
-
-def _run(scenario: Scenario, **kwargs) -> Optional[ChaosReport]:
-    """Run a scenario under a fresh telemetry session and return its
-    report; a scenario the harness rejects prints the standard error
-    message and returns None."""
-    from repro.faults import ScenarioError, run_scenario
+def _run(
+    path: str, armed: Optional[Dict[str, Dict]] = None, **kwargs
+) -> Optional[Tuple[Scenario, ChaosReport]]:
+    """Load a scenario file, arm each ``armed`` key whatever the file
+    says (its config laid over the file's own: how every CLI override
+    reaches a scenario), and run it under a fresh telemetry session.
+    A file that cannot be read, or a scenario the harness rejects,
+    prints the standard error message and returns None (callers turn
+    that into exit 1)."""
+    from repro.faults import Scenario, ScenarioError, run_scenario
     from repro.obs import telemetry_session
 
     try:
+        scenario = Scenario.load(path)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    except ScenarioError as exc:
+        print(f"error: bad scenario: {exc}", file=sys.stderr)
+        return None
+    for key, config in (armed or {}).items():
+        setattr(scenario, key, {**(getattr(scenario, key) or {}), **config})
+    try:
         with telemetry_session():
-            return run_scenario(scenario, **kwargs)
+            return scenario, run_scenario(scenario, **kwargs)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -403,12 +404,10 @@ def cmd_spans(
     )
 
     if scenario_path is not None:
-        scenario = _load_scenario(scenario_path)
-        if scenario is None:
+        ran = _run(scenario_path, seed=seed, sample_rate=sample_rate)
+        if ran is None:
             return 1
-        report = _run(scenario, seed=seed, sample_rate=sample_rate)
-        if report is None:
-            return 1
+        scenario, report = ran
         recorder = report.recorder
         label = scenario.name
     else:
@@ -463,7 +462,8 @@ def _render_fault_kinds() -> str:
     """Enumerate every fault kind with its target arity and accepted
     params, straight from the kind table -- what ``from_dict`` accepts
     is exactly what this prints."""
-    from repro.faults.scenario import FAULT_KINDS, KIND_KEYS
+    from repro.faults.scenario import FAULT_KINDS
+    from repro.faults.subsystems import KIND_KEYS
 
     arity = {
         "link": "link (two nodes)",
@@ -482,23 +482,13 @@ def _render_fault_kinds() -> str:
     return "\n".join(lines)
 
 
-def _arm(scenario: Scenario, key: str, **config) -> None:
-    """Arm the scenario's ``key`` subsystem whatever its file says,
-    ``config`` laid over the file's own: how every CLI override reaches
-    a scenario."""
-    setattr(scenario, key, {**(getattr(scenario, key) or {}), **config})
-
-
 def cmd_chaos(
     scenario_path: Optional[str],
     seed: int = 0,
     output: Optional[str] = None,
-    audit: Optional[float] = None,
-    overload: Optional[str] = None,
     batching: Optional[str] = None,
-    mitigation: Optional[str] = None,
-    controller: Optional[str] = None,
     list_faults: bool = False,
+    **overrides,
 ) -> int:
     """Run a fault-injection scenario file and print its report.
 
@@ -506,7 +496,17 @@ def cmd_chaos(
     two runs byte-for-byte); diagnostics go to stderr.
     ``--list-faults`` instead enumerates the fault taxonomy (kinds,
     target arity, accepted params) and exits.
+
+    ``overrides`` are the subsystem rows' flags by name (``audit=0.05``,
+    ``controller="on"``): each one given arms its row whatever the file
+    says -- the auditor at that period; overload protection, the
+    security guards or the PCE switched on, or off for the baseline.
     """
+    from repro.faults.subsystems import FLAGS
+
+    unknown = sorted(set(overrides) - set(FLAGS))
+    if unknown:
+        raise TypeError(f"cmd_chaos() has no override {', '.join(unknown)}")
     if list_faults:
         print(_render_fault_kinds())
         return 0
@@ -514,24 +514,15 @@ def cmd_chaos(
         print("error: chaos needs a scenario file "
               "(e.g. examples/chaos_smoke.json)", file=sys.stderr)
         return 1
-    scenario = _load_scenario(scenario_path)
-    if scenario is None:
+    armed = {
+        FLAGS[name].key: FLAGS[name].flag.config(value)
+        for name, value in overrides.items()
+        if value is not None
+    }
+    ran = _run(scenario_path, armed, seed=seed, batching=(batching == "on"))
+    if ran is None:
         return 1
-    # each flag arms its subsystem even when the scenario file doesn't
-    # ask for it: the auditor at that period; overload protection, the
-    # security guards and the PCE switched on, or off for the baseline
-    if audit is not None:
-        _arm(scenario, "audit", period=audit)
-    for key, switch in (
-        ("overload", overload),
-        ("security", mitigation),
-        ("controller", controller),
-    ):
-        if switch is not None:
-            _arm(scenario, key, enabled=switch == "on")
-    report = _run(scenario, seed=seed, batching=(batching == "on"))
-    if report is None:
-        return 1
+    scenario, report = ran
     text = report.to_json()
     if output:
         if not _write_output(output, lambda handle: handle.write(text)):
@@ -581,23 +572,18 @@ def cmd_flows(
         print("error: flows needs a scenario file "
               "(e.g. examples/chaos_flow_alerts.json)", file=sys.stderr)
         return 1
-    scenario = _load_scenario(scenario_path)
-    if scenario is None:
+    ran = _run(scenario_path, {"flows": {}}, seed=seed)
+    if ran is None:
         return 1
-    _arm(scenario, "flows")
-    report = _run(scenario, seed=seed)
-    if report is None:
-        return 1
-    accountant = report.flows
+    scenario, report = ran
+    # the flows row always arms the accountant and the matrix collector
+    accountant, matrices = report.flows, report.collector.matrices
     print(render_flow_summary(accountant, report.collector, top=top))
     if report.alert_engine is not None:
         print()
         print(render_alert_history(report.alert_engine))
     if export:
         records = accountant.all_records()
-        matrices = (
-            report.collector.matrices if report.collector is not None else ()
-        )
         history = (
             report.alert_engine.history
             if report.alert_engine is not None
@@ -618,13 +604,7 @@ def cmd_flows(
     if matrix:
         if not _write_output(
             matrix,
-            lambda handle: handle.write(
-                matrices_to_json(
-                    report.collector.matrices
-                    if report.collector is not None
-                    else []
-                )
-            ),
+            lambda handle: handle.write(matrices_to_json(matrices)),
         ):
             return 1
         print(f"flows: matrix snapshots -> {matrix}", file=sys.stderr)
@@ -794,19 +774,15 @@ def cmd_topo(
     (the CI topo-smoke step compares two runs with ``cmp``).
     """
     times = times or []
-    scenario = _load_scenario(scenario_path)
-    if scenario is None:
-        return 1
     # the observer is the point of this command: force it on even when
     # the scenario file has no 'topo' key
-    _arm(scenario, "topo")
-    report = _run(scenario, seed=seed, batching=(batching == "on"))
-    if report is None:
+    ran = _run(scenario_path, {"topo": {}}, seed=seed,
+               batching=(batching == "on"))
+    if ran is None:
         return 1
+    _, report = ran
+    # the run's telemetry is on, so the row always arms the observer
     observer = report.topo
-    if observer is None:
-        print("error: topology observer did not arm", file=sys.stderr)
-        return 1
 
     if action == "at":
         if len(times) != 1:
@@ -931,6 +907,8 @@ COMMANDS: Dict[str, Callable[[], int]] = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.faults.subsystems import FLAGS
+
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "topo":
@@ -977,23 +955,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="trace/chaos: write the JSONL event stream / JSON report "
         "to FILE instead of stdout",
     )
-    parser.add_argument(
-        "--audit",
-        metavar="PERIOD",
-        type=float,
-        default=None,
-        help="chaos only: run the data-plane consistency auditor every "
-        "PERIOD simulated seconds (overrides the scenario's own "
-        "'audit' key)",
-    )
-    parser.add_argument(
-        "--overload",
-        choices=["on", "off"],
-        default=None,
-        help="chaos only: force control-plane overload protection on "
-        "or run the unprotected bounded-FIFO baseline (overrides the "
-        "scenario's own 'overload.enabled' key)",
-    )
+    for flag in (sub.flag for sub in FLAGS.values()):
+        if flag.switch:
+            parser.add_argument(f"--{flag.name}", choices=["on", "off"],
+                                default=None, help=flag.help)
+        else:
+            parser.add_argument(f"--{flag.name}", metavar=flag.field.upper(),
+                                type=float, default=None, help=flag.help)
     parser.add_argument(
         "--batching",
         choices=["on", "off"],
@@ -1001,22 +969,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="chaos only: run the data plane on the batched fast path "
         "(per-node flow caches); reports are byte-identical to the "
         "scalar run of the same seed (default: off)",
-    )
-    parser.add_argument(
-        "--mitigation",
-        choices=["on", "off"],
-        default=None,
-        help="chaos only: force the security guards on, or stand them "
-        "down for the unmitigated blast-radius baseline (overrides "
-        "the scenario's own 'security.enabled' key)",
-    )
-    parser.add_argument(
-        "--controller",
-        choices=["on", "off"],
-        default=None,
-        help="chaos only: arm the centralized PCE controller, or run "
-        "it dark for the pure-distributed baseline (overrides the "
-        "scenario's own 'controller.enabled' key)",
     )
     parser.add_argument(
         "--list-faults",
@@ -1112,12 +1064,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.scenario,
             seed=args.seed,
             output=args.output,
-            audit=args.audit,
-            overload=args.overload,
             batching=args.batching,
-            mitigation=args.mitigation,
-            controller=args.controller,
             list_faults=args.list_faults,
+            **{name: getattr(args, name) for name in FLAGS},
         )
     if args.command == "flows":
         return cmd_flows(

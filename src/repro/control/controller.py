@@ -58,6 +58,7 @@ from typing import (
     Tuple,
 )
 
+from repro.config import from_mapping
 from repro.control.cspf import CSPFError, cspf_over_view
 from repro.control.overload import PriorityControlQueue, classify_message
 from repro.control.retry import ReconnectBackoff
@@ -146,32 +147,7 @@ class ControllerConfig:
     def from_dict(
         cls, raw: Mapping[str, Any], horizon: Optional[float] = None
     ) -> "ControllerConfig":
-        known: Dict[str, Any] = {
-            "enabled": bool,
-            "delegation": bool,
-            "adopt_at": float,
-            "keepalive_interval": float,
-            "hold_time": float,
-            "stale_hold": float,
-            "rpc_delay": float,
-            "rpc_timeout": float,
-            "missed_rpc_limit": int,
-            "queue_capacity": int,
-            "high_watermark": int,
-            "low_watermark": int,
-            "retry_initial": float,
-            "retry_max": float,
-            "max_retries": int,
-            "retry_jitter": float,
-        }
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValueError(
-                f"unknown controller key(s): {', '.join(sorted(unknown))}"
-            )
-        kwargs = {key: cast(raw[key]) for key, cast in known.items()
-                  if key in raw}
-        return cls(horizon=horizon, **kwargs)
+        return from_mapping(cls, "controller", raw, horizon=horizon)
 
 
 class _Rpc:

@@ -37,6 +37,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from collections import deque
 
+from repro.config import from_mapping
 from repro.mpls.fec import PrefixFEC
 from repro.net.events import EventScheduler
 from repro.net.packet import IPv4Packet
@@ -150,31 +151,7 @@ class OverloadConfig:
     def from_dict(
         cls, raw: Mapping[str, Any], horizon: Optional[float] = None
     ) -> "OverloadConfig":
-        known = {
-            "enabled": bool,
-            "queue_capacity": int,
-            "high_watermark": int,
-            "low_watermark": int,
-            "service_time_s": float,
-            "keepalive_interval": float,
-            "hold_time": float,
-            "retry_jitter": float,
-            "shed_period": float,
-            "shed_start": float,
-            "shed_high": float,
-            "shed_low": float,
-            "shed_hysteresis": int,
-            "max_shed_fraction": float,
-        }
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValueError(
-                f"unknown overload key(s): {', '.join(sorted(unknown))}"
-            )
-        kwargs: Dict[str, Any] = {
-            key: cast(raw[key]) for key, cast in known.items() if key in raw
-        }
-        return cls(horizon=horizon, **kwargs)
+        return from_mapping(cls, "overload", raw, horizon=horizon)
 
 
 class PriorityControlQueue:

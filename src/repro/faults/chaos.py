@@ -12,50 +12,36 @@ the scenario's horizon, and distils the outcome into a
 * packets lost before vs. after the last recovery (did the network
   actually become whole again?),
 * per-fault MTTR, LDP session-recovery statistics and info-base scrub
-  totals,
-* graceful-restart outcomes (stale-marked/refreshed/flushed entries,
-  stale-forwarding duration, per-flow loss) and consistency-audit
-  totals -- present only when the scenario uses ``node-restart``
-  faults or the ``audit`` key, so reports without them stay
-  byte-identical to earlier versions,
-* OAM probe statistics (per-FEC reachability, RTTs, SLO breaches,
-  up/down transitions) when the scenario carries an ``oam`` key, and a
-  span-tracing summary when the run was invoked with a sample rate --
-  both gated the same way,
-* control-plane overload statistics (queue accounting, hold-timer
-  expiries, session survival, ingress shedding, LSP preemption) when
-  the scenario carries an ``overload`` key -- gated the same way, so
-  pre-overload reports stay byte-identical,
-* flow-accounting totals, top talkers and the final traffic matrix
-  when the scenario carries a ``flows`` key, plus the alert engine's
-  rule set and full raise/clear history under an ``alerts`` key --
-  both gated the same way.
+  totals, graceful-restart outcomes when the scenario uses
+  ``node-restart`` faults, and a span-tracing summary when the run was
+  invoked with a sample rate,
+* one section (or two) per subsystem the scenario arms: each optional
+  scenario key is one row of
+  :data:`~repro.faults.subsystems.SUBSYSTEMS`, which builds the
+  subsystem and writes its section.  A report without the key has no
+  section, so reports stay byte-identical as subsystems are added.
 
 Everything in the report derives from simulated time and seeded
 randomness -- the same (scenario, seed) pair yields a byte-identical
 JSON report, which the CI determinism-smoke job checks literally
-with ``cmp``.
+with ``cmp`` and against ``tests/faults/data/chaos_reports.sha256``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.device import STRATIX_EP1S40
 from repro.faults.injector import FaultInjector
 from repro.faults.scenario import Scenario, ScenarioError
+from repro.faults.subsystems import SUBSYSTEMS, Subsystem, _round, _rounded
 from repro.mpls.fec import PrefixFEC
 from repro.net.network import MPLSNetwork
 from repro.net.traffic import CBRSource
 from repro.obs import KindCountSink, get_telemetry
-
-
-def _round(value: Optional[float]) -> Optional[float]:
-    """Stable float formatting for reports (sub-nanosecond noise would
-    still be deterministic, but rounding keeps diffs readable)."""
-    return None if value is None else round(value, 9)
 
 
 @dataclass
@@ -65,7 +51,7 @@ class ChaosRun:
     scenario: Scenario
     seed: int
     network: MPLSNetwork
-    injector: FaultInjector
+    injector: Optional[FaultInjector] = None
     sources: List[CBRSource] = field(default_factory=list)
     ldp: Any = None
     message_ldp: Any = None
@@ -73,6 +59,7 @@ class ChaosRun:
     schedule: List[Any] = field(default_factory=list)
     auditor: Any = None
     oam: Any = None
+    #: the parsed OverloadConfig the control plane was built with
     overload: Any = None
     shedder: Any = None
     #: the armed FlowAccountant / MatrixCollector / AlertEngine when
@@ -89,11 +76,22 @@ class ChaosRun:
     #: the armed PCEController when the scenario carries a
     #: ``controller`` key
     controller: Any = None
+    #: the telemetry the run's subsystems were handed
+    telemetry: Any = None
+    #: the rows of :data:`SUBSYSTEMS` the scenario arms, in build order
+    armed: Tuple[Subsystem, ...] = ()
 
 
 def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
-    """Construct the network, control plane, traffic and injector for
-    one scenario without running it."""
+    """Construct the network, control plane, traffic, injector and
+    every armed subsystem for one scenario without running it."""
+    # every armed row parses first: a value no run can mean is refused
+    # before anything is built or scheduled
+    configs = {
+        sub.key: sub.parse(raw, scenario)
+        for sub in SUBSYSTEMS
+        if (raw := getattr(scenario, sub.key)) is not None
+    }
     topology, roles = scenario.build_topology()
     if scenario.hardware:
         from repro.core.hwnode import HardwareLSRNode
@@ -105,83 +103,20 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
         network = MPLSNetwork(topology, roles=roles)
     for flow in scenario.traffic:
         network.attach_host(flow.egress, flow.prefix)
+    run = ChaosRun(
+        scenario, seed, network, telemetry=get_telemetry(),
+        armed=tuple(sub for sub in SUBSYSTEMS if sub.key in configs),
+        # the control plane is built with it
+        overload=configs.get("overload"),
+    )
 
-    topo_observer = None
-    if scenario.topo is not None and get_telemetry().enabled:
-        from repro.obs.topo import TopologyObserver
+    def arm(after: str) -> None:
+        for sub in run.armed:
+            if sub.after == after:
+                sub.build(run, configs[sub.key])
 
-        # armed before the control plane exists so the initial label
-        # distribution (and everything after) lands in the database
-        topo_observer = TopologyObserver(
-            topology,
-            snapshot_every=int(
-                dict(scenario.topo).get("snapshot_every", 64)
-            ),
-        )
-        topo_observer.attach()
-
-    overload_cfg = None
-    if scenario.overload is not None:
-        from repro.control.overload import OverloadConfig
-
-        overload_cfg = OverloadConfig.from_dict(
-            scenario.overload, horizon=scenario.duration
-        )
-
-    ldp = message_ldp = frr = None
-    if scenario.control == "ldp":
-        from repro.control.ldp import LDPProcess
-
-        ldp = LDPProcess(topology, network.nodes)
-        for flow in scenario.traffic:
-            ldp.establish_fec(PrefixFEC(flow.prefix), egress=flow.egress)
-    elif scenario.control == "ldp-messages":
-        from repro.control.ldp_sessions import MessageLDPProcess
-
-        if overload_cfg is not None:
-            message_ldp = MessageLDPProcess(
-                topology,
-                network.nodes,
-                network.scheduler,
-                overload=overload_cfg,
-                retry_jitter=overload_cfg.retry_jitter,
-                jitter_seed=seed,
-            )
-        else:
-            message_ldp = MessageLDPProcess(
-                topology, network.nodes, network.scheduler
-            )
-        message_ldp.start()
-        for flow in scenario.traffic:
-            message_ldp.announce_fec(
-                flow.prefix, PrefixFEC(flow.prefix), egress=flow.egress
-            )
-    else:  # frr
-        from repro.control.frr import FastRerouteManager
-        from repro.control.rsvp_te import RSVPTESignaler
-
-        signaler = RSVPTESignaler(topology, network.nodes)
-        if overload_cfg is not None:
-            signaler.preemption_enabled = overload_cfg.enabled
-        frr = FastRerouteManager(signaler)
-        flows = {flow.prefix: flow for flow in scenario.traffic}
-        for entry in scenario.protection:
-            prefix = entry.get("prefix", scenario.traffic[0].prefix)
-            flow = flows.get(prefix)
-            if flow is None:
-                raise ScenarioError(
-                    f"protection {entry.get('name')!r} names prefix "
-                    f"{prefix!r} with no matching flow"
-                )
-            frr.protect(
-                entry.get("name", f"protect-{prefix}"),
-                entry.get("ingress", flow.ingress),
-                entry.get("egress", flow.egress),
-                PrefixFEC(prefix),
-                bandwidth_bps=float(entry.get("bandwidth_bps", 0.0)),
-            )
-
-    sources = []
+    arm("network")
+    _control_plane(run)
     for i, flow in enumerate(scenario.traffic):
         source = CBRSource(
             network.scheduler,
@@ -195,202 +130,74 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
             seed=seed + i,
         )
         source.begin()
-        sources.append(source)
-
-    security = None
-    if scenario.security is not None:
-        from repro.security import SecurityConfig, SecurityMonitor
-
-        try:
-            security_cfg = SecurityConfig.from_dict(scenario.security)
-        except ValueError as exc:
-            raise ScenarioError(str(exc))
-        security = SecurityMonitor(
-            network, security_cfg, message_ldp=message_ldp
-        )
-        security.flows = [
-            (flow.prefix, flow.egress, source.flow_id)
-            for flow, source in zip(scenario.traffic, sources)
-        ]
-        security.flow_dsts = {
-            flow.prefix: flow.dst for flow in scenario.traffic
-        }
-        security.arm()
-
-    controller = None
-    if scenario.controller is not None:
-        from repro.control.controller import ControllerConfig, PCEController
-
-        try:
-            controller_cfg = ControllerConfig.from_dict(
-                scenario.controller, horizon=scenario.duration
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc))
-        controller = PCEController(
-            network,
-            controller_cfg,
-            ldp=ldp,
-            message_ldp=message_ldp,
-            frr=frr,
-            fec_specs=[
-                (PrefixFEC(flow.prefix), flow.ingress, flow.egress)
-                for flow in scenario.traffic
-            ],
-            seed=seed,
-        )
-        controller.start()
-
-    injector = FaultInjector(
+        run.sources.append(source)
+    arm("sources")
+    run.injector = FaultInjector(
         network,
-        ldp=ldp,
-        message_ldp=message_ldp,
-        frr=frr,
+        ldp=run.ldp,
+        message_ldp=run.message_ldp,
+        frr=run.frr,
         detection_delay_s=scenario.detection_delay_s,
         seed=seed,
-        security=security,
-        controller=controller,
+        security=run.security,
+        controller=run.controller,
     )
-    schedule = injector.apply(scenario, seed)
-    auditor = None
-    if scenario.audit is not None:
-        from repro.faults.auditor import ConsistencyAuditor
+    run.schedule = run.injector.apply(scenario, seed)
+    arm("injector")
+    return run
 
-        cfg = dict(scenario.audit)
-        auditor = ConsistencyAuditor(
-            network,
-            period=float(cfg.get("period", 0.1)),
-            start=(
-                float(cfg["start"]) if cfg.get("start") is not None
-                else None
-            ),
-            stop=scenario.duration,
-            repair=bool(cfg.get("repair", True)),
-            security=security,
-        )
-    oam = None
-    if scenario.oam is not None:
-        from repro.control.oam import OAMMonitor, ProbeTarget
 
-        cfg = dict(scenario.oam)
-        targets = [
-            ProbeTarget(
-                fec=flow.prefix,
-                ingress=flow.ingress,
-                destination=flow.dst,
-            )
-            for flow in scenario.traffic
-        ]
-        period = float(cfg.get("period", 0.05))
-        timeout = (
-            float(cfg["timeout"]) if cfg.get("timeout") is not None
-            else period
-        )
-        oam = OAMMonitor(
-            network,
-            targets,
-            period=period,
-            start=float(cfg.get("start", 0.0)),
-            # the last probe's verdict check must land inside the run
-            # horizon, or it would stay pending forever
-            stop=scenario.duration - timeout,
-            timeout=timeout,
-            slo_rtt_s=(
-                float(cfg["slo_rtt_s"])
-                if cfg.get("slo_rtt_s") is not None
-                else None
-            ),
-        )
-    shedder = None
-    if (
-        overload_cfg is not None
-        and overload_cfg.enabled
-        and message_ldp is not None
-        and scenario.traffic
-    ):
-        from repro.control.overload import IngressShedder, ShedEntry
+def _control_plane(run: ChaosRun) -> None:
+    """The scenario's ``control`` plane, its FECs announced.  The
+    overload config, when there is one, bounds message-LDP's queues and
+    switches RSVP-TE preemption."""
+    scenario, network, overload = run.scenario, run.network, run.overload
+    topology = network.topology
+    if scenario.control == "ldp":
+        from repro.control.ldp import LDPProcess
 
-        mldp = message_ldp
-        shedder = IngressShedder(
-            [
-                ShedEntry(
-                    prefix=flow.prefix, cos=flow.cos, ingress=flow.ingress
-                )
-                for flow in scenario.traffic
-            ],
-            pressure=lambda: max(
-                q.fill_fraction for q in mldp.queues.values()
-            ),
-            config=overload_cfg,
-            scheduler=network.scheduler,
-        )
-        network.ingress_guard = shedder.guard
-        shedder.arm()
-    accountant = collector = alert_engine = None
-    if scenario.flows is not None:
-        from repro.obs.alerts import AlertEngine
-        from repro.obs.flows import FlowAccountant, MatrixCollector
+        run.ldp = LDPProcess(topology, network.nodes)
+        for flow in scenario.traffic:
+            run.ldp.establish_fec(PrefixFEC(flow.prefix), egress=flow.egress)
+    elif scenario.control == "ldp-messages":
+        from repro.control.ldp_sessions import MessageLDPProcess
 
-        cfg = dict(scenario.flows)
-        accountant = FlowAccountant(
-            active_timeout=float(cfg.get("active_timeout", 1.0)),
-            idle_timeout=float(cfg.get("idle_timeout", 0.25)),
-            capacity=int(cfg.get("capacity", 4096)),
-            flow_fecs={
-                source.flow_id: flow.prefix
-                for flow, source in zip(scenario.traffic, sources)
-            },
-            # runtime flow ids come from a process-global counter;
-            # export the scenario flow index instead so flow-record
-            # exports are byte-stable across runs
-            flow_ids={
-                source.flow_id: i for i, source in enumerate(sources)
-            },
-        )
-        if scenario.alerts is not None:
-            alert_engine = AlertEngine(
-                dict(scenario.alerts).get("rules", [])
-            )
-        bandwidths = {
-            (ch.src.node, ch.dst.node): ch.bandwidth_bps
-            for link in network.links.values()
-            for ch in (link.forward, link.reverse)
-        }
-        period = float(cfg.get("matrix_period", 0.1))
-        collector = MatrixCollector(
-            accountant,
+        run.message_ldp = MessageLDPProcess(
+            topology,
+            network.nodes,
             network.scheduler,
-            bandwidths=bandwidths,
-            period=period,
-            start=(
-                float(cfg["matrix_start"])
-                if cfg.get("matrix_start") is not None
-                else None
-            ),
-            stop=scenario.duration,
-            alerts=alert_engine,
+            overload=overload,
+            retry_jitter=getattr(overload, "retry_jitter", 0.0),
+            jitter_seed=run.seed,
         )
-    return ChaosRun(
-        scenario=scenario,
-        seed=seed,
-        network=network,
-        injector=injector,
-        sources=sources,
-        ldp=ldp,
-        message_ldp=message_ldp,
-        frr=frr,
-        schedule=schedule,
-        auditor=auditor,
-        oam=oam,
-        overload=overload_cfg,
-        shedder=shedder,
-        flows=accountant,
-        collector=collector,
-        alert_engine=alert_engine,
-        security=security,
-        topo=topo_observer,
-        controller=controller,
-    )
+        run.message_ldp.start()
+        for flow in scenario.traffic:
+            run.message_ldp.announce_fec(
+                flow.prefix, PrefixFEC(flow.prefix), egress=flow.egress
+            )
+    else:  # frr
+        from repro.control.frr import FastRerouteManager
+        from repro.control.rsvp_te import RSVPTESignaler
+
+        signaler = RSVPTESignaler(topology, network.nodes)
+        signaler.preemption_enabled = getattr(overload, "enabled", True)
+        run.frr = FastRerouteManager(signaler)
+        flows = {flow.prefix: flow for flow in scenario.traffic}
+        for entry in scenario.protection:
+            prefix = entry.get("prefix", scenario.traffic[0].prefix)
+            flow = flows.get(prefix)
+            if flow is None:
+                raise ScenarioError(
+                    f"protection {entry.get('name')!r} names prefix "
+                    f"{prefix!r} with no matching flow"
+                )
+            run.frr.protect(
+                entry.get("name", f"protect-{prefix}"),
+                entry.get("ingress", flow.ingress),
+                entry.get("egress", flow.egress),
+                PrefixFEC(prefix),
+                bandwidth_bps=float(entry.get("bandwidth_bps", 0.0)),
+            )
 
 
 @dataclass
@@ -416,6 +223,39 @@ class ChaosReport:
 
     def __getitem__(self, key: str) -> Any:
         return self.data[key]
+
+
+@contextmanager
+def finish(run: ChaosRun, recorder=None) -> Iterator[Any]:
+    """Close a run out around its simulation::
+
+        with finish(run, recorder) as sink:
+            processed = run.network.run(until=...)
+
+    The body runs under a per-kind event tally (``sink``; None with
+    telemetry off).  A clean exit finalizes the injector, the span
+    recorder and every armed row, newest first.  However the body
+    ended, nothing the run hooked to its telemetry stays hooked.
+    """
+    tel = run.telemetry
+    # the report reads only the per-kind tally, so no event is retained
+    sink = tel.events.add_sink(KindCountSink()) if tel.enabled else None
+    try:
+        try:
+            yield sink
+        finally:
+            if sink is not None:
+                tel.events.remove_sink(sink)
+        run.injector.finalize()
+        if recorder is not None:
+            recorder.finalize()
+        for sub in reversed(run.armed):
+            sub.finalize(run)
+    finally:
+        if recorder is not None:
+            recorder.detach()
+        for sub in run.armed:
+            sub.detach(run)
 
 
 def run_scenario(
@@ -447,267 +287,17 @@ def run_scenario(
             source.flow_id: flow.prefix
             for flow, source in zip(scenario.traffic, run.sources)
         }
-        if run.oam is not None:
-            flow_fecs.update(
-                {fid: fec for fec, fid in run.oam.flow_ids.items()}
-            )
+        for sub in run.armed:
+            flow_fecs.update(sub.flow_fecs(run))
         recorder = SpanRecorder(
             sample_rate=sample_rate,
             flow_fecs=flow_fecs,
             nodes=set(run.network.nodes),
+            telemetry=run.telemetry,
         )
-    tel = get_telemetry()
-    # the report reads only the per-kind tally, so no event is retained
-    sink = tel.events.add_sink(KindCountSink()) if tel.enabled else None
-    try:
-        try:
-            processed = run.network.run(until=scenario.duration)
-        finally:
-            if sink is not None:
-                tel.events.remove_sink(sink)
-        run.injector.finalize()
-        if run.security is not None:
-            run.security.finalize()
-        if recorder is not None:
-            recorder.finalize()
-            recorder.detach()
-        if run.flows is not None:
-            run.flows.finalize()
-            run.flows.detach()
-        if run.topo is not None:
-            # verify the observed database against ground truth and
-            # publish the health/convergence metrics before summarizing
-            run.topo.finalize(run)
-        return summarize(run, processed, sink, recorder=recorder)
-    finally:
-        # nothing stays hooked to the process-global telemetry, however
-        # the run ended; the detaches above are where a clean run needs
-        # them, and repeating one is a no-op
-        for observer in (recorder, run.flows, run.topo):
-            if observer is not None:
-                observer.detach()
-
-
-def _overload_section(run: ChaosRun) -> Dict[str, Any]:
-    """The gated ``overload`` report section (scenario has the key)."""
-    from repro.control.overload import CLASS_NAMES, MessageClass
-
-    cfg = run.overload
-    section: Dict[str, Any] = {"enabled": cfg.enabled}
-    mldp = run.message_ldp
-    if mldp is not None and mldp.queues:
-        queues = list(mldp.queues.values())
-        section["queues"] = {
-            "enqueued": sum(q.enqueued for q in queues),
-            "serviced": sum(q.serviced for q in queues),
-            "max_depth": max(q.max_depth for q in queues),
-            "dropped_by_class": {
-                CLASS_NAMES[c]: sum(q.dropped_by_class[c] for q in queues)
-                for c in MessageClass
-            },
-            "shed_by_class": {
-                CLASS_NAMES[c]: sum(q.shed_by_class[c] for q in queues)
-                for c in MessageClass
-            },
-        }
-        links = run.network.topology.links
-        up = sum(
-            1
-            for a, b in links
-            if b in mldp.speakers[a].sessions
-            and a in mldp.speakers[b].sessions
-        )
-        section["holds_expired"] = mldp.holds_expired
-        section["sessions"] = {
-            "links": len(links),
-            "up_at_end": up,
-            "lost": len(mldp.sessions_lost),
-            "recovered": len(mldp.sessions_recovered),
-        }
-    if run.shedder is not None:
-        shedder = run.shedder
-        section["shedding"] = {
-            "fecs": [
-                {
-                    "prefix": e.prefix,
-                    "cos": e.cos,
-                    "ingress": e.ingress,
-                    "shed_at_end": e.shed,
-                }
-                for e in shedder.entries
-            ],
-            "shed_events": [
-                {"time": _round(t), "prefix": p, "cos": c}
-                for t, p, c in shedder.shed_events
-            ],
-            "restore_events": [
-                {"time": _round(t), "prefix": p, "cos": c}
-                for t, p, c in shedder.restore_events
-            ],
-            "packets_shed": shedder.packets_shed,
-            "recovery_time_s": _round(shedder.recovery_time_s),
-        }
-    if run.frr is not None:
-        stats = run.frr.signaler.stats
-        section["preemption"] = {
-            "reroutes": stats.preempt_reroutes,
-            "teardowns": stats.preempt_teardowns,
-            "declined": stats.preempt_declined,
-        }
-    return section
-
-
-def _flows_section(run: ChaosRun) -> Dict[str, Any]:
-    """The gated ``flows`` report section (scenario has the key)."""
-    accountant = run.flows
-    section: Dict[str, Any] = dict(accountant.summary())
-    section["top_talkers"] = accountant.top_talkers(5)
-    collector = run.collector
-    if collector is not None:
-        section["matrix_snapshots"] = len(collector.matrices)
-        if collector.latest is not None:
-            section["final_matrix"] = collector.latest.as_dict()
-        section["peak_link_utilization"] = [
-            {"src": src, "dst": dst, "utilization": _round(util)}
-            for (src, dst), util in sorted(
-                collector.peak_utilization().items()
-            )
-        ]
-    return section
-
-
-def _security_section(run: ChaosRun) -> Dict[str, Any]:
-    """The gated ``security`` report section (scenario has the key)."""
-    monitor = run.security
-    cfg = monitor.config
-    blast_total = sorted(
-        set().union(*(r.blast_fecs for r in monitor.attacks))
-        if monitor.attacks
-        else set()
-    )
-    return {
-        "enabled": cfg.enabled,
-        "guards": {
-            "edge_guard": cfg.edge_guard,
-            "authenticate": cfg.authenticate,
-            "cross_check": cfg.cross_check,
-            "quarantine": cfg.quarantine,
-            "exception_rate": cfg.exception_rate,
-            "exception_burst": cfg.exception_burst,
-        },
-        "attacks": [
-            {
-                "kind": r.kind,
-                "target": r.target,
-                "injected_at": _round(r.injected_at),
-                "detected_at": _round(r.detected_at),
-                "time_to_detect_s": _round(r.time_to_detect),
-                "mitigated_at": _round(r.mitigated_at),
-                "time_to_mitigate_s": _round(r.time_to_mitigate),
-                "blast_radius_fecs": r.blast_radius,
-                "blast_fecs": sorted(r.blast_fecs),
-                "quarantined_fecs": sorted(r.quarantined_fecs),
-                "packets_accepted": r.packets_accepted,
-                "packets_rejected": r.packets_rejected,
-                "packets_leaked": r.packets_leaked,
-                "detail": r.detail,
-            }
-            for r in monitor.attacks
-        ],
-        "blast_radius_total": len(blast_total),
-        "blast_fecs_total": blast_total,
-        "guard_rejections": monitor.guard_rejections,
-        "auth_mismatches": monitor.auth_mismatches,
-        "exception_path": {
-            "total": monitor.exceptions_total,
-            "forwarded": monitor.exceptions_forwarded,
-            "limited": monitor.exceptions_limited,
-        },
-        "quarantines": [
-            {
-                "time": _round(t),
-                "node": node,
-                "label": label,
-                "fec": fec,
-                "leaked_to": leaked_to,
-            }
-            for t, node, label, fec, leaked_to in monitor.quarantines
-        ],
-    }
-
-
-def _controller_section(run: ChaosRun) -> Dict[str, Any]:
-    """The gated ``controller`` report section (scenario has the key).
-
-    Time-to-failover is how long the fastest crash-orphaned node took
-    to detect the loss (hold-timer expiry minus crash time);
-    time-to-readopt is the slowest resync (re-adoption minus the
-    restart/heal that made it possible).  ``fecs_blackholed`` is
-    cumulative over the run -- with delegation on it must stay zero.
-    """
-    pce = run.controller
-    failovers = [
-        {
-            "at": _round(f["at"]),
-            "node": f["node"],
-            "reason": f["reason"],
-            "detect_s": _round(f["detect_s"]),
-            "orphaned_fecs": f["orphaned_fecs"],
-            "delegated": f["delegated"],
-        }
-        for f in pce.failovers
-    ]
-    readopts = [
-        {
-            "at": _round(r["at"]),
-            "node": r["node"],
-            "reason": r["reason"],
-            "rewrites": r["rewrites"],
-            "restore_s": _round(r["restore_s"]),
-        }
-        for r in pce.readopts
-    ]
-    crash_detects = [
-        f["detect_s"] for f in pce.failovers if f["reason"] == "crash"
-    ]
-    restores = [r["restore_s"] for r in pce.readopts]
-    channels = [pce.channels[name] for name in sorted(pce.channels)]
-    drops_by_cause: Dict[str, int] = {}
-    for channel in channels:
-        for cause, count in channel.drops_by_cause.items():
-            drops_by_cause[cause] = drops_by_cause.get(cause, 0) + count
-    return {
-        "enabled": pce.config.enabled,
-        "delegation": pce.config.delegation,
-        "adoptions": len(pce.adoptions),
-        "crashes": pce.crashes,
-        "restarts": pce.restarts,
-        "failovers": failovers,
-        "readopts": readopts,
-        "time_to_failover_s": (
-            _round(min(crash_detects)) if crash_detects else None
-        ),
-        "time_to_readopt_s": _round(max(restores)) if restores else None,
-        "fecs_orphaned": len(pce.orphaned_ever),
-        "fecs_blackholed": len(pce.blackholed_ever),
-        "blackholed_fecs": sorted(pce.blackholed_ever),
-        "fecs_blackholed_final": len(pce.blackholed_now()),
-        "resync": {
-            "reads": pce.resync_reads,
-            "transactions": pce.resync_transactions,
-            "rewrites": pce.resync_rewrites,
-        },
-        "cspf": {
-            "paths_computed": pce.paths_computed,
-            "view_agreements": pce.view_agreements,
-        },
-        "channel": {
-            "rpcs": sum(c.rpcs for c in channels),
-            "replies": sum(c.replies for c in channels),
-            "timeouts": sum(c.timeouts for c in channels),
-            "drops_by_cause": dict(sorted(drops_by_cause.items())),
-        },
-    }
+    with finish(run, recorder) as sink:
+        processed = run.network.run(until=scenario.duration)
+    return summarize(run, processed, sink, recorder=recorder)
 
 
 def summarize(
@@ -715,32 +305,22 @@ def summarize(
 ) -> ChaosReport:
     network, injector = run.network, run.injector
     sent = sum(s.sent for s in run.sources)
-    if run.oam is not None or run.security is not None:
-        # OAM probes and forged attack packets are deliveries too;
-        # count traffic flows only so availability keeps meaning
-        # delivered-traffic / sent-traffic
-        delivered = sum(
-            network.delivered_count(s.flow_id) for s in run.sources
-        )
-    else:
-        delivered = network.delivered_count()
+    # OAM probes and forged attack packets are deliveries too; count
+    # traffic flows only so availability keeps meaning delivered-traffic
+    # / sent-traffic
+    delivered = sum(network.delivered_count(s.flow_id) for s in run.sources)
     dropped = network.drop_count()
     availability = _round(delivered / sent) if sent else None
 
     # packets that died inside a channel (loss, corruption, link-down
     # flush) never reach a node's drop log -- count them from the
     # channels themselves, including links that are still failed
-    all_links = list(network.links.values()) + [
-        link for link, _ in network._failed_links.values()
-    ]
-    link_lost = sum(
-        ch.lost for link in all_links for ch in (link.forward, link.reverse)
-    )
-    link_corrupted = sum(
-        ch.corrupted
-        for link in all_links
+    channels = [
+        ch
+        for link in [*network.links.values(),
+                     *(link for link, _ in network._failed_links.values())]
         for ch in (link.forward, link.reverse)
-    )
+    ]
 
     # -- did the network become whole again? --------------------------------
     recovery_times = [
@@ -786,8 +366,8 @@ def summarize(
             "sent": sent,
             "delivered": delivered,
             "dropped": dropped,
-            "lost_on_links": link_lost,
-            "corrupted_on_links": link_corrupted,
+            "lost_on_links": sum(ch.lost for ch in channels),
+            "corrupted_on_links": sum(ch.corrupted for ch in channels),
             "availability": availability,
         },
         "drops": {
@@ -833,27 +413,6 @@ def summarize(
             if downtimes
             else None,
         }
-    if run.scenario.overload is not None:
-        report["overload"] = _overload_section(run)
-    if run.scenario.flows is not None and run.flows is not None:
-        report["flows"] = _flows_section(run)
-        if run.alert_engine is not None:
-            report["alerts"] = run.alert_engine.summary()
-    if run.scenario.security is not None and run.security is not None:
-        report["security"] = _security_section(run)
-    if run.scenario.topo is not None and run.topo is not None:
-        conv = run.topo.convergence()
-        report["convergence"] = {
-            "initial": conv["initial"],
-            "disruptions": conv["disruptions"],
-            "deltas": conv["deltas"],
-            "snapshots": conv["snapshots"],
-            "final_health": run.topo.live_view().health()["overall"],
-            "verified": run.topo.verified,
-            "mismatches": run.topo.mismatches,
-        }
-    if run.scenario.controller is not None and run.controller is not None:
-        report["controller"] = _controller_section(run)
     if injector.restarts:
         restarts = []
         for restart in injector.restarts:
@@ -915,17 +474,6 @@ def summarize(
                 )
             ],
         }
-    if run.auditor is not None:
-        passes, checked, drift, repaired, alarms = run.auditor.summary()
-        report["audit"] = {
-            "passes": passes,
-            "nodes_checked": checked,
-            "drift_detected": drift,
-            "repaired": repaired,
-            "repair_cycles": run.auditor.repair_cycles,
-            "watchdog_alarms": alarms,
-            "clean": run.auditor.clean,
-        }
     if injector.scrub_reports:
         report["scrub"] = {
             "runs": len(injector.scrub_reports),
@@ -937,40 +485,18 @@ def summarize(
         }
     if injector.corrupted_packets:
         report["corrupted_packets"] = injector.corrupted_packets
-    if run.oam is not None:
-        oam_summary = run.oam.summary()
-        fecs_out = []
-        for entry in oam_summary["fecs"]:
-            out = dict(entry)
-            for key in ("rtt_min_s", "rtt_max_s", "rtt_mean_s"):
-                if key in out:
-                    out[key] = _round(out[key])
-            out["transitions"] = [
-                {"time": _round(t["time"]), "up": t["up"]}
-                for t in out["transitions"]
-            ]
-            if out["up_at_end"] is False:
-                # name the hop where the broken LSP dies (post-run
-                # traceroute; safe here, the horizon has passed)
-                out["localized_path"] = run.oam.localize(out["fec"]).path
-            fecs_out.append(out)
-        report["oam"] = {
-            "period": oam_summary["period"],
-            "timeout": oam_summary["timeout"],
-            "slo_rtt_s": oam_summary["slo_rtt_s"],
-            "fecs": fecs_out,
-        }
     if recorder is not None:
         spans_summary = recorder.summary()
         spans_summary["fec_latency_quantiles"] = {
-            fec: {q: _round(v) for q, v in quantiles.items()}
-            for fec, quantiles in spans_summary[
-                "fec_latency_quantiles"
-            ].items()
+            fec: _rounded(quantiles)
+            for fec, quantiles in spans_summary["fec_latency_quantiles"].items()
         }
         report["spans"] = spans_summary
     if sink is not None:
         report["events"] = sink.kind_counts()
+    # a row whose section runs the scheduler on (a traceroute) goes last
+    for sub in sorted(run.armed, key=lambda sub: sub.traces):
+        report.update(sub.section(run))
     return ChaosReport(
         report,
         recorder=recorder,

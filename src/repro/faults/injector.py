@@ -23,11 +23,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.scenario import (
     FAULT_KINDS,
-    KIND_KEYS,
     FaultSpec,
     Scenario,
     ScenarioError,
 )
+from repro.faults.subsystems import KIND_KEYS
 from repro.hw.opcodes import KEY_MAX
 from repro.mpls.label import LABEL_MAX, LabelEntry
 from repro.mpls.stack import LabelStack

@@ -138,7 +138,8 @@ class KindContract:
     #: literal name ``"controller"``)
     target: str
     params: Mapping[str, Param] = field(default_factory=dict)
-    #: the scenario key the kind needs (a :data:`KIND_KEYS` name)
+    #: the scenario key the kind needs (a
+    #: :data:`~repro.faults.subsystems.KIND_KEYS` name)
     key: Optional[str] = None
     #: the ``control`` values any one of which the kind needs (empty: any)
     controls: Tuple[str, ...] = ()
@@ -160,24 +161,6 @@ class KindContract:
     #: sugar: :meth:`Scenario.materialize` replaces the spec with what
     #: this returns, so the injector never sees the kind
     expand: Optional[Callable[["FaultSpec"], List["FaultSpec"]]] = None
-
-
-#: what a scenario key a kind needs arms: (the ``--list-faults`` tag,
-#: what the injector calls it, why such faults need it)
-KIND_KEYS: Dict[str, Tuple[str, str, str]] = {
-    "security": (
-        "adversarial",
-        "a security monitor",
-        "adversarial faults are measured against the security monitor's "
-        "guards (set \"enabled\": false to run them unmitigated)",
-    ),
-    "controller": (
-        "controller",
-        "a PCE controller",
-        "controller faults act on the PCE and its node channels (set "
-        "\"enabled\": false to run them against a dark controller)",
-    ),
-}
 
 
 def _expand_flap(spec: "FaultSpec") -> List["FaultSpec"]:
@@ -479,17 +462,15 @@ _TOPOLOGY_BUILDERS = {
     "full_mesh": full_mesh,
 }
 
-#: the optional subsystem keys: each an object configuring what it
-#: arms, or absent (None) to run without it
-_SUBSYSTEM_KEYS = (
-    "audit", "oam", "overload", "flows", "alerts", "security", "topo",
-    "controller",
-)
-
 
 @dataclass
 class Scenario:
-    """A complete chaos scenario: network + traffic + fault schedule."""
+    """A complete chaos scenario: network + traffic + fault schedule.
+
+    Each optional subsystem key below holds the file's object as is; its
+    row of :data:`~repro.faults.subsystems.SUBSYSTEMS` parses it when
+    the run is built.
+    """
 
     name: str
     topology: Mapping[str, Any]
@@ -539,6 +520,8 @@ class Scenario:
     controller: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
+        from repro.faults.subsystems import SUBSYSTEMS
+
         if self.control not in ("ldp", "ldp-messages", "frr"):
             raise ScenarioError(f"unknown control plane {self.control!r}")
         if self.duration <= 0:
@@ -547,30 +530,33 @@ class Scenario:
             raise ScenarioError("a scenario needs at least one flow")
         if self.control == "frr" and not self.protection:
             raise ScenarioError("frr control needs a 'protection' list")
-        if self.alerts is not None and self.flows is None:
-            raise ScenarioError(
-                "'alerts' needs 'flows': the alert engine is evaluated "
-                "on the traffic-matrix collector tick"
-            )
         kinds = {s.kind for s in self.faults}
         if self.random_faults is not None:
             kinds.update(self.random_faults.kinds)
-        for key, (_, _, why) in KIND_KEYS.items():
+        for sub in SUBSYSTEMS:
+            if getattr(self, sub.key) is not None:
+                continue
+            for key, why in sub.carries.items():
+                if getattr(self, key) is not None:
+                    raise ScenarioError(f"'{key}' needs '{sub.key}': {why}")
             needing = sorted(
-                k.value for k in kinds if FAULT_KINDS[k].key == key
+                k.value for k in kinds if FAULT_KINDS[k].key == sub.key
             )
-            if needing and getattr(self, key) is None:
+            if needing:
                 raise ScenarioError(
-                    f"'{', '.join(needing)}' faults need a '{key}' key: {why}"
+                    f"'{', '.join(needing)}' faults need a '{sub.key}' key: "
+                    f"{sub.kinds[2]}"
                 )
 
     # -- construction -------------------------------------------------------
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "Scenario":
+        from repro.faults.subsystems import SUBSYSTEM_KEYS
+
         faults = [FaultSpec.from_dict(f) for f in raw.get("faults", [])]
         rand = raw.get("random_faults")
         subsystems = {}
-        for key in _SUBSYSTEM_KEYS:
+        for key in SUBSYSTEM_KEYS:
             value = raw.get(key)
             if value is not None and not isinstance(value, Mapping):
                 raise ScenarioError(

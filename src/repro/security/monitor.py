@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
+from repro.config import from_mapping
 from repro.net.packet import MPLSPacket
 from repro.obs.events import AttackDetected, AttackMitigated
 from repro.obs.telemetry import get_telemetry
@@ -76,35 +77,9 @@ class SecurityConfig:
     #: Exception-path token-bucket burst.
     exception_burst: float = 20.0
 
-    _KEYS = frozenset(
-        {
-            "enabled",
-            "edge_guard",
-            "authenticate",
-            "cross_check",
-            "quarantine",
-            "exception_rate",
-            "exception_burst",
-        }
-    )
-
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "SecurityConfig":
-        unknown = sorted(set(raw) - cls._KEYS)
-        if unknown:
-            raise ValueError(
-                f"unknown security key(s): {', '.join(unknown)} "
-                f"(accepted: {', '.join(sorted(cls._KEYS))})"
-            )
-        return cls(
-            enabled=bool(raw.get("enabled", True)),
-            edge_guard=bool(raw.get("edge_guard", True)),
-            authenticate=bool(raw.get("authenticate", True)),
-            cross_check=bool(raw.get("cross_check", True)),
-            quarantine=bool(raw.get("quarantine", True)),
-            exception_rate=float(raw.get("exception_rate", 200.0)),
-            exception_burst=float(raw.get("exception_burst", 20.0)),
-        )
+        return from_mapping(cls, "security", raw)
 
 
 @dataclass

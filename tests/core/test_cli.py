@@ -107,11 +107,11 @@ class TestChaosCLI:
 
 
 class TestHostileScenarioCLI:
-    """A traffic entry or fault param no run can mean ends ``repro
-    chaos`` with one line and a non-zero exit -- never a traceback from
-    inside the event loop, never a source spinning until the event
-    budget (a subprocess with a 5 s limit, so a regression fails
-    instead of hanging)."""
+    """A traffic entry, fault param or subsystem value no run can mean
+    ends ``repro chaos`` with one line and a non-zero exit -- never a
+    traceback from inside the event loop, never a source spinning until
+    the event budget (a subprocess with a 5 s limit, so a regression
+    fails instead of hanging)."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -167,20 +167,62 @@ class TestHostileScenarioCLI:
         line = self._refused(raw, tmp_path)
         assert line == "error: bad scenario: unknown fault kind 'bogus'"
 
+    @pytest.mark.parametrize(
+        "key,config,message",
+        [
+            # were: a traceback from the subsystem's constructor or its
+            # first tick
+            ("audit", {"period": 0}, "audit: bad period 0"),
+            ("audit", {"period": "abc"}, "audit: bad period 'abc'"),
+            ("audit", {"period": float("nan")}, "audit: bad period nan"),
+            ("audit", {"start": "x"}, "audit: bad start 'x'"),
+            ("oam", {"period": 0}, "oam: bad period 0"),
+            ("oam", {"slo_rtt_s": "fast"}, "oam: bad slo_rtt_s 'fast'"),
+            ("flows", {"capacity": 0}, "flows: bad capacity 0"),
+            ("flows", {"matrix_period": "x"}, "flows: bad matrix_period 'x'"),
+            ("flows", {"idle_timeout": -1}, "flows: bad idle_timeout -1"),
+            ("topo", {"snapshot_every": 0}, "topo: bad snapshot_every 0"),
+            ("topo", {"snapshot_every": "x"}, "topo: bad snapshot_every 'x'"),
+            ("alerts", {"rules": "x"}, "alerts: bad rules 'x'"),
+            ("overload", {"queue_capacity": "x"},
+             "overload: bad queue_capacity 'x'"),
+            # was: exit 0 with no probe ever concluded, an empty section
+            ("oam", {"timeout": 100}, "oam: bad timeout 100.0"),
+        ],
+    )
+    def test_a_subsystem_value_no_run_can_mean(
+        self, key, config, message, tmp_path
+    ):
+        raw = self._smoke()
+        raw[key] = config
+        if key == "alerts":
+            raw["flows"] = {}
+        if key == "overload":
+            raw["control"] = "ldp-messages"
+        line = self._refused(raw, tmp_path)
+        assert line.startswith(f"error: {message}: ")
+
+    @pytest.mark.parametrize("period", ["0", "-1", "nan"])
+    def test_an_audit_period_no_run_can_mean(self, period, tmp_path):
+        # was: a traceback from the auditor
+        line = self._refused(self._smoke(), tmp_path, "--audit", period)
+        assert line.startswith(f"error: audit: bad period {float(period)}: ")
+
     @staticmethod
     def _smoke():
         with open(os.path.join(EXAMPLES_DIR, "chaos_smoke.json")) as fh:
             return json.load(fh)
 
     @staticmethod
-    def _refused(raw, tmp_path):
-        """Run ``repro chaos`` on ``raw`` in a subprocess (5 s limit);
-        return its one stderr line after checking the exit and stdout."""
+    def _refused(raw, tmp_path, *flags):
+        """Run ``repro chaos`` on ``raw`` (plus ``flags``) in a subprocess
+        (5 s limit); return its one stderr line after checking the exit
+        and stdout."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         src = os.path.join(EXAMPLES_DIR, os.pardir, "src")
         result = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "chaos", str(path)],
+            [sys.executable, "-m", "repro.cli", "chaos", str(path), *flags],
             capture_output=True, text=True, timeout=5,
             env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
         )

@@ -8,6 +8,7 @@ that controller faults come with a scenario ``controller`` key.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,22 @@ class TestSectionGatingAndCLI:
         off = json.loads(out_off.read_text())["controller"]
         assert on["enabled"] is True and on["adoptions"] > 0
         assert off["enabled"] is False and off["adoptions"] == 0
+
+    def test_delegation_is_what_keeps_the_example_from_blackholing(self):
+        """On the example's seed, the stale flush without delegation
+        blackholes FECs that delegation keeps forwarding."""
+        raw = json.loads(
+            (Path(__file__).parents[2] / "examples" / "chaos_controller.json")
+            .read_text()
+        )
+        blackholed = {}
+        for delegation in (True, False):
+            raw["controller"] = {"delegation": delegation}
+            with telemetry_session():
+                report = run_scenario(Scenario.from_dict(raw), seed=7)
+            blackholed[delegation] = report["controller"]["fecs_blackholed"]
+        assert blackholed[True] == 0
+        assert blackholed[False] > 0
 
     def test_dark_controller_faults_are_inert(self):
         """A controller fault against a dark (enabled=false) PCE heals

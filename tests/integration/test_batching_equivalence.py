@@ -18,9 +18,9 @@ import os
 
 import pytest
 
-from repro.faults.chaos import build_run, summarize
+from repro.faults.chaos import build_run, finish, run_scenario, summarize
 from repro.faults.scenario import Scenario
-from repro.obs import ListSink, get_telemetry, telemetry_session
+from repro.obs import telemetry_session
 from repro.obs.flows import flows_to_jsonl
 
 EXAMPLES_DIR = os.path.join(
@@ -59,28 +59,18 @@ CASES = [
 def _run(path, seed, batching):
     """One scenario run; returns (report json, flow export, tables).
 
-    Mirrors ``run_scenario`` but keeps the live run object so the
-    final forwarding tables and the flow-accounting export can be
-    captured alongside the report.
+    Runs what ``run_scenario`` runs -- ``build_run``, the network, the
+    shared ``finish`` step, ``summarize`` -- but keeps the live run
+    object so the final forwarding tables and the flow-accounting
+    export can be captured alongside the report.
     """
     scenario = Scenario.load(path)
     with telemetry_session():
         run = build_run(scenario, seed)
         if batching:
             run.network.enable_batching()
-        tel = get_telemetry()
-        sink = tel.events.add_sink(ListSink()) if tel.enabled else None
-        try:
+        with finish(run) as sink:
             processed = run.network.run(until=scenario.duration)
-        finally:
-            if sink is not None:
-                tel.events.remove_sink(sink)
-        run.injector.finalize()
-        if run.security is not None:
-            run.security.finalize()
-        if run.flows is not None:
-            run.flows.finalize()
-            run.flows.detach()
         report = summarize(run, processed, sink)
     flows_export = None
     if run.flows is not None:
@@ -106,6 +96,9 @@ def test_batched_report_is_byte_identical(name, seed):
     path = os.path.join(EXAMPLES_DIR, name)
     scalar_report, scalar_flows, scalar_tables = _run(path, seed, False)
     batched_report, batched_flows, batched_tables = _run(path, seed, True)
+    with telemetry_session():
+        reference = run_scenario(Scenario.load(path), seed).to_json()
+    assert scalar_report == reference
     assert batched_report == scalar_report
     assert batched_flows == scalar_flows
     assert batched_tables == scalar_tables
