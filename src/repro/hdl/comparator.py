@@ -25,6 +25,7 @@ class EqualityComparator(Component):
         self.a = self.wire("a", width)
         self.b = self.wire("b", width)
         self.eq = self.wire("eq", 1)
+        self.reads = (self.a, self.b)
 
     def settle(self) -> None:
         self.eq.drive(1 if self.a.value == self.b.value else 0)

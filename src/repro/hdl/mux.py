@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.hdl.signal import Signal
+from repro.hdl.signal import Signal, Wire
 from repro.hdl.simulator import Component, Simulator
 
 
@@ -46,6 +46,8 @@ class Mux(Component):
         sel_width = max(1, (len(inputs) - 1).bit_length())
         self.sel = self.wire("sel", sel_width)
         self.out = self.wire("out", width)
+        # a register input holds still through the settle phase
+        self.reads = (self.sel, *(s for s in self.inputs if isinstance(s, Wire)))
 
     def settle(self) -> None:
         sel = self.sel.value

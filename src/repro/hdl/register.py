@@ -24,6 +24,7 @@ class Register(Component):
         self.en = self.wire("en", 1)
         self.clear = self.wire("clear", 1)
         self.q = self.reg("q", width)
+        self.reads = (self.d, self.en, self.clear)
 
     def settle(self) -> None:
         if self.clear.value:

@@ -125,12 +125,15 @@ class Wire(Signal):
     only while the earlier one re-drives the held value are not an error.
     """
 
-    __slots__ = ("_driven", "_log_driven", "_log_changed")
+    __slots__ = ("_driven", "_log_driven", "_log_changed", "_readers")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         super().__init__(name, width, default)
         self._driven = 0
         self._log_driven = self._log_changed = _unlogged
+        #: bit *i* set: the simulator's *i*-th settle component lists this
+        #: wire in its ``reads`` (bound with the simulator's hooks)
+        self._readers = 0
 
     def reset(self) -> None:
         """Revert to the default (undriven) value: what the simulator

@@ -2,26 +2,47 @@
 
 Every simulated clock cycle runs in two phases:
 
-1. **Settle** -- every component that has a ``settle`` runs, in
-   registration order, pass after pass until a pass changes no wire (a
-   fixed point); the iteration bound catches combinational loops, which
-   are modelling errors.  A pass costs what it touches, not what the
-   design declares: a ``Wire.drive`` / ``Reg.stage`` that changes
-   nothing returns at once, the others append to three logs.
+1. **Settle** -- components that have a ``settle`` run, in registration
+   order, pass after pass until a pass changes no wire (a fixed point);
+   the iteration bound catches combinational loops, which are modelling
+   errors.  A pass costs what it touches, not what the design declares:
+   a ``Wire.drive`` / ``Reg.stage`` that changes nothing returns at
+   once, the others append to three logs.
 
    * *driven* -- wires a drive has changed so far this cycle.  Between
-     passes only these become drivable again, keeping their value (a
-     wire driven in pass *k* and not again holds it for the rest of the
+     passes these become drivable again, keeping their value (a wire
+     driven in pass *k* and not again holds it for the rest of the
      cycle); at the next cycle only these revert to their default --
      every other wire is still at it, so first-pass readers see defaults.
    * *changed* -- wires whose value a drive changed this pass.  A
      second, differing drive in one pass raises, so a wire changes at
      most once per pass and never back: "nothing logged" is exactly
      "every wire's value before the pass equals its value after".
-   * *staged* -- registers staged so far this cycle.  Between passes
-     only these are unstaged (a stage whose condition a later pass
-     revokes must never commit: only the final pass's staging is
-     authoritative), and the edge commits only these.
+   * *staged* -- registers staged so far this cycle.  A stage whose
+     condition a later pass revokes must never commit: only the final
+     pass's staging is authoritative, and the edge commits only these.
+
+   **A component re-runs only when a wire it reads changed.**  A
+   component that declares :attr:`Component.reads` is evaluated in pass
+   0, as every component is, and after that only when it is *due*: a
+   wire in its ``reads`` changed since it last ran.  A change made by a
+   component registered earlier makes it due later in the same pass;
+   any other change -- its own included, so a self-loop still ends in
+   :class:`CombinationalLoopError` -- in the next pass; a change made
+   in pass 0, which runs everything anyway, makes every reader of the
+   wire due in pass 1.  Due components run in registration order.  Skipping is
+   exact, not a heuristic: re-run on the same wire values and the same
+   registers (they only move at the edge), a ``settle`` makes the same
+   drives and stages, and a drive or stage that repeats the held value
+   is a no-op.  So every pass still happens and observes what it did,
+   and the pass count per cycle is unchanged; when nothing is due and
+   every component declares its reads, the next pass could not change a
+   wire and the cycle is settled.  A due component's own registers are
+   unstaged just before it re-runs; a register no declared component
+   owns is unstaged between passes, as before.
+
+   A component without ``reads`` (``None``, the default: test benches,
+   toy machines, probes) runs in every pass.
 
 2. **Tick** -- all sequential elements (registers, memories, FSM state)
    commit their staged updates atomically, then tracing hooks observe
@@ -31,11 +52,28 @@ Every simulated clock cycle runs in two phases:
 Components register themselves with the simulator on construction, so a
 design is simply a tree of :class:`Component` objects sharing one
 :class:`Simulator`.
+
+Declaring ``reads`` for a new component
+---------------------------------------
+Set ``self.reads`` in ``__init__`` (a class attribute ``reads = ()``
+for a component that reads no wire) to every :class:`Wire` whose
+``value`` its ``settle`` can read in any state, on any branch: its own
+input wires and any other component's.  Registers are not listed --
+they hold still through the settle phase -- and neither is a wire it
+only drives, unless another component may drive that wire in the same
+cycle (a drive compares with the value held, which is then someone
+else's).  A declared component stages only the registers it created
+with :meth:`Component.reg`, and nothing else stages them.  An FSM
+lists, once for the whole machine, what every ``on_<STATE>`` handler
+reads: a new state handler that reads a new wire adds it to the
+machine's ``reads`` in the same change.  A wire read but not listed is
+a stale read, not an error: ``tests/hw/test_read_sets.py`` records what
+each evaluation reads and must stay green.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hdl.signal import Reg, Signal, Wire
 
@@ -62,6 +100,12 @@ class Component:
     * :meth:`reset` -- return internal state to power-on values.
     """
 
+    #: The wires :meth:`settle` reads, or ``None``: evaluate it in every
+    #: settle pass.  Read once, when the simulator binds its hooks.
+    reads: Optional[Tuple[Wire, ...]] = None
+    #: the registers :meth:`reg` created, in creation order
+    _regs: Tuple[Reg, ...] = ()
+
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
@@ -72,7 +116,9 @@ class Component:
         return self.sim.add_wire(f"{self.name}.{name}", width, default)
 
     def reg(self, name: str, width: int = 1, default: int = 0) -> Reg:
-        return self.sim.add_reg(f"{self.name}.{name}", width, default)
+        reg = self.sim.add_reg(f"{self.name}.{name}", width, default)
+        self._regs += (reg,)
+        return reg
 
     # -- simulation hooks ----------------------------------------------------
     def settle(self) -> None:  # pragma: no cover - default no-op
@@ -83,6 +129,10 @@ class Component:
 
     def reset(self) -> None:  # pragma: no cover - default no-op
         """Restore power-on state beyond signal defaults."""
+
+
+def _overrides(component: Component, name: str) -> bool:
+    return getattr(type(component), name) is not getattr(Component, name)
 
 
 class Simulator:
@@ -108,8 +158,9 @@ class Simulator:
         self._driven: List[Wire] = []
         self._changed: List[Wire] = []
         self._staged: List[Reg] = []
-        # (settles, ticks), built at the first edge after a registration
-        self._hooks: Tuple[Tuple[Callable[[], None], ...], ...] = ()
+        # what _bind_hooks() returns, built at the first edge after a
+        # registration
+        self._hooks: tuple = ()
         self._tick_hooks: Tuple[Callable[[int], None], ...] = ()
 
     # -- registration ----------------------------------------------------
@@ -117,15 +168,44 @@ class Simulator:
         self._components.append(component)
         self._hooks = ()
 
-    def _bind_hooks(self) -> Tuple[Tuple[Callable[[], None], ...], ...]:
-        """Bound ``settle`` / ``tick`` of the components that override them."""
-        self._hooks = tuple(
-            tuple(
-                getattr(c, name)
-                for c in self._components
-                if getattr(type(c), name) is not getattr(Component, name)
-            )
-            for name in ("settle", "tick")
+    def _bind_hooks(self) -> tuple:
+        """``(settles, plan, undeclared, free, ticks)``: the bound
+        ``settle`` of every component that overrides it, in registration
+        order; the *i*-th again as ``plan[1 << i] = (settle, its own
+        registers, the bits above i)``; the bits of the components
+        without ``reads``; the registers no declared component owns; the
+        bound ``tick``s.  Each wire learns the bits of its declared
+        readers."""
+        settlers = [c for c in self._components if _overrides(c, "settle")]
+        for signal in self._signals.values():
+            if isinstance(signal, Wire):
+                signal._readers = 0
+        plan, undeclared, owned = {}, 0, set()
+        for index, component in enumerate(settlers):
+            bit, regs = 1 << index, ()
+            if component.reads is None:
+                undeclared |= bit
+            else:
+                for wire in component.reads:
+                    if not isinstance(wire, Wire):
+                        raise TypeError(
+                            f"{component.name}.reads lists {wire!r}: only "
+                            f"wires are read during settle"
+                        )
+                    wire._readers |= bit
+                regs = component._regs
+                owned.update(map(id, regs))
+            plan[bit] = (component.settle, regs, -(bit << 1))
+        free = tuple(
+            s for s in self._signals.values()
+            if isinstance(s, Reg) and id(s) not in owned
+        )
+        self._hooks = (
+            tuple(c.settle for c in settlers),
+            plan,
+            undeclared,
+            free,
+            tuple(c.tick for c in self._components if _overrides(c, "tick")),
         )
         return self._hooks
 
@@ -146,6 +226,7 @@ class Simulator:
         if signal.name in self._signals:
             raise ValueError(f"duplicate signal name {signal.name!r}")
         self._signals[signal.name] = signal
+        self._hooks = ()
 
     @property
     def signals(self) -> Dict[str, Signal]:
@@ -185,19 +266,62 @@ class Simulator:
             wire._driven = 0
             wire.value = wire.default
         driven.clear()
-        settles = (self._hooks or self._bind_hooks())[0]
-        for pass_index in range(self.max_settle_passes):
-            changed.clear()
-            if pass_index:
-                for wire in driven:
-                    wire._driven = 1
-                for reg in staged:
-                    reg._staged = 1
-                    reg._next = None
-            for settle in settles:
-                settle()
-            if not changed:
+        settles, plan, undeclared, free, _ = self._hooks or self._bind_hooks()
+        # a stage made outside this settle (settle_only(), a cycle that
+        # raised, a test bench) survives pass 0 and, as before, only
+        # pass 1 if made again: then pass 1 re-runs everything
+        stale = False
+        for reg in staged:
+            if reg._staged == 2:
+                stale = True
+                break
+        # pass 0: every component, in registration order, on reverted
+        # wires; what it changed makes every reader due in pass 1 (those
+        # after the changer saw the change already and re-run as a no-op,
+        # which costs less than telling them apart in this sweep)
+        for settle in settles:
+            settle()
+        due = (1 << len(settles)) - 1 if stale else 0
+        for wire in changed:
+            due |= wire._readers
+        moved = bool(changed)
+        changed.clear()
+        for _ in range(1, self.max_settle_passes):
+            if not moved:
                 return
+            for wire in driven:
+                wire._driven = 1
+            due |= undeclared
+            if not due:
+                return  # this pass could not change a wire
+            if undeclared or stale:
+                for reg in free:
+                    if reg._staged == 2:
+                        reg._staged = 1
+                        reg._next = None
+            upcoming, moved = 0, False
+            while due:  # the due components, lowest bit first
+                bit = due & -due
+                due ^= bit
+                settle, regs, above = plan[bit]
+                for reg in regs:
+                    if reg._staged == 2:
+                        reg._staged = 1
+                        reg._next = None
+                settle()
+                if changed:
+                    moved, readers = True, 0
+                    for wire in changed:
+                        readers |= wire._readers
+                    changed.clear()
+                    # readers registered later run later in this pass,
+                    # the others (the changer too) in the next
+                    later = readers & above
+                    due |= later
+                    upcoming |= readers ^ later
+            due = upcoming
+        if not moved:
+            return
         raise CombinationalLoopError(
             f"combinational logic failed to settle within "
             f"{self.max_settle_passes} passes at cycle {self.cycle}"
@@ -215,7 +339,7 @@ class Simulator:
                     reg._next = None
                 reg._staged = 0
             staged.clear()
-            for tick in (self._hooks or self._bind_hooks())[1]:
+            for tick in (self._hooks or self._bind_hooks())[4]:
                 tick()
             self.cycle += 1
             for hook in self._tick_hooks:

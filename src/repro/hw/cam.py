@@ -77,6 +77,8 @@ class CAMInfoBaseLevel(Component):
         self.done = self.reg("done", 1)
         self.overflow = self.reg("overflow", 1)
         self._entries: List[Tuple[int, int, int]] = []
+        # the store itself only changes at the edge
+        self.reads = (self.search_en, self.search_key)
 
     @property
     def count(self) -> int:

@@ -100,6 +100,11 @@ class Datapath(Component):
         #: Driven by the main FSM while it is idle and a command is
         #: pending; tells this component to capture the inputs.
         self.capture = self.wire("capture", 1)
+        self.reads = (
+            self.capture, self.operation, self.data_in, self.packet_id,
+            self.label_lookup, self.op_in, self.level_in, self.ttl_in,
+            self.cos_in,
+        )
 
     def settle(self) -> None:
         if self.capture.value:

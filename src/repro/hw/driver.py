@@ -35,6 +35,7 @@ from repro.hw.opcodes import (
     SearchResult,
     UpdateResult,
     UserOp,
+    check_address,
     check_corruption,
     check_key,
     check_level,
@@ -59,7 +60,10 @@ HANG_FACTOR = 4
 
 
 class _WireDriver(Component):
-    """Holds requested wire values and drives them each settle pass."""
+    """Holds requested wire values and drives them each cycle."""
+
+    #: the values are set between edges, never by a wire
+    reads = ()
 
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
@@ -449,8 +453,7 @@ class ModifierDriver:
     def read_entry(self, level: int, address: int) -> ReadEntryResult:
         """Read the pair stored at ``address`` directly (no search)."""
         check_level(level)
-        if not 0 <= address <= 0x7FF:
-            raise ValueError(f"address {address} outside the 11-bit address bus")
+        check_address(self.modifier.dp.info_base.depth, address)
         cycles = self._issue(UserOp.READ_ENTRY, level_in=level, data_in=address)
         iface = self.modifier.ib_iface
         valid = bool(iface.mgmt_found.value)

@@ -86,6 +86,11 @@ class InfoBaseLevel(Component):
         self.rd_addr_ext = self.wire("rd_addr_ext", depth.bit_length())
         # Sticky overflow flag.
         self.overflow = self.reg("overflow", 1)
+        self.reads = (
+            self.wr_en, self.wr_index, self.wr_label, self.wr_op,
+            self.wr_addr_override, self.wr_addr_ext, self.count_dec,
+            self.rd_addr_override, self.rd_addr_ext,
+        )
 
     @property
     def count(self) -> int:
@@ -93,8 +98,8 @@ class InfoBaseLevel(Component):
         return self.write_counter.count.value
 
     def settle(self) -> None:
-        # runs on every pass of every cycle, three instances: each
-        # signal is read once
+        # runs in pass 0 of every cycle, three instances: each signal is
+        # read once
         index_mem, label_mem, op_mem = self.index_mem, self.label_mem, self.op_mem
         depth, last = self.depth, self.depth - 1
         wr_en = self.wr_en.value

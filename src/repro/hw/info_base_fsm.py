@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.hdl.fsm import FSM
 from repro.hdl.simulator import Simulator
 from repro.hw.datapath import Datapath
-from repro.hw.opcodes import UserOp
+from repro.hw.opcodes import UserOp, address_bits
 from repro.hw.search_fsm import SearchFSM
 
 STATES = [
@@ -77,6 +77,9 @@ class InfoBaseInterfaceFSM(FSM):
         self.rd_out_index = self.reg("rd_out_index", 32)
         self.rd_out_label = self.reg("rd_out_label", 20)
         self.rd_out_op = self.reg("rd_out_op", 2)
+        #: the direct-read address bus: the low bits of the data input
+        self._address_mask = (1 << address_bits(dp.info_base.depth)) - 1
+        self.reads = (self.enable, search.finishing)
 
     # -- helpers --------------------------------------------------------
     def _level(self):
@@ -96,9 +99,7 @@ class InfoBaseInterfaceFSM(FSM):
     def _read_addr(self) -> int:
         """The direct-read address: low bits of the data input."""
         level = self._level()
-        return min(
-            self.dp.lat_data.value & ((1 << 11) - 1), level.depth - 1
-        )
+        return min(self.dp.lat_data.value & self._address_mask, level.depth - 1)
 
     def _drive_write(self, level) -> None:
         """The pair on the write port: the index from the packet

@@ -85,6 +85,7 @@ class LabelStackInterfaceFSM(FSM):
         #: plus a validity flag.
         self.performed = self.reg("performed", 2)
         self.performed_valid = self.reg("performed_valid", 1)
+        self.reads = (self.enable, search.finishing, dp.rtrtype)
 
     # -- search request (the update path's key/level selection) -----------
     def _drive_search_request(self) -> None:

@@ -50,6 +50,7 @@ class MainFSM(FSM):
         self.dp = dp
         self.lbl_iface = lbl_iface
         self.ib_iface = ib_iface
+        self.reads = (dp.operation, lbl_iface.finishing, ib_iface.finishing)
 
     def on_IDLE(self) -> str:
         op = self.dp.operation.value

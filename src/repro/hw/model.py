@@ -29,6 +29,7 @@ from repro.hw.opcodes import (
     ReadEntryResult,
     SearchResult,
     UpdateResult,
+    check_address,
     check_corruption,
     check_key,
     check_level,
@@ -428,8 +429,7 @@ class FunctionalModifier:
     def read_entry(self, level: int, address: int) -> ReadEntryResult:
         """Direct read of the pair at ``address`` (5 fixed cycles)."""
         check_level(level)
-        if not 0 <= address <= 0x7FF:
-            raise ValueError(f"address {address} outside the 11-bit address bus")
+        check_address(self.ib_depth, address)
         # the RTL clamps the presented address to the memory depth
         address = min(address, self.ib_depth - 1)
         lvl = self._levels[level - 1]

@@ -28,6 +28,9 @@ from repro.mpls.label import LabelEntry
 class LabelStackModifier(Component):
     """Control unit + datapath, as one instantiable block."""
 
+    #: ``settle`` ORs registered pulses only
+    reads = ()
+
     def __init__(
         self,
         sim: Optional[Simulator] = None,

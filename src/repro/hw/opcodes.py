@@ -88,6 +88,19 @@ def check_update(packet_id: int, ttl: int, cos: int) -> None:
         _refuse(("packet_id", packet_id, 0xFFFFFFFF), ("ttl", ttl, 0xFF), ("cos", cos, 7))
 
 
+def address_bits(depth: int) -> int:
+    """The direct-read address bus: 11 bits (the paper's 1 K levels,
+    with room to spare), or what the last address of a deeper level
+    needs."""
+    return max(11, (depth - 1).bit_length())
+
+
+def check_address(depth: int, address: int) -> None:
+    bits = address_bits(depth)
+    if not 0 <= address < 1 << bits:
+        raise ValueError(f"address {address} outside the {bits}-bit address bus")
+
+
 def check_corruption(level: int, index_xor: int, label_xor: int, op_xor: int) -> None:
     check_key(level, "index_xor", index_xor)
     _refuse(("label_xor", label_xor, LABEL_MAX), ("op_xor", op_xor, 3))

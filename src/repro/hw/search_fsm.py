@@ -58,6 +58,10 @@ class SearchFSM(FSM):
         self.done = self.reg("done", 1)
         self.miss = self.reg("miss", 1)
         self.finishing = self.wire("finishing", 1)
+        self.reads = (
+            self.req, self.req_level, self.req_key,
+            dp.cmp32.eq, dp.cmp20.eq, dp.cmp10.eq,
+        )
 
     # -- helpers --------------------------------------------------------
     def _level(self):

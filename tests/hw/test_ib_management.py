@@ -141,6 +141,59 @@ class TestReadEntry:
         assert drv.total_cycles == before + 5
 
 
+class TestReadPastAddress2047:
+    """At ``ib_depth=4096`` the direct-read bus is 12 bits wide: a scrub
+    of a level holding 2 100 pairs reads every one of them back, and the
+    RTL and the functional model agree read by read and repair by
+    repair."""
+
+    PAIRS = [(16 + i, 500 + i % 900, LabelOp.SWAP) for i in range(2100)]
+
+    @staticmethod
+    def loaded(device):
+        device.reset()
+        device.bank_begin()
+        for index, label, op in TestReadPastAddress2047.PAIRS:
+            device.bank_write_pair(2, index, label, op)
+        device.bank_commit()
+        return device
+
+    def run(self, device):
+        device = self.loaded(device)
+        seen = [device.read_entry(2, a) for a in (0, 2047, 2048, 2099, 2100, 4095)]
+        with pytest.raises(ValueError, match="address 4096 outside the 12-bit"):
+            device.read_entry(2, 4096)
+        # one flipped payload and one flipped index, both past 2047
+        device.corrupt_pair(2, 2050, label_xor=0x40)
+        device.corrupt_pair(2, 2090, index_xor=0x80000)
+        seen.append(device.scrub(2, self.PAIRS))
+        seen.append(device.scrub(2, self.PAIRS))
+        return seen, device.ib_pairs(2), device.total_cycles
+
+    def test_rtl_equals_model(self):
+        rtl = self.run(ModifierDriver(ib_depth=4096))
+        model = self.run(FunctionalModifier(ib_depth=4096))
+        assert rtl == model
+        reads, pairs, _ = rtl
+        assert [r.index for r in reads[:4]] == [16, 16 + 2047, 16 + 2048, 16 + 2099]
+        assert not reads[4].valid and not reads[5].valid
+        repair, clean = reads[6], reads[7]
+        # a read-back pass, the repairs, a read-back pass that is clean
+        assert (repair.passes, repair.checked, repair.corrupted, repair.repaired) == (
+            2, 4200, 2, 2,
+        )
+        assert repair.clean and clean.clean and clean.corrupted == 0
+        assert sorted(pairs) == sorted((i, lb, int(op)) for i, lb, op in self.PAIRS)
+
+    def test_the_bus_is_unchanged_up_to_depth_2048(self):
+        for depth in (64, 1024, 2048):
+            for device in (ModifierDriver(ib_depth=depth), FunctionalModifier(ib_depth=depth)):
+                device.reset()
+                with pytest.raises(ValueError, match="address 2048 outside the 11-bit"):
+                    device.read_entry(1, 2048)
+                assert not device.read_entry(1, 2047).valid
+
+
 class TestLevel1Management:
     def test_modify_by_packet_id(self, drv):
         drv.write_pair(1, 0x0A000001, 100, LabelOp.PUSH)
