@@ -10,9 +10,8 @@ message counts.
 
 from benchmarks._util import emit, emit_json
 from repro.analysis.report import render_series, render_table
-from repro.control.cr_ldp import CRLDPSignaler
 from repro.control.ldp import LDPProcess
-from repro.control.rsvp_te import RSVPTESignaler
+from repro.control.rsvp_te import CRLDPSignaler, RSVPTESignaler
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.router import RouterRole
 from repro.net.network import MPLSNetwork
@@ -163,10 +162,12 @@ def test_signaling_overhead_rsvp_vs_crldp(benchmark):
         + rsvp_stats.resv_messages
         + rsvp_stats.refresh_messages
     )
+    # Label Requests + Label Mappings + one Label Release per hop of the
+    # 3-hop route
     crldp_total = (
-        crldp_stats.request_messages
-        + crldp_stats.mapping_messages
-        + crldp_stats.release_messages
+        crldp_stats.path_messages
+        + crldp_stats.resv_messages
+        + crldp_stats.teardowns * 3
     )
     emit(
         "signaling_overhead",
@@ -177,8 +178,8 @@ def test_signaling_overhead_rsvp_vs_crldp(benchmark):
                  rsvp_stats.path_messages + rsvp_stats.resv_messages,
                  rsvp_stats.refresh_messages, rsvp_total],
                 ["CR-LDP (hard state)",
-                 crldp_stats.request_messages + crldp_stats.mapping_messages,
-                 0, crldp_total],
+                 crldp_stats.path_messages + crldp_stats.resv_messages,
+                 crldp_stats.refresh_messages, crldp_total],
             ],
             title="Control-plane message counts for one 3-hop LSP over an "
             "hour",

@@ -558,7 +558,7 @@ def cmd_flows(
     snapshots, and alert transitions as JSON Lines; ``--matrix`` the
     snapshots as one JSON document; ``--prom`` the final Prometheus
     exposition.  All three exports are byte-stable for a seeded
-    scenario (the CI flows-smoke step compares two runs with ``cmp``).
+    scenario (the CI views-smoke job compares two runs with ``cmp``).
     """
     from repro.obs import to_prometheus
     from repro.obs.alerts import render_alert_history
@@ -771,7 +771,7 @@ def cmd_topo(
     changes between two instants; ``health`` prints the derived
     per-object scores.  ``--export`` writes the queried view as JSON
     and ``--dot`` as Graphviz -- both byte-stable for a seeded run
-    (the CI topo-smoke step compares two runs with ``cmp``).
+    (the CI views-smoke job compares two runs with ``cmp``).
     """
     times = times or []
     # the observer is the point of this command: force it on even when

@@ -8,14 +8,22 @@ base.  This subpackage supplies that software plane:
 * :mod:`repro.control.routing` -- link-state database + Dijkstra SPF,
 * :mod:`repro.control.labels` -- per-node label allocation,
 * :mod:`repro.control.ldp` -- LDP-style downstream-unsolicited label
-  distribution along IGP shortest paths,
+  distribution along IGP shortest paths (converged),
+* :mod:`repro.control.ldp_sessions` -- the same distribution as real
+  messages over sessions (discovery, ordered control, withdrawal),
 * :mod:`repro.control.cspf` -- constraint-based SPF (bandwidth and
   affinity pruning) for traffic engineering,
-* :mod:`repro.control.rsvp_te` -- RSVP-TE-style explicit-route LSP
-  signalling with bandwidth reservation,
-* :mod:`repro.control.cr_ldp` -- CR-LDP-style explicit-route setup
-  (the other label distribution protocol the paper names),
+* :mod:`repro.control.rsvp_te` -- explicit-route LSP signalling with
+  bandwidth reservation: RSVP-TE (soft state, preemption) and CR-LDP
+  (the other protocol the paper names: the same setup, hard state),
+* :mod:`repro.control.frr` -- path protection over RSVP-TE,
 * :mod:`repro.control.lsp` -- LSP and tunnel-hierarchy objects.
+
+Each protocol derives a label binding's ILM/FTN entries in one place,
+used by both install and refresh; penultimate-hop popping is the
+:class:`~repro.mpls.nhlfe.NHLFE` constructor's (a label of
+``IMPLICIT_NULL`` makes a swap a POP and a push a NOOP), so no protocol
+branches on it.
 """
 
 from repro.control.routing import LinkStateDatabase, SPFResult, shortest_path
@@ -29,8 +37,12 @@ from repro.control.overload import (
     OverloadConfig,
     PriorityControlQueue,
 )
-from repro.control.rsvp_te import RSVPTESignaler, SetupError, SignalingError
-from repro.control.cr_ldp import CRLDPSignaler
+from repro.control.rsvp_te import (
+    CRLDPSignaler,
+    RSVPTESignaler,
+    SetupError,
+    SignalingError,
+)
 from repro.control.frr import FastRerouteManager, ProtectedPath
 from repro.control.oam import (
     PingResult,

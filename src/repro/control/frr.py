@@ -24,10 +24,9 @@ from repro.control.rsvp_te import (
     RSVPTESignaler,
     SignalingError,
     _note_lsp,
+    ingress_entry,
 )
 from repro.mpls.fec import FEC
-from repro.mpls.label import IMPLICIT_NULL, LabelOp
-from repro.mpls.nhlfe import NHLFE
 
 
 @dataclass
@@ -198,14 +197,6 @@ class FastRerouteManager:
 
     def _steer(self, protected: ProtectedPath, lsp: LSP) -> None:
         """One FTN rewrite at the ingress: the whole switchover."""
-        ingress_node = self.signaler.nodes[lsp.ingress]
-        first_label = lsp.hop_labels[0]
-        if first_label is None or first_label == IMPLICIT_NULL:
-            nhlfe = NHLFE(op=LabelOp.NOOP, next_hop=lsp.path[1])
-        else:
-            nhlfe = NHLFE(
-                op=LabelOp.PUSH,
-                out_label=first_label,
-                next_hop=lsp.path[1],
-            )
-        ingress_node.ftn.install(protected.fec, nhlfe)
+        self.signaler.nodes[lsp.ingress].ftn.install(
+            protected.fec, ingress_entry(lsp.path, lsp.hop_labels, lsp.cos)
+        )

@@ -47,6 +47,34 @@ class FECBinding:
     #: LERs steering traffic onto it) -- what a per-node refresh needs
     ingresses: List[str] = field(default_factory=list)
 
+    # The binding's forwarding state, derived once for both install and
+    # refresh; PHP needs no case here, the NHLFE constructor turns a
+    # label of IMPLICIT_NULL into a POP or a NOOP.
+
+    def ilm_entry(self, name: str) -> Optional[Tuple[int, NHLFE]]:
+        """``name``'s ILM entry for this FEC: POP at a non-PHP egress,
+        SWAP to the next hop's label at a router routing towards it,
+        None where the binding gives ``name`` no entry."""
+        label = self.labels.get(name)
+        if name == self.egress:
+            if self.php or label is None:
+                return None
+            return label, NHLFE(op=LabelOp.POP)
+        nh = self.next_hops.get(name)
+        if nh is None:
+            return None
+        return label, NHLFE(
+            op=LabelOp.SWAP, out_label=self.labels[nh], next_hop=nh
+        )
+
+    def ftn_entry(self, name: str) -> Optional[NHLFE]:
+        """The FTN entry steering this FEC onto the LSP at ``name``:
+        PUSH the next hop's label, or None without a next hop."""
+        nh = self.next_hops.get(name)
+        if nh is None:
+            return None
+        return NHLFE(op=LabelOp.PUSH, out_label=self.labels[nh], next_hop=nh)
+
 
 class LDPProcess:
     """Distributes labels for FECs over a converged topology.
@@ -119,21 +147,12 @@ class LDPProcess:
                 if nh is not None and nh in binding.labels:
                     binding.next_hops[name] = nh
 
-        # 3. install forwarding state
-        if not php and egress in binding.labels:
-            self.nodes[egress].ilm.install(
-                binding.labels[egress], NHLFE(op=LabelOp.POP)
-            )
-        for name, nh in binding.next_hops.items():
-            node = self.nodes[name]
-            node.ilm.install(
-                binding.labels[name],
-                NHLFE(
-                    op=LabelOp.SWAP,
-                    out_label=binding.labels[nh],
-                    next_hop=nh,
-                ),
-            )
+        # 3. install forwarding state: the egress, the transit routers,
+        #    then the ingress FTNs
+        for name in (egress, *binding.next_hops):
+            entry = binding.ilm_entry(name)
+            if entry is not None:
+                self.nodes[name].ilm.install(*entry)
         targets = (
             ingresses
             if ingresses is not None
@@ -144,21 +163,11 @@ class LDPProcess:
             ]
         )
         for name in targets:
-            nh = binding.next_hops.get(name)
-            if nh is None:
+            nhlfe = binding.ftn_entry(name)
+            if nhlfe is None:
                 continue
             binding.ingresses.append(name)
-            downstream = binding.labels[nh]
-            if downstream == IMPLICIT_NULL:
-                # adjacent to a PHP egress: no label at all
-                self.nodes[name].ftn.install(
-                    fec, NHLFE(op=LabelOp.NOOP, next_hop=nh)
-                )
-            else:
-                self.nodes[name].ftn.install(
-                    fec,
-                    NHLFE(op=LabelOp.PUSH, out_label=downstream, next_hop=nh),
-                )
+            self.nodes[name].ftn.install(fec, nhlfe)
         self.bindings.append(binding)
         tel = get_telemetry()
         if tel.enabled:
@@ -263,41 +272,12 @@ class LDPProcess:
         node = self.nodes[name]
         ilm_writes = ftn_writes = 0
         for binding in self.bindings:
-            if (
-                name == binding.egress
-                and not binding.php
-                and name in binding.labels
-            ):
-                node.ilm.install(
-                    binding.labels[name], NHLFE(op=LabelOp.POP)
-                )
+            entry = binding.ilm_entry(name)
+            if entry is not None:
+                node.ilm.install(*entry)
                 ilm_writes += 1
-            nh = binding.next_hops.get(name)
-            if nh is not None and name in binding.labels:
-                node.ilm.install(
-                    binding.labels[name],
-                    NHLFE(
-                        op=LabelOp.SWAP,
-                        out_label=binding.labels[nh],
-                        next_hop=nh,
-                    ),
-                )
-                ilm_writes += 1
-            if name in binding.ingresses and nh is not None:
-                downstream = binding.labels[nh]
-                if downstream == IMPLICIT_NULL:
-                    node.ftn.install(
-                        binding.fec, NHLFE(op=LabelOp.NOOP, next_hop=nh)
-                    )
-                else:
-                    node.ftn.install(
-                        binding.fec,
-                        NHLFE(
-                            op=LabelOp.PUSH,
-                            out_label=downstream,
-                            next_hop=nh,
-                        ),
-                    )
+            if name in binding.ingresses:
+                node.ftn.install(binding.fec, binding.ftn_entry(name))
                 ftn_writes += 1
         return ilm_writes, ftn_writes
 

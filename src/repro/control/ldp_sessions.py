@@ -106,6 +106,19 @@ class FECState:
     withdrawn: bool = False
 
 
+def _outdated(
+    entry: Optional[NHLFE], stale: bool, peer: str, label_in: int
+) -> bool:
+    """Does a graceful-restart refresh rewrite ``entry``?  Only when it
+    routes via ``peer`` and is stale-marked or carries a label other
+    than ``label_in``."""
+    return (
+        entry is not None
+        and entry.next_hop == peer
+        and (stale or entry.out_label != label_in)
+    )
+
+
 class LDPSpeaker:
     """The per-router LDP protocol instance."""
 
@@ -262,15 +275,7 @@ class LDPSpeaker:
         state = self.process.fecs[fec_id]
         label = self.allocator.allocate()
         self.local_labels[fec_id] = label
-        self.node.ilm.install(
-            label,
-            NHLFE(op=LabelOp.SWAP, out_label=label_in, next_hop=peer),
-        )
-        if self.node.is_edge:
-            self.node.ftn.install(
-                state.fec,
-                NHLFE(op=LabelOp.PUSH, out_label=label_in, next_hop=peer),
-            )
+        self._program(state, label, peer, label_in)
         state.advertised[self.name] = label
         state.installed_at[self.name] = self.process.scheduler.now
         self._note_install(fec_id, label, next_hop=peer)
@@ -293,21 +298,42 @@ class LDPSpeaker:
             return
         if self._next_hop_to_egress(state.egress) != peer:
             return
-        if self.node.ilm.is_stale(label) or nhlfe.out_label != label_in:
-            self.node.ilm.install(
+        self._program(state, label, peer, label_in, outdated_only=True)
+
+    def _program(
+        self,
+        state: FECState,
+        label: int,
+        peer: str,
+        label_in: int,
+        outdated_only: bool = False,
+    ) -> Tuple[int, int]:
+        """Forward ``state``'s FEC via ``peer``, which advertised
+        ``label_in``: the transit SWAP under our ``label`` and, at an
+        edge router, the ingress PUSH -- the one place this router's
+        entries for a binding are derived.  ``outdated_only`` rewrites
+        just the entries that already route via ``peer`` and are
+        stale-marked or carry another label.  Returns the (ILM, FTN)
+        entries written."""
+        ilm, ftn, fec = self.node.ilm, self.node.ftn, state.fec
+        ilm_writes = ftn_writes = 0
+        if not outdated_only or _outdated(
+            ilm.get(label), ilm.is_stale(label), peer, label_in
+        ):
+            ilm.install(
                 label,
                 NHLFE(op=LabelOp.SWAP, out_label=label_in, next_hop=peer),
             )
-        if self.node.is_edge:
-            ftn_nhlfe = self.node.ftn.entry_for(state.fec)
-            if ftn_nhlfe is not None and ftn_nhlfe.next_hop == peer and (
-                self.node.ftn.is_stale(state.fec)
-                or ftn_nhlfe.out_label != label_in
-            ):
-                self.node.ftn.install(
-                    state.fec,
-                    NHLFE(op=LabelOp.PUSH, out_label=label_in, next_hop=peer),
-                )
+            ilm_writes = 1
+        if self.node.is_edge and (
+            not outdated_only
+            or _outdated(ftn.entry_for(fec), ftn.is_stale(fec), peer, label_in)
+        ):
+            ftn.install(
+                fec, NHLFE(op=LabelOp.PUSH, out_label=label_in, next_hop=peer)
+            )
+            ftn_writes = 1
+        return ilm_writes, ftn_writes
 
     def _withdraw_local(
         self, fec_id: str, exclude: Optional[str] = None
@@ -649,19 +675,9 @@ class MessageLDPProcess:
             label_in = speaker.bindings.get(fec_id, {}).get(nh)
             if label_in is None:
                 continue
-            node.ilm.install(
-                label,
-                NHLFE(op=LabelOp.SWAP, out_label=label_in, next_hop=nh),
-            )
-            ilm_writes += 1
-            if node.is_edge:
-                node.ftn.install(
-                    state.fec,
-                    NHLFE(
-                        op=LabelOp.PUSH, out_label=label_in, next_hop=nh
-                    ),
-                )
-                ftn_writes += 1
+            ilm, ftn = speaker._program(state, label, nh, label_in)
+            ilm_writes += ilm
+            ftn_writes += ftn
         return ilm_writes, ftn_writes
 
     # -- liveness (keepalive refresh + hold-timer expiry) -------------------

@@ -1,14 +1,19 @@
-"""RSVP-TE-style explicit-route LSP signalling.
+"""RSVP-TE- and CR-LDP-style explicit-route LSP signalling.
 
-One of the two label distribution protocols the paper names for QoS
-("label distribution protocols that use MPLS like RSVP-TE and
-CR-LDP").  The model captures the protocol's essence:
+The two label distribution protocols the paper names for QoS ("label
+distribution protocols that use MPLS like RSVP-TE and CR-LDP").  The
+model captures RSVP-TE's essence:
 
 * a **PATH** message travels the explicit route from head-end to tail,
 * a **RESV** message returns, allocating a label at every hop
   (downstream-on-demand) and reserving bandwidth on each link,
 * the state is *soft*: it must be refreshed, and :meth:`expire_stale`
   tears down LSPs whose refreshes stopped (the failure-injection path).
+
+CR-LDP (:class:`CRLDPSignaler`, the paper's reference [5]) is the same
+setup with *hard* state: a Label Request / Label Mapping pair per hop
+(counted as PATH / RESV), no refreshes, no preemption, and an LSP lives
+until it is released.
 
 Setup installs the same ILM/FTN entries a converged RSVP-TE network
 would hold, so the data plane can forward immediately afterwards.
@@ -17,7 +22,7 @@ would hold, so the data plane can forward immediately afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control.cspf import CSPFError, cspf_path
 from repro.control.labels import LabelAllocator
@@ -70,22 +75,62 @@ class SignalingStats:
     preempt_declined: int = 0
 
 
+# An LSP's forwarding state, derived once for setup, refresh, steering
+# and teardown; PHP needs no case here, the NHLFE constructor turns a
+# label of IMPLICIT_NULL into a POP or a NOOP.
+
+def hop_entry(
+    path: Sequence[str],
+    hop_labels: Sequence[Optional[int]],
+    i: int,
+    cos: Optional[int],
+) -> NHLFE:
+    """The ILM entry ``path[i]`` (``i >= 1``) holds under its label
+    ``hop_labels[i - 1]``: POP at the tail, elsewhere SWAP to the next
+    hop's label."""
+    if i == len(path) - 1:
+        return NHLFE(op=LabelOp.POP)
+    return NHLFE(
+        op=LabelOp.SWAP, out_label=hop_labels[i], next_hop=path[i + 1], cos=cos
+    )
+
+
+def ingress_entry(
+    path: Sequence[str],
+    hop_labels: Sequence[Optional[int]],
+    cos: Optional[int],
+) -> NHLFE:
+    """The head-end FTN entry steering a FEC onto the LSP: PUSH its
+    first hop label."""
+    return NHLFE(
+        op=LabelOp.PUSH, out_label=hop_labels[0], next_hop=path[1], cos=cos
+    )
+
+
 class RSVPTESignaler:
     """Head-end signalling over shared node/topology state."""
+
+    #: what an LSP this signaler sets up records as its protocol
+    protocol = "rsvp-te"
+    #: where each node's label allocation for this signaler starts
+    first_label = 100_000
+    #: may admission preempt lower-priority LSPs?  (soft preemption:
+    #: victims are rerouted make-before-break when a path exists)
+    preemption_enabled = True
+    #: soft state: an LSP must be refreshed, or :meth:`expire_stale`
+    #: tears it down
+    soft_state = True
 
     def __init__(self, topology: Topology, nodes: Dict[str, LSRNode]) -> None:
         self.topology = topology
         self.nodes = nodes
         self.allocators: Dict[str, LabelAllocator] = {
-            name: LabelAllocator(first=100_000) for name in nodes
+            name: LabelAllocator(first=self.first_label) for name in nodes
         }
         self.stats = SignalingStats()
         self.lsps: Dict[str, LSP] = {}
-        #: lsp name -> last refresh timestamp
+        #: lsp name -> last refresh timestamp (soft-state LSPs only)
         self._last_refresh: Dict[str, float] = {}
-        #: may admission preempt lower-priority LSPs?  (soft preemption:
-        #: victims are rerouted make-before-break when a path exists)
-        self.preemption_enabled = True
         #: lsp name -> FEC steered onto it (needed to rewrite the
         #: ingress FTN when a preemption reroutes the LSP)
         self._fec_of: Dict[str, FEC] = {}
@@ -209,12 +254,13 @@ class RSVPTESignaler:
             hop_labels=hop_labels,
             bandwidth_bps=bandwidth_bps,
             cos=cos,
-            protocol="rsvp-te",
+            protocol=self.protocol,
             setup_priority=setup_priority,
             hold_priority=hold_priority,
         )
         self.lsps[name] = lsp
-        self._last_refresh[name] = 0.0
+        if self.soft_state:
+            self._last_refresh[name] = 0.0
         if fec is not None:
             self._fec_of[name] = fec
         _note_lsp(
@@ -233,50 +279,22 @@ class RSVPTESignaler:
     ) -> List[Optional[int]]:
         """RESV upstream: allocate labels, install ILM (and the ingress
         FTN when a FEC is steered).  Returns the hop labels."""
-        hop_labels: List[Optional[int]] = [None] * (len(route) - 1)
-        downstream_label: Optional[int] = IMPLICIT_NULL if php else None
-        for i in range(len(route) - 1, 0, -1):
-            node_name = route[i]
+        tail = len(route) - 1
+        hop_labels: List[Optional[int]] = [None] * tail
+        for i in range(tail, 0, -1):
             self.stats.resv_messages += 1
-            if i == len(route) - 1:
-                if php:
-                    label = IMPLICIT_NULL
-                else:
-                    label = self.allocators[node_name].allocate()
-                    self.nodes[node_name].ilm.install(
-                        label, NHLFE(op=LabelOp.POP)
-                    )
-            else:
-                label = self.allocators[node_name].allocate()
-                self.nodes[node_name].ilm.install(
-                    label,
-                    NHLFE(
-                        op=LabelOp.SWAP,
-                        out_label=downstream_label,
-                        next_hop=route[i + 1],
-                        cos=cos,
-                    ),
-                )
-            hop_labels[i - 1] = label
-            downstream_label = label
-
+            if php and i == tail:
+                hop_labels[i - 1] = IMPLICIT_NULL
+                continue
+            label = hop_labels[i - 1] = self.allocators[route[i]].allocate()
+            self.nodes[route[i]].ilm.install(
+                label, hop_entry(route, hop_labels, i, cos)
+            )
         # head-end FTN entry (when a FEC is being steered onto the LSP)
-        first_label = hop_labels[0]
         if fec is not None:
-            if first_label == IMPLICIT_NULL:
-                self.nodes[route[0]].ftn.install(
-                    fec, NHLFE(op=LabelOp.NOOP, next_hop=route[1])
-                )
-            else:
-                self.nodes[route[0]].ftn.install(
-                    fec,
-                    NHLFE(
-                        op=LabelOp.PUSH,
-                        out_label=first_label,
-                        next_hop=route[1],
-                        cos=cos,
-                    ),
-                )
+            self.nodes[route[0]].ftn.install(
+                fec, ingress_entry(route, hop_labels, cos)
+            )
         return hop_labels
 
     # -- preemption -------------------------------------------------------
@@ -354,10 +372,10 @@ class RSVPTESignaler:
             new_route = None
         if new_route is None:
             # hard preemption: no alternate path, the victim goes down
-            self._remove_forwarding(victim)
+            fec = self._fec_of.pop(victim.name, None)
+            self._remove_forwarding(victim, fec)
             self.lsps.pop(victim.name, None)
             self._last_refresh.pop(victim.name, None)
-            self._fec_of.pop(victim.name, None)
             victim.up = False
             self.stats.preempt_teardowns += 1
             self._note_preempt(
@@ -383,14 +401,7 @@ class RSVPTESignaler:
             new_labels = self._install_route(
                 new_route, cos=victim.cos, fec=fec, php=php
             )
-            for i in range(1, len(old_path)):
-                label = old_labels[i - 1]
-                node_name = old_path[i]
-                if label is None or label == IMPLICIT_NULL:
-                    continue
-                if label in self.nodes[node_name].ilm:
-                    self.nodes[node_name].ilm.remove(label)
-                self.allocators[node_name].release(label)
+            self._unbind(old_path, old_labels)
         for a, b in zip(new_route, new_route[1:]):
             self.topology.link(a, b).reserve(a, victim.bandwidth_bps)
         victim.path = list(new_route)
@@ -398,24 +409,31 @@ class RSVPTESignaler:
         self.stats.preempt_reroutes += 1
         self._note_preempt(victim.name, by, "reroute", "->".join(new_route))
 
-    def _remove_forwarding(self, lsp: LSP) -> None:
-        """Remove an LSP's ILM entries (and ingress FTN) and free its
-        labels; reservations are the caller's business."""
-        route = lsp.path
-        for i in range(1, len(route)):
-            node_name = route[i]
-            label = lsp.hop_labels[i - 1]
+    def _unbind(
+        self, path: Sequence[str], hop_labels: Sequence[Optional[int]]
+    ) -> None:
+        """Remove the ILM entries a path's hop labels hold and free the
+        labels: the one way an LSP's labels leave the network."""
+        for node_name, label in zip(path[1:], hop_labels):
             if label is None or label == IMPLICIT_NULL:
                 continue
-            if label in self.nodes[node_name].ilm:
-                self.nodes[node_name].ilm.remove(label)
+            ilm = self.nodes[node_name].ilm
+            if label in ilm:
+                ilm.remove(label)
             self.allocators[node_name].release(label)
-        fec = self._fec_of.get(lsp.name)
-        if fec is not None:
-            try:
-                self.nodes[lsp.ingress].ftn.remove(fec)
-            except KeyError:
-                pass
+
+    def _remove_forwarding(self, lsp: LSP, fec: Optional[FEC]) -> None:
+        """Remove an LSP's ILM entries and free its labels, then the
+        ingress FTN entry for ``fec`` if it still steers onto this LSP
+        (after an FRR switchover it steers onto the backup, and stays).
+        Reservations are the caller's business."""
+        self._unbind(lsp.path, lsp.hop_labels)
+        if fec is None:
+            return
+        ftn = self.nodes[lsp.ingress].ftn
+        steering = ingress_entry(lsp.path, lsp.hop_labels, lsp.cos)
+        if ftn.entry_for(fec) == steering:
+            ftn.remove(fec)
 
     def _note_preempt(
         self, name: str, by: str, mode: str, detail: str = ""
@@ -443,6 +461,11 @@ class RSVPTESignaler:
     def refresh(self, name: str, now: float) -> None:
         """Record a refresh for the LSP (one message per hop)."""
         lsp = self.lsps[name]
+        if not self.soft_state:
+            raise SignalingError(
+                f"{self.protocol} LSP {name!r} is hard state: "
+                "there is nothing to refresh"
+            )
         self.stats.refresh_messages += lsp.hops
         self._last_refresh[name] = now
 
@@ -459,32 +482,19 @@ class RSVPTESignaler:
         writes = 0
         for lsp_name in sorted(self.lsps):
             lsp = self.lsps[lsp_name]
-            route = lsp.path
-            for i in range(1, len(route)):
-                if route[i] != name:
-                    continue
+            for i in range(1, len(lsp.path)):
                 label = lsp.hop_labels[i - 1]
-                if label is None or label == IMPLICIT_NULL:
+                if lsp.path[i] != name or label in (None, IMPLICIT_NULL):
                     continue
-                if i == len(route) - 1:
-                    self.nodes[name].ilm.install(
-                        label, NHLFE(op=LabelOp.POP)
-                    )
-                else:
-                    self.nodes[name].ilm.install(
-                        label,
-                        NHLFE(
-                            op=LabelOp.SWAP,
-                            out_label=lsp.hop_labels[i],
-                            next_hop=route[i + 1],
-                            cos=lsp.cos,
-                        ),
-                    )
+                self.nodes[name].ilm.install(
+                    label, hop_entry(lsp.path, lsp.hop_labels, i, lsp.cos)
+                )
                 writes += 1
         return writes
 
     def expire_stale(self, now: float, hold_time: float = 90.0) -> List[str]:
-        """Tear down LSPs not refreshed within ``hold_time``."""
+        """Tear down LSPs not refreshed within ``hold_time`` (never a
+        hard-state one: it has no refresh to miss)."""
         stale = [
             name
             for name, last in self._last_refresh.items()
@@ -508,16 +518,30 @@ class RSVPTESignaler:
                 # finish the flow records riding the torn-down FEC
                 tel.flows.close_fec(str(getattr(fec, "prefix", fec)))
         self.stats.teardowns += 1
-        route = lsp.path
-        for i in range(1, len(route)):
-            node_name = route[i]
-            label = lsp.hop_labels[i - 1]
-            if label is None or label == IMPLICIT_NULL:
-                continue
-            if label in self.nodes[node_name].ilm:
-                self.nodes[node_name].ilm.remove(label)
-            self.allocators[node_name].release(label)
-        for a, b in zip(route, route[1:]):
+        self._remove_forwarding(lsp, fec)
+        for a, b in lsp.links():
             self.topology.link(a, b).release(a, lsp.bandwidth_bps)
         lsp.up = False
         _note_lsp("teardown", name)
+
+
+class CRLDPSignaler(RSVPTESignaler):
+    """Constraint-routed LDP: RSVP-TE's explicit-route setup with hard
+    state.
+
+    A Label Request travels downstream and a Label Mapping returns --
+    two messages per hop, counted as ``path_messages`` and
+    ``resv_messages``.  Signalling rides ordered LDP sessions, so a
+    setup completes or fails atomically; there are no refreshes (so
+    :meth:`expire_stale` never returns one of its LSPs and
+    :meth:`refresh` refuses), no preemption, and an LSP lives until it
+    is released.  Its labels start at 200 000, apart from RSVP-TE's.
+    """
+
+    protocol = "cr-ldp"
+    first_label = 200_000
+    preemption_enabled = False
+    soft_state = False
+
+    #: explicit teardown (hard state: the only way an LSP dies)
+    release = RSVPTESignaler.teardown

@@ -59,6 +59,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.mpls.router import RouterRole
 from repro.net.topology import (
     Topology,
+    TopologyError,
     full_mesh,
     line,
     paper_figure1,
@@ -321,6 +322,15 @@ class FaultSpec:
             )
         if self.at < 0:
             raise ScenarioError(f"fault time {self.at} is negative")
+        if not math.isfinite(self.at):
+            raise ScenarioError(
+                f"{self.kind.value}: bad at {self.at}: must be finite"
+            )
+        if self.heal_at is not None and not math.isfinite(self.heal_at):
+            raise ScenarioError(
+                f"{self.kind.value}: bad heal_at {self.heal_at}: must be "
+                "finite (omit heal_at for a fault that never heals)"
+            )
         if self.heal_at is not None and self.heal_at <= self.at:
             raise ScenarioError(
                 f"heal_at {self.heal_at} must come after at {self.at}"
@@ -348,14 +358,20 @@ class FaultSpec:
             for k, v in raw.items()
             if k not in ("kind", "at", "target", "heal_at")
         }
+        times = {}
+        for key in ("at", "heal_at"):
+            value = raw.get(key)
+            try:
+                times[key] = None if value is None else float(value)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(
+                    f"{kind.value}: bad {key} {value!r}: {exc}"
+                ) from None
         return cls(
             kind=kind,
-            at=float(raw.get("at", 0.0)),
+            at=0.0 if times["at"] is None else times["at"],
             target=target,
-            heal_at=(
-                float(raw["heal_at"]) if raw.get("heal_at") is not None
-                else None
-            ),
+            heal_at=times["heal_at"],
             params=params,
         )
 
@@ -555,6 +571,11 @@ class Scenario:
 
         faults = [FaultSpec.from_dict(f) for f in raw.get("faults", [])]
         rand = raw.get("random_faults")
+        topology = raw.get("topology", {"kind": "paper_figure1"})
+        if not isinstance(topology, Mapping):
+            raise ScenarioError(
+                f"'topology' must be an object, got {topology!r}"
+            )
         subsystems = {}
         for key in SUBSYSTEM_KEYS:
             value = raw.get(key)
@@ -566,7 +587,7 @@ class Scenario:
         return cls(
             name=raw.get("name", "unnamed"),
             description=raw.get("description", ""),
-            topology=dict(raw.get("topology", {"kind": "paper_figure1"})),
+            topology=dict(topology),
             edges=raw.get("edges"),
             hardware=bool(raw.get("hardware", False)),
             control=raw.get("control", "ldp"),
@@ -604,7 +625,22 @@ class Scenario:
         builder = _TOPOLOGY_BUILDERS.get(kind)
         if builder is None:
             raise ScenarioError(f"unknown topology kind {kind!r}")
-        topo = builder(**spec)
+        try:
+            topo = builder(**spec)
+            for a, b, attrs in topo.edges_with_attrs():
+                # every test is positive: a NaN fails them all
+                if not (
+                    0 < attrs.bandwidth_bps < math.inf
+                    and 0 <= attrs.delay_s < math.inf
+                ):
+                    raise ValueError(
+                        f"link {a}-{b} needs a finite positive bandwidth_bps "
+                        "and a finite delay_s >= 0"
+                    )
+        except (TypeError, ValueError, TopologyError) as exc:
+            raise ScenarioError(
+                f"topology {dict(self.topology)!r}: {exc}"
+            ) from None
         edges = self.edges
         if edges is None:
             if kind == "paper_figure1":

@@ -24,9 +24,11 @@ class NHLFE:
     ----------
     op:
         Stack operation.  ``PUSH`` and ``SWAP`` require ``out_label``;
-        ``POP`` and ``NOOP`` forbid it (except that a swap to
-        ``IMPLICIT_NULL`` is interpreted as penultimate-hop popping and
-        normalized to a POP at construction, mirroring RFC 3032).
+        ``POP`` and ``NOOP`` forbid it.  An ``out_label`` of
+        ``IMPLICIT_NULL`` is penultimate-hop popping (RFC 3032) and is
+        normalized at construction: a swap to it becomes a POP, and a
+        push of it becomes a NOOP (no label, no CoS) -- so a control
+        plane derives every entry of a binding the same way, PHP or not.
     out_label:
         Label to push or swap in.
     next_hop:
@@ -50,12 +52,17 @@ class NHLFE:
         if op in (LabelOp.PUSH, LabelOp.SWAP):
             if label is None:
                 raise InvalidLabelError(f"{op.name} requires an out_label")
-            if label == IMPLICIT_NULL and op is LabelOp.SWAP:
+            if label == IMPLICIT_NULL:
                 # Penultimate-hop popping: the downstream egress
                 # advertised implicit null, meaning "don't send me a
-                # label at all" -- normalize to POP.
-                object.__setattr__(self, "op", LabelOp.POP)
+                # label at all" -- a transit swap pops, an ingress
+                # next to the egress pushes nothing.
                 object.__setattr__(self, "out_label", None)
+                if op is LabelOp.SWAP:
+                    object.__setattr__(self, "op", LabelOp.POP)
+                else:
+                    object.__setattr__(self, "op", LabelOp.NOOP)
+                    object.__setattr__(self, "cos", None)
             else:
                 require_real_label(label)
         elif label is not None:

@@ -31,7 +31,7 @@ Flow records follow the IPFIX expiry model:
 
 Everything derives from simulated time and the deterministic packet
 stream, so exports are byte-stable across runs of the same seeded
-scenario -- the property the CI ``flows-smoke`` job checks with
+scenario -- the property the CI ``views-smoke`` job checks with
 ``cmp``.
 """
 

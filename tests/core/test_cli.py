@@ -160,6 +160,45 @@ class TestHostileScenarioCLI:
         line = self._refused(raw, tmp_path)
         assert line.startswith(f"error: bad scenario: {message}: ")
 
+    @pytest.mark.parametrize(
+        "times,message",
+        [
+            # were: a ValueError / TypeError traceback from float()
+            ({"at": "soon"}, "link-down: bad at 'soon'"),
+            ({"at": [1]}, "link-down: bad at [1]"),
+            # was: a ValueError traceback from the scheduler
+            ({"at": "nan"}, "link-down: bad at nan"),
+            # were: exit 0 with a fault that never fired / never healed
+            # (omitting heal_at is how a fault never heals)
+            ({"at": "inf"}, "link-down: bad at inf"),
+            ({"at": 0.3, "heal_at": "inf"}, "link-down: bad heal_at inf"),
+        ],
+    )
+    def test_a_fault_time_no_run_can_mean(self, times, message, tmp_path):
+        raw = self._smoke()
+        raw["faults"].append(
+            {"kind": "link-down", "target": ["lsr-1", "lsr-2"], **times}
+        )
+        line = self._refused(raw, tmp_path)
+        assert line.startswith(f"error: bad scenario: {message}: ")
+
+    @pytest.mark.parametrize(
+        "topology,message",
+        [
+            # was: TypeError: 'int' object is not iterable
+            (5, "bad scenario: 'topology' must be an object, got 5"),
+            # were: TypeError / ValueError tracebacks from building it
+            ({"kind": "paper_figure1", "bogus": 3},
+             "topology {'kind': 'paper_figure1', 'bogus': 3}: "),
+            ({"kind": "ring", "n": "x"}, "topology {'kind': 'ring', 'n': 'x'}: "),
+            ({"bandwidth_bps": -5}, "topology {'bandwidth_bps': -5}: link "),
+        ],
+    )
+    def test_a_topology_no_run_can_mean(self, topology, message, tmp_path):
+        raw = self._smoke()
+        raw["topology"] = topology
+        assert self._refused(raw, tmp_path).startswith(f"error: {message}")
+
     def test_an_unknown_random_kind(self, tmp_path):
         # was: ValueError: 'bogus' is not a valid FaultKind
         raw = self._smoke()
