@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
+import math
 from collections import deque
 
 from repro.config import from_mapping
@@ -132,10 +133,20 @@ class OverloadConfig:
             raise ValueError("need 0 <= low_watermark < high_watermark")
         if self.high_watermark > self.queue_capacity:
             raise ValueError("high_watermark must be <= queue_capacity")
-        if self.service_time_s <= 0:
-            raise ValueError("service_time_s must be > 0")
-        if self.keepalive_interval <= 0 or self.hold_time <= 0:
-            raise ValueError("keepalive_interval and hold_time must be > 0")
+        # timer periods and the shed start become scheduler delays: a
+        # NaN or an infinity there is a traceback or a timer that never
+        # fires, so each is refused by name (every test is positive, so
+        # a NaN fails them all)
+        for name in (
+            "service_time_s", "keepalive_interval", "hold_time", "shed_period"
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"bad {name} {value!r}: must be finite and > 0")
+        if not 0 <= self.shed_start < math.inf:
+            raise ValueError(
+                f"bad shed_start {self.shed_start!r}: must be finite and >= 0"
+            )
         if not (0.0 <= self.retry_jitter < 1.0):
             raise ValueError("retry_jitter must be in [0, 1)")
         if not (0.0 <= self.shed_low < self.shed_high <= 1.0):
@@ -144,8 +155,6 @@ class OverloadConfig:
             raise ValueError("shed_hysteresis must be >= 1")
         if not (0.0 <= self.max_shed_fraction <= 1.0):
             raise ValueError("max_shed_fraction must be in [0, 1]")
-        if self.shed_period <= 0:
-            raise ValueError("shed_period must be > 0")
 
     @classmethod
     def from_dict(

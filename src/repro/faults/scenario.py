@@ -479,6 +479,14 @@ _TOPOLOGY_BUILDERS = {
 }
 
 
+def _seconds(raw: Mapping[str, Any], key: str, default: float) -> float:
+    value = raw.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {key} {value!r}: {exc}") from None
+
+
 @dataclass
 class Scenario:
     """A complete chaos scenario: network + traffic + fault schedule.
@@ -542,6 +550,15 @@ class Scenario:
             raise ScenarioError(f"unknown control plane {self.control!r}")
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
+        # the horizon and the detection delay are scheduler times: NaN
+        # or infinity spins to the event budget or fails mid-run
+        if not math.isfinite(self.duration):
+            raise ScenarioError(f"bad duration {self.duration!r}: must be finite")
+        if not 0 <= self.detection_delay_s < math.inf:
+            raise ScenarioError(
+                f"bad detection_delay_s {self.detection_delay_s!r}: must be "
+                "finite and >= 0"
+            )
         if not self.traffic:
             raise ScenarioError("a scenario needs at least one flow")
         if self.control == "frr" and not self.protection:
@@ -591,8 +608,8 @@ class Scenario:
             edges=raw.get("edges"),
             hardware=bool(raw.get("hardware", False)),
             control=raw.get("control", "ldp"),
-            duration=float(raw.get("duration", 1.0)),
-            detection_delay_s=float(raw.get("detection_delay_s", 1e-3)),
+            duration=_seconds(raw, "duration", 1.0),
+            detection_delay_s=_seconds(raw, "detection_delay_s", 1e-3),
             traffic=[TrafficSpec.from_dict(t) for t in raw["traffic"]]
             if raw.get("traffic")
             else [],

@@ -13,9 +13,11 @@ stream into per-packet trace trees:
   ``HWOpExecuted`` and placed on the simulation timeline via the
   cycle-to-time anchor the hardware node publishes), with **RTL spans**
   (search/modify) nested one level further down.  Telemetry builds what
-  is read: a hop's phases arrive as one batch
-  (:meth:`~repro.obs.events.EventLog.emit_phases`) and stay one record
-  in the trace until :attr:`Trace.spans` is asked for.
+  is read: a hop, each of its label ops and its phases (which arrive as
+  one batch, :meth:`~repro.obs.events.EventLog.emit_phases`) stay one
+  record each -- a tuple of the event's fields -- until
+  :attr:`Trace.spans` is asked for; the summary, fault annotation and
+  hop paths read the records as they are.
 
 Sampling is head-based and deterministic: the keep/drop decision is a
 pure hash of the packet uid against ``sample_rate`` (with per-flow
@@ -34,7 +36,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, TextIO, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    TextIO,
+    Tuple,
+)
 
 from repro.obs.events import (
     CLOCK_CYCLES,
@@ -125,27 +138,47 @@ class Span:
         }
 
 
+# -- records: what a trace holds until somebody reads it ---------------------
+# A record is a plain tuple of an event's fields and the span id reserved
+# for it: the garbage collector stops tracking a tuple of plain values,
+# and a traced run keeps one per hop, label op and phase batch.  Item 0
+# tags the layout:
+#
+#   (_HOP, span_id, start, end, node, labels_in, ttl_in,
+#          action, labels_out, next_hop)        end is None while open
+#   (_DROP, span_id, start, end, node, labels_in, ttl_in, reason)
+#   (_LABEL_OP, span_id, start, end, parent_id, op, label_in, label_out)
+#   (_PHASES, first_id, node, anchor, hz, hop_id, phases)
+#
+# _expanded_spans builds from them exactly the spans the eager fold built.
+_HOP, _DROP, _LABEL_OP, _PHASES = "hop", "drop", "label-op", "phases"
+_RECORD_KINDS = {_HOP: KIND_HOP, _DROP: KIND_HOP, _LABEL_OP: KIND_LABEL_OP}
+
+
+class _SpanRef(NamedTuple):
+    """A hop as ``Trace.hop_at`` and :class:`_PhaseBatch` see it."""
+
+    span_id: int
+
+
+def _end_of(item: Any) -> Optional[float]:
+    """A span's end, or a record's without building its spans."""
+    if type(item) is not tuple:
+        return item.end
+    if item[0] == _PHASES:
+        _, _, _, anchor, hz, _, phases = item
+        return anchor + max(p[3] for p in phases) / hz
+    return item[3]
+
+
 class _PhaseBatch:
-    """One packet-hop's hardware phases, held in a trace's span list in
-    place of the spans they become when :attr:`Trace.spans` is read.
-    ``hop`` is the node's latest hop span *when the batch arrived*."""
+    """Builds a phase record's spans when its trace is read."""
 
     __slots__ = ("node", "anchor", "hz", "first_id", "hop", "phases")
-    #: read like a span by the scans that must not expand it: no kind,
-    #: no annotations, and the latest end of its phases
-    kind = None
-    annotations = ()
 
     def __init__(self, node, anchor, hz, first_id, hop, phases) -> None:
         self.node, self.anchor, self.hz = node, anchor, hz
         self.first_id, self.hop, self.phases = first_id, hop, phases
-
-    @property
-    def end(self) -> float:
-        return self.anchor + max(p[3] for p in self.phases) / self.hz
-
-    def kinds(self) -> List[str]:
-        return [KIND_HW_PHASE if p[1] is None else KIND_RTL for p in self.phases]
 
     def expand(self, trace: "Trace", out: List[Span]) -> None:
         """The hardware-phase fold: ids in arrival order; an RTL phase
@@ -154,9 +187,8 @@ class _PhaseBatch:
         node, anchor, hz, phase_at = self.node, self.anchor, self.hz, trace.phase_at
         span_id = self.first_id
         fallback = (self.hop or trace.root).span_id
-        for (phase, parent_phase, cycle_start, cycle_end), kind in zip(
-            self.phases, self.kinds()
-        ):
+        for phase, parent_phase, cycle_start, cycle_end in self.phases:
+            kind = KIND_HW_PHASE if parent_phase is None else KIND_RTL
             parent = None if parent_phase is None else phase_at.get(parent_phase)
             span = Span(
                 span_id,
@@ -185,23 +217,36 @@ class Trace:
     fec: str
     root: Span
     #: All non-root spans, in creation order (a property, installed
-    #: below the class: reading it expands pending phase batches).
+    #: below the class: reading it builds the spans of the records).
     spans: List[Span] = field(default_factory=list)
     delivered: bool = False
     dropped: bool = False
     probe: bool = False
-    #: node -> its latest hop span (kept by the recorder as it
-    #: appends), and phase name -> the latest hw-phase span (kept as
-    #: batches expand, in arrival order): where a hardware phase finds
-    #: its parent without walking ``spans``
-    hop_at: Dict[str, Span] = field(
-        default_factory=dict, repr=False, compare=False
+    #: node -> its latest hop's span id (kept by the recorder as it
+    #: appends): where a hardware phase finds its parent without
+    #: walking ``spans``
+    _hop_ids: Dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
+    #: phase name -> the latest hw-phase span (kept as batches expand,
+    #: in arrival order): where an RTL phase finds its parent
     phase_at: Dict[str, Span] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: phases still held as :class:`_PhaseBatch` records in ``_items``
+    #: phases still held in phase records in ``_items``
     _pending = 0
+    #: ``_items[:_built]`` are spans; records can only follow
+    _built = 0
+    #: index in ``_items`` of the hop the next hop or delivery closes
+    _open = None
+    #: span id -> fault notes of a hop still held as a record
+    _notes = None
+
+    @property
+    def hop_at(self) -> Dict[str, _SpanRef]:
+        """Node -> its latest hop, answering ``.span_id`` (a view of
+        the ids the recorder keeps)."""
+        return {node: _SpanRef(i) for node, i in self._hop_ids.items()}
 
     @property
     def trace_id(self) -> str:
@@ -215,7 +260,7 @@ class Trace:
     def end(self) -> float:
         if self.root.end is not None:
             return self.root.end
-        ends = [s.end for s in self._items if s.end is not None]
+        ends = [end for end in map(_end_of, self._items) if end is not None]
         return max(ends) if ends else self.root.start
 
     @property
@@ -227,35 +272,113 @@ class Trace:
 
     @property
     def hop_spans(self) -> List[Span]:
-        return [s for s in self._items if s.kind == KIND_HOP]
+        return [s for s in self.spans if s.kind == KIND_HOP]
+
+    def _hops(self) -> Iterator[Tuple[Any, str, float, Optional[float]]]:
+        """(hop, node, start, end) for every hop, record or span,
+        without building one."""
+        for item in self._items:
+            if type(item) is tuple:
+                if item[0] == _HOP or item[0] == _DROP:
+                    yield item, item[4], item[2], item[3]
+            elif item.kind == KIND_HOP:
+                yield item, item.attributes["node"], item.start, item.end
 
     @property
     def path(self) -> List[str]:
-        return [s.attributes["node"] for s in self.hop_spans]
+        return [node for _, node, _, _ in self._hops()]
 
     def all_spans(self) -> List[Span]:
         return [self.root, *self.spans]
 
+    def _close_hop(self, time: Optional[float]) -> None:
+        """Close the open hop at ``time`` (at its own start when None):
+        rewrite its record, or set ``end`` on its span if the trace
+        was read since it opened."""
+        index = self._open
+        if index is None:
+            return
+        self._open = None
+        hop = self._items[index]
+        if type(hop) is tuple:
+            end = hop[2] if time is None else time
+            self._items[index] = hop[:3] + (end,) + hop[4:]
+        elif hop.end is None:
+            hop.end = hop.start if time is None else time
+
+    def _note(self, hop: Any, note: SpanAnnotation) -> None:
+        """Attach a fault note to a hop span, or hold it for the span a
+        hop record becomes."""
+        if type(hop) is not tuple:
+            hop.annotations.append(note)
+            return
+        if self._notes is None:
+            self._notes = {}
+        self._notes.setdefault(hop[1], []).append(note)
+
 
 def _expanded_spans(trace: Trace) -> List[Span]:
-    """``Trace.spans``: the span list, pending batches expanded in
-    place (same list object, so ``trace.spans.append`` still works)."""
+    """``Trace.spans``: the span list, records built into the spans the
+    per-event fold built, in place (same list object, so
+    ``trace.spans.append`` still works)."""
     items = trace._items
-    if trace._pending:
-        out: List[Span] = []
-        for item in items:
-            if item.kind is None:
-                item.expand(trace, out)
-            else:
-                out.append(item)
-        items[:] = out
-        trace._pending = 0
+    first = trace._built
+    if first == len(items):
+        return items
+    root_id = trace.root.span_id
+    notes = trace._notes or {}
+    open_at = trace._open
+    out: List[Span] = []
+    for index in range(first, len(items)):
+        item = items[index]
+        if type(item) is not tuple:
+            out.append(item)
+            continue
+        if item[0] == _PHASES:
+            _, first_id, node, anchor, hz, hop_id, phases = item
+            hop = None if hop_id is None else _SpanRef(hop_id)
+            _PhaseBatch(node, anchor, hz, first_id, hop, phases).expand(trace, out)
+            continue
+        tag, span_id, start, end = item[:4]
+        if index == open_at:
+            trace._open = first + len(out)
+        if tag == _LABEL_OP:
+            _, _, _, _, parent_id, op, label_in, label_out = item
+            out.append(Span(
+                span_id, parent_id, f"{op} {label_in}->{label_out}",
+                KIND_LABEL_OP, start, end, CLOCK_SIM, None, None,
+                {"op": op, "label_in": label_in, "label_out": label_out},
+            ))
+            continue
+        node, labels_in, ttl_in = item[4:7]
+        attributes = {
+            "node": node, "labels_in": list(labels_in), "ttl_in": ttl_in,
+        }
+        if tag == _HOP:
+            attributes["action"] = item[7]
+            attributes["labels_out"] = list(item[8])
+            attributes["next_hop"] = item[9]
+        else:
+            attributes["action"] = "discard"
+            attributes["reason"] = item[7]
+        out.append(Span(
+            span_id, root_id, f"hop {node}", KIND_HOP, start, end,
+            CLOCK_SIM, None, None, attributes, notes.pop(span_id, []),
+        ))
+    items[first:] = out
+    trace._built = len(items)
+    trace._pending = 0
+    trace._notes = None
     return items
 
 
-Trace.spans = property(  # type: ignore[assignment]
-    _expanded_spans, lambda trace, spans: setattr(trace, "_items", spans)
-)
+def _set_spans(trace: Trace, spans: List[Any]) -> None:
+    """A new span list (the constructor's): scanned whole on first read,
+    and no hop of it is open."""
+    trace._items, trace._built, trace._open = spans, 0, None
+
+
+Trace.spans = property(_expanded_spans, _set_spans)  # type: ignore[assignment]
 
 
 @dataclass
@@ -315,7 +438,6 @@ class SpanRecorder:
         self.nodes = frozenset(nodes) if nodes is not None else None
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self._traces: Dict[int, Trace] = {}
-        self._open_hop: Dict[int, Span] = {}
         self._decisions: Dict[int, bool] = {}
         self._pending_ops: Dict[str, List[LabelOpApplied]] = {}
         self.fault_windows: List[FaultWindow] = []
@@ -347,15 +469,16 @@ class SpanRecorder:
 
     # -- sink protocol -----------------------------------------------------
     def write(self, event: Event) -> None:
-        # hardware phases are most of a traced hardware run's events
-        if isinstance(event, HWOpExecuted):
-            self._on_hw_op(event)
-        elif isinstance(event, PacketForwarded):
+        # hops and deliveries are most of what still arrives one by one
+        # (hardware phases come in batches, through write_phases)
+        if isinstance(event, PacketForwarded):
             self._on_hop(event, dropped=False)
-        elif isinstance(event, PacketDropped):
-            self._on_hop(event, dropped=True)
         elif isinstance(event, PacketDelivered):
             self._on_delivered(event)
+        elif isinstance(event, PacketDropped):
+            self._on_hop(event, dropped=True)
+        elif isinstance(event, HWOpExecuted):
+            self._on_hw_op(event)
         elif isinstance(event, LabelOpApplied):
             self._pending_ops.setdefault(event.node, []).append(event)
         elif isinstance(event, FaultInjected):
@@ -390,81 +513,56 @@ class SpanRecorder:
     ) -> Trace:
         trace = self._traces.get(uid)
         if trace is None:
-            root = self._span(
-                parent_id=None,
-                name=f"packet {uid}",
-                kind=KIND_PACKET,
-                start=start,
-                attributes={"uid": uid, "flow_id": flow_id},
+            root = Span(
+                self._next_span_id, None, f"packet {uid}", KIND_PACKET,
+                start, None, CLOCK_SIM, None, None,
+                {"uid": uid, "flow_id": flow_id},
             )
-            trace = Trace(
-                uid=uid,
-                flow_id=flow_id,
-                fec=self.fec_of(flow_id),
-                root=root,
+            self._next_span_id += 1
+            trace = self._traces[uid] = Trace(
+                uid, flow_id, self.fec_of(flow_id), root
             )
-            self._traces[uid] = trace
         return trace
 
     def _on_hop(self, event: Any, dropped: bool) -> None:
         # label-op buffers are keyed by node and must drain whether or
         # not this packet is sampled (the node processes synchronously,
         # so pending ops always belong to the packet just recorded)
-        pending = self._pending_ops.pop(event.node, None)
-        if self.nodes is not None and event.node not in self.nodes:
+        node = event.node
+        pending = self._pending_ops.pop(node, None)
+        if self.nodes is not None and node not in self.nodes:
             return
         if not self.wants(event.flow_id, event.uid):
             return
         time = event.time if event.time is not None else 0.0
         trace = self._trace_for(event.uid, event.flow_id, time)
-        previous = self._open_hop.get(event.uid)
-        if previous is not None and previous.end is None:
-            previous.end = time
-        attributes: Dict[str, Any] = {
-            "node": event.node,
-            "labels_in": list(event.labels_in),
-            "ttl_in": event.ttl_in,
-        }
+        trace._close_hop(time)
+        items = trace._items
+        hop_id = span_id = self._next_span_id
         if dropped:
-            attributes["action"] = "discard"
-            attributes["reason"] = event.reason
-        else:
-            attributes["action"] = event.action
-            attributes["labels_out"] = list(event.labels_out)
-            attributes["next_hop"] = event.next_hop
-        hop = self._span(
-            parent_id=trace.root.span_id,
-            name=f"hop {event.node}",
-            kind=KIND_HOP,
-            start=time,
-            attributes=attributes,
-        )
-        trace._items.append(hop)
-        trace.hop_at[event.node] = hop
-        if dropped:
-            hop.end = time
+            items.append((
+                _DROP, hop_id, time, time, node, tuple(event.labels_in),
+                event.ttl_in, event.reason,
+            ))
             trace.dropped = True
             if trace.root.end is None or trace.root.end < time:
                 trace.root.end = time
-            self._open_hop.pop(event.uid, None)
         else:
-            self._open_hop[event.uid] = hop
+            trace._open = len(items)
+            items.append((
+                _HOP, hop_id, time, None, node, tuple(event.labels_in),
+                event.ttl_in, event.action, tuple(event.labels_out),
+                event.next_hop,
+            ))
+        trace._hop_ids[node] = hop_id
         for op in pending or ():
+            span_id += 1
             op_time = op.time if op.time is not None else time
-            trace._items.append(
-                self._span(
-                    parent_id=hop.span_id,
-                    name=f"{op.op} {op.label_in}->{op.label_out}",
-                    kind=KIND_LABEL_OP,
-                    start=op_time,
-                    end=op_time,
-                    attributes={
-                        "op": op.op,
-                        "label_in": op.label_in,
-                        "label_out": op.label_out,
-                    },
-                )
-            )
+            items.append((
+                _LABEL_OP, span_id, op_time, op_time, hop_id, op.op,
+                op.label_in, op.label_out,
+            ))
+        self._next_span_id = span_id + 1
 
     def _on_delivered(self, event: PacketDelivered) -> None:
         if self.nodes is not None and event.node not in self.nodes:
@@ -484,9 +582,7 @@ class SpanRecorder:
         trace.delivered = True
         trace.root.end = time
         trace.root.attributes["latency"] = event.latency
-        hop = self._open_hop.pop(event.uid, None)
-        if hop is not None and hop.end is None:
-            hop.end = time
+        trace._close_hop(time)
 
     def _on_hw_op(self, event: HWOpExecuted) -> None:
         self.write_phases(
@@ -504,12 +600,10 @@ class SpanRecorder:
             return
         hz = clock_hz if clock_hz > 0 else 1.0
         trace = self._trace_for(uid, flow_id, anchor_time + phases[0][2] / hz)
-        trace._items.append(
-            _PhaseBatch(
-                node, anchor_time, hz, self._next_span_id,
-                trace.hop_at.get(node), phases,
-            )
-        )
+        trace._items.append((
+            _PHASES, self._next_span_id, node, anchor_time, hz,
+            trace._hop_ids.get(node), tuple(phases),
+        ))
         trace._pending += len(phases)
         self._next_span_id += len(phases)
 
@@ -539,11 +633,8 @@ class SpanRecorder:
         if self._finalized:
             return
         self._finalized = True
-        for hop in self._open_hop.values():
-            if hop.end is None:
-                hop.end = hop.start
-        self._open_hop.clear()
         for trace in self._traces.values():
+            trace._close_hop(None)
             if trace.root.end is None:
                 trace.root.end = trace.end
             self._annotate_faults(trace)
@@ -573,15 +664,13 @@ class SpanRecorder:
                     time=at, label=f"fault:{window.fault}", detail=detail
                 )
             )
-            for hop in trace.hop_spans:
-                if self._target_names(window.target, hop.attributes["node"]):
-                    hop.annotations.append(
-                        SpanAnnotation(
-                            time=min(max(window.start, hop.start), hop.end or t1),
-                            label=f"fault:{window.fault}",
-                            detail=detail,
-                        )
-                    )
+            for hop, node, start, end in trace._hops():
+                if self._target_names(window.target, node):
+                    trace._note(hop, SpanAnnotation(
+                        time=min(max(window.start, start), end or t1),
+                        label=f"fault:{window.fault}",
+                        detail=detail,
+                    ))
 
     def _target_names(self, target: str, node: str) -> bool:
         """Whether a fault target (``node``, or ``a-b`` for a link)
@@ -642,16 +731,27 @@ class SpanRecorder:
         return delivered[:n]
 
     def summary(self) -> Dict[str, Any]:
-        traces = self.traces()
+        traces = list(self._traces.values())  # counts need no order
         kinds: Dict[str, int] = {}
         annotated = 0
         for trace in traces:
-            items = [trace.root, *trace._items]
-            for item in items:
-                for kind in item.kinds() if item.kind is None else (item.kind,):
-                    kinds[kind] = kinds.get(kind, 0) + 1
-            if any(item.annotations for item in items):
-                annotated += 1
+            root = trace.root
+            kinds[root.kind] = kinds.get(root.kind, 0) + 1
+            noted = bool(root.annotations or trace._notes)
+            for item in trace._items:
+                if type(item) is not tuple:
+                    kind = item.kind
+                    noted = noted or bool(item.annotations)
+                elif item[0] == _PHASES:
+                    phases = item[6]
+                    hw = [phase[1] for phase in phases].count(None)
+                    kinds[KIND_HW_PHASE] = kinds.get(KIND_HW_PHASE, 0) + hw
+                    kinds[KIND_RTL] = kinds.get(KIND_RTL, 0) + len(phases) - hw
+                    continue
+                else:
+                    kind = _RECORD_KINDS[item[0]]
+                kinds[kind] = kinds.get(kind, 0) + 1
+            annotated += noted
         return {
             "sample_rate": self.sample_rate,
             "traces": len(traces),
@@ -660,7 +760,7 @@ class SpanRecorder:
             "dropped": sum(1 for t in traces if t.dropped),
             "probes": sum(1 for t in traces if t.probe),
             "annotated": annotated,
-            "spans_by_kind": dict(sorted(kinds.items())),
+            "spans_by_kind": {k: n for k, n in sorted(kinds.items()) if n},
             "fec_latency_quantiles": {
                 fec: dict(per_fec)
                 for fec, per_fec in sorted(self.quantiles.items())

@@ -227,6 +227,20 @@ class TestHostileScenarioCLI:
              "overload: bad queue_capacity 'x'"),
             # was: exit 0 with no probe ever concluded, an empty section
             ("oam", {"timeout": 100}, "oam: bad timeout 100.0"),
+            # were: ValueError: negative delay nan from the scheduler
+            ("overload", {"keepalive_interval": "nan"},
+             "overload: bad keepalive_interval nan"),
+            ("overload", {"service_time_s": "nan"},
+             "overload: bad service_time_s nan"),
+            # was: ValueError: cannot schedule at -5.0
+            ("overload", {"shed_start": -5}, "overload: bad shed_start -5.0"),
+            # were: accepted, exit 0 (the last with availability 0.0)
+            ("overload", {"hold_time": "nan"}, "overload: bad hold_time nan"),
+            ("overload", {"hold_time": "inf"}, "overload: bad hold_time inf"),
+            ("overload", {"shed_period": "nan"},
+             "overload: bad shed_period nan"),
+            ("overload", {"service_time_s": "inf"},
+             "overload: bad service_time_s inf"),
         ],
     )
     def test_a_subsystem_value_no_run_can_mean(
@@ -240,6 +254,25 @@ class TestHostileScenarioCLI:
             raw["control"] = "ldp-messages"
         line = self._refused(raw, tmp_path)
         assert line.startswith(f"error: {message}: ")
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            # were: spinning to the event budget, well past 20 s
+            ("duration", "nan", "bad duration nan"),
+            ("duration", "inf", "bad duration inf"),
+            # was: a ValueError traceback from float()
+            ("duration", "soon", "bad duration 'soon'"),
+            # were: ValueError: negative delay ... from the scheduler
+            ("detection_delay_s", "nan", "bad detection_delay_s nan"),
+            ("detection_delay_s", -1, "bad detection_delay_s -1.0"),
+        ],
+    )
+    def test_a_run_time_no_run_can_mean(self, key, value, message, tmp_path):
+        raw = self._smoke()
+        raw[key] = value
+        line = self._refused(raw, tmp_path)
+        assert line.startswith(f"error: bad scenario: {message}: ")
 
     @pytest.mark.parametrize("period", ["0", "-1", "nan"])
     def test_an_audit_period_no_run_can_mean(self, period, tmp_path):

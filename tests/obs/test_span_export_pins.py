@@ -1,10 +1,11 @@
-"""Span and event exports pinned against the commit before the phase
-batch (PR 23).
+"""Span and event exports pinned against the commits before spans were
+built lazily.
 
-CI's ``spans-smoke`` compares two runs of the *same* commit, so a span
-that is built lazily and differs from the one the eager fold built
-passes it.  ``data/span_exports.sha256`` (``sha256sum -c`` format) was
-computed on the parent commit; these tests recompute every digest:
+CI's ``views-smoke`` job also compares two runs of the *same* commit,
+and a span that is built lazily and differs from the one the eager fold
+built passes that.  ``data/span_exports.sha256`` (``sha256sum -c``
+format) was computed on the commit before each lazy step -- phase
+batches, then hop records; these tests recompute every digest:
 
 * ``<example>.perfetto.json`` -- ``repro spans <example> --seed 7
   --sample-rate 1.0 --export`` (no event-retaining sink: the batched
@@ -13,7 +14,11 @@ computed on the parent commit; these tests recompute every digest:
   a :class:`JSONLSink` *and* a recorder attached, the only
   configuration in which ``hw-op`` lines reach a file (the per-event
   path beside the batched one); its Perfetto bytes must equal the
-  first run's.
+  first run's,
+* ``<run>.perfetto.json`` / ``<run>.summary.txt`` -- the export and the
+  printed summary of the software-node runs in :data:`SOFTWARE`: label
+  ops, sampled-out packets, fault notes on hops and a trace that is
+  never delivered, which the hardware examples above do not have.
 """
 
 import hashlib
@@ -34,6 +39,16 @@ from repro.obs.spans import export_chrome_trace, spans_to_jsonl
 ROOT = Path(__file__).resolve().parents[2]
 PIN_FILE = Path(__file__).parent / "data" / "span_exports.sha256"
 EXAMPLES = ("chaos_spans", "chaos_hw_scrub")
+#: pin name -> the ``repro spans`` arguments of a software-node run: the
+#: quickstart (121 traces, a label op per hop) and chaos_smoke at rate
+#: 0.25 (360 sampled out, 56 fault-annotated, one never delivered)
+SOFTWARE = {
+    "quickstart": ["spans", "--seed", "7"],
+    "chaos_smoke.rate-0.25": [
+        "spans", str(ROOT / "examples" / "chaos_smoke.json"), "--seed", "7",
+        "--sample-rate", "0.25",
+    ],
+}
 
 
 def _digest(data: bytes) -> str:
@@ -91,9 +106,27 @@ def test_exports_match_the_parent_commit(example, tmp_path, capsys):
     assert got == {name: pins[name] for name in got}
 
 
+@pytest.mark.parametrize("run", SOFTWARE)
+def test_software_hops_match_the_parent_commit(run, tmp_path, capsys):
+    perfetto = tmp_path / f"{run}.perfetto.json"
+    _fresh_counters()
+    assert main([*SOFTWARE[run], "--export", str(perfetto)]) == 0
+    summary = capsys.readouterr().out
+    pins = _pins()
+    assert _digest(perfetto.read_bytes()) == pins[f"{run}.perfetto.json"]
+    assert _digest(summary.encode()) == pins[f"{run}.summary.txt"]
+
+
 def test_every_pin_is_recomputed():
     assert sorted(_pins()) == sorted(
-        f"{example}.{suffix}"
-        for example in EXAMPLES
-        for suffix in ("perfetto.json", "spans.jsonl", "events.jsonl")
+        [
+            f"{example}.{suffix}"
+            for example in EXAMPLES
+            for suffix in ("perfetto.json", "spans.jsonl", "events.jsonl")
+        ]
+        + [
+            f"{run}.{suffix}"
+            for run in SOFTWARE
+            for suffix in ("perfetto.json", "summary.txt")
+        ]
     )
