@@ -29,6 +29,7 @@ from repro.net.network import MPLSNetwork
 from repro.net.packet import IPv4Packet
 from repro.net.topology import paper_figure1
 from repro.net.traffic import CBRSource
+from repro.obs import telemetry_session
 
 # e2e load leg: same shape as test_bench_network_e2e
 LINK_BPS = 100e6
@@ -125,14 +126,19 @@ def _scale_leg_scalar_sample():
 
 def test_batched_vs_scalar(benchmark):
     def run():
-        scalar_sent, scalar_s = _e2e_leg(batching=False)
-        batched_sent, batched_s = _e2e_leg(batching=True)
-        assert batched_sent == scalar_sent
-        e2e_speedup = scalar_s / batched_s
+        # a fresh, disabled telemetry: whatever an earlier test left on
+        # the process default (a chaos run built and never finished
+        # leaves it enabled, with sinks and a flow accountant attached)
+        # would tax the legs unevenly
+        with telemetry_session(enabled=False):
+            scalar_sent, scalar_s = _e2e_leg(batching=False)
+            batched_sent, batched_s = _e2e_leg(batching=True)
+            assert batched_sent == scalar_sent
+            e2e_speedup = scalar_s / batched_s
 
-        sample_s = _scale_leg_scalar_sample()
-        scalar_100k_est = sample_s * (FLOWS / SAMPLE_FLOWS)
-        batched_100k = _scale_leg_batched()
+            sample_s = _scale_leg_scalar_sample()
+            scalar_100k_est = sample_s * (FLOWS / SAMPLE_FLOWS)
+            batched_100k = _scale_leg_batched()
         scale_speedup = scalar_100k_est / batched_100k
         return {
             "e2e": (scalar_sent, scalar_s, batched_s, e2e_speedup),

@@ -26,8 +26,9 @@ from repro.net.traffic import CBRSource
 from repro.obs.telemetry import Telemetry, set_telemetry
 
 #: Audited ``enabled`` reads per node-receive with telemetry disabled:
-#: one in ``HardwareLSRNode.receive`` (shared by the span-capture gate
-#: and the cycle-delta block) and one in ``LSRNode.observe``.
+#: one in ``HardwareLSRNode._forward``, the ladder step it overrides
+#: (shared by the span-capture gate and the cycle-delta block), and one
+#: in ``LSRNode.observe``.
 READS_PER_RECEIVE = 2
 
 #: Audited reads charged per packet-hop by the network layer around the

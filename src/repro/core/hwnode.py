@@ -25,6 +25,14 @@ paper's hybrid premise:
   node counts slow-path events so benchmarks can show the cache
   working.
 
+Packets take :meth:`LSRNode.receive`, the one hop ladder, like on any
+node.  The node overrides the ladder's forwarding step -- sync the
+information base, then one modifier pass, or while batching the
+:class:`~repro.mpls.fastpath.FlowCache`, which memoizes that pass by
+the software engine's rules (the node is its own engine) -- and
+:meth:`observe`, which hands a span-sampled pass's phases over after
+the hop event.
+
 Known, documented semantic difference from the software engine: on a
 pop that exposes a lower stack entry, the hardware writes the
 decremented outer TTL into the exposed entry unconditionally (the
@@ -36,7 +44,6 @@ coincide, since nested entries are created with equal TTLs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.core.device import STRATIX_EP1S40
@@ -48,6 +55,7 @@ from repro.hw.model import (
 from repro.mpls.forwarding import (
     Action,
     ForwardingDecision,
+    OpCounts,
     _dscp_to_cos,
 )
 from repro.mpls.label import LabelOp
@@ -56,30 +64,6 @@ from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs.events import InfoBaseProgrammed, InfoBaseScrubbed
 from repro.obs.telemetry import get_telemetry
-
-
-@dataclass(frozen=True)
-class _HwMemoEntry:
-    """One memoized hardware forwarding outcome.
-
-    Valid only while the (ilm generation, ftn generation, modifier
-    state_version) triple under which it was filled still holds: the
-    hardware's search cycle counts depend on pair *positions*, so any
-    information-base write invalidates every entry at once.
-    """
-
-    action: Action
-    reason: Optional[str]
-    next_hop: Optional[str]
-    out_interface: Optional[str]
-    #: output label stack for FORWARD_MPLS results, else None
-    stack: Optional[LabelStack]
-    #: computed inner TTL for MPLS->IP (pop-to-empty) results
-    inner_ttl: Optional[int]
-    #: counter deltas the real pass produced, replayed verbatim
-    data_cycles: int
-    fast_path: int
-    slow_path: int
 
 
 class HardwareLSRNode(LSRNode):
@@ -120,17 +104,11 @@ class HardwareLSRNode(LSRNode):
         #: (phase, parent_phase, cycle_start, cycle_end) while the
         #: current packet is sampled, else None (the hot-path default)
         self._phase_log = None
-        # -- batched fast path ---------------------------------------------
-        #: flow-keyed memo of complete hardware forwarding outcomes,
-        #: armed by :meth:`enable_batching`; None = scalar processing
-        self._hw_memo: "Optional[OrderedDict[tuple, _HwMemoEntry]]" = None
-        self._hw_memo_capacity = 0
-        #: (ilm gen, ftn gen, modifier state_version) the memo was
-        #: filled under; any mismatch flushes the whole memo
-        self._hw_memo_valid: Optional[Tuple[int, int, int]] = None
-        self.hw_memo_hits = 0
-        self.hw_memo_misses = 0
-        self.hw_memo_invalidations = 0
+        #: the node is its own engine: the flow cache memoizes its
+        #: modifier pass (version / measure / replay below); the
+        #: software op counts it never advances stay zero
+        self.engine = self
+        self.counts = OpCounts()
 
     # -- information-base synchronization ---------------------------------
     def _sync_info_base(self) -> None:
@@ -250,189 +228,121 @@ class HardwareLSRNode(LSRNode):
             )
         return reports
 
-    # -- batched fast path --------------------------------------------------
-    def enable_batching(self, cache_capacity: Optional[int] = None):
-        """Arm the hardware memo: repeat packets of a flow replay the
-        memoized decision and cycle deltas instead of re-running the
-        modifier (see the module docstring of
-        :mod:`repro.mpls.fastpath` for the invalidation contract)."""
-        from repro.mpls.fastpath import DEFAULT_CAPACITY
-
-        self._hw_memo = OrderedDict()
-        self._hw_memo_capacity = (
-            cache_capacity if cache_capacity is not None else DEFAULT_CAPACITY
-        )
-        self._hw_memo_valid = None
-        # the software FlowCache never applies here: the hardware node
-        # forwards through the modifier, not the software engine
-        self.flow_cache = None
-        return None
-
-    def disable_batching(self) -> None:
-        self._hw_memo = None
-        self.flow_cache = None
-
+    # -- the data path ------------------------------------------------------
     def _forward(
         self,
         packet: Union[IPv4Packet, MPLSPacket],
-        bypass_memo: bool = False,
+        count: int,
+        train,
     ) -> ForwardingDecision:
-        """One packet through the hardware path, memo-aware.
-
-        Memo entries are filled only from *pure* passes -- ones that
-        did not write the information base (``state_version``
-        unchanged) -- so a slow-path flow-cache install is never
-        replayed with the wrong cycle count.
-        """
-        memo = self._hw_memo
-        use_memo = memo is not None and not bypass_memo
-        if use_memo:
-            valid = (
-                self.ilm.generation,
-                self.ftn.generation,
-                self.modifier.state_version,
-            )
-            if valid != self._hw_memo_valid:
-                if memo:
-                    self.hw_memo_invalidations += 1
-                memo.clear()
-                self._hw_memo_valid = valid
-            else:
-                from repro.mpls.fastpath import key_of
-
-                cached = memo.get(key_of(packet))
-                if cached is not None:
-                    self.hw_memo_hits += 1
-                    memo.move_to_end(key_of(packet))
-                    return self._hw_replay(packet, cached)
-            self.hw_memo_misses += 1
-        before_version = self.modifier.state_version
-        before_cycles = self.hw_data_cycles
-        before_fast = self.fast_path_packets
-        before_slow = self.slow_path_packets
-        if isinstance(packet, MPLSPacket):
-            decision = self._hw_transit(packet)
-        elif self.is_edge:
-            decision = self._hw_ingress(packet)
-        else:
-            decision = ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.name}: unlabelled packet at a core LSR",
-            )
-        if use_memo and self.modifier.state_version == before_version:
-            from repro.mpls.fastpath import key_of
-
-            out = decision.packet
-            memo[key_of(packet)] = _HwMemoEntry(
-                action=decision.action,
-                reason=decision.reason,
-                next_hop=decision.next_hop,
-                out_interface=decision.out_interface,
-                stack=(
-                    out.stack if isinstance(out, MPLSPacket) else None
-                ),
-                inner_ttl=(
-                    out.ttl
-                    if isinstance(packet, MPLSPacket)
-                    and isinstance(out, IPv4Packet)
-                    else None
-                ),
-                data_cycles=self.hw_data_cycles - before_cycles,
-                fast_path=self.fast_path_packets - before_fast,
-                slow_path=self.slow_path_packets - before_slow,
-            )
-            if len(memo) > self._hw_memo_capacity:
-                memo.popitem(last=False)
-        return decision
-
-    def _hw_replay(
-        self,
-        packet: Union[IPv4Packet, MPLSPacket],
-        cached: _HwMemoEntry,
-    ) -> ForwardingDecision:
-        """Re-apply a memoized outcome to a fresh packet: same counter
-        deltas the real pass produced, output rebuilt around this
-        packet's identity (uid, payload)."""
-        self.hw_data_cycles += cached.data_cycles
-        self.modifier.total_cycles += cached.data_cycles
-        self.fast_path_packets += cached.fast_path
-        self.slow_path_packets += cached.slow_path
-        if cached.action is Action.DISCARD:
-            out = None
-        elif isinstance(packet, MPLSPacket):
-            if cached.action is Action.FORWARD_MPLS:
-                out = packet.with_stack(cached.stack)
-            else:  # pop-to-empty: FORWARD_IP with the computed TTL
-                out = packet.inner.with_ttl(cached.inner_ttl)
-        else:
-            # the scalar ingress fast path touches its LRU entry; the
-            # replay must too, or evictions would diverge
-            dst = packet.identifier()
-            if dst in self._flow_cache:
-                self._flow_cache.move_to_end(dst)
-            if cached.action is Action.FORWARD_MPLS:
-                out = MPLSPacket(cached.stack, packet.decremented())
-            else:  # non-PUSH NHLFE: unlabelled forwarding
-                out = packet.decremented()
-        return ForwardingDecision(
-            cached.action,
-            packet=out,
-            next_hop=cached.next_hop,
-            out_interface=cached.out_interface,
-            reason=cached.reason,
-        )
-
-    def hw_memo_stats(self) -> dict:
-        return {
-            "entries": len(self._hw_memo) if self._hw_memo else 0,
-            "hits": self.hw_memo_hits,
-            "misses": self.hw_memo_misses,
-            "invalidations": self.hw_memo_invalidations,
-        }
-
-    # -- the hardware data path ---------------------------------------------
-    def receive(
-        self,
-        packet: Union[IPv4Packet, MPLSPacket],
-        train=None,
-    ) -> ForwardingDecision:
-        if train is None:
-            count = 1
-        elif self._hw_memo is None:
-            raise RuntimeError(
-                f"{self.name}: aggregates need batching enabled"
-            )
-        else:
-            count = train.count
-        self.stats.received += count
+        """The ladder's forwarding step: bring the information base up
+        to date, then decide.  Span capture is decided head-of-packet
+        (one global lookup and one boolean when telemetry is off, shared
+        with the cycle publication; benchmarks/test_bench_obs_overhead.py
+        counts the reads): a packet a recorder wants takes a real pass,
+        since a replay has no phases to give, and :meth:`observe` hands
+        them over.  Anything else takes the flow cache while batching."""
         self._sync_info_base()
-        # span capture is decided head-of-packet: one global lookup and
-        # one boolean when telemetry is off (the hot-path contract;
-        # benchmarks/test_bench_obs_overhead.py counts the reads)
         tel = get_telemetry()
         tel_enabled = tel.enabled
-        inner = packet.inner if isinstance(packet, MPLSPacket) else packet
-        capture = (
+        labelled = isinstance(packet, MPLSPacket)
+        inner = packet.inner if labelled else packet
+        if (
             train is None
             and tel_enabled
             and tel.spans is not None
             and tel.spans.wants(inner.flow_id, inner.uid)
-        )
-        self._phase_log = [] if capture else None
-        decision = self._forward(packet, bypass_memo=capture)
+        ):
+            self._phase_log = []
+        elif self.flow_cache is not None:
+            return self.flow_cache.process(packet, count)
+        if labelled:
+            decision = self._hw_transit(packet)
+        else:
+            decision = self._hw_ingress(packet)
         if tel_enabled:
             self._publish_cycles(tel, inner.flow_id)
-        for _ in range(count - 1):
-            # the rest of a train replays the memo in O(1) each
-            self._forward(packet)
-            if tel_enabled:
-                self._publish_cycles(tel, inner.flow_id)
-        decision = self._fill_interface(decision)
-        self.stats.record(decision, count)
-        self.observe(packet, decision, train)
-        if capture:
-            self._emit_phases(tel, inner.uid, inner.flow_id)
         return decision
+
+    def observe(
+        self,
+        packet: Union[IPv4Packet, MPLSPacket],
+        decision: ForwardingDecision,
+        train=None,
+    ) -> None:
+        """The hop's telemetry, then a captured pass's phases: they
+        follow the hop event the span recorder parents them to."""
+        super().observe(packet, decision, train)
+        if self._phase_log is not None:
+            inner = packet.inner if isinstance(packet, MPLSPacket) else packet
+            self._emit_phases(get_telemetry(), inner.uid, inner.flow_id)
+
+    # -- what the flow cache memoizes (see repro.mpls.fastpath) ---------------
+    def version(self) -> Tuple[int, int, int]:
+        """What an outcome depends on beyond the packet: the tables and
+        every information-base write (search cycles depend on pair
+        positions, so corruption, scrub repairs and level-1 installs
+        and evictions all count)."""
+        return (
+            self.ilm.generation,
+            self.ftn.generation,
+            self.modifier.state_version,
+        )
+
+    def measure(
+        self, packet: Union[IPv4Packet, MPLSPacket]
+    ) -> Tuple[ForwardingDecision, Tuple[int, int, int]]:
+        """One pass, its data cycles published as one packet's cost, and
+        its deltas: data cycles, fast- and slow-path packets."""
+        cycles, fast, slow = (
+            self.hw_data_cycles,
+            self.fast_path_packets,
+            self.slow_path_packets,
+        )
+        if isinstance(packet, MPLSPacket):
+            decision = self._hw_transit(packet)
+            flow_id = packet.inner.flow_id
+        else:
+            decision = self._hw_ingress(packet)
+            flow_id = packet.flow_id
+        tel = get_telemetry()
+        if tel.enabled:
+            self._publish_cycles(tel, flow_id)
+        return decision, (
+            self.hw_data_cycles - cycles,
+            self.fast_path_packets - fast,
+            self.slow_path_packets - slow,
+        )
+
+    def replay(
+        self,
+        packet: Union[IPv4Packet, MPLSPacket],
+        delta: Tuple[int, int, int],
+        times: int,
+        events: bool,
+    ) -> None:
+        """Advance the counters as ``times`` more packets through the
+        measured pass: its data cycles and path counts, one per-packet
+        cycle sample each, and the level-1 LRU touch a fast-path
+        ingress makes (or eviction order would diverge).  A hardware
+        pass records no events to emit again."""
+        cycles, fast, slow = delta
+        self.fast_path_packets += fast * times
+        self.slow_path_packets += slow * times
+        if isinstance(packet, IPv4Packet):
+            dst = packet.identifier()
+            if dst in self._flow_cache:
+                self._flow_cache.move_to_end(dst)
+            flow_id = packet.flow_id
+        else:
+            flow_id = packet.inner.flow_id
+        tel = get_telemetry()
+        tel_enabled = tel.enabled
+        for _ in range(times):
+            self.hw_data_cycles += cycles
+            self.modifier.total_cycles += cycles
+            if tel_enabled:
+                self._publish_cycles(tel, flow_id)
 
     def _publish_cycles(self, tel, flow_id: int) -> None:
         """Publish the data cycles spent since the last call as one
@@ -584,7 +494,8 @@ class HardwareLSRNode(LSRNode):
         else:
             self._flow_cache.move_to_end(dst)
             self.fast_path_packets += 1
-        nhlfe = self._ingress_nhlfe_for(packet, cached_label)
+        pair = self.ftn.get(packet)
+        nhlfe = pair[1] if pair is not None else None
         cos = (
             nhlfe.cos
             if nhlfe is not None and nhlfe.cos is not None
@@ -648,10 +559,6 @@ class HardwareLSRNode(LSRNode):
             next_hop=nhlfe.next_hop,
             out_interface=nhlfe.out_interface,
         )
-
-    def _ingress_nhlfe_for(self, packet: IPv4Packet, label: int):
-        pair = self.ftn.get(packet)
-        return pair[1] if pair is not None else None
 
     # -- statistics ---------------------------------------------------------
     @property

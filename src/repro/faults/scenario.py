@@ -117,6 +117,16 @@ _PROBABILITY = _parser(float, lambda x: 0 <= x <= 1, "in [0, 1]")
 _AMOUNT = _parser(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
 _FINITE = _parser(float, math.isfinite, "finite")
 _COUNT = _parser(int, lambda n: n >= 0, ">= 0")
+_POSITIVE = _parser(float, lambda x: 0 < x < math.inf, "finite and > 0")
+_KIND_LIST = _parser(
+    lambda x: x, lambda x: isinstance(x, list) and x, "a non-empty list"
+)
+_BOOL = _parser(lambda x: x, lambda x: isinstance(x, bool), "true or false")
+_WINDOW = _parser(
+    lambda w: tuple(float(t) for t in w),
+    lambda w: len(w) == 2 and 0 <= w[0] < w[1] < math.inf,
+    "two finite times >= 0, the second later",
+)
 _LEVEL = _parser(int, lambda n: 1 <= n <= 3, "1, 2 or 3")
 _TTL = _parser(int, lambda n: 0 <= n <= 255, "in 0..255")
 
@@ -343,6 +353,8 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "FaultSpec":
+        if not isinstance(raw, Mapping):
+            raise ScenarioError(f"fault entry {raw!r} must be an object")
         if "kind" not in raw:
             raise ScenarioError(f"fault entry missing 'kind': {raw!r}")
         kind = _kind(raw["kind"])
@@ -453,20 +465,20 @@ class RandomFaultSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "RandomFaultSpec":
-        kinds = [_kind(k) for k in raw.get("kinds", ["link-down"])]
-        window = tuple(float(t) for t in raw.get("window", (0.0, 1.0)))
-        if len(window) != 2 or window[1] <= window[0]:
-            raise ScenarioError(f"bad random window {window!r}")
         targets = raw.get("targets")
         if targets is not None:
             targets = [
                 (t,) if isinstance(t, str) else tuple(t) for t in targets
             ]
+        where = "random_faults: "
         return cls(
-            count=int(raw.get("count", 4)),
-            kinds=kinds,
-            window=window,  # type: ignore[arg-type]
-            mean_outage=float(raw.get("mean_outage", 0.05)),
+            kinds=[
+                _kind(k)
+                for k in _value(raw, "kinds", ["link-down"], _KIND_LIST, where)
+            ],
+            window=_value(raw, "window", (0.0, 1.0), _WINDOW, where),
+            count=_value(raw, "count", 4, _COUNT, where),
+            mean_outage=_value(raw, "mean_outage", 0.05, _POSITIVE, where),
             targets=targets,
         )
 
@@ -479,12 +491,24 @@ _TOPOLOGY_BUILDERS = {
 }
 
 
-def _seconds(raw: Mapping[str, Any], key: str, default: float) -> float:
+def _listed(raw: Mapping[str, Any], key: str) -> Optional[list]:
+    """A top-level key that holds a list, or None when it is absent."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, list):
+        raise ScenarioError(f"'{key}' must be a list, got {value!r}")
+    return value
+
+
+def _value(
+    raw: Mapping[str, Any], key: str, default: Any, parse=float, where=""
+) -> Any:
+    """``raw[key]`` (or ``default``) through ``parse``; a value it
+    refuses is one ``<where>bad <key> <value>: <why>`` error."""
     value = raw.get(key, default)
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad {key} {value!r}: {exc}") from None
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{where}bad {key} {value!r}: {exc}") from None
 
 
 @dataclass
@@ -586,39 +610,39 @@ class Scenario:
     def from_dict(cls, raw: Mapping[str, Any]) -> "Scenario":
         from repro.faults.subsystems import SUBSYSTEM_KEYS
 
-        faults = [FaultSpec.from_dict(f) for f in raw.get("faults", [])]
-        rand = raw.get("random_faults")
+        faults = [FaultSpec.from_dict(f) for f in _listed(raw, "faults") or []]
         topology = raw.get("topology", {"kind": "paper_figure1"})
         if not isinstance(topology, Mapping):
             raise ScenarioError(
                 f"'topology' must be an object, got {topology!r}"
             )
-        subsystems = {}
-        for key in SUBSYSTEM_KEYS:
+        objects = {}
+        for key in ("random_faults", *SUBSYSTEM_KEYS):
             value = raw.get(key)
             if value is not None and not isinstance(value, Mapping):
                 raise ScenarioError(
                     f"'{key}' must be an object, got {value!r}"
                 )
-            subsystems[key] = None if value is None else dict(value)
+            objects[key] = None if value is None else dict(value)
+        rand = objects.pop("random_faults")
         return cls(
             name=raw.get("name", "unnamed"),
             description=raw.get("description", ""),
             topology=dict(topology),
-            edges=raw.get("edges"),
-            hardware=bool(raw.get("hardware", False)),
+            edges=_listed(raw, "edges"),
+            hardware=_value(raw, "hardware", False, _BOOL),
             control=raw.get("control", "ldp"),
-            duration=_seconds(raw, "duration", 1.0),
-            detection_delay_s=_seconds(raw, "detection_delay_s", 1e-3),
-            traffic=[TrafficSpec.from_dict(t) for t in raw["traffic"]]
-            if raw.get("traffic")
-            else [],
-            protection=list(raw.get("protection", [])),
+            duration=_value(raw, "duration", 1.0),
+            detection_delay_s=_value(raw, "detection_delay_s", 1e-3),
+            traffic=[
+                TrafficSpec.from_dict(t) for t in _listed(raw, "traffic") or []
+            ],
+            protection=_listed(raw, "protection") or [],
             faults=faults,
             random_faults=(
                 RandomFaultSpec.from_dict(rand) if rand else None
             ),
-            **subsystems,
+            **objects,
         )
 
     @classmethod

@@ -27,10 +27,19 @@ Invalidation is wired to the transactional table API: the ILM/FTN
 ``generation`` counters bump on every visible mutation of the active
 bank (install/remove/clear, transaction commit, stale flush) -- which
 covers LDP withdraws, FRR switchovers, graceful-restart flushes and
-consistency-audit repairs -- so the cache compares one generation pair
-per packet and flushes wholesale when it moved.  A transaction
-*rollback* leaves the active bank untouched and does not bump the
-generation; cached decisions correctly survive it.
+consistency-audit repairs -- so the cache compares the engine's
+``version()`` per packet and flushes wholesale when it moved.  A
+transaction *rollback* leaves the active bank untouched and does not
+bump the generation; cached decisions correctly survive it.
+
+The cache is the one decision memo for both node kinds.  A hardware
+node's version adds its modifier's ``state_version`` (search cycles
+depend on pair positions, so any information-base write counts) and
+its deltas are data cycles, fast/slow-path counts, the level-1 LRU
+touch and the per-packet cycle sample.  One rule covers both: only a
+pass that left the version unchanged is memoized; after one that did
+not (a level-1 install), the rest of a train takes :meth:`FlowCache.
+process` anew instead of replaying the first packet's deltas.
 
 The cache key captures every input field the engine reads:
 
@@ -47,16 +56,15 @@ the cached exemplar.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.mpls.forwarding import (
     Action,
     ForwardingDecision,
     ForwardingEngine,
-    OpCounts,
 )
 from repro.net.packet import IPv4Packet, MPLSPacket
-from repro.obs.events import LabelOpApplied
 from repro.obs.telemetry import get_telemetry
 
 #: Default bound on cached decisions per node.  Each entry is one flow
@@ -89,57 +97,37 @@ class FlowCacheInconsistency(AssertionError):
     """A cross-checked cache hit diverged from a fresh lookup."""
 
 
+@dataclass(slots=True)
 class _CachedDecision:
     """One memoized decision plus everything needed to replay it."""
 
-    __slots__ = (
-        "action",
-        "builder",
-        "stack",
-        "inner_ttl",
-        "next_hop",
-        "out_interface",
-        "reason",
-        "counts",
-        "ops",
-        "observed",
-    )
-
-    def __init__(
-        self,
-        action: Action,
-        builder: int,
-        stack,
-        inner_ttl: Optional[int],
-        next_hop: Optional[str],
-        out_interface: Optional[str],
-        reason: Optional[str],
-        counts: Tuple[int, ...],
-        ops: Tuple[tuple, ...],
-        observed: bool,
-    ) -> None:
-        self.action = action
-        self.builder = builder
-        self.stack = stack
-        self.inner_ttl = inner_ttl
-        self.next_hop = next_hop
-        self.out_interface = out_interface
-        self.reason = reason
-        self.counts = counts
-        self.ops = ops
-        self.observed = observed
+    action: Action
+    builder: int
+    stack: Optional[object]
+    inner_ttl: Optional[int]
+    next_hop: Optional[str]
+    out_interface: Optional[str]
+    reason: Optional[str]
+    #: the engine's counter deltas for one pass (its measure())
+    delta: tuple
+    #: telemetry was enabled at fill time
+    observed: bool
 
 
 class FlowCache:
-    """Memoizes a :class:`ForwardingEngine`'s per-flow decisions.
+    """Memoizes a forwarding pass's per-flow decisions.
 
     Parameters
     ----------
     engine:
-        The engine whose decisions are cached.  The cache reads the
-        engine's ILM/FTN generation counters for invalidation and keeps
-        its ``counts`` tally advancing exactly as scalar processing
-        would.
+        The pass whose decisions are cached: a
+        :class:`ForwardingEngine`, or a
+        :class:`~repro.core.hwnode.HardwareLSRNode` (its own engine).
+        It reports three things -- ``version()``, what every decision
+        depends on beyond the packet; ``measure(packet)``, one pass and
+        its counter deltas; ``replay(packet, delta, times, events)``,
+        those deltas applied again -- so its counters advance exactly
+        as passes would.
     capacity:
         Bound on cached flow shapes; least recently used entries are
         evicted at capacity.
@@ -163,17 +151,11 @@ class FlowCache:
         self.capacity = capacity
         self.cross_check = cross_check
         self._entries: "OrderedDict[tuple, _CachedDecision]" = OrderedDict()
-        self._generations: Tuple[int, int] = (
-            engine.ilm.generation,
-            engine.ftn.generation,
-        )
+        self._version = engine.version()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-
-    # -- keys ---------------------------------------------------------------
-    key_of = staticmethod(key_of)
 
     # -- the fast path ------------------------------------------------------
     def process(
@@ -183,28 +165,26 @@ class FlowCache:
         compute one scalar decision and memoize it.
 
         ``count > 1`` processes ``packet`` as the template of a train
-        of that many identical packets: op counts and registry mirrors
-        advance ``count`` times, the template's own LabelOpApplied
-        events are emitted once -- aggregates trade event granularity
-        for speed (see :mod:`repro.net.aggregate`).
+        of that many identical packets: the engine's counters advance
+        ``count`` times, the template's own LabelOpApplied events are
+        emitted once -- aggregates trade event granularity for speed
+        (see :mod:`repro.net.aggregate`).
         """
-        generations = (
-            self.engine.ilm.generation,
-            self.engine.ftn.generation,
-        )
-        if generations != self._generations:
-            # any visible table mutation since the last packet: the
-            # whole cache is suspect, flush it wholesale
+        engine = self.engine
+        version = engine.version()
+        if version != self._version:
+            # anything a decision depends on moved since the last
+            # packet: the whole cache is suspect, flush it wholesale
             self._entries.clear()
-            self._generations = generations
+            self._version = version
             self.invalidations += 1
-        key = self.key_of(packet)
+        key = key_of(packet)
         cached = self._entries.get(key)
         observing = get_telemetry().enabled
         if cached is not None and cached.observed == observing:
             self.hits += 1
             self._entries.move_to_end(key)
-            self._advance(cached, count, observing, events=True)
+            engine.replay(packet, cached.delta, count, True)
             decision = ForwardingDecision(
                 cached.action,
                 packet=self._build(packet, cached),
@@ -216,29 +196,28 @@ class FlowCache:
                 self._verify(packet, decision)
             return decision
         self.misses += 1
-        return self._fill(packet, key, observing, count)
+        return self._fill(packet, key, observing, count, version)
 
-    # -- miss: scalar compute + record --------------------------------------
+    # -- miss: one measured pass + record -------------------------------------
     def _fill(
         self,
         packet: Union[IPv4Packet, MPLSPacket],
         key: tuple,
         observing: bool,
         count: int,
+        version: tuple,
     ) -> ForwardingDecision:
         engine = self.engine
-        before = engine.counts
-        engine.counts = OpCounts()
-        recorder: list = []
-        engine.recorder = recorder
-        try:
-            decision = engine.process(packet)
-        finally:
-            engine.recorder = None
-            delta = engine.counts
-            engine.counts = before.merged(delta)
+        decision, delta = engine.measure(packet)
+        if engine.version() != version:
+            # the pass wrote what decisions depend on (a hardware
+            # level-1 install): it is not memoized, and the rest of a
+            # train is not this pass again -- it takes process anew
+            if count > 1:
+                self.process(packet, count - 1)
+            return decision
         builder, stack, inner_ttl = self._template_of(packet, decision)
-        cached = self._entries[key] = _CachedDecision(
+        self._entries[key] = _CachedDecision(
             decision.action,
             builder,
             stack,
@@ -246,26 +225,16 @@ class FlowCache:
             decision.next_hop,
             decision.out_interface,
             decision.reason,
-            (
-                delta.ftn_lookups,
-                delta.ilm_lookups,
-                delta.entries_scanned,
-                delta.pushes,
-                delta.pops,
-                delta.swaps,
-                delta.ttl_updates,
-                delta.discards,
-            ),
-            tuple(recorder),
+            delta,
             observing,
         )
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
         if count > 1:
-            # the engine advanced everything for the template itself;
+            # the pass advanced everything for the template itself;
             # the rest of the train advances the same deltas
-            self._advance(cached, count - 1, observing, events=False)
+            engine.replay(packet, delta, count - 1, False)
         return decision
 
     @staticmethod
@@ -288,62 +257,7 @@ class FlowCache:
             return _MPLS_INGRESS, out.stack, None
         return _IP_INGRESS, None, None
 
-    # -- replay: advance the counts, rebuild the packet ----------------------
-    def _advance(
-        self,
-        cached: _CachedDecision,
-        times: int,
-        observing: bool,
-        events: bool,
-    ) -> None:
-        """Advance the engine's op counts -- and, while observing, the
-        registry mirrors -- as ``times`` packets through ``cached``.
-
-        With ``events`` the recorded LabelOpApplied events are
-        re-emitted too, once (one packet's worth, whatever ``times``):
-        the same registry increments and events as
-        :meth:`ForwardingEngine._mirror` /
-        :meth:`ForwardingEngine._emit_stack_op` produced at fill time.
-        """
-        counts = self.engine.counts
-        (
-            ftn_lookups,
-            ilm_lookups,
-            entries_scanned,
-            pushes,
-            pops,
-            swaps,
-            ttl_updates,
-            discards,
-        ) = cached.counts
-        counts.ftn_lookups += ftn_lookups * times
-        counts.ilm_lookups += ilm_lookups * times
-        counts.entries_scanned += entries_scanned * times
-        counts.pushes += pushes * times
-        counts.pops += pops * times
-        counts.swaps += swaps * times
-        counts.ttl_updates += ttl_updates * times
-        counts.discards += discards * times
-        if not (observing and cached.ops):
-            return
-        tel = get_telemetry()
-        node = self.engine.node_name
-        mpls_ops = tel.mpls_ops
-        for op in cached.ops:
-            if op[0] == "m":
-                mpls_ops.labels(node, op[1]).inc(op[2] * times)
-            else:  # ("e", op, label_in, label_out)
-                mpls_ops.labels(node, op[1]).inc(times)
-                if events:
-                    tel.events.emit(
-                        LabelOpApplied(
-                            node=node,
-                            op=op[1],
-                            label_in=op[2],
-                            label_out=op[3],
-                        )
-                    )
-
+    # -- replay: rebuild the packet --------------------------------------------
     @staticmethod
     def _build(
         packet: Union[IPv4Packet, MPLSPacket], cached: _CachedDecision

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.mpls.errors import (
     LabelLookupMiss,
@@ -178,9 +178,9 @@ class ForwardingEngine:
         #: built with the local one towards its next hop.
         self.interfaces: Dict[str, str] = {}
         #: Optional list the telemetry mirror appends to while set --
-        #: the flow cache (:mod:`repro.mpls.fastpath`) records one
-        #: scalar computation through this hook so a cache hit can
-        #: replay identical registry increments and stack-op events.
+        #: :meth:`measure` records one pass through this hook so a flow
+        #: cache hit can replay identical registry increments and
+        #: stack-op events.
         self.recorder: Optional[list] = None
 
     # -- telemetry mirroring ------------------------------------------------
@@ -434,6 +434,82 @@ class ForwardingEngine:
         if isinstance(packet, MPLSPacket):
             return self.transit(packet)
         return self.ingress(packet)
+
+    # -- what the flow cache memoizes (see repro.mpls.fastpath) ---------------
+    def version(self) -> Tuple[int, int]:
+        """What a decision depends on beyond the packet: the ILM and
+        FTN generations."""
+        return (self.ilm.generation, self.ftn.generation)
+
+    def measure(
+        self, packet: Union[IPv4Packet, MPLSPacket]
+    ) -> Tuple[ForwardingDecision, tuple]:
+        """One :meth:`process` pass and its deltas: the :class:`OpCounts`
+        it added and the telemetry ops it mirrored (recorded only while
+        telemetry is enabled)."""
+        before = self.counts
+        self.counts = OpCounts()
+        recorder: list = []
+        self.recorder = recorder
+        try:
+            decision = self.process(packet)
+        finally:
+            self.recorder = None
+            delta = self.counts
+            self.counts = before.merged(delta)
+        return decision, (
+            (
+                delta.ftn_lookups, delta.ilm_lookups, delta.entries_scanned,
+                delta.pushes, delta.pops, delta.swaps, delta.ttl_updates,
+                delta.discards,
+            ),
+            tuple(recorder),
+        )
+
+    def replay(
+        self,
+        packet: Union[IPv4Packet, MPLSPacket],
+        delta: tuple,
+        times: int,
+        events: bool,
+    ) -> None:
+        """Advance the op counts -- and the registry mirrors the pass
+        recorded -- as ``times`` more passes like the measured one.
+
+        With ``events`` the recorded LabelOpApplied events are emitted
+        again, once (one packet's worth, whatever ``times``): the same
+        increments and events :meth:`_mirror` / :meth:`_emit_stack_op`
+        produced when the pass was measured.
+        """
+        (ftn, ilm, scanned, pushes, pops, swaps, ttl, discards), ops = delta
+        counts = self.counts
+        counts.ftn_lookups += ftn * times
+        counts.ilm_lookups += ilm * times
+        counts.entries_scanned += scanned * times
+        counts.pushes += pushes * times
+        counts.pops += pops * times
+        counts.swaps += swaps * times
+        counts.ttl_updates += ttl * times
+        counts.discards += discards * times
+        if not ops:
+            return
+        tel = get_telemetry()
+        node = self.node_name
+        mpls_ops = tel.mpls_ops
+        for op in ops:
+            if op[0] == "m":
+                mpls_ops.labels(node, op[1]).inc(op[2] * times)
+            else:  # ("e", op, label_in, label_out)
+                mpls_ops.labels(node, op[1]).inc(times)
+                if events:
+                    tel.events.emit(
+                        LabelOpApplied(
+                            node=node,
+                            op=op[1],
+                            label_in=op[2],
+                            label_out=op[3],
+                        )
+                    )
 
     def reset_counts(self) -> None:
         self.counts = OpCounts()

@@ -123,8 +123,9 @@ class LSRNode:
 
     # -- batched fast path --------------------------------------------------
     def enable_batching(self, cache_capacity: Optional[int] = None):
-        """Arm the flow cache: subsequent packets replay memoized
-        ILM/FTN decisions (see :mod:`repro.mpls.fastpath`)."""
+        """Arm the flow cache over the node's engine: subsequent
+        packets replay memoized decisions (see
+        :mod:`repro.mpls.fastpath`)."""
         from repro.mpls.fastpath import DEFAULT_CAPACITY, FlowCache
 
         self.flow_cache = FlowCache(
@@ -182,14 +183,25 @@ class LSRNode:
                 Action.DISCARD,
                 reason=f"{self.name}: unlabelled packet at a core LSR",
             )
-        elif self.flow_cache is not None:
-            decision = self.flow_cache.process(packet, count)
         else:
-            decision = self.engine.process(packet)
+            decision = self._forward(packet, count, train)
         decision = self._fill_interface(decision)
         self.stats.record(decision, count)
         self.observe(packet, decision, train)
         return decision
+
+    def _forward(
+        self,
+        packet: Union[IPv4Packet, MPLSPacket],
+        count: int,
+        train,
+    ) -> ForwardingDecision:
+        """The decision on ``packet`` (a train's template when
+        ``train`` is set): the flow cache's while batching, else one
+        engine pass."""
+        if self.flow_cache is not None:
+            return self.flow_cache.process(packet, count)
+        return self.engine.process(packet)
 
     def receive_aggregate(self, aggregate) -> ForwardingDecision:
         """Process a whole train: :meth:`receive` on its template."""

@@ -199,6 +199,49 @@ class TestHostileScenarioCLI:
         raw["topology"] = topology
         assert self._refused(raw, tmp_path).startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            # were: a traceback from parsing the scenario
+            ("random_faults", 5, "'random_faults' must be an object, got 5"),
+            ("traffic", 5, "'traffic' must be a list, got 5"),
+            ("faults", 5, "'faults' must be a list, got 5"),
+            ("faults", [5], "fault entry 5 must be an object"),
+            ("edges", 5, "'edges' must be a list, got 5"),
+            ("protection", 5, "'protection' must be a list, got 5"),
+            # was: exit 0 with hardware nodes (bool("false") is True)
+            ("hardware", "false", "bad hardware 'false': must be true or false"),
+        ],
+    )
+    def test_a_scenario_shape_no_run_can_mean(
+        self, key, value, message, tmp_path
+    ):
+        raw = self._smoke()
+        raw[key] = value
+        assert self._refused(raw, tmp_path) == f"error: bad scenario: {message}"
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            # were: a traceback from int() / float() / iteration, the
+            # last a ZeroDivisionError from the outage draw
+            ("count", "x", "bad count 'x': "),
+            ("window", 5, "bad window 5: "),
+            ("kinds", 5, "bad kinds 5: "),
+            ("mean_outage", "inf", "bad mean_outage 'inf': "),
+            # were: exit 0 with no random fault drawn
+            ("count", -3, "bad count -3: "),
+            ("mean_outage", -1, "bad mean_outage -1: "),
+        ],
+    )
+    def test_a_random_schedule_no_run_can_mean(
+        self, key, value, message, tmp_path
+    ):
+        raw = self._smoke()
+        raw["random_faults"][key] = value
+        line = self._refused(raw, tmp_path)
+        assert line.startswith(f"error: bad scenario: random_faults: {message}")
+
     def test_an_unknown_random_kind(self, tmp_path):
         # was: ValueError: 'bogus' is not a valid FaultKind
         raw = self._smoke()

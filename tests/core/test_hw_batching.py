@@ -73,7 +73,7 @@ class TestMemoEquivalence:
         assert (
             batched.modifier.total_cycles == scalar.modifier.total_cycles
         )
-        assert batched.hw_memo_hits == 5
+        assert batched.flow_cache.hits == 5
 
     def test_discard_outcomes_are_memoized_too(self):
         scalar = _transit_node(batching=False)
@@ -84,7 +84,7 @@ class TestMemoEquivalence:
             assert d_b.action is d_s.action is Action.DISCARD
             assert d_b.reason == d_s.reason
         assert batched.hw_data_cycles == scalar.hw_data_cycles
-        assert batched.hw_memo_hits == 3
+        assert batched.flow_cache.hits == 3
 
     def test_ingress_fast_path_is_memoized_after_install(self):
         scalar = _ingress_node(batching=False)
@@ -99,7 +99,7 @@ class TestMemoEquivalence:
         assert batched.fast_path_packets == scalar.fast_path_packets == 4
         # packet 1 installed the level-1 pair (a write: not memoizable),
         # packet 2 filled the memo, packets 3-5 replayed it
-        assert batched.hw_memo_hits == 3
+        assert batched.flow_cache.hits == 3
 
 
 class TestMemoInvalidation:
@@ -107,13 +107,13 @@ class TestMemoInvalidation:
         node = _transit_node()
         node.receive(labelled(100, seq=0))
         node.receive(labelled(100, seq=1))
-        assert node.hw_memo_hits == 1
+        assert node.flow_cache.hits == 1
         node.ilm.install(
             100, NHLFE(op=LabelOp.SWAP, out_label=999, next_hop="lsr-9")
         )
         decision = node.receive(labelled(100, seq=2))
         assert decision.packet.stack.top.label == 999
-        assert node.hw_memo_invalidations >= 1
+        assert node.flow_cache.invalidations >= 1
 
     def test_corruption_flushes_memo_via_state_version(self):
         """An SEU flip changes what a search returns without touching
@@ -125,7 +125,7 @@ class TestMemoInvalidation:
         assert node.modifier.corrupt_pair(1, 0, label_xor=0xFF)
         assert node.modifier.state_version > version_before
         node.receive(labelled(100, seq=2))
-        assert node.hw_memo_invalidations >= 1
+        assert node.flow_cache.invalidations >= 1
 
     def test_scrub_repair_flushes_memo(self):
         """A scrub that repairs a corrupted pair writes the info base;
@@ -149,13 +149,13 @@ class TestMemoInvalidation:
         node.receive(ip_pkt(dst="10.2.0.1", seq=0))
         node.receive(ip_pkt(dst="10.2.0.1", seq=1))  # fills memo
         node.receive(ip_pkt(dst="10.2.0.1", seq=2))  # memo hit
-        hits_before = node.hw_memo_hits
+        hits_before = node.flow_cache.hits
         node.receive(ip_pkt(dst="10.2.0.2", seq=3))
         node.receive(ip_pkt(dst="10.2.0.3", seq=4))  # evicts 10.2.0.1
         assert node.flow_cache_evictions == 1
         node.receive(ip_pkt(dst="10.2.0.3", seq=5))
-        assert node.hw_memo_invalidations >= 1
-        assert node.hw_memo_hits >= hits_before
+        assert node.flow_cache.invalidations >= 1
+        assert node.flow_cache.hits >= hits_before
 
     def test_replay_touches_the_level1_lru(self):
         """Memo hits must refresh the destination's LRU slot exactly as
@@ -213,8 +213,9 @@ class TestDisable:
         node = _transit_node()
         node.receive(labelled(100, seq=0))
         node.receive(labelled(100, seq=1))
-        assert node.hw_memo_hits == 1
+        cache = node.flow_cache
+        assert cache.hits == 1
         node.disable_batching()
         node.receive(labelled(100, seq=2))
-        assert node.hw_memo_hits == 1  # no further memo traffic
-        assert node._hw_memo is None
+        assert cache.hits == 1  # no further memo traffic
+        assert node.flow_cache is None

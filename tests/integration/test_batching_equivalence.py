@@ -113,11 +113,7 @@ def test_batched_mode_actually_caches():
         run = build_run(scenario, seed=0)
         run.network.enable_batching()
         run.network.run(until=scenario.duration)
-    hits = 0
-    for node in run.network.nodes.values():
-        if getattr(node, "flow_cache", None) is not None:
-            hits += node.flow_cache.hits
-        hits += getattr(node, "hw_memo_hits", 0)
+    hits = sum(node.flow_cache.hits for node in run.network.nodes.values())
     assert hits > 0
 
 
@@ -129,8 +125,5 @@ def test_batched_mode_caches_on_hardware_nodes():
         run = build_run(scenario, seed=3)
         run.network.enable_batching()
         run.network.run(until=scenario.duration)
-    hits = sum(
-        getattr(node, "hw_memo_hits", 0)
-        for node in run.network.nodes.values()
-    )
+    hits = sum(node.flow_cache.hits for node in run.network.nodes.values())
     assert hits > 0
