@@ -1,7 +1,8 @@
 """The telemetry hot-path contract, measured rather than promised.
 
 The data plane's deal with the observability layer: when telemetry is
-disabled, a packet costs exactly one ``get_telemetry()`` lookup and one
+disabled, a packet costs exactly one read of the object's own telemetry
+reference (resolved once, when the object was built) and one
 ``enabled`` boolean per instrumentation site, and nothing is emitted.
 Span tracing (PR 4) and flow accounting (PR 6) must ride inside that
 budget -- the capture gates short-circuit on the same boolean the
@@ -9,7 +10,8 @@ cycle-delta block reads, and the flow hooks only test ``tel.flows``
 after that boolean has already passed.
 
 This bench proves it with a :class:`Telemetry` subclass that counts
-every read of ``enabled``: a full hardware-network run with telemetry
+every read of ``enabled``, made the default before the network is built
+so every object takes it: a full hardware-network run with telemetry
 off must emit zero events and read the switch a bounded, audited number
 of times per packet-hop.
 """

@@ -10,7 +10,7 @@ monkey-patching any node.  Consumers that want the full tree (hardware
 phases, RTL sub-spans, fault annotations) read
 :attr:`NetworkTracer.recorder` directly.
 
-Constructing a tracer enables telemetry on the default
+Constructing a tracer enables the network's
 :class:`~repro.obs.telemetry.Telemetry` (the data plane emits nothing
 otherwise); :meth:`NetworkTracer.detach` restores the previous state.
 """
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.mpls.forwarding import Action
 from repro.net.network import MPLSNetwork
 from repro.obs.spans import KIND_HOP, SpanRecorder, Trace
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,15 @@ class NetworkTracer:
 
     Construct *after* the network; traces accumulate as the simulation
     emits packet events.  Only events for nodes that belong to
-    ``network`` are folded in, so concurrent networks sharing the
-    default telemetry do not pollute each other's traces.
+    ``network`` are folded in, so concurrent networks sharing one
+    telemetry do not pollute each other's traces.
     """
 
     def __init__(
         self, network: MPLSNetwork, telemetry: Optional[Telemetry] = None
     ) -> None:
         self.network = network
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        self.telemetry = telemetry if telemetry is not None else network.telemetry
         self.recorder = SpanRecorder(
             sample_rate=1.0,
             nodes=set(network.nodes),

@@ -65,7 +65,6 @@ from repro.control.retry import ReconnectBackoff
 from repro.mpls.fec import FEC
 from repro.mpls.transaction import TableTransaction
 from repro.obs.events import ControllerFailover, ControllerReadopt
-from repro.obs.telemetry import get_telemetry
 
 #: NodeAgent delegation states (also the adoption-gauge values).
 STATE_DISTRIBUTED = 0
@@ -221,13 +220,13 @@ class ControllerChannel:
     # -- the RPC machine ----------------------------------------------
     def _drop(self, cause: str, cls_name: str) -> None:
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
-        tel = get_telemetry()
+        tel = self.controller.network.telemetry
         if tel.enabled:
             tel.controller_channel_drops.labels(self.node, cause).inc()
             _ = cls_name  # class already folded into the cause ledger
 
     def _gauge_depth(self) -> None:
-        tel = get_telemetry()
+        tel = self.controller.network.telemetry
         if tel.enabled:
             tel.controller_channel_depth.labels(self.node).set(
                 len(self.queue)
@@ -317,7 +316,7 @@ class NodeAgent:
 
     def set_state(self, state: int) -> None:
         self.state = state
-        tel = get_telemetry()
+        tel = self.controller.network.telemetry
         if tel.enabled:
             tel.controller_adoption.labels(self.name).set(state)
 
@@ -376,7 +375,7 @@ class NodeAgent:
                 "delegated": self.config.delegation,
             }
         )
-        tel = get_telemetry()
+        tel = ctl.network.telemetry
         if tel.enabled:
             tel.controller_failovers.labels(reason).inc()
             if self.config.delegation:
@@ -529,8 +528,7 @@ class PCEController:
         """The topology the PCE plans over: the telemetry-fed
         TopologyView when an observer is attached, else a view derived
         from ground truth (keeps the PCE usable without telemetry)."""
-        tel = get_telemetry()
-        observer = getattr(tel, "topo", None)
+        observer = self.network.telemetry.topo
         if observer is not None:
             return observer.live_view().data
         down = getattr(self.network, "_down_nodes", {})
@@ -658,9 +656,7 @@ class PCEController:
 
         def on_read(_counts: Tuple[int, int]) -> None:
             self.resync_reads += 1
-            tel = get_telemetry()
-            observer = getattr(tel, "topo", None)
-            if observer is not None:
+            if self.network.telemetry.topo is not None:
                 # event replay: reconcile against the telemetry-fed
                 # view (the observer replayed everything we missed)
                 self._compute_intent()
@@ -714,7 +710,7 @@ class PCEController:
                     "restore_s": restore_s,
                 }
             )
-            tel = get_telemetry()
+            tel = self.network.telemetry
             if tel.enabled:
                 tel.controller_resyncs.labels(name).inc()
                 event = ControllerReadopt(

@@ -23,7 +23,6 @@ from repro.control.lsp import LSP
 from repro.control.rsvp_te import (
     RSVPTESignaler,
     SignalingError,
-    _note_lsp,
     ingress_entry,
 )
 from repro.mpls.fec import FEC
@@ -149,7 +148,7 @@ class FastRerouteManager:
             )
             self.switchovers += 1
             repaired.append(protected.name)
-            _note_lsp(
+            self.signaler._note_lsp(
                 "frr-switchover",
                 protected.name,
                 detail=f"link {a}-{b} failed; now on {protected.active}",
@@ -178,7 +177,7 @@ class FastRerouteManager:
             return
         self._steer(protected, protected.primary)
         protected.active = "primary"
-        _note_lsp("frr-revert", name, detail="back on primary")
+        self.signaler._note_lsp("frr-revert", name, detail="back on primary")
 
     def refresh_ingress(self, name: str) -> int:
         """Re-assert the ingress FTN steer for every protected path

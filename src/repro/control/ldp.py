@@ -104,6 +104,7 @@ class LDPProcess:
         #: (RFC 3478 non-stop forwarding); label distribution skips
         #: them until :meth:`complete_graceful_restart`
         self.restarting: Set[str] = set()
+        self.telemetry = get_telemetry()
 
     def establish_fec(
         self,
@@ -169,7 +170,7 @@ class LDPProcess:
             binding.ingresses.append(name)
             self.nodes[name].ftn.install(fec, nhlfe)
         self.bindings.append(binding)
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             # converged-model LDP: the whole binding appears at once;
             # one install event per router that received state
@@ -215,7 +216,7 @@ class LDPProcess:
             if label != IMPLICIT_NULL:
                 self.allocators[name].release(label)
         self.bindings.remove(binding)
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled and tel.topo is not None:
             # the negative edge of the binding lifecycle, wanted only
             # by the topology observer (gated so event-count sections

@@ -213,7 +213,7 @@ class LDPSpeaker:
     ) -> None:
         """Telemetry: this router just installed forwarding state for
         a FEC -- the per-router convergence instant."""
-        tel = get_telemetry()
+        tel = self.process.telemetry
         if tel.enabled:
             event = LabelMappingInstalled(
                 node=self.name, fec_id=fec_id, label=label, next_hop=next_hop
@@ -225,7 +225,7 @@ class LDPSpeaker:
         """Telemetry: this router just withdrew its binding for a FEC.
         Emitted only while a topology observer is attached (gated so
         pre-existing event-count reports stay byte-identical)."""
-        tel = get_telemetry()
+        tel = self.process.telemetry
         if tel.enabled and tel.topo is not None:
             event = LabelMappingWithdrawn(
                 node=self.name, fec_id=fec_id, label=label
@@ -462,6 +462,7 @@ class MessageLDPProcess:
     ) -> None:
         self.topology = topology
         self.scheduler = scheduler
+        self.telemetry = get_telemetry()
         self.lsdb = LinkStateDatabase(topology)
         self.processing_delay = processing_delay
         self.speakers: Dict[str, LDPSpeaker] = {
@@ -539,7 +540,7 @@ class MessageLDPProcess:
                 session_token(msg.src, msg.dst),
             )
         self.message_counts[msg.kind] += 1
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.ldp_messages.labels(msg.kind.value).inc()
         if self.overload is None:
@@ -557,7 +558,7 @@ class MessageLDPProcess:
         queue = self.queues[msg.dst]
         cls = classify_message(msg.kind)
         accepted, dropped = queue.offer(msg, cls)
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.control_queue_depth.labels(msg.dst).set(len(queue))
             for victim, vcls, cause in dropped:
@@ -583,7 +584,7 @@ class MessageLDPProcess:
         """``name``'s control CPU finishes one service slot."""
         queue = self.queues[name]
         head = queue.pop()
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.control_queue_depth.labels(name).set(len(queue))
         if head is None:
@@ -639,7 +640,7 @@ class MessageLDPProcess:
         """
         if not self.queues:
             return
-        tel = get_telemetry()
+        tel = self.telemetry
         for _ in range(count):
             msg = LDPMessage(MsgType.TTL_EXCEPTION, node, node)
             self.message_counts[msg.kind] += 1
@@ -716,7 +717,7 @@ class MessageLDPProcess:
             # a fresh session counts as recently heard in both directions
             self._last_heard[(a, b)] = self.scheduler.now
             self._last_heard[(b, a)] = self.scheduler.now
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.ldp_sessions.inc()
             event = SessionStateChange(node=a, peer=b, state="up")
@@ -767,7 +768,7 @@ class MessageLDPProcess:
             self.security.note_hold_expiry_teardown(
                 self.scheduler.now, a, b, affected
             )
-        tel = get_telemetry()
+        tel = self.telemetry
         for x, y in ((a, b), (b, a)):
             if y in self.speakers[x].sessions:
                 self.speakers[x].session_lost(y)
@@ -806,7 +807,7 @@ class MessageLDPProcess:
             self.reconnects_abandoned += 1
             return
         self.reconnect_attempts += 1
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.ldp_retries.labels(a, b).inc()
         if self.topology.has_link(a, b):
@@ -846,7 +847,7 @@ class MessageLDPProcess:
             node.ftn.rollback()
         marked = (node.ilm.mark_all_stale(), node.ftn.mark_all_stale())
         speaker.restarting = True
-        tel = get_telemetry()
+        tel = self.telemetry
         for peer_name in sorted(speaker.sessions):
             peer = self.speakers[peer_name]
             peer.sessions.discard(name)

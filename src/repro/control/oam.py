@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.net.network import MPLSNetwork
 from repro.net.packet import IPv4Packet
 from repro.obs.events import OAMProbeCompleted
-from repro.obs.telemetry import get_telemetry
 
 
 @dataclass(frozen=True)
@@ -301,7 +300,7 @@ class OAMMonitor:
                     up=verdict,
                 )
             )
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             outcome = "ok" if record.reached else "lost"
             if record.breach:

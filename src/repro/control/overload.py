@@ -42,6 +42,7 @@ from repro.config import from_mapping
 from repro.mpls.fec import PrefixFEC
 from repro.net.events import EventScheduler
 from repro.net.packet import IPv4Packet
+from repro.obs.telemetry import get_telemetry
 
 
 class MessageClass(IntEnum):
@@ -310,6 +311,7 @@ class IngressShedder:
         self.packets_shed = 0
         self._first_shed_at: Optional[float] = None
         self._last_restore_at: Optional[float] = None
+        self.telemetry = get_telemetry()
 
     # -- state ------------------------------------------------------------
     @property
@@ -374,9 +376,8 @@ class IngressShedder:
 
     def _note(self, entry: ShedEntry, state: str) -> None:
         from repro.obs.events import FECShed
-        from repro.obs.telemetry import get_telemetry
 
-        tel = get_telemetry()
+        tel = self.telemetry
         if not tel.enabled:
             return
         count_here = sum(

@@ -37,16 +37,6 @@ from repro.obs.events import LSPEvent, LSPPreempted
 from repro.obs.telemetry import get_telemetry
 
 
-def _note_lsp(event: str, name: str, detail: str = "") -> None:
-    """Telemetry: one LSP lifecycle event (no-op when disabled)."""
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.lsp_events.labels(event).inc()
-        if tel.flows is not None:
-            tel.flows.note_lsp(name, event, detail)
-        tel.events.emit(LSPEvent(name=name, event=event, detail=detail))
-
-
 class SignalingError(Exception):
     """LSP setup failed (admission control, bad route...)."""
 
@@ -134,6 +124,16 @@ class RSVPTESignaler:
         #: lsp name -> FEC steered onto it (needed to rewrite the
         #: ingress FTN when a preemption reroutes the LSP)
         self._fec_of: Dict[str, FEC] = {}
+        self.telemetry = get_telemetry()
+
+    def _note_lsp(self, event: str, name: str, detail: str = "") -> None:
+        """Telemetry: one LSP lifecycle event (no-op when disabled)."""
+        tel = self.telemetry
+        if tel.enabled:
+            tel.lsp_events.labels(event).inc()
+            if tel.flows is not None:
+                tel.flows.note_lsp(name, event, detail)
+            tel.events.emit(LSPEvent(name=name, event=event, detail=detail))
 
     # -- setup ---------------------------------------------------------
     def setup(
@@ -263,7 +263,7 @@ class RSVPTESignaler:
             self._last_refresh[name] = 0.0
         if fec is not None:
             self._fec_of[name] = fec
-        _note_lsp(
+        self._note_lsp(
             "setup",
             name,
             detail=f"{'->'.join(route)} @ {bandwidth_bps:g} bps",
@@ -438,13 +438,13 @@ class RSVPTESignaler:
     def _note_preempt(
         self, name: str, by: str, mode: str, detail: str = ""
     ) -> None:
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.lsp_preemptions.labels(mode).inc()
             tel.events.emit(
                 LSPPreempted(name=name, by=by, mode=mode, detail=detail)
             )
-        _note_lsp(f"preempt-{mode}", name, detail=detail)
+        self._note_lsp(f"preempt-{mode}", name, detail=detail)
 
     def _validate_route(self, route: List[str], ingress: str, egress: str) -> None:
         if len(route) < 2:
@@ -501,7 +501,7 @@ class RSVPTESignaler:
             if now - last > hold_time
         ]
         for name in stale:
-            _note_lsp("expired", name, detail=f"no refresh by t={now:g}")
+            self._note_lsp("expired", name, detail=f"no refresh by t={now:g}")
             self.teardown(name)
         return stale
 
@@ -513,7 +513,7 @@ class RSVPTESignaler:
         self._last_refresh.pop(name, None)
         fec = self._fec_of.pop(name, None)
         if fec is not None:
-            tel = get_telemetry()
+            tel = self.telemetry
             if tel.enabled and tel.flows is not None:
                 # finish the flow records riding the torn-down FEC
                 tel.flows.close_fec(str(getattr(fec, "prefix", fec)))
@@ -522,7 +522,7 @@ class RSVPTESignaler:
         for a, b in lsp.links():
             self.topology.link(a, b).release(a, lsp.bandwidth_bps)
         lsp.up = False
-        _note_lsp("teardown", name)
+        self._note_lsp("teardown", name)
 
 
 class CRLDPSignaler(RSVPTESignaler):

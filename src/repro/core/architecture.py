@@ -33,6 +33,7 @@ from repro.core.packet_processing import (
 )
 from repro.hw.driver import ModifierDriver
 from repro.hw.model import FunctionalModifier
+from repro.mpls.forwarding import _dscp_to_cos
 from repro.mpls.label import LabelEntry, LabelOp
 from repro.mpls.stack import LabelStack
 from repro.mpls.router import RouterRole
@@ -152,7 +153,7 @@ class EmbeddedMPLS:
         result = self.modifier.update(
             packet_id=parsed.packet_identifier,
             ttl=parsed.inner.ttl,
-            cos=_dscp_cos(parsed.inner.dscp),
+            cos=_dscp_to_cos(parsed.inner.dscp),
         )
         cycles += result.cycles
         self.packets_processed += 1
@@ -195,7 +196,3 @@ class EmbeddedMPLS:
         if not self.packets_processed:
             return 0.0
         return self.total_cycles / self.packets_processed
-
-
-def _dscp_cos(dscp: int) -> int:
-    return (dscp >> 3) & 0x7

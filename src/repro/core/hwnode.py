@@ -48,6 +48,7 @@ from typing import Optional, Tuple, Union
 
 from repro.core.device import STRATIX_EP1S40
 from repro.hw.model import (
+    MAX_LEVELS,
     FunctionalModifier,
     ScrubReport,
     StagingBackpressure,
@@ -63,7 +64,6 @@ from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs.events import InfoBaseProgrammed, InfoBaseScrubbed
-from repro.obs.telemetry import get_telemetry
 
 
 class HardwareLSRNode(LSRNode):
@@ -159,7 +159,7 @@ class HardwareLSRNode(LSRNode):
         mirrored = self.modifier.ib_counts()[0]
         self._flow_cache_capacity = max(0, self.modifier.ib_depth - mirrored)
         self.hw_control_cycles += cycles
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             entries = sum(self.modifier.ib_counts())
             tel.hw_cycles.labels(self.name, "control").inc(cycles)
@@ -211,7 +211,7 @@ class HardwareLSRNode(LSRNode):
             reports.append(report)
             cycles += report.cycles
         self.hw_control_cycles += cycles
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             repaired = sum(r.repaired for r in reports)
             if repaired:
@@ -237,13 +237,14 @@ class HardwareLSRNode(LSRNode):
     ) -> ForwardingDecision:
         """The ladder's forwarding step: bring the information base up
         to date, then decide.  Span capture is decided head-of-packet
-        (one global lookup and one boolean when telemetry is off, shared
-        with the cycle publication; benchmarks/test_bench_obs_overhead.py
-        counts the reads): a packet a recorder wants takes a real pass,
-        since a replay has no phases to give, and :meth:`observe` hands
-        them over.  Anything else takes the flow cache while batching."""
+        (one read of the node's own telemetry reference and one boolean
+        when telemetry is off, shared with the cycle publication;
+        benchmarks/test_bench_obs_overhead.py counts the reads): a packet
+        a recorder wants takes a real pass, since a replay has no phases
+        to give, and :meth:`observe` hands them over.  Anything else
+        takes the flow cache while batching."""
         self._sync_info_base()
-        tel = get_telemetry()
+        tel = self.telemetry
         tel_enabled = tel.enabled
         labelled = isinstance(packet, MPLSPacket)
         inner = packet.inner if labelled else packet
@@ -275,7 +276,7 @@ class HardwareLSRNode(LSRNode):
         super().observe(packet, decision, train)
         if self._phase_log is not None:
             inner = packet.inner if isinstance(packet, MPLSPacket) else packet
-            self._emit_phases(get_telemetry(), inner.uid, inner.flow_id)
+            self._emit_phases(self.telemetry, inner.uid, inner.flow_id)
 
     # -- what the flow cache memoizes (see repro.mpls.fastpath) ---------------
     def version(self) -> Tuple[int, int, int]:
@@ -305,7 +306,7 @@ class HardwareLSRNode(LSRNode):
         else:
             decision = self._hw_ingress(packet)
             flow_id = packet.flow_id
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             self._publish_cycles(tel, flow_id)
         return decision, (
@@ -336,7 +337,7 @@ class HardwareLSRNode(LSRNode):
             flow_id = packet.flow_id
         else:
             flow_id = packet.inner.flow_id
-        tel = get_telemetry()
+        tel = self.telemetry
         tel_enabled = tel.enabled
         for _ in range(times):
             self.hw_data_cycles += cycles
@@ -418,12 +419,15 @@ class HardwareLSRNode(LSRNode):
         if result.discarded:
             self.hw_data_cycles += cycles
             self.fast_path_packets += 1
-            reason = (
-                f"{self.name}: MPLS TTL expired"
-                if nhlfe is not None and top.ttl <= 1
-                else f"{self.name}: no ILM entry for label {top.label}"
-            )
-            return ForwardingDecision(Action.DISCARD, reason=reason)
+            # named as the software engine names it: a miss (or a pair
+            # the modifier lost), an expired TTL, a push past the stack
+            full = packet.stack.depth >= MAX_LEVELS
+            reason = f"no ILM entry for label {top.label}"
+            if nhlfe is not None and top.ttl <= 1:
+                reason = "MPLS TTL expired"
+            elif nhlfe is not None and nhlfe.op is LabelOp.PUSH and full:
+                reason = f"push would exceed the {MAX_LEVELS}-level stack limit"
+            return ForwardingDecision(Action.DISCARD, reason=f"{self.name}: {reason}")
         new_stack = LabelStack(list(result.stack))
         drained = self._drain_stack()
         if log is not None:

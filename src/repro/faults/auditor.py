@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import AuditCompleted
-from repro.obs.telemetry import get_telemetry
 
 #: consecutive audit passes a transaction may stay open before the
 #: watchdog calls it wedged
@@ -122,7 +121,7 @@ class ConsistencyAuditor:
             if self._audit_node(name, node, record):
                 record.drift_nodes.append(name)
         self.records.append(record)
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             tel.audit_runs.inc()
             for name in record.drift_nodes:

@@ -41,7 +41,7 @@ from repro.faults.subsystems import SUBSYSTEMS, Subsystem, _round, _rounded
 from repro.mpls.fec import PrefixFEC
 from repro.net.network import MPLSNetwork
 from repro.net.traffic import CBRSource
-from repro.obs import KindCountSink, get_telemetry
+from repro.obs import KindCountSink
 
 
 @dataclass
@@ -104,7 +104,7 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
     for flow in scenario.traffic:
         network.attach_host(flow.egress, flow.prefix)
     run = ChaosRun(
-        scenario, seed, network, telemetry=get_telemetry(),
+        scenario, seed, network, telemetry=network.telemetry,
         armed=tuple(sub for sub in SUBSYSTEMS if sub.key in configs),
         # the control plane is built with it
         overload=configs.get("overload"),

@@ -33,7 +33,6 @@ from repro.mpls.label import LABEL_MAX, LabelEntry
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs.events import FaultHealed, FaultInjected, StaleEntriesFlushed
-from repro.obs.telemetry import get_telemetry
 
 
 @dataclass
@@ -276,7 +275,7 @@ class FaultInjector:
         spec = record.spec
         record.injected_at = self.scheduler.now
         self._injects[spec.kind](self, record)
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             tel.faults.labels(spec.kind.value, spec.label).inc()
             event = FaultInjected(
@@ -294,7 +293,7 @@ class FaultInjector:
         heal = self._heals[spec.kind]
         if heal is not None:  # else finalize() back-fills the recovery
             heal(self, record)
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             event = FaultHealed(
                 fault=spec.kind.value,
@@ -307,7 +306,7 @@ class FaultInjector:
 
     def _recovered(self, record: FaultRecord) -> None:
         record.recovered_at = self.scheduler.now
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled and record.mttr is not None:
             tel.fault_recovery.labels(record.spec.kind.value).observe(
                 record.mttr
@@ -484,7 +483,7 @@ class FaultInjector:
             f"warm restart; {ilm_marked}+{ftn_marked} entries "
             f"stale-marked, hold timer {hold_time}s"
         )
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             tel.stale_entries.labels(name, "ilm").set(ilm_marked)
             tel.stale_entries.labels(name, "ftn").set(ftn_marked)
@@ -520,7 +519,7 @@ class FaultInjector:
             # restarting node; their hold timer is the same one
             nodes.update(self.network.topology.neighbors(restart.node))
         ilm_flushed = ftn_flushed = 0
-        tel = get_telemetry()
+        tel = self.network.telemetry
         for name in sorted(nodes):
             node = self.network.nodes[name]
             labels = node.ilm.flush_stale()

@@ -124,6 +124,7 @@ class ModifierDriver:
         #: Open :meth:`span_scope` context, or None (the default: no
         #: per-transaction span events are emitted).
         self._span_ctx = None
+        self.telemetry = get_telemetry()
 
     def attach_profiler(self, profiler) -> None:
         """Scope subsequent transactions under the profiler's
@@ -164,7 +165,7 @@ class ModifierDriver:
 
     def _emit_span(self, op_name: str, start_cycle: int, end_cycle: int) -> None:
         ctx = self._span_ctx
-        tel = get_telemetry()
+        tel = self.telemetry
         if not tel.enabled or tel.spans is None:
             return
         base = ctx["base_cycle"]

@@ -65,7 +65,6 @@ from repro.mpls.forwarding import (
     ForwardingEngine,
 )
 from repro.net.packet import IPv4Packet, MPLSPacket
-from repro.obs.telemetry import get_telemetry
 
 #: Default bound on cached decisions per node.  Each entry is one flow
 #: shape; 64k covers the 100k-concurrent-flow target with the normal
@@ -180,7 +179,7 @@ class FlowCache:
             self.invalidations += 1
         key = key_of(packet)
         cached = self._entries.get(key)
-        observing = get_telemetry().enabled
+        observing = engine.telemetry.enabled
         if cached is not None and cached.observed == observing:
             self.hits += 1
             self._entries.move_to_end(key)

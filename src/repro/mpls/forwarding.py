@@ -7,7 +7,8 @@ information base, verify, decrement the TTL, apply push/swap/pop -- but
 as straight-line Python over the ILM/FTN tables.
 
 Elementary-operation accounting lives on the telemetry layer: when the
-process-wide :class:`~repro.obs.telemetry.Telemetry` is enabled, every
+engine's :class:`~repro.obs.telemetry.Telemetry` (the default current
+when the engine was built) is enabled, every
 table lookup, entry scan, stack operation, TTL update and discard is
 counted in the metrics registry (``repro_mpls_ops_total{node,op}``) and
 the stack operations are additionally emitted as
@@ -182,6 +183,7 @@ class ForwardingEngine:
         #: cache hit can replay identical registry increments and
         #: stack-op events.
         self.recorder: Optional[list] = None
+        self.telemetry = get_telemetry()
 
     # -- telemetry mirroring ------------------------------------------------
     def _mirror(
@@ -236,7 +238,7 @@ class ForwardingEngine:
         label is then attached to that packet and sent into the MPLS
         core network."
         """
-        tel = get_telemetry()
+        tel = self.telemetry
         observing = tel.enabled
         self.counts.ftn_lookups += 1
         if observing:
@@ -292,7 +294,7 @@ class ForwardingEngine:
         the top label, discard on miss or TTL expiry, otherwise apply
         the stored operation.
         """
-        tel = get_telemetry()
+        tel = self.telemetry
         observing = tel.enabled
         try:
             top = packet.stack.top
@@ -404,7 +406,7 @@ class ForwardingEngine:
         """Pop the top entry, propagating the TTL downward (uniform
         model): into the next entry, or into the IP header at the
         bottom of the stack."""
-        tel = get_telemetry()
+        tel = self.telemetry
         observing = tel.enabled
         self.counts.pops += 1
         _, rest = packet.stack.pop()
@@ -493,7 +495,7 @@ class ForwardingEngine:
         counts.discards += discards * times
         if not ops:
             return
-        tel = get_telemetry()
+        tel = self.telemetry
         node = self.node_name
         mpls_ops = tel.mpls_ops
         for op in ops:

@@ -23,7 +23,6 @@ from repro.mpls.forwarding import (
 from repro.mpls.tables import FTN, ILM
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs.events import PacketDropped, PacketForwarded
-from repro.obs.telemetry import get_telemetry
 
 
 def stack_labels(packet: Union[IPv4Packet, MPLSPacket]) -> tuple:
@@ -107,6 +106,9 @@ class LSRNode:
         self.ilm = ILM()
         self.ftn = FTN()
         self.engine = ForwardingEngine(self.ilm, self.ftn, node_name=name)
+        #: the telemetry the node reports to: its engine's, resolved
+        #: once when the engine was built
+        self.telemetry = self.engine.telemetry
         self.stats = NodeStats()
         #: neighbour name -> local interface used to reach it; the
         #: network layer fills this in when links are attached.
@@ -242,7 +244,7 @@ class LSRNode:
     ) -> None:
         """Emit the telemetry for one processing step.
 
-        No-op unless the process-wide telemetry is enabled; the event
+        No-op unless the node's telemetry is enabled; the event
         stream this produces is what :class:`repro.analysis.tracer.
         NetworkTracer` and ``repro trace`` consume.  A ``train``
         advances the metrics and flow accounting by its exact
@@ -250,7 +252,7 @@ class LSRNode:
         packets are materialized by the source and observed as real
         packets instead).
         """
-        tel = get_telemetry()
+        tel = self.telemetry
         if not tel.enabled:
             return
         count = 1 if train is None else train.count

@@ -116,6 +116,7 @@ class SimplexChannel:
         self._corrupt_rng = random.Random(loss_seed ^ 0x5EED)
         self.corruptor: Optional[Callable[[Any], Any]] = None
         self.corrupted = 0
+        self.telemetry = get_telemetry()
 
     # -- fault state --------------------------------------------------------
     def set_down(self) -> None:
@@ -124,7 +125,7 @@ class SimplexChannel:
             return
         self.up = False
         self._epoch += 1
-        tel = get_telemetry()
+        tel = self.telemetry
         while True:
             item = self.queue.dequeue()
             if item is None:
@@ -142,7 +143,7 @@ class SimplexChannel:
 
     def send(self, packet: Any, size_bytes: int, cos: int = 0) -> bool:
         """Queue a packet for transmission.  Returns False on drop."""
-        tel = get_telemetry()
+        tel = self.telemetry
         if not self.up:
             self.dropped += _units(packet)
             if tel.enabled:
@@ -171,7 +172,7 @@ class SimplexChannel:
             self._busy = False
             return
         packet, size_bytes = item
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.queue_depth.labels(self.src.node, self.dst.node).set(
                 len(self.queue)
@@ -188,7 +189,7 @@ class SimplexChannel:
         count = _units(packet)
         self.tx_packets += count
         self.tx_bytes += size_bytes
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.link_tx_packets.labels(self.src.node, self.dst.node).inc(
                 count

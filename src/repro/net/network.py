@@ -103,11 +103,11 @@ class MPLSNetwork:
     ) -> None:
         self.topology = topology
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
-        # telemetry events carry simulation time: point the default
-        # event log's clock at this network's scheduler (the latest
-        # constructed network wins, which matches one-network-per-run
-        # usage in the tests, benchmarks and CLI)
-        get_telemetry().events.clock = lambda: self.scheduler.now
+        # the run's telemetry is the default current now, kept for the
+        # network's life; its events carry simulation time, so point
+        # its event log's clock at this network's scheduler
+        self.telemetry = get_telemetry()
+        self.telemetry.events.clock = lambda: self.scheduler.now
         roles = roles or {}
         self.nodes: Dict[str, LSRNode] = {}
         for name in topology.nodes:
@@ -415,7 +415,7 @@ class MPLSNetwork:
         count: int = 1,
     ) -> None:
         self.drops.append(Drop(now, node_name, reason, count=count))
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.drops.labels(
                 node_name, reason.split(":")[-1].strip()
@@ -474,7 +474,7 @@ class MPLSNetwork:
             self.aggregate_deliveries.append(delivery)
         delivered = self._delivered
         delivered[flow_id] = delivered.get(flow_id, 0) + count
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             tel.packets.labels(node_name, "delivered").inc(count)
             hist = tel.delivery_latency.labels(node_name)

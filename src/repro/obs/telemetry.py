@@ -5,8 +5,8 @@ model all funnels through a :class:`Telemetry` object.  The contract
 that keeps the hot paths fast:
 
 * every instrumentation site is guarded by ``tel.enabled`` -- when
-  telemetry is off (the default), the entire layer costs one global
-  lookup and one boolean test per instrumented call;
+  telemetry is off (the default), the entire layer costs one attribute
+  read and one boolean test per instrumented call;
 * metric families used on hot paths are pre-registered here once, so
   enabling telemetry never pays registration in the packet loop.
 
@@ -14,6 +14,16 @@ A process-wide default instance is reachable via :func:`get_telemetry`;
 tests and the CLI swap in fresh instances with :func:`set_telemetry` or
 the :func:`telemetry_session` context manager so runs never leak state
 into each other.
+
+The rule: **telemetry is resolved once, when an object is built.**  An
+object that reports telemetry takes the default current in its
+``__init__`` and keeps that object -- never its ``registry``, ``events``
+or metric families, which :meth:`Telemetry.reset` replaces; an object
+built over a network reads the network's.  Per-packet,
+per-message and per-event code reads the object's own reference, so
+what an object reports belongs to the run it was built for, whatever
+default is current when it runs.  Swap the default *before* building a
+run.  ``tests/obs/test_telemetry_lookups.py`` holds ``src/repro`` to it.
 """
 
 from __future__ import annotations
@@ -399,8 +409,8 @@ _default = Telemetry(enabled=False)
 
 
 def get_telemetry() -> Telemetry:
-    """The current default telemetry instance (cheap; hot paths call
-    this per packet, not per elementary operation)."""
+    """The current default telemetry instance.  An object calls this
+    once, when it is built, and keeps what it returns."""
     return _default
 
 

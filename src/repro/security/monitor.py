@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 from repro.config import from_mapping
 from repro.net.packet import MPLSPacket
 from repro.obs.events import AttackDetected, AttackMitigated
-from repro.obs.telemetry import get_telemetry
 
 #: Attack kinds, mirroring the ``FaultKind`` values in
 #: :mod:`repro.faults.scenario` (kept as strings to avoid the import).
@@ -229,7 +228,7 @@ class SecurityMonitor:
         if record.detected_at is not None:
             return
         record.detected_at = now
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             tel.attacks_detected.labels(record.kind, record.target).inc()
             tel.events.emit(
@@ -250,7 +249,7 @@ class SecurityMonitor:
         if record.mitigated_at is not None:
             return
         record.mitigated_at = now
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             tel.attacks_mitigated.labels(record.kind, action).inc()
             tel.events.emit(
@@ -284,7 +283,7 @@ class SecurityMonitor:
         now = self._now()
         self.guard_rejections += 1
         forged = self._forged.get(packet.inner.flow_id)
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             tel.spoof_rejections.labels(node).inc()
         if forged is not None:
@@ -308,7 +307,7 @@ class SecurityMonitor:
     def note_auth_mismatch(self, now: float, node: str, peer: str) -> None:
         """A shutdown carried a wrong session token and was rejected."""
         self.auth_mismatches += 1
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             tel.auth_mismatches.labels(node, peer).inc()
         record = self._attack_on_node(LDP_HIJACK, node)
@@ -347,7 +346,7 @@ class SecurityMonitor:
         limited = count - admitted
         self.exceptions_forwarded += admitted
         self.exceptions_limited += limited
-        tel = get_telemetry()
+        tel = self.network.telemetry
         if tel.enabled:
             if admitted:
                 tel.exception_path.labels(node, "forwarded").inc(admitted)
@@ -438,7 +437,7 @@ class SecurityMonitor:
                     (now, name, label, fec_id, leaked_to)
                 )
                 quarantined += 1
-                tel = get_telemetry()
+                tel = self.network.telemetry
                 if tel.enabled:
                     tel.xconnect_quarantines.labels(name).inc()
                 if record is not None:

@@ -54,7 +54,6 @@ from repro.control.rsvp_te import (
     RSVPTESignaler,
     SetupError,
     SignalingError,
-    _note_lsp,
 )
 from repro.mpls.fec import FEC, PrefixFEC
 from repro.mpls.label import IMPLICIT_NULL, LabelOp
@@ -374,7 +373,7 @@ class OldRSVPTESignaler(RSVPTESignaler):
         for a, b in zip(route, route[1:]):
             self.topology.link(a, b).release(a, lsp.bandwidth_bps)
         lsp.up = False
-        _note_lsp("teardown", name)
+        self._note_lsp("teardown", name)
 
 
 @dataclass

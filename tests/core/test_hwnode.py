@@ -88,6 +88,28 @@ class TestHardwareTransit:
         decision = node.receive(ip_pkt())
         assert decision.action is Action.DISCARD
 
+    @pytest.mark.parametrize(
+        "label, ttl, depth",
+        [(42, 20, 1), (100, 1, 1), (400, 20, 3)],
+        ids=["miss", "ttl", "push-past-the-stack"],
+    )
+    def test_discard_reason_matches_software(self, label, ttl, depth):
+        entries = [LabelEntry(label=label, ttl=ttl)] + [
+            LabelEntry(label=500 + i, ttl=ttl) for i in range(depth - 1)
+        ]
+        packet = MPLSPacket(LabelStack(entries), ip_pkt())
+        hw, sw = self._node(), LSRNode("lsr-1", RouterRole.LSR)
+        for node in (hw, sw):
+            node.ilm.install(
+                400, NHLFE(op=LabelOp.PUSH, out_label=401, next_hop="lsr-2")
+            )
+        sw.ilm.install(
+            100, NHLFE(op=LabelOp.SWAP, out_label=200, next_hop="lsr-2")
+        )
+        d_hw, d_sw = hw.receive(packet), sw.receive(packet)
+        assert d_hw.action is d_sw.action is Action.DISCARD
+        assert d_hw.reason == d_sw.reason
+
 
 class TestHardwareIngress:
     def _ler(self):

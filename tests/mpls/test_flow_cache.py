@@ -9,7 +9,7 @@ from repro.mpls.label import LabelEntry, LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
-from repro.obs import ListSink, get_telemetry, telemetry_session
+from repro.obs import ListSink, telemetry_session
 from repro.obs.events import LabelOpApplied
 
 
@@ -226,11 +226,10 @@ class TestTelemetryReplay:
     def test_unobserved_fill_is_not_served_while_observing(self):
         """An entry filled with telemetry off has no recorded ops; it
         must be refilled -- not replayed -- once telemetry turns on."""
-        engine = _engine()
-        cache = FlowCache(engine)
-        assert not get_telemetry().enabled
-        cache.process(labelled(200))  # unobserved fill
-        with telemetry_session() as tel:
+        with telemetry_session(enabled=False) as tel:
+            cache = FlowCache(_engine())
+            cache.process(labelled(200))  # unobserved fill
+            tel.enable()
             cache.process(labelled(200))
             assert cache.hits == 0  # refill, not a (silent) hit
             assert tel.registry.value(
