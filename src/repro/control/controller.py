@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Annotated,
     Any,
     Callable,
     Dict,
@@ -58,7 +59,7 @@ from typing import (
     Tuple,
 )
 
-from repro.config import from_mapping
+from repro.config import NOT_NEGATIVE, build
 from repro.control.cspf import CSPFError, cspf_over_view
 from repro.control.overload import PriorityControlQueue, classify_message
 from repro.control.retry import ReconnectBackoff
@@ -91,8 +92,9 @@ class ControllerConfig:
     #: graceful fallback to distributed control on hold expiry; when
     #: False orphaned nodes flush stale state and blackhole instead
     delegation: bool = True
-    #: when the controller first adopts the network (sim seconds)
-    adopt_at: float = 0.05
+    #: when the controller first adopts the network (sim seconds); it
+    #: and the retry delays are scheduler delays, never negative
+    adopt_at: Annotated[float, NOT_NEGATIVE] = 0.05
     keepalive_interval: float = 0.02
     #: hold timer: an adopted node falls back after this long without
     #: hearing the controller
@@ -109,8 +111,8 @@ class ControllerConfig:
     high_watermark: int = 24
     low_watermark: int = 8
     # seeded reconnect backoff (shared repro.control.retry policy)
-    retry_initial: float = 20e-3
-    retry_max: float = 0.5
+    retry_initial: Annotated[float, NOT_NEGATIVE] = 20e-3
+    retry_max: Annotated[float, NOT_NEGATIVE] = 0.5
     max_retries: int = 20
     retry_jitter: float = 0.1
     #: scheduling horizon -- periodic timers stop re-arming past it
@@ -146,7 +148,7 @@ class ControllerConfig:
     def from_dict(
         cls, raw: Mapping[str, Any], horizon: Optional[float] = None
     ) -> "ControllerConfig":
-        return from_mapping(cls, "controller", raw, horizon=horizon)
+        return build(cls, "controller", raw, horizon=horizon)
 
 
 class _Rpc:

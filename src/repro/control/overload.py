@@ -38,7 +38,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 import math
 from collections import deque
 
-from repro.config import from_mapping
+from repro.config import build
 from repro.mpls.fec import PrefixFEC
 from repro.net.events import EventScheduler
 from repro.net.packet import IPv4Packet
@@ -161,7 +161,7 @@ class OverloadConfig:
     def from_dict(
         cls, raw: Mapping[str, Any], horizon: Optional[float] = None
     ) -> "OverloadConfig":
-        return from_mapping(cls, "overload", raw, horizon=horizon)
+        return build(cls, "overload", raw, horizon=horizon)
 
 
 class PriorityControlQueue:

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.device import STRATIX_EP1S40
 from repro.faults.injector import FaultInjector
-from repro.faults.scenario import Scenario, ScenarioError
+from repro.faults.scenario import Scenario
 from repro.faults.subsystems import SUBSYSTEMS, Subsystem, _round, _rounded
 from repro.mpls.fec import PrefixFEC
 from repro.net.network import MPLSNetwork
@@ -182,21 +182,10 @@ def _control_plane(run: ChaosRun) -> None:
         signaler = RSVPTESignaler(topology, network.nodes)
         signaler.preemption_enabled = getattr(overload, "enabled", True)
         run.frr = FastRerouteManager(signaler)
-        flows = {flow.prefix: flow for flow in scenario.traffic}
-        for entry in scenario.protection:
-            prefix = entry.get("prefix", scenario.traffic[0].prefix)
-            flow = flows.get(prefix)
-            if flow is None:
-                raise ScenarioError(
-                    f"protection {entry.get('name')!r} names prefix "
-                    f"{prefix!r} with no matching flow"
-                )
+        for lsp in scenario.protection:
             run.frr.protect(
-                entry.get("name", f"protect-{prefix}"),
-                entry.get("ingress", flow.ingress),
-                entry.get("egress", flow.egress),
-                PrefixFEC(prefix),
-                bandwidth_bps=float(entry.get("bandwidth_bps", 0.0)),
+                lsp.name, lsp.ingress, lsp.egress, PrefixFEC(lsp.prefix),
+                bandwidth_bps=lsp.bandwidth_bps,
             )
 
 

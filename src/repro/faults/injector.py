@@ -232,6 +232,11 @@ class FaultInjector:
                     raise ScenarioError(
                         f"{kind} targets unknown node {node!r}"
                     )
+        topology = self.network.topology
+        if need.target == "link" and not topology.has_link(*spec.target):
+            raise ScenarioError(
+                f"{kind} targets {spec.label}, which is not a link"
+            )
         planes = {"ldp": self.ldp, "ldp-messages": self.message_ldp,
                   "frr": self.frr}
         if need.controls and all(planes[c] is None for c in need.controls):

@@ -52,11 +52,28 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Annotated, Any, Callable, Dict, List, Mapping, Optional
+from typing import Tuple
 
+from repro.config import (
+    AMOUNT,
+    COUNT,
+    INTEGER,
+    NOT_NEGATIVE,
+    POSITIVE,
+    REAL,
+    REQUIRED,
+    TEXT,
+    ScenarioError,
+    build,
+    parser,
+    read,
+)
 from repro.mpls.router import RouterRole
+from repro.net.addressing import IPv4Address, IPv4Prefix
 from repro.net.topology import (
     Topology,
     TopologyError,
@@ -65,10 +82,6 @@ from repro.net.topology import (
     paper_figure1,
     ring,
 )
-
-
-class ScenarioError(ValueError):
-    """A scenario document is malformed or internally inconsistent."""
 
 
 class FaultKind(str, Enum):
@@ -98,37 +111,34 @@ def _kind(value: Any) -> FaultKind:
         raise ScenarioError(f"unknown fault kind {value!r}") from None
 
 
-def _parser(convert, holds, want):
-    """A param parser: ``convert`` a scenario file's value, then refuse
-    it unless it ``holds`` (``want`` says what would)."""
-
-    def parse(value):
-        parsed = convert(value)
-        if not holds(parsed):
-            raise ValueError(f"must be {want}")
-        return parsed
-
-    return parse
-
-
 # every test is positive, so a NaN fails them all
-_LOSS = _parser(float, lambda x: 0 <= x < 1, "in [0, 1)")  # as set_loss
-_PROBABILITY = _parser(float, lambda x: 0 <= x <= 1, "in [0, 1]")
-_AMOUNT = _parser(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
-_FINITE = _parser(float, math.isfinite, "finite")
-_COUNT = _parser(int, lambda n: n >= 0, ">= 0")
-_POSITIVE = _parser(float, lambda x: 0 < x < math.inf, "finite and > 0")
-_KIND_LIST = _parser(
-    lambda x: x, lambda x: isinstance(x, list) and x, "a non-empty list"
+_LOSS = parser(REAL, lambda x: 0 <= x < 1, "in [0, 1)")  # as set_loss
+_PROBABILITY = parser(REAL, lambda x: 0 <= x <= 1, "in [0, 1]")
+_FINITE = parser(REAL, math.isfinite, "finite")
+_LEVEL = parser(INTEGER, lambda n: 1 <= n <= 3, "1, 2 or 3")
+_TTL = parser(INTEGER, lambda n: 0 <= n <= 255, "in 0..255")
+_COS = parser(INTEGER, lambda n: 0 <= n <= 7, "in 0..7")  # 3 bits
+# kept as written; the constructor refuses what it cannot parse
+_PREFIX = parser(TEXT, IPv4Prefix, "an IPv4 prefix")
+_ADDRESS = parser(TEXT, IPv4Address, "an IPv4 address")
+_KINDS = parser(
+    lambda x: [_kind(k) for k in x] if isinstance(x, list) else None,
+    bool, "a non-empty list",
 )
-_BOOL = _parser(lambda x: x, lambda x: isinstance(x, bool), "true or false")
-_WINDOW = _parser(
-    lambda w: tuple(float(t) for t in w),
+_WINDOW = parser(
+    lambda w: tuple(REAL(t) for t in w),
     lambda w: len(w) == 2 and 0 <= w[0] < w[1] < math.inf,
     "two finite times >= 0, the second later",
 )
-_LEVEL = _parser(int, lambda n: 1 <= n <= 3, "1, 2 or 3")
-_TTL = _parser(int, lambda n: 0 <= n <= 255, "in 0..255")
+_TARGET = parser(
+    lambda t: (t,) if isinstance(t, str) else tuple(t),
+    bool, "a node name or a list of them",
+)
+
+
+def _targets(value) -> List[Tuple[str, ...]]:
+    """``random_faults.targets``: links / nodes, each as a target."""
+    return [_TARGET(target) for target in value]
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,7 @@ def _expand_flap(spec: "FaultSpec") -> List["FaultSpec"]:
     ]
 
 
-_SRC = Param("spoofed source address (default 203.0.113.66)", str)
+_SRC = Param("spoofed source address (default 203.0.113.66)", TEXT)
 
 #: the fault kind contract, one row per kind.  Adding a kind is one row
 #: here plus the injector's ``_inject_<kind>`` method and its
@@ -203,7 +213,7 @@ _SRC = Param("spoofed source address (default 203.0.113.66)", str)
 FAULT_KINDS: Dict[FaultKind, KindContract] = {
     FaultKind.LINK_DOWN: KindContract("link", draw_target="link"),
     FaultKind.LINK_FLAP: KindContract("link", {
-        "flaps": Param("number of down/up cycles (default 3)", int),
+        "flaps": Param("number of down/up cycles (default 3)", INTEGER),
         "period": Param("cycle length in seconds, 50% duty (default 0.05)",
                         _FINITE),
     }, draw_target="link", expand=_expand_flap),
@@ -218,7 +228,7 @@ FAULT_KINDS: Dict[FaultKind, KindContract] = {
     FaultKind.NODE_CRASH: KindContract("node", draw_target="core"),
     FaultKind.NODE_RESTART: KindContract("node", {
         "hold_time": Param("RFC 3478 forwarding-state holding timer in "
-                           "seconds after injection (default 0.25)", _AMOUNT),
+                           "seconds after injection (default 0.25)", AMOUNT),
     }, controls=("ldp", "ldp-messages"), feature="graceful restart",
         draw_target="core"),
     FaultKind.LDP_SESSION_DROP: KindContract(
@@ -227,30 +237,30 @@ FAULT_KINDS: Dict[FaultKind, KindContract] = {
         "level": Param("info-base level 1..3 to corrupt (default: seeded)",
                        _LEVEL),
         "address": Param("entry address within the level (default: seeded)",
-                         _COUNT),
+                         COUNT),
         "label_xor": Param("XOR mask applied to the stored label (default 0)",
-                           int),
+                           INTEGER),
         "index_xor": Param("XOR mask applied to the stored index (default 0)",
-                           int),
+                           INTEGER),
         "op_xor": Param("XOR mask applied to the stored opcode (default 0)",
-                        int),
+                        INTEGER),
     }, hardware=True),
     FaultKind.SIGNALING_STORM: KindContract("node", {
         "mappings": Param("forged label mappings to flood (default 2000)",
-                          _COUNT),
-        "hellos": Param("forged hellos to flood (default 100)", _COUNT),
+                          COUNT),
+        "hellos": Param("forged hellos to flood (default 100)", COUNT),
         "window": Param("storm length in seconds when heal_at is omitted "
-                        "(default 0.5)", _AMOUNT),
+                        "(default 0.5)", AMOUNT),
         "setups": Param("priority LSP setup bursts, frr control (default 20)",
-                        _COUNT),
+                        COUNT),
         "bandwidth_bps": Param("bandwidth per burst LSP, frr control "
-                               "(default 1e6)", _AMOUNT),
+                               "(default 1e6)", AMOUNT),
     }, controls=("ldp-messages", "frr"), draw_target="core"),
     FaultKind.LABEL_SPOOF: KindContract("node", {
         "packets": Param("forged labelled packets to inject (default 40)",
-                         _COUNT),
+                         COUNT),
         "window": Param("injection window in seconds when heal_at is "
-                        "omitted (default 0.5)", _AMOUNT),
+                        "omitted (default 0.5)", AMOUNT),
         "ttl": Param("TTL carried by the forged stacks (default 64)", _TTL),
         "src": _SRC,
     }, key="security", controls=("ldp-messages",), edge=True),
@@ -258,15 +268,15 @@ FAULT_KINDS: Dict[FaultKind, KindContract] = {
         "link", key="security", controls=("ldp-messages",)),
     FaultKind.XCONNECT_LEAK: KindContract("node", {
         "victim": Param("FEC id whose ILM entry is corrupted (default: "
-                        "first announced FEC at the target)", str),
+                        "first announced FEC at the target)", TEXT),
         "imposter": Param("FEC id whose LSP receives the leaked traffic "
                           "(default: first FEC with a different egress)",
-                          str),
+                          TEXT),
     }, key="security", controls=("ldp-messages",)),
     FaultKind.TTL_FLOOD: KindContract("node", {
-        "packets": Param("TTL=1 packets to inject (default 400)", _COUNT),
+        "packets": Param("TTL=1 packets to inject (default 400)", COUNT),
         "window": Param("flood length in seconds when heal_at is omitted "
-                        "(default 0.5)", _AMOUNT),
+                        "(default 0.5)", AMOUNT),
         "src": _SRC,
     }, key="security", controls=("ldp-messages",), edge=True, queues=True),
     FaultKind.CONTROLLER_CRASH: KindContract("controller", key="controller"),
@@ -285,6 +295,18 @@ SECURITY_KINDS = _kinds(lambda c: c.key == "security")
 CONTROLLER_KINDS = _kinds(lambda c: c.key == "controller")
 FAULT_PARAMS = {kind: {name: p.description for name, p in c.params.items()}
                 for kind, c in FAULT_KINDS.items()}
+#: each kind's params as a read table: an absent or null one is absent
+_PARAMS = {kind: {name: (p.parse, None) for name, p in c.params.items()}
+           for kind, c in FAULT_KINDS.items()}
+
+
+#: a fault entry's own fields; every other key is one of its kind's
+#: params.  Omitting ``heal_at`` is a fault that never heals.
+_FAULT = {
+    "target": (_TARGET, REQUIRED),
+    "at": (REAL, 0.0),
+    "heal_at": (REAL, None),
+}
 
 
 @dataclass(frozen=True)
@@ -294,8 +316,9 @@ class FaultSpec:
     ``target`` is ``(a, b)`` for link-scoped kinds and ``(node,)`` for
     node-scoped ones.  ``params`` carries kind-specific knobs (loss
     ``rate``, bit-flip ``level``/``address``, flap ``flaps``/``period``),
-    each parsed by its row of :data:`FAULT_KINDS`; a ``None`` value is
-    the default, as for ``heal_at``.
+    each parsed by its row of :data:`FAULT_KINDS` when :meth:`from_dict`
+    reads the entry; a ``None`` value is the default, as for
+    ``heal_at``.
     """
 
     kind: FaultKind
@@ -305,26 +328,7 @@ class FaultSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        contract = FAULT_KINDS[self.kind]
-        accepted = contract.params
-        unknown = sorted(set(self.params) - set(accepted))
-        if unknown:
-            raise ScenarioError(
-                f"{self.kind.value}: unknown param(s) {', '.join(unknown)} "
-                f"(accepted: {', '.join(sorted(accepted)) or 'none'})"
-            )
-        parsed = {}
-        for name, value in self.params.items():
-            if value is None:
-                continue
-            try:
-                parsed[name] = accepted[name].parse(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioError(
-                    f"{self.kind.value}: bad {name} {value!r}: {exc}"
-                ) from None
-        object.__setattr__(self, "params", parsed)
-        want = 2 if contract.target == "link" else 1
+        want = 2 if FAULT_KINDS[self.kind].target == "link" else 1
         if len(self.target) != want:
             raise ScenarioError(
                 f"{self.kind.value} targets {want} node(s), "
@@ -353,38 +357,21 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "FaultSpec":
-        if not isinstance(raw, Mapping):
+        """A fault entry: ``kind``, ``target`` and the times, every
+        other key one of the kind's params."""
+        if not isinstance(raw, abc.Mapping):
             raise ScenarioError(f"fault entry {raw!r} must be an object")
         if "kind" not in raw:
             raise ScenarioError(f"fault entry missing 'kind': {raw!r}")
         kind = _kind(raw["kind"])
-        target = raw.get("target")
-        if isinstance(target, str):
-            target = (target,)
-        elif isinstance(target, (list, tuple)):
-            target = tuple(target)
-        else:
-            raise ScenarioError(f"fault entry missing 'target': {raw!r}")
-        params = {
-            k: v
-            for k, v in raw.items()
-            if k not in ("kind", "at", "target", "heal_at")
-        }
-        times = {}
-        for key in ("at", "heal_at"):
-            value = raw.get(key)
-            try:
-                times[key] = None if value is None else float(value)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(
-                    f"{kind.value}: bad {key} {value!r}: {exc}"
-                ) from None
+        where = kind.value
+        own = {k: raw[k] for k in _FAULT if k in raw}
+        rest = {k: v for k, v in raw.items() if k not in own and k != "kind"}
+        # most entries carry no params: nothing to read
+        params = rest and read(where, rest, _PARAMS[kind], noun="param")
         return cls(
-            kind=kind,
-            at=0.0 if times["at"] is None else times["at"],
-            target=target,
-            heal_at=times["heal_at"],
-            params=params,
+            kind=kind, **read(where, own, _FAULT),
+            params={k: v for k, v in params.items() if v is not None},
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -405,49 +392,53 @@ class TrafficSpec:
 
     ingress: str
     egress: str
-    prefix: str
-    src: str
-    dst: str
-    rate_bps: float = 1e6
-    packet_size: int = 500
-    start: float = 0.0
-    stop: Optional[float] = None
+    prefix: Annotated[str, _PREFIX]
+    src: Annotated[str, _ADDRESS]
+    dst: Annotated[str, _ADDRESS]
+    rate_bps: Annotated[float, POSITIVE] = 1e6
+    packet_size: Annotated[int, COUNT] = 500
+    start: Annotated[float, NOT_NEGATIVE] = 0.0
+    stop: Annotated[Optional[float], NOT_NEGATIVE] = None
     #: class of service, 0 (lowest) .. 7; ingress load shedding sheds
     #: the lowest-CoS FECs first
-    cos: int = 0
+    cos: Annotated[int, _COS] = 0
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "TrafficSpec":
-        try:
-            spec = cls(
-                ingress=raw["ingress"],
-                egress=raw["egress"],
-                prefix=raw["prefix"],
-                src=raw["src"],
-                dst=raw["dst"],
-                rate_bps=float(raw.get("rate_bps", 1e6)),
-                packet_size=int(raw.get("packet_size", 500)),
-                start=float(raw.get("start", 0.0)),
-                cos=int(raw.get("cos", 0)),
-                stop=(
-                    float(raw["stop"]) if raw.get("stop") is not None
-                    else None
-                ),
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"traffic entry missing {exc}")
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"traffic entry {raw!r}: {exc}")
-        # every test is positive: a NaN fails them all
-        if not (
-            0 < spec.rate_bps < math.inf
-            and spec.packet_size >= 0
-            and spec.start >= 0
-            and (spec.stop is None or spec.stop >= 0)
-        ):
+        return build(cls, lambda: f"traffic entry {raw!r}", raw)
+
+
+@dataclass(frozen=True)
+class ProtectionSpec:
+    """One FRR-protected LSP (``frr`` control).  What an entry leaves
+    unset is its flow's, filled in by :meth:`of`."""
+
+    name: Optional[str] = None
+    ingress: Optional[str] = None
+    egress: Optional[str] = None
+    prefix: Annotated[Optional[str], _PREFIX] = None
+    bandwidth_bps: Annotated[float, AMOUNT] = 0.0
+
+    def of(self, traffic: List[TrafficSpec]) -> "ProtectionSpec":
+        """This entry read against the flows: ``prefix`` defaults to the
+        first flow's and must be a flow's, ``ingress`` and ``egress`` to
+        that flow's and must differ, ``name`` to ``protect-<prefix>``."""
+        prefix = self.prefix or traffic[0].prefix
+        name = f"protect-{prefix}" if self.name is None else self.name
+        flow = {f.prefix: f for f in traffic}.get(prefix)
+        if flow is None:
             raise ScenarioError(
-                f"traffic entry {raw!r}: rate_bps must be finite and "
-                "positive, packet_size, start and stop must not be negative"
+                f"protection {name!r}: bad prefix {prefix!r}: no flow has it"
+            )
+        spec = replace(
+            self, name=name, prefix=prefix,
+            ingress=flow.ingress if self.ingress is None else self.ingress,
+            egress=flow.egress if self.egress is None else self.egress,
+        )
+        if spec.ingress == spec.egress:
+            raise ScenarioError(
+                f"protection {name!r}: bad egress {spec.egress!r}: it is "
+                "the ingress"
             )
         return spec
 
@@ -456,31 +447,17 @@ class TrafficSpec:
 class RandomFaultSpec:
     """A seeded randomized fault schedule, expanded at materialize time."""
 
-    count: int
-    kinds: List[FaultKind]
-    window: Tuple[float, float]
-    mean_outage: float = 0.05
+    count: Annotated[int, COUNT] = 4
+    kinds: Annotated[List[FaultKind], _KINDS] = field(
+        default_factory=lambda: [FaultKind.LINK_DOWN])
+    window: Annotated[Tuple[float, float], _WINDOW] = (0.0, 1.0)
+    mean_outage: Annotated[float, POSITIVE] = 0.05
     #: restrict link faults to these links / node faults to these nodes
-    targets: Optional[List[Tuple[str, ...]]] = None
+    targets: Annotated[Optional[List[Tuple[str, ...]]], _targets] = None
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "RandomFaultSpec":
-        targets = raw.get("targets")
-        if targets is not None:
-            targets = [
-                (t,) if isinstance(t, str) else tuple(t) for t in targets
-            ]
-        where = "random_faults: "
-        return cls(
-            kinds=[
-                _kind(k)
-                for k in _value(raw, "kinds", ["link-down"], _KIND_LIST, where)
-            ],
-            window=_value(raw, "window", (0.0, 1.0), _WINDOW, where),
-            count=_value(raw, "count", 4, _COUNT, where),
-            mean_outage=_value(raw, "mean_outage", 0.05, _POSITIVE, where),
-            targets=targets,
-        )
+        return build(cls, "random_faults", raw)
 
 
 _TOPOLOGY_BUILDERS = {
@@ -491,81 +468,102 @@ _TOPOLOGY_BUILDERS = {
 }
 
 
-def _listed(raw: Mapping[str, Any], key: str) -> Optional[list]:
-    """A top-level key that holds a list, or None when it is absent."""
-    value = raw.get(key)
-    if value is not None and not isinstance(value, list):
-        raise ScenarioError(f"'{key}' must be a list, got {value!r}")
-    return value
+def _each(key: str, parse) -> Callable[[Any], list]:
+    """A top-level key that holds a list, each item through ``parse``."""
+
+    def each(value):
+        if not isinstance(value, list):
+            raise ScenarioError(f"'{key}' must be a list, got {value!r}")
+        return [parse(item) for item in value]
+
+    return each
 
 
-def _value(
-    raw: Mapping[str, Any], key: str, default: Any, parse=float, where=""
-) -> Any:
-    """``raw[key]`` (or ``default``) through ``parse``; a value it
-    refuses is one ``<where>bad <key> <value>: <why>`` error."""
-    value = raw.get(key, default)
-    try:
+def _object(key: str, parse=dict) -> Callable[[Any], Any]:
+    """A top-level key that holds an object, through ``parse``."""
+
+    def one(value):
+        if not isinstance(value, abc.Mapping):
+            raise ScenarioError(f"'{key}' must be an object, got {value!r}")
         return parse(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{where}bad {key} {value!r}: {exc}") from None
+
+    return one
+
+
+_TRAFFIC = _each("traffic", TrafficSpec.from_dict)
+_PROTECTION = _each("protection", lambda raw: build(
+    ProtectionSpec, f"protection entry {raw!r}", raw))
+_FAULTS = _each("faults", FaultSpec.from_dict)
+# an empty object is no randomized schedule
+_RANDOM = _object("random_faults", lambda value: (
+    RandomFaultSpec.from_dict(value) if value else None
+))
+#: an optional subsystem key: its row parses the object when the run is
+#: built
+_Key = Optional[Mapping[str, Any]]
 
 
 @dataclass
 class Scenario:
     """A complete chaos scenario: network + traffic + fault schedule.
 
-    Each optional subsystem key below holds the file's object as is; its
-    row of :data:`~repro.faults.subsystems.SUBSYSTEMS` parses it when
-    the run is built.
+    :meth:`from_dict` reads a document field by field
+    (:func:`repro.config.build`): a field's parser is the one its
+    ``Annotated`` type names, or its type's.  Each optional subsystem
+    key below holds the file's object as is; its row of
+    :data:`~repro.faults.subsystems.SUBSYSTEMS` parses it when the run
+    is built.
     """
 
-    name: str
-    topology: Mapping[str, Any]
-    traffic: List[TrafficSpec]
+    name: str = "unnamed"
+    topology: Annotated[Mapping[str, Any], _object("topology")] = field(
+        default_factory=lambda: {"kind": "paper_figure1"})
+    traffic: Annotated[List[TrafficSpec], _TRAFFIC] = field(
+        default_factory=list)
     description: str = ""
-    edges: Optional[List[str]] = None
+    edges: Annotated[Optional[List[str]], _each("edges", TEXT)] = None
     hardware: bool = False
     control: str = "ldp"  # "ldp" | "ldp-messages" | "frr"
     duration: float = 1.0
     detection_delay_s: float = 1e-3
-    protection: List[Mapping[str, Any]] = field(default_factory=list)
-    faults: List[FaultSpec] = field(default_factory=list)
-    random_faults: Optional[RandomFaultSpec] = None
+    protection: Annotated[List[ProtectionSpec], _PROTECTION] = field(
+        default_factory=list)
+    faults: Annotated[List[FaultSpec], _FAULTS] = field(default_factory=list)
+    random_faults: Annotated[Optional[RandomFaultSpec], _RANDOM] = None
     #: consistency-auditor configuration ({"period": s, "start": s}),
     #: or None to run without the auditor
-    audit: Optional[Mapping[str, Any]] = None
+    audit: Annotated[_Key, _object("audit")] = None
     #: OAM monitor configuration ({"period": s, "start": s,
     #: "timeout": s, "slo_rtt_s": s}), or None to run without probes
-    oam: Optional[Mapping[str, Any]] = None
+    oam: Annotated[_Key, _object("oam")] = None
     #: control-plane overload protection (see
     #: :class:`repro.control.overload.OverloadConfig`), or None to run
     #: with the legacy unbounded control plane
-    overload: Optional[Mapping[str, Any]] = None
+    overload: Annotated[_Key, _object("overload")] = None
     #: flow accounting / traffic-matrix configuration
     #: ({"active_timeout": s, "idle_timeout": s, "capacity": n,
     #: "matrix_period": s, "matrix_start": s}), or None to run without
     #: the accountant (older reports stay byte-identical)
-    flows: Optional[Mapping[str, Any]] = None
+    flows: Annotated[_Key, _object("flows")] = None
     #: alerting rules ({"rules": [{"name", "signal", "threshold",
     #: "clear", "description"}, ...]}), or None for no alert engine;
     #: requires ``flows`` (the engine evaluates on the collector tick)
-    alerts: Optional[Mapping[str, Any]] = None
+    alerts: Annotated[_Key, _object("alerts")] = None
     #: adversarial-security configuration (see
     #: :class:`repro.security.SecurityConfig`), or None to run without
     #: the monitor; required by the attack fault kinds and gates the
     #: report's ``security`` section (older reports stay byte-identical)
-    security: Optional[Mapping[str, Any]] = None
+    security: Annotated[_Key, _object("security")] = None
     #: topology-observatory configuration ({"snapshot_every": n}), or
     #: None to run without the observer; gates the report's
     #: ``convergence`` section (older reports stay byte-identical)
-    topo: Optional[Mapping[str, Any]] = None
+    topo: Annotated[_Key, _object("topo")] = None
     #: centralized PCE controller configuration (see
     #: :class:`repro.control.controller.ControllerConfig`), or None to
     #: run pure distributed control; required by the controller fault
     #: kinds and gates the report's ``controller`` section (older
     #: reports stay byte-identical)
-    controller: Optional[Mapping[str, Any]] = None
+    controller: Annotated[_Key, _object("controller")] = None
 
     def __post_init__(self) -> None:
         from repro.faults.subsystems import SUBSYSTEMS
@@ -587,6 +585,10 @@ class Scenario:
             raise ScenarioError("a scenario needs at least one flow")
         if self.control == "frr" and not self.protection:
             raise ScenarioError("frr control needs a 'protection' list")
+        self.protection = [p.of(self.traffic) for p in self.protection]
+        names = [p.name for p in self.protection]
+        if len(set(names)) < len(names):
+            raise ScenarioError(f"protection names must be unique: {names}")
         kinds = {s.kind for s in self.faults}
         if self.random_faults is not None:
             kinds.update(self.random_faults.kinds)
@@ -608,42 +610,7 @@ class Scenario:
     # -- construction -------------------------------------------------------
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "Scenario":
-        from repro.faults.subsystems import SUBSYSTEM_KEYS
-
-        faults = [FaultSpec.from_dict(f) for f in _listed(raw, "faults") or []]
-        topology = raw.get("topology", {"kind": "paper_figure1"})
-        if not isinstance(topology, Mapping):
-            raise ScenarioError(
-                f"'topology' must be an object, got {topology!r}"
-            )
-        objects = {}
-        for key in ("random_faults", *SUBSYSTEM_KEYS):
-            value = raw.get(key)
-            if value is not None and not isinstance(value, Mapping):
-                raise ScenarioError(
-                    f"'{key}' must be an object, got {value!r}"
-                )
-            objects[key] = None if value is None else dict(value)
-        rand = objects.pop("random_faults")
-        return cls(
-            name=raw.get("name", "unnamed"),
-            description=raw.get("description", ""),
-            topology=dict(topology),
-            edges=_listed(raw, "edges"),
-            hardware=_value(raw, "hardware", False, _BOOL),
-            control=raw.get("control", "ldp"),
-            duration=_value(raw, "duration", 1.0),
-            detection_delay_s=_value(raw, "detection_delay_s", 1e-3),
-            traffic=[
-                TrafficSpec.from_dict(t) for t in _listed(raw, "traffic") or []
-            ],
-            protection=_listed(raw, "protection") or [],
-            faults=faults,
-            random_faults=(
-                RandomFaultSpec.from_dict(rand) if rand else None
-            ),
-            **objects,
-        )
+        return build(cls, "", raw)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -692,9 +659,21 @@ class Scenario:
                     {t.ingress for t in self.traffic}
                     | {t.egress for t in self.traffic}
                 )
-        for name in edges:
+        ends = [
+            (f"{what} {end}", getattr(spec, end))
+            for what, specs in (("traffic", self.traffic),
+                                ("protection", self.protection))
+            for spec in specs
+            for end in ("ingress", "egress")
+        ]
+        # edges first: a flow's egress must be one
+        for what, name in [("edge", name) for name in edges] + ends:
             if name not in topo.nodes:
-                raise ScenarioError(f"edge {name!r} is not in the topology")
+                raise ScenarioError(f"{what} {name!r} is not in the topology")
+            if what == "traffic egress" and name not in edges:
+                raise ScenarioError(
+                    f"{what} {name!r} is not an edge: hosts attach to LERs"
+                )
         roles = {name: RouterRole.LER for name in edges}
         return topo, roles
 

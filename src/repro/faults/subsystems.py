@@ -29,10 +29,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.faults.scenario import _AMOUNT, ScenarioError, _parser
-
-_POSITIVE = _parser(float, lambda x: 0 < x < float("inf"), "finite and > 0")
-_SIZE = _parser(int, lambda n: n >= 1, ">= 1")
+from repro.config import (
+    AMOUNT,
+    BOOL,
+    POSITIVE,
+    SIZE,
+    ScenarioError,
+    build,
+    read,
+)
 
 
 def _round(value: Optional[float]) -> Optional[float]:
@@ -47,41 +52,12 @@ def _rounded(record: Mapping[str, Any]) -> Dict[str, Any]:
             for k, v in record.items()}
 
 
-def _fields(key: str, raw: Mapping[str, Any], table) -> Dict[str, Any]:
-    """``raw`` through ``table`` (field -> (parse, default)): a missing
-    or null field is its default, a field outside the table is ignored,
-    and a value its parser refuses is one ScenarioError naming ``key``
-    and the field."""
-    out = {}
-    for name, (parse, default) in table.items():
-        value = raw.get(name)
-        try:
-            out[name] = default if value is None else parse(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{key}: bad {name} {value!r}: {exc}") from None
-    return out
-
-
-def _config(key: str, cls, raw: Mapping[str, Any], **given):
-    """``cls.from_dict(raw, **given)`` for the config classes that parse
-    their own key (:func:`repro.config.from_mapping` names a bad field)."""
-    try:
-        return cls.from_dict(raw, **given)
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: {exc}") from None
-
-
 def _alert_rules(value):
     from repro.obs.alerts import AlertRule
 
-    if not isinstance(value, list) or not all(
-        isinstance(rule, Mapping) for rule in value
-    ):
+    if not isinstance(value, list):
         raise ValueError("must be a list of rule objects")
-    try:
-        rules = [AlertRule.from_dict(rule) for rule in value]
-    except KeyError as exc:
-        raise ValueError(f"a rule has no {exc}") from None
+    rules = [build(AlertRule, f"alerts: rule {r!r}", r) for r in value]
     if len({rule.name for rule in rules}) < len(rules):
         raise ValueError("rule names must be unique")
     return rules
@@ -163,7 +139,7 @@ class Topo(Subsystem):
     after = "network"
 
     def parse(self, raw, scenario):
-        return _fields(self.key, raw, {"snapshot_every": (_SIZE, 64)})
+        return read(self.key, raw, {"snapshot_every": (SIZE, 64)})
 
     def build(self, run, cfg):
         if not run.telemetry.enabled:
@@ -214,7 +190,7 @@ class Security(Subsystem):
     def parse(self, raw, scenario):
         from repro.security import SecurityConfig
 
-        return _config(self.key, SecurityConfig, raw)
+        return build(SecurityConfig, self.key, raw)
 
     def build(self, run, cfg):
         from repro.security import SecurityMonitor
@@ -294,8 +270,7 @@ class Controller(Subsystem):
     def parse(self, raw, scenario):
         from repro.control.controller import ControllerConfig
 
-        return _config(self.key, ControllerConfig, raw,
-                       horizon=scenario.duration)
+        return ControllerConfig.from_dict(raw, horizon=scenario.duration)
 
     def build(self, run, cfg):
         from repro.control.controller import PCEController
@@ -375,10 +350,10 @@ class Audit(Subsystem):
     )
 
     def parse(self, raw, scenario):
-        return _fields(self.key, raw, {
-            "period": (_POSITIVE, 0.1),
-            "start": (_AMOUNT, None),
-            "repair": (bool, True),
+        return read(self.key, raw, {
+            "period": (POSITIVE, 0.1),
+            "start": (AMOUNT, None),
+            "repair": (BOOL, True),
         })
 
     def build(self, run, cfg):
@@ -409,11 +384,11 @@ class OAM(Subsystem):
     traces = True
 
     def parse(self, raw, scenario):
-        cfg = _fields(self.key, raw, {
-            "period": (_POSITIVE, 0.05),
-            "start": (_AMOUNT, 0.0),
-            "timeout": (_POSITIVE, None),
-            "slo_rtt_s": (_AMOUNT, None),
+        cfg = read(self.key, raw, {
+            "period": (POSITIVE, 0.05),
+            "start": (AMOUNT, 0.0),
+            "timeout": (POSITIVE, None),
+            "slo_rtt_s": (AMOUNT, None),
         })
         if cfg["timeout"] is None:
             cfg["timeout"] = cfg["period"]
@@ -478,8 +453,7 @@ class Overload(Subsystem):
     def parse(self, raw, scenario):
         from repro.control.overload import OverloadConfig
 
-        return _config(self.key, OverloadConfig, raw,
-                       horizon=scenario.duration)
+        return OverloadConfig.from_dict(raw, horizon=scenario.duration)
 
     def build(self, run, cfg):
         mldp = run.message_ldp
@@ -578,15 +552,15 @@ class Flows(Subsystem):
     }
 
     def parse(self, raw, scenario):
-        cfg = _fields(self.key, raw, {
-            "active_timeout": (_POSITIVE, 1.0),
-            "idle_timeout": (_POSITIVE, 0.25),
-            "capacity": (_SIZE, 4096),
-            "matrix_period": (_POSITIVE, 0.1),
-            "matrix_start": (_AMOUNT, None),
+        cfg = read(self.key, raw, {
+            "active_timeout": (POSITIVE, 1.0),
+            "idle_timeout": (POSITIVE, 0.25),
+            "capacity": (SIZE, 4096),
+            "matrix_period": (POSITIVE, 0.1),
+            "matrix_start": (AMOUNT, None),
         })
         alerts = scenario.alerts
-        cfg["rules"] = None if alerts is None else _fields(
+        cfg["rules"] = None if alerts is None else read(
             "alerts", alerts, {"rules": (_alert_rules, [])}
         )["rules"]
         return cfg

@@ -65,11 +65,13 @@ class AlertRule:
     name: str
     signal: str
     threshold: float
-    #: Clear bound; defaults to 80% of the threshold.
-    clear: float
+    #: Clear bound; defaults (None) to 80% of the threshold.
+    clear: Optional[float] = None
     description: str = ""
 
     def __post_init__(self) -> None:
+        if self.clear is None:
+            object.__setattr__(self, "clear", self.threshold * 0.8)
         if self.clear >= self.threshold:
             raise ValueError(
                 f"rule {self.name!r}: clear bound {self.clear} must be "
@@ -85,15 +87,7 @@ class AlertRule:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "AlertRule":
-        threshold = float(raw["threshold"])
-        clear = raw.get("clear")
-        return cls(
-            name=str(raw["name"]),
-            signal=str(raw["signal"]),
-            threshold=threshold,
-            clear=float(clear) if clear is not None else threshold * 0.8,
-            description=str(raw.get("description", "")),
-        )
+        return cls(**raw)
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -33,9 +33,9 @@ strings here and the LDP process is duck-typed, which keeps
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Annotated, Any, Dict, List, Optional, Set, Tuple
 
-from repro.config import from_mapping
+from repro.config import NOT_NEGATIVE
 from repro.net.packet import MPLSPacket
 from repro.obs.events import AttackDetected, AttackMitigated
 
@@ -72,13 +72,9 @@ class SecurityConfig:
     #: Quarantine cross-connected ILM entries via a table transaction.
     quarantine: bool = True
     #: TTL-exception punts admitted to the control plane per second.
-    exception_rate: float = 200.0
+    exception_rate: Annotated[float, NOT_NEGATIVE] = 200.0
     #: Exception-path token-bucket burst.
-    exception_burst: float = 20.0
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "SecurityConfig":
-        return from_mapping(cls, "security", raw)
+    exception_burst: Annotated[float, NOT_NEGATIVE] = 20.0
 
 
 @dataclass

@@ -78,7 +78,7 @@ class TestControllerConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(
             ValueError,
-            match=r"unknown controller key\(s\): delegatoin, hold_tme",
+            match=r"^controller: unknown key\(s\) delegatoin, hold_tme ",
         ):
             ControllerConfig.from_dict(
                 {"delegatoin": True, "hold_tme": 0.1}

@@ -64,7 +64,7 @@ class TestOverloadConfig:
             OverloadConfig(**kwargs)
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown overload key"):
+        with pytest.raises(ValueError, match="^overload: unknown key"):
             OverloadConfig.from_dict({"enabled": True, "typo": 1})
 
     def test_from_dict_casts_and_keeps_horizon(self):

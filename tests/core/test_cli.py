@@ -323,6 +323,214 @@ class TestHostileScenarioCLI:
         line = self._refused(self._smoke(), tmp_path, "--audit", period)
         assert line.startswith(f"error: audit: bad period {float(period)}: ")
 
+    # The shapes below are all refused by the scenario reader or before
+    # the run starts, so they run in-process (``_read_refused``): a
+    # subprocess each would add ~0.7 s of imports per case.
+
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            # were: exit 0, reported "skipped" with a false detail
+            (["ler-a", "ler-b"], "link-down targets ler-a-ler-b"),
+            (["ler-a", "lsr-3"], "link-loss targets ler-a-lsr-3"),
+        ],
+    )
+    def test_a_link_fault_on_two_nodes_that_share_no_link(
+        self, target, message, tmp_path, capsys
+    ):
+        raw = self._example("chaos_smoke")
+        kind = message.split()[0]
+        raw["faults"] = [
+            {"at": 0.1, "heal_at": 0.2, "kind": kind, "target": target}
+        ]
+        line = self._read_refused(raw, tmp_path, capsys)
+        assert line == f"error: {message}, which is not a link"
+
+    @pytest.mark.parametrize(
+        "example,path,value,message",
+        [
+            # were: a KeyError traceback from the network or the source
+            ("chaos_smoke", ("traffic", 0, "ingress"), "zz",
+             "traffic ingress 'zz' is not in the topology"),
+            ("chaos_smoke", ("traffic", 0, "egress"), "zz",
+             "traffic egress 'zz' is not in the topology"),
+            # were: a SignalingError traceback from CSPF
+            ("chaos_frr", ("protection", 0, "ingress"), "zz",
+             "protection ingress 'zz' is not in the topology"),
+            ("chaos_frr", ("protection", 0, "egress"), "zz",
+             "protection egress 'zz' is not in the topology"),
+            # was: ValueError: lsr-1 is a core LSR; hosts attach to LERs
+            ("chaos_smoke", ("traffic", 0, "egress"), "lsr-1",
+             "traffic egress 'lsr-1' is not an edge: hosts attach to LERs"),
+        ],
+    )
+    def test_a_node_name_the_topology_cannot_mean(
+        self, example, path, value, message, tmp_path, capsys
+    ):
+        raw = self._example(example, path, value)
+        assert self._read_refused(raw, tmp_path, capsys) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            # were: a ValueError traceback from building the network / source
+            ("prefix", "10.2.0.0/40"),
+            ("src", "10.1.x.5"),
+            ("dst", "10.2.0.x"),
+            # were: exit 0, each read as something else
+            ("cos", 9), ("cos", -1), ("cos", 2.5),
+            ("packet_size", 2.5),
+            ("rate_bps", True),
+            ("bogus", 1),
+        ],
+    )
+    def test_a_traffic_value_no_run_can_mean(
+        self, key, value, tmp_path, capsys
+    ):
+        raw = self._example("chaos_smoke", ("traffic", 0, key), value)
+        line = self._read_refused(raw, tmp_path, capsys)
+        assert line.startswith("error: bad scenario: traffic entry {")
+        if key == "bogus":
+            assert line.endswith(": unknown key(s) bogus (accepted: cos, "
+                                 "dst, egress, ingress, packet_size, prefix, "
+                                 "rate_bps, src, start, stop)")
+        else:
+            assert f"}}: bad {key} {value!r}: " in line
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            # were: a traceback (AttributeError, ValueError, or a
+            # SignalingError from RSVP-TE)
+            (("protection",), [5], "protection entry 5: must be an object"),
+            (("protection", 0, "bandwidth_bps"), "x", "bad bandwidth_bps 'x'"),
+            # were: exit 0, the value dropped or read as given
+            (("protection", 0, "bandwidth_bps"), -1, "bad bandwidth_bps -1"),
+            (("protection", 0, "bandwidth_bps"), "nan",
+             "bad bandwidth_bps 'nan'"),
+            (("protection", 0, "bogus"), 1, "unknown key(s) bogus"),
+        ],
+    )
+    def test_a_protection_entry_no_run_can_mean(
+        self, path, value, message, tmp_path, capsys
+    ):
+        raw = self._example("chaos_frr", path, value)
+        line = self._read_refused(raw, tmp_path, capsys)
+        assert line.startswith("error: bad scenario: protection entry ")
+        assert message in line
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            # were: SignalingError: explicit route needs >= 2 nodes
+            (("egress",), "ler-a",
+             "protection 'p1': bad egress 'ler-a': it is the ingress"),
+            # was: the same refusal, from the run rather than the reader
+            (("prefix",), "10.9.0.0/16",
+             "protection 'p1': bad prefix '10.9.0.0/16': no flow has it"),
+        ],
+    )
+    def test_a_protected_lsp_its_flows_cannot_mean(
+        self, path, value, message, tmp_path, capsys
+    ):
+        raw = self._example("chaos_frr", ("protection", 0, *path), value)
+        assert self._read_refused(raw, tmp_path, capsys) == (
+            f"error: bad scenario: {message}"
+        )
+
+    def test_two_protected_lsps_with_one_name(self, tmp_path, capsys):
+        # was: SignalingError: 'p1' is already protected
+        raw = self._example("chaos_frr")
+        raw["protection"] *= 2
+        assert self._read_refused(raw, tmp_path, capsys) == (
+            "error: bad scenario: protection names must be unique: "
+            "['p1', 'p1']"
+        )
+
+    @pytest.mark.parametrize("document", [[1, 2], "x"])
+    def test_a_document_that_is_not_an_object(
+        self, document, tmp_path, capsys
+    ):
+        # was: AttributeError: ... object has no attribute 'get'
+        assert self._read_refused(document, tmp_path, capsys) == (
+            "error: bad scenario: the document: must be an object"
+        )
+
+    @pytest.mark.parametrize(
+        "example,key,config,message",
+        [
+            # were: a ValueError traceback from the scheduler
+            ("chaos_controller", "controller", {"keepalive_interval": "nan"},
+             "controller: bad keepalive_interval nan: must be a number"),
+            ("chaos_controller", "controller", {"rpc_delay": "nan"},
+             "controller: bad rpc_delay nan: must be a number"),
+            # were: exit 0 (bool("false") is True; NaN compares false)
+            ("chaos_controller", "controller", {"hold_time": "nan"},
+             "controller: bad hold_time nan: must be a number"),
+            ("chaos_controller", "controller", {"enabled": "false"},
+             "controller: bad enabled 'false': must be true or false"),
+            ("chaos_security", "security", {"enabled": "false"},
+             "security: bad enabled 'false': must be true or false"),
+            ("chaos_signaling_storm", "overload", {"enabled": "false"},
+             "overload: bad enabled 'false': must be true or false"),
+            ("chaos_smoke", "audit", {"repair": "false"},
+             "audit: bad repair 'false': must be true or false"),
+            # were: a ValueError traceback from the scheduler / a counter
+            ("chaos_controller", "controller", {"adopt_at": -1},
+             "controller: bad adopt_at -1: must be >= 0"),
+            ("chaos_security", "security", {"exception_burst": -5},
+             "security: bad exception_burst -5: must be >= 0"),
+        ],
+    )
+    def test_a_switch_or_timer_no_run_can_mean(
+        self, example, key, config, message, tmp_path, capsys
+    ):
+        raw = self._example(example, (key,), config)
+        assert self._read_refused(raw, tmp_path, capsys) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            # were: exit 0, the key ignored
+            (("bogus",), 1, "bad scenario: unknown key(s) bogus (accepted: "),
+            (("random_faults", "bogus"), 1,
+             "bad scenario: random_faults: unknown key(s) bogus (accepted: "),
+            *[((key,), {"peroid": 0.1},
+               f"{key}: unknown key(s) peroid (accepted: ")
+              for key in ("audit", "oam", "flows", "topo")],
+        ],
+    )
+    def test_an_unknown_key(self, path, value, message, tmp_path, capsys):
+        raw = self._example("chaos_smoke", path, value)
+        line = self._read_refused(raw, tmp_path, capsys)
+        assert line.startswith(f"error: {message}")
+
+    @staticmethod
+    def _example(name, path=(), value=None):
+        """The committed example ``name``, with ``value`` set at
+        ``path`` (a tuple of keys) when one is given."""
+        with open(os.path.join(EXAMPLES_DIR, f"{name}.json")) as fh:
+            raw = json.load(fh)
+        if path:
+            *parents, last = path
+            node = raw
+            for key in parents:
+                node = node[key]
+            node[last] = value
+        return raw
+
+    @staticmethod
+    def _read_refused(raw, tmp_path, capsys):
+        """``repro chaos`` on ``raw`` in this process; return its one
+        stderr line after checking exit code 1 and an empty stdout."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["chaos", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        return line
+
     @staticmethod
     def _smoke():
         with open(os.path.join(EXAMPLES_DIR, "chaos_smoke.json")) as fh:

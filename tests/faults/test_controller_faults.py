@@ -111,7 +111,7 @@ class TestValidation:
     def test_bad_controller_config_is_a_scenario_error(self):
         raw = _scenario(controller={"hold_tiem": 0.1})
         with pytest.raises(
-            ScenarioError, match=r"unknown controller key\(s\): hold_tiem"
+            ScenarioError, match=r"^controller: unknown key\(s\) hold_tiem "
         ):
             with telemetry_session():
                 run_scenario(Scenario.from_dict(raw), seed=0)

@@ -63,7 +63,7 @@ class TestScenarioParsing:
                 run_scenario(Scenario.from_dict(raw), seed=7)
 
     def test_bad_overload_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown overload key"):
+        with pytest.raises(ValueError, match="^overload: unknown key"):
             _run({"overload": {"enabled": True, "oops": 1}})
 
 

@@ -100,7 +100,7 @@ class TestScenarioParsing:
             Scenario.from_dict(raw)
 
     def test_bad_security_key_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown security key"):
+        with pytest.raises(ScenarioError, match="^security: unknown key"):
             _run({"security": {"enabled": True, "oops": 1}})
 
     def test_attacks_need_a_message_control_plane(self):
