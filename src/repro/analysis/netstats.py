@@ -4,22 +4,15 @@ Turns a finished :class:`~repro.net.network.MPLSNetwork` run into the
 tables an operator would look at: per-link carried bytes/utilization
 per direction, per-node forwarding counters, and the delivery/loss/
 latency roll-up -- rendered with :mod:`repro.analysis.report`.
-
-The ``render_telemetry_*`` views consume the
-:class:`~repro.obs.telemetry.Telemetry` metrics registry instead of
-reaching into simulator objects, so they summarize whatever a run
-recorded -- including the hardware cycle counters and the control-plane
-event tallies that have no network-object equivalent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.analysis.report import render_table
 from repro.net.network import MPLSNetwork
-from repro.obs.telemetry import Telemetry, get_telemetry
 
 
 @dataclass(frozen=True)
@@ -102,68 +95,3 @@ def render_summary(network: MPLSNetwork) -> str:
         )
     return render_table(["metric", "value"], rows, title="Run summary")
 
-
-# -- telemetry-registry views ------------------------------------------------
-def _counter_rows(
-    telemetry: Telemetry, name: str
-) -> List[Tuple[Tuple[str, ...], float]]:
-    for family in telemetry.registry.collect():
-        if family.name == name:
-            return [
-                (labels, child.value) for labels, child in family.samples()
-            ]
-    return []
-
-
-def telemetry_packet_counts(
-    telemetry: Optional[Telemetry] = None,
-) -> Dict[str, Dict[str, int]]:
-    """node -> action -> packets, from ``repro_packets_total``."""
-    tel = telemetry if telemetry is not None else get_telemetry()
-    out: Dict[str, Dict[str, int]] = {}
-    for (node, action), value in _counter_rows(tel, "repro_packets_total"):
-        out.setdefault(node, {})[action] = int(value)
-    return out
-
-
-def render_telemetry_counters(telemetry: Optional[Telemetry] = None) -> str:
-    """Per-node packet outcomes, as the metrics registry recorded them."""
-    rows = [
-        [node, action, count]
-        for node, actions in sorted(telemetry_packet_counts(telemetry).items())
-        for action, count in sorted(actions.items())
-    ]
-    return render_table(
-        ["node", "action", "packets"],
-        rows,
-        title="Packet outcomes (telemetry)",
-    )
-
-
-def render_telemetry_drops(telemetry: Optional[Telemetry] = None) -> str:
-    """Drop reasons per node, from ``repro_drops_total``."""
-    tel = telemetry if telemetry is not None else get_telemetry()
-    rows = [
-        [node, reason, int(value)]
-        for (node, reason), value in _counter_rows(tel, "repro_drops_total")
-    ]
-    return render_table(
-        ["node", "reason", "dropped"],
-        rows,
-        title="Drop reasons (telemetry)",
-    )
-
-
-def render_telemetry_ops(telemetry: Optional[Telemetry] = None) -> str:
-    """Elementary label operations per node, the registry's view of the
-    :class:`~repro.mpls.forwarding.OpCounts` tally."""
-    tel = telemetry if telemetry is not None else get_telemetry()
-    rows = [
-        [node, op, int(value)]
-        for (node, op), value in _counter_rows(tel, "repro_mpls_ops_total")
-    ]
-    return render_table(
-        ["node", "operation", "count"],
-        rows,
-        title="Label operations (telemetry)",
-    )

@@ -31,6 +31,7 @@ from repro.core.packet_processing import (
     Frame,
     IngressPacketProcessor,
 )
+from repro.core.hwnode import stored_pair
 from repro.hw.driver import ModifierDriver
 from repro.hw.model import FunctionalModifier
 from repro.mpls.forwarding import _dscp_to_cos
@@ -107,9 +108,7 @@ class EmbeddedMPLS:
         return self.install_route(level, in_label, out_label, LabelOp.SWAP)
 
     def install_pop(self, in_label: int, level: int = 1) -> int:
-        # the paired label value is unused for a pop; store 16 (the
-        # lowest unreserved value) to keep the memory word valid
-        return self.install_route(level, in_label, 16, LabelOp.POP)
+        return self.install_route(level, in_label, *stored_pair(LabelOp.POP, None))
 
     def update_route(
         self, level: int, index: int, new_label: int, op: LabelOp
@@ -177,8 +176,9 @@ class EmbeddedMPLS:
             self.total_cycles += pop_cycles
         new_ttl = None
         if new_stack.is_empty and stack_before:
-            # egress LER: copy the decremented MPLS TTL back into IPv4
-            new_ttl = max(0, stack_before[0].ttl - 1)
+            # egress LER: copy the decremented MPLS TTL back into IPv4,
+            # never raising it (the node's and the engine's rule)
+            new_ttl = min(max(0, stack_before[0].ttl - 1), parsed.inner.ttl)
         out_frame = self.egress.build(parsed, new_stack, new_ttl=new_ttl)
         return ProcessResult(
             frame=out_frame,

@@ -66,6 +66,19 @@ from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs.events import InfoBaseProgrammed, InfoBaseScrubbed
 
 
+def stored_pair(op: LabelOp, out_label: Optional[int]) -> Optional[Tuple[int, LabelOp]]:
+    """How an ILM entry is stored in the information base: the paired
+    ``(label, op)``, or None for a NOOP, which stays software-only.
+
+    A pop's paired label is unused; it is stored as 16 (the lowest
+    unreserved value) to keep the memory word valid."""
+    if op is LabelOp.POP:
+        return 16, LabelOp.POP
+    if op is LabelOp.SWAP or op is LabelOp.PUSH:
+        return out_label, op
+    return None
+
+
 class HardwareLSRNode(LSRNode):
     """An LSR/LER whose label operations run on the hardware model."""
 
@@ -126,14 +139,10 @@ class HardwareLSRNode(LSRNode):
         cycles = 0
         try:
             for label, nhlfe in self.ilm:
-                out_label = nhlfe.out_label
-                op = nhlfe.op
-                if op is LabelOp.POP:
-                    stored_label, stored_op = 16, LabelOp.POP
-                elif op in (LabelOp.SWAP, LabelOp.PUSH):
-                    stored_label, stored_op = out_label, op
-                else:
-                    continue  # NOOP entries stay software-only
+                stored = stored_pair(nhlfe.op, nhlfe.out_label)
+                if stored is None:
+                    continue
+                stored_label, stored_op = stored
                 # a label can arrive at any stack depth: mirror per level
                 for level in (1, 2, 3):
                     try:
@@ -179,11 +188,9 @@ class HardwareLSRNode(LSRNode):
         level 1, the learned flow-cache pairs."""
         pairs = []
         for label, nhlfe in self.ilm:
-            op = nhlfe.op
-            if op is LabelOp.POP:
-                pairs.append((label, 16, int(LabelOp.POP)))
-            elif op in (LabelOp.SWAP, LabelOp.PUSH):
-                pairs.append((label, nhlfe.out_label, int(op)))
+            stored = stored_pair(nhlfe.op, nhlfe.out_label)
+            if stored is not None:
+                pairs.append((label, stored[0], int(stored[1])))
         if level == 1:
             pairs.extend(
                 (dst, cached, int(LabelOp.PUSH))

@@ -333,10 +333,6 @@ class ModifierDriver:
         )
 
     # -- double-buffered bank programming ------------------------------------
-    @property
-    def in_bank_transaction(self) -> bool:
-        return self._staged_banks is not None
-
     def _burn(self, label: str, cycles: int) -> int:
         """Advance the clock with no command presented (the FSMs sit in
         IDLE), keeping the cycle accounting and any attached profiler

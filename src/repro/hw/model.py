@@ -290,10 +290,6 @@ class FunctionalModifier:
         return WRITE_PAIR_CYCLES
 
     # -- double-buffered bank programming ------------------------------------
-    @property
-    def in_bank_transaction(self) -> bool:
-        return self._staged_levels is not None
-
     def bank_begin(self) -> None:
         """Open the shadow banks: subsequent :meth:`bank_write_pair`
         calls assemble a fresh information base off to the side while

@@ -26,7 +26,6 @@ from repro.mpls.errors import (
     NoRouteError,
     StackDepthExceeded,
     StackUnderflow,
-    TTLExpired,
 )
 from repro.mpls.label import (
     BOTTOM_OF_STACK,
@@ -49,7 +48,6 @@ from repro.mpls.router import LSRNode, RouterRole
 
 __all__ = [
     "MPLSError",
-    "TTLExpired",
     "LabelLookupMiss",
     "NoRouteError",
     "StackUnderflow",

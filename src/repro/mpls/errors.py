@@ -1,10 +1,10 @@
 """MPLS protocol error taxonomy.
 
-Every abnormal condition the data plane can hit has a dedicated
+Every abnormal condition the data plane raises has a dedicated
 exception, because the paper's hardware distinguishes them too: a lookup
-miss and an expired TTL both discard the packet (Figure 9's DISCARD
-path), while stack misuse is a configuration error that must never be
-silent.
+miss discards the packet (Figure 9's DISCARD path), while stack misuse
+is a configuration error that must never be silent.  An expired TTL is
+no exception: the forwarding engine returns it as a discard decision.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from __future__ import annotations
 
 class MPLSError(Exception):
     """Base class for all MPLS protocol errors."""
-
-
-class TTLExpired(MPLSError):
-    """The TTL reached zero while transiting a router; packet dropped."""
 
 
 class LabelLookupMiss(MPLSError):

@@ -5,8 +5,8 @@ ILM along an LSP).  Committing those writes one at a time would let a
 packet observe a half-programmed network -- e.g. an ingress FTN already
 pointing at a label the downstream ILM has not accepted yet.
 
-:class:`TableTransaction` groups any number of :class:`~repro.mpls.tables.ILM`
-/ :class:`~repro.mpls.tables.FTN` tables under one shadow-bank
+:class:`TableTransaction` groups any number of tables (ILM or FTN, each
+a :class:`~repro.mpls.tables.Table`) under one shadow-bank
 transaction.  Between :meth:`begin` and :meth:`commit` every mutation
 lands in per-table staging banks while the data plane keeps reading the
 active banks; :meth:`commit` swaps all banks (each a single generation
@@ -24,11 +24,9 @@ rolls back automatically:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Union
+from typing import Iterable, List, Mapping
 
-from repro.mpls.tables import FTN, ILM
-
-Table = Union[ILM, FTN]
+from repro.mpls.tables import Table
 
 
 class TableTransaction:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from repro.net.events import EventScheduler
 from repro.net.packet import IPv4Packet, MPLSPacket
@@ -96,11 +96,6 @@ class FlowAggregate:
         _set_count(copy, self.count)
         _set_interval(copy, self.interval)
         return copy
-
-    def created_times(self) -> Iterator[float]:
-        base = self.first_created_at
-        for i in range(self.count):
-            yield base + i * self.interval
 
 
 _set_template, _set_count, _set_interval = (

@@ -241,10 +241,6 @@ class SimplexChannel:
         if self.on_deliver is not None:
             self.on_deliver(self.dst, packet)
 
-    @property
-    def utilization_bytes(self) -> int:
-        return self.tx_bytes
-
 
 class Link:
     """A full-duplex point-to-point link between two interfaces.

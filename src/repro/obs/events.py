@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import collections
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
     Callable,
@@ -650,17 +650,3 @@ class EventLog:
                 for write in writes:
                     write(event)
 
-
-def event_kinds() -> List[str]:
-    """All registered event kinds (for documentation and the CLI)."""
-    kinds = []
-    for cls in Event.__subclasses__():
-        kinds.append(cls.kind)
-        # one level of nesting is enough for this module's hierarchy
-        for sub in cls.__subclasses__():
-            kinds.append(sub.kind)
-    return sorted(set(kinds))
-
-
-def field_names(cls) -> List[str]:
-    return [f.name for f in fields(cls)]

@@ -182,14 +182,6 @@ class CycleProfiler:
         per_state = self.fsm_state_cycles[fsm_name]
         return sorted(per_state.items(), key=lambda kv: (-kv[1], kv[0]))
 
-    def operation_breakdown(
-        self, operation: str, fsm_name: str
-    ) -> Dict[str, int]:
-        """Per-state cycles of one FSM during one operation."""
-        return dict(
-            self.operation_state_cycles.get(operation, {}).get(fsm_name, {})
-        )
-
     def render(self) -> str:
         """A human-readable profile (the ``repro stats`` output)."""
         lines = [f"cycles observed: {self.cycles}"]

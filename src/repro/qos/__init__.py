@@ -6,7 +6,6 @@ subpackage supplies those scheduling and discard algorithms, plus the
 classification and policing that feed them:
 
 * :mod:`repro.qos.classifier` -- packet -> CoS classification,
-* :mod:`repro.qos.marker` -- DSCP/CoS marking policies,
 * :mod:`repro.qos.policer` -- token-bucket policing and shaping,
 * :mod:`repro.qos.queues` -- tail-drop and RED queues,
 * :mod:`repro.qos.scheduler` -- strict-priority and weighted-fair
@@ -15,7 +14,6 @@ classification and policing that feed them:
 """
 
 from repro.qos.classifier import Classifier, cos_of_packet
-from repro.qos.marker import Marker, MarkRule
 from repro.qos.policer import TokenBucket, PolicerAction
 from repro.qos.queues import REDQueue, TailDropQueue
 from repro.qos.scheduler import PriorityScheduler, WFQScheduler
@@ -23,8 +21,6 @@ from repro.qos.scheduler import PriorityScheduler, WFQScheduler
 __all__ = [
     "Classifier",
     "cos_of_packet",
-    "Marker",
-    "MarkRule",
     "TokenBucket",
     "PolicerAction",
     "TailDropQueue",

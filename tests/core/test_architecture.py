@@ -7,7 +7,7 @@ from repro.core.hybrid import compare_partitions
 from repro.mpls.label import LabelEntry, LabelOp
 from repro.mpls.stack import LabelStack
 from repro.mpls.router import RouterRole
-from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
+from repro.net.ethernet import ETHERTYPE_IPV4, ETHERTYPE_MPLS, EthernetFrame
 from repro.net.packet import IPv4Packet, MPLSPacket
 
 
@@ -60,6 +60,25 @@ class TestEmbeddedMPLS:
         assert result.performed == LabelOp.POP
         assert result.stack_after == ()
         assert result.frame.ethertype == ETHERTYPE_IPV4
+
+    def test_egress_never_raises_the_ip_ttl(self, backend):
+        """Label TTL 64 over IPv4 TTL 10: the pop copies back
+        min(64 - 1, 10), the rule of the software engine and of the
+        hardware node, not the label's 63."""
+        inner = IPv4Packet(src="10.1.0.5", dst="10.2.0.9", ttl=10,
+                           payload=b"payload")
+        packet = MPLSPacket(LabelStack([LabelEntry(label=1000, ttl=64)]), inner)
+        frame = EthernetFrame(
+            dst_mac="aa:aa:aa:aa:aa:aa",
+            src_mac="bb:bb:bb:bb:bb:bb",
+            ethertype=ETHERTYPE_MPLS,
+            payload=packet.serialize(),
+        )
+        egress = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
+        egress.install_pop(1000)
+        result = egress.process_frame(frame)
+        assert result.performed == LabelOp.POP
+        assert IPv4Packet.deserialize(result.frame.payload).ttl == 10
 
     def test_ttl_decrements_along_chain(self):
         ler = EmbeddedMPLS(role=RouterRole.LER)
@@ -125,8 +144,6 @@ class TestEmbeddedMPLS:
             [LabelEntry(label=600, ttl=20), LabelEntry(label=500, ttl=20)]
         )
         packet = MPLSPacket(stack, IPv4Packet(src="10.1.0.5", dst="10.2.0.9"))
-        from repro.net.ethernet import ETHERTYPE_MPLS
-
         frame = EthernetFrame(
             dst_mac="aa:aa:aa:aa:aa:aa",
             src_mac="bb:bb:bb:bb:bb:bb",

@@ -1,12 +1,16 @@
-"""The four deterministic RTL-facing CLI outputs, pinned.
+"""The seven deterministic paper-result CLI outputs, pinned.
 
 ``repro stats`` (Table 6 under the cycle profiler, per-state residency
 of every control FSM, the quickstart scenario's metrics), ``repro
-table6``, ``repro worst-case`` (the 6167-cycle composite) and ``repro
-figures`` (the Figure 14-16 lookups) print the same bytes on every run.
-``data/cli_outputs.sha256`` (``sha256sum -c`` format, one
-``<command>.txt`` per line) was computed with the ``src/`` of the commit
-before a state became a method (PR 24); CI's ``perf-smoke`` job checks
+table6``, ``repro worst-case`` (the 6167-cycle composite), ``repro
+figures`` (the Figure 14-16 lookups), ``repro hw-vs-sw`` (the
+per-swap hardware/software comparison), ``repro throughput`` (the
+worst-case label-switching rates) and ``repro device`` (the FPGA memory
+budget) print the same bytes on every run.  ``data/cli_outputs.sha256``
+(``sha256sum -c`` format, one ``<command>.txt`` per line) was computed
+with the ``src/`` of the commit before a state became a method
+for the first four, and with the ``src/`` of the commit before ILM and
+FTN became one table for the last three; CI's ``perf-smoke`` job checks
 the same file with ``sha256sum -c``.
 """
 
@@ -18,7 +22,10 @@ import pytest
 from repro.cli import main
 
 PIN_FILE = Path(__file__).parent / "data" / "cli_outputs.sha256"
-COMMANDS = ("stats", "table6", "worst-case", "figures")
+COMMANDS = (
+    "stats", "table6", "worst-case", "figures", "hw-vs-sw", "throughput",
+    "device",
+)
 
 
 def _pins():

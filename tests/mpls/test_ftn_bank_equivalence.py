@@ -1,25 +1,29 @@
-"""Differential tests for the keyed FTN banks.
+"""Differential tests for the keyed banks of the one forwarding table.
 
 :class:`ListFTN` is the FTN as it was while each bank was a list kept
 most-specific-first: every ``install`` and ``remove`` rebuilt the list
-through FEC equality and re-sorted it.  It is the oracle; it exists
-only here.  Both tables take the same random sequence of writes,
-transactions and stale marks over FECs of mixed and equal specificity
-and must agree after every step on iteration order, ``lookup``, ``len``,
-``generation``, ``stale_fecs()`` and the type and message of every
+through FEC equality and re-sorted it.  :class:`StandaloneILM` is the
+ILM as it was before ILM and FTN became subclasses of one ``Table``,
+with its own copy of the shadow-bank transaction, stale marking and
+generation counter.  They are the oracles; they exist only here.  Each
+table and its oracle take the same random sequence of writes,
+transactions and stale marks -- over FECs of mixed and equal
+specificity, or over labels including reserved ones -- and must agree
+after every step on iteration order, ``lookup``, ``len``,
+``generation``, the stale listing and the type and message of every
 error.
 """
 
-from typing import Callable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpls.errors import NoRouteError
+from repro.mpls.errors import InvalidLabelError, LabelLookupMiss, NoRouteError
 from repro.mpls.fec import FEC, CoSFEC, HostFEC, PrefixFEC
-from repro.mpls.label import LabelOp
+from repro.mpls.label import LabelOp, require_real_label
 from repro.mpls.nhlfe import NHLFE
-from repro.mpls.tables import FTN
+from repro.mpls.tables import FTN, ILM
 from repro.net.packet import IPv4Packet
 
 
@@ -133,6 +137,135 @@ class ListFTN:
         return removed
 
 
+class StandaloneILM:
+    """Incoming Label Map: ``label -> NHLFE``.
+
+    Lookups are per-platform label space (one table per router), which
+    is what the paper's single information base models.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[int, NHLFE] = {}
+        self._staged: Optional[Dict[int, NHLFE]] = None
+        self._staged_refreshed: Set[int] = set()
+        self._stale: Set[int] = set()
+        self.generation = 0
+
+    # -- shadow-bank transaction ------------------------------------
+
+    @property
+    def in_transaction(self) -> bool:
+        return self._staged is not None
+
+    def begin(self) -> None:
+        """Open a transaction: further mutations go to a shadow bank."""
+        if self._staged is not None:
+            raise RuntimeError("ILM transaction already open")
+        self._staged = dict(self._entries)
+        self._staged_refreshed = set()
+
+    def commit(self) -> None:
+        """Atomically swap the shadow bank in (one generation bump).
+
+        A commit that changed nothing skips the bump, so hardware nodes
+        don't resynchronize their info base for a no-op swap."""
+        if self._staged is None:
+            raise RuntimeError("no ILM transaction open")
+        changed = self._staged != self._entries
+        self._entries = self._staged
+        self._stale -= self._staged_refreshed
+        self._stale &= set(self._entries)
+        self._staged = None
+        self._staged_refreshed = set()
+        if changed:
+            self.generation += 1
+
+    def rollback(self) -> None:
+        """Discard the shadow bank; the active table is untouched."""
+        if self._staged is None:
+            raise RuntimeError("no ILM transaction open")
+        self._staged = None
+        self._staged_refreshed = set()
+
+    # -- mutation ---------------------------------------------------
+
+    def install(self, label: int, nhlfe: NHLFE) -> None:
+        require_real_label(label)
+        if self._staged is not None:
+            self._staged[label] = nhlfe
+            self._staged_refreshed.add(label)
+        else:
+            self._entries[label] = nhlfe
+            self._stale.discard(label)
+            self.generation += 1
+
+    def remove(self, label: int) -> None:
+        bank = self._staged if self._staged is not None else self._entries
+        if label not in bank:
+            raise KeyError(f"label {label} not installed")
+        del bank[label]
+        if self._staged is None:
+            self._stale.discard(label)
+            self.generation += 1
+
+    def lookup(self, label: int) -> NHLFE:
+        try:
+            return self._entries[label]
+        except KeyError:
+            raise LabelLookupMiss(f"no ILM entry for label {label}") from None
+
+    def get(self, label: int) -> Optional[NHLFE]:
+        return self._entries.get(label)
+
+    def __contains__(self, label: int) -> bool:
+        return label in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[Tuple[int, NHLFE]]:
+        return iter(self._entries.items())
+
+    def labels(self) -> List[int]:
+        return sorted(self._entries)
+
+    def clear(self) -> None:
+        if self._staged is not None:
+            self._staged.clear()
+            self._staged_refreshed.clear()
+        else:
+            self._entries.clear()
+            self._stale.clear()
+            self.generation += 1
+
+    # -- graceful-restart stale marking -----------------------------
+
+    def mark_all_stale(self) -> int:
+        """Stale-mark every installed entry; returns how many."""
+        self._stale = set(self._entries)
+        return len(self._stale)
+
+    def mark_stale(self, label: int) -> None:
+        if label in self._entries:
+            self._stale.add(label)
+
+    def is_stale(self, label: int) -> bool:
+        return label in self._stale
+
+    def stale_labels(self) -> List[int]:
+        return sorted(self._stale)
+
+    def flush_stale(self) -> List[int]:
+        """Remove entries still stale-marked (hold timer expired)."""
+        removed = sorted(self._stale & set(self._entries))
+        for label in removed:
+            del self._entries[label]
+        self._stale.clear()
+        if removed:
+            self.generation += 1
+        return removed
+
+
 # Overlapping prefixes, two /24s and two hosts of equal specificity, and
 # CoS wrappers that tie with each other: built afresh per draw, so a
 # re-install hands the table an equal FEC that is a different object.
@@ -151,16 +284,26 @@ nhlfes = st.builds(
     out_label=st.integers(16, 19),
     next_hop=st.sampled_from(["p", "q"]),
 )
-ops = st.one_of(
-    st.tuples(st.just("install"), fecs, nhlfes),
-    st.tuples(st.sampled_from(["remove", "mark_stale"]), fecs),
-    st.tuples(
-        st.sampled_from([
-            "clear", "begin", "commit", "rollback", "mark_all_stale",
-            "flush_stale",
-        ])
-    ),
-)
+#: labels 14 and 15 are reserved: an ILM install of them is refused
+labels = st.integers(14, 21)
+
+
+def ops_over(keys):
+    """One table step: a keyed write or mark, or a whole-table call."""
+    return st.one_of(
+        st.tuples(st.just("install"), keys, nhlfes),
+        st.tuples(st.sampled_from(["remove", "mark_stale"]), keys),
+        st.tuples(
+            st.sampled_from([
+                "clear", "begin", "commit", "rollback", "mark_all_stale",
+                "flush_stale",
+            ])
+        ),
+    )
+
+
+ops = ops_over(fecs)
+
 PROBES = [
     IPv4Packet(src="192.0.2.1", dst=dst, dscp=dscp)
     for dst in ("10.1.1.7", "10.1.2.9", "10.9.9.9", "172.16.0.1")
@@ -172,7 +315,10 @@ def outcome(fn: Callable[[], object]) -> Tuple[str, object, str]:
     """What ``fn`` did: its value, or its exception's type and message."""
     try:
         return ("ok", fn(), "")
-    except (KeyError, RuntimeError, NoRouteError) as exc:
+    except (
+        KeyError, RuntimeError, NoRouteError, LabelLookupMiss,
+        InvalidLabelError,
+    ) as exc:
         return ("raised", type(exc), str(exc))
 
 
@@ -189,16 +335,40 @@ def observe(table) -> Tuple[object, ...]:
     )
 
 
-@settings(max_examples=400, deadline=None)
-@given(steps=st.lists(ops, max_size=40))
-def test_keyed_banks_match_the_rebuilt_lists(steps):
-    new, old = FTN(), ListFTN()
+def observe_ilm(table) -> Tuple[object, ...]:
+    entries = list(table)
+    return (
+        entries,
+        len(table),
+        table.generation,
+        table.labels(),
+        table.stale_labels(),
+        [table.is_stale(label) for label, _ in entries],
+        [(label in table, table.get(label)) for label in range(14, 22)],
+        [outcome(lambda: table.lookup(label)) for label in range(14, 22)],
+    )
+
+
+def replay(new, old, steps, observe) -> None:
+    """Run ``steps`` on both tables, comparing after every one."""
     for op, *args in steps:
         got = outcome(lambda: getattr(new, op)(*args))
         want = outcome(lambda: getattr(old, op)(*args))
         assert got == want, (op, args)
         assert new.in_transaction == (old._staged is not None)
         assert observe(new) == observe(old), (op, args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(steps=st.lists(ops, max_size=40))
+def test_keyed_banks_match_the_rebuilt_lists(steps):
+    replay(FTN(), ListFTN(), steps, observe)
+
+
+@settings(max_examples=400, deadline=None)
+@given(steps=st.lists(ops_over(labels), max_size=40))
+def test_the_shared_table_matches_the_standalone_ilm(steps):
+    replay(ILM(), StandaloneILM(), steps, observe_ilm)
 
 
 def test_a_commit_that_changed_nothing_keeps_the_generation():

@@ -1,5 +1,9 @@
 """Tests for the ILM and FTN tables."""
 
+import ast
+import inspect
+import textwrap
+
 import pytest
 
 from repro.mpls.errors import (
@@ -10,7 +14,7 @@ from repro.mpls.errors import (
 from repro.mpls.fec import CoSFEC, HostFEC, PrefixFEC
 from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
-from repro.mpls.tables import FTN, ILM
+from repro.mpls.tables import FTN, ILM, Table
 from repro.net.packet import IPv4Packet
 
 
@@ -145,3 +149,31 @@ class TestFTN:
         g0 = ftn.generation
         ftn.install(PrefixFEC("10.0.0.0/8"), swap_to(100))
         assert ftn.generation > g0
+
+
+SHARED = {
+    "in_transaction", "begin", "commit", "rollback", "install", "remove",
+    "clear", "__len__", "mark_all_stale", "mark_stale", "is_stale",
+    "flush_stale",
+}
+
+
+class TestOneTable:
+    """ILM and FTN are one ``Table`` with two keys: the twelve shared
+    members are written once, in the base, and stay there."""
+
+    def test_both_tables_are_the_one_table(self):
+        assert issubclass(ILM, Table) and issubclass(FTN, Table)
+        assert SHARED <= set(vars(Table))
+
+    def test_neither_key_redefines_a_shared_member(self):
+        assert not SHARED & set(vars(FTN))
+        assert SHARED & set(vars(ILM)) == {"install"}
+
+    def test_the_ilm_install_only_checks_the_label(self):
+        source = textwrap.dedent(inspect.getsource(ILM.install))
+        body = ast.parse(source).body[0].body
+        assert [ast.unparse(stmt) for stmt in body] == [
+            "require_real_label(label)",
+            "super().install(label, nhlfe)",
+        ]

@@ -1,4 +1,4 @@
-"""Tests for classification and marking."""
+"""Tests for classification."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.mpls.label import LabelEntry
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.qos.classifier import Classifier, cos_of_packet
-from repro.qos.marker import Marker, MarkRule
-from repro.net.addressing import IPv4Prefix
 
 
 def pkt(dst="10.0.0.1", src="192.168.0.1", dscp=0, protocol=17):
@@ -69,29 +67,3 @@ class TestClassifier:
         clf.add_rule(cos=1)
         assert len(clf) == 1
 
-
-class TestMarker:
-    def test_marks_matching(self):
-        marker = Marker()
-        marker.add_rule(MarkRule(new_dscp=46, dst=IPv4Prefix("10.0.0.0/8")))
-        out = marker.mark(pkt(dscp=0))
-        assert out.dscp == 46
-        assert marker.marked == 1
-
-    def test_passes_unmatched(self):
-        marker = Marker()
-        marker.add_rule(MarkRule(new_dscp=46, dst=IPv4Prefix("11.0.0.0/8")))
-        out = marker.mark(pkt(dscp=7))
-        assert out.dscp == 7
-        assert marker.passed == 1
-
-    def test_first_rule_wins(self):
-        marker = Marker()
-        marker.add_rule(MarkRule(new_dscp=46, protocol=17))
-        marker.add_rule(MarkRule(new_dscp=34))
-        assert marker.mark(pkt(protocol=17)).dscp == 46
-        assert marker.mark(pkt(protocol=6)).dscp == 34
-
-    def test_dscp_validation(self):
-        with pytest.raises(ValueError):
-            MarkRule(new_dscp=64)
