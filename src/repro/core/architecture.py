@@ -16,7 +16,10 @@ The label stack modifier backend is selectable:
   counts from the Table 6 formulas.  Fast enough for network-scale
   workloads.
 
-Either way the per-packet clock-cycle cost is reported, and
+Either way a frame takes the backend's one packet pass
+(:meth:`~repro.hw.model.ModifierBackend.forward`, the same pass a
+:class:`~repro.core.hwnode.HardwareLSRNode` takes), the per-packet
+clock-cycle cost is reported, and
 :class:`~repro.core.device.FPGADevice` converts it to time.
 """
 
@@ -142,19 +145,15 @@ class EmbeddedMPLS:
     def process_frame(self, frame: Frame) -> ProcessResult:
         """Figure 6 end to end: parse, modify the stack, rebuild."""
         parsed = self.ingress.parse(frame)
-        cycles = 0
-        # Load the parsed stack into the hardware (bottom first so the
-        # top ends up on top) -- the ingress module "delivers the label
-        # stack ... to the label stack modifier".
-        for entry in reversed(list(parsed.stack)):
-            cycles += self.modifier.user_push(entry)
-        stack_before = tuple(self.modifier.stack())
-        result = self.modifier.update(
+        # the ingress module "delivers the label stack ... to the label
+        # stack modifier", which drains it again for the next packet
+        stack_before = tuple(parsed.stack)
+        result, cycles = self.modifier.forward(
+            stack_before,
             packet_id=parsed.packet_identifier,
             ttl=parsed.inner.ttl,
             cos=_dscp_to_cos(parsed.inner.dscp),
         )
-        cycles += result.cycles
         self.packets_processed += 1
         self.total_cycles += cycles
         if result.discarded:
@@ -169,11 +168,6 @@ class EmbeddedMPLS:
                 stack_after=(),
             )
         new_stack = LabelStack(list(result.stack))
-        # drain the hardware stack so the next packet starts clean
-        for _ in range(len(result.stack)):
-            _, pop_cycles = self.modifier.user_pop()
-            cycles += pop_cycles
-            self.total_cycles += pop_cycles
         new_ttl = None
         if new_stack.is_empty and stack_before:
             # egress LER: copy the decremented MPLS TTL back into IPv4,

@@ -21,17 +21,22 @@ paper's hybrid premise:
   classification is by prefix.  A destination's first packet therefore
   misses in hardware, takes the software FTN slow path, and installs
   its (destination -> label) pair in level 1; subsequent packets to
-  that destination are label-switched entirely in hardware.  The
-  node counts slow-path events so benchmarks can show the cache
-  working.
+  that destination are label-switched entirely in hardware.  The FTN
+  is still read once per packet: a learned pair whose label is no
+  longer the FTN's push label (an FRR switchover or revert rewrites
+  only the FTN) is removed through the management port and learned
+  again.  The node counts slow-path events so benchmarks can show the
+  cache working.
 
 Packets take :meth:`LSRNode.receive`, the one hop ladder, like on any
 node.  The node overrides the ladder's forwarding step -- sync the
-information base, then one modifier pass, or while batching the
-:class:`~repro.mpls.fastpath.FlowCache`, which memoizes that pass by
-the software engine's rules (the node is its own engine) -- and
-:meth:`observe`, which hands a span-sampled pass's phases over after
-the hop event.
+information base, then one
+:meth:`~repro.hw.model.ModifierBackend.forward` pass (load the stack,
+UPDATE, drain, its phases logged when the packet is span-sampled), or
+while batching the :class:`~repro.mpls.fastpath.FlowCache`, which
+memoizes that pass by the software engine's rules (the node is its own
+engine) -- and :meth:`observe`, which hands a span-sampled pass's
+phases over after the hop event.
 
 Known, documented semantic difference from the software engine: on a
 pop that exposes a lower stack entry, the hardware writes the
@@ -383,30 +388,6 @@ class HardwareLSRNode(LSRNode):
             STRATIX_EP1S40.clock_hz, log,
         )
 
-    def _log_update_phases(self, log, offset: int, result) -> None:
-        """Record an UPDATE transaction and its RTL-level split."""
-        log.append(("update", None, offset, offset + result.cycles))
-        searched = result.search_cycles
-        if searched is not None:
-            log.append(("search", "update", offset, offset + searched))
-            if result.cycles > searched:
-                log.append(
-                    ("modify", "update", offset + searched, offset + result.cycles)
-                )
-
-    def _load_stack(self, stack: LabelStack) -> int:
-        cycles = 0
-        for entry in reversed(list(stack)):
-            cycles += self.modifier.user_push(entry)
-        return cycles
-
-    def _drain_stack(self) -> int:
-        cycles = 0
-        while self.modifier.stack():
-            _, c = self.modifier.user_pop()
-            cycles += c
-        return cycles
-
     def _hw_transit(self, packet: MPLSPacket) -> ForwardingDecision:
         if packet.stack.is_empty:
             return ForwardingDecision(
@@ -415,17 +396,10 @@ class HardwareLSRNode(LSRNode):
             )
         top = packet.stack.top
         nhlfe = self.ilm.get(top.label)
-        log = self._phase_log
-        cycles = self._load_stack(packet.stack)
-        if log is not None:
-            log.append(("stack-load", None, 0, cycles))
-        result = self.modifier.update()
-        if log is not None:
-            self._log_update_phases(log, cycles, result)
-        cycles += result.cycles
+        result, cycles = self.modifier.forward(packet.stack, log=self._phase_log)
+        self.hw_data_cycles += cycles
+        self.fast_path_packets += 1
         if result.discarded:
-            self.hw_data_cycles += cycles
-            self.fast_path_packets += 1
             # named as the software engine names it: a miss (or a pair
             # the modifier lost), an expired TTL, a push past the stack
             full = packet.stack.depth >= MAX_LEVELS
@@ -436,12 +410,6 @@ class HardwareLSRNode(LSRNode):
                 reason = f"push would exceed the {MAX_LEVELS}-level stack limit"
             return ForwardingDecision(Action.DISCARD, reason=f"{self.name}: {reason}")
         new_stack = LabelStack(list(result.stack))
-        drained = self._drain_stack()
-        if log is not None:
-            log.append(("stack-drain", None, cycles, cycles + drained))
-        cycles += drained
-        self.hw_data_cycles += cycles
-        self.fast_path_packets += 1
         next_hop = nhlfe.next_hop if nhlfe is not None else None
         out_interface = nhlfe.out_interface if nhlfe is not None else None
         if new_stack.is_empty:
@@ -462,19 +430,27 @@ class HardwareLSRNode(LSRNode):
 
     def _hw_ingress(self, packet: IPv4Packet) -> ForwardingDecision:
         dst = packet.identifier()
+        pair = self.ftn.get(packet)
+        nhlfe = pair[1] if pair is not None else None
+        pushed = nhlfe.out_label if nhlfe is not None and nhlfe.op is LabelOp.PUSH else None
         cached_label = self._flow_cache.get(dst)
+        if cached_label is not None and cached_label != pushed:
+            # the FTN moved under a learned pair (an FRR switchover or
+            # revert rewrites only the FTN): unlearn it through the
+            # management port and take the slow path below
+            del self._flow_cache[dst]
+            self.hw_control_cycles += self.modifier.remove_pair(1, dst).cycles
+            cached_label = None
         if cached_label is None:
             # slow path: software classification, then learn into the
             # level-1 flow cache
             self.slow_path_packets += 1
-            pair = self.ftn.get(packet)
-            if pair is None:
+            if nhlfe is None:
                 return ForwardingDecision(
                     Action.DISCARD,
                     reason=f"{self.name}: no FEC matches packet to {packet.dst}",
                 )
-            _fec, nhlfe = pair
-            if nhlfe.op is not LabelOp.PUSH:
+            if pushed is None:
                 # unlabelled forwarding (e.g. PHP-adjacent): software path
                 if packet.ttl <= 1:
                     return ForwardingDecision(
@@ -498,48 +474,29 @@ class HardwareLSRNode(LSRNode):
                 self.hw_control_cycles += removal.cycles
                 self.flow_cache_evictions += 1
             self.hw_control_cycles += self.modifier.write_pair(
-                1, dst, nhlfe.out_label, LabelOp.PUSH
+                1, dst, pushed, LabelOp.PUSH
             )
-            self._flow_cache[dst] = nhlfe.out_label
-            cached_label = nhlfe.out_label
+            self._flow_cache[dst] = pushed
         else:
             self._flow_cache.move_to_end(dst)
             self.fast_path_packets += 1
-        pair = self.ftn.get(packet)
-        nhlfe = pair[1] if pair is not None else None
-        cos = (
-            nhlfe.cos
-            if nhlfe is not None and nhlfe.cos is not None
-            else _dscp_to_cos(packet.dscp)
+        cos = nhlfe.cos if nhlfe.cos is not None else _dscp_to_cos(packet.dscp)
+        result, cycles = self.modifier.forward(
+            packet_id=dst, ttl=packet.ttl, cos=cos, log=self._phase_log
         )
-        log = self._phase_log
-        result = self.modifier.update(
-            packet_id=dst, ttl=packet.ttl, cos=cos
-        )
-        if log is not None:
-            self._log_update_phases(log, 0, result)
-        self.hw_data_cycles += result.cycles
+        self.hw_data_cycles += cycles
         if result.discarded:
-            self._drain_stack()
             return ForwardingDecision(
                 Action.DISCARD,
                 reason=f"{self.name}: IPv4 TTL expired at ingress"
                 if packet.ttl <= 1
                 else f"{self.name}: hardware discard at ingress",
             )
-        new_stack = LabelStack(list(result.stack))
-        drained = self._drain_stack()
-        if log is not None:
-            log.append(
-                ("stack-drain", None, result.cycles, result.cycles + drained)
-            )
-        self.hw_data_cycles += drained
-        inner = packet.decremented()
         return ForwardingDecision(
             Action.FORWARD_MPLS,
-            packet=MPLSPacket(new_stack, inner),
-            next_hop=nhlfe.next_hop if nhlfe is not None else None,
-            out_interface=nhlfe.out_interface if nhlfe is not None else None,
+            packet=MPLSPacket(LabelStack(list(result.stack)), packet.decremented()),
+            next_hop=nhlfe.next_hop,
+            out_interface=nhlfe.out_interface,
         )
 
     def _software_ingress(

@@ -18,6 +18,15 @@ Transactions:
 :meth:`update`         search + 6 for swap/pop ("swap from the
                        information base"), +7 for a nested push
 =====================  =======================================
+
+The driver is a :class:`~repro.hw.model.ModifierBackend`, like the
+functional model: the double-buffered bank protocol (a shadow-bank
+write costs WRITE_PAIR's 3 cycles, the swap one edge), the scrub and
+the packet pass (:meth:`~repro.hw.model.ModifierBackend.forward`) come
+from the base.  The driver's two hooks step the simulator through the
+bank cycles with no command presented, under the profiler labels
+``BANK_WRITE`` / ``BANK_SWAP``, and bulk-load the staged pairs into the
+information-base memories within the swap cycle.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.hdl.signal import Wire
 from repro.hdl.simulator import Component, Simulator
-from repro.hw.model import PUSH_TAIL_CYCLES, StagingBackpressure, search_cycles
+from repro.hw.model import PUSH_TAIL_CYCLES, ModifierBackend, search_cycles
 from repro.hw.modifier import LabelStackModifier
 from repro.hw.opcodes import (
     MgmtResult,
@@ -47,11 +56,6 @@ from repro.obs.telemetry import get_telemetry
 
 #: Table 6's fixed reset cost.
 RESET_CYCLES = 3
-
-#: Cost of one shadow-bank write (same write port as WRITE_PAIR).
-BANK_WRITE_CYCLES = 3
-#: Cost of the atomic bank swap (one clock edge).
-BANK_SWAP_CYCLES = 1
 
 #: A transaction is a hang once it has run this many times the worst
 #: legitimate one of the design: a nested push found at the last pair
@@ -84,7 +88,7 @@ class _WireDriver(Component):
             wire.drive(value)
 
 
-class ModifierDriver:
+class ModifierDriver(ModifierBackend):
     """Issues operations against a :class:`LabelStackModifier` and
     reports exact cycle counts."""
 
@@ -102,21 +106,7 @@ class ModifierDriver:
             search_cycles(self.modifier.dp.info_base.depth, None)
             + PUSH_TAIL_CYCLES
         )
-        if staging_limit is not None and staging_limit < 1:
-            raise ValueError("staging_limit must be >= 1")
-        #: bound on bank writes in flight between drains (None = legacy
-        #: unbounded staging); full queue raises StagingBackpressure
-        self.staging_limit = staging_limit
-        self._staged_since_drain = 0
-        #: per-level staged pairs while a bank transaction is open
-        self._staged_banks: Optional[List[List[Tuple[int, int, int]]]] = None
-        self.total_cycles = 0
-        #: mirrors :attr:`repro.hw.model.FunctionalModifier.state_version`:
-        #: bumped whenever the active information base may have changed,
-        #: so batched nodes can key memoized lookups on it.  Bumps are
-        #: conservative (a no-op modify still bumps) -- over-invalidating
-        #: a memo is safe, under-invalidating is not.
-        self.state_version = 0
+        super().__init__(staging_limit)
         #: Optional :class:`repro.obs.profiling.CycleProfiler`; when
         #: attached, every transaction's cycles are scoped under the
         #: operation's name for per-operation breakdowns.
@@ -332,8 +322,8 @@ class ModifierDriver:
             stack=tuple(self.modifier.stack_entries()),
         )
 
-    # -- double-buffered bank programming ------------------------------------
-    def _burn(self, label: str, cycles: int) -> int:
+    # -- the bank hooks ------------------------------------------------------
+    def _spend(self, label: str, cycles: int) -> int:
         """Advance the clock with no command presented (the FSMs sit in
         IDLE), keeping the cycle accounting and any attached profiler
         in lock-step with the simulator."""
@@ -345,67 +335,11 @@ class ModifierDriver:
         self.total_cycles += cycles
         return cycles
 
-    def bank_begin(self) -> None:
-        """Open the shadow banks: :meth:`bank_write_pair` assembles a
-        fresh information base that stays invisible to searches and
-        updates until :meth:`bank_commit` flips it in."""
-        if self._staged_banks is not None:
-            raise RuntimeError("bank transaction already open")
-        self._staged_banks = [[], [], []]
-        self._staged_since_drain = 0
-
-    def bank_write_pair(
-        self, level: int, index: int, new_label: int, op: LabelOp
-    ) -> int:
-        """Write one pair into the shadow bank.  The write burns the
-        same 3 cycles as WRITE_PAIR -- the pair travels over the same
-        write port -- but lands in the inactive bank."""
-        if self._staged_banks is None:
-            raise RuntimeError("no bank transaction open")
-        check_pair(level, index, new_label, op)
-        if (
-            self.staging_limit is not None
-            and self._staged_since_drain >= self.staging_limit
-        ):
-            raise StagingBackpressure(
-                f"bank command queue full ({self.staging_limit} writes "
-                f"since last drain)"
-            )
-        self._staged_since_drain += 1
-        self._staged_banks[level - 1].append((index, new_label, int(op)))
-        return self._burn("BANK_WRITE", BANK_WRITE_CYCLES)
-
-    def bank_commit(self) -> int:
-        """Flip the bank select in one cycle: every level's memories
-        and write counter adopt the staged contents atomically."""
-        if self._staged_banks is None:
-            raise RuntimeError("no bank transaction open")
-        staged, self._staged_banks = self._staged_banks, None
-        self._staged_since_drain = 0
+    def _swap_in(self, staged: List[List[Tuple[int, int, int]]]) -> None:
+        """Every level's memories and write counter adopt the staged
+        contents within the one swap cycle."""
         for level, pairs in enumerate(staged, start=1):
             self.modifier.dp.info_base.level(level).load_pairs(pairs)
-        self.state_version += 1
-        return self._burn("BANK_SWAP", BANK_SWAP_CYCLES)
-
-    def bank_drain(self) -> int:
-        """Wait for the bounded bank-write command queue to empty.
-
-        Zero extra cycles: each pair\'s 3-cycle BANK_WRITE already
-        covers its drain into the shadow-bank memories; this only
-        re-opens the queue.  Returns how many writes were outstanding."""
-        if self._staged_banks is None:
-            raise RuntimeError("no bank transaction open")
-        drained = self._staged_since_drain
-        self._staged_since_drain = 0
-        return drained
-
-    def bank_rollback(self) -> None:
-        """Abandon the shadow banks (zero cycles: the live memories
-        were never touched)."""
-        if self._staged_banks is None:
-            raise RuntimeError("no bank transaction open")
-        self._staged_banks = None
-        self._staged_since_drain = 0
 
     # -- information-base management ---------------------------------------
     def modify_pair(
@@ -490,15 +424,6 @@ class ModifierDriver:
             lvl.op_mem.poke(address, lvl.op_mem.peek(address) ^ op_xor)
         self.state_version += 1
         return True
-
-    def scrub(self, level: int, expected, repair: bool = True):
-        """Verify (and repair) one level against the control plane's
-        shadow; same semantics as
-        :meth:`repro.hw.model.FunctionalModifier.scrub`, measured in
-        real RTL transaction cycles."""
-        from repro.hw.model import scrub_level
-
-        return scrub_level(self, level, expected, repair=repair)
 
     # -- inspection ---------------------------------------------------------
     def stack(self):

@@ -8,9 +8,17 @@ edges.  Two uses:
 * as the *golden reference* the RTL is checked against on randomized
   operation sequences (``tests/hw/test_rtl_vs_model.py``), and
 * as the per-packet hardware cost model inside network-scale
-  simulations (:mod:`repro.core.architecture`), where stepping the RTL
-  for every packet would dominate the run time without changing any
-  result -- the equivalence tests are what justify the substitution.
+  simulations (:mod:`repro.core.hwnode`, :mod:`repro.core.architecture`),
+  where stepping the RTL for every packet would dominate the run time
+  without changing any result -- the equivalence tests are what justify
+  the substitution.
+
+Both backends are one :class:`ModifierBackend`: the double-buffered
+bank protocol, the scrub (:func:`scrub_level`) and the one packet pass
+(:meth:`ModifierBackend.forward`: load the stack, UPDATE, drain) are
+written once there, and each backend adds only its transactions and
+two hooks -- how a bank write or swap spends its cycles, and how the
+staged banks become active.
 
 The model mirrors the hardware's quirks deliberately: linear search
 with first-match-wins, discard-clears-the-stack, level-1 keys that are
@@ -207,14 +215,177 @@ class StagingBackpressure(RuntimeError):
     rate; when the control plane issues writes faster than the queue
     bound (``staging_limit``) allows, the next write raises instead of
     growing an unbounded staging list.  The caller must yield --
-    :meth:`FunctionalModifier.bank_drain` models waiting for the queue
+    :meth:`ModifierBackend.bank_drain` models waiting for the queue
     to empty -- and retry the write.
     """
 
 
-class FunctionalModifier:
+class ModifierBackend:
+    """What both backends of the label stack modifier share: the
+    double-buffered bank protocol, the scrub, and the one packet pass.
+
+    :class:`FunctionalModifier` and
+    :class:`~repro.hw.driver.ModifierDriver` add the transactions
+    (``user_push``, ``update``, ...) and two hooks: :meth:`_spend`,
+    which accounts a bank write or swap's cycles, and :meth:`_swap_in`,
+    which makes the staged banks the active information base.
+    """
+
+    def __init__(self, staging_limit: Optional[int] = None) -> None:
+        if staging_limit is not None and staging_limit < 1:
+            raise ValueError("staging_limit must be >= 1")
+        #: bound on bank writes in flight between drains (None = legacy
+        #: unbounded staging); a full queue raises StagingBackpressure
+        self.staging_limit = staging_limit
+        self._staged_since_drain = 0
+        #: per-level (index, label, op) triples while a bank
+        #: transaction is open, else None
+        self._staged: Optional[List[List[Tuple[int, int, int]]]] = None
+        self.total_cycles = 0
+        #: bumped whenever the *active* information base may have
+        #: changed (writes, bank flips, management ops, corruption,
+        #: reset); batched nodes key memoized search results on this,
+        #: since pair positions -- and therefore search cycle counts --
+        #: depend on it.  Over-invalidating a memo is safe,
+        #: under-invalidating is not.
+        self.state_version = 0
+
+    def _spend(self, label: str, cycles: int) -> int:
+        """Account ``cycles`` of bank work named ``label``; return them."""
+        raise NotImplementedError
+
+    def _swap_in(self, staged: List[List[Tuple[int, int, int]]]) -> None:
+        """Make the staged per-level pairs the active banks."""
+        raise NotImplementedError
+
+    # -- double-buffered bank programming ------------------------------------
+    def bank_begin(self) -> None:
+        """Open the shadow banks: subsequent :meth:`bank_write_pair`
+        calls assemble a fresh information base off to the side while
+        searches and updates keep hitting the active banks."""
+        if self._staged is not None:
+            raise RuntimeError("bank transaction already open")
+        self._staged = [[], [], []]
+        self._staged_since_drain = 0
+
+    def bank_write_pair(
+        self, level: int, index: int, new_label: int, op: LabelOp
+    ) -> int:
+        """Append a pair to the *shadow* bank (same 3-cycle write port
+        as ``write_pair``, but invisible to the data path until
+        :meth:`bank_commit`)."""
+        if self._staged is None:
+            raise RuntimeError("no bank transaction open")
+        check_pair(level, index, new_label, op)
+        if (
+            self.staging_limit is not None
+            and self._staged_since_drain >= self.staging_limit
+        ):
+            raise StagingBackpressure(
+                f"bank command queue full ({self.staging_limit} writes "
+                f"since last drain)"
+            )
+        self._staged_since_drain += 1
+        self._staged[level - 1].append((index, new_label, int(op)))
+        return self._spend("BANK_WRITE", WRITE_PAIR_CYCLES)
+
+    def bank_commit(self) -> int:
+        """Flip the bank select: the shadow banks become active in a
+        single cycle.  No search ever observes a half-written table."""
+        if self._staged is None:
+            raise RuntimeError("no bank transaction open")
+        staged, self._staged = self._staged, None
+        self._staged_since_drain = 0
+        self._swap_in(staged)
+        self.state_version += 1
+        return self._spend("BANK_SWAP", BANK_SWAP_CYCLES)
+
+    def bank_drain(self) -> int:
+        """Wait for the bounded bank-write command queue to empty.
+
+        Zero extra cycles: each pair's 3-cycle write already covers its
+        drain into the shadow bank; this only re-opens the queue.
+        Returns how many writes were outstanding."""
+        if self._staged is None:
+            raise RuntimeError("no bank transaction open")
+        drained = self._staged_since_drain
+        self._staged_since_drain = 0
+        return drained
+
+    def bank_rollback(self) -> None:
+        """Abandon the shadow banks (zero cycles: nothing was ever
+        visible to the data path)."""
+        if self._staged is None:
+            raise RuntimeError("no bank transaction open")
+        self._staged = None
+        self._staged_since_drain = 0
+
+    def scrub(
+        self,
+        level: int,
+        expected: Iterable[Tuple[int, int, object]],
+        repair: bool = True,
+    ) -> ScrubReport:
+        """Verify (and repair) one level against the control plane's
+        shadow of what it programmed; see :func:`scrub_level`."""
+        return scrub_level(self, level, expected, repair=repair)
+
+    # -- the packet pass -----------------------------------------------------
+    def load_stack(self, entries: Iterable[LabelEntry]) -> int:
+        """Push ``entries`` (top first) bottom first, so the top ends
+        up on top; return the cycles."""
+        cycles = 0
+        for entry in reversed(tuple(entries)):
+            cycles += self.user_push(entry)
+        return cycles
+
+    def drain_stack(self) -> int:
+        """Pop the stack empty; return the cycles."""
+        cycles = 0
+        for _ in self.stack():
+            cycles += self.user_pop()[1]
+        return cycles
+
+    def forward(
+        self,
+        stack: Iterable[LabelEntry] = (),
+        packet_id: int = 0,
+        ttl: int = 64,
+        cos: int = 0,
+        log: Optional[list] = None,
+    ) -> Tuple[UpdateResult, int]:
+        """One packet through the modifier: load ``stack``, UPDATE and,
+        unless the UPDATE discarded (which clears the stack), drain the
+        result so the next packet starts clean.  Returns the UPDATE's
+        result and the pass's cycles.  A ``log`` list gets the pass's
+        phases as ``(phase, parent, cycle_start, cycle_end)``, the
+        UPDATE split into its search and modify when the backend
+        reports ``search_cycles``."""
+        cycles = self.load_stack(stack)
+        if log is not None and cycles:
+            log.append(("stack-load", None, 0, cycles))
+        result = self.update(packet_id=packet_id, ttl=ttl, cos=cos)
+        start, cycles = cycles, cycles + result.cycles
+        if log is not None:
+            log.append(("update", None, start, cycles))
+            searched = result.search_cycles
+            if searched is not None:
+                log.append(("search", "update", start, start + searched))
+                if result.cycles > searched:
+                    log.append(("modify", "update", start + searched, cycles))
+        if not result.discarded:
+            drained = self.drain_stack()
+            if log is not None:
+                log.append(("stack-drain", None, cycles, cycles + drained))
+            cycles += drained
+        return result, cycles
+
+
+class FunctionalModifier(ModifierBackend):
     """Drop-in functional equivalent of
-    :class:`~repro.hw.driver.ModifierDriver`."""
+    :class:`~repro.hw.driver.ModifierDriver`: the same
+    :class:`ModifierBackend`, with each transaction's cycles from the
+    Table 6 formulas."""
 
     def __init__(
         self,
@@ -224,26 +395,13 @@ class FunctionalModifier:
     ) -> None:
         if ib_depth < 1:
             raise ValueError(f"information base: depth must be >= 1, got {ib_depth}")
+        super().__init__(staging_limit)
         self.ib_depth = ib_depth
         self.stack_capacity = stack_capacity
-        if staging_limit is not None and staging_limit < 1:
-            raise ValueError("staging_limit must be >= 1")
-        #: bound on bank writes in flight between drains (None = legacy
-        #: unbounded staging)
-        self.staging_limit = staging_limit
-        self._staged_since_drain = 0
         self._levels = [_Level(), _Level(), _Level()]
-        #: shadow banks while a bank transaction is open, else None
-        self._staged_levels: Optional[List[_Level]] = None
         self._stack: List[LabelEntry] = []  # index 0 is the top
         self._is_lsr = False
         self.stack_error = False
-        self.total_cycles = 0
-        #: bumped whenever the *active* information base changes shape
-        #: (writes, bank flips, management ops, corruption, reset);
-        #: batched nodes key memoized search results on this, since pair
-        #: positions -- and therefore search cycle counts -- depend on it
-        self.state_version = 0
 
     # -- configuration ------------------------------------------------------
     def set_router_type(self, is_lsr: bool) -> None:
@@ -289,75 +447,19 @@ class FunctionalModifier:
         self.total_cycles += WRITE_PAIR_CYCLES
         return WRITE_PAIR_CYCLES
 
-    # -- double-buffered bank programming ------------------------------------
-    def bank_begin(self) -> None:
-        """Open the shadow banks: subsequent :meth:`bank_write_pair`
-        calls assemble a fresh information base off to the side while
-        searches and updates keep hitting the active banks."""
-        if self._staged_levels is not None:
-            raise RuntimeError("bank transaction already open")
-        self._staged_levels = [_Level(), _Level(), _Level()]
-        self._staged_since_drain = 0
+    # -- the bank hooks ------------------------------------------------------
+    def _spend(self, label: str, cycles: int) -> int:
+        self.total_cycles += cycles
+        return cycles
 
-    def bank_write_pair(
-        self, level: int, index: int, new_label: int, op: LabelOp
-    ) -> int:
-        """Append a pair to the *shadow* bank (same 3-cycle write port
-        as :meth:`write_pair`, but invisible to the data path until
-        :meth:`bank_commit`)."""
-        if self._staged_levels is None:
-            raise RuntimeError("no bank transaction open")
-        check_pair(level, index, new_label, op)
-        if (
-            self.staging_limit is not None
-            and self._staged_since_drain >= self.staging_limit
-        ):
-            raise StagingBackpressure(
-                f"bank command queue full ({self.staging_limit} writes "
-                f"since last drain)"
-            )
-        self._staged_since_drain += 1
-        lvl = self._staged_levels[level - 1]
-        if len(lvl.pairs) >= self.ib_depth:
-            lvl.overflow = True
-        else:
-            lvl.pairs.append((index, new_label, int(op)))
-        self.total_cycles += WRITE_PAIR_CYCLES
-        return WRITE_PAIR_CYCLES
-
-    def bank_commit(self) -> int:
-        """Flip the bank select: the shadow banks become active in a
-        single cycle.  No search ever observes a half-written table."""
-        if self._staged_levels is None:
-            raise RuntimeError("no bank transaction open")
-        for old, new in zip(self._levels, self._staged_levels):
-            new.overflow = new.overflow or old.overflow
-        self._levels = self._staged_levels
-        self._staged_levels = None
-        self._staged_since_drain = 0
-        self.state_version += 1
-        self.total_cycles += BANK_SWAP_CYCLES
-        return BANK_SWAP_CYCLES
-
-    def bank_drain(self) -> int:
-        """Wait for the bounded bank-write command queue to empty.
-
-        Zero extra cycles: each pair's 3-cycle write already covers its
-        drain into the shadow-bank RAM; this only re-opens the queue.
-        Returns how many writes were outstanding."""
-        if self._staged_levels is None:
-            raise RuntimeError("no bank transaction open")
-        drained = self._staged_since_drain
-        self._staged_since_drain = 0
-        return drained
-
-    def bank_rollback(self) -> None:
-        """Abandon the shadow banks (zero cycles: nothing was ever
-        visible to the data path)."""
-        if self._staged_levels is None:
-            raise RuntimeError("no bank transaction open")
-        self._staged_levels = None
-        self._staged_since_drain = 0
+    def _swap_in(self, staged: List[List[Tuple[int, int, int]]]) -> None:
+        # a bank loaded past its depth truncates and raises the sticky
+        # overflow flag, as an append past the end would
+        depth = self.ib_depth
+        self._levels = [
+            _Level(pairs[:depth], old.overflow or len(pairs) > depth)
+            for old, pairs in zip(self._levels, staged)
+        ]
 
     def _scan(self, level: int, key: int):
         """Linear first-match scan; returns (position, label, op) or
@@ -566,16 +668,6 @@ class FunctionalModifier:
         lvl.pairs[address] = (index ^ index_xor, label ^ label_xor, op ^ op_xor)
         self.state_version += 1
         return True
-
-    def scrub(
-        self,
-        level: int,
-        expected: Iterable[Tuple[int, int, object]],
-        repair: bool = True,
-    ) -> ScrubReport:
-        """Verify (and repair) one level against the control plane's
-        shadow of what it programmed; see :func:`scrub_level`."""
-        return scrub_level(self, level, expected, repair=repair)
 
     # -- inspection ---------------------------------------------------------
     def stack(self) -> List[LabelEntry]:

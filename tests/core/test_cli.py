@@ -108,10 +108,14 @@ class TestChaosCLI:
 
 class TestHostileScenarioCLI:
     """A traffic entry, fault param or subsystem value no run can mean
-    ends ``repro chaos`` with one line and a non-zero exit -- never a
+    ends ``repro chaos`` with one line and exit code 1 -- never a
     traceback from inside the event loop, never a source spinning until
-    the event budget (a subprocess with a 5 s limit, so a regression
-    fails instead of hanging)."""
+    the event budget.  The scenario reader refuses every shape here
+    before a run is built, so they run in-process (``_read_refused``).
+    Only the shapes whose regression would spin rather than fail -- a
+    traffic entry a source would loop on, a run with no finite horizon
+    -- run in a subprocess with a 5 s limit (``_refused``), so a
+    regression fails instead of hanging."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -154,10 +158,12 @@ class TestHostileScenarioCLI:
              "ib-bitflip: bad level 0"),
         ],
     )
-    def test_a_fault_param_no_run_can_mean(self, fault, message, tmp_path):
+    def test_a_fault_param_no_run_can_mean(
+        self, fault, message, tmp_path, capsys
+    ):
         raw = self._smoke()
         raw["faults"].append({"at": 0.3, "heal_at": 0.4, **fault})
-        line = self._refused(raw, tmp_path)
+        line = self._read_refused(raw, tmp_path, capsys)
         assert line.startswith(f"error: bad scenario: {message}: ")
 
     @pytest.mark.parametrize(
@@ -174,12 +180,14 @@ class TestHostileScenarioCLI:
             ({"at": 0.3, "heal_at": "inf"}, "link-down: bad heal_at inf"),
         ],
     )
-    def test_a_fault_time_no_run_can_mean(self, times, message, tmp_path):
+    def test_a_fault_time_no_run_can_mean(
+        self, times, message, tmp_path, capsys
+    ):
         raw = self._smoke()
         raw["faults"].append(
             {"kind": "link-down", "target": ["lsr-1", "lsr-2"], **times}
         )
-        line = self._refused(raw, tmp_path)
+        line = self._read_refused(raw, tmp_path, capsys)
         assert line.startswith(f"error: bad scenario: {message}: ")
 
     @pytest.mark.parametrize(
@@ -194,10 +202,12 @@ class TestHostileScenarioCLI:
             ({"bandwidth_bps": -5}, "topology {'bandwidth_bps': -5}: link "),
         ],
     )
-    def test_a_topology_no_run_can_mean(self, topology, message, tmp_path):
+    def test_a_topology_no_run_can_mean(
+        self, topology, message, tmp_path, capsys
+    ):
         raw = self._smoke()
         raw["topology"] = topology
-        assert self._refused(raw, tmp_path).startswith(f"error: {message}")
+        assert self._read_refused(raw, tmp_path, capsys).startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -214,11 +224,11 @@ class TestHostileScenarioCLI:
         ],
     )
     def test_a_scenario_shape_no_run_can_mean(
-        self, key, value, message, tmp_path
+        self, key, value, message, tmp_path, capsys
     ):
         raw = self._smoke()
         raw[key] = value
-        assert self._refused(raw, tmp_path) == f"error: bad scenario: {message}"
+        assert self._read_refused(raw, tmp_path, capsys) == f"error: bad scenario: {message}"
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -235,18 +245,18 @@ class TestHostileScenarioCLI:
         ],
     )
     def test_a_random_schedule_no_run_can_mean(
-        self, key, value, message, tmp_path
+        self, key, value, message, tmp_path, capsys
     ):
         raw = self._smoke()
         raw["random_faults"][key] = value
-        line = self._refused(raw, tmp_path)
+        line = self._read_refused(raw, tmp_path, capsys)
         assert line.startswith(f"error: bad scenario: random_faults: {message}")
 
-    def test_an_unknown_random_kind(self, tmp_path):
+    def test_an_unknown_random_kind(self, tmp_path, capsys):
         # was: ValueError: 'bogus' is not a valid FaultKind
         raw = self._smoke()
         raw["random_faults"]["kinds"] = ["bogus"]
-        line = self._refused(raw, tmp_path)
+        line = self._read_refused(raw, tmp_path, capsys)
         assert line == "error: bad scenario: unknown fault kind 'bogus'"
 
     @pytest.mark.parametrize(
@@ -287,7 +297,7 @@ class TestHostileScenarioCLI:
         ],
     )
     def test_a_subsystem_value_no_run_can_mean(
-        self, key, config, message, tmp_path
+        self, key, config, message, tmp_path, capsys
     ):
         raw = self._smoke()
         raw[key] = config
@@ -295,15 +305,22 @@ class TestHostileScenarioCLI:
             raw["flows"] = {}
         if key == "overload":
             raw["control"] = "ldp-messages"
-        line = self._refused(raw, tmp_path)
+        line = self._read_refused(raw, tmp_path, capsys)
         assert line.startswith(f"error: {message}: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_horizon_no_run_reaches_inside_five_seconds(
+        self, value, tmp_path
+    ):
+        # were: spinning to the event budget, well past 20 s
+        raw = self._smoke()
+        raw["duration"] = value
+        line = self._refused(raw, tmp_path)
+        assert line.startswith(f"error: bad scenario: bad duration {value}: ")
 
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            # were: spinning to the event budget, well past 20 s
-            ("duration", "nan", "bad duration nan"),
-            ("duration", "inf", "bad duration inf"),
             # was: a ValueError traceback from float()
             ("duration", "soon", "bad duration 'soon'"),
             # were: ValueError: negative delay ... from the scheduler
@@ -311,21 +328,24 @@ class TestHostileScenarioCLI:
             ("detection_delay_s", -1, "bad detection_delay_s -1.0"),
         ],
     )
-    def test_a_run_time_no_run_can_mean(self, key, value, message, tmp_path):
+    def test_a_run_time_no_run_can_mean(
+        self, key, value, message, tmp_path, capsys
+    ):
         raw = self._smoke()
         raw[key] = value
-        line = self._refused(raw, tmp_path)
+        line = self._read_refused(raw, tmp_path, capsys)
         assert line.startswith(f"error: bad scenario: {message}: ")
 
     @pytest.mark.parametrize("period", ["0", "-1", "nan"])
-    def test_an_audit_period_no_run_can_mean(self, period, tmp_path):
+    def test_an_audit_period_no_run_can_mean(self, period, tmp_path, capsys):
         # was: a traceback from the auditor
-        line = self._refused(self._smoke(), tmp_path, "--audit", period)
+        line = self._read_refused(
+            self._smoke(), tmp_path, capsys, "--audit", period
+        )
         assert line.startswith(f"error: audit: bad period {float(period)}: ")
 
-    # The shapes below are all refused by the scenario reader or before
-    # the run starts, so they run in-process (``_read_refused``): a
-    # subprocess each would add ~0.7 s of imports per case.
+    # The shapes below start from a committed example other than the
+    # smoke scenario, or from a document that is not one.
 
     @pytest.mark.parametrize(
         "target,message",
@@ -520,12 +540,13 @@ class TestHostileScenarioCLI:
         return raw
 
     @staticmethod
-    def _read_refused(raw, tmp_path, capsys):
-        """``repro chaos`` on ``raw`` in this process; return its one
-        stderr line after checking exit code 1 and an empty stdout."""
+    def _read_refused(raw, tmp_path, capsys, *flags):
+        """``repro chaos`` on ``raw`` (plus ``flags``) in this process;
+        return its one stderr line after checking exit code 1 and an
+        empty stdout."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
-        assert main(["chaos", str(path)]) == 1
+        assert main(["chaos", str(path), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()

@@ -7,10 +7,12 @@ switchover itself is a single ingress FTN write, so the measured
 latency is dominated by -- and equal to -- the detection delay.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.device import STRATIX_EP1S40
 from repro.faults import FaultKind, FaultSpec, Scenario
 from repro.faults.chaos import build_run, run_scenario
@@ -147,3 +149,28 @@ class TestScenarioLevel:
         assert frr["reverts"] == 1
         assert frr["switchover_latency_cycles"][0] <= SWITCHOVER_BUDGET_CYCLES
         assert report["traffic"]["availability"] > 0.98
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_hardware_nodes_report_what_software_nodes_report(
+        self, seed, tmp_path, capsys
+    ):
+        # A hardware ingress serves a known destination from its
+        # level-1 learned pair, and a switchover or revert rewrites
+        # only the FTN: a pair still holding the primary's label kept
+        # the ingress switching onto the dead link (availability 0.59).
+        raw = json.loads((EXAMPLES / "chaos_frr.json").read_text())
+        path = tmp_path / "chaos_frr_hw.json"
+        path.write_text(json.dumps({**raw, "hardware": True}))
+        reports = []
+        for scenario in (EXAMPLES / "chaos_frr.json", path):
+            assert main(["chaos", str(scenario), "--seed", str(seed)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        software, hardware = reports
+        assert (software.pop("hardware"), hardware.pop("hardware")) == (
+            False, True
+        )
+        # the software engine emits label-op events, the hardware
+        # info-base-programmed ones
+        software.pop("events")
+        hardware.pop("events")
+        assert hardware == software

@@ -8,11 +8,17 @@ implementations must agree on results, side effects *and* cycle
 counts.
 """
 
+import ast
+import inspect
+import textwrap
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.hw import ModifierDriver
-from repro.hw.model import FunctionalModifier
+from repro.core.architecture import EmbeddedMPLS
+from repro.core.hwnode import HardwareLSRNode
+from repro.hw import ModifierDriver, driver
+from repro.hw.model import FunctionalModifier, ModifierBackend
 from repro.mpls.label import LabelEntry, LabelOp
 
 # Small domains so collisions (hits) actually happen.
@@ -20,19 +26,17 @@ small_labels = st.integers(min_value=16, max_value=24)
 ops = st.sampled_from(list(LabelOp))
 levels = st.integers(min_value=1, max_value=3)
 ttls = st.integers(min_value=0, max_value=5)
+entries = st.builds(
+    LabelEntry,
+    label=small_labels,
+    cos=st.integers(min_value=0, max_value=7),
+    s=st.integers(min_value=0, max_value=1),
+    ttl=ttls,
+)
 
 
 op_step = st.one_of(
-    st.tuples(
-        st.just("push"),
-        st.builds(
-            LabelEntry,
-            label=small_labels,
-            cos=st.integers(min_value=0, max_value=7),
-            s=st.integers(min_value=0, max_value=1),
-            ttl=ttls,
-        ),
-    ),
+    st.tuples(st.just("push"), entries),
     st.tuples(st.just("pop"), st.none()),
     st.tuples(st.just("write"), st.tuples(levels, small_labels, small_labels, ops)),
     st.tuples(st.just("search"), st.tuples(levels, small_labels)),
@@ -44,6 +48,10 @@ op_step = st.one_of(
     st.tuples(
         st.just("read"),
         st.tuples(levels, st.integers(min_value=0, max_value=12)),
+    ),
+    st.tuples(
+        st.just("forward"),
+        st.tuples(st.lists(entries, max_size=3), small_labels, ttls),
     ),
 )
 
@@ -74,6 +82,17 @@ def _apply(impl, step):
         level, address = arg
         r = impl.read_entry(level, address)
         return ("read", r.valid, r.index, r.label, r.op, r.cycles)
+    if kind == "forward":
+        stack, packet_id, ttl = arg
+        log = []
+        r, cycles = impl.forward(stack, packet_id=packet_id, ttl=ttl, log=log)
+        # the RTL's UpdateResult reports no search/modify split of the
+        # UPDATE: compare the top-level phases
+        phases = [phase for phase in log if phase[1] is None]
+        return (
+            "forward", r.performed, r.discarded, r.cycles, r.stack, cycles,
+            phases, impl.total_cycles, tuple(impl.stack()),
+        )
     level_key, ttl = arg
     r = impl.update(packet_id=level_key, ttl=ttl)
     return ("update", r.performed, r.discarded, r.cycles, r.stack)
@@ -136,3 +155,44 @@ class TestEquivalence:
         model.user_push(LabelEntry(label=100))
         model.user_push(LabelEntry(label=200))
         assert model.stack_error
+
+
+#: what only the base defines: the bank protocol, the scrub and the pass
+SHARED = {
+    "bank_begin", "bank_write_pair", "bank_commit", "bank_drain",
+    "bank_rollback", "scrub", "load_stack", "drain_stack", "forward",
+}
+
+
+class TestOneContract:
+    """The model and the RTL driver are one ``ModifierBackend`` with two
+    hooks: the bank protocol, the scrub and the packet pass are written
+    once, in the base, and the node and the Figure 6 device forward
+    through it."""
+
+    def test_both_backends_are_the_one_backend(self):
+        assert issubclass(FunctionalModifier, ModifierBackend)
+        assert issubclass(ModifierDriver, ModifierBackend)
+        assert SHARED <= set(vars(ModifierBackend))
+
+    def test_neither_backend_redefines_a_shared_member(self):
+        assert not SHARED & set(vars(FunctionalModifier))
+        assert not SHARED & set(vars(ModifierDriver))
+
+    def test_the_driver_keeps_no_copy_of_the_bank_costs(self):
+        assert not {"BANK_WRITE_CYCLES", "BANK_SWAP_CYCLES"} & set(vars(driver))
+        assert not hasattr(ModifierDriver, "_burn")
+
+    def test_the_node_has_no_pass_of_its_own(self):
+        own = {"_load_stack", "_drain_stack", "_log_update_phases"}
+        assert not own & set(dir(HardwareLSRNode))
+
+    def test_the_figure6_device_forwards_through_the_pass(self):
+        source = textwrap.dedent(inspect.getsource(EmbeddedMPLS.process_frame))
+        called = {
+            node.func.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "forward" in called
+        assert not {"user_push", "user_pop", "update"} & called
