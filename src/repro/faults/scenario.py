@@ -66,6 +66,7 @@ from repro.config import (
     POSITIVE,
     REAL,
     REQUIRED,
+    SIZE,
     TEXT,
     ScenarioError,
     build,
@@ -460,12 +461,25 @@ class RandomFaultSpec:
         return build(cls, "random_faults", raw)
 
 
-_TOPOLOGY_BUILDERS = {
-    "paper_figure1": paper_figure1,
-    "ring": ring,
-    "line": line,
-    "full_mesh": full_mesh,
+#: kind -> its builder and the builder's arguments, each read like any
+#: scenario field; an absent (or null) argument is the builder's default
+_LINK_ARGS = {
+    "bandwidth_bps": (POSITIVE, None),
+    "delay_s": (AMOUNT, None),
+    "metric": (POSITIVE, None),
 }
+_SIZED_ARGS = {"n": (SIZE, REQUIRED), "prefix": (TEXT, None), **_LINK_ARGS}
+_TOPOLOGIES = {
+    "paper_figure1": (paper_figure1, _LINK_ARGS),
+    "ring": (ring, _SIZED_ARGS),
+    "line": (line, _SIZED_ARGS),
+    "full_mesh": (full_mesh, _SIZED_ARGS),
+}
+_TOPOLOGY_KIND = {"kind": (parser(
+    lambda kind: kind,
+    lambda kind: isinstance(kind, str) and kind in _TOPOLOGIES,
+    f"one of {', '.join(sorted(_TOPOLOGIES))}",
+), REQUIRED)}
 
 
 def _each(key: str, parse) -> Callable[[Any], list]:
@@ -629,12 +643,13 @@ class Scenario:
     def build_topology(self) -> Tuple[Topology, Dict[str, RouterRole]]:
         """Instantiate the topology and its LER role map."""
         spec = dict(self.topology)
+        where = f"topology {dict(self.topology)!r}"
         kind = spec.pop("kind", "paper_figure1")
-        builder = _TOPOLOGY_BUILDERS.get(kind)
-        if builder is None:
-            raise ScenarioError(f"unknown topology kind {kind!r}")
+        kind = read(where, {"kind": kind}, _TOPOLOGY_KIND)["kind"]
+        builder, table = _TOPOLOGIES[kind]
+        args = read(where, spec, table)
         try:
-            topo = builder(**spec)
+            topo = builder(**{k: v for k, v in args.items() if v is not None})
             for a, b, attrs in topo.edges_with_attrs():
                 # every test is positive: a NaN fails them all
                 if not (
@@ -645,10 +660,8 @@ class Scenario:
                         f"link {a}-{b} needs a finite positive bandwidth_bps "
                         "and a finite delay_s >= 0"
                     )
-        except (TypeError, ValueError, TopologyError) as exc:
-            raise ScenarioError(
-                f"topology {dict(self.topology)!r}: {exc}"
-            ) from None
+        except (ValueError, TopologyError) as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
         edges = self.edges
         if edges is None:
             if kind == "paper_figure1":

@@ -58,7 +58,7 @@ class Signal:
     ``value``, the current value, is a plain slot: a read is one
     attribute load.  It is read-only by convention -- only this module
     and the simulator's inlined edge assign it, which
-    ``tests/hdl/test_noop_equivalence.py`` lints ``src/`` for.
+    ``tests/hdl/test_kernel_equivalence.py`` lints ``src/`` for.
     """
 
     __slots__ = ("name", "width", "default", "value", "_max")

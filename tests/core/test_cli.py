@@ -199,7 +199,20 @@ class TestHostileScenarioCLI:
             ({"kind": "paper_figure1", "bogus": 3},
              "topology {'kind': 'paper_figure1', 'bogus': 3}: "),
             ({"kind": "ring", "n": "x"}, "topology {'kind': 'ring', 'n': 'x'}: "),
-            ({"bandwidth_bps": -5}, "topology {'bandwidth_bps': -5}: link "),
+            ({"bandwidth_bps": -5},
+             "topology {'bandwidth_bps': -5}: bad bandwidth_bps -5: "),
+            # was: TypeError: unhashable type: 'list'
+            ({"kind": ["line"]}, "topology {'kind': ['line']}: bad kind ['line']: "),
+            # was: exit 0, availability 0.0 over links of 1 bps
+            ({"kind": "paper_figure1", "bandwidth_bps": True},
+             "topology {'kind': 'paper_figure1', 'bandwidth_bps': True}: "
+             "bad bandwidth_bps True: "),
+            # were: a one-node and an empty line, then "edge 'ler-a' is
+            # not in the topology"
+            ({"kind": "line", "n": True},
+             "topology {'kind': 'line', 'n': True}: bad n True: "),
+            ({"kind": "line", "n": -1},
+             "topology {'kind': 'line', 'n': -1}: bad n -1: "),
         ],
     )
     def test_a_topology_no_run_can_mean(

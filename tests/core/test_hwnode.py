@@ -11,19 +11,10 @@ from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
 from repro.net.network import MPLSNetwork
-from repro.net.packet import IPv4Packet, MPLSPacket
+from repro.net.packet import MPLSPacket
 from repro.net.topology import paper_figure1
 from repro.net.traffic import CBRSource
-
-
-def ip_pkt(dst="10.2.0.9", ttl=64, dscp=0):
-    return IPv4Packet(src="10.1.0.5", dst=dst, ttl=ttl, dscp=dscp)
-
-
-def labelled(label, ttl=20):
-    return MPLSPacket(
-        LabelStack([LabelEntry(label=label, ttl=ttl)]), ip_pkt()
-    )
+from tests.strategies.flows import ip_pkt, labelled
 
 
 class TestHardwareTransit:

@@ -120,19 +120,11 @@ class TestNoWallClockInReports:
                 )
 
     def test_telemetry_disabled_outside_session(self):
-        # run_scenario must not implicitly enable telemetry (other
-        # tests may leave the process-wide default enabled, e.g. via
-        # an undetached NetworkTracer, so pin the state explicitly)
+        # run_scenario must not implicitly enable telemetry
         tel = get_telemetry()
-        was_enabled = tel.enabled
-        tel.disable()
-        try:
-            report = run_scenario(Scenario.from_dict(SCENARIO), seed=1)
-            assert not tel.enabled
-            assert "events" not in report.data
-        finally:
-            if was_enabled:
-                tel.enable()
+        report = run_scenario(Scenario.from_dict(SCENARIO), seed=1)
+        assert not tel.enabled
+        assert "events" not in report.data
 
 
 class TestRunScenarioCleansUp:

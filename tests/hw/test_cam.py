@@ -2,62 +2,28 @@
 
 
 from repro.core.device import STRATIX_EP1S40
-from repro.hdl.simulator import Component, Simulator
+from repro.hdl.simulator import Simulator
 from repro.hw.cam import (
     CAM_SEARCH_CYCLES,
     CAMInfoBaseLevel,
     cam_fits,
     cam_logic_elements,
 )
-
-
-class _Driver(Component):
-    def __init__(self, sim):
-        super().__init__(sim, "drv")
-        self.values = {}
-
-    def set(self, wire, value):
-        self.values[wire] = value
-
-    def settle(self):
-        for wire, value in self.values.items():
-            wire.drive(value)
+from tests.strategies.hw import CAMPins, cam_search, cam_write
 
 
 def _cam(depth=16):
     sim = Simulator()
-    drv = _Driver(sim)
+    drv = CAMPins(sim)
     cam = CAMInfoBaseLevel(sim, "cam", index_width=20, depth=depth)
     return sim, drv, cam
-
-
-def _write(sim, drv, cam, index, label, op):
-    drv.set(cam.wr_en, 1)
-    drv.set(cam.wr_index, index)
-    drv.set(cam.wr_label, label)
-    drv.set(cam.wr_op, op)
-    sim.step()
-    drv.set(cam.wr_en, 0)
-
-
-def _search(sim, drv, cam, key):
-    drv.set(cam.search_en, 1)
-    drv.set(cam.search_key, key)
-    cycles = 0
-    sim.step()
-    cycles += 1
-    drv.set(cam.search_en, 0)
-    while not cam.done.value:
-        sim.step()
-        cycles += 1
-    return cycles
 
 
 class TestCAMLevel:
     def test_write_and_match(self):
         sim, drv, cam = _cam()
-        _write(sim, drv, cam, 100, 500, 2)
-        cycles = _search(sim, drv, cam, 100)
+        cam_write(sim, drv, cam, 100, 500, 2)
+        cycles = cam_search(sim, drv, cam, 100)
         assert cam.match_valid.value == 1
         assert cam.match_label.value == 500
         assert cam.match_op.value == 2
@@ -65,8 +31,8 @@ class TestCAMLevel:
 
     def test_miss(self):
         sim, drv, cam = _cam()
-        _write(sim, drv, cam, 100, 500, 2)
-        _search(sim, drv, cam, 999)
+        cam_write(sim, drv, cam, 100, 500, 2)
+        cam_search(sim, drv, cam, 999)
         assert cam.match_valid.value == 0
 
     def test_lookup_cost_is_occupancy_independent(self):
@@ -75,21 +41,21 @@ class TestCAMLevel:
         for n in (1, 8, 16):
             sim, drv, cam = _cam(depth=16)
             for i in range(n):
-                _write(sim, drv, cam, 100 + i, 500 + i, 2)
-            costs.append(_search(sim, drv, cam, 100 + n - 1))
+                cam_write(sim, drv, cam, 100 + i, 500 + i, 2)
+            costs.append(cam_search(sim, drv, cam, 100 + n - 1))
         assert len(set(costs)) == 1
 
     def test_first_match_priority(self):
         sim, drv, cam = _cam()
-        _write(sim, drv, cam, 100, 500, 2)
-        _write(sim, drv, cam, 100, 777, 1)
-        _search(sim, drv, cam, 100)
+        cam_write(sim, drv, cam, 100, 500, 2)
+        cam_write(sim, drv, cam, 100, 777, 1)
+        cam_search(sim, drv, cam, 100)
         assert cam.match_label.value == 500
 
     def test_done_is_a_pulse(self):
         sim, drv, cam = _cam()
-        _write(sim, drv, cam, 100, 500, 2)
-        _search(sim, drv, cam, 100)
+        cam_write(sim, drv, cam, 100, 500, 2)
+        cam_search(sim, drv, cam, 100)
         assert cam.done.value == 1
         sim.step()
         assert cam.done.value == 0
@@ -97,13 +63,13 @@ class TestCAMLevel:
     def test_overflow(self):
         sim, drv, cam = _cam(depth=2)
         for i in range(3):
-            _write(sim, drv, cam, i, i, 0)
+            cam_write(sim, drv, cam, i, i, 0)
         assert cam.count == 2
         assert cam.overflow.value == 1
 
     def test_reset(self):
         sim, drv, cam = _cam()
-        _write(sim, drv, cam, 100, 500, 2)
+        cam_write(sim, drv, cam, 100, 500, 2)
         sim.reset()
         assert cam.count == 0
 

@@ -13,6 +13,7 @@ from repro.hw.model import FunctionalModifier, StagingBackpressure
 from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode, RouterRole
+from tests.strategies.flows import labelled
 
 
 class TestModelBackpressure:
@@ -147,8 +148,6 @@ class TestHWNodeBackpressure:
         software = LSRNode("lsr-1", RouterRole.LSR)
         for node in (limited, plain, software):
             self._install(node, 8)
-        from tests.core.test_hwnode import labelled
-
         for label in range(100, 108):
             decisions = [n.receive(labelled(label)) for n in
                          (limited, plain, software)]

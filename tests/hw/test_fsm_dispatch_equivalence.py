@@ -39,7 +39,7 @@ from repro.hw.main_fsm import _IB_OPS, _LBL_OPS, MainFSM
 from repro.hw.opcodes import StackOp, UserOp
 from repro.hw.search_fsm import SearchFSM
 from repro.mpls.label import LabelEntry, LabelOp
-from tests.hw.test_rtl_vs_model import _apply, op_step
+from tests.strategies.hw import apply_op, op_step
 
 
 # -- the oracle: the machines before a state was a method ----------------------
@@ -578,7 +578,7 @@ def apply(driver, step):
     if kind == "rtrtype":
         driver.set_router_type(arg)
         return ("rtrtype", arg)
-    return _apply(driver, step)
+    return apply_op(driver, step)
 
 
 def assert_same(steps, kit=NEW) -> Bench:

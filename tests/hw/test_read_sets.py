@@ -37,12 +37,12 @@ from repro.hw.cam import CAMInfoBaseLevel
 from repro.hw.driver import ModifierDriver
 from repro.hw.search_fsm import SearchFSM
 from repro.mpls.label import LabelEntry, LabelOp
-from tests.hw.test_cam import _Driver as CAMPins
-from tests.hw.test_cam import _search as cam_search
-from tests.hw.test_cam import _write as cam_write
-from tests.hw.test_rtl_vs_model import _apply
-from tests.hw.test_settle_bookkeeping import (
+from tests.strategies.hw import (
     GOLDEN,
+    CAMPins,
+    apply_op,
+    cam_search,
+    cam_write,
     figure16,
     management_mix,
     observed,
@@ -206,7 +206,7 @@ def mixed_traffic(drv):
                 arg = (level, rng.randrange(8))
             else:
                 arg = (key, rng.choice((0, 1, 64)))
-            _apply(drv, (kind, arg))
+            apply_op(drv, (kind, arg))
 
 
 def bank_swaps(drv):

@@ -20,83 +20,7 @@ from repro.core.hwnode import HardwareLSRNode
 from repro.hw import ModifierDriver, driver
 from repro.hw.model import FunctionalModifier, ModifierBackend
 from repro.mpls.label import LabelEntry, LabelOp
-
-# Small domains so collisions (hits) actually happen.
-small_labels = st.integers(min_value=16, max_value=24)
-ops = st.sampled_from(list(LabelOp))
-levels = st.integers(min_value=1, max_value=3)
-ttls = st.integers(min_value=0, max_value=5)
-entries = st.builds(
-    LabelEntry,
-    label=small_labels,
-    cos=st.integers(min_value=0, max_value=7),
-    s=st.integers(min_value=0, max_value=1),
-    ttl=ttls,
-)
-
-
-op_step = st.one_of(
-    st.tuples(st.just("push"), entries),
-    st.tuples(st.just("pop"), st.none()),
-    st.tuples(st.just("write"), st.tuples(levels, small_labels, small_labels, ops)),
-    st.tuples(st.just("search"), st.tuples(levels, small_labels)),
-    st.tuples(st.just("update"), st.tuples(small_labels, ttls)),
-    st.tuples(
-        st.just("modify"), st.tuples(levels, small_labels, small_labels, ops)
-    ),
-    st.tuples(st.just("remove"), st.tuples(levels, small_labels)),
-    st.tuples(
-        st.just("read"),
-        st.tuples(levels, st.integers(min_value=0, max_value=12)),
-    ),
-    st.tuples(
-        st.just("forward"),
-        st.tuples(st.lists(entries, max_size=3), small_labels, ttls),
-    ),
-)
-
-
-def _apply(impl, step):
-    kind, arg = step
-    if kind == "push":
-        return ("push", impl.user_push(arg), tuple(impl.stack()))
-    if kind == "pop":
-        popped, cycles = impl.user_pop()
-        return ("pop", popped, cycles, tuple(impl.stack()))
-    if kind == "write":
-        level, index, label, op = arg
-        return ("write", impl.write_pair(level, index, label, op), impl.ib_counts())
-    if kind == "search":
-        level, key = arg
-        r = impl.search(level, key)
-        return ("search", r.found, r.label, r.op, r.discarded, r.cycles)
-    if kind == "modify":
-        level, index, label, op = arg
-        r = impl.modify_pair(level, index, label, op)
-        return ("modify", r.found, r.cycles, impl.ib_counts())
-    if kind == "remove":
-        level, index = arg
-        r = impl.remove_pair(level, index)
-        return ("remove", r.found, r.cycles, impl.ib_counts())
-    if kind == "read":
-        level, address = arg
-        r = impl.read_entry(level, address)
-        return ("read", r.valid, r.index, r.label, r.op, r.cycles)
-    if kind == "forward":
-        stack, packet_id, ttl = arg
-        log = []
-        r, cycles = impl.forward(stack, packet_id=packet_id, ttl=ttl, log=log)
-        # the RTL's UpdateResult reports no search/modify split of the
-        # UPDATE: compare the top-level phases
-        phases = [phase for phase in log if phase[1] is None]
-        return (
-            "forward", r.performed, r.discarded, r.cycles, r.stack, cycles,
-            phases, impl.total_cycles, tuple(impl.stack()),
-        )
-    level_key, ttl = arg
-    r = impl.update(packet_id=level_key, ttl=ttl)
-    return ("update", r.performed, r.discarded, r.cycles, r.stack)
-
+from tests.strategies.hw import apply_op, op_step
 
 class TestEquivalence:
     @settings(
@@ -111,8 +35,8 @@ class TestEquivalence:
         model = FunctionalModifier(ib_depth=16, stack_capacity=8)
         model.reset()
         for step in steps:
-            got_rtl = _apply(rtl, step)
-            got_model = _apply(model, step)
+            got_rtl = apply_op(rtl, step)
+            got_model = apply_op(model, step)
             assert got_rtl == got_model, f"diverged on {step}"
         assert tuple(rtl.stack()) == tuple(model.stack())
         assert rtl.ib_counts() == model.ib_counts()

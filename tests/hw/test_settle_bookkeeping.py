@@ -8,22 +8,21 @@ after the edge (wires still hold the settled values of the cycle just
 ended -- the waveform recorder and the cycle profiler read them).
 """
 
-import hashlib
-import json
 import random
 
 import pytest
 
-from benchmarks.perf.workloads import RtlWorstCase
 from repro.hdl.signal import Reg, Wire
-from repro.hdl.waveform import WaveformRecorder, render_ascii
 from repro.hw.driver import ModifierDriver
 from repro.hw.model import FunctionalModifier
 from repro.mpls.label import LabelEntry, LabelOp
-from repro.obs.profiling import CycleProfiler
-from tests.hw.test_rtl_vs_model import _apply as apply_step
-
-OPS = [LabelOp.PUSH, LabelOp.SWAP, LabelOp.POP]
+from tests.strategies.hw import (
+    GOLDEN,
+    OPS,
+    management_mix,
+    observed,
+    worstcase_mix,
+)
 
 
 def check_logs(sim):
@@ -87,129 +86,6 @@ def test_logs_stay_bounded_over_mixed_traffic():
 
 
 # -- what tick hooks observe ---------------------------------------------------
-def figure14(drv):
-    for i in range(10):
-        drv.write_pair(1, 600 + i, 500 + i, OPS[(i + 1) % 3])
-    drv.search(1, 604)
-
-
-def figure15(drv):
-    for i in range(10):
-        drv.write_pair(2, i + 1, 500 + i, OPS[i % 3])
-    for old in range(1, 11):
-        drv.search(2, old)
-
-
-def figure16(drv):
-    for i in range(10):
-        drv.write_pair(2, i + 1, 500 + i, OPS[i % 3])
-    drv.search(2, 5)
-    drv.search(2, 27)
-
-
-def worstcase_mix(dev):
-    """The ``rtl_worstcase`` operation list at ``--scale 0.05``: the
-    section-4 composite plus the Table 6 mix, cycles op by op."""
-    return RtlWorstCase._apply(dev, RtlWorstCase().generate(7, 0.05)["ops"])
-
-
-def management_mix(dev):
-    """Management in orders no other test uses, result by result.
-
-    A direct read presents its address in a later settle pass than the
-    level's ``r_index`` default, so a read of entry 0 right after a
-    search that left ``r_index`` elsewhere is what a kernel that loses
-    a re-drive gets wrong.
-    """
-    seen = []
-
-    def step(kind, arg=None):
-        seen.append(apply_step(dev, (kind, arg)))
-
-    for level in (1, 2, 3):
-        for i in range(7):
-            step("write", (level, 100 + i, 510 * level + i, OPS[(level + i) % 3]))
-    for level in (1, 2, 3):
-        step("search", (level, 104))  # leaves r_index at 4
-        for address in (0, 6, 7):  # first, count - 1, one past
-            step("read", (level, address))
-        for index in (100, 103, 106, 999):  # first, middle, last, miss
-            step("modify", (level, index, 700 + index % 10, LabelOp.POP))
-        step("search", (level, 106))  # leaves r_index at 6
-        step("read", (level, 0))
-        # the last pair fills each hole: 100 goes, then 103, then 104
-        # (last by now), then a miss
-        for index in (100, 103, 104, 999):
-            step("remove", (level, index))
-        step("read", (level, 0))
-        step("read", (level, 3))
-    dev.bank_begin()
-    for level in (1, 2, 3):
-        seen.append(dev.bank_write_pair(level, 40 + level, 900, LabelOp.SWAP))
-    dev.bank_rollback()
-    step("search", (2, 42))  # never visible
-    step("search", (2, 105))
-    dev.bank_begin()
-    for level in (1, 2, 3):
-        for i in range(4):
-            seen.append(
-                dev.bank_write_pair(level, 40 + i, 900 + level + i, OPS[i % 3])
-            )
-    seen.append(dev.bank_commit())
-    for level in (1, 2, 3):
-        step("search", (level, 105))  # gone with the old bank
-        step("search", (level, 43))  # leaves r_index at 3
-        step("read", (level, 0))
-        step("read", (level, 3))
-    for depth, label in enumerate((40, 300, 41)):  # nested to depth 3
-        step("push", LabelEntry(label=label, ttl=9, s=1 if depth == 0 else 0))
-    step("update", (0, 64))  # level 3 hit: a swap
-    step("pop")
-    step("update", (0, 64))  # label 300 at level 2: a discard
-    step("read", (2, 0))
-    seen.append(dev.reset())  # mid-sequence
-    step("read", (1, 0))  # nothing stored: invalid
-    step("update", (41, 64))  # empty stack, empty level: a discard
-    step("write", (1, 41, 901, LabelOp.PUSH))
-    step("update", (41, 64))  # the ingress push
-    step("search", (1, 41))
-    step("read", (1, 0))
-    return seen
-
-
-def observed(scenario) -> str:
-    """Digest of everything the recorder (every signal, every cycle) and
-    the profiler saw while the scenario ran, and of what it returned."""
-    drv = ModifierDriver(ib_depth=1024)
-    recorder = WaveformRecorder(drv.sim)
-    profiler = CycleProfiler(drv.sim)
-    drv.attach_profiler(profiler)
-    drv.reset()
-    results = scenario(drv)
-    profiler.check_conservation()
-    parts = [
-        render_ascii(recorder, max_width=10_000),
-        json.dumps([recorder.cycles, recorder.trace], sort_keys=True),
-        profiler.render(),
-    ]
-    if results is not None:
-        parts.append(json.dumps(results, default=LabelEntry.encode))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
-#: simulated-domain output, so it never moves.  The figures were computed
-#: at the commit before the activity logs (sweep-and-snapshot kernel),
-#: the two mixes at 3faf357, the commit before drive / stage no-ops
-#: returned early.
-GOLDEN = {
-    figure14: "5a267a4916827cb2e27ff8537191f5d4e516dab7c9a36f1db2e0bf5612a05926",
-    figure15: "4eb4061747ad0fc241e7e63264514194ef42077273f5564ac384643344b4b252",
-    figure16: "756ca19b49647985408e42e12084899f490eb1106b035ca50005ffa04460570a",
-    worstcase_mix: "af8d0441ee09c46bdcac975d0559492fe6f3d4745d50ebe321d181de1182a118",
-    management_mix: "9cd06d5ae6eaeb26eae410e08c9e87fd3dfc5ad7910ea522acc1a62bed2e25e7",
-}
-
-
 @pytest.mark.parametrize("scenario", GOLDEN, ids=lambda s: s.__name__)
 def test_recorder_and_profiler_output_unchanged(scenario):
     assert observed(scenario) == GOLDEN[scenario]
