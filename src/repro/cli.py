@@ -1,38 +1,21 @@
 """Command-line interface: regenerate the paper's results standalone.
 
-``python -m repro <command>``:
-
-* ``table6``      -- measure Table 6 on the cycle-accurate RTL
-* ``worst-case``  -- the Section 4 composite (analytic + RTL)
-* ``figures``     -- replay the Figure 14/15/16 simulations
-* ``hw-vs-sw``    -- the hardware/software partition comparison
-* ``throughput``  -- label-switching throughput vs table size
-* ``device``      -- the FPGA device model and memory budget
-* ``stats``       -- run a telemetry-instrumented scenario and print
-  the metrics snapshot (Prometheus text + JSON) plus the cycle-level
-  profile of a Table 6 measurement
-* ``trace``       -- emit the structured event stream of the
-  quickstart scenario as JSON Lines
-* ``flows``       -- run a scenario with flow accounting armed: top
-  talkers, the ingress->egress traffic matrix, alert history, and
-  byte-stable ``--export``/``--matrix``/``--prom`` artifacts
-* ``topo``        -- run a scenario with the topology observer armed
-  and query the link-state database: ``show``, ``at <t>``,
-  ``diff <t1> <t2>``, ``health``, with JSON/DOT exports
-* ``bench-report``-- merge the BENCH_*.json benchmark artifacts into
-  one summary table
-* ``all``         -- every regeneration command above in sequence
+``python -m repro <command>``: each row of :data:`COMMANDS` is one
+command, and ``--help`` prints them (``<command> --help`` one row's
+arguments).  A command refuses every flag it does not read.
 
 Every command returns a process exit code: 0 on success, 1 when a
 measured value disagrees with the paper (a MISMATCH) or an invariant
-fails.
+fails, 2 for arguments no run can mean.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, TextIO, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TextIO
+from typing import Tuple
 
 from repro.analysis.cycles import measure_table6
 from repro.analysis.report import render_series, render_table
@@ -45,17 +28,27 @@ from repro.mpls.label import LabelEntry, LabelOp
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; repro.faults loads lazily
     from repro.faults import ChaosReport, Scenario
+    from repro.obs import Telemetry
 
 
-def cmd_table6() -> int:
-    rows = measure_table6(search_sizes=(1, 10, 100), ib_depth=1024)
+def _print_table6(title: str, **measure) -> int:
+    """Measure Table 6 and print it under ``title``: 0 when every row
+    matches the paper, else 1."""
+    rows = measure_table6(search_sizes=(1, 10, 100), **measure)
     print(render_table(
         ["operation", "formula", "expected", "measured (RTL)", "match"],
         [[r.operation, r.formula, r.expected, r.measured,
           "ok" if r.matches else "MISMATCH"] for r in rows],
-        title="Table 6 -- processing times (worst-case clock cycles)",
+        title=title,
     ))
     return 0 if all(r.matches for r in rows) else 1
+
+
+def cmd_table6() -> int:
+    return _print_table6(
+        "Table 6 -- processing times (worst-case clock cycles)",
+        ib_depth=1024,
+    )
 
 
 def cmd_worst_case() -> int:
@@ -161,38 +154,51 @@ def cmd_device() -> int:
 # every command that writes a file reports unwritable paths the same
 # way: `error: cannot write <path>: <reason>` on stderr, exit code 1.
 
-def _open_output(path: str) -> Optional[TextIO]:
-    """Open an export file for writing; on failure print the standard
-    error message and return None (callers turn that into exit 1)."""
+def _write_output(
+    path: str, write: Callable[[TextIO], None], note: str = ""
+) -> bool:
+    """Write an export file through ``write(handle)`` and print
+    ``note`` to stderr; on failure print the standard error message and
+    return False."""
     try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
-    """Write an export file through ``write(handle)``; on failure print
-    the standard error message and return False."""
-    stream = _open_output(path)
-    if stream is None:
-        return False
-    try:
-        write(stream)
+        with open(path, "w", encoding="utf-8") as stream:
+            write(stream)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
-    finally:
-        stream.close()
+    if note:
+        print(note, file=sys.stderr)
     return True
 
 
+#: the scenario ``stats``, ``trace`` and ``spans`` run without a file:
+#: the Figure 1 domain, LDP binding ``10.2.0.0/16`` towards ``ler-b``,
+#: one 1 Mbit/s CBR flow from behind ``ler-a`` for its first 0.5 s
+QUICKSTART: Dict[str, Any] = {
+    "name": "quickstart",
+    "topology": {"kind": "paper_figure1", "bandwidth_bps": 10e6,
+                 "delay_s": 1e-3},
+    "control": "ldp",
+    "duration": 1.0,
+    "traffic": [
+        {"ingress": "ler-a", "egress": "ler-b", "prefix": "10.2.0.0/16",
+         "src": "10.1.0.5", "dst": "10.2.0.9",
+         "rate_bps": 1e6, "packet_size": 500, "stop": 0.5},
+    ],
+}
+
+
 def _run(
-    path: str, armed: Optional[Dict[str, Dict]] = None, **kwargs
+    path: Optional[str],
+    armed: Optional[Dict[str, Dict]] = None,
+    telemetry: Optional[Telemetry] = None,
+    **kwargs,
 ) -> Optional[Tuple[Scenario, ChaosReport]]:
-    """Load a scenario file, arm each ``armed`` key whatever the file
-    says (its config laid over the file's own: how every CLI override
-    reaches a scenario), and run it under a fresh telemetry session.
+    """Load a scenario file (None: :data:`QUICKSTART`), arm each
+    ``armed`` key whatever the file says (its config laid over the
+    file's own: how every CLI override reaches a scenario), and run it
+    under ``telemetry`` -- a fresh session when None; a caller passes
+    its own to attach sinks before the run or read it after.
     A file that cannot be read, or a scenario the harness rejects,
     prints the standard error message and returns None (callers turn
     that into exit 1)."""
@@ -200,7 +206,10 @@ def _run(
     from repro.obs import telemetry_session
 
     try:
-        scenario = Scenario.load(path)
+        scenario = (
+            Scenario.from_dict(QUICKSTART) if path is None
+            else Scenario.load(path)
+        )
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
@@ -210,7 +219,7 @@ def _run(
     for key, config in (armed or {}).items():
         setattr(scenario, key, {**(getattr(scenario, key) or {}), **config})
     try:
-        with telemetry_session():
+        with telemetry_session(telemetry=telemetry):
             return scenario, run_scenario(scenario, **kwargs)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -218,46 +227,10 @@ def _run(
 
 
 # -- telemetry commands ------------------------------------------------------
-# `stats` and `trace` are observability views, not paper-result
-# regenerators, so they live outside COMMANDS (and outside `all`).
 
-def _quickstart_run() -> Tuple[object, object]:
-    """The quickstart scenario: Figure 1 topology, LDP-bound labels,
-    one CBR flow across the domain.  The caller is expected to have
-    telemetry enabled; returns (network, source)."""
-    from repro.control.ldp import LDPProcess
-    from repro.mpls.fec import PrefixFEC
-    from repro.mpls.router import RouterRole
-    from repro.net.network import MPLSNetwork
-    from repro.net.topology import paper_figure1
-    from repro.net.traffic import CBRSource
-
-    topology = paper_figure1(bandwidth_bps=10e6, delay_s=1e-3)
-    network = MPLSNetwork(
-        topology,
-        roles={"ler-a": RouterRole.LER, "ler-b": RouterRole.LER},
-    )
-    network.attach_host("ler-b", "10.2.0.0/16")
-    LDPProcess(topology, network.nodes).establish_fec(
-        PrefixFEC("10.2.0.0/16"), egress="ler-b"
-    )
-    source = CBRSource(
-        network.scheduler,
-        network.source_sink("ler-a"),
-        src="10.1.0.5",
-        dst="10.2.0.9",
-        rate_bps=1e6,
-        packet_size=500,
-        stop=0.5,
-    )
-    source.begin()
-    network.run(until=1.0)
-    return network, source
-
-
-def cmd_stats() -> int:
-    """Run the quickstart scenario and a profiled Table 6 measurement
-    under one telemetry session; print the full snapshot."""
+def cmd_stats(scenario: Optional[str] = None) -> int:
+    """Run ``scenario`` (default: the quickstart) and a profiled Table 6
+    measurement under one telemetry session; print the full snapshot."""
     from repro.obs import (
         ConservationError,
         CycleProfiler,
@@ -267,28 +240,24 @@ def cmd_stats() -> int:
         to_prometheus,
     )
 
-    rc = 0
     with telemetry_session() as tel:
         sink = tel.events.add_sink(ListSink())
-        network, source = _quickstart_run()
-        print(f"scenario: sent {source.sent}, "
-              f"delivered {network.delivered_count()}, "
-              f"dropped {network.drop_count()}")
+        ran = _run(scenario, telemetry=tel)
+        if ran is None:
+            return 1
+        traffic = ran[1]["traffic"]
+        print(f"scenario: sent {traffic['sent']}, "
+              f"delivered {traffic['delivered']}, "
+              f"dropped {traffic['dropped']}")
 
         # -- cycle-level profile of the Table 6 measurement ----------------
         drv = ModifierDriver(ib_depth=1024)
         profiler = CycleProfiler(drv.sim, telemetry=tel)
         drv.attach_profiler(profiler)
-        rows = measure_table6(search_sizes=(1, 10, 100), driver=drv)
         print()
-        print(render_table(
-            ["operation", "formula", "expected", "measured (RTL)", "match"],
-            [[r.operation, r.formula, r.expected, r.measured,
-              "ok" if r.matches else "MISMATCH"] for r in rows],
-            title="Table 6 -- measured under the cycle profiler",
-        ))
-        if not all(r.matches for r in rows):
-            rc = 1
+        rc = _print_table6(
+            "Table 6 -- measured under the cycle profiler", driver=drv
+        )
         print()
         print("cycle profile (per scoped operation / FSM state):")
         print(profiler.render())
@@ -329,12 +298,13 @@ def cmd_stats() -> int:
 
 
 def cmd_trace(
+    scenario: Optional[str] = None,
     output: Optional[str] = None,
     flows: Optional[List[int]] = None,
     nodes: Optional[List[str]] = None,
 ) -> int:
-    """Emit the quickstart scenario's event stream as JSON Lines --
-    to stdout, or to ``output`` when given.
+    """Emit ``scenario``'s event stream (default: the quickstart's) as
+    JSON Lines -- to stdout, or to ``output`` when given.
 
     ``flows`` / ``nodes`` restrict the stream to matching events (a
     :class:`~repro.obs.events.FilterSink` in front of the JSONL sink).
@@ -344,26 +314,27 @@ def cmd_trace(
     from repro.obs import FilterSink, JSONLSink, telemetry_session
 
     with telemetry_session() as tel:
-        if output:
-            maybe_stream = _open_output(output)
-            if maybe_stream is None:
-                return 1
-            stream: TextIO = maybe_stream
-        else:
-            stream = sys.stdout
-        jsonl = JSONLSink(stream)
-        if flows or nodes:
-            sink = tel.events.add_sink(
-                FilterSink(jsonl, flows=flows, nodes=nodes)
-            )
-        else:
-            sink = tel.events.add_sink(jsonl)
         try:
-            network, source = _quickstart_run()
+            stream = (
+                open(output, "w", encoding="utf-8") if output else sys.stdout
+            )
+        except OSError as exc:
+            print(f"error: cannot write {output}: {exc}", file=sys.stderr)
+            return 1
+        jsonl = JSONLSink(stream)
+        sink = tel.events.add_sink(
+            FilterSink(jsonl, flows=flows, nodes=nodes)
+            if flows or nodes else jsonl
+        )
+        try:
+            ran = _run(scenario, telemetry=tel)
         finally:
             tel.events.remove_sink(sink)
             if output:
                 stream.close()
+        if ran is None:
+            return 1
+        traffic = ran[1]["traffic"]
         filtered = (
             f" ({sink.filtered} filtered out)"
             if isinstance(sink, FilterSink)
@@ -371,8 +342,8 @@ def cmd_trace(
         )
         print(
             f"traced {tel.events.emitted} events{filtered} "
-            f"({source.sent} packets sent, "
-            f"{network.delivered_count()} delivered)"
+            f"({traffic['sent']} packets sent, "
+            f"{traffic['delivered']} delivered)"
             + (f" -> {output}" if output else ""),
             file=sys.stderr,
         )
@@ -380,7 +351,7 @@ def cmd_trace(
 
 
 def cmd_spans(
-    scenario_path: Optional[str],
+    scenario: Optional[str] = None,
     seed: int = 0,
     sample_rate: float = 1.0,
     export: Optional[str] = None,
@@ -390,34 +361,18 @@ def cmd_spans(
 ) -> int:
     """Trace a run at span granularity and summarize (or export) it.
 
-    With a scenario file the chaos harness runs it under a
-    :class:`~repro.obs.spans.SpanRecorder`; without one the quickstart
-    scenario is traced instead.  ``--export`` writes the (possibly
-    ``--flow``/``--fec``-filtered) traces as Chrome trace-event JSON,
-    loadable in Perfetto / ``chrome://tracing``.
+    The chaos harness runs ``scenario`` (default: the quickstart) under
+    a :class:`~repro.obs.spans.SpanRecorder`.  ``--export`` writes the
+    (possibly ``--flow``/``--fec``-filtered) traces as Chrome
+    trace-event JSON, loadable in Perfetto / ``chrome://tracing``.
     """
-    from repro.obs import telemetry_session
-    from repro.obs.spans import (
-        SpanRecorder,
-        export_chrome_trace,
-        render_summary,
-    )
+    from repro.obs.spans import export_chrome_trace, render_summary
 
-    if scenario_path is not None:
-        ran = _run(scenario_path, seed=seed, sample_rate=sample_rate)
-        if ran is None:
-            return 1
-        scenario, report = ran
-        recorder = report.recorder
-        label = scenario.name
-    else:
-        with telemetry_session():
-            recorder = SpanRecorder(sample_rate=sample_rate)
-            _quickstart_run()
-            recorder.finalize()
-            recorder.detach()
-        label = "quickstart"
-
+    ran = _run(scenario, seed=seed, sample_rate=sample_rate)
+    if ran is None:
+        return 1
+    loaded, report = ran
+    recorder = report.recorder
     print(render_summary(recorder, slowest=slowest))
     traces = recorder.traces()
     flowset = set(flows) if flows else None
@@ -446,15 +401,11 @@ def cmd_spans(
                 f"  {t.trace_id:<24} fec={t.fec:<18} {status:<9} "
                 f"latency={lat} path={'>'.join(t.path)}"
             )
-    if export:
-        if not _write_output(
-            export, lambda handle: export_chrome_trace(traces, handle)
-        ):
-            return 1
-        print(
-            f"spans: {label!r}: exported {len(traces)} traces -> {export}",
-            file=sys.stderr,
-        )
+    if export and not _write_output(
+        export, lambda handle: export_chrome_trace(traces, handle),
+        f"spans: {loaded.name!r}: exported {len(traces)} traces -> {export}",
+    ):
+        return 1
     return 0
 
 
@@ -483,7 +434,7 @@ def _render_fault_kinds() -> str:
 
 
 def cmd_chaos(
-    scenario_path: Optional[str],
+    scenario: Optional[str] = None,
     seed: int = 0,
     output: Optional[str] = None,
     batching: Optional[str] = None,
@@ -510,7 +461,7 @@ def cmd_chaos(
     if list_faults:
         print(_render_fault_kinds())
         return 0
-    if scenario_path is None:
+    if scenario is None:
         print("error: chaos needs a scenario file "
               "(e.g. examples/chaos_smoke.json)", file=sys.stderr)
         return 1
@@ -519,10 +470,10 @@ def cmd_chaos(
         for name, value in overrides.items()
         if value is not None
     }
-    ran = _run(scenario_path, armed, seed=seed, batching=(batching == "on"))
+    ran = _run(scenario, armed, seed=seed, batching=(batching == "on"))
     if ran is None:
         return 1
-    scenario, report = ran
+    loaded, report = ran
     text = report.to_json()
     if output:
         if not _write_output(output, lambda handle: handle.write(text)):
@@ -532,7 +483,7 @@ def cmd_chaos(
     traffic = report["traffic"]
     availability = traffic["availability"]
     print(
-        f"chaos: {scenario.name!r} seed={seed}: "
+        f"chaos: {loaded.name!r} seed={seed}: "
         f"{len(report['faults'])} faults, "
         f"availability {availability if availability is not None else 'n/a'}"
         + (f" -> {output}" if output else ""),
@@ -542,7 +493,7 @@ def cmd_chaos(
 
 
 def cmd_flows(
-    scenario_path: Optional[str],
+    scenario: str,
     seed: int = 0,
     top: int = 10,
     export: Optional[str] = None,
@@ -568,54 +519,38 @@ def cmd_flows(
         render_flow_summary,
     )
 
-    if scenario_path is None:
-        print("error: flows needs a scenario file "
-              "(e.g. examples/chaos_flow_alerts.json)", file=sys.stderr)
-        return 1
-    ran = _run(scenario_path, {"flows": {}}, seed=seed)
+    ran = _run(scenario, {"flows": {}}, seed=seed)
     if ran is None:
         return 1
-    scenario, report = ran
+    loaded, report = ran
     # the flows row always arms the accountant and the matrix collector
     accountant, matrices = report.flows, report.collector.matrices
+    engine = report.alert_engine
     print(render_flow_summary(accountant, report.collector, top=top))
-    if report.alert_engine is not None:
+    if engine is not None:
         print()
-        print(render_alert_history(report.alert_engine))
-    if export:
-        records = accountant.all_records()
-        history = (
-            report.alert_engine.history
-            if report.alert_engine is not None
-            else ()
-        )
-        if not _write_output(
-            export,
-            lambda handle: flows_to_jsonl(
-                records, handle, matrices, history
-            ),
-        ):
-            return 1
-        print(
-            f"flows: {scenario.name!r} seed={seed}: exported "
-            f"{len(records)} records -> {export}",
-            file=sys.stderr,
-        )
-    if matrix:
-        if not _write_output(
-            matrix,
-            lambda handle: handle.write(matrices_to_json(matrices)),
-        ):
-            return 1
-        print(f"flows: matrix snapshots -> {matrix}", file=sys.stderr)
-    if prom:
-        # the accountant holds the run's telemetry (and its registry)
-        exposition = to_prometheus(accountant.telemetry.registry)
-        if not _write_output(
-            prom, lambda handle: handle.write(exposition)
-        ):
-            return 1
-        print(f"flows: Prometheus exposition -> {prom}", file=sys.stderr)
+        print(render_alert_history(engine))
+    records = accountant.all_records()
+    history = engine.history if engine is not None else ()
+    if export and not _write_output(
+        export,
+        lambda handle: flows_to_jsonl(records, handle, matrices, history),
+        f"flows: {loaded.name!r} seed={seed}: exported {len(records)} "
+        f"records -> {export}",
+    ):
+        return 1
+    if matrix and not _write_output(
+        matrix, lambda handle: handle.write(matrices_to_json(matrices)),
+        f"flows: matrix snapshots -> {matrix}",
+    ):
+        return 1
+    # the accountant holds the run's telemetry (and its registry)
+    registry = accountant.telemetry.registry
+    if prom and not _write_output(
+        prom, lambda handle: handle.write(to_prometheus(registry)),
+        f"flows: Prometheus exposition -> {prom}",
+    ):
+        return 1
     return 0
 
 
@@ -754,7 +689,7 @@ def _render_topo_view(view) -> str:
 
 
 def cmd_topo(
-    scenario_path: str,
+    scenario: str,
     action: str = "show",
     times: Optional[List[float]] = None,
     seed: int = 0,
@@ -776,7 +711,7 @@ def cmd_topo(
     times = times or []
     # the observer is the point of this command: force it on even when
     # the scenario file has no 'topo' key
-    ran = _run(scenario_path, {"topo": {}}, seed=seed,
+    ran = _run(scenario, {"topo": {}}, seed=seed,
                batching=(batching == "on"))
     if ran is None:
         return 1
@@ -815,18 +750,16 @@ def cmd_topo(
     else:  # show
         view = observer.live_view()
         print(_render_topo_view(view))
-    if export:
-        if not _write_output(
-            export, lambda handle: handle.write(view.to_json())
-        ):
-            return 1
-        print(f"topo: view -> {export}", file=sys.stderr)
-    if dot:
-        if not _write_output(
-            dot, lambda handle: handle.write(view.to_dot())
-        ):
-            return 1
-        print(f"topo: DOT graph -> {dot}", file=sys.stderr)
+    if export and not _write_output(
+        export, lambda handle: handle.write(view.to_json()),
+        f"topo: view -> {export}",
+    ):
+        return 1
+    if dot and not _write_output(
+        dot, lambda handle: handle.write(view.to_dot()),
+        f"topo: DOT graph -> {dot}",
+    ):
+        return 1
     mismatches = observer.mismatches
     if mismatches:
         print(
@@ -840,262 +773,174 @@ def cmd_topo(
     return 0
 
 
-def _topo_main(argv: List[str]) -> int:
-    """The dedicated ``repro topo`` argument parser (its positional
-    sub-action and times clash with the main parser's shape)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro topo",
-        description="Query the telemetry-fed topology observatory.",
-    )
-    parser.add_argument(
-        "scenario",
-        help="path to a JSON fault scenario (the 'topo' key is forced "
-        "on; see examples/chaos_topo.json)",
-    )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        choices=["show", "at", "diff", "health"],
-        default="show",
-        help="show the end-of-run view (default), reconstruct the "
-        "view 'at' a time, 'diff' two instants, or print the derived "
-        "'health' scores",
-    )
-    parser.add_argument(
-        "times",
-        nargs="*",
-        type=float,
-        help="timestamps for 'at' (one) and 'diff' (two)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the randomized fault schedule (default 0)",
-    )
-    parser.add_argument(
-        "--batching", choices=["on", "off"], default=None,
-        help="run the data plane on the batched fast path; the "
-        "observed database is identical to the scalar run",
-    )
-    parser.add_argument(
-        "--export", metavar="FILE", default=None,
-        help="write the queried view as JSON (byte-stable)",
-    )
-    parser.add_argument(
-        "--dot", metavar="FILE", default=None,
-        help="write the queried view as a Graphviz graph",
-    )
-    args = parser.parse_args(argv)
-    return cmd_topo(
-        args.scenario,
-        action=args.action,
-        times=args.times,
-        seed=args.seed,
-        batching=args.batching,
-        export=args.export,
-        dot=args.dot,
-    )
+def cmd_all() -> int:
+    """Every paper row of :data:`COMMANDS` in sequence; the exit code
+    is the worst of theirs."""
+    worst = 0
+    for command in COMMANDS:
+        if command.paper:
+            print(f"\n===== {command.name} =====")
+            worst = max(worst, command.handler())
+    return worst
 
 
-COMMANDS: Dict[str, Callable[[], int]] = {
-    "table6": cmd_table6,
-    "worst-case": cmd_worst_case,
-    "figures": cmd_figures,
-    "hw-vs-sw": cmd_hw_vs_sw,
-    "throughput": cmd_throughput,
-    "device": cmd_device,
-}
+# -- the command table -------------------------------------------------------
+
+def arg(*names: str, **kwargs: Any) -> Tuple[Tuple[str, ...], Dict[str, Any]]:
+    """One ``add_argument`` call of a :class:`Command` row."""
+    return names, kwargs
+
+
+@dataclass(frozen=True)
+class Command:
+    """One ``repro`` command: ``main`` builds its subparser from
+    ``args`` and calls ``handler`` with the parsed values by name."""
+
+    name: str
+    handler: Callable[..., int]
+    help: str
+    args: Tuple[Tuple[Tuple[str, ...], Dict[str, Any]], ...] = ()
+    #: a paper-result regenerator: ``all`` runs it
+    paper: bool = False
+
+
+#: in a row's ``args``, the subsystem rows' ``--<flag>`` overrides:
+#: ``main`` builds them, so importing the CLI loads no ``repro.faults``
+OVERRIDES = arg()
+QUICKSTART_OR_FILE = arg(
+    "scenario", nargs="?",
+    help="a JSON scenario file (default: the quickstart scenario)",
+)
+SEED = arg("--seed", type=int, default=0,
+           help="seed for the randomized fault schedule (default 0)")
+BATCHING = arg("--batching", choices=["on", "off"],
+               help="run the data plane on the batched fast path; the "
+               "output is byte-identical to the scalar run (default: off)")
+FLOW = arg("--flow", metavar="ID", type=int, action="append", dest="flows",
+           help="restrict to this flow id (repeatable)")
+
+COMMANDS: Tuple[Command, ...] = (
+    Command("table6", cmd_table6,
+            "measure Table 6 on the cycle-accurate RTL", paper=True),
+    Command("worst-case", cmd_worst_case,
+            "the Section 4 composite (analytic + RTL)", paper=True),
+    Command("figures", cmd_figures,
+            "replay the Figure 14/15/16 simulations", paper=True),
+    Command("hw-vs-sw", cmd_hw_vs_sw,
+            "the hardware/software partition comparison", paper=True),
+    Command("throughput", cmd_throughput,
+            "label-switching throughput vs table size", paper=True),
+    Command("device", cmd_device,
+            "the FPGA device model and memory budget", paper=True),
+    Command("all", cmd_all, "every paper command above in sequence"),
+    Command("stats", cmd_stats,
+            "a scenario's metrics snapshot and Table 6 under the cycle "
+            "profiler", (QUICKSTART_OR_FILE,)),
+    Command("trace", cmd_trace, "a scenario's event stream as JSON Lines", (
+        QUICKSTART_OR_FILE,
+        arg("-o", "--output", metavar="FILE",
+            help="write the event stream to FILE instead of stdout"),
+        FLOW,
+        arg("--node", metavar="NAME", action="append", dest="nodes",
+            help="restrict to events at this node (repeatable)"),
+    )),
+    Command("chaos", cmd_chaos, "run a fault scenario; print its report", (
+        arg("scenario", nargs="?", help="a JSON fault scenario file"),
+        SEED,
+        arg("-o", "--output", metavar="FILE",
+            help="write the JSON report to FILE instead of stdout"),
+        OVERRIDES,
+        BATCHING,
+        arg("--list-faults", action="store_true",
+            help="list the fault kinds, their targets and params, then exit"),
+    )),
+    Command("spans", cmd_spans, "trace a scenario at span granularity", (
+        QUICKSTART_OR_FILE,
+        SEED,
+        arg("--sample-rate", metavar="RATE", type=float, default=1.0,
+            help="head-based sampling rate in [0, 1] (default 1.0)"),
+        arg("--export", metavar="FILE",
+            help="write the traces as Chrome trace-event JSON (Perfetto)"),
+        FLOW,
+        arg("--fec", metavar="PREFIX", action="append", dest="fecs",
+            help="restrict to traces of this FEC (repeatable)"),
+        arg("--slowest", metavar="N", type=int, default=5,
+            help="list the N slowest traces (default 5)"),
+    )),
+    Command("flows", cmd_flows, "flow records, traffic matrix and alerts", (
+        arg("scenario", help="a JSON scenario file (examples/chaos_*.json)"),
+        SEED,
+        arg("--top", metavar="N", type=int, default=10,
+            help="list the N heaviest talkers (default 10)"),
+        arg("--export", metavar="FILE",
+            help="write the flow records, matrix snapshots and alert "
+            "transitions as JSON Lines"),
+        arg("--matrix", metavar="FILE",
+            help="write the traffic-matrix snapshots as one JSON document"),
+        arg("--prom", metavar="FILE",
+            help="write the run's final Prometheus exposition"),
+    )),
+    Command("topo", cmd_topo, "query a scenario's topology observatory", (
+        arg("scenario", help="a JSON scenario file (its 'topo' key is "
+            "forced on)"),
+        arg("action", nargs="?", default="show",
+            choices=["show", "at", "diff", "health"],
+            help="the end-of-run view (default), the view 'at' a time, "
+            "the 'diff' of two instants, or the 'health' scores"),
+        arg("times", nargs="*", type=float,
+            help="timestamps for 'at' (one) and 'diff' (two)"),
+        SEED,
+        BATCHING,
+        arg("--export", metavar="FILE",
+            help="write the queried view as JSON (byte-stable)"),
+        arg("--dot", metavar="FILE",
+            help="write the queried view as a Graphviz graph"),
+    )),
+    Command("bench-report", cmd_bench_report,
+            "merge the BENCH_*.json benchmark artifacts into one table", (
+        arg("results_dir", nargs="?", metavar="DIR",
+            help="the results directory (default benchmarks/results)"),
+    )),
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.faults.subsystems import FLAGS
 
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "topo":
-        # 'topo' takes its own positional action + timestamps, which
-        # the shared parser below cannot express
-        return _topo_main(argv[1:])
+    overrides = [
+        arg(f"--{flag.name}", choices=["on", "off"], help=flag.help)
+        if flag.switch
+        else arg(f"--{flag.name}", metavar=flag.field.upper(), type=float,
+                 help=flag.help)
+        for flag in (sub.flag for sub in FLAGS.values())
+    ]
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the paper's results.",
+        prog="python -m repro", description="Regenerate the paper's results."
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            *COMMANDS, "all", "stats", "trace", "chaos", "spans",
-            "flows", "topo", "bench-report",
-        ],
-        help="which result to regenerate (or: stats / trace for the "
-        "telemetry views, chaos to run a fault scenario, spans to "
-        "trace one at span granularity, flows for flow accounting / "
-        "traffic matrix / alerts, topo to query the topology "
-        "observatory ('topo --help' for its sub-actions), "
-        "bench-report to merge the BENCH_*.json benchmark artifacts)",
-    )
-    parser.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="chaos/spans/flows: path to a JSON fault scenario "
-        "(see examples/chaos_*.json; spans falls back to the "
-        "quickstart scenario); bench-report: the results directory "
-        "(default benchmarks/results)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="chaos/spans/flows: seed for the randomized schedule and "
-        "fault randomness (default 0)",
-    )
-    parser.add_argument(
-        "-o", "--output",
-        metavar="FILE",
-        default=None,
-        help="trace/chaos: write the JSONL event stream / JSON report "
-        "to FILE instead of stdout",
-    )
-    for flag in (sub.flag for sub in FLAGS.values()):
-        if flag.switch:
-            parser.add_argument(f"--{flag.name}", choices=["on", "off"],
-                                default=None, help=flag.help)
-        else:
-            parser.add_argument(f"--{flag.name}", metavar=flag.field.upper(),
-                                type=float, default=None, help=flag.help)
-    parser.add_argument(
-        "--batching",
-        choices=["on", "off"],
-        default=None,
-        help="chaos only: run the data plane on the batched fast path "
-        "(per-node flow caches); reports are byte-identical to the "
-        "scalar run of the same seed (default: off)",
-    )
-    parser.add_argument(
-        "--list-faults",
-        action="store_true",
-        help="chaos only: enumerate the fault kinds, their target "
-        "arity and accepted params, then exit",
-    )
-    parser.add_argument(
-        "--flow",
-        metavar="ID",
-        type=int,
-        action="append",
-        default=None,
-        help="trace/spans: restrict to this flow id (repeatable)",
-    )
-    parser.add_argument(
-        "--node",
-        metavar="NAME",
-        action="append",
-        default=None,
-        help="trace only: restrict to events at this node (repeatable)",
-    )
-    parser.add_argument(
-        "--fec",
-        metavar="PREFIX",
-        action="append",
-        default=None,
-        help="spans only: restrict to traces of this FEC (repeatable)",
-    )
-    parser.add_argument(
-        "--sample-rate",
-        metavar="RATE",
-        type=float,
-        default=1.0,
-        help="spans only: head-based sampling rate in [0, 1] "
-        "(default 1.0 -- trace everything)",
-    )
-    parser.add_argument(
-        "--export",
-        metavar="FILE",
-        default=None,
-        help="spans: write the traces as Chrome trace-event JSON "
-        "(open in Perfetto or chrome://tracing); flows: write the "
-        "flow records, matrix snapshots and alert transitions as "
-        "JSON Lines",
-    )
-    parser.add_argument(
-        "--slowest",
-        metavar="N",
-        type=int,
-        default=5,
-        help="spans only: list the N slowest traces (default 5)",
-    )
-    parser.add_argument(
-        "--top",
-        metavar="N",
-        type=int,
-        default=10,
-        help="flows only: list the N heaviest talkers (default 10)",
-    )
-    parser.add_argument(
-        "--matrix",
-        metavar="FILE",
-        default=None,
-        help="flows only: write all traffic-matrix snapshots as one "
-        "JSON document",
-    )
-    parser.add_argument(
-        "--prom",
-        metavar="FILE",
-        default=None,
-        help="flows only: write the run's final Prometheus exposition",
-    )
-    args = parser.parse_args(argv)
+    commands = parser.add_subparsers(metavar="command", required=True)
+    for command in COMMANDS:
+        sub = commands.add_parser(
+            command.name, help=command.help, description=command.help
+        )
+        sub.set_defaults(handler=command.handler)
+        for spec in command.args:
+            for names, kwargs in overrides if spec is OVERRIDES else [spec]:
+                sub.add_argument(*names, **kwargs)
+    parsed = vars(parser.parse_args(argv))
+    handler = parsed.pop("handler")
     # refused before any scenario is built: a rate outside [0, 1] (NaN
     # fails both bounds) is a traceback from the recorder, a negative N
     # a slice bound ("all but the last"), not a count
     problem = None
-    if not 0.0 <= args.sample_rate <= 1.0:
-        problem = f"--sample-rate must be in [0, 1], got {args.sample_rate}"
+    if not 0.0 <= (rate := parsed.get("sample_rate", 1.0)) <= 1.0:
+        problem = f"--sample-rate must be in [0, 1], got {rate}"
     for name in ("slowest", "top"):
-        if getattr(args, name) < 0:
-            problem = f"--{name} must be >= 0, got {getattr(args, name)}"
+        if parsed.get(name, 0) < 0:
+            problem = f"--{name} must be >= 0, got {parsed[name]}"
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    if args.command == "stats":
-        return cmd_stats()
-    if args.command == "trace":
-        return cmd_trace(args.output, flows=args.flow, nodes=args.node)
-    if args.command == "chaos":
-        return cmd_chaos(
-            args.scenario,
-            seed=args.seed,
-            output=args.output,
-            batching=args.batching,
-            list_faults=args.list_faults,
-            **{name: getattr(args, name) for name in FLAGS},
-        )
-    if args.command == "flows":
-        return cmd_flows(
-            args.scenario,
-            seed=args.seed,
-            top=args.top,
-            export=args.export,
-            matrix=args.matrix,
-            prom=args.prom,
-        )
-    if args.command == "bench-report":
-        return cmd_bench_report(args.scenario)
-    if args.command == "spans":
-        return cmd_spans(
-            args.scenario,
-            seed=args.seed,
-            sample_rate=args.sample_rate,
-            export=args.export,
-            flows=args.flow,
-            fecs=args.fec,
-            slowest=args.slowest,
-        )
-    if args.command == "all":
-        worst = 0
-        for name, fn in COMMANDS.items():
-            print(f"\n===== {name} =====")
-            worst = max(worst, fn())
-        return worst
-    return COMMANDS[args.command]()
+    return handler(**parsed)
 
 
 if __name__ == "__main__":  # pragma: no cover

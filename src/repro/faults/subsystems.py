@@ -182,9 +182,9 @@ class Security(Subsystem):
     )
     flag = Flag(
         "mitigation", "enabled",
-        "chaos only: force the security guards on, or stand them "
-        "down for the unmitigated blast-radius baseline (overrides "
-        "the scenario's own 'security.enabled' key)",
+        "force the security guards on, or stand them down for the "
+        "unmitigated blast-radius baseline (overrides the scenario's "
+        "own 'security.enabled' key)",
     )
 
     def parse(self, raw, scenario):
@@ -262,9 +262,9 @@ class Controller(Subsystem):
     )
     flag = Flag(
         "controller", "enabled",
-        "chaos only: arm the centralized PCE controller, or run "
-        "it dark for the pure-distributed baseline (overrides the "
-        "scenario's own 'controller.enabled' key)",
+        "arm the centralized PCE controller, or run it dark for the "
+        "pure-distributed baseline (overrides the scenario's own "
+        "'controller.enabled' key)",
     )
 
     def parse(self, raw, scenario):
@@ -344,9 +344,8 @@ class Audit(Subsystem):
     after = "injector"
     flag = Flag(
         "audit", "period",
-        "chaos only: run the data-plane consistency auditor every "
-        "PERIOD simulated seconds (overrides the scenario's own "
-        "'audit' key)",
+        "run the data-plane consistency auditor every PERIOD "
+        "simulated seconds (overrides the scenario's own 'audit' key)",
     )
 
     def parse(self, raw, scenario):
@@ -445,9 +444,9 @@ class Overload(Subsystem):
     after = "injector"
     flag = Flag(
         "overload", "enabled",
-        "chaos only: force control-plane overload protection on "
-        "or run the unprotected bounded-FIFO baseline (overrides the "
-        "scenario's own 'overload.enabled' key)",
+        "force control-plane overload protection on or run the "
+        "unprotected bounded-FIFO baseline (overrides the scenario's "
+        "own 'overload.enabled' key)",
     )
 
     def parse(self, raw, scenario):

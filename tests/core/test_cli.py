@@ -46,7 +46,7 @@ class TestCLI:
             main(["frobnicate"])
 
     def test_all_commands_registered(self):
-        assert set(COMMANDS) == {
+        assert {command.name for command in COMMANDS if command.paper} == {
             "table6",
             "worst-case",
             "figures",
@@ -54,6 +54,50 @@ class TestCLI:
             "throughput",
             "device",
         }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # were: exit 0, the flags read by no one
+            ["flows", "chaos_flow_alerts.json", "--mitigation", "off"],
+            ["flows", "chaos_flow_alerts.json", "--batching", "on"],
+            ["flows", "chaos_flow_alerts.json", "--sample-rate", "0.5"],
+            ["flows", "chaos_flow_alerts.json", "--node", "x"],
+            ["table6", "--export", "f"],
+            ["chaos", "chaos_smoke.json", "--top", "3"],
+            ["bench-report", "--seed", "3"],
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_refused(self, argv, capsys):
+        argv = [
+            os.path.join(EXAMPLES_DIR, a) if a.endswith(".json") else a
+            for a in argv
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_trace_runs_the_file_it_is_given(self, capsys):
+        path = os.path.join(EXAMPLES_DIR, "chaos_smoke.json")
+        assert main(["trace", path]) == 0
+        # the quickstart sends 121
+        assert "(481 packets sent, " in capsys.readouterr().err
+
+    def test_importing_the_cli_loads_no_fault_module(self):
+        src = os.path.join(EXAMPLES_DIR, os.pardir, "src")
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.faults')))"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestChaosCLI:

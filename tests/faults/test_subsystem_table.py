@@ -96,7 +96,7 @@ def test_the_override_flags_are_the_rows_flags(capsys):
         "--audit", "--overload", "--mitigation", "--controller",
     }
     with pytest.raises(SystemExit):
-        main(["--help"])
+        main(["chaos", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     for name, sub in FLAGS.items():
         shape = "{on,off}" if sub.flag.switch else "PERIOD"
