@@ -2,8 +2,8 @@
 
 Each entry maps a signal name from the paper's tables to where the same
 role lives in the Python RTL, so the implementation can be audited
-against the paper line by line.  The mapping is also used by the
-benchmarks to label waveform traces with the paper's signal names.
+against the paper line by line.  It is a reading aid only: no module,
+benchmark or waveform trace imports it.
 """
 
 from __future__ import annotations

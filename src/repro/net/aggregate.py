@@ -180,18 +180,6 @@ class AggregateCBRSource(CBRSource):
         self.sample_sink = sample_sink
         self.sampled = 0
 
-    def _make_packet(self, seq: int, created_at: float) -> IPv4Packet:
-        return IPv4Packet(
-            src=self.src,
-            dst=self.dst,
-            ttl=self.ttl,
-            dscp=self.dscp,
-            payload=bytes(self.packet_size),
-            flow_id=self.flow_id,
-            seq=seq,
-            created_at=created_at,
-        )
-
     def _emit(self) -> None:
         now = self.scheduler.now
         if self.stop is not None and now >= self.stop:
@@ -213,13 +201,16 @@ class AggregateCBRSource(CBRSource):
             for i in range(n):
                 seq = self.sent + i
                 if seq % self.sample_every == 0:
-                    packet = self._make_packet(seq, now + i * self.interval)
+                    packet = self._packet(
+                        self.packet_size, seq, now + i * self.interval,
+                        self.ttl,
+                    )
                     self.scheduler.at(
                         packet.created_at, lambda p=packet: sample_sink(p)
                     )
                     self.sampled += 1
                     bulk -= 1
-        template = self._make_packet(self.sent, now)
+        template = self._packet(self.packet_size, self.sent, now, self.ttl)
         self.sent += n
         self.sent_bytes += n * template.length
         if bulk > 0:

@@ -16,13 +16,17 @@ new packets, which keeps multi-node simulations free of aliasing bugs.
 A derived packet (``with_ttl``, ``decremented``, ``with_stack``) is built
 slot by slot, not through ``__init__``: it re-checks the field that
 changed, with the constructor's exception and message, and copies the rest.
+A traffic source builds its packets the same way, through
+:func:`_build_ipv4` -- its addresses are already :class:`IPv4Address` and
+its payload one shared ``bytes`` per size, so only the TTL and DSCP are
+checked per packet.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.net.addressing import IPv4Address
 
@@ -86,20 +90,10 @@ class IPv4Packet:
     def with_ttl(self, ttl: int) -> "IPv4Packet":
         """A copy with the TTL rewritten (identity -- uid, flow, seq --
         preserved; used when the MPLS TTL is copied back at an egress)."""
-        if not 0 <= ttl <= 255:
-            raise ValueError(f"IPv4 TTL {ttl} out of range")
-        copy = _new(IPv4Packet)
-        _set_src(copy, self.src)
-        _set_dst(copy, self.dst)
-        _set_ttl(copy, ttl)
-        _set_dscp(copy, self.dscp)
-        _set_protocol(copy, self.protocol)
-        _set_payload(copy, self.payload)
-        _set_flow_id(copy, self.flow_id)
-        _set_seq(copy, self.seq)
-        _set_created_at(copy, self.created_at)
-        _set_uid(copy, self.uid)
-        return copy
+        return _build_ipv4(
+            self.src, self.dst, ttl, self.dscp, self.protocol, self.payload,
+            self.flow_id, self.seq, self.created_at, self.uid,
+        )
 
     def serialize(self) -> bytes:
         """A compact but faithful-enough header encoding + payload.
@@ -144,6 +138,43 @@ class IPv4Packet:
     _set_src, _set_dst, _set_ttl, _set_dscp, _set_protocol, _set_payload,
     _set_flow_id, _set_seq, _set_created_at, _set_uid,
 ) = (getattr(IPv4Packet, name).__set__ for name in IPv4Packet.__slots__)
+
+
+def _build_ipv4(
+    src: IPv4Address,
+    dst: IPv4Address,
+    ttl: int,
+    dscp: int,
+    protocol: int,
+    payload: bytes,
+    flow_id: int,
+    seq: int,
+    created_at: float,
+    uid: Optional[int] = None,
+) -> IPv4Packet:
+    """An :class:`IPv4Packet` set slot by slot from fields the caller
+    has already checked: ``src`` / ``dst`` are addresses and ``payload``
+    is stored as given (a source shares one object among its packets).
+    Without ``uid`` it draws the next one first, as ``__init__`` does;
+    the TTL and DSCP are range-checked with ``__init__``'s messages."""
+    if uid is None:
+        uid = next(_packet_ids)
+    if not 0 <= ttl <= 255:
+        raise ValueError(f"IPv4 TTL {ttl} out of range")
+    if not 0 <= dscp <= 63:
+        raise ValueError(f"DSCP {dscp} out of range")
+    packet = _new(IPv4Packet)
+    _set_src(packet, src)
+    _set_dst(packet, dst)
+    _set_ttl(packet, ttl)
+    _set_dscp(packet, dscp)
+    _set_protocol(packet, protocol)
+    _set_payload(packet, payload)
+    _set_flow_id(packet, flow_id)
+    _set_seq(packet, seq)
+    _set_created_at(packet, created_at)
+    _set_uid(packet, uid)
+    return packet
 
 
 @dataclass(frozen=True, slots=True)

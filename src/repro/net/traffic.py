@@ -17,17 +17,21 @@ synthetically (we have no production traces):
 
 All sources are deterministic given their ``seed`` -- the benchmarks
 depend on run-to-run reproducibility.
+
+A payload is modelled, not carried: every packet of one size shares the
+one immutable ``bytes`` its source holds for that size (``_payload``),
+and each packet is built slot by slot from the source's checked fields.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.net.addressing import IPv4Address
 from repro.net.events import EventScheduler
-from repro.net.packet import IPv4Packet
+from repro.net.packet import IPv4Packet, _build_ipv4
 
 #: DSCP codepoints (RFC 2474 / 3246): Expedited Forwarding for voice,
 #: AF41 for video, best effort for data.
@@ -78,6 +82,8 @@ class TrafficSource:
         self.sent = 0
         self.sent_bytes = 0
         self._running = False
+        #: payload size -> the one payload every packet of that size shares
+        self._payloads: Dict[int, bytes] = {}
 
     def begin(self) -> None:
         """Arm the source; the first packet fires at ``start``."""
@@ -92,20 +98,30 @@ class TrafficSource:
     def _next_interval(self) -> float:
         raise NotImplementedError
 
+    def _payload(self, size: int) -> bytes:
+        """The zero payload of ``size`` bytes, built on first use and
+        shared by every later packet of that size."""
+        payload = self._payloads.get(size)
+        if payload is None:
+            payload = self._payloads[size] = bytes(size)
+        return payload
+
+    def _packet(
+        self, size: int, seq: int, created_at: float, ttl: int = 64
+    ) -> IPv4Packet:
+        """Packet ``seq`` of the flow: a UDP datagram (protocol 17, the
+        packet's default) carrying the shared payload of ``size``."""
+        return _build_ipv4(
+            self.src, self.dst, ttl, self.dscp, 17, self._payload(size),
+            self.flow_id, seq, created_at,
+        )
+
     def _emit(self) -> None:
         if self.stop is not None and self.scheduler.now >= self.stop:
             self._running = False
             return
-        size = self._payload_size()
-        packet = IPv4Packet(
-            src=self.src,
-            dst=self.dst,
-            dscp=self.dscp,
-            payload=bytes(size),
-            flow_id=self.flow_id,
-            seq=self.sent,
-            created_at=self.scheduler.now,
-        )
+        now = self.scheduler.now
+        packet = self._packet(self._payload_size(), self.sent, now)
         self.sent += 1
         self.sent_bytes += packet.length
         self.sink(packet)
@@ -202,15 +218,7 @@ class VideoSource(TrafficSource):
         self._frame_index += 1
         while remaining > 0:
             size = min(remaining, self.mtu_payload)
-            packet = IPv4Packet(
-                src=self.src,
-                dst=self.dst,
-                dscp=self.dscp,
-                payload=bytes(size),
-                flow_id=self.flow_id,
-                seq=self.sent,
-                created_at=self.scheduler.now,
-            )
+            packet = self._packet(size, self.sent, self.scheduler.now)
             self.sent += 1
             self.sent_bytes += packet.length
             self.sink(packet)

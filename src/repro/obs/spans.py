@@ -445,6 +445,9 @@ class SpanRecorder:
         self.quantiles: Dict[str, Dict[str, float]] = {}
         self.sampled_out = 0
         self._next_span_id = 1
+        #: phase list -> the one tuple every record of that shape holds:
+        #: a traced run repeats a few dozen shapes over thousands of hops
+        self._phase_shapes: Dict[tuple, tuple] = {}
         self._finalized = False
         self._detached = False
         self._was_enabled = self.telemetry.enabled
@@ -593,16 +596,19 @@ class SpanRecorder:
 
     def write_phases(self, node, uid, flow_id, anchor_time, clock_hz, phases):
         """Take one packet-hop's phases as one record: span ids are
-        reserved now, the spans are built when the trace is read."""
+        reserved now, the spans are built when the trace is read.  The
+        record holds the recorder's one tuple of equal phases."""
         if not phases or (self.nodes is not None and node not in self.nodes):
             return
         if not self.wants(flow_id, uid):
             return
         hz = clock_hz if clock_hz > 0 else 1.0
         trace = self._trace_for(uid, flow_id, anchor_time + phases[0][2] / hz)
+        shape = tuple(phases)
+        shape = self._phase_shapes.setdefault(shape, shape)
         trace._items.append((
             _PHASES, self._next_span_id, node, anchor_time, hz,
-            trace._hop_ids.get(node), tuple(phases),
+            trace._hop_ids.get(node), shape,
         ))
         trace._pending += len(phases)
         self._next_span_id += len(phases)

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from tests.obs.test_span_export_pins import _fresh_counters
+from tests.strategies import fresh_ids
 
 PIN_FILE = Path(__file__).parent / "data" / "cli_outputs.sha256"
 COMMANDS = (
@@ -47,7 +47,7 @@ def test_output_matches_the_parent_commit(command, capsys):
 def test_the_event_stream_matches_the_parent_commit(capsys):
     # packet uids and flow ids are in the stream: start them where a
     # fresh process does
-    _fresh_counters()
+    fresh_ids()
     assert main(["trace"]) == 0
     printed = capsys.readouterr().out.encode()
     assert hashlib.sha256(printed).hexdigest() == _pins()["trace.jsonl"]

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from repro.net.aggregate import AggregateCBRSource
 from repro.net.events import EventScheduler
+from repro.net.packet import IPv4Packet
 from repro.net.traffic import (
     CBRSource,
     DSCP_AF41,
@@ -14,6 +16,7 @@ from repro.net.traffic import (
     VideoSource,
     VoIPSource,
 )
+from tests.strategies import fresh_ids
 
 
 def _run_source(cls, duration=1.0, **kwargs):
@@ -208,3 +211,121 @@ class TestHostileRates:
             i_frame_size=3, p_frame_size=3,
         )
         assert [p.length for p in frames[:3]] == [21, 21, 21]
+
+
+def _sampled_aggregate_packets():
+    """The materialized packets and the train templates of a sampled
+    aggregate source: every one is a real packet of the flow."""
+    sched = EventScheduler()
+    packets = []
+    source = AggregateCBRSource(
+        sched,
+        lambda aggregate: packets.append(aggregate.template),
+        src="192.168.0.1",
+        dst="10.0.0.1",
+        rate_bps=1e6,
+        packet_size=300,
+        batch=10,
+        stop=0.2,
+        sample_every=4,
+        sample_sink=packets.append,
+    )
+    source.begin()
+    sched.run(until=1.0)
+    return source, packets
+
+
+class TestSharedPayload:
+    """A source holds one payload per size; its packets share it."""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (CBRSource, {"rate_bps": 1e6, "packet_size": 200}),
+            (PoissonSource, {"rate_pps": 200.0, "packet_size": 200}),
+            (OnOffSource, {"peak_bps": 1e6, "mean_off_s": 0.01}),
+            (VoIPSource, {}),
+        ],
+    )
+    def test_packets_of_one_source_share_one_payload(self, cls, kwargs):
+        _, packets = _run_source(cls, duration=0.5, **kwargs)
+        assert len(packets) > 2
+        assert len({id(p.payload) for p in packets}) == 1
+        first, second = packets[:2]
+        assert first.payload is second.payload
+        assert first.payload == bytes(len(first.payload))
+
+    def test_video_shares_one_payload_per_size(self):
+        _, packets = _run_source(
+            VideoSource, duration=0.5, fps=10, gop=3,
+            i_frame_size=3000, p_frame_size=1500, mtu_payload=1400,
+        )
+        by_size = {}
+        for p in packets:
+            by_size.setdefault(len(p.payload), set()).add(id(p.payload))
+        # 3000 -> 1400 + 1400 + 200, 1500 -> 1400 + 100
+        assert sorted(by_size) == [100, 200, 1400]
+        assert all(len(ids) == 1 for ids in by_size.values())
+        # different sizes are different objects
+        assert len(set().union(*by_size.values())) == 3
+
+    def test_sampled_aggregate_packets_share_one_payload(self):
+        source, packets = _sampled_aggregate_packets()
+        assert source.sampled > 1
+        assert len(packets) > source.sampled
+        assert len({id(p.payload) for p in packets}) == 1
+        assert packets[0].payload == bytes(300)
+
+    def test_sources_do_not_share_with_each_other(self):
+        _, a = _run_source(CBRSource, duration=0.1, packet_size=200)
+        _, b = _run_source(CBRSource, duration=0.1, packet_size=200)
+        assert a[0].payload == b[0].payload
+        assert a[0].payload is not b[0].payload
+
+    def test_with_ttl_keeps_the_payload_object(self):
+        _, packets = _run_source(CBRSource, duration=0.1, packet_size=200)
+        copy = packets[0].with_ttl(7)
+        assert copy.ttl == 7
+        assert copy.payload is packets[0].payload
+        assert copy.decremented().payload is packets[0].payload
+
+
+class TestSourceBuiltPackets:
+    """Packets a source builds slot by slot are the packets the
+    constructor builds, with its checks and its uid order."""
+
+    def test_first_packet_after_a_reset_has_uid_one(self):
+        fresh_ids()
+        _, packets = _run_source(CBRSource, duration=0.1)
+        assert [p.uid for p in packets[:3]] == [1, 2, 3]
+
+    def test_first_aggregate_packet_after_a_reset_has_uid_one(self):
+        fresh_ids()
+        _, packets = _sampled_aggregate_packets()
+        # the first window materializes seq 0 and 4, then its template
+        assert sorted(p.uid for p in packets)[:3] == [1, 2, 3]
+        assert min(packets, key=lambda p: p.uid).seq == 0
+
+    def test_equal_to_the_constructor_built_packet(self):
+        source, packets = _run_source(
+            CBRSource, duration=0.1, packet_size=200, dscp=DSCP_EF
+        )
+        p = packets[1]
+        assert p == IPv4Packet(
+            src="192.168.0.1", dst="10.0.0.1", dscp=DSCP_EF,
+            payload=bytes(200), flow_id=source.flow_id, seq=1,
+            created_at=p.created_at, uid=p.uid,
+        )
+
+    def test_dscp_out_of_range_is_refused_with_the_constructor_message(self):
+        with pytest.raises(ValueError, match=r"^DSCP 64 out of range$"):
+            _run_source(CBRSource, duration=0.1, dscp=64)
+
+    def test_ttl_out_of_range_is_refused_with_the_constructor_message(self):
+        sched = EventScheduler()
+        source = AggregateCBRSource(
+            sched, lambda a: None, src="1.1.1.1", dst="2.2.2.2", ttl=256
+        )
+        source.begin()
+        with pytest.raises(ValueError, match=r"^IPv4 TTL 256 out of range$"):
+            sched.run(until=0.1)

@@ -30,18 +30,16 @@ its FEC, so one line of the summary moved, and no other byte did::
 
 import hashlib
 import io
-import itertools
 from pathlib import Path
 
 import pytest
 
-import repro.net.packet as packet_mod
-import repro.net.traffic as traffic_mod
 from repro.cli import main
 from repro.faults import Scenario, run_scenario
 from repro.obs import telemetry_session
 from repro.obs.events import JSONLSink
 from repro.obs.spans import export_chrome_trace, spans_to_jsonl
+from tests.strategies import fresh_ids
 
 ROOT = Path(__file__).resolve().parents[2]
 PIN_FILE = Path(__file__).parent / "data" / "span_exports.sha256"
@@ -70,24 +68,17 @@ def _pins():
     return pins
 
 
-def _fresh_counters():
-    """Packet uids and flow ids are process-global; start both where a
-    fresh ``python -m repro`` process starts them."""
-    packet_mod._packet_ids = itertools.count(1)
-    traffic_mod._flow_counter = iter(range(1, 1 << 31))
-
-
 def exports(example: str, tmp_path: Path):
     """name -> digest for every pinned artifact of one example."""
     scenario_path = str(ROOT / "examples" / f"{example}.json")
     perfetto = tmp_path / f"{example}.perfetto.json"
-    _fresh_counters()
+    fresh_ids()
     assert main([
         "spans", scenario_path, "--seed", "7", "--sample-rate", "1.0",
         "--export", str(perfetto),
     ]) == 0
     events = io.StringIO()
-    _fresh_counters()
+    fresh_ids()
     with telemetry_session() as tel:
         tel.events.add_sink(JSONLSink(events))
         report = run_scenario(
@@ -116,7 +107,7 @@ def test_exports_match_the_parent_commit(example, tmp_path, capsys):
 @pytest.mark.parametrize("run", SOFTWARE)
 def test_software_hops_match_the_parent_commit(run, tmp_path, capsys):
     perfetto = tmp_path / f"{run}.perfetto.json"
-    _fresh_counters()
+    fresh_ids()
     assert main([*SOFTWARE[run], "--export", str(perfetto)]) == 0
     summary = capsys.readouterr().out
     pins = _pins()

@@ -2,13 +2,10 @@
 fault annotation, and the byte-stable exporters."""
 
 import io
-import itertools
 import json
 
 import pytest
 
-import repro.net.packet as packet_mod
-import repro.net.traffic as traffic_mod
 from repro.control.ldp import LDPProcess
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.router import RouterRole
@@ -37,6 +34,7 @@ from repro.obs.spans import (
     to_chrome_trace,
 )
 from repro.obs.telemetry import telemetry_session
+from tests.strategies import fresh_ids
 
 
 def _forwarded(uid=1, flow_id=1, node="ler-a", time=None, **kw):
@@ -374,14 +372,79 @@ class TestHardwareTrace:
             assert net.delivered_count() == 1
 
 
+def _transit_phases(search):
+    """A transit pass's phases, as a node logs them: a fresh list of
+    fresh tuples on every call."""
+    return [
+        ("stack-load", None, 0, 4),
+        ("update", None, 4, 18),
+        ("search", "update", 4, 4 + search),
+        ("modify", "update", 4 + search, 18),
+        ("stack-drain", None, 18, 22),
+    ]
+
+
+def _phase_records(shapes=None):
+    """Three hardware hops at lsr-1 -- two passes of one shape, one of
+    another -- through a recorder; its phase records and exports.
+    ``shapes`` replaces the recorder's shape table."""
+    with telemetry_session() as tel:
+        rec = SpanRecorder(sample_rate=1.0)
+        if shapes is not None:
+            rec._phase_shapes = shapes
+        for uid, search in ((1, 6), (2, 6), (3, 8)):
+            time = 0.001 * uid
+            tel.events.emit(_forwarded(uid=uid, node="lsr-1", time=time))
+            tel.events.emit_phases(
+                "lsr-1", uid, 1, time, 50e6, _transit_phases(search)
+            )
+            tel.events.emit(_delivered(uid=uid, time=time + 0.0005))
+        records = [
+            item[6]
+            for uid in (1, 2, 3)
+            for item in rec._traces[uid]._items
+            if type(item) is tuple and item[0] == "phases"
+        ]
+        rec.finalize()
+        traces = rec.traces()
+        jsonl = io.StringIO()
+        spans_to_jsonl(traces, jsonl)
+        return records, to_chrome_trace(traces), jsonl.getvalue()
+
+
+class _NoSharing(dict):
+    """A shape table that shares nothing: every record keeps its own."""
+
+    def setdefault(self, key, default=None):
+        return default
+
+
+class TestPhaseShapes:
+    def test_equal_phases_share_one_tuple(self):
+        (first, second, other), _, _ = _phase_records()
+        assert first is second
+        assert first == tuple(_transit_phases(6))
+        assert other is not first
+        assert other == tuple(_transit_phases(8))
+
+    def test_exports_equal_those_of_unshared_records(self):
+        shared, chrome, jsonl = _phase_records()
+        unshared, chrome_unshared, jsonl_unshared = _phase_records(
+            _NoSharing()
+        )
+        assert shared[0] is not unshared[0] and unshared[0] is not unshared[1]
+        assert "rtl" in {e["cat"] for e in chrome["traceEvents"]}
+        assert chrome == chrome_unshared
+        assert jsonl == jsonl_unshared
+
+
 def _run_scenario_fresh(sample_rate=1.0):
     """One seeded chaos run from pristine uid/flow counters, so two
     invocations produce identical packets end to end."""
     from repro.faults.chaos import run_scenario
     from repro.faults.scenario import Scenario
 
-    packet_mod._packet_ids = itertools.count(1)
-    traffic_mod._flow_counter = iter(range(1, 1 << 31))
+    fresh_ids()
     scenario = Scenario.from_dict(
         {
             "name": "span-export",

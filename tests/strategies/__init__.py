@@ -16,14 +16,27 @@ something to run, and the small drivers more than one test file shares:
 The references the suites compare against are not here: each lives in
 the one suite that owns its surface.  No test module imports another;
 what two of them share lives here.  This module holds the draw helpers:
-:func:`picks`, and :func:`lehmer` / :func:`arranged` for an ordering.
+:func:`picks`, and :func:`lehmer` / :func:`arranged` for an ordering,
+and :func:`fresh_ids`, the one reset of the process-global id counters.
 """
 
+import itertools
 from functools import lru_cache
 from math import prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
+
+import repro.net.packet as packet_mod
+import repro.net.traffic as traffic_mod
+
+
+def fresh_ids() -> None:
+    """Packet uids and flow ids are process-global; start both where a
+    fresh ``python -m repro`` process starts them, so a pinned run sees
+    the uids and flow ids the pin was taken with."""
+    packet_mod._packet_ids = itertools.count(1)
+    traffic_mod._flow_counter = iter(range(1, 1 << 31))
 
 
 @lru_cache(maxsize=None)
