@@ -37,10 +37,16 @@ from repro.core.packet_processing import (
 from repro.core.hwnode import stored_pair
 from repro.hw.driver import ModifierDriver
 from repro.hw.model import FunctionalModifier
-from repro.mpls.forwarding import _dscp_to_cos
-from repro.mpls.label import LabelEntry, LabelOp
+from repro.mpls.forwarding import (
+    Action,
+    dscp_to_cos,
+    leaving_ip,
+    reserved_step,
+)
+from repro.mpls.label import IMPLICIT_NULL, LabelEntry, LabelOp
 from repro.mpls.stack import LabelStack
 from repro.mpls.router import RouterRole
+from repro.net.packet import MPLSPacket
 
 
 @dataclass(frozen=True)
@@ -143,45 +149,55 @@ class EmbeddedMPLS:
 
     # -- the data path ------------------------------------------------------
     def process_frame(self, frame: Frame) -> ProcessResult:
-        """Figure 6 end to end: parse, modify the stack, rebuild."""
+        """Figure 6 end to end: parse, the reserved-label step, modify
+        the stack, rebuild.
+
+        The ingress module "delivers the label stack ... to the label
+        stack modifier", which drains it again for the next packet --
+        after the hop contract's reserved-label step: an Explicit NULL
+        is popped here and what it exposes goes to the modifier; a
+        Router Alert is dropped, as the device has no local port."""
         parsed = self.ingress.parse(frame)
-        # the ingress module "delivers the label stack ... to the label
-        # stack modifier", which drains it again for the next packet
         stack_before = tuple(parsed.stack)
-        result, cycles = self.modifier.forward(
-            stack_before,
-            packet_id=parsed.packet_identifier,
-            ttl=parsed.inner.ttl,
-            cos=_dscp_to_cos(parsed.inner.dscp),
-        )
+        packet = MPLSPacket(parsed.stack, parsed.inner)
+        if stack_before and stack_before[0].label <= IMPLICIT_NULL:
+            packet = reserved_step("device", packet)
+        if isinstance(packet, MPLSPacket):
+            result, cycles = self.modifier.forward(
+                packet.stack,
+                packet_id=parsed.packet_identifier,
+                ttl=parsed.inner.ttl,
+                cos=dscp_to_cos(parsed.inner.dscp),
+            )
+            performed, stack_after = result.performed, result.stack
+            if result.discarded:
+                out = None
+            elif stack_after:
+                out = packet.with_stack(LabelStack(stack_after))
+            else:
+                # egress LER: the MPLS TTL copied back into IPv4
+                out = leaving_ip(parsed.inner, packet.stack.top.ttl - 1)
+        else:
+            # popped empty, or dropped
+            performed, stack_after, cycles = LabelOp.POP, (), 0
+            out = packet.packet if packet.action is Action.FORWARD_IP else None
         self.packets_processed += 1
         self.total_cycles += cycles
-        if result.discarded:
+        if out is None:
             self.packets_discarded += 1
-            return ProcessResult(
-                frame=None,
-                discarded=True,
-                performed=None,
-                cycles=cycles,
-                seconds=self.device.time_for_cycles(cycles),
-                stack_before=stack_before,
-                stack_after=(),
-            )
-        new_stack = LabelStack(list(result.stack))
-        new_ttl = None
-        if new_stack.is_empty and stack_before:
-            # egress LER: copy the decremented MPLS TTL back into IPv4,
-            # never raising it (the node's and the engine's rule)
-            new_ttl = min(max(0, stack_before[0].ttl - 1), parsed.inner.ttl)
-        out_frame = self.egress.build(parsed, new_stack, new_ttl=new_ttl)
+            frame = None
+        elif isinstance(out, MPLSPacket):
+            frame = self.egress.build(parsed, out.stack)
+        else:
+            frame = self.egress.build(parsed, LabelStack(), new_ttl=out.ttl)
         return ProcessResult(
-            frame=out_frame,
-            discarded=False,
-            performed=result.performed,
+            frame=frame,
+            discarded=out is None,
+            performed=None if out is None else performed,
             cycles=cycles,
             seconds=self.device.time_for_cycles(cycles),
             stack_before=stack_before,
-            stack_after=tuple(result.stack),
+            stack_after=() if out is None else tuple(stack_after),
         )
 
     # -- statistics ---------------------------------------------------------

@@ -29,14 +29,27 @@ paper's hybrid premise:
   cache working.
 
 Packets take :meth:`LSRNode.receive`, the one hop ladder, like on any
-node.  The node overrides the ladder's forwarding step -- sync the
-information base, then one
-:meth:`~repro.hw.model.ModifierBackend.forward` pass (load the stack,
-UPDATE, drain, its phases logged when the packet is span-sampled), or
-while batching the :class:`~repro.mpls.fastpath.FlowCache`, which
-memoizes that pass by the software engine's rules (the node is its own
-engine) -- and :meth:`observe`, which hands a span-sampled pass's
-phases over after the hop event.
+node, and the hop contract of :mod:`repro.mpls.forwarding`, the
+software engine's rules: the reserved-label step, the discard checks
+and their reasons, the software-only NOOP entry, the CoS of a push and
+the IPv4 TTL a popped-empty stack leaves.  What the node adds is only
+hardware: the information-base sync, the level-1 learned pairs, one
+:meth:`~repro.hw.model.ModifierBackend.forward` pass for the label
+operation (load the stack, UPDATE, drain, its phases logged when the
+packet is span-sampled) and its cycles.  A hop the contract discards
+still takes its pass, since the hardware searches before VERIFY_INFO
+refuses; a NOOP hop takes none (the information base stores no NOOP
+pair).  The path counters count ingress classifications (slow) and
+passes (fast): a hop decided without the modifier counts in neither.
+A pass the modifier discards although the contract forwards is a pair
+the information base lost (a soft error a scrub repairs), named as a
+miss.  The node overrides the ladder's forwarding step -- sync, then
+the pass, or while batching the
+:class:`~repro.mpls.fastpath.FlowCache`, which memoizes it (the node
+is its own engine) -- and :meth:`observe`, which hands a span-sampled
+pass's phases over after the hop event.  The node advances no
+:class:`~repro.mpls.forwarding.OpCounts`, mirrors no
+``repro_mpls_ops_total`` and emits no ``LabelOpApplied``.
 
 Known, documented semantic difference from the software engine: on a
 pop that exposes a lower stack entry, the hardware writes the
@@ -53,18 +66,27 @@ from typing import Optional, Tuple, Union
 
 from repro.core.device import STRATIX_EP1S40
 from repro.hw.model import (
-    MAX_LEVELS,
     FunctionalModifier,
     ScrubReport,
     StagingBackpressure,
 )
 from repro.mpls.forwarding import (
+    EMPTY_STACK,
     Action,
     ForwardingDecision,
     OpCounts,
-    _dscp_to_cos,
+    discard,
+    dscp_to_cos,
+    forward,
+    ingress_discard,
+    ingress_hop,
+    leaving_ip,
+    noop,
+    push_cos,
+    reserved_step,
+    transit_discard,
 )
-from repro.mpls.label import LabelOp
+from repro.mpls.label import IMPLICIT_NULL, LabelOp
 from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
@@ -389,46 +411,52 @@ class HardwareLSRNode(LSRNode):
         )
 
     def _hw_transit(self, packet: MPLSPacket) -> ForwardingDecision:
-        if packet.stack.is_empty:
-            return ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.name}: labelled packet with empty stack",
-            )
-        top = packet.stack.top
+        """The hop contract with the label operation on the modifier:
+        one pass for every hop past the reserved-label step but a NOOP,
+        a discard included (its search and VERIFY_INFO cost cycles)."""
+        stack = packet.stack
+        if stack.is_empty:
+            return discard(self.name, EMPTY_STACK)
+        top = stack.top
+        if top.label <= IMPLICIT_NULL:
+            step = reserved_step(self.name, packet)
+            if isinstance(step, ForwardingDecision):
+                return step
+            packet, stack = step, step.stack
+            top = stack.top
         nhlfe = self.ilm.get(top.label)
-        result, cycles = self.modifier.forward(packet.stack, log=self._phase_log)
+        reason = transit_discard(stack, top, nhlfe)
+        if reason is None and nhlfe.op is LabelOp.NOOP:
+            return forward(
+                Action.FORWARD_MPLS,
+                noop(packet, top),
+                nhlfe,
+                self.neighbor_interfaces,
+            )
+        result, cycles = self.modifier.forward(stack, log=self._phase_log)
         self.hw_data_cycles += cycles
         self.fast_path_packets += 1
+        if reason is not None:
+            return discard(self.name, reason)
         if result.discarded:
-            # named as the software engine names it: a miss (or a pair
-            # the modifier lost), an expired TTL, a push past the stack
-            full = packet.stack.depth >= MAX_LEVELS
-            reason = f"no ILM entry for label {top.label}"
-            if nhlfe is not None and top.ttl <= 1:
-                reason = "MPLS TTL expired"
-            elif nhlfe is not None and nhlfe.op is LabelOp.PUSH and full:
-                reason = f"push would exceed the {MAX_LEVELS}-level stack limit"
-            return ForwardingDecision(Action.DISCARD, reason=f"{self.name}: {reason}")
-        new_stack = LabelStack(list(result.stack))
-        next_hop = nhlfe.next_hop if nhlfe is not None else None
-        out_interface = nhlfe.out_interface if nhlfe is not None else None
-        if new_stack.is_empty:
-            inner = packet.inner
-            inner = inner.with_ttl(min(max(0, top.ttl - 1), inner.ttl))
-            return ForwardingDecision(
-                Action.FORWARD_IP,
-                packet=inner,
-                next_hop=next_hop,
-                out_interface=out_interface,
-            )
-        return ForwardingDecision(
-            Action.FORWARD_MPLS,
-            packet=packet.with_stack(new_stack),
-            next_hop=next_hop,
-            out_interface=out_interface,
-        )
+            # the information base lost the pair (a soft error a scrub
+            # repairs): named as the miss it is to the modifier
+            return discard(self.name, transit_discard(stack, top, None))
+        entries = result.stack
+        if not entries:
+            action, out = Action.FORWARD_IP, leaving_ip(packet.inner, top.ttl - 1)
+        else:
+            if result.performed is LabelOp.PUSH:
+                # the information base holds no CoS: egress writes the push's
+                pushed = entries[0]
+                entries = (pushed.with_cos(push_cos(nhlfe, pushed.cos)),) + entries[1:]
+            action, out = Action.FORWARD_MPLS, packet.with_stack(LabelStack(entries))
+        return forward(action, out, nhlfe, self.neighbor_interfaces)
 
     def _hw_ingress(self, packet: IPv4Packet) -> ForwardingDecision:
+        """The ingress hop on a learned level-1 pair, or the software
+        hop when there is none to learn (no FEC, an FTN entry that does
+        not push) or no level-1 space to learn it in."""
         dst = packet.identifier()
         pair = self.ftn.get(packet)
         nhlfe = pair[1] if pair is not None else None
@@ -445,27 +473,10 @@ class HardwareLSRNode(LSRNode):
             # slow path: software classification, then learn into the
             # level-1 flow cache
             self.slow_path_packets += 1
-            if nhlfe is None:
-                return ForwardingDecision(
-                    Action.DISCARD,
-                    reason=f"{self.name}: no FEC matches packet to {packet.dst}",
+            if pushed is None or self._flow_cache_capacity == 0:
+                return ingress_hop(
+                    self.name, packet, nhlfe, self.neighbor_interfaces
                 )
-            if pushed is None:
-                # unlabelled forwarding (e.g. PHP-adjacent): software path
-                if packet.ttl <= 1:
-                    return ForwardingDecision(
-                        Action.DISCARD,
-                        reason=f"{self.name}: IPv4 TTL expired at ingress",
-                    )
-                return ForwardingDecision(
-                    Action.FORWARD_IP,
-                    packet=packet.decremented(),
-                    next_hop=nhlfe.next_hop,
-                    out_interface=nhlfe.out_interface,
-                )
-            if self._flow_cache_capacity == 0:
-                # no level-1 space at all: forward in software
-                return self._software_ingress(packet, nhlfe)
             if len(self._flow_cache) >= self._flow_cache_capacity:
                 # evict the least recently used destination through the
                 # hardware's remove path, keeping dict and IB in step
@@ -480,52 +491,24 @@ class HardwareLSRNode(LSRNode):
         else:
             self._flow_cache.move_to_end(dst)
             self.fast_path_packets += 1
-        cos = nhlfe.cos if nhlfe.cos is not None else _dscp_to_cos(packet.dscp)
         result, cycles = self.modifier.forward(
-            packet_id=dst, ttl=packet.ttl, cos=cos, log=self._phase_log
+            packet_id=dst,
+            ttl=packet.ttl,
+            cos=push_cos(nhlfe, dscp_to_cos(packet.dscp)),
+            log=self._phase_log,
         )
         self.hw_data_cycles += cycles
+        reason = ingress_discard(packet, nhlfe)
+        if reason is not None:
+            return discard(self.name, reason)
         if result.discarded:
-            return ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.name}: IPv4 TTL expired at ingress"
-                if packet.ttl <= 1
-                else f"{self.name}: hardware discard at ingress",
-            )
-        return ForwardingDecision(
+            # the learned pair was lost (a soft error)
+            return discard(self.name, "hardware discard at ingress")
+        return forward(
             Action.FORWARD_MPLS,
-            packet=MPLSPacket(LabelStack(list(result.stack)), packet.decremented()),
-            next_hop=nhlfe.next_hop,
-            out_interface=nhlfe.out_interface,
-        )
-
-    def _software_ingress(
-        self, packet: IPv4Packet, nhlfe
-    ) -> ForwardingDecision:
-        """Pure-software push, used when the flow cache has no space.
-
-        Semantically identical to
-        :meth:`~repro.mpls.forwarding.ForwardingEngine.ingress`.
-        """
-        if packet.ttl <= 1:
-            return ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.name}: IPv4 TTL expired at ingress",
-            )
-        from repro.mpls.label import LabelEntry
-
-        inner = packet.decremented()
-        cos = (
-            nhlfe.cos if nhlfe.cos is not None else _dscp_to_cos(packet.dscp)
-        )
-        stack = LabelStack().push(
-            LabelEntry(label=nhlfe.out_label, cos=cos, ttl=inner.ttl)
-        )
-        return ForwardingDecision(
-            Action.FORWARD_MPLS,
-            packet=MPLSPacket(stack, inner),
-            next_hop=nhlfe.next_hop,
-            out_interface=nhlfe.out_interface,
+            MPLSPacket(LabelStack(result.stack), packet.decremented()),
+            nhlfe,
+            self.neighbor_interfaces,
         )
 
     # -- statistics ---------------------------------------------------------

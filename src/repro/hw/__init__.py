@@ -17,9 +17,7 @@ Figures 6-13, built on the :mod:`repro.hdl` simulation kernel:
 * :mod:`repro.hw.main_fsm` -- the main state machine (Figure 8),
 * :mod:`repro.hw.modifier` -- the assembled label stack modifier,
 * :mod:`repro.hw.driver` -- a transaction-level driver that issues
-  operations and counts exact clock cycles,
-* :mod:`repro.hw.signals` -- the signal inventory of the paper's
-  Tables 1-5 mapped to implementation signals.
+  operations and counts exact clock cycles.
 
 Cycle-count contract (Table 6): reset, user push, user pop and
 label-pair writes each take 3 cycles; a search over a level holding

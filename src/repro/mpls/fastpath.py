@@ -131,9 +131,10 @@ class FlowCache:
         Bound on cached flow shapes; least recently used entries are
         evicted at capacity.
     cross_check:
-        When true, every cache hit is re-derived with a scratch engine
-        over the same tables and compared field by field; a divergence
-        raises :class:`FlowCacheInconsistency`.  For the property tests
+        When true, every cache hit is re-derived with a scratch software
+        engine over the same tables (the hop contract both node kinds
+        run) and compared field by field; a divergence raises
+        :class:`FlowCacheInconsistency`.  For the property tests
         -- the scratch lookup mirrors telemetry, so only use it with
         telemetry disabled.
     """
@@ -281,7 +282,7 @@ class FlowCache:
         replayed: ForwardingDecision,
     ) -> None:
         scratch = ForwardingEngine(
-            self.engine.ilm, self.engine.ftn, self.engine.node_name
+            self.engine.ilm, self.engine.ftn, self.engine.name
         )
         fresh = scratch.process(packet)
         if (
@@ -292,7 +293,7 @@ class FlowCache:
             or fresh.reason != replayed.reason
         ):
             raise FlowCacheInconsistency(
-                f"{self.engine.node_name}: stale cached decision for "
+                f"{self.engine.name}: stale cached decision for "
                 f"{packet!r}: cached {replayed!r} != fresh {fresh!r}"
             )
 

@@ -1,22 +1,45 @@
-"""The software label-switching engine.
+"""The hop contract, and the software label-switching engine.
 
-This is the pure-software MPLS data plane: the baseline the paper's
-hardware label stack modifier accelerates.  It performs exactly the
-steps the paper's Figure 9 state machine performs -- search the
-information base, verify, decrement the TTL, apply push/swap/pop -- but
-as straight-line Python over the ILM/FTN tables.
+The module holds the forwarding rules every data plane runs, written
+once: the reserved-label step (:func:`reserved_step`: Router Alert
+delivered locally; an IPv4 or IPv6 Explicit NULL popped at any depth
+and, per RFC 4182, what it exposes processed in the same hop; an
+Implicit NULL on the wire discarded), the discard checks and their
+reasons (:func:`transit_discard`, :func:`ingress_discard`), the
+software-only NOOP entry (:func:`noop`), the CoS of a push
+(:func:`push_cos`), the IPv4 TTL a popped-empty stack leaves
+(:func:`leaving_ip`), an LER's ingress (:func:`ingress_hop`) and the
+decision towards an NHLFE's next hop (:func:`forward`).  Three data
+planes run them:
 
-Elementary-operation accounting lives on the telemetry layer: when the
-engine's :class:`~repro.obs.telemetry.Telemetry` (the default current
-when the engine was built) is enabled, every
-table lookup, entry scan, stack operation, TTL update and discard is
-counted in the metrics registry (``repro_mpls_ops_total{node,op}``) and
-the stack operations are additionally emitted as
-:class:`~repro.obs.events.LabelOpApplied` events.  The legacy
-:class:`OpCounts` tally is kept in step as a cheap per-engine view --
-:mod:`repro.core.timing` still prices it into cycle estimates for the
-hardware-vs-software comparison benchmarks, and existing callers of
-``engine.counts`` keep working unchanged.
+* :class:`ForwardingEngine`, the pure-software MPLS data plane and the
+  baseline the paper's hardware label stack modifier accelerates.  It
+  performs the steps the paper's Figure 9 state machine performs --
+  search the information base, verify, decrement the TTL, apply
+  push/swap/pop -- as straight-line Python over the ILM/FTN tables;
+* :class:`~repro.core.hwnode.HardwareLSRNode`, which adds only the
+  information-base sync, the level-1 learned pairs, one modifier pass
+  for the label operation, and its cycles;
+* :class:`~repro.core.architecture.EmbeddedMPLS`, whose ingress packet
+  processing runs the reserved-label step before the modifier.
+
+``tests/mpls/test_conformance.py`` holds every backend to the contract
+with one table of rows whose expected values come from RFC 3031, 3032
+and 4182.
+
+Elementary-operation accounting is the software engine's alone and
+lives on the telemetry layer: when the engine's
+:class:`~repro.obs.telemetry.Telemetry` (the default current when the
+engine was built) is enabled, every table lookup, entry scan, stack
+operation, TTL update and discard is counted in the metrics registry
+(``repro_mpls_ops_total{node,op}``) and the stack operations are
+additionally emitted as :class:`~repro.obs.events.LabelOpApplied`
+events.  The legacy :class:`OpCounts` tally is kept in step as a cheap
+per-engine view -- :mod:`repro.core.timing` still prices it into cycle
+estimates for the hardware-vs-software comparison benchmarks, and
+existing callers of ``engine.counts`` keep working unchanged.  The
+reserved-label step is packet processing, not a label operation: it
+counts no operation (a discard it makes counts as one).
 
 TTL handling follows the uniform model of RFC 3443, which is also what
 the paper describes: the TTL travels with the packet, is decremented at
@@ -29,14 +52,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
-from repro.mpls.errors import (
-    LabelLookupMiss,
-    NoRouteError,
-    StackUnderflow,
-)
+from repro.mpls.errors import StackUnderflow
 from repro.mpls.label import (
-    IPV4_EXPLICIT_NULL,
-    IPV6_EXPLICIT_NULL,
+    IMPLICIT_NULL,
     ROUTER_ALERT,
     LabelEntry,
     LabelOp,
@@ -151,6 +169,159 @@ class ForwardingDecision(NamedTuple):
 _EMPTY_STACK = LabelStack()
 
 
+# -- the hop contract ---------------------------------------------------------
+#: Discard reasons, the text after ``"<node>: "`` (the miss, no-FEC and
+#: stack-limit reasons name a value: transit_discard / ingress_discard).
+EMPTY_STACK = "labelled packet with empty stack"
+MPLS_TTL_EXPIRED = "MPLS TTL expired"
+IPV4_TTL_EXPIRED = "IPv4 TTL expired at ingress"
+IMPLICIT_NULL_ON_WIRE = "Implicit NULL label on the wire"
+
+
+def discard(node: str, reason: str) -> ForwardingDecision:
+    """A discard, named by the node that made it."""
+    return ForwardingDecision(Action.DISCARD, reason=f"{node}: {reason}")
+
+
+def forward(
+    action: Action,
+    packet: Union[IPv4Packet, MPLSPacket],
+    nhlfe: NHLFE,
+    interfaces: Dict[str, str],
+) -> ForwardingDecision:
+    """The decision that sends ``packet`` the way ``nhlfe`` says; an
+    NHLFE naming no interface takes the local one towards its next hop
+    (``interfaces`` maps neighbour -> local interface)."""
+    out_interface = nhlfe.out_interface
+    if out_interface is None and nhlfe.next_hop is not None:
+        out_interface = interfaces.get(nhlfe.next_hop)
+    return ForwardingDecision(action, packet, nhlfe.next_hop, out_interface)
+
+
+def dscp_to_cos(dscp: int) -> int:
+    """Default DSCP -> 3-bit CoS mapping: the DSCP class selector bits.
+
+    EF (46) maps to 5, CS-classes map to their class number -- the
+    conventional mapping used when no explicit policy is configured.
+    """
+    return (dscp >> 3) & 0x7
+
+
+def push_cos(nhlfe: NHLFE, cos: int) -> int:
+    """The CoS of a pushed entry: the NHLFE's when it names one, else
+    ``cos`` (the entry below it, or the DSCP's class at ingress)."""
+    return cos if nhlfe.cos is None else nhlfe.cos
+
+
+def leaving_ip(inner: IPv4Packet, ttl: int) -> IPv4Packet:
+    """The IPv4 packet a popped-empty stack leaves: the outgoing MPLS
+    TTL copied into its header, never raising it."""
+    return inner.with_ttl(min(ttl, inner.ttl))
+
+
+def noop(packet: MPLSPacket, top: LabelEntry) -> MPLSPacket:
+    """A NOOP entry's hop (software only: the information base stores
+    no NOOP pair): the packet unchanged but for the top's TTL."""
+    return packet.with_stack(packet.stack.swap(top.decremented()))
+
+
+def reserved_step(
+    node: str, packet: MPLSPacket
+) -> Union[ForwardingDecision, MPLSPacket]:
+    """The reserved labels 0-3 on top of the stack (RFC 3032 section
+    2.1), before any lookup.  Returns the hop's decision, or the packet
+    whose top label (4 or above) the lookup takes.
+
+    A Router Alert is delivered locally, as received.  An IPv4 or IPv6
+    Explicit NULL is popped wherever it sits (RFC 4182), its TTL carried
+    into the entry it exposes, which this same hop processes; popped
+    empty, the packet leaves as IPv4 (and expires at a TTL of 1 or
+    less).  An Implicit NULL is only ever signalled: on the wire it is
+    discarded."""
+    stack = packet.stack
+    top = stack.top
+    while top.label <= IMPLICIT_NULL:
+        if top.label == ROUTER_ALERT:
+            return ForwardingDecision(Action.DELIVER_LOCAL, packet=packet)
+        if top.label == IMPLICIT_NULL:
+            return discard(node, IMPLICIT_NULL_ON_WIRE)
+        _, stack = stack.pop()
+        if stack.is_empty:
+            if top.ttl <= 1:
+                return discard(node, MPLS_TTL_EXPIRED)
+            return ForwardingDecision(
+                Action.FORWARD_IP, leaving_ip(packet.inner, top.ttl - 1)
+            )
+        exposed = stack.top
+        top = exposed.with_ttl(min(top.ttl, exposed.ttl))
+        stack = stack.swap(top)
+    return packet.with_stack(stack)
+
+
+def transit_discard(
+    stack: LabelStack, top: LabelEntry, nhlfe: Optional[NHLFE]
+) -> Optional[str]:
+    """Why a labelled hop on ``top`` (the ILM's ``nhlfe`` for it, None
+    on a miss) discards, or None: no ILM entry, then an expired TTL,
+    then a push past the stack's depth limit (the hardware's
+    VERIFY_INFO consistency check)."""
+    if nhlfe is None:
+        return f"no ILM entry for label {top.label}"
+    if top.ttl <= 1:
+        return MPLS_TTL_EXPIRED
+    if nhlfe.op is LabelOp.PUSH:
+        limit = stack.max_depth
+        if limit is not None and stack.depth >= limit:
+            return f"push would exceed the {limit}-level stack limit"
+    return None
+
+
+def ingress_discard(
+    packet: IPv4Packet, nhlfe: Optional[NHLFE]
+) -> Optional[str]:
+    """Why an unlabelled packet (the FTN's ``nhlfe`` for it, None on a
+    miss) is discarded at ingress, or None."""
+    if nhlfe is None:
+        return f"no FEC matches packet to {packet.dst}"
+    if packet.ttl <= 1:
+        return IPV4_TTL_EXPIRED
+    return None
+
+
+def ingress_hop(
+    node: str,
+    packet: IPv4Packet,
+    nhlfe: Optional[NHLFE],
+    interfaces: Dict[str, str],
+) -> ForwardingDecision:
+    """An LER's software ingress: classified to ``nhlfe``, the packet
+    is discarded, leaves unlabelled (an FTN entry that does not push:
+    the FEC is reachable without labels), or gets its first label.
+
+    The paper: "When LERs receive a packet from a layer 2 network, a
+    label is then attached to that packet and sent into the MPLS core
+    network."
+    """
+    reason = ingress_discard(packet, nhlfe)
+    if reason is not None:
+        return discard(node, reason)
+    inner = packet.decremented()
+    if nhlfe.op is not LabelOp.PUSH:
+        return forward(Action.FORWARD_IP, inner, nhlfe, interfaces)
+    entry = LabelEntry(
+        label=nhlfe.out_label,  # type: ignore[arg-type]
+        cos=push_cos(nhlfe, dscp_to_cos(packet.dscp)),
+        s=1,  # the bottom of the stack: push has no S bit to fix
+        ttl=inner.ttl,
+    )
+    return forward(
+        Action.FORWARD_MPLS,
+        MPLSPacket(_EMPTY_STACK.push(entry), inner),
+        nhlfe,
+        interfaces,
+    )
+
+
 class ForwardingEngine:
     """Software MPLS forwarding over an ILM and an FTN.
 
@@ -161,7 +332,7 @@ class ForwardingEngine:
         that updates them concurrently (generation counters let the
         embedded architecture detect that).
     node_name:
-        Used in discard reasons for diagnosability.
+        The node's name (``name``), used in discard reasons.
     """
 
     def __init__(
@@ -172,7 +343,9 @@ class ForwardingEngine:
     ) -> None:
         self.ilm = ilm if ilm is not None else ILM()
         self.ftn = ftn if ftn is not None else FTN()
-        self.node_name = node_name
+        #: what discard reasons and telemetry name the node by (a
+        #: hardware node, its own engine, has the same attribute)
+        self.name = node_name
         self.counts = OpCounts()
         #: neighbour name -> local interface.  The owning node shares
         #: its map here, so a decision whose NHLFE names no interface is
@@ -192,7 +365,7 @@ class ForwardingEngine:
         """One elementary operation onto the registry (enabled only)."""
         if _record and self.recorder is not None:
             self.recorder.append(("m", op, amount))
-        tel.mpls_ops.labels(self.node_name, op).inc(amount)
+        tel.mpls_ops.labels(self.name, op).inc(amount)
 
     def _emit_stack_op(
         self,
@@ -206,85 +379,51 @@ class ForwardingEngine:
         self._mirror(tel, op, _record=False)
         tel.events.emit(
             LabelOpApplied(
-                node=self.node_name,
+                node=self.name,
                 op=op,
                 label_in=label_in,
                 label_out=label_out,
             )
         )
 
-    def _forward(
-        self,
-        action: Action,
-        packet: Union[IPv4Packet, MPLSPacket],
-        nhlfe: Optional[NHLFE],
+    def _counted(
+        self, observing: bool, decision: ForwardingDecision
     ) -> ForwardingDecision:
-        """The decision that sends ``packet`` the way ``nhlfe`` says
-        (nowhere yet when there is none: a popped explicit NULL)."""
-        if nhlfe is None:
-            return ForwardingDecision(action, packet)
-        out_interface = nhlfe.out_interface
-        if out_interface is None and nhlfe.next_hop is not None:
-            out_interface = self.interfaces.get(nhlfe.next_hop)
-        return ForwardingDecision(
-            action, packet, nhlfe.next_hop, out_interface
-        )
+        """``decision``, a discard counted as one operation."""
+        if decision.action is Action.DISCARD:
+            self.counts.discards += 1
+            if observing:
+                self._mirror(self.telemetry, "discard")
+        return decision
 
     # -- ingress (LER): unlabelled in, labelled out -------------------------
     def ingress(self, packet: IPv4Packet) -> ForwardingDecision:
-        """Classify an unlabelled packet and push its first label.
-
-        The paper: "When LERs receive a packet from a layer 2 network, a
-        label is then attached to that packet and sent into the MPLS
-        core network."
-        """
+        """Classify an unlabelled packet and push its first label
+        (:func:`ingress_hop`)."""
         tel = self.telemetry
         observing = tel.enabled
-        self.counts.ftn_lookups += 1
+        counts = self.counts
+        counts.ftn_lookups += 1
         if observing:
             self._mirror(tel, "ftn-lookup")
-        try:
-            fec, nhlfe = self.ftn.lookup(packet)
-        except NoRouteError as exc:
-            self.counts.discards += 1
+        pair = self.ftn.get(packet)
+        nhlfe = None
+        if pair is not None:
+            nhlfe = pair[1]
+            counts.entries_scanned += len(self.ftn)
             if observing:
-                self._mirror(tel, "discard")
-            return ForwardingDecision(
-                Action.DISCARD, reason=f"{self.node_name}: {exc}"
-            )
-        self.counts.entries_scanned += len(self.ftn)
-        if observing:
-            self._mirror(tel, "entry-scanned", len(self.ftn))
-        if packet.ttl <= 1:
-            self.counts.discards += 1
-            if observing:
-                self._mirror(tel, "discard")
-            return ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.node_name}: IPv4 TTL expired at ingress",
-            )
-        inner = packet.decremented()
-        self.counts.ttl_updates += 1
+                self._mirror(tel, "entry-scanned", len(self.ftn))
+        decision = ingress_hop(self.name, packet, nhlfe, self.interfaces)
+        if decision.action is Action.DISCARD:
+            return self._counted(observing, decision)
+        counts.ttl_updates += 1
         if observing:
             self._mirror(tel, "ttl-update")
-        if nhlfe.op is not LabelOp.PUSH:
-            # An FTN entry that does not push means the FEC is reachable
-            # without labels (e.g. a directly attached network).
-            return self._forward(Action.FORWARD_IP, inner, nhlfe)
-        cos = nhlfe.cos if nhlfe.cos is not None else _dscp_to_cos(packet.dscp)
-        entry = LabelEntry(
-            label=nhlfe.out_label,  # type: ignore[arg-type]
-            cos=cos,
-            s=1,  # the bottom of the stack: push has no S bit to fix
-            ttl=inner.ttl,
-        )
-        stack = _EMPTY_STACK.push(entry)
-        self.counts.pushes += 1
-        if observing:
-            self._emit_stack_op(tel, "push", None, entry.label)
-        return self._forward(
-            Action.FORWARD_MPLS, MPLSPacket(stack, inner), nhlfe
-        )
+        if decision.action is Action.FORWARD_MPLS:
+            counts.pushes += 1
+            if observing:
+                self._emit_stack_op(tel, "push", None, nhlfe.out_label)
+        return decision
 
     # -- transit / egress: labelled in ------------------------------------
     def transit(self, packet: MPLSPacket) -> ForwardingDecision:
@@ -299,134 +438,70 @@ class ForwardingEngine:
         try:
             top = packet.stack.top
         except StackUnderflow:
-            self.counts.discards += 1
-            if observing:
-                self._mirror(tel, "discard")
-            return ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.node_name}: labelled packet with empty stack",
-            )
+            return self._counted(observing, discard(self.name, EMPTY_STACK))
+        if top.label <= IMPLICIT_NULL:
+            step = reserved_step(self.name, packet)
+            if isinstance(step, ForwardingDecision):
+                return self._counted(observing, step)
+            packet, top = step, step.stack.top
 
-        if top.label == ROUTER_ALERT:
-            return ForwardingDecision(Action.DELIVER_LOCAL, packet=packet)
-        if top.label in (IPV4_EXPLICIT_NULL, IPV6_EXPLICIT_NULL):
-            return self._pop_and_continue(packet, top)
-
-        self.counts.ilm_lookups += 1
-        self.counts.entries_scanned += len(self.ilm)
+        counts = self.counts
+        counts.ilm_lookups += 1
+        counts.entries_scanned += len(self.ilm)
         if observing:
             self._mirror(tel, "ilm-lookup")
             self._mirror(tel, "entry-scanned", len(self.ilm))
-        try:
-            nhlfe = self.ilm.lookup(top.label)
-        except LabelLookupMiss:
-            self.counts.discards += 1
-            if observing:
-                self._mirror(tel, "discard")
-            return ForwardingDecision(
-                Action.DISCARD,
-                reason=(
-                    f"{self.node_name}: no ILM entry for label {top.label}"
-                ),
-            )
-
-        if top.ttl <= 1:
-            self.counts.discards += 1
-            if observing:
-                self._mirror(tel, "discard")
-            return ForwardingDecision(
-                Action.DISCARD,
-                reason=f"{self.node_name}: MPLS TTL expired",
-            )
-        self.counts.ttl_updates += 1
+        nhlfe = self.ilm.get(top.label)
+        reason = transit_discard(packet.stack, top, nhlfe)
+        if reason is not None:
+            return self._counted(observing, discard(self.name, reason))
+        counts.ttl_updates += 1
         if observing:
             self._mirror(tel, "ttl-update")
 
-        if nhlfe.op is LabelOp.SWAP:
-            self.counts.swaps += 1
+        op = nhlfe.op
+        action = Action.FORWARD_MPLS
+        if op is LabelOp.SWAP:
+            counts.swaps += 1
             if observing:
                 self._emit_stack_op(tel, "swap", top.label, nhlfe.out_label)
             # the TTL decrement and the label rewrite in one new entry
             new_top = top.rewritten(nhlfe.out_label, top.ttl - 1)
-            stack = packet.stack.swap(new_top)
-            return self._forward(
-                Action.FORWARD_MPLS, packet.with_stack(stack), nhlfe
-            )
-
-        top = top.decremented()
-        if nhlfe.op is LabelOp.PUSH:
+            out = packet.with_stack(packet.stack.swap(new_top))
+        elif op is LabelOp.NOOP:
+            out = noop(packet, top)
+        elif op is LabelOp.PUSH:
             # Tunnel ingress inside the domain: swap semantics do not
             # apply; the existing top stays (with its decremented TTL)
-            # and a new entry goes above it.  A push beyond the
-            # supported depth discards, mirroring the hardware's
-            # VERIFY_INFO consistency check.
-            max_depth = packet.stack.max_depth
-            if max_depth is not None and packet.stack.depth >= max_depth:
-                self.counts.discards += 1
-                if observing:
-                    self._mirror(tel, "discard")
-                return ForwardingDecision(
-                    Action.DISCARD,
-                    reason=(
-                        f"{self.node_name}: push would exceed the "
-                        f"{max_depth}-level stack limit"
-                    ),
-                )
-            self.counts.pushes += 1
+            # and a new entry goes above it.
+            top = top.decremented()
+            counts.pushes += 1
             if observing:
                 self._emit_stack_op(tel, "push", top.label, nhlfe.out_label)
-            stack = packet.stack.swap(top)
-            cos = nhlfe.cos if nhlfe.cos is not None else top.cos
-            stack = stack.push(
-                LabelEntry(
-                    label=nhlfe.out_label,  # type: ignore[arg-type]
-                    cos=cos,
-                    ttl=top.ttl,
-                )
+            pushed = LabelEntry(
+                label=nhlfe.out_label,  # type: ignore[arg-type]
+                cos=push_cos(nhlfe, top.cos),
+                ttl=top.ttl,
             )
-            return self._forward(
-                Action.FORWARD_MPLS, packet.with_stack(stack), nhlfe
-            )
-
-        if nhlfe.op is LabelOp.POP:
-            return self._pop_and_continue(packet, top, nhlfe)
-
-        # NOOP: forward unchanged except for the TTL update.
-        stack = packet.stack.swap(top)
-        return self._forward(
-            Action.FORWARD_MPLS, packet.with_stack(stack), nhlfe
-        )
-
-    def _pop_and_continue(
-        self,
-        packet: MPLSPacket,
-        top: LabelEntry,
-        nhlfe: Optional[NHLFE] = None,
-    ) -> ForwardingDecision:
-        """Pop the top entry, propagating the TTL downward (uniform
-        model): into the next entry, or into the IP header at the
-        bottom of the stack."""
-        tel = self.telemetry
-        observing = tel.enabled
-        self.counts.pops += 1
-        _, rest = packet.stack.pop()
-        if rest.is_empty:
-            inner = packet.inner
-            inner = inner.with_ttl(min(top.ttl, inner.ttl))
-            self.counts.ttl_updates += 1
+            out = packet.with_stack(packet.stack.swap(top).push(pushed))
+        else:
+            # POP, the TTL propagating downward (uniform model): into
+            # the next entry, or into the IP header at the bottom
+            top = top.decremented()
+            counts.pops += 1
+            counts.ttl_updates += 1
+            _, rest = packet.stack.pop()
+            if rest.is_empty:
+                action, label_out = Action.FORWARD_IP, None
+                out = leaving_ip(packet.inner, top.ttl)
+            else:
+                exposed = rest.top.with_ttl(min(top.ttl, rest.top.ttl))
+                label_out = exposed.label
+                out = packet.with_stack(rest.swap(exposed))
             if observing:
-                self._emit_stack_op(tel, "pop", top.label, None)
+                self._emit_stack_op(tel, "pop", top.label, label_out)
                 self._mirror(tel, "ttl-update")
-            return self._forward(Action.FORWARD_IP, inner, nhlfe)
-        exposed = rest.top.with_ttl(min(top.ttl, rest.top.ttl))
-        rest = rest.swap(exposed)
-        self.counts.ttl_updates += 1
-        if observing:
-            self._emit_stack_op(tel, "pop", top.label, exposed.label)
-            self._mirror(tel, "ttl-update")
-        return self._forward(
-            Action.FORWARD_MPLS, packet.with_stack(rest), nhlfe
-        )
+        return forward(action, out, nhlfe, self.interfaces)
 
     # -- convenience --------------------------------------------------------
     def process(
@@ -496,7 +571,7 @@ class ForwardingEngine:
         if not ops:
             return
         tel = self.telemetry
-        node = self.node_name
+        node = self.name
         mpls_ops = tel.mpls_ops
         for op in ops:
             if op[0] == "m":
@@ -516,11 +591,3 @@ class ForwardingEngine:
     def reset_counts(self) -> None:
         self.counts = OpCounts()
 
-
-def _dscp_to_cos(dscp: int) -> int:
-    """Default DSCP -> 3-bit CoS mapping: the DSCP class selector bits.
-
-    EF (46) maps to 5, CS-classes map to their class number -- the
-    conventional mapping used when no explicit policy is configured.
-    """
-    return (dscp >> 3) & 0x7

@@ -29,18 +29,22 @@ LABEL_MAX = (1 << 20) - 1
 #: Labels 0-15 are reserved by IANA (RFC 3032 section 2.1).
 RESERVED_LABEL_MAX = 15
 
-#: "IPv4 Explicit NULL": legal only at the bottom of the stack; the
-#: receiving router pops it and forwards based on the IPv4 header.
+#: "IPv4 Explicit NULL": legal anywhere in the stack (RFC 4182, which
+#: lifted RFC 3032's bottom-only rule); the receiving router pops it and
+#: processes what it exposes -- the next entry, or the IPv4 header -- in
+#: the same hop (``mpls.forwarding.reserved_step``).
 IPV4_EXPLICIT_NULL = 0
 
-#: "Router Alert": delivered to the local software path on receipt.
+#: "Router Alert": on top of the stack, delivered to the local software
+#: path on receipt.
 ROUTER_ALERT = 1
 
 #: "IPv6 Explicit NULL" (as IPv4 Explicit NULL, for IPv6 payloads).
 IPV6_EXPLICIT_NULL = 2
 
-#: "Implicit NULL": never appears on the wire; advertised by an egress
-#: LER to request penultimate-hop popping.
+#: "Implicit NULL": never appears on the wire (a router receiving it
+#: discards the packet); advertised by an egress LER to request
+#: penultimate-hop popping.
 IMPLICIT_NULL = 3
 
 #: Alias for the S bit semantics: entries with ``s == BOTTOM_OF_STACK``

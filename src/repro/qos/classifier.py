@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from repro.mpls.forwarding import _dscp_to_cos
+from repro.mpls.forwarding import dscp_to_cos
 from repro.net.addressing import IPv4Prefix
 from repro.net.packet import IPv4Packet, MPLSPacket
 
@@ -24,9 +24,9 @@ def cos_of_packet(packet: Union[IPv4Packet, MPLSPacket]) -> int:
     """
     if isinstance(packet, MPLSPacket):
         if packet.stack.is_empty:
-            return _dscp_to_cos(packet.inner.dscp)
+            return dscp_to_cos(packet.inner.dscp)
         return packet.stack.top.cos
-    return _dscp_to_cos(packet.dscp)
+    return dscp_to_cos(packet.dscp)
 
 
 @dataclass
