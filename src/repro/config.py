@@ -1,9 +1,9 @@
 """The one reader for scenario input.
 
 Every object in a scenario file -- the document, each traffic, fault
-and protection entry, ``random_faults``, each subsystem key's object,
-each alert rule and the control-plane knob bundles
-(``OverloadConfig``, ``ControllerConfig``, ``SecurityConfig``) -- is
+and protection entry, ``random_faults``, each subsystem key's object
+(``OverloadConfig``, ``ControllerConfig``, ``SecurityConfig`` among
+them) and each alert rule -- is
 read by :func:`read` against a table of its fields, one
 ``name -> (parse, default)`` row each; :func:`build` derives the table
 of a dataclass from its fields, each read by the parser its annotation

@@ -21,21 +21,18 @@ machine::
 
     DISTRIBUTED --adopt--> ADOPTED --hold-timer expiry--+
          ^                                              |
-         |            delegation on                     v
+         |                                              v
          +----- graceful fallback (refresh-in-place) FAILOVER
-         |            delegation off                    |
-         +<---- ORPHANED (stale flush, blackholes) <----+
 
-With delegation enabled an orphaned node stale-marks its tables and
-immediately refreshes them in place from the live distributed control
-plane (LDP / message LDP / RSVP-TE+FRR), so **zero FECs blackhole**;
-with delegation disabled the stale entries are flushed after
-``stale_hold`` and traffic blackholes until the controller re-adopts.
+On hold expiry a node stale-marks its tables and immediately
+refreshes them in place from the live distributed control plane
+(LDP / message LDP / RSVP-TE+FRR), so **zero FECs blackhole**; what
+the refresh did not rewrite is flushed :data:`STALE_HOLD` later.
 Re-adoption diffs intended vs. actual state through one atomic
 :class:`TableTransaction` per node -- no duplicate or partial
 programming, no split brain (the controller never writes to a node it
 has not re-adopted, and nodes never accept stale controller writes
-because orphaned channels drop in-flight RPCs).
+because a dead channel drops its in-flight RPCs).
 
 Determinism: all iteration is over sorted keys, all randomness flows
 from the seeded backoff, and every event/metric emission is gated on
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Annotated,
     Any,
     Callable,
     Dict,
@@ -59,9 +55,15 @@ from typing import (
     Tuple,
 )
 
-from repro.config import NOT_NEGATIVE, build
+from repro.config import build
 from repro.control.cspf import CSPFError, cspf_over_view
-from repro.control.overload import PriorityControlQueue, classify_message
+from repro.control.overload import (
+    HIGH_WATERMARK,
+    LOW_WATERMARK,
+    QUEUE_CAPACITY,
+    PriorityControlQueue,
+    classify_message,
+)
 from repro.control.retry import ReconnectBackoff
 from repro.mpls.fec import FEC
 from repro.mpls.transaction import TableTransaction
@@ -70,79 +72,38 @@ from repro.obs.events import ControllerFailover, ControllerReadopt
 #: NodeAgent delegation states (also the adoption-gauge values).
 STATE_DISTRIBUTED = 0
 STATE_ADOPTED = 1
-STATE_ORPHANED = 2
 
-_STATE_NAMES = {
-    STATE_DISTRIBUTED: "distributed",
-    STATE_ADOPTED: "adopted",
-    STATE_ORPHANED: "orphaned",
-}
+
+#: when the controller first adopts the network (sim seconds)
+ADOPT_AT = 0.05
+KEEPALIVE_INTERVAL = 0.02
+#: hold timer: an adopted node falls back after this long without
+#: hearing the controller
+HOLD_TIME = 0.08
+#: how long stale-marked entries survive before the flush timer
+STALE_HOLD = 0.1
+#: one-way channel latency per RPC leg, and the RPC timeout
+RPC_DELAY = 1e-3
+RPC_TIMEOUT = 0.02
+#: keepalive timeouts before the controller releases a node
+MISSED_RPC_LIMIT = 3
+#: the seeded reconnect backoff (shared repro.control.retry policy)
+RETRY_INITIAL = 20e-3
+RETRY_MAX = 0.5
+MAX_RETRIES = 20
+RETRY_JITTER = 0.1
 
 
 @dataclass
 class ControllerConfig:
-    """Knobs for the PCE controller and its node channels.
-
-    Parsed from the scenario's ``controller`` key; unknown keys are
-    rejected (:meth:`from_dict`) so typos fail loudly, mirroring
-    :class:`~repro.control.overload.OverloadConfig`.
-    """
+    """The scenario's ``controller`` key: one ``enabled`` switch.  The
+    timers, the channel and the backoff are the module constants above;
+    the channel queues are sized like the control queues
+    (:mod:`repro.control.overload`)."""
 
     enabled: bool = True
-    #: graceful fallback to distributed control on hold expiry; when
-    #: False orphaned nodes flush stale state and blackhole instead
-    delegation: bool = True
-    #: when the controller first adopts the network (sim seconds); it
-    #: and the retry delays are scheduler delays, never negative
-    adopt_at: Annotated[float, NOT_NEGATIVE] = 0.05
-    keepalive_interval: float = 0.02
-    #: hold timer: an adopted node falls back after this long without
-    #: hearing the controller
-    hold_time: float = 0.08
-    #: how long stale-marked entries survive before the flush timer
-    stale_hold: float = 0.1
-    #: one-way channel latency per RPC leg
-    rpc_delay: float = 1e-3
-    rpc_timeout: float = 0.02
-    #: keepalive timeouts before the controller releases a node
-    missed_rpc_limit: int = 3
-    # bounded channel queue (PR 5 overload machinery)
-    queue_capacity: int = 32
-    high_watermark: int = 24
-    low_watermark: int = 8
-    # seeded reconnect backoff (shared repro.control.retry policy)
-    retry_initial: Annotated[float, NOT_NEGATIVE] = 20e-3
-    retry_max: Annotated[float, NOT_NEGATIVE] = 0.5
-    max_retries: int = 20
-    retry_jitter: float = 0.1
     #: scheduling horizon -- periodic timers stop re-arming past it
     horizon: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.keepalive_interval <= 0:
-            raise ValueError("keepalive_interval must be > 0")
-        if self.hold_time <= self.keepalive_interval:
-            raise ValueError(
-                "hold_time must exceed keepalive_interval (a single "
-                "on-time keepalive must refresh the hold timer)"
-            )
-        if self.stale_hold <= 0:
-            raise ValueError("stale_hold must be > 0")
-        if self.rpc_timeout <= 0 or self.rpc_delay < 0:
-            raise ValueError("rpc_timeout must be > 0 and rpc_delay >= 0")
-        if self.missed_rpc_limit < 1:
-            raise ValueError("missed_rpc_limit must be >= 1")
-        if not (
-            0
-            <= self.low_watermark
-            < self.high_watermark
-            <= self.queue_capacity
-        ):
-            raise ValueError(
-                "watermarks must satisfy 0 <= low < high <= capacity"
-            )
-        if not (0.0 <= self.retry_jitter < 1.0):
-            raise ValueError("retry_jitter must be in [0, 1)")
 
     @classmethod
     def from_dict(
@@ -181,18 +142,11 @@ class ControllerChannel:
     and every RPC on it times out instead of silently succeeding.
     """
 
-    def __init__(
-        self, controller: "PCEController", node: str,
-        config: ControllerConfig,
-    ) -> None:
+    def __init__(self, controller: "PCEController", node: str) -> None:
         self.controller = controller
         self.node = node
-        self.config = config
         self.queue = PriorityControlQueue(
-            capacity=config.queue_capacity,
-            high_watermark=config.high_watermark,
-            low_watermark=config.low_watermark,
-            prioritized=True,
+            QUEUE_CAPACITY, HIGH_WATERMARK, LOW_WATERMARK
         )
         self.partitioned = False
         self.cut_at: Optional[float] = None
@@ -260,7 +214,7 @@ class ControllerChannel:
         if not self.usable:
             self._drop("partition" if self.partitioned else "crash",
                        cls.name)
-            sched.after(self.config.rpc_timeout, expire)
+            sched.after(RPC_TIMEOUT, expire)
             return
 
         accepted, shed = self.queue.offer(item, cls)
@@ -268,10 +222,10 @@ class ControllerChannel:
             self._drop(cause, dropped_cls.name)
         self._gauge_depth()
         if not accepted:
-            sched.after(self.config.rpc_timeout, expire)
+            sched.after(RPC_TIMEOUT, expire)
             return
-        sched.after(self.config.rpc_timeout, expire)
-        sched.after(self.config.rpc_delay, self._service)
+        sched.after(RPC_TIMEOUT, expire)
+        sched.after(RPC_DELAY, self._service)
 
     def _service(self) -> None:
         popped = self.queue.pop()
@@ -296,7 +250,7 @@ class ControllerChannel:
             if item.on_reply is not None:
                 item.on_reply(result)
 
-        sched.after(self.config.rpc_delay, reply)
+        sched.after(RPC_DELAY, reply)
 
 
 class NodeAgent:
@@ -329,18 +283,15 @@ class NodeAgent:
         if (
             self.state == STATE_ADOPTED
             and self.last_heard is not None
-            and now - self.last_heard > self.config.hold_time
+            and now - self.last_heard > HOLD_TIME
         ):
             self._failover(now)
         horizon = self.config.horizon
-        if (
-            horizon is None
-            or now + self.config.keepalive_interval <= horizon
-        ):
-            ctl.scheduler.after(self.config.keepalive_interval, self.tick)
+        if horizon is None or now + KEEPALIVE_INTERVAL <= horizon:
+            ctl.scheduler.after(KEEPALIVE_INTERVAL, self.tick)
 
     def _failover(self, now: float) -> None:
-        """Hold timer expired: fall back (delegation on) or orphan."""
+        """Hold timer expired: fall back to distributed control."""
         ctl = self.controller
         channel = ctl.channels[self.name]
         if channel.partitioned:
@@ -357,15 +308,12 @@ class NodeAgent:
             ctl.orphaned_ever.add(f"{fec}@{ingress}")
         ctl.adopted.discard(self.name)
 
-        if self.config.delegation:
-            # graceful fallback: refresh the stale entries in place
-            # from the live distributed control plane -- forwarding
-            # state never leaves the tables, so nothing blackholes
-            ctl._refresh_distributed(self.name)
-            self.set_state(STATE_DISTRIBUTED)
-        else:
-            self.set_state(STATE_ORPHANED)
-        ctl.scheduler.after(self.config.stale_hold, self._flush_stale)
+        # graceful fallback: refresh the stale entries in place from
+        # the live distributed control plane -- forwarding state never
+        # leaves the tables, so nothing blackholes
+        ctl._refresh_distributed(self.name)
+        self.set_state(STATE_DISTRIBUTED)
+        ctl.scheduler.after(STALE_HOLD, self._flush_stale)
 
         ctl.failovers.append(
             {
@@ -374,18 +322,17 @@ class NodeAgent:
                 "reason": reason,
                 "detect_s": detect_s,
                 "orphaned_fecs": orphaned,
-                "delegated": self.config.delegation,
+                "delegated": True,
             }
         )
         tel = ctl.network.telemetry
         if tel.enabled:
             tel.controller_failovers.labels(reason).inc()
-            if self.config.delegation:
-                tel.controller_delegations.labels(self.name).inc()
+            tel.controller_delegations.labels(self.name).inc()
             event = ControllerFailover(
                 node=self.name,
                 reason=reason,
-                delegated=self.config.delegation,
+                delegated=True,
                 orphaned_fecs=orphaned,
                 detect_s=detect_s,
             )
@@ -396,8 +343,8 @@ class NodeAgent:
 
     def _flush_stale(self) -> None:
         """The RFC 3478-style stale-hold timer: anything still marked
-        stale (nothing after a graceful fallback, everything on an
-        orphaned node) is removed."""
+        stale (an entry the distributed refresh no longer wants) is
+        removed."""
         node = self.controller.network.nodes[self.name]
         node.ilm.flush_stale()
         node.ftn.flush_stale()
@@ -437,16 +384,16 @@ class PCEController:
         self.seed = seed
         self.alive = True
         self.backoff = ReconnectBackoff(
-            initial=config.retry_initial,
-            maximum=config.retry_max,
-            max_retries=config.max_retries,
-            jitter=config.retry_jitter,
+            initial=RETRY_INITIAL,
+            maximum=RETRY_MAX,
+            max_retries=MAX_RETRIES,
+            jitter=RETRY_JITTER,
             seed=seed,
         )
         self.channels: Dict[str, ControllerChannel] = {}
         self.agents: Dict[str, NodeAgent] = {}
         for name in sorted(network.nodes):
-            self.channels[name] = ControllerChannel(self, name, config)
+            self.channels[name] = ControllerChannel(self, name)
             self.agents[name] = NodeAgent(self, name, config)
         self.adopted: Set[str] = set()
         # ledgers (sorted-deterministic; the report section reads them)
@@ -473,8 +420,8 @@ class PCEController:
         scenario asked for ``enabled: false``)."""
         if not self.config.enabled:
             return
-        self.scheduler.at(self.config.adopt_at, self._adopt_all)
-        first_tick = self.config.adopt_at + self.config.keepalive_interval
+        self.scheduler.at(ADOPT_AT, self._adopt_all)
+        first_tick = ADOPT_AT + KEEPALIVE_INTERVAL
         self.scheduler.at(first_tick, self._keepalive_all)
         for name in sorted(self.agents):
             self.scheduler.at(first_tick, self.agents[name].tick)
@@ -553,13 +500,8 @@ class PCEController:
             for name in sorted(self.adopted):
                 self._keepalive(name)
         horizon = self.config.horizon
-        if (
-            horizon is None
-            or now + self.config.keepalive_interval <= horizon
-        ):
-            self.scheduler.after(
-                self.config.keepalive_interval, self._keepalive_all
-            )
+        if horizon is None or now + KEEPALIVE_INTERVAL <= horizon:
+            self.scheduler.after(KEEPALIVE_INTERVAL, self._keepalive_all)
 
     def _keepalive(self, name: str) -> None:
         channel = self.channels[name]
@@ -574,10 +516,7 @@ class PCEController:
         def on_timeout() -> None:
             missed = self._missed.get(name, 0) + 1
             self._missed[name] = missed
-            if (
-                missed >= self.config.missed_rpc_limit
-                and name in self.adopted
-            ):
+            if missed >= MISSED_RPC_LIMIT and name in self.adopted:
                 # release the node; the agent's own hold timer drives
                 # its fallback, the controller starts reconnecting
                 self.adopted.discard(name)

@@ -34,6 +34,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.control.labels import LabelAllocator
 from repro.control.overload import (
     CLASS_NAMES,
+    HIGH_WATERMARK,
+    HOLD_TIME,
+    KEEPALIVE_INTERVAL,
+    LOW_WATERMARK,
+    QUEUE_CAPACITY,
+    SERVICE_TIME_S,
     OverloadConfig,
     PriorityControlQueue,
     classify_message,
@@ -457,8 +463,6 @@ class MessageLDPProcess:
         retry_max: float = 2.0,
         max_retries: int = 20,
         overload: Optional[OverloadConfig] = None,
-        retry_jitter: float = 0.0,
-        jitter_seed: int = 0,
     ) -> None:
         self.topology = topology
         self.scheduler = scheduler
@@ -472,15 +476,11 @@ class MessageLDPProcess:
         self.message_counts: Dict[MsgType, int] = {k: 0 for k in MsgType}
         self.sessions_established: List[Tuple[float, str, str]] = []
         self._started = False
-        # -- session-recovery policy (exponential backoff) ------------------
-        # the shared seeded policy (repro.control.retry): validates the
-        # jitter range and owns the per-session RNGs
+        # -- session-recovery policy (exponential backoff, no jitter) -------
         self.backoff = ReconnectBackoff(
             initial=retry_initial,
             maximum=retry_max,
             max_retries=max_retries,
-            jitter=retry_jitter,
-            seed=jitter_seed,
         )
         #: (a, b) sorted pair -> {"attempt": n, "down_at": t}
         self._reconnecting: Dict[Tuple[str, str], Dict[str, float]] = {}
@@ -503,9 +503,9 @@ class MessageLDPProcess:
         if overload is not None:
             self.queues: Dict[str, PriorityControlQueue] = {
                 name: PriorityControlQueue(
-                    overload.queue_capacity,
-                    overload.high_watermark,
-                    overload.low_watermark,
+                    QUEUE_CAPACITY,
+                    HIGH_WATERMARK,
+                    LOW_WATERMARK,
                     prioritized=overload.enabled,
                 )
                 for name in sorted(self.speakers)
@@ -527,12 +527,7 @@ class MessageLDPProcess:
         except TopologyError:
             return  # adjacency gone (link failed mid-flight)
         sec = self.security
-        if (
-            sec is not None
-            and sec.config.enabled
-            and sec.config.authenticate
-            and msg.auth is None
-        ):
+        if sec is not None and sec.config.enabled and msg.auth is None:
             # the legitimate sender signs its messages; a forger set a
             # (wrong) token already, and that forgery must survive
             msg = LDPMessage(
@@ -576,9 +571,7 @@ class MessageLDPProcess:
             return
         if not self._cpu_busy[msg.dst]:
             self._cpu_busy[msg.dst] = True
-            self.scheduler.after(
-                self.overload.service_time_s, self._service, msg.dst
-            )
+            self.scheduler.after(SERVICE_TIME_S, self._service, msg.dst)
 
     def _service(self, name: str) -> None:
         """``name``'s control CPU finishes one service slot."""
@@ -595,9 +588,7 @@ class MessageLDPProcess:
         if msg.kind is MsgType.KEEPALIVE:
             self._last_heard[(name, msg.src)] = self.scheduler.now
         if len(queue):
-            self.scheduler.after(
-                self.overload.service_time_s, self._service, name
-            )
+            self.scheduler.after(SERVICE_TIME_S, self._service, name)
         else:
             self._cpu_busy[name] = False
 
@@ -613,7 +604,6 @@ class MessageLDPProcess:
         if (
             sec is not None
             and sec.config.enabled
-            and sec.config.authenticate
             and msg.auth != session_token(msg.src, msg.dst)
         ):
             self.auth_rejected += 1
@@ -692,7 +682,7 @@ class MessageLDPProcess:
             speaker = self.speakers[name]
             for peer in sorted(speaker.sessions):
                 last = self._last_heard.get((name, peer))
-                if last is not None and now - last > cfg.hold_time:
+                if last is not None and now - last > HOLD_TIME:
                     expired.add(self._pair(name, peer))
         for a, b in sorted(expired):
             self.holds_expired += 1
@@ -703,13 +693,8 @@ class MessageLDPProcess:
                 continue
             for peer in sorted(speaker.sessions):
                 self.send(LDPMessage(MsgType.KEEPALIVE, name, peer))
-        if (
-            cfg.horizon is not None
-            and now + cfg.keepalive_interval <= cfg.horizon
-        ):
-            self.scheduler.after(
-                cfg.keepalive_interval, self._liveness_tick
-            )
+        if cfg.horizon is not None and now + KEEPALIVE_INTERVAL <= cfg.horizon:
+            self.scheduler.after(KEEPALIVE_INTERVAL, self._liveness_tick)
 
     def _session_up(self, a: str, b: str) -> None:
         self.sessions_established.append((self.scheduler.now, a, b))
@@ -789,11 +774,6 @@ class MessageLDPProcess:
         self.scheduler.after(
             self.backoff.first_delay(key), self._try_reconnect, key
         )
-
-    def _jittered(self, key: Tuple[str, str], delay: float) -> float:
-        """Apply the seeded per-session jitter to a backoff delay
-        (delegates to the shared :class:`ReconnectBackoff` policy)."""
-        return self.backoff.jittered(key, delay)
 
     def _try_reconnect(self, key: Tuple[str, str]) -> None:
         pending = self._reconnecting.get(key)
@@ -909,9 +889,7 @@ class MessageLDPProcess:
             speaker.start()
         cfg = self.overload
         if cfg is not None and cfg.horizon is not None:
-            self.scheduler.after(
-                cfg.keepalive_interval, self._liveness_tick
-            )
+            self.scheduler.after(KEEPALIVE_INTERVAL, self._liveness_tick)
 
     def announce_fec(self, fec_id: str, fec: FEC, egress: str) -> FECState:
         """The egress originates a FEC (schedule after sessions form)."""

@@ -216,7 +216,6 @@ class OAMMonitor:
         network: MPLSNetwork,
         targets: Sequence[ProbeTarget],
         period: float = 0.1,
-        start: float = 0.0,
         stop: Optional[float] = None,
         timeout: Optional[float] = None,
         slo_rtt_s: Optional[float] = None,
@@ -226,7 +225,6 @@ class OAMMonitor:
         self.network = network
         self.targets = list(targets)
         self.period = period
-        self.start = start
         self.stop = stop
         self.timeout = timeout if timeout is not None else period
         self.slo_rtt_s = slo_rtt_s
@@ -239,7 +237,7 @@ class OAMMonitor:
         }
         self._delivery_scan = 0
         self._delivered_uids: Dict[int, float] = {}
-        network.scheduler.at(start, self._fire)
+        network.scheduler.at(0.0, self._fire)
 
     @property
     def flow_ids(self) -> Dict[str, int]:

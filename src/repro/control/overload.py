@@ -17,16 +17,15 @@ control plane needs to degrade *gracefully* instead of collapsing:
    Under sustained control-queue pressure the ingress LERs stop
    admitting traffic for the lowest-CoS FECs first, and restore them
    (highest-CoS-first of the shed set) only after the pressure has
-   stayed low for a configurable number of observation periods --
+   stayed low for :data:`SHED_HYSTERESIS` observation periods --
    hysteresis, so the shedder does not flap with the queue.
 
-3. :class:`OverloadConfig` -- one validated knob bundle for both, plus
-   the LDP liveness timers (keepalive interval / hold time) and the
-   seeded reconnect jitter, parsed from the ``overload`` scenario key.
+3. :class:`OverloadConfig` -- the ``overload`` scenario key: one
+   ``enabled`` switch.  The queue sizes, the LDP liveness timers and
+   the shedder's thresholds are the module constants below.
 
 Everything here is deterministic: shedding decisions follow queue
-depths and configured thresholds only, and the only randomness (the
-reconnect jitter) is seeded per session pair.
+depths and fixed thresholds only.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
-import math
 from collections import deque
 
 from repro.config import build
@@ -91,71 +89,43 @@ def classify_message(kind: Any) -> MessageClass:
     return _KIND_TO_CLASS.get(value, MessageClass.SETUP)
 
 
+#: each node's bounded control queue: its capacity and the watermarks
+#: past which it sheds setup-class arrivals (the controller's channel
+#: queues use the same three)
+QUEUE_CAPACITY = 32
+HIGH_WATERMARK = 24
+LOW_WATERMARK = 8
+#: CPU time to process one control message
+SERVICE_TIME_S = 1e-3
+#: LDP liveness: keepalive interval and the hold time after which a
+#: silent session is dropped
+KEEPALIVE_INTERVAL = 0.05
+HOLD_TIME = 0.2
+#: the ingress shedder's observation period and first observation
+SHED_PERIOD = 0.02
+SHED_START = 0.0
+#: pressure (worst queue fill fraction) at/above which one more FEC
+#: sheds, and at/below which a calm tick counts towards a restore
+SHED_HIGH = 0.5
+SHED_LOW = 0.25
+#: consecutive calm ticks before one shed FEC is restored
+SHED_HYSTERESIS = 3
+#: never shed more than this fraction of the FECs -- the graceful-
+#: degradation floor (0.5 keeps at least half the FECs up)
+MAX_SHED_FRACTION = 0.5
+
+
 @dataclass
 class OverloadConfig:
-    """Knobs for the overload-protection subsystem (scenario ``overload``)."""
+    """The scenario's ``overload`` key."""
 
     #: master switch: False builds the same bounded queues *without*
     #: prioritization or shedding (plain FIFO tail-drop), the baseline a
     #: protected run is compared against
     enabled: bool = True
-    # -- control queue ---------------------------------------------------
-    queue_capacity: int = 32
-    high_watermark: int = 24
-    low_watermark: int = 8
-    #: CPU time to process one control message
-    service_time_s: float = 1e-3
-    # -- LDP liveness ----------------------------------------------------
-    keepalive_interval: float = 0.05
-    hold_time: float = 0.2
     #: periodic timers re-arm only while now + period <= horizon; unset
     #: (None) leaves the timers unarmed so unit tests can drive manually
     horizon: Optional[float] = None
-    # -- reconnect jitter ------------------------------------------------
-    #: +/- fraction applied to every reconnect backoff delay (0 = none)
-    retry_jitter: float = 0.0
-    # -- ingress shedding ------------------------------------------------
-    shed_period: float = 0.02
-    shed_start: float = 0.0
-    #: pressure (max queue fill fraction) at/above which one more FEC sheds
-    shed_high: float = 0.5
-    #: pressure at/below which a calm tick is counted towards restore
-    shed_low: float = 0.25
-    #: consecutive calm ticks before one shed FEC is restored
-    shed_hysteresis: int = 3
-    #: never shed more than this fraction of the configured FECs -- the
-    #: graceful-degradation floor (0.5 keeps at least half the FECs up)
-    max_shed_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
-        if not (0 <= self.low_watermark < self.high_watermark):
-            raise ValueError("need 0 <= low_watermark < high_watermark")
-        if self.high_watermark > self.queue_capacity:
-            raise ValueError("high_watermark must be <= queue_capacity")
-        # timer periods and the shed start become scheduler delays: a
-        # NaN or an infinity there is a traceback or a timer that never
-        # fires, so each is refused by name (every test is positive, so
-        # a NaN fails them all)
-        for name in (
-            "service_time_s", "keepalive_interval", "hold_time", "shed_period"
-        ):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"bad {name} {value!r}: must be finite and > 0")
-        if not 0 <= self.shed_start < math.inf:
-            raise ValueError(
-                f"bad shed_start {self.shed_start!r}: must be finite and >= 0"
-            )
-        if not (0.0 <= self.retry_jitter < 1.0):
-            raise ValueError("retry_jitter must be in [0, 1)")
-        if not (0.0 <= self.shed_low < self.shed_high <= 1.0):
-            raise ValueError("need 0 <= shed_low < shed_high <= 1")
-        if self.shed_hysteresis < 1:
-            raise ValueError("shed_hysteresis must be >= 1")
-        if not (0.0 <= self.max_shed_fraction <= 1.0):
-            raise ValueError("max_shed_fraction must be in [0, 1]")
 
     @classmethod
     def from_dict(
@@ -284,10 +254,11 @@ class IngressShedder:
     """Deterministic, hysteretic ingress load shedding.
 
     Observes a pressure signal (the worst control-queue fill fraction)
-    every ``period``; at/above ``high`` it sheds one more FEC --
-    strictly lowest CoS first -- up to the ``max_shed_fraction`` floor.
-    After ``hysteresis`` consecutive observations at/below ``low`` it
-    restores one FEC (reverse order).  ``guard`` plugs into
+    every :data:`SHED_PERIOD`; at/above :data:`SHED_HIGH` it sheds one
+    more FEC -- strictly lowest CoS first -- up to the
+    :data:`MAX_SHED_FRACTION` floor.  After :data:`SHED_HYSTERESIS`
+    consecutive observations at/below :data:`SHED_LOW` it restores one
+    FEC (reverse order).  ``guard`` plugs into
     :attr:`repro.net.network.MPLSNetwork.ingress_guard` to drop packets
     of shed FECs at their ingress LER.
     """
@@ -303,7 +274,7 @@ class IngressShedder:
         self.pressure = pressure
         self.config = config
         self.scheduler = scheduler
-        self.max_shed = int(len(self.entries) * config.max_shed_fraction)
+        self.max_shed = int(len(self.entries) * MAX_SHED_FRACTION)
         self._calm_ticks = 0
         #: (time, prefix, cos) per transition, in occurrence order
         self.shed_events: List[Tuple[float, str, int]] = []
@@ -334,23 +305,23 @@ class IngressShedder:
         """Schedule the observation loop (needs ``config.horizon``)."""
         if self.config.horizon is None:
             raise ValueError("cannot arm the shedder without a horizon")
-        self.scheduler.at(self.config.shed_start, self.observe)
+        self.scheduler.at(SHED_START, self.observe)
 
     def observe(self) -> None:
         now = self.scheduler.now
         p = self.pressure()
-        if p >= self.config.shed_high:
+        if p >= SHED_HIGH:
             self._calm_ticks = 0
             self._shed_one(now)
-        elif p <= self.config.shed_low:
+        elif p <= SHED_LOW:
             self._calm_ticks += 1
-            if self._calm_ticks >= self.config.shed_hysteresis:
+            if self._calm_ticks >= SHED_HYSTERESIS:
                 self._restore_one(now)
         else:
             self._calm_ticks = 0
         horizon = self.config.horizon
-        if horizon is not None and now + self.config.shed_period <= horizon:
-            self.scheduler.after(self.config.shed_period, self.observe)
+        if horizon is not None and now + SHED_PERIOD <= horizon:
+            self.scheduler.after(SHED_PERIOD, self.observe)
 
     def _shed_one(self, now: float) -> None:
         if self.shed_count >= self.max_shed:

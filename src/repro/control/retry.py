@@ -1,11 +1,10 @@
 """Shared seeded reconnect backoff (exponential, with per-key jitter).
 
-PR 5 gave message-level LDP exponential-backoff session recovery with
-deterministic, seeded jitter so same-instant session drops do not
-produce a thundering herd of synchronized retries.  The controller
-channel (``repro.control.controller``) needs exactly the same policy
-for its per-node reconnect loop, so the logic lives here and both
-callers share it.
+Message-level LDP session recovery and the controller channel's
+per-node reconnect loop (``repro.control.controller``) share one
+policy.  LDP retries without jitter; the controller draws a seeded
+jitter so same-instant releases do not produce a thundering herd of
+synchronized retries.
 
 The schedule contract is bit-for-bit stable:
 

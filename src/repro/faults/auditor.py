@@ -68,9 +68,6 @@ class ConsistencyAuditor:
         No pass is scheduled at or beyond this horizon (defaults to
         unbounded -- callers running ``scheduler.run(until=...)`` can
         leave it unset).
-    repair:
-        When True (the default) drift is repaired through the node's
-        scrub path; when False the auditor only detects and reports.
     security:
         The run's :class:`repro.security.SecurityMonitor`, or None.
         With one attached, every pass additionally runs the monitor's
@@ -85,7 +82,6 @@ class ConsistencyAuditor:
         period: float = 0.1,
         start: Optional[float] = None,
         stop: Optional[float] = None,
-        repair: bool = True,
         security=None,
     ) -> None:
         if period <= 0:
@@ -93,7 +89,6 @@ class ConsistencyAuditor:
         self.network = network
         self.period = period
         self.stop = stop
-        self.repair = repair
         self.security = security
         self.records: List[AuditRecord] = []
         #: node -> consecutive passes observed mid-transaction
@@ -148,18 +143,16 @@ class ConsistencyAuditor:
             # hardware against tables it was never told about would
             # report false drift.
             return False
-        drifted = False
-        for level in (1, 2, 3):
-            expected = sorted(node._expected_pairs(level))
-            stored = sorted(node.modifier.ib_pairs(level))
-            if stored != expected:
-                drifted = True
-                break
-        if drifted and self.repair:
-            reports = node.scrub_info_base()
-            record.repaired += sum(r.repaired for r in reports)
-            record.cycles += sum(r.cycles for r in reports)
-        return drifted
+        if all(
+            sorted(node._expected_pairs(level))
+            == sorted(node.modifier.ib_pairs(level))
+            for level in (1, 2, 3)
+        ):
+            return False
+        reports = node.scrub_info_base()
+        record.repaired += sum(r.repaired for r in reports)
+        record.cycles += sum(r.cycles for r in reports)
+        return True
 
     def _watch_transactions(self, name: str, node, record: AuditRecord) -> None:
         if node.ilm.in_transaction or node.ftn.in_transaction:

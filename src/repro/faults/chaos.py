@@ -167,8 +167,6 @@ def _control_plane(run: ChaosRun) -> None:
             network.nodes,
             network.scheduler,
             overload=overload,
-            retry_jitter=getattr(overload, "retry_jitter", 0.0),
-            jitter_seed=run.seed,
         )
         run.message_ldp.start()
         for flow in scenario.traffic:

@@ -32,7 +32,7 @@ Schema (all times in simulated seconds)::
       "random_faults": {"count": 6, "kinds": ["link-down"],
                         "window": [0.1, 0.7], "mean_outage": 0.05},
       "audit": {"period": 0.1, "start": 0.05},  // consistency auditor
-      "oam": {"period": 0.05, "start": 0.0,     // continuous LSP pings
+      "oam": {"period": 0.05,                   // continuous LSP pings
               "timeout": 0.05, "slo_rtt_s": 0.01}
     }
 
@@ -75,6 +75,7 @@ from repro.config import (
 )
 from repro.mpls.router import RouterRole
 from repro.net.addressing import IPv4Address, IPv4Prefix
+from repro.net.events import EVENT_BUDGET
 from repro.net.topology import (
     Topology,
     TopologyError,
@@ -135,11 +136,6 @@ _TARGET = parser(
     lambda t: (t,) if isinstance(t, str) else tuple(t),
     bool, "a node name or a list of them",
 )
-
-
-def _targets(value) -> List[Tuple[str, ...]]:
-    """``random_faults.targets``: links / nodes, each as a target."""
-    return [_TARGET(target) for target in value]
 
 
 @dataclass(frozen=True)
@@ -453,8 +449,6 @@ class RandomFaultSpec:
         default_factory=lambda: [FaultKind.LINK_DOWN])
     window: Annotated[Tuple[float, float], _WINDOW] = (0.0, 1.0)
     mean_outage: Annotated[float, POSITIVE] = 0.05
-    #: restrict link faults to these links / node faults to these nodes
-    targets: Annotated[Optional[List[Tuple[str, ...]]], _targets] = None
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "RandomFaultSpec":
@@ -547,8 +541,8 @@ class Scenario:
     #: consistency-auditor configuration ({"period": s, "start": s}),
     #: or None to run without the auditor
     audit: Annotated[_Key, _object("audit")] = None
-    #: OAM monitor configuration ({"period": s, "start": s,
-    #: "timeout": s, "slo_rtt_s": s}), or None to run without probes
+    #: OAM monitor configuration ({"period": s, "timeout": s,
+    #: "slo_rtt_s": s}), or None to run without probes
     oam: Annotated[_Key, _object("oam")] = None
     #: control-plane overload protection (see
     #: :class:`repro.control.overload.OverloadConfig`), or None to run
@@ -556,8 +550,8 @@ class Scenario:
     overload: Annotated[_Key, _object("overload")] = None
     #: flow accounting / traffic-matrix configuration
     #: ({"active_timeout": s, "idle_timeout": s, "capacity": n,
-    #: "matrix_period": s, "matrix_start": s}), or None to run without
-    #: the accountant (older reports stay byte-identical)
+    #: "matrix_period": s}), or None to run without the accountant
+    #: (older reports stay byte-identical)
     flows: Annotated[_Key, _object("flows")] = None
     #: alerting rules ({"rules": [{"name", "signal", "threshold",
     #: "clear", "description"}, ...]}), or None for no alert engine;
@@ -597,6 +591,20 @@ class Scenario:
             )
         if not self.traffic:
             raise ScenarioError("a scenario needs at least one flow")
+        for flow in self.traffic:
+            # a source re-arms once per packet: more packets than the
+            # scheduler's budget can only end in its RuntimeError
+            stop = (self.duration if flow.stop is None
+                    else min(flow.stop, self.duration))
+            packets = ((stop - flow.start) * flow.rate_bps
+                       / ((flow.packet_size + 20) * 8))
+            if packets > EVENT_BUDGET:
+                raise ScenarioError(
+                    f"traffic {flow.ingress}->{flow.egress} {flow.prefix}: "
+                    f"bad rate_bps {flow.rate_bps!r}: sends {packets:.3g} "
+                    f"packets in the {self.duration} s run, past the "
+                    f"scheduler's budget of {EVENT_BUDGET} events"
+                )
         if self.control == "frr" and not self.protection:
             raise ScenarioError("frr control needs a 'protection' list")
         self.protection = [p.of(self.traffic) for p in self.protection]
@@ -746,9 +754,7 @@ def _random_schedule(
         attempts += 1
         kind = rng.choice(sorted(rand.kinds, key=lambda k: k.value))
         contract = FAULT_KINDS[kind]
-        if rand.targets is not None:
-            target = tuple(rng.choice(rand.targets))
-        elif contract.draw_target == "link":
+        if contract.draw_target == "link":
             target = rng.choice(links)
         elif contract.draw_target == "core" and core:
             target = (rng.choice(core),)

@@ -31,13 +31,13 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.config import (
     AMOUNT,
-    BOOL,
     POSITIVE,
     SIZE,
     ScenarioError,
     build,
     read,
 )
+from repro.net.events import EVENT_BUDGET
 
 
 def _round(value: Optional[float]) -> Optional[float]:
@@ -50,6 +50,20 @@ def _rounded(record: Mapping[str, Any]) -> Dict[str, Any]:
     """``record`` with every float in it rounded as by :func:`_round`."""
     return {k: round(v, 9) if isinstance(v, float) else v
             for k, v in record.items()}
+
+
+def _paced(key: str, cfg: Mapping[str, Any], field: str, scenario) -> None:
+    """Refuse a timer period ``cfg[field]`` that fires more often over
+    the run than the scheduler's event budget allows: such a run can
+    only end in the budget's RuntimeError."""
+    period = cfg[field]
+    if scenario.duration / period > EVENT_BUDGET:
+        raise ScenarioError(
+            f"{key}: bad {field} {period!r}: fires "
+            f"{scenario.duration / period:.3g} times in the "
+            f"{scenario.duration} s run, past the scheduler's budget of "
+            f"{EVENT_BUDGET} events"
+        )
 
 
 def _alert_rules(value):
@@ -210,12 +224,13 @@ class Security(Subsystem):
         run.security.finalize()
 
     def section(self, run):
+        from repro.security.monitor import GUARDS
+
         monitor = run.security
-        cfg = vars(monitor.config)
         blast = sorted(set().union(*(r.blast_fecs for r in monitor.attacks)))
         return {"security": {
-            "enabled": cfg["enabled"],
-            "guards": {k: v for k, v in cfg.items() if k != "enabled"},
+            "enabled": monitor.config.enabled,
+            "guards": dict(GUARDS),
             "attacks": [
                 _rounded({
                     "kind": r.kind,
@@ -295,7 +310,7 @@ class Controller(Subsystem):
         took to detect the loss (hold-timer expiry minus crash time);
         time-to-readopt is the slowest resync (re-adoption minus the
         restart/heal that made it possible).  ``fecs_blackholed`` is
-        cumulative over the run -- with delegation on it must stay zero.
+        cumulative over the run -- delegation keeps it at zero.
         """
         pce = run.controller
         channels = [pce.channels[name] for name in sorted(pce.channels)]
@@ -304,7 +319,8 @@ class Controller(Subsystem):
             drops_by_cause.update(channel.drops_by_cause)
         return {"controller": {
             "enabled": pce.config.enabled,
-            "delegation": pce.config.delegation,
+            # a failover always delegates to distributed control
+            "delegation": True,
             "adoptions": len(pce.adoptions),
             "crashes": pce.crashes,
             "restarts": pce.restarts,
@@ -349,11 +365,12 @@ class Audit(Subsystem):
     )
 
     def parse(self, raw, scenario):
-        return read(self.key, raw, {
+        cfg = read(self.key, raw, {
             "period": (POSITIVE, 0.1),
             "start": (AMOUNT, None),
-            "repair": (BOOL, True),
         })
+        _paced(self.key, cfg, "period", scenario)
+        return cfg
 
     def build(self, run, cfg):
         from repro.faults.auditor import ConsistencyAuditor
@@ -385,17 +402,17 @@ class OAM(Subsystem):
     def parse(self, raw, scenario):
         cfg = read(self.key, raw, {
             "period": (POSITIVE, 0.05),
-            "start": (AMOUNT, 0.0),
             "timeout": (POSITIVE, None),
             "slo_rtt_s": (AMOUNT, None),
         })
+        _paced(self.key, cfg, "period", scenario)
         if cfg["timeout"] is None:
             cfg["timeout"] = cfg["period"]
-        if cfg["start"] + cfg["timeout"] > scenario.duration:
+        if cfg["timeout"] > scenario.duration:
             raise ScenarioError(
-                f"{self.key}: bad timeout {cfg['timeout']!r}: start + "
-                f"timeout must not pass the {scenario.duration} s horizon, "
-                "or no probe ever concludes"
+                f"{self.key}: bad timeout {cfg['timeout']!r}: the first "
+                f"probe's timeout must not pass the {scenario.duration} s "
+                "horizon, or no probe ever concludes"
             )
         return cfg
 
@@ -556,8 +573,8 @@ class Flows(Subsystem):
             "idle_timeout": (POSITIVE, 0.25),
             "capacity": (SIZE, 4096),
             "matrix_period": (POSITIVE, 0.1),
-            "matrix_start": (AMOUNT, None),
         })
+        _paced(self.key, cfg, "matrix_period", scenario)
         alerts = scenario.alerts
         cfg["rules"] = None if alerts is None else read(
             "alerts", alerts, {"rules": (_alert_rules, [])}
@@ -594,7 +611,6 @@ class Flows(Subsystem):
                 for ch in (link.forward, link.reverse)
             },
             period=cfg["matrix_period"],
-            start=cfg["matrix_start"],
             stop=run.scenario.duration,
             alerts=run.alert_engine,
         )

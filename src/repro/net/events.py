@@ -31,6 +31,11 @@ class Event(NamedTuple):
 
 _new_event = tuple.__new__  # skips the generated ``Event.__new__`` frame
 
+#: the events one :meth:`EventScheduler.run` may process by default: a
+#: guard against runaway self-rescheduling sources, and the bound a
+#: scenario reader holds a run's timers and flows to
+EVENT_BUDGET = 10_000_000
+
 
 class EventScheduler:
     """A deterministic discrete-event scheduler."""
@@ -73,7 +78,7 @@ class EventScheduler:
     def pending(self) -> int:
         return len(self._heap) - len(self._cancelled)
 
-    def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> int:
+    def run(self, until: Optional[float] = None, max_events: int = EVENT_BUDGET) -> int:
         """Run events in order until the queue drains or ``until``.
 
         Returns the number of events processed.  ``max_events`` guards

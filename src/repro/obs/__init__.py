@@ -60,6 +60,7 @@ from repro.obs.events import (
     PacketForwarded,
     SessionStateChange,
     StaleEntriesFlushed,
+    TraceLineError,
     read_jsonl,
 )
 from repro.obs.export import snapshot, to_json, to_prometheus
@@ -148,6 +149,7 @@ __all__ = [
     "TopologyObserver",
     "TopologyView",
     "Trace",
+    "TraceLineError",
     "TrafficMatrix",
     "export_chrome_trace",
     "flows_to_jsonl",

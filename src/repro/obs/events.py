@@ -545,20 +545,39 @@ class FilterSink:
             flush()
 
 
+class TraceLineError(ValueError):
+    """A line of a JSONL trace that no schema version can mean."""
+
+    def __init__(self, line: int, why: str) -> None:
+        super().__init__(f"line {line}: {why}")
+        #: the 1-based line number in the stream
+        self.line = line
+
+
 def read_jsonl(stream: TextIO) -> Iterator[Dict[str, Any]]:
     """Parse a JSONL trace file written by any schema version.
 
     Yields one dict per event line with ``v`` and ``clock_domain``
     always present: v1 lines (no ``v`` key) are back-filled with
-    ``v=1`` and the domain their kind implied at the time.
+    ``v=1`` and the domain their kind implied at the time.  A line that
+    is not JSON, not an object, or names a version other than 1 or 2
+    raises :class:`TraceLineError` (a ValueError) naming its line.
     """
-    for line in stream:
+    for number, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        if "v" not in record:
-            record["v"] = 1
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceLineError(number, f"not JSON: {exc.msg}") from None
+        if not isinstance(record, dict):
+            raise TraceLineError(number, "not a JSON object")
+        version = record.setdefault("v", 1)
+        if type(version) is not int or version not in (1, 2):
+            raise TraceLineError(
+                number, f"unknown schema version {version!r} (reads 1, 2)"
+            )
         if "clock_domain" not in record:
             record["clock_domain"] = (
                 CLOCK_CYCLES

@@ -495,9 +495,7 @@ class MatrixCollector:
     bandwidths:
         Directed link (src, dst) -> capacity in bit/s, for utilization.
     period:
-        Seconds between snapshots.
-    start:
-        First tick (defaults to one period in).
+        Seconds between snapshots; the first tick is one period in.
     stop:
         No tick is scheduled at or beyond this horizon.
     alerts:
@@ -511,7 +509,6 @@ class MatrixCollector:
         scheduler,
         bandwidths: Optional[Mapping[Tuple[str, str], float]] = None,
         period: float = 0.1,
-        start: Optional[float] = None,
         stop: Optional[float] = None,
         alerts=None,
     ) -> None:
@@ -525,9 +522,7 @@ class MatrixCollector:
         self.alerts = alerts
         self.matrices: List[TrafficMatrix] = []
         self._last_tick = 0.0
-        first = start if start is not None else period
-        self._last_tick = max(0.0, first - period)
-        scheduler.at(first, self._tick)
+        scheduler.at(period, self._tick)
 
     def _tick(self) -> None:
         now = self.scheduler.now

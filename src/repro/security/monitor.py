@@ -8,9 +8,9 @@ aimed at the control plane's exception path.  This module is the layer
 those attacks are measured *against*:
 
 * :class:`SecurityConfig` -- the scenario's ``security`` key: one
-  master ``enabled`` switch plus per-guard toggles, so a scenario can
-  run the same seeded attack with and without its mitigation and
-  compare blast radii.
+  ``enabled`` switch that arms every guard, so a scenario can run the
+  same seeded attack with and without its mitigation and compare
+  blast radii.
 * :class:`SecurityMonitor` -- the runtime: owns the edge label-stack
   guard (RFC 4364 trust-boundary semantics: a labelled packet arriving
   from outside the MPLS domain is never trusted), verifies per-session
@@ -33,9 +33,8 @@ strings here and the LDP process is duck-typed, which keeps
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated, Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.config import NOT_NEGATIVE
 from repro.net.packet import MPLSPacket
 from repro.obs.events import AttackDetected, AttackMitigated
 
@@ -51,30 +50,38 @@ TTL_FLOOD = "ttl-flood"
 FORGED_FLOW_BASE = 0x5EC00000
 
 
+#: TTL-exception punts admitted to the control plane per second, and
+#: the exception path's token-bucket burst
+EXCEPTION_RATE = 200.0
+EXCEPTION_BURST = 20.0
+
+#: What ``enabled`` arms, all together (the report's
+#: ``security.guards``): the LER trust-boundary guard on labelled
+#: packets, per-session auth tokens on LDP shutdowns, the cross-FEC
+#: audit of ILM entries against neighbour announcements, quarantine of
+#: the cross-connects it finds, and the exception-path token bucket.
+GUARDS = {
+    "edge_guard": True,
+    "authenticate": True,
+    "cross_check": True,
+    "quarantine": True,
+    "exception_rate": EXCEPTION_RATE,
+    "exception_burst": EXCEPTION_BURST,
+}
+
+
 @dataclass(frozen=True)
 class SecurityConfig:
     """The scenario's ``security`` key.
 
-    ``enabled`` is the master mitigation switch (``repro chaos
-    --mitigation on|off`` overrides it): with it off the attacks still
-    run and are still accounted, but every guard stands down -- the
-    blast-radius baseline the mitigated run is compared against.
+    ``enabled`` is the mitigation switch (``repro chaos --mitigation
+    on|off`` overrides it): it arms every guard of :data:`GUARDS`.
+    With it off the attacks still run and are still accounted, but
+    every guard stands down -- the blast-radius baseline the mitigated
+    run is compared against.
     """
 
     enabled: bool = True
-    #: Reject labelled packets arriving over the trust boundary at LERs.
-    edge_guard: bool = True
-    #: Verify per-session auth tokens on LDP shutdown messages.
-    authenticate: bool = True
-    #: Cross-check ILM entries against neighbour announcements (the
-    #: auditor's cross-FEC reachability pass).
-    cross_check: bool = True
-    #: Quarantine cross-connected ILM entries via a table transaction.
-    quarantine: bool = True
-    #: TTL-exception punts admitted to the control plane per second.
-    exception_rate: Annotated[float, NOT_NEGATIVE] = 200.0
-    #: Exception-path token-bucket burst.
-    exception_burst: Annotated[float, NOT_NEGATIVE] = 20.0
 
 
 @dataclass
@@ -172,9 +179,7 @@ class SecurityMonitor:
         self.flows: List[Tuple[str, str, int]] = []
         #: prefix -> destination address, for forging plausible inners
         self.flow_dsts: Dict[str, Any] = {}
-        self.limiter = ExceptionRateLimiter(
-            config.exception_rate, config.exception_burst
-        )
+        self.limiter = ExceptionRateLimiter(EXCEPTION_RATE, EXCEPTION_BURST)
         # totals for the report section
         self.guard_rejections = 0
         self.auth_mismatches = 0
@@ -190,7 +195,7 @@ class SecurityMonitor:
         self.network.security_monitor = self
         if self.message_ldp is not None:
             self.message_ldp.security = self
-        if self.config.enabled and self.config.edge_guard:
+        if self.config.enabled:
             for name in sorted(self.network.nodes):
                 node = self.network.nodes[name]
                 if getattr(node, "is_edge", False):
@@ -334,8 +339,7 @@ class SecurityMonitor:
         now = self._now()
         self.exceptions_total += count
         record = self._attack_on_node(TTL_FLOOD, node)
-        limiting = self.config.enabled and self.config.exception_rate >= 0
-        if limiting:
+        if self.config.enabled:
             admitted = self.limiter.admit(node, now, count)
         else:
             admitted = count
@@ -386,7 +390,7 @@ class SecurityMonitor:
         caches drop the poisoned decision).  Returns entries
         quarantined this pass.
         """
-        if not (self.config.enabled and self.config.cross_check):
+        if not self.config.enabled:
             return 0
         mldp = self.message_ldp
         if mldp is None:
@@ -424,8 +428,6 @@ class SecurityMonitor:
                 detail = f"{fec_id} cross-connected into {leaked_to} at {name}"
                 if record is not None:
                     self._detect(record, now, name, detail)
-                if not self.config.quarantine:
-                    continue
                 node.ilm.begin()
                 node.ilm.remove(label)
                 node.ilm.commit()

@@ -5,6 +5,9 @@ import pytest
 from repro.control.ldp_sessions import LDPMessage, MessageLDPProcess, MsgType
 from repro.control.overload import (
     CLASS_NAMES,
+    HIGH_WATERMARK,
+    LOW_WATERMARK,
+    QUEUE_CAPACITY,
     IngressShedder,
     MessageClass,
     OverloadConfig,
@@ -40,15 +43,19 @@ class TestClassification:
 
 class TestOverloadConfig:
     def test_defaults_valid(self):
-        cfg = OverloadConfig()
-        assert cfg.enabled
-        assert cfg.low_watermark < cfg.high_watermark <= cfg.queue_capacity
+        assert OverloadConfig().enabled
+        assert 0 <= LOW_WATERMARK < HIGH_WATERMARK <= QUEUE_CAPACITY
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="^overload: unknown key"):
+            OverloadConfig.from_dict({"enabled": True, "typo": 1})
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "raw",
         [
+            # each was a knob refused for a bad value; now a constant
             {"queue_capacity": 0},
-            {"high_watermark": 40},  # > capacity
+            {"high_watermark": 40},
             {"low_watermark": 24, "high_watermark": 24},
             {"service_time_s": 0.0},
             {"hold_time": 0.0},
@@ -59,28 +66,17 @@ class TestOverloadConfig:
             {"shed_period": 0.0},
         ],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            OverloadConfig(**kwargs)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="^overload: unknown key"):
-            OverloadConfig.from_dict({"enabled": True, "typo": 1})
+    def test_a_removed_knob_is_refused(self, raw):
+        names = ", ".join(sorted(raw))
+        with pytest.raises(ValueError) as refused:
+            OverloadConfig.from_dict(raw)
+        assert str(refused.value) == (
+            f"overload: unknown key(s) {names} (accepted: enabled)"
+        )
 
     def test_from_dict_casts_and_keeps_horizon(self):
-        cfg = OverloadConfig.from_dict(
-            {
-                "enabled": False,
-                "queue_capacity": "16",
-                "high_watermark": 12,
-                "low_watermark": 4,
-                "hold_time": "0.5",
-            },
-            horizon=2.0,
-        )
+        cfg = OverloadConfig.from_dict({"enabled": False}, horizon=2.0)
         assert cfg.enabled is False
-        assert cfg.queue_capacity == 16
-        assert cfg.hold_time == 0.5
         assert cfg.horizon == 2.0
 
 
@@ -191,9 +187,8 @@ class TestPriorityControlQueue:
 
 
 class TestIngressShedder:
-    def _shedder(self, pressure, **cfg_kwargs):
-        cfg_kwargs.setdefault("horizon", None)
-        cfg = OverloadConfig(**cfg_kwargs)
+    def _shedder(self, pressure):
+        cfg = OverloadConfig(horizon=None)
         scheduler = EventScheduler()
         entries = [
             ShedEntry(prefix="10.0.0.0/16", cos=0, ingress="n0"),
@@ -213,7 +208,7 @@ class TestIngressShedder:
 
     def test_restore_needs_consecutive_calm_ticks(self):
         readings = iter([1.0, 0.1, 0.4, 0.1, 0.1, 0.1])
-        shedder = self._shedder(lambda: next(readings), shed_hysteresis=3)
+        shedder = self._shedder(lambda: next(readings))  # hysteresis 3
         shedder.observe()  # shed
         shedder.observe()  # calm 1
         shedder.observe()  # mid-band: calm counter resets
@@ -242,24 +237,15 @@ class TestIngressShedder:
             shedder.arm()
 
 
-def _storm_env(enabled, n=4, hold_time=0.2):
+def _storm_env(enabled, n=4):
     """A ring with message-LDP behind bounded control queues."""
     topo = ring(n, delay_s=1e-3)
     nodes = {
         name: LSRNode(name, RouterRole.LSR) for name in topo.nodes
     }
     scheduler = EventScheduler()
-    cfg = OverloadConfig(
-        enabled=enabled,
-        queue_capacity=32,
-        high_watermark=24,
-        low_watermark=8,
-        hold_time=hold_time,
-        horizon=2.0,
-    )
-    ldp = MessageLDPProcess(
-        topo, nodes, scheduler, overload=cfg, jitter_seed=3
-    )
+    cfg = OverloadConfig(enabled=enabled, horizon=2.0)
+    ldp = MessageLDPProcess(topo, nodes, scheduler, overload=cfg)
     return topo, scheduler, ldp
 
 
@@ -321,16 +307,14 @@ class TestStormSurvival:
         assert len(ldp.sessions_recovered) == len(ldp.sessions_lost)
 
 
-class TestReconnectJitter:
-    def _drop_and_time(self, jitter, seed=5):
+class TestReconnect:
+    def _drop_and_time(self):
         topo = ring(4, delay_s=1e-3)
         nodes = {
             name: LSRNode(name, RouterRole.LSR) for name in topo.nodes
         }
         scheduler = EventScheduler()
-        ldp = MessageLDPProcess(
-            topo, nodes, scheduler, retry_jitter=jitter, jitter_seed=seed
-        )
+        ldp = MessageLDPProcess(topo, nodes, scheduler)
         ldp.start()
         scheduler.run(until=0.2)
         for a, b in (("n0", "n1"), ("n1", "n2"), ("n2", "n3")):
@@ -338,31 +322,17 @@ class TestReconnectJitter:
         scheduler.run(until=2.0)
         return [t for (t, _, _, _) in ldp.sessions_recovered]
 
-    def test_zero_jitter_is_byte_identical_legacy(self):
-        assert self._drop_and_time(0.0) == self._drop_and_time(0.0)
+    def test_reconnect_schedule_is_deterministic(self):
+        assert self._drop_and_time() == self._drop_and_time()
 
-    def test_zero_jitter_synchronizes_reconnects(self):
-        times = self._drop_and_time(0.0)
-        assert len(set(times)) == 1  # the thundering herd
-
-    def test_jitter_decorrelates_the_herd_deterministically(self):
-        times = self._drop_and_time(0.25)
-        assert len(set(times)) == len(times)  # all distinct now
-        assert times == self._drop_and_time(0.25)  # still seeded
-        assert times != self._drop_and_time(0.25, seed=6)
-
-    def test_jitter_validation(self):
-        topo = ring(3)
-        nodes = {n: LSRNode(n, RouterRole.LSR) for n in topo.nodes}
-        with pytest.raises(ValueError):
-            MessageLDPProcess(
-                topo, nodes, EventScheduler(), retry_jitter=1.0
-            )
+    def test_same_instant_drops_reconnect_together(self):
+        times = self._drop_and_time()
+        assert len(set(times)) == 1  # no jitter: the thundering herd
 
 
 class TestHoldTimerExpiry:
     def test_silent_peer_hold_expires(self):
-        topo, scheduler, ldp = _storm_env(enabled=True, hold_time=0.12)
+        topo, scheduler, ldp = _storm_env(enabled=True)
         ldp.start()
         scheduler.run(until=0.1)
         assert ldp.all_sessions_up()

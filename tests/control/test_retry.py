@@ -105,9 +105,9 @@ class TestSchedule:
 
 
 class TestLDPDelegation:
-    """Message-level LDP reuses the shared policy verbatim."""
+    """Message-level LDP reuses the shared policy, without jitter."""
 
-    def _ldp(self, jitter=0.15, seed=11):
+    def _ldp(self):
         topo = paper_figure1(delay_s=1e-3)
         nodes = {
             name: LSRNode(
@@ -118,41 +118,22 @@ class TestLDPDelegation:
             )
             for name in topo.nodes
         }
-        return MessageLDPProcess(
-            topo, nodes, EventScheduler(),
-            retry_jitter=jitter, jitter_seed=seed,
-        )
+        return MessageLDPProcess(topo, nodes, EventScheduler())
 
     def test_ldp_backoff_is_the_shared_policy(self):
         ldp = self._ldp()
         assert isinstance(ldp.backoff, ReconnectBackoff)
 
     def test_ldp_schedule_identical_to_standalone_policy(self):
-        """Same (seed, key, drop sequence) -> the LDP session schedule
-        is bit-for-bit the schedule a bare ReconnectBackoff yields."""
-        ldp = self._ldp(jitter=0.15, seed=11)
-        bare = ReconnectBackoff(
-            initial=50e-3, maximum=2.0, max_retries=20,
-            jitter=0.15, seed=11,
-        )
+        """The LDP session schedule is bit-for-bit the schedule a bare
+        jitter-free ReconnectBackoff yields: pure exponential."""
+        ldp = self._ldp()
+        bare = ReconnectBackoff(initial=50e-3, maximum=2.0, max_retries=20)
         key = ("lsr-1", "lsr-2")
-        got = [ldp._jittered(key, 0.05)] + [
+        got = [ldp.backoff.first_delay(key)] + [
             ldp.backoff.next_delay(key, n) for n in range(1, 6)
         ]
         want = [bare.first_delay(key)] + [
             bare.next_delay(key, n) for n in range(1, 6)
         ]
-        assert got == want
-
-    def test_ldp_same_seed_same_reconnect_schedule(self):
-        a, b = self._ldp(seed=3), self._ldp(seed=3)
-        key = ("ler-a", "lsr-1")
-        assert [a.backoff.first_delay(key)] + [
-            a.backoff.next_delay(key, n) for n in range(1, 8)
-        ] == [b.backoff.first_delay(key)] + [
-            b.backoff.next_delay(key, n) for n in range(1, 8)
-        ]
-
-    def test_ldp_jitter_validation_propagates(self):
-        with pytest.raises(ValueError, match=r"retry_jitter must be in"):
-            self._ldp(jitter=1.0)
+        assert got == want == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]

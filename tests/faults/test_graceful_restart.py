@@ -318,20 +318,6 @@ class TestConsistencyAuditor:
                 node._expected_pairs(level)
             )
 
-    def test_detect_only_mode_leaves_drift(self):
-        network, _ = self._hw_network()
-        node = network.nodes["lsr-1"]
-        node._sync_info_base()
-        auditor = ConsistencyAuditor(network, period=0.1, repair=False)
-        network.scheduler.at(
-            0.15, lambda: node.modifier.corrupt_pair(2, 0, label_xor=0x4)
-        )
-        network.run(until=0.35)
-        assert auditor.records[1].drift_nodes == ["lsr-1"]
-        assert auditor.records[1].repaired == 0
-        # still drifted on the next pass: nothing repaired it
-        assert auditor.records[2].drift_nodes == ["lsr-1"]
-
     def test_watchdog_flags_transaction_open_across_passes(self):
         network, _ = self._hw_network()
         node = network.nodes["lsr-2"]

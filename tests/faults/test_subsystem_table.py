@@ -11,18 +11,21 @@ import ast
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import repro.faults.chaos as chaos
-from repro.cli import main
+from repro.cli import QUICKSTART, main
 from repro.faults import ChaosRun, Scenario, ScenarioError, build_run
+from repro.faults.scenario import RandomFaultSpec
 from repro.faults.subsystems import (
     FLAGS,
     KIND_KEYS,
     SUBSYSTEM_KEYS,
     SUBSYSTEMS,
+    Flows,
     Subsystem,
 )
 from repro.obs import telemetry_session
@@ -146,6 +149,79 @@ def test_list_faults_pin_still_holds(capsys):
     assert pin == f"{digest}  list-faults.txt\n"
 
 
+# -- the census: a key exists only where a workload sets it ---------------------
+def _accepted(where, parse):
+    """The keys ``parse`` accepts, read off its refusal of an unknown
+    one, each as ``<where>.<key>``."""
+    with pytest.raises(ScenarioError) as refused:
+        parse({"?": 1})
+    listed = re.search(r"\(accepted: (.*)\)$", str(refused.value)).group(1)
+    return {f"{where}.{key}" for key in listed.split(", ")}
+
+
+def _set_by(document):
+    """Every subsystem, alert-rule and ``random_faults`` key a scenario
+    document sets, named like :func:`_accepted`'s."""
+    found = set()
+    for key in (*SUBSYSTEM_KEYS, "random_faults"):
+        found |= {f"{key}.{field}" for field in document.get(key) or {}}
+    for rule in (document.get("alerts") or {}).get("rules", []):
+        found |= {f"alerts.rules[].{field}" for field in rule}
+    return found
+
+
+def test_every_accepted_key_is_set_by_some_workload():
+    """A key no example, the quickstart or a ``repro chaos`` flag sets
+    only ever holds its default: it is a constant, not a key."""
+    # flows armed, so the carried alerts key can be set on a copy
+    scenario = Scenario.from_dict(dict(BASE, flows={}))
+    accepted = _accepted("random_faults", RandomFaultSpec.from_dict)
+    for sub in SUBSYSTEMS:
+        accepted |= _accepted(sub.key, lambda raw: sub.parse(raw, scenario))
+        for key in sub.carries:
+            carried = dataclasses.replace(scenario, **{key: {"?": 1}})
+            accepted |= _accepted(key, lambda raw: sub.parse({}, carried))
+    accepted |= _accepted("alerts.rules[]", lambda raw: Flows().parse(
+        {}, dataclasses.replace(scenario, alerts={"rules": [raw]})))
+    documents = [QUICKSTART] + [
+        json.loads(path.read_text())
+        for path in sorted((ROOT / "examples").glob("*.json"))
+    ]
+    set_by = set().union(*map(_set_by, documents)) | {
+        f"{sub.key}.{sub.flag.field}" for sub in FLAGS.values()
+    }
+    assert sorted(accepted - set_by) == []
+    # 13 subsystem-object keys, 5 alert-rule keys, alerts.rules, and
+    # 4 random_faults keys
+    assert len(accepted) == 23
+
+
+def test_every_flag_has_a_pinned_ci_leg():
+    """The census counts a flag as a setter, so each ``FLAGS`` row needs
+    a ``determinism-smoke`` leg whose report is pinned: one
+    ``<scenario>.<flag>-<value>.report.json`` line of
+    ``chaos_reports.sha256``.  The workflow is read by regex (PyYAML is
+    not a test dependency)."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    job = re.search(
+        r"^  determinism-smoke:\n(.*?)(?=^  \S)", workflow, re.M | re.S
+    ).group(1)
+    legs = re.findall(
+        r'^\s+- \{scenario: ([\w-]+), flag: "--([\w-]+) ([^"]+)"\}', job,
+        re.M,
+    )
+    pins = {
+        line.split()[1]
+        for line in (FAULTS_DATA / "chaos_reports.sha256").read_text()
+        .splitlines()
+    }
+    pinned = {
+        name for scenario, name, value in legs
+        if f"{scenario}.{name}-{value}.report.json" in pins
+    }
+    assert sorted(FLAGS) == sorted(pinned)
+
+
 class TestRowShape:
     """A row without ``parse``, ``build`` or ``section`` fails when its
     class is made, not when a scenario first arms it."""
@@ -170,9 +246,9 @@ class TestRefusedBeforeAnythingIsBuilt:
         ("oam", {"timeout": 100}),
         ("flows", {"capacity": 0}),
         ("topo", {"snapshot_every": "x"}),
-        ("overload", {"queue_capacity": "x"}),
-        ("security", {"exception_rate": "x"}),
-        ("controller", {"hold_time": "x"}),
+        ("overload", {"enabled": "x"}),
+        ("security", {"enabled": "x"}),
+        ("controller", {"enabled": "x"}),
     ])
     def test_refused_before_the_network(self, key, config, monkeypatch):
         def built(*args, **kwargs):

@@ -11,6 +11,8 @@ deliberately.
 import io
 import json
 
+import pytest
+
 from repro.obs.events import (
     CLOCK_CYCLES,
     CLOCK_SIM,
@@ -20,6 +22,7 @@ from repro.obs.events import (
     JSONLSink,
     LabelMappingWithdrawn,
     PacketForwarded,
+    TraceLineError,
     read_jsonl,
 )
 from repro.obs.export import to_prometheus
@@ -115,6 +118,35 @@ class TestEventJSONL:
         assert [r["clock_domain"] for r in records] == [
             CLOCK_SIM, CLOCK_SIM, CLOCK_CYCLES
         ]
+
+
+class TestHostileLines:
+    """A line no schema version can mean is one named error carrying
+    its line number -- not a bare TypeError, and never yielded as if it
+    were readable."""
+
+    @pytest.mark.parametrize(
+        "line,why",
+        [
+            # were: TypeError from the ``"v" in record`` test
+            ("[1, 2]", "not a JSON object"),
+            ('"str"', "not a JSON object"),
+            # was: yielded as a v9 record
+            ('{"v": 9}', "unknown schema version 9 (reads 1, 2)"),
+            ('{"v": "2"}', "unknown schema version '2' (reads 1, 2)"),
+            # was: a bare json.JSONDecodeError
+            ("{not json", "not JSON: "),
+        ],
+    )
+    def test_refused_with_its_line_number(self, line, why):
+        good = json.dumps({"kind": "packet-forwarded", "time": 0.1})
+        records = read_jsonl(io.StringIO(f"{good}\n\n{line}\n{good}\n"))
+        assert next(records)["v"] == 1
+        with pytest.raises(TraceLineError) as refused:
+            next(records)
+        assert refused.value.line == 3
+        assert str(refused.value).startswith(f"line 3: {why}")
+        assert isinstance(refused.value, ValueError)
 
 
 class TestFlowsExporter:
