@@ -31,7 +31,7 @@ def _run_hw_network():
     )
     src = CBRSource(net.scheduler, net.source_sink("ler-a"),
                     src="10.1.0.5", dst="10.2.0.9", rate_bps=2e6,
-                    packet_size=500, stop=0.5, seed=1)
+                    packet_size=500, stop=0.5)
     src.begin()
     net.run(until=1.0)
     return net, src

@@ -26,7 +26,7 @@ RIB_SIZES = (0, 64, 256, 512)
 def _traffic(net, stop=0.2):
     src = CBRSource(net.scheduler, net.source_sink("ler-a"),
                     src="10.1.0.5", dst="10.2.0.9", rate_bps=1e6,
-                    packet_size=500, stop=stop, seed=1)
+                    packet_size=500, stop=stop)
     src.begin()
     return src
 

@@ -11,8 +11,7 @@ to a full simulated MPLS network with its control plane:
 * :mod:`repro.net`  -- packets, layer-2 framing, links, topologies,
   discrete-event simulation, traffic generators,
 * :mod:`repro.control` -- SPF routing, LDP, CSPF, RSVP-TE, CR-LDP,
-* :mod:`repro.qos`  -- classification, marking, policing, queueing,
-  scheduling,
+* :mod:`repro.qos`  -- classification and CoS scheduling,
 * :mod:`repro.core` -- the assembled embedded architecture and its
   timing/device models,
 * :mod:`repro.analysis` -- measurement and reporting for the

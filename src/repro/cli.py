@@ -12,6 +12,7 @@ fails, 2 for arguments no run can mean.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TextIO
@@ -930,10 +931,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler = parsed.pop("handler")
     # refused before any scenario is built: a rate outside [0, 1] (NaN
     # fails both bounds) is a traceback from the recorder, a negative N
-    # a slice bound ("all but the last"), not a count
+    # a slice bound ("all but the last"), not a count, and a time that
+    # is not finite a view no run ever held
     problem = None
     if not 0.0 <= (rate := parsed.get("sample_rate", 1.0)) <= 1.0:
         problem = f"--sample-rate must be in [0, 1], got {rate}"
+    for when in parsed.get("times") or ():
+        if not math.isfinite(when):
+            problem = f"a time must be finite, got {when}"
     for name in ("slowest", "top"):
         if parsed.get(name, 0) < 0:
             problem = f"--{name} must be >= 0, got {parsed[name]}"

@@ -14,7 +14,7 @@ base.  This subpackage supplies that software plane:
 * :mod:`repro.control.cspf` -- constraint-based SPF (bandwidth and
   affinity pruning) for traffic engineering,
 * :mod:`repro.control.rsvp_te` -- explicit-route LSP signalling with
-  bandwidth reservation: RSVP-TE (soft state, preemption) and CR-LDP
+  bandwidth reservation: RSVP-TE (soft state) and CR-LDP
   (the other protocol the paper names: the same setup, hard state),
 * :mod:`repro.control.frr` -- path protection over RSVP-TE,
 * :mod:`repro.control.lsp` -- LSP and tunnel-hierarchy objects.

@@ -11,7 +11,7 @@ that are already committed.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.topology import Topology
 
@@ -28,7 +28,6 @@ def cspf_path(
     include_affinity: int = 0,
     exclude_affinity: int = 0,
     avoid_nodes: Optional[Set[str]] = None,
-    avoid_links: Optional[Iterable[Tuple[str, str]]] = None,
 ) -> List[str]:
     """The metric-shortest path whose links all satisfy the constraints.
 
@@ -43,22 +42,14 @@ def cspf_path(
         Bits that must all be clear.
     avoid_nodes:
         Nodes to prune (e.g. for computing a disjoint backup path).
-    avoid_links:
-        Links to prune, given as (a, b) pairs in either orientation
-        (e.g. the shortfall links a preemption victim must vacate).
 
     Raises :class:`CSPFError` when no such path exists.
     """
     avoid = avoid_nodes or set()
-    pruned_links: Set[Tuple[str, str]] = {
-        (a, b) if a <= b else (b, a) for a, b in (avoid_links or ())
-    }
     if source in avoid or destination in avoid:
         raise CSPFError("source or destination is excluded")
 
     def usable(a: str, b: str) -> bool:
-        if ((a, b) if a <= b else (b, a)) in pruned_links:
-            return False
         attrs = topology.link(a, b)
         if attrs.reservable(a) + 1e-9 < bandwidth_bps:
             return False

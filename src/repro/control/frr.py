@@ -60,7 +60,6 @@ class FastRerouteManager:
         ingress: str,
         egress: str,
         fec: FEC,
-        bandwidth_bps: float = 0.0,
     ) -> ProtectedPath:
         """Signal a primary and a disjoint backup; steer ``fec`` onto
         the primary."""
@@ -70,7 +69,6 @@ class FastRerouteManager:
             f"{name}-primary",
             ingress,
             egress,
-            bandwidth_bps=bandwidth_bps,
             fec=fec,
         )
         avoid: Set[str] = set(primary.path[1:-1])
@@ -79,21 +77,17 @@ class FastRerouteManager:
                 self.signaler.topology,
                 ingress,
                 egress,
-                bandwidth_bps=bandwidth_bps,
                 avoid_nodes=avoid,
             )
         except CSPFError:
             # no node-disjoint path: fall back to avoiding the
             # primary's links only (maximally disjoint)
-            backup_route = self._link_disjoint_route(
-                ingress, egress, primary, bandwidth_bps
-            )
+            backup_route = self._link_disjoint_route(ingress, egress, primary)
         backup = self.signaler.setup(
             f"{name}-backup",
             ingress,
             egress,
             explicit_route=backup_route,
-            bandwidth_bps=bandwidth_bps,
         )
         protected = ProtectedPath(
             name=name, fec=fec, primary=primary, backup=backup
@@ -102,7 +96,7 @@ class FastRerouteManager:
         return protected
 
     def _link_disjoint_route(
-        self, ingress: str, egress: str, primary: LSP, bandwidth_bps: float
+        self, ingress: str, egress: str, primary: LSP
     ) -> List[str]:
         """Maximally disjoint fallback: penalize the primary's links so
         CSPF only reuses a link when no alternative exists (e.g. a
@@ -113,9 +107,7 @@ class FastRerouteManager:
         try:
             for a, b, metric in saved:
                 topo.set_metric(a, b, metric * 1000)
-            route = cspf_path(
-                topo, ingress, egress, bandwidth_bps=bandwidth_bps
-            )
+            route = cspf_path(topo, ingress, egress)
         finally:
             for a, b, metric in saved:
                 topo.set_metric(a, b, metric)

@@ -32,13 +32,6 @@ class LSP:
     #: signalling protocol that created it ("rsvp-te", "cr-ldp", "ldp")
     protocol: str = "static"
     up: bool = True
-    #: RFC 3209 priorities, 0 (best) .. 7 (worst).  ``setup_priority``
-    #: is the strength of this LSP's admission request; ``hold_priority``
-    #: is how hard it holds its reservation once established.  An LSP
-    #: may preempt another only when its setup priority is numerically
-    #: lower than the victim's hold priority.
-    setup_priority: int = 4
-    hold_priority: int = 4
 
     def __post_init__(self) -> None:
         if len(self.path) < 2:

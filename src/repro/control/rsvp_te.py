@@ -12,8 +12,8 @@ model captures RSVP-TE's essence:
 
 CR-LDP (:class:`CRLDPSignaler`, the paper's reference [5]) is the same
 setup with *hard* state: a Label Request / Label Mapping pair per hop
-(counted as PATH / RESV), no refreshes, no preemption, and an LSP lives
-until it is released.
+(counted as PATH / RESV), no refreshes, and an LSP lives until it is
+released.
 
 Setup installs the same ILM/FTN entries a converged RSVP-TE network
 would hold, so the data plane can forward immediately afterwards.
@@ -22,18 +22,17 @@ would hold, so the data plane can forward immediately afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.control.cspf import CSPFError, cspf_path
+from repro.control.cspf import cspf_path
 from repro.control.labels import LabelAllocator
 from repro.control.lsp import LSP
 from repro.mpls.fec import FEC
 from repro.mpls.label import IMPLICIT_NULL, LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode
-from repro.mpls.transaction import TableTransaction
 from repro.net.topology import Topology
-from repro.obs.events import LSPEvent, LSPPreempted
+from repro.obs.events import LSPEvent
 from repro.obs.telemetry import get_telemetry
 
 
@@ -45,8 +44,8 @@ class SetupError(SignalingError):
     """Admission control rejected the setup; nothing was reserved.
 
     Raised *before* any label, table entry, or bandwidth reservation is
-    touched, so a caller catching it can retry (e.g. at a stronger
-    setup priority) against unchanged network state.
+    touched, so a caller catching it can retry against unchanged
+    network state.
     """
 
 
@@ -57,12 +56,6 @@ class SignalingStats:
     refresh_messages: int = 0
     teardowns: int = 0
     setup_failures: int = 0
-    #: victims rerouted make-before-break onto an alternate path
-    preempt_reroutes: int = 0
-    #: victims torn down because no alternate path existed
-    preempt_teardowns: int = 0
-    #: setups refused because preemption could not free enough headroom
-    preempt_declined: int = 0
 
 
 # An LSP's forwarding state, derived once for setup, refresh, steering
@@ -104,9 +97,6 @@ class RSVPTESignaler:
     protocol = "rsvp-te"
     #: where each node's label allocation for this signaler starts
     first_label = 100_000
-    #: may admission preempt lower-priority LSPs?  (soft preemption:
-    #: victims are rerouted make-before-break when a path exists)
-    preemption_enabled = True
     #: soft state: an LSP must be refreshed, or :meth:`expire_stale`
     #: tears it down
     soft_state = True
@@ -121,8 +111,8 @@ class RSVPTESignaler:
         self.lsps: Dict[str, LSP] = {}
         #: lsp name -> last refresh timestamp (soft-state LSPs only)
         self._last_refresh: Dict[str, float] = {}
-        #: lsp name -> FEC steered onto it (needed to rewrite the
-        #: ingress FTN when a preemption reroutes the LSP)
+        #: lsp name -> FEC steered onto it (its ingress FTN entry goes
+        #: with the LSP)
         self._fec_of: Dict[str, FEC] = {}
         self.telemetry = get_telemetry()
 
@@ -148,36 +138,15 @@ class RSVPTESignaler:
         php: bool = False,
         include_affinity: int = 0,
         exclude_affinity: int = 0,
-        setup_priority: int = 4,
-        hold_priority: Optional[int] = None,
     ) -> LSP:
         """Signal an LSP; returns it up and installed.
 
         Without an ``explicit_route``, CSPF computes one honouring the
         bandwidth/affinity constraints.  Admission control rejects the
-        setup (and reserves nothing) when any link lacks headroom --
-        unless :attr:`preemption_enabled` and the shortfall links carry
-        LSPs whose hold priority is numerically weaker than this
-        setup's ``setup_priority``, in which case those victims are
-        preempted (rerouted make-before-break when an alternate path
-        exists, torn down otherwise) to free the headroom.
-
-        Priorities follow RFC 3209: 0 is strongest, 7 weakest, and
-        ``hold_priority`` (defaulting to ``setup_priority``) must hold
-        at least as strongly as the LSP requests, i.e. be numerically
-        ``<= setup_priority`` -- otherwise two LSPs could preempt each
-        other forever.
+        setup (and reserves nothing) when any link lacks headroom.
         """
         if name in self.lsps:
             raise SignalingError(f"LSP {name!r} already exists")
-        if hold_priority is None:
-            hold_priority = setup_priority
-        if not (0 <= setup_priority <= 7 and 0 <= hold_priority <= 7):
-            raise SignalingError("priorities must be in 0..7")
-        if hold_priority > setup_priority:
-            raise SignalingError(
-                "hold_priority must be numerically <= setup_priority"
-            )
         if explicit_route is None:
             try:
                 explicit_route = cspf_path(
@@ -194,52 +163,18 @@ class RSVPTESignaler:
         route = explicit_route
         self._validate_route(route, ingress, egress)
 
-        # PATH downstream: verify hop adjacency and bandwidth headroom.
-        # A shortfall hop is fatal unless preemption can free it; the
-        # PATH message stops at the first hopeless hop, exactly as the
-        # non-preempting admission check always has.
-        shortfalls: List[Tuple[str, str]] = []
+        # PATH downstream: verify hop adjacency and bandwidth headroom;
+        # the PATH message stops at the first short hop
         for a, b in zip(route, route[1:]):
             self.stats.path_messages += 1
             attrs = self.topology.link(a, b)
             if attrs.reservable(a) + 1e-9 < bandwidth_bps:
-                if not (
-                    self.preemption_enabled
-                    and self._candidates_on(a, b, setup_priority, name)
-                ):
-                    self.stats.setup_failures += 1
-                    raise SetupError(
-                        f"admission control: link {a}-{b} has only "
-                        f"{attrs.reservable(a):g} bps unreserved, "
-                        f"{bandwidth_bps:g} requested"
-                    )
-                shortfalls.append((a, b))
-
-        if shortfalls:
-            # plan first (pure), execute only if the whole plan works:
-            # a declined preemption must leave zero partial state
-            plan = self._plan_preemption(
-                shortfalls, bandwidth_bps, setup_priority, name
-            )
-            if plan is None:
                 self.stats.setup_failures += 1
-                self.stats.preempt_declined += 1
                 raise SetupError(
-                    f"admission control: preemption at priority "
-                    f"{setup_priority} cannot free {bandwidth_bps:g} bps "
-                    f"for {name!r}"
+                    f"admission control: link {a}-{b} has only "
+                    f"{attrs.reservable(a):g} bps unreserved, "
+                    f"{bandwidth_bps:g} requested"
                 )
-            avoid = {(a, b) if a <= b else (b, a) for a, b in shortfalls}
-            for victim in plan:
-                self._preempt(victim, avoid, by=name)
-            for a, b in shortfalls:
-                attrs = self.topology.link(a, b)
-                if attrs.reservable(a) + 1e-9 < bandwidth_bps:
-                    # the plan accounted for this; defensive only
-                    self.stats.setup_failures += 1
-                    raise SignalingError(
-                        f"preemption under-freed link {a}-{b} for {name!r}"
-                    )
 
         # RESV upstream: allocate labels, install state, reserve.
         hop_labels = self._install_route(route, cos=cos, fec=fec, php=php)
@@ -255,8 +190,6 @@ class RSVPTESignaler:
             bandwidth_bps=bandwidth_bps,
             cos=cos,
             protocol=self.protocol,
-            setup_priority=setup_priority,
-            hold_priority=hold_priority,
         )
         self.lsps[name] = lsp
         if self.soft_state:
@@ -297,154 +230,25 @@ class RSVPTESignaler:
             )
         return hop_labels
 
-    # -- preemption -------------------------------------------------------
-    def _candidates_on(
-        self, a: str, b: str, setup_priority: int, exclude: str
-    ) -> List[LSP]:
-        """Established LSPs on directed link ``a -> b`` preemptable by a
-        setup at ``setup_priority``: weakest hold first, then biggest
-        reservation (fewest victims), then name (determinism)."""
-        victims = [
-            lsp
-            for lsp in self.lsps.values()
-            if lsp.name != exclude
-            and lsp.hold_priority > setup_priority
-            and lsp.bandwidth_bps > 0.0
-            and (a, b) in lsp.links()
-        ]
-        victims.sort(
-            key=lambda lsp: (-lsp.hold_priority, -lsp.bandwidth_bps, lsp.name)
-        )
-        return victims
-
-    def _plan_preemption(
-        self,
-        shortfalls: List[Tuple[str, str]],
-        bandwidth_bps: float,
-        setup_priority: int,
-        name: str,
-    ) -> Optional[List[LSP]]:
-        """Pick victims freeing every shortfall link, mutating nothing.
-
-        Returns None when even preempting every eligible victim leaves
-        some link short -- the declined path, taken before any state
-        has been touched.
-        """
-        chosen: List[LSP] = []
-        chosen_names: set = set()
-        for a, b in shortfalls:
-            attrs = self.topology.link(a, b)
-            freed = sum(
-                v.bandwidth_bps for v in chosen if (a, b) in v.links()
-            )
-            need = bandwidth_bps - attrs.reservable(a) - freed
-            if need <= 1e-9:
-                continue
-            for victim in self._candidates_on(a, b, setup_priority, name):
-                if victim.name in chosen_names:
-                    continue
-                chosen.append(victim)
-                chosen_names.add(victim.name)
-                need -= victim.bandwidth_bps
-                if need <= 1e-9:
-                    break
-            if need > 1e-9:
-                return None
-        return chosen
-
-    def _preempt(
-        self, victim: LSP, avoid_links: set, by: str
-    ) -> None:
-        """Soft-preempt ``victim``: reroute it make-before-break off the
-        ``avoid_links``, or tear it down when no alternate path exists.
-        Its old reservations are released either way."""
-        for a, b in victim.links():
-            self.topology.link(a, b).release(a, victim.bandwidth_bps)
-        try:
-            new_route = cspf_path(
-                self.topology,
-                victim.ingress,
-                victim.egress,
-                bandwidth_bps=victim.bandwidth_bps,
-                avoid_links=avoid_links,
-            )
-        except CSPFError:
-            new_route = None
-        if new_route is None:
-            # hard preemption: no alternate path, the victim goes down
-            fec = self._fec_of.pop(victim.name, None)
-            self._remove_forwarding(victim, fec)
-            self.lsps.pop(victim.name, None)
-            self._last_refresh.pop(victim.name, None)
-            victim.up = False
-            self.stats.preempt_teardowns += 1
-            self._note_preempt(
-                victim.name, by, "teardown", "no alternate route"
-            )
-            return
-        php = victim.hop_labels[-1] == IMPLICIT_NULL
-        fec = self._fec_of.get(victim.name)
-        old_path = list(victim.path)
-        old_labels = list(victim.hop_labels)
-        # make-before-break, atomically: the new path's state and the
-        # old path's removal land in one shadow-bank transaction, so
-        # the data plane never observes a half-moved LSP
-        tables = [
-            self.nodes[node_name].ilm
-            for node_name in sorted(set(old_path) | set(new_route))
-        ]
-        if fec is not None:
-            tables.append(self.nodes[victim.ingress].ftn)
-        for _ in zip(new_route, new_route[1:]):
-            self.stats.path_messages += 1
-        with TableTransaction(tables):
-            new_labels = self._install_route(
-                new_route, cos=victim.cos, fec=fec, php=php
-            )
-            self._unbind(old_path, old_labels)
-        for a, b in zip(new_route, new_route[1:]):
-            self.topology.link(a, b).reserve(a, victim.bandwidth_bps)
-        victim.path = list(new_route)
-        victim.hop_labels = new_labels
-        self.stats.preempt_reroutes += 1
-        self._note_preempt(victim.name, by, "reroute", "->".join(new_route))
-
-    def _unbind(
-        self, path: Sequence[str], hop_labels: Sequence[Optional[int]]
-    ) -> None:
-        """Remove the ILM entries a path's hop labels hold and free the
-        labels: the one way an LSP's labels leave the network."""
-        for node_name, label in zip(path[1:], hop_labels):
+    def _remove_forwarding(self, lsp: LSP, fec: Optional[FEC]) -> None:
+        """Remove the ILM entries an LSP's hop labels hold and free the
+        labels -- the one way an LSP's labels leave the network -- then
+        the ingress FTN entry for ``fec`` if it still steers onto this
+        LSP (after an FRR switchover it steers onto the backup, and
+        stays).  Reservations are the caller's business."""
+        for node_name, label in zip(lsp.path[1:], lsp.hop_labels):
             if label is None or label == IMPLICIT_NULL:
                 continue
             ilm = self.nodes[node_name].ilm
             if label in ilm:
                 ilm.remove(label)
             self.allocators[node_name].release(label)
-
-    def _remove_forwarding(self, lsp: LSP, fec: Optional[FEC]) -> None:
-        """Remove an LSP's ILM entries and free its labels, then the
-        ingress FTN entry for ``fec`` if it still steers onto this LSP
-        (after an FRR switchover it steers onto the backup, and stays).
-        Reservations are the caller's business."""
-        self._unbind(lsp.path, lsp.hop_labels)
         if fec is None:
             return
         ftn = self.nodes[lsp.ingress].ftn
         steering = ingress_entry(lsp.path, lsp.hop_labels, lsp.cos)
         if ftn.entry_for(fec) == steering:
             ftn.remove(fec)
-
-    def _note_preempt(
-        self, name: str, by: str, mode: str, detail: str = ""
-    ) -> None:
-        tel = self.telemetry
-        if tel.enabled:
-            tel.lsp_preemptions.labels(mode).inc()
-            tel.events.emit(
-                LSPPreempted(name=name, by=by, mode=mode, detail=detail)
-            )
-        self._note_lsp(f"preempt-{mode}", name, detail=detail)
 
     def _validate_route(self, route: List[str], ingress: str, egress: str) -> None:
         if len(route) < 2:
@@ -534,13 +338,11 @@ class CRLDPSignaler(RSVPTESignaler):
     ``resv_messages``.  Signalling rides ordered LDP sessions, so a
     setup completes or fails atomically; there are no refreshes (so
     :meth:`expire_stale` never returns one of its LSPs and
-    :meth:`refresh` refuses), no preemption, and an LSP lives until it
-    is released.  Its labels start at 200 000, apart from RSVP-TE's.
+    :meth:`refresh` refuses), and an LSP lives until it is released.  Its labels start at 200 000, apart from RSVP-TE's.
     """
 
     protocol = "cr-ldp"
     first_label = 200_000
-    preemption_enabled = False
     soft_state = False
 
     #: explicit teardown (hard state: the only way an LSP dies)

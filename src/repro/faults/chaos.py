@@ -117,7 +117,7 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
 
     arm("network")
     _control_plane(run)
-    for i, flow in enumerate(scenario.traffic):
+    for flow in scenario.traffic:
         source = CBRSource(
             network.scheduler,
             network.source_sink(flow.ingress),
@@ -127,7 +127,6 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
             packet_size=flow.packet_size,
             start=flow.start,
             stop=flow.stop if flow.stop is not None else scenario.duration,
-            seed=seed + i,
         )
         source.begin()
         run.sources.append(source)
@@ -148,17 +147,19 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
 
 
 def _control_plane(run: ChaosRun) -> None:
-    """The scenario's ``control`` plane, its FECs announced.  The
-    overload config, when there is one, bounds message-LDP's queues and
-    switches RSVP-TE preemption."""
-    scenario, network, overload = run.scenario, run.network, run.overload
+    """The scenario's ``control`` plane, its FECs announced: each prefix
+    once, at its one egress, however many flows send to it (a
+    multipoint-to-point LSP).  The overload config, when there is one,
+    bounds message-LDP's queues."""
+    scenario, network = run.scenario, run.network
     topology = network.topology
+    egress_of = {flow.prefix: flow.egress for flow in scenario.traffic}
     if scenario.control == "ldp":
         from repro.control.ldp import LDPProcess
 
         run.ldp = LDPProcess(topology, network.nodes)
-        for flow in scenario.traffic:
-            run.ldp.establish_fec(PrefixFEC(flow.prefix), egress=flow.egress)
+        for prefix, egress in egress_of.items():
+            run.ldp.establish_fec(PrefixFEC(prefix), egress=egress)
     elif scenario.control == "ldp-messages":
         from repro.control.ldp_sessions import MessageLDPProcess
 
@@ -166,24 +167,21 @@ def _control_plane(run: ChaosRun) -> None:
             topology,
             network.nodes,
             network.scheduler,
-            overload=overload,
+            overload=run.overload,
         )
         run.message_ldp.start()
-        for flow in scenario.traffic:
+        for prefix, egress in egress_of.items():
             run.message_ldp.announce_fec(
-                flow.prefix, PrefixFEC(flow.prefix), egress=flow.egress
+                prefix, PrefixFEC(prefix), egress=egress
             )
     else:  # frr
         from repro.control.frr import FastRerouteManager
         from repro.control.rsvp_te import RSVPTESignaler
 
-        signaler = RSVPTESignaler(topology, network.nodes)
-        signaler.preemption_enabled = getattr(overload, "enabled", True)
-        run.frr = FastRerouteManager(signaler)
+        run.frr = FastRerouteManager(RSVPTESignaler(topology, network.nodes))
         for lsp in scenario.protection:
             run.frr.protect(
-                lsp.name, lsp.ingress, lsp.egress, PrefixFEC(lsp.prefix),
-                bandwidth_bps=lsp.bandwidth_bps,
+                lsp.name, lsp.ingress, lsp.egress, PrefixFEC(lsp.prefix)
             )
 
 

@@ -28,11 +28,15 @@ from repro.faults.scenario import (
     ScenarioError,
 )
 from repro.faults.subsystems import KIND_KEYS
-from repro.hw.opcodes import KEY_MAX
-from repro.mpls.label import LABEL_MAX, LabelEntry
+from repro.mpls.label import LabelEntry
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs.events import FaultHealed, FaultInjected, StaleEntriesFlushed
+
+#: how long a storm, spoof or flood lasts when its ``heal_at`` is omitted
+WINDOW_S = 0.5
+#: the source address of every forged packet
+SPOOFED_SRC = "203.0.113.66"
 
 
 @dataclass
@@ -565,31 +569,21 @@ class FaultInjector:
     def _inject_ib_bitflip(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
         node = self.network.nodes[name]
-        params = record.spec.params
-        level = params.get("level")
-        address = params.get("address")
-        level, address = self._pick_slot(node, level, address)
+        level, address = self._pick_slot(node, record.spec.params.get("level"))
         if level is None:
             record.skip("information base empty; nothing to corrupt")
             return
-        # a scenario file's masks are cut to the memory widths here: the
-        # modifier refuses an out-of-range operand instead of masking it
-        label_xor = params.get("label_xor", 0) & LABEL_MAX
-        index_xor = params.get("index_xor", 0) & KEY_MAX[level]
-        op_xor = params.get("op_xor", 0) & 0x3
-        if not (label_xor or index_xor or op_xor):
-            label_xor = 1 << self.rng.randrange(20)
-        node.modifier.corrupt_pair(
-            level, address,
-            index_xor=index_xor, label_xor=label_xor, op_xor=op_xor,
-        )
+        # one seeded bit of the stored label flips
+        label_xor = 1 << self.rng.randrange(20)
+        node.modifier.corrupt_pair(level, address, label_xor=label_xor)
         record.detail = (
             f"level {level} addr {address} "
-            f"xor index={index_xor:#x} label={label_xor:#x} op={op_xor:#x}"
+            f"xor index=0x0 label={label_xor:#x} op=0x0"
         )
 
-    def _pick_slot(self, node, level, address):
-        """Choose a populated (level, address) slot deterministically."""
+    def _pick_slot(self, node, level):
+        """Choose a populated (level, address) slot deterministically:
+        ``level`` when given, the address always seeded."""
         # mirror before choosing, so the info base reflects the tables
         node._sync_info_base()
         counts = node.modifier.ib_counts()
@@ -600,9 +594,7 @@ class FaultInjector:
             level = self.rng.choice(populated)
         if counts[level - 1] == 0:
             return None, None
-        if address is None:
-            address = self.rng.randrange(counts[level - 1])
-        return level, address
+        return level, self.rng.randrange(counts[level - 1])
 
     def _heal_ib_bitflip(self, record: FaultRecord) -> None:
         name = record.spec.target[0]
@@ -618,87 +610,43 @@ class FaultInjector:
         spec = record.spec
         if spec.heal_at is not None:
             return spec.heal_at - spec.at
-        return spec.params.get("window", 0.5)
-
-    def _storm_lsp_prefix(self, spec: FaultSpec) -> str:
-        return f"__storm-{spec.label}-{spec.at:g}"
+        return WINDOW_S
 
     def _inject_signaling_storm(self, record: FaultRecord) -> None:
-        """Flood the target's control plane with seeded bursts.
+        """Flood the target's message-level LDP with seeded bursts:
+        forged LABEL_MAPPINGs (unknown FECs -- harmless if processed,
+        but each one occupies queue space and a service slot) plus a
+        HELLO flood, at seeded times across the storm window."""
+        from repro.control.ldp_sessions import LDPMessage, MsgType
 
-        With message-level LDP: forged LABEL_MAPPINGs (unknown FECs --
-        harmless if processed, but each one occupies queue space and a
-        service slot) plus a HELLO flood, at seeded times across the
-        storm window.  With FRR/RSVP-TE: a seeded burst of LSP setup
-        attempts at seeded priorities, exercising admission control and
-        preemption.
-        """
         spec = record.spec
         target = spec.target[0]
         window = self._storm_window(record)
         start = self.scheduler.now
-        if self.message_ldp is not None:
-            from repro.control.ldp_sessions import LDPMessage, MsgType
-
-            neighbors = sorted(self.network.topology.neighbors(target))
-            if not neighbors:
-                record.skip("target has no neighbors; nothing to flood")
-                return
-            mappings = spec.params.get("mappings", 2000)
-            hellos = spec.params.get("hellos", 100)
-            for i in range(mappings):
-                msg = LDPMessage(
-                    MsgType.LABEL_MAPPING,
-                    self.rng.choice(neighbors),
-                    target,
-                    fec_id=f"__storm-{target}-{i}",
-                    label=900_000 + i,
-                )
-                when = start + self.rng.uniform(0.0, window)
-                self.scheduler.at(when, self.message_ldp.send, msg)
-            for i in range(hellos):
-                msg = LDPMessage(
-                    MsgType.HELLO, self.rng.choice(neighbors), target
-                )
-                when = start + self.rng.uniform(0.0, window)
-                self.scheduler.at(when, self.message_ldp.send, msg)
-            record.detail = (
-                f"{mappings} mappings + {hellos} hellos over {window:g}s"
-            )
+        neighbors = sorted(self.network.topology.neighbors(target))
+        if not neighbors:
+            record.skip("target has no neighbors; nothing to flood")
             return
-        # FRR control plane: a burst of competing LSP setups
-        from repro.control.cspf import CSPFError, cspf_path
-        from repro.control.rsvp_te import SignalingError
-
-        signaler = self.frr.signaler
-        names = sorted(self.network.nodes)
-        others = [n for n in names if n != target]
-        setups = spec.params.get("setups", 20)
-        bandwidth = spec.params.get("bandwidth_bps", 1e6)
-        prefix = self._storm_lsp_prefix(spec)
-        attempted = succeeded = 0
-        for i in range(setups):
-            egress = self.rng.choice(others)
-            priority = self.rng.randrange(8)
-            attempted += 1
-            try:
-                route = cspf_path(
-                    self.network.topology, target, egress, bandwidth_bps=0.0
-                )
-                signaler.setup(
-                    f"{prefix}-{i}",
-                    target,
-                    egress,
-                    explicit_route=route,
-                    bandwidth_bps=bandwidth,
-                    setup_priority=priority,
-                )
-                succeeded += 1
-            except (SignalingError, CSPFError):
-                continue
+        mappings = spec.params.get("mappings", 2000)
+        hellos = spec.params.get("hellos", 100)
+        for i in range(mappings):
+            msg = LDPMessage(
+                MsgType.LABEL_MAPPING,
+                self.rng.choice(neighbors),
+                target,
+                fec_id=f"__storm-{target}-{i}",
+                label=900_000 + i,
+            )
+            when = start + self.rng.uniform(0.0, window)
+            self.scheduler.at(when, self.message_ldp.send, msg)
+        for i in range(hellos):
+            msg = LDPMessage(
+                MsgType.HELLO, self.rng.choice(neighbors), target
+            )
+            when = start + self.rng.uniform(0.0, window)
+            self.scheduler.at(when, self.message_ldp.send, msg)
         record.detail = (
-            f"{attempted} setup attempts, {succeeded} admitted "
-            f"@ {bandwidth:g} bps"
+            f"{mappings} mappings + {hellos} hellos over {window:g}s"
         )
 
     def _sessions_up(self, node: str) -> bool:
@@ -708,34 +656,17 @@ class FaultInjector:
         return all(n in sessions for n in neighbors)
 
     def _heal_signaling_storm(self, record: FaultRecord) -> None:
-        spec = record.spec
-        if self.message_ldp is not None:
-            if self._sessions_up(spec.target[0]):
-                # the flood never took a session down: recovered as of
-                # the moment it stopped
-                self._recovered(record)
-            # else finalize() back-fills from sessions_recovered
-            return
-        from repro.control.rsvp_te import SignalingError
-
-        signaler = self.frr.signaler
-        prefix = self._storm_lsp_prefix(spec)
-        torn = 0
-        for name in sorted(signaler.lsps):
-            if name.startswith(prefix):
-                try:
-                    signaler.teardown(name)
-                    torn += 1
-                except (KeyError, SignalingError):
-                    continue
-        record.detail += f"; {torn} storm LSPs torn down"
-        self._recovered(record)
+        if self._sessions_up(record.spec.target[0]):
+            # the flood never took a session down: recovered as of the
+            # moment it stopped
+            self._recovered(record)
+        # else finalize() back-fills from sessions_recovered
 
     def _backfill_signaling_storm(self, record: FaultRecord) -> None:
         # the storm recovers when every session the flood took down has
-        # come back up (under FRR its heal already stamped the recovery)
+        # come back up
         target = record.spec.target[0]
-        if self.message_ldp is None or not self._sessions_up(target):
+        if not self._sessions_up(target):
             return
         times = [
             when
@@ -762,7 +693,6 @@ class FaultInjector:
         start = self.scheduler.now
         packets = spec.params.get("packets", 40)
         ttl = spec.params.get("ttl", 64)
-        src = spec.params.get("src", "203.0.113.66")
         speaker = self.message_ldp.speakers[target]
         fecs = [
             f for f in sorted(speaker.local_labels)
@@ -779,10 +709,10 @@ class FaultInjector:
             # aim the inner header at the FEC's real destination so an
             # accepted forgery travels the whole LSP and counts as a
             # leak on delivery
-            dst = monitor.flow_dsts.get(fec, src)
+            dst = monitor.flow_dsts.get(fec, SPOOFED_SRC)
             when = start + self.rng.uniform(0.0, window)
             inner = IPv4Packet(
-                src=src, dst=dst, ttl=ttl,
+                src=SPOOFED_SRC, dst=dst, ttl=ttl,
                 flow_id=flow_id, seq=i, created_at=when,
             )
             pkt = MPLSPacket(
@@ -923,7 +853,6 @@ class FaultInjector:
         window = self._storm_window(record)
         start = self.scheduler.now
         packets = spec.params.get("packets", 400)
-        src = spec.params.get("src", "203.0.113.66")
         # dst must be a routed prefix: the ingress FTN lookup precedes
         # its TTL check, so an unroutable flood never reaches the
         # exception path.  Skip prefixes homed at the target itself --
@@ -947,7 +876,7 @@ class FaultInjector:
             flow_id = monitor.allocate_forged_flow_id(attack, prefix)
             when = start + self.rng.uniform(0.0, window)
             pkt = IPv4Packet(
-                src=src, dst=dst, ttl=1,
+                src=SPOOFED_SRC, dst=dst, ttl=1,
                 flow_id=flow_id, seq=i, created_at=when,
             )
             self.scheduler.at(when, self.network.inject_external, target, pkt)

@@ -76,14 +76,7 @@ from repro.config import (
 from repro.mpls.router import RouterRole
 from repro.net.addressing import IPv4Address, IPv4Prefix
 from repro.net.events import EVENT_BUDGET
-from repro.net.topology import (
-    Topology,
-    TopologyError,
-    full_mesh,
-    line,
-    paper_figure1,
-    ring,
-)
+from repro.net.topology import Topology, TopologyError, paper_figure1, ring
 
 
 class FaultKind(str, Enum):
@@ -199,8 +192,6 @@ def _expand_flap(spec: "FaultSpec") -> List["FaultSpec"]:
     ]
 
 
-_SRC = Param("spoofed source address (default 203.0.113.66)", TEXT)
-
 #: the fault kind contract, one row per kind.  Adding a kind is one row
 #: here plus the injector's ``_inject_<kind>`` method and its
 #: ``_heal_<kind>`` and/or ``_backfill_<kind>``.  ``FaultSpec`` refuses
@@ -233,33 +224,16 @@ FAULT_KINDS: Dict[FaultKind, KindContract] = {
     FaultKind.IB_BITFLIP: KindContract("node", {
         "level": Param("info-base level 1..3 to corrupt (default: seeded)",
                        _LEVEL),
-        "address": Param("entry address within the level (default: seeded)",
-                         COUNT),
-        "label_xor": Param("XOR mask applied to the stored label (default 0)",
-                           INTEGER),
-        "index_xor": Param("XOR mask applied to the stored index (default 0)",
-                           INTEGER),
-        "op_xor": Param("XOR mask applied to the stored opcode (default 0)",
-                        INTEGER),
     }, hardware=True),
     FaultKind.SIGNALING_STORM: KindContract("node", {
         "mappings": Param("forged label mappings to flood (default 2000)",
                           COUNT),
         "hellos": Param("forged hellos to flood (default 100)", COUNT),
-        "window": Param("storm length in seconds when heal_at is omitted "
-                        "(default 0.5)", AMOUNT),
-        "setups": Param("priority LSP setup bursts, frr control (default 20)",
-                        COUNT),
-        "bandwidth_bps": Param("bandwidth per burst LSP, frr control "
-                               "(default 1e6)", AMOUNT),
-    }, controls=("ldp-messages", "frr"), draw_target="core"),
+    }, controls=("ldp-messages",), draw_target="core"),
     FaultKind.LABEL_SPOOF: KindContract("node", {
         "packets": Param("forged labelled packets to inject (default 40)",
                          COUNT),
-        "window": Param("injection window in seconds when heal_at is "
-                        "omitted (default 0.5)", AMOUNT),
         "ttl": Param("TTL carried by the forged stacks (default 64)", _TTL),
-        "src": _SRC,
     }, key="security", controls=("ldp-messages",), edge=True),
     FaultKind.LDP_HIJACK: KindContract(
         "link", key="security", controls=("ldp-messages",)),
@@ -272,9 +246,6 @@ FAULT_KINDS: Dict[FaultKind, KindContract] = {
     }, key="security", controls=("ldp-messages",)),
     FaultKind.TTL_FLOOD: KindContract("node", {
         "packets": Param("TTL=1 packets to inject (default 400)", COUNT),
-        "window": Param("flood length in seconds when heal_at is omitted "
-                        "(default 0.5)", AMOUNT),
-        "src": _SRC,
     }, key="security", controls=("ldp-messages",), edge=True, queues=True),
     FaultKind.CONTROLLER_CRASH: KindContract("controller", key="controller"),
     # the partition targets the one node whose channel is cut
@@ -312,7 +283,7 @@ class FaultSpec:
 
     ``target`` is ``(a, b)`` for link-scoped kinds and ``(node,)`` for
     node-scoped ones.  ``params`` carries kind-specific knobs (loss
-    ``rate``, bit-flip ``level``/``address``, flap ``flaps``/``period``),
+    ``rate``, bit-flip ``level``, flap ``flaps``/``period``),
     each parsed by its row of :data:`FAULT_KINDS` when :meth:`from_dict`
     reads the entry; a ``None`` value is the default, as for
     ``heal_at``.
@@ -414,7 +385,6 @@ class ProtectionSpec:
     ingress: Optional[str] = None
     egress: Optional[str] = None
     prefix: Annotated[Optional[str], _PREFIX] = None
-    bandwidth_bps: Annotated[float, AMOUNT] = 0.0
 
     def of(self, traffic: List[TrafficSpec]) -> "ProtectionSpec":
         """This entry read against the flows: ``prefix`` defaults to the
@@ -460,14 +430,10 @@ class RandomFaultSpec:
 _LINK_ARGS = {
     "bandwidth_bps": (POSITIVE, None),
     "delay_s": (AMOUNT, None),
-    "metric": (POSITIVE, None),
 }
-_SIZED_ARGS = {"n": (SIZE, REQUIRED), "prefix": (TEXT, None), **_LINK_ARGS}
 _TOPOLOGIES = {
     "paper_figure1": (paper_figure1, _LINK_ARGS),
-    "ring": (ring, _SIZED_ARGS),
-    "line": (line, _SIZED_ARGS),
-    "full_mesh": (full_mesh, _SIZED_ARGS),
+    "ring": (ring, {"n": (SIZE, REQUIRED), **_LINK_ARGS}),
 }
 _TOPOLOGY_KIND = {"kind": (parser(
     lambda kind: kind,
@@ -591,7 +557,16 @@ class Scenario:
             )
         if not self.traffic:
             raise ScenarioError("a scenario needs at least one flow")
+        egress_of: Dict[str, str] = {}
         for flow in self.traffic:
+            # a prefix is one FEC, announced once at its one egress
+            first = egress_of.setdefault(flow.prefix, flow.egress)
+            if first != flow.egress:
+                raise ScenarioError(
+                    f"traffic {flow.ingress}->{flow.egress} {flow.prefix}: "
+                    f"bad egress {flow.egress!r}: the prefix leaves at "
+                    f"{first!r}"
+                )
             # a source re-arms once per packet: more packets than the
             # scheduler's budget can only end in its RuntimeError
             stop = (self.duration if flow.stop is None
@@ -675,7 +650,7 @@ class Scenario:
             if kind == "paper_figure1":
                 edges = ["ler-a", "ler-b"]
             else:
-                # line/ring/mesh: traffic endpoints are the edges
+                # a ring: traffic endpoints are the edges
                 edges = sorted(
                     {t.ingress for t in self.traffic}
                     | {t.egress for t in self.traffic}

@@ -454,8 +454,7 @@ class OAM(Subsystem):
 
 class Overload(Subsystem):
     """Bounded, prioritized control queues (the control plane is built
-    with ``run.overload``), RSVP-TE preemption, and the ingress shedder
-    armed here."""
+    with ``run.overload``) and the ingress shedder armed here."""
 
     key = "overload"
     after = "injector"
@@ -545,13 +544,6 @@ class Overload(Subsystem):
                                    for e in shedder.restore_events],
                 "packets_shed": shedder.packets_shed,
                 "recovery_time_s": _round(shedder.recovery_time_s),
-            }
-        if run.frr is not None:
-            stats = run.frr.signaler.stats
-            section["preemption"] = {
-                "reroutes": stats.preempt_reroutes,
-                "teardowns": stats.preempt_teardowns,
-                "declined": stats.preempt_declined,
             }
         return {"overload": section}
 

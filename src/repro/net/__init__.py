@@ -5,7 +5,7 @@ The paper's MPLS routers sit between layer-2 networks (Ethernet, ATM,
 Frame Relay -- Figure 1) and an MPLS core.  This subpackage supplies
 everything around the routers: the packets they carry, the frames the
 LERs adapt, the links and event queue that make a network run, and the
-traffic sources (VoIP, video, bursty data) the paper's introduction
+traffic sources (CBR, VoIP, video) the paper's introduction
 motivates.
 """
 
@@ -18,13 +18,7 @@ from repro.net.events import EventScheduler, Event
 from repro.net.link import Link, Interface
 from repro.net.topology import Topology, TopologyError
 from repro.net.network import MPLSNetwork, Delivery, Drop
-from repro.net.traffic import (
-    CBRSource,
-    PoissonSource,
-    VoIPSource,
-    VideoSource,
-    OnOffSource,
-)
+from repro.net.traffic import CBRSource, VoIPSource, VideoSource
 
 __all__ = [
     "IPv4Address",
@@ -49,8 +43,6 @@ __all__ = [
     "Delivery",
     "Drop",
     "CBRSource",
-    "PoissonSource",
     "VoIPSource",
     "VideoSource",
-    "OnOffSource",
 ]

@@ -200,16 +200,6 @@ def ring(n: int, prefix: str = "n", **link_kwargs) -> Topology:
     return topo
 
 
-def full_mesh(n: int, prefix: str = "n", **link_kwargs) -> Topology:
-    topo = Topology()
-    for i in range(n):
-        topo.add_node(f"{prefix}{i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            topo.add_link(f"{prefix}{i}", f"{prefix}{j}", **link_kwargs)
-    return topo
-
-
 def paper_figure1(**link_kwargs) -> Topology:
     """The network of the paper's Figure 1.
 

@@ -10,13 +10,9 @@ synthetically (we have no production traces):
   20 ms (50 pps, 64 kbit/s plus headers), EF-marked.
 * :class:`VideoSource` -- frame-structured video: large I-frames and
   smaller P-frames at a configurable frame rate.
-* :class:`PoissonSource` -- classic memoryless packet arrivals for
-  background/best-effort load.
-* :class:`OnOffSource` -- bursty data with exponential on/off holding
-  times, the standard model for self-similar-ish elastic traffic.
 
-All sources are deterministic given their ``seed`` -- the benchmarks
-depend on run-to-run reproducibility.
+All sources are deterministic -- the benchmarks depend on run-to-run
+reproducibility.
 
 A payload is modelled, not carried: every packet of one size shares the
 one immutable ``bytes`` its source holds for that size (``_payload``),
@@ -26,7 +22,6 @@ and each packet is built slot by slot from the source's checked fields.
 from __future__ import annotations
 
 import math
-import random
 from typing import Callable, Dict, Optional
 
 from repro.net.addressing import IPv4Address
@@ -68,7 +63,6 @@ class TrafficSource:
         dscp: int = DSCP_BE,
         start: float = 0.0,
         stop: Optional[float] = None,
-        seed: int = 0,
     ) -> None:
         self.scheduler = scheduler
         self.sink = sink
@@ -77,7 +71,6 @@ class TrafficSource:
         self.dscp = dscp
         self.start = start
         self.stop = stop
-        self.rng = random.Random(seed)
         self.flow_id = next(_flow_counter)
         self.sent = 0
         self.sent_bytes = 0
@@ -230,65 +223,3 @@ class VideoSource(TrafficSource):
 
     def _next_interval(self) -> float:  # pragma: no cover - unused override
         return 1.0 / self.fps
-
-
-class PoissonSource(TrafficSource):
-    """Memoryless arrivals at ``rate_pps`` with a fixed packet size."""
-
-    def __init__(
-        self,
-        scheduler: EventScheduler,
-        sink: Callable[[IPv4Packet], None],
-        src: str,
-        dst: str,
-        rate_pps: float = 100.0,
-        packet_size: int = 500,
-        **kwargs,
-    ) -> None:
-        super().__init__(scheduler, sink, src, dst, **kwargs)
-        if not 0 < rate_pps < math.inf:
-            raise ValueError(f"rate must be positive and finite: {rate_pps}")
-        self.rate_pps = rate_pps
-        self.packet_size = packet_size
-
-    def _payload_size(self) -> int:
-        return self.packet_size
-
-    def _next_interval(self) -> float:
-        return self.rng.expovariate(self.rate_pps)
-
-
-class OnOffSource(TrafficSource):
-    """Exponential on/off bursts; CBR at ``peak_bps`` while on."""
-
-    def __init__(
-        self,
-        scheduler: EventScheduler,
-        sink: Callable[[IPv4Packet], None],
-        src: str,
-        dst: str,
-        peak_bps: float = 10e6,
-        mean_on_s: float = 0.1,
-        mean_off_s: float = 0.4,
-        packet_size: int = 1000,
-        **kwargs,
-    ) -> None:
-        super().__init__(scheduler, sink, src, dst, **kwargs)
-        self.peak_bps = peak_bps
-        self.mean_on_s = mean_on_s
-        self.mean_off_s = mean_off_s
-        self.packet_size = packet_size
-        self.interval = _interval((packet_size + 20) * 8, peak_bps)
-        self._burst_end = 0.0
-
-    def _payload_size(self) -> int:
-        return self.packet_size
-
-    def _next_interval(self) -> float:
-        now = self.scheduler.now
-        if now < self._burst_end:
-            return self.interval
-        off = self.rng.expovariate(1.0 / self.mean_off_s)
-        on = self.rng.expovariate(1.0 / self.mean_on_s)
-        self._burst_end = now + off + on
-        return off

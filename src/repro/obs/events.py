@@ -247,17 +247,6 @@ class FECShed(Event):
 
 
 @dataclass
-class LSPPreempted(Event):
-    """A higher-priority setup preempted an established LSP."""
-
-    kind: ClassVar[str] = "lsp-preempted"
-    name: str = ""
-    by: str = ""  # the preempting LSP
-    mode: str = ""  # reroute (make-before-break) / teardown
-    detail: str = ""
-
-
-@dataclass
 class InfoBaseScrubbed(Event):
     """A VERIFY_INFO-style scrub pass walked a node's information base
     and repaired any corrupted pairs in place."""

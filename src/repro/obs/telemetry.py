@@ -241,11 +241,6 @@ class Telemetry:
             "FECs currently shed by ingress overload protection",
             ("node",),
         )
-        self.lsp_preemptions = r.counter(
-            "repro_lsp_preemptions_total",
-            "LSPs preempted by higher-priority setups, by outcome",
-            ("mode",),
-        )
         # -- flow accounting and alerting -----------------------------------
         # registered unconditionally (like the overload families) so
         # Prometheus scrapes keep the same schema whether or not a

@@ -60,7 +60,6 @@ _IGNORED_KINDS = frozenset(
         "audit-completed",
         "control-shed",
         "fec-shed",
-        "lsp-preempted",  # the lsp event stream carries preemptions too
         # controller lifecycle: the PCE consumes the view, it does not
         # feed it (its table writes are refresh-in-place and the
         # distributed control plane remains the source of truth)
@@ -574,17 +573,11 @@ class TopologyObserver:
                 {"state": "up", "route": route},
                 category="lsp",
             )
-        elif what in ("teardown", "expired", "preempt-teardown"):
+        elif what in ("teardown", "expired"):
             entry = self._get(("lsps", name)) or {"route": ""}
             self._record(
                 ("lsps", name),
                 {"state": "down", "route": entry.get("route", "")},
-                category="lsp",
-            )
-        elif what == "preempt-reroute":
-            self._record(
-                ("lsps", name),
-                {"state": "up", "route": event.detail},
                 category="lsp",
             )
         elif what == "frr-switchover":

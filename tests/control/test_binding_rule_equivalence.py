@@ -9,8 +9,8 @@ POP), each protocol derives a binding's entries once for install and
 refresh, and CR-LDP is RSVP-TE with hard state.  The bodies this
 replaced are kept below, verbatim, as oracle subclasses; they exist
 only here.  Random connected topologies x FEC sets x PHP x operation
-sequences (crash/restart, reconverge, graceful restart, preemption,
-teardown, FRR switchover/revert, ``refresh_node``) must leave both
+sequences (crash/restart, reconverge, graceful restart, teardown,
+FRR switchover/revert, ``refresh_node``) must leave both
 worlds with the same table contents in insertion order, the same table
 write sequence, stale marks, allocator state, protocol state and
 stats, and the same error type and message on every misuse.
@@ -19,11 +19,10 @@ The only differences are two fixes, each applied to the oracle by a
 named wrapper and asserted on its own below:
 
 * an LSP that goes away (``teardown``, ``expire_stale``, CR-LDP's
-  ``release``, hard preemption) takes its ingress FTN entry with it when
-  that entry still steers onto the LSP -- the replaced code left it
-  pushing a label the allocator had freed for the next LSP -- and leaves
-  it when it steers elsewhere (hard preemption used to remove an FRR
-  backup's steering);
+  ``release``) takes its ingress FTN entry with it when that entry still
+  steers onto the LSP -- the replaced code left it pushing a label the
+  allocator had freed for the next LSP -- and leaves it when it steers
+  elsewhere (onto an FRR backup);
 * CR-LDP refuses an explicit route that revisits a node, as RSVP-TE
   always has, and words its refusals as RSVP-TE does.
 
@@ -43,7 +42,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import repro.control
-from repro.control.cspf import CSPFError, cspf_path
+from repro.control.cspf import cspf_path
 from repro.control.frr import FastRerouteManager
 from repro.control.labels import LabelAllocator
 from repro.control.ldp import FECBinding, LDPProcess
@@ -59,7 +58,6 @@ from repro.mpls.fec import FEC, PrefixFEC
 from repro.mpls.label import IMPLICIT_NULL, LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode, RouterRole
-from repro.mpls.transaction import TableTransaction
 from repro.net.events import EventScheduler
 from repro.net.topology import Topology, paper_figure1
 from repro.obs.events import LabelMappingInstalled
@@ -247,80 +245,6 @@ class OldRSVPTESignaler(RSVPTESignaler):
                     ),
                 )
         return hop_labels
-
-    def _preempt(
-        self, victim: LSP, avoid_links: set, by: str
-    ) -> None:
-        for a, b in victim.links():
-            self.topology.link(a, b).release(a, victim.bandwidth_bps)
-        try:
-            new_route = cspf_path(
-                self.topology,
-                victim.ingress,
-                victim.egress,
-                bandwidth_bps=victim.bandwidth_bps,
-                avoid_links=avoid_links,
-            )
-        except CSPFError:
-            new_route = None
-        if new_route is None:
-            self._remove_forwarding(victim)
-            self.lsps.pop(victim.name, None)
-            self._last_refresh.pop(victim.name, None)
-            self._fec_of.pop(victim.name, None)
-            victim.up = False
-            self.stats.preempt_teardowns += 1
-            self._note_preempt(
-                victim.name, by, "teardown", "no alternate route"
-            )
-            return
-        php = victim.hop_labels[-1] == IMPLICIT_NULL
-        fec = self._fec_of.get(victim.name)
-        old_path = list(victim.path)
-        old_labels = list(victim.hop_labels)
-        tables = [
-            self.nodes[node_name].ilm
-            for node_name in sorted(set(old_path) | set(new_route))
-        ]
-        if fec is not None:
-            tables.append(self.nodes[victim.ingress].ftn)
-        for _ in zip(new_route, new_route[1:]):
-            self.stats.path_messages += 1
-        with TableTransaction(tables):
-            new_labels = self._install_route(
-                new_route, cos=victim.cos, fec=fec, php=php
-            )
-            for i in range(1, len(old_path)):
-                label = old_labels[i - 1]
-                node_name = old_path[i]
-                if label is None or label == IMPLICIT_NULL:
-                    continue
-                if label in self.nodes[node_name].ilm:
-                    self.nodes[node_name].ilm.remove(label)
-                self.allocators[node_name].release(label)
-        for a, b in zip(new_route, new_route[1:]):
-            self.topology.link(a, b).reserve(a, victim.bandwidth_bps)
-        victim.path = list(new_route)
-        victim.hop_labels = new_labels
-        self.stats.preempt_reroutes += 1
-        self._note_preempt(victim.name, by, "reroute", "->".join(new_route))
-
-    def _remove_forwarding(self, lsp: LSP) -> None:
-        route = lsp.path
-        for i in range(1, len(route)):
-            node_name = route[i]
-            label = lsp.hop_labels[i - 1]
-            if label is None or label == IMPLICIT_NULL:
-                continue
-            if label in self.nodes[node_name].ilm:
-                self.nodes[node_name].ilm.remove(label)
-            self.allocators[node_name].release(label)
-        fec = self._fec_of.get(lsp.name)
-        if fec is not None:
-            try:
-                self.nodes[lsp.ingress].ftn.remove(fec)
-            except KeyError:
-                pass
 
     def refresh_node(self, name: str) -> int:
         writes = 0
@@ -631,13 +555,6 @@ class FixedOldRSVPTESignaler(OldRSVPTESignaler):
             if steering:
                 self.nodes[lsp.ingress].ftn.remove(fec)
 
-    def _remove_forwarding(self, lsp: LSP) -> None:
-        fec = self._fec_of.get(lsp.name)
-        if fec is not None and not steers_onto(self.nodes, fec, lsp):
-            del self._fec_of[lsp.name]  # an entry steering elsewhere stays
-        super()._remove_forwarding(lsp)
-
-
 class FixedOldCRLDPSignaler(OldCRLDPSignaler):
     """The replaced CR-LDP with fix 1 (it kept no FEC, so this does).
     ``releases`` counts what teardown now counts: it counted messages."""
@@ -784,7 +701,7 @@ def allocator_state(allocator: LabelAllocator):
 def lsp_facts(lsp: LSP):
     return (
         lsp.name, list(lsp.path), list(lsp.hop_labels), lsp.bandwidth_bps,
-        lsp.cos, lsp.protocol, lsp.up, lsp.setup_priority, lsp.hold_priority,
+        lsp.cos, lsp.protocol, lsp.up,
     )
 
 
@@ -927,8 +844,6 @@ ROUTES = st.one_of(
     st.tuples(st.just("walk"), st.lists(st.integers(0, 5), min_size=1, max_size=4)),
     st.tuples(st.just("raw"), st.lists(NODE, min_size=1, max_size=4)),
 )
-#: mostly the default hold priority: one weaker than setup is refused
-HOLD = st.sampled_from([None, None, None, 0, 4, 7])
 
 
 class TEWorld(World):
@@ -957,7 +872,7 @@ class TEWorld(World):
         names = sorted(self.sig.lsps)
         return names[i % len(names)] if names and i < 6 else "ghost"
 
-    def setup(self, args, **extra):
+    def setup(self, args):
         name, ingress, egress, route, bw, cos, fec, php = args
         ingress = self.name(ingress)
         route = self.route(ingress, self.name(egress), route)
@@ -970,7 +885,6 @@ class TEWorld(World):
             cos=cos,
             fec=None if fec is None else PrefixFEC(f"10.{fec}.0.0/16"),
             php=php,
-            **extra,
         )
         return lsp_facts(lsp)
 
@@ -978,24 +892,18 @@ class TEWorld(World):
         kind, *args = op
         sig, frr = self.sig, self.frr
         if kind == "setup":
-            *args, setup_priority, hold_priority = args
-            return self.setup(
-                args, setup_priority=setup_priority, hold_priority=hold_priority
-            )
+            return self.setup(args)
         if kind == "teardown":
             return sig.teardown(self.lsp_name(args[0]))
         if kind == "refresh":
             return sig.refresh(self.lsp_name(args[0]), args[1])
         if kind == "expire":
             return sig.expire_stale(*args)
-        if kind == "preemption":
-            sig.preemption_enabled = args[0]
-            return None
         if kind == "protect":
-            name, ingress, egress, fec, bw = args
+            name, ingress, egress, fec = args
             protected = frr.protect(
                 f"p{name}", self.name(ingress), self.name(egress),
-                PrefixFEC(f"10.{fec}.0.0/16"), bandwidth_bps=bw,
+                PrefixFEC(f"10.{fec}.0.0/16"),
             )
             return lsp_facts(protected.primary), lsp_facts(protected.backup)
         if kind == "revert":
@@ -1030,7 +938,6 @@ class TEWorld(World):
             list(sig._last_refresh.items()),
             list(sig._fec_of.items()),
             dataclasses.asdict(sig.stats),
-            sig.preemption_enabled,
         )
         if self.frr is None:
             return facts
@@ -1050,15 +957,14 @@ SETUP = (
     st.one_of(st.none(), st.integers(0, 3)), st.booleans(),
 )
 te_ops = st.one_of(
-    st.tuples(st.just("setup"), *SETUP, st.integers(0, 7), HOLD),
-    st.tuples(st.just("setup"), *SETUP, st.integers(0, 7), HOLD),
+    st.tuples(st.just("setup"), *SETUP),
+    st.tuples(st.just("setup"), *SETUP),
     st.tuples(st.just("teardown"), st.integers(0, 6)),
     st.tuples(st.just("refresh"), st.integers(0, 6), st.sampled_from([10.0, 50.0])),
     st.tuples(st.just("expire"), st.sampled_from([60.0, 120.0]),
               st.sampled_from([30.0, 90.0])),
-    st.tuples(st.just("preemption"), st.booleans()),
     st.tuples(st.just("protect"), st.integers(0, 2), NODE, NODE,
-              st.integers(0, 3), BANDWIDTH),
+              st.integers(0, 3)),
     st.tuples(st.just("revert"), st.integers(0, 2)),
     st.tuples(st.sampled_from(["refresh_node", "refresh_ingress", "stale"]), NODE),
     st.tuples(st.sampled_from(["fail", "recover"]), NODE, NODE),
@@ -1173,7 +1079,6 @@ class TestCRLDP:
             sig.refresh("c1", now=1.0)
         assert sig.expire_stale(now=1e9, hold_time=0.0) == []
         assert "c1" in sig.lsps and lsp.up
-        assert sig.preemption_enabled is False
         sig.release("c1")
         assert not lsp.up and all(
             len(node.ilm) == len(node.ftn) == 0 for node in world.nodes.values()
@@ -1338,32 +1243,6 @@ class TestDanglingFTN:
         frr.signaler.teardown(protected.primary.name)
         assert nodes["ler-a"].ftn.entry_for(FEC_B) == steering
 
-    @pytest.mark.parametrize("cls", [RSVPTESignaler, OldRSVPTESignaler])
-    def test_hard_preemption_keeps_the_backup_steering(self, cls):
-        # primary a-b-c, backup a-d-c: once FRR has moved the FEC onto
-        # the backup, a stronger setup on a-b preempts the primary, and
-        # the backup's links lack the headroom for a detour
-        topo = Topology()
-        for name in ("a", "b", "c", "d"):
-            topo.add_node(name)
-        for a, b, metric in (("a", "b", 1), ("b", "c", 1), ("a", "d", 2),
-                             ("d", "c", 2)):
-            topo.add_link(a, b, metric=metric, bandwidth_bps=10e6)
-        nodes = {n: LSRNode(n, RouterRole.LER) for n in topo.nodes}
-        frr = (FastRerouteManager if cls is RSVPTESignaler
-               else OldFastRerouteManager)(cls(topo, nodes))
-        fec = PrefixFEC("10.9.0.0/16")
-        protected = frr.protect("p", "a", "c", fec, bandwidth_bps=6e6)
-        assert protected.backup.path == ["a", "d", "c"]
-        frr.handle_link_failure("b", "c")
-        steering = nodes["a"].ftn.entry_for(fec)
-        frr.signaler.setup("x", "a", "b", explicit_route=["a", "b"],
-                           bandwidth_bps=6e6, setup_priority=0)
-        assert frr.signaler.stats.preempt_teardowns == 1
-        kept = nodes["a"].ftn.entry_for(fec)
-        assert kept == (steering if cls is RSVPTESignaler else None)
-
-
 def test_a_push_of_implicit_null_is_a_noop():
     assert NHLFE(
         op=LabelOp.PUSH, out_label=IMPLICIT_NULL, next_hop="eg", cos=5
@@ -1388,10 +1267,14 @@ def refresh_every_router_with_a_next_hop(self, name):
     return ilm_writes, ftn_writes
 
 
+#: the real body, which the mutant below calls before it is patched in
+remove_forwarding = RSVPTESignaler._remove_forwarding
+
+
 def remove_any_ingress_ftn(self, lsp, fec):
     """Mutant: a torn-down LSP takes the FEC's ingress entry whatever
-    it steers onto (the replaced hard-preemption rule, everywhere)."""
-    self._unbind(lsp.path, lsp.hop_labels)
+    it steers onto (an FRR backup's steering too)."""
+    remove_forwarding(self, lsp, None)
     if fec is not None and self.nodes[lsp.ingress].ftn.entry_for(fec):
         self.nodes[lsp.ingress].ftn.remove(fec)
 

@@ -354,7 +354,6 @@ class TestMetricsRegistration:
         assert "repro_control_queue_depth" in names
         assert "repro_control_queue_drops_total" in names
         assert "repro_fecs_shed" in names
-        assert "repro_lsp_preemptions_total" in names
 
     def test_default_telemetry_has_the_families(self):
         tel = get_telemetry()

@@ -6,7 +6,6 @@ from repro.control.routing import LinkStateDatabase, shortest_path
 from repro.net.topology import (
     Topology,
     TopologyError,
-    full_mesh,
     line,
     paper_figure1,
     ring,
@@ -76,10 +75,11 @@ class TestSPF:
         assert len(path) == 4
 
     def test_matches_networkx_reference(self):
-        """Cross-check Dijkstra against networkx on a ring and mesh."""
+        """Cross-check Dijkstra against networkx on a ring and on the
+        paper's Figure 1."""
         import networkx as nx
 
-        for topo in (ring(8), full_mesh(6)):
+        for topo in (ring(8), paper_figure1()):
             graph = nx.Graph()
             for a, b, attrs in topo.edges_with_attrs():
                 graph.add_edge(a, b, weight=attrs.metric)

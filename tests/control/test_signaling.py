@@ -3,7 +3,12 @@
 import pytest
 
 from repro.control.lsp import LSP, TunnelHierarchy
-from repro.control.rsvp_te import CRLDPSignaler, RSVPTESignaler, SignalingError
+from repro.control.rsvp_te import (
+    CRLDPSignaler,
+    RSVPTESignaler,
+    SetupError,
+    SignalingError,
+)
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.label import IMPLICIT_NULL, LabelOp
 from repro.mpls.router import LSRNode, RouterRole
@@ -76,6 +81,30 @@ class TestRSVPTE:
                       explicit_route=["ler-a", "lsr-1", "lsr-2", "ler-b"],
                       bandwidth_bps=20e6)
         assert sig.stats.setup_failures == 1
+
+    def test_a_refusal_at_a_later_hop_touches_nothing(self):
+        # the PATH message passes the first hop and stops at the second:
+        # a SetupError, raised before any label, entry or reservation
+        topo, nodes = _env()
+        sig = RSVPTESignaler(topo, nodes)
+        sig.setup("mid", "lsr-1", "lsr-2", explicit_route=["lsr-1", "lsr-2"],
+                  bandwidth_bps=90e6)
+
+        def state():
+            return (
+                [(a, b, attrs.reservable(a), attrs.reservable(b))
+                 for a, b, attrs in topo.edges_with_attrs()],
+                {name: (len(n.ilm), len(n.ftn)) for name, n in nodes.items()},
+                sorted(sig.lsps),
+            )
+
+        before = state()
+        with pytest.raises(SetupError, match="link lsr-1-lsr-2 has only"):
+            sig.setup("new", "ler-a", "ler-b",
+                      explicit_route=["ler-a", "lsr-1", "lsr-2", "ler-b"],
+                      fec=PrefixFEC("10.2.0.0/16"), bandwidth_bps=20e6)
+        assert state() == before
+        assert issubclass(SetupError, SignalingError)
 
     def test_cspf_diverts_second_lsp(self):
         """TE in action: the second big LSP takes the other core path."""
@@ -183,6 +212,42 @@ class TestCRLDP:
                       bandwidth_bps=1e9)
         assert all(len(n.ilm) == 0 for n in nodes.values())
         assert topo.link("ler-a", "lsr-1").reservable("ler-a") == pytest.approx(100e6)
+
+
+@pytest.mark.parametrize("signaler", [RSVPTESignaler, CRLDPSignaler])
+class TestFirstComeFirstServed:
+    """Admission never takes from an established LSP: a setup that does
+    not fit is refused, and every LSP already up keeps its labels,
+    entries and reservations."""
+
+    @staticmethod
+    def _state(topo, nodes, sig):
+        return (
+            [(a, b, attrs.reservable(a), attrs.reservable(b))
+             for a, b, attrs in topo.edges_with_attrs()],
+            {name: (len(n.ilm), len(n.ftn)) for name, n in nodes.items()},
+            {name: (lsp.up, lsp.hop_labels) for name, lsp in sig.lsps.items()},
+        )
+
+    @pytest.mark.parametrize("route", [
+        ["ler-a", "lsr-1", "lsr-2", "ler-b"],
+        None,  # CSPF: ler-a's one exit is the bottleneck
+    ])
+    def test_a_setup_that_does_not_fit_leaves_the_held_lsp(
+        self, signaler, route
+    ):
+        topo, nodes = _env()
+        sig = signaler(topo, nodes)
+        held = sig.setup("held", "ler-a", "ler-b",
+                         explicit_route=["ler-a", "lsr-1", "lsr-2", "ler-b"],
+                         fec=PrefixFEC("10.2.0.0/16"), bandwidth_bps=90e6)
+        before = self._state(topo, nodes, sig)
+        with pytest.raises(SignalingError):
+            sig.setup("late", "ler-a", "ler-b", explicit_route=route,
+                      fec=PrefixFEC("10.3.0.0/16"), bandwidth_bps=20e6)
+        assert self._state(topo, nodes, sig) == before
+        assert held.up and list(sig.lsps) == ["held"]
+        assert sig.stats.setup_failures == 1
 
 
 class TestLSPAndTunnels:

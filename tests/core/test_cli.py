@@ -125,6 +125,30 @@ class TestChaosCLI:
         assert main(["chaos"]) == 1
         assert "scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("control", ["ldp", "ldp-messages"])
+    def test_two_flows_to_one_prefix_share_its_lsp(
+        self, control, tmp_path, capsys
+    ):
+        # was, under ldp-messages: ValueError: FEC '10.2.0.0/16' already
+        # announced.  The prefix is announced once, at its one egress,
+        # and both ingresses push onto it (a multipoint-to-point LSP).
+        # (message LDP's sessions form first: the flows start after)
+        flow = {"egress": "n2", "prefix": "10.2.0.0/16", "dst": "10.2.0.9",
+                "rate_bps": 1e5, "packet_size": 200, "start": 0.1,
+                "stop": 0.4}
+        raw = {
+            "name": "shared-prefix", "control": control, "duration": 0.5,
+            "topology": {"kind": "ring", "n": 4}, "edges": ["n0", "n1", "n2"],
+            "traffic": [dict(flow, ingress="n0", src="10.1.0.5"),
+                        dict(flow, ingress="n1", src="10.3.0.5")],
+        }
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(raw))
+        assert main(["chaos", str(path), "--seed", "7"]) == 0
+        traffic = json.loads(capsys.readouterr().out)["traffic"]
+        assert traffic["sent"] > 30
+        assert traffic["delivered"] == traffic["sent"]
+
     def test_mitigation_flag_overrides_the_scenario(
         self, tmp_path, capsys
     ):
@@ -246,17 +270,30 @@ class TestHostileScenarioCLI:
             ({"bandwidth_bps": -5},
              "topology {'bandwidth_bps': -5}: bad bandwidth_bps -5: "),
             # was: TypeError: unhashable type: 'list'
-            ({"kind": ["line"]}, "topology {'kind': ['line']}: bad kind ['line']: "),
+            ({"kind": ["ring"]}, "topology {'kind': ['ring']}: bad kind ['ring']: "),
             # was: exit 0, availability 0.0 over links of 1 bps
             ({"kind": "paper_figure1", "bandwidth_bps": True},
              "topology {'kind': 'paper_figure1', 'bandwidth_bps': True}: "
              "bad bandwidth_bps True: "),
             # were: a one-node and an empty line, then "edge 'ler-a' is
             # not in the topology"
-            ({"kind": "line", "n": True},
-             "topology {'kind': 'line', 'n': True}: bad n True: "),
-            ({"kind": "line", "n": -1},
-             "topology {'kind': 'line', 'n': -1}: bad n -1: "),
+            ({"kind": "ring", "n": True},
+             "topology {'kind': 'ring', 'n': True}: bad n True: "),
+            ({"kind": "ring", "n": -1},
+             "topology {'kind': 'ring', 'n': -1}: bad n -1: "),
+            # were builders and arguments while some value could be set;
+            # no workload set one
+            ({"kind": "line", "n": 3},
+             "topology {'kind': 'line', 'n': 3}: bad kind 'line': must be "
+             "one of paper_figure1, ring"),
+            ({"kind": "full_mesh", "n": 3},
+             "topology {'kind': 'full_mesh', 'n': 3}: bad kind 'full_mesh': "),
+            ({"kind": "ring", "n": 3, "metric": 2},
+             "topology {'kind': 'ring', 'n': 3, 'metric': 2}: unknown key(s) "
+             "metric (accepted: bandwidth_bps, delay_s, n)"),
+            ({"kind": "ring", "n": 3, "prefix": "r"},
+             "topology {'kind': 'ring', 'n': 3, 'prefix': 'r'}: unknown "
+             "key(s) prefix (accepted: "),
         ],
     )
     def test_a_topology_no_run_can_mean(
@@ -464,12 +501,11 @@ class TestHostileScenarioCLI:
             # were: a traceback (AttributeError, ValueError, or a
             # SignalingError from RSVP-TE)
             (("protection",), [5], "protection entry 5: must be an object"),
-            (("protection", 0, "bandwidth_bps"), "x", "bad bandwidth_bps 'x'"),
-            # were: exit 0, the value dropped or read as given
-            (("protection", 0, "bandwidth_bps"), -1, "bad bandwidth_bps -1"),
-            (("protection", 0, "bandwidth_bps"), "nan",
-             "bad bandwidth_bps 'nan'"),
             (("protection", 0, "bogus"), 1, "unknown key(s) bogus"),
+            # a field while some value could be set; no workload set one
+            (("protection", 0, "bandwidth_bps"), 1e6,
+             "unknown key(s) bandwidth_bps (accepted: egress, ingress, "
+             "name, prefix)"),
         ],
     )
     def test_a_protection_entry_no_run_can_mean(
@@ -506,6 +542,17 @@ class TestHostileScenarioCLI:
         assert self._read_refused(raw, tmp_path, capsys) == (
             "error: bad scenario: protection names must be unique: "
             "['p1', 'p1']"
+        )
+
+    def test_one_prefix_at_two_egresses(self, tmp_path, capsys):
+        # were: under ldp-messages a ValueError traceback ("FEC ...
+        # already announced"); under ldp both egresses attached; under
+        # frr half the packets dropped with "no FEC matches"
+        raw = self._example("chaos_topo", ("traffic", 1, "prefix"),
+                            "10.2.0.0/16")
+        assert self._read_refused(raw, tmp_path, capsys) == (
+            "error: bad scenario: traffic ler-b->ler-a 10.2.0.0/16: bad "
+            "egress 'ler-a': the prefix leaves at 'ler-b'"
         )
 
     @pytest.mark.parametrize("document", [[1, 2], "x"])
@@ -736,6 +783,16 @@ class TestHostileOptionsCLI:
             capsys, monkeypatch,
         )
         assert "--top must be >= 0" in line
+
+    @pytest.mark.parametrize(
+        "times", [["at", "nan"], ["at", "inf"], ["diff", "nan", "0.1"],
+                  ["diff", "0.1", "inf"]],
+    )
+    def test_a_time_that_is_not_finite(self, times, capsys, monkeypatch):
+        # was: exit 0 and a view no run ever held
+        line = self._refused(["topo", self.SMOKE, *times], capsys, monkeypatch)
+        bad = next(t for t in times[1:] if t != "0.1")
+        assert line == f"error: a time must be finite, got {float(bad)}"
 
     def test_zero_prints_the_summary_without_the_list(self, capsys):
         assert main(["spans", self.SMOKE, "--seed", "7", "--slowest", "0"]) == 0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.faults.scenario import (
+    FAULT_KINDS,
     FaultKind,
     FaultSpec,
     RandomFaultSpec,
@@ -73,32 +74,34 @@ class TestFaultSpec:
             )
 
 
+#: a value each param of each fault kind cannot mean
+BAD_VALUES = [
+    ("link-loss", "rate", "high"),
+    ("link-loss", "rate", 7),        # was: set_loss, mid-run
+    ("link-loss", "rate", 1.0),      # set_loss refuses 1 too
+    ("link-corrupt", "rate", -0.1),
+    ("link-flap", "flaps", "3x"),
+    ("link-flap", "period", "nan"),
+    ("node-restart", "hold_time", "x"),
+    ("node-restart", "hold_time", -1),
+    ("ib-bitflip", "level", 0),      # was: KeyError: 0
+    ("ib-bitflip", "level", 4),
+    ("signaling-storm", "mappings", 1e400),
+    ("signaling-storm", "hellos", -1),
+    ("label-spoof", "ttl", 256),
+    ("ttl-flood", "packets", -5),
+    ("label-spoof", "packets", -1),
+    ("xconnect-leak", "victim", 5),
+    ("xconnect-leak", "imposter", ["10.2.0.0/16"]),
+]
+
+
 class TestFaultParams:
     """A param value its kind cannot mean is refused when the file is
     read, naming the kind and the param -- not met mid-run inside
     ``set_loss`` or as a ``KeyError`` from the info base."""
 
-    @pytest.mark.parametrize(
-        "kind,name,value",
-        [
-            ("link-loss", "rate", "high"),
-            ("link-loss", "rate", 7),        # was: set_loss, mid-run
-            ("link-loss", "rate", 1.0),      # set_loss refuses 1 too
-            ("link-corrupt", "rate", -0.1),
-            ("link-flap", "flaps", "3x"),
-            ("link-flap", "period", "nan"),
-            ("node-restart", "hold_time", "x"),
-            ("node-restart", "hold_time", -1),
-            ("ib-bitflip", "level", 0),      # was: KeyError: 0
-            ("ib-bitflip", "level", 4),
-            ("ib-bitflip", "address", -1),
-            ("ib-bitflip", "label_xor", [1]),
-            ("signaling-storm", "mappings", 1e400),
-            ("signaling-storm", "window", "inf"),
-            ("label-spoof", "ttl", 256),
-            ("ttl-flood", "packets", -5),
-        ],
-    )
+    @pytest.mark.parametrize("kind,name,value", BAD_VALUES)
     def test_a_bad_value_names_kind_and_param(self, kind, name, value):
         target = ["a", "b"] if kind.startswith("link") else ["a"]
         with pytest.raises(ScenarioError) as exc:
@@ -107,14 +110,45 @@ class TestFaultParams:
             )
         assert str(exc.value).startswith(f"{kind}: bad {name} {value!r}: ")
 
+    def test_every_param_has_a_bad_value_row(self):
+        # a param no row refuses could take any value unread
+        accepted = {
+            (kind.value, name)
+            for kind, contract in FAULT_KINDS.items()
+            for name in contract.params
+        }
+        assert {(kind, name) for kind, name, _ in BAD_VALUES} == accepted
+        assert len(accepted) == 13
+
     def test_values_are_parsed_to_what_the_injector_reads(self):
         spec = FaultSpec.from_dict(
-            {"kind": "ib-bitflip", "at": 0.1, "target": "a",
-             "level": "2", "label_xor": 5.0, "address": None}
+            {"kind": "signaling-storm", "at": 0.1, "target": "a",
+             "mappings": "2", "hellos": None}
         )
         # null is the default, as for heal_at
-        assert spec.params == {"level": 2, "label_xor": 5}
+        assert spec.params == {"mappings": 2}
         assert FaultSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "kind,name,accepted",
+        [
+            # each was a param while some value of it could be set; no
+            # workload set one, so each is now its kind's constant
+            ("ib-bitflip", "label_xor", "level"),
+            ("ib-bitflip", "address", "level"),
+            ("signaling-storm", "window", "hellos, mappings"),
+            ("signaling-storm", "setups", "hellos, mappings"),
+            ("label-spoof", "src", "packets, ttl"),
+            ("ttl-flood", "window", "packets"),
+        ],
+    )
+    def test_a_param_that_became_a_constant(self, kind, name, accepted):
+        with pytest.raises(ScenarioError) as exc:
+            FaultSpec.from_dict({"kind": kind, "at": 0.1, "target": "a",
+                                 name: 1})
+        assert str(exc.value) == (
+            f"{kind}: unknown param(s) {name} (accepted: {accepted})"
+        )
 
     def test_unknown_random_kind_is_a_scenario_error(self):
         with pytest.raises(ScenarioError, match="unknown fault kind 'bogus'"):
@@ -127,6 +161,40 @@ class TestFaultParams:
         schedule = scenario.materialize(seed=3)
         assert len(schedule) == 6
         assert {s.kind for s in schedule} == {FaultKind.LINK_DOWN}
+
+
+def _ring(**args):
+    """A ring scenario whose topology entry carries ``args``."""
+    return _minimal(
+        topology={"kind": "ring", **args},
+        edges=["n0", "n2"],
+        traffic=[{"ingress": "n0", "egress": "n2", "prefix": "10.2.0.0/16",
+                  "src": "10.0.0.5", "dst": "10.2.0.9"}],
+    )
+
+
+class TestTopologyKinds:
+    """Each argument a topology kind accepts reaches what it builds."""
+
+    @pytest.mark.parametrize("arg,value", [("bandwidth_bps", 3e6),
+                                           ("delay_s", 2e-3)])
+    @pytest.mark.parametrize("kind", ["paper_figure1", "ring"])
+    def test_a_link_argument_reaches_every_link(self, kind, arg, value):
+        if kind == "ring":
+            doc = _ring(n=5, **{arg: value})
+        else:
+            doc = _minimal(topology={"kind": kind, arg: value})
+        topology, _roles = Scenario.from_dict(doc).build_topology()
+        links = topology.edges_with_attrs()
+        assert links
+        assert all(getattr(attrs, arg) == value for _a, _b, attrs in links)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_n_is_the_ring_size(self, n):
+        topology, _roles = Scenario.from_dict(_ring(n=n)).build_topology()
+        assert topology.nodes == [f"n{i}" for i in range(n)]
+        assert len(topology.links) == n
+        assert all(topology.degree(node) == 2 for node in topology.nodes)
 
 
 class TestSubsystemKeys:

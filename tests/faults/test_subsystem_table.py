@@ -17,9 +17,15 @@ from pathlib import Path
 import pytest
 
 import repro.faults.chaos as chaos
+from benchmarks.perf.workloads import ChaosObs, CtrlChurn, FwdScalar
 from repro.cli import QUICKSTART, main
 from repro.faults import ChaosRun, Scenario, ScenarioError, build_run
-from repro.faults.scenario import RandomFaultSpec
+from repro.faults.scenario import (
+    _TOPOLOGIES,
+    FAULT_KINDS,
+    ProtectionSpec,
+    RandomFaultSpec,
+)
 from repro.faults.subsystems import (
     FLAGS,
     KIND_KEYS,
@@ -123,7 +129,7 @@ def test_the_traceroute_section_is_read_last(monkeypatch):
     raw.update(duration=0.6, oam={}, faults=[
         {"at": 0.45, "kind": "node-crash", "target": ["n2"]},
         {"at": 0.5, "kind": "signaling-storm", "target": ["n0"],
-         "mappings": 2000, "hellos": 100, "window": 0.5},
+         "mappings": 2000, "hellos": 100},
     ])
     with telemetry_session():
         report = chaos.run_scenario(Scenario.from_dict(raw), seed=7)
@@ -150,6 +156,19 @@ def test_list_faults_pin_still_holds(capsys):
 
 
 # -- the census: a key exists only where a workload sets it ---------------------
+#: every scenario document a workload runs: the quickstart, each example,
+#: and the generated scenarios of the benchmark workloads that run one,
+#: at the two seeds the benchmark runs them at
+WORKLOADS = [QUICKSTART] + [
+    json.loads(path.read_text())
+    for path in sorted((ROOT / "examples").glob("*.json"))
+] + [
+    workload.generate(seed, 1.0)["scenario"]
+    for workload in (FwdScalar(), CtrlChurn(), ChaosObs())
+    for seed in (7, 11)
+]
+
+
 def _accepted(where, parse):
     """The keys ``parse`` accepts, read off its refusal of an unknown
     one, each as ``<where>.<key>``."""
@@ -171,8 +190,8 @@ def _set_by(document):
 
 
 def test_every_accepted_key_is_set_by_some_workload():
-    """A key no example, the quickstart or a ``repro chaos`` flag sets
-    only ever holds its default: it is a constant, not a key."""
+    """A key no workload or ``repro chaos`` flag sets only ever holds
+    its default: it is a constant, not a key."""
     # flows armed, so the carried alerts key can be set on a copy
     scenario = Scenario.from_dict(dict(BASE, flows={}))
     accepted = _accepted("random_faults", RandomFaultSpec.from_dict)
@@ -183,17 +202,61 @@ def test_every_accepted_key_is_set_by_some_workload():
             accepted |= _accepted(key, lambda raw: sub.parse({}, carried))
     accepted |= _accepted("alerts.rules[]", lambda raw: Flows().parse(
         {}, dataclasses.replace(scenario, alerts={"rules": [raw]})))
-    documents = [QUICKSTART] + [
-        json.loads(path.read_text())
-        for path in sorted((ROOT / "examples").glob("*.json"))
-    ]
-    set_by = set().union(*map(_set_by, documents)) | {
+    set_by = set().union(*map(_set_by, WORKLOADS)) | {
         f"{sub.key}.{sub.flag.field}" for sub in FLAGS.values()
     }
     assert sorted(accepted - set_by) == []
     # 13 subsystem-object keys, 5 alert-rule keys, alerts.rules, and
     # 4 random_faults keys
     assert len(accepted) == 23
+
+
+def _run_by(document):
+    """Every fault param, protection field, topology kind and topology
+    argument a scenario document sets, and each ``kind x control`` it
+    runs."""
+    found = set()
+    for fault in document.get("faults", []):
+        found |= {f"{fault['kind']}.{name}" for name in fault
+                  if name not in ("kind", "at", "heal_at", "target")}
+        found.add(f"{fault['kind']} x {document.get('control', 'ldp')}")
+    for kind in (document.get("random_faults") or {}).get("kinds", []):
+        found.add(f"{kind} x {document.get('control', 'ldp')}")
+    for entry in document.get("protection", []):
+        found |= {f"protection[].{field}" for field in entry}
+    topology = dict(document.get("topology", {}))
+    found.add(f"topology.kind={topology.pop('kind', 'paper_figure1')}")
+    found |= {f"topology.{arg}" for arg in topology}
+    return found
+
+
+def test_every_fault_param_topology_and_control_is_run_by_some_workload():
+    """A fault param, protection field, topology kind or argument no
+    workload sets, or a control plane a fault kind accepts but no
+    workload runs it under, only ever holds its default: a constant,
+    and the code only another value reached is dead.  A row's
+    ``draw_params`` set its params: the randomized schedule draws
+    them."""
+    accepted = {
+        f"{kind.value}.{name}"
+        for kind, row in FAULT_KINDS.items() for name in row.params
+    } | {
+        f"{kind.value} x {control}"
+        for kind, row in FAULT_KINDS.items() for control in row.controls
+    } | {
+        f"protection[].{field.name}"
+        for field in dataclasses.fields(ProtectionSpec)
+    } | {f"topology.kind={kind}" for kind in _TOPOLOGIES} | {
+        f"topology.{arg}" for _, args in _TOPOLOGIES.values() for arg in args
+    }
+    set_by = set().union(*map(_run_by, WORKLOADS)) | {
+        f"{kind.value}.{name}"
+        for kind, row in FAULT_KINDS.items() for name in row.draw_params
+    }
+    assert sorted(accepted - set_by) == []
+    # 13 fault params, 8 kind x control pairs, 4 protection fields, 2
+    # topology kinds and 3 topology arguments
+    assert len(accepted) == 30
 
 
 def test_every_flag_has_a_pinned_ci_leg():

@@ -10,7 +10,7 @@ from repro.mpls.fec import PrefixFEC
 from repro.mpls.router import RouterRole
 from repro.net.network import MPLSNetwork
 from repro.net.topology import Topology
-from repro.net.traffic import CBRSource, PoissonSource
+from repro.net.traffic import CBRSource
 
 
 def random_topology(n_nodes=24, extra_links=20, seed=7):
@@ -47,14 +47,15 @@ def build_network(seed=7):
     return net, names, hosts
 
 
-def run_traffic(net, ingress, seed=1):
+def run_traffic(net, ingress):
     flows = [
         CBRSource(net.scheduler, net.source_sink(ingress),
                   src="10.0.0.1", dst="10.100.0.9", rate_bps=2e6,
-                  packet_size=700, stop=0.3, seed=seed),
-        PoissonSource(net.scheduler, net.source_sink(ingress),
-                      src="10.0.0.2", dst="10.200.0.9", rate_pps=300,
-                      packet_size=300, stop=0.3, seed=seed + 1),
+                  packet_size=700, stop=0.3),
+        # 300 packets/s of 300 B (+20 B header)
+        CBRSource(net.scheduler, net.source_sink(ingress),
+                  src="10.0.0.2", dst="10.200.0.9", rate_bps=300 * 320 * 8,
+                  packet_size=300, stop=0.3),
     ]
     for flow in flows:
         flow.begin()

@@ -5,7 +5,6 @@ import pytest
 from repro.net.topology import (
     Topology,
     TopologyError,
-    full_mesh,
     line,
     paper_figure1,
     ring,
@@ -184,10 +183,6 @@ class TestBuilders:
     def test_ring_minimum(self):
         with pytest.raises(TopologyError):
             ring(2)
-
-    def test_full_mesh(self):
-        topo = full_mesh(4)
-        assert len(topo.links) == 6
 
     def test_paper_figure1(self):
         """Two LERs, three LSRs, with a redundant core path."""

@@ -11,8 +11,6 @@ from repro.net.traffic import (
     CBRSource,
     DSCP_AF41,
     DSCP_EF,
-    OnOffSource,
-    PoissonSource,
     VideoSource,
     VoIPSource,
 )
@@ -110,54 +108,6 @@ class TestVideo:
         assert [len(p.payload) for p in first_frame] == [1400, 1400, 200]
 
 
-class TestPoisson:
-    def test_mean_rate(self):
-        source, packets = _run_source(
-            PoissonSource, duration=10.0, rate_pps=100, seed=42
-        )
-        assert len(packets) == pytest.approx(1000, rel=0.15)
-
-    def test_deterministic_given_seed(self):
-        _, a = _run_source(PoissonSource, duration=1.0, rate_pps=50, seed=7)
-        _, b = _run_source(PoissonSource, duration=1.0, rate_pps=50, seed=7)
-        assert [p.created_at for p in a] == [p.created_at for p in b]
-
-    def test_different_seeds_differ(self):
-        _, a = _run_source(PoissonSource, duration=1.0, rate_pps=50, seed=1)
-        _, b = _run_source(PoissonSource, duration=1.0, rate_pps=50, seed=2)
-        assert [p.created_at for p in a] != [p.created_at for p in b]
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            _run_source(PoissonSource, rate_pps=-1)
-
-
-class TestOnOff:
-    def test_bursts_exist(self):
-        source, packets = _run_source(
-            OnOffSource,
-            duration=5.0,
-            peak_bps=1e6,
-            mean_on_s=0.05,
-            mean_off_s=0.2,
-            seed=3,
-        )
-        assert source.sent > 0
-        gaps = [
-            b.created_at - a.created_at for a, b in zip(packets, packets[1:])
-        ]
-        # bursty: both back-to-back gaps and long silences appear
-        burst_gap = (1000 + 20) * 8 / 1e6
-        assert any(g == pytest.approx(burst_gap) for g in gaps)
-        assert any(g > 5 * burst_gap for g in gaps)
-
-    def test_mean_rate_below_peak(self):
-        source, _ = _run_source(
-            OnOffSource, duration=5.0, peak_bps=1e6, seed=3
-        )
-        assert source.sent_bytes * 8 / 5.0 < 1e6
-
-
 class TestFlowIds:
     def test_unique_flow_ids(self):
         sched = EventScheduler()
@@ -174,20 +124,14 @@ class TestHostileRates:
         "rate", [0, -1.0, math.inf, -math.inf, math.nan]
     )
     def test_rates_that_are_not_finite_and_positive(self, rate):
-        for cls, key in (
-            (CBRSource, "rate_bps"),
-            (PoissonSource, "rate_pps"),
-            (OnOffSource, "peak_bps"),
-        ):
-            with pytest.raises(ValueError):
-                _run_source(cls, **{key: rate})
+        with pytest.raises(ValueError):
+            _run_source(CBRSource, rate_bps=rate)
 
     @pytest.mark.parametrize("packet_size", [-20, -30, -1000])
     def test_intervals_that_are_not_positive(self, packet_size):
-        for cls in (CBRSource, OnOffSource):
-            with pytest.raises(ValueError) as exc:
-                _run_source(cls, packet_size=packet_size)
-            assert "no positive interval" in str(exc.value)
+        with pytest.raises(ValueError) as exc:
+            _run_source(CBRSource, packet_size=packet_size)
+        assert "no positive interval" in str(exc.value)
 
     @pytest.mark.parametrize(
         "bad",
@@ -242,8 +186,6 @@ class TestSharedPayload:
         "cls, kwargs",
         [
             (CBRSource, {"rate_bps": 1e6, "packet_size": 200}),
-            (PoissonSource, {"rate_pps": 200.0, "packet_size": 200}),
-            (OnOffSource, {"peak_bps": 1e6, "mean_off_s": 0.01}),
             (VoIPSource, {}),
         ],
     )

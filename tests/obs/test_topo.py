@@ -171,7 +171,7 @@ class TestFaultModel:
 
 
 class TestLSPTracking:
-    def test_setup_reroute_teardown(self):
+    def test_setup_teardown(self):
         obs = _observer()
         _emit(obs, LSPEvent(
             name="t1", event="setup",
@@ -180,15 +180,10 @@ class TestLSPTracking:
         assert obs.live_view().data["lsps"]["t1"] == {
             "state": "up", "route": "ler-a->lsr-1->lsr-2"
         }
-        _emit(obs, LSPEvent(
-            name="t1", event="preempt-reroute",
-            detail="ler-a->lsr-1->lsr-3",
-        ), 0.1)
-        assert obs.live_view().data["lsps"]["t1"] == {
-            "state": "up", "route": "ler-a->lsr-1->lsr-3"
-        }
         _emit(obs, LSPEvent(name="t1", event="teardown"), 0.2)
-        assert obs.live_view().data["lsps"]["t1"]["state"] == "down"
+        assert obs.live_view().data["lsps"]["t1"] == {
+            "state": "down", "route": "ler-a->lsr-1->lsr-2"
+        }
 
     def test_frr_switchover_and_revert(self):
         obs = _observer()

@@ -3,70 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qos.policer import TokenBucket
-from repro.qos.queues import REDQueue, TailDropQueue
+from repro.net.link import DropTailQueue
 from repro.qos.scheduler import PriorityScheduler, WFQScheduler
 
 sizes = st.integers(min_value=1, max_value=2000)
 cos_values = st.integers(min_value=0, max_value=7)
-
-
-class TestPolicerProperties:
-    @given(st.lists(st.tuples(sizes, st.floats(min_value=0.001, max_value=0.1)),
-                    max_size=50))
-    def test_conformed_never_exceeds_long_term_rate_plus_burst(self, offers):
-        """Token bucket bound: conformed bytes <= burst + rate * time."""
-        rate, burst = 80_000.0, 1500
-        tb = TokenBucket(rate_bps=rate, burst_bytes=burst)
-        t = 0.0
-        for size, gap in offers:
-            t += gap
-            tb.offer(size, now=t)
-        assert tb.conformed_bytes <= burst + rate / 8.0 * t + 1e-6
-
-    @given(st.lists(sizes, max_size=50))
-    def test_accounting_partitions_offers(self, offered):
-        tb = TokenBucket(rate_bps=8000, burst_bytes=1000)
-        for i, size in enumerate(offered):
-            tb.offer(size, now=float(i))
-        assert tb.conformed + tb.exceeded == len(offered)
-        assert tb.conformed_bytes + tb.exceeded_bytes == sum(offered)
-
-    @given(sizes)
-    def test_tokens_never_negative_or_above_burst(self, size):
-        tb = TokenBucket(rate_bps=8000, burst_bytes=1000)
-        tb.offer(size, now=0.0)
-        assert 0 <= tb.tokens <= 1000
-
-
-class TestQueueProperties:
-    @given(st.lists(st.integers(), max_size=100))
-    def test_taildrop_preserves_order_of_accepted(self, items):
-        q = TailDropQueue(capacity=16)
-        accepted = [item for item in items if q.enqueue(item)]
-        drained = []
-        while True:
-            item = q.dequeue()
-            if item is None:
-                break
-            drained.append(item)
-        assert drained == accepted
-
-    @given(st.lists(st.integers(), max_size=200), st.integers(0, 1000))
-    def test_red_never_exceeds_capacity(self, items, seed):
-        q = REDQueue(capacity=16, min_threshold=4, max_threshold=12,
-                     seed=seed)
-        for item in items:
-            q.enqueue(item)
-            assert len(q) <= 16
-
-    @given(st.lists(st.integers(), max_size=100), st.integers(0, 1000))
-    def test_red_accounting(self, items, seed):
-        q = REDQueue(capacity=16, min_threshold=4, max_threshold=12,
-                     seed=seed)
-        for item in items:
-            q.enqueue(item)
-        assert q.enqueued + q.dropped == len(items)
 
 
 class TestSchedulerProperties:
@@ -126,3 +67,26 @@ class TestSchedulerProperties:
             last = seen_per_class.get(cos, -1)
             assert i > last
             seen_per_class[cos] = i
+
+
+class TestDropTailProperties:
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.booleans(), max_size=80),
+    )
+    def test_accepts_in_order_and_counts_every_drop(self, capacity, ops):
+        # each op is an offer (True) or a drain (False)
+        q = DropTailQueue(capacity=capacity)
+        offered, accepted, drained = 0, [], []
+        for offer in ops:
+            if offer:
+                if q.enqueue(offered):
+                    accepted.append(offered)
+                offered += 1
+            elif (item := q.dequeue()) is not None:
+                drained.append(item)
+            assert len(q) <= capacity
+        while (item := q.dequeue()) is not None:
+            drained.append(item)
+        assert drained == accepted
+        assert len(accepted) + q.dropped == offered

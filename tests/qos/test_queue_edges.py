@@ -1,12 +1,11 @@
-"""Edge-case tests for the discard queues: capacity 1 and bursts."""
+"""Edge-case tests for the link's discard queue: capacity 1 and bursts."""
 
 import pytest
 
 from repro.net.link import DropTailQueue
-from repro.qos.queues import REDQueue, TailDropQueue
 
 
-@pytest.mark.parametrize("cls", [DropTailQueue, TailDropQueue])
+@pytest.mark.parametrize("cls", [DropTailQueue])
 class TestCapacityOne:
     def test_holds_exactly_one(self, cls):
         q = cls(capacity=1)
@@ -30,83 +29,14 @@ class TestCapacityOne:
         assert len(q) == 1
 
 
-class TestTailDropBurstAccounting:
-    def test_per_cos_drop_accounting_in_a_burst(self):
-        q = TailDropQueue(capacity=2)
-        q.enqueue("a", cos=0)
-        q.enqueue("b", cos=5)
-        for _ in range(3):
-            q.enqueue("x", cos=0)
-        q.enqueue("y", cos=5)
-        assert q.dropped == 4
-        assert q.dropped_by_cos == {0: 3, 5: 1}
-        assert q.enqueued == 2
+class TestDropTail:
+    def test_fifo(self):
+        q = DropTailQueue(capacity=4)
+        for item in "abc":
+            assert q.enqueue(item, cos=ord(item) % 8)
+        assert [q.dequeue() for _ in range(4)] == ["a", "b", "c", None]
 
-    def test_conservation_across_a_bursty_lifetime(self):
-        q = TailDropQueue(capacity=3)
-        offered = drained = 0
-        for burst in range(10):
-            for i in range(7):
-                offered += 1
-                q.enqueue((burst, i))
-            while q.dequeue() is not None:
-                drained += 1
-        assert offered == q.enqueued + q.dropped
-        assert drained == q.enqueued
-
-
-class TestREDEdges:
-    def test_capacity_one_accepts_then_force_drops(self):
-        q = REDQueue(
-            capacity=1, min_threshold=0.5, max_threshold=1, seed=1
-        )
-        assert q.enqueue("a")
-        assert not q.enqueue("b")  # full: forced drop, never random
-        assert q.dropped_forced == 1
-        assert q.dequeue() == "a"
-
-    def test_capacity_one_recovers_after_drain(self):
-        q = REDQueue(
-            capacity=1, min_threshold=0.5, max_threshold=1, seed=1
-        )
-        accepted = 0
-        for i in range(50):
-            if q.enqueue(i):
-                accepted += 1
-                q.dequeue()
-        # the EWMA stays low because the queue drains every time, so
-        # most arrivals are admitted (never more dropped than offered)
-        assert accepted > 0
-        assert accepted + q.dropped == 50
-
-    def test_burst_saturates_ewma_then_forced_drops(self):
-        q = REDQueue(
-            capacity=8, min_threshold=1, max_threshold=4, weight=1.0,
-            seed=3,
-        )
-        for i in range(20):
-            q.enqueue(i)
-        # weight 1.0 makes the EWMA track the instantaneous length, so
-        # the tail of the burst is all forced drops above max_threshold
-        assert q.dropped_forced > 0
-        assert len(q) <= q.capacity
-        assert q.enqueued + q.dropped == 20
-
-    def test_burst_conservation_with_interleaved_drains(self):
-        q = REDQueue(
-            capacity=4, min_threshold=1, max_threshold=4, seed=9
-        )
-        offered = drained = 0
-        for burst in range(8):
-            for i in range(6):
-                offered += 1
-                q.enqueue((burst, i))
-            while q.dequeue() is not None:
-                drained += 1
-        assert offered == q.enqueued + q.dropped
-        assert drained == q.enqueued
-        assert q.dropped == q.dropped_early + q.dropped_forced
-
-    def test_threshold_validation_against_tiny_capacity(self):
-        with pytest.raises(ValueError):
-            REDQueue(capacity=1, min_threshold=1, max_threshold=2)
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_validation(self, capacity):
+        with pytest.raises(ValueError, match="queue capacity must be >= 1"):
+            DropTailQueue(capacity=capacity)

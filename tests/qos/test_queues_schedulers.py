@@ -1,81 +1,8 @@
-"""Tests for queues and CoS schedulers."""
+"""Tests for the CoS schedulers."""
 
 import pytest
 
-from repro.qos.queues import REDQueue, TailDropQueue
 from repro.qos.scheduler import PriorityScheduler, WFQScheduler
-
-
-class TestTailDrop:
-    def test_fifo(self):
-        q = TailDropQueue(capacity=4)
-        for i in range(3):
-            q.enqueue(i, cos=i)
-        assert [q.dequeue() for _ in range(3)] == [0, 1, 2]
-
-    def test_per_cos_drop_accounting(self):
-        q = TailDropQueue(capacity=1)
-        q.enqueue("a", cos=0)
-        q.enqueue("b", cos=5)
-        q.enqueue("c", cos=5)
-        assert q.dropped == 2
-        assert q.dropped_by_cos == {5: 2}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TailDropQueue(capacity=0)
-
-
-class TestRED:
-    def test_below_min_threshold_never_drops(self):
-        q = REDQueue(capacity=64, min_threshold=16, max_threshold=48, seed=1)
-        for i in range(10):
-            assert q.enqueue(i)
-        assert q.dropped == 0
-
-    def test_early_drops_under_sustained_load(self):
-        q = REDQueue(capacity=64, min_threshold=8, max_threshold=32,
-                     max_probability=0.5, seed=1)
-        accepted = 0
-        for i in range(400):
-            if q.enqueue(i):
-                accepted += 1
-            if i % 2 == 0:
-                q.dequeue()
-        assert q.dropped_early > 0
-        assert accepted > 0
-
-    def test_forced_drop_at_capacity(self):
-        q = REDQueue(capacity=8, min_threshold=2, max_threshold=8,
-                     max_probability=0.01, weight=1.0, seed=1)
-        for i in range(20):
-            q.enqueue(i)
-        assert q.dropped_forced > 0
-        assert len(q) <= 8
-
-    def test_deterministic_given_seed(self):
-        def run(seed):
-            q = REDQueue(capacity=32, min_threshold=4, max_threshold=16,
-                         max_probability=0.5, seed=seed)
-            return [q.enqueue(i) for i in range(100)]
-
-        assert run(7) == run(7)
-        assert run(7) != run(8)
-
-    def test_average_tracks_occupancy(self):
-        q = REDQueue(capacity=64, min_threshold=16, max_threshold=48,
-                     weight=0.5, seed=1)
-        for i in range(10):
-            q.enqueue(i)
-        assert 0 < q.average < 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            REDQueue(min_threshold=50, max_threshold=40)
-        with pytest.raises(ValueError):
-            REDQueue(max_probability=0)
-        with pytest.raises(ValueError):
-            REDQueue(weight=2)
 
 
 class TestPriorityScheduler:
