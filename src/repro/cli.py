@@ -689,6 +689,10 @@ def _render_topo_view(view) -> str:
     return "\n".join(lines)
 
 
+#: ``repro topo`` query -> how many times it takes
+TOPO_TIMES = {"show": 0, "at": 1, "diff": 2, "health": 0}
+
+
 def cmd_topo(
     scenario: str,
     action: str = "show",
@@ -709,6 +713,7 @@ def cmd_topo(
     and ``--dot`` as Graphviz -- both byte-stable for a seeded run
     (the CI views-smoke job compares two runs with ``cmp``).
     """
+    # main has checked the time count against TOPO_TIMES
     times = times or []
     # the observer is the point of this command: force it on even when
     # the scenario file has no 'topo' key
@@ -721,15 +726,9 @@ def cmd_topo(
     observer = report.topo
 
     if action == "at":
-        if len(times) != 1:
-            print("error: 'at' needs exactly one time", file=sys.stderr)
-            return 1
         view = observer.at(times[0])
         sys.stdout.write(view.to_json())
     elif action == "diff":
-        if len(times) != 2:
-            print("error: 'diff' needs two times", file=sys.stderr)
-            return 1
         before, after = observer.at(times[0]), observer.at(times[1])
         changes = before.diff(after)
         for change in changes:
@@ -931,14 +930,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler = parsed.pop("handler")
     # refused before any scenario is built: a rate outside [0, 1] (NaN
     # fails both bounds) is a traceback from the recorder, a negative N
-    # a slice bound ("all but the last"), not a count, and a time that
-    # is not finite a view no run ever held
+    # a slice bound ("all but the last"), not a count, a time that is
+    # not finite a view no run ever held, and a topo query given more
+    # or fewer times than it reads a run for nothing
     problem = None
     if not 0.0 <= (rate := parsed.get("sample_rate", 1.0)) <= 1.0:
         problem = f"--sample-rate must be in [0, 1], got {rate}"
     for when in parsed.get("times") or ():
         if not math.isfinite(when):
             problem = f"a time must be finite, got {when}"
+    if handler is cmd_topo:
+        action, count = parsed["action"], len(parsed["times"])
+        wanted = TOPO_TIMES[action]
+        if count != wanted:
+            takes = ("no time", "one time", "two times")[wanted]
+            problem = f"'{action}' takes {takes}, got {count}"
     for name in ("slowest", "top"):
         if parsed.get(name, 0) < 0:
             problem = f"--{name} must be >= 0, got {parsed[name]}"

@@ -586,6 +586,16 @@ class Scenario:
         names = [p.name for p in self.protection]
         if len(set(names)) < len(names):
             raise ScenarioError(f"protection names must be unique: {names}")
+        if self.control == "frr":
+            # the protected LSPs are the only label paths: a flow whose
+            # prefix none of them carries gets no FTN entry
+            protected = {p.prefix for p in self.protection}
+            for flow in self.traffic:
+                if flow.prefix not in protected:
+                    raise ScenarioError(
+                        f"traffic {flow.ingress}->{flow.egress} "
+                        f"{flow.prefix}: no protection entry covers its prefix"
+                    )
         kinds = {s.kind for s in self.faults}
         if self.random_faults is not None:
             kinds.update(self.random_faults.kinds)

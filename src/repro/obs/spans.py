@@ -12,12 +12,18 @@ stream into per-packet trace trees:
   (label-stack-modifier work in RTL cycles, folded from
   ``HWOpExecuted`` and placed on the simulation timeline via the
   cycle-to-time anchor the hardware node publishes), with **RTL spans**
-  (search/modify) nested one level further down.  Telemetry builds what
-  is read: a hop, each of its label ops and its phases (which arrive as
-  one batch, :meth:`~repro.obs.events.EventLog.emit_phases`) stay one
-  record each -- a tuple of the event's fields -- until
-  :attr:`Trace.spans` is asked for; the summary, fault annotation and
-  hop paths read the records as they are.
+  (search/modify) nested one level further down.
+
+A traced packet is bytes, not objects: the recorder keeps one compact
+store -- a few columns per trace, and one fixed-size packed row per
+hop, label op, phase batch and fault note, each naming its trace by
+index and its strings, label stacks and phase lists by intern id (the
+layouts are :data:`_HOP`, :data:`_OP`, :data:`_PHASES` and
+:data:`_NOTE`).  :meth:`SpanRecorder.summary`,
+:meth:`~SpanRecorder.finalize`, fault annotation and the SLO quantiles
+read the store; :meth:`~SpanRecorder.traces`,
+:meth:`~SpanRecorder.trace_of` and :meth:`~SpanRecorder.slowest` build
+:class:`Trace` and :class:`Span` objects from it, afresh on every call.
 
 Sampling is head-based and deterministic: the keep/drop decision is a
 pure hash of the packet uid against ``sample_rate`` (with per-flow
@@ -35,16 +41,18 @@ repo's JSONL line format, schema v2).
 from __future__ import annotations
 
 import json
+import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Collection,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
-    NamedTuple,
     Optional,
+    Set,
     TextIO,
     Tuple,
 )
@@ -138,115 +146,20 @@ class Span:
         }
 
 
-# -- records: what a trace holds until somebody reads it ---------------------
-# A record is a plain tuple of an event's fields and the span id reserved
-# for it: the garbage collector stops tracking a tuple of plain values,
-# and a traced run keeps one per hop, label op and phase batch.  Item 0
-# tags the layout:
-#
-#   (_HOP, span_id, start, end, node, labels_in, ttl_in,
-#          action, labels_out, next_hop)        end is None while open
-#   (_DROP, span_id, start, end, node, labels_in, ttl_in, reason)
-#   (_LABEL_OP, span_id, start, end, parent_id, op, label_in, label_out)
-#   (_PHASES, first_id, node, anchor, hz, hop_id, phases)
-#
-# _expanded_spans builds from them exactly the spans the eager fold built.
-_HOP, _DROP, _LABEL_OP, _PHASES = "hop", "drop", "label-op", "phases"
-_RECORD_KINDS = {_HOP: KIND_HOP, _DROP: KIND_HOP, _LABEL_OP: KIND_LABEL_OP}
-
-
-class _SpanRef(NamedTuple):
-    """A hop as ``Trace.hop_at`` and :class:`_PhaseBatch` see it."""
-
-    span_id: int
-
-
-def _end_of(item: Any) -> Optional[float]:
-    """A span's end, or a record's without building its spans."""
-    if type(item) is not tuple:
-        return item.end
-    if item[0] == _PHASES:
-        _, _, _, anchor, hz, _, phases = item
-        return anchor + max(p[3] for p in phases) / hz
-    return item[3]
-
-
-class _PhaseBatch:
-    """Builds a phase record's spans when its trace is read."""
-
-    __slots__ = ("node", "anchor", "hz", "first_id", "hop", "phases")
-
-    def __init__(self, node, anchor, hz, first_id, hop, phases) -> None:
-        self.node, self.anchor, self.hz = node, anchor, hz
-        self.first_id, self.hop, self.phases = first_id, hop, phases
-
-    def expand(self, trace: "Trace", out: List[Span]) -> None:
-        """The hardware-phase fold: ids in arrival order; an RTL phase
-        hangs off the latest enclosing phase, anything without one off
-        this node's latest hop, or the root."""
-        node, anchor, hz, phase_at = self.node, self.anchor, self.hz, trace.phase_at
-        span_id = self.first_id
-        fallback = (self.hop or trace.root).span_id
-        for phase, parent_phase, cycle_start, cycle_end in self.phases:
-            kind = KIND_HW_PHASE if parent_phase is None else KIND_RTL
-            parent = None if parent_phase is None else phase_at.get(parent_phase)
-            span = Span(
-                span_id,
-                fallback if parent is None else parent.span_id,
-                phase,
-                kind,
-                anchor + cycle_start / hz,
-                anchor + cycle_end / hz,
-                CLOCK_CYCLES,
-                cycle_start,
-                cycle_end,
-                {"node": node, "cycles": cycle_end - cycle_start},
-            )
-            span_id += 1
-            if parent_phase is None:
-                phase_at[phase] = span
-            out.append(span)
-
-
 @dataclass
 class Trace:
-    """One packet's span tree, keyed by the packet uid."""
+    """One packet's span tree, keyed by the packet uid (built by the
+    recorder when read: a snapshot, not a live view)."""
 
     uid: int
     flow_id: int
     fec: str
     root: Span
-    #: All non-root spans, in creation order (a property, installed
-    #: below the class: reading it builds the spans of the records).
+    #: All non-root spans, in creation (span id) order.
     spans: List[Span] = field(default_factory=list)
     delivered: bool = False
     dropped: bool = False
     probe: bool = False
-    #: node -> its latest hop's span id (kept by the recorder as it
-    #: appends): where a hardware phase finds its parent without
-    #: walking ``spans``
-    _hop_ids: Dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: phase name -> the latest hw-phase span (kept as batches expand,
-    #: in arrival order): where an RTL phase finds its parent
-    phase_at: Dict[str, Span] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: phases still held in phase records in ``_items``
-    _pending = 0
-    #: ``_items[:_built]`` are spans; records can only follow
-    _built = 0
-    #: index in ``_items`` of the hop the next hop or delivery closes
-    _open = None
-    #: span id -> fault notes of a hop still held as a record
-    _notes = None
-
-    @property
-    def hop_at(self) -> Dict[str, _SpanRef]:
-        """Node -> its latest hop, answering ``.span_id`` (a view of
-        the ids the recorder keeps)."""
-        return {node: _SpanRef(i) for node, i in self._hop_ids.items()}
 
     @property
     def trace_id(self) -> str:
@@ -260,7 +173,7 @@ class Trace:
     def end(self) -> float:
         if self.root.end is not None:
             return self.root.end
-        ends = [end for end in map(_end_of, self._items) if end is not None]
+        ends = [s.end for s in self.spans if s.end is not None]
         return max(ends) if ends else self.root.start
 
     @property
@@ -274,111 +187,12 @@ class Trace:
     def hop_spans(self) -> List[Span]:
         return [s for s in self.spans if s.kind == KIND_HOP]
 
-    def _hops(self) -> Iterator[Tuple[Any, str, float, Optional[float]]]:
-        """(hop, node, start, end) for every hop, record or span,
-        without building one."""
-        for item in self._items:
-            if type(item) is tuple:
-                if item[0] == _HOP or item[0] == _DROP:
-                    yield item, item[4], item[2], item[3]
-            elif item.kind == KIND_HOP:
-                yield item, item.attributes["node"], item.start, item.end
-
     @property
     def path(self) -> List[str]:
-        return [node for _, node, _, _ in self._hops()]
+        return [s.attributes["node"] for s in self.hop_spans]
 
     def all_spans(self) -> List[Span]:
         return [self.root, *self.spans]
-
-    def _close_hop(self, time: Optional[float]) -> None:
-        """Close the open hop at ``time`` (at its own start when None):
-        rewrite its record, or set ``end`` on its span if the trace
-        was read since it opened."""
-        index = self._open
-        if index is None:
-            return
-        self._open = None
-        hop = self._items[index]
-        if type(hop) is tuple:
-            end = hop[2] if time is None else time
-            self._items[index] = hop[:3] + (end,) + hop[4:]
-        elif hop.end is None:
-            hop.end = hop.start if time is None else time
-
-    def _note(self, hop: Any, note: SpanAnnotation) -> None:
-        """Attach a fault note to a hop span, or hold it for the span a
-        hop record becomes."""
-        if type(hop) is not tuple:
-            hop.annotations.append(note)
-            return
-        if self._notes is None:
-            self._notes = {}
-        self._notes.setdefault(hop[1], []).append(note)
-
-
-def _expanded_spans(trace: Trace) -> List[Span]:
-    """``Trace.spans``: the span list, records built into the spans the
-    per-event fold built, in place (same list object, so
-    ``trace.spans.append`` still works)."""
-    items = trace._items
-    first = trace._built
-    if first == len(items):
-        return items
-    root_id = trace.root.span_id
-    notes = trace._notes or {}
-    open_at = trace._open
-    out: List[Span] = []
-    for index in range(first, len(items)):
-        item = items[index]
-        if type(item) is not tuple:
-            out.append(item)
-            continue
-        if item[0] == _PHASES:
-            _, first_id, node, anchor, hz, hop_id, phases = item
-            hop = None if hop_id is None else _SpanRef(hop_id)
-            _PhaseBatch(node, anchor, hz, first_id, hop, phases).expand(trace, out)
-            continue
-        tag, span_id, start, end = item[:4]
-        if index == open_at:
-            trace._open = first + len(out)
-        if tag == _LABEL_OP:
-            _, _, _, _, parent_id, op, label_in, label_out = item
-            out.append(Span(
-                span_id, parent_id, f"{op} {label_in}->{label_out}",
-                KIND_LABEL_OP, start, end, CLOCK_SIM, None, None,
-                {"op": op, "label_in": label_in, "label_out": label_out},
-            ))
-            continue
-        node, labels_in, ttl_in = item[4:7]
-        attributes = {
-            "node": node, "labels_in": list(labels_in), "ttl_in": ttl_in,
-        }
-        if tag == _HOP:
-            attributes["action"] = item[7]
-            attributes["labels_out"] = list(item[8])
-            attributes["next_hop"] = item[9]
-        else:
-            attributes["action"] = "discard"
-            attributes["reason"] = item[7]
-        out.append(Span(
-            span_id, root_id, f"hop {node}", KIND_HOP, start, end,
-            CLOCK_SIM, None, None, attributes, notes.pop(span_id, []),
-        ))
-    items[first:] = out
-    trace._built = len(items)
-    trace._pending = 0
-    trace._notes = None
-    return items
-
-
-def _set_spans(trace: Trace, spans: List[Any]) -> None:
-    """A new span list (the constructor's): scanned whole on first read,
-    and no hop of it is open."""
-    trace._items, trace._built, trace._open = spans, 0, None
-
-
-Trace.spans = property(_expanded_spans, _set_spans)  # type: ignore[assignment]
 
 
 @dataclass
@@ -395,6 +209,55 @@ class FaultWindow:
         if self.start > t1:
             return False
         return self.end is None or self.end >= t0
+
+
+# -- the store ---------------------------------------------------------------
+# One packed little-endian row per record, appended to one bytearray per
+# kind in arrival order.  A row names its trace by index (the trace
+# columns' row) and every string, label stack and phase list by its id
+# in the recorder's intern table; span ids are reserved at arrival, so
+# a trace's records sorted by span id are its spans in creation order.
+#
+#   _HOP     trace, span id, start, end (NaN while open), node,
+#            labels in, ttl in, action (a drop: reason), labels out
+#            (a drop: -1), next hop
+#   _OP      trace, span id, time, (op, label in, label out)
+#   _PHASES  trace, first span id, node, phase list, anchor, clock
+#   _NOTE    trace, span id it notes, time, (label, detail)
+#
+# A hop's parent is its trace's root; a label op's the hop before it; a
+# phase's is found when the trace is built, walking its records in
+# arrival order -- what the eager fold found when the phase arrived.
+_HOP = struct.Struct("<iqddiiiiii")
+_OP = struct.Struct("<iqdi")
+_PHASES = struct.Struct("<iqiidd")
+_NOTE = struct.Struct("<iqdi")
+#: where in a hop row its end is, and how it is written
+_HOP_END = struct.calcsize("<iqd")
+_END = struct.Struct("<d")
+
+_NAN = float("nan")
+
+#: trace flag bits
+_DELIVERED, _DROPPED, _PROBE = 1, 2, 4
+
+
+class _Interned(dict):
+    """value -> id, the next id for a value not seen yet; ``by_id[id]``
+    is the value back.  Equal values share one id (and one object)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_id: List[Any] = []
+
+    def __missing__(self, value: Any) -> int:
+        self[value] = n = len(self.by_id)
+        self.by_id.append(value)
+        return n
+
+
+def _or_none(value: float) -> Optional[float]:
+    return None if value != value else value
 
 
 class SpanRecorder:
@@ -437,17 +300,33 @@ class SpanRecorder:
         self.flow_fecs = dict(flow_fecs or {})
         self.nodes = frozenset(nodes) if nodes is not None else None
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._traces: Dict[int, Trace] = {}
-        self._decisions: Dict[int, bool] = {}
+        #: uid -> its trace's row in the columns below
+        self._rows: Dict[int, int] = {}
+        self._uid = array("q")
+        self._flow = array("q")
+        self._root = array("q")  # the root span's id
+        self._start = array("d")
+        self._end = array("d")  # NaN until delivered, dropped or finalized
+        self._latency = array("d")  # NaN until delivered
+        self._flags = bytearray()
+        #: row -> (fec, reached, rtt) of the latest probe result
+        self._probes: Dict[int, Tuple[str, bool, Optional[float]]] = {}
+        #: the packed rows, one bytearray per kind (layouts above)
+        self._hops = bytearray()
+        self._ops = bytearray()
+        self._phases = bytearray()
+        self._notes = bytearray()
+        self._ids = _Interned()
+        #: trace row -> its open hop's index in ``_hops``
+        self._open: Dict[int, int] = {}
+        #: uids decided against: the decision for a uid with a trace is
+        #: keep, for one in here drop, for any other ``sample_hash``
+        self._dropped_uids: Set[int] = set()
         self._pending_ops: Dict[str, List[LabelOpApplied]] = {}
         self.fault_windows: List[FaultWindow] = []
-        self._latencies: Dict[str, List[float]] = {}
+        self._latencies: Dict[str, array] = {}
         self.quantiles: Dict[str, Dict[str, float]] = {}
-        self.sampled_out = 0
         self._next_span_id = 1
-        #: phase list -> the one tuple every record of that shape holds:
-        #: a traced run repeats a few dozen shapes over thousands of hops
-        self._phase_shapes: Dict[tuple, tuple] = {}
         self._finalized = False
         self._detached = False
         self._was_enabled = self.telemetry.enabled
@@ -457,15 +336,21 @@ class SpanRecorder:
 
     # -- sampling ----------------------------------------------------------
     def wants(self, flow_id: int, uid: int) -> bool:
-        """The head-based keep/drop decision for one packet (cached)."""
-        decision = self._decisions.get(uid)
-        if decision is None:
-            rate = self.flow_rates.get(flow_id, self.sample_rate)
-            decision = sample_hash(uid) < rate
-            self._decisions[uid] = decision
-            if not decision:
-                self.sampled_out += 1
-        return decision
+        """The head-based keep/drop decision for one packet (made once
+        per uid)."""
+        if uid in self._rows:
+            return True
+        if uid in self._dropped_uids:
+            return False
+        if sample_hash(uid) < self.flow_rates.get(flow_id, self.sample_rate):
+            return True
+        self._dropped_uids.add(uid)
+        return False
+
+    @property
+    def sampled_out(self) -> int:
+        """Packets decided against, each counted once."""
+        return len(self._dropped_uids)
 
     def fec_of(self, flow_id: int) -> str:
         return self.flow_fecs.get(flow_id, f"flow-{flow_id}")
@@ -506,26 +391,27 @@ class SpanRecorder:
             self._on_probe(event)
 
     # -- folding -----------------------------------------------------------
-    def _span(self, **kwargs: Any) -> Span:
-        span = Span(span_id=self._next_span_id, **kwargs)
-        self._next_span_id += 1
-        return span
-
-    def _trace_for(
-        self, uid: int, flow_id: int, start: float
-    ) -> Trace:
-        trace = self._traces.get(uid)
-        if trace is None:
-            root = Span(
-                self._next_span_id, None, f"packet {uid}", KIND_PACKET,
-                start, None, CLOCK_SIM, None, None,
-                {"uid": uid, "flow_id": flow_id},
-            )
+    def _row(self, uid: int, flow_id: int, start: float) -> Optional[int]:
+        """The packet's trace row, opened at ``start`` by its first
+        sampled event; None when it is sampled out."""
+        row = self._rows.get(uid)
+        if row is None and self.wants(flow_id, uid):
+            row = self._rows[uid] = len(self._uid)
+            self._uid.append(uid)
+            self._flow.append(flow_id)
+            self._root.append(self._next_span_id)
+            self._start.append(start)
+            self._end.append(_NAN)
+            self._latency.append(_NAN)
+            self._flags.append(0)
             self._next_span_id += 1
-            trace = self._traces[uid] = Trace(
-                uid, flow_id, self.fec_of(flow_id), root
-            )
-        return trace
+        return row
+
+    def _close_hop(self, row: int, time: float) -> None:
+        """Close the trace's open hop, if any, at ``time``."""
+        hop = self._open.pop(row, None)
+        if hop is not None:
+            _END.pack_into(self._hops, hop * _HOP.size + _HOP_END, time)
 
     def _on_hop(self, event: Any, dropped: bool) -> None:
         # label-op buffers are keyed by node and must drain whether or
@@ -535,36 +421,36 @@ class SpanRecorder:
         pending = self._pending_ops.pop(node, None)
         if self.nodes is not None and node not in self.nodes:
             return
-        if not self.wants(event.flow_id, event.uid):
-            return
         time = event.time if event.time is not None else 0.0
-        trace = self._trace_for(event.uid, event.flow_id, time)
-        trace._close_hop(time)
-        items = trace._items
+        row = self._row(event.uid, event.flow_id, time)
+        if row is None:
+            return
+        self._close_hop(row, time)
+        ids = self._ids
         hop_id = span_id = self._next_span_id
         if dropped:
-            items.append((
-                _DROP, hop_id, time, time, node, tuple(event.labels_in),
-                event.ttl_in, event.reason,
-            ))
-            trace.dropped = True
-            if trace.root.end is None or trace.root.end < time:
-                trace.root.end = time
+            self._hops += _HOP.pack(
+                row, hop_id, time, time, ids[node],
+                ids[tuple(event.labels_in)], event.ttl_in, ids[event.reason],
+                -1, -1,
+            )
+            self._flags[row] |= _DROPPED
+            end = self._end[row]
+            if end != end or end < time:
+                self._end[row] = time
         else:
-            trace._open = len(items)
-            items.append((
-                _HOP, hop_id, time, None, node, tuple(event.labels_in),
-                event.ttl_in, event.action, tuple(event.labels_out),
-                event.next_hop,
-            ))
-        trace._hop_ids[node] = hop_id
+            self._open[row] = len(self._hops) // _HOP.size
+            self._hops += _HOP.pack(
+                row, hop_id, time, _NAN, ids[node],
+                ids[tuple(event.labels_in)], event.ttl_in, ids[event.action],
+                ids[tuple(event.labels_out)], ids[event.next_hop],
+            )
         for op in pending or ():
             span_id += 1
-            op_time = op.time if op.time is not None else time
-            items.append((
-                _LABEL_OP, span_id, op_time, op_time, hop_id, op.op,
-                op.label_in, op.label_out,
-            ))
+            self._ops += _OP.pack(
+                row, span_id, op.time if op.time is not None else time,
+                ids[op.op, op.label_in, op.label_out],
+            )
         self._next_span_id = span_id + 1
 
     def _on_delivered(self, event: PacketDelivered) -> None:
@@ -574,18 +460,21 @@ class SpanRecorder:
         # flows (negative ids) are the OAM monitor's business instead
         if event.flow_id >= 0:
             fec = self.fec_of(event.flow_id)
-            self._latencies.setdefault(fec, []).append(event.latency)
+            latencies = self._latencies.get(fec)
+            if latencies is None:
+                latencies = self._latencies[fec] = array("d")
+            latencies.append(event.latency)
             tel = self.telemetry
             if tel.enabled:
                 tel.fec_latency.labels(fec).observe(event.latency)
-        if not self.wants(event.flow_id, event.uid):
-            return
         time = event.time if event.time is not None else 0.0
-        trace = self._trace_for(event.uid, event.flow_id, time)
-        trace.delivered = True
-        trace.root.end = time
-        trace.root.attributes["latency"] = event.latency
-        trace._close_hop(time)
+        row = self._row(event.uid, event.flow_id, time)
+        if row is None:
+            return
+        self._flags[row] |= _DELIVERED
+        self._end[row] = time
+        self._latency[row] = event.latency
+        self._close_hop(row, time)
 
     def _on_hw_op(self, event: HWOpExecuted) -> None:
         self.write_phases(
@@ -595,42 +484,68 @@ class SpanRecorder:
         )
 
     def write_phases(self, node, uid, flow_id, anchor_time, clock_hz, phases):
-        """Take one packet-hop's phases as one record: span ids are
+        """Take one packet-hop's phases as one row: span ids are
         reserved now, the spans are built when the trace is read.  The
-        record holds the recorder's one tuple of equal phases."""
+        row names the list by its intern id: a traced run repeats a few
+        dozen lists over thousands of hops."""
         if not phases or (self.nodes is not None and node not in self.nodes):
             return
-        if not self.wants(flow_id, uid):
-            return
         hz = clock_hz if clock_hz > 0 else 1.0
-        trace = self._trace_for(uid, flow_id, anchor_time + phases[0][2] / hz)
-        shape = tuple(phases)
-        shape = self._phase_shapes.setdefault(shape, shape)
-        trace._items.append((
-            _PHASES, self._next_span_id, node, anchor_time, hz,
-            trace._hop_ids.get(node), shape,
-        ))
-        trace._pending += len(phases)
+        row = self._row(uid, flow_id, anchor_time + phases[0][2] / hz)
+        if row is None:
+            return
+        ids = self._ids
+        self._phases += _PHASES.pack(
+            row, self._next_span_id, ids[node], ids[tuple(phases)],
+            anchor_time, hz,
+        )
         self._next_span_id += len(phases)
 
+    def _note(self, row: int, span_id: int, time: float, label: str,
+              detail: str) -> None:
+        self._notes += _NOTE.pack(row, span_id, time, self._ids[label, detail])
+
     def _on_probe(self, event: OAMProbeCompleted) -> None:
-        trace = self._traces.get(event.uid)
-        if trace is None:
+        row = self._rows.get(event.uid)
+        if row is None:
             return
-        trace.probe = True
-        trace.fec = event.fec
-        trace.root.name = f"probe {event.uid}"
-        trace.root.attributes.update(
-            {"fec": event.fec, "reached": event.reached, "rtt": event.rtt}
-        )
+        self._flags[row] |= _PROBE
+        self._probes[row] = (event.fec, event.reached, event.rtt)
         if event.breach:
-            trace.root.annotations.append(
-                SpanAnnotation(
-                    time=event.time if event.time is not None else trace.end,
-                    label="slo-breach",
-                    detail=f"fec {event.fec} rtt {event.rtt}",
-                )
+            time = event.time
+            if time is None:
+                time = self._trace_ends({row})[row]
+            self._note(
+                row, self._root[row], time, "slo-breach",
+                f"fec {event.fec} rtt {event.rtt}",
             )
+
+    def _trace_ends(self, rows: Collection[int]) -> Dict[int, float]:
+        """row -> ``Trace.end`` without building the trace: its root's
+        end, else the latest end of its rows, else its start."""
+        latest: Dict[int, float] = {}
+
+        def see(row: int, end: float) -> None:
+            if row in rows and end == end:
+                latest[row] = max(latest.get(row, end), end)
+
+        for row, _, _, end, *_ in _HOP.iter_unpack(self._hops):
+            see(row, end)
+        for row, _, time, _ in _OP.iter_unpack(self._ops):
+            see(row, time)
+        shapes = self._ids.by_id
+        cycle_ends: Dict[int, int] = {}  # phase list id -> its last cycle
+        for row, _, _, shape, anchor, hz in _PHASES.iter_unpack(self._phases):
+            if row in rows:
+                cycle_end = cycle_ends.get(shape)
+                if cycle_end is None:
+                    cycle_end = cycle_ends[shape] = max(p[3] for p in shapes[shape])
+                see(row, anchor + cycle_end / hz)
+        ends = {}
+        for row in rows:
+            end = self._end[row]
+            ends[row] = end if end == end else latest.get(row, self._start[row])
+        return ends
 
     # -- lifecycle ---------------------------------------------------------
     def finalize(self) -> None:
@@ -639,11 +554,19 @@ class SpanRecorder:
         if self._finalized:
             return
         self._finalized = True
-        for trace in self._traces.values():
-            trace._close_hop(None)
-            if trace.root.end is None:
-                trace.root.end = trace.end
-            self._annotate_faults(trace)
+        hops = self._hops
+        for hop in self._open.values():
+            # an open hop closes at its own start
+            offset = hop * _HOP.size
+            start = _HOP.unpack_from(hops, offset)[2]
+            _END.pack_into(hops, offset + _HOP_END, start)
+        self._open.clear()
+        ends = self._end
+        unended = {row for row, end in enumerate(ends) if end != end}
+        if unended:
+            for row, end in self._trace_ends(unended).items():
+                ends[row] = end
+        self._annotate_faults()
         for fec in sorted(self._latencies):
             values = sorted(self._latencies[fec])
             per_fec: Dict[str, float] = {}
@@ -656,27 +579,40 @@ class SpanRecorder:
                     ).set(per_fec[name])
             self.quantiles[fec] = per_fec
 
-    def _annotate_faults(self, trace: Trace) -> None:
-        t0, t1 = trace.start, trace.end
-        for window in self.fault_windows:
-            if not window.overlaps(t0, t1):
-                continue
-            at = min(max(window.start, t0), t1)
+    def _annotate_faults(self) -> None:
+        """Note every fault window on the root of each trace it overlaps
+        and on each of that trace's hops at a node it names."""
+        windows = self.fault_windows
+        if not windows:
+            return
+        texts = []
+        for window in windows:
             detail = window.target
             if window.detail:
                 detail += f" ({window.detail})"
-            trace.root.annotations.append(
-                SpanAnnotation(
-                    time=at, label=f"fault:{window.fault}", detail=detail
-                )
-            )
-            for hop, node, start, end in trace._hops():
-                if self._target_names(window.target, node):
-                    trace._note(hop, SpanAnnotation(
-                        time=min(max(window.start, start), end or t1),
-                        label=f"fault:{window.fault}",
-                        detail=detail,
-                    ))
+            texts.append((f"fault:{window.fault}", detail))
+        starts, ends, roots = self._start, self._end, self._root
+        for row in range(len(starts)):
+            t0, t1 = starts[row], ends[row]
+            for window, (label, detail) in zip(windows, texts):
+                if window.overlaps(t0, t1):
+                    at = min(max(window.start, t0), t1)
+                    self._note(row, roots[row], at, label, detail)
+        names = self._ids.by_id
+        naming: Dict[int, List[int]] = {}  # node id -> windows naming it
+        for row, span_id, start, end, node, *_ in _HOP.iter_unpack(self._hops):
+            which = naming.get(node)
+            if which is None:
+                which = naming[node] = [
+                    w for w, window in enumerate(windows)
+                    if self._target_names(window.target, names[node])
+                ]
+            for w in which:
+                window = windows[w]
+                t1 = ends[row]
+                if window.overlaps(starts[row], t1):
+                    at = min(max(window.start, start), end or t1)
+                    self._note(row, span_id, at, *texts[w])
 
     def _target_names(self, target: str, node: str) -> bool:
         """Whether a fault target (``node``, or ``a-b`` for a link)
@@ -710,68 +646,194 @@ class SpanRecorder:
         if not self._was_enabled:
             self.telemetry.disable()
 
+    # -- reading: the only place Trace and Span objects are built ---------
+    def _fec_at(self, row: int) -> str:
+        probe = self._probes.get(row)
+        return probe[0] if probe is not None else self.fec_of(self._flow[row])
+
+    def _build(self, rows: List[int]) -> List[Trace]:
+        """The traces of ``rows``, in that order, with exactly the spans
+        the per-event fold built."""
+        ids = self._ids.by_id
+        wanted = set(rows)
+        records: Dict[int, List[Tuple[int, str, tuple]]] = {r: [] for r in rows}
+        for kind, layout, buffer in (
+            (KIND_HOP, _HOP, self._hops),
+            (KIND_LABEL_OP, _OP, self._ops),
+            (KIND_HW_PHASE, _PHASES, self._phases),
+        ):
+            for record in layout.iter_unpack(buffer):
+                if record[0] in wanted:
+                    records[record[0]].append((record[1], kind, record))
+        notes: Dict[int, List[SpanAnnotation]] = {}
+        for row, span_id, time, text in _NOTE.iter_unpack(self._notes):
+            if row in wanted:
+                notes.setdefault(span_id, []).append(
+                    SpanAnnotation(time, *ids[text])
+                )
+        out = []
+        for row in rows:
+            uid, flow_id, flags = self._uid[row], self._flow[row], self._flags[row]
+            root_id = self._root[row]
+            attributes: Dict[str, Any] = {"uid": uid, "flow_id": flow_id}
+            if flags & _DELIVERED:
+                attributes["latency"] = self._latency[row]
+            probe = self._probes.get(row)
+            if probe is not None:
+                fec, reached, rtt = probe
+                attributes.update({"fec": fec, "reached": reached, "rtt": rtt})
+            root = Span(
+                root_id, None,
+                f"{'probe' if flags & _PROBE else 'packet'} {uid}",
+                KIND_PACKET, self._start[row], _or_none(self._end[row]),
+                CLOCK_SIM, None, None, attributes, notes.pop(root_id, []),
+            )
+            trace = Trace(
+                uid, flow_id, self._fec_at(row), root, [],
+                bool(flags & _DELIVERED), bool(flags & _DROPPED),
+                bool(flags & _PROBE),
+            )
+            spans = trace.spans
+            #: node -> its latest hop's id; phase -> the latest hw-phase
+            hop_at: Dict[str, int] = {}
+            phase_at: Dict[str, Span] = {}
+            hop_id = root_id
+            # span ids are unique: the sort never compares past them
+            for _, kind, record in sorted(records[row]):
+                if kind == KIND_HOP:
+                    (_, hop_id, start, end, node, labels_in, ttl_in, what,
+                     labels_out, next_hop) = record
+                    node = ids[node]
+                    attrs = {
+                        "node": node, "labels_in": list(ids[labels_in]),
+                        "ttl_in": ttl_in,
+                    }
+                    if labels_out < 0:
+                        attrs["action"] = "discard"
+                        attrs["reason"] = ids[what]
+                    else:
+                        attrs["action"] = ids[what]
+                        attrs["labels_out"] = list(ids[labels_out])
+                        attrs["next_hop"] = ids[next_hop]
+                    spans.append(Span(
+                        hop_id, root_id, f"hop {node}", KIND_HOP, start,
+                        _or_none(end), CLOCK_SIM, None, None, attrs,
+                        notes.pop(hop_id, []),
+                    ))
+                    hop_at[node] = hop_id
+                elif kind == KIND_LABEL_OP:
+                    _, span_id, time, op = record
+                    op, label_in, label_out = ids[op]
+                    spans.append(Span(
+                        span_id, hop_id, f"{op} {label_in}->{label_out}",
+                        KIND_LABEL_OP, time, time, CLOCK_SIM, None, None,
+                        {"op": op, "label_in": label_in, "label_out": label_out},
+                    ))
+                else:
+                    _expand(record, ids, hop_at, phase_at, root_id, spans)
+            out.append(trace)
+        return out
+
     # -- queries -----------------------------------------------------------
+    def _by_start(self, rows: Iterable[int]) -> List[int]:
+        starts, uids = self._start, self._uid
+        return sorted(rows, key=lambda row: (starts[row], uids[row]))
+
     def traces(
         self,
         flow: Optional[int] = None,
         fec: Optional[str] = None,
         include_probes: bool = True,
     ) -> List[Trace]:
-        out = [
-            t
-            for t in self._traces.values()
-            if (flow is None or t.flow_id == flow)
-            and (fec is None or t.fec == fec)
-            and (include_probes or not t.probe)
+        flags = self._flags
+        rows = [
+            row
+            for row in range(len(flags))
+            if (flow is None or self._flow[row] == flow)
+            and (fec is None or self._fec_at(row) == fec)
+            and (include_probes or not flags[row] & _PROBE)
         ]
-        out.sort(key=lambda t: (t.start, t.uid))
-        return out
+        return self._build(self._by_start(rows))
 
     def trace_of(self, uid: int) -> Trace:
-        return self._traces[uid]
+        return self._build([self._rows[uid]])[0]
 
     def slowest(self, n: int = 5) -> List[Trace]:
         """The n delivered traces with the largest end-to-end latency."""
-        delivered = [t for t in self._traces.values() if t.delivered]
-        delivered.sort(key=lambda t: (-t.latency, t.uid))
-        return delivered[:n]
+        starts, ends, uids = self._start, self._end, self._uid
+        delivered = [
+            row for row, flags in enumerate(self._flags) if flags & _DELIVERED
+        ]
+        delivered.sort(key=lambda row: (-(ends[row] - starts[row]), uids[row]))
+        return self._build(delivered[:n])
 
     def summary(self) -> Dict[str, Any]:
-        traces = list(self._traces.values())  # counts need no order
-        kinds: Dict[str, int] = {}
-        annotated = 0
-        for trace in traces:
-            root = trace.root
-            kinds[root.kind] = kinds.get(root.kind, 0) + 1
-            noted = bool(root.annotations or trace._notes)
-            for item in trace._items:
-                if type(item) is not tuple:
-                    kind = item.kind
-                    noted = noted or bool(item.annotations)
-                elif item[0] == _PHASES:
-                    phases = item[6]
-                    hw = [phase[1] for phase in phases].count(None)
-                    kinds[KIND_HW_PHASE] = kinds.get(KIND_HW_PHASE, 0) + hw
-                    kinds[KIND_RTL] = kinds.get(KIND_RTL, 0) + len(phases) - hw
-                    continue
-                else:
-                    kind = _RECORD_KINDS[item[0]]
-                kinds[kind] = kinds.get(kind, 0) + 1
-            annotated += noted
+        flags = self._flags
+        shapes: Dict[int, int] = {}
+        for _, _, _, shape, _, _ in _PHASES.iter_unpack(self._phases):
+            shapes[shape] = shapes.get(shape, 0) + 1
+        kinds = {
+            KIND_PACKET: len(flags),
+            KIND_HOP: len(self._hops) // _HOP.size,
+            KIND_LABEL_OP: len(self._ops) // _OP.size,
+            KIND_HW_PHASE: 0,
+            KIND_RTL: 0,
+        }
+        for shape, batches in shapes.items():
+            phases = self._ids.by_id[shape]
+            hw = [phase[1] for phase in phases].count(None)
+            kinds[KIND_HW_PHASE] += hw * batches
+            kinds[KIND_RTL] += (len(phases) - hw) * batches
+        annotated = {row for row, *_ in _NOTE.iter_unpack(self._notes)}
         return {
             "sample_rate": self.sample_rate,
-            "traces": len(traces),
+            "traces": len(flags),
             "sampled_out": self.sampled_out,
-            "delivered": sum(1 for t in traces if t.delivered),
-            "dropped": sum(1 for t in traces if t.dropped),
-            "probes": sum(1 for t in traces if t.probe),
-            "annotated": annotated,
+            "delivered": sum(1 for f in flags if f & _DELIVERED),
+            "dropped": sum(1 for f in flags if f & _DROPPED),
+            "probes": sum(1 for f in flags if f & _PROBE),
+            "annotated": len(annotated),
             "spans_by_kind": {k: n for k, n in sorted(kinds.items()) if n},
             "fec_latency_quantiles": {
                 fec: dict(per_fec)
                 for fec, per_fec in sorted(self.quantiles.items())
             },
         }
+
+
+def _expand(
+    record: tuple,
+    ids: List[Any],
+    hop_at: Dict[str, int],
+    phase_at: Dict[str, Span],
+    root_id: int,
+    out: List[Span],
+) -> None:
+    """The hardware-phase fold of one batch row: ids in arrival order; an
+    RTL phase hangs off the latest enclosing phase, anything without one
+    off this node's latest hop, or the root."""
+    _, span_id, node, shape, anchor, hz = record
+    node = ids[node]
+    fallback = hop_at.get(node, root_id)
+    for phase, parent_phase, cycle_start, cycle_end in ids[shape]:
+        kind = KIND_HW_PHASE if parent_phase is None else KIND_RTL
+        parent = None if parent_phase is None else phase_at.get(parent_phase)
+        span = Span(
+            span_id,
+            fallback if parent is None else parent.span_id,
+            phase,
+            kind,
+            anchor + cycle_start / hz,
+            anchor + cycle_end / hz,
+            CLOCK_CYCLES,
+            cycle_start,
+            cycle_end,
+            {"node": node, "cycles": cycle_end - cycle_start},
+        )
+        span_id += 1
+        if parent_phase is None:
+            phase_at[phase] = span
+        out.append(span)
 
 
 # -- exporters ---------------------------------------------------------------

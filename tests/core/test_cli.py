@@ -535,6 +535,21 @@ class TestHostileScenarioCLI:
             f"error: bad scenario: {message}"
         )
 
+    def test_a_flow_no_protected_lsp_carries(self, tmp_path, capsys):
+        # was: exit 0 with the flow's 481 packets dropped at ler-b, "no
+        # FEC matches packet to 10.1.0.9": under frr only a protected
+        # LSP installs an FTN entry
+        raw = self._example("chaos_frr")
+        raw["traffic"].append({
+            "ingress": "ler-b", "egress": "ler-a", "prefix": "10.1.0.0/16",
+            "src": "10.2.0.5", "dst": "10.1.0.9", "rate_bps": 2e6,
+            "packet_size": 500,
+        })
+        assert self._read_refused(raw, tmp_path, capsys) == (
+            "error: bad scenario: traffic ler-b->ler-a 10.1.0.0/16: no "
+            "protection entry covers its prefix"
+        )
+
     def test_two_protected_lsps_with_one_name(self, tmp_path, capsys):
         # was: SignalingError: 'p1' is already protected
         raw = self._example("chaos_frr")
@@ -736,6 +751,7 @@ class TestHostileOptionsCLI:
 
     SMOKE = os.path.join(EXAMPLES_DIR, "chaos_smoke.json")
     ALERTS = os.path.join(EXAMPLES_DIR, "chaos_flow_alerts.json")
+    TOPO = os.path.join(EXAMPLES_DIR, "chaos_topo.json")
 
     def _refused(self, argv, capsys, monkeypatch):
         import repro.faults
@@ -793,6 +809,24 @@ class TestHostileOptionsCLI:
         line = self._refused(["topo", self.SMOKE, *times], capsys, monkeypatch)
         bad = next(t for t in times[1:] if t != "0.1")
         assert line == f"error: a time must be finite, got {float(bad)}"
+
+    @pytest.mark.parametrize(
+        "query,message",
+        [
+            # was: exit 0, both times ignored
+            (["health", "0.5", "0.7"], "'health' takes no time, got 2"),
+            # were: the whole scenario run, then exit 1
+            (["at", "0.5", "0.7"], "'at' takes one time, got 2"),
+            (["diff", "0.5"], "'diff' takes two times, got 1"),
+            # was: exit 0, the time ignored
+            (["show", "0.5"], "'show' takes no time, got 1"),
+        ],
+    )
+    def test_a_topo_query_given_the_wrong_number_of_times(
+        self, query, message, capsys, monkeypatch
+    ):
+        line = self._refused(["topo", self.TOPO, *query], capsys, monkeypatch)
+        assert line == f"error: {message}"
 
     def test_zero_prints_the_summary_without_the_list(self, capsys):
         assert main(["spans", self.SMOKE, "--seed", "7", "--slowest", "0"]) == 0
@@ -870,8 +904,9 @@ class TestTopoCLI:
         assert "ler-a" in text
 
     def test_at_requires_exactly_one_time(self, capsys):
-        assert main(["topo", self.SCENARIO, "at"]) == 1
-        assert "exactly one time" in capsys.readouterr().err
+        # refused in main, before the scenario runs (was: exit 1 after it)
+        assert main(["topo", self.SCENARIO, "at"]) == 2
+        assert capsys.readouterr().err == "error: 'at' takes one time, got 0\n"
 
 
 class TestBenchReportCLI:

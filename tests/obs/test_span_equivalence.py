@@ -27,7 +27,10 @@ import copy
 import gc
 import io
 import math
+import tracemalloc
+import weakref
 from pathlib import Path
+from types import FunctionType, ModuleType
 from typing import Any, Dict, List, NamedTuple, Optional
 
 import pytest
@@ -603,15 +606,21 @@ def test_the_cases_a_record_must_get_right():
 
 # -- the suite notices a wrong recorder ----------------------------------------------
 def _hop_at_read_time(monkeypatch):
-    """A batch's phases hang off the node's latest hop *when they are
+    """A batch's phases hang off the node's latest hop *when the trace is
     built*, not when they arrived."""
-    expand = spans_mod._PhaseBatch.expand
+    build = SpanRecorder._build
 
-    def mutant(self, trace, out):
-        self.hop = trace.hop_at.get(self.node)
-        expand(self, trace, out)
+    def mutant(self, rows):
+        traces = build(self, rows)
+        for trace in traces:
+            latest = {h.attributes["node"]: h.span_id for h in trace.hop_spans}
+            phases = {s.span_id for s in trace.spans_of_kind(KIND_HW_PHASE)}
+            for span in trace.spans:
+                if span.clock_domain == CLOCK_CYCLES and span.parent_id not in phases:
+                    span.parent_id = latest.get(span.attributes["node"], span.parent_id)
+        return traces
 
-    monkeypatch.setattr(spans_mod._PhaseBatch, "expand", mutant)
+    monkeypatch.setattr(SpanRecorder, "_build", mutant)
 
 
 def _one_id_too_few(monkeypatch):
@@ -628,45 +637,34 @@ def _one_id_too_few(monkeypatch):
 
 
 def _closed_by_the_next_record(monkeypatch):
-    """A hop that is a span already (its trace was read) is not closed
-    at the parent's moment; the next hop built after it closes it
-    instead."""
-    close = spans_mod.Trace._close_hop
+    """Closing a hop writes no end; reading derives it from the next hop
+    instead, so a hop the delivery closed stays open."""
+    def mutant_close(self, row, time):
+        self._open.pop(row, None)
 
-    def mutant_close(trace, time):
-        if trace._open is not None and isinstance(trace._items[trace._open], Span):
-            trace._open = None
-            return
-        close(trace, time)
+    build = SpanRecorder._build
 
-    build = spans_mod._expanded_spans
+    def mutant_build(self, rows):
+        traces = build(self, rows)
+        for trace in traces:
+            hops = trace.hop_spans
+            for hop, after in zip(hops, hops[1:]):
+                if hop.end is None:
+                    hop.end = after.start
+        return traces
 
-    def mutant_build(trace):
-        items = build(trace)
-        hops = [s for s in items if s.kind == KIND_HOP]
-        for hop, after in zip(hops, hops[1:]):
-            if hop.end is None:
-                hop.end = after.start
-        return items
-
-    monkeypatch.setattr(spans_mod.Trace, "_close_hop", mutant_close)
-    monkeypatch.setattr(
-        spans_mod.Trace, "spans", property(mutant_build, spans_mod._set_spans)
-    )
+    monkeypatch.setattr(SpanRecorder, "_close_hop", mutant_close)
+    monkeypatch.setattr(SpanRecorder, "_build", mutant_build)
 
 
 def _note_lost_when_built(monkeypatch):
-    """The fault notes of hops held as records are dropped when the
-    records become spans."""
-    build = spans_mod._expanded_spans
+    """A hop's fault note is filed under its trace's root."""
+    note = SpanRecorder._note
 
-    def mutant_build(trace):
-        trace._notes = None
-        return build(trace)
+    def mutant(self, row, span_id, *text):
+        note(self, row, self._root[row], *text)
 
-    monkeypatch.setattr(
-        spans_mod.Trace, "spans", property(mutant_build, spans_mod._set_spans)
-    )
+    monkeypatch.setattr(SpanRecorder, "_note", mutant)
 
 
 def _labels_out_from_labels_in(monkeypatch):
@@ -686,17 +684,19 @@ def _labels_out_from_labels_in(monkeypatch):
 def _unknown_parent_off_the_root(monkeypatch):
     """An RTL phase whose parent phase never ran hangs off the root
     instead of the node's latest hop."""
-    expand = spans_mod._PhaseBatch.expand
+    expand = spans_mod._expand
 
-    def mutant(self, trace, out):
-        for offset, phase in enumerate(self.phases):
-            known = phase[1] is None or phase[1] in trace.phase_at
-            expand(spans_mod._PhaseBatch(
-                self.node, self.anchor, self.hz, self.first_id + offset,
-                self.hop if known else None, [phase],
-            ), trace, out)
+    def mutant(record, ids, hop_at, phase_at, root_id, out):
+        row, first_id, node, shape, anchor, hz = record
+        for offset, phase in enumerate(ids[shape]):
+            known = phase[1] is None or phase[1] in phase_at
+            expand(
+                (row, first_id + offset, node, len(ids), anchor, hz),
+                [*ids, (phase,)], hop_at if known else {}, phase_at, root_id,
+                out,
+            )
 
-    monkeypatch.setattr(spans_mod._PhaseBatch, "expand", mutant)
+    monkeypatch.setattr(spans_mod, "_expand", mutant)
 
 
 def _caught(steps) -> bool:
@@ -735,47 +735,75 @@ def _traced_run():
         return run_scenario(scenario, seed=7, sample_rate=1.0)
 
 
-def test_a_traced_run_builds_no_phase_span_until_one_is_read():
+def _spans_alive() -> int:
+    gc.collect()
+    return sum(type(obj) is Span for obj in gc.get_objects())
+
+
+def test_a_traced_run_builds_no_span_until_a_trace_is_read():
+    before = _spans_alive()
     report = _traced_run()
-    traces = report.recorder.traces()
+    recorder = report.recorder
     by_kind = report["spans"]["spans_by_kind"]
-    phases = by_kind["hw-phase"] + by_kind["rtl"]
-    # the run summarized, annotated faults and rendered hop paths
-    # without turning one logged phase into a Span
-    assert phases > 0 and sum(t._pending for t in traces) == phases
-    assert not any(
-        isinstance(item, Span) and item.kind in (KIND_HW_PHASE, KIND_RTL)
-        for t in traces for item in t._items
-    )
-    assert export_chrome_trace(traces, io.StringIO()) > phases
-    assert sum(t._pending for t in traces) == 0
-    assert sum(
-        len(t.spans_of_kind(KIND_HW_PHASE)) + len(t.spans_of_kind(KIND_RTL))
-        for t in traces
-    ) == phases
-    assert report.recorder.summary()["spans_by_kind"] == by_kind
-
-
-def test_a_traced_run_keeps_every_hop_as_a_record_until_read():
-    recorder = _traced_run().recorder
-    recorder.summary()
-    recorder.finalize()
+    # the run finalized, annotated faults, published the SLO quantiles
+    # and summarized without one Span
+    assert by_kind["hw-phase"] > 0 and by_kind["hop"] > 0
+    assert _spans_alive() == before
     traces = recorder.traces()
-    assert all(t.path for t in traces)
-    # the collector stops tracking a tuple once it has seen every item
-    # of it untracked: one pass per level (phase, batch, record)
-    for _ in range(3):
+    assert _spans_alive() == before + sum(by_kind.values())
+    assert export_chrome_trace(traces, io.StringIO()) > sum(by_kind.values())
+    # a read is a snapshot: the store answers as before it
+    del traces
+    assert _spans_alive() == before
+    assert recorder.summary()["spans_by_kind"] == by_kind
+
+
+def _tracked_state(recorder) -> List[Any]:
+    """Every object the collector tracks that the recorder's own state
+    reaches (not through its telemetry, which the run shares)."""
+    seen, tracked = set(), []
+    todo = [v for k, v in vars(recorder).items() if k != "telemetry"]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            tracked.append(obj)
+        if isinstance(obj, (dict, list, tuple, set, frozenset)):
+            todo.extend(gc.get_referents(obj))
+        elif hasattr(obj, "__dict__"):
+            todo.append(vars(obj))
+    return tracked
+
+
+def test_a_traced_run_keeps_no_per_packet_object_the_collector_tracks():
+    recorder = _traced_run().recorder
+    summary = recorder.summary()
+    assert summary["traces"] > 150 and summary["annotated"] > 0
+    gc.collect()
+    # a fixed handful of containers, however many packets were traced
+    assert len(_tracked_state(recorder)) < 32
+
+
+def test_a_traced_packet_retains_at_most_750_bytes():
+    tracemalloc.start()
+    try:
+        report = _traced_run()
+        recorder = report.recorder
+        traces = recorder.summary()["traces"]
+        # what the run shares (its telemetry, the network behind it)
+        # stays alive: only what the recorder alone holds is freed
+        telemetry = recorder.telemetry
+        alive = weakref.ref(recorder)
+        report.recorder = None
         gc.collect()
-    records = [item for t in traces for item in t._items]
-    assert records and all(type(item) is tuple for item in records)
-    hops = [r for r in records if r[0] in ("hop", "drop")]
-    assert len(hops) == recorder.summary()["spans_by_kind"]["hop"]
-    # nothing per hop for the garbage collector to walk
-    assert not any(
-        isinstance(value, (dict, list)) for hop in hops for value in hop
-    )
-    assert not any(gc.is_tracked(item) for item in records)
-    assert export_chrome_trace(traces, io.StringIO()) > len(hops)
-    built = [s for t in traces for s in t._items]
-    assert all(isinstance(s, Span) for s in built)
-    assert sum(s.kind == KIND_HOP for s in built) == len(hops)
+        held = tracemalloc.get_traced_memory()[0]
+        del recorder
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert alive() is None and telemetry.spans is None
+    assert traces > 150
+    assert freed <= 750 * traces, freed / traces

@@ -7,9 +7,11 @@ built passes that.  ``data/span_exports.sha256`` (``sha256sum -c``
 format) was computed on the commit before each lazy step -- phase
 batches, then hop records; these tests recompute every digest:
 
-* ``<example>.perfetto.json`` -- ``repro spans <example> --seed 7
+* ``<example>.perfetto.json`` / ``<example>.summary.txt`` -- the export
+  and the printed summary of ``repro spans <example> --seed 7
   --sample-rate 1.0 --export`` (no event-retaining sink: the batched
-  path end to end),
+  path end to end; the summary is what the recorder's store answers
+  without building a span, bar the five slowest traces' paths),
 * ``<example>.spans.jsonl`` / ``<example>.events.jsonl`` -- a run with
   a :class:`JSONLSink` *and* a recorder attached, the only
   configuration in which ``hw-op`` lines reach a file (the per-event
@@ -20,6 +22,8 @@ batches, then hop records; these tests recompute every digest:
   ops, sampled-out packets, fault notes on hops and a trace that is
   never delivered, which the hardware examples above do not have.
 
+The two ``<example>.summary.txt`` digests were computed on the commit
+before the recorder kept its traces as one compact store.
 ``quickstart.summary.txt`` alone was re-pinned when the quickstart
 became a scenario the chaos harness runs: the harness labels a flow by
 its FEC, so one line of the summary moved, and no other byte did::
@@ -68,15 +72,17 @@ def _pins():
     return pins
 
 
-def exports(example: str, tmp_path: Path):
+def exports(example: str, tmp_path: Path, capsys):
     """name -> digest for every pinned artifact of one example."""
     scenario_path = str(ROOT / "examples" / f"{example}.json")
     perfetto = tmp_path / f"{example}.perfetto.json"
     fresh_ids()
+    capsys.readouterr()
     assert main([
         "spans", scenario_path, "--seed", "7", "--sample-rate", "1.0",
         "--export", str(perfetto),
     ]) == 0
+    summary = capsys.readouterr().out
     events = io.StringIO()
     fresh_ids()
     with telemetry_session() as tel:
@@ -92,6 +98,7 @@ def exports(example: str, tmp_path: Path):
     assert '"kind": "hw-op"' in events.getvalue()
     return {
         f"{example}.perfetto.json": _digest(perfetto.read_bytes()),
+        f"{example}.summary.txt": _digest(summary.encode()),
         f"{example}.spans.jsonl": _digest(spans.getvalue().encode()),
         f"{example}.events.jsonl": _digest(events.getvalue().encode()),
     }
@@ -100,7 +107,7 @@ def exports(example: str, tmp_path: Path):
 @pytest.mark.parametrize("example", EXAMPLES)
 def test_exports_match_the_parent_commit(example, tmp_path, capsys):
     pins = _pins()
-    got = exports(example, tmp_path)
+    got = exports(example, tmp_path, capsys)
     assert got == {name: pins[name] for name in got}
 
 
@@ -120,7 +127,9 @@ def test_every_pin_is_recomputed():
         [
             f"{example}.{suffix}"
             for example in EXAMPLES
-            for suffix in ("perfetto.json", "spans.jsonl", "events.jsonl")
+            for suffix in (
+                "perfetto.json", "summary.txt", "spans.jsonl", "events.jsonl",
+            )
         ]
         + [
             f"{run}.{suffix}"

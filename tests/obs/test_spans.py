@@ -20,6 +20,7 @@ from repro.obs.events import (
     PacketDropped,
     PacketForwarded,
 )
+from repro.obs import spans as spans_mod
 from repro.obs.spans import (
     KIND_HOP,
     KIND_HW_PHASE,
@@ -384,14 +385,14 @@ def _transit_phases(search):
     ]
 
 
-def _phase_records(shapes=None):
+def _phase_records(ids=None):
     """Three hardware hops at lsr-1 -- two passes of one shape, one of
-    another -- through a recorder; its phase records and exports.
-    ``shapes`` replaces the recorder's shape table."""
+    another -- through a recorder; the phase lists its store holds, and
+    its exports.  ``ids`` replaces the recorder's intern table."""
     with telemetry_session() as tel:
         rec = SpanRecorder(sample_rate=1.0)
-        if shapes is not None:
-            rec._phase_shapes = shapes
+        if ids is not None:
+            rec._ids = ids
         for uid, search in ((1, 6), (2, 6), (3, 8)):
             time = 0.001 * uid
             tel.events.emit(_forwarded(uid=uid, node="lsr-1", time=time))
@@ -400,10 +401,8 @@ def _phase_records(shapes=None):
             )
             tel.events.emit(_delivered(uid=uid, time=time + 0.0005))
         records = [
-            item[6]
-            for uid in (1, 2, 3)
-            for item in rec._traces[uid]._items
-            if type(item) is tuple and item[0] == "phases"
+            rec._ids.by_id[row[3]]
+            for row in spans_mod._PHASES.iter_unpack(rec._phases)
         ]
         rec.finalize()
         traces = rec.traces()
@@ -412,11 +411,12 @@ def _phase_records(shapes=None):
         return records, to_chrome_trace(traces), jsonl.getvalue()
 
 
-class _NoSharing(dict):
-    """A shape table that shares nothing: every record keeps its own."""
+class _NoSharing(spans_mod._Interned):
+    """An intern table that shares nothing: every row keeps its own
+    node name, label stacks and phase list."""
 
-    def setdefault(self, key, default=None):
-        return default
+    def __getitem__(self, value):
+        return self.__missing__(value)
 
 
 class TestPhaseShapes:
