@@ -20,10 +20,11 @@ to a full simulated MPLS network with its control plane:
 Quickstart::
 
     from repro.core import EmbeddedMPLS
+    from repro.mpls.label import LabelOp
     from repro.mpls.router import RouterRole
 
     ler = EmbeddedMPLS(role=RouterRole.LER)
-    ler.install_ingress_route(destination=0x0A000001, label=777)
+    ler.install_route(1, 0x0A000001, 777, LabelOp.PUSH)
     result = ler.process_frame(ethernet_frame)
 """
 

@@ -19,7 +19,6 @@ from repro.analysis.report import render_table, render_series
 from repro.analysis.tracer import NetworkTracer, PacketTrace, HopRecord
 from repro.analysis.montecarlo import (
     LatencyDistribution,
-    latency_sweep,
     sample_swap_latency,
 )
 from repro.analysis.netstats import (
@@ -27,7 +26,6 @@ from repro.analysis.netstats import (
     link_usage,
     render_link_usage,
     render_node_counters,
-    render_summary,
 )
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "link_usage",
     "render_link_usage",
     "render_node_counters",
-    "render_summary",
     "LatencyDistribution",
-    "latency_sweep",
     "sample_swap_latency",
 ]

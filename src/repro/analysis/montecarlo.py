@@ -14,7 +14,6 @@ vectorizing the hot loop rather than iterating in Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -97,19 +96,3 @@ def sample_swap_latency(
         mean_seconds=float(cycles.mean()) * cycle_time,
         p99_seconds=float(np.percentile(cycles, 99)) * cycle_time,
     )
-
-
-def latency_sweep(
-    table_sizes: Tuple[int, ...] = (16, 64, 256, 1024),
-    skews: Tuple[float, ...] = (0.0, 1.0),
-    samples: int = 200_000,
-    seed: int = 0,
-) -> Dict[Tuple[int, float], LatencyDistribution]:
-    """Distributions across table sizes and hit skews."""
-    return {
-        (n, skew): sample_swap_latency(
-            n, samples=samples, skew=skew, seed=seed
-        )
-        for n in table_sizes
-        for skew in skews
-    }

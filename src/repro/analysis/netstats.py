@@ -77,21 +77,3 @@ def render_node_counters(network: MPLSNetwork) -> str:
         rows,
         title="Per-node forwarding counters",
     )
-
-
-def render_summary(network: MPLSNetwork) -> str:
-    latencies = network.latencies()
-    rows = [
-        ["delivered", network.delivered_count()],
-        ["dropped", network.drop_count()],
-    ]
-    if latencies:
-        rows.extend(
-            [
-                ["mean latency", f"{sum(latencies)/len(latencies)*1e3:.3f} ms"],
-                ["min latency", f"{min(latencies)*1e3:.3f} ms"],
-                ["max latency", f"{max(latencies)*1e3:.3f} ms"],
-            ]
-        )
-    return render_table(["metric", "value"], rows, title="Run summary")
-

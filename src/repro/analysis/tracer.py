@@ -12,13 +12,13 @@ phases, RTL sub-spans, fault annotations) read
 
 Constructing a tracer enables the network's
 :class:`~repro.obs.telemetry.Telemetry` (the data plane emits nothing
-otherwise); :meth:`NetworkTracer.detach` restores the previous state.
+otherwise); detaching its recorder restores the previous state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.mpls.forwarding import Action
 from repro.net.network import MPLSNetwork
@@ -46,23 +46,6 @@ class PacketTrace:
     uid: int
     flow_id: int
     hops: List[HopRecord] = field(default_factory=list)
-
-    @property
-    def path(self) -> List[str]:
-        return [hop.node for hop in self.hops]
-
-    @property
-    def delivered(self) -> bool:
-        return bool(self.hops) and self.hops[-1].action is Action.FORWARD_IP
-
-    @property
-    def dropped(self) -> bool:
-        return any(hop.action is Action.DISCARD for hop in self.hops)
-
-    def label_journey(self) -> List[Tuple[str, Tuple[int, ...]]]:
-        """(node, outgoing label stack) along the path -- the Figure 2
-        view of label evolution."""
-        return [(hop.node, hop.stack_out) for hop in self.hops]
 
     def render(self) -> str:
         lines = [f"packet uid={self.uid} flow={self.flow_id}:"]
@@ -120,28 +103,6 @@ class NetworkTracer:
             telemetry=self.telemetry,
         )
 
-    @property
-    def traces(self) -> Dict[int, PacketTrace]:
-        return {
-            trace.uid: _project(trace)
-            for trace in self.recorder.traces(include_probes=True)
-        }
-
-    def detach(self) -> None:
-        """Stop tracing and restore the telemetry switch."""
-        self.recorder.detach()
-
     # -- queries --------------------------------------------------------
     def trace_of(self, uid: int) -> PacketTrace:
         return _project(self.recorder.trace_of(uid))
-
-    def traces_for_flow(self, flow_id: int) -> List[PacketTrace]:
-        return [
-            _project(t)
-            for t in self.recorder.traces(flow=flow_id)
-        ]
-
-    def dropped_traces(self) -> List[PacketTrace]:
-        return [
-            t for t in self.traces.values() if t.dropped
-        ]

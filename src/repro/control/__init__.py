@@ -26,7 +26,7 @@ used by both install and refresh; penultimate-hop popping is the
 branches on it.
 """
 
-from repro.control.routing import LinkStateDatabase, SPFResult, shortest_path
+from repro.control.routing import LinkStateDatabase, SPFResult
 from repro.control.labels import LabelAllocator, LabelSpaceExhausted
 from repro.control.ldp import LDPProcess
 from repro.control.ldp_sessions import MessageLDPProcess
@@ -55,7 +55,6 @@ from repro.control.lsp import LSP, TunnelHierarchy
 __all__ = [
     "LinkStateDatabase",
     "SPFResult",
-    "shortest_path",
     "LabelAllocator",
     "LabelSpaceExhausted",
     "LDPProcess",

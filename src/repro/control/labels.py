@@ -47,10 +47,3 @@ class LabelAllocator:
             raise KeyError(f"label {label} was not allocated here")
         self._allocated.discard(label)
         heapq.heappush(self._free, label)
-
-    @property
-    def in_use(self) -> int:
-        return len(self._allocated)
-
-    def is_allocated(self, label: int) -> bool:
-        return label in self._allocated

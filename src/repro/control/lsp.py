@@ -87,9 +87,6 @@ class TunnelHierarchy:
             raise ValueError(f"LSP {lsp.name!r} already registered")
         self._lsps[lsp.name] = lsp
 
-    def lsp(self, name: str) -> LSP:
-        return self._lsps[name]
-
     def nest(self, inner: str, outer: str) -> None:
         """Declare that ``inner`` rides through tunnel ``outer``."""
         inner_lsp = self._lsps[inner]
@@ -128,9 +125,6 @@ class TunnelHierarchy:
         except ValueError:
             del self._parent[inner]
             raise
-
-    def parent(self, name: str) -> Optional[str]:
-        return self._parent.get(name)
 
     def stack_at(self, inner: str, node: str) -> List[int]:
         """The label stack (top first) a packet of LSP ``inner``

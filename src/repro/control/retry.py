@@ -81,8 +81,3 @@ class ReconnectBackoff:
     def exhausted(self, attempt: int) -> bool:
         """True once ``attempt`` exceeds the retry budget."""
         return attempt > self.max_retries
-
-    def forget(self, key: Key) -> None:
-        """Drop the per-key RNG (a fresh adoption restarts the draw
-        sequence deterministically)."""
-        self._rngs.pop(key, None)

@@ -51,15 +51,9 @@ class LinkStateDatabase:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._spf_runs = 0
         #: source -> result, valid for topology version ``_memo_version``
         self._memo: Dict[str, SPFResult] = {}
         self._memo_version = topology.version
-
-    @property
-    def spf_runs(self) -> int:
-        """Dijkstra executions (memo hits do not count)."""
-        return self._spf_runs
 
     def spf(self, source: str) -> SPFResult:
         """The shortest-path tree from ``source`` over the link metrics.
@@ -79,7 +73,6 @@ class LinkStateDatabase:
         topo = self.topology
         if not topo.has_node(source):
             raise TopologyError(f"unknown SPF source {source!r}")
-        self._spf_runs += 1
         dist: Dict[str, float] = {source: 0.0}
         prev: Dict[str, str] = {}
         visited = set()
@@ -112,12 +105,3 @@ class LinkStateDatabase:
                 path.append(prev[path[-1]])
             paths[node] = list(reversed(path))
         return SPFResult(source=source, cost=dist, paths=paths)
-
-
-def shortest_path(
-    topology: Topology, source: str, destination: str
-) -> Optional[List[str]]:
-    """Convenience: the metric-shortest node path, or None."""
-    # a database of its own, so the caller owns the returned list
-    result = LinkStateDatabase(topology).spf(source)
-    return result.paths.get(destination)

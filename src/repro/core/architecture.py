@@ -34,7 +34,6 @@ from repro.core.packet_processing import (
     Frame,
     IngressPacketProcessor,
 )
-from repro.core.hwnode import stored_pair
 from repro.hw.driver import ModifierDriver
 from repro.hw.model import FunctionalModifier
 from repro.mpls.forwarding import (
@@ -109,43 +108,8 @@ class EmbeddedMPLS:
         path into the hardware information base."""
         return self.modifier.write_pair(level, index, new_label, op)
 
-    def install_ingress_route(self, destination: int, label: int) -> int:
-        """Convenience: packet-identifier-keyed push at level 1."""
-        return self.install_route(1, destination, label, LabelOp.PUSH)
-
     def install_swap(self, in_label: int, out_label: int, level: int = 1) -> int:
         return self.install_route(level, in_label, out_label, LabelOp.SWAP)
-
-    def install_pop(self, in_label: int, level: int = 1) -> int:
-        return self.install_route(level, in_label, *stored_pair(LabelOp.POP, None))
-
-    def update_route(
-        self, level: int, index: int, new_label: int, op: LabelOp
-    ) -> int:
-        """Rewrite an existing route in place (an LSP re-signalled with
-        a new downstream label).  Returns the cycles spent; raises if
-        the route does not exist -- the control plane must know what it
-        installed."""
-        result = self.modifier.modify_pair(level, index, new_label, op)
-        if not result.found:
-            raise KeyError(
-                f"no route for index {index} at level {level} to update"
-            )
-        return result.cycles
-
-    def remove_route(self, level: int, index: int) -> int:
-        """Withdraw a route (an LSP torn down).  Returns the cycles
-        spent; raises if the route does not exist."""
-        result = self.modifier.remove_pair(level, index)
-        if not result.found:
-            raise KeyError(
-                f"no route for index {index} at level {level} to remove"
-            )
-        return result.cycles
-
-    def read_route(self, level: int, address: int):
-        """Audit the information base directly (the paper's read path)."""
-        return self.modifier.read_entry(level, address)
 
     # -- the data path ------------------------------------------------------
     def process_frame(self, frame: Frame) -> ProcessResult:
@@ -199,10 +163,3 @@ class EmbeddedMPLS:
             stack_before=stack_before,
             stack_after=() if out is None else tuple(stack_after),
         )
-
-    # -- statistics ---------------------------------------------------------
-    @property
-    def mean_cycles_per_packet(self) -> float:
-        if not self.packets_processed:
-            return 0.0
-        return self.total_cycles / self.packets_processed

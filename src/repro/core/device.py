@@ -47,9 +47,6 @@ class FPGADevice:
             raise ValueError(f"negative cycle count {cycles}")
         return cycles / self.clock_hz
 
-    def cycles_for_time(self, seconds: float) -> int:
-        return int(seconds * self.clock_hz)
-
     # -- memory budget ------------------------------------------------------
     def info_base_bits(self, depth: int = LEVEL_DEPTH) -> int:
         """Bits of block RAM the three-level information base needs.

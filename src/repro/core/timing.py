@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 from repro.core.device import FPGADevice, STRATIX_EP1S40
 from repro.hw.model import (
-    INGRESS_PUSH_TAIL_CYCLES,
-    POP_TAIL_CYCLES,
-    PUSH_TAIL_CYCLES,
     RESET_CYCLES,
     SEARCH_OVERHEAD,
     SEARCH_PER_ENTRY,
@@ -48,11 +45,6 @@ class HardwareCycleModel:
     write_pair = WRITE_PAIR_CYCLES
 
     @staticmethod
-    def search_worst(n_entries: int) -> int:
-        """Table 6: 3n + 5."""
-        return search_cycles(n_entries, None)
-
-    @staticmethod
     def search_hit(position: int) -> int:
         """A hit at 0-based ``position``: 3k + 8."""
         return search_cycles(position + 1, position)
@@ -62,26 +54,9 @@ class HardwareCycleModel:
         """Full update performing a swap, worst-case search."""
         return search_cycles(n_entries, None) + SWAP_TAIL_CYCLES
 
-    @staticmethod
-    def update_pop_worst(n_entries: int) -> int:
-        return search_cycles(n_entries, None) + POP_TAIL_CYCLES
-
-    @staticmethod
-    def update_push_worst(n_entries: int, nested: bool = True) -> int:
-        tail = PUSH_TAIL_CYCLES if nested else INGRESS_PUSH_TAIL_CYCLES
-        return search_cycles(n_entries, None) + tail
-
     # -- time conversion -------------------------------------------------
     def seconds(self, cycles: int) -> float:
         return self.device.time_for_cycles(cycles)
-
-    def per_packet_swap_seconds(self, n_entries: int) -> float:
-        """Worst-case time to label-switch one packet."""
-        return self.seconds(self.update_swap_worst(n_entries))
-
-    def packets_per_second(self, n_entries: int) -> float:
-        """Worst-case label-switching rate (packets/s)."""
-        return 1.0 / self.per_packet_swap_seconds(n_entries)
 
 
 @dataclass(frozen=True)
@@ -193,9 +168,3 @@ class SoftwareCostModel:
             ttl_updates=1,
         )
         return self.cycles_for_counts(counts, hashed=hashed)
-
-    def per_packet_swap_seconds(self, n_entries: int, hashed: bool = False) -> float:
-        return self.per_packet_swap_cycles(n_entries, hashed) / self.clock_hz
-
-    def packets_per_second(self, n_entries: int, hashed: bool = False) -> float:
-        return 1.0 / self.per_packet_swap_seconds(n_entries, hashed)

@@ -342,17 +342,6 @@ class FaultSpec:
             params={k: v for k, v in params.items() if v is not None},
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "kind": self.kind.value,
-            "at": self.at,
-            "target": list(self.target),
-        }
-        if self.heal_at is not None:
-            out["heal_at"] = self.heal_at
-        out.update(self.params)
-        return out
-
 
 @dataclass
 class TrafficSpec:
@@ -680,6 +669,17 @@ class Scenario:
                 raise ScenarioError(
                     f"{what} {name!r} is not an edge: hosts attach to LERs"
                 )
+        if self.control == "frr":
+            # a protected LSP installs its FTN entry at its own ingress
+            # only: a flow entering anywhere else is dropped there
+            starts = {(p.prefix, p.ingress) for p in self.protection}
+            for flow in self.traffic:
+                if (flow.prefix, flow.ingress) not in starts:
+                    raise ScenarioError(
+                        f"traffic {flow.ingress}->{flow.egress} "
+                        f"{flow.prefix}: no protected LSP starts at "
+                        f"{flow.ingress!r}"
+                    )
         roles = {name: RouterRole.LER for name in edges}
         return topo, roles
 

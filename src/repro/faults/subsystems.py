@@ -99,8 +99,11 @@ class Flag:
 class Subsystem:
     """One row of :data:`SUBSYSTEMS`.
 
-    A row defines ``parse``, ``build`` and ``section``; a class missing
-    one fails when it is made, not when a scenario first arms it.
+    A row defines ``parse(raw, scenario)`` (the key's object as the
+    typed config ``build`` takes), ``build(run, cfg)`` (arm the
+    subsystem on ``run``) and ``section(run)`` (the report section(s)
+    it adds); a class missing one fails when it is made, not when a
+    scenario first arms it.
     """
 
     #: the scenario key that arms it
@@ -124,15 +127,6 @@ class Subsystem:
         for hook in ("parse", "build", "section"):
             if hook not in vars(cls):
                 raise TypeError(f"subsystem {cls.key!r} has no {hook}")
-
-    def parse(self, raw: Mapping[str, Any], scenario) -> Any:
-        """The key's object (``raw``) as the typed config ``build`` takes."""
-
-    def build(self, run, cfg) -> None:
-        """Arm the subsystem on ``run``."""
-
-    def section(self, run) -> Dict[str, Any]:
-        """The report section(s) the armed subsystem adds."""
 
     def finalize(self, run) -> None:
         """End of run, before the report."""

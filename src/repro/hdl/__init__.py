@@ -13,8 +13,8 @@ Python and simulate them with exact clock-cycle fidelity:
 * :mod:`repro.hdl.memory` -- synchronous single-port RAM with registered
   reads (one cycle of read latency, like FPGA block RAM),
 * :mod:`repro.hdl.counter`, :mod:`repro.hdl.register`,
-  :mod:`repro.hdl.comparator`, :mod:`repro.hdl.mux` -- the datapath
-  primitives used by the paper's Figure 12,
+  :mod:`repro.hdl.comparator` -- the datapath primitives used by the
+  paper's Figure 12,
 * :mod:`repro.hdl.waveform` -- per-cycle signal tracing with ASCII and
   VCD rendering, used to regenerate the paper's Figures 14-16.
 
@@ -33,7 +33,6 @@ from repro.hdl.memory import SyncMemory
 from repro.hdl.counter import Counter
 from repro.hdl.register import Register
 from repro.hdl.comparator import EqualityComparator
-from repro.hdl.mux import Mux
 from repro.hdl.waveform import WaveformRecorder, render_ascii, dump_vcd
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "Counter",
     "Register",
     "EqualityComparator",
-    "Mux",
     "WaveformRecorder",
     "render_ascii",
     "dump_vcd",

@@ -45,9 +45,6 @@ class State:
         self.name = name
         self.code = code
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<State {self.name}={self.code}>"
-
 
 class FSM(Component):
     """A clocked state machine.

@@ -91,7 +91,3 @@ class SyncMemory(Component):
                 f"{self.name}: poke value {value} exceeds {self.width} bits"
             )
         self._array[addr] = value
-
-    def dump(self) -> List[int]:
-        """A copy of the backing array (for assertions in tests)."""
-        return list(self._array)

@@ -85,25 +85,6 @@ class Signal:
         """Return the signal to its default value."""
         self.value = self.default
 
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Signal):
-            return self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return id(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}[{self.width}]={self.value}>"
 
@@ -202,16 +183,6 @@ class Reg(Signal):
         if not self._staged:
             self._log_staged(self)
         self._staged = 2
-
-    @property
-    def staged(self) -> bool:
-        """Whether a next value is staged (a hold is not)."""
-        return self._staged == 2
-
-    @property
-    def next_value(self) -> int:
-        """The value this register will hold after the next edge."""
-        return self._next if self._staged == 2 else self.value
 
     def unstage(self) -> None:
         """Discard any staged value.

@@ -229,11 +229,6 @@ class Simulator:
         self._hooks = ()
 
     @property
-    def signals(self) -> Dict[str, Signal]:
-        """Name -> signal mapping (read-only view by convention)."""
-        return self._signals
-
-    @property
     def components(self) -> List[Component]:
         """The registered components, in construction order.
 
@@ -353,27 +348,6 @@ class Simulator:
         since the last edge.
         """
         self._settle()
-
-    def run_until(
-        self,
-        condition: Callable[[], bool],
-        max_cycles: int = 100_000,
-    ) -> int:
-        """Step until ``condition()`` is true *after* a clock edge.
-
-        Returns the number of cycles consumed.  Raises ``TimeoutError``
-        if the condition does not become true within ``max_cycles`` --
-        in a cycle-accurate model an unbounded wait is always a bug.
-        """
-        start = self.cycle
-        for _ in range(max_cycles):
-            self.step()
-            if condition():
-                return self.cycle - start
-        raise TimeoutError(
-            f"condition not met within {max_cycles} cycles "
-            f"(started at cycle {start})"
-        )
 
     def reset(self) -> None:
         """Asynchronous reset: all signals to defaults, components to

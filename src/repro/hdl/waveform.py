@@ -35,46 +35,21 @@ class WaveformRecorder:
     ) -> None:
         self.sim = sim
         if signals is None:
-            signals = list(sim.signals.values())
+            signals = list(sim._signals.values())
         self.signals: List[Signal] = list(signals)
         self.cycles: List[int] = []
         self.trace: Dict[str, List[int]] = {s.name: [] for s in self.signals}
-        self._enabled = True
         sim.on_tick(self._capture)
 
     def _capture(self, cycle: int) -> None:
-        if not self._enabled:
-            return
         self.cycles.append(cycle)
         for sig in self.signals:
             self.trace[sig.name].append(sig.value)
-
-    def pause(self) -> None:
-        self._enabled = False
-
-    def resume(self) -> None:
-        self._enabled = True
 
     def clear(self) -> None:
         self.cycles.clear()
         for values in self.trace.values():
             values.clear()
-
-    def changes(self, name: str) -> List[tuple]:
-        """``(cycle, value)`` pairs at which the named signal changed."""
-        values = self.trace[name]
-        out = []
-        prev = None
-        for cycle, value in zip(self.cycles, values):
-            if value != prev:
-                out.append((cycle, value))
-                prev = value
-        return out
-
-    def value_at(self, name: str, cycle: int) -> int:
-        """The traced value of ``name`` at ``cycle``."""
-        idx = self.cycles.index(cycle)
-        return self.trace[name][idx]
 
 
 def render_ascii(

@@ -31,8 +31,7 @@ information-base memories within the swap cycle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.hdl.signal import Wire
 from repro.hdl.simulator import Component, Simulator
@@ -52,7 +51,6 @@ from repro.hw.opcodes import (
     check_update,
 )
 from repro.mpls.label import LabelEntry, LabelOp
-from repro.obs.telemetry import get_telemetry
 
 #: Table 6's fixed reset cost.
 RESET_CYCLES = 3
@@ -111,74 +109,20 @@ class ModifierDriver(ModifierBackend):
         #: attached, every transaction's cycles are scoped under the
         #: operation's name for per-operation breakdowns.
         self.profiler = None
-        #: Open :meth:`span_scope` context, or None (the default: no
-        #: per-transaction span events are emitted).
-        self._span_ctx = None
-        self.telemetry = get_telemetry()
 
     def attach_profiler(self, profiler) -> None:
         """Scope subsequent transactions under the profiler's
         operation labels (see :mod:`repro.obs.profiling`)."""
         self.profiler = profiler
 
-    @contextmanager
-    def span_scope(
-        self,
-        node: str = "rtl",
-        uid: int = 0,
-        flow_id: int = 0,
-        anchor_time: float = 0.0,
-        clock_hz: float = 50e6,
-    ) -> Iterator[None]:
-        """Attribute the transactions inside the block to one packet.
-
-        While open, every completed transaction is emitted as a
-        cycles-domain :class:`~repro.obs.events.HWOpExecuted` event
-        (when telemetry is enabled and a span recorder is attached),
-        with cycle offsets relative to the scope start -- the RTL
-        driver's half of the cycle-to-time correlation.
-        """
-        if self._span_ctx is not None:
-            raise RuntimeError("span scope already open")
-        self._span_ctx = {
-            "node": node,
-            "uid": uid,
-            "flow_id": flow_id,
-            "anchor_time": anchor_time,
-            "clock_hz": clock_hz,
-            "base_cycle": self.sim.cycle,
-        }
-        try:
-            yield
-        finally:
-            self._span_ctx = None
-
-    def _emit_span(self, op_name: str, start_cycle: int, end_cycle: int) -> None:
-        ctx = self._span_ctx
-        tel = self.telemetry
-        if not tel.enabled or tel.spans is None:
-            return
-        base = ctx["base_cycle"]
-        phase = op_name.lower().replace("_", "-")
-        tel.events.emit_phases(
-            ctx["node"], ctx["uid"], ctx["flow_id"],
-            ctx["anchor_time"], ctx["clock_hz"],
-            [(phase, None, start_cycle - base, end_cycle - base)],
-        )
-
     # -- low-level transaction plumbing -----------------------------------
     def _issue(self, op: UserOp, **operands: int) -> int:
         """Present a command for one cycle, run to completion, return
         the cycle count."""
-        start_cycle = self.sim.cycle
         if self.profiler is not None:
             with self.profiler.operation(op.name):
-                cycles = self._issue_unprofiled(op, **operands)
-        else:
-            cycles = self._issue_unprofiled(op, **operands)
-        if self._span_ctx is not None:
-            self._emit_span(op.name, start_cycle, self.sim.cycle)
-        return cycles
+                return self._issue_unprofiled(op, **operands)
+        return self._issue_unprofiled(op, **operands)
 
     def _issue_unprofiled(self, op: UserOp, **operands: int) -> int:
         if self.modifier.busy:

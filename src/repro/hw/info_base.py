@@ -211,7 +211,3 @@ class InfoBase(Component):
 
     def counts(self) -> Tuple[int, int, int]:
         return tuple(level.count for level in self.levels)  # type: ignore[return-value]
-
-    @property
-    def any_overflow(self) -> bool:
-        return any(level.overflow.value for level in self.levels)

@@ -81,13 +81,3 @@ class HardwareStack(Component):
     def entries_top_first(self) -> List[int]:
         """Entries as a list, top of stack first."""
         return list(reversed(self._entries))
-
-    def poke_entries_top_first(self, entries: List[int]) -> None:
-        """Load the stack directly (top first), bypassing the port."""
-        if len(entries) > self.capacity:
-            raise ValueError(f"{self.name}: {len(entries)} exceeds capacity")
-        self._entries = list(reversed(entries))
-        self.top.stage(self._entries[-1] if self._entries else 0)
-        self.top.commit()
-        self.size.stage(len(self._entries))
-        self.size.commit()

@@ -39,7 +39,7 @@ from repro.mpls.label import (
     LabelOp,
 )
 from repro.mpls.stack import LabelStack
-from repro.mpls.fec import FEC, HostFEC, PrefixFEC, CoSFEC
+from repro.mpls.fec import FEC, PrefixFEC, CoSFEC
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.tables import FTN, ILM
 from repro.mpls.transaction import TableTransaction
@@ -65,7 +65,6 @@ __all__ = [
     "BOTTOM_OF_STACK",
     "FEC",
     "PrefixFEC",
-    "HostFEC",
     "CoSFEC",
     "NHLFE",
     "ILM",

@@ -4,11 +4,10 @@ A FEC groups packets that are forwarded the same way -- over the same
 LSP with the same treatment.  The ingress LER classifies each unlabelled
 packet into a FEC and maps the FEC to a label via the FTN table.
 
-Three classifiers are provided:
+Two classifiers are provided:
 
 * :class:`PrefixFEC` -- destination address falls in an IPv4 prefix
   (the common IGP-driven case),
-* :class:`HostFEC` -- destination equals a specific host address,
 * :class:`CoSFEC` -- a wrapper adding a DSCP requirement to another
   FEC, which is how the paper's QoS motivation (classifying VoIP onto a
   priority LSP) is expressed.
@@ -21,21 +20,16 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.net.addressing import IPv4Address, IPv4Prefix
+from repro.net.addressing import IPv4Prefix
 from repro.net.packet import IPv4Packet
 
 
 class FEC:
-    """Base class: a predicate over IPv4 packets with a specificity."""
+    """Base class: a predicate over IPv4 packets with a specificity.
+    A subclass defines ``matches(packet)``."""
 
     #: Higher wins when several FECs match one packet.
     specificity: int = 0
-
-    def matches(self, packet: IPv4Packet) -> bool:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__}>"
 
 
 class PrefixFEC(FEC):
@@ -60,28 +54,6 @@ class PrefixFEC(FEC):
 
     def __repr__(self) -> str:
         return f"PrefixFEC('{self.prefix}')"
-
-
-class HostFEC(FEC):
-    """Packets destined to exactly ``host`` (a /32, maximally specific)."""
-
-    __slots__ = ("host", "specificity")
-
-    def __init__(self, host: Union[str, int, IPv4Address]) -> None:
-        self.host = IPv4Address(host)
-        self.specificity = 32
-
-    def matches(self, packet: IPv4Packet) -> bool:
-        return packet.dst == self.host
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HostFEC) and self.host == other.host
-
-    def __hash__(self) -> int:
-        return hash(("host", self.host))
-
-    def __repr__(self) -> str:
-        return f"HostFEC('{self.host}')"
 
 
 class CoSFEC(FEC):
@@ -123,6 +95,3 @@ class CoSFEC(FEC):
 
     def __hash__(self) -> int:
         return hash(("cos", self.inner, self.dscp_min, self.dscp_max))
-
-    def __repr__(self) -> str:
-        return f"CoSFEC({self.inner!r}, dscp={self.dscp_min}..{self.dscp_max})"

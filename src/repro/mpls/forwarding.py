@@ -76,7 +76,7 @@ class Action(Enum):
     DISCARD = "discard"
 
 
-@dataclass(repr=False)
+@dataclass
 class OpCounts:
     """Tally of elementary data-plane operations.
 
@@ -98,18 +98,6 @@ class OpCounts:
     ttl_updates: int = 0
     discards: int = 0
 
-    #: Registry ``op`` label for each field (the migration mapping).
-    REGISTRY_OPS = {
-        "ftn_lookups": "ftn-lookup",
-        "ilm_lookups": "ilm-lookup",
-        "entries_scanned": "entry-scanned",
-        "pushes": "push",
-        "pops": "pop",
-        "swaps": "swap",
-        "ttl_updates": "ttl-update",
-        "discards": "discard",
-    }
-
     def merged(self, other: "OpCounts") -> "OpCounts":
         return OpCounts(
             ftn_lookups=self.ftn_lookups + other.ftn_lookups,
@@ -121,34 +109,6 @@ class OpCounts:
             ttl_updates=self.ttl_updates + other.ttl_updates,
             discards=self.discards + other.discards,
         )
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.REGISTRY_OPS}
-
-    @property
-    def total(self) -> int:
-        return sum(self.as_dict().values())
-
-    def summary(self) -> str:
-        """One line, non-zero fields only -- for logs and benchmarks."""
-        parts = [
-            f"{self.REGISTRY_OPS[name]}={value}"
-            for name, value in self.as_dict().items()
-            if value
-        ]
-        return "OpCounts(" + (" ".join(parts) if parts else "all zero") + ")"
-
-    __repr__ = summary
-
-    def publish(self, telemetry: Telemetry, node: str) -> None:
-        """Add this tally to the registry's ``repro_mpls_ops_total``
-        (used when a run finished with telemetry enabled only at
-        snapshot time)."""
-        for name, value in self.as_dict().items():
-            if value:
-                telemetry.mpls_ops.labels(node, self.REGISTRY_OPS[name]).inc(
-                    value
-                )
 
 
 class ForwardingDecision(NamedTuple):
@@ -590,4 +550,3 @@ class ForwardingEngine:
 
     def reset_counts(self) -> None:
         self.counts = OpCounts()
-

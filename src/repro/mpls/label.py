@@ -141,10 +141,6 @@ class LabelEntry:
 
     # -- data plane helpers -----------------------------------------------
     @property
-    def is_reserved(self) -> bool:
-        return self.label <= RESERVED_LABEL_MAX
-
-    @property
     def is_bottom(self) -> bool:
         return self.s == BOTTOM_OF_STACK
 
@@ -158,13 +154,6 @@ class LabelEntry:
         if self.ttl == 0:
             raise InvalidLabelError("cannot decrement a zero TTL")
         return _copy(self.label, self.cos, self.s, self.ttl - 1)
-
-    def with_label(self, label: int) -> "LabelEntry":
-        if not 0 <= label <= LABEL_MAX:
-            raise InvalidLabelError(
-                f"label {label} outside 20-bit range 0..{LABEL_MAX}"
-            )
-        return _copy(label, self.cos, self.s, self.ttl)
 
     def with_ttl(self, ttl: int) -> "LabelEntry":
         if not 0 <= ttl <= _TTL_MAX:

@@ -69,19 +69,3 @@ class NHLFE:
             raise InvalidLabelError(f"{op.name} must not carry an out_label")
         if self.cos is not None and not 0 <= self.cos <= 7:
             raise InvalidLabelError(f"CoS {self.cos} out of 3-bit range")
-
-    @property
-    def is_php(self) -> bool:
-        """True if this entry performs penultimate-hop popping
-        (constructed as a swap to implicit null)."""
-        return self.op is LabelOp.POP and self.next_hop is not None
-
-    def __str__(self) -> str:
-        parts = [self.op.name]
-        if self.out_label is not None:
-            parts.append(f"label={self.out_label}")
-        if self.next_hop is not None:
-            parts.append(f"nh={self.next_hop}")
-        if self.out_interface is not None:
-            parts.append(f"if={self.out_interface}")
-        return f"NHLFE({' '.join(parts)})"

@@ -48,11 +48,6 @@ class RouterRole(Enum):
     LER = "ler"
     LSR = "lsr"
 
-    @property
-    def rtrtype_bit(self) -> int:
-        """The hardware encoding: 0 for LER, 1 for LSR (Table 3)."""
-        return 0 if self is RouterRole.LER else 1
-
 
 @dataclass
 class NodeStats:
@@ -205,10 +200,6 @@ class LSRNode:
             return self.flow_cache.process(packet, count)
         return self.engine.process(packet)
 
-    def receive_aggregate(self, aggregate) -> ForwardingDecision:
-        """Process a whole train: :meth:`receive` on its template."""
-        return self.receive(aggregate.template, aggregate)
-
     def receive_external(
         self, packet: Union[IPv4Packet, MPLSPacket]
     ) -> Optional[ForwardingDecision]:
@@ -311,6 +302,3 @@ class LSRNode:
             if interface is not None:
                 decision = decision._replace(out_interface=interface)
         return decision
-
-    def __repr__(self) -> str:
-        return f"<LSRNode {self.name} {self.role.value}>"

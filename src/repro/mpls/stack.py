@@ -89,9 +89,6 @@ class LabelStack:
     def __iter__(self) -> Iterator[LabelEntry]:
         return iter(self._entries)
 
-    def __getitem__(self, index: int) -> LabelEntry:
-        return self._entries[index]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LabelStack):
             return self._entries == other._entries

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
-from repro.mpls.errors import LabelLookupMiss, NoRouteError
+from repro.mpls.errors import NoRouteError
 from repro.mpls.label import require_real_label
 
 if TYPE_CHECKING:  # annotation-only; avoids the fec <-> net import cycle
@@ -52,8 +52,9 @@ class Table:
     """A banked, stale-aware ``key -> NHLFE`` map.
 
     Subclasses name the key and the table (:attr:`KEY`, :attr:`NAME`)
-    and say what differs about their writes and their stale order
-    through the small hooks at the bottom of the class.
+    and say what differs about their writes through the small hooks at
+    the bottom of the class, and define ``_stale_keys()``: the
+    stale-marked keys, in the order a flush removes them.
     """
 
     #: the table's name in transaction errors
@@ -180,10 +181,6 @@ class Table:
         self._bank = staged
         return changed
 
-    def _stale_keys(self) -> List[Hashable]:
-        """The stale-marked keys, in the order a flush removes them."""
-        raise NotImplementedError
-
 
 class ILM(Table):
     """Incoming Label Map: ``label -> NHLFE``.
@@ -199,12 +196,6 @@ class ILM(Table):
         require_real_label(label)
         super().install(label, nhlfe)
 
-    def lookup(self, label: int) -> NHLFE:
-        try:
-            return self._bank[label]
-        except KeyError:
-            raise LabelLookupMiss(f"no ILM entry for label {label}") from None
-
     def get(self, label: int) -> Optional[NHLFE]:
         return self._bank.get(label)
 
@@ -213,9 +204,6 @@ class ILM(Table):
 
     def __iter__(self) -> Iterator[Tuple[int, NHLFE]]:
         return iter(self._bank.items())
-
-    def labels(self) -> List[int]:
-        return sorted(self._bank)
 
     def stale_labels(self) -> List[int]:
         return sorted(self._stale)

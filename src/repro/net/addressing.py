@@ -35,12 +35,6 @@ class IPv4Address:
     def value(self) -> int:
         return self._value
 
-    def __int__(self) -> int:
-        return self._value
-
-    def __index__(self) -> int:
-        return self._value
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
             return self._value == other._value
@@ -52,12 +46,6 @@ class IPv4Address:
             except ValueError:  # not an address at all: simply unequal
                 return False
         return NotImplemented
-
-    def __lt__(self, other: "IPv4Address") -> bool:
-        try:
-            return self._value < IPv4Address(other)._value
-        except (TypeError, ValueError):
-            return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._value)
@@ -125,22 +113,10 @@ class IPv4Prefix:
         self._mask = 0 if length == 0 else (~0 << (32 - length)) & 0xFFFFFFFF
         self.network = IPv4Address(IPv4Address(network).value & self._mask)
 
-    @property
-    def mask(self) -> int:
-        return self._mask
-
     def contains(self, address: Union[str, int, IPv4Address]) -> bool:
         if not isinstance(address, IPv4Address):
             address = IPv4Address(address)
         return (address._value & self._mask) == self.network._value
-
-    def __contains__(self, address: Union[str, int, IPv4Address]) -> bool:
-        return self.contains(address)
-
-    def overlaps(self, other: "IPv4Prefix") -> bool:
-        shorter = self if self.length <= other.length else other
-        longer = other if shorter is self else self
-        return shorter.contains(longer.network)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Prefix):
@@ -154,6 +130,3 @@ class IPv4Prefix:
 
     def __str__(self) -> str:
         return f"{self.network}/{self.length}"
-
-    def __repr__(self) -> str:
-        return f"IPv4Prefix('{self}')"

@@ -71,19 +71,6 @@ class FlowAggregate:
             raise ValueError(f"negative aggregate interval {self.interval}")
 
     @property
-    def inner(self) -> IPv4Packet:
-        template = self.template
-        return template.inner if isinstance(template, MPLSPacket) else template
-
-    @property
-    def flow_id(self) -> int:
-        return self.inner.flow_id
-
-    @property
-    def first_created_at(self) -> float:
-        return self.inner.created_at
-
-    @property
     def length(self) -> int:
         """Total bytes across the whole train at the current shape."""
         return self.template.length * self.count

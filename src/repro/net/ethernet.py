@@ -40,10 +40,6 @@ def _mac_bytes(mac: Union[str, bytes]) -> bytes:
         raise FramingError(f"{mac!r} is not a MAC address") from exc
 
 
-def _mac_str(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
-
-
 @dataclass(frozen=True)
 class EthernetFrame:
     """An Ethernet II frame.
@@ -68,14 +64,6 @@ class EthernetFrame:
                 f"payload of {len(self.payload)} bytes exceeds the "
                 f"{MAX_PAYLOAD}-byte Ethernet MTU"
             )
-
-    @property
-    def dst(self) -> str:
-        return _mac_str(self.dst_mac)
-
-    @property
-    def src(self) -> str:
-        return _mac_str(self.src_mac)
 
     @property
     def is_mpls(self) -> bool:

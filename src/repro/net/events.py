@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 
 class Event(NamedTuple):
-    """A scheduled callback.  Returned by :meth:`EventScheduler.at` so
-    callers can cancel it."""
+    """A scheduled callback, as :meth:`EventScheduler.at` and
+    :meth:`EventScheduler.after` return it."""
 
     time: float
     seq: int
@@ -43,8 +43,6 @@ class EventScheduler:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: List[Event] = []
-        #: ``seq`` of every cancelled event still in the heap
-        self._cancelled: Set[int] = set()
         self._seq = itertools.count()
         self.processed = 0
 
@@ -68,16 +66,6 @@ class EventScheduler:
         heapq.heappush(self._heap, event)
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (lazy removal).  Cancelling an event
-        that already fired, or cancelling twice, does nothing."""
-        if event in self._heap:
-            self._cancelled.add(event.seq)
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap) - len(self._cancelled)
-
     def run(self, until: Optional[float] = None, max_events: int = EVENT_BUDGET) -> int:
         """Run events in order until the queue drains or ``until``.
 
@@ -85,14 +73,10 @@ class EventScheduler:
         against runaway self-rescheduling sources: spending it with an
         event still due raises.
         """
-        heap, cancelled = self._heap, self._cancelled
+        heap = self._heap
         count = 0
         while heap:
-            time, seq, fn, args = heap[0]
-            if cancelled and seq in cancelled:
-                heapq.heappop(heap)
-                cancelled.discard(seq)
-                continue
+            time, _, fn, args = heap[0]
             if until is not None and time > until:
                 break
             if count >= max_events:
@@ -110,14 +94,10 @@ class EventScheduler:
 
     def step(self) -> bool:
         """Run exactly one event; returns False if the queue is empty."""
-        heap, cancelled = self._heap, self._cancelled
-        while heap:
-            time, seq, fn, args = heapq.heappop(heap)
-            if seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self.now = time
-            fn(*args)
-            self.processed += 1
-            return True
-        return False
+        if not self._heap:
+            return False
+        time, _, fn, args = heapq.heappop(self._heap)
+        self.now = time
+        fn(*args)
+        self.processed += 1
+        return True

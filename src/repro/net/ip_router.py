@@ -65,10 +65,6 @@ class IPRouterNode(LSRNode):
         # longest prefix first, as a real FIB resolves
         self._fib.sort(key=lambda e: -e.prefix.length)
 
-    @property
-    def fib_size(self) -> int:
-        return len(self._fib)
-
     def lookup(self, packet: IPv4Packet) -> Optional[FIBEntry]:
         """Longest-prefix match, counting entries scanned."""
         self.lookups += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional
 
 from repro.net.events import EventScheduler
 from repro.obs.telemetry import get_telemetry
@@ -285,10 +285,6 @@ class Link:
         )
 
     # -- fault state --------------------------------------------------------
-    @property
-    def up(self) -> bool:
-        return self.forward.up and self.reverse.up
-
     def fail(self) -> None:
         """Take both directions down; queued and in-flight packets are
         lost."""
@@ -327,16 +323,6 @@ class Link:
         if node == self.b.node:
             return self.reverse
         raise KeyError(f"{node} is not an endpoint of {self}")
-
-    def other_end(self, node: str) -> Interface:
-        if node == self.a.node:
-            return self.b
-        if node == self.b.node:
-            return self.a
-        raise KeyError(f"{node} is not an endpoint of {self}")
-
-    def endpoints(self) -> Tuple[Interface, Interface]:
-        return self.a, self.b
 
     def __repr__(self) -> str:
         return f"<Link {self.a} <-> {self.b} {self.bandwidth_bps/1e6:g}Mbps>"

@@ -185,9 +185,6 @@ class MPLSNetwork:
                 node.disable_batching()
 
     # -- wiring ----------------------------------------------------------
-    def node(self, name: str) -> LSRNode:
-        return self.nodes[name]
-
     def link(self, a: str, b: str) -> Link:
         try:
             return self._link_of[(a, b)]
@@ -267,16 +264,6 @@ class MPLSNetwork:
             # a forged labelled packet entered the domain unchallenged
             self.security_monitor.note_spoof_accepted(packet.inner.flow_id)
         self._process(node_name, packet)
-
-    def inject_aggregate(self, node: str, aggregate: FlowAggregate) -> None:
-        """Hand a flow aggregate to a node's data plane (batched mode)."""
-        if node not in self.nodes:
-            raise KeyError(f"unknown node {node!r}")
-        if not self.batching:
-            raise RuntimeError(
-                "aggregates need batching: call enable_batching() first"
-            )
-        self.scheduler.after(0.0, self._process_aggregate, node, aggregate)
 
     def aggregate_sink(self, ler: str) -> Callable[[FlowAggregate], None]:
         """A sink for aggregate traffic generators feeding ``ler``."""

@@ -199,15 +199,6 @@ class MPLSPacket:
     def serialize(self) -> bytes:
         return self.stack.encode_bytes() + self.inner.serialize()
 
-    @classmethod
-    def deserialize(cls, data: bytes) -> "MPLSPacket":
-        from repro.mpls.stack import LabelStack
-
-        stack_len = LabelStack.wire_length(data)
-        stack = LabelStack.decode_bytes(data[:stack_len])
-        inner = IPv4Packet.deserialize(data[stack_len:])
-        return cls(stack, inner)
-
     def __repr__(self) -> str:
         return f"<MPLSPacket {self.stack!r} {self.inner.src}->{self.inner.dst}>"
 

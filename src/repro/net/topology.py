@@ -166,17 +166,11 @@ class Topology:
     def neighbors(self, node: str) -> List[str]:
         return sorted(self.adjacent(node))
 
-    def degree(self, node: str) -> int:
-        return len(self.adjacent(node))
-
     def edges_with_attrs(
         self,
     ) -> Iterator[Tuple[str, str, LinkAttributes]]:
         for (a, b), attrs in sorted(self._links.items()):
             yield a, b, attrs
-
-    def __len__(self) -> int:
-        return len(self._adj)
 
 
 # -- builders ---------------------------------------------------------------

@@ -50,8 +50,9 @@ class TrafficSource:
     """Base class: emits IPv4 packets into a sink callback.
 
     ``sink(packet)`` is whatever the caller wires up -- typically the
-    ingress LER's receive path.  Subclasses implement
-    :meth:`_schedule_next` to model their arrival process.
+    ingress LER's receive path.  A subclass defines ``_payload_size()``
+    and ``_next_interval()``, the size and spacing of its packets, or
+    its own ``_emit``.
     """
 
     def __init__(
@@ -84,12 +85,6 @@ class TrafficSource:
             raise RuntimeError("source already started")
         self._running = True
         self.scheduler.at(self.start, self._emit)
-
-    def _payload_size(self) -> int:
-        raise NotImplementedError
-
-    def _next_interval(self) -> float:
-        raise NotImplementedError
 
     def _payload(self, size: int) -> bytes:
         """The zero payload of ``size`` bytes, built on first use and
@@ -217,9 +212,3 @@ class VideoSource(TrafficSource):
             self.sink(packet)
             remaining -= size
         self.scheduler.after(1.0 / self.fps, self._emit)
-
-    def _payload_size(self) -> int:  # pragma: no cover - unused override
-        return self.p_frame_size
-
-    def _next_interval(self) -> float:  # pragma: no cover - unused override
-        return 1.0 / self.fps

@@ -87,7 +87,6 @@ from repro.obs.spans import (
     SpanRecorder,
     Trace,
     export_chrome_trace,
-    spans_to_jsonl,
     to_chrome_trace,
 )
 from repro.obs.telemetry import (
@@ -160,7 +159,6 @@ __all__ = [
     "render_flow_summary",
     "set_telemetry",
     "snapshot",
-    "spans_to_jsonl",
     "telemetry_session",
     "to_chrome_trace",
     "to_json",

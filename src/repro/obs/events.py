@@ -425,15 +425,9 @@ class ListSink:
     def write(self, event: Event) -> None:
         self.events.append(event)
 
-    def by_kind(self, kind: str) -> List[Event]:
-        return [e for e in self.events if e.kind == kind]
-
     def kind_counts(self) -> Dict[str, int]:
         """Events seen per kind, sorted by kind."""
         return dict(sorted(collections.Counter(e.kind for e in self.events).items()))
-
-    def clear(self) -> None:
-        self.events.clear()
 
     def __len__(self) -> int:
         return len(self.events)
@@ -619,10 +613,6 @@ class EventLog:
             s.write for s in sinks if not hasattr(s, "write_phases")
         )
 
-    @property
-    def sinks(self) -> List[Any]:
-        return list(self._sinks)
-
     def emit(self, event: Event) -> None:
         # the log's clock ticks in scheduler seconds; events living in
         # another clock domain must stamp their own time
@@ -657,4 +647,3 @@ class EventLog:
                 event.time = float(cycle_start)
                 for write in writes:
                     write(event)
-

@@ -93,15 +93,6 @@ class FlowRecord:
     end_time: Optional[float] = None
     end_reason: Optional[str] = None
 
-    @property
-    def active(self) -> bool:
-        return self.end_reason is None
-
-    @property
-    def duration(self) -> float:
-        end = self.end_time if self.end_time is not None else self.last_seen
-        return end - self.first_seen
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "node": self.node,
@@ -429,11 +420,6 @@ class FlowAccountant:
             [*self.finished, *self._active.values()],
             key=lambda r: (r.node, r.flow_id, r.seq),
         )
-
-    def active_count(self, node: Optional[str] = None) -> int:
-        if node is None:
-            return len(self._active)
-        return sum(1 for r in self._active.values() if r.node == node)
 
     def top_talkers(self, n: int = 10) -> List[Dict[str, Any]]:
         """The heaviest (node, flow) pairs by bytes, records merged."""

@@ -284,11 +284,5 @@ class MetricsRegistry:
             return 0.0
         return child.value  # type: ignore[attr-defined]
 
-    def reset(self) -> None:
-        self._families.clear()
-
     def __contains__(self, name: str) -> bool:
         return name in self._families
-
-    def __len__(self) -> int:
-        return len(self._families)

@@ -102,9 +102,6 @@ class CycleProfiler:
         self._last_state = {f: f.state_name for f in self._fsms}
         self._last_rd_addr = {m: m.rd_addr.value for m in self._memories}
 
-    def detach(self) -> None:
-        self.sim.remove_tick_hook(self._on_tick)
-
     # -- operation scoping -------------------------------------------------
     @contextmanager
     def operation(self, name: str) -> Iterator[None]:

@@ -33,9 +33,8 @@ whose lifetime overlaps the fault window.  SLO latency histograms are
 observed per FEC for *every* delivered packet regardless of sampling;
 p50/p95/p99 are published as gauges at :meth:`SpanRecorder.finalize`.
 
-Exporters: :func:`to_chrome_trace` (Chrome trace-event JSON, loadable
-in Perfetto / ``chrome://tracing``) and :func:`spans_to_jsonl` (the
-repo's JSONL line format, schema v2).
+Exporter: :func:`to_chrome_trace` (Chrome trace-event JSON, loadable
+in Perfetto / ``chrome://tracing``).
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from repro.obs.events import (
     FaultHealed,
     FaultInjected,
     HWOpExecuted,
-    JSONL_SCHEMA_VERSION,
     LabelOpApplied,
     OAMProbeCompleted,
     PacketDelivered,
@@ -123,28 +121,6 @@ class Span:
     attributes: Dict[str, Any] = field(default_factory=dict)
     annotations: List[SpanAnnotation] = field(default_factory=list)
 
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "clock_domain": self.clock_domain,
-            "cycle_start": self.cycle_start,
-            "cycle_end": self.cycle_end,
-            "attributes": dict(self.attributes),
-            "annotations": [
-                {"time": a.time, "label": a.label, "detail": a.detail}
-                for a in self.annotations
-            ],
-        }
-
 
 @dataclass
 class Trace:
@@ -179,9 +155,6 @@ class Trace:
     @property
     def latency(self) -> float:
         return self.end - self.start
-
-    def spans_of_kind(self, kind: str) -> List[Span]:
-        return [s for s in self.spans if s.kind == kind]
 
     @property
     def hop_spans(self) -> List[Span]:
@@ -934,25 +907,6 @@ def export_chrome_trace(
     )
     stream.write("\n")
     return len(doc["traceEvents"])
-
-
-def spans_to_jsonl(traces: Iterable[Trace], stream: TextIO) -> int:
-    """Write one JSON line per span (schema v2).  Returns the number of
-    lines written."""
-    written = 0
-    for trace in sorted(traces, key=lambda t: (t.start, t.uid)):
-        for span in trace.all_spans():
-            record = span.as_dict()
-            record["v"] = JSONL_SCHEMA_VERSION
-            record["type"] = "span"
-            record["trace_id"] = trace.trace_id
-            record["uid"] = trace.uid
-            record["flow_id"] = trace.flow_id
-            record["fec"] = trace.fec
-            stream.write(json.dumps(record, sort_keys=True))
-            stream.write("\n")
-            written += 1
-    return written
 
 
 def render_summary(recorder: SpanRecorder, slowest: int = 5) -> str:

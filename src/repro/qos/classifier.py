@@ -92,6 +92,3 @@ class Classifier:
                 return rule.cos
         self.defaults += 1
         return self.default_cos
-
-    def __len__(self) -> int:
-        return len(self._rules)

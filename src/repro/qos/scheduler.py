@@ -30,10 +30,6 @@ class PriorityScheduler:
         self.dropped_by_cos: Dict[int, int] = {}
         self.enqueued = 0
 
-    @property
-    def dropped(self) -> int:
-        return sum(self.dropped_by_cos.values())
-
     def enqueue(self, item: Any, cos: int = 0) -> bool:
         cos = max(0, min(7, cos))
         queue = self._queues[cos]
@@ -49,12 +45,6 @@ class PriorityScheduler:
             if self._queues[cos]:
                 return self._queues[cos].popleft()
         return None
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    def depth(self, cos: int) -> int:
-        return len(self._queues[cos])
 
 
 class WFQScheduler:
@@ -90,10 +80,6 @@ class WFQScheduler:
         self._active: Deque[int] = deque()
         self.dropped_by_cos: Dict[int, int] = {}
         self.enqueued = 0
-
-    @property
-    def dropped(self) -> int:
-        return sum(self.dropped_by_cos.values())
 
     @staticmethod
     def _size_of(item: Any) -> int:
@@ -142,9 +128,3 @@ class WFQScheduler:
             "WFQ failed to release an item in 10k rotations; "
             "check weights/quantum configuration"
         )
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    def depth(self, cos: int) -> int:
-        return len(self._queues[cos])

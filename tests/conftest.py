@@ -21,7 +21,7 @@ def _default_telemetry_left_clean():
         what
         for what, dirty in (
             ("enabled", tel.enabled),
-            (f"{len(tel.events.sinks)} sink(s)", tel.events.sinks),
+            (f"{len(tel.events._sinks)} sink(s)", tel.events._sinks),
             ("a span recorder", tel.spans is not None),
             ("a flow accountant", tel.flows is not None),
             ("a topology observer", tel.topo is not None),

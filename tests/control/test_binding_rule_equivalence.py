@@ -1247,7 +1247,9 @@ def test_a_push_of_implicit_null_is_a_noop():
     assert NHLFE(
         op=LabelOp.PUSH, out_label=IMPLICIT_NULL, next_hop="eg", cos=5
     ) == NHLFE(op=LabelOp.NOOP, next_hop="eg")
-    assert NHLFE(op=LabelOp.SWAP, out_label=IMPLICIT_NULL, next_hop="eg").is_php
+    assert NHLFE(op=LabelOp.SWAP, out_label=IMPLICIT_NULL, next_hop="eg") == NHLFE(
+        op=LabelOp.POP, next_hop="eg"
+    )
 
 
 # -- seeded mutants: what the suite must be able to tell apart ----------------

@@ -28,19 +28,12 @@ class TestLabelAllocator:
         with pytest.raises(KeyError):
             alloc.release(16)
 
-    def test_in_use_count(self):
+    def test_release_frees_only_that_label(self):
         alloc = LabelAllocator()
         a = alloc.allocate()
         alloc.allocate()
         alloc.release(a)
-        assert alloc.in_use == 1
-
-    def test_is_allocated(self):
-        alloc = LabelAllocator()
-        a = alloc.allocate()
-        assert alloc.is_allocated(a)
-        alloc.release(a)
-        assert not alloc.is_allocated(a)
+        assert alloc._allocated == {a + 1}
 
     def test_reserved_start_rejected(self):
         with pytest.raises(ValueError):

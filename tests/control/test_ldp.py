@@ -49,20 +49,20 @@ class TestLDP:
 
     def test_transit_swaps(self):
         _, nodes, _, _, binding = self._setup()
-        nhlfe = nodes["n1"].ilm.lookup(binding.labels["n1"])
+        nhlfe = nodes["n1"].ilm.get(binding.labels["n1"])
         assert nhlfe.op is LabelOp.SWAP
         assert nhlfe.out_label == binding.labels["n2"]
 
     def test_egress_pops(self):
         _, nodes, _, _, binding = self._setup()
-        nhlfe = nodes["n3"].ilm.lookup(binding.labels["n3"])
+        nhlfe = nodes["n3"].ilm.get(binding.labels["n3"])
         assert nhlfe.op is LabelOp.POP
 
     def test_php_advertises_implicit_null(self):
         _, nodes, _, _, binding = self._setup(php=True)
         assert binding.labels["n3"] == IMPLICIT_NULL
         # the penultimate hop pops instead of swapping
-        nhlfe = nodes["n2"].ilm.lookup(binding.labels["n2"])
+        nhlfe = nodes["n2"].ilm.get(binding.labels["n2"])
         assert nhlfe.op is LabelOp.POP
         assert nhlfe.next_hop == "n3"
         # nothing installed at the egress ILM
@@ -73,7 +73,7 @@ class TestLDP:
         ldp.withdraw_fec(binding)
         assert all(len(n.ilm) == 0 for n in nodes.values())
         assert all(len(n.ftn) == 0 for n in nodes.values())
-        assert all(a.in_use == 0 for a in ldp.allocators.values())
+        assert all(not a._allocated for a in ldp.allocators.values())
 
     def test_withdraw_unknown_binding(self):
         _, _, ldp, _, binding = self._setup()

@@ -75,7 +75,7 @@ class TestLabelDistribution:
         _, nodes, _, ldp, state = self._converge()
         # egress pops
         egress_label = state.advertised["ler-b"]
-        assert nodes["ler-b"].ilm.lookup(egress_label).op is LabelOp.POP
+        assert nodes["ler-b"].ilm.get(egress_label).op is LabelOp.POP
         # ingress pushes towards its SPF next hop
         packet = IPv4Packet(src="10.1.0.5", dst="10.2.0.9")
         _, nhlfe = nodes["ler-a"].ftn.lookup(packet)
@@ -164,7 +164,7 @@ class TestSessionLoss:
         first = nhlfe.next_hop
         speaker = ldp.speakers[first]
         label = speaker.local_labels["f1"]
-        second = nodes[first].ilm.lookup(label).next_hop
+        second = nodes[first].ilm.get(label).next_hop
         return first, second
 
     def test_drop_withdraws_dependent_mappings(self):
@@ -196,7 +196,7 @@ class TestSessionLoss:
         scheduler.run(until=scheduler.now + 0.02)
         # the egress's origination is untouched
         assert ldp.speakers["ler-b"].local_labels["f1"] == egress_label
-        assert nodes["ler-b"].ilm.lookup(egress_label).op is LabelOp.POP
+        assert nodes["ler-b"].ilm.get(egress_label).op is LabelOp.POP
 
     def test_reconnect_restores_convergence(self):
         topo, nodes, scheduler, ldp = self._converged_env()

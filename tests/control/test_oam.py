@@ -156,7 +156,7 @@ class TestOAMMonitor:
             net = _network()
             self._monitor(net, period=0.05, timeout=0.05, stop=0.2)
             net.run(until=0.3)
-            probes = sink.by_kind("oam-probe")
+            probes = [e for e in sink.events if e.kind == "oam-probe"]
             assert probes and all(e.fec == "10.2.0.0/16" for e in probes)
             assert tel.oam_probes.labels("10.2.0.0/16", "ok").value == len(
                 probes

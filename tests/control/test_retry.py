@@ -95,14 +95,6 @@ class TestSchedule:
         b = ReconnectBackoff(initial=0.05, jitter=0.3, seed=1)
         assert b.first_delay(("a", "b")) != b.first_delay(("a", "c"))
 
-    def test_forget_restarts_the_draw_sequence(self):
-        b = ReconnectBackoff(initial=0.05, jitter=0.3, seed=1)
-        key = ("a", "b")
-        first = b.first_delay(key)
-        assert b.first_delay(key) != first  # second draw differs
-        b.forget(key)
-        assert b.first_delay(key) == first  # fresh RNG, same sequence
-
 
 class TestLDPDelegation:
     """Message-level LDP reuses the shared policy, without jitter."""

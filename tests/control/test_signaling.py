@@ -41,11 +41,11 @@ class TestRSVPTE:
         assert lsp.up
         assert lsp.hops == 3
         # transit swap at lsr-1
-        nhlfe = nodes["lsr-1"].ilm.lookup(lsp.hop_labels[0])
+        nhlfe = nodes["lsr-1"].ilm.get(lsp.hop_labels[0])
         assert nhlfe.op is LabelOp.SWAP
         assert nhlfe.out_label == lsp.hop_labels[1]
         # egress pop
-        assert nodes["ler-b"].ilm.lookup(lsp.hop_labels[2]).op is LabelOp.POP
+        assert nodes["ler-b"].ilm.get(lsp.hop_labels[2]).op is LabelOp.POP
         # ingress FTN
         assert len(nodes["ler-a"].ftn) == 1
 
@@ -130,7 +130,7 @@ class TestRSVPTE:
         )
         assert lsp.hop_labels[-1] == IMPLICIT_NULL
         # the penultimate hop pops
-        nhlfe = nodes["lsr-2"].ilm.lookup(lsp.hop_labels[1])
+        nhlfe = nodes["lsr-2"].ilm.get(lsp.hop_labels[1])
         assert nhlfe.op is LabelOp.POP
 
     def test_message_counts(self):
@@ -183,7 +183,7 @@ class TestCRLDP:
             fec=PrefixFEC("10.2.0.0/16"),
         )
         assert lsp.protocol == "cr-ldp"
-        nhlfe = nodes["lsr-1"].ilm.lookup(lsp.hop_labels[0])
+        nhlfe = nodes["lsr-1"].ilm.get(lsp.hop_labels[0])
         assert nhlfe.op is LabelOp.SWAP
 
     def test_two_messages_per_hop_no_refresh(self):

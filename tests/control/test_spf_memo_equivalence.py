@@ -93,9 +93,6 @@ class ScanTopology:
                 out.append(a)
         return sorted(out)
 
-    def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
-
 
 def scan_spf(topo: ScanTopology, source: str) -> SPFResult:
     """Dijkstra from scratch: nothing kept between calls."""
@@ -150,7 +147,7 @@ ops = st.one_of(
     st.tuples(st.just("remove_link"), names, names),
     st.tuples(st.just("restore_link"), names, names),
     st.tuples(st.just("set_metric"), names, names, metrics),
-    st.tuples(st.sampled_from(["neighbors", "degree", "spf"]), names),
+    st.tuples(st.sampled_from(["neighbors", "spf"]), names),
     st.tuples(st.just("has_link"), names, names),
 )
 

@@ -550,6 +550,21 @@ class TestHostileScenarioCLI:
             "protection entry covers its prefix"
         )
 
+    def test_a_flow_no_protected_lsp_starts_at(self, tmp_path, capsys):
+        # was: exit 0 with 482 of 962 packets dropped at lsr-1 and
+        # availability 0.495841996: a protected LSP installs its FTN
+        # entry at its own ingress only
+        raw = self._example("chaos_frr", ("edges",), ["ler-a", "ler-b", "lsr-1"])
+        raw["traffic"].append({
+            "ingress": "lsr-1", "egress": "ler-b", "prefix": "10.2.0.0/16",
+            "src": "10.1.0.5", "dst": "10.2.0.10", "rate_bps": 2e6,
+            "packet_size": 500,
+        })
+        assert self._read_refused(raw, tmp_path, capsys) == (
+            "error: traffic lsr-1->ler-b 10.2.0.0/16: no protected LSP "
+            "starts at 'lsr-1'"
+        )
+
     def test_two_protected_lsps_with_one_name(self, tmp_path, capsys):
         # was: SignalingError: 'p1' is already protected
         raw = self._example("chaos_frr")

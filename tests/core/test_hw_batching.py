@@ -7,8 +7,6 @@ corruption and scrub repairs, because search cycle counts depend on
 pair *positions*.
 """
 
-import pytest
-
 from repro.core.hwnode import HardwareLSRNode
 from repro.mpls.forwarding import Action
 from repro.mpls.label import LabelEntry, LabelOp
@@ -186,9 +184,8 @@ class TestAggregates:
         batched = _transit_node(batching=True)
         for i in range(10):
             scalar.receive(labelled(100, seq=i))
-        batched.receive_aggregate(
-            FlowAggregate(template=labelled(100), count=10)
-        )
+        train = FlowAggregate(template=labelled(100), count=10)
+        batched.receive(train.template, train)
         assert batched.hw_data_cycles == scalar.hw_data_cycles
         assert batched.stats.received == scalar.stats.received
         assert (
@@ -197,15 +194,6 @@ class TestAggregates:
         assert (
             batched.modifier.total_cycles == scalar.modifier.total_cycles
         )
-
-    def test_aggregates_need_batching(self):
-        from repro.net.aggregate import FlowAggregate
-
-        node = _transit_node(batching=False)
-        with pytest.raises(RuntimeError):
-            node.receive_aggregate(
-                FlowAggregate(template=labelled(100), count=3)
-            )
 
 
 class TestDisable:

@@ -134,8 +134,8 @@ class TestEgress:
     def test_macs_preserved(self):
         new_stack = LabelStack([LabelEntry(label=888, ttl=62)])
         out = self._roundtrip(eth(mpls_payload(), labelled=True), new_stack)
-        assert out.src == "bb:bb:bb:bb:bb:bb"
-        assert out.dst == "aa:aa:aa:aa:aa:aa"
+        assert out.src_mac == bytes.fromhex("bbbbbbbbbbbb")
+        assert out.dst_mac == bytes.fromhex("aaaaaaaaaaaa")
 
     def test_atm_roundtrip(self):
         cells = segment_aal5(mpls_payload(), vpi=3, vci=77)

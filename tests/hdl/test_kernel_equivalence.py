@@ -69,8 +69,8 @@ from tests.strategies.rtl import (
 # -- the reference --------------------------------------------------------------
 def reference_step(sim: Simulator) -> None:
     """One clock cycle, sweeping every signal and snapshotting every wire."""
-    wires = [s for s in sim.signals.values() if isinstance(s, Wire)]
-    regs = [s for s in sim.signals.values() if isinstance(s, Reg)]
+    wires = [s for s in sim._signals.values() if isinstance(s, Wire)]
+    regs = [s for s in sim._signals.values() if isinstance(s, Reg)]
     for wire in wires:
         wire.reset()
     for pass_index in range(sim.max_settle_passes):
@@ -224,7 +224,7 @@ def run(side, builder, cycles: int, *args) -> Outcome:
     kit, step = side
     with mock.patch.multiple("repro.hdl.simulator", Wire=kit["Wire"], Reg=kit["Reg"]):
         sim, spy, bench = builder(kit, *args)
-    signals = list(sim.signals.values())
+    signals = list(sim._signals.values())
     error = None
     try:
         for cycle in range(cycles):
@@ -234,7 +234,7 @@ def run(side, builder, cycles: int, *args) -> Outcome:
             step(sim)
     except (SignalError, CombinationalLoopError) as exc:
         error = (type(exc), str(exc))
-    final = {name: s.value for name, s in sim.signals.items()}
+    final = {name: s.value for name, s in sim._signals.items()}
     return Outcome(error, spy.seen if spy else None, final, sim.cycle)
 
 
@@ -466,10 +466,10 @@ class TestPinnedNoOpSemantics:
     def test_a_hold_reads_as_not_staged(self):
         reg = Reg("r", 4, 3)
         reg.stage(3)
-        assert not reg.staged and reg.next_value == 3
+        assert reg._staged != 2 and reg.value == 3
         reg.stage(5)
         reg.stage(3)  # overrides the 5
-        assert reg.staged and reg.next_value == 3
+        assert reg._staged == 2 and reg._next == 3
         assert not reg.commit() and reg.value == 3
 
     def test_a_coerced_value_that_equals_the_held_one_is_a_no_op(self):
@@ -485,7 +485,7 @@ class TestPrimitives:
         mem = SyncMemory(sim, "mem", 4, 4)
         sim.step(3)
         assert sim._staged == [] and sim._driven == []
-        assert not ctr.count.staged and not reg.q.staged and not mem.rd_data.staged
+        assert all(r._staged != 2 for r in (ctr.count, reg.q, mem.rd_data))
 
 
 # -- a component re-runs only when a wire it reads changed, one by one ------------

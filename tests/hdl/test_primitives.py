@@ -6,7 +6,6 @@ import pytest
 from repro.hdl.comparator import EqualityComparator
 from repro.hdl.counter import Counter
 from repro.hdl.memory import SyncMemory
-from repro.hdl.mux import Mux
 from repro.hdl.register import Register
 from repro.hdl.signal import WidthError
 from repro.hdl.simulator import Component, Simulator
@@ -78,13 +77,6 @@ class TestSyncMemory:
         sim = Simulator()
         with pytest.raises(ValueError):
             SyncMemory(sim, "mem", depth=0, width=8)
-
-    def test_dump_is_copy(self):
-        sim = Simulator()
-        mem = SyncMemory(sim, "mem", depth=4, width=8)
-        d = mem.dump()
-        d[0] = 99
-        assert mem.peek(0) == 0
 
 
 class TestCounter:
@@ -195,39 +187,3 @@ class TestComparator:
         drv.set(c.b, 6)
         sim.settle_only()
         assert c.eq.value == 0
-
-
-class TestMux:
-    def test_selects_input(self):
-        sim = Simulator()
-        drv = _Driver(sim)
-        a = sim.add_wire("a", 8)
-        b = sim.add_wire("b", 8)
-        m = Mux(sim, "m", [a, b], width=8)
-        drv.set(a, 10)
-        drv.set(b, 20)
-        drv.set(m.sel, 1)
-        sim.settle_only()
-        assert m.out.value == 20
-
-    def test_too_wide_input_rejected(self):
-        sim = Simulator()
-        a = sim.add_wire("a", 16)
-        with pytest.raises(ValueError):
-            Mux(sim, "m", [a], width=8)
-
-    def test_empty_inputs_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Mux(sim, "m", [], width=8)
-
-    def test_out_of_range_select_raises(self):
-        sim = Simulator()
-        drv = _Driver(sim)
-        a = sim.add_wire("a", 8)
-        b = sim.add_wire("b", 8)
-        c = sim.add_wire("c", 8)
-        m = Mux(sim, "m", [a, b, c], width=8)
-        drv.set(m.sel, 3)
-        with pytest.raises(IndexError):
-            sim.settle_only()

@@ -39,15 +39,6 @@ class TestRecorder:
         sim.step(2)
         assert list(recorder.trace) == ["ctr.value"]
 
-    def test_pause_resume(self):
-        sim, ctr, recorder = _setup()
-        sim.step(2)
-        recorder.pause()
-        sim.step(2)
-        recorder.resume()
-        sim.step(1)
-        assert recorder.cycles == [1, 2, 5]
-
     def test_clear(self):
         sim, ctr, recorder = _setup()
         sim.step(3)
@@ -56,16 +47,12 @@ class TestRecorder:
         sim.step(1)
         assert recorder.cycles == [4]
 
-    def test_changes(self):
+    def test_trace_holds_one_value_per_cycle(self):
         sim, ctr, recorder = _setup()
         sim.step(4)
-        changes = recorder.changes("ctr.tick")
-        assert changes == [(1, 1), (2, 0), (3, 1), (4, 0)]
-
-    def test_value_at(self):
-        sim, ctr, recorder = _setup()
-        sim.step(4)
-        assert recorder.value_at("ctr.value", 3) == 3
+        assert recorder.cycles == [1, 2, 3, 4]
+        assert recorder.trace["ctr.tick"] == [1, 0, 1, 0]
+        assert recorder.trace["ctr.value"][2] == 3
 
 
 class TestAsciiRendering:

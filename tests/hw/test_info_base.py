@@ -137,9 +137,9 @@ class TestInfoBase:
         sim = Simulator()
         drv = _Driver(sim)
         ib = InfoBase(sim, "ib", depth=1)
-        assert not ib.any_overflow
+        assert not any(level.overflow.value for level in ib.levels)
         drv.set(ib.level(3).wr_en, 1)
         drv.set(ib.level(3).wr_index, 1)
         drv.set(ib.level(3).wr_label, 1)
         sim.step(2)
-        assert ib.any_overflow
+        assert ib.level(3).overflow.value

@@ -80,8 +80,10 @@ class TestMidTransactionReset:
         drv.write_pair(1, 2, 200, LabelOp.SWAP)  # overflow
         drv.user_push(LabelEntry(label=16))
         drv.user_push(LabelEntry(label=17))  # stack error
-        assert drv.modifier.dp.info_base.any_overflow
+        assert drv.modifier.dp.info_base.level(1).overflow.value
         assert drv.modifier.dp.stack.error.value == 1
         drv.reset()
-        assert not drv.modifier.dp.info_base.any_overflow
+        assert not any(
+            level.overflow.value for level in drv.modifier.dp.info_base.levels
+        )
         assert drv.modifier.dp.stack.error.value == 0

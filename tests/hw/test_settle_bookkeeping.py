@@ -30,14 +30,14 @@ def check_logs(sim):
     outside the driven log sits undriven at its default, a register
     outside the staged log has nothing staged."""
     for log in (sim._driven, sim._changed, sim._staged):
-        assert len(set(map(id, log))) == len(log) <= len(sim.signals)
+        assert len(set(map(id, log))) == len(log) <= len(sim._signals)
     driven = set(map(id, sim._driven))
     staged = set(map(id, sim._staged))
-    for signal in sim.signals.values():
+    for signal in sim._signals.values():
         if isinstance(signal, Wire) and id(signal) not in driven:
             assert signal._driven == 0 and signal.value == signal.default
         if isinstance(signal, Reg) and id(signal) not in staged:
-            assert signal._staged == 0 and not signal.staged
+            assert signal._staged == 0
 
 
 def test_logs_stay_bounded_over_mixed_traffic():

@@ -129,17 +129,6 @@ class TestHardwareStack:
         assert stack.size.value == 0
         assert stack.entries_top_first() == []
 
-    def test_poke_entries(self):
-        sim, drv, stack = _mk()
-        stack.poke_entries_top_first([30, 20, 10])
-        assert stack.top.value == 30
-        assert stack.size.value == 3
-
-    def test_poke_overflow_rejected(self):
-        sim, drv, stack = _mk(capacity=2)
-        with pytest.raises(ValueError):
-            stack.poke_entries_top_first([1, 2, 3])
-
     def test_capacity_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):

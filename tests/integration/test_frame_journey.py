@@ -23,13 +23,13 @@ DST = int.from_bytes(bytes([10, 2, 0, 9]), "big")
 def build_chain(backend="model"):
     """ingress LER -> lsr1 -> lsr2 -> egress LER, labels 100->200->300."""
     ingress = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-    ingress.install_ingress_route(DST, 100)
+    ingress.install_route(1, DST, 100, LabelOp.PUSH)
     lsr1 = EmbeddedMPLS(role=RouterRole.LSR, backend=backend)
     lsr1.install_swap(100, 200)
     lsr2 = EmbeddedMPLS(role=RouterRole.LSR, backend=backend)
     lsr2.install_swap(200, 300)
     egress = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-    egress.install_pop(300)
+    egress.install_route(1, 300, 16, LabelOp.POP)
     return ingress, lsr1, lsr2, egress
 
 

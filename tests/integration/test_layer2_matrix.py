@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.architecture import EmbeddedMPLS
 from repro.core.packet_processing import IngressPacketProcessor
+from repro.mpls.label import LabelOp
 from repro.mpls.router import RouterRole
 from repro.net.atm import reassemble_aal5, segment_aal5
 from repro.net.ethernet import ETHERTYPE_IPV4, ETHERTYPE_MPLS, EthernetFrame
@@ -68,11 +69,11 @@ def test_cross_technology_journey(ingress_tech, egress_tech):
     packet = IPv4Packet(src="10.1.0.5", dst="10.2.0.9", ttl=32,
                         payload=b"cross-tech payload")
     ingress = EmbeddedMPLS(role=RouterRole.LER)
-    ingress.install_ingress_route(DST, 100)
+    ingress.install_route(1, DST, 100, LabelOp.PUSH)
     lsr = EmbeddedMPLS(role=RouterRole.LSR)
     lsr.install_swap(100, 200)
     egress = EmbeddedMPLS(role=RouterRole.LER)
-    egress.install_pop(200)
+    egress.install_route(1, 200, 16, LabelOp.POP)
 
     frame = make_ingress_frame(ingress_tech, packet.serialize())
     labelled = ingress.process_frame(frame)

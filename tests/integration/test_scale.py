@@ -94,17 +94,18 @@ class TestScale:
 
     def test_paths_follow_spf(self):
         """Transit load only appears on SPF paths."""
-        from repro.control.routing import shortest_path
+        from repro.control.routing import LinkStateDatabase
 
         net, names, hosts = build_network()
         flows = run_traffic(net, names[0])
+        tree = LinkStateDatabase(net.topology).spf(names[0])
         for egress in hosts:
-            path = shortest_path(net.topology, names[0], egress)
+            path = tree.paths.get(egress)
             for node in path[1:-1]:
                 assert net.nodes[node].stats.forwarded_mpls > 0
 
     def test_label_spaces_stay_disjoint_per_node(self):
         net, _, _ = build_network()
         for node in net.nodes.values():
-            labels = node.ilm.labels()
+            labels = [label for label, _ in node.ilm]
             assert len(labels) == len(set(labels))

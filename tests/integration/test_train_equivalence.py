@@ -151,8 +151,9 @@ class _Run:
 
     def offer(self, n, as_train):
         if as_train:
-            self.net.inject_aggregate(
-                self.node, FlowAggregate(template=self.make(0), count=n)
+            self.net.scheduler.after(
+                0.0, self.net.aggregate_sink(self.node),
+                FlowAggregate(template=self.make(0), count=n),
             )
         else:
             for seq in range(n):
@@ -264,8 +265,9 @@ def test_train_of_n_equals_n_packets_at_plain_ip_routers():
         populate_fibs(topo, net.nodes, {"ler-b": [PREFIX]})
         if as_train:
             net.enable_batching()
-            net.inject_aggregate(
-                "ler-a", FlowAggregate(template=_ip(), count=12)
+            net.scheduler.after(
+                0.0, net.aggregate_sink("ler-a"),
+                FlowAggregate(template=_ip(), count=12),
             )
         else:
             for seq in range(12):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpls.fec import CoSFEC, HostFEC, PrefixFEC
+from repro.mpls.fec import CoSFEC, PrefixFEC
 from repro.net.packet import IPv4Packet
 
 
@@ -33,20 +33,6 @@ class TestPrefixFEC:
         fec = PrefixFEC("0.0.0.0/0")
         assert fec.matches(pkt("1.2.3.4"))
         assert fec.specificity == 0
-
-
-class TestHostFEC:
-    def test_exact_match_only(self):
-        fec = HostFEC("10.0.0.5")
-        assert fec.matches(pkt("10.0.0.5"))
-        assert not fec.matches(pkt("10.0.0.6"))
-
-    def test_most_specific(self):
-        assert HostFEC("10.0.0.5").specificity == 32
-
-    def test_equality(self):
-        assert HostFEC("10.0.0.5") == HostFEC("10.0.0.5")
-        assert HostFEC("10.0.0.5") != HostFEC("10.0.0.6")
 
 
 class TestCoSFEC:

@@ -23,6 +23,7 @@ bare engine's cache in its cross-check mode, at tiny capacities too.
 Two seeded mutants show the suite is not vacuous.
 """
 
+import dataclasses
 from collections import OrderedDict
 
 import pytest
@@ -65,7 +66,7 @@ def _state(node, decision):
         "decision": decision,
         # every field, the discard reasons too
         "stats": repr(node.stats),
-        "counts": node.engine.counts.as_dict(),
+        "counts": dataclasses.asdict(node.engine.counts),
     }
     if isinstance(node, HardwareLSRNode):
         state.update({

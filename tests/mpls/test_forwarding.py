@@ -161,8 +161,8 @@ class TestTransit:
         decision = engine.transit(labelled(400, ttl=10))
         assert decision.packet.stack.depth == 2
         assert decision.packet.stack.top.label == 500
-        assert decision.packet.stack[1].label == 400
-        assert decision.packet.stack[1].ttl == 9
+        assert decision.packet.stack.entries[1].label == 400
+        assert decision.packet.stack.entries[1].ttl == 9
 
     def test_router_alert_goes_local(self):
         engine = self._engine()

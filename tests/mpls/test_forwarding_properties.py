@@ -10,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpls.forwarding import Action, ForwardingEngine
-from repro.mpls.fec import HostFEC, PrefixFEC
+from repro.mpls.fec import PrefixFEC
 from repro.mpls.label import LabelEntry, LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.stack import LabelStack
+from repro.net.addressing import IPv4Prefix
 from repro.net.packet import IPv4Packet, MPLSPacket
 
 labels = st.integers(min_value=16, max_value=40)
@@ -90,7 +91,7 @@ class TestTransitInvariants:
         decision = engine.transit(mpls_packet(stack))
         if decision.action is Action.FORWARD_MPLS:
             out = decision.packet.stack
-            assert out[-1].is_bottom
+            assert out.entries[-1].is_bottom
             assert all(not e.is_bottom for e in out.entries[:-1])
 
     @given(real_labels, cos_values, st.integers(min_value=2, max_value=255))
@@ -159,7 +160,8 @@ class TestIngressInvariants:
             NHLFE(op=LabelOp.PUSH, out_label=100, next_hop="x"),
         )
         engine.ftn.install(
-            HostFEC(dst), NHLFE(op=LabelOp.PUSH, out_label=200, next_hop="x")
+            PrefixFEC(IPv4Prefix(dst, 32)),
+            NHLFE(op=LabelOp.PUSH, out_label=200, next_hop="x"),
         )
         packet = IPv4Packet(src="1.1.1.1", dst=dst, ttl=9)
         decision = engine.ingress(packet)

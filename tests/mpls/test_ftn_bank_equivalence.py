@@ -19,8 +19,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpls.errors import InvalidLabelError, LabelLookupMiss, NoRouteError
-from repro.mpls.fec import FEC, CoSFEC, HostFEC, PrefixFEC
+from repro.mpls.errors import InvalidLabelError, NoRouteError
+from repro.mpls.fec import FEC, CoSFEC, PrefixFEC
 from repro.mpls.label import LabelOp, require_real_label
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.tables import FTN, ILM
@@ -208,12 +208,6 @@ class StandaloneILM:
             self._stale.discard(label)
             self.generation += 1
 
-    def lookup(self, label: int) -> NHLFE:
-        try:
-            return self._entries[label]
-        except KeyError:
-            raise LabelLookupMiss(f"no ILM entry for label {label}") from None
-
     def get(self, label: int) -> Optional[NHLFE]:
         return self._entries.get(label)
 
@@ -226,8 +220,6 @@ class StandaloneILM:
     def __iter__(self) -> Iterator[Tuple[int, NHLFE]]:
         return iter(self._entries.items())
 
-    def labels(self) -> List[int]:
-        return sorted(self._entries)
 
     def clear(self) -> None:
         if self._staged is not None:
@@ -273,7 +265,7 @@ plain_fecs = st.one_of(
     st.sampled_from(
         ["10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "10.1.2.0/24"]
     ).map(PrefixFEC),
-    st.sampled_from(["10.1.1.7", "10.1.2.7"]).map(HostFEC),
+    st.sampled_from(["10.1.1.7/32", "10.1.2.7/32"]).map(PrefixFEC),
 )
 fecs = st.one_of(
     plain_fecs, st.builds(CoSFEC, plain_fecs, st.sampled_from([0, 46]))
@@ -316,7 +308,7 @@ def outcome(fn: Callable[[], object]) -> Tuple[str, object, str]:
     try:
         return ("ok", fn(), "")
     except (
-        KeyError, RuntimeError, NoRouteError, LabelLookupMiss,
+        KeyError, RuntimeError, NoRouteError,
         InvalidLabelError,
     ) as exc:
         return ("raised", type(exc), str(exc))
@@ -341,11 +333,9 @@ def observe_ilm(table) -> Tuple[object, ...]:
         entries,
         len(table),
         table.generation,
-        table.labels(),
         table.stale_labels(),
         [table.is_stale(label) for label, _ in entries],
         [(label in table, table.get(label)) for label in range(14, 22)],
-        [outcome(lambda: table.lookup(label)) for label in range(14, 22)],
     )
 
 

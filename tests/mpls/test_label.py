@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from repro.mpls.errors import InvalidLabelError
 from repro.mpls.label import (
     IMPLICIT_NULL,
-    IPV4_EXPLICIT_NULL,
     LABEL_MAX,
-    RESERVED_LABEL_MAX,
-    ROUTER_ALERT,
     LabelEntry,
     LabelOp,
     require_real_label,
@@ -89,12 +86,6 @@ class TestEncoding:
 
 
 class TestHelpers:
-    def test_reserved_detection(self):
-        assert LabelEntry(label=IPV4_EXPLICIT_NULL).is_reserved
-        assert LabelEntry(label=ROUTER_ALERT).is_reserved
-        assert LabelEntry(label=RESERVED_LABEL_MAX).is_reserved
-        assert not LabelEntry(label=RESERVED_LABEL_MAX + 1).is_reserved
-
     def test_bottom_flag(self):
         assert LabelEntry(label=100, s=1).is_bottom
         assert not LabelEntry(label=100, s=0).is_bottom
@@ -106,12 +97,6 @@ class TestHelpers:
     def test_decrement_zero_raises(self):
         with pytest.raises(InvalidLabelError):
             LabelEntry(label=100, ttl=0).decremented()
-
-    def test_with_label_preserves_other_fields(self):
-        entry = LabelEntry(label=100, cos=5, s=1, ttl=30)
-        new = entry.with_label(200)
-        assert (new.cos, new.s, new.ttl) == (5, 1, 30)
-        assert new.label == 200
 
     def test_immutability(self):
         entry = LabelEntry(label=100)

@@ -15,13 +15,6 @@ def ip_pkt(dst="10.0.0.1"):
     return IPv4Packet(src="192.168.0.1", dst=dst)
 
 
-class TestRouterRole:
-    def test_rtrtype_encoding_matches_table3(self):
-        """Table 3: logic low = LER, logic high = LSR."""
-        assert RouterRole.LER.rtrtype_bit == 0
-        assert RouterRole.LSR.rtrtype_bit == 1
-
-
 class TestLSRNode:
     def test_ler_classifies_ip(self):
         node = LSRNode("ler-a", RouterRole.LER)

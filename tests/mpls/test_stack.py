@@ -89,7 +89,7 @@ class TestOperations:
         stack = LabelStack([LabelEntry(label=100), LabelEntry(label=200)])
         swapped = stack.swap(LabelEntry(label=300))
         assert swapped.top.label == 300
-        assert swapped[1].label == 200
+        assert swapped.entries[1].label == 200
 
     def test_swap_empty_raises(self):
         with pytest.raises(StackUnderflow):
@@ -114,7 +114,7 @@ class TestOperations:
     @given(st.lists(entries, min_size=1, max_size=3))
     def test_s_bit_invariant(self, items):
         stack = LabelStack(items)
-        assert stack[-1].is_bottom
+        assert stack.entries[-1].is_bottom
         assert all(not e.is_bottom for e in stack.entries[:-1])
 
 

@@ -8,10 +8,9 @@ import pytest
 
 from repro.mpls.errors import (
     InvalidLabelError,
-    LabelLookupMiss,
     NoRouteError,
 )
-from repro.mpls.fec import CoSFEC, HostFEC, PrefixFEC
+from repro.mpls.fec import CoSFEC, PrefixFEC
 from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.tables import FTN, ILM, Table
@@ -30,12 +29,7 @@ class TestILM:
     def test_install_lookup(self):
         ilm = ILM()
         ilm.install(100, swap_to(200))
-        assert ilm.lookup(100).out_label == 200
-
-    def test_miss_raises(self):
-        ilm = ILM()
-        with pytest.raises(LabelLookupMiss):
-            ilm.lookup(999)
+        assert ilm.get(100).out_label == 200
 
     def test_get_returns_none_on_miss(self):
         assert ILM().get(999) is None
@@ -49,7 +43,7 @@ class TestILM:
         ilm = ILM()
         ilm.install(100, swap_to(200))
         ilm.install(100, swap_to(300))
-        assert ilm.lookup(100).out_label == 300
+        assert ilm.get(100).out_label == 300
         assert len(ilm) == 1
 
     def test_remove(self):
@@ -67,12 +61,6 @@ class TestILM:
         g0 = ilm.generation
         ilm.install(100, swap_to(200))
         assert ilm.generation > g0
-
-    def test_labels_sorted(self):
-        ilm = ILM()
-        for label in (300, 100, 200):
-            ilm.install(label, swap_to(label + 1000))
-        assert ilm.labels() == [100, 200, 300]
 
     def test_iteration(self):
         ilm = ILM()
@@ -110,7 +98,7 @@ class TestFTN:
     def test_host_beats_prefix(self):
         ftn = FTN()
         ftn.install(PrefixFEC("10.0.0.0/8"), swap_to(100))
-        ftn.install(HostFEC("10.1.2.3"), swap_to(300))
+        ftn.install(PrefixFEC("10.1.2.3/32"), swap_to(300))
         _, nhlfe = ftn.lookup(pkt("10.1.2.3"))
         assert nhlfe.out_label == 300
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.mpls.errors import LabelLookupMiss
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
@@ -27,11 +26,11 @@ class TestILMTransaction:
         ilm.install(100, swap_to(999))
         ilm.install(101, swap_to(201))
         # Data plane still reads the active bank.
-        assert ilm.lookup(100).out_label == 200
+        assert ilm.get(100).out_label == 200
         assert 101 not in ilm
         ilm.commit()
-        assert ilm.lookup(100).out_label == 999
-        assert ilm.lookup(101).out_label == 201
+        assert ilm.get(100).out_label == 999
+        assert ilm.get(101).out_label == 201
 
     def test_rollback_discards_staged_writes(self):
         ilm = ILM()
@@ -41,7 +40,7 @@ class TestILMTransaction:
         ilm.remove(100)
         ilm.install(300, swap_to(400))
         ilm.rollback()
-        assert ilm.lookup(100).out_label == 200
+        assert ilm.get(100).out_label == 200
         assert 300 not in ilm
         assert not ilm.in_transaction
 
@@ -64,8 +63,7 @@ class TestILMTransaction:
         assert 100 in ilm  # active bank untouched
         ilm.commit()
         assert 100 not in ilm
-        with pytest.raises(LabelLookupMiss):
-            ilm.lookup(100)
+        assert ilm.get(100) is None
 
     def test_double_begin_rejected(self):
         ilm = ILM()
@@ -88,7 +86,7 @@ class TestILMStale:
         assert ilm.mark_all_stale() == 2
         assert ilm.is_stale(100) and ilm.is_stale(101)
         # Stale entries still forward.
-        assert ilm.lookup(100).out_label == 200
+        assert ilm.get(100).out_label == 200
         assert ilm.flush_stale() == [100, 101]
         assert len(ilm) == 0
 
@@ -100,7 +98,7 @@ class TestILMStale:
         ilm.install(100, swap_to(200))  # refresh
         assert not ilm.is_stale(100)
         assert ilm.flush_stale() == [101]
-        assert ilm.lookup(100).out_label == 200
+        assert ilm.get(100).out_label == 200
 
     def test_commit_refreshes_staged_installs(self):
         ilm = ILM()
@@ -190,7 +188,7 @@ class TestTableTransaction:
         ilm = ILM()
         with TableTransaction([ilm]):
             ilm.install(100, swap_to(200))
-        assert ilm.lookup(100).out_label == 200
+        assert ilm.get(100).out_label == 200
 
     def test_context_manager_rolls_back_on_exception(self):
         ilm = ILM()
@@ -199,7 +197,7 @@ class TestTableTransaction:
             with TableTransaction([ilm]):
                 ilm.install(100, swap_to(999))
                 raise ValueError("crash mid-reconvergence")
-        assert ilm.lookup(100).out_label == 200
+        assert ilm.get(100).out_label == 200
         assert not ilm.in_transaction
 
     def test_duplicate_tables_deduped(self):

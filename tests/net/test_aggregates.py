@@ -51,8 +51,9 @@ def _packet(dst="10.2.0.9", ttl=64, created_at=0.0, seq=0):
 class TestAggregateEdges:
     def test_zero_count_aggregate_is_a_noop(self):
         net, _ = _network()
-        net.inject_aggregate(
-            "ler-a", FlowAggregate(template=_packet(), count=0)
+        net.scheduler.after(
+            0.0, net.aggregate_sink("ler-a"),
+            FlowAggregate(template=_packet(), count=0),
         )
         net.run(until=1.0)
         assert net.delivered_count() == 0
@@ -65,23 +66,15 @@ class TestAggregateEdges:
 
     def test_single_packet_aggregate_delivers_one(self):
         net, _ = _network()
-        net.inject_aggregate(
-            "ler-a", FlowAggregate(template=_packet(), count=1)
+        net.scheduler.after(
+            0.0, net.aggregate_sink("ler-a"),
+            FlowAggregate(template=_packet(), count=1),
         )
         net.run(until=1.0)
         assert net.delivered_count() == 1
         delivery = net.aggregate_deliveries[0]
         assert delivery.count == 1
         assert len(delivery.latencies()) == 1
-
-    def test_aggregates_require_batching(self):
-        topo = paper_figure1()
-        roles = {"ler-a": RouterRole.LER, "ler-b": RouterRole.LER}
-        net = MPLSNetwork(topo, roles)
-        with pytest.raises(RuntimeError):
-            net.inject_aggregate(
-                "ler-a", FlowAggregate(template=_packet(), count=5)
-            )
 
     def test_aggregate_latencies_are_per_packet_analytic(self):
         delivery = AggregateDelivery(

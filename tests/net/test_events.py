@@ -68,22 +68,6 @@ class TestEventScheduler:
         sched.run()
         assert hits == [1, 10]
 
-    def test_cancel(self):
-        sched = EventScheduler()
-        hits = []
-        event = sched.at(1.0, lambda: hits.append(1))
-        sched.cancel(event)
-        sched.run()
-        assert hits == []
-
-    def test_pending_count(self):
-        sched = EventScheduler()
-        e1 = sched.at(1.0, lambda: None)
-        sched.at(2.0, lambda: None)
-        assert sched.pending == 2
-        sched.cancel(e1)
-        assert sched.pending == 1
-
     def test_step(self):
         sched = EventScheduler()
         hits = []
@@ -120,64 +104,7 @@ class TestEventScheduler:
         assert len(seen) == len(times)
 
 
-class TestCancelAndBudgetRegressions:
-    def test_cancel_after_fired_is_a_noop(self):
-        sched = EventScheduler()
-        event = sched.at(1.0, lambda: None)
-        sched.run()
-        sched.cancel(event)
-        assert sched.pending == 0
-        later = sched.at(2.0, lambda: None)
-        assert sched.pending == 1
-        assert sched.run() == 1
-        sched.cancel(later)
-        assert sched.pending == 0
-
-    def test_repeated_cancel_counts_once(self):
-        sched = EventScheduler()
-        hits = []
-        event = sched.at(1.0, lambda: hits.append(1))
-        sched.at(2.0, lambda: hits.append(2))
-        sched.cancel(event)
-        sched.cancel(event)
-        assert sched.pending == 1
-        assert sched.run() == 1
-        assert hits == [2]
-        assert sched.pending == 0
-
-    def test_callback_cancelling_its_own_event(self):
-        sched = EventScheduler()
-        handle = []
-        handle.append(sched.at(1.0, lambda: sched.cancel(handle[0])))
-        sched.at(2.0, lambda: None)
-        assert sched.run() == 2
-        assert sched.pending == 0
-
-    @given(
-        st.lists(st.integers(0, 5), max_size=12),
-        st.lists(st.tuples(st.integers(0, 11), st.booleans()), max_size=24),
-    )
-    def test_pending_never_negative(self, times, script):
-        """Any interleaving of cancels (of queued, fired and cancelled
-        events) and steps keeps ``pending`` equal to the live count."""
-        sched = EventScheduler()
-        fired = []
-        events = [
-            sched.at(float(t), lambda i=i: fired.append(i))
-            for i, t in enumerate(times)
-        ]
-        live = set(range(len(events)))
-        for index, do_step in script:
-            if do_step:
-                sched.step()
-                live -= set(fired)
-            elif index < len(events):
-                sched.cancel(events[index])
-                live.discard(index)
-            assert sched.pending == len(live) >= 0
-        sched.run()
-        assert sched.pending == 0 and not sched._cancelled
-
+class TestBudgetRegressions:
     def test_budget_equal_to_the_queue_is_enough(self):
         sched = EventScheduler()
         for i in range(5):
@@ -191,7 +118,7 @@ class TestCancelAndBudgetRegressions:
         with pytest.raises(RuntimeError) as exc:
             sched.run(max_events=5)
         assert str(exc.value) == "event budget of 5 exhausted at t=4.0"
-        assert sched.processed == 5 and sched.pending == 1
+        assert sched.processed == 5 and len(sched._heap) == 1
 
     def test_budget_spent_with_nothing_due_before_until(self):
         sched = EventScheduler()
@@ -200,19 +127,13 @@ class TestCancelAndBudgetRegressions:
         assert sched.run(until=5.0, max_events=2) == 2
         assert sched.now == 5.0
 
-    def test_budget_ignores_a_cancelled_head(self):
-        sched = EventScheduler()
-        sched.at(1.0, lambda: None)
-        sched.cancel(sched.at(2.0, lambda: None))
-        assert sched.run(max_events=1) == 1
-
     def test_nan_timestamp_rejected(self):
         sched = EventScheduler()
         with pytest.raises(ValueError):
             sched.at(math.nan, lambda: None)
         with pytest.raises(ValueError):
             sched.after(math.nan, lambda: None)
-        assert sched.pending == 0
+        assert len(sched._heap) == 0
 
     def test_past_and_negative_messages(self):
         sched = EventScheduler()
@@ -287,7 +208,7 @@ class TestOrderingContract:
         assert log == [tag for _, _, tag in sorted(expected)]
         assert count == len(expected) == sched.processed
         assert sched.now == max([t for t, _, _ in expected], default=0.0)
-        assert sched.pending == 0
+        assert len(sched._heap) == 0
 
     @given(schedules, st.sampled_from([0.25, 1.0, 3.0, 10.0]))
     def test_run_until_return_value_now_and_processed(self, schedule, until):
@@ -303,7 +224,7 @@ class TestOrderingContract:
         assert log == [tag for _, tag in due]
         assert sched.processed == len(due)
         assert sched.now == until
-        assert sched.pending == len(schedule) - len(due)
+        assert len(sched._heap) == len(schedule) - len(due)
         assert sched.run() == len(schedule) - len(due)
 
     def test_handle_exposes_time_seq_fn(self):
@@ -316,23 +237,6 @@ class TestOrderingContract:
         second = sched.after(1.5, fn)
         assert (first.time, first.seq, first.fn) == (1.5, 0, fn)
         assert (second.time, second.seq, second.fn) == (1.5, 1, fn)
-
-    def test_cancelled_head_skipped_by_run_and_step(self):
-        for drain in ("run", "step"):
-            sched = EventScheduler()
-            hits = []
-            head = sched.at(1.0, lambda: hits.append("head"))
-            sched.at(1.0, lambda: hits.append("tie"))
-            sched.at(2.0, lambda: hits.append("late"))
-            sched.cancel(head)
-            if drain == "run":
-                assert sched.run() == 2
-            else:
-                assert sched.step() is True and hits == ["tie"]
-                assert sched.step() is True
-                assert sched.step() is False
-            assert hits == ["tie", "late"]
-            assert sched.processed == 2 and sched.now == 2.0
 
 
 class TestEventsCarryTheirArguments:
@@ -349,7 +253,7 @@ class TestEventsCarryTheirArguments:
     )
 
     @staticmethod
-    def _drive(schedule, with_args, cancel=(), until=None, max_events=None):
+    def _drive(schedule, with_args, until=None, max_events=None):
         """Issue ``schedule`` one way or the other; return everything
         observable: firing order, handles, counters, the budget error."""
         sched = EventScheduler()
@@ -370,10 +274,7 @@ class TestEventsCarryTheirArguments:
                 handles.append(
                     sched.at(time, lambda t=tag, n=children: fire(t, n))
                 )
-        for index in cancel:
-            if index < len(handles):
-                sched.cancel(handles[index])
-        pending_before = sched.pending
+        pending_before = len(sched._heap)
         kwargs = {} if max_events is None else {"max_events": max_events}
         try:
             returned = sched.run(until=until, **kwargs)
@@ -381,20 +282,19 @@ class TestEventsCarryTheirArguments:
             returned = str(exc)
         return (
             log, [(h.time, h.seq) for h in handles], pending_before,
-            returned, sched.processed, sched.pending, sched.now,
+            returned, sched.processed, len(sched._heap), sched.now,
         )
 
     @given(
         schedules,
-        st.lists(st.integers(0, 39), max_size=8),
         st.sampled_from([None, 0.25, 1.0, 3.0]),
         st.sampled_from([None, 0, 1, 5, 1000]),
     )
     def test_closures_and_arguments_are_the_same_run(
-        self, schedule, cancel, until, max_events
+        self, schedule, until, max_events
     ):
-        as_closures = self._drive(schedule, False, cancel, until, max_events)
-        as_arguments = self._drive(schedule, True, cancel, until, max_events)
+        as_closures = self._drive(schedule, False, until, max_events)
+        as_arguments = self._drive(schedule, True, until, max_events)
         assert as_arguments == as_closures
 
     def test_arguments_reach_the_callback_in_order(self):
@@ -418,14 +318,6 @@ class TestEventsCarryTheirArguments:
         event = Event(1.0, 4, print)
         assert event.args == () and event == (1.0, 4, print, ())
         assert Event(time=1.0, seq=4, fn=print, args=(1,)).args == (1,)
-
-    def test_cancel_by_a_reconstructed_handle(self):
-        sched = EventScheduler()
-        hits = []
-        handle = sched.at(1.0, hits.append, "x")
-        sched.cancel(Event(*handle))
-        assert sched.pending == 0 and sched.run() == 0 and hits == []
-
 
 #: the per-packet and per-message schedulers: a closure per event there
 #: is the allocation this rule removed; the fault injector's floods

@@ -32,7 +32,7 @@ class TestEthernet:
 
     def test_mac_parsing(self):
         f = self._frame()
-        assert f.dst == "aa:bb:cc:dd:ee:ff"
+        assert f.dst_mac == bytes.fromhex("aabbccddeeff")
         assert f.src_mac == bytes.fromhex("112233445566")
 
     def test_bad_mac(self):

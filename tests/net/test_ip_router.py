@@ -74,7 +74,7 @@ class TestIPRouterNode:
     def test_reinstall_replaces(self):
         node = self._node()
         node.install_prefix("10.2.0.0/16", "r9")
-        assert node.fib_size == 2
+        assert len(node._fib) == 2
         assert node.receive(ip_pkt()).next_hop == "r9"
 
 
@@ -98,7 +98,7 @@ class TestPopulateFibs:
         nodes = {n: IPRouterNode(n, RouterRole.LER) for n in topo.nodes}
         populate_fibs(topo, nodes, {"n1": ["10.1.0.0/16"]},
                       extra_prefixes=100)
-        assert nodes["n0"].fib_size == 101
+        assert len(nodes["n0"]._fib) == 101
         # the real route still resolves despite the padding
         assert nodes["n0"].receive(ip_pkt("10.1.0.1")).next_hop == "n1"
 

@@ -108,12 +108,6 @@ class TestLink:
         with pytest.raises(KeyError):
             link.channel_from("c")
 
-    def test_other_end(self):
-        sched = EventScheduler()
-        link = Link(sched, Interface("a", "if0"), Interface("b", "if1"))
-        assert link.other_end("a").node == "b"
-        assert link.other_end("b").name == "if0"
-
     def test_directions_have_independent_queues(self):
         sched = EventScheduler()
         link = Link(sched, Interface("a", "if0"), Interface("b", "if0"))

@@ -107,10 +107,12 @@ class TestMPLSPacket:
 
     def test_serialize_roundtrip(self):
         p = self._packet()
-        q = MPLSPacket.deserialize(p.serialize())
-        assert q.stack == p.stack
-        assert q.inner.dst == p.inner.dst
-        assert q.inner.payload == p.inner.payload
+        data = p.serialize()
+        length = LabelStack.wire_length(data)
+        assert LabelStack.decode_bytes(data[:length]) == p.stack
+        inner = IPv4Packet.deserialize(data[length:])
+        assert inner.dst == p.inner.dst
+        assert inner.payload == p.inner.payload
 
     def test_with_stack(self):
         p = self._packet()

@@ -47,7 +47,7 @@ class TestTopology:
     def test_neighbors(self):
         topo = line(3)
         assert topo.neighbors("n1") == ["n0", "n2"]
-        assert topo.degree("n0") == 1
+        assert len(topo.adjacent("n0")) == 1
 
     def test_neighbors_unknown_node(self):
         with pytest.raises(TopologyError):
@@ -133,7 +133,7 @@ class TestVersionAndMetrics:
         topo = ring(4)
         attrs = topo.link("n0", "n3")
         topo.remove_link("n0", "n3")
-        assert topo.neighbors("n0") == ["n1"] and topo.degree("n3") == 1
+        assert topo.neighbors("n0") == ["n1"] and len(topo.adjacent("n3")) == 1
         assert "n3" not in topo.adjacent("n0")
         topo.restore_link("n3", "n0", attrs)
         assert topo.neighbors("n0") == ["n1", "n3"]
@@ -172,7 +172,7 @@ class TestReservations:
 class TestBuilders:
     def test_line(self):
         topo = line(4)
-        assert len(topo) == 4
+        assert len(topo.nodes) == 4
         assert len(topo.links) == 3
 
     def test_ring(self):
@@ -187,9 +187,9 @@ class TestBuilders:
     def test_paper_figure1(self):
         """Two LERs, three LSRs, with a redundant core path."""
         topo = paper_figure1()
-        assert len(topo) == 5
+        assert len(topo.nodes) == 5
         assert topo.has_link("ler-a", "lsr-1")
         assert topo.has_link("lsr-2", "ler-b")
         assert topo.has_link("lsr-3", "ler-b")
         # two disjoint paths from lsr-1 to ler-b
-        assert topo.degree("lsr-1") == 3
+        assert len(topo.adjacent("lsr-1")) == 3

@@ -93,9 +93,9 @@ class TestEventLog:
                                reason="no ILM entry"))
         log.emit(LabelOpApplied(node="lsr-1", op="swap",
                                 label_in=16, label_out=17))
-        assert len(sink.by_kind("packet-forwarded")) == 1
-        assert len(sink.by_kind("packet-dropped")) == 1
-        assert len(sink.by_kind("label-op")) == 1
+        assert len([e for e in sink.events if e.kind == "packet-forwarded"]) == 1
+        assert len([e for e in sink.events if e.kind == "packet-dropped"]) == 1
+        assert len([e for e in sink.events if e.kind == "label-op"]) == 1
 
     def test_sink_change_between_emits_is_honoured_by_the_next(self):
         log = EventLog()
@@ -109,7 +109,7 @@ class TestEventLog:
         log.emit(_packet_event(uid=4))
         assert [e.uid for e in first.events] == [1, 2]
         assert [e.uid for e in second.events] == [2, 3]
-        assert log.sinks == [] and log.emitted == 4
+        assert log._sinks == [] and log.emitted == 4
 
     def test_sink_removed_from_inside_a_write_misses_the_next_emit(self):
         log = EventLog()
@@ -123,7 +123,7 @@ class TestEventLog:
         log.emit(_packet_event(uid=1))  # both see it; quitter leaves
         log.emit(_packet_event(uid=2))
         assert [e.uid for e in seen.events] == [1, 2]
-        assert log.sinks == [seen]
+        assert log._sinks == [seen]
 
 
 _EVENT_MAKERS = [

@@ -31,7 +31,6 @@ from repro.obs.spans import (
     Span,
     Trace,
     export_chrome_trace,
-    spans_to_jsonl,
 )
 from repro.obs.telemetry import Telemetry
 
@@ -201,20 +200,6 @@ class TestSpanExporters:
             uid=1, flow_id=7, fec="10.2.0.0/16", root=root, spans=[hw],
             delivered=True,
         )
-
-    def test_span_jsonl_lines_carry_v2_and_domain(self):
-        stream = io.StringIO()
-        written = spans_to_jsonl([self._trace()], stream)
-        assert written == 2
-        lines = [
-            json.loads(line)
-            for line in stream.getvalue().splitlines()
-        ]
-        assert all(line["v"] == 2 for line in lines)
-        assert all(line["type"] == "span" for line in lines)
-        assert {line["clock_domain"] for line in lines} == {
-            CLOCK_SIM, CLOCK_CYCLES
-        }
 
     def test_chrome_trace_is_one_valid_json_document(self):
         stream = io.StringIO()

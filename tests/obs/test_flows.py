@@ -129,7 +129,7 @@ class TestExpiryEdges:
         clock.now = 0.2
         accountant.record_packet("n0", 2, 700)
         assert accountant.evictions == 1
-        assert accountant.active_count() == 1
+        assert len(accountant._active) == 1
         victim = accountant.finished[0]
         assert victim.end_reason == END_EVICTED
         assert victim.end_time == victim.last_seen == pytest.approx(0.1)
@@ -160,7 +160,7 @@ class TestExpiryEdges:
         accountant.finalize()
         (record,) = accountant.finished
         assert record.end_time == 0.5
-        assert record.duration == 0.0
+        assert record.end_time - record.first_seen == 0.0
 
     def test_finalize_is_idempotent(self):
         accountant, _tel, clock = _accountant()
@@ -198,7 +198,7 @@ class TestExpiryEdges:
         accountant.record_packet("n0", 1, 500)
         accountant.record_packet("n1", 2, 500)
         assert accountant.expire_idle(1.0) == 2
-        assert accountant.active_count() == 0
+        assert len(accountant._active) == 0
         assert {r.end_reason for r in accountant.finished} == {END_IDLE}
 
     def test_close_fec_teardown(self):
@@ -211,7 +211,7 @@ class TestExpiryEdges:
         (torn,) = accountant.finished
         assert torn.end_reason == END_TEARDOWN
         assert torn.fec == "10.2.0.0/16"
-        assert accountant.active_count() == 1
+        assert len(accountant._active) == 1
 
     def test_early_hw_cycles_are_parked_then_folded(self):
         accountant, _tel, clock = _accountant()
@@ -255,7 +255,7 @@ class TestCollector:
         )
         assert first.demands[("a", "b", "flow-1")] == (1, 500)
         # the idle sweep on the first tick closed the quiet record
-        assert accountant.active_count() == 0
+        assert len(accountant._active) == 0
         assert accountant.finished[0].end_reason == END_IDLE
         # later intervals drained to empty
         assert collector.matrices[-1].demands == {}

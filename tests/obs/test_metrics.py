@@ -210,8 +210,3 @@ class TestRegistry:
         reg.counter("aaa_total", "a")
         assert [f.name for f in reg.collect()] == ["aaa_total", "zzz_total"]
 
-    def test_reset_clears_values(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total", "x").inc()
-        reg.reset()
-        assert reg.value("x_total") == 0

@@ -45,7 +45,7 @@ class TestAttribution:
         drv, profiler = _profiled_driver()
         drv.reset()
         seen = profiler.cycles
-        profiler.detach()
+        drv.sim.remove_tick_hook(profiler._on_tick)
         drv.profiler = None
         drv.user_push(LabelEntry(label=1, ttl=9, s=1))
         assert profiler.cycles == seen
@@ -56,7 +56,7 @@ class TestAttribution:
             drv, _ = _profiled_driver(telemetry=tel)
             drv.reset()
             drv.user_push(LabelEntry(label=100, ttl=9, s=1))
-            transitions = sink.by_kind("fsm-transition")
+            transitions = [e for e in sink.events if e.kind == "fsm-transition"]
             assert transitions, "expected FSM transition events"
             fsms = {t.fsm for t in transitions}
             assert any("main" in name for name in fsms)

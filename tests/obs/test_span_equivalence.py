@@ -14,10 +14,10 @@ Both recorders are fed the same stream (:mod:`tests.strategies.spans`)
 on two telemetry instances -- the recorder's phases through
 ``emit_phases``, the reference's as single events, the way a producer
 without batches emits them -- and everything a reader can see must be
-equal: every span's ``as_dict()`` mid-run and at the end, every trace's
+equal: every span's fields mid-run and at the end, every trace's
 flags, times and path, ``summary()`` and the trace views before and
 after the spans are built, ``slowest()``, ``render_summary``, the SLO
-quantiles, the Perfetto and JSONL bytes, and every event a
+quantiles, the Perfetto bytes, and every event a
 ``JSONLSink`` / ``KindCountSink`` / ``ListSink`` beside the recorder
 saw.  Six seeded
 mutants show the suite is not vacuous.
@@ -36,8 +36,6 @@ from typing import Any, Dict, List, NamedTuple, Optional
 import pytest
 from hypothesis import Phase, given, settings
 
-from repro.hw.driver import ModifierDriver
-from repro.mpls.label import LabelEntry
 from repro.obs import spans as spans_mod
 from repro.obs.events import (
     CLOCK_CYCLES,
@@ -63,7 +61,6 @@ from repro.obs.spans import (
     SpanRecorder,
     export_chrome_trace,
     render_summary,
-    spans_to_jsonl,
 )
 from repro.obs.telemetry import Telemetry, telemetry_session
 from tests.strategies.spans import (
@@ -99,10 +96,6 @@ class Trace:
         #: node -> its latest hop; phase name -> the latest hw-phase
         self.hop_at: Dict[str, Span] = {}
         self.phase_at: Dict[str, Span] = {}
-
-    @property
-    def trace_id(self) -> str:
-        return f"flow{self.flow_id}/pkt{self.uid}"
 
     @property
     def start(self) -> float:
@@ -151,7 +144,7 @@ class Reference:
         self._finalized = False
         self._was_enabled = telemetry.enabled
         telemetry.enable()
-        telemetry.spans = self  # the RTL driver emits only to a recorder
+        telemetry.spans = self
         telemetry.events.add_sink(self)
 
     def wants(self, flow_id: int, uid: int) -> bool:
@@ -374,13 +367,33 @@ class Reference:
 
 
 # -- the harness -------------------------------------------------------------------
+def _fields(span):
+    """Everything a reader sees of one span."""
+    return {
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "name": span.name,
+        "kind": span.kind,
+        "start": span.start,
+        "end": span.end,
+        "clock_domain": span.clock_domain,
+        "cycle_start": span.cycle_start,
+        "cycle_end": span.cycle_end,
+        "attributes": dict(span.attributes),
+        "annotations": [
+            {"time": a.time, "label": a.label, "detail": a.detail}
+            for a in span.annotations
+        ],
+    }
+
+
 def _view(trace):
     """A trace as the scans that build nothing see it."""
     return (trace.uid, trace.delivered, trace.dropped, trace.probe,
             trace.fec, trace.start, trace.end, trace.latency, trace.path)
 
 
-def _feed(tel, recorder, driver, index, step, per_event, log):
+def _feed(tel, recorder, index, step, per_event, log):
     what = step[0]
     if what == "batch":
         _, uid, node, raw, hz = step
@@ -390,17 +403,10 @@ def _feed(tel, recorder, driver, index, step, per_event, log):
                 tel.events.emit(event)
         else:
             tel.events.emit_phases(*batch)
-    elif what == "scope":
-        _, uid, node, pushes = step
-        driver.reset()
-        with driver.span_scope(node, uid, flow_of(uid), index * 1e-3, 50e6):
-            for n in range(pushes):
-                driver.user_push(LabelEntry(label=100 + n, ttl=9))
-            driver.user_pop()
     elif what == "read":
         for trace in recorder.traces():
             if trace.uid == step[1]:
-                log.append([s.as_dict() for s in trace.all_spans()])
+                log.append([_fields(s) for s in trace.all_spans()])
     elif what == "peek":
         log.append((recorder.summary(), [_view(t) for t in recorder.traces()]))
     elif what == "finalize":
@@ -423,10 +429,8 @@ def _fold(make, steps, sample_rate, filtered, per_event=False):
     for sink in (kept, counted, JSONLSink(lines)):
         tel.events.add_sink(sink)
     log: List[Any] = []
-    with telemetry_session(telemetry=tel):  # the RTL driver looks it up
-        driver = ModifierDriver(ib_depth=8) if any(s[0] == "scope" for s in steps) else None
-        for index, step in enumerate(steps):
-            _feed(tel, recorder, driver, index, step, per_event, log)
+    for index, step in enumerate(steps):
+        _feed(tel, recorder, index, step, per_event, log)
     recorder.finalize()
     recorder.detach()
     assert kept.kind_counts() == counted.kind_counts()
@@ -441,13 +445,11 @@ def _fold(make, steps, sample_rate, filtered, per_event=False):
         "sampled_out": recorder.sampled_out,
         "quantiles": recorder.quantiles,
     }
-    perfetto, jsonl = io.StringIO(), io.StringIO()
+    perfetto = io.StringIO()
     export_chrome_trace(traces, perfetto)
-    spans_to_jsonl(traces, jsonl)
     seen.update({
         "perfetto": perfetto.getvalue(),
-        "jsonl": jsonl.getvalue(),
-        "spans": [[s.as_dict() for s in t.all_spans()] for t in traces],
+        "spans": [[_fields(s) for s in t.all_spans()] for t in traces],
         "summary again": recorder.summary(),
         "views again": [_view(t) for t in traces],
         "event lines": lines.getvalue(),
@@ -512,8 +514,8 @@ def _batch(uid, node, *phases, hz=50e6):
 
 
 #: the same as batches, plus a batch whose node is visited *after* it
-#: arrived, a read between batches, a driver scope between batches, and
-#: a clock that is not one
+#: arrived, a read between batches, the RTL driver's two transactions
+#: between batches, and a clock that is not one
 BATCH_CASES = [
     _batch(1, "n0", ("stack-load", None)),            # 2: no hop yet -> root (1)
     ("forwarded", 1, "n0", True),                     # 3: hop n0
@@ -528,7 +530,9 @@ BATCH_CASES = [
            ("update", None), hz=0.0),                 # 11: -> hop 9
     _batch(1, "n1", ("modify", "update")),            # 12: -> phase 11, not 4
     _batch(1, "n2", ("stack-load", None)),            # 13: not at n2 *yet* -> root
-    ("scope", 1, "n1", 1),                            # 14, 15: push, pop -> hop 6
+    ("batch", 1, "n1", [(("user-push", None), 0, 3),  # 14: -> hop 6
+                        (("user-pop", None), 3, 3)],  # 15: -> hop 6
+     50e6),
     ("forwarded", 1, "n2", True),                     # 16: hop n2, after 13
     _hw(1, "n2", "update"),                           # 17: -> hop 16
     ("fault", "n1"),
@@ -614,7 +618,7 @@ def _hop_at_read_time(monkeypatch):
         traces = build(self, rows)
         for trace in traces:
             latest = {h.attributes["node"]: h.span_id for h in trace.hop_spans}
-            phases = {s.span_id for s in trace.spans_of_kind(KIND_HW_PHASE)}
+            phases = {s.span_id for s in trace.spans if s.kind == KIND_HW_PHASE}
             for span in trace.spans:
                 if span.clock_domain == CLOCK_CYCLES and span.parent_id not in phases:
                     span.parent_id = latest.get(span.attributes["node"], span.parent_id)

@@ -12,11 +12,10 @@ batches, then hop records; these tests recompute every digest:
   --sample-rate 1.0 --export`` (no event-retaining sink: the batched
   path end to end; the summary is what the recorder's store answers
   without building a span, bar the five slowest traces' paths),
-* ``<example>.spans.jsonl`` / ``<example>.events.jsonl`` -- a run with
-  a :class:`JSONLSink` *and* a recorder attached, the only
-  configuration in which ``hw-op`` lines reach a file (the per-event
-  path beside the batched one); its Perfetto bytes must equal the
-  first run's,
+* ``<example>.events.jsonl`` -- a run with a :class:`JSONLSink` *and*
+  a recorder attached, the only configuration in which ``hw-op`` lines
+  reach a file (the per-event path beside the batched one); its
+  Perfetto bytes must equal the first run's,
 * ``<run>.perfetto.json`` / ``<run>.summary.txt`` -- the export and the
   printed summary of the software-node runs in :data:`SOFTWARE`: label
   ops, sampled-out packets, fault notes on hops and a trace that is
@@ -42,7 +41,7 @@ from repro.cli import main
 from repro.faults import Scenario, run_scenario
 from repro.obs import telemetry_session
 from repro.obs.events import JSONLSink
-from repro.obs.spans import export_chrome_trace, spans_to_jsonl
+from repro.obs.spans import export_chrome_trace
 from tests.strategies import fresh_ids
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -90,16 +89,13 @@ def exports(example: str, tmp_path: Path, capsys):
         report = run_scenario(
             Scenario.load(scenario_path), seed=7, sample_rate=1.0
         )
-    traces = report.recorder.traces()
-    spans, again = io.StringIO(), io.StringIO()
-    spans_to_jsonl(traces, spans)
-    export_chrome_trace(traces, again)
+    again = io.StringIO()
+    export_chrome_trace(report.recorder.traces(), again)
     assert again.getvalue().encode() == perfetto.read_bytes()
     assert '"kind": "hw-op"' in events.getvalue()
     return {
         f"{example}.perfetto.json": _digest(perfetto.read_bytes()),
         f"{example}.summary.txt": _digest(summary.encode()),
-        f"{example}.spans.jsonl": _digest(spans.getvalue().encode()),
         f"{example}.events.jsonl": _digest(events.getvalue().encode()),
     }
 
@@ -128,7 +124,7 @@ def test_every_pin_is_recomputed():
             f"{example}.{suffix}"
             for example in EXAMPLES
             for suffix in (
-                "perfetto.json", "summary.txt", "spans.jsonl", "events.jsonl",
+                "perfetto.json", "summary.txt", "events.jsonl",
             )
         ]
         + [

@@ -2,7 +2,6 @@
 fault annotation, and the byte-stable exporters."""
 
 import io
-import json
 
 import pytest
 
@@ -31,7 +30,6 @@ from repro.obs.spans import (
     quantile,
     render_summary,
     sample_hash,
-    spans_to_jsonl,
     to_chrome_trace,
 )
 from repro.obs.telemetry import telemetry_session
@@ -217,7 +215,7 @@ class TestFolding:
             tel.reset()  # drops the event log the recorder was hooked to
             rec.detach()
             assert not tel.enabled and tel.spans is None
-            assert tel.events.sinks == []
+            assert tel.events._sinks == []
 
 
 class TestFaultAnnotations:
@@ -327,14 +325,14 @@ class TestHardwareTrace:
             # layer 1: hops in sim time
             assert trace.path == ["ler-a", "lsr-1", "lsr-2", "ler-b"]
             # layer 2: hardware phases under the hops
-            phases = trace.spans_of_kind(KIND_HW_PHASE)
+            phases = [s for s in trace.spans if s.kind == KIND_HW_PHASE]
             names = {s.name for s in phases}
             assert {"stack-load", "update", "stack-drain"} <= names
             hop_ids = {h.span_id for h in trace.hop_spans}
             assert all(s.parent_id in hop_ids for s in phases)
             assert all(s.clock_domain == CLOCK_CYCLES for s in phases)
             # layer 3: the RTL search/modify split nests under update
-            rtl = trace.spans_of_kind(KIND_RTL)
+            rtl = [s for s in trace.spans if s.kind == KIND_RTL]
             assert {s.name for s in rtl} == {"search", "modify"}
             update_ids = {
                 s.span_id for s in phases if s.name == "update"
@@ -405,10 +403,7 @@ def _phase_records(ids=None):
             for row in spans_mod._PHASES.iter_unpack(rec._phases)
         ]
         rec.finalize()
-        traces = rec.traces()
-        jsonl = io.StringIO()
-        spans_to_jsonl(traces, jsonl)
-        return records, to_chrome_trace(traces), jsonl.getvalue()
+        return records, to_chrome_trace(rec.traces())
 
 
 class _NoSharing(spans_mod._Interned):
@@ -421,21 +416,18 @@ class _NoSharing(spans_mod._Interned):
 
 class TestPhaseShapes:
     def test_equal_phases_share_one_tuple(self):
-        (first, second, other), _, _ = _phase_records()
+        (first, second, other), _ = _phase_records()
         assert first is second
         assert first == tuple(_transit_phases(6))
         assert other is not first
         assert other == tuple(_transit_phases(8))
 
     def test_exports_equal_those_of_unshared_records(self):
-        shared, chrome, jsonl = _phase_records()
-        unshared, chrome_unshared, jsonl_unshared = _phase_records(
-            _NoSharing()
-        )
+        shared, chrome = _phase_records()
+        unshared, chrome_unshared = _phase_records(_NoSharing())
         assert shared[0] is not unshared[0] and unshared[0] is not unshared[1]
         assert "rtl" in {e["cat"] for e in chrome["traceEvents"]}
         assert chrome == chrome_unshared
-        assert jsonl == jsonl_unshared
 
 
 def _run_scenario_fresh(sample_rate=1.0):
@@ -519,18 +511,6 @@ class TestExport:
         # the report carries the oam and spans sections
         assert report["oam"]["fecs"][0]["probes"] > 0
         assert report["spans"]["spans_by_kind"]["rtl"] > 0
-
-    def test_spans_jsonl_is_schema_v2(self):
-        report = _run_scenario_fresh()
-        out = io.StringIO()
-        count = spans_to_jsonl(report.recorder.traces()[:3], out)
-        lines = out.getvalue().splitlines()
-        assert len(lines) == count > 0
-        for line in lines:
-            record = json.loads(line)
-            assert record["v"] == 2
-            assert record["type"] == "span"
-            assert record["trace_id"].startswith("flow")
 
     def test_render_summary_mentions_the_key_counts(self):
         report = _run_scenario_fresh()

@@ -62,8 +62,3 @@ class TestClassifier:
         assert clf.hits == 1
         assert clf.defaults == 1
 
-    def test_len(self):
-        clf = Classifier()
-        clf.add_rule(cos=1)
-        assert len(clf) == 1
-

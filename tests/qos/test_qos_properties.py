@@ -20,7 +20,7 @@ class TestSchedulerProperties:
         while s.dequeue() is not None:
             drained += 1
         assert drained == len(items)
-        assert len(s) == 0
+        assert not any(s._queues)
 
     @given(st.lists(st.tuples(st.integers(), cos_values), max_size=60))
     def test_priority_never_dequeues_lower_before_higher(self, items):

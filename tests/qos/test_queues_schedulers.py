@@ -40,17 +40,10 @@ class TestPriorityScheduler:
     def test_cos_clamped(self):
         s = PriorityScheduler()
         s.enqueue("x", cos=99)
-        assert s.depth(7) == 1
+        assert len(s._queues[7]) == 1
 
     def test_empty(self):
         assert PriorityScheduler().dequeue() is None
-
-    def test_len(self):
-        s = PriorityScheduler()
-        s.enqueue("a", cos=1)
-        s.enqueue("b", cos=5)
-        assert len(s) == 2
-
 
 class TestWFQScheduler:
     def test_weighted_shares(self):
@@ -87,7 +80,7 @@ class TestWFQScheduler:
         s = WFQScheduler(capacity_per_class=1)
         assert s.enqueue(("a", 100), cos=1)
         assert not s.enqueue(("b", 100), cos=1)
-        assert s.dropped == 1
+        assert s.dropped_by_cos == {1: 1}
 
     def test_bare_items_accepted(self):
         s = WFQScheduler()

@@ -62,8 +62,8 @@ def _run(batched):
             for j, (ttl, count) in enumerate(TRAINS):
                 flow_id = 777000 + j
                 if batched:
-                    network.inject_aggregate(
-                        "n0",
+                    network.scheduler.after(
+                        0.0, network.aggregate_sink("n0"),
                         FlowAggregate(
                             template=_packet(ttl, flow_id, 0, now),
                             count=count,

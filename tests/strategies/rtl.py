@@ -18,7 +18,7 @@ Three families:
 * :func:`chains` -- a constant and a chain of processes that re-run,
   registered in a drawn order;
 * :func:`counter_chains` / :func:`schedules` -- the hdl primitives
-  themselves: a counter that a comparator clears behind a mux
+  themselves: a counter that a comparator clears behind a selector
   (:func:`build_chain`), and a counter + memory + register + FSM
   machine under scheduled controls (:func:`build_machine`).
 """
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.hdl.comparator import EqualityComparator
 from repro.hdl.fsm import State
-from repro.hdl.mux import Mux
 from repro.hdl.signal import Wire
 from repro.hdl.simulator import Component, Simulator
 from tests.strategies import arranged, chunks, lehmer, picks
@@ -50,7 +49,7 @@ class Spy(Component):
         self.seen: List[Tuple[int, ...]] = []
 
     def settle(self) -> None:
-        self.seen.append(tuple(s.value for s in self.sim.signals.values()))
+        self.seen.append(tuple(s.value for s in self.sim._signals.values()))
 
 
 # -- processes over a signal list ---------------------------------------------
@@ -264,6 +263,21 @@ class _Link(Component):
         self.dst.drive(self.src.value)
 
 
+class _Select(Component):
+    """A two-way selector: ``out`` is ``inputs[sel]``, reading its
+    select and its wire inputs (a register holds still in settle)."""
+
+    def __init__(self, sim: Simulator, name: str, inputs) -> None:
+        super().__init__(sim, name)
+        self.inputs = tuple(inputs)
+        self.sel = self.wire("sel", 1)
+        self.out = self.wire("out", WIDTH)
+        self.reads = (self.sel, *(s for s in self.inputs if isinstance(s, Wire)))
+
+    def settle(self) -> None:
+        self.out.drive(self.inputs[self.sel.value].value)
+
+
 def build_chain(kit, order, limit: int, late_links: bool):
     """A counter that a comparator clears at ``limit``, its count and the
     limit behind a mux the comparator's output selects -- constructed
@@ -288,7 +302,7 @@ def build_chain(kit, order, limit: int, late_links: bool):
         links.reverse()
     for name, src, dst in links:
         _Link(sim, f"link_{name}", src, dst)
-    mux = Mux(sim, "mux", [ctr.count, const], WIDTH)
+    mux = _Select(sim, "mux", [ctr.count, const])
     _Link(sim, "link_sel", cmp_.eq, mux.sel)
     return sim, spy, None
 

@@ -13,8 +13,6 @@ first item says what it is:
   :meth:`~repro.obs.events.EventLog.emit_phases`;
 * ``("single", uid, node, phase, hz)`` -- a lone ``HWOpExecuted``
   through ``emit`` (a third-party producer);
-* ``("scope", uid, node, pushes)`` -- RTL transactions under
-  ``ModifierDriver.span_scope``;
 * ``("fault" | "heal", target)``, ``("probe", uid, breach)``;
 * ``("read", uid)`` -- somebody builds one trace's spans mid-run --
   ``("peek",)`` -- or reads what needs no building -- and
@@ -63,7 +61,7 @@ HZ = (50e6, 0.0, -1.0)
 #: since what a read builds is what the next event must still find
 KINDS = (
     "forwarded", "forwarded", "dropped", "delivered", "label-op",
-    "batch", "batch", "single", "scope", "fault", "heal", "probe",
+    "batch", "batch", "single", "fault", "heal", "probe",
     "read", "read", "peek", "finalize",
 )
 SAMPLE_RATES = (1.0, 0.5, 0.0)
@@ -82,14 +80,14 @@ def _steps(drawn_steps):
     """Steps from one draw each: what it is, whether it moves to a fresh
     uid and node (half the time it stays with the step before: a
     packet's events come together), a uid, a node, a flag (timed /
-    breach), a fault target, a clock, a push count, and 1-5 phases."""
+    breach), a fault target, a clock, and 1-5 phases."""
     out, uid, node = [], UIDS[0], NODES[0]
     for drawn in drawn_steps:
-        kind, fresh, u, n, flag, target, hz, pushes, count = drawn[:9]
+        kind, fresh, u, n, flag, target, hz, count = drawn[:8]
         what, hz = KINDS[kind], HZ[hz]
         if fresh:
             uid, node = UIDS[u], NODES[n]
-        raw = [(PHASES[p], start, cycles) for p, start, cycles in chunks(drawn[9:], 3)]
+        raw = [(PHASES[p], start, cycles) for p, start, cycles in chunks(drawn[8:], 3)]
         if what in ("forwarded", "dropped", "delivered"):
             out.append((what, uid, node, not flag))
         elif what == "label-op":
@@ -98,8 +96,6 @@ def _steps(drawn_steps):
             out.append((what, uid, node, raw[:count + 1], hz))
         elif what == "single":
             out.append((what, uid, node, raw[0], hz))
-        elif what == "scope":
-            out.append((what, uid, node, pushes + 1))
         elif what in ("fault", "heal"):
             out.append((what, TARGETS[target]))
         elif what == "probe":
@@ -114,7 +110,7 @@ def _steps(drawn_steps):
 #: a stream, the recorder's sample rate, whether it filters nodes
 streams = (
     st.lists(picks(
-        len(KINDS), 2, len(UIDS), len(NODES), 2, len(TARGETS), len(HZ), 3, 5,
+        len(KINDS), 2, len(UIDS), len(NODES), 2, len(TARGETS), len(HZ), 5,
         *_PHASE * 5,
     ), min_size=6, max_size=60).map(_steps),
     st.sampled_from(SAMPLE_RATES),
@@ -143,7 +139,7 @@ def phase_events(node, uid, flow_id, anchor_time, clock_hz, phases):
 
 
 def event_of(index: int, step):
-    """The event an emitting step emits (not a batch or a scope), built
+    """The event an emitting step emits (not a batch), built
     afresh for each fold."""
     what = step[0]
     time = index * 1e-3
