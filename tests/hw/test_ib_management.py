@@ -100,6 +100,39 @@ class TestRemove:
         assert lookup.label == 777
 
 
+class TestCostAtEveryPosition:
+    """The formulas above at each of the five positions the fixture
+    fills, not only the one each test picks: a hit at position p is
+    3p + 8 cycles, and modify and remove add their 2 and 4 write
+    cycles on top."""
+
+    @pytest.mark.parametrize("position", range(5))
+    def test_modify_costs_search_plus_2(self, drv, position):
+        before = drv.total_cycles
+        result = drv.modify_pair(2, 16 + position, 900, LabelOp.POP)
+        assert result.found
+        assert result.cycles == (3 * position + 8) + 2
+        assert drv.total_cycles == before + result.cycles
+        # modify rewrites in place: the pair keeps its position
+        lookup = drv.search(2, 16 + position)
+        assert (lookup.label, lookup.op) == (900, LabelOp.POP)
+        assert lookup.cycles == 3 * position + 8
+
+    @pytest.mark.parametrize("position", range(5))
+    def test_remove_costs_search_plus_4(self, drv, position):
+        before = drv.total_cycles
+        result = drv.remove_pair(2, 16 + position)
+        assert result.found
+        assert result.cycles == (3 * position + 8) + 4
+        assert drv.total_cycles == before + result.cycles
+        # the last pair moves into the hole, the rest stay put
+        expected = [16 + i for i in range(4)]
+        if position < 4:
+            expected[position] = 20
+        assert [drv.read_entry(2, a).index for a in range(4)] == expected
+        assert not drv.read_entry(2, 4).valid
+
+
 class TestReadEntry:
     def test_read_back_stored_pair(self, drv):
         entry = drv.read_entry(2, 3)

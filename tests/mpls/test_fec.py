@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mpls.fec import CoSFEC, PrefixFEC
+from repro.net.addressing import IPv4Prefix
 from repro.net.packet import IPv4Packet
 
 
@@ -33,6 +34,26 @@ class TestPrefixFEC:
         fec = PrefixFEC("0.0.0.0/0")
         assert fec.matches(pkt("1.2.3.4"))
         assert fec.specificity == 0
+
+
+class TestHostRoute:
+    """A host route is a /32 prefix: it matches one address and beats
+    every shorter prefix."""
+
+    def test_exact_match_only(self):
+        fec = PrefixFEC("10.0.0.5/32")
+        assert fec.matches(pkt("10.0.0.5"))
+        assert not fec.matches(pkt("10.0.0.6"))
+        assert not fec.matches(pkt("10.0.0.4"))
+
+    def test_most_specific(self):
+        assert PrefixFEC("10.0.0.5/32").specificity == 32
+        assert PrefixFEC(IPv4Prefix("10.0.0.5", 32)).specificity == 32
+
+    def test_equality(self):
+        assert PrefixFEC("10.0.0.5/32") == PrefixFEC(IPv4Prefix("10.0.0.5", 32))
+        assert PrefixFEC("10.0.0.5/32") != PrefixFEC("10.0.0.6/32")
+        assert PrefixFEC("10.0.0.5/32") != PrefixFEC("10.0.0.5/31")
 
 
 class TestCoSFEC:

@@ -1,8 +1,11 @@
 """Tests for the software label-switching engine."""
 
+import dataclasses
+
+import pytest
 
 from repro.mpls.fec import PrefixFEC
-from repro.mpls.forwarding import Action, ForwardingEngine
+from repro.mpls.forwarding import Action, ForwardingEngine, OpCounts
 from repro.mpls.label import (
     IPV4_EXPLICIT_NULL,
     ROUTER_ALERT,
@@ -213,11 +216,23 @@ class TestProcessDispatch:
 
 class TestOpCounts:
     def test_merged(self):
-        from repro.mpls.forwarding import OpCounts
-
         a = OpCounts(pushes=1, swaps=2)
         b = OpCounts(pushes=3, discards=1)
         m = a.merged(b)
         assert m.pushes == 4
         assert m.swaps == 2
         assert m.discards == 1
+
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(OpCounts)],
+    )
+    def test_merged_sums_each_field_and_only_it(self, field):
+        """The software cost model prices every field: a merge that
+        dropped or crossed one would misprice a whole run."""
+        a = OpCounts(**{field: 3})
+        b = OpCounts(**{field: 4})
+        merged = a.merged(b)
+        assert getattr(merged, field) == 7
+        assert merged == OpCounts(**{field: 7})
+        assert a == OpCounts(**{field: 3})  # the operands stay as they were

@@ -173,6 +173,72 @@ class TestFTNTransaction:
         assert nhlfe.out_label == 100
 
 
+#: each table kind with a key installed before the transaction and a key
+#: that is not
+TABLES = {
+    "ilm": (ILM, 100, 101),
+    "ftn": (FTN, PrefixFEC("10.0.0.0/8"), PrefixFEC("11.0.0.0/8")),
+}
+
+#: the staged writes a rollback must undo, as (key, out label or None
+#: for a remove); "old" and "new" name the two keys above
+STAGED = {
+    "install-new": [("new", 300)],
+    "overwrite": [("old", 999)],
+    "remove": [("old", None)],
+}
+
+
+def contents(table):
+    return sorted(((repr(key), nhlfe.out_label) for key, nhlfe in table))
+
+
+class TestRollbackMatrix:
+    """Every kind of staged write, on both tables: a rollback leaves
+    the active bank, its generation and its stale marks as they were
+    before ``begin``, and the table takes a new transaction after."""
+
+    @pytest.mark.parametrize("staged", sorted(STAGED))
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_rollback_restores_the_active_bank(self, kind, staged):
+        cls, old, new = TABLES[kind]
+        keys = {"old": old, "new": new}
+        table = cls()
+        table.install(old, swap_to(200))
+        table.mark_stale(old)
+        before, generation = contents(table), table.generation
+        table.begin()
+        assert table.in_transaction
+        for name, label in STAGED[staged]:
+            if label is None:
+                table.remove(keys[name])
+            else:
+                table.install(keys[name], swap_to(label))
+        assert contents(table) == before  # staged writes stay unseen
+        table.rollback()
+        assert not table.in_transaction
+        assert contents(table) == before
+        assert table.generation == generation
+        assert table.is_stale(old)
+        table.begin()
+        table.install(new, swap_to(301))
+        table.commit()
+        assert len(table) == 2 and table.generation == generation + 1
+
+    def test_transaction_rollback_spans_tables(self):
+        ilm, ftn = ILM(), FTN()
+        ilm.install(100, swap_to(200))
+        txn = TableTransaction([ilm, ftn])
+        txn.begin()
+        assert txn.in_transaction
+        ilm.remove(100)
+        ftn.install(PrefixFEC("10.0.0.0/8"), swap_to(100))
+        txn.rollback()
+        assert not txn.in_transaction
+        assert not ilm.in_transaction and not ftn.in_transaction
+        assert ilm.get(100).out_label == 200 and len(ftn) == 0
+
+
 class TestTableTransaction:
     def test_commit_spans_tables(self):
         ilm, ftn = ILM(), FTN()

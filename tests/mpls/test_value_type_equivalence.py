@@ -57,6 +57,7 @@ ops = st.one_of(
     st.tuples(st.just("push"), entries),
     st.tuples(st.just("swap"), entries),
     st.tuples(st.sampled_from(["pop", "top", "decrement"]), st.none()),
+    st.tuples(st.just("relabel"), st.integers(-1, LABEL_MAX + 2)),
     st.tuples(st.just("with_cos"), st.integers(-1, 9)),
     st.tuples(st.just("with_ttl"), st.integers(-1, 257)),
     st.tuples(st.just("with_s"), st.integers(-1, 2)),
@@ -75,6 +76,9 @@ def derived(top: LabelEntry, name: str, arg: Optional[int]) -> LabelEntry:
     """The copy under test: the entry's own method."""
     if name == "decrement":
         return top.decremented()
+    if name == "relabel":
+        # the swap's rewrite with the TTL kept: the label field's check
+        return top.rewritten(arg, top.ttl)
     return getattr(top, name)(arg)
 
 
@@ -85,6 +89,8 @@ def rebuilt(top: LabelEntry, name: str, arg: Optional[int]) -> LabelEntry:
         if top.ttl == 0:
             raise InvalidLabelError("cannot decrement a zero TTL")
         fields["ttl"] = top.ttl - 1
+    elif name == "relabel":
+        fields["label"] = arg
     else:
         fields[name[len("with_"):]] = arg
     return LabelEntry(**fields)
@@ -256,6 +262,8 @@ class TestMisuseMessages:
     def test_entry_misuse(self):
         entry = LabelEntry(label=100, cos=3, s=1, ttl=0)
         for misuse, message in (
+            (lambda: entry.rewritten(LABEL_MAX + 1, 0),
+             f"label {LABEL_MAX + 1} outside 20-bit range 0..{LABEL_MAX}"),
             (lambda: entry.with_cos(8), "CoS 8 outside 3-bit range"),
             (lambda: entry.with_s(2), "S bit must be 0 or 1, got 2"),
             (lambda: entry.with_ttl(256), "TTL 256 outside 8-bit range"),
@@ -411,6 +419,8 @@ def check_packet_copy(packet: IPv4Packet, ttl: int) -> None:
 
 #: every field's two range edges, one step inside and one step outside
 ENTRY_EDGES = [
+    ("relabel", -1), ("relabel", 0), ("relabel", LABEL_MAX),
+    ("relabel", LABEL_MAX + 1),
     ("with_cos", -1), ("with_cos", 0), ("with_cos", 7), ("with_cos", 8),
     ("with_s", -1), ("with_s", 0), ("with_s", 1), ("with_s", 2),
     ("with_ttl", -1), ("with_ttl", 0), ("with_ttl", 255), ("with_ttl", 256),

@@ -122,6 +122,28 @@ class TestATM:
         cell = ATMCell(vpi=5, vci=1234, pti_last=True, payload=b"z" * 48)
         assert ATMCell.deserialize(cell.serialize()) == cell
 
+    @pytest.mark.parametrize("vci", [0, 0x000F, 0x0FF0, 0xF000, 0xFFFF])
+    @pytest.mark.parametrize("vpi", [0, 0x0F, 0xF0, 0xFF])
+    def test_header_fields_at_every_nibble_edge(self, vpi, vci):
+        """VPI and VCI straddle byte boundaries in the 4-byte header:
+        each lands in its UNI bits and comes back whole."""
+        for last in (False, True):
+            cell = ATMCell(vpi=vpi, vci=vci, pti_last=last, payload=b"q" * 48)
+            wire = cell.serialize()
+            assert len(wire) == CELL_SIZE
+            header = int.from_bytes(wire[:4], "big")
+            assert header >> 28 == 0  # GFC
+            assert (header >> 20) & 0xFF == vpi
+            assert (header >> 4) & 0xFFFF == vci
+            assert ATMCell.deserialize(wire) == cell
+
+    @pytest.mark.parametrize(
+        "vpi,vci", [(-1, 0), (256, 0), (0, -1), (0, 1 << 16)]
+    )
+    def test_header_field_one_past_its_range(self, vpi, vci):
+        with pytest.raises(ATMError, match="out of (8|16)-bit range"):
+            ATMCell(vpi=vpi, vci=vci, pti_last=False, payload=b"x" * 48)
+
     def test_lost_cell_detected(self):
         cells = segment_aal5(b"x" * 200, vpi=1, vci=42)
         with pytest.raises(ATMError):
