@@ -21,7 +21,6 @@ hardware accelerates:
 
 from repro.mpls.errors import (
     InvalidLabelError,
-    LabelLookupMiss,
     MPLSError,
     NoRouteError,
     StackDepthExceeded,
@@ -48,7 +47,6 @@ from repro.mpls.router import LSRNode, RouterRole
 
 __all__ = [
     "MPLSError",
-    "LabelLookupMiss",
     "NoRouteError",
     "StackUnderflow",
     "StackDepthExceeded",

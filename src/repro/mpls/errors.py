@@ -1,10 +1,10 @@
 """MPLS protocol error taxonomy.
 
-Every abnormal condition the data plane raises has a dedicated
-exception, because the paper's hardware distinguishes them too: a lookup
-miss discards the packet (Figure 9's DISCARD path), while stack misuse
-is a configuration error that must never be silent.  An expired TTL is
-no exception: the forwarding engine returns it as a discard decision.
+Stack misuse and an out-of-range or reserved label are configuration
+errors that must never be silent, so each has a dedicated exception, as
+does a FEC miss in ``FTN.lookup``.  A label lookup miss and an expired
+TTL are no exceptions: the forwarding engine returns them as discard
+decisions (the paper's Figure 9 DISCARD path).
 """
 
 from __future__ import annotations
@@ -12,14 +12,6 @@ from __future__ import annotations
 
 class MPLSError(Exception):
     """Base class for all MPLS protocol errors."""
-
-
-class LabelLookupMiss(MPLSError):
-    """An incoming label has no ILM entry; packet dropped.
-
-    Corresponds to the ``packetdiscard`` outcome of the paper's
-    Figure 16 simulation.
-    """
 
 
 class NoRouteError(MPLSError):
