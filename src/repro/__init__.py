@@ -12,19 +12,23 @@ to a full simulated MPLS network with its control plane:
   discrete-event simulation, traffic generators,
 * :mod:`repro.control` -- SPF routing, LDP, CSPF, RSVP-TE, CR-LDP,
 * :mod:`repro.qos`  -- classification and CoS scheduling,
-* :mod:`repro.core` -- the assembled embedded architecture and its
+* :mod:`repro.core` -- the assembled embedded architecture (the
+  hardware router, on the functional model or the RTL) and its
   timing/device models,
 * :mod:`repro.analysis` -- measurement and reporting for the
   benchmarks.
 
-Quickstart::
+Quickstart (the README runs it in full)::
 
-    from repro.core import EmbeddedMPLS
+    from repro.core import HardwareLSRNode
+    from repro.mpls.fec import PrefixFEC
     from repro.mpls.label import LabelOp
+    from repro.mpls.nhlfe import NHLFE
     from repro.mpls.router import RouterRole
 
-    ler = EmbeddedMPLS(role=RouterRole.LER)
-    ler.install_route(1, 0x0A000001, 777, LabelOp.PUSH)
+    ler = HardwareLSRNode("ler", RouterRole.LER, backend="rtl")
+    ler.ftn.install(PrefixFEC("10.2.0.9/32"),
+                    NHLFE(LabelOp.PUSH, out_label=777))
     result = ler.process_frame(ethernet_frame)
 """
 

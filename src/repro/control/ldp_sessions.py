@@ -495,8 +495,6 @@ class MessageLDPProcess:
         #: outgoing messages carry session tokens and shutdowns are
         #: verified against them
         self.security = None
-        #: shutdowns rejected for a bad or missing auth token
-        self.auth_rejected = 0
         # -- overload protection (None = legacy unbounded delivery) ---------
         self.overload = overload
         self.holds_expired = 0
@@ -606,7 +604,6 @@ class MessageLDPProcess:
             and sec.config.enabled
             and msg.auth != session_token(msg.src, msg.dst)
         ):
-            self.auth_rejected += 1
             sec.note_auth_mismatch(now, node=msg.dst, peer=msg.src)
             return
         # measure what the accepted shutdown is about to tear down,

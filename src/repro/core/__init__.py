@@ -7,10 +7,13 @@
   the software-forwarding cost model used as the baseline,
 * :mod:`repro.core.packet_processing` -- the ingress and egress packet
   processing modules of Figure 6,
-* :mod:`repro.core.architecture` -- :class:`EmbeddedMPLS`: ingress
-  packet processing -> label stack modifier -> egress packet
-  processing, with the software routing plane programming the
-  information base,
+* :mod:`repro.core.hwnode` -- :class:`HardwareLSRNode`, the paper's
+  router: ingress packet processing -> label stack modifier (the
+  functional model or the RTL) -> egress packet processing, with the
+  software routing plane programming the information base; the
+  network's hardware node,
+* :mod:`repro.core.architecture` -- :class:`EmbeddedMPLS`, a
+  standalone node with its defaults,
 * :mod:`repro.core.hybrid` -- hardware/software partitioning
   comparison (the paper's motivating claim, quantified).
 """
@@ -28,8 +31,8 @@ from repro.core.packet_processing import (
     PacketProcessingError,
     ParsedPacket,
 )
-from repro.core.architecture import EmbeddedMPLS, ProcessResult
-from repro.core.hwnode import HardwareLSRNode
+from repro.core.hwnode import HardwareLSRNode, ProcessResult
+from repro.core.architecture import EmbeddedMPLS
 from repro.core.hybrid import PartitionComparison, compare_partitions
 from repro.core.pipeline import (
     PipelineComparison,

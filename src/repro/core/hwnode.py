@@ -1,12 +1,25 @@
-"""A network node whose data plane runs on the label stack modifier.
+"""The hardware router: the paper's Figure 6 as a network node.
 
-:class:`HardwareLSRNode` is a drop-in replacement for
-:class:`~repro.mpls.router.LSRNode` inside an
-:class:`~repro.net.network.MPLSNetwork`: the control plane programs the
-same ILM/FTN tables, but every packet is forwarded by the hardware
-model (the :class:`~repro.hw.model.FunctionalModifier`, equivalent to
-the RTL by property test), with exact clock-cycle accounting per
-packet.
+:class:`HardwareLSRNode` is the one hardware router, and a drop-in
+replacement for :class:`~repro.mpls.router.LSRNode` inside an
+:class:`~repro.net.network.MPLSNetwork`: the control plane (the paper's
+"routing functionality") programs the same ILM/FTN tables, but every
+label operation runs on the label stack modifier, with exact
+clock-cycle accounting per packet.  The modifier backend is chosen once,
+on the node:
+
+* ``backend="model"`` (the default) -- the functional model
+  (:class:`~repro.hw.model.FunctionalModifier`), equivalent to the RTL
+  by property test, with cycle counts from the Table 6 formulas.  Fast
+  enough for network-scale workloads.
+* ``backend="rtl"`` -- the cycle-accurate RTL
+  (:class:`~repro.hw.driver.ModifierDriver`): every pass is simulated
+  clock edges.  Slow, exact.
+
+A network hands the node packets (:meth:`LSRNode.receive`); a layer-2
+frame takes the whole of Figure 6 (:meth:`HardwareLSRNode.process_frame`):
+the ingress packet processing module's parse, the same hop, the egress
+module's build.
 
 Two hardware/software co-design mechanisms, both in the spirit of the
 paper's hybrid premise:
@@ -62,11 +75,18 @@ coincide, since nested entries are created with equal TTLs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from repro.core.device import STRATIX_EP1S40
+from repro.core.packet_processing import (
+    EgressPacketProcessor,
+    Frame,
+    IngressPacketProcessor,
+)
+from repro.hw.driver import ModifierDriver
 from repro.hw.model import (
     FunctionalModifier,
+    ModifierBackend,
     ScrubReport,
     StagingBackpressure,
 )
@@ -86,7 +106,7 @@ from repro.mpls.forwarding import (
     reserved_step,
     transit_discard,
 )
-from repro.mpls.label import IMPLICIT_NULL, LabelOp
+from repro.mpls.label import IMPLICIT_NULL, LabelEntry, LabelOp
 from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
@@ -106,8 +126,23 @@ def stored_pair(op: LabelOp, out_label: Optional[int]) -> Optional[Tuple[int, La
     return None
 
 
+class ProcessResult(NamedTuple):
+    """One frame through Figure 6."""
+
+    #: the rebuilt frame; None unless the hop forwarded
+    frame: Optional[Frame]
+    decision: ForwardingDecision
+    #: the hop's data cycles (the change in ``hw_data_cycles``)
+    cycles: int
+    discarded: bool
+    #: the outgoing label stack; empty unless forwarded labelled
+    stack_after: Tuple[LabelEntry, ...]
+
+
 class HardwareLSRNode(LSRNode):
-    """An LSR/LER whose label operations run on the hardware model."""
+    """An LSR/LER whose label operations run on the label stack
+    modifier: ``backend`` is ``"model"`` or ``"rtl"`` (see the module
+    docstring)."""
 
     def __init__(
         self,
@@ -116,12 +151,22 @@ class HardwareLSRNode(LSRNode):
         interfaces=None,
         ib_depth: int = 1024,
         staging_limit: Optional[int] = None,
+        backend: str = "model",
     ) -> None:
         super().__init__(name, role, interfaces)
-        self.modifier = FunctionalModifier(
+        if backend == "model":
+            backend_class = FunctionalModifier
+        elif backend == "rtl":
+            backend_class = ModifierDriver
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+        self.modifier: ModifierBackend = backend_class(
             ib_depth=ib_depth, staging_limit=staging_limit
         )
         self.modifier.set_router_type(role is RouterRole.LSR)
+        #: Figure 6's packet processing modules, around the hop
+        self.ingress = IngressPacketProcessor()
+        self.egress = EgressPacketProcessor()
         #: times the bounded bank-write queue pushed back during
         #: info-base programming (see StagingBackpressure)
         self.backpressure_stalls = 0
@@ -263,6 +308,33 @@ class HardwareLSRNode(LSRNode):
         return reports
 
     # -- the data path ------------------------------------------------------
+    def process_frame(self, frame: Frame) -> ProcessResult:
+        """Figure 6 end to end: the ingress module parses the frame, the
+        node's hop (:meth:`receive`, the one ladder) decides, and the
+        egress module rebuilds the frame around what leaves."""
+        parsed = self.ingress.parse(frame)
+        packet = parsed.inner
+        if not parsed.stack.is_empty:
+            packet = MPLSPacket(parsed.stack, packet)
+        cycles = self.hw_data_cycles
+        decision = self.receive(packet)
+        out = decision.packet
+        stack: Tuple[LabelEntry, ...] = ()
+        if not decision.forwarded:
+            frame = None
+        elif isinstance(out, MPLSPacket):
+            stack = tuple(out.stack)
+            frame = self.egress.build(parsed, out.stack, new_ttl=out.inner.ttl)
+        else:
+            frame = self.egress.build(parsed, LabelStack(), new_ttl=out.ttl)
+        return ProcessResult(
+            frame,
+            decision,
+            self.hw_data_cycles - cycles,
+            decision.action is Action.DISCARD,
+            stack,
+        )
+
     def _forward(
         self,
         packet: Union[IPv4Packet, MPLSPacket],

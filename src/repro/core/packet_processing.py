@@ -141,9 +141,6 @@ class IngressPacketProcessor:
 class EgressPacketProcessor:
     """Rebuilds the output frame around a modified label stack."""
 
-    def __init__(self) -> None:
-        self.built = 0
-
     def build(
         self,
         parsed: ParsedPacket,
@@ -164,7 +161,6 @@ class EgressPacketProcessor:
         else:
             payload = MPLSPacket(new_stack, inner).serialize()
             labelled = True
-        self.built += 1
         if parsed.l2_kind == "ethernet":
             src_mac, dst_mac = parsed.l2_context
             return EthernetFrame(

@@ -47,7 +47,6 @@ class SyncMemory(Component):
         self.depth = depth
         self.width = width
         addr_width = max(1, (depth - 1).bit_length())
-        self.addr_width = addr_width
         self.rd_addr = self.wire("rd_addr", addr_width)
         self.rd_data = self.reg("rd_data", width)
         self.wr_en = self.wire("wr_en", 1)

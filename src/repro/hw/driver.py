@@ -99,10 +99,11 @@ class ModifierDriver(ModifierBackend):
         self.modifier = modifier if modifier is not None else LabelStackModifier(**kwargs)
         self.sim = self.modifier.sim
         self._pins = _WireDriver(self.sim, "pins")
+        #: pairs per information-base level, as the RTL was built
+        self.ib_depth = self.modifier.dp.info_base.depth
         #: the hang bound, from the depth this information base was built with
         self.max_transaction_cycles = HANG_FACTOR * (
-            search_cycles(self.modifier.dp.info_base.depth, None)
-            + PUSH_TAIL_CYCLES
+            search_cycles(self.ib_depth, None) + PUSH_TAIL_CYCLES
         )
         super().__init__(staging_limit)
         #: Optional :class:`repro.obs.profiling.CycleProfiler`; when
@@ -328,7 +329,7 @@ class ModifierDriver(ModifierBackend):
     def read_entry(self, level: int, address: int) -> ReadEntryResult:
         """Read the pair stored at ``address`` directly (no search)."""
         check_level(level)
-        check_address(self.modifier.dp.info_base.depth, address)
+        check_address(self.ib_depth, address)
         cycles = self._issue(UserOp.READ_ENTRY, level_in=level, data_in=address)
         iface = self.modifier.ib_iface
         valid = bool(iface.mgmt_found.value)

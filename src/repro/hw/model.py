@@ -8,7 +8,7 @@ edges.  Two uses:
 * as the *golden reference* the RTL is checked against on randomized
   operation sequences (``tests/hw/test_rtl_vs_model.py``), and
 * as the per-packet hardware cost model inside network-scale
-  simulations (:mod:`repro.core.hwnode`, :mod:`repro.core.architecture`),
+  simulations (:mod:`repro.core.hwnode`, the node's default backend),
   where stepping the RTL for every packet would dominate the run time
   without changing any result -- the equivalence tests are what justify
   the substitution.

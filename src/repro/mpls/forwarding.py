@@ -17,11 +17,11 @@ planes run them:
   performs the steps the paper's Figure 9 state machine performs --
   search the information base, verify, decrement the TTL, apply
   push/swap/pop -- as straight-line Python over the ILM/FTN tables;
-* :class:`~repro.core.hwnode.HardwareLSRNode`, which adds only the
-  information-base sync, the level-1 learned pairs, one modifier pass
-  for the label operation, and its cycles;
-* :class:`~repro.core.architecture.EmbeddedMPLS`, whose ingress packet
-  processing runs the reserved-label step before the modifier.
+* :class:`~repro.core.hwnode.HardwareLSRNode`, the paper's Figure 6
+  router on either modifier backend (the functional model or the RTL),
+  which adds only the information-base sync, the level-1 learned pairs,
+  one modifier pass for the label operation, and its cycles; a layer-2
+  frame takes the same hop between its packet processing modules.
 
 ``tests/mpls/test_conformance.py`` holds every backend to the contract
 with one table of rows whose expected values come from RFC 3031, 3032

@@ -90,7 +90,9 @@ class MPLSNetwork:
         Produces each node from (name, role); defaults to the software
         :class:`LSRNode`.  Pass
         :class:`~repro.core.hwnode.HardwareLSRNode` to run the data
-        plane on the paper's hardware model with cycle accounting.
+        plane on the paper's label stack modifier with cycle accounting
+        (``functools.partial(HardwareLSRNode, backend="rtl")`` for the
+        RTL).
     """
 
     def __init__(

@@ -473,14 +473,12 @@ class JSONLSink:
 
     def __init__(self, stream: TextIO) -> None:
         self.stream = stream
-        self.written = 0
 
     def write(self, event: Event) -> None:
         record = event.as_dict()
         record["v"] = JSONL_SCHEMA_VERSION
         self.stream.write(json.dumps(record, sort_keys=True))
         self.stream.write("\n")
-        self.written += 1
 
     def flush(self) -> None:
         self.stream.flush()

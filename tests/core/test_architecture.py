@@ -1,17 +1,20 @@
-"""Tests for the assembled EmbeddedMPLS architecture."""
+"""Tests for the assembled Figure 6 router: a HardwareLSRNode's
+process_frame (ingress packet processing, the node's hop, egress packet
+processing) on both modifier backends."""
 
 import pytest
 
 from repro.core.architecture import EmbeddedMPLS
+from repro.core.hwnode import HardwareLSRNode
 from repro.core.hybrid import compare_partitions
+from repro.mpls.fec import PrefixFEC
+from repro.mpls.forwarding import Action
 from repro.mpls.label import LabelEntry, LabelOp
+from repro.mpls.nhlfe import NHLFE
 from repro.mpls.stack import LabelStack
 from repro.mpls.router import RouterRole
 from repro.net.ethernet import ETHERTYPE_IPV4, ETHERTYPE_MPLS, EthernetFrame
 from repro.net.packet import IPv4Packet, MPLSPacket
-
-
-DST = int.from_bytes(bytes([10, 2, 0, 9]), "big")
 
 
 def ip_frame(ttl=64, dscp=0):
@@ -25,39 +28,62 @@ def ip_frame(ttl=64, dscp=0):
     )
 
 
+def mpls_frame(*labels, ttl=20, ip_ttl=64):
+    stack = LabelStack(
+        [LabelEntry(label=label, ttl=ttl) for label in labels]
+    )
+    packet = MPLSPacket(
+        stack, IPv4Packet(src="10.1.0.5", dst="10.2.0.9", ttl=ip_ttl,
+                          payload=b"payload")
+    )
+    return EthernetFrame(
+        dst_mac="aa:aa:aa:aa:aa:aa",
+        src_mac="bb:bb:bb:bb:bb:bb",
+        ethertype=ETHERTYPE_MPLS,
+        payload=packet.serialize(),
+    )
+
+
+def ler(backend="model", push=777):
+    """An ingress LER whose FTN pushes ``push`` for 10.2.0.9/32."""
+    node = HardwareLSRNode("ler", RouterRole.LER, backend=backend)
+    node.ftn.install(
+        PrefixFEC("10.2.0.9/32"), NHLFE(LabelOp.PUSH, out_label=push)
+    )
+    return node
+
+
+def ilm_node(label, nhlfe, role=RouterRole.LSR, backend="model"):
+    node = HardwareLSRNode("n", role, backend=backend)
+    node.ilm.install(label, nhlfe)
+    return node
+
+
 @pytest.fixture(params=["model", "rtl"])
 def backend(request):
     return request.param
 
 
-class TestEmbeddedMPLS:
+class TestFigure6Router:
     def test_ler_ingress_pushes(self, backend):
-        ler = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-        ler.install_route(1, DST, 777, LabelOp.PUSH)
-        result = ler.process_frame(ip_frame())
+        result = ler(backend).process_frame(ip_frame())
         assert not result.discarded
-        assert result.performed == LabelOp.PUSH
+        assert result.decision.action is Action.FORWARD_MPLS
         assert [e.label for e in result.stack_after] == [777]
         assert result.frame.is_mpls
 
     def test_lsr_swaps(self, backend):
-        ler = EmbeddedMPLS(role=RouterRole.LER, backend="model")
-        ler.install_route(1, DST, 777, LabelOp.PUSH)
-        labelled = ler.process_frame(ip_frame()).frame
-        lsr = EmbeddedMPLS(role=RouterRole.LSR, backend=backend)
-        lsr.install_swap(777, 888)
+        labelled = ler().process_frame(ip_frame()).frame
+        lsr = ilm_node(777, NHLFE(LabelOp.SWAP, out_label=888),
+                       backend=backend)
         result = lsr.process_frame(labelled)
-        assert result.performed == LabelOp.SWAP
         assert [e.label for e in result.stack_after] == [888]
 
     def test_egress_pops_to_ip(self, backend):
-        ler = EmbeddedMPLS(role=RouterRole.LER, backend="model")
-        ler.install_route(1, DST, 777, LabelOp.PUSH)
-        labelled = ler.process_frame(ip_frame()).frame
-        egress = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-        egress.install_route(1, 777, 16, LabelOp.POP)
+        labelled = ler().process_frame(ip_frame()).frame
+        egress = ilm_node(777, NHLFE(LabelOp.POP), RouterRole.LER, backend)
         result = egress.process_frame(labelled)
-        assert result.performed == LabelOp.POP
+        assert result.decision.action is Action.FORWARD_IP
         assert result.stack_after == ()
         assert result.frame.ethertype == ETHERTYPE_IPV4
 
@@ -65,94 +91,103 @@ class TestEmbeddedMPLS:
         """Label TTL 64 over IPv4 TTL 10: the pop copies back
         min(64 - 1, 10), the rule of the software engine and of the
         hardware node, not the label's 63."""
-        inner = IPv4Packet(src="10.1.0.5", dst="10.2.0.9", ttl=10,
-                           payload=b"payload")
-        packet = MPLSPacket(LabelStack([LabelEntry(label=1000, ttl=64)]), inner)
-        frame = EthernetFrame(
-            dst_mac="aa:aa:aa:aa:aa:aa",
-            src_mac="bb:bb:bb:bb:bb:bb",
-            ethertype=ETHERTYPE_MPLS,
-            payload=packet.serialize(),
-        )
-        egress = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-        egress.install_route(1, 1000, 16, LabelOp.POP)
-        result = egress.process_frame(frame)
-        assert result.performed == LabelOp.POP
+        egress = ilm_node(1000, NHLFE(LabelOp.POP), RouterRole.LER, backend)
+        result = egress.process_frame(mpls_frame(1000, ttl=64, ip_ttl=10))
+        assert result.decision.action is Action.FORWARD_IP
         assert IPv4Packet.deserialize(result.frame.payload).ttl == 10
 
     def test_ttl_decrements_along_chain(self):
-        ler = EmbeddedMPLS(role=RouterRole.LER)
-        ler.install_route(1, DST, 777, LabelOp.PUSH)
-        labelled = ler.process_frame(ip_frame(ttl=10)).frame
-        lsr = EmbeddedMPLS(role=RouterRole.LSR)
-        lsr.install_swap(777, 888)
+        labelled = ler().process_frame(ip_frame(ttl=10)).frame
+        lsr = ilm_node(777, NHLFE(LabelOp.SWAP, out_label=888))
         swapped = lsr.process_frame(labelled)
         assert swapped.stack_after[0].ttl == 8  # 10 -1 ingress, -1 swap
-        egress = EmbeddedMPLS(role=RouterRole.LER)
-        egress.install_route(1, 888, 16, LabelOp.POP)
+        egress = ilm_node(888, NHLFE(LabelOp.POP), RouterRole.LER)
         final = egress.process_frame(swapped.frame)
         inner = IPv4Packet.deserialize(final.frame.payload)
         assert inner.ttl == 7
 
     def test_unknown_destination_discards(self, backend):
-        ler = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-        result = ler.process_frame(ip_frame())
+        node = HardwareLSRNode("ler", RouterRole.LER, backend=backend)
+        result = node.process_frame(ip_frame())
         assert result.discarded
         assert result.frame is None
-        assert ler.packets_discarded == 1
+        assert node.stats.discard_reasons == {
+            "no FEC matches packet to 10.2.0.9": 1
+        }
 
     def test_ttl_expiry_discards(self, backend):
-        ler = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-        ler.install_route(1, DST, 777, LabelOp.PUSH)
-        result = ler.process_frame(ip_frame(ttl=1))
+        result = ler(backend).process_frame(ip_frame(ttl=1))
         assert result.discarded
 
     def test_cycles_counted(self, backend):
-        ler = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-        ler.install_route(1, DST, 777, LabelOp.PUSH)
-        result = ler.process_frame(ip_frame())
+        node = ler(backend)
+        result = node.process_frame(ip_frame())
         # ingress: no stack loads, update = search(hit@0)+6 = 14, no drains...
         # plus the pop drain of the single result entry (3)
         assert result.cycles >= 14
-        assert result.seconds == pytest.approx(result.cycles / 50e6)
-        assert ler.total_cycles >= result.cycles
+        assert node.hw_data_cycles == result.cycles
+        again = node.process_frame(ip_frame())
+        assert node.hw_data_cycles == result.cycles + again.cycles
 
     def test_rtl_and_model_backends_agree(self):
         results = {}
         for backend in ("model", "rtl"):
-            node = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-            node.install_route(1, DST, 777, LabelOp.PUSH)
+            node = ler(backend)
             r = node.process_frame(ip_frame())
-            results[backend] = (r.performed, r.stack_after, r.cycles)
+            results[backend] = (
+                r.stack_after, r.cycles, node.hw_control_cycles
+            )
         assert results["model"] == results["rtl"]
 
     def test_cos_from_dscp_reaches_label(self):
-        ler = EmbeddedMPLS(role=RouterRole.LER)
-        ler.install_route(1, DST, 777, LabelOp.PUSH)
-        result = ler.process_frame(ip_frame(dscp=46))
+        result = ler().process_frame(ip_frame(dscp=46))
         assert result.stack_after[0].cos == 5
 
     def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddedMPLS(backend="asic")
+        with pytest.raises(ValueError, match="unknown backend 'asic'"):
+            HardwareLSRNode("n", backend="asic")
 
     def test_deep_stack_transit(self):
         """A two-deep stack is looked up at level 2."""
-        lsr = EmbeddedMPLS(role=RouterRole.LSR)
-        lsr.install_route(2, 600, 601, LabelOp.SWAP)
-        stack = LabelStack(
-            [LabelEntry(label=600, ttl=20), LabelEntry(label=500, ttl=20)]
-        )
-        packet = MPLSPacket(stack, IPv4Packet(src="10.1.0.5", dst="10.2.0.9"))
-        frame = EthernetFrame(
-            dst_mac="aa:aa:aa:aa:aa:aa",
-            src_mac="bb:bb:bb:bb:bb:bb",
-            ethertype=ETHERTYPE_MPLS,
-            payload=packet.serialize(),
-        )
-        result = lsr.process_frame(frame)
-        assert result.performed == LabelOp.SWAP
+        lsr = ilm_node(600, NHLFE(LabelOp.SWAP, out_label=601))
+        result = lsr.process_frame(mpls_frame(600, 500))
         assert [e.label for e in result.stack_after] == [601, 500]
+
+    def test_a_frame_is_one_hop_of_the_node(self, backend):
+        """The frame's hop is the node's: counted in its stats, the
+        reserved-label step included (an Explicit NULL popped and what
+        it exposes swapped in the same hop)."""
+        lsr = ilm_node(100, NHLFE(LabelOp.SWAP, out_label=200),
+                       backend=backend)
+        result = lsr.process_frame(mpls_frame(0, 100))
+        assert [e.label for e in result.stack_after] == [200]
+        assert lsr.stats.received == lsr.stats.forwarded_mpls == 1
+        assert lsr.fast_path_packets == 1
+
+    def test_router_alert_is_delivered_not_framed(self, backend):
+        lsr = ilm_node(100, NHLFE(LabelOp.SWAP, out_label=200),
+                       backend=backend)
+        result = lsr.process_frame(mpls_frame(1, 100))
+        assert result.decision.action is Action.DELIVER_LOCAL
+        assert result.frame is None and not result.discarded
+        assert lsr.hw_data_cycles == result.cycles == 0
+
+
+class TestEmbeddedMPLS:
+    """What is left of the standalone device: a node with defaults."""
+
+    def test_defaults(self):
+        device = EmbeddedMPLS()
+        assert isinstance(device, HardwareLSRNode)
+        assert device.role is RouterRole.LER
+        assert device.name == "device"
+
+    def test_install_swap_is_an_ilm_entry(self, backend):
+        device = EmbeddedMPLS(role=RouterRole.LSR, backend=backend)
+        device.install_swap(1008, 508)
+        assert device.ilm.get(1008) == NHLFE(LabelOp.SWAP, out_label=508)
+        result = device.process_frame(mpls_frame(1008))
+        assert [e.label for e in result.stack_after] == [508]
 
 
 class TestPartitionComparison:

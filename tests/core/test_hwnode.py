@@ -2,10 +2,13 @@
 learned pairs and resyncs.  Its forwarding outcomes, against the
 software node's, are rows of ``tests/mpls/test_conformance.py``."""
 
+import functools
+
 import pytest
 
 from repro.control.ldp import LDPProcess
 from repro.core.hwnode import HardwareLSRNode
+from repro.hw.driver import ModifierDriver
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.forwarding import Action
 from repro.mpls.label import LabelOp
@@ -135,6 +138,33 @@ class TestHardwareNetworkEquivalence:
         assert sw_src.sent == hw_src.sent
         assert sw_net.delivered_count() == hw_net.delivered_count()
         assert sw_net.latencies() == pytest.approx(hw_net.latencies())
+
+    def test_the_rtl_node_is_the_model_node_at_network_scale(self):
+        """Network packets cross the RTL: Figure 1 under converged LDP,
+        one flow the FEC carries and one no FEC matches, give the same
+        deliveries, drops and per-node cycles on either backend."""
+        runs = {}
+        for backend in ("model", "rtl"):
+            factory = functools.partial(HardwareLSRNode, backend=backend)
+            net, src = self._run(factory)
+            stray = CBRSource(net.scheduler, net.source_sink("ler-a"),
+                              src="10.1.0.5", dst="10.9.0.1", rate_bps=1e5,
+                              packet_size=500, start=1.0, stop=1.1)
+            stray.begin()
+            net.run(until=2.0)
+            runs[backend] = (
+                src.sent + stray.sent,
+                net.delivered_count(),
+                net.drop_count(),
+                {
+                    name: (node.hw_data_cycles, node.hw_control_cycles)
+                    for name, node in net.nodes.items()
+                },
+            )
+        model, rtl = runs["model"], runs["rtl"]
+        assert isinstance(net.nodes["lsr-1"].modifier, ModifierDriver)
+        assert model[1] > 0 and model[2] > 0
+        assert rtl == model
 
     def test_cycle_accounting_accumulates(self):
         hw_net, hw_src = self._run(HardwareLSRNode)

@@ -1,12 +1,12 @@
-"""Route management on an EmbeddedMPLS node: the backend's
-modify/remove/read path (the software control plane's management
-writes into the hardware information base) and what forwarding sees
-afterwards."""
+"""Route management on a hardware node: the backend's modify/remove/read
+path (the software control plane's management writes into the hardware
+information base) and what forwarding sees afterwards."""
 
 import pytest
 
-from repro.core.architecture import EmbeddedMPLS
+from repro.core.hwnode import HardwareLSRNode
 from repro.mpls.label import LabelOp
+from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import RouterRole
 from repro.net.ethernet import ETHERTYPE_MPLS, EthernetFrame
 from repro.net.packet import IPv4Packet, MPLSPacket
@@ -27,11 +27,19 @@ def labelled_frame(label, ttl=20):
     )
 
 
+def install_swaps(node, swaps):
+    """ILM swaps (in label -> out label), mirrored into the information
+    base by one frame through the node."""
+    for in_label, out_label in swaps.items():
+        node.ilm.install(in_label, NHLFE(LabelOp.SWAP, out_label=out_label))
+    node.process_frame(labelled_frame(in_label))
+
+
 @pytest.fixture(params=["model", "rtl"])
 def lsr(request):
-    node = EmbeddedMPLS(role=RouterRole.LSR, backend=request.param,
-                        ib_depth=64)
-    node.install_swap(100, 200)
+    node = HardwareLSRNode("lsr", RouterRole.LSR, ib_depth=64,
+                           backend=request.param)
+    install_swaps(node, {100: 200})
     return node
 
 
@@ -69,8 +77,7 @@ class TestRouteManagement:
 
     def test_forwarding_continues_after_churn(self, lsr):
         """Install/update/remove cycles leave the data plane healthy."""
-        for label in range(300, 310):
-            lsr.install_swap(label, label + 1000)
+        install_swaps(lsr, {label: label + 1000 for label in range(300, 310)})
         lsr.modifier.modify_pair(1, 305, 777, LabelOp.SWAP)
         lsr.modifier.remove_pair(1, 303)
         result = lsr.process_frame(labelled_frame(305))

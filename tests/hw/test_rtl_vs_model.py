@@ -15,7 +15,6 @@ import textwrap
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.architecture import EmbeddedMPLS
 from repro.core.hwnode import HardwareLSRNode
 from repro.hw import ModifierDriver, driver
 from repro.hw.model import FunctionalModifier, ModifierBackend
@@ -91,8 +90,8 @@ SHARED = {
 class TestOneContract:
     """The model and the RTL driver are one ``ModifierBackend`` with two
     hooks: the bank protocol, the scrub and the packet pass are written
-    once, in the base, and the node and the Figure 6 device forward
-    through it."""
+    once, in the base, and the hardware node -- the Figure 6 router, on
+    either backend -- forwards through it."""
 
     def test_both_backends_are_the_one_backend(self):
         assert issubclass(FunctionalModifier, ModifierBackend)
@@ -112,11 +111,18 @@ class TestOneContract:
         assert not own & set(dir(HardwareLSRNode))
 
     def test_the_figure6_device_forwards_through_the_pass(self):
-        source = textwrap.dedent(inspect.getsource(EmbeddedMPLS.process_frame))
+        """A frame takes the node's one hop ladder, whose forwarding
+        step makes the pass: ``process_frame`` makes none of its own."""
+        source = textwrap.dedent(
+            inspect.getsource(HardwareLSRNode.process_frame)
+        )
         called = {
             node.func.attr
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         }
-        assert "forward" in called
-        assert not {"user_push", "user_pop", "update"} & called
+        assert "receive" in called
+        assert not {
+            "forward", "user_push", "user_pop", "update", "_hw_transit",
+            "_hw_ingress", "_forward",
+        } & called

@@ -4,32 +4,34 @@ MPLS routers, crossing layer-2 technologies.
 This is the paper's Figure 2 end to end: a layer-2 network generates a
 packet, the ingress LER labels it, LSRs swap the label, and the egress
 LER strips it and hands it to a different layer-2 network (Ethernet in,
-ATM out) -- all through the EmbeddedMPLS architecture with real frame
-bytes at every hop.
+ATM out) -- all through hardware nodes' ``process_frame`` (the Figure 6
+router) with real frame bytes at every hop.
 """
 
 import pytest
 
-from repro.core.architecture import EmbeddedMPLS
+from repro.core.hwnode import HardwareLSRNode
+from repro.mpls.fec import PrefixFEC
+from repro.mpls.forwarding import Action
 from repro.mpls.label import LabelOp
+from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import RouterRole
 from repro.net.atm import reassemble_aal5, segment_aal5
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.packet import IPv4Packet
 
-DST = int.from_bytes(bytes([10, 2, 0, 9]), "big")
-
-
 def build_chain(backend="model"):
     """ingress LER -> lsr1 -> lsr2 -> egress LER, labels 100->200->300."""
-    ingress = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-    ingress.install_route(1, DST, 100, LabelOp.PUSH)
-    lsr1 = EmbeddedMPLS(role=RouterRole.LSR, backend=backend)
-    lsr1.install_swap(100, 200)
-    lsr2 = EmbeddedMPLS(role=RouterRole.LSR, backend=backend)
-    lsr2.install_swap(200, 300)
-    egress = EmbeddedMPLS(role=RouterRole.LER, backend=backend)
-    egress.install_route(1, 300, 16, LabelOp.POP)
+    ingress = HardwareLSRNode("ingress", RouterRole.LER, backend=backend)
+    ingress.ftn.install(
+        PrefixFEC("10.2.0.9/32"), NHLFE(LabelOp.PUSH, out_label=100)
+    )
+    lsr1 = HardwareLSRNode("lsr1", RouterRole.LSR, backend=backend)
+    lsr1.ilm.install(100, NHLFE(LabelOp.SWAP, out_label=200))
+    lsr2 = HardwareLSRNode("lsr2", RouterRole.LSR, backend=backend)
+    lsr2.ilm.install(200, NHLFE(LabelOp.SWAP, out_label=300))
+    egress = HardwareLSRNode("egress", RouterRole.LER, backend=backend)
+    egress.ilm.install(300, NHLFE(LabelOp.POP))
     return ingress, lsr1, lsr2, egress
 
 
@@ -61,7 +63,7 @@ class TestFullChain:
         assert [e.label for e in r3.stack_after] == [300]
         r4 = egress.process_frame(r3.frame)
         assert r4.stack_after == ()
-        assert r4.performed == LabelOp.POP
+        assert r4.decision.action is Action.FORWARD_IP
 
     def test_payload_integrity_end_to_end(self, backend):
         ingress, lsr1, lsr2, egress = build_chain(backend)

@@ -8,9 +8,11 @@ combination, with genuine frame bytes at both edges.
 
 import pytest
 
-from repro.core.architecture import EmbeddedMPLS
+from repro.core.hwnode import HardwareLSRNode
 from repro.core.packet_processing import IngressPacketProcessor
+from repro.mpls.fec import PrefixFEC
 from repro.mpls.label import LabelOp
+from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import RouterRole
 from repro.net.atm import reassemble_aal5, segment_aal5
 from repro.net.ethernet import ETHERTYPE_IPV4, ETHERTYPE_MPLS, EthernetFrame
@@ -63,17 +65,20 @@ def extract_ip(frame):
     return IPv4Packet.deserialize(frame.payload)
 
 
+@pytest.mark.parametrize("backend", ["model", "rtl"])
 @pytest.mark.parametrize("ingress_tech", TECHS)
 @pytest.mark.parametrize("egress_tech", TECHS)
-def test_cross_technology_journey(ingress_tech, egress_tech):
+def test_cross_technology_journey(ingress_tech, egress_tech, backend):
     packet = IPv4Packet(src="10.1.0.5", dst="10.2.0.9", ttl=32,
                         payload=b"cross-tech payload")
-    ingress = EmbeddedMPLS(role=RouterRole.LER)
-    ingress.install_route(1, DST, 100, LabelOp.PUSH)
-    lsr = EmbeddedMPLS(role=RouterRole.LSR)
-    lsr.install_swap(100, 200)
-    egress = EmbeddedMPLS(role=RouterRole.LER)
-    egress.install_route(1, 200, 16, LabelOp.POP)
+    ingress = HardwareLSRNode("ingress", RouterRole.LER, backend=backend)
+    ingress.ftn.install(
+        PrefixFEC("10.2.0.9/32"), NHLFE(LabelOp.PUSH, out_label=100)
+    )
+    lsr = HardwareLSRNode("lsr", RouterRole.LSR, backend=backend)
+    lsr.ilm.install(100, NHLFE(LabelOp.SWAP, out_label=200))
+    egress = HardwareLSRNode("egress", RouterRole.LER, backend=backend)
+    egress.ilm.install(200, NHLFE(LabelOp.POP))
 
     frame = make_ingress_frame(ingress_tech, packet.serialize())
     labelled = ingress.process_frame(frame)

@@ -32,23 +32,17 @@ IPv4 header, and well-formed S bits: the hardware's UPDATE_TOP TTL
 the contract.
 
 Every row runs on :class:`~repro.mpls.router.LSRNode` and on
-:class:`~repro.core.hwnode.HardwareLSRNode`, each scalar and through a
-``FlowCache(cross_check=True)`` (the packet three times, so a hardware
-ingress learns, fills and hits).  The Figure 6 device
-(:class:`~repro.core.architecture.EmbeddedMPLS` on ``model`` and on
-``rtl``) runs the rows its datapath can express: a labelled frame, no
-Router Alert delivery since it has no local port, and an ILM SWAP, POP
-or PUSH without a CoS, since it is programmed in level pairs (mirrored
-the way ``HardwareLSRNode._sync_info_base`` mirrors an ILM), which hold
-no NOOP, no FTN prefix and no CoS.
+:class:`~repro.core.hwnode.HardwareLSRNode` -- the Figure 6 router --
+with its modifier on the functional model and on the RTL, each scalar
+and through a ``FlowCache(cross_check=True)`` (the packet three times,
+so a hardware ingress learns, fills and hits).
 """
 
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
 
-from repro.core.architecture import EmbeddedMPLS
-from repro.core.hwnode import HardwareLSRNode, stored_pair
+from repro.core.hwnode import HardwareLSRNode
 from repro.mpls.fastpath import FlowCache
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.forwarding import Action
@@ -56,7 +50,6 @@ from repro.mpls.label import IMPLICIT_NULL, LabelEntry, LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
-from repro.net.ethernet import ETHERTYPE_MPLS, EthernetFrame
 from repro.net.packet import IPv4Packet, MPLSPacket
 
 FWD, IP, LOCAL, DROP = (
@@ -79,8 +72,6 @@ FTN_PUSH = ("ftn", FEC, NHLFE(LabelOp.PUSH, out_label=777, next_hop="b"))
 FTN_PUSH_COS = ("ftn", FEC, NHLFE(LabelOp.PUSH, out_label=777, next_hop="b", cos=3))
 #: a FEC reached without a label (the ingress next to a PHP egress)
 FTN_NOOP = ("ftn", FEC, NHLFE(LabelOp.PUSH, out_label=IMPLICIT_NULL, next_hop="c"))
-#: what the Figure 6 device can hold (see the module docstring)
-DEVICE_STATES = (NONE, SWAP, POP, PUSH)
 
 
 # -- inputs --------------------------------------------------------------------
@@ -275,9 +266,12 @@ def _outcome(decision):
 
 
 def _node(kind, row):
-    if kind == "hw":
-        return _install(HardwareLSRNode("n1", RouterRole.LER), row.state)
-    return _install(LSRNode("n1", RouterRole.LER), row.state)
+    if kind == "sw":
+        node = LSRNode("n1", RouterRole.LER)
+    else:
+        backend = "rtl" if kind == "hw-rtl" else "model"
+        node = HardwareLSRNode("n1", RouterRole.LER, backend=backend)
+    return _install(node, row.state)
 
 
 def _run_node(kind, cached, row):
@@ -292,44 +286,23 @@ def _run_node(kind, cached, row):
         outcomes.append(outcome)
     if cached:
         assert node.flow_cache.hits >= 1
-    return outcomes
+    return node, outcomes
 
 
-def _device_outcome(backend, row):
-    device = EmbeddedMPLS(role=RouterRole.LSR, backend=backend)
-    if row.state is not None:
-        _, label, nhlfe = row.state
-        for level in (1, 2, 3):
-            device.install_route(level, label, *stored_pair(nhlfe.op, nhlfe.out_label))
-    frame = EthernetFrame(
-        dst_mac="aa:aa:aa:aa:aa:aa",
-        src_mac="bb:bb:bb:bb:bb:bb",
-        ethertype=ETHERTYPE_MPLS,
-        payload=row.packet.serialize(),
-    )
-    result = device.process_frame(frame)
-    if result.discarded:
-        return Outcome(DROP)
-    parsed = device.ingress.parse(result.frame)
-    stack = tuple((e.label, e.cos, e.s, e.ttl) for e in parsed.stack)
-    return Outcome(FWD if stack else IP, None, stack, parsed.inner.ttl)
-
-
-def _on_device(row):
+def _counters(node):
     return (
-        isinstance(row.packet, MPLSPacket)
-        and not row.packet.stack.is_empty
-        and row.expect.action is not LOCAL
-        and row.state in DEVICE_STATES
+        node.hw_data_cycles,
+        node.hw_control_cycles,
+        node.fast_path_packets,
+        node.slow_path_packets,
     )
 
 
-NODE_BACKENDS = ("sw", "sw-cached", "hw", "hw-cached")
+BACKENDS = ("sw", "sw-cached", "hw", "hw-cached", "hw-rtl", "hw-rtl-cached")
 CASES = [
     pytest.param(row, backend, id=f"{row.name}-{backend}")
     for row in ROWS
-    for backend in NODE_BACKENDS + ("device-model", "device-rtl")
-    if backend in NODE_BACKENDS or _on_device(row)
+    for backend in BACKENDS
 ]
 
 
@@ -339,10 +312,14 @@ def test_row_names_are_unique():
 
 @pytest.mark.parametrize("row, backend", CASES)
 def test_conformance(row, backend):
-    if backend.startswith("device"):
-        expect = row.expect._replace(reason=None, next_hop=None)
-        assert _device_outcome(backend.split("-")[1], row) == expect
-        return
-    kind, _, cached = backend.partition("-")
-    for outcome in _run_node(kind, bool(cached), row):
+    cached = backend.endswith("-cached")
+    kind = backend.removesuffix("-cached")
+    node, outcomes = _run_node(kind, cached, row)
+    for outcome in outcomes:
         assert outcome == row.expect
+    if kind == "hw-rtl":
+        # not only the outcome: the RTL costs the row the cycles and
+        # path counts the Table 6 formulas give the model
+        model, _ = _run_node("hw", cached, row)
+        assert _counters(node) == _counters(model)
+

@@ -21,7 +21,6 @@ from repro.obs.events import (
 )
 from repro.obs import spans as spans_mod
 from repro.obs.spans import (
-    KIND_HOP,
     KIND_HW_PHASE,
     KIND_PACKET,
     KIND_RTL,

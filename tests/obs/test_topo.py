@@ -15,7 +15,7 @@ from repro.obs.events import (
     StaleEntriesFlushed,
 )
 from repro.obs.telemetry import Telemetry, telemetry_session
-from repro.obs.topo import TopologyObserver, TopologyView
+from repro.obs.topo import TopologyObserver
 
 
 def _observer(snapshot_every=64):

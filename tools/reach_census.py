@@ -45,8 +45,8 @@ OWNERS = {
     "item-4": "a failure path or toggle product no workload drives yet "
               "(ROADMAP item 4)",
     "item-5": "the recorded-run reader (ROADMAP item 5)",
-    "item-6/15/17": "paper hardware no workload drives yet "
-                    "(ROADMAP items 6, 15 and 17)",
+    "item-6/15": "paper hardware no workload drives yet "
+                 "(ROADMAP items 6 and 15)",
     "item-10": "tunnel hierarchy depth (ROADMAP item 10)",
     "item-12": "the FSM dispatch oracle (ROADMAP item 12)",
     "oracle": "read by a test as its oracle (a differential suite's "
