@@ -70,7 +70,7 @@ def _e2e_leg(batching):
         source = AggregateCBRSource(
             net.scheduler, net.aggregate_sink("ler-a"),
             src="10.1.0.5", dst="10.2.0.9", rate_bps=RATE_BPS,
-            packet_size=500, batch=BATCH, stop=STOP,
+            batch=BATCH, stop=STOP,
         )
     else:
         source = CBRSource(

@@ -18,7 +18,7 @@ tables -- reported honestly, with the crossover.
 
 from benchmarks._util import emit, emit_json
 from repro.analysis.report import render_table
-from repro.core.hybrid import compare_partitions
+from repro.core.hybrid import TABLE_SIZES, compare_partitions
 from repro.core.timing import SoftwareCostModel
 from repro.hw.model import FunctionalModifier
 from repro.mpls.forwarding import ForwardingEngine
@@ -27,11 +27,11 @@ from repro.mpls.nhlfe import NHLFE
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 
-SIZES = (1, 4, 16, 64, 256, 1024)
+SIZES = TABLE_SIZES
 
 
 def test_partition_comparison_table(benchmark):
-    cmp = benchmark(compare_partitions, table_sizes=SIZES)
+    cmp = benchmark(compare_partitions)
     rows = []
     for p in cmp.points:
         rows.append(

@@ -56,10 +56,8 @@ def test_search_latency_and_throughput_consequences(benchmark):
     def build():
         rows = []
         for n in MODEL_SIZES:
-            worst = estimate_throughput(n, packet_size_bytes=500)
-            avg = estimate_throughput(
-                n, packet_size_bytes=500, average_case=True
-            )
+            worst = estimate_throughput(n)
+            avg = estimate_throughput(n, average_case=True)
             rows.append(
                 [
                     n,

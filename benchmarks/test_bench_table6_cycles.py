@@ -29,12 +29,7 @@ PAPER_ROWS = {
 
 
 def test_table6_measured_on_rtl(benchmark):
-    rows = benchmark.pedantic(
-        measure_table6,
-        kwargs=dict(search_sizes=(1, 10, 100), ib_depth=1024),
-        iterations=1,
-        rounds=3,
-    )
+    rows = benchmark.pedantic(measure_table6, iterations=1, rounds=3)
     table = render_table(
         ["operation", "paper formula", "paper/expected", "measured (RTL)"],
         [[r.operation, r.formula, r.expected, r.measured] for r in rows],

@@ -9,7 +9,7 @@ Table 6 benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.hw.driver import ModifierDriver
 from repro.hw.model import search_cycles, SWAP_TAIL_CYCLES
@@ -30,12 +30,15 @@ class CycleMeasurement:
         return self.expected == self.measured
 
 
+#: the search rows' level occupancies
+SEARCH_SIZES = (1, 10, 100)
+
+
 def measure_table6(
-    search_sizes: Sequence[int] = (1, 10, 100),
-    ib_depth: int = 1024,
     driver: Optional[ModifierDriver] = None,
 ) -> List[CycleMeasurement]:
-    """Measure every Table 6 row on the RTL.
+    """Measure every Table 6 row on the RTL (searches at each of
+    :data:`SEARCH_SIZES` entries).
 
     Pass a ``driver`` to reuse an existing simulator instance -- e.g.
     one with a :class:`~repro.obs.profiling.CycleProfiler` attached, so
@@ -43,7 +46,7 @@ def measure_table6(
     (``python -m repro stats`` does exactly that).
     """
     rows: List[CycleMeasurement] = []
-    drv = driver if driver is not None else ModifierDriver(ib_depth=ib_depth)
+    drv = driver if driver is not None else ModifierDriver()
 
     rows.append(
         CycleMeasurement("Reset", "3", 3, drv.reset())
@@ -70,7 +73,7 @@ def measure_table6(
         )
     )
 
-    for n in search_sizes:
+    for n in SEARCH_SIZES:
         drv.reset()
         for i in range(n):
             drv.write_pair(2, 16 + i, 500 + i, LabelOp.SWAP)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.device import FPGADevice, STRATIX_EP1S40
+from repro.core.device import STRATIX_EP1S40
 from repro.hw.model import (
     SEARCH_HIT_BASE,
     SEARCH_PER_ENTRY,
@@ -48,8 +48,6 @@ def sample_swap_latency(
     samples: int = 1_000_000,
     skew: float = 0.0,
     seed: int = 0,
-    device: FPGADevice = STRATIX_EP1S40,
-    extra_cycles: int = 0,
 ) -> LatencyDistribution:
     """Sample the cycle cost of information-base-driven swaps.
 
@@ -62,8 +60,6 @@ def sample_swap_latency(
         Larger values weight *early* positions more (a Zipf-ish
         exponent) -- the realistic case when the control plane installs
         hot LSPs first or the table is sorted by activity.
-    extra_cycles:
-        Fixed per-packet additions (e.g. stack load/drain).
     """
     if n_entries < 1:
         raise ValueError("n_entries must be >= 1")
@@ -83,9 +79,8 @@ def sample_swap_latency(
         SEARCH_PER_ENTRY * hit_positions
         + SEARCH_HIT_BASE
         + SWAP_TAIL_CYCLES
-        + extra_cycles
     ).astype(np.int64)
-    cycle_time = device.cycle_time_s
+    cycle_time = STRATIX_EP1S40.cycle_time_s
     return LatencyDistribution(
         n_entries=n_entries,
         samples=samples,

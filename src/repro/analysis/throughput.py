@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.device import FPGADevice, STRATIX_EP1S40
+from repro.core.device import STRATIX_EP1S40
 from repro.core.timing import HardwareCycleModel
 
 
@@ -58,7 +58,6 @@ def line_rate_feasibility(
     cycles_per_packet: float,
     packet_size_bytes: int = 500,
     link_bps: float = 100e6,
-    device: FPGADevice = STRATIX_EP1S40,
 ) -> LineRateFeasibility:
     """Compare the modifier's packet rate against a link's.
 
@@ -70,7 +69,7 @@ def line_rate_feasibility(
         raise ValueError("cycles_per_packet must be positive")
     if packet_size_bytes < 1 or link_bps <= 0:
         raise ValueError("packet size and link rate must be positive")
-    modifier_pps = device.clock_hz / cycles_per_packet
+    modifier_pps = STRATIX_EP1S40.clock_hz / cycles_per_packet
     link_pps = link_bps / (packet_size_bytes * 8)
     return LineRateFeasibility(
         cycles_per_packet=cycles_per_packet,
@@ -81,33 +80,34 @@ def line_rate_feasibility(
     )
 
 
+#: the packet size :func:`estimate_throughput` converts packets to bits at
+PACKET_SIZE_BYTES = 500
+
+
 def estimate_throughput(
     n_entries: int,
-    packet_size_bytes: int = 500,
-    device: FPGADevice = STRATIX_EP1S40,
     average_case: bool = False,
 ) -> ThroughputEstimate:
-    """Throughput of the worst-case (or average-case) label swap.
+    """Throughput of the worst-case (or average-case) label swap, for
+    :data:`PACKET_SIZE_BYTES`-byte packets.
 
     ``average_case`` assumes hits are uniformly distributed through the
     table, halving the expected scan length.
     """
     if n_entries < 1:
         raise ValueError("n_entries must be >= 1")
-    if packet_size_bytes < 1:
-        raise ValueError("packet size must be >= 1")
-    hw = HardwareCycleModel(device)
+    hw = HardwareCycleModel()
     if average_case:
         # expected hit position is (n-1)/2
         mean_pos = (n_entries - 1) // 2
         cycles = hw.search_hit(mean_pos) + 6
     else:
         cycles = hw.update_swap_worst(n_entries)
-    pps = device.clock_hz / cycles
+    pps = STRATIX_EP1S40.clock_hz / cycles
     return ThroughputEstimate(
         n_entries=n_entries,
         cycles_per_packet=cycles,
         packets_per_second=pps,
-        packet_size_bytes=packet_size_bytes,
-        bits_per_second=pps * packet_size_bytes * 8,
+        packet_size_bytes=PACKET_SIZE_BYTES,
+        bits_per_second=pps * PACKET_SIZE_BYTES * 8,
     )

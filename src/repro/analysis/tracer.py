@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 from repro.mpls.forwarding import Action
 from repro.net.network import MPLSNetwork
 from repro.obs.spans import KIND_HOP, SpanRecorder, Trace
-from repro.obs.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,9 @@ class NetworkTracer:
     telemetry do not pollute each other's traces.
     """
 
-    def __init__(
-        self, network: MPLSNetwork, telemetry: Optional[Telemetry] = None
-    ) -> None:
+    def __init__(self, network: MPLSNetwork) -> None:
         self.network = network
-        self.telemetry = telemetry if telemetry is not None else network.telemetry
+        self.telemetry = network.telemetry
         self.recorder = SpanRecorder(
             sample_rate=1.0,
             nodes=set(network.nodes),

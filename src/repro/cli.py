@@ -32,10 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; repro.faults loads lazily
     from repro.obs import Telemetry
 
 
-def _print_table6(title: str, **measure) -> int:
-    """Measure Table 6 and print it under ``title``: 0 when every row
-    matches the paper, else 1."""
-    rows = measure_table6(search_sizes=(1, 10, 100), **measure)
+def _print_table6(title: str, driver: ModifierDriver) -> int:
+    """Measure Table 6 on ``driver`` and print it under ``title``: 0
+    when every row matches the paper, else 1."""
+    rows = measure_table6(driver)
     print(render_table(
         ["operation", "formula", "expected", "measured (RTL)", "match"],
         [[r.operation, r.formula, r.expected, r.measured,
@@ -48,7 +48,7 @@ def _print_table6(title: str, **measure) -> int:
 def cmd_table6() -> int:
     return _print_table6(
         "Table 6 -- processing times (worst-case clock cycles)",
-        ib_depth=1024,
+        ModifierDriver(),
     )
 
 
@@ -123,7 +123,7 @@ def cmd_hw_vs_sw() -> int:
 def cmd_throughput() -> int:
     rows = []
     for n in (1, 16, 64, 256, 1024):
-        est = estimate_throughput(n, packet_size_bytes=500)
+        est = estimate_throughput(n)
         rows.append([n, est.cycles_per_packet,
                      int(est.packets_per_second), round(est.mbps, 1)])
     print(render_series(
@@ -256,9 +256,7 @@ def cmd_stats(scenario: Optional[str] = None) -> int:
         profiler = CycleProfiler(drv.sim, telemetry=tel)
         drv.attach_profiler(profiler)
         print()
-        rc = _print_table6(
-            "Table 6 -- measured under the cycle profiler", driver=drv
-        )
+        rc = _print_table6("Table 6 -- measured under the cycle profiler", drv)
         print()
         print("cycle profile (per scoped operation / FSM state):")
         print(profiler.render())

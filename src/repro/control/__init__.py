@@ -11,8 +11,8 @@ base.  This subpackage supplies that software plane:
   distribution along IGP shortest paths (converged),
 * :mod:`repro.control.ldp_sessions` -- the same distribution as real
   messages over sessions (discovery, ordered control, withdrawal),
-* :mod:`repro.control.cspf` -- constraint-based SPF (bandwidth and
-  affinity pruning) for traffic engineering,
+* :mod:`repro.control.cspf` -- constraint-based SPF (bandwidth
+  pruning) for traffic engineering,
 * :mod:`repro.control.rsvp_te` -- explicit-route LSP signalling with
   bandwidth reservation: RSVP-TE (soft state) and CR-LDP
   (the other protocol the paper names: the same setup, hard state),
@@ -20,10 +20,10 @@ base.  This subpackage supplies that software plane:
 * :mod:`repro.control.lsp` -- LSP and tunnel-hierarchy objects.
 
 Each protocol derives a label binding's ILM/FTN entries in one place,
-used by both install and refresh; penultimate-hop popping is the
-:class:`~repro.mpls.nhlfe.NHLFE` constructor's (a label of
-``IMPLICIT_NULL`` makes a swap a POP and a push a NOOP), so no protocol
-branches on it.
+used by both install and refresh.  Every egress advertises a real label:
+penultimate-hop popping is an NHLFE installed to ``IMPLICIT_NULL``,
+which the :class:`~repro.mpls.nhlfe.NHLFE` constructor makes a POP (a
+swap) or a NOOP (a push).
 """
 
 from repro.control.routing import LinkStateDatabase, SPFResult

@@ -90,7 +90,6 @@ MISSED_RPC_LIMIT = 3
 #: the seeded reconnect backoff (shared repro.control.retry policy)
 RETRY_INITIAL = 20e-3
 RETRY_MAX = 0.5
-MAX_RETRIES = 20
 RETRY_JITTER = 0.1
 
 
@@ -386,7 +385,6 @@ class PCEController:
         self.backoff = ReconnectBackoff(
             initial=RETRY_INITIAL,
             maximum=RETRY_MAX,
-            max_retries=MAX_RETRIES,
             jitter=RETRY_JITTER,
             seed=seed,
         )

@@ -3,9 +3,8 @@
 The paper's Section 1 argues MPLS suits traffic engineering because it
 supports "explicit path specification" and congestion avoidance.  CSPF
 is how a head-end computes those explicit paths: run SPF over the
-subgraph of links that satisfy the constraints (enough unreserved
-bandwidth, matching administrative affinity), so a new LSP avoids links
-that are already committed.
+subgraph of links that satisfy the constraint (enough unreserved
+bandwidth), so a new LSP avoids links that are already committed.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ def cspf_path(
     source: str,
     destination: str,
     bandwidth_bps: float = 0.0,
-    include_affinity: int = 0,
-    exclude_affinity: int = 0,
     avoid_nodes: Optional[Set[str]] = None,
 ) -> List[str]:
     """The metric-shortest path whose links all satisfy the constraints.
@@ -36,10 +33,6 @@ def cspf_path(
     bandwidth_bps:
         Every link on the path must have at least this much
         *unreserved* bandwidth in the travel direction.
-    include_affinity:
-        Bits that must all be set in a link's affinity.
-    exclude_affinity:
-        Bits that must all be clear.
     avoid_nodes:
         Nodes to prune (e.g. for computing a disjoint backup path).
 
@@ -50,14 +43,7 @@ def cspf_path(
         raise CSPFError("source or destination is excluded")
 
     def usable(a: str, b: str) -> bool:
-        attrs = topology.link(a, b)
-        if attrs.reservable(a) + 1e-9 < bandwidth_bps:
-            return False
-        if (attrs.affinity & include_affinity) != include_affinity:
-            return False
-        if attrs.affinity & exclude_affinity:
-            return False
-        return True
+        return topology.link(a, b).reservable(a) + 1e-9 >= bandwidth_bps
 
     dist: Dict[str, float] = {source: 0.0}
     prev: Dict[str, str] = {}
@@ -83,8 +69,7 @@ def cspf_path(
     if destination not in dist:
         raise CSPFError(
             f"no path {source} -> {destination} satisfies the constraints "
-            f"(bw={bandwidth_bps:g} bps, include={include_affinity:#x}, "
-            f"exclude={exclude_affinity:#x})"
+            f"(bw={bandwidth_bps:g} bps)"
         )
     path = [destination]
     while path[-1] != source:
@@ -96,7 +81,6 @@ def cspf_over_view(
     view_data: Dict[str, object],
     source: str,
     destination: str,
-    avoid_nodes: Optional[Set[str]] = None,
 ) -> List[str]:
     """Shortest path over an **observed** topology view.
 
@@ -110,12 +94,11 @@ def cspf_over_view(
 
     Raises :class:`CSPFError` when the view shows no usable path.
     """
-    avoid = avoid_nodes or set()
     nodes: Dict[str, str] = dict(view_data.get("nodes", {}))  # type: ignore[arg-type]
     links: Dict[str, str] = dict(view_data.get("links", {}))  # type: ignore[arg-type]
 
     def node_up(name: str) -> bool:
-        return nodes.get(name, "down") != "down" and name not in avoid
+        return nodes.get(name, "down") != "down"
 
     if not node_up(source) or not node_up(destination):
         raise CSPFError(

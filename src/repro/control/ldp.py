@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.control.labels import LabelAllocator
 from repro.control.routing import LinkStateDatabase
 from repro.mpls.fec import FEC
-from repro.mpls.label import IMPLICIT_NULL, LabelOp
+from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode
 from repro.mpls.transaction import TableTransaction
@@ -38,8 +38,7 @@ class FECBinding:
 
     fec: FEC
     egress: str
-    php: bool
-    #: node -> the label that node expects (IMPLICIT_NULL at a PHP egress)
+    #: node -> the label that node expects
     labels: Dict[str, int] = field(default_factory=dict)
     #: node -> next hop towards the egress
     next_hops: Dict[str, str] = field(default_factory=dict)
@@ -48,16 +47,15 @@ class FECBinding:
     ingresses: List[str] = field(default_factory=list)
 
     # The binding's forwarding state, derived once for both install and
-    # refresh; PHP needs no case here, the NHLFE constructor turns a
-    # label of IMPLICIT_NULL into a POP or a NOOP.
+    # refresh.
 
     def ilm_entry(self, name: str) -> Optional[Tuple[int, NHLFE]]:
-        """``name``'s ILM entry for this FEC: POP at a non-PHP egress,
+        """``name``'s ILM entry for this FEC: POP at the egress,
         SWAP to the next hop's label at a router routing towards it,
         None where the binding gives ``name`` no entry."""
         label = self.labels.get(name)
         if name == self.egress:
-            if self.php or label is None:
+            if label is None:
                 return None
             return label, NHLFE(op=LabelOp.POP)
         nh = self.next_hops.get(name)
@@ -110,17 +108,12 @@ class LDPProcess:
         self,
         fec: FEC,
         egress: str,
-        php: bool = False,
-        ingresses: Optional[List[str]] = None,
     ) -> FECBinding:
-        """Bind labels for ``fec`` terminating at ``egress``.
-
-        ``ingresses`` limits which nodes get an FTN entry; by default
-        every edge router (LER) that can reach the egress does.
-        """
+        """Bind labels for ``fec`` terminating at ``egress``; every edge
+        router (LER) that can reach the egress gets an FTN entry."""
         if egress not in self.nodes:
             raise KeyError(f"unknown egress {egress!r}")
-        binding = FECBinding(fec=fec, egress=egress, php=php)
+        binding = FECBinding(fec=fec, egress=egress)
         # a restarting router cannot advertise or accept mappings, so
         # new bindings are distributed as if it were absent; its
         # pre-crash entries keep forwarding until refresh or flush
@@ -129,12 +122,7 @@ class LDPProcess:
 
         # 1. label allocation (downstream unsolicited advertisement)
         for name in live:
-            if name == egress:
-                binding.labels[name] = (
-                    IMPLICIT_NULL if php else self.allocators[name].allocate()
-                )
-            else:
-                binding.labels[name] = self.allocators[name].allocate()
+            binding.labels[name] = self.allocators[name].allocate()
 
         # 2. next hops from each node's SPF towards the egress (a
         #    crashed node's links are already out of the topology, so
@@ -154,15 +142,11 @@ class LDPProcess:
             entry = binding.ilm_entry(name)
             if entry is not None:
                 self.nodes[name].ilm.install(*entry)
-        targets = (
-            ingresses
-            if ingresses is not None
-            else [
-                name
-                for name, node in self.nodes.items()
-                if node.is_edge and name != egress and name not in unavailable
-            ]
-        )
+        targets = [
+            name
+            for name, node in self.nodes.items()
+            if node.is_edge and name != egress and name not in unavailable
+        ]
         for name in targets:
             nhlfe = binding.ftn_entry(name)
             if nhlfe is None:
@@ -190,7 +174,7 @@ class LDPProcess:
         if binding not in self.bindings:
             raise KeyError("binding not established by this process")
         egress_label = binding.labels.get(binding.egress)
-        if not binding.php and egress_label is not None:
+        if egress_label is not None:
             # the entry may already be gone if the egress crashed and
             # restarted cold -- withdrawal must stay idempotent.  A
             # restarting router cannot process the withdraw: its entry
@@ -213,8 +197,7 @@ class LDPProcess:
             except KeyError:
                 pass
         for name, label in binding.labels.items():
-            if label != IMPLICIT_NULL:
-                self.allocators[name].release(label)
+            self.allocators[name].release(label)
         self.bindings.remove(binding)
         tel = self.telemetry
         if tel.enabled and tel.topo is not None:
@@ -252,9 +235,8 @@ class LDPProcess:
         with TableTransaction(tables):
             old = list(self.bindings)
             for binding in old:
-                fec, egress, php = binding.fec, binding.egress, binding.php
                 self.withdraw_fec(binding)
-                self.establish_fec(fec, egress, php)
+                self.establish_fec(binding.fec, binding.egress)
 
     def refresh_node(self, name: str) -> Tuple[int, int]:
         """Rewrite one router's ILM/FTN entries in place from the

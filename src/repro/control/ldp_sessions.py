@@ -60,6 +60,9 @@ from repro.obs.events import (
 )
 from repro.obs.telemetry import get_telemetry
 
+#: a speaker's per-message processing time, added to the link delay
+PROCESSING_DELAY_S = 50e-6
+
 
 class MsgType(Enum):
     HELLO = "hello"
@@ -458,17 +461,12 @@ class MessageLDPProcess:
         topology: Topology,
         nodes: Dict[str, LSRNode],
         scheduler: EventScheduler,
-        processing_delay: float = 50e-6,
-        retry_initial: float = 50e-3,
-        retry_max: float = 2.0,
-        max_retries: int = 20,
         overload: Optional[OverloadConfig] = None,
     ) -> None:
         self.topology = topology
         self.scheduler = scheduler
         self.telemetry = get_telemetry()
         self.lsdb = LinkStateDatabase(topology)
-        self.processing_delay = processing_delay
         self.speakers: Dict[str, LDPSpeaker] = {
             name: LDPSpeaker(self, node) for name, node in nodes.items()
         }
@@ -477,11 +475,7 @@ class MessageLDPProcess:
         self.sessions_established: List[Tuple[float, str, str]] = []
         self._started = False
         # -- session-recovery policy (exponential backoff, no jitter) -------
-        self.backoff = ReconnectBackoff(
-            initial=retry_initial,
-            maximum=retry_max,
-            max_retries=max_retries,
-        )
+        self.backoff = ReconnectBackoff()
         #: (a, b) sorted pair -> {"attempt": n, "down_at": t}
         self._reconnecting: Dict[Tuple[str, str], Dict[str, float]] = {}
         self.sessions_lost: List[Tuple[float, str, str]] = []
@@ -538,7 +532,7 @@ class MessageLDPProcess:
             tel.ldp_messages.labels(msg.kind.value).inc()
         if self.overload is None:
             self.scheduler.after(
-                link.delay_s + self.processing_delay,
+                link.delay_s + PROCESSING_DELAY_S,
                 self.speakers[msg.dst].handle, msg,
             )
             return

@@ -69,21 +69,24 @@ class TracerouteResult:
         return bool(self.hops) and self.hops[-1].reached_egress
 
 
+#: how long a probe may take before it counts as lost (simulated s)
+PROBE_TIMEOUT_S = 1.0
+
+
 def lsp_ping(
     network: MPLSNetwork,
     ingress: str,
     destination: str,
-    source: str = "192.0.2.1",
-    timeout: float = 1.0,
 ) -> PingResult:
-    """Send one probe into the FEC at ``ingress``; did it come out?"""
+    """Send one probe into the FEC at ``ingress``; did it come out
+    within :data:`PROBE_TIMEOUT_S`?"""
     sent_at = network.scheduler.now
     before = len(network.deliveries)
     probe = IPv4Packet(
-        src=source, dst=destination, protocol=17, created_at=sent_at
+        src="192.0.2.1", dst=destination, protocol=17, created_at=sent_at
     )
     network.inject(ingress, probe)
-    network.run(until=sent_at + timeout)
+    network.run(until=sent_at + PROBE_TIMEOUT_S)
     for delivery in network.deliveries[before:]:
         if delivery.packet.uid == probe.uid:
             return PingResult(
@@ -103,14 +106,14 @@ def lsp_traceroute(
     destination: str,
     source: str = "192.0.2.1",
     max_ttl: int = 16,
-    timeout_per_hop: float = 1.0,
 ) -> TracerouteResult:
     """Walk the LSP with expiring TTLs.
 
     Probe k carries IPv4 TTL k+1: the ingress consumes one decrement,
     so the MPLS TTL is k on entry to the core and the probe dies at the
     k-th label switch -- whose discard record names it.  The walk ends
-    when a probe survives to the egress.
+    when a probe survives to the egress.  Each probe gets
+    :data:`PROBE_TIMEOUT_S`.
     """
     result = TracerouteResult()
     for ttl in range(2, max_ttl + 2):
@@ -121,7 +124,7 @@ def lsp_traceroute(
             src=source, dst=destination, ttl=ttl, created_at=start
         )
         network.inject(ingress, probe)
-        network.run(until=start + timeout_per_hop)
+        network.run(until=start + PROBE_TIMEOUT_S)
         delivered = next(
             (
                 d

@@ -25,6 +25,9 @@ from typing import Dict, Tuple
 
 Key = Tuple[str, str]
 
+#: retries after a drop before a reconnect loop gives up
+MAX_RETRIES = 20
+
 
 def jitter_rng(seed: int, key: Key) -> random.Random:
     """The deterministic per-key RNG the jittered schedule draws from."""
@@ -45,7 +48,6 @@ class ReconnectBackoff:
         self,
         initial: float = 50e-3,
         maximum: float = 2.0,
-        max_retries: int = 20,
         jitter: float = 0.0,
         seed: int = 0,
     ) -> None:
@@ -53,7 +55,6 @@ class ReconnectBackoff:
             raise ValueError("retry_jitter must be in [0, 1)")
         self.initial = initial
         self.maximum = maximum
-        self.max_retries = max_retries
         self.jitter = jitter
         self.seed = seed
         self._rngs: Dict[Key, random.Random] = {}
@@ -79,5 +80,5 @@ class ReconnectBackoff:
         )
 
     def exhausted(self, attempt: int) -> bool:
-        """True once ``attempt`` exceeds the retry budget."""
-        return attempt > self.max_retries
+        """True once ``attempt`` exceeds :data:`MAX_RETRIES`."""
+        return attempt > MAX_RETRIES

@@ -28,7 +28,7 @@ from repro.control.cspf import cspf_path
 from repro.control.labels import LabelAllocator
 from repro.control.lsp import LSP
 from repro.mpls.fec import FEC
-from repro.mpls.label import IMPLICIT_NULL, LabelOp
+from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode
 from repro.net.topology import Topology
@@ -59,8 +59,7 @@ class SignalingStats:
 
 
 # An LSP's forwarding state, derived once for setup, refresh, steering
-# and teardown; PHP needs no case here, the NHLFE constructor turns a
-# label of IMPLICIT_NULL into a POP or a NOOP.
+# and teardown.
 
 def hop_entry(
     path: Sequence[str],
@@ -135,14 +134,11 @@ class RSVPTESignaler:
         bandwidth_bps: float = 0.0,
         cos: Optional[int] = None,
         fec: Optional[FEC] = None,
-        php: bool = False,
-        include_affinity: int = 0,
-        exclude_affinity: int = 0,
     ) -> LSP:
         """Signal an LSP; returns it up and installed.
 
         Without an ``explicit_route``, CSPF computes one honouring the
-        bandwidth/affinity constraints.  Admission control rejects the
+        bandwidth constraint.  Admission control rejects the
         setup (and reserves nothing) when any link lacks headroom.
         """
         if name in self.lsps:
@@ -154,8 +150,6 @@ class RSVPTESignaler:
                     ingress,
                     egress,
                     bandwidth_bps=bandwidth_bps,
-                    include_affinity=include_affinity,
-                    exclude_affinity=exclude_affinity,
                 )
             except Exception as exc:
                 self.stats.setup_failures += 1
@@ -177,7 +171,7 @@ class RSVPTESignaler:
                 )
 
         # RESV upstream: allocate labels, install state, reserve.
-        hop_labels = self._install_route(route, cos=cos, fec=fec, php=php)
+        hop_labels = self._install_route(route, cos=cos, fec=fec)
 
         # bandwidth reservation along the route
         for a, b in zip(route, route[1:]):
@@ -208,7 +202,6 @@ class RSVPTESignaler:
         route: List[str],
         cos: Optional[int],
         fec: Optional[FEC],
-        php: bool,
     ) -> List[Optional[int]]:
         """RESV upstream: allocate labels, install ILM (and the ingress
         FTN when a FEC is steered).  Returns the hop labels."""
@@ -216,9 +209,6 @@ class RSVPTESignaler:
         hop_labels: List[Optional[int]] = [None] * tail
         for i in range(tail, 0, -1):
             self.stats.resv_messages += 1
-            if php and i == tail:
-                hop_labels[i - 1] = IMPLICIT_NULL
-                continue
             label = hop_labels[i - 1] = self.allocators[route[i]].allocate()
             self.nodes[route[i]].ilm.install(
                 label, hop_entry(route, hop_labels, i, cos)
@@ -237,7 +227,7 @@ class RSVPTESignaler:
         LSP (after an FRR switchover it steers onto the backup, and
         stays).  Reservations are the caller's business."""
         for node_name, label in zip(lsp.path[1:], lsp.hop_labels):
-            if label is None or label == IMPLICIT_NULL:
+            if label is None:
                 continue
             ilm = self.nodes[node_name].ilm
             if label in ilm:
@@ -288,7 +278,7 @@ class RSVPTESignaler:
             lsp = self.lsps[lsp_name]
             for i in range(1, len(lsp.path)):
                 label = lsp.hop_labels[i - 1]
-                if lsp.path[i] != name or label in (None, IMPLICIT_NULL):
+                if lsp.path[i] != name or label is None:
                     continue
                 self.nodes[name].ilm.install(
                     label, hop_entry(lsp.path, lsp.hop_labels, i, lsp.cos)

@@ -48,23 +48,24 @@ class FPGADevice:
         return cycles / self.clock_hz
 
     # -- memory budget ------------------------------------------------------
-    def info_base_bits(self, depth: int = LEVEL_DEPTH) -> int:
-        """Bits of block RAM the three-level information base needs.
+    def info_base_bits(self) -> int:
+        """Bits of block RAM the three-level information base needs
+        (:data:`LEVEL_DEPTH` pairs per level).
 
         Level 1 stores 32-bit indices; levels 2-3 store 20-bit indices;
         all levels store a 20-bit label and a 2-bit operation per pair
         (Figure 13).
         """
-        level1 = depth * (LEVEL1_INDEX_WIDTH + LABEL_WIDTH + OP_WIDTH)
-        level23 = 2 * depth * (LABEL_INDEX_WIDTH + LABEL_WIDTH + OP_WIDTH)
+        level1 = LEVEL_DEPTH * (LEVEL1_INDEX_WIDTH + LABEL_WIDTH + OP_WIDTH)
+        level23 = 2 * LEVEL_DEPTH * (LABEL_INDEX_WIDTH + LABEL_WIDTH + OP_WIDTH)
         return level1 + level23
 
-    def fits_info_base(self, depth: int = LEVEL_DEPTH) -> bool:
+    def fits_info_base(self) -> bool:
         """The paper's space claim, checked against this device."""
-        return self.info_base_bits(depth) <= self.memory_bits
+        return self.info_base_bits() <= self.memory_bits
 
-    def memory_utilization(self, depth: int = LEVEL_DEPTH) -> float:
-        return self.info_base_bits(depth) / self.memory_bits
+    def memory_utilization(self) -> float:
+        return self.info_base_bits() / self.memory_bits
 
 
 #: The paper's target part.  Stratix EP1S40: 41,250 logic elements and

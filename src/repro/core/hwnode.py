@@ -88,7 +88,6 @@ from repro.hw.model import (
     FunctionalModifier,
     ModifierBackend,
     ScrubReport,
-    StagingBackpressure,
 )
 from repro.mpls.forwarding import (
     EMPTY_STACK,
@@ -148,28 +147,21 @@ class HardwareLSRNode(LSRNode):
         self,
         name: str,
         role: RouterRole = RouterRole.LSR,
-        interfaces=None,
         ib_depth: int = 1024,
-        staging_limit: Optional[int] = None,
         backend: str = "model",
     ) -> None:
-        super().__init__(name, role, interfaces)
+        super().__init__(name, role)
         if backend == "model":
             backend_class = FunctionalModifier
         elif backend == "rtl":
             backend_class = ModifierDriver
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        self.modifier: ModifierBackend = backend_class(
-            ib_depth=ib_depth, staging_limit=staging_limit
-        )
+        self.modifier: ModifierBackend = backend_class(ib_depth=ib_depth)
         self.modifier.set_router_type(role is RouterRole.LSR)
         #: Figure 6's packet processing modules, around the hop
         self.ingress = IngressPacketProcessor()
         self.egress = EgressPacketProcessor()
-        #: times the bounded bank-write queue pushed back during
-        #: info-base programming (see StagingBackpressure)
-        self.backpressure_stalls = 0
         self._mirrored_ilm_generation = -1
         #: destination (int) -> label cached at level 1, in LRU order
         #: (oldest first); bounded by the information base depth, with
@@ -217,18 +209,9 @@ class HardwareLSRNode(LSRNode):
                 stored_label, stored_op = stored
                 # a label can arrive at any stack depth: mirror per level
                 for level in (1, 2, 3):
-                    try:
-                        cycles += self.modifier.bank_write_pair(
-                            level, label, stored_label, stored_op
-                        )
-                    except StagingBackpressure:
-                        # bounded command queue full: the control plane
-                        # yields until it drains, then retries the write
-                        self.modifier.bank_drain()
-                        self.backpressure_stalls += 1
-                        cycles += self.modifier.bank_write_pair(
-                            level, label, stored_label, stored_op
-                        )
+                    cycles += self.modifier.bank_write_pair(
+                        level, label, stored_label, stored_op
+                    )
         except Exception:
             self.modifier.bank_rollback()
             raise

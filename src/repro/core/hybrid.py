@@ -11,9 +11,9 @@ information-base sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.core.device import FPGADevice, STRATIX_EP1S40
+from repro.core.device import STRATIX_EP1S40
 from repro.core.timing import HardwareCycleModel, SoftwareCostModel
 
 
@@ -55,23 +55,22 @@ class PartitionComparison:
         return None
 
 
-def compare_partitions(
-    table_sizes: Sequence[int] = (1, 4, 16, 64, 256, 1024),
-    device: FPGADevice = STRATIX_EP1S40,
-    software: Optional[SoftwareCostModel] = None,
-) -> PartitionComparison:
-    """Price a worst-case label swap per packet under both partitions.
+#: the information-base occupancies :func:`compare_partitions` prices
+TABLE_SIZES = (1, 4, 16, 64, 256, 1024)
+
+
+def compare_partitions() -> PartitionComparison:
+    """Price a worst-case label swap per packet under both partitions,
+    at each of :data:`TABLE_SIZES`.
 
     The hardware pays Table 6's ``3n + 5 (+6)`` at the FPGA clock; the
     software pays the parameterized instruction costs at the CPU clock,
     in both its linear-scan and hash-lookup variants.
     """
-    hw = HardwareCycleModel(device)
-    sw = software if software is not None else SoftwareCostModel()
+    hw = HardwareCycleModel()
+    sw = SoftwareCostModel()
     points = []
-    for n in table_sizes:
-        if n < 1:
-            raise ValueError(f"table size must be >= 1, got {n}")
+    for n in TABLE_SIZES:
         hw_cycles = hw.update_swap_worst(n)
         sw_cycles = sw.per_packet_swap_cycles(n, hashed=False)
         sw_hashed = sw.per_packet_swap_cycles(n, hashed=True)
@@ -88,6 +87,6 @@ def compare_partitions(
         )
     return PartitionComparison(
         points=points,
-        hw_clock_hz=device.clock_hz,
+        hw_clock_hz=STRATIX_EP1S40.clock_hz,
         sw_clock_hz=sw.clock_hz,
     )

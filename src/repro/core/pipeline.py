@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.device import FPGADevice, STRATIX_EP1S40
+from repro.core.device import STRATIX_EP1S40
 from repro.core.timing import HardwareCycleModel
 from repro.obs.telemetry import get_telemetry
 
-#: Default per-stage costs (cycles) for the packet processing modules:
+#: Per-stage costs (cycles) for the packet processing modules:
 #: parsing/rebuilding a frame is a streaming operation a hardware block
 #: pipelines over the bytes; a handful of cycles of fixed work per
 #: packet is representative.
@@ -51,17 +51,13 @@ class PipelinePoint:
         )
 
 
-def pipeline_point(
-    n_entries: int,
-    ingress_cycles: int = INGRESS_PP_CYCLES,
-    egress_cycles: int = EGRESS_PP_CYCLES,
-) -> PipelinePoint:
+def pipeline_point(n_entries: int) -> PipelinePoint:
     """Stage costs for a worst-case transit swap at one table size."""
     if n_entries < 1:
         raise ValueError("n_entries must be >= 1")
     hw = HardwareCycleModel()
     modifier = hw.update_swap_worst(n_entries)
-    stages = (ingress_cycles, modifier, egress_cycles)
+    stages = (INGRESS_PP_CYCLES, modifier, EGRESS_PP_CYCLES)
     point = PipelinePoint(
         n_entries=n_entries,
         stage_cycles=stages,
@@ -78,7 +74,6 @@ def pipeline_point(
 @dataclass(frozen=True)
 class PipelineComparison:
     points: List[PipelinePoint]
-    device: FPGADevice
 
     def throughput_pps(self, point: PipelinePoint, pipelined: bool) -> float:
         cycles = (
@@ -86,13 +81,10 @@ class PipelineComparison:
             if pipelined
             else point.sequential_cycles_per_packet
         )
-        return self.device.clock_hz / cycles
+        return STRATIX_EP1S40.clock_hz / cycles
 
 
-def compare_pipeline(
-    table_sizes=(1, 16, 64, 256, 1024),
-    device: FPGADevice = STRATIX_EP1S40,
-) -> PipelineComparison:
+def compare_pipeline(table_sizes=(1, 16, 64, 256, 1024)) -> PipelineComparison:
     """Sequential vs pipelined operation across table sizes.
 
     The punchline the model makes precise: pipelining helps most when
@@ -103,5 +95,4 @@ def compare_pipeline(
     """
     return PipelineComparison(
         points=[pipeline_point(n) for n in table_sizes],
-        device=device,
     )

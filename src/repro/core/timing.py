@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.device import FPGADevice, STRATIX_EP1S40
+from repro.core.device import STRATIX_EP1S40
+from repro.hw.info_base import LEVEL_DEPTH
 from repro.hw.model import (
     RESET_CYCLES,
     SEARCH_OVERHEAD,
@@ -33,10 +34,7 @@ from repro.obs.telemetry import get_telemetry
 
 
 class HardwareCycleModel:
-    """Closed-form Table 6 costs on a given device."""
-
-    def __init__(self, device: FPGADevice = STRATIX_EP1S40) -> None:
-        self.device = device
+    """Closed-form Table 6 costs on the paper's device."""
 
     # -- per-operation costs (cycles) ------------------------------------
     reset = RESET_CYCLES
@@ -56,7 +54,7 @@ class HardwareCycleModel:
 
     # -- time conversion -------------------------------------------------
     def seconds(self, cycles: int) -> float:
-        return self.device.time_for_cycles(cycles)
+        return STRATIX_EP1S40.time_for_cycles(cycles)
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,7 @@ class WorstCaseBreakdown:
         ]
 
 
-def worst_case_scenario(
-    device: FPGADevice = STRATIX_EP1S40,
-    n_entries: int = 1024,
-    n_pushes: int = 3,
-) -> WorstCaseBreakdown:
+def worst_case_scenario() -> WorstCaseBreakdown:
     """Reproduce the paper's worst-case arithmetic.
 
     "the worst case number of cycles required to reset the
@@ -94,9 +88,9 @@ def worst_case_scenario(
     1024 label pairs and perform a swap would be 6167 cycles."
     """
     reset = RESET_CYCLES
-    pushes = n_pushes * USER_PUSH_CYCLES
-    writes = n_entries * WRITE_PAIR_CYCLES
-    search = SEARCH_PER_ENTRY * n_entries + SEARCH_OVERHEAD
+    pushes = 3 * USER_PUSH_CYCLES
+    writes = LEVEL_DEPTH * WRITE_PAIR_CYCLES
+    search = SEARCH_PER_ENTRY * LEVEL_DEPTH + SEARCH_OVERHEAD
     swap = SWAP_TAIL_CYCLES
     total = reset + pushes + writes + search + swap
     tel = get_telemetry()
@@ -109,7 +103,7 @@ def worst_case_scenario(
         search=search,
         swap=swap,
         total=total,
-        seconds=device.time_for_cycles(total),
+        seconds=STRATIX_EP1S40.time_for_cycles(total),
     )
 
 

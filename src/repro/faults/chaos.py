@@ -136,7 +136,6 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
         ldp=run.ldp,
         message_ldp=run.message_ldp,
         frr=run.frr,
-        detection_delay_s=scenario.detection_delay_s,
         seed=seed,
         security=run.security,
         controller=run.controller,

@@ -37,6 +37,9 @@ from repro.obs.events import FaultHealed, FaultInjected, StaleEntriesFlushed
 WINDOW_S = 0.5
 #: the source address of every forged packet
 SPOOFED_SRC = "203.0.113.66"
+#: how long the control plane takes to notice a data-plane fault or its
+#: heal (a loss-of-light / BFD stand-in)
+DETECTION_DELAY_S = 1e-3
 
 
 @dataclass
@@ -161,10 +164,6 @@ class FaultInjector:
     frr:
         Optional :class:`~repro.control.frr.FastRerouteManager`;
         told about link failures/recoveries after the detection delay.
-    detection_delay_s:
-        How long the control plane takes to notice a data-plane fault
-        (loss-of-light / BFD stand-in).  Heals are detected after the
-        same delay.
     seed:
         Seeds the injector's private RNG (bit positions for
         corruption/bit-flips); independent of the schedule's seed.
@@ -184,7 +183,6 @@ class FaultInjector:
         ldp=None,
         message_ldp=None,
         frr=None,
-        detection_delay_s: float = 1e-3,
         seed: int = 0,
         security=None,
         controller=None,
@@ -196,7 +194,6 @@ class FaultInjector:
         self.frr = frr
         self.security = security
         self.controller = controller
-        self.detection_delay_s = detection_delay_s
         self.rng = random.Random((seed << 4) ^ 0xB17F11B)
         self.records: List[FaultRecord] = []
         self.restarts: List[RestartRecord] = []
@@ -330,7 +327,7 @@ class FaultInjector:
         self.network.fail_link(a, b)
         self._mark_link(a, b, up=False)
         self.scheduler.after(
-            self.detection_delay_s,
+            DETECTION_DELAY_S,
             self._links_lost, record, [(a, b)], f"link {a}-{b} down",
         )
 
@@ -369,7 +366,7 @@ class FaultInjector:
         self.network.restore_link(a, b)
         self._mark_link(a, b, up=True)
         self.scheduler.after(
-            self.detection_delay_s, self._link_heal_detected, a, b, record
+            DETECTION_DELAY_S, self._link_heal_detected, a, b, record
         )
 
     def _link_heal_detected(self, a: str, b: str, record: FaultRecord) -> None:
@@ -439,7 +436,7 @@ class FaultInjector:
         if self.ldp is not None:
             self.ldp.down_nodes.add(name)
         self.scheduler.after(
-            self.detection_delay_s,
+            DETECTION_DELAY_S,
             self._links_lost, record, incident, f"node {name} down",
         )
 
@@ -456,7 +453,7 @@ class FaultInjector:
         if self.ldp is not None:
             self.ldp.down_nodes.discard(name)
         self.scheduler.after(
-            self.detection_delay_s, self._restart_detected, restored, record
+            DETECTION_DELAY_S, self._restart_detected, restored, record
         )
 
     def _restart_detected(

@@ -19,7 +19,6 @@ Schema (all times in simulated seconds)::
       "hardware": false,
       "control": "ldp",                    // ldp | ldp-messages | frr
       "duration": 1.0,
-      "detection_delay_s": 1e-3,
       "traffic": [{"ingress": "ler-a", "egress": "ler-b",
                    "prefix": "10.2.0.0/16",
                    "src": "10.1.0.5", "dst": "10.2.0.9",
@@ -488,7 +487,6 @@ class Scenario:
     hardware: bool = False
     control: str = "ldp"  # "ldp" | "ldp-messages" | "frr"
     duration: float = 1.0
-    detection_delay_s: float = 1e-3
     protection: Annotated[List[ProtectionSpec], _PROTECTION] = field(
         default_factory=list)
     faults: Annotated[List[FaultSpec], _FAULTS] = field(default_factory=list)
@@ -535,15 +533,10 @@ class Scenario:
             raise ScenarioError(f"unknown control plane {self.control!r}")
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
-        # the horizon and the detection delay are scheduler times: NaN
-        # or infinity spins to the event budget or fails mid-run
+        # the horizon is a scheduler time: NaN or infinity spins to the
+        # event budget or fails mid-run
         if not math.isfinite(self.duration):
             raise ScenarioError(f"bad duration {self.duration!r}: must be finite")
-        if not 0 <= self.detection_delay_s < math.inf:
-            raise ScenarioError(
-                f"bad detection_delay_s {self.detection_delay_s!r}: must be "
-                "finite and >= 0"
-            )
         if not self.traffic:
             raise ScenarioError("a scenario needs at least one flow")
         egress_of: Dict[str, str] = {}

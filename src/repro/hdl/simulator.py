@@ -81,7 +81,7 @@ from repro.hdl.signal import Reg, Signal, Wire
 class CombinationalLoopError(RuntimeError):
     """The settle phase did not reach a fixed point.
 
-    Raised when wires keep changing after ``max_settle_passes``
+    Raised when wires keep changing after :data:`MAX_SETTLE_PASSES`
     iterations -- the Python analogue of an unstable combinational loop
     in RTL.
     """
@@ -135,21 +135,16 @@ def _overrides(component: Component, name: str) -> bool:
     return getattr(type(component), name) is not getattr(Component, name)
 
 
+#: upper bound on fixed-point iterations per cycle before a
+#: :class:`CombinationalLoopError` is raised; real designs here settle in
+#: a handful of passes
+MAX_SETTLE_PASSES = 64
+
+
 class Simulator:
-    """Owns the clock, the signal table, and the component list.
+    """Owns the clock, the signal table, and the component list."""
 
-    Parameters
-    ----------
-    max_settle_passes:
-        Upper bound on fixed-point iterations per cycle before a
-        :class:`CombinationalLoopError` is raised.  Real designs here
-        settle in a handful of passes.
-    """
-
-    def __init__(self, max_settle_passes: int = 64) -> None:
-        if max_settle_passes < 1:
-            raise ValueError(f"max_settle_passes must be >= 1, got {max_settle_passes}")
-        self.max_settle_passes = max_settle_passes
+    def __init__(self) -> None:
         self.cycle = 0
         self._components: List[Component] = []
         self._signals: Dict[str, Signal] = {}
@@ -281,7 +276,7 @@ class Simulator:
             due |= wire._readers
         moved = bool(changed)
         changed.clear()
-        for _ in range(1, self.max_settle_passes):
+        for _ in range(1, MAX_SETTLE_PASSES):
             if not moved:
                 return
             for wire in driven:
@@ -319,7 +314,7 @@ class Simulator:
             return
         raise CombinationalLoopError(
             f"combinational logic failed to settle within "
-            f"{self.max_settle_passes} passes at cycle {self.cycle}"
+            f"{MAX_SETTLE_PASSES} passes at cycle {self.cycle}"
         )
 
     def step(self, cycles: int = 1) -> int:

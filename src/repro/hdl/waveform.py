@@ -56,10 +56,10 @@ def render_ascii(
     recorder: WaveformRecorder,
     names: Optional[Sequence[str]] = None,
     start: int = 0,
-    end: Optional[int] = None,
     max_width: int = 100,
 ) -> str:
-    """Render a recorder's capture as an ASCII waveform table.
+    """Render a recorder's capture as an ASCII waveform table, cycles
+    ``start`` up to the last captured cycle (a reset restarts the count).
 
     Single-bit signals render as ``_``/``#`` level bars; multi-bit
     signals render their value at each change and ``.`` while stable.
@@ -68,11 +68,9 @@ def render_ascii(
         names = [s.name for s in recorder.signals]
     if not recorder.cycles:
         return "(no cycles captured)"
-    end = end if end is not None else recorder.cycles[-1]
+    end = recorder.cycles[-1]
     window = [
-        i
-        for i, c in enumerate(recorder.cycles)
-        if start <= c <= end
+        i for i, c in enumerate(recorder.cycles) if start <= c <= end
     ][: max_width]
     label_width = max(len(n) for n in names) + 1
     out = io.StringIO()
@@ -109,15 +107,11 @@ def _identifier(number: int) -> str:
             return code
 
 
-def dump_vcd(
-    recorder: WaveformRecorder,
-    path: str,
-    timescale: str = "20 ns",
-) -> None:
+def dump_vcd(recorder: WaveformRecorder, path: str) -> None:
     """Write the capture as a Value Change Dump file.
 
-    The default timescale of 20 ns per cycle corresponds to the paper's
-    50 MHz clock on the Altera Stratix device.
+    The timescale of 20 ns per cycle is the paper's 50 MHz clock on the
+    Altera Stratix device.
     """
     ids = {
         sig.name: _identifier(number)
@@ -126,7 +120,7 @@ def dump_vcd(
     with open(path, "w", encoding="ascii") as fh:
         fh.write("$date reproduction run $end\n")
         fh.write("$version repro.hdl.waveform $end\n")
-        fh.write(f"$timescale {timescale} $end\n")
+        fh.write("$timescale 20 ns $end\n")
         fh.write("$scope module top $end\n")
         for sig in recorder.signals:
             ident = ids[sig.name]

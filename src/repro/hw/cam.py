@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.device import FPGADevice, STRATIX_EP1S40
+from repro.core.device import STRATIX_EP1S40
 from repro.hdl.simulator import Component, Simulator
 from repro.hw.info_base import LABEL_WIDTH, OP_WIDTH
 
@@ -125,25 +125,22 @@ class CAMInfoBaseLevel(Component):
         return list(self._entries)
 
 
-def cam_logic_elements(
-    entries: int, index_width: int = 20
-) -> int:
+#: bits of each CAM row's match key (a 20-bit label)
+INDEX_WIDTH = 20
+#: how much of the device's fabric the lookup structure may monopolize;
+#: the rest is needed for the control unit, datapath, packet processing
+#: and I/O
+BUDGET_FRACTION = 0.4
+
+
+def cam_logic_elements(entries: int) -> int:
     """Estimated logic-element cost of a CAM with ``entries`` rows."""
-    return int(entries * index_width * LES_PER_CAM_BIT)
+    return int(entries * INDEX_WIDTH * LES_PER_CAM_BIT)
 
 
-def cam_fits(
-    entries: int,
-    index_width: int = 20,
-    device: FPGADevice = STRATIX_EP1S40,
-    budget_fraction: float = 0.4,
-) -> bool:
-    """Would the CAM fit in a sane fraction of the device's logic?
-
-    ``budget_fraction`` caps how much fabric the lookup structure may
-    monopolize; the rest is needed for the control unit, datapath,
-    packet processing and I/O.
-    """
-    return cam_logic_elements(entries, index_width) <= (
-        device.logic_elements * budget_fraction
+def cam_fits(entries: int) -> bool:
+    """Would the CAM fit in :data:`BUDGET_FRACTION` of the paper
+    device's logic?"""
+    return cam_logic_elements(entries) <= (
+        STRATIX_EP1S40.logic_elements * BUDGET_FRACTION
     )

@@ -57,10 +57,9 @@ class Datapath(Component):
         sim: Simulator,
         name: str = "dp",
         ib_depth: int = LEVEL_DEPTH,
-        stack_capacity: int = 8,
     ) -> None:
         super().__init__(sim, name)
-        self.stack = HardwareStack(sim, f"{name}.stack", capacity=stack_capacity)
+        self.stack = HardwareStack(sim, f"{name}.stack")
         self.info_base = InfoBase(sim, f"{name}.ib", depth=ib_depth)
         # The register holding the entry being modified.
         self.entry_reg = Register(sim, f"{name}.entry", width=ENTRY_WIDTH)

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.hdl.signal import Wire
 from repro.hdl.simulator import Component, Simulator
+from repro.hw.info_base import LEVEL_DEPTH
 from repro.hw.model import PUSH_TAIL_CYCLES, ModifierBackend, search_cycles
 from repro.hw.modifier import LabelStackModifier
 from repro.hw.opcodes import (
@@ -90,13 +91,8 @@ class ModifierDriver(ModifierBackend):
     """Issues operations against a :class:`LabelStackModifier` and
     reports exact cycle counts."""
 
-    def __init__(
-        self,
-        modifier: Optional[LabelStackModifier] = None,
-        staging_limit: Optional[int] = None,
-        **kwargs,
-    ) -> None:
-        self.modifier = modifier if modifier is not None else LabelStackModifier(**kwargs)
+    def __init__(self, ib_depth: int = LEVEL_DEPTH) -> None:
+        self.modifier = LabelStackModifier(ib_depth)
         self.sim = self.modifier.sim
         self._pins = _WireDriver(self.sim, "pins")
         #: pairs per information-base level, as the RTL was built
@@ -105,7 +101,7 @@ class ModifierDriver(ModifierBackend):
         self.max_transaction_cycles = HANG_FACTOR * (
             search_cycles(self.ib_depth, None) + PUSH_TAIL_CYCLES
         )
-        super().__init__(staging_limit)
+        super().__init__()
         #: Optional :class:`repro.obs.profiling.CycleProfiler`; when
         #: attached, every transaction's cycles are scoped under the
         #: operation's name for per-operation breakdowns.

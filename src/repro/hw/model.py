@@ -44,6 +44,7 @@ from repro.hw.opcodes import (
     check_pair,
     check_update,
 )
+from repro.hw.stack import STACK_CAPACITY
 from repro.mpls.label import LabelEntry, LabelOp
 
 #: Table 6 constants.
@@ -128,8 +129,6 @@ def scrub_level(
     device,
     level: int,
     expected: Iterable[Tuple[int, int, object]],
-    repair: bool = True,
-    max_passes: int = 3,
 ) -> ScrubReport:
     """Walk one information-base level and repair corrupted pairs.
 
@@ -145,7 +144,7 @@ def scrub_level(
     ``device`` is anything speaking the driver transaction protocol
     (:class:`FunctionalModifier` or
     :class:`~repro.hw.driver.ModifierDriver`).  A repair that needs
-    more than ``max_passes`` detection/repair rounds (possible when a
+    more than three detection/repair rounds (possible when a
     corrupted index collides with a healthy entry) reports
     ``clean=False``.
     """
@@ -153,7 +152,7 @@ def scrub_level(
         raise ValueError(f"level must be 1..3, got {level}")
     want = Counter(_normalize_pairs(level, expected))
     report = ScrubReport(level=level)
-    for _ in range(max_passes):
+    for _ in range(3):
         report.passes += 1
         count = device.ib_counts()[level - 1]
         stored: List[Tuple[int, int, int]] = []
@@ -170,9 +169,6 @@ def scrub_level(
             report.clean = True
             return report
         report.corrupted += len(bad)
-        if not repair:
-            report.clean = False
-            return report
         for entry in bad:
             match = next(
                 (m for m in missing if m[0] == entry[0]), None
@@ -208,18 +204,6 @@ def scrub_level(
     return report
 
 
-class StagingBackpressure(RuntimeError):
-    """The bounded bank-write command queue is full.
-
-    The write port drains staged pairs into the shadow bank at a fixed
-    rate; when the control plane issues writes faster than the queue
-    bound (``staging_limit``) allows, the next write raises instead of
-    growing an unbounded staging list.  The caller must yield --
-    :meth:`ModifierBackend.bank_drain` models waiting for the queue
-    to empty -- and retry the write.
-    """
-
-
 class ModifierBackend:
     """What both backends of the label stack modifier share: the
     double-buffered bank protocol, the scrub, and the one packet pass.
@@ -231,13 +215,7 @@ class ModifierBackend:
     which makes the staged banks the active information base.
     """
 
-    def __init__(self, staging_limit: Optional[int] = None) -> None:
-        if staging_limit is not None and staging_limit < 1:
-            raise ValueError("staging_limit must be >= 1")
-        #: bound on bank writes in flight between drains (None = legacy
-        #: unbounded staging); a full queue raises StagingBackpressure
-        self.staging_limit = staging_limit
-        self._staged_since_drain = 0
+    def __init__(self) -> None:
         #: per-level (index, label, op) triples while a bank
         #: transaction is open, else None
         self._staged: Optional[List[List[Tuple[int, int, int]]]] = None
@@ -266,7 +244,6 @@ class ModifierBackend:
         if self._staged is not None:
             raise RuntimeError("bank transaction already open")
         self._staged = [[], [], []]
-        self._staged_since_drain = 0
 
     def bank_write_pair(
         self, level: int, index: int, new_label: int, op: LabelOp
@@ -277,15 +254,6 @@ class ModifierBackend:
         if self._staged is None:
             raise RuntimeError("no bank transaction open")
         check_pair(level, index, new_label, op)
-        if (
-            self.staging_limit is not None
-            and self._staged_since_drain >= self.staging_limit
-        ):
-            raise StagingBackpressure(
-                f"bank command queue full ({self.staging_limit} writes "
-                f"since last drain)"
-            )
-        self._staged_since_drain += 1
         self._staged[level - 1].append((index, new_label, int(op)))
         return self._spend("BANK_WRITE", WRITE_PAIR_CYCLES)
 
@@ -295,22 +263,9 @@ class ModifierBackend:
         if self._staged is None:
             raise RuntimeError("no bank transaction open")
         staged, self._staged = self._staged, None
-        self._staged_since_drain = 0
         self._swap_in(staged)
         self.state_version += 1
         return self._spend("BANK_SWAP", BANK_SWAP_CYCLES)
-
-    def bank_drain(self) -> int:
-        """Wait for the bounded bank-write command queue to empty.
-
-        Zero extra cycles: each pair's 3-cycle write already covers its
-        drain into the shadow bank; this only re-opens the queue.
-        Returns how many writes were outstanding."""
-        if self._staged is None:
-            raise RuntimeError("no bank transaction open")
-        drained = self._staged_since_drain
-        self._staged_since_drain = 0
-        return drained
 
     def bank_rollback(self) -> None:
         """Abandon the shadow banks (zero cycles: nothing was ever
@@ -318,17 +273,15 @@ class ModifierBackend:
         if self._staged is None:
             raise RuntimeError("no bank transaction open")
         self._staged = None
-        self._staged_since_drain = 0
 
     def scrub(
         self,
         level: int,
         expected: Iterable[Tuple[int, int, object]],
-        repair: bool = True,
     ) -> ScrubReport:
-        """Verify (and repair) one level against the control plane's
+        """Verify and repair one level against the control plane's
         shadow of what it programmed; see :func:`scrub_level`."""
-        return scrub_level(self, level, expected, repair=repair)
+        return scrub_level(self, level, expected)
 
     # -- the packet pass -----------------------------------------------------
     def load_stack(self, entries: Iterable[LabelEntry]) -> int:
@@ -390,14 +343,11 @@ class FunctionalModifier(ModifierBackend):
     def __init__(
         self,
         ib_depth: int = 1024,
-        stack_capacity: int = 8,
-        staging_limit: Optional[int] = None,
     ) -> None:
         if ib_depth < 1:
             raise ValueError(f"information base: depth must be >= 1, got {ib_depth}")
-        super().__init__(staging_limit)
+        super().__init__()
         self.ib_depth = ib_depth
-        self.stack_capacity = stack_capacity
         self._levels = [_Level(), _Level(), _Level()]
         self._stack: List[LabelEntry] = []  # index 0 is the top
         self._is_lsr = False
@@ -418,7 +368,7 @@ class FunctionalModifier(ModifierBackend):
         return RESET_CYCLES
 
     def user_push(self, entry: LabelEntry) -> int:
-        if len(self._stack) >= self.stack_capacity:
+        if len(self._stack) >= STACK_CAPACITY:
             self.stack_error = True
         else:
             self._stack.insert(0, entry)

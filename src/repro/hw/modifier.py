@@ -6,14 +6,13 @@ combined ``done`` pulse, the ``packet_discard`` pulse, and the search
 outputs (``label_out`` / ``operation_out`` / ``lookup_done`` of
 Figures 14-16).
 
-The modifier owns its :class:`~repro.hdl.simulator.Simulator` unless
-one is supplied, so a bench can instantiate several independent
-modifiers.
+The modifier owns its :class:`~repro.hdl.simulator.Simulator`, so a
+bench can instantiate several independent modifiers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.hdl.simulator import Component, Simulator
 from repro.hw.datapath import Datapath, entry_fields
@@ -31,19 +30,13 @@ class LabelStackModifier(Component):
     #: ``settle`` ORs registered pulses only
     reads = ()
 
-    def __init__(
-        self,
-        sim: Optional[Simulator] = None,
-        name: str = "lsm",
-        ib_depth: int = LEVEL_DEPTH,
-        stack_capacity: int = 8,
-    ) -> None:
-        if sim is None:
-            sim = Simulator()
+    def __init__(self, ib_depth: int = LEVEL_DEPTH) -> None:
+        sim = Simulator()
+        name = "lsm"
         # the datapath and FSMs register themselves with the simulator;
         # this component is registered last so its settle() (which ORs
         # status signals) still participates in the fixed point.
-        self.dp = Datapath(sim, f"{name}.dp", ib_depth, stack_capacity)
+        self.dp = Datapath(sim, f"{name}.dp", ib_depth)
         self.search = SearchFSM(sim, self.dp, f"{name}.search")
         self.ib_iface = InfoBaseInterfaceFSM(
             sim, self.dp, self.search, f"{name}.ib_iface"

@@ -25,8 +25,12 @@ from repro.hw.opcodes import StackOp
 ENTRY_WIDTH = 32
 
 
+#: entries the stack holds; a push beyond it sets ``error`` and is dropped
+STACK_CAPACITY = 8
+
+
 class HardwareStack(Component):
-    """A ``capacity``-deep stack of 32-bit entries.
+    """A :data:`STACK_CAPACITY`-deep stack of 32-bit entries.
 
     Wires (inputs): ``op`` (3 bits, a :class:`StackOp` code),
     ``data_in`` (32 bits, for PUSH and WRITE_TOP).
@@ -35,22 +39,19 @@ class HardwareStack(Component):
     ``size``, ``error`` (sticky misuse flag).
     """
 
-    def __init__(self, sim: Simulator, name: str, capacity: int = 8) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
-        if capacity < 1:
-            raise ValueError(f"{name}: capacity must be >= 1")
-        self.capacity = capacity
         self.op = self.wire("op", 3)
         self.data_in = self.wire("data_in", ENTRY_WIDTH)
         self.top = self.reg("top", ENTRY_WIDTH)
-        self.size = self.reg("size", max(1, capacity.bit_length()))
+        self.size = self.reg("size", STACK_CAPACITY.bit_length())
         self.error = self.reg("error", 1)
         self._entries: List[int] = []  # index -1 is the top
 
     def tick(self) -> None:
         op = self.op.value
         if op == StackOp.PUSH:
-            if len(self._entries) >= self.capacity:
+            if len(self._entries) >= STACK_CAPACITY:
                 self.error.stage(1)
             else:
                 self._entries.append(self.data_in.value)

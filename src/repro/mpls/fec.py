@@ -18,7 +18,7 @@ longest-match-first, as an IP RIB would.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.net.addressing import IPv4Prefix
 from repro.net.packet import IPv4Packet
@@ -57,7 +57,7 @@ class PrefixFEC(FEC):
 
 
 class CoSFEC(FEC):
-    """An inner FEC further restricted to a DSCP range.
+    """An inner FEC further restricted to one DSCP.
 
     Used to steer marked traffic (e.g. EF-marked VoIP) onto a dedicated
     LSP while best-effort traffic to the same destinations takes
@@ -65,33 +65,24 @@ class CoSFEC(FEC):
     unqualified inner FEC.
     """
 
-    __slots__ = ("inner", "dscp_min", "dscp_max", "specificity")
+    __slots__ = ("inner", "dscp", "specificity")
 
-    def __init__(self, inner: FEC, dscp_min: int, dscp_max: Optional[int] = None) -> None:
-        if dscp_max is None:
-            dscp_max = dscp_min
-        if not 0 <= dscp_min <= dscp_max <= 63:
-            raise ValueError(
-                f"bad DSCP range {dscp_min}..{dscp_max} (must be within 0..63)"
-            )
+    def __init__(self, inner: FEC, dscp: int) -> None:
+        if not 0 <= dscp <= 63:
+            raise ValueError(f"bad DSCP {dscp} (must be within 0..63)")
         self.inner = inner
-        self.dscp_min = dscp_min
-        self.dscp_max = dscp_max
+        self.dscp = dscp
         self.specificity = inner.specificity + 64
 
     def matches(self, packet: IPv4Packet) -> bool:
-        return (
-            self.dscp_min <= packet.dscp <= self.dscp_max
-            and self.inner.matches(packet)
-        )
+        return packet.dscp == self.dscp and self.inner.matches(packet)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CoSFEC)
             and self.inner == other.inner
-            and (self.dscp_min, self.dscp_max)
-            == (other.dscp_min, other.dscp_max)
+            and self.dscp == other.dscp
         )
 
     def __hash__(self) -> int:
-        return hash(("cos", self.inner, self.dscp_min, self.dscp_max))
+        return hash(("cos", self.inner, self.dscp))

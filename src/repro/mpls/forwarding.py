@@ -78,15 +78,16 @@ class Action(Enum):
 
 @dataclass
 class OpCounts:
-    """Tally of elementary data-plane operations.
+    """Tally of elementary data-plane operations: each engine's
+    ``counts``.
 
-    .. deprecated::
-        New code should read these counts from the telemetry registry
-        (``repro_mpls_ops_total{node,op}``, see :mod:`repro.obs`); this
-        class remains as a compatibility shim because the software cost
-        model in :mod:`repro.core.timing` prices each field and the
-        benchmarks consume ``engine.counts`` directly.  The engine
-        keeps both views in step, so existing callers need no change.
+    It is the flow cache's unit of work: :meth:`ForwardingEngine.measure`
+    returns one pass's tally (an ``OpCounts`` of its own, split off with
+    :meth:`merged`) and :meth:`ForwardingEngine.replay` adds it again for
+    each packet a cached decision serves.  The software cost model in
+    :mod:`repro.core.timing` prices each field, and the telemetry
+    registry's ``repro_mpls_ops_total{node,op}`` mirrors the same
+    increments when telemetry is on.
     """
 
     ftn_lookups: int = 0

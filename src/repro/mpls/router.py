@@ -84,20 +84,13 @@ class LSRNode:
         Unique node name within the network.
     role:
         :class:`RouterRole.LER` or :class:`RouterRole.LSR`.
-    interfaces:
-        Interface names; links attach to these.  May be extended later
-        via :meth:`add_interface`.
     """
 
-    def __init__(
-        self,
-        name: str,
-        role: RouterRole = RouterRole.LSR,
-        interfaces: Optional[List[str]] = None,
-    ) -> None:
+    def __init__(self, name: str, role: RouterRole = RouterRole.LSR) -> None:
         self.name = name
         self.role = role
-        self.interfaces: List[str] = list(interfaces or [])
+        #: interface names links attach to (:meth:`add_interface`)
+        self.interfaces: List[str] = []
         self.ilm = ILM()
         self.ftn = FTN()
         self.engine = ForwardingEngine(self.ilm, self.ftn, node_name=name)
@@ -119,20 +112,13 @@ class LSRNode:
         self.external_guard = None
 
     # -- batched fast path --------------------------------------------------
-    def enable_batching(self, cache_capacity: Optional[int] = None):
+    def enable_batching(self):
         """Arm the flow cache over the node's engine: subsequent
         packets replay memoized decisions (see
         :mod:`repro.mpls.fastpath`)."""
-        from repro.mpls.fastpath import DEFAULT_CAPACITY, FlowCache
+        from repro.mpls.fastpath import FlowCache
 
-        self.flow_cache = FlowCache(
-            self.engine,
-            capacity=(
-                cache_capacity
-                if cache_capacity is not None
-                else DEFAULT_CAPACITY
-            ),
-        )
+        self.flow_cache = FlowCache(self.engine)
         return self.flow_cache
 
     def disable_batching(self) -> None:

@@ -21,9 +21,8 @@ Semantics, and their documented limits:
 * the aggregate is the granularity of loss: a link-down flush, queue
   overflow or wire-loss draw takes the whole train (a burst is lost
   together), and per-packet telemetry *events* are not emitted for
-  bulk packets -- packets that must be individually observable (span
-  sampling) are materialized by the source instead and travel as real
-  packets alongside the aggregate.
+  bulk packets -- a packet that must be individually observable
+  travels as a real packet alongside the aggregate.
 
 A train crosses the same data-plane routines as a packet: its template
 is the packet, the aggregate rides along as their ``train`` argument.
@@ -40,7 +39,7 @@ from typing import Callable, List, Optional, Union
 
 from repro.net.events import EventScheduler
 from repro.net.packet import IPv4Packet, MPLSPacket
-from repro.net.traffic import DSCP_BE, CBRSource
+from repro.net.traffic import CBRSource
 
 
 _new = object.__new__
@@ -113,21 +112,14 @@ class AggregateDelivery:
 
 
 class AggregateCBRSource(CBRSource):
-    """A CBR flow emitted as aggregates, with sampled materialization.
+    """A CBR flow of 500-byte best-effort packets, emitted as aggregates.
 
     Emits one :class:`FlowAggregate` of up to ``batch`` packets per
-    batch window instead of ``batch`` individual packets.  When
-    ``sample_every`` is set, every ``sample_every``-th packet of the
-    flow is materialized as a real :class:`IPv4Packet` and injected at
-    its exact creation time through ``sample_sink`` (default: the same
-    sink), so span tracing and per-packet telemetry observe it as a
-    real packet; the aggregate's count excludes materialized packets,
-    keeping packet/byte totals exact.
+    batch window instead of ``batch`` individual packets.
 
     Everything else is :class:`repro.net.traffic.CBRSource`: flow-id
     allocation, the ``(packet_size + 20) * 8 / rate_bps`` spacing, and
-    the ``sent`` / ``sent_bytes`` accounting (both bulk and sampled
-    packets count).
+    the ``sent`` / ``sent_bytes`` accounting.
     """
 
     def __init__(
@@ -137,35 +129,13 @@ class AggregateCBRSource(CBRSource):
         src: str,
         dst: str,
         rate_bps: float = 1e6,
-        packet_size: int = 500,
         batch: int = 100,
-        dscp: int = DSCP_BE,
-        start: float = 0.0,
         stop: Optional[float] = None,
-        ttl: int = 64,
-        sample_every: Optional[int] = None,
-        sample_sink: Optional[Callable[[IPv4Packet], None]] = None,
     ) -> None:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
-        if sample_every is not None and sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {sample_every}")
-        super().__init__(
-            scheduler,
-            sink,
-            src,
-            dst,
-            rate_bps=rate_bps,
-            packet_size=packet_size,
-            dscp=dscp,
-            start=start,
-            stop=stop,
-        )
+        super().__init__(scheduler, sink, src, dst, rate_bps=rate_bps, stop=stop)
         self.batch = batch
-        self.ttl = ttl
-        self.sample_every = sample_every
-        self.sample_sink = sample_sink
-        self.sampled = 0
 
     def _emit(self) -> None:
         now = self.scheduler.now
@@ -178,32 +148,10 @@ class AggregateCBRSource(CBRSource):
             # (the scalar CBR source stops strictly before it)
             room = math.ceil((self.stop - now) / self.interval)
             n = min(n, max(1, room))
-        bulk = n
-        if self.sample_every is not None:
-            # materialize every sample_every-th packet of the flow (by
-            # absolute sequence number) at its exact creation time
-            sample_sink = (
-                self.sample_sink if self.sample_sink is not None else self.sink
-            )
-            for i in range(n):
-                seq = self.sent + i
-                if seq % self.sample_every == 0:
-                    packet = self._packet(
-                        self.packet_size, seq, now + i * self.interval,
-                        self.ttl,
-                    )
-                    self.scheduler.at(
-                        packet.created_at, lambda p=packet: sample_sink(p)
-                    )
-                    self.sampled += 1
-                    bulk -= 1
-        template = self._packet(self.packet_size, self.sent, now, self.ttl)
+        template = self._packet(self.packet_size, self.sent, now)
         self.sent += n
         self.sent_bytes += n * template.length
-        if bulk > 0:
-            self.sink(
-                FlowAggregate(
-                    template=template, count=bulk, interval=self.interval
-                )
-            )
+        self.sink(
+            FlowAggregate(template=template, count=n, interval=self.interval)
+        )
         self.scheduler.after(n * self.interval, self._emit)

@@ -84,23 +84,15 @@ class EthernetFrame:
         return body + fcs
 
     @classmethod
-    def deserialize(cls, data: bytes, true_payload_len: int = None) -> "EthernetFrame":  # type: ignore[assignment]
-        """Parse wire bytes, verifying the FCS.
-
-        ``true_payload_len`` strips 802.3 padding when the caller knows
-        the inner length (the IPv4 total-length field supplies it in
-        practice); if omitted, padding is preserved.
-        """
+    def deserialize(cls, data: bytes) -> "EthernetFrame":
+        """Parse wire bytes, verifying the FCS.  802.3 padding stays in
+        the payload: the inner packet's own length field delimits it."""
         if len(data) < 14 + MIN_PAYLOAD + 4:
             raise FramingError(f"frame of {len(data)} bytes is too short")
         body, fcs = data[:-4], data[-4:]
         if zlib.crc32(body).to_bytes(4, "little") != fcs:
             raise FramingError("FCS mismatch: corrupt frame")
         payload = body[14:]
-        if true_payload_len is not None:
-            if true_payload_len > len(payload):
-                raise FramingError("declared payload longer than frame")
-            payload = payload[:true_payload_len]
         return cls(
             dst_mac=body[0:6],
             src_mac=body[6:12],

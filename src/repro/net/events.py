@@ -66,13 +66,14 @@ class EventScheduler:
         heapq.heappush(self._heap, event)
         return event
 
-    def run(self, until: Optional[float] = None, max_events: int = EVENT_BUDGET) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Run events in order until the queue drains or ``until``.
 
-        Returns the number of events processed.  ``max_events`` guards
-        against runaway self-rescheduling sources: spending it with an
-        event still due raises.
+        Returns the number of events processed.  :data:`EVENT_BUDGET`
+        guards against runaway self-rescheduling sources: spending it
+        with an event still due raises.
         """
+        max_events = EVENT_BUDGET
         heap = self._heap
         count = 0
         while heap:

@@ -45,9 +45,8 @@ class IPRouterNode(LSRNode):
         self,
         name: str,
         role: RouterRole = RouterRole.LSR,
-        interfaces=None,
     ) -> None:
-        super().__init__(name, role, interfaces)
+        super().__init__(name, role)
         self._fib: List[FIBEntry] = []
         #: total prefixes examined across all lookups (the LPM cost)
         self.prefixes_scanned = 0

@@ -79,22 +79,20 @@ class SimplexChannel:
         bandwidth_bps: float,
         delay_s: float,
         queue: Optional[Any] = None,
-        loss_rate: float = 0.0,
         loss_seed: int = 0,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         if delay_s < 0:
             raise ValueError(f"negative propagation delay {delay_s}")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss rate must be in [0, 1), got {loss_rate}")
         self.scheduler = scheduler
         self.src = src
         self.dst = dst
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
         self.queue = queue if queue is not None else DropTailQueue()
-        self.loss_rate = loss_rate
+        #: wire loss probability (:meth:`Link.set_loss`)
+        self.loss_rate = 0.0
         self._loss_rng = random.Random(loss_seed)
         self.on_deliver: Optional[Callable[[Interface, Any], None]] = None
         self._busy = False
@@ -268,20 +266,19 @@ class Link:
         bandwidth_bps: float = 100e6,
         delay_s: float = 1e-3,
         queue_factory: Callable[[], Any] = DropTailQueue,
-        loss_rate: float = 0.0,
-        loss_seed: int = 0,
     ) -> None:
         self.a = a
         self.b = b
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
+        # each direction draws its own loss (and corruption) sequence
         self.forward = SimplexChannel(
             scheduler, a, b, bandwidth_bps, delay_s, queue_factory(),
-            loss_rate=loss_rate, loss_seed=loss_seed,
+            loss_seed=0,
         )
         self.reverse = SimplexChannel(
             scheduler, b, a, bandwidth_bps, delay_s, queue_factory(),
-            loss_rate=loss_rate, loss_seed=loss_seed + 1,
+            loss_seed=1,
         )
 
     # -- fault state --------------------------------------------------------

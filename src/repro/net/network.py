@@ -99,12 +99,11 @@ class MPLSNetwork:
         self,
         topology: Topology,
         roles: Optional[Dict[str, RouterRole]] = None,
-        scheduler: Optional[EventScheduler] = None,
         queue_factory: Callable[[], Any] = DropTailQueue,
         node_factory: Callable[[str, RouterRole], LSRNode] = LSRNode,
     ) -> None:
         self.topology = topology
-        self.scheduler = scheduler if scheduler is not None else EventScheduler()
+        self.scheduler = EventScheduler()
         # the run's telemetry is the default current now, kept for the
         # network's life; its events carry simulation time, so point
         # its event log's clock at this network's scheduler
@@ -169,22 +168,19 @@ class MPLSNetwork:
         self.security_monitor: Optional[Any] = None
 
     # -- batched fast path ---------------------------------------------------
-    def enable_batching(self, enabled: bool = True) -> None:
-        """Switch the data plane between the scalar per-packet path
-        (the differential oracle) and the batched fast path: per-node
-        flow caches plus flow-aggregate processing.
+    def enable_batching(self) -> None:
+        """Switch the data plane from the scalar per-packet path (the
+        differential oracle) to the batched fast path: per-node flow
+        caches plus flow-aggregate processing.
 
         Per-packet traffic behaves identically in both modes -- same
         decisions, same telemetry, same reports -- which
         ``tests/integration/test_batching_equivalence.py`` asserts
         byte-for-byte; see ``docs/batching.md`` for the contract.
         """
-        self.batching = enabled
+        self.batching = True
         for node in self.nodes.values():
-            if enabled:
-                node.enable_batching()
-            else:
-                node.disable_batching()
+            node.enable_batching()
 
     # -- wiring ----------------------------------------------------------
     def link(self, a: str, b: str) -> Link:

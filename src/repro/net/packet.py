@@ -99,7 +99,8 @@ class IPv4Packet:
         """A compact but faithful-enough header encoding + payload.
 
         Version/IHL and checksum are synthesized; the fields the data
-        plane reads round-trip exactly.
+        plane reads round-trip exactly.  The identification field (bytes
+        4-5) is the low 16 bits of ``uid``.
         """
         header = bytearray(20)
         header[0] = 0x45  # version 4, IHL 5
@@ -115,11 +116,18 @@ class IPv4Packet:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "IPv4Packet":
+        """Parse a datagram; its ``uid`` is the identification field, so
+        :meth:`serialize` rebuilds the same header (a router does not
+        rewrite the field fragment reassembly keys on)."""
         if len(data) < 20:
             raise ValueError("IPv4 packet shorter than a header")
         if data[0] >> 4 != 4:
             raise ValueError("not an IPv4 packet")
         total = int.from_bytes(data[2:4], "big")
+        if total < 20:
+            raise ValueError(
+                f"IPv4 total length {total} is shorter than the 20-byte header"
+            )
         if total > len(data):
             raise ValueError("truncated IPv4 packet")
         return cls(
@@ -129,6 +137,7 @@ class IPv4Packet:
             dscp=data[1] >> 2,
             protocol=data[9],
             payload=data[20:total],
+            uid=int.from_bytes(data[4:6], "big"),
         )
 
 

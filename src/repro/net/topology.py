@@ -28,8 +28,6 @@ class LinkAttributes:
     #: TE: bandwidth not yet reserved by LSPs (both directions tracked
     #: separately, keyed by the upstream node name).
     reservable_bps: Dict[str, float] = field(default_factory=dict)
-    #: Administrative affinity bits for CSPF constraint matching.
-    affinity: int = 0
 
     def reservable(self, from_node: str) -> float:
         return self.reservable_bps.get(from_node, self.bandwidth_bps)
@@ -79,13 +77,11 @@ class Topology:
         metric: float = 1.0,
         bandwidth_bps: float = 100e6,
         delay_s: float = 1e-3,
-        affinity: int = 0,
     ) -> LinkAttributes:
         attrs = LinkAttributes(
             metric=self._checked_metric(a, b, metric),
             bandwidth_bps=bandwidth_bps,
             delay_s=delay_s,
-            affinity=affinity,
         )
         self.restore_link(a, b, attrs)
         return attrs
@@ -175,22 +171,22 @@ class Topology:
 
 # -- builders ---------------------------------------------------------------
 
-def line(n: int, prefix: str = "n", **link_kwargs) -> Topology:
+def line(n: int, **link_kwargs) -> Topology:
     """n nodes in a chain: n0 - n1 - ... - n(n-1)."""
     topo = Topology()
     for i in range(n):
-        topo.add_node(f"{prefix}{i}")
+        topo.add_node(f"n{i}")
     for i in range(n - 1):
-        topo.add_link(f"{prefix}{i}", f"{prefix}{i+1}", **link_kwargs)
+        topo.add_link(f"n{i}", f"n{i+1}", **link_kwargs)
     return topo
 
 
-def ring(n: int, prefix: str = "n", **link_kwargs) -> Topology:
-    """n nodes in a cycle."""
+def ring(n: int, **link_kwargs) -> Topology:
+    """n nodes in a cycle: n0 - ... - n(n-1) - n0."""
     if n < 3:
         raise TopologyError("a ring needs at least 3 nodes")
-    topo = line(n, prefix, **link_kwargs)
-    topo.add_link(f"{prefix}{n-1}", f"{prefix}0", **link_kwargs)
+    topo = line(n, **link_kwargs)
+    topo.add_link(f"n{n-1}", "n0", **link_kwargs)
     return topo
 
 

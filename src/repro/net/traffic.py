@@ -94,13 +94,12 @@ class TrafficSource:
             payload = self._payloads[size] = bytes(size)
         return payload
 
-    def _packet(
-        self, size: int, seq: int, created_at: float, ttl: int = 64
-    ) -> IPv4Packet:
+    def _packet(self, size: int, seq: int, created_at: float) -> IPv4Packet:
         """Packet ``seq`` of the flow: a UDP datagram (protocol 17, the
-        packet's default) carrying the shared payload of ``size``."""
+        packet's default, TTL 64) carrying the shared payload of
+        ``size``."""
         return _build_ipv4(
-            self.src, self.dst, ttl, self.dscp, 17, self._payload(size),
+            self.src, self.dst, 64, self.dscp, 17, self._payload(size),
             self.flow_id, seq, created_at,
         )
 
@@ -141,7 +140,7 @@ class CBRSource(TrafficSource):
 
 
 class VoIPSource(TrafficSource):
-    """G.711 voice: 160-byte frames every 20 ms, EF-marked by default."""
+    """G.711 voice: 160-byte frames every 20 ms, EF-marked."""
 
     def __init__(
         self,
@@ -149,26 +148,28 @@ class VoIPSource(TrafficSource):
         sink: Callable[[IPv4Packet], None],
         src: str,
         dst: str,
-        dscp: int = DSCP_EF,
-        frame_interval: float = 0.020,
-        frame_size: int = 160,
         **kwargs,
     ) -> None:
-        super().__init__(scheduler, sink, src, dst, dscp=dscp, **kwargs)
-        self.frame_interval = frame_interval
-        self.frame_size = frame_size
+        super().__init__(scheduler, sink, src, dst, dscp=DSCP_EF, **kwargs)
 
     def _payload_size(self) -> int:
-        return self.frame_size
+        return 160
 
     def _next_interval(self) -> float:
-        return self.frame_interval
+        return 0.020
+
+
+#: video frames per group of pictures (one I-frame, then P-frames)
+GOP = 12
+#: the largest video payload one packet carries
+MTU_PAYLOAD = 1400
 
 
 class VideoSource(TrafficSource):
-    """Frame-structured video: an I-frame every ``gop`` frames, P-frames
-    otherwise, emitted at ``fps`` frames per second.  Large frames are
-    fragmented into MTU-sized packets back-to-back."""
+    """Frame-structured AF41 video: an I-frame every :data:`GOP` frames,
+    P-frames otherwise, emitted at ``fps`` frames per second.  Large
+    frames are fragmented into :data:`MTU_PAYLOAD`-byte packets
+    back-to-back."""
 
     def __init__(
         self,
@@ -176,36 +177,28 @@ class VideoSource(TrafficSource):
         sink: Callable[[IPv4Packet], None],
         src: str,
         dst: str,
-        dscp: int = DSCP_AF41,
         fps: float = 25.0,
         i_frame_size: int = 12_000,
         p_frame_size: int = 3_000,
-        gop: int = 12,
-        mtu_payload: int = 1400,
         **kwargs,
     ) -> None:
-        super().__init__(scheduler, sink, src, dst, dscp=dscp, **kwargs)
-        if not 0 < fps < math.inf or gop < 1 or mtu_payload < 1:
-            raise ValueError(
-                "video needs a finite fps > 0, gop >= 1 and mtu_payload "
-                f">= 1, got fps={fps} gop={gop} mtu_payload={mtu_payload}"
-            )
+        super().__init__(scheduler, sink, src, dst, dscp=DSCP_AF41, **kwargs)
+        if not 0 < fps < math.inf:
+            raise ValueError(f"video needs a finite fps > 0, got fps={fps}")
         self.fps = fps
         self.i_frame_size = i_frame_size
         self.p_frame_size = p_frame_size
-        self.gop = gop
-        self.mtu_payload = mtu_payload
         self._frame_index = 0
 
     def _emit(self) -> None:
         if self.stop is not None and self.scheduler.now >= self.stop:
             self._running = False
             return
-        is_i = self._frame_index % self.gop == 0
+        is_i = self._frame_index % GOP == 0
         remaining = self.i_frame_size if is_i else self.p_frame_size
         self._frame_index += 1
         while remaining > 0:
-            size = min(remaining, self.mtu_payload)
+            size = min(remaining, MTU_PAYLOAD)
             packet = self._packet(size, self.sent, self.scheduler.now)
             self.sent += 1
             self.sent_bytes += packet.length

@@ -578,9 +578,10 @@ class EventLog:
     -- instead of one :class:`HWOpExecuted` per phase.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        #: Stamp source for events without an explicit time.
-        self.clock = clock
+    def __init__(self) -> None:
+        #: Stamp source for events without an explicit time (the
+        #: network sets its scheduler's clock)
+        self.clock: Optional[Callable[[], float]] = None
         self._sinks: List[Any] = []
         #: the sinks' bound ``write``s, rebuilt whenever ``_sinks``
         #: changes so :meth:`emit` resolves nothing per event

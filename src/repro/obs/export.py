@@ -135,5 +135,5 @@ def snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
     return out
 
 
-def to_json(registry: MetricsRegistry, indent: int = 2) -> str:
-    return json.dumps(snapshot(registry), indent=indent, sort_keys=True)
+def to_json(registry: MetricsRegistry) -> str:
+    return json.dumps(snapshot(registry), indent=2, sort_keys=True)

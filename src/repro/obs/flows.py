@@ -374,12 +374,12 @@ class FlowAccountant:
             self._finish(record, END_IDLE, at=record.last_seen)
         return len(stale)
 
-    def close_fec(self, fec: str, reason: str = END_TEARDOWN) -> int:
+    def close_fec(self, fec: str) -> int:
         """Close every active record riding ``fec`` (LSP teardown)."""
         now = self._now()
         doomed = [r for r in self._active.values() if r.fec == fec]
         for record in doomed:
-            self._finish(record, reason, at=now)
+            self._finish(record, END_TEARDOWN, at=now)
         return len(doomed)
 
     def finalize(self) -> None:

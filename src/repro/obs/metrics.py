@@ -49,11 +49,11 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1.0
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    def dec(self) -> None:
+        self.value -= 1.0
 
 
 class Histogram:
@@ -197,11 +197,11 @@ class MetricFamily:
             )
         return self.labels()
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
+    def inc(self) -> None:
+        self._solo().inc()
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
+    def dec(self) -> None:
+        self._solo().dec()
 
     def set(self, value: float) -> None:
         self._solo().set(value)

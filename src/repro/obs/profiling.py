@@ -52,15 +52,12 @@ class CycleProfiler:
     telemetry:
         When given *and* enabled, every FSM state change is emitted as
         an :class:`~repro.obs.events.FSMTransition` event.
-    track_memories:
-        Port-activity tracking can be switched off for long runs.
     """
 
     def __init__(
         self,
         sim: Simulator,
         telemetry: Optional[Telemetry] = None,
-        track_memories: bool = True,
     ) -> None:
         self.sim = sim
         self.telemetry = telemetry
@@ -69,11 +66,9 @@ class CycleProfiler:
         self._fsms: List[FSM] = [
             c for c in sim.components if isinstance(c, FSM)
         ]
-        self._memories: List[SyncMemory] = (
-            [c for c in sim.components if isinstance(c, SyncMemory)]
-            if track_memories
-            else []
-        )
+        self._memories: List[SyncMemory] = [
+            c for c in sim.components if isinstance(c, SyncMemory)
+        ]
         #: fsm name -> state name -> cycles spent in that state
         self.fsm_state_cycles: Dict[str, Dict[str, int]] = {
             f.name: {} for f in self._fsms

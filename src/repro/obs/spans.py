@@ -246,9 +246,6 @@ class SpanRecorder:
     sample_rate:
         Fraction of packets to trace, decided per uid at the first
         event (head-based).  1.0 traces everything, 0.0 nothing.
-    flow_rates:
-        Per-flow-id overrides of ``sample_rate`` (the per-FEC override
-        knob: map the flow ids carrying a FEC to its rate).
     flow_fecs:
         flow id -> FEC name, used for SLO attribution and trace
         labelling; unmapped flows fall back to ``flow-<id>``.
@@ -261,7 +258,6 @@ class SpanRecorder:
     def __init__(
         self,
         sample_rate: float = 1.0,
-        flow_rates: Optional[Mapping[int, float]] = None,
         flow_fecs: Optional[Mapping[int, str]] = None,
         nodes: Optional[Iterable[str]] = None,
         telemetry: Optional[Telemetry] = None,
@@ -269,7 +265,6 @@ class SpanRecorder:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate not in [0, 1]: {sample_rate}")
         self.sample_rate = sample_rate
-        self.flow_rates = dict(flow_rates or {})
         self.flow_fecs = dict(flow_fecs or {})
         self.nodes = frozenset(nodes) if nodes is not None else None
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
@@ -315,7 +310,7 @@ class SpanRecorder:
             return True
         if uid in self._dropped_uids:
             return False
-        if sample_hash(uid) < self.flow_rates.get(flow_id, self.sample_rate):
+        if sample_hash(uid) < self.sample_rate:
             return True
         self._dropped_uids.add(uid)
         return False
@@ -712,21 +707,9 @@ class SpanRecorder:
         starts, uids = self._start, self._uid
         return sorted(rows, key=lambda row: (starts[row], uids[row]))
 
-    def traces(
-        self,
-        flow: Optional[int] = None,
-        fec: Optional[str] = None,
-        include_probes: bool = True,
-    ) -> List[Trace]:
-        flags = self._flags
-        rows = [
-            row
-            for row in range(len(flags))
-            if (flow is None or self._flow[row] == flow)
-            and (fec is None or self._fec_at(row) == fec)
-            and (include_probes or not flags[row] & _PROBE)
-        ]
-        return self._build(self._by_start(rows))
+    def traces(self) -> List[Trace]:
+        """Every trace, in start order."""
+        return self._build(self._by_start(range(len(self._flags))))
 
     def trace_of(self, uid: int) -> Trace:
         return self._build([self._rows[uid]])[0]

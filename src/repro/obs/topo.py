@@ -327,7 +327,6 @@ class TopologyObserver:
         path: Tuple[str, ...],
         value: Any,
         category: Optional[str] = None,
-        count: int = 1,
     ) -> None:
         """Set a leaf, journal the delta; no-op when nothing changes."""
         if self._get(path) == value:
@@ -337,35 +336,29 @@ class TopologyObserver:
             node = node.setdefault(part, {})
         node[path[-1]] = _copy(value)
         self._journal(
-            {"op": "set", "path": list(path), "value": _copy(value)},
-            category,
-            count,
+            {"op": "set", "path": list(path), "value": _copy(value)}, category
         )
 
     def _remove(
         self,
         path: Tuple[str, ...],
         category: Optional[str] = None,
-        count: int = 1,
     ) -> None:
         parent = self._get(path[:-1])
         if not isinstance(parent, dict) or path[-1] not in parent:
             return
         del parent[path[-1]]
-        self._journal(
-            {"op": "del", "path": list(path)}, category, count
-        )
+        self._journal({"op": "del", "path": list(path)}, category)
 
-    def _journal(
-        self, delta: Dict[str, Any], category: Optional[str], count: int
-    ) -> None:
+    def _journal(self, delta: Dict[str, Any], category: Optional[str]) -> None:
+        """Append one delta; a ``category`` counts it as one change."""
         self.version += 1
         delta["version"] = self.version
         delta["time"] = self._time
         self.deltas.append(delta)
         self._delta_times.append(self._time)
         if category is not None:
-            self._changes.append((self._time, category, count))
+            self._changes.append((self._time, category, 1))
         tel = self._tel
         if tel is not None:
             tel.topo_deltas.inc()

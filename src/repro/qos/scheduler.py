@@ -47,11 +47,15 @@ class PriorityScheduler:
         return None
 
 
+#: bytes a weight-1 class may send per round (one Ethernet MTU)
+QUANTUM_UNIT = 1500
+
+
 class WFQScheduler:
     """Deficit-round-robin approximation of weighted fair queueing.
 
     ``weights[cos]`` sets each class's share; classes absent from the
-    mapping get weight 1.  The quantum is ``weight * quantum_unit``
+    mapping get weight 1.  The quantum is ``weight * QUANTUM_UNIT``
     bytes per round.  Items enqueued by the links are ``(packet,
     size_bytes)`` tuples, which is where the byte costs come from; a
     bare item counts as one quantum unit.
@@ -61,7 +65,6 @@ class WFQScheduler:
         self,
         weights: Optional[Dict[int, float]] = None,
         capacity_per_class: int = 64,
-        quantum_unit: int = 1500,
     ) -> None:
         if capacity_per_class < 1:
             raise ValueError("capacity must be >= 1")
@@ -74,7 +77,6 @@ class WFQScheduler:
                     raise ValueError(f"weight for CoS {cos} must be positive")
                 self.weights[cos] = float(weight)
         self.capacity_per_class = capacity_per_class
-        self.quantum_unit = quantum_unit
         self._queues: List[Deque[Any]] = [deque() for _ in range(8)]
         self._deficit: List[float] = [0.0] * 8
         self._active: Deque[int] = deque()
@@ -122,7 +124,7 @@ class WFQScheduler:
                     self._active.popleft()
                 return item
             # grant this class its quantum and move it to the back
-            self._deficit[cos] += self.weights[cos] * self.quantum_unit
+            self._deficit[cos] += self.weights[cos] * QUANTUM_UNIT
             self._active.rotate(-1)
         raise RuntimeError(
             "WFQ failed to release an item in 10k rotations; "

@@ -2,29 +2,31 @@
 
 import pytest
 
-from repro.analysis.cycles import measure_table6
+from repro.analysis.cycles import SEARCH_SIZES, measure_table6
 from repro.analysis.report import render_series, render_table
 from repro.analysis.throughput import estimate_throughput
+from repro.hw.driver import ModifierDriver
 
 
 class TestMeasureTable6:
     def test_every_row_matches_formula(self):
-        rows = measure_table6(search_sizes=(1, 5), ib_depth=64)
+        rows = measure_table6(driver=ModifierDriver(ib_depth=128))
         assert rows, "no measurements returned"
         for row in rows:
             assert row.matches, f"{row.operation}: {row.expected} != {row.measured}"
 
     def test_row_structure(self):
-        rows = measure_table6(search_sizes=(2,), ib_depth=16)
+        rows = measure_table6(driver=ModifierDriver(ib_depth=128))
         names = [r.operation for r in rows]
         assert "Reset" in names
-        assert any("Search" in n for n in names)
+        assert [n for n in names if "Search" in n] == [
+            f"Search information base (n={n})" for n in SEARCH_SIZES]
         assert any("Swap" in n for n in names)
 
 
 class TestThroughput:
     def test_worst_case_rate(self):
-        est = estimate_throughput(n_entries=1, packet_size_bytes=500)
+        est = estimate_throughput(n_entries=1)
         assert est.cycles_per_packet == 14
         assert est.packets_per_second == pytest.approx(50e6 / 14)
         assert est.mbps == pytest.approx(est.packets_per_second * 4000 / 1e6)
@@ -37,8 +39,6 @@ class TestThroughput:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_throughput(n_entries=0)
-        with pytest.raises(ValueError):
-            estimate_throughput(n_entries=1, packet_size_bytes=0)
 
 
 class TestReport:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.throughput import line_rate_feasibility
-from repro.core.device import FPGADevice
 
 
 class TestLineRateFeasibility:
@@ -29,12 +28,6 @@ class TestLineRateFeasibility:
         feas = line_rate_feasibility(20, packet_size_bytes=500,
                                      link_bps=10e6)
         assert feas.max_line_rate_bps == pytest.approx(2.5e6 * 4000)
-
-    def test_custom_device(self):
-        fast = FPGADevice("fast", clock_hz=200e6, memory_bits=1,
-                          logic_elements=1)
-        slow = line_rate_feasibility(100, device=fast)
-        assert slow.modifier_pps == pytest.approx(2e6)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -30,12 +30,6 @@ class TestSampleSwapLatency:
         dist = sample_swap_latency(1, samples=1000)
         assert dist.mean_cycles == dist.max_cycles == 14
 
-    def test_extra_cycles_shift_everything(self):
-        base = sample_swap_latency(16, samples=10_000, seed=4)
-        shifted = sample_swap_latency(16, samples=10_000, seed=4,
-                                      extra_cycles=6)
-        assert shifted.mean_cycles == pytest.approx(base.mean_cycles + 6)
-
     def test_deterministic_given_seed(self):
         a = sample_swap_latency(64, samples=10_000, seed=7)
         b = sample_swap_latency(64, samples=10_000, seed=7)

@@ -99,7 +99,9 @@ class TestTracer:
                         packet_size=500, stop=0.05)
         src.begin()
         net.run(until=1.0)
-        traces = tracer.recorder.traces(flow=src.flow_id)
+        traces = [
+            t for t in tracer.recorder.traces() if t.flow_id == src.flow_id
+        ]
         assert len(traces) == src.sent
         assert all(t.delivered for t in traces)
 

@@ -8,8 +8,10 @@ constructor's (a PUSH of ``IMPLICIT_NULL`` is a NOOP, a SWAP to it a
 POP), each protocol derives a binding's entries once for install and
 refresh, and CR-LDP is RSVP-TE with hard state.  The bodies this
 replaced are kept below, verbatim, as oracle subclasses; they exist
-only here.  Random connected topologies x FEC sets x PHP x operation
-sequences (crash/restart, reconverge, graceful restart, teardown,
+only here.  The control plane no longer offers PHP (every egress
+advertises a real label), so the oracles run with ``php`` False: their
+PHP branches stay, verbatim, for the lint below.  Random connected
+topologies x FEC sets x operation sequences (crash/restart, reconverge, graceful restart, teardown,
 FRR switchover/revert, ``refresh_node``) must leave both
 worlds with the same table contents in insertion order, the same table
 write sequence, stale marks, allocator state, protocol state and
@@ -70,12 +72,12 @@ class OldLDPProcess(LDPProcess):
         self,
         fec: FEC,
         egress: str,
-        php: bool = False,
-        ingresses: Optional[List[str]] = None,
     ) -> FECBinding:
+        php = False
+        ingresses: Optional[List[str]] = None
         if egress not in self.nodes:
             raise KeyError(f"unknown egress {egress!r}")
-        binding = FECBinding(fec=fec, egress=egress, php=php)
+        binding = FECBinding(fec=fec, egress=egress)
         unavailable = self.down_nodes | self.restarting
         live = [n for n in self.nodes if n not in unavailable]
 
@@ -154,11 +156,7 @@ class OldLDPProcess(LDPProcess):
         node = self.nodes[name]
         ilm_writes = ftn_writes = 0
         for binding in self.bindings:
-            if (
-                name == binding.egress
-                and not binding.php
-                and name in binding.labels
-            ):
+            if name == binding.egress and name in binding.labels:
                 node.ilm.install(
                     binding.labels[name], NHLFE(op=LabelOp.POP)
                 )
@@ -199,8 +197,8 @@ class OldRSVPTESignaler(RSVPTESignaler):
         route: List[str],
         cos: Optional[int],
         fec: Optional[FEC],
-        php: bool,
     ) -> List[Optional[int]]:
+        php = False
         hop_labels: List[Optional[int]] = [None] * (len(route) - 1)
         downstream_label: Optional[int] = IMPLICIT_NULL if php else None
         for i in range(len(route) - 1, 0, -1):
@@ -327,8 +325,8 @@ class OldCRLDPSignaler:
         bandwidth_bps: float = 0.0,
         cos: Optional[int] = None,
         fec: Optional[FEC] = None,
-        php: bool = False,
     ) -> LSP:
+        php = False
         if name in self.lsps:
             raise SignalingError(f"LSP {name!r} already exists")
         if explicit_route is None:
@@ -565,9 +563,9 @@ class FixedOldCRLDPSignaler(OldCRLDPSignaler):
         self.releases = 0
 
     def setup(self, name, ingress, egress, explicit_route=None,
-              bandwidth_bps=0.0, cos=None, fec=None, php=False) -> LSP:
+              bandwidth_bps=0.0, cos=None, fec=None) -> LSP:
         lsp = super().setup(name, ingress, egress, explicit_route,
-                            bandwidth_bps, cos, fec, php)
+                            bandwidth_bps, cos, fec)
         if fec is not None:
             self.fec_of[name] = fec
         return lsp
@@ -707,7 +705,7 @@ def lsp_facts(lsp: LSP):
 
 def binding_facts(binding: FECBinding):
     return (
-        binding.fec, binding.egress, binding.php, list(binding.labels.items()),
+        binding.fec, binding.egress, list(binding.labels.items()),
         list(binding.next_hops.items()), list(binding.ingresses),
     )
 
@@ -733,13 +731,9 @@ class LDPWorld(World):
         kind, *args = op
         ldp = self.ldp
         if kind == "establish":
-            egress, k, php, ingresses = args
-            if ingresses is not None:
-                ingresses = [self.name(i) for i in ingresses]
+            egress, k = args
             fec = PrefixFEC(f"10.{k}.0.0/16")
-            return binding_facts(
-                ldp.establish_fec(fec, self.name(egress), php, ingresses)
-            )
+            return binding_facts(ldp.establish_fec(fec, self.name(egress)))
         if kind == "withdraw":
             if ldp.bindings:
                 ldp.withdraw_fec(ldp.bindings[args[0] % len(ldp.bindings)])
@@ -803,8 +797,7 @@ class LDPWorld(World):
 
 ldp_ops = st.one_of(
     st.tuples(
-        st.just("establish"), NODE, st.integers(0, 3), st.booleans(),
-        st.one_of(st.none(), st.lists(NODE, max_size=3)),
+        st.just("establish"), NODE, st.integers(0, 3),
     ),
     st.tuples(st.just("withdraw"), st.integers(0, 5)),
     st.tuples(st.just("reconverge")),
@@ -873,7 +866,7 @@ class TEWorld(World):
         return names[i % len(names)] if names and i < 6 else "ghost"
 
     def setup(self, args):
-        name, ingress, egress, route, bw, cos, fec, php = args
+        name, ingress, egress, route, bw, cos, fec = args
         ingress = self.name(ingress)
         route = self.route(ingress, self.name(egress), route)
         lsp = self.sig.setup(
@@ -884,7 +877,6 @@ class TEWorld(World):
             bandwidth_bps=bw,
             cos=cos,
             fec=None if fec is None else PrefixFEC(f"10.{fec}.0.0/16"),
-            php=php,
         )
         return lsp_facts(lsp)
 
@@ -954,7 +946,7 @@ class TEWorld(World):
 SETUP = (
     st.integers(0, 3), NODE, NODE, ROUTES, BANDWIDTH,
     st.one_of(st.none(), st.integers(0, 7)),
-    st.one_of(st.none(), st.integers(0, 3)), st.booleans(),
+    st.one_of(st.none(), st.integers(0, 3)),
 )
 te_ops = st.one_of(
     st.tuples(st.just("setup"), *SETUP),

@@ -31,7 +31,6 @@ SCENARIO = {
                  "bandwidth_bps": 10e6, "delay_s": 1e-3},
     "control": "ldp",
     "duration": 1.2,
-    "detection_delay_s": 1e-3,
     "traffic": [
         {"ingress": "ler-a", "egress": "ler-b", "prefix": "10.2.0.0/16",
          "src": "10.1.0.5", "dst": "10.2.0.9",

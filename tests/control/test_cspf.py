@@ -39,25 +39,6 @@ class TestCSPF:
         with pytest.raises(CSPFError):
             cspf_path(_diamond(), "a", "d", bandwidth_bps=1e9)
 
-    def test_include_affinity(self):
-        topo = _diamond()
-        topo.link("a", "c").affinity = 0b10
-        topo.link("c", "d").affinity = 0b10
-        assert cspf_path(topo, "a", "d", include_affinity=0b10) == [
-            "a",
-            "c",
-            "d",
-        ]
-
-    def test_exclude_affinity(self):
-        topo = _diamond()
-        topo.link("a", "b").affinity = 0b01
-        assert cspf_path(topo, "a", "d", exclude_affinity=0b01) == [
-            "a",
-            "c",
-            "d",
-        ]
-
     def test_avoid_nodes_gives_disjoint_backup(self):
         topo = paper_figure1()
         primary = cspf_path(topo, "ler-a", "ler-b")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.control.ldp import LDPProcess
 from repro.mpls.fec import PrefixFEC
-from repro.mpls.label import IMPLICIT_NULL, LabelOp
+from repro.mpls.label import LabelOp
 from repro.mpls.router import LSRNode, RouterRole
 from repro.net.topology import line, paper_figure1
 
@@ -20,12 +20,12 @@ def _nodes(topo, edge_names):
 
 
 class TestLDP:
-    def _setup(self, php=False):
+    def _setup(self):
         topo = line(4)  # n0 - n1 - n2 - n3
         nodes = _nodes(topo, edge_names={"n0", "n3"})
         ldp = LDPProcess(topo, nodes)
         fec = PrefixFEC("10.3.0.0/16")
-        binding = ldp.establish_fec(fec, egress="n3", php=php)
+        binding = ldp.establish_fec(fec, egress="n3")
         return topo, nodes, ldp, fec, binding
 
     def test_all_nodes_get_labels(self):
@@ -58,16 +58,6 @@ class TestLDP:
         nhlfe = nodes["n3"].ilm.get(binding.labels["n3"])
         assert nhlfe.op is LabelOp.POP
 
-    def test_php_advertises_implicit_null(self):
-        _, nodes, _, _, binding = self._setup(php=True)
-        assert binding.labels["n3"] == IMPLICIT_NULL
-        # the penultimate hop pops instead of swapping
-        nhlfe = nodes["n2"].ilm.get(binding.labels["n2"])
-        assert nhlfe.op is LabelOp.POP
-        assert nhlfe.next_hop == "n3"
-        # nothing installed at the egress ILM
-        assert len(nodes["n3"].ilm) == 0
-
     def test_withdraw_releases_everything(self):
         _, nodes, ldp, fec, binding = self._setup()
         ldp.withdraw_fec(binding)
@@ -80,16 +70,6 @@ class TestLDP:
         ldp.withdraw_fec(binding)
         with pytest.raises(KeyError):
             ldp.withdraw_fec(binding)
-
-    def test_explicit_ingress_list(self):
-        topo = line(4)
-        nodes = _nodes(topo, edge_names={"n0", "n3"})
-        ldp = LDPProcess(topo, nodes)
-        ldp.establish_fec(
-            PrefixFEC("10.3.0.0/16"), egress="n3", ingresses=["n1"]
-        )
-        assert len(nodes["n1"].ftn) == 1
-        assert len(nodes["n0"].ftn) == 0
 
     def test_reconvergence_after_link_failure(self):
         topo = paper_figure1()

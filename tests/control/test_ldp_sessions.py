@@ -3,6 +3,7 @@
 import pytest
 
 from repro.control.ldp_sessions import MessageLDPProcess, MsgType
+from repro.control.retry import MAX_RETRIES
 from repro.mpls.errors import NoRouteError
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.label import LabelOp
@@ -220,10 +221,7 @@ class TestSessionLoss:
 
     def test_reconnect_gives_up_when_link_stays_gone(self):
         topo, nodes, scheduler, _ = self._converged_env()
-        ldp2 = MessageLDPProcess(
-            topo, nodes, scheduler,
-            retry_initial=1e-3, max_retries=3,
-        )
+        ldp2 = MessageLDPProcess(topo, nodes, scheduler)
         # sessions live in the speakers; fake one for the pair, then
         # remove the adjacency so reconnection can never succeed
         ldp2.speakers["lsr-1"].sessions.add("lsr-2")
@@ -231,9 +229,10 @@ class TestSessionLoss:
         topo.remove_link("lsr-1", "lsr-2")
         try:
             ldp2.drop_session("lsr-1", "lsr-2")
-            scheduler.run(until=scheduler.now + 5.0)
+            # 50 ms doubling to the 2 s cap: 20 retries span ~33 s
+            scheduler.run(until=scheduler.now + 40.0)
             assert ldp2.reconnects_abandoned == 1
-            assert ldp2.reconnect_attempts == 3
+            assert ldp2.reconnect_attempts == MAX_RETRIES
             assert not ldp2.sessions_recovered
         finally:
             from repro.net.topology import LinkAttributes

@@ -14,7 +14,7 @@ import zlib
 import pytest
 
 from repro.control.ldp_sessions import MessageLDPProcess
-from repro.control.retry import ReconnectBackoff, jitter_rng
+from repro.control.retry import MAX_RETRIES, ReconnectBackoff, jitter_rng
 from repro.mpls.router import LSRNode, RouterRole
 from repro.net.events import EventScheduler
 from repro.net.topology import paper_figure1
@@ -42,9 +42,9 @@ class TestSchedule:
         ]
 
     def test_exhaustion_is_strict(self):
-        b = ReconnectBackoff(max_retries=3)
-        assert not b.exhausted(3)
-        assert b.exhausted(4)
+        b = ReconnectBackoff()
+        assert not b.exhausted(MAX_RETRIES)
+        assert b.exhausted(MAX_RETRIES + 1)
 
     def test_jitter_stays_within_band(self):
         b = ReconnectBackoff(initial=0.05, jitter=0.25, seed=42)
@@ -120,7 +120,7 @@ class TestLDPDelegation:
         """The LDP session schedule is bit-for-bit the schedule a bare
         jitter-free ReconnectBackoff yields: pure exponential."""
         ldp = self._ldp()
-        bare = ReconnectBackoff(initial=50e-3, maximum=2.0, max_retries=20)
+        bare = ReconnectBackoff(initial=50e-3, maximum=2.0)
         key = ("lsr-1", "lsr-2")
         got = [ldp.backoff.first_delay(key)] + [
             ldp.backoff.next_delay(key, n) for n in range(1, 6)

@@ -10,7 +10,7 @@ from repro.control.rsvp_te import (
     SignalingError,
 )
 from repro.mpls.fec import PrefixFEC
-from repro.mpls.label import IMPLICIT_NULL, LabelOp
+from repro.mpls.label import LabelOp
 from repro.mpls.router import LSRNode, RouterRole
 from repro.net.topology import paper_figure1
 
@@ -117,21 +117,6 @@ class TestRSVPTE:
         shared = set(first.links()) & set(second.links())
         # only the unavoidable first hop may be shared (ler-a has one exit)
         assert all("ler-a" in link for link in shared)
-
-    def test_php(self):
-        topo, nodes = _env()
-        sig = RSVPTESignaler(topo, nodes)
-        lsp = sig.setup(
-            "t1",
-            "ler-a",
-            "ler-b",
-            explicit_route=["ler-a", "lsr-1", "lsr-2", "ler-b"],
-            php=True,
-        )
-        assert lsp.hop_labels[-1] == IMPLICIT_NULL
-        # the penultimate hop pops
-        nhlfe = nodes["lsr-2"].ilm.get(lsp.hop_labels[1])
-        assert nhlfe.op is LabelOp.POP
 
     def test_message_counts(self):
         topo, nodes = _env()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.architecture import EmbeddedMPLS
 from repro.core.hwnode import HardwareLSRNode
-from repro.core.hybrid import compare_partitions
+from repro.core.hybrid import TABLE_SIZES, compare_partitions
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.forwarding import Action
 from repro.mpls.label import LabelEntry, LabelOp
@@ -130,12 +130,14 @@ class TestFigure6Router:
         assert node.hw_data_cycles == result.cycles + again.cycles
 
     def test_rtl_and_model_backends_agree(self):
+        frame = ip_frame()
         results = {}
         for backend in ("model", "rtl"):
             node = ler(backend)
-            r = node.process_frame(ip_frame())
+            r = node.process_frame(frame)
             results[backend] = (
-                r.stack_after, r.cycles, node.hw_control_cycles
+                r.frame.serialize(), r.stack_after, r.cycles,
+                node.hw_control_cycles,
             )
         assert results["model"] == results["rtl"]
 
@@ -192,20 +194,17 @@ class TestEmbeddedMPLS:
 
 class TestPartitionComparison:
     def test_hw_wins_at_small_tables(self):
-        cmp = compare_partitions(table_sizes=(1, 4, 16))
+        cmp = compare_partitions()
+        assert cmp.points[0].n_entries == 1
         assert cmp.points[0].speedup_vs_linear_sw > 1
 
     def test_speedup_shrinks_with_table_size(self):
-        cmp = compare_partitions(table_sizes=(1, 64, 1024))
+        cmp = compare_partitions()
+        assert [p.n_entries for p in cmp.points] == list(TABLE_SIZES)
         speedups = [p.speedup_vs_linear_sw for p in cmp.points]
         assert speedups[0] > speedups[-1]
 
     def test_crossover_reported(self):
-        cmp = compare_partitions(table_sizes=(1, 16, 256, 1024))
-        crossover = cmp.crossover_entries()
+        crossover = compare_partitions().crossover_entries()
         # hashed software eventually beats linear hardware search
         assert crossover is None or crossover >= 1
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            compare_partitions(table_sizes=(0,))

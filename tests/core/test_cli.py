@@ -401,9 +401,6 @@ class TestHostileScenarioCLI:
         [
             # was: a ValueError traceback from float()
             ("duration", "soon", "bad duration 'soon'"),
-            # were: ValueError: negative delay ... from the scheduler
-            ("detection_delay_s", "nan", "bad detection_delay_s nan"),
-            ("detection_delay_s", -1, "bad detection_delay_s -1.0"),
         ],
     )
     def test_a_run_time_no_run_can_mean(
@@ -657,6 +654,13 @@ class TestHostileScenarioCLI:
             ("chaos_smoke", ("random_faults", "targets"), [["lsr-1", "lsr-2"]],
              "bad scenario: random_faults: unknown key(s) targets (accepted: "
              "count, kinds, mean_outage, window)"),
+            # the detection delay is the injector's DETECTION_DELAY_S
+            ("chaos_smoke", ("detection_delay_s",), 1e-3,
+             "bad scenario: unknown key(s) detection_delay_s (accepted: "
+             "alerts, audit, control, controller, description, duration, "
+             "edges, faults, flows, hardware, name, oam, overload, "
+             "protection, random_faults, security, topo, topology, "
+             "traffic)"),
         ],
     )
     def test_a_removed_knob(

@@ -81,10 +81,6 @@ class TestWorstCaseScenario:
         rows = worst_case_scenario().as_rows()
         assert rows[-1] == ("total", 6167)
 
-    def test_scales_with_parameters(self):
-        wc = worst_case_scenario(n_entries=10, n_pushes=1)
-        assert wc.total == 3 + 3 + 30 + 35 + 6
-
 
 class TestSoftwareCostModel:
     def test_linear_scan_scales_with_entries(self):

@@ -32,7 +32,6 @@ def _frr_scenario(**overrides):
                      "bandwidth_bps": 10e6, "delay_s": 1e-3},
         "control": "frr",
         "duration": 1.0,
-        "detection_delay_s": DETECTION,
         "traffic": [
             {"ingress": "ler-a", "egress": "ler-b",
              "prefix": "10.2.0.0/16",

@@ -46,7 +46,7 @@ class TestLinkDown:
     def test_outage_and_reconvergence(self):
         network, ldp = _network()
         source = _flow(network)
-        injector = FaultInjector(network, ldp=ldp, detection_delay_s=1e-3)
+        injector = FaultInjector(network, ldp=ldp)
         record = injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.LINK_DOWN,

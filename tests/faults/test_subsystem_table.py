@@ -42,7 +42,7 @@ FAULTS_DATA = Path(__file__).parent / "data"
 #: the Scenario fields that are not subsystem keys
 CORE_FIELDS = {
     "name", "topology", "traffic", "description", "edges", "hardware",
-    "control", "duration", "detection_delay_s", "protection", "faults",
+    "control", "duration", "protection", "faults",
     "random_faults",
 }
 #: the ChaosRun attributes that hold no subsystem

@@ -47,7 +47,12 @@ from repro.hdl.fsm import FSM
 from repro.hdl.memory import SyncMemory
 from repro.hdl.register import Register
 from repro.hdl.signal import Reg, SignalError, Wire
-from repro.hdl.simulator import CombinationalLoopError, Component, Simulator
+from repro.hdl.simulator import (
+    MAX_SETTLE_PASSES,
+    CombinationalLoopError,
+    Component,
+    Simulator,
+)
 from tests.strategies.rtl import (
     MAX_PASSES,
     WIDTH,
@@ -73,7 +78,7 @@ def reference_step(sim: Simulator) -> None:
     regs = [s for s in sim._signals.values() if isinstance(s, Reg)]
     for wire in wires:
         wire.reset()
-    for pass_index in range(sim.max_settle_passes):
+    for pass_index in range(MAX_SETTLE_PASSES):
         before = [w.value for w in wires]
         if pass_index:
             for wire in wires:
@@ -87,7 +92,7 @@ def reference_step(sim: Simulator) -> None:
     else:
         raise CombinationalLoopError(
             f"combinational logic failed to settle within "
-            f"{sim.max_settle_passes} passes at cycle {sim.cycle}"
+            f"{MAX_SETTLE_PASSES} passes at cycle {sim.cycle}"
         )
     for reg in regs:
         reg.commit()

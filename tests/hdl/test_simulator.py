@@ -71,7 +71,7 @@ class TestSimulator:
         assert sim.cycle == 5
 
     def test_combinational_loop_detected(self):
-        sim = Simulator(max_settle_passes=8)
+        sim = Simulator()
         _Oscillator(sim)
         with pytest.raises(CombinationalLoopError):
             sim.step()
@@ -141,11 +141,6 @@ class TestSimulator:
     def test_remove_unknown_hook_raises(self):
         with pytest.raises(ValueError):
             Simulator().remove_tick_hook(print)
-
-    @pytest.mark.parametrize("passes", [0, -1])
-    def test_settle_bound_below_one_rejected_at_construction(self, passes):
-        with pytest.raises(ValueError, match="max_settle_passes"):
-            Simulator(max_settle_passes=passes)
 
     def test_component_registered_after_first_edge_participates(self):
         # the bound settle/tick lists are rebuilt after a registration

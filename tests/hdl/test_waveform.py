@@ -71,7 +71,7 @@ class TestAsciiRendering:
     def test_window(self):
         sim, ctr, recorder = _setup()
         sim.step(20)
-        text = render_ascii(recorder, start=18, end=20)
+        text = render_ascii(recorder, start=18)
         assert " 18" in text and " 20" in text
         assert "  5 " not in text
 

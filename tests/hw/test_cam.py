@@ -1,7 +1,6 @@
 """Tests for the CAM-based information base alternative."""
 
 
-from repro.core.device import STRATIX_EP1S40
 from repro.hdl.simulator import Simulator
 from repro.hw.cam import (
     CAM_SEARCH_CYCLES,
@@ -83,8 +82,8 @@ class TestCAMCost:
         """The design-space point: a 1K-entry, 20-bit CAM wants ~20k
         LEs -- half the EP1S40 -- which is why the paper walks block
         RAM instead."""
-        assert not cam_fits(1024, device=STRATIX_EP1S40)
-        assert cam_fits(256, device=STRATIX_EP1S40)
+        assert not cam_fits(1024)
+        assert cam_fits(256)
 
     def test_constant_definition(self):
         assert CAM_SEARCH_CYCLES == 2

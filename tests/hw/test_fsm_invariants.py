@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hw import ModifierDriver
+from repro.hw.stack import STACK_CAPACITY
 from repro.mpls.label import LabelEntry, LabelOp
 
 
@@ -39,7 +40,7 @@ class _InvariantMonitor:
         busy_search = not m.search.in_state("IDLE")
         if busy_search and not (lbl_busy or ib_busy):
             self.violations.append((cycle, "orphan search"))
-        if m.dp.stack.size.value > m.dp.stack.capacity:
+        if m.dp.stack.size.value > STACK_CAPACITY:
             self.violations.append((cycle, "stack size over capacity"))
 
 

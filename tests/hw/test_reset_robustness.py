@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hw import ModifierDriver, UserOp
+from repro.hw.stack import STACK_CAPACITY
 from repro.mpls.label import LabelEntry, LabelOp
 
 
@@ -74,12 +75,12 @@ class TestMidTransactionReset:
         assert result.cycles == 8
 
     def test_reset_clears_sticky_flags(self):
-        drv = ModifierDriver(ib_depth=1, stack_capacity=1)
+        drv = ModifierDriver(ib_depth=1)
         drv.reset()
         drv.write_pair(1, 1, 100, LabelOp.SWAP)
         drv.write_pair(1, 2, 200, LabelOp.SWAP)  # overflow
-        drv.user_push(LabelEntry(label=16))
-        drv.user_push(LabelEntry(label=17))  # stack error
+        for label in range(16, 17 + STACK_CAPACITY):
+            drv.user_push(LabelEntry(label=label))  # the last: stack error
         assert drv.modifier.dp.info_base.level(1).overflow.value
         assert drv.modifier.dp.stack.error.value == 1
         drv.reset()

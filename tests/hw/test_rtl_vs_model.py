@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.hwnode import HardwareLSRNode
 from repro.hw import ModifierDriver, driver
 from repro.hw.model import FunctionalModifier, ModifierBackend
+from repro.hw.stack import STACK_CAPACITY
 from repro.mpls.label import LabelEntry, LabelOp
 from tests.strategies.hw import apply_op, op_step
 
@@ -29,9 +30,9 @@ class TestEquivalence:
     )
     @given(st.lists(op_step, max_size=12))
     def test_random_sequences_agree(self, steps):
-        rtl = ModifierDriver(ib_depth=16, stack_capacity=8)
+        rtl = ModifierDriver(ib_depth=16)
         rtl.reset()
-        model = FunctionalModifier(ib_depth=16, stack_capacity=8)
+        model = FunctionalModifier(ib_depth=16)
         model.reset()
         for step in steps:
             got_rtl = apply_op(rtl, step)
@@ -71,19 +72,20 @@ class TestEquivalence:
         assert total == 6167
 
     def test_model_overflow_flags(self):
-        model = FunctionalModifier(ib_depth=1, stack_capacity=1)
+        model = FunctionalModifier(ib_depth=1)
         model.write_pair(1, 1, 2, LabelOp.SWAP)
         model.write_pair(1, 3, 4, LabelOp.SWAP)
         assert model._levels[0].overflow
-        model.user_push(LabelEntry(label=100))
+        for label in range(100, 100 + STACK_CAPACITY):
+            model.user_push(LabelEntry(label=label))
+        assert not model.stack_error
         model.user_push(LabelEntry(label=200))
         assert model.stack_error
 
 
 #: what only the base defines: the bank protocol, the scrub and the pass
 SHARED = {
-    "bank_begin", "bank_write_pair", "bank_commit", "bank_drain",
-    "bank_rollback", "scrub", "load_stack", "drain_stack", "forward",
+    "bank_begin", "bank_write_pair", "bank_commit", "bank_rollback", "scrub", "load_stack", "drain_stack", "forward",
 }
 
 

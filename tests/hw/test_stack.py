@@ -1,10 +1,9 @@
 """Tests for the hardware label stack."""
 
-import pytest
 
 from repro.hdl.simulator import Component, Simulator
 from repro.hw.opcodes import StackOp
-from repro.hw.stack import HardwareStack
+from repro.hw.stack import STACK_CAPACITY, HardwareStack
 
 
 class _Driver(Component):
@@ -20,10 +19,10 @@ class _Driver(Component):
             wire.drive(value)
 
 
-def _mk(capacity=4):
+def _mk():
     sim = Simulator()
     drv = _Driver(sim)
-    stack = HardwareStack(sim, "stk", capacity=capacity)
+    stack = HardwareStack(sim, "stk")
     return sim, drv, stack
 
 
@@ -85,14 +84,14 @@ class TestHardwareStack:
         assert stack.size.value == 0
 
     def test_push_full_sets_error_and_drops(self):
-        sim, drv, stack = _mk(capacity=2)
+        sim, drv, stack = _mk()
         drv.set(stack.op, StackOp.PUSH)
-        for word in (1, 2, 3):
+        for word in range(1, STACK_CAPACITY + 2):
             drv.set(stack.data_in, word)
             sim.step()
-        assert stack.size.value == 2
+        assert stack.size.value == STACK_CAPACITY
         assert stack.error.value == 1
-        assert stack.entries_top_first() == [2, 1]
+        assert stack.entries_top_first() == list(range(STACK_CAPACITY, 0, -1))
 
     def test_write_top_empty_sets_error(self):
         sim, drv, stack = _mk()
@@ -128,8 +127,3 @@ class TestHardwareStack:
         sim.reset()
         assert stack.size.value == 0
         assert stack.entries_top_first() == []
-
-    def test_capacity_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            HardwareStack(sim, "s", capacity=0)

@@ -34,7 +34,6 @@ SOAK = {
     "edges": ["n0", "n4"],
     "control": "ldp",
     "duration": DURATION,
-    "detection_delay_s": DETECTION,
     "traffic": [
         {"ingress": "n0", "egress": "n4", "prefix": "10.4.0.0/16",
          "src": "10.0.0.5", "dst": "10.4.0.9",

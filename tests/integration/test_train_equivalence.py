@@ -47,6 +47,7 @@ from repro.obs.events import (
 from repro.obs.flows import FlowAccountant
 from repro.obs.metrics import Histogram
 from repro.security.monitor import SecurityConfig, SecurityMonitor
+from tests.strategies.flows import pop_at_penultimate_hop
 
 PREFIX = "10.2.0.0/16"
 FLOW = 7
@@ -99,9 +100,9 @@ class _Run:
         self.sunk = []
         net.attach_host("ler-b", PREFIX, sink=self.sunk.append)
         fec = PrefixFEC(PREFIX)
-        LDPProcess(topo, net.nodes).establish_fec(
-            fec, egress="ler-b", php=(outcome == "php")
-        )
+        binding = LDPProcess(topo, net.nodes).establish_fec(fec, egress="ler-b")
+        if outcome == "php":
+            pop_at_penultimate_hop(binding, net.nodes)
         net.enable_batching()
         self.monitor = SecurityMonitor(net, SecurityConfig())
         self.monitor.arm()
@@ -359,7 +360,10 @@ def test_real_packet_emits_the_scalar_event_sequence():
         with telemetry_session() as tel:
             sink = tel.events.add_sink(ListSink())
             run = _Run(LSRNode, "lsp")
-            run.net.enable_batching(batching)
+            if not batching:
+                run.net.batching = False
+                for node in run.net.nodes.values():
+                    node.disable_batching()
             run.offer(2, as_train=False)
         assert [
             (getattr(e, "op", type(e).__name__), e.node)

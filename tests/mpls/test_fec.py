@@ -58,25 +58,19 @@ class TestHostRoute:
 
 class TestCoSFEC:
     def test_requires_both_conditions(self):
-        fec = CoSFEC(PrefixFEC("10.0.0.0/8"), dscp_min=46)
+        fec = CoSFEC(PrefixFEC("10.0.0.0/8"), 46)
         assert fec.matches(pkt("10.1.1.1", dscp=46))
         assert not fec.matches(pkt("10.1.1.1", dscp=0))
+        assert not fec.matches(pkt("10.1.1.1", dscp=47))
         assert not fec.matches(pkt("11.1.1.1", dscp=46))
-
-    def test_dscp_range(self):
-        fec = CoSFEC(PrefixFEC("0.0.0.0/0"), dscp_min=32, dscp_max=47)
-        assert fec.matches(pkt(dscp=40))
-        assert not fec.matches(pkt(dscp=48))
 
     def test_more_specific_than_inner(self):
         inner = PrefixFEC("10.0.0.0/8")
         assert CoSFEC(inner, 46).specificity > inner.specificity
 
-    def test_bad_range_rejected(self):
+    def test_bad_dscp_rejected(self):
         with pytest.raises(ValueError):
-            CoSFEC(PrefixFEC("10.0.0.0/8"), dscp_min=50, dscp_max=40)
-        with pytest.raises(ValueError):
-            CoSFEC(PrefixFEC("10.0.0.0/8"), dscp_min=64)
+            CoSFEC(PrefixFEC("10.0.0.0/8"), 64)
 
     def test_equality(self):
         a = CoSFEC(PrefixFEC("10.0.0.0/8"), 46)

@@ -57,7 +57,7 @@ def _node(cls, role, ib_depth, capacity):
         NHLFE(op=LabelOp.PUSH, out_label=100, next_hop="n2"),
     )
     if capacity is not None:
-        node.enable_batching(capacity)
+        node.flow_cache = FlowCache(node.engine, capacity)
     return node
 
 

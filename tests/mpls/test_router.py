@@ -44,7 +44,8 @@ class TestLSRNode:
         assert decision.packet.stack.top.label == 200
 
     def test_neighbor_interface_resolution(self):
-        node = LSRNode("lsr-1", RouterRole.LSR, interfaces=["if0"])
+        node = LSRNode("lsr-1", RouterRole.LSR)
+        node.add_interface("if0")
         node.neighbor_interfaces["lsr-2"] = "if0"
         node.ilm.install(
             100, NHLFE(op=LabelOp.SWAP, out_label=200, next_hop="lsr-2")
@@ -70,7 +71,8 @@ class TestLSRNode:
         assert decision.out_interface == "if0"
 
     def test_add_interface(self):
-        node = LSRNode("n", interfaces=["if0"])
+        node = LSRNode("n")
+        node.add_interface("if0")
         node.add_interface("if1")
         assert node.interfaces == ["if0", "if1"]
         with pytest.raises(ValueError):

@@ -1,8 +1,7 @@
 """Aggregate <-> packet materialization edges (batched mode).
 
-Covers the boundary cases of flow aggregates: sampled packets
-materialized inside an aggregate train, an aggregate whose flight
-spans an FRR-style table switchover, zero-length and single-packet
+Covers the boundary cases of flow aggregates: an aggregate whose
+flight spans an FRR-style table switchover, zero-length and single-packet
 aggregates, and exact accounting against the scalar oracle.
 """
 
@@ -89,57 +88,6 @@ class TestAggregateEdges:
         assert delivery.latencies() == pytest.approx([0.6, 0.5, 0.4])
 
 
-class TestSampledMaterialization:
-    def test_sampled_packets_ride_the_scalar_path(self):
-        """With sample_every=n, every n-th packet is a real packet (it
-        lands in `deliveries`), the rest stay bulk (they land in
-        `aggregate_deliveries`), and nothing is double-counted."""
-        net, _ = _network()
-        source = AggregateCBRSource(
-            net.scheduler,
-            net.aggregate_sink("ler-a"),
-            src="10.1.0.5",
-            dst="10.2.0.9",
-            rate_bps=1e6,
-            packet_size=500,
-            batch=20,
-            stop=0.5,
-            sample_every=10,
-            sample_sink=net.source_sink("ler-a"),
-        )
-        source.begin()
-        net.run(until=1.0)
-        assert source.sampled > 0
-        scalar_delivered = len(net.deliveries)
-        bulk_delivered = sum(a.count for a in net.aggregate_deliveries)
-        assert scalar_delivered == source.sampled
-        assert scalar_delivered + bulk_delivered == source.sent
-        assert net.drop_count() == 0
-
-    def test_bulk_count_excludes_materialized_packets(self):
-        net, _ = _network()
-        captured = []
-        source = AggregateCBRSource(
-            net.scheduler,
-            captured.append,
-            src="10.1.0.5",
-            dst="10.2.0.9",
-            batch=10,
-            stop=None,
-            sample_every=5,
-            sample_sink=lambda p: None,
-        )
-        source.begin()
-        # run exactly one batch emission
-        net.scheduler.run(until=1e-9)
-        assert len(captured) == 1
-        aggregate = captured[0]
-        # 10 packets per batch, seq 0 and 5 sampled -> 8 bulk
-        assert aggregate.count == 8
-        assert source.sent == 10
-        assert source.sampled == 2
-
-
 class TestSpanningSwitchover:
     def test_aggregate_spanning_frr_switchover_takes_new_path(self):
         """Aggregates in flight when the tables flip (FRR-style NHLFE
@@ -153,7 +101,6 @@ class TestSpanningSwitchover:
             src="10.1.0.5",
             dst="10.2.0.9",
             rate_bps=2e6,
-            packet_size=500,
             batch=25,
             stop=0.4,
         )
@@ -222,7 +169,6 @@ class TestAccountingEquivalence:
                 src="10.1.0.5",
                 dst="10.2.0.9",
                 rate_bps=1e6,
-                packet_size=500,
                 batch=16,
                 stop=0.3,
             )

@@ -5,11 +5,14 @@ import functools
 import math
 import os
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
+from repro.net import events
 from repro.net.events import Event, EventScheduler
 
 
@@ -83,8 +86,9 @@ class TestEventScheduler:
             sched.after(0.001, reschedule)
 
         sched.at(0.0, reschedule)
-        with pytest.raises(RuntimeError):
-            sched.run(max_events=100)
+        with mock.patch.object(events, "EVENT_BUDGET", 100):
+            with pytest.raises(RuntimeError):
+                sched.run()
 
     def test_processed_counter(self):
         sched = EventScheduler()
@@ -105,26 +109,31 @@ class TestEventScheduler:
 
 
 class TestBudgetRegressions:
+    @pytest.fixture(autouse=True)
+    def budget_of_five(self, monkeypatch):
+        monkeypatch.setattr(events, "EVENT_BUDGET", 5)
+
     def test_budget_equal_to_the_queue_is_enough(self):
         sched = EventScheduler()
         for i in range(5):
             sched.at(float(i), lambda: None)
-        assert sched.run(max_events=5) == 5
+        assert sched.run() == 5
 
     def test_budget_spent_with_an_event_due_raises(self):
         sched = EventScheduler()
         for i in range(6):
             sched.at(float(i), lambda: None)
         with pytest.raises(RuntimeError) as exc:
-            sched.run(max_events=5)
+            sched.run()
         assert str(exc.value) == "event budget of 5 exhausted at t=4.0"
         assert sched.processed == 5 and len(sched._heap) == 1
 
-    def test_budget_spent_with_nothing_due_before_until(self):
+    def test_budget_spent_with_nothing_due_before_until(self, monkeypatch):
         sched = EventScheduler()
         for t in (1.0, 2.0, 9.0):
             sched.at(t, lambda: None)
-        assert sched.run(until=5.0, max_events=2) == 2
+        monkeypatch.setattr(events, "EVENT_BUDGET", 2)
+        assert sched.run(until=5.0) == 2
         assert sched.now == 5.0
 
     def test_nan_timestamp_rejected(self):
@@ -275,9 +284,10 @@ class TestEventsCarryTheirArguments:
                     sched.at(time, lambda t=tag, n=children: fire(t, n))
                 )
         pending_before = len(sched._heap)
-        kwargs = {} if max_events is None else {"max_events": max_events}
+        budget = events.EVENT_BUDGET if max_events is None else max_events
         try:
-            returned = sched.run(until=until, **kwargs)
+            with mock.patch.object(events, "EVENT_BUDGET", budget):
+                returned = sched.run(until=until)
         except RuntimeError as exc:
             returned = str(exc)
         return (

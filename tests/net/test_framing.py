@@ -58,8 +58,8 @@ class TestEthernet:
         wire = f.serialize()
         # 14 header + 46 min payload + 4 FCS
         assert len(wire) == 64
-        g = EthernetFrame.deserialize(wire, true_payload_len=4)
-        assert g.payload == b"tiny"
+        g = EthernetFrame.deserialize(wire)
+        assert g.payload == b"tiny" + bytes(42)
 
     def test_mtu_enforced(self):
         with pytest.raises(FramingError):
@@ -75,11 +75,6 @@ class TestEthernet:
         with pytest.raises(FramingError):
             EthernetFrame.deserialize(b"\x00" * 20)
 
-    def test_declared_length_too_long(self):
-        f = self._frame(payload=b"tiny")
-        with pytest.raises(FramingError):
-            EthernetFrame.deserialize(f.serialize(), true_payload_len=500)
-
     @given(st.binary(min_size=1, max_size=1500))
     def test_roundtrip_property(self, payload):
         f = EthernetFrame(
@@ -88,10 +83,8 @@ class TestEthernet:
             ethertype=ETHERTYPE_MPLS,
             payload=payload,
         )
-        g = EthernetFrame.deserialize(
-            f.serialize(), true_payload_len=len(payload)
-        )
-        assert g.payload == payload
+        g = EthernetFrame.deserialize(f.serialize())
+        assert g.payload == payload + bytes(max(0, 46 - len(payload)))
 
 
 class TestATM:

@@ -3,23 +3,22 @@
 import pytest
 
 from repro.net.events import EventScheduler
-from repro.net.link import Interface, Link, SimplexChannel
+from repro.net.link import DropTailQueue, Interface, Link
 
 
-def _lossy_channel(loss_rate, seed=0):
-    from repro.net.link import DropTailQueue
-
+def _lossy_channel(loss_rate):
     sched = EventScheduler()
-    ch = SimplexChannel(
+    link = Link(
         sched,
         Interface("a", "if0"),
         Interface("b", "if0"),
         bandwidth_bps=1e9,
         delay_s=1e-6,
-        queue=DropTailQueue(capacity=10_000),  # loss, not queueing, under test
-        loss_rate=loss_rate,
-        loss_seed=seed,
+        # loss, not queueing, under test
+        queue_factory=lambda: DropTailQueue(capacity=10_000),
     )
+    link.set_loss(loss_rate)
+    ch = link.forward
     arrivals = []
     ch.on_deliver = lambda iface, pkt: arrivals.append(pkt)
     return sched, ch, arrivals
@@ -35,7 +34,7 @@ class TestLossModel:
         assert ch.lost == 0
 
     def test_loss_fraction_approximates_rate(self):
-        sched, ch, arrivals = _lossy_channel(0.2, seed=42)
+        sched, ch, arrivals = _lossy_channel(0.2)
         for i in range(2000):
             ch.send(i, 100)
         sched.run()
@@ -45,7 +44,7 @@ class TestLossModel:
     def test_deterministic_given_seed(self):
         results = []
         for _ in range(2):
-            sched, ch, arrivals = _lossy_channel(0.3, seed=7)
+            sched, ch, arrivals = _lossy_channel(0.3)
             for i in range(200):
                 ch.send(i, 100)
             sched.run()
@@ -55,7 +54,7 @@ class TestLossModel:
     def test_lost_packets_still_occupy_the_wire(self):
         """Loss happens after transmission: the sender still spent the
         serialization time (as on a real lossy wire)."""
-        sched, ch, arrivals = _lossy_channel(0.5, seed=1)
+        sched, ch, arrivals = _lossy_channel(0.5)
         for i in range(50):
             ch.send(i, 100)
         sched.run()
@@ -76,9 +75,8 @@ class TestLossModel:
             Interface("b", "if0"),
             bandwidth_bps=1e9,
             delay_s=1e-6,
-            loss_rate=0.5,
-            loss_seed=3,
         )
+        link.set_loss(0.5)
         fwd, rev = [], []
         link.forward.on_deliver = lambda i, p: fwd.append(p)
         link.reverse.on_deliver = lambda i, p: rev.append(p)

@@ -12,6 +12,7 @@ from repro.net.network import MPLSNetwork
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.net.topology import line, paper_figure1
 from repro.net.traffic import CBRSource
+from tests.strategies.flows import pop_at_penultimate_hop
 
 
 def _ldp_network(topo=None, **net_kwargs):
@@ -115,7 +116,8 @@ class TestEndToEnd:
         net = MPLSNetwork(topo, roles)
         net.attach_host("ler-b", "10.2.0.0/16")
         ldp = LDPProcess(topo, net.nodes)
-        ldp.establish_fec(PrefixFEC("10.2.0.0/16"), egress="ler-b", php=True)
+        binding = ldp.establish_fec(PrefixFEC("10.2.0.0/16"), egress="ler-b")
+        pop_at_penultimate_hop(binding, net.nodes)
         src = _flow(net)
         net.run(until=1.0)
         assert net.delivered_count() == src.sent
@@ -200,7 +202,7 @@ class TestDeliveredCountAgainstAScan:
         assert len(ids) == 2
         assert net.delivered_count() == first.sent + second.sent
 
-    def test_batched_run_mixes_trains_and_sampled_packets(self):
+    def test_batched_run_mixes_trains_and_scalar_packets(self):
         from repro.net.aggregate import AggregateCBRSource
 
         net, _ = _ldp_network()
@@ -210,15 +212,19 @@ class TestDeliveredCountAgainstAScan:
                 net.scheduler,
                 net.aggregate_sink("ler-a"),
                 src="10.1.0.5",
-                dst=dst,
+                dst="10.2.0.9",
                 rate_bps=1e6,
-                packet_size=500,
                 batch=20,
                 stop=0.5,
-                sample_every=10,
-                sample_sink=net.source_sink("ler-a"),
-            )
-            for dst in ("10.2.0.9", "10.2.0.77")
+            ),
+            CBRSource(
+                net.scheduler,
+                net.source_sink("ler-a"),
+                src="10.1.0.5",
+                dst="10.2.0.77",
+                rate_bps=1e6,
+                stop=0.5,
+            ),
         ]
         for source in sources:
             source.begin()

@@ -66,6 +66,24 @@ class TestIPv4Packet:
             p.payload,
         )
 
+    def test_parse_then_rebuild_keeps_every_header_byte(self):
+        # the identification field (bytes 4-5) too: a hop that parses
+        # and rebuilds a datagram must not rewrite it
+        p = IPv4Packet(src="10.1.2.3", dst="172.16.0.9", ttl=33, dscp=46,
+                       protocol=6, payload=b"hello world", uid=0x1234ABCD)
+        wire = p.serialize()
+        assert wire[4:6] == b"\xab\xcd"
+        assert IPv4Packet.deserialize(wire).serialize() == wire
+
+    @pytest.mark.parametrize("total", [0, 10, 19])
+    def test_a_total_length_below_the_header_is_refused(self, total):
+        wire = bytearray(IPv4Packet(src="1.1.1.1", dst="2.2.2.2").serialize())
+        wire[2:4] = total.to_bytes(2, "big")
+        with pytest.raises(ValueError, match=(
+            f"^IPv4 total length {total} is shorter than the 20-byte header$"
+        )):
+            IPv4Packet.deserialize(bytes(wire))
+
     def test_deserialize_short(self):
         with pytest.raises(ValueError):
             IPv4Packet.deserialize(b"\x45" + b"\x00" * 10)

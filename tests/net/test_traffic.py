@@ -86,8 +86,8 @@ class TestVoIP:
 class TestVideo:
     def test_i_and_p_frames(self):
         source, packets = _run_source(
-            VideoSource, duration=1.0, fps=10, gop=5,
-            i_frame_size=5000, p_frame_size=1000, mtu_payload=1400,
+            VideoSource, duration=1.0, fps=10,
+            i_frame_size=5000, p_frame_size=1000,
         )
         assert all(p.dscp == DSCP_AF41 for p in packets)
         # group packets by emission time = frames
@@ -102,7 +102,6 @@ class TestVideo:
     def test_large_frames_fragmented(self):
         _, packets = _run_source(
             VideoSource, duration=0.05, fps=25, i_frame_size=3000,
-            mtu_payload=1400,
         )
         first_frame = [p for p in packets if p.created_at == packets[0].created_at]
         assert [len(p.payload) for p in first_frame] == [1400, 1400, 200]
@@ -137,7 +136,6 @@ class TestHostileRates:
         "bad",
         [
             {"fps": 0}, {"fps": -25.0}, {"fps": math.inf}, {"fps": math.nan},
-            {"gop": 0}, {"gop": -3}, {"mtu_payload": 0}, {"mtu_payload": -1},
         ],
     )
     def test_video_parameters(self, bad):
@@ -151,15 +149,15 @@ class TestHostileRates:
         )
         assert packets and source.interval == 20 * 8 / 1e6
         _, frames = _run_source(
-            VideoSource, duration=0.1, fps=25.0, gop=1, mtu_payload=1,
-            i_frame_size=3, p_frame_size=3,
+            VideoSource, duration=0.1, fps=25.0, i_frame_size=1,
+            p_frame_size=1,
         )
         assert [p.length for p in frames[:3]] == [21, 21, 21]
 
 
-def _sampled_aggregate_packets():
-    """The materialized packets and the train templates of a sampled
-    aggregate source: every one is a real packet of the flow."""
+def _aggregate_packets():
+    """The train templates of an aggregate source: every one is a real
+    packet of the flow."""
     sched = EventScheduler()
     packets = []
     source = AggregateCBRSource(
@@ -168,11 +166,8 @@ def _sampled_aggregate_packets():
         src="192.168.0.1",
         dst="10.0.0.1",
         rate_bps=1e6,
-        packet_size=300,
         batch=10,
         stop=0.2,
-        sample_every=4,
-        sample_sink=packets.append,
     )
     source.begin()
     sched.run(until=1.0)
@@ -199,8 +194,8 @@ class TestSharedPayload:
 
     def test_video_shares_one_payload_per_size(self):
         _, packets = _run_source(
-            VideoSource, duration=0.5, fps=10, gop=3,
-            i_frame_size=3000, p_frame_size=1500, mtu_payload=1400,
+            VideoSource, duration=0.5, fps=10,
+            i_frame_size=3000, p_frame_size=1500,
         )
         by_size = {}
         for p in packets:
@@ -211,12 +206,11 @@ class TestSharedPayload:
         # different sizes are different objects
         assert len(set().union(*by_size.values())) == 3
 
-    def test_sampled_aggregate_packets_share_one_payload(self):
-        source, packets = _sampled_aggregate_packets()
-        assert source.sampled > 1
-        assert len(packets) > source.sampled
+    def test_aggregate_templates_share_one_payload(self):
+        _, packets = _aggregate_packets()
+        assert len(packets) > 1
         assert len({id(p.payload) for p in packets}) == 1
-        assert packets[0].payload == bytes(300)
+        assert packets[0].payload == bytes(500)
 
     def test_sources_do_not_share_with_each_other(self):
         _, a = _run_source(CBRSource, duration=0.1, packet_size=200)
@@ -243,8 +237,8 @@ class TestSourceBuiltPackets:
 
     def test_first_aggregate_packet_after_a_reset_has_uid_one(self):
         fresh_ids()
-        _, packets = _sampled_aggregate_packets()
-        # the first window materializes seq 0 and 4, then its template
+        _, packets = _aggregate_packets()
+        # one template per window
         assert sorted(p.uid for p in packets)[:3] == [1, 2, 3]
         assert min(packets, key=lambda p: p.uid).seq == 0
 
@@ -263,11 +257,3 @@ class TestSourceBuiltPackets:
         with pytest.raises(ValueError, match=r"^DSCP 64 out of range$"):
             _run_source(CBRSource, duration=0.1, dscp=64)
 
-    def test_ttl_out_of_range_is_refused_with_the_constructor_message(self):
-        sched = EventScheduler()
-        source = AggregateCBRSource(
-            sched, lambda a: None, src="1.1.1.1", dst="2.2.2.2", ttl=256
-        )
-        source.begin()
-        with pytest.raises(ValueError, match=r"^IPv4 TTL 256 out of range$"):
-            sched.run(until=0.1)

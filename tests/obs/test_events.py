@@ -25,6 +25,13 @@ from repro.obs.events import (
 )
 
 
+def _clocked(clock):
+    """An event log stamped by ``clock``, as a network's is."""
+    log = EventLog()
+    log.clock = clock
+    return log
+
+
 def _packet_event(uid=1):
     return PacketForwarded(
         node="ler-a",
@@ -70,7 +77,7 @@ class TestEventLog:
 
     def test_clock_stamps_time(self):
         now = [0.25]
-        log = EventLog(clock=lambda: now[0])
+        log = _clocked(lambda: now[0])
         sink = log.add_sink(ListSink())
         log.emit(_packet_event())
         now[0] = 0.75
@@ -78,7 +85,7 @@ class TestEventLog:
         assert [e.time for e in sink.events] == [0.25, 0.75]
 
     def test_preset_time_is_kept(self):
-        log = EventLog(clock=lambda: 99.0)
+        log = _clocked(lambda: 99.0)
         sink = log.add_sink(ListSink())
         event = _packet_event()
         event.time = 1.5
@@ -169,7 +176,7 @@ class TestRecords:
 class TestJSONLSink:
     def test_one_json_object_per_line(self):
         stream = io.StringIO()
-        log = EventLog(clock=lambda: 0.125)
+        log = _clocked(lambda: 0.125)
         log.add_sink(JSONLSink(stream))
         log.emit(_packet_event(uid=1))
         log.emit(PacketDropped(node="lsr-1", uid=2, flow_id=7, reason="ttl"))
@@ -194,7 +201,7 @@ class TestJSONLSink:
 
     def test_lines_carry_schema_version_and_clock_domain(self):
         stream = io.StringIO()
-        log = EventLog(clock=lambda: 0.5)
+        log = _clocked(lambda: 0.5)
         log.add_sink(JSONLSink(stream))
         log.emit(_packet_event())
         record = json.loads(stream.getvalue())
@@ -203,7 +210,7 @@ class TestJSONLSink:
 
     def test_cycles_domain_events_say_so(self):
         stream = io.StringIO()
-        log = EventLog(clock=lambda: 0.5)
+        log = _clocked(lambda: 0.5)
         log.add_sink(JSONLSink(stream))
         fsm = FSMTransition(fsm="search", src="IDLE", dst="COMPARE", cycle=12)
         fsm.time = 12.0  # an RTL cycle number, not seconds
@@ -217,7 +224,7 @@ class TestJSONLSink:
 class TestReadJSONL:
     def test_reads_v2_lines_verbatim(self):
         stream = io.StringIO()
-        log = EventLog(clock=lambda: 0.25)
+        log = _clocked(lambda: 0.25)
         log.add_sink(JSONLSink(stream))
         log.emit(_packet_event())
         stream.seek(0)

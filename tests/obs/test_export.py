@@ -51,7 +51,7 @@ class TestPrometheus:
 
     def test_integer_values_have_no_decimal_point(self):
         reg = MetricsRegistry()
-        reg.counter("n_total", "n").inc(7)
+        reg.counter("n_total", "n").labels().inc(7)
         assert "n_total 7\n" in to_prometheus(reg)
 
 

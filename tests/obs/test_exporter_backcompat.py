@@ -35,9 +35,16 @@ from repro.obs.spans import (
 from repro.obs.telemetry import Telemetry
 
 
+def _clocked(clock):
+    """An event log stamped by ``clock``, as a network's is."""
+    log = EventLog()
+    log.clock = clock
+    return log
+
+
 def _event_lines(*events):
     stream = io.StringIO()
-    log = EventLog(clock=lambda: 0.5)
+    log = _clocked(lambda: 0.5)
     log.add_sink(JSONLSink(stream))
     for event in events:
         log.emit(event)
@@ -92,7 +99,7 @@ class TestEventJSONL:
         hw = FSMTransition(fsm="modifier", src="IDLE", dst="SEARCH", cycle=42)
         hw.time = 42.0
         stream = io.StringIO()
-        log = EventLog(clock=lambda: 0.5)
+        log = _clocked(lambda: 0.5)
         log.add_sink(JSONLSink(stream))
         log.emit(sim)
         log.emit(hw)

@@ -95,7 +95,7 @@ class TestTable6Integration:
 
     def test_table6_measured_under_profiler(self):
         drv, profiler = _profiled_driver(ib_depth=128)
-        rows = measure_table6(search_sizes=(1, 10), driver=drv)
+        rows = measure_table6(driver=drv)
         assert all(r.matches for r in rows), [
             (r.operation, r.expected, r.measured) for r in rows
         ]

@@ -127,9 +127,9 @@ class Trace:
 class Reference:
     """Folds each event into spans as it arrives."""
 
-    def __init__(self, sample_rate, flow_rates, flow_fecs, nodes, telemetry) -> None:
+    def __init__(self, sample_rate, flow_fecs, nodes, telemetry) -> None:
         self.sample_rate = sample_rate
-        self.flow_rates, self.flow_fecs = flow_rates, flow_fecs
+        self.flow_fecs = flow_fecs
         self.nodes = frozenset(nodes) if nodes is not None else None
         self.telemetry = telemetry
         self._traces: Dict[int, Trace] = {}
@@ -150,7 +150,7 @@ class Reference:
     def wants(self, flow_id: int, uid: int) -> bool:
         decision = self._decisions.get(uid)
         if decision is None:
-            rate = self.flow_rates.get(flow_id, self.sample_rate)
+            rate = self.sample_rate
             decision = ((uid * 0x9E3779B1) & 0xFFFFFFFF) / 2**32 < rate
             self._decisions[uid] = decision
             self.sampled_out += not decision
@@ -420,7 +420,6 @@ def _fold(make, steps, sample_rate, filtered, per_event=False):
     tel = Telemetry(enabled=True)
     recorder = make(
         sample_rate=sample_rate,
-        flow_rates={2: 1.0},
         flow_fecs={0: "10.0.0.0/8"},
         nodes=FILTER if filtered else None,
         telemetry=tel,

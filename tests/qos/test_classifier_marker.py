@@ -31,25 +31,22 @@ class TestCosOfPacket:
 class TestClassifier:
     def test_first_match_wins(self):
         clf = Classifier()
-        clf.add_rule(cos=5, dscp_min=46, dscp_max=46)
+        clf.add_rule(cos=5, dst="10.1.0.0/16")
         clf.add_rule(cos=1, dst="10.0.0.0/8")
-        assert clf.classify(pkt(dscp=46)) == 5
-        assert clf.classify(pkt(dscp=0)) == 1
+        assert clf.classify(pkt("10.1.2.3")) == 5
+        assert clf.classify(pkt("10.2.0.1")) == 1
 
     def test_default(self):
-        clf = Classifier(default_cos=2)
-        assert clf.classify(pkt()) == 2
+        clf = Classifier()
+        assert clf.classify(pkt()) == 0
         assert clf.defaults == 1
 
-    def test_src_dst_protocol(self):
+    def test_a_rule_without_dst_matches_everything(self):
         clf = Classifier()
-        clf.add_rule(cos=4, src="192.168.0.0/16", protocol=6)
-        assert clf.classify(pkt(protocol=6)) == 4
-        assert clf.classify(pkt(protocol=17)) == 0
+        clf.add_rule(cos=4)
+        assert clf.classify(pkt("11.0.0.1", dscp=46, protocol=6)) == 4
 
     def test_cos_validation(self):
-        with pytest.raises(ValueError):
-            Classifier(default_cos=8)
         clf = Classifier()
         with pytest.raises(ValueError):
             clf.add_rule(cos=9)

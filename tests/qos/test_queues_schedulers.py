@@ -48,11 +48,10 @@ class TestPriorityScheduler:
 class TestWFQScheduler:
     def test_weighted_shares(self):
         """Class 5 with 3x weight drains ~3x the bytes of class 1."""
-        s = WFQScheduler(weights={5: 3.0, 1: 1.0}, capacity_per_class=200,
-                         quantum_unit=1000)
+        s = WFQScheduler(weights={5: 3.0, 1: 1.0}, capacity_per_class=200)
         for i in range(100):
-            s.enqueue((f"hi{i}", 1000), cos=5)
-            s.enqueue((f"lo{i}", 1000), cos=1)
+            s.enqueue((f"hi{i}", 1500), cos=5)
+            s.enqueue((f"lo{i}", 1500), cos=1)
         first40 = [s.dequeue() for _ in range(40)]
         hi = sum(1 for item, _ in first40 if item.startswith("hi"))
         lo = len(first40) - hi
@@ -60,7 +59,7 @@ class TestWFQScheduler:
         assert lo > 0  # no starvation
 
     def test_equal_weights_alternate(self):
-        s = WFQScheduler(quantum_unit=1500)
+        s = WFQScheduler()
         for i in range(4):
             s.enqueue((f"a{i}", 1500), cos=1)
             s.enqueue((f"b{i}", 1500), cos=2)
@@ -69,7 +68,7 @@ class TestWFQScheduler:
         assert out.count("b") == 4
 
     def test_small_weight_still_served(self):
-        s = WFQScheduler(weights={0: 0.1, 7: 1.0}, quantum_unit=1500)
+        s = WFQScheduler(weights={0: 0.1, 7: 1.0})
         s.enqueue(("lo", 1500), cos=0)
         for i in range(5):
             s.enqueue((f"hi{i}", 1500), cos=7)

@@ -15,7 +15,8 @@ decision depends on:
 
 A shape is ``("ip", destination, ttl, dscp)`` or ``("mpls", label, ttl,
 tunnelled)``; :func:`packet` builds one.  :func:`apply` applies a
-write to a node.
+write to a node.  :func:`pop_at_penultimate_hop` hand-programs
+penultimate-hop popping, which no control plane offers.
 """
 
 from hypothesis import strategies as st
@@ -26,6 +27,27 @@ from repro.mpls.nhlfe import NHLFE
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
 from tests.strategies import arranged, lehmer, picks
+
+
+def pop_at_penultimate_hop(binding, nodes):
+    """Re-program an LDP ``binding`` as an egress advertising Implicit
+    NULL would have it: a hop next to the egress swaps to
+    ``IMPLICIT_NULL`` (the NHLFE makes that a POP), an ingress next to it
+    pushes it (a NOOP), and the egress holds no entry."""
+    egress = binding.egress
+    for name, nh in binding.next_hops.items():
+        if nh != egress:
+            continue
+        nodes[name].ilm.install(
+            binding.labels[name],
+            NHLFE(op=LabelOp.SWAP, out_label=IMPLICIT_NULL, next_hop=nh),
+        )
+        if name in binding.ingresses:
+            nodes[name].ftn.install(
+                binding.fec,
+                NHLFE(op=LabelOp.PUSH, out_label=IMPLICIT_NULL, next_hop=nh),
+            )
+    nodes[egress].ilm.remove(binding.labels[egress])
 
 
 def ip_pkt(dst="10.2.0.9", ttl=64, dscp=0):

@@ -30,12 +30,12 @@ from hypothesis import strategies as st
 from repro.hdl.comparator import EqualityComparator
 from repro.hdl.fsm import State
 from repro.hdl.signal import Wire
-from repro.hdl.simulator import Component, Simulator
+from repro.hdl.simulator import MAX_SETTLE_PASSES, Component, Simulator
 from tests.strategies import arranged, chunks, lehmer, picks
 
 WIDTH = 4
 MASK = (1 << WIDTH) - 1
-MAX_PASSES = 12
+MAX_PASSES = MAX_SETTLE_PASSES
 #: a signal is a wire or a register
 W, R = False, True
 
@@ -117,7 +117,7 @@ def build_processes(kit, design, spy: bool = True):
     """A register belongs to the first process staging it when that one
     is declared, and is created by it (named ``p<i>.s<j>``)."""
     defaults, procs, bench = design
-    sim = Simulator(max_settle_passes=MAX_PASSES)
+    sim = Simulator()
     watcher = Spy(sim) if spy else None
     made = [Process(sim, i, p[0], p[4]) for i, p in enumerate(procs)]
     owner = {}
@@ -282,7 +282,7 @@ def build_chain(kit, order, limit: int, late_links: bool):
     """A counter that a comparator clears at ``limit``, its count and the
     limit behind a mux the comparator's output selects -- constructed
     (so evaluated) in the given order."""
-    sim = Simulator(max_settle_passes=MAX_PASSES)
+    sim = Simulator()
     spy = Spy(sim)
     const = sim.add_wire("limit", WIDTH, limit)
     one = sim.add_wire("one", 1, 1)

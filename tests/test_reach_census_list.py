@@ -1,7 +1,10 @@
 """The committed reach census list, checked without running the census.
 
 ``tools/reach_census.txt`` names every function in ``src/repro`` that no
-workload calls, each with the owner that keeps it.  The census itself
+workload calls, as ``path:Qualname``, and every defaulted parameter of a
+reached function that no workload moves off its default, as
+``path:Qualname(param)``, each with the owner that keeps it.  The census
+itself
 (``python tools/reach_census.py --check tools/reach_census.txt``) runs
 every workload and takes minutes; these checks take a second, so a
 renamed or deleted function that the list still names fails here first.
@@ -47,9 +50,30 @@ def test_every_owner_is_a_fixed_tag(census, lines):
 
 
 def test_every_name_is_a_def_in_src_repro(census, lines):
-    defined = set(census.defs(str(ROOT)).values())
-    missing = [line for line in lines if line.split("  ")[0] not in defined]
-    assert not missing
+    defined = {name for name, _ in census.defs(str(ROOT)).values()}
+    names = [line.split("  ")[0].partition("(")[0] for line in lines]
+    assert [name for name in names if name not in defined] == []
+
+
+def test_every_parameter_is_a_defaulted_parameter_of_its_def(census, lines):
+    defaulted = {f"{name}({param})"
+                 for name, params in census.defs(str(ROOT)).values()
+                 for param in params}
+    names = [line.split("  ")[0] for line in lines]
+    params = [name for name in names if name.endswith(")")]
+    assert params, "the list names no parameter"
+    assert [name for name in params if name not in defaulted] == []
+
+
+def test_a_parameter_line_names_a_reached_def(lines):
+    names = {line.split("  ")[0] for line in lines}
+    both = [name for name in names
+            if name.endswith(")") and name.partition("(")[0] in names]
+    assert both == []
+
+
+def test_the_owner_tags_include_bench_and_entry(census):
+    assert {"bench", "entry"} <= set(census.OWNERS)
 
 
 def test_the_reader_reads_what_the_list_holds(census, lines):

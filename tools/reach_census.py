@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Reach census: which functions in ``src/repro`` no workload calls.
+"""Reach census: which functions in ``src/repro`` no workload calls, and
+which defaulted parameters no workload moves off their default.
 
 Runs every leg below in a fresh interpreter on a scratch copy of the
 tree (the benchmark legs rewrite ``benchmarks/results``), with this
 directory first on ``PYTHONPATH`` so that ``sitecustomize.py`` records
-every function each interpreter starts.  Then matches the recorded
-``(file, first line)`` pairs against an ``ast`` walk of every ``def`` in
-``src/repro`` (a decorated function's code starts at its first
-decorator) and prints the unreached ones, sorted, one
-``path:Qualname  owner`` line each.  The owner comes from the committed
-list, ``reach_census.txt``; a function the list does not name prints as
-``UNOWNED``.
+every function each interpreter starts and each defaulted parameter a
+call binds to something other than its default.  Then matches the
+recorded ``(file, first line)`` pairs against an ``ast`` walk of every
+``def`` in ``src/repro`` (a decorated function's code starts at its
+first decorator) and prints, sorted, one ``path:Qualname  owner`` line
+for each unreached function and one ``path:Qualname(param)  owner``
+line for each defaulted parameter of a reached function that no leg
+moved.  The owner comes from the committed list, ``reach_census.txt``;
+a line the list does not name prints as ``UNOWNED``.
 
     python tools/reach_census.py                # print the census
     python tools/reach_census.py --check tools/reach_census.txt
 
 ``--check`` exits 1 when the census and the list name different
-functions, in either direction.  The legs run two at a time and take
-about three minutes on a two-core machine.
+functions or parameters, in either direction.  The legs run two at a
+time and take a few minutes on a two-core machine.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ OWNERS = {
                  "(ROADMAP items 6 and 15)",
     "item-10": "tunnel hierarchy depth (ROADMAP item 10)",
     "item-12": "the FSM dispatch oracle (ROADMAP item 12)",
+    "bench": "a parameter the frozen benchmark (benchmarks/perf) passes",
+    "entry": "a path or argv a user supplies",
     "oracle": "read by a test as its oracle (a differential suite's "
               "equality, a reference's default, a test-only accessor)",
     "text": "formats an object in an error message or printed output",
@@ -155,8 +160,10 @@ def copy_tree(tree: str) -> None:
 
 
 def run_leg(tree: str, records: str, name: str,
-            argv: Sequence[str]) -> Tuple[str, Set[str], str]:
-    """Run one leg; its reached ``path:line`` set and an error, if any."""
+            argv: Sequence[str]) -> Tuple[str, Set[str], Set[str], str]:
+    """Run one leg; its reached ``path:line`` set, its moved
+    ``path:line param`` set (a bare ``path:line`` when the hook could not
+    read a function's defaults) and an error, if any."""
     out = tempfile.mkdtemp(dir=records)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -167,6 +174,7 @@ def run_leg(tree: str, records: str, name: str,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     reached: Set[str] = set()
+    moved: Set[str] = set()
     error = ""
     if done.returncode:
         error = f"exit {done.returncode}: {done.stderr.strip()[-400:]}"
@@ -177,19 +185,23 @@ def run_leg(tree: str, records: str, name: str,
     for record in files:
         with open(os.path.join(out, record)) as handle:
             for line in handle:
-                line = line.rstrip("\n")
-                if line == "lost":
+                kind, _, where = line.rstrip("\n").rpartition(" ")
+                if where == "lost":
                     error = error or "the trace hook was replaced"
+                elif kind.startswith("moved "):
+                    moved.add(f"{kind[6 + len(prefix):]} {where}")
+                elif kind == "unresolved":
+                    moved.add(where[len(prefix):])
                 else:
-                    reached.add(line[len(prefix):])
-    return name, reached, error
+                    reached.add(where[len(prefix):])
+    return name, reached, moved, error
 
 
-def defs(root: str = ROOT) -> Dict[str, str]:
-    """``path:first_line -> path:Qualname`` for every ``def`` under
-    ``src/repro``; the first line is the first decorator's, as in the
-    function's code object."""
-    found: Dict[str, str] = {}
+def defs(root: str = ROOT) -> Dict[str, Tuple[str, List[str]]]:
+    """``path:first_line -> (path:Qualname, defaulted parameters)`` for
+    every ``def`` under ``src/repro``; the first line is the first
+    decorator's, as in the function's code object."""
+    found: Dict[str, Tuple[str, List[str]]] = {}
 
     def walk(node: ast.AST, path: str, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
@@ -197,7 +209,14 @@ def defs(root: str = ROOT) -> Dict[str, str]:
                 first = min([child.lineno] + [
                     decorator.lineno for decorator in child.decorator_list])
                 qualname = prefix + child.name
-                found[f"{path}:{first}"] = f"{path}:{qualname}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = [arg.arg for arg in
+                             positional[len(positional) - len(args.defaults):]]
+                defaulted += [arg.arg for arg, default in
+                              zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                found[f"{path}:{first}"] = (f"{path}:{qualname}", defaulted)
                 walk(child, path, qualname + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, path, prefix + child.name + ".")
@@ -215,7 +234,8 @@ def defs(root: str = ROOT) -> Dict[str, str]:
 
 
 def read_list(path: str) -> Dict[str, str]:
-    """``path:Qualname -> owner`` from a committed census list."""
+    """``path:Qualname`` or ``path:Qualname(param)`` -> owner, from a
+    committed census list."""
     owners: Dict[str, str] = {}
     with open(path) as handle:
         for line in handle:
@@ -226,37 +246,46 @@ def read_list(path: str) -> Dict[str, str]:
 
 
 def census() -> Tuple[List[str], List[str]]:
-    """The sorted unreached ``path:Qualname`` list and the legs that
-    failed (a failed leg's reach is not trusted)."""
+    """The sorted list of unreached ``path:Qualname`` and unmoved
+    ``path:Qualname(param)`` names, and the legs that failed (a failed
+    leg's record is not trusted)."""
     with tempfile.TemporaryDirectory(prefix="reach-census-") as tree:
         records = os.path.join(tree, "records")
         os.makedirs(records)
         copy_tree(tree)
         reached: Set[str] = set()
+        moved: Set[str] = set()
         failures: List[str] = []
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
             futures = [pool.submit(run_leg, tree, records, name, argv)
                        for name, argv in legs(tree)]
             for future in concurrent.futures.as_completed(futures):
-                name, seen, error = future.result()
+                name, seen, leg_moved, error = future.result()
                 reached |= seen
-                print(f"leg {name}: {len(seen)} functions"
+                moved |= leg_moved
+                print(f"leg {name}: {len(seen)} functions, "
+                      f"{len(leg_moved)} parameters moved"
                       + (f" FAILED ({error})" if error else ""),
                       file=sys.stderr)
                 if error:
                     failures.append(name)
-        unreached = sorted(name for line, name in defs(tree).items()
-                           if line not in reached)
-    return unreached, failures
+        names: List[str] = []
+        for line, (name, defaulted) in defs(tree).items():
+            if line not in reached:
+                names.append(name)
+            elif line not in moved:
+                names += [f"{name}({param})" for param in defaulted
+                          if f"{line} {param}" not in moved]
+    return sorted(names), failures
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", metavar="LIST",
                         help="exit 1 unless the census names exactly the "
-                        "functions LIST names")
+                        "functions and parameters LIST names")
     args = parser.parse_args(argv)
-    unreached, failures = census()
+    measured, failures = census()
     if failures:
         print(f"error: {len(failures)} leg(s) failed: "
               + ", ".join(sorted(failures)), file=sys.stderr)
@@ -264,17 +293,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     path = args.check or LIST
     owners = read_list(path) if os.path.exists(path) else {}
     if args.check is None:
-        for name in unreached:
+        for name in measured:
             print(f"{name}  {owners.get(name, 'UNOWNED')}")
         return 0
     listed = sorted(owners)
-    if listed == unreached:
-        print(f"reach census: {len(unreached)} unreached functions, "
-              "all listed")
+    if listed == measured:
+        kept = sum(name.endswith(")") for name in measured)
+        print(f"reach census: {len(measured) - kept} unreached functions, "
+              f"{kept} unmoved parameters, all listed")
         return 0
     sys.stdout.writelines(difflib.unified_diff(
         [name + "\n" for name in listed],
-        [name + "\n" for name in unreached],
+        [name + "\n" for name in measured],
         args.check, "measured"))
     return 1
 
