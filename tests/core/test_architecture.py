@@ -5,8 +5,10 @@ processing) on both modifier backends."""
 import pytest
 
 from repro.core.architecture import EmbeddedMPLS
+from repro.core.device import STRATIX_EP1S40
 from repro.core.hwnode import HardwareLSRNode
 from repro.core.hybrid import TABLE_SIZES, compare_partitions
+from repro.core.packet_processing import IngressPacketProcessor
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.forwarding import Action
 from repro.mpls.label import LabelEntry, LabelOp
@@ -106,6 +108,27 @@ class TestFigure6Router:
         inner = IPv4Packet.deserialize(final.frame.payload)
         assert inner.ttl == 7
 
+    @pytest.mark.parametrize("hop", ["push", "swap", "pop"])
+    def test_a_hop_keeps_the_ip_identification(self, backend, hop):
+        # the frame the node rebuilds carries the datagram's own
+        # identification field, not one drawn afresh at the hop
+        sent = IPv4Packet(src="10.1.0.5", dst="10.2.0.9", payload=b"payload",
+                          uid=0xBEEF)
+        frame = EthernetFrame(
+            dst_mac="aa:aa:aa:aa:aa:aa", src_mac="bb:bb:bb:bb:bb:bb",
+            ethertype=ETHERTYPE_IPV4, payload=sent.serialize(),
+        )
+        if hop == "push":
+            node = ler(backend)
+        else:
+            frame = ler().process_frame(frame).frame
+            nhlfe = (NHLFE(LabelOp.SWAP, out_label=888) if hop == "swap"
+                     else NHLFE(LabelOp.POP))
+            role = RouterRole.LSR if hop == "swap" else RouterRole.LER
+            node = ilm_node(777, nhlfe, role, backend)
+        out = IngressPacketProcessor().parse(node.process_frame(frame).frame)
+        assert out.inner.serialize()[4:6] == b"\xbe\xef"
+
     def test_unknown_destination_discards(self, backend):
         node = HardwareLSRNode("ler", RouterRole.LER, backend=backend)
         result = node.process_frame(ip_frame())
@@ -203,6 +226,13 @@ class TestPartitionComparison:
         assert [p.n_entries for p in cmp.points] == list(TABLE_SIZES)
         speedups = [p.speedup_vs_linear_sw for p in cmp.points]
         assert speedups[0] > speedups[-1]
+
+    def test_hardware_is_priced_at_the_stratix_clock(self):
+        cmp = compare_partitions()
+        assert cmp.hw_clock_hz == STRATIX_EP1S40.clock_hz == 50e6
+        for p in cmp.points:
+            assert p.hw_cycles == 3 * p.n_entries + 5 + 6
+            assert p.hw_seconds == pytest.approx(p.hw_cycles / 50e6)
 
     def test_crossover_reported(self):
         crossover = compare_partitions().crossover_entries()

@@ -654,13 +654,19 @@ class TestHostileScenarioCLI:
             ("chaos_smoke", ("random_faults", "targets"), [["lsr-1", "lsr-2"]],
              "bad scenario: random_faults: unknown key(s) targets (accepted: "
              "count, kinds, mean_outage, window)"),
-            # the detection delay is the injector's DETECTION_DELAY_S
-            ("chaos_smoke", ("detection_delay_s",), 1e-3,
-             "bad scenario: unknown key(s) detection_delay_s (accepted: "
-             "alerts, audit, control, controller, description, duration, "
-             "edges, faults, flows, hardware, name, oam, overload, "
-             "protection, random_faults, security, topo, topology, "
-             "traffic)"),
+            # the detection delay is the injector's DETECTION_DELAY_S;
+            # each example that carried the key, as it carried it
+            *[
+                (example, ("detection_delay_s",), 1e-3,
+                 "bad scenario: unknown key(s) detection_delay_s (accepted: "
+                 "alerts, audit, control, controller, description, duration, "
+                 "edges, faults, flows, hardware, name, oam, overload, "
+                 "protection, random_faults, security, topo, topology, "
+                 "traffic)")
+                for example in ("chaos_smoke", "chaos_controller", "chaos_frr",
+                                "chaos_graceful_restart", "chaos_spans",
+                                "chaos_topo")
+            ],
         ],
     )
     def test_a_removed_knob(

@@ -160,3 +160,49 @@ class TestEgress:
         reparsed = IngressPacketProcessor().parse(out)
         assert reparsed.inner.payload == b"data"
         assert reparsed.inner.dst == ip_packet().dst
+
+
+def _frame_of(l2_kind, payload, labelled):
+    if l2_kind == "ethernet":
+        return eth(payload, labelled)
+    if l2_kind == "atm":
+        return segment_aal5(payload, vpi=3, vci=77)
+    return FrameRelayFrame(dlci=55, payload=payload)
+
+
+class TestIdentification:
+    """The egress module rebuilds the inner datagram from what ingress
+    parsed: only the TTL (and so the checksum) may differ, never the
+    identification field or any other header byte."""
+
+    @pytest.mark.parametrize("l2_kind", ["ethernet", "atm", "frame-relay"])
+    @pytest.mark.parametrize(
+        "labelled,new_stack,new_ttl",
+        [
+            (False, [777], None),  # push onto IP
+            (True, [888], None),  # swap
+            (True, [], 62),  # pop to IP
+        ],
+        ids=["push", "swap", "pop"],
+    )
+    def test_a_hop_keeps_the_identification_field(
+        self, l2_kind, labelled, new_stack, new_ttl
+    ):
+        packet = IPv4Packet(src="10.1.0.5", dst="10.2.0.9", ttl=64,
+                            payload=b"data", uid=0x2468ACE1)
+        payload = (
+            MPLSPacket(LabelStack([LabelEntry(label=777, ttl=63)]),
+                       packet).serialize()
+            if labelled else packet.serialize()
+        )
+        stack = LabelStack([LabelEntry(label=label, ttl=62)
+                            for label in new_stack])
+        parsed = IngressPacketProcessor().parse(
+            _frame_of(l2_kind, payload, labelled)
+        )
+        out = EgressPacketProcessor().build(parsed, stack, new_ttl=new_ttl)
+        inner = IngressPacketProcessor().parse(out).inner.serialize()
+        wire = packet.serialize()
+        assert inner[4:6] == wire[4:6] == b"\xac\xe1"
+        assert inner[:8] == wire[:8]
+        assert inner[9:10] + inner[12:] == wire[9:10] + wire[12:]

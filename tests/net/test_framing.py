@@ -19,6 +19,7 @@ from repro.net.ethernet import (
     FramingError,
 )
 from repro.net.frame_relay import FrameRelayError, FrameRelayFrame
+from repro.net.packet import IPv4Packet
 
 
 class TestEthernet:
@@ -74,6 +75,21 @@ class TestEthernet:
     def test_truncated_frame(self):
         with pytest.raises(FramingError):
             EthernetFrame.deserialize(b"\x00" * 20)
+
+    @pytest.mark.parametrize("size", [0, 1, 25, 26, 27, 1480])
+    def test_the_inner_length_field_delimits_the_padding(self, size):
+        # a 20-byte header plus 26 bytes fills the 46-byte minimum;
+        # anything shorter arrives padded, and IPv4's total length
+        # recovers the datagram exactly
+        packet = IPv4Packet(src="10.1.0.5", dst="10.2.0.9",
+                            payload=b"\x5a" * size, uid=77)
+        frame = self._frame(payload=packet.serialize(),
+                            ethertype=ETHERTYPE_IPV4)
+        g = EthernetFrame.deserialize(frame.serialize())
+        assert len(g.payload) == max(46, 20 + size)
+        parsed = IPv4Packet.deserialize(g.payload)
+        assert parsed.payload == packet.payload
+        assert parsed.serialize() == packet.serialize()
 
     @given(st.binary(min_size=1, max_size=1500))
     def test_roundtrip_property(self, payload):

@@ -75,6 +75,32 @@ class TestIPv4Packet:
         assert wire[4:6] == b"\xab\xcd"
         assert IPv4Packet.deserialize(wire).serialize() == wire
 
+    @pytest.mark.parametrize(
+        "uid,field", [(0, 0), (1, 1), (0xFFFF, 0xFFFF), (0x10000, 0)]
+    )
+    def test_the_identification_field_is_the_low_16_bits_of_uid(
+        self, uid, field
+    ):
+        wire = IPv4Packet(src="1.1.1.1", dst="2.2.2.2", uid=uid).serialize()
+        assert int.from_bytes(wire[4:6], "big") == field
+        parsed = IPv4Packet.deserialize(wire)
+        assert parsed.uid == field
+        assert parsed.serialize() == wire
+
+    def test_a_header_only_datagram_is_accepted(self):
+        wire = IPv4Packet(src="1.1.1.1", dst="2.2.2.2").serialize()
+        assert int.from_bytes(wire[2:4], "big") == 20
+        assert IPv4Packet.deserialize(wire).payload == b""
+
+    def test_bytes_past_the_total_length_are_not_payload(self):
+        # 802.3 padding rides behind a short datagram; the total-length
+        # field delimits it, and the rebuild drops it
+        wire = IPv4Packet(src="1.1.1.1", dst="2.2.2.2",
+                          payload=b"tiny").serialize()
+        parsed = IPv4Packet.deserialize(wire + bytes(22))
+        assert parsed.payload == b"tiny"
+        assert parsed.serialize() == wire
+
     @pytest.mark.parametrize("total", [0, 10, 19])
     def test_a_total_length_below_the_header_is_refused(self, total):
         wire = bytearray(IPv4Packet(src="1.1.1.1", dst="2.2.2.2").serialize())

@@ -11,6 +11,8 @@ from repro.net.traffic import (
     CBRSource,
     DSCP_AF41,
     DSCP_EF,
+    GOP,
+    MTU_PAYLOAD,
     VideoSource,
     VoIPSource,
 )
@@ -98,6 +100,20 @@ class TestVideo:
         sizes = [frames[t] for t in sorted(frames)]
         assert sizes[0] == 5000  # I-frame
         assert sizes[1] == 1000  # P-frame
+
+    def test_an_i_frame_opens_every_group_of_pictures(self):
+        source, packets = _run_source(
+            VideoSource, duration=(2 * GOP + 1) / 10, fps=10,
+            i_frame_size=5000, p_frame_size=1000,
+        )
+        frames = {}
+        for p in packets:
+            frames[p.created_at] = frames.get(p.created_at, 0) + len(p.payload)
+        sizes = [frames[t] for t in sorted(frames)]
+        assert len(sizes) == 2 * GOP + 1
+        assert [i for i, size in enumerate(sizes) if size == 5000] == [
+            0, GOP, 2 * GOP]
+        assert max(len(p.payload) for p in packets) == MTU_PAYLOAD
 
     def test_large_frames_fragmented(self):
         _, packets = _run_source(

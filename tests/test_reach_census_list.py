@@ -76,6 +76,19 @@ def test_the_owner_tags_include_bench_and_entry(census):
     assert {"bench", "entry"} <= set(census.OWNERS)
 
 
+def test_a_bench_parameter_is_one_the_benchmark_passes(lines):
+    # the frozen benchmark's calls must still bind: each parameter the
+    # list keeps for it appears as a keyword in benchmarks/perf
+    perf = "".join(path.read_text()
+                   for path in (ROOT / "benchmarks" / "perf").glob("*.py"))
+    bench = [line.split("  ")[0] for line in lines
+             if line.endswith("  bench")]
+    assert bench, "the list keeps no parameter for the benchmark"
+    params = {name: name.partition("(")[2].rstrip(")") for name in bench}
+    assert [name for name, param in params.items()
+            if f"{param}=" not in perf and f'"{param}"' not in perf] == []
+
+
 def test_the_reader_reads_what_the_list_holds(census, lines):
     owners = census.read_list(str(LIST))
     assert owners == dict(line.split("  ") for line in lines)
