@@ -81,20 +81,21 @@ def lsp_ping(
     """Send one probe into the FEC at ``ingress``; did it come out
     within :data:`PROBE_TIMEOUT_S`?"""
     sent_at = network.scheduler.now
-    before = len(network.deliveries)
+    deliveries = network.deliveries
+    before = len(deliveries)
     probe = IPv4Packet(
         src="192.0.2.1", dst=destination, protocol=17, created_at=sent_at
     )
     network.inject(ingress, probe)
     network.run(until=sent_at + PROBE_TIMEOUT_S)
-    for delivery in network.deliveries[before:]:
-        if delivery.packet.uid == probe.uid:
-            return PingResult(
-                reached=True,
-                egress=delivery.node,
-                latency=delivery.time - sent_at,
-                sent_at=sent_at,
-            )
+    row = deliveries.find(probe.uid, before)
+    if row >= 0:
+        return PingResult(
+            reached=True,
+            egress=deliveries.node_of(row),
+            latency=deliveries.time[row] - sent_at,
+            sent_at=sent_at,
+        )
     return PingResult(
         reached=False, egress=None, latency=None, sent_at=sent_at
     )
@@ -111,47 +112,41 @@ def lsp_traceroute(
 
     Probe k carries IPv4 TTL k+1: the ingress consumes one decrement,
     so the MPLS TTL is k on entry to the core and the probe dies at the
-    k-th label switch -- whose discard record names it.  The walk ends
-    when a probe survives to the egress.  Each probe gets
-    :data:`PROBE_TIMEOUT_S`.
+    k-th label switch -- whose TTL-expiry record, the one holding the
+    probe's uid, names it.  The walk ends when a probe survives to the
+    egress, or when nothing at all was dropped while a probe was out.
+    Each probe gets :data:`PROBE_TIMEOUT_S`.
     """
     result = TracerouteResult()
+    deliveries, drops = network.deliveries, network.drops
     for ttl in range(2, max_ttl + 2):
         start = network.scheduler.now
-        drops_before = len(network.drops)
-        deliveries_before = len(network.deliveries)
+        drops_before = len(drops)
+        deliveries_before = len(deliveries)
         probe = IPv4Packet(
             src=source, dst=destination, ttl=ttl, created_at=start
         )
         network.inject(ingress, probe)
         network.run(until=start + PROBE_TIMEOUT_S)
-        delivered = next(
-            (
-                d
-                for d in network.deliveries[deliveries_before:]
-                if d.packet.uid == probe.uid
-            ),
-            None,
-        )
-        if delivered is not None:
+        row = deliveries.find(probe.uid, deliveries_before)
+        if row >= 0:
             result.hops.append(
                 TracerouteHop(
-                    ttl=ttl, node=delivered.node, reached_egress=True
+                    ttl=ttl, node=deliveries.node_of(row), reached_egress=True
                 )
             )
             return result
-        new_drops = network.drops[drops_before:]
-        expiry = next(
-            (d for d in new_drops if "TTL" in d.reason), None
-        )
+        # a packet dies once: the probe's row, if any, is its only one
+        row = drops.find(probe.uid, drops_before)
+        expired = row >= 0 and "TTL" in drops.reason_of(row)
         result.hops.append(
             TracerouteHop(
                 ttl=ttl,
-                node=expiry.node if expiry is not None else None,
+                node=drops.node_of(row) if expired else None,
                 reached_egress=False,
             )
         )
-        if expiry is None and not new_drops:
+        if len(drops) == drops_before:
             break  # probe vanished (e.g. blackhole without a record)
     return result
 
@@ -274,11 +269,10 @@ class OAMMonitor:
 
     def _scan_deliveries(self) -> None:
         deliveries = self.network.deliveries
-        while self._delivery_scan < len(deliveries):
-            d = deliveries[self._delivery_scan]
-            self._delivery_scan += 1
-            if d.packet.flow_id <= PROBE_FLOW_BASE:
-                self._delivered_uids[d.packet.uid] = d.time
+        self._delivered_uids.update(
+            deliveries.arrivals_since(self._delivery_scan, PROBE_FLOW_BASE)
+        )
+        self._delivery_scan = len(deliveries)
 
     def _check(self, record: ProbeRecord, target: ProbeTarget) -> None:
         self._scan_deliveries()

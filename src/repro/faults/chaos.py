@@ -313,16 +313,11 @@ def summarize(
         if r.recovered_at is not None
     ]
     last_recovery = max(recovery_times) if recovery_times else None
-    before = after = 0
-    for drop in network.drops:
-        if last_recovery is None or drop.time <= last_recovery:
-            before += drop.count
-        else:
-            after += drop.count
-    by_reason: Dict[str, int] = {}
-    for drop in network.drops:
-        reason = drop.reason.split(":")[-1].strip()
-        by_reason[reason] = by_reason.get(reason, 0) + drop.count
+    if last_recovery is None:
+        before, after = dropped, 0
+    else:
+        before, after = network.drops.split_at(last_recovery)
+    by_reason = network.drops.by_reason_tail()
 
     faults = [
         {
@@ -405,11 +400,8 @@ def summarize(
                 if restart.resumed_at is not None
                 else run.scenario.duration
             )
-            drops_at_node = sum(
-                drop.count
-                for drop in network.drops
-                if drop.node == restart.node
-                and restart.began_at <= drop.time <= window_end
+            drops_at_node = network.drops.at_node(
+                restart.node, restart.began_at, window_end
             )
             restarts.append(
                 {

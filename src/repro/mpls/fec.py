@@ -86,3 +86,6 @@ class CoSFEC(FEC):
 
     def __hash__(self) -> int:
         return hash(("cos", self.inner, self.dscp))
+
+    def __repr__(self) -> str:
+        return f"CoSFEC({self.inner!r}, {self.dscp})"

@@ -91,13 +91,14 @@ _set_template, _set_count, _set_interval = (
 
 @dataclass(frozen=True)
 class AggregateDelivery:
-    """A whole aggregate that reached its attached host."""
+    """A view of a whole aggregate that reached its attached host (built
+    by :meth:`repro.net.network.DeliveryLog.views` from the train's
+    row)."""
 
     time: float
     node: str
     flow_id: int
     count: int
-    bytes: int
     first_created_at: float
     interval: float
 

@@ -9,14 +9,18 @@ the edge LERs into one simulated MPLS domain:
   real transmission/propagation/queueing delays,
 * per-link queues are pluggable (drop-tail baseline, or the QoS
   schedulers of :mod:`repro.qos.scheduler`),
-* delivered packets are recorded with end-to-end latency; drops are
-  recorded with their reason,
+* delivered packets and drops are rows of two column stores
+  (:class:`DeliveryLog`, :class:`DropLog`): ``array`` columns plus an
+  intern table of node names and reasons, queried in place -- a
+  :class:`Delivery` / :class:`Drop` object exists only when a test or
+  an example asks for the rows as views,
 * the control plane (:mod:`repro.control`) programs the very same
   node tables the data plane consults.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -46,31 +50,236 @@ from repro.obs.telemetry import get_telemetry
 from repro.qos.classifier import cos_of_packet
 
 
-@dataclass
+@dataclass(frozen=True)
 class Delivery:
-    """One packet that reached its attached host."""
+    """A view of one delivered packet's row (built by
+    :meth:`DeliveryLog.views`; the log keeps no such object)."""
 
     time: float
     node: str
-    packet: IPv4Packet
+    flow_id: int
+    uid: int
+    created_at: float
 
     @property
     def latency(self) -> float:
-        return self.time - self.packet.created_at
+        return self.time - self.created_at
 
 
-@dataclass
+@dataclass(frozen=True)
 class Drop:
-    """Packets lost in the domain at one point in time.
+    """A view of one drop row (built by :meth:`DropLog.views`): packets
+    lost in the domain at one point in time.
 
     Scalar processing always records ``count == 1``; a dropped flow
-    aggregate records its whole train as one entry.
+    aggregate records its whole train as one row.  ``uid`` is the
+    dropped packet's (a labelled packet's inner datagram's).
     """
 
     time: float
     node: str
     reason: str
-    count: int = 1
+    count: int
+    uid: int
+
+
+class _Columns:
+    """Rows as ``array`` columns, every string by its id in one intern
+    table: ``names[id]`` is the string back.  A row is a handful of
+    machine numbers, never an object the collector tracks."""
+
+    def __init__(self) -> None:
+        self.names: List[str] = []
+        self._ids: Dict[str, int] = {}
+
+    def _intern(self, name: str) -> int:
+        ids = self._ids
+        n = ids.get(name)
+        if n is None:
+            n = ids[name] = len(self.names)
+            self.names.append(name)
+        return n
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def node_of(self, row: int) -> str:
+        return self.names[self.node[row]]
+
+    def find(self, uid: int, start: int) -> int:
+        """The first row from ``start`` on that holds ``uid``, or -1."""
+        try:
+            return self.uid.index(uid, start)
+        except ValueError:
+            return -1
+
+
+class DeliveryLog(_Columns):
+    """What reached an attached host, one row per scalar packet or per
+    train: time, node, flow, uid, created_at, count and interval.
+
+    A scalar packet's row has count 1 and interval 0; a train's row
+    holds its whole count and creation spacing, and uid -1 (it is no one
+    packet: it emits no :class:`PacketDelivered` either).  Per-flow
+    totals are kept as rows arrive, so :meth:`delivered` never scans.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.time = array("d")
+        self.node = array("I")
+        self.flow = array("q")
+        self.uid = array("q")
+        self.created_at = array("d")
+        self.count = array("I")
+        self.interval = array("d")
+        self._per_flow: Dict[int, int] = {}
+
+    def append(
+        self,
+        time: float,
+        node: str,
+        flow: int,
+        uid: int,
+        created_at: float,
+        count: int,
+        interval: float,
+    ) -> None:
+        self.time.append(time)
+        self.node.append(self._intern(node))
+        self.flow.append(flow)
+        self.uid.append(uid)
+        self.created_at.append(created_at)
+        self.count.append(count)
+        self.interval.append(interval)
+        per_flow = self._per_flow
+        per_flow[flow] = per_flow.get(flow, 0) + count
+
+    def delivered(self, flow: Optional[int] = None) -> int:
+        """Packets delivered, of one flow or of all."""
+        if flow is None:
+            return sum(self._per_flow.values())
+        return self._per_flow.get(flow, 0)
+
+    def latencies(self, flow: Optional[int] = None) -> List[float]:
+        """Per-packet latencies in row order; a train's are analytic
+        (packet ``i`` was created ``i * interval`` after the first)."""
+        values: List[float] = []
+        for f, t, created, count, interval in zip(
+            self.flow, self.time, self.created_at, self.count,
+            self.interval,
+        ):
+            if flow is None or f == flow:
+                if count == 1:
+                    values.append(t - created)
+                else:
+                    values.extend(
+                        t - (created + i * interval) for i in range(count)
+                    )
+        return values
+
+    def arrivals_since(
+        self, start: int, max_flow: int
+    ) -> List[Tuple[int, float]]:
+        """``(uid, time)`` of every row from ``start`` on whose flow id
+        is at most ``max_flow``."""
+        flow, uid, time = self.flow, self.uid, self.time
+        return [
+            (uid[row], time[row])
+            for row in range(start, len(flow))
+            if flow[row] <= max_flow
+        ]
+
+    def views(self) -> List[Union[Delivery, AggregateDelivery]]:
+        """Every row as an object: a :class:`Delivery` per scalar
+        packet, an :class:`AggregateDelivery` per train."""
+        names = self.names
+        return [
+            AggregateDelivery(t, names[n], f, count, created, interval)
+            if uid < 0
+            else Delivery(t, names[n], f, uid, created)
+            for t, n, f, uid, created, count, interval in zip(
+                self.time, self.node, self.flow, self.uid,
+                self.created_at, self.count, self.interval,
+            )
+        ]
+
+
+class DropLog(_Columns):
+    """What the domain lost, one row per drop: time, node, reason,
+    count and the dropped packet's uid (a labelled packet's inner uid;
+    -1 for a drop with no packet).  Nodes and reasons share the intern
+    table; a reader aggregates over the columns and splits each
+    distinct reason once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.time = array("d")
+        self.node = array("I")
+        self.reason = array("I")
+        self.count = array("I")
+        self.uid = array("q")
+
+    def append(
+        self, time: float, node: str, reason: str, count: int, uid: int
+    ) -> None:
+        intern = self._intern
+        self.time.append(time)
+        self.node.append(intern(node))
+        self.reason.append(intern(reason))
+        self.count.append(count)
+        self.uid.append(uid)
+
+    def reason_of(self, row: int) -> str:
+        return self.names[self.reason[row]]
+
+    def total(self) -> int:
+        return sum(self.count)
+
+    def split_at(self, time: float) -> Tuple[int, int]:
+        """Packets dropped at or before ``time``, and after it."""
+        before = sum(
+            count for t, count in zip(self.time, self.count) if t <= time
+        )
+        return before, self.total() - before
+
+    def by_reason_tail(self) -> Dict[str, int]:
+        """Packets dropped per reason tail (the text after a reason's
+        last ``:``, stripped), tails in first-drop order."""
+        per_reason: Dict[int, int] = {}
+        for reason, count in zip(self.reason, self.count):
+            per_reason[reason] = per_reason.get(reason, 0) + count
+        names = self.names
+        tails: Dict[str, int] = {}
+        for reason, count in per_reason.items():
+            tail = names[reason].split(":")[-1].strip()
+            tails[tail] = tails.get(tail, 0) + count
+        return tails
+
+    def at_node(self, node: str, start: float, end: float) -> int:
+        """Packets dropped at ``node`` within ``[start, end]``."""
+        n = self._ids.get(node)
+        if n is None:
+            return 0
+        return sum(
+            count
+            for at, t, count in zip(self.node, self.time, self.count)
+            if at == n and start <= t <= end
+        )
+
+    def views(self) -> List[Drop]:
+        """Every row as a :class:`Drop`."""
+        names = self.names
+        return [
+            Drop(t, names[n], names[reason], count, uid)
+            for t, n, reason, count, uid in zip(
+                self.time, self.node, self.reason, self.count, self.uid
+            )
+        ]
+
+
+def _inner(packet: Union[IPv4Packet, MPLSPacket]) -> IPv4Packet:
+    return packet.inner if isinstance(packet, MPLSPacket) else packet
 
 
 class MPLSNetwork:
@@ -139,11 +348,9 @@ class MPLSNetwork:
             self._link_of[(b, a)] = link
         #: LER name -> list of (prefix, sink) host attachments
         self._hosts: Dict[str, List[Tuple[IPv4Prefix, Optional[Callable]]]] = {}
-        self.deliveries: List[Delivery] = []
-        #: flow id -> packets delivered (scalar and aggregate), kept as
-        #: deliveries are recorded so :meth:`delivered_count` never scans
-        self._delivered: Dict[int, int] = {}
-        self.drops: List[Drop] = []
+        #: every delivered packet and train, and every drop, as rows
+        self.deliveries = DeliveryLog()
+        self.drops = DropLog()
         #: failed link key -> (link, saved control-plane attributes)
         self._failed_links: Dict[Tuple[str, str], Tuple[Link, Any]] = {}
         #: crashed nodes (packets at them are dropped; their links are
@@ -158,9 +365,6 @@ class MPLSNetwork:
         ] = None
         #: batched fast-path mode (see :meth:`enable_batching`)
         self.batching = False
-        #: delivered flow aggregates (batched mode only); scalar
-        #: deliveries stay in :attr:`deliveries`
-        self.aggregate_deliveries: List[AggregateDelivery] = []
         #: the run's :class:`repro.security.SecurityMonitor` (attached
         #: by its ``arm()``); with one attached, TTL-expiry discards
         #: punt exception load to it and :meth:`inject_external` feeds
@@ -249,11 +453,11 @@ class MPLSNetwork:
         if decision is not None:
             # guard rejection: counted by the node like any discard
             self.drops.append(
-                Drop(
-                    self.scheduler.now,
-                    node_name,
-                    decision.reason or "unspecified",
-                )
+                self.scheduler.now,
+                node_name,
+                decision.reason or "unspecified",
+                1,
+                _inner(packet).uid,
             )
             return
         if self.security_monitor is not None and isinstance(
@@ -340,7 +544,11 @@ class MPLSNetwork:
         if decision.action is Action.DISCARD:
             # the node's own telemetry already counted this discard
             self.drops.append(
-                Drop(now, node_name, decision.reason or "unspecified", count)
+                now,
+                node_name,
+                decision.reason or "unspecified",
+                count,
+                _inner(packet).uid,
             )
             if self.security_monitor is not None and "TTL expired" in (
                 decision.reason or ""
@@ -396,31 +604,26 @@ class MPLSNetwork:
         now: float,
         node_name: str,
         reason: str,
-        packet: Optional[Union[IPv4Packet, MPLSPacket]] = None,
+        packet: Union[IPv4Packet, MPLSPacket],
         count: int = 1,
     ) -> None:
-        self.drops.append(Drop(now, node_name, reason, count=count))
+        inner = _inner(packet)
+        self.drops.append(now, node_name, reason, count, inner.uid)
         tel = self.telemetry
         if tel.enabled:
             tel.drops.labels(
                 node_name, reason.split(":")[-1].strip()
             ).inc(count)
-            if packet is not None:
-                inner = (
-                    packet.inner
-                    if isinstance(packet, MPLSPacket)
-                    else packet
+            tel.events.emit(
+                PacketDropped(
+                    node=node_name,
+                    uid=inner.uid,
+                    flow_id=inner.flow_id,
+                    reason=reason,
+                    labels_in=stack_labels(packet),
+                    ttl_in=packet_ttl(packet),
                 )
-                tel.events.emit(
-                    PacketDropped(
-                        node=node_name,
-                        uid=inner.uid,
-                        flow_id=inner.flow_id,
-                        reason=reason,
-                        labels_in=stack_labels(packet),
-                        ttl_in=packet_ttl(packet),
-                    )
-                )
+            )
 
     def _is_attached(self, node_name: str, packet: IPv4Packet) -> bool:
         for prefix, _ in self._hosts.get(node_name, ()):
@@ -435,39 +638,33 @@ class MPLSNetwork:
         train: Optional[FlowAggregate] = None,
     ) -> None:
         """Record ``packet`` -- or the whole ``train`` it stands for --
-        as delivered.  A train lands in :attr:`aggregate_deliveries`
-        with exact packet/byte totals and analytic per-packet latencies
-        (see :class:`~repro.net.aggregate.AggregateDelivery`); it emits
-        no per-packet event and host sinks are not called for it."""
+        as delivered: one row of :attr:`deliveries`.  A train's row
+        holds exact packet totals and its analytic per-packet latencies
+        (see :meth:`DeliveryLog.latencies`); it emits no per-packet
+        event and host sinks are not called for it."""
         now = self.scheduler.now
         flow_id = packet.flow_id
+        created_at = packet.created_at
         if train is None:
             count = 1
-            delivery = Delivery(now, node_name, packet)
-            self.deliveries.append(delivery)
+            self.deliveries.append(
+                now, node_name, flow_id, packet.uid, created_at, 1, 0.0
+            )
         else:
             count = train.count
-            delivery = AggregateDelivery(
-                time=now,
-                node=node_name,
-                flow_id=flow_id,
-                count=count,
-                bytes=packet.length * count,
-                first_created_at=packet.created_at,
-                interval=train.interval,
+            interval = train.interval
+            self.deliveries.append(
+                now, node_name, flow_id, -1, created_at, count, interval
             )
-            self.aggregate_deliveries.append(delivery)
-        delivered = self._delivered
-        delivered[flow_id] = delivered.get(flow_id, 0) + count
         tel = self.telemetry
         if tel.enabled:
             tel.packets.labels(node_name, "delivered").inc(count)
             hist = tel.delivery_latency.labels(node_name)
             if train is None:
-                hist.observe(delivery.latency)
+                hist.observe(now - created_at)
             else:
-                for latency in delivery.latencies():
-                    hist.observe(latency)
+                for i in range(count):
+                    hist.observe(now - (created_at + i * interval))
             # demand accounting (ingress->egress matrix cell) rides the
             # same guard; one None test when no accountant is attached
             if tel.flows is not None:
@@ -480,7 +677,7 @@ class MPLSNetwork:
                         node=node_name,
                         uid=packet.uid,
                         flow_id=flow_id,
-                        latency=delivery.latency,
+                        latency=now - created_at,
                     )
                 )
         if train is not None:
@@ -595,23 +792,13 @@ class MPLSNetwork:
 
     # -- statistics ---------------------------------------------------------
     def latencies(self, flow_id: Optional[int] = None) -> List[float]:
-        values = [
-            d.latency
-            for d in self.deliveries
-            if flow_id is None or d.packet.flow_id == flow_id
-        ]
-        for aggregate in self.aggregate_deliveries:
-            if flow_id is None or aggregate.flow_id == flow_id:
-                values.extend(aggregate.latencies())
-        return values
+        return self.deliveries.latencies(flow_id)
 
     def delivered_count(self, flow_id: Optional[int] = None) -> int:
-        if flow_id is None:
-            return sum(self._delivered.values())
-        return self._delivered.get(flow_id, 0)
+        return self.deliveries.delivered(flow_id)
 
     def drop_count(self) -> int:
-        return sum(d.count for d in self.drops)
+        return self.drops.total()
 
     # -- control-plane reachability ------------------------------------------
     def fec_trace(self, ingress: str, fec: FEC) -> Optional[List[str]]:

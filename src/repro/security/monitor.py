@@ -460,14 +460,15 @@ class SecurityMonitor:
         egress_of = {fid: egress for _, egress, fid in self.flows}
         fec_of = {fid: prefix for prefix, _, fid in self.flows}
         leaked_by_fec: Dict[str, int] = {}
-        # chaos traffic is scalar in both batching modes (the fast path
-        # only arms caches), so the scalar delivery log is the record
-        for delivery in network.deliveries:
-            fid = delivery.packet.flow_id
+        deliveries = network.deliveries
+        names = deliveries.names
+        for fid, node, count in zip(
+            deliveries.flow, deliveries.node, deliveries.count
+        ):
             home = egress_of.get(fid)
-            if home is not None and delivery.node != home:
+            if home is not None and names[node] != home:
                 fec = fec_of[fid]
-                leaked_by_fec[fec] = leaked_by_fec.get(fec, 0) + 1
+                leaked_by_fec[fec] = leaked_by_fec.get(fec, 0) + count
         for record in xconnect:
             record.packets_leaked += sum(
                 count

@@ -6,6 +6,7 @@ from repro.control.oam import lsp_ping, lsp_traceroute
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.router import RouterRole
 from repro.net.network import MPLSNetwork
+from repro.net.packet import IPv4Packet
 from repro.net.topology import line, paper_figure1
 
 
@@ -55,6 +56,27 @@ class TestLSPTraceroute:
         assert result.complete
         # TTL 2 dies at the first LSR, TTL 3 at the second, TTL 4 lands
         assert result.path == ["lsr-1", "lsr-2", "ler-b"]
+
+    def test_a_hop_is_named_by_the_probes_own_drop(self):
+        """Background packets that expire at the first LSR while each
+        probe is out (one every 0.1 ms, IPv4 TTL 2) must not lend
+        their drops to the probes that die further on."""
+        net = _network()
+        for second in range(4):
+            for i in range(100):
+                net.scheduler.at(
+                    second + i * 1e-4, net.inject, "ler-a",
+                    IPv4Packet(src="10.1.0.5", dst="10.2.0.99", ttl=2),
+                )
+        result = lsp_traceroute(net, "ler-a", "10.2.0.1")
+        assert result.complete
+        # TTL 4 expires at the egress LER, TTL 5 is delivered there
+        assert [hop.node for hop in result.hops] == [
+            "lsr-1", "lsr-2", "ler-b", "ler-b"
+        ]
+        assert result.path == ["lsr-1", "lsr-2", "ler-b"]
+        expired = [d for d in net.drops.views() if "TTL" in d.reason]
+        assert len(expired) > 300  # the background did expire meanwhile
 
     def test_longer_path(self):
         topo = line(6, bandwidth_bps=10e6, delay_s=1e-4)

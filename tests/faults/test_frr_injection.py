@@ -87,9 +87,11 @@ class TestSwitchoverUnderInjection:
         # only the detection window loses packets; everything sent
         # while riding the backup is delivered
         outage_drops = [
-            d for d in network.drops if 0.3 <= d.time <= 0.3 + 5 * DETECTION
+            d for d in network.drops.views() if 0.3 <= d.time <= 0.3 + 5 * DETECTION
         ]
-        late_drops = [d for d in network.drops if d.time > 0.3 + 5 * DETECTION]
+        late_drops = [
+            d for d in network.drops.views() if d.time > 0.3 + 5 * DETECTION
+        ]
         assert late_drops == [], "drops continued after the switchover"
         assert len(outage_drops) <= 5
         sent = run.sources[0].sent
@@ -134,7 +136,7 @@ class TestSwitchoverUnderInjection:
         # primary healed first while the backup was dead: FRR must have
         # steered the FEC back onto the primary
         assert protected.active == "primary"
-        late = [d for d in run.network.deliveries if d.time > 0.95]
+        late = [t for t in run.network.deliveries.time if t > 0.95]
         assert late, "traffic never recovered after the primary healed"
 
 

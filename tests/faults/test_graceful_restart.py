@@ -123,10 +123,10 @@ class TestWarmRestart:
         network.run(until=0.8)
         assert injector.restarts[0].ilm_flushed > 0
         # deliveries continue well into the stale window...
-        assert any(0.1 < d.time < 0.35 for d in network.deliveries)
+        assert any(0.1 < t < 0.35 for t in network.deliveries.time)
         # ...and every drop comes after the flush removed the entries
         assert network.drops
-        assert all(d.time >= 0.35 for d in network.drops)
+        assert all(t >= 0.35 for t in network.drops.time)
 
     def test_restart_needs_a_label_distribution_protocol(self):
         network, _ = _network()

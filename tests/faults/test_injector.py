@@ -122,7 +122,7 @@ class TestLinkLossAndCorruption:
         assert injector.corrupted_packets > 5
         # a corrupted label misses the ILM and is discarded there
         ilm_misses = [
-            d for d in network.drops if "no ILM entry" in d.reason
+            d for d in network.drops.views() if "no ILM entry" in d.reason
         ]
         assert ilm_misses, "corrupted labels should miss the ILM"
         assert (
@@ -152,10 +152,10 @@ class TestNodeCrash:
         # lsr-1 cuts ler-a off entirely (it is the single attachment
         # point), so the outage is a hard partition...
         assert not injector.node_was_up("lsr-1", 0.4)
-        during = [d for d in network.drops if 0.302 < d.time < 0.6]
+        during = [t for t in network.drops.time if 0.302 < t < 0.6]
         assert during, "packets during the crash must be dropped"
         # ...but after restart + reconvergence traffic flows again
-        late = [d for d in network.deliveries if d.time > 0.65]
+        late = [t for t in network.deliveries.time if t > 0.65]
         assert late, "no deliveries after the node restarted"
         assert len(network.nodes["lsr-1"].ilm) > 0, (
             "reconvergence must re-program the cold-restarted tables"

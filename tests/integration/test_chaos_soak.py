@@ -123,7 +123,7 @@ class TestChaosSoak:
         settle = max(heals) + DETECTION + 0.05
         assert settle < DURATION, "schedule leaves no settle window"
         late_flows = {
-            d.packet.flow_id for d in network.deliveries if d.time > settle
+            d.flow_id for d in network.deliveries.views() if d.time > settle
         }
         want_flows = {s.flow_id for s in run.sources}
         assert late_flows == want_flows, (

@@ -63,7 +63,7 @@ class TestFailureRecovery:
         net.inject("ler-a", IPv4Packet(src="10.1.0.5", dst="10.2.0.9"))
         net.run()
         assert net.delivered_count() == 0
-        assert any("no link towards" in d.reason for d in net.drops)
+        assert any("no link towards" in d.reason for d in net.drops.views())
 
     def test_rsvp_backup_path_protection(self):
         """Primary + node-disjoint backup; after failure the backup FEC

@@ -31,10 +31,10 @@ from repro.mpls.label import LabelEntry, LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
-from repro.net.aggregate import FlowAggregate
+from repro.net.aggregate import AggregateDelivery, FlowAggregate
 from repro.net.ip_router import IPRouterNode, populate_fibs
 from repro.net.link import DropTailQueue
-from repro.net.network import MPLSNetwork
+from repro.net.network import Delivery, MPLSNetwork
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.net.topology import paper_figure1
 from repro.obs import ListSink, telemetry_session
@@ -181,7 +181,7 @@ def _snapshot(run, tel, accountant):
                 )
             )
     drops = Counter()
-    for drop in net.drops:
+    for drop in net.drops.views():
         drops[(drop.node, drop.reason)] += drop.count
     metrics = {}
     for family in tel.registry.collect():
@@ -325,7 +325,9 @@ def test_train_of_one_is_still_a_train(node_type, outcome):
         run.offer(1, as_train=True)
     per_packet = [e for e in sink.events if isinstance(e, PER_PACKET)]
     assert run.sunk == []
-    assert run.net.deliveries == []
+    # one row, the train's: no scalar Delivery among the views
+    views = run.net.deliveries.views()
+    assert not any(isinstance(v, Delivery) for v in views)
     if outcome == "no-link":
         # a drop the network records is one event for the whole train
         assert [(type(e), e.node) for e in per_packet] == [
@@ -337,7 +339,7 @@ def test_train_of_one_is_still_a_train(node_type, outcome):
         assert run.net.drop_count() == 1
     else:
         assert per_packet == []
-        assert [d.count for d in run.net.aggregate_deliveries] == [1]
+        assert [(type(v), v.count) for v in views] == [(AggregateDelivery, 1)]
 
 
 def test_real_packet_emits_the_scalar_event_sequence():

@@ -77,3 +77,32 @@ class TestCoSFEC:
         b = CoSFEC(PrefixFEC("10.0.0.0/8"), 46)
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_equal_cos_fecs_print_alike(self):
+        a = CoSFEC(PrefixFEC("10.2.0.0/16"), 46)
+        b = CoSFEC(PrefixFEC("10.2.0.0/16"), 46)
+        assert str(a) == str(b) == "CoSFEC(PrefixFEC('10.2.0.0/16'), 46)"
+        assert str(CoSFEC(PrefixFEC("10.2.0.0/16"), 0)) != str(a)
+
+    def test_an_ldp_established_cos_fec_names_no_address(self):
+        from repro.control.ldp import LDPProcess
+        from repro.mpls.router import RouterRole
+        from repro.net.network import MPLSNetwork
+        from repro.net.topology import paper_figure1
+        from repro.obs import ListSink, telemetry_session
+        from repro.obs.events import LabelMappingInstalled
+
+        fec = CoSFEC(PrefixFEC("10.2.0.0/16"), 46)
+        with telemetry_session() as tel:
+            sink = tel.events.add_sink(ListSink())
+            topo = paper_figure1()
+            net = MPLSNetwork(
+                topo, {"ler-a": RouterRole.LER, "ler-b": RouterRole.LER}
+            )
+            LDPProcess(topo, net.nodes).establish_fec(fec, egress="ler-b")
+        ids = {
+            e.fec_id for e in sink.events
+            if isinstance(e, LabelMappingInstalled)
+        }
+        assert ids == {str(fec)}
+        assert "0x" not in str(fec)

@@ -57,7 +57,7 @@ class TestAggregateEdges:
         net.run(until=1.0)
         assert net.delivered_count() == 0
         assert net.drop_count() == 0
-        assert net.aggregate_deliveries == []
+        assert net.deliveries.views() == []
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +71,8 @@ class TestAggregateEdges:
         )
         net.run(until=1.0)
         assert net.delivered_count() == 1
-        delivery = net.aggregate_deliveries[0]
+        (delivery,) = net.deliveries.views()
+        assert isinstance(delivery, AggregateDelivery)
         assert delivery.count == 1
         assert len(delivery.latencies()) == 1
 
@@ -81,7 +82,6 @@ class TestAggregateEdges:
             node="ler-b",
             flow_id=7,
             count=3,
-            bytes=1560,
             first_created_at=0.4,
             interval=0.1,
         )

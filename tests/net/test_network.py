@@ -8,7 +8,8 @@ from repro.mpls.fec import PrefixFEC
 from repro.mpls.label import LabelEntry
 from repro.mpls.router import RouterRole
 from repro.mpls.stack import LabelStack
-from repro.net.network import MPLSNetwork
+from repro.net.aggregate import AggregateDelivery
+from repro.net.network import Delivery, MPLSNetwork
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.net.topology import line, paper_figure1
 from repro.net.traffic import CBRSource
@@ -77,7 +78,7 @@ class TestEndToEnd:
         net.inject("ler-a", IPv4Packet(src="10.1.0.5", dst="99.9.9.9"))
         net.run()
         assert net.drop_count() == 1
-        assert "no FEC" in net.drops[0].reason
+        assert "no FEC" in net.drops.views()[0].reason
 
     def test_unknown_label_dropped_at_core(self):
         net, _ = _ldp_network()
@@ -88,7 +89,7 @@ class TestEndToEnd:
         net.inject("lsr-1", bogus)
         net.run()
         assert net.drop_count() == 1
-        assert "no ILM" in net.drops[0].reason
+        assert "no ILM" in net.drops.views()[0].reason
 
     def test_congestion_overflows_queue(self):
         # 10 Mbps link, 20 Mbps offered: queue must overflow
@@ -96,7 +97,7 @@ class TestEndToEnd:
         _flow(net, duration=0.5, rate=20e6)
         net.run(until=1.0)
         assert net.drop_count() > 0
-        assert any("queue overflow" in d.reason for d in net.drops)
+        assert any("queue overflow" in d.reason for d in net.drops.views())
 
     def test_ttl_expires_on_long_path(self):
         topo = line(6, bandwidth_bps=10e6, delay_s=1e-4)
@@ -108,7 +109,7 @@ class TestEndToEnd:
         net.inject("n0", IPv4Packet(src="10.0.0.1", dst="10.5.0.1", ttl=3))
         net.run()
         assert net.delivered_count() == 0
-        assert any("TTL" in d.reason for d in net.drops)
+        assert any("TTL" in d.reason for d in net.drops.views())
 
     def test_php_network_still_delivers(self):
         topo = paper_figure1(bandwidth_bps=10e6, delay_s=1e-3)
@@ -171,21 +172,17 @@ class TestNetworkPlumbing:
 
 
 def _scanned_count(net, flow_id=None):
-    """``delivered_count`` by scanning both delivery logs."""
+    """``delivered_count`` by scanning the delivery views (a scalar
+    packet's view has no count: it is one packet)."""
     return sum(
-        1
-        for d in net.deliveries
-        if flow_id is None or d.packet.flow_id == flow_id
-    ) + sum(
-        a.count
-        for a in net.aggregate_deliveries
-        if flow_id is None or a.flow_id == flow_id
+        getattr(d, "count", 1)
+        for d in net.deliveries.views()
+        if flow_id is None or d.flow_id == flow_id
     )
 
 
 def _assert_counts_match_a_scan(net, extra_ids=()):
-    flow_ids = {d.packet.flow_id for d in net.deliveries}
-    flow_ids.update(a.flow_id for a in net.aggregate_deliveries)
+    flow_ids = {d.flow_id for d in net.deliveries.views()}
     assert flow_ids, "nothing was delivered: the comparison is vacuous"
     flow_ids.update(extra_ids)
     for flow_id in sorted(flow_ids) + [None, max(flow_ids) + 1]:
@@ -229,7 +226,8 @@ class TestDeliveredCountAgainstAScan:
         for source in sources:
             source.begin()
         net.run(until=1.0)
-        assert net.deliveries and net.aggregate_deliveries
+        kinds = {type(d) for d in net.deliveries.views()}
+        assert kinds == {Delivery, AggregateDelivery}
         _assert_counts_match_a_scan(net)
         assert net.delivered_count() == sum(s.sent for s in sources)
 

@@ -84,7 +84,7 @@ def _run(batched):
         "ttl_updates": node.engine.counts.ttl_updates,
         "stats_discarded": node.stats.discarded,
         "discard_reasons": dict(node.stats.discard_reasons),
-        "drop_count": sum(drop.count for drop in network.drops),
+        "drop_count": sum(drop.count for drop in network.drops.views()),
         "exceptions": (
             run.security.exceptions_total,
             run.security.exceptions_forwarded,
