@@ -39,7 +39,9 @@ class Counter(Component):
         self.load_value = self.wire("load_value", width)
         self.clear = self.wire("clear", 1)
         self.count = self.reg("count", width)
-        self.reads = (self.en, self.down, self.load, self.load_value, self.clear)
+        self.reads = (
+            self.en, self.down, self.load, self.load_value, self.clear, self.count
+        )
 
     def settle(self) -> None:
         if self.clear.value:

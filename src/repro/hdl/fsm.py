@@ -10,19 +10,21 @@ gives them a common shape:
   8-11;
 * **a state is a method; the pass indexes, it does not compare.**  A
   subclass gives state ``X`` a handler ``on_X``: it drives that state's
-  outputs -- every one, *including the default drives* (a wire driven
-  by an earlier pass of the cycle keeps that value until something
-  re-drives it) -- stages what the state registers, and returns the
-  next state's name.  Handlers are resolved once, at construction, into
-  a tuple indexed by the state code; :meth:`FSM.settle` calls the
-  current state's and stages the state register when the code differs;
+  outputs (an output the state does not drive goes back to its default,
+  as the simulator puts back every wire a run stops driving), stages
+  what the state registers, and returns the next state's name.
+  Handlers are resolved once, at construction, into a tuple indexed by
+  the state code; :meth:`FSM.settle` calls the current state's and
+  stages the state register when the code differs;
 * a state without a handler runs :meth:`FSM.output` (output logic as a
   function of the current state and, for Mealy outputs, the inputs)
   then :meth:`FSM.transition` (next-state logic, returns the next
   :class:`State`) through the same ``settle`` -- small machines and
   test oracles are written that way, and may mix the two;
 * all of it runs during the settle phase; the state register commits on
-  the tick like every other register.
+  the tick like every other register.  A machine that declares its
+  ``reads`` lists what its handlers read; the state register the pass
+  indexes by is added for it.
 
 States are interned :class:`State` objects and a handler's name is
 checked against them, so typos fail fast instead of silently creating
@@ -31,8 +33,9 @@ new states or falling back.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
+from repro.hdl.signal import Signal
 from repro.hdl.simulator import Component, Simulator
 
 
@@ -60,6 +63,7 @@ class FSM(Component):
     #: the states this class (with its bases) defines ``on_<STATE>`` for;
     #: scanned once per class, not per machine built
     _handled: FrozenSet[str] = frozenset()
+    _reads: Optional[Tuple[Signal, ...]] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -92,6 +96,15 @@ class FSM(Component):
         )
         width = max(1, (len(names) - 1).bit_length())
         self._state_reg = self.reg("state", width=width, default=0)
+
+    @property
+    def reads(self) -> Optional[Tuple[Signal, ...]]:
+        """What the handlers read, after the state register, or ``None``."""
+        return self._reads
+
+    @reads.setter
+    def reads(self, signals: Iterable[Signal]) -> None:
+        self._reads = (self._state_reg, *signals)
 
     # -- state access ------------------------------------------------------
     @property

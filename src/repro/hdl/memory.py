@@ -10,7 +10,9 @@ what gives the paper's search loop its 3-cycles-per-entry cost
 Writes are likewise synchronous: ``wr_en``/``wr_addr``/``wr_data``
 sampled at the clock edge take effect in the array immediately after
 the edge (write-first is irrelevant here because the design never reads
-and writes the same address in one cycle).
+and writes the same address in one cycle).  The tick samples nothing
+but its port wires and the array, so it runs only on an edge where a
+port moved or the array was poked.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ class SyncMemory(Component):
         self.wr_data = self.wire("wr_data", width)
         self._array: List[int] = [0] * depth
         self._max = (1 << width) - 1
+        # the ports the tick samples: the same ports write and read the
+        # same words twice, so an edge where none moved needs no tick
+        self.reads = (self.rd_addr, self.wr_en, self.wr_addr, self.wr_data)
 
     def tick(self) -> None:
         if self.wr_en.value:
@@ -90,3 +95,4 @@ class SyncMemory(Component):
                 f"{self.name}: poke value {value} exceeds {self.width} bits"
             )
         self._array[addr] = value
+        self.wake()

@@ -3,9 +3,11 @@
 Two signal kinds exist, matching the two roles a net plays in a
 synchronous design:
 
-* :class:`Wire` -- a combinational net.  Its value is (re)driven during
-  the settle phase of every cycle by exactly one combinational process.
-  Reading an undriven wire returns its ``default``.
+* :class:`Wire` -- a combinational net.  It holds what its driver's
+  latest ``settle`` drove onto it, across clock edges, until that
+  driver re-runs; a driver that re-runs and no longer drives it puts it
+  back to its ``default``.  Reading a wire nothing drives returns its
+  ``default``.
 * :class:`Reg` -- a clocked register.  Combinational logic *stages* the
   next value via :meth:`Reg.stage`; the simulator commits all staged
   values atomically on the clock edge.  Between edges, reads always
@@ -19,11 +21,13 @@ mistakes).
 
 **A request that changes nothing is not a request**: holding is not
 staging, re-driving the held value is not driving.  :meth:`Wire.drive`
-and :meth:`Reg.stage` return at once, touching no log and no flag, when
-the signal already holds the value (4 in 5 drives, 9 in 10 stages of the
-label-stack modifier), so no call site guards itself.  The comparison is
-with the value *held*, never with the default: a wire driven earlier in
-the cycle keeps that value, and driving its default then is a real drive.
+and :meth:`Reg.stage` return at once, touching no log, when the signal
+already holds the value, so no call site guards itself.  (A drive still
+stamps the wire with the settle run in progress: that is how the
+simulator tells a driver that re-drove the held value from one that
+stopped driving.)  The comparison is with the value *held*, never with
+the default: driving a wire's default while it holds something else is
+a real drive.
 """
 
 from __future__ import annotations
@@ -33,6 +37,22 @@ from typing import Optional
 
 def _unlogged(signal: "Signal") -> None:
     """The activity log of a signal that no :mod:`~repro.hdl.simulator` owns."""
+
+
+class Clock:
+    """The tokens a simulator's wires read: ``run`` numbers the settle
+    run in progress (every drive stamps it), ``sweep`` the settle pass
+    (a wire changed twice under one sweep is a fight)."""
+
+    __slots__ = ("run", "sweep")
+
+    def __init__(self) -> None:
+        self.run = 0
+        self.sweep = 0
+
+
+#: the clock of a wire no simulator owns: it never advances
+_STILL = Clock()
 
 
 class SignalError(Exception):
@@ -59,9 +79,15 @@ class Signal:
     attribute load.  It is read-only by convention -- only this module
     and the simulator's inlined edge assign it, which
     ``tests/hdl/test_kernel_equivalence.py`` lints ``src/`` for.
+
+    The simulator keeps two bit masks on every signal (bit *i* is its
+    *i*-th settle component): ``_readers``, the components that list the
+    signal in their ``reads``; and ``_by``, for a wire the component
+    whose settle last changed it, for a register the declared component
+    that owns it.
     """
 
-    __slots__ = ("name", "width", "default", "value", "_max")
+    __slots__ = ("name", "width", "default", "value", "_max", "_readers", "_by")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         if width < 1:
@@ -71,6 +97,7 @@ class Signal:
         self._max = (1 << width) - 1
         self.default = self._check(default)
         self.value = self.default
+        self._readers = self._by = 0
 
     def _check(self, value: int) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -92,60 +119,56 @@ class Signal:
 class Wire(Signal):
     """A combinational net, driven during the settle phase.
 
-    ``_driven`` is 2 once a drive has changed the wire in the current
-    settle pass, 1 if only an earlier pass of this cycle did (it is in
-    the simulator's driven log and keeps that value), 0 if it sits at
-    its default.  Changing a wire twice in one settle pass indicates
-    two processes fighting over the net and raises :class:`SignalError`.
+    ``_swept`` is the clock's sweep in which a drive last changed the
+    wire.  Changing a wire twice in one settle pass indicates two
+    processes fighting over the net and raises :class:`SignalError`.
 
-    A drive of the value already held leaves ``_driven`` alone, so a
-    fight is raised by the pass in which both processes change the wire:
-    when the earlier one agrees with the held value at first (it drives
-    the default onto an undriven wire, say), that is the next pass of
-    the same cycle, with the same message.  Two processes that disagree
-    only while the earlier one re-drives the held value are not an error.
+    A drive of the value already held does not count, so a fight is
+    raised by the pass in which both processes change the wire: when
+    the earlier one agrees with the held value at first (it drives the
+    default onto an undriven wire, say), that is a later pass, with the
+    same message.  Two processes that disagree only while the earlier
+    one re-drives the held value are not an error.
+
+    ``_seen`` is the clock's run token of the last drive, changing or
+    not; ``_tickers`` the bit mask of the idempotent ticks that read the
+    wire; ``_drivers`` the components that learned they drive it.
     """
 
-    __slots__ = ("_driven", "_log_driven", "_log_changed", "_readers")
+    __slots__ = ("_swept", "_seen", "_clock", "_log_changed", "_tickers", "_drivers")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         super().__init__(name, width, default)
-        self._driven = 0
-        self._log_driven = self._log_changed = _unlogged
-        #: bit *i* set: the simulator's *i*-th settle component lists this
-        #: wire in its ``reads`` (bound with the simulator's hooks)
-        self._readers = 0
+        self._swept = self._seen = -1
+        self._clock = _STILL
+        self._log_changed = _unlogged
+        self._tickers = self._drivers = 0
 
     def reset(self) -> None:
-        """Revert to the default (undriven) value: what the simulator
-        does inline, at the start of a cycle, to the wires in its
-        driven log."""
-        if self._driven:
-            self._driven = 1
+        """Revert to the default (undriven) value, drivable again."""
+        self._swept = -1
         self.value = self.default
 
     def drive(self, value: int) -> bool:
         """Drive the wire; returns True if the value changed.
 
         A change is also appended to the simulator's changed log, which
-        is what its fixed-point iteration uses to decide whether another
-        settle pass is needed.
+        is how it learns whose ``reads`` to wake.
         """
+        self._seen = self._clock.run
         if value == self.value:
             return False
         if type(value) is not int or value < 0 or value > self._max:
             value = self._check(value)
             if value == self.value:
                 return False
-        driven = self._driven
-        if driven == 2:
+        sweep = self._clock.sweep
+        if self._swept == sweep:
             raise SignalError(
                 f"wire {self.name} driven to conflicting values "
                 f"{self.value} and {value} in one settle pass"
             )
-        if not driven:
-            self._log_driven(self)
-        self._driven = 2
+        self._swept = sweep
         self.value = value
         self._log_changed(self)
         return True
@@ -156,17 +179,20 @@ class Reg(Signal):
 
     ``_staged`` is 2 while a next value is staged, 1 if the register is
     in the simulator's staged log but its stage was dropped (a later
-    settle pass, :meth:`commit`, :meth:`force`, :meth:`reset`), 0
-    otherwise -- so the log holds a register at most once.
+    settle run, :meth:`commit`, :meth:`force`, :meth:`reset`), 0
+    otherwise -- so the log holds a register at most once.  A value
+    that changes anywhere but at the simulator's own edge (a ``tick``'s
+    :meth:`commit`, a :meth:`force`) is appended to its moved log, so
+    the components that read the register run again.
     """
 
-    __slots__ = ("_next", "_staged", "_log_staged")
+    __slots__ = ("_next", "_staged", "_log_staged", "_log_moved")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         super().__init__(name, width, default)
         self._next: Optional[int] = None
         self._staged = 0
-        self._log_staged = _unlogged
+        self._log_staged = self._log_moved = _unlogged
 
     def stage(self, value: int) -> None:
         """Stage ``value`` to be committed at the next clock edge.
@@ -187,12 +213,12 @@ class Reg(Signal):
     def unstage(self) -> None:
         """Discard any staged value.
 
-        The simulator does this (inline, for the registers in its
-        staged log) between settle passes: combinational logic re-runs
-        every pass, so only the final pass's staging may survive.
-        Without it, a stage() performed under a condition that a later
-        pass revokes (e.g. a comparator output before its inputs
-        settled) would commit stale data.
+        The simulator does this (inline) to a component's registers
+        before the component re-runs within one settle: only its
+        latest run's staging may survive.  Without it, a stage()
+        performed under a condition that a later run revokes (e.g. a
+        comparator output before its inputs settled) would commit stale
+        data.
         """
         self._next = None
         if self._staged:
@@ -205,6 +231,8 @@ class Reg(Signal):
         changed = self.value != self._next
         self.value = self._next  # type: ignore[assignment]
         self.unstage()
+        if changed:
+            self._log_moved(self)
         return changed
 
     def force(self, value: int) -> None:
@@ -212,13 +240,14 @@ class Reg(Signal):
 
         The hardware analogue of a parallel-load / preset pin: the
         register adopts the value immediately and any staged next value
-        is discarded.  Used by backdoor paths that change state without
-        a clock edge (e.g. the info-base bank swap loading the write
-        counter), never by ordinary combinational logic -- that must
-        :meth:`stage`.
+        is discarded, so its owner runs again as well as its readers.
+        Used by backdoor paths that change state without a clock edge
+        (e.g. the info-base bank swap loading the write counter), never
+        by ordinary combinational logic -- that must :meth:`stage`.
         """
         self.value = self._check(value)
         self.unstage()
+        self._log_moved(self)
 
     def reset(self) -> None:
         super().reset()

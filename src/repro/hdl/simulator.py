@@ -1,53 +1,66 @@
-"""Two-phase synchronous simulator.
+"""Two-phase synchronous simulator, driven by activity.
 
 Every simulated clock cycle runs in two phases:
 
-1. **Settle** -- components that have a ``settle`` run, in registration
-   order, pass after pass until a pass changes no wire (a fixed point);
-   the iteration bound catches combinational loops, which are modelling
-   errors.  A pass costs what it touches, not what the design declares:
-   a ``Wire.drive`` / ``Reg.stage`` that changes nothing returns at
-   once, the others append to three logs.
+1. **Settle** -- the components with a ``settle`` that something they
+   read has moved run, in registration order, pass after pass until
+   nothing is due (a fixed point); the iteration bound catches
+   combinational loops, which are modelling errors.  Wires are state:
+   each holds what its driver's latest run drove onto it, across clock
+   edges, so a settle starts from the last cycle's settled values, not
+   from defaults.  A pass costs what it touches, not what the design
+   declares: a ``Wire.drive`` / ``Reg.stage`` that changes nothing
+   returns at once.
 
-   * *driven* -- wires a drive has changed so far this cycle.  Between
-     passes these become drivable again, keeping their value (a wire
-     driven in pass *k* and not again holds it for the rest of the
-     cycle); at the next cycle only these revert to their default --
-     every other wire is still at it, so first-pass readers see defaults.
-   * *changed* -- wires whose value a drive changed this pass.  A
-     second, differing drive in one pass raises, so a wire changes at
-     most once per pass and never back: "nothing logged" is exactly
-     "every wire's value before the pass equals its value after".
-   * *staged* -- registers staged so far this cycle.  A stage whose
-     condition a later pass revokes must never commit: only the final
-     pass's staging is authoritative, and the edge commits only these.
+   **A component runs only in a cycle where something it reads moved.**
+   A component that declares :attr:`Component.reads` is *due* when a
+   signal it lists moved since it last ran:
 
-   **A component re-runs only when a wire it reads changed.**  A
-   component that declares :attr:`Component.reads` is evaluated in pass
-   0, as every component is, and after that only when it is *due*: a
-   wire in its ``reads`` changed since it last ran.  A change made by a
-   component registered earlier makes it due later in the same pass;
-   any other change -- its own included, so a self-loop still ends in
-   :class:`CombinationalLoopError` -- in the next pass; a change made
-   in pass 0, which runs everything anyway, makes every reader of the
-   wire due in pass 1.  Due components run in registration order.  Skipping is
-   exact, not a heuristic: re-run on the same wire values and the same
-   registers (they only move at the edge), a ``settle`` makes the same
-   drives and stages, and a drive or stage that repeats the held value
-   is a no-op.  So every pass still happens and observes what it did,
-   and the pass count per cycle is unchanged; when nothing is due and
-   every component declares its reads, the next pass could not change a
-   wire and the cycle is settled.  A due component's own registers are
-   unstaged just before it re-runs; a register no declared component
-   owns is unstaged between passes, as before.
+   * a wire another run changed (or put back to its default, below) --
+     a change made by a component registered earlier makes it due later
+     in the same pass, any other change (its own included, so a
+     self-loop still ends in :class:`CombinationalLoopError`) in the
+     next pass;
+   * a register that changed at the clock edge, in a ``tick``'s
+     :meth:`~repro.hdl.signal.Reg.commit`, or by
+     :meth:`~repro.hdl.signal.Reg.force` (which also makes its owner
+     due: the force dropped the owner's stage);
+   * an outside write: a wire driven between settles (its driver is due
+     too), a stage made outside a settle (dropped; its owner is due),
+     :meth:`Component.wake`, :meth:`Simulator.reset`.
+
+   Skipping is exact, not a heuristic: re-run on the same signal values,
+   a ``settle`` makes the same drives and stages, and a drive or stage
+   that repeats the held value is a no-op.  So a cycle costs the
+   components that see a change (about 6 of the label-stack modifier's
+   21 per cycle), and ends as soon as nothing is due.
+
+   **A driver that stops driving a wire puts it back to its default.**
+   After a component runs, every wire it was the last to change and did
+   not drive in this run (each drive stamps the wire with the run)
+   returns to its default -- a change like any other, but not a drive:
+   another component may take the wire over in the same pass.  That is
+   what the old per-cycle revert to defaults did for a driver such as
+   the search machine, which drives ``read_counter.clear`` and the
+   comparator inputs only in some states.  Registers stage only in the
+   run that decides them: a component's registers are unstaged just
+   before it runs a second time in one settle, a register no declared
+   component owns before every pass that runs an undeclared component.
 
    A component without ``reads`` (``None``, the default: test benches,
-   toy machines, probes) runs in every pass.
+   toy machines, probes) runs in every pass, and the passes go on until
+   one changes nothing.
 
 2. **Tick** -- all sequential elements (registers, memories, FSM state)
    commit their staged updates atomically, then tracing hooks observe
    the new architectural state (wires still hold the settled values of
-   the cycle just ended).
+   the cycle just ended).  A component with a ``tick`` and no ``settle``
+   that declares ``reads`` promises an idempotent tick (a synchronous
+   RAM: the same ports write and read the same words twice): it ticks
+   only on an edge where one of its wires moved since its last tick, or
+   after :meth:`Component.wake` -- which a tick that acts on a level
+   calls for the next edge (a stack's push, held two cycles, pushes
+   twice).
 
 Components register themselves with the simulator on construction, so a
 design is simply a tree of :class:`Component` objects sharing one
@@ -56,26 +69,28 @@ design is simply a tree of :class:`Component` objects sharing one
 Declaring ``reads`` for a new component
 ---------------------------------------
 Set ``self.reads`` in ``__init__`` (a class attribute ``reads = ()``
-for a component that reads no wire) to every :class:`Wire` whose
-``value`` its ``settle`` can read in any state, on any branch: its own
-input wires and any other component's.  Registers are not listed --
-they hold still through the settle phase -- and neither is a wire it
-only drives, unless another component may drive that wire in the same
-cycle (a drive compares with the value held, which is then someone
-else's).  A declared component stages only the registers it created
-with :meth:`Component.reg`, and nothing else stages them.  An FSM
-lists, once for the whole machine, what every ``on_<STATE>`` handler
-reads: a new state handler that reads a new wire adds it to the
-machine's ``reads`` in the same change.  A wire read but not listed is
-a stale read, not an error: ``tests/hw/test_read_sets.py`` records what
-each evaluation reads and must stay green.
+for a component that reads no signal) to every :class:`Wire` and every
+:class:`Reg` whose ``value`` its ``settle`` can read in any state, on
+any branch: its own inputs, its own registers when it reads them, and
+any other component's signals.  A wire it only drives is not listed,
+unless another component may drive that wire in the same cycle (a drive
+compares with the value held, which is then someone else's).  State
+that is no signal (a CAM's store, a test bench's table) is announced
+with :meth:`Component.wake` where it changes.  A declared component
+stages only the registers it created with :meth:`Component.reg`, and
+nothing else stages them.  An FSM lists, once for the whole machine,
+what every ``on_<STATE>`` handler reads (its state register is added
+for it): a new state handler that reads a new signal adds it to the
+machine's ``reads`` in the same change.  A signal read but not listed
+is a stale read, not an error: ``tests/hw/test_read_sets.py`` records
+what each evaluation reads and must stay green.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.hdl.signal import Reg, Signal, Wire
+from repro.hdl.signal import Clock, Reg, Signal, Wire
 
 
 class CombinationalLoopError(RuntimeError):
@@ -93,22 +108,32 @@ class Component:
     Subclasses override any of:
 
     * :meth:`settle` -- combinational logic; read any signal, drive
-      wires, stage registers.  May run several times per cycle and must
-      therefore be side-effect free apart from signal updates.
+      wires, stage registers.  May run several times per cycle, or not
+      at all in a cycle where nothing it reads moved, and must therefore
+      be side-effect free apart from signal updates.
     * :meth:`tick` -- sequential commit beyond plain :class:`Reg`
-      commits (e.g. memory arrays).  Runs exactly once per cycle.
+      commits (e.g. memory arrays).  Runs once per cycle (a declared
+      idempotent tick: once per cycle its wires moved in).
     * :meth:`reset` -- return internal state to power-on values.
     """
 
-    #: The wires :meth:`settle` reads, or ``None``: evaluate it in every
-    #: settle pass.  Read once, when the simulator binds its hooks.
-    reads: Optional[Tuple[Wire, ...]] = None
+    #: The signals :meth:`settle` reads (for a component with only a
+    #: :meth:`tick`: the wires its idempotent tick reads), or ``None``:
+    #: evaluate it in every settle pass.  Read once, when the simulator
+    #: binds its hooks.
+    reads: Optional[Tuple[Signal, ...]] = None
     #: the registers :meth:`reg` created, in creation order
     _regs: Tuple[Reg, ...] = ()
+    #: this component's bits in the simulator's due masks (set when the
+    #: simulator binds its hooks)
+    _bit = _tick_bit = 0
 
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
+        #: the wires this component's settle has changed, learned as it
+        #: runs: the ones it may have to put back to their default
+        self._held: List[Wire] = []
         sim._register_component(self)
 
     # -- construction helpers ------------------------------------------------
@@ -119,6 +144,13 @@ class Component:
         reg = self.sim.add_reg(f"{self.name}.{name}", width, default)
         self._regs += (reg,)
         return reg
+
+    def wake(self) -> None:
+        """Run this component's settle and tick at the next opportunity:
+        state of its own that no signal shows has moved."""
+        sim = self.sim
+        sim._due |= self._bit
+        sim._tick_due |= self._tick_bit
 
     # -- simulation hooks ----------------------------------------------------
     def settle(self) -> None:  # pragma: no cover - default no-op
@@ -148,11 +180,14 @@ class Simulator:
         self.cycle = 0
         self._components: List[Component] = []
         self._signals: Dict[str, Signal] = {}
+        self._clock = Clock()
         # the activity logs; signals hold their bound ``append``, so
         # these lists are never rebound
-        self._driven: List[Wire] = []
-        self._changed: List[Wire] = []
+        self._changed: List[Wire] = []  # by the run in progress, or outside
         self._staged: List[Reg] = []
+        self._moved: List[Reg] = []  # changed by a tick's commit or a force
+        # what is due at the next settle / edge (bit masks)
+        self._due = self._tick_due = 0
         # what _bind_hooks() returns, built at the first edge after a
         # registration
         self._hooks: tuple = ()
@@ -164,50 +199,66 @@ class Simulator:
         self._hooks = ()
 
     def _bind_hooks(self) -> tuple:
-        """``(settles, plan, undeclared, free, ticks)``: the bound
-        ``settle`` of every component that overrides it, in registration
-        order; the *i*-th again as ``plan[1 << i] = (settle, its own
-        registers, the bits above i)``; the bits of the components
-        without ``reads``; the registers no declared component owns; the
-        bound ``tick``s.  Each wire learns the bits of its declared
-        readers."""
+        """``(plan, undeclared, everything, gated, ticks, idempotent)``:
+        the *i*-th component that overrides ``settle`` as ``plan[1 << i]
+        = (settle, its own registers, the bits above i, the wires it
+        holds)``; the bits of the components without ``reads``; the bits
+        of all; the bits of the idempotent ticks; the other ticks, in
+        registration order; the *j*-th idempotent tick as
+        ``idempotent[1 << j]``.  Each signal learns the bits of its
+        declared readers, each register its owner's, each wire its
+        ticks'; all of it is due."""
         settlers = [c for c in self._components if _overrides(c, "settle")]
         for signal in self._signals.values():
+            signal._readers = 0
             if isinstance(signal, Wire):
-                signal._readers = 0
-        plan, undeclared, owned = {}, 0, set()
+                signal._tickers = 0
+            else:
+                signal._by = 0
+        plan, undeclared = {}, 0
         for index, component in enumerate(settlers):
             bit, regs = 1 << index, ()
+            component._bit = bit
             if component.reads is None:
                 undeclared |= bit
             else:
-                for wire in component.reads:
-                    if not isinstance(wire, Wire):
+                for signal in component.reads:
+                    if not isinstance(signal, Signal):
                         raise TypeError(
-                            f"{component.name}.reads lists {wire!r}: only "
-                            f"wires are read during settle"
+                            f"{component.name}.reads lists {signal!r}: "
+                            f"only wires and registers are read"
                         )
-                    wire._readers |= bit
+                    signal._readers |= bit
                 regs = component._regs
-                owned.update(map(id, regs))
-            plan[bit] = (component.settle, regs, -(bit << 1))
-        free = tuple(
-            s for s in self._signals.values()
-            if isinstance(s, Reg) and id(s) not in owned
-        )
-        self._hooks = (
-            tuple(c.settle for c in settlers),
-            plan,
-            undeclared,
-            free,
-            tuple(c.tick for c in self._components if _overrides(c, "tick")),
-        )
+                for reg in regs:
+                    reg._by = bit
+            plan[bit] = (component.settle, regs, -(bit << 1), component._held)
+        ticks, idempotent = [], {}
+        for component in self._components:
+            if not _overrides(component, "tick"):
+                continue
+            if component.reads is None or _overrides(component, "settle"):
+                ticks.append(component.tick)
+                continue
+            bit = component._tick_bit = 1 << len(idempotent)
+            idempotent[bit] = component.tick
+            for wire in component.reads:
+                if not isinstance(wire, Wire):
+                    raise TypeError(
+                        f"{component.name}.reads lists {wire!r}: a tick "
+                        f"that declares its reads lists wires only"
+                    )
+                wire._tickers |= bit
+        everything = (1 << len(settlers)) - 1
+        gated = (1 << len(idempotent)) - 1
+        self._hooks = (plan, undeclared, everything, gated, tuple(ticks), idempotent)
+        self._due, self._tick_due = everything, gated
         return self._hooks
 
     def add_wire(self, name: str, width: int = 1, default: int = 0) -> Wire:
         wire = Wire(name, width, default)
         self._add_signal(wire)
-        wire._log_driven = self._driven.append
+        wire._clock = self._clock
         wire._log_changed = self._changed.append
         return wire
 
@@ -215,6 +266,7 @@ class Simulator:
         reg = Reg(name, width, default)
         self._add_signal(reg)
         reg._log_staged = self._staged.append
+        reg._log_moved = self._moved.append
         return reg
 
     def _add_signal(self, signal: Signal) -> None:
@@ -251,67 +303,87 @@ class Simulator:
 
     # -- simulation ------------------------------------------------------
     def _settle(self) -> None:
-        driven, changed, staged = self._driven, self._changed, self._staged
-        for wire in driven:
-            wire._driven = 0
-            wire.value = wire.default
-        driven.clear()
-        settles, plan, undeclared, free, _ = self._hooks or self._bind_hooks()
-        # a stage made outside this settle (settle_only(), a cycle that
-        # raised, a test bench) survives pass 0 and, as before, only
-        # pass 1 if made again: then pass 1 re-runs everything
-        stale = False
-        for reg in staged:
-            if reg._staged == 2:
-                stale = True
-                break
-        # pass 0: every component, in registration order, on reverted
-        # wires; what it changed makes every reader due in pass 1 (those
-        # after the changer saw the change already and re-run as a no-op,
-        # which costs less than telling them apart in this sweep)
-        for settle in settles:
-            settle()
-        due = (1 << len(settles)) - 1 if stale else 0
-        for wire in changed:
-            due |= wire._readers
-        moved = bool(changed)
-        changed.clear()
-        for _ in range(1, MAX_SETTLE_PASSES):
-            if not moved:
-                return
-            for wire in driven:
-                wire._driven = 1
-            due |= undeclared
-            if not due:
-                return  # this pass could not change a wire
-            if undeclared or stale:
-                for reg in free:
-                    if reg._staged == 2:
-                        reg._staged = 1
-                        reg._next = None
-            upcoming, moved = 0, False
-            while due:  # the due components, lowest bit first
-                bit = due & -due
-                due ^= bit
-                settle, regs, above = plan[bit]
-                for reg in regs:
-                    if reg._staged == 2:
-                        reg._staged = 1
-                        reg._next = None
-                settle()
-                if changed:
-                    moved, readers = True, 0
-                    for wire in changed:
-                        readers |= wire._readers
-                    changed.clear()
-                    # readers registered later run later in this pass,
-                    # the others (the changer too) in the next
-                    later = readers & above
-                    due |= later
-                    upcoming |= readers ^ later
-            due = upcoming
-        if not moved:
-            return
+        plan, undeclared, everything, gated, _, _ = self._hooks or self._bind_hooks()
+        changed, staged, moved = self._changed, self._staged, self._moved
+        clock = self._clock
+        due, self._due = self._due, 0
+        tickers = 0
+        try:
+            # the outside writes since the last settle
+            for wire in changed:
+                due |= wire._readers | wire._by
+                tickers |= wire._tickers
+            changed.clear()
+            for reg in moved:
+                due |= reg._readers | reg._by
+            moved.clear()
+            for reg in staged:
+                if reg._staged == 2:  # staged outside a settle: the owner decides
+                    reg._staged = 1
+                    reg._next = None
+                    due |= reg._by
+            ran, token, passes = 0, clock.run, 0
+            while passes < MAX_SETTLE_PASSES:
+                passes += 1
+                clock.sweep += 1
+                if undeclared:
+                    due |= undeclared
+                    for reg in staged:  # staged by an undeclared run: redone
+                        if reg._staged == 2 and not reg._by:
+                            reg._staged = 1
+                            reg._next = None
+                upcoming, moving = 0, False
+                while due:  # the due components, lowest bit first
+                    bit = due & -due
+                    due ^= bit
+                    settle, regs, above, held = plan[bit]
+                    if ran & bit:  # a second run: only its latest stages stand
+                        for reg in regs:
+                            if reg._staged == 2:
+                                reg._staged = 1
+                                reg._next = None
+                    ran |= bit
+                    token += 1
+                    clock.run = token
+                    settle()
+                    readers = 0
+                    if changed:
+                        moving = True
+                        for wire in changed:
+                            readers |= wire._readers
+                            tickers |= wire._tickers
+                            if wire._by != bit:
+                                wire._by = bit
+                                if not wire._drivers & bit:
+                                    wire._drivers |= bit
+                                    held.append(wire)
+                        changed.clear()
+                    # what it changed last and did not drive now: default
+                    for wire in held:
+                        if (
+                            wire._seen != token
+                            and wire._by == bit
+                            and wire.value != wire.default
+                        ):
+                            wire.value = wire.default
+                            readers |= wire._readers
+                            tickers |= wire._tickers
+                            moving = True
+                    if readers:
+                        # readers registered later run later in this pass,
+                        # the others (the changer too) in the next
+                        later = readers & above
+                        due |= later
+                        upcoming |= readers ^ later
+                if not upcoming and not (moving and undeclared):
+                    self._tick_due |= tickers
+                    return
+                due = upcoming
+        except BaseException:
+            # whatever this settle left half done, the next one redoes
+            self._due, self._tick_due = everything, gated
+            raise
+        self._due, self._tick_due = everything, gated
         raise CombinationalLoopError(
             f"combinational logic failed to settle within "
             f"{MAX_SETTLE_PASSES} passes at cycle {self.cycle}"
@@ -323,14 +395,25 @@ class Simulator:
         staged = self._staged
         for _ in range(cycles):
             self._settle()
+            due = self._due
             for reg in staged:
                 if reg._staged == 2:
-                    reg.value = reg._next
+                    nxt = reg._next
+                    if nxt != reg.value:
+                        reg.value = nxt
+                        due |= reg._readers
                     reg._next = None
                 reg._staged = 0
             staged.clear()
-            for tick in (self._hooks or self._bind_hooks())[4]:
+            self._due = due
+            ticked, self._tick_due = self._tick_due, 0
+            _, _, _, _, ticks, idempotent = self._hooks or self._bind_hooks()
+            for tick in ticks:
                 tick()
+            while ticked:  # the due idempotent ticks, in registration order
+                bit = ticked & -ticked
+                ticked ^= bit
+                idempotent[bit]()
             self.cycle += 1
             for hook in self._tick_hooks:
                 hook(self.cycle)
@@ -346,16 +429,16 @@ class Simulator:
 
     def reset(self) -> None:
         """Asynchronous reset: all signals to defaults, components to
-        power-on state, cycle counter rezeroed."""
+        power-on state, cycle counter rezeroed; everything is due."""
         for signal in self._signals.values():
             signal.reset()
-        for wire in self._driven:
-            wire._driven = 0
         for reg in self._staged:
             reg._staged = 0
-        self._driven.clear()
         self._changed.clear()
         self._staged.clear()
+        self._moved.clear()
         for component in self._components:
             component.reset()
         self.cycle = 0
+        _, _, everything, gated, _, _ = self._hooks or self._bind_hooks()
+        self._due, self._tick_due = everything, gated

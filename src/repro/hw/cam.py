@@ -77,7 +77,8 @@ class CAMInfoBaseLevel(Component):
         self.done = self.reg("done", 1)
         self.overflow = self.reg("overflow", 1)
         self._entries: List[Tuple[int, int, int]] = []
-        # the store itself only changes at the edge
+        # the store only changes at the edge, where an append wakes the
+        # match
         self.reads = (self.search_en, self.search_key)
 
     @property
@@ -117,6 +118,7 @@ class CAMInfoBaseLevel(Component):
                         self.wr_op.value,
                     )
                 )
+                self.wake()
 
     def reset(self) -> None:
         self._entries.clear()

@@ -63,9 +63,11 @@ HANG_FACTOR = 4
 
 
 class _WireDriver(Component):
-    """Holds requested wire values and drives them each cycle."""
+    """Holds requested wire values and drives them; a released wire
+    goes back to its default."""
 
-    #: the values are set between edges, never by a wire
+    #: the values are set between edges, never by a signal: each change
+    #: of the table wakes it
     reads = ()
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -74,13 +76,16 @@ class _WireDriver(Component):
 
     def set(self, wire: Wire, value: int) -> None:
         self._values[wire] = value
+        self.wake()
 
     def release(self, *wires: Wire) -> None:
         for wire in wires:
             self._values.pop(wire, None)
+        self.wake()
 
     def clear(self) -> None:
         self._values.clear()
+        self.wake()
 
     def settle(self) -> None:
         for wire, value in self._values.items():

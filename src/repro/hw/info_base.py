@@ -86,10 +86,17 @@ class InfoBaseLevel(Component):
         self.rd_addr_ext = self.wire("rd_addr_ext", depth.bit_length())
         # Sticky overflow flag.
         self.overflow = self.reg("overflow", 1)
+        #: the registers a reader of this level sees: the read data of
+        #: the three memories, r_index and w_index
+        self.outputs = (
+            self.index_mem.rd_data, self.label_mem.rd_data, self.op_mem.rd_data,
+            self.read_counter.count, self.write_counter.count,
+        )
         self.reads = (
             self.wr_en, self.wr_index, self.wr_label, self.wr_op,
             self.wr_addr_override, self.wr_addr_ext, self.count_dec,
             self.rd_addr_override, self.rd_addr_ext,
+            self.read_counter.count, self.write_counter.count,
         )
 
     @property
@@ -98,8 +105,7 @@ class InfoBaseLevel(Component):
         return self.write_counter.count.value
 
     def settle(self) -> None:
-        # runs in pass 0 of every cycle, three instances: each signal is
-        # read once
+        # each signal is read once
         index_mem, label_mem, op_mem = self.index_mem, self.label_mem, self.op_mem
         depth, last = self.depth, self.depth - 1
         wr_en = self.wr_en.value
@@ -202,6 +208,8 @@ class InfoBase(Component):
             InfoBaseLevel(sim, f"{name}.l2", LABEL_INDEX_WIDTH, depth),
             InfoBaseLevel(sim, f"{name}.l3", LABEL_INDEX_WIDTH, depth),
         )
+        #: every level's :attr:`InfoBaseLevel.outputs`
+        self.outputs = tuple(r for level in self.levels for r in level.outputs)
 
     def level(self, number: int) -> InfoBaseLevel:
         """Level by its paper-facing number (1, 2 or 3)."""

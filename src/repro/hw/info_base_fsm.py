@@ -79,7 +79,11 @@ class InfoBaseInterfaceFSM(FSM):
         self.rd_out_op = self.reg("rd_out_op", 2)
         #: the direct-read address bus: the low bits of the data input
         self._address_mask = (1 << address_bits(dp.info_base.depth)) - 1
-        self.reads = (self.enable, search.finishing)
+        self.reads = (
+            self.enable, search.finishing, search.found, self.mgmt_addr,
+            dp.lat_op, dp.lat_data, dp.lat_packet_id, dp.lat_label_lookup,
+            dp.lat_op_in, dp.lat_level, *dp.info_base.outputs,
+        )
 
     # -- helpers --------------------------------------------------------
     def _level(self):

@@ -85,7 +85,13 @@ class LabelStackInterfaceFSM(FSM):
         #: plus a validity flag.
         self.performed = self.reg("performed", 2)
         self.performed_valid = self.reg("performed_valid", 1)
-        self.reads = (self.enable, search.finishing, dp.rtrtype)
+        self.reads = (
+            self.enable, search.finishing, dp.rtrtype,
+            search.found, search.label_out, search.op_out,
+            self.was_empty, self.orig_size,
+            dp.lat_op, dp.lat_data, dp.lat_packet_id, dp.lat_ttl, dp.lat_cos,
+            dp.stack.top, dp.stack.size, dp.entry_reg.q, dp.ttl_counter.count,
+        )
 
     # -- search request (the update path's key/level selection) -----------
     def _drive_search_request(self) -> None:

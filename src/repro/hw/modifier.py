@@ -27,9 +27,6 @@ from repro.mpls.label import LabelEntry
 class LabelStackModifier(Component):
     """Control unit + datapath, as one instantiable block."""
 
-    #: ``settle`` ORs registered pulses only
-    reads = ()
-
     def __init__(self, ib_depth: int = LEVEL_DEPTH) -> None:
         sim = Simulator()
         name = "lsm"
@@ -52,6 +49,11 @@ class LabelStackModifier(Component):
         self.done = self.wire("done", 1)
         #: Combined packet-discard pulse (search miss or verify fail).
         self.packet_discard = self.wire("packet_discard", 1)
+        # settle() ORs registered pulses only
+        self.reads = (
+            self.search.done, self.ib_iface.done, self.lbl_iface.done,
+            self.search.miss, self.lbl_iface.discard,
+        )
 
     def settle(self) -> None:
         self.done.drive(

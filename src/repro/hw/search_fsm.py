@@ -61,6 +61,7 @@ class SearchFSM(FSM):
         self.reads = (
             self.req, self.req_level, self.req_key,
             dp.cmp32.eq, dp.cmp20.eq, dp.cmp10.eq,
+            self.key, self.level_num, *dp.info_base.outputs,
         )
 
     # -- helpers --------------------------------------------------------

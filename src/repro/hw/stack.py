@@ -47,9 +47,14 @@ class HardwareStack(Component):
         self.size = self.reg("size", STACK_CAPACITY.bit_length())
         self.error = self.reg("error", 1)
         self._entries: List[int] = []  # index -1 is the top
+        # a hold changes nothing, so the tick runs when an input moved;
+        # an operation acts on the op level, so it ticks again next edge
+        self.reads = (self.op, self.data_in)
 
     def tick(self) -> None:
         op = self.op.value
+        if op != StackOp.HOLD:
+            self.wake()
         if op == StackOp.PUSH:
             if len(self._entries) >= STACK_CAPACITY:
                 self.error.stage(1)

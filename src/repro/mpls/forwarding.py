@@ -168,6 +168,19 @@ def dscp_to_cos(dscp: int) -> int:
     return (dscp >> 3) & 0x7
 
 
+def cos_of_packet(packet: Union[IPv4Packet, MPLSPacket]) -> int:
+    """The CoS a queueing element should use for ``packet``.
+
+    Labelled packets carry it in the top stack entry; unlabelled
+    packets derive it from the DSCP class-selector bits.
+    """
+    if isinstance(packet, MPLSPacket):
+        if packet.stack.is_empty:
+            return dscp_to_cos(packet.inner.dscp)
+        return packet.stack.top.cos
+    return dscp_to_cos(packet.dscp)
+
+
 def push_cos(nhlfe: NHLFE, cos: int) -> int:
     """The CoS of a pushed entry: the NHLFE's when it names one, else
     ``cos`` (the entry below it, or the DSCP's class at ingress)."""

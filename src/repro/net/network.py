@@ -33,7 +33,7 @@ from typing import (
     Union,
 )
 
-from repro.mpls.forwarding import Action
+from repro.mpls.forwarding import Action, cos_of_packet
 from repro.mpls.label import IMPLICIT_NULL, LabelOp
 from repro.mpls.router import LSRNode, RouterRole, packet_ttl, stack_labels
 from repro.net.addressing import IPv4Prefix
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
 from repro.net.topology import Topology
 from repro.obs.events import PacketDelivered, PacketDropped
 from repro.obs.telemetry import get_telemetry
-from repro.qos.classifier import cos_of_packet
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ that feeds them:
   :class:`~repro.net.link.SimplexChannel`.
 """
 
-from repro.qos.classifier import Classifier, cos_of_packet
+from repro.mpls.forwarding import cos_of_packet
+from repro.qos.classifier import Classifier
 from repro.qos.scheduler import PriorityScheduler, WFQScheduler
 
 __all__ = [

@@ -9,24 +9,10 @@ prefixes; a packet no rule matches is class 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from repro.mpls.forwarding import dscp_to_cos
 from repro.net.addressing import IPv4Prefix
-from repro.net.packet import IPv4Packet, MPLSPacket
-
-
-def cos_of_packet(packet: Union[IPv4Packet, MPLSPacket]) -> int:
-    """The CoS a queueing element should use for ``packet``.
-
-    Labelled packets carry it in the top stack entry; unlabelled
-    packets derive it from the DSCP class-selector bits.
-    """
-    if isinstance(packet, MPLSPacket):
-        if packet.stack.is_empty:
-            return dscp_to_cos(packet.inner.dscp)
-        return packet.stack.top.cos
-    return dscp_to_cos(packet.dscp)
+from repro.net.packet import IPv4Packet
 
 
 @dataclass

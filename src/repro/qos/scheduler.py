@@ -46,6 +46,10 @@ class PriorityScheduler:
                 return self._queues[cos].popleft()
         return None
 
+    def __len__(self) -> int:
+        """Items queued over all classes (the link's queue-depth gauge)."""
+        return sum(map(len, self._queues))
+
 
 #: bytes a weight-1 class may send per round (one Ethernet MTU)
 QUANTUM_UNIT = 1500
@@ -130,3 +134,7 @@ class WFQScheduler:
             "WFQ failed to release an item in 10k rotations; "
             "check weights/quantum configuration"
         )
+
+    def __len__(self) -> int:
+        """Items queued over all classes (the link's queue-depth gauge)."""
+        return sum(map(len, self._queues))

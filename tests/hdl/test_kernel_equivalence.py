@@ -1,40 +1,39 @@
 """Differential tests for the settle kernel: ``Simulator.step`` against
-one reference.
+one reference, compared at every clock edge.
 
-:func:`reference_step` is the simplest settle there is: revert every
-wire, run every component in every pass, un-drive every wire and
-unstage every register between passes, snapshot every wire to find the
-fixed point, commit every register.  It knows nothing of activity logs
-or of ``Component.reads``, and it steps designs built on :data:`OLD`,
-the primitives before a request that changes nothing stopped being a
-request: a ``drive`` that always marks the wire driven, a ``stage``
-that always stages, and ``Counter`` / ``Register`` / ``SyncMemory`` /
-``FSM`` that stage their own holds.  It exists only here.
+:func:`reference_step` is the simplest settle there is: run every
+component in every pass, in registration order, and let each run decide
+its wires -- a wire the run changed is its, a wire it changed last and
+did not drive this time goes back to its default; make every wire
+drivable again and unstage every register between passes, snapshot
+every wire to find the fixed point, commit every register, tick every
+component.  It knows nothing of activity logs, of ``Component.reads`` or
+of which component is due, and it steps designs built on :data:`OLD`,
+the primitives before a hold stopped being a stage: a ``stage`` that
+always stages, and ``Counter`` / ``Register`` / ``SyncMemory`` /
+``FSM`` that stage their own holds and tick on every edge.  It exists
+only here.
 
 Every design (:mod:`tests.strategies.rtl`) is built twice, on today's
 primitives stepped by the kernel and on the old ones stepped by the
-reference.  Values evolve identically until something raises, and a
-drive the kernel refuses the reference refuses too, so:
+reference.  The kernel runs a component only when something it reads
+moved, so how many passes a cycle takes is the kernel's own business;
+what the edge states is not.  After every edge the two must agree on
+every register and on every wire as the tick saw it, and on what
+stopped the run: the same :class:`CombinationalLoopError` in the same
+cycle, the same :class:`SignalError` type and message in the same cycle.
+A fight is seen the same way on both sides because a declared driver of
+a wire that another component drives lists the wire (the read-set
+contract): when the other changes it, it runs again and drives its own
+value back.
 
-* where the reference raises no ``SignalError`` everything is equal --
-  what each settle pass saw (so the pass counts), the committed
-  registers, the final wires, a combinational-loop error and its cycle
-  -- and in particular the kernel raises no ``SignalError`` the
-  reference does not;
-* where the reference does raise one, the kernel saw exactly the
-  reference's passes up to there.  It raises in the same pass unless
-  one of the fighting drivers re-drove the held value first; then a
-  persistent fight is raised by the next pass of the same cycle, with
-  the same message, and a transient one not at all.  Both are pinned
-  below: that is not a property of a random design, whose later passes
-  may differ.
-
-Three seeded mutants show the suite is not vacuous.
+Six seeded mutants -- three of the primitives and the read sets, three
+of the activity mechanism -- show the suite is not vacuous.
 """
 
 import ast
 import pathlib
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 from unittest import mock
 
 import pytest
@@ -72,21 +71,42 @@ from tests.strategies.rtl import (
 
 
 # -- the reference --------------------------------------------------------------
+#: every wire the reference's run in progress drove, changing it or not
+DROVE: List[Wire] = []
+
+
+class RefWire(Wire):
+    """A wire that tells the reference each time it is driven."""
+
+    __slots__ = ()
+
+    def drive(self, value: int) -> bool:
+        DROVE.append(self)
+        return super().drive(value)
+
+
 def reference_step(sim: Simulator) -> None:
-    """One clock cycle, sweeping every signal and snapshotting every wire."""
+    """One clock cycle, every component in every pass, every wire swept."""
     wires = [s for s in sim._signals.values() if isinstance(s, Wire)]
     regs = [s for s in sim._signals.values() if isinstance(s, Reg)]
-    for wire in wires:
-        wire.reset()
-    for pass_index in range(MAX_SETTLE_PASSES):
+    #: wire -> the component whose run changed it last, across cycles
+    changer = sim.__dict__.setdefault("reference_changer", {})
+    for _ in range(MAX_SETTLE_PASSES):
         before = [w.value for w in wires]
-        if pass_index:
-            for wire in wires:
-                wire._driven = 0  # drivable again, value kept
-            for reg in regs:
-                reg.unstage()
+        for wire in wires:
+            wire._swept = -1  # drivable again, value kept
+        for reg in regs:
+            reg.unstage()  # a bench's stage too: the settle decides
         for component in sim.components:
+            values = [w.value for w in wires]
+            del DROVE[:]
             component.settle()
+            for wire, value in zip(wires, values):
+                if wire.value != value:
+                    changer[wire] = component
+                elif changer.get(wire) is component and wire.value != wire.default:
+                    if not any(w is wire for w in DROVE):
+                        wire.value = wire.default
         if before == [w.value for w in wires]:
             break
     else:
@@ -99,27 +119,8 @@ def reference_step(sim: Simulator) -> None:
     for component in sim.components:
         component.tick()
     sim.cycle += 1
-
-
-class OldWire(Wire):
-    __slots__ = ()
-
-    def drive(self, value: int) -> bool:
-        if type(value) is not int or value < 0 or value > self._max:
-            value = self._check(value)
-        driven, changed = self._driven, self.value != value
-        if changed:
-            if driven == 2:
-                raise SignalError(
-                    f"wire {self.name} driven to conflicting values "
-                    f"{self.value} and {value} in one settle pass"
-                )
-            self.value = value
-            self._log_changed(self)
-        if not driven:
-            self._log_driven(self)
-        self._driven = 2
-        return changed
+    for log in (sim._changed, sim._staged, sim._moved):
+        del log[:]  # the kernel's, which the reference never reads
 
 
 class OldReg(Reg):
@@ -175,7 +176,7 @@ class OldFSM(FSM):
 #: the components a design is assembled from
 NEW = dict(Wire=Wire, Reg=Reg, Counter=Counter, Register=Register,
            SyncMemory=SyncMemory, FSM=FSM)
-OLD = dict(Wire=OldWire, Reg=OldReg, Counter=OldCounter, Register=OldRegister,
+OLD = dict(Wire=RefWire, Reg=OldReg, Counter=OldCounter, Register=OldRegister,
            SyncMemory=OldSyncMemory, FSM=OldFSM)
 #: who steps what
 KERNEL = (NEW, Simulator.step)
@@ -183,9 +184,10 @@ REFERENCE = (OLD, reference_step)
 
 
 # -- seeded mutants: what the suite must be able to tell apart ----------------
-class DefaultExitWire(OldWire):
-    """The ruled-out "skip default drives": wrong because a wire driven
-    earlier in the cycle keeps that value until something re-drives it."""
+class DefaultExitWire(Wire):
+    """The ruled-out "skip default drives": a driver that drives a wire
+    another one holds back to its default goes unheard, so its fight
+    goes unseen."""
 
     __slots__ = ()
 
@@ -207,20 +209,51 @@ class HoldDropsStageReg(OldReg):
         super().stage(value)
 
 
+class EdgeWakesNoReaderReg(Reg):
+    """A register whose change, at the edge or by a force, makes none
+    of its readers due."""
+
+    __slots__ = ()
+    _readers = property(lambda self: 0, lambda self, bits: None)
+
+
+class StuckWire(Wire):
+    """A wire that always reads as driven by the run in progress: a
+    re-run that stopped driving it leaves it at its old value."""
+
+    __slots__ = ()
+    _seen = property(lambda self: self._clock.run, lambda self, token: None)
+
+
+class ForceWakesNothingReg(Reg):
+    """A force that changes the value and drops the stage, but makes
+    nothing due."""
+
+    __slots__ = ()
+
+    def force(self, value: int) -> None:
+        self.value = self._check(value)
+        self.unstage()
+
+
 MUTANTS = {
-    "exit on == default": (dict(OLD, Wire=DefaultExitWire), Simulator.step),
+    "exit on == default": (dict(NEW, Wire=DefaultExitWire), Simulator.step),
     "stage exit ignores an earlier stage": (
-        dict(OLD, Reg=HoldDropsStageReg), Simulator.step,
+        dict(OLD, Wire=Wire, Reg=HoldDropsStageReg), Simulator.step,
     ),
+    "an edge wakes no reader": (dict(NEW, Reg=EdgeWakesNoReaderReg), Simulator.step),
+    "a dropped drive is kept": (dict(NEW, Wire=StuckWire), Simulator.step),
+    "a force wakes nothing": (dict(NEW, Reg=ForceWakesNothingReg), Simulator.step),
 }
 
 
 # -- running one design on one side --------------------------------------------
 class Outcome(NamedTuple):
     error: Optional[Tuple[type, str]]
-    seen: Optional[list]  # every signal, as each settle pass of each cycle began
+    edges: List[tuple]  # every signal after each edge: registers and wires
     final: dict
     cycle: int
+    seen: Optional[list]  # every signal, as each settle pass of each cycle began
 
 
 def run(side, builder, cycles: int, *args) -> Outcome:
@@ -230,24 +263,26 @@ def run(side, builder, cycles: int, *args) -> Outcome:
     with mock.patch.multiple("repro.hdl.simulator", Wire=kit["Wire"], Reg=kit["Reg"]):
         sim, spy, bench = builder(kit, *args)
     signals = list(sim._signals.values())
-    error = None
+    error, edges = None, []
     try:
         for cycle in range(cycles):
             if bench and bench[cycle] is not None:
-                index, value = bench[cycle]
-                signals[index].stage(value)
+                index, value, forced = bench[cycle]
+                if forced:
+                    signals[index].force(value)
+                else:
+                    signals[index].stage(value)
             step(sim)
+            edges.append(tuple(s.value for s in signals))
     except (SignalError, CombinationalLoopError) as exc:
         error = (type(exc), str(exc))
     final = {name: s.value for name, s in sim._signals.items()}
-    return Outcome(error, spy.seen if spy else None, final, sim.cycle)
+    return Outcome(error, edges, final, sim.cycle, spy.seen if spy else None)
 
 
 def agrees(got: Outcome, want: Outcome) -> bool:
-    """The kernel's outcome against the reference's, by the fight rule."""
-    if want.error is not None and want.error[0] is SignalError:
-        return want.seen is None or got.seen[: len(want.seen)] == want.seen
-    return got == want
+    """The kernel's outcome against the reference's, edge by edge."""
+    return got[:4] == want[:4]
 
 
 def assert_equivalent(builder, cycles: int, *args) -> Outcome:
@@ -339,44 +374,43 @@ def test_an_under_declared_read_is_caught():
 
 # -- the settle semantics the kernel must not drift from, one by one -------------
 class TestPinnedSettleSemantics:
-    def test_first_pass_readers_see_defaults(self):
+    def test_wires_keep_their_settled_value_across_the_edge(self):
         # s0 (default 3) is driven to 9 by the last process; s1 follows
-        # s0 from an earlier one.  In pass 0 of *every* cycle the
-        # follower reads the default, not last cycle's 9.
+        # s0 from an earlier one.  Cycle 0 starts from the defaults and
+        # takes three passes; cycle 1 starts from 9, 9: nothing moved,
+        # one pass (the spy's).
         design = spec([(W, 3), (W, 0)], [proc("follow", 1, 0, 0, 0), proc("const", 0, 0, 0, 9)])
-        error, seen, final, _ = assert_process_design(design, 2)
+        error, edges, final, _, seen = assert_process_design(design, 2)
         assert error is None
-        assert final == {"s0": 9, "s1": 9}
-        # the spy runs first: passes 0, 1, 2 of each of the two cycles
-        assert seen == [(3, 0), (9, 3), (9, 9)] * 2
+        assert final == {"s0": 9, "s1": 9} and edges == [(9, 9)] * 2
+        assert seen == [(3, 0), (9, 3), (9, 9), (9, 9)]
 
-    def test_stale_drive_is_retained_for_the_rest_of_the_cycle(self):
+    def test_a_wire_its_driver_stops_driving_returns_to_its_default(self):
         # s1 is driven to 7 only while s0 reads 0, which holds in pass 0
-        # alone (s0's driver comes later).  Passes 1.. do not re-drive
-        # s1: it keeps 7 through the edge, and reverts to its default 2
-        # only when the next cycle begins.
+        # alone (s0's driver comes later).  Pass 1 does not drive s1: it
+        # goes back to its default 2 there, and holds it through the edge
         design = spec([(W, 0), (W, 2)], [proc("unless", 1, 0, 0, 7), proc("const", 0, 0, 0, 1)])
-        error, seen, final, _ = assert_process_design(design, 2)
+        error, edges, final, _, seen = assert_process_design(design, 2)
         assert error is None
-        assert final == {"s0": 1, "s1": 7}
-        assert seen == [(0, 2), (1, 7)] * 2
+        assert final == {"s0": 1, "s1": 2} and edges == [(1, 2)] * 2
+        assert seen == [(0, 2), (1, 7), (1, 2), (1, 2)]
 
     def test_revoked_stage_never_commits(self):
         # r1 is staged to 9 only while s0 reads 0: pass 0 stages it,
         # pass 1 (s0 now 1) does not, and the edge must not commit 9.
         design = spec([(W, 0), (R, 4)], [proc("unless", 1, 0, 0, 9), proc("const", 0, 0, 0, 1)])
-        error, _, final, _ = assert_process_design(design, 3)
+        error, _, final, _, _ = assert_process_design(design, 3)
         assert error is None
         assert final == {"s0": 1, "s1": 4}
 
     def test_unrevoked_stage_commits(self):
         design = spec([(W, 0), (R, 4)], [proc("when", 1, 0, 0, 9), proc("const", 0, 0, 0, 1)])
-        _, _, final, _ = assert_process_design(design, 1)
+        final = assert_process_design(design, 1).final
         assert final["s1"] == 9
 
     def test_two_driver_conflict_same_error(self):
         design = spec([(W, 0)], [proc("const", 0, 0, 0, 1), proc("const", 0, 0, 0, 2)])
-        error, _, _, cycle = assert_process_design(design, 1)
+        error, _, _, cycle, _ = assert_process_design(design, 1)
         assert error == (
             SignalError,
             "wire s0 driven to conflicting values 1 and 2 in one settle pass",
@@ -385,14 +419,14 @@ class TestPinnedSettleSemantics:
 
     def test_agreeing_drivers_are_not_a_conflict(self):
         design = spec([(W, 0)], [proc("const", 0, 0, 0, 5), proc("const", 0, 0, 0, 5)])
-        error, _, final, _ = assert_process_design(design, 2)
+        error, _, final, _, _ = assert_process_design(design, 2)
         assert error is None and final == {"s0": 5}
 
     def test_combinational_loop_same_error(self):
         # s0 = not s0, after one good cycle would be too kind: it loops
         # in cycle 0 already
         design = spec([(W, 0)], [proc("not", 0, 0, 0, 0)])
-        error, seen, _, cycle = assert_process_design(design, 1)
+        error, _, _, cycle, seen = assert_process_design(design, 1)
         assert error == (
             CombinationalLoopError,
             f"combinational logic failed to settle within {MAX_PASSES} "
@@ -404,13 +438,28 @@ class TestPinnedSettleSemantics:
         # s1 = (s1 == r0) is stable while r0 is 15 and oscillates once
         # the counter wraps to 0, one edge in
         design = spec([(R, 15), (W, 0), (W, 1)], [proc("incr", 0, 2, 0, 0), proc("eq", 1, 1, 0, 0)])
-        error, _, final, cycle = assert_process_design(design, 3)
+        error, _, final, cycle, _ = assert_process_design(design, 3)
         assert error == (
             CombinationalLoopError,
             f"combinational logic failed to settle within {MAX_PASSES} "
             "passes at cycle 1",
         )
         assert cycle == 1 and final["s0"] == 0
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_a_transparent_latch_holds_its_value_across_the_edge(self, declared):
+        # s1 = s1 if r0 is odd else 9: a combinational latch, with a
+        # fixed point for every value of s1 while r0 is odd.  r0 toggles
+        # 0, 15, 0, ...  The kernel starts a settle from the last settled
+        # wires, so while r0 is odd the latch keeps the 9 it took while
+        # r0 was even -- never its default 2, which the kernel that
+        # reverted every wire at each cycle start would have held.
+        design = spec(
+            [(R, 0), (W, 2)],
+            [proc("not", 0, 0, 0, 0, declared), proc("mux", 1, 1, 0, 9, declared)],
+        )
+        error, edges, _, _, _ = assert_process_design(design, 4)
+        assert error is None and edges == [(15, 9), (0, 9), (15, 9), (0, 9)]
 
 
 # -- a request that changes nothing is not a request, one by one ------------------
@@ -429,27 +478,23 @@ class TestPinnedNoOpSemantics:
         self, ops, message, passes
     ):
         design = spec([(W, 0)], ops)
-        got = run(KERNEL, build_processes, 3, design)
-        want = run(REFERENCE, build_processes, 3, design)
-        assert got.error == want.error == (
+        got = assert_process_design(design, 3)
+        assert got.error == (
             SignalError,
             f"wire s0 driven to conflicting values {message} in one settle pass",
         )
-        assert got.cycle == want.cycle == 0
-        assert (len(got.seen), len(want.seen)) == (passes, 1)
+        assert got.cycle == 0 and len(got.seen) == passes
 
-    def test_a_transient_disagreement_is_no_longer_an_error(self):
+    def test_a_transient_disagreement_is_not_an_error(self):
         # s1's second driver disagrees with the first (which re-drives
         # the default) only while s0 still reads 0, in pass 0
         design = spec(
             [(W, 0), (W, 0)],
             [proc("const", 1, 0, 0, 0), proc("unless", 1, 0, 0, 5), proc("const", 0, 0, 0, 1)],
         )
-        got = run(KERNEL, build_processes, 2, design)
-        want = run(REFERENCE, build_processes, 2, design)
-        assert want.error[0] is SignalError and want.cycle == 0
+        got = assert_process_design(design, 2)
         assert got.error is None and got.final == {"s0": 1, "s1": 0}
-        assert got.seen == [(0, 0), (1, 5), (1, 0)] * 2
+        assert got.seen == [(0, 0), (1, 5), (1, 0), (1, 0)]
 
     def test_comparison_is_with_the_value_held_not_the_default(self):
         # s1 follows s0 (default 3, driven to 0 last): 3 in pass 0, then
@@ -457,9 +502,13 @@ class TestPinnedNoOpSemantics:
         design = spec([(W, 3), (W, 0)], [proc("follow", 1, 0, 0, 0), proc("const", 0, 0, 0, 0)])
         got = assert_process_design(design, 2)
         assert got.error is None and got.final == {"s0": 0, "s1": 0}
-        assert got.seen == [(3, 0), (0, 3), (0, 0)] * 2
+        assert got.seen == [(3, 0), (0, 3), (0, 0), (0, 0)]
+
+    def test_a_default_drive_that_goes_unheard_hides_a_fight(self):
+        # the mutant drops p0's drive of the default, so p1's 5 wins
+        design = spec([(W, 0)], [proc("const", 0, 0, 0, 0), proc("const", 0, 0, 0, 5)])
         caught = run(MUTANTS["exit on == default"], build_processes, 2, design)
-        assert caught.final == {"s0": 0, "s1": 3}
+        assert caught.error is None and caught.final == {"s0": 5}
 
     @pytest.mark.parametrize("hold_first", [True, False])
     def test_last_stage_wins_when_one_of_them_is_a_hold(self, hold_first):
@@ -489,30 +538,30 @@ class TestPrimitives:
         ctr, reg = Counter(sim, "ctr", 4), Register(sim, "reg", 4)
         mem = SyncMemory(sim, "mem", 4, 4)
         sim.step(3)
-        assert sim._staged == [] and sim._driven == []
+        assert sim._staged == [] and sim._changed == [] and sim._moved == []
         assert all(r._staged != 2 for r in (ctr.count, reg.q, mem.rd_data))
 
 
-# -- a component re-runs only when a wire it reads changed, one by one ------------
+# -- a component runs only when something it reads moved, one by one ------------
 class TestPinnedReadSetSemantics:
     FOLLOW_THEN_DRIVE = [proc("follow", 1, 0, 0, 0, True), proc("const", 0, 0, 0, 9, True)]
 
     def test_a_reader_before_its_driver_sees_the_change_in_the_next_pass(self):
-        error, seen, final, _ = assert_process_design(
+        error, _, final, _, seen = assert_process_design(
             spec([(W, 3), (W, 0)], self.FOLLOW_THEN_DRIVE), 2
         )
         assert error is None and final == {"s0": 9, "s1": 9}
-        assert seen == [(3, 0), (9, 3), (9, 9)] * 2
+        assert seen == [(3, 0), (9, 3), (9, 9), (9, 9)]
 
     def test_nothing_due_ends_the_cycle_without_a_spy(self):
-        error, _, final, cycle = assert_process_design(
+        error, _, final, cycle, _ = assert_process_design(
             spec([(W, 3), (W, 0)], self.FOLLOW_THEN_DRIVE), 2, spy=False
         )
         assert error is None and final == {"s0": 9, "s1": 9} and cycle == 2
 
     @pytest.mark.parametrize("spy", [True, False])
     def test_a_declared_self_loop_is_still_a_combinational_loop(self, spy):
-        error, _, _, cycle = assert_process_design(
+        error, _, _, cycle, _ = assert_process_design(
             spec([(W, 0)], [proc("not", 0, 0, 0, 0, True)]), 1, spy
         )
         assert error == (
@@ -526,7 +575,7 @@ class TestPinnedReadSetSemantics:
         # which p2 (registered last) drives in pass 0
         late = [proc("when", 0, 1, 0, 2, False), proc("const", 1, 0, 0, 1, True)]
         fight = [proc("const", 0, 0, 0, 1, True, extra=(0,))] + late
-        error, _, _, _ = assert_process_design(spec([(W, 0), (W, 0)], fight), 1)
+        error = assert_process_design(spec([(W, 0), (W, 0)], fight), 1).error
         assert error == (
             SignalError,
             "wire s0 driven to conflicting values 1 and 2 in one settle pass",
@@ -543,24 +592,50 @@ class TestPinnedReadSetSemantics:
             [(W, 0), (R, 4)],
             [proc("unless", 1, 0, 0, 9, True), proc("const", 0, 0, 0, 1, True)],
         )
-        error, _, final, _ = assert_process_design(design, 3)
+        error, _, final, _, _ = assert_process_design(design, 3)
         assert error is None and final == {"s0": 1, "p0.s1": 4}
 
-    def test_a_bench_stage_is_dropped_by_pass_1_unless_made_again(self):
+    @pytest.mark.parametrize("spy", [True, False])
+    def test_a_bench_stage_does_not_survive_the_settle(self, spy):
         # p0 owns s1 and stages it only while s0 reads 1, which it never
-        # does; the bench stages 7 before the edge
+        # does; the bench stages 7 before the edge, and 5 on the free s2
         owner = proc("when", 1, 0, 0, 9, True)
-        two_passes = spec(
-            [(W, 0), (R, 4), (W, 0)],
-            [owner, proc("const", 0, 0, 0, 0, True), proc("follow", 2, 1, 0, 0, True)],
-            bench=[(1, 7)],
+        design = spec(
+            [(W, 0), (R, 4), (R, 3)], [owner], bench=[(1, 7, False), (2, 5, False)]
         )
-        error, _, final, _ = assert_process_design(two_passes, 1)
-        assert error is None and final["p0.s1"] == 4
-        # settled by pass 0: the bench stage survives, as it always did
-        one_pass = spec([(W, 0), (R, 4)], [owner], bench=[(1, 7)])
-        error, _, final, _ = assert_process_design(one_pass, 1)
-        assert error is None and final["p0.s1"] == 7
+        error, edges, _, _, _ = assert_process_design(design, 2, spy)
+        assert error is None and edges == [(0, 4, 3)] * 2
+
+    def test_a_force_wakes_the_registers_readers_and_its_owner(self):
+        # p0 owns s0 and stages 5 into it every cycle; p1 copies s0 onto
+        # s1.  The bench forces 12 into s0 before the second edge: the
+        # copy shows 12 at that tick, the owner's stage puts 5 back.
+        design = spec(
+            [(R, 0), (W, 0)],
+            [proc("const", 0, 0, 0, 5, True), proc("follow", 1, 0, 0, 0, True)],
+            bench=[None, (0, 12, True), None],
+        )
+        error, edges, _, _, _ = assert_process_design(design, 3)
+        assert error is None and edges == [(5, 0), (5, 12), (5, 5)]
+        # unwoken, the owner never restages: the forced 12 stays
+        caught = run(MUTANTS["a force wakes nothing"], build_processes, 3, design)
+        assert caught.edges == [(5, 0), (12, 12), (12, 12)]
+
+    def test_an_edge_wakes_the_registers_readers(self):
+        # p0 owns r0 and toggles it; p1 copies it onto s1
+        design = spec([(R, 0), (W, 0)], [proc("not", 0, 0, 0, 0, True), proc("follow", 1, 0, 0, 0, True)])
+        error, edges, _, _, _ = assert_process_design(design, 3)
+        assert error is None and edges == [(15, 0), (0, 15), (15, 0)]
+        caught = run(MUTANTS["an edge wakes no reader"], build_processes, 3, design)
+        assert caught.edges == [(15, 0), (15, 0), (15, 0)]
+
+    def test_a_wire_a_rerun_stops_driving_goes_back_to_its_default(self):
+        # p0 drives s1 to 6 while r0 is even; r0 toggles every edge
+        design = spec([(R, 0), (W, 1)], [proc("not", 0, 0, 0, 0, True), proc("unless", 1, 0, 0, 6, True)])
+        error, edges, _, _, _ = assert_process_design(design, 3)
+        assert error is None and edges == [(15, 6), (0, 1), (15, 6)]
+        caught = run(MUTANTS["a dropped drive is kept"], build_processes, 3, design)
+        assert caught.edges == [(15, 6), (0, 6), (15, 6)]
 
     def test_an_omitted_read_is_a_stale_read(self):
         # p0 follows s0 but does not list it: it never sees p1's 9
@@ -572,13 +647,68 @@ class TestPinnedReadSetSemantics:
         reference = run(REFERENCE, build_processes, 1, blind, False)
         assert reference.final == {"s0": 9, "s1": 9} and kernel.final == {"s0": 9, "s1": 3}
 
-    def test_reads_lists_wires_only(self):
+    def test_reads_lists_signals_only(self):
         sim = Simulator()
         process = Process(sim, 0, "const", 1)
-        process.dst = process.a = process.b = reg = sim.add_reg("r", WIDTH)
-        process.reads = (reg,)
-        with pytest.raises(TypeError, match="p0.reads lists .*only wires"):
+        process.dst = process.a = process.b = sim.add_wire("w", WIDTH)
+        process.reads = ("w",)
+        with pytest.raises(TypeError, match="p0.reads lists 'w': only wires and registers"):
             sim.step()
+
+    def test_an_idempotent_tick_lists_wires_only(self):
+        sim = Simulator()
+        mem = SyncMemory(sim, "mem", 4, 4)
+        mem.reads += (mem.rd_data,)
+        with pytest.raises(TypeError, match="a tick that declares its reads lists wires only"):
+            sim.step()
+
+
+# -- an outside write wakes what it moved, one by one ----------------------------
+class _Pins(Component):
+    """An undeclared test bench: drives its table every pass."""
+
+    def __init__(self, sim, values) -> None:
+        super().__init__(sim, "pins")
+        self.values = values
+
+    def settle(self) -> None:
+        for wire, value in self.values.items():
+            wire.drive(value)
+
+
+def test_a_poke_wakes_the_memory_tick():
+    sim = Simulator()
+    mem = SyncMemory(sim, "mem", 4, 4)
+    _Pins(sim, {mem.rd_addr: 2})
+    ticks, tick = [], mem.tick
+    mem.tick = lambda: (ticks.append(sim.cycle), tick())
+    sim.step(3)
+    assert ticks == [0] and mem.rd_data.value == 0  # the ports held still
+    mem.poke(2, 9)
+    sim.step()
+    assert ticks == [0, 3] and mem.rd_data.value == 9
+    with mock.patch.object(Component, "wake", lambda self: None):
+        mem.poke(2, 3)
+    sim.step()
+    assert ticks == [0, 3] and mem.rd_data.value == 9  # unwoken: never read
+
+
+def test_the_driver_pins_wake_on_every_change_of_their_table():
+    from repro.hw.driver import ModifierDriver
+
+    drv = ModifierDriver(ib_depth=8)
+    drv.reset()
+    rtrtype = drv.modifier.dp.rtrtype
+    drv.set_router_type(True)
+    drv.sim.step()
+    assert rtrtype.value == 1
+    drv._pins.release(rtrtype)
+    drv.sim.step()
+    assert rtrtype.value == 0  # released: back to its default
+    with mock.patch.object(Component, "wake", lambda self: None):
+        drv.set_router_type(True)
+    drv.sim.step()
+    assert rtrtype.value == 0
 
 
 def test_a_component_without_reads_runs_in_every_pass():
@@ -594,8 +724,9 @@ def test_a_component_without_reads_runs_in_every_pass():
     driver.dst = driver.a = driver.b = sim.add_wire("w", WIDTH)
     driver.reads = ()
     sim.step(3)
-    # pass 0 changes w, pass 1 finds nothing due but the undeclared
-    assert passes == [0, 0, 1, 1, 2, 2]
+    # pass 0 changes w, pass 1 changes nothing; then nothing moves, and
+    # each cycle is the undeclared component's one pass
+    assert passes == [0, 0, 1, 2]
 
 
 def test_the_registers_a_component_creates_are_its_own():

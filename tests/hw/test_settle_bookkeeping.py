@@ -1,11 +1,12 @@
 """The simulator's activity logs on the real design.
 
 Registers are staged and committed *inside* the tick phase
-(``SyncMemory.tick``, ``HardwareStack.tick``), and ``Reg.force`` /
-``unstage`` / ``reset`` drop a stage without a commit: none of that may
-make a log grow, lose a signal, or change what a tick hook observes
-after the edge (wires still hold the settled values of the cycle just
-ended -- the waveform recorder and the cycle profiler read them).
+(``SyncMemory.tick``, ``HardwareStack.tick``), ``Reg.force`` /
+``unstage`` / ``reset`` drop a stage without a commit, and wires hold
+their values across edges: none of that may make a log grow, lose a
+signal, or change what a tick hook observes after the edge (wires
+still hold the settled values of the cycle just ended -- the waveform
+recorder and the cycle profiler read them).
 """
 
 import random
@@ -26,16 +27,19 @@ from tests.strategies.hw import (
 
 
 def check_logs(sim):
-    """Every log holds a signal at most once and misses none: a wire
-    outside the driven log sits undriven at its default, a register
-    outside the staged log has nothing staged."""
-    for log in (sim._driven, sim._changed, sim._staged):
+    """Every log holds a signal at most once and misses none: the edge
+    leaves no change unprocessed, a register outside the staged log has
+    nothing staged, and a wire off its default is held by the component
+    that changed it last -- the one that puts it back when it stops
+    driving it."""
+    for log in (sim._changed, sim._staged, sim._moved):
         assert len(set(map(id, log))) == len(log) <= len(sim._signals)
-    driven = set(map(id, sim._driven))
+    assert sim._changed == []
     staged = set(map(id, sim._staged))
+    holder = {c._bit: c for c in sim.components if c._bit}
     for signal in sim._signals.values():
-        if isinstance(signal, Wire) and id(signal) not in driven:
-            assert signal._driven == 0 and signal.value == signal.default
+        if isinstance(signal, Wire) and signal.value != signal.default:
+            assert any(w is signal for w in holder[signal._by]._held)
         if isinstance(signal, Reg) and id(signal) not in staged:
             assert signal._staged == 0
 

@@ -5,7 +5,7 @@ import pytest
 from repro.mpls.label import LabelEntry
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
-from repro.qos.classifier import Classifier, cos_of_packet
+from repro.qos import Classifier, cos_of_packet
 
 
 def pkt(dst="10.0.0.1", src="192.168.0.1", dscp=0, protocol=17):

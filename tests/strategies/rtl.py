@@ -6,15 +6,17 @@ constructs and the ``Counter`` / ``Register`` / ``SyncMemory`` / ``FSM``
 components a design is assembled from).  Every builder takes the kit
 first and returns ``(sim, spy, bench)``: the simulator, the
 :class:`Spy` recording what each settle pass saw (or None), and per
-cycle a test-bench stage ``(signal index, value)`` made before the edge
-(or None for no bench at all).
+cycle a test-bench write ``(signal index, value, forced)`` made before
+the edge -- a :meth:`~repro.hdl.signal.Reg.force` if ``forced``, else a
+stage -- or None (None for no bench at all).
 
 Three families:
 
 * :func:`designs` -- processes over a signal list (:func:`proc`,
   :func:`build_processes`): conflicts, combinational loops, conditional
   drivers and stagers, second stagers of a register, declared and
-  undeclared read sets, stages a test bench makes between edges;
+  undeclared read sets (registers listed like wires), stages and forces
+  a test bench makes between edges;
 * :func:`chains` -- a constant and a chain of processes that re-run,
   registered in a drawn order;
 * :func:`counter_chains` / :func:`schedules` -- the hdl primitives
@@ -109,7 +111,7 @@ class Process(Component):
 def spec(defaults, procs, bench=None):
     """A process design: signals as ``(is_reg, default)``, processes as
     :func:`proc` tuples in registration order, per cycle a test-bench
-    stage or None."""
+    write or None."""
     return defaults, procs, bench or [None] * 6
 
 
@@ -137,9 +139,7 @@ def build_processes(kit, design, spy: bool = True):
         if declared:
             ends = {"a": a, "b": b, "+": dst}
             listed = dict.fromkeys([ends[e] for e in READS[kind]] + list(extra))
-            process.reads = tuple(
-                signals[i] for i in listed if not defaults[i][0] and i != dropped
-            )
+            process.reads = tuple(signals[i] for i in listed if i != dropped)
     return sim, watcher, bench
 
 
@@ -153,8 +153,8 @@ def designs(draw, under_declared: bool = False):
     unless the two agree; every declared driver of the wire lists it, as
     the contract asks), a second, undeclared stager of a register before
     or after the first (a change then a hold, a hold then a change), and
-    test-bench stages between edges.  With ``under_declared``, one
-    declared process leaves a wire it reads out of its list."""
+    test-bench stages and forces between edges.  With ``under_declared``,
+    one declared process leaves a signal it reads out of its list."""
     count = draw(st.integers(2, 8))
     # the signals: whether most processes declare their reads, the
     # order the processes register in, each signal's kind and default
@@ -187,7 +187,7 @@ def designs(draw, under_declared: bool = False):
     drawn = draw(picks(
         3, len(procs) + 1, len(fought) or 1, 3, n, n, MASK + 1, 4,
         2, len(procs) + 2, len(regs) or 1, 4, 2, n, n, MASK + 1,
-        *[5, len(regs) or 1, MASK + 1] * 6,
+        *[5, len(regs) or 1, MASK + 1, 2] * 6,
     ))
     fight, at, dst, kind, a, b, c, declared = drawn[:8]
     if fought and fight == 2:
@@ -207,8 +207,8 @@ def designs(draw, under_declared: bool = False):
         a = dst if kind == "follow" and hold else sources[a]
         procs.insert(min(at, len(procs)), list(proc(kind, dst, a, sources[b], c)))
     bench = [
-        (regs[reg], value) if regs and staged == 4 else None
-        for staged, reg, value in chunks(drawn[16:], 3)
+        (regs[reg], value, bool(forced)) if regs and written == 4 else None
+        for written, reg, value, forced in chunks(drawn[16:], 4)
     ]
     # a register with a declared stager is that one's own, staged by it
     # alone: the first stager of each register keeps it, and a second
@@ -225,7 +225,6 @@ def designs(draw, under_declared: bool = False):
             (i, signal) for i, p in enumerate(procs) if p[5]
             for signal in [{"a": p[2], "b": p[3], "+": p[1]}[e] for e in READS[p[0]]]
             + list(p[6])
-            if signal in wires
         ]
         if omissions:
             i, signal = draw(st.sampled_from(omissions))
@@ -265,14 +264,14 @@ class _Link(Component):
 
 class _Select(Component):
     """A two-way selector: ``out`` is ``inputs[sel]``, reading its
-    select and its wire inputs (a register holds still in settle)."""
+    select and its inputs."""
 
     def __init__(self, sim: Simulator, name: str, inputs) -> None:
         super().__init__(sim, name)
         self.inputs = tuple(inputs)
         self.sel = self.wire("sel", 1)
         self.out = self.wire("out", WIDTH)
-        self.reads = (self.sel, *(s for s in self.inputs if isinstance(s, Wire)))
+        self.reads = (self.sel, *self.inputs)
 
     def settle(self) -> None:
         self.out.drive(self.inputs[self.sel.value].value)
