@@ -26,7 +26,7 @@ Every simulated clock cycle runs in two phases:
      :meth:`~repro.hdl.signal.Reg.force` (which also makes its owner
      due: the force dropped the owner's stage);
    * an outside write: a wire driven between settles (its driver is due
-     too), a stage made outside a settle (dropped; its owner is due),
+     too), a stage made outside a settle (its owner is due),
      :meth:`Component.wake`, :meth:`Simulator.reset`.
 
    Skipping is exact, not a heuristic: re-run on the same signal values,
@@ -46,6 +46,14 @@ Every simulated clock cycle runs in two phases:
    run that decides them: a component's registers are unstaged just
    before it runs a second time in one settle, a register no declared
    component owns before every pass that runs an undeclared component.
+   A stage made outside a settle (a test bench's) stands as if made
+   before the settle's first run, and each unstage puts it back: it
+   commits unless the owner's latest run stages the register (a hold
+   included).  The stages :meth:`Simulator.settle_only` made are
+   dropped after it, and their owners are due: the settle at the edge
+   decides them again.  A settle that raises drops every stage and puts
+   back to its default every wire the interrupted run changed; then all
+   is due, ticks included.
 
    A component without ``reads`` (``None``, the default: test benches,
    toy machines, probes) runs in every pass, and the passes go on until
@@ -54,13 +62,12 @@ Every simulated clock cycle runs in two phases:
 2. **Tick** -- all sequential elements (registers, memories, FSM state)
    commit their staged updates atomically, then tracing hooks observe
    the new architectural state (wires still hold the settled values of
-   the cycle just ended).  A component with a ``tick`` and no ``settle``
-   that declares ``reads`` promises an idempotent tick (a synchronous
-   RAM: the same ports write and read the same words twice): it ticks
-   only on an edge where one of its wires moved since its last tick, or
-   after :meth:`Component.wake` -- which a tick that acts on a level
-   calls for the next edge (a stack's push, held two cycles, pushes
-   twice).
+   the cycle just ended).  Ticks run in registration order.  A
+   component with a ``tick`` and no ``settle`` that declares ``reads``
+   promises an idempotent tick (a synchronous RAM: the same ports write
+   and read the same words twice): it ticks only on an edge where one
+   of its wires moved since its last tick, or after
+   :meth:`Component.wake`; any other tick runs on every edge.
 
 Components register themselves with the simulator on construction, so a
 design is simply a tree of :class:`Component` objects sharing one
@@ -73,8 +80,10 @@ for a component that reads no signal) to every :class:`Wire` and every
 :class:`Reg` whose ``value`` its ``settle`` can read in any state, on
 any branch: its own inputs, its own registers when it reads them, and
 any other component's signals.  A wire it only drives is not listed,
-unless another component may drive that wire in the same cycle (a drive
-compares with the value held, which is then someone else's).  State
+unless another component may drive that wire while it does (a drive
+compares with the value held, which is then someone else's): a
+component drives a wire from a run that drives it until a run that does
+not, across edges, so one that no signal re-runs drives for good.  State
 that is no signal (a CAM's store, a test bench's table) is announced
 with :meth:`Component.wake` where it changes.  A declared component
 stages only the registers it created with :meth:`Component.reg`, and
@@ -199,15 +208,15 @@ class Simulator:
         self._hooks = ()
 
     def _bind_hooks(self) -> tuple:
-        """``(plan, undeclared, everything, gated, ticks, idempotent)``:
-        the *i*-th component that overrides ``settle`` as ``plan[1 << i]
-        = (settle, its own registers, the bits above i, the wires it
+        """``(plan, undeclared, everything, gated, always, ticks)``: the
+        *i*-th component that overrides ``settle`` as ``plan[1 << i] =
+        (settle, its own registers, the bits above i, the wires it
         holds)``; the bits of the components without ``reads``; the bits
-        of all; the bits of the idempotent ticks; the other ticks, in
-        registration order; the *j*-th idempotent tick as
-        ``idempotent[1 << j]``.  Each signal learns the bits of its
-        declared readers, each register its owner's, each wire its
-        ticks'; all of it is due."""
+        of all; the bits of the idempotent ticks and of the others (every
+        edge); the *j*-th component that overrides ``tick`` as
+        ``ticks[1 << j]``, so that bit order is registration order.  Each
+        signal learns the bits of its declared readers, each register its
+        owner's, each wire its ticks'; all of it is due."""
         settlers = [c for c in self._components if _overrides(c, "settle")]
         for signal in self._signals.values():
             signal._readers = 0
@@ -233,15 +242,17 @@ class Simulator:
                 for reg in regs:
                     reg._by = bit
             plan[bit] = (component.settle, regs, -(bit << 1), component._held)
-        ticks, idempotent = [], {}
+        ticks, gated, always = {}, 0, 0
         for component in self._components:
             if not _overrides(component, "tick"):
                 continue
+            bit = 1 << len(ticks)
+            ticks[bit] = component.tick
             if component.reads is None or _overrides(component, "settle"):
-                ticks.append(component.tick)
+                always |= bit
                 continue
-            bit = component._tick_bit = 1 << len(idempotent)
-            idempotent[bit] = component.tick
+            component._tick_bit = bit
+            gated |= bit
             for wire in component.reads:
                 if not isinstance(wire, Wire):
                     raise TypeError(
@@ -250,8 +261,7 @@ class Simulator:
                     )
                 wire._tickers |= bit
         everything = (1 << len(settlers)) - 1
-        gated = (1 << len(idempotent)) - 1
-        self._hooks = (plan, undeclared, everything, gated, tuple(ticks), idempotent)
+        self._hooks = (plan, undeclared, everything, gated, always, ticks)
         self._due, self._tick_due = everything, gated
         return self._hooks
 
@@ -302,7 +312,9 @@ class Simulator:
         self._tick_hooks = tuple(hooks)
 
     # -- simulation ------------------------------------------------------
-    def _settle(self) -> None:
+    def _settle(self) -> Dict[Reg, int]:
+        """Settle to a fixed point; returns the stages made outside it
+        (register -> value)."""
         plan, undeclared, everything, gated, _, _ = self._hooks or self._bind_hooks()
         changed, staged, moved = self._changed, self._staged, self._moved
         clock = self._clock
@@ -317,10 +329,10 @@ class Simulator:
             for reg in moved:
                 due |= reg._readers | reg._by
             moved.clear()
+            bench = {}  # each unstage below puts these back
             for reg in staged:
-                if reg._staged == 2:  # staged outside a settle: the owner decides
-                    reg._staged = 1
-                    reg._next = None
+                if reg._staged == 2:
+                    bench[reg] = reg._next
                     due |= reg._by
             ran, token, passes = 0, clock.run, 0
             while passes < MAX_SETTLE_PASSES:
@@ -330,8 +342,9 @@ class Simulator:
                     due |= undeclared
                     for reg in staged:  # staged by an undeclared run: redone
                         if reg._staged == 2 and not reg._by:
-                            reg._staged = 1
-                            reg._next = None
+                            nxt = reg._next = bench.get(reg)
+                            if nxt is None:
+                                reg._staged = 1
                 upcoming, moving = 0, False
                 while due:  # the due components, lowest bit first
                     bit = due & -due
@@ -340,8 +353,9 @@ class Simulator:
                     if ran & bit:  # a second run: only its latest stages stand
                         for reg in regs:
                             if reg._staged == 2:
-                                reg._staged = 1
-                                reg._next = None
+                                nxt = reg._next = bench.get(reg)
+                                if nxt is None:
+                                    reg._staged = 1
                     ran |= bit
                     token += 1
                     clock.run = token
@@ -377,17 +391,21 @@ class Simulator:
                         upcoming |= readers ^ later
                 if not upcoming and not (moving and undeclared):
                     self._tick_due |= tickers
-                    return
+                    return bench
                 due = upcoming
+            raise CombinationalLoopError(
+                f"combinational logic failed to settle within "
+                f"{MAX_SETTLE_PASSES} passes at cycle {self.cycle}"
+            )
         except BaseException:
             # whatever this settle left half done, the next one redoes
+            for wire in changed:  # the interrupted run's
+                wire.value = wire.default
+            for reg in staged:
+                reg._staged = 1
+                reg._next = None
             self._due, self._tick_due = everything, gated
             raise
-        self._due, self._tick_due = everything, gated
-        raise CombinationalLoopError(
-            f"combinational logic failed to settle within "
-            f"{MAX_SETTLE_PASSES} passes at cycle {self.cycle}"
-        )
 
     def step(self, cycles: int = 1) -> int:
         """Advance the clock by ``cycles`` edges; returns the new cycle
@@ -406,14 +424,17 @@ class Simulator:
                 reg._staged = 0
             staged.clear()
             self._due = due
-            ticked, self._tick_due = self._tick_due, 0
-            _, _, _, _, ticks, idempotent = self._hooks or self._bind_hooks()
-            for tick in ticks:
-                tick()
-            while ticked:  # the due idempotent ticks, in registration order
-                bit = ticked & -ticked
-                ticked ^= bit
-                idempotent[bit]()
+            _, _, everything, gated, always, ticks = self._hooks
+            ticked, self._tick_due = self._tick_due | always, 0
+            try:
+                while ticked:  # lowest bit first: in registration order
+                    bit = ticked & -ticked
+                    ticked ^= bit
+                    ticks[bit]()
+            except BaseException:
+                # the ticks it did not reach run at the next edge
+                self._due, self._tick_due = everything, gated
+                raise
             self.cycle += 1
             for hook in self._tick_hooks:
                 hook(self.cycle)
@@ -423,9 +444,18 @@ class Simulator:
         """Settle combinational logic without advancing the clock.
 
         Useful for observing Mealy outputs that depend on inputs applied
-        since the last edge.
+        since the last edge.  What the settle staged, the settle at the
+        edge decides again.
         """
-        self._settle()
+        bench = self._settle()
+        for reg in self._staged:
+            if reg._staged == 2:
+                if reg in bench:
+                    reg._next = bench[reg]
+                else:
+                    reg._staged = 1
+                    reg._next = None
+                    self._due |= reg._by
 
     def reset(self) -> None:
         """Asynchronous reset: all signals to defaults, components to

@@ -47,14 +47,11 @@ class HardwareStack(Component):
         self.size = self.reg("size", STACK_CAPACITY.bit_length())
         self.error = self.reg("error", 1)
         self._entries: List[int] = []  # index -1 is the top
-        # a hold changes nothing, so the tick runs when an input moved;
-        # an operation acts on the op level, so it ticks again next edge
-        self.reads = (self.op, self.data_in)
 
     def tick(self) -> None:
         op = self.op.value
-        if op != StackOp.HOLD:
-            self.wake()
+        if op == StackOp.HOLD:
+            return  # the entries, and so top and size, stay as they are
         if op == StackOp.PUSH:
             if len(self._entries) >= STACK_CAPACITY:
                 self.error.stage(1)
@@ -72,7 +69,7 @@ class HardwareStack(Component):
                 self.error.stage(1)
             else:
                 self._entries[-1] = self.data_in.value
-        elif op != StackOp.HOLD:
+        else:
             raise ValueError(f"{self.name}: unknown stack op {op}")
         self.top.stage(self._entries[-1] if self._entries else 0)
         self.top.commit()

@@ -5,8 +5,9 @@ one reference, compared at every clock edge.
 component in every pass, in registration order, and let each run decide
 its wires -- a wire the run changed is its, a wire it changed last and
 did not drive this time goes back to its default; make every wire
-drivable again and unstage every register between passes, snapshot
-every wire to find the fixed point, commit every register, tick every
+drivable again and unstage every register between passes (a test
+bench's stage stands again: a run's stage overrides it), snapshot every
+wire to find the fixed point, commit every register, tick every
 component.  It knows nothing of activity logs, of ``Component.reads`` or
 of which component is due, and it steps designs built on :data:`OLD`,
 the primitives before a hold stopped being a stage: a ``stage`` that
@@ -91,12 +92,15 @@ def reference_step(sim: Simulator) -> None:
     regs = [s for s in sim._signals.values() if isinstance(s, Reg)]
     #: wire -> the component whose run changed it last, across cycles
     changer = sim.__dict__.setdefault("reference_changer", {})
+    bench = {reg: reg._next for reg in regs if reg._staged == 2}
     for _ in range(MAX_SETTLE_PASSES):
         before = [w.value for w in wires]
         for wire in wires:
             wire._swept = -1  # drivable again, value kept
         for reg in regs:
-            reg.unstage()  # a bench's stage too: the settle decides
+            reg.unstage()
+            if reg in bench:  # a bench's stage stands unless a run stages it
+                reg.stage(bench[reg])
         for component in sim.components:
             values = [w.value for w in wires]
             del DROVE[:]
@@ -596,7 +600,7 @@ class TestPinnedReadSetSemantics:
         assert error is None and final == {"s0": 1, "p0.s1": 4}
 
     @pytest.mark.parametrize("spy", [True, False])
-    def test_a_bench_stage_does_not_survive_the_settle(self, spy):
+    def test_a_bench_stage_commits_unless_the_owner_stages_the_register(self, spy):
         # p0 owns s1 and stages it only while s0 reads 1, which it never
         # does; the bench stages 7 before the edge, and 5 on the free s2
         owner = proc("when", 1, 0, 0, 9, True)
@@ -604,7 +608,38 @@ class TestPinnedReadSetSemantics:
             [(W, 0), (R, 4), (R, 3)], [owner], bench=[(1, 7, False), (2, 5, False)]
         )
         error, edges, _, _, _ = assert_process_design(design, 2, spy)
-        assert error is None and edges == [(0, 4, 3)] * 2
+        assert error is None and edges == [(0, 7, 3), (0, 7, 5)]
+        # an owner that stages 9, or holds its 4, overrides the bench's 7,
+        # however many times it runs in the settle (p1 moves s0 for it)
+        for stager, want in (("const", 9), ("follow", 4)):
+            design = spec(
+                [(W, 0), (R, 4)],
+                [proc(stager, 1, 1, 0, 9, True, extra=(0,)), proc("const", 0, 0, 0, 2, True)],
+                bench=[(1, 7, False)],
+            )
+            error, edges, _, _, _ = assert_process_design(design, 1, spy)
+            assert error is None and edges == [(2, want)]
+        # the owner reads nothing: the bench stage alone makes it run,
+        # and its 9 (a hold by then) overrides the 7
+        design = spec([(R, 4)], [proc("const", 0, 0, 0, 9, True)], bench=[None, (0, 7, False)])
+        error, edges, _, _, _ = assert_process_design(design, 2, spy)
+        assert error is None and edges == [(9,), (9,)]
+
+    @pytest.mark.parametrize("on, want", [(1, 9), (0, 4)])
+    def test_what_settle_only_staged_the_edge_decides_again(self, on, want):
+        # p0 stages 9 into its s1 while the bench's wire reads 1, which
+        # it does at settle_only(); then the bench drives ``on``
+        sim = Simulator()
+        wire = sim.add_wire("on", WIDTH)
+        owner = Process(sim, 0, "when", 9)
+        owner.dst, owner.a = owner.reg("s1", WIDTH, 4), wire
+        owner.reads = (wire,)
+        pins = _Pins(sim, {wire: 1})
+        sim.settle_only()
+        assert owner.dst._staged == 1  # dropped, not committed
+        pins.values = {wire: on}
+        sim.step()
+        assert owner.dst.value == want
 
     def test_a_force_wakes_the_registers_readers_and_its_owner(self):
         # p0 owns s0 and stages 5 into it every cycle; p1 copies s0 onto
@@ -709,6 +744,79 @@ def test_the_driver_pins_wake_on_every_change_of_their_table():
         drv.set_router_type(True)
     drv.sim.step()
     assert rtrtype.value == 0
+
+
+# -- an exception leaves nothing half done --------------------------------------
+class _Tripped(Exception):
+    """Raised on purpose inside a step."""
+
+
+class _Latch(Component):
+    """Drives ``w`` to 5 and stages its ``r`` to 7 while ``on`` reads 1;
+    armed, it raises right after."""
+
+    def __init__(self, sim) -> None:
+        super().__init__(sim, "latch")
+        self.on, self.w = sim.add_wire("on", WIDTH), sim.add_wire("w", WIDTH)
+        self.r = self.reg("r", WIDTH)
+        self.reads = (self.on,)
+        self.armed = False
+
+    def settle(self) -> None:
+        if self.on.value:
+            self.w.drive(5)
+            self.r.stage(7)
+            if self.armed:
+                self.armed = False
+                raise _Tripped
+
+
+@pytest.mark.parametrize("then", [[0], [1, 0], [1, 1, 0, 1]])
+def test_a_settle_that_raises_leaves_what_a_fresh_design_has(then):
+    # the raised settle changed w and staged r: undone, so that a re-run
+    # that drives 5 again holds w, and one that stops staging drops r
+    def build():
+        sim = Simulator()
+        latch = _Latch(sim)
+        return sim, latch, _Pins(sim, {latch.on: 1})
+
+    (sim, latch, pins), (fresh, _, fresh_pins) = build(), build()
+    latch.armed = True
+    with pytest.raises(_Tripped):
+        sim.step()
+    assert (latch.w.value, latch.r.value, sim.cycle) == (0, 0, 0)
+    for on in then:
+        for made, bench in ((sim, pins), (fresh, fresh_pins)):
+            bench.values = {made.signal("on"): on}
+            made.step()
+        assert {n: s.value for n, s in sim._signals.items()} == {
+            n: s.value for n, s in fresh._signals.items()
+        }
+
+
+def test_a_tick_that_raises_leaves_the_ticks_it_did_not_reach_due():
+    sim = Simulator()
+
+    class Tripwire(Component):  # an every-edge tick, ahead of the memory
+        armed = False
+
+        def tick(self) -> None:
+            if self.armed:
+                self.armed = False
+                raise _Tripped
+
+    trip = Tripwire(sim, "trip")
+    mem = SyncMemory(sim, "mem", 4, 4)
+    pins = _Pins(sim, {})
+    mem.poke(2, 9)
+    sim.step()
+    pins.values = {mem.rd_addr: 2}
+    trip.armed = True
+    with pytest.raises(_Tripped):
+        sim.step()
+    assert mem.rd_data.value == 0  # the edge stopped before the memory
+    sim.step()  # the port holds still: the tick runs as it was due
+    assert mem.rd_data.value == 9
 
 
 def test_a_component_without_reads_runs_in_every_pass():

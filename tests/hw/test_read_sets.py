@@ -12,9 +12,11 @@ declared component to its contract:
   inside ``Wire.drive`` / ``Reg.stage`` -- the held-value comparison --
   do not count);
 * it stages only the registers it created;
-* a wire that two components drive in one cycle is in the ``reads`` of
-  each declared one (a drive compares with the value held, which is
-  then the other driver's).
+* a wire that two components drive at once is in the ``reads`` of each
+  declared one (a drive compares with the value held, which is then the
+  other driver's).  A component drives a wire from a run that drives it
+  until a run that does not -- across clock edges, as a wire keeps its
+  value: a driver that no signal re-runs drives for good.
 
 Run over the ``rtl_worstcase`` mix, the management mix, seeded mixed
 traffic with resets, bank swaps and a router-type flip, and the CAM.
@@ -67,31 +69,40 @@ class Log:
         self.evaluated = set()
         self.reads = defaultdict(set)
         self.stages = defaultdict(set)
-        self.drivers = defaultdict(set)  # this cycle: wire -> components
-        self.fights = set()
+        self.drove = set()  # by the run in progress
+        self.driving = defaultdict(set)  # component -> wires its latest run drove
+        self.drivers = defaultdict(set)  # wire -> components whose latest run drove it
+        self.shared = defaultdict(set)  # wire -> components that drove it at once
 
     def evaluate(self, component, settle) -> None:
-        self.component = component
+        self.component, self.drove = component, set()
         self.evaluated.add(component)
         try:
             settle()
         finally:
             self.component = None
+            for wire in self.driving[component] - self.drove:
+                self.drivers[wire].discard(component)
+            for wire in self.drove:
+                self.drivers[wire].add(component)
+            self.driving[component] = self.drove
 
-    def edge(self, _cycle: int) -> None:
-        for wire, drivers in self.drivers.items():
-            if len(drivers) > 1:
-                self.fights.update(
-                    f"{c.name} drives {wire.name}, which {len(drivers) - 1} "
-                    f"other component(s) drive in the same cycle, and does "
-                    f"not read it"
-                    for c in drivers
-                    if c.reads is not None and wire not in c.reads
-                )
-        self.drivers.clear()
+    def drive(self, wire) -> None:
+        others = self.drivers[wire] - {self.component}
+        if others:
+            self.shared[wire].update(others, {self.component})
+        self.drove.add(wire)
 
     def offenses(self):
-        found = set(self.fights)
+        found = set()
+        for wire, drivers in self.shared.items():
+            found.update(
+                f"{c.name} drives {wire.name}, which {len(drivers) - 1} "
+                f"other component(s) drive at the same time, and does not "
+                f"read it"
+                for c in drivers
+                if c.reads is not None and wire not in c.reads
+            )
         for c, signals in self.reads.items():
             if c.reads is not None:
                 found.update(
@@ -127,7 +138,7 @@ class RecordingWire(Wire):
         log = Log.active
         if log is None or log.component is None:
             return super().drive(value)
-        log.drivers[self].add(log.component)
+        log.drive(self)
         log.inside = True
         try:
             return super().drive(value)
@@ -167,7 +178,6 @@ def lint(build, scenario):
             c.settle = functools.partial(log.evaluate, c, c.settle)
             if c.reads is not None:
                 declared.append(c)
-    sim.on_tick(log.edge)
     Log.active = log
     try:
         scenario(design)
@@ -335,27 +345,35 @@ def test_a_foreign_stage_is_caught():
     ]
 
 
-def test_a_second_driver_that_does_not_read_the_wire_is_caught():
-    class Override(Component):
-        def __init__(self, sim, trigger, wire):
-            super().__init__(sim, "override")
-            self.trigger, self.target = trigger, wire
-            self.reads = (trigger,)
+class Override(Component):
+    """Drives ``wire`` to 1, whenever ``trigger`` reads 1 or, with no
+    trigger, unconditionally (it then reads nothing, so it runs only
+    after a bind or a reset)."""
 
-        def settle(self) -> None:
-            if self.trigger.value:
-                self.target.drive(1)  # agrees with a level-1 search's request
+    def __init__(self, sim, wire, trigger=None):
+        super().__init__(sim, "override")
+        self.trigger, self.target = trigger, wire
+        self.reads = () if trigger is None else (trigger,)
 
+    def settle(self) -> None:
+        if self.trigger is None or self.trigger.value:
+            self.target.drive(1)  # agrees with a level-1 search's request
+
+
+@pytest.mark.parametrize("triggered", [False, True])
+def test_a_second_driver_that_does_not_read_the_wire_is_caught(triggered):
+    # unconditional, it runs once, cycles before the search machine
+    # drives req_level, and drives it from then on
     def build():
         drv = ModifierDriver(ib_depth=64)
         search = drv.modifier.search
-        Override(drv.sim, search.req, search.req_level)
+        Override(drv.sim, search.req_level, search.req if triggered else None)
         return drv
 
     offenses, _ = lint(build, from_reset(lambda drv: drv.search(1, 16)))
     assert (
         "override drives lsm.search.req_level, which 1 other component(s) "
-        "drive in the same cycle, and does not read it"
+        "drive at the same time, and does not read it"
     ) in offenses
 
 

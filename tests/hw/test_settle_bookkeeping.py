@@ -20,6 +20,7 @@ from repro.mpls.label import LabelEntry, LabelOp
 from tests.strategies.hw import (
     GOLDEN,
     OPS,
+    apply_op,
     management_mix,
     observed,
     worstcase_mix,
@@ -107,3 +108,57 @@ def test_rtl_equals_functional_model_result_by_result(scenario):
     assert drv.ib_counts() == model.ib_counts()
     for level in (1, 2, 3):
         assert drv.ib_pairs(level) == model.ib_pairs(level)
+
+
+# -- a transaction stopped by an exception leaves nothing behind ----------------
+class Tripped(Exception):
+    """Raised on purpose inside a settle."""
+
+
+def test_the_next_transaction_after_a_raised_settle_matches_a_fresh_driver():
+    # the main machine raises in the accept edge of a write, after its run
+    # changed its wires and staged its accept: that edge never happened,
+    # so what follows is what a driver that never saw the write does
+    ops = [
+        ("write", (1, 20, 30, LabelOp.SWAP)),
+        ("search", (1, 20)),
+        ("push", LabelEntry(label=20, ttl=64, s=1)),
+        ("update", (1, 64)),
+        ("write", (1, 21, 31, LabelOp.POP)),  # tripped: never happens
+        ("search", (1, 21)),
+        ("write", (2, 40, 50, LabelOp.PUSH)),
+        ("search", (1, 20)),
+        ("pop", None),
+        ("read", (1, 0)),
+        ("search", (2, 40)),
+    ]
+    tripped, fresh = ModifierDriver(ib_depth=16), ModifierDriver(ib_depth=16)
+    main, armed = tripped.modifier.main, []
+    real = main.settle
+
+    def settle() -> None:
+        real()
+        if armed:
+            armed.clear()
+            raise Tripped
+
+    main.settle = settle
+    tripped.sim._hooks = ()  # bind the wrapped settle
+    for drv in (tripped, fresh):
+        drv.reset()
+    seen = {id(tripped): [], id(fresh): []}
+    for i, op in enumerate(ops):
+        if i == 4:
+            armed.append(True)
+            with pytest.raises(Tripped):
+                apply_op(tripped, op)
+            assert not tripped.modifier.busy
+            check_logs(tripped.sim)
+            continue
+        for drv in (tripped, fresh):
+            seen[id(drv)].append(apply_op(drv, op))
+    assert seen[id(tripped)] == seen[id(fresh)]
+    assert tripped.sim.cycle == fresh.sim.cycle
+    assert {n: s.value for n, s in tripped.sim._signals.items()} == {
+        n: s.value for n, s in fresh.sim._signals.items()
+    }
