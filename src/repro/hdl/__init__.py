@@ -28,7 +28,7 @@ design behaves and makes the cycle counts reported by
 
 from repro.hdl.signal import Signal, Wire, Reg, SignalError, WidthError
 from repro.hdl.simulator import Simulator, Component, CombinationalLoopError
-from repro.hdl.fsm import FSM, State
+from repro.hdl.fsm import FSM
 from repro.hdl.memory import SyncMemory
 from repro.hdl.counter import Counter
 from repro.hdl.register import Register
@@ -45,7 +45,6 @@ __all__ = [
     "Component",
     "CombinationalLoopError",
     "FSM",
-    "State",
     "SyncMemory",
     "Counter",
     "Register",

@@ -16,19 +16,15 @@ gives them a common shape:
   Handlers are resolved once, at construction, into a tuple indexed by
   the state code; :meth:`FSM.settle` calls the current state's and
   stages the state register when the code differs;
-* a state without a handler runs :meth:`FSM.output` (output logic as a
-  function of the current state and, for Mealy outputs, the inputs)
-  then :meth:`FSM.transition` (next-state logic, returns the next
-  :class:`State`) through the same ``settle`` -- small machines and
-  test oracles are written that way, and may mix the two;
 * all of it runs during the settle phase; the state register commits on
   the tick like every other register.  A machine that declares its
   ``reads`` lists what its handlers read; the state register the pass
   indexes by is added for it.
 
-States are interned :class:`State` objects and a handler's name is
-checked against them, so typos fail fast instead of silently creating
-new states or falling back.
+A state is a name with a stable code (its position in the state list).
+A state without a handler, a handler for no state and a handler that
+returns an unknown name are refused, naming the machine and the state,
+so typos fail fast instead of silently creating new states.
 """
 
 from __future__ import annotations
@@ -37,16 +33,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.hdl.signal import Signal
 from repro.hdl.simulator import Component, Simulator
-
-
-class State:
-    """An interned FSM state with a stable integer encoding."""
-
-    __slots__ = ("name", "code")
-
-    def __init__(self, name: str, code: int) -> None:
-        self.name = name
-        self.code = code
 
 
 class FSM(Component):
@@ -79,20 +65,17 @@ class FSM(Component):
             raise ValueError(f"{name}: an FSM needs at least one state")
         if len(set(names)) != len(names):
             raise ValueError(f"{name}: duplicate state names in {names}")
-        self._states: Dict[str, State] = {
-            n: State(n, i) for i, n in enumerate(names)
-        }
-        self._by_code: Tuple[State, ...] = tuple(self._states.values())
         self._names: Tuple[str, ...] = tuple(names)
         self._codes: Dict[str, int] = {n: i for i, n in enumerate(names)}
-        stray = sorted(self._handled - self._states.keys())
+        stray = sorted(self._handled - self._codes.keys())
         if stray:
             raise ValueError(f"{name}: on_<STATE> for {stray}, not among {names}")
+        missing = [n for n in names if n not in self._handled]
+        if missing:
+            raise ValueError(f"{name}: no on_<STATE> for {missing}")
         # one handler per state, indexed by the state code
         self._handlers: Tuple[Callable[[], str], ...] = tuple(
-            getattr(self, "on_" + n) if n in self._handled
-            else self._output_then_transition
-            for n in names
+            getattr(self, "on_" + n) for n in names
         )
         width = max(1, (len(names) - 1).bit_length())
         self._state_reg = self.reg("state", width=width, default=0)
@@ -108,42 +91,21 @@ class FSM(Component):
 
     # -- state access ------------------------------------------------------
     @property
-    def state(self) -> State:
-        """The current (registered) state."""
-        return self._by_code[self._state_reg.value]
-
-    @property
     def state_name(self) -> str:
+        """The current (registered) state."""
         return self._names[self._state_reg.value]
 
-    def s(self, name: str) -> State:
-        """Look up a state by name (typo-safe)."""
+    def _code(self, name: str) -> int:
         try:
-            return self._states[name]
+            return self._codes[name]
         except KeyError:
             raise KeyError(f"{self.name}: unknown state {name!r}") from None
 
     def in_state(self, name: str) -> bool:
-        state = self._states.get(name) or self.s(name)  # s() names the typo
-        return self._state_reg.value == state.code
-
-    # -- subclass interface --------------------------------------------------
-    def transition(self) -> State:
-        """Next-state logic.  Read inputs, return the next state."""
-        raise NotImplementedError
-
-    def output(self) -> None:
-        """Output logic.  Drive wires from the current state/inputs."""
-
-    def _output_then_transition(self) -> str:
-        """The handler of every state that has no ``on_<STATE>``."""
-        self.output()
-        nxt = self.transition()
-        if not isinstance(nxt, State):
-            raise TypeError(
-                f"{self.name}.transition() must return a State, got {nxt!r}"
-            )
-        return nxt.name
+        try:
+            return self._state_reg.value == self._codes[name]
+        except KeyError:
+            return self._state_reg.value == self._code(name)  # names the typo
 
     # -- simulation hooks ------------------------------------------------------
     def settle(self) -> None:
@@ -152,7 +114,7 @@ class FSM(Component):
         try:
             code = self._codes[nxt]
         except KeyError:
-            raise KeyError(f"{self.name}: unknown state {nxt!r}") from None
+            code = self._code(nxt)  # names the machine and the typo
         if code != reg.value:
             reg.stage(code)
 

@@ -6,11 +6,12 @@ hardware FSM transition, an information base being (re)programmed --
 is emitted as a typed event record.  Producers call
 :meth:`EventLog.emit`; consumers attach sinks:
 
-* :class:`ListSink` -- in-memory, for tests and the tracer,
+* :class:`ListSink` -- in-memory, for tests and ``repro stats``,
 * :class:`JSONLSink` -- one JSON object per line, the trace-file format
   of ``python -m repro trace``,
-* :class:`CallbackSink` -- arbitrary function, used by
-  :class:`repro.analysis.tracer.NetworkTracer`.
+* :class:`CallbackSink` -- arbitrary function; the topology observer's
+  sink (:mod:`repro.obs.topo`) is one.  The network tracer is not a sink:
+  it is a view of a :class:`~repro.obs.spans.SpanRecorder`.
 
 Events are stamped with the emitting layer's notion of time: the
 :class:`EventLog` holds a ``clock`` callable (the network simulator

@@ -6,11 +6,19 @@ keeps it.  A test that leaves that default enabled, or with a sink, a
 span recorder, a flow accountant or a topology observer attached, hands
 its state to every object a later test builds outside a
 ``telemetry_session`` -- so such a test fails here, naming what it left.
+
+The ``hunt`` Hypothesis profile (``--hypothesis-profile=hunt``) is the
+CI job's long search: ten times the examples, each run drawing afresh.
+Tier-1 runs the default profile; a suite scales its explicit counts
+through :func:`tests.strategies.examples`.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.obs import get_telemetry
+
+settings.register_profile("hunt", max_examples=1000, derandomize=False)
 
 
 @pytest.fixture(autouse=True)

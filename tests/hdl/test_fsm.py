@@ -3,26 +3,38 @@
 import pytest
 
 from repro.hdl.fsm import FSM
-from repro.hdl.simulator import Simulator
+from repro.hdl.simulator import Component, Simulator
 
 
 class _Blinker(FSM):
     """IDLE -> ON -> OFF -> IDLE cycle gated by an enable wire."""
 
-    def __init__(self, sim):
-        super().__init__(sim, "blink", ["IDLE", "ON", "OFF"])
+    def __init__(self, sim, name="blink", off_goes_to="IDLE"):
+        super().__init__(sim, name, ["IDLE", "ON", "OFF"])
         self.enable = self.wire("enable", 1)
         self.lamp = self.wire("lamp", 1)
+        self.off_goes_to = off_goes_to
 
-    def transition(self):
-        if self.in_state("IDLE"):
-            return self.s("ON") if self.enable.value else self.s("IDLE")
-        if self.in_state("ON"):
-            return self.s("OFF")
-        return self.s("IDLE")
+    def on_IDLE(self):
+        self.lamp.drive(0)
+        return "ON" if self.enable.value else "IDLE"
 
-    def output(self):
-        self.lamp.drive(1 if self.in_state("ON") else 0)
+    def on_ON(self):
+        self.lamp.drive(1)
+        return "OFF"
+
+    def on_OFF(self):
+        self.lamp.drive(0)
+        return self.off_goes_to
+
+
+class _Enable(Component):
+    def __init__(self, sim, fsm):
+        super().__init__(sim, "en")
+        self.fsm = fsm
+
+    def settle(self):
+        self.fsm.enable.drive(1)
 
 
 class TestFSM:
@@ -40,18 +52,7 @@ class TestFSM:
     def test_transition_takes_one_edge(self):
         sim = Simulator()
         fsm = _Blinker(sim)
-
-        class _En:
-            def __init__(self, sim, fsm):
-                from repro.hdl.simulator import Component
-
-                class D(Component):
-                    def settle(s):
-                        fsm.enable.drive(1)
-
-                D(sim, "en")
-
-        _En(sim, fsm)
+        _Enable(sim, fsm)
         sim.step()
         assert fsm.state_name == "ON"
         sim.step()
@@ -62,31 +63,34 @@ class TestFSM:
     def test_moore_output_follows_state(self):
         sim = Simulator()
         fsm = _Blinker(sim)
-        sim.settle_only()
-        assert fsm.lamp.value == 0
+        _Enable(sim, fsm)
+        seen = []
+        sim.on_tick(lambda _cycle: seen.append((fsm.state_name, fsm.lamp.value)))
+        sim.step(4)
+        # the lamp is the settled output of the state the edge left
+        assert seen == [("ON", 0), ("OFF", 1), ("IDLE", 0), ("ON", 0)]
 
-    def test_unknown_state_lookup(self):
+    def test_unknown_state_lookup_names_the_typo(self):
         sim = Simulator()
-        fsm = _Blinker(sim)
-        with pytest.raises(KeyError):
-            fsm.s("NOPE")
+        fsm = _Blinker(sim, name="ctl.blink")
+        with pytest.raises(KeyError) as excinfo:
+            fsm.in_state("NOPE")
+        assert excinfo.value.args == ("ctl.blink: unknown state 'NOPE'",)
 
     def test_duplicate_states_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            FSM(sim, "bad", ["A", "A"])
+        with pytest.raises(ValueError, match=r"bad: duplicate state names in \['A', 'A'\]"):
+            FSM(Simulator(), "bad", ["A", "A"])
 
     def test_empty_states_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            FSM(sim, "bad", [])
+        with pytest.raises(ValueError, match="bad: an FSM needs at least one state"):
+            FSM(Simulator(), "bad", [])
 
-    def test_state_codes_stable(self):
+    def test_state_codes_are_the_list_positions(self):
         sim = Simulator()
         fsm = _Blinker(sim)
-        assert fsm.s("IDLE").code == 0
-        assert fsm.s("ON").code == 1
-        assert fsm.s("OFF").code == 2
+        for code, name in enumerate(["IDLE", "ON", "OFF"]):
+            fsm._state_reg.force(code)
+            assert fsm.in_state(name) and fsm.state_name == name
 
     def test_reset_returns_to_first_state(self):
         sim = Simulator()
@@ -97,83 +101,44 @@ class TestFSM:
         sim.reset()
         assert fsm.state_name == "IDLE"
 
-    def test_transition_type_checked(self):
-        sim = Simulator()
-
-        class Bad(FSM):
-            def __init__(self, sim):
-                super().__init__(sim, "badfsm", ["A"])
-
-            def transition(self):
-                return "A"  # not a State
-
-        Bad(sim)
-        with pytest.raises(TypeError):
-            sim.step()
-
-
-class _Mixed(FSM):
-    """IDLE and OFF have handlers, ON goes through output()/transition()."""
-
-    def __init__(self, sim, name="mixed", off_goes_to="IDLE"):
-        super().__init__(sim, name, ["IDLE", "ON", "OFF"])
-        self.lamp = self.wire("lamp", 1)
-        self.off_goes_to = off_goes_to
-        self.fallbacks = 0
-
-    def on_IDLE(self):
-        self.lamp.drive(0)
-        return "ON"
-
-    def output(self):
-        self.fallbacks += 1
-        self.lamp.drive(1)
-
-    def transition(self):
-        return self.s("OFF")
-
-    def on_OFF(self):
-        self.lamp.drive(0)
-        return self.off_goes_to
-
 
 class TestStateHandlers:
-    def test_handlers_and_the_fallback_mix_in_one_machine(self):
-        sim = Simulator()
-        fsm = _Mixed(sim)
-        seen = []
-        sim.on_tick(lambda _cycle: seen.append((fsm.state_name, fsm.lamp.value)))
-        sim.step(4)
-        # the lamp is the settled output of the state the edge left
-        assert seen == [("ON", 0), ("OFF", 1), ("IDLE", 0), ("ON", 0)]
-        # ON's one cycle settles in two passes (the lamp changed in the
-        # first); the states with a handler never ask output()
-        assert fsm.fallbacks == 2
-
     def test_a_handler_is_resolved_once_at_construction(self):
         sim = Simulator()
-        fsm = _Mixed(sim)
+        fsm = _Blinker(sim)
         assert [handler.__name__ for handler in fsm._handlers] == [
-            "on_IDLE", "_output_then_transition", "on_OFF",
+            "on_IDLE", "on_ON", "on_OFF",
         ]
 
     def test_handler_returning_an_unknown_state_names_machine_and_state(self):
         sim = Simulator()
-        _Mixed(sim, name="ctl.mixed", off_goes_to="NOPE")
-        sim.step(2)
-        with pytest.raises(KeyError) as excinfo:
-            sim.step()
-        assert "ctl.mixed" in str(excinfo.value) and "'NOPE'" in str(excinfo.value)
-
-    def test_it_is_the_error_s_raises(self):
-        sim = Simulator()
-        fsm = _Mixed(sim, off_goes_to="NOPE")
-        with pytest.raises(KeyError) as from_s:
-            fsm.s("NOPE")
+        fsm = _Blinker(sim, name="ctl.blink", off_goes_to="NOPE")
+        _Enable(sim, fsm)
         sim.step(2)
         with pytest.raises(KeyError) as from_settle:
             sim.step()
-        assert from_settle.value.args == from_s.value.args
+        # the error in_state raises for the same typo
+        with pytest.raises(KeyError) as from_lookup:
+            fsm.in_state("NOPE")
+        assert from_settle.value.args == from_lookup.value.args == (
+            "ctl.blink: unknown state 'NOPE'",
+        )
+
+    def test_a_state_without_a_handler_is_refused(self):
+        class Partial(FSM):
+            def __init__(self, sim):
+                super().__init__(sim, "ctl.partial", ["IDLE", "RUN", "DONE"])
+
+            def on_IDLE(self):
+                return "RUN"
+
+        with pytest.raises(ValueError) as excinfo:
+            Partial(Simulator())
+        assert str(excinfo.value) == "ctl.partial: no on_<STATE> for ['RUN', 'DONE']"
+
+    def test_a_bare_fsm_has_no_handlers(self):
+        with pytest.raises(ValueError, match=r"bare: no on_<STATE> for \['A'\]"):
+            FSM(Simulator(), "bare", ["A"])
 
     def test_a_handler_for_a_state_the_machine_lacks_is_refused(self):
         class Typo(FSM):
@@ -209,6 +174,15 @@ class TestStateHandlers:
         assert fsm.state_name == "A"
 
     def test_in_state_is_not_a_handler(self):
-        sim = Simulator()
-        fsm = _Blinker(sim)  # defines no on_<STATE>; in_state is the framework's
-        assert fsm._handled == frozenset() and fsm.in_state("IDLE")
+        assert _Blinker._handled == frozenset({"IDLE", "ON", "OFF"})
+        assert _Blinker(Simulator()).in_state("IDLE")
+
+    def test_one_dispatch(self):
+        """The output()/transition() fallback and its State objects are
+        gone: a state is an ``on_<STATE>`` method and nothing else."""
+        import repro.hdl
+        from repro.hdl import fsm as module
+
+        gone = {"output", "transition", "s", "state", "_output_then_transition"}
+        assert not gone & set(dir(FSM))
+        assert not hasattr(module, "State") and not hasattr(repro.hdl, "State")

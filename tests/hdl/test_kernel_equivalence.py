@@ -53,6 +53,7 @@ from repro.hdl.simulator import (
     Component,
     Simulator,
 )
+from tests.strategies import examples
 from tests.strategies.rtl import (
     MAX_PASSES,
     WIDTH,
@@ -172,8 +173,8 @@ class OldSyncMemory(SyncMemory):
 
 class OldFSM(FSM):
     def settle(self) -> None:
-        self.output()
-        self._state_reg.stage(self.transition().code)
+        reg = self._state_reg
+        reg.stage(self._codes[self._handlers[reg.value]()])
 
 
 #: a set of primitives: the signal classes the simulator constructs, and
@@ -301,17 +302,17 @@ def assert_process_design(design, cycles: int, spy: bool = True) -> Outcome:
 
 # -- the properties ---------------------------------------------------------------
 class TestRandomDesigns:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     @given(designs(), st.integers(1, 6), st.sampled_from((True, True, False)))
     def test_kernel_matches_the_reference(self, design, cycles, spy):
         assert_process_design(design, cycles, spy)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(chains(), st.integers(1, 3))
     def test_chains_in_any_registration_order(self, design, cycles):
         assert_process_design(design, cycles)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(counter_chains, st.integers(1, 40))
     def test_counter_comparator_mux_chain(self, chain, cycles):
         got = assert_equivalent(build_chain, cycles, *chain)
@@ -319,13 +320,13 @@ class TestRandomDesigns:
         assert got.error is None
         assert got.final["ctr.count"] == cycles % (chain[1] + 1)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(schedules)
     def test_counter_register_memory_fsm_machine(self, schedule):
         got = assert_equivalent(build_machine, len(schedule), schedule)
         assert got.error is None and got.cycle == len(schedule)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(designs(), st.integers(1, 4), st.integers(1, 4))
     def test_reset_between_runs_matches_a_fresh_design(self, design, first, then):
         sim, spy, _ = build_processes(NEW, design)
@@ -867,10 +868,10 @@ def test_nothing_outside_the_kernel_assigns_a_signal_value():
 
 # -- a state is a method: the control machines index, they do not compare ------
 def test_no_control_fsm_asks_which_state_it_is_in():
-    """``state_name`` compared to a literal, ``in_state("X")`` and
-    ``return self.s("X")`` are how a pass used to find its branch; a
-    handler is that branch.  Readers outside the pass (``Modifier.busy``,
-    the profiler) live in other files and keep all three."""
+    """``state_name`` compared to a literal and ``in_state("X")`` are
+    how a pass used to find its branch; a handler is that branch.
+    Readers outside the pass (``Modifier.busy``, the profiler) live in
+    other files and keep both."""
     root = pathlib.Path(repro.__file__).parent
     machines = sorted((root / "hw").glob("*_fsm.py"))
     assert len(machines) == 4
@@ -879,6 +880,6 @@ def test_no_control_fsm_asks_which_state_it_is_in():
         for path in machines
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Attribute)
-        and node.attr in ("state_name", "state", "in_state", "s")
+        and node.attr in ("state_name", "in_state")
     ]
     assert offenders == []

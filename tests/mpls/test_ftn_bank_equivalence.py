@@ -1,261 +1,174 @@
-"""Differential tests for the keyed banks of the one forwarding table.
+"""The one forwarding table against a stated model of a banked table.
 
-:class:`ListFTN` is the FTN as it was while each bank was a list kept
-most-specific-first: every ``install`` and ``remove`` rebuilt the list
-through FEC equality and re-sorted it.  :class:`StandaloneILM` is the
-ILM as it was before ILM and FTN became subclasses of one ``Table``,
-with its own copy of the shadow-bank transaction, stale marking and
-generation counter.  They are the oracles; they exist only here.  Each
-table and its oracle take the same random sequence of writes,
-transactions and stale marks -- over FECs of mixed and equal
-specificity, or over labels including reserved ones -- and must agree
-after every step on iteration order, ``lookup``, ``len``,
+:class:`BankedTable` states what an ILM or an FTN is, with a plain dict
+per bank and nothing else: what a write does inside and outside a
+shadow-bank transaction, which order the entries are read in, when the
+generation moves and when a stale mark goes.  It shares no code with
+:mod:`repro.mpls.tables`.  Each table and the model take the same random
+sequence of writes, transactions and stale marks -- over FECs of mixed
+and equal specificity, or over labels including reserved ones -- and
+must agree after every step on iteration order, ``lookup``, ``len``,
 ``generation``, the stale listing and the type and message of every
-error.
+error.  Three seeded mutants show the comparison is not vacuous.
 """
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.mpls.errors import InvalidLabelError, NoRouteError
-from repro.mpls.fec import FEC, CoSFEC, PrefixFEC
-from repro.mpls.label import LabelOp, require_real_label
+from repro.mpls.fec import CoSFEC, PrefixFEC
+from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
-from repro.mpls.tables import FTN, ILM
+from repro.mpls.tables import FTN, ILM, Table
 from repro.net.packet import IPv4Packet
+from tests.strategies import examples
 
 
-class ListFTN:
-    """The list-rebuilding FTN."""
+class BankedTable:
+    """A ``key -> NHLFE`` table with a shadow bank and stale marks.
 
-    def __init__(self) -> None:
-        self._entries: List[Tuple[FEC, NHLFE]] = []
-        self._staged: Optional[List[Tuple[FEC, NHLFE]]] = None
-        self._staged_refreshed: Set[FEC] = set()
-        self._stale: Set[FEC] = set()
+    * Outside a transaction a write lands in the active bank, clears the
+      key's stale mark and moves the generation by one.  Inside one it
+      lands in the staged copy and only notes the key as refreshed.
+    * An FTN reads its entries most specific first and, among equals, in
+      the order they were last installed (a re-install moves an entry
+      behind its equals).  An ILM reads them in the order each label was
+      first installed.
+    * ``commit`` makes the staged bank active and moves the generation
+      once if a lookup could now answer differently: an FTN's ordered
+      entries changed, an ILM's label -> NHLFE map changed.  It clears
+      the stale mark of every key refreshed inside and drops the marks
+      of keys that left.  ``rollback`` drops the staged bank.
+    * A stale mark is set on an active key only; ``flush_stale`` removes
+      the marked entries from the active bank (one generation step if
+      any went) and forgets every mark.
+    """
+
+    def __init__(self, ftn: bool) -> None:
+        self.ftn = ftn
+        self.name, self.key = ("FTN", "FEC {!r}") if ftn else ("ILM", "label {}")
+        self.active: Dict[Hashable, NHLFE] = {}
+        self.staged: Optional[Dict[Hashable, NHLFE]] = None
+        self.refreshed: Set[Hashable] = set()
+        self.stale: Set[Hashable] = set()
         self.generation = 0
 
+    def entries(self, bank=None) -> List[Tuple[Hashable, NHLFE]]:
+        items = list((self.active if bank is None else bank).items())
+        if self.ftn:
+            items.sort(key=lambda item: -item[0].specificity)
+        return items
+
+    def answers(self, bank):
+        """What a lookup reads: the ordered entries, or the map."""
+        return self.entries(bank) if self.ftn else bank
+
+    # -- the transaction ---------------------------------------------
+    @property
+    def in_transaction(self) -> bool:
+        return self.staged is not None
+
     def begin(self) -> None:
-        if self._staged is not None:
-            raise RuntimeError("FTN transaction already open")
-        self._staged = list(self._entries)
-        self._staged_refreshed = set()
+        if self.staged is not None:
+            raise RuntimeError(f"{self.name} transaction already open")
+        self.staged, self.refreshed = dict(self.active), set()
 
     def commit(self) -> None:
-        if self._staged is None:
-            raise RuntimeError("no FTN transaction open")
-        changed = self._staged != self._entries
-        self._entries = self._staged
-        self._stale -= self._staged_refreshed
-        self._stale &= {f for f, _ in self._entries}
-        self._staged = None
-        self._staged_refreshed = set()
-        if changed:
-            self.generation += 1
+        if self.staged is None:
+            raise RuntimeError(f"no {self.name} transaction open")
+        changed = self.answers(self.staged) != self.answers(self.active)
+        self.active, self.staged = self.staged, None
+        self.stale = (self.stale - self.refreshed) & set(self.active)
+        self.refreshed = set()
+        self.generation += changed
 
     def rollback(self) -> None:
-        if self._staged is None:
-            raise RuntimeError("no FTN transaction open")
-        self._staged = None
-        self._staged_refreshed = set()
+        if self.staged is None:
+            raise RuntimeError(f"no {self.name} transaction open")
+        self.staged, self.refreshed = None, set()
 
-    def install(self, fec: FEC, nhlfe: NHLFE) -> None:
-        if self._staged is not None:
-            self._staged = [(f, n) for f, n in self._staged if f != fec]
-            self._staged.append((fec, nhlfe))
-            self._staged.sort(key=lambda pair: -pair[0].specificity)
-            self._staged_refreshed.add(fec)
+    # -- writes ------------------------------------------------------
+    def install(self, key: Hashable, nhlfe: NHLFE) -> None:
+        if not self.ftn and key < 16:
+            raise InvalidLabelError(
+                f"label {key} is reserved (0..15) and cannot be assigned to an LSP"
+            )
+        bank = self.active if self.staged is None else self.staged
+        if self.ftn:
+            bank.pop(key, None)
+        bank[key] = nhlfe
+        if self.staged is None:
+            self.stale.discard(key)
+            self.generation += 1
         else:
-            self._entries = [(f, n) for f, n in self._entries if f != fec]
-            self._entries.append((fec, nhlfe))
-            self._entries.sort(key=lambda pair: -pair[0].specificity)
-            self._stale.discard(fec)
+            self.refreshed.add(key)
+
+    def remove(self, key: Hashable) -> None:
+        bank = self.active if self.staged is None else self.staged
+        if key not in bank:
+            raise KeyError(f"{self.key.format(key)} not installed")
+        del bank[key]
+        if self.staged is None:
+            self.stale.discard(key)
             self.generation += 1
 
-    def remove(self, fec: FEC) -> None:
-        bank = self._staged if self._staged is not None else self._entries
-        before = len(bank)
-        kept = [(f, n) for f, n in bank if f != fec]
-        if len(kept) == before:
-            raise KeyError(f"FEC {fec!r} not installed")
-        if self._staged is not None:
-            self._staged = kept
+    def clear(self) -> None:
+        if self.staged is not None:
+            self.staged.clear()
+            self.refreshed.clear()
         else:
-            self._entries = kept
-            self._stale.discard(fec)
+            self.active.clear()
+            self.stale.clear()
             self.generation += 1
 
-    def lookup(self, packet: IPv4Packet) -> Tuple[FEC, NHLFE]:
-        for fec, nhlfe in self._entries:
+    # -- stale marks -------------------------------------------------
+    def mark_all_stale(self) -> int:
+        self.stale = set(self.active)
+        return len(self.stale)
+
+    def mark_stale(self, key: Hashable) -> None:
+        if key in self.active:
+            self.stale.add(key)
+
+    def is_stale(self, key: Hashable) -> bool:
+        return key in self.stale
+
+    def stale_keys(self) -> List[Hashable]:
+        if self.ftn:
+            return [key for key, _ in self.entries() if key in self.stale]
+        return sorted(self.stale)
+
+    def flush_stale(self) -> List[Hashable]:
+        removed = self.stale_keys()
+        for key in removed:
+            del self.active[key]
+        self.generation += bool(removed)
+        self.stale = set()
+        return removed
+
+    stale_fecs = stale_labels = stale_keys
+
+    # -- reads -------------------------------------------------------
+    def __iter__(self):
+        return iter(self.entries())
+
+    def __len__(self) -> int:
+        return len(self.active)
+
+    def __contains__(self, label: int) -> bool:
+        return label in self.active
+
+    def get(self, label: int) -> Optional[NHLFE]:
+        return self.active.get(label)
+
+    def lookup(self, packet: IPv4Packet):
+        for fec, nhlfe in self.entries():
             if fec.matches(packet):
                 return fec, nhlfe
         raise NoRouteError(f"no FEC matches packet to {packet.dst}")
-
-    def entry_for(self, fec: FEC) -> Optional[NHLFE]:
-        # the scan three callers used to spell out for themselves
-        return next((n for f, n in self._entries if f == fec), None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Tuple[FEC, NHLFE]]:
-        return iter(self._entries)
-
-    def clear(self) -> None:
-        if self._staged is not None:
-            self._staged.clear()
-            self._staged_refreshed.clear()
-        else:
-            self._entries.clear()
-            self._stale.clear()
-            self.generation += 1
-
-    def mark_all_stale(self) -> int:
-        self._stale = {f for f, _ in self._entries}
-        return len(self._stale)
-
-    def mark_stale(self, fec: FEC) -> None:
-        if any(f == fec for f, _ in self._entries):
-            self._stale.add(fec)
-
-    def is_stale(self, fec: FEC) -> bool:
-        return fec in self._stale
-
-    def stale_fecs(self) -> List[FEC]:
-        return [f for f, _ in self._entries if f in self._stale]
-
-    def flush_stale(self) -> List[FEC]:
-        removed = [f for f, _ in self._entries if f in self._stale]
-        if removed:
-            self._entries = [
-                (f, n) for f, n in self._entries if f not in self._stale
-            ]
-            self.generation += 1
-        self._stale.clear()
-        return removed
-
-
-class StandaloneILM:
-    """Incoming Label Map: ``label -> NHLFE``.
-
-    Lookups are per-platform label space (one table per router), which
-    is what the paper's single information base models.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, NHLFE] = {}
-        self._staged: Optional[Dict[int, NHLFE]] = None
-        self._staged_refreshed: Set[int] = set()
-        self._stale: Set[int] = set()
-        self.generation = 0
-
-    # -- shadow-bank transaction ------------------------------------
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._staged is not None
-
-    def begin(self) -> None:
-        """Open a transaction: further mutations go to a shadow bank."""
-        if self._staged is not None:
-            raise RuntimeError("ILM transaction already open")
-        self._staged = dict(self._entries)
-        self._staged_refreshed = set()
-
-    def commit(self) -> None:
-        """Atomically swap the shadow bank in (one generation bump).
-
-        A commit that changed nothing skips the bump, so hardware nodes
-        don't resynchronize their info base for a no-op swap."""
-        if self._staged is None:
-            raise RuntimeError("no ILM transaction open")
-        changed = self._staged != self._entries
-        self._entries = self._staged
-        self._stale -= self._staged_refreshed
-        self._stale &= set(self._entries)
-        self._staged = None
-        self._staged_refreshed = set()
-        if changed:
-            self.generation += 1
-
-    def rollback(self) -> None:
-        """Discard the shadow bank; the active table is untouched."""
-        if self._staged is None:
-            raise RuntimeError("no ILM transaction open")
-        self._staged = None
-        self._staged_refreshed = set()
-
-    # -- mutation ---------------------------------------------------
-
-    def install(self, label: int, nhlfe: NHLFE) -> None:
-        require_real_label(label)
-        if self._staged is not None:
-            self._staged[label] = nhlfe
-            self._staged_refreshed.add(label)
-        else:
-            self._entries[label] = nhlfe
-            self._stale.discard(label)
-            self.generation += 1
-
-    def remove(self, label: int) -> None:
-        bank = self._staged if self._staged is not None else self._entries
-        if label not in bank:
-            raise KeyError(f"label {label} not installed")
-        del bank[label]
-        if self._staged is None:
-            self._stale.discard(label)
-            self.generation += 1
-
-    def get(self, label: int) -> Optional[NHLFE]:
-        return self._entries.get(label)
-
-    def __contains__(self, label: int) -> bool:
-        return label in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Tuple[int, NHLFE]]:
-        return iter(self._entries.items())
-
-
-    def clear(self) -> None:
-        if self._staged is not None:
-            self._staged.clear()
-            self._staged_refreshed.clear()
-        else:
-            self._entries.clear()
-            self._stale.clear()
-            self.generation += 1
-
-    # -- graceful-restart stale marking -----------------------------
-
-    def mark_all_stale(self) -> int:
-        """Stale-mark every installed entry; returns how many."""
-        self._stale = set(self._entries)
-        return len(self._stale)
-
-    def mark_stale(self, label: int) -> None:
-        if label in self._entries:
-            self._stale.add(label)
-
-    def is_stale(self, label: int) -> bool:
-        return label in self._stale
-
-    def stale_labels(self) -> List[int]:
-        return sorted(self._stale)
-
-    def flush_stale(self) -> List[int]:
-        """Remove entries still stale-marked (hold timer expired)."""
-        removed = sorted(self._stale & set(self._entries))
-        for label in removed:
-            del self._entries[label]
-        self._stale.clear()
-        if removed:
-            self.generation += 1
-        return removed
 
 
 # Overlapping prefixes, two /24s and two hosts of equal specificity, and
@@ -281,10 +194,13 @@ labels = st.integers(14, 21)
 
 
 def ops_over(keys):
-    """One table step: a keyed write or mark, or a whole-table call."""
+    """One table step: a keyed write or mark, or a whole-table call
+    (a transaction's ends drawn as often as a keyed write, so a commit
+    that changed nothing comes up)."""
     return st.one_of(
         st.tuples(st.just("install"), keys, nhlfes),
         st.tuples(st.sampled_from(["remove", "mark_stale"]), keys),
+        st.tuples(st.sampled_from(["begin", "commit"])),
         st.tuples(
             st.sampled_from([
                 "clear", "begin", "commit", "rollback", "mark_all_stale",
@@ -294,7 +210,8 @@ def ops_over(keys):
     )
 
 
-ops = ops_over(fecs)
+FTN_STEPS = st.lists(ops_over(fecs), max_size=40)
+ILM_STEPS = st.lists(ops_over(labels), max_size=40)
 
 PROBES = [
     IPv4Packet(src="192.0.2.1", dst=dst, dscp=dscp)
@@ -307,14 +224,11 @@ def outcome(fn: Callable[[], object]) -> Tuple[str, object, str]:
     """What ``fn`` did: its value, or its exception's type and message."""
     try:
         return ("ok", fn(), "")
-    except (
-        KeyError, RuntimeError, NoRouteError,
-        InvalidLabelError,
-    ) as exc:
+    except (KeyError, RuntimeError, NoRouteError, InvalidLabelError) as exc:
         return ("raised", type(exc), str(exc))
 
 
-def observe(table) -> Tuple[object, ...]:
+def observe_ftn(table) -> Tuple[object, ...]:
     entries = list(table)
     return (
         entries,
@@ -322,7 +236,6 @@ def observe(table) -> Tuple[object, ...]:
         table.generation,
         table.stale_fecs(),
         [table.is_stale(fec) for fec, _ in entries],
-        [table.entry_for(fec) for fec, _ in entries],
         [outcome(lambda: table.lookup(packet)) for packet in PROBES],
     )
 
@@ -339,26 +252,34 @@ def observe_ilm(table) -> Tuple[object, ...]:
     )
 
 
-def replay(new, old, steps, observe) -> None:
-    """Run ``steps`` on both tables, comparing after every one."""
+def replay(table, model: BankedTable, steps, observe) -> None:
+    """Run ``steps`` on the table and the model, comparing after every one."""
     for op, *args in steps:
-        got = outcome(lambda: getattr(new, op)(*args))
-        want = outcome(lambda: getattr(old, op)(*args))
+        got = outcome(lambda: getattr(table, op)(*args))
+        want = outcome(lambda: getattr(model, op)(*args))
         assert got == want, (op, args)
-        assert new.in_transaction == (old._staged is not None)
-        assert observe(new) == observe(old), (op, args)
+        assert table.in_transaction == model.in_transaction
+        assert observe(table) == observe(model), (op, args)
 
 
-@settings(max_examples=400, deadline=None)
-@given(steps=st.lists(ops, max_size=40))
-def test_keyed_banks_match_the_rebuilt_lists(steps):
-    replay(FTN(), ListFTN(), steps, observe)
+def check_ftn(steps) -> None:
+    replay(FTN(), BankedTable(ftn=True), steps, observe_ftn)
 
 
-@settings(max_examples=400, deadline=None)
-@given(steps=st.lists(ops_over(labels), max_size=40))
-def test_the_shared_table_matches_the_standalone_ilm(steps):
-    replay(ILM(), StandaloneILM(), steps, observe_ilm)
+def check_ilm(steps) -> None:
+    replay(ILM(), BankedTable(ftn=False), steps, observe_ilm)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(FTN_STEPS)
+def test_the_ftn_is_the_banked_table(steps):
+    check_ftn(steps)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(ILM_STEPS)
+def test_the_ilm_is_the_banked_table(steps):
+    check_ilm(steps)
 
 
 def test_a_commit_that_changed_nothing_keeps_the_generation():
@@ -366,7 +287,7 @@ def test_a_commit_that_changed_nothing_keeps_the_generation():
     equals), an identical re-install at the tail does not."""
     a, b = PrefixFEC("10.1.1.0/24"), PrefixFEC("10.1.2.0/24")
     nhlfe = NHLFE(op=LabelOp.PUSH, out_label=16, next_hop="p")
-    for table in (FTN(), ListFTN()):
+    for table in (FTN(), BankedTable(ftn=True)):
         table.install(a, nhlfe)
         table.install(b, nhlfe)
         generation = table.generation
@@ -391,3 +312,55 @@ def test_iteration_survives_a_write_made_while_iterating():
         seen.append(fec)
         table.remove(fec)
     assert len(seen) == 3 and len(table) == 0
+
+
+# -- seeded mutants: what the comparison must be able to tell apart ------------
+def newest_first(bank):
+    """Mutant: equal-specificity FECs ordered by recency, newest first."""
+    return sorted(reversed(list(bank.items())), key=lambda pair: -pair[0].specificity)
+
+
+#: the real body, which the mutant below calls before it is patched in
+swap_in = Table._swap_in
+
+
+def bumps_on_every_commit(self, staged) -> bool:
+    """Mutant: a commit that changed nothing still moves the generation."""
+    swap_in(self, staged)
+    return True
+
+
+MUTANTS = {
+    "equal-specificity FECs ordered by recency": (
+        FTN, "_ordered", staticmethod(newest_first), check_ftn, FTN_STEPS,
+    ),
+    "a commit that changed nothing bumps the generation": (
+        Table, "_swap_in", bumps_on_every_commit, check_ilm, ILM_STEPS,
+    ),
+    "an ILM re-install moves the label last": (
+        ILM, "_write", FTN.__dict__["_write"], check_ilm, ILM_STEPS,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_a_seeded_mutant_is_caught(mutant, monkeypatch):
+    cls, attr, body, check, cases = MUTANTS[mutant]
+    monkeypatch.setattr(cls, attr, body)
+
+    def caught(steps) -> bool:
+        try:
+            check(steps)
+        except AssertionError:
+            return True
+        return False
+
+    # raises NoSuchExample if 300 sequences cannot tell the mutant apart
+    find(
+        cases,
+        caught,
+        settings=settings(
+            max_examples=300, database=None, derandomize=True,
+            phases=[Phase.generate],  # any counterexample: no shrinking
+        ),
+    )

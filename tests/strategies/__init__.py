@@ -17,7 +17,9 @@ The references the suites compare against are not here: each lives in
 the one suite that owns its surface.  No test module imports another;
 what two of them share lives here.  This module holds the draw helpers:
 :func:`picks`, and :func:`lehmer` / :func:`arranged` for an ordering,
-and :func:`fresh_ids`, the one reset of the process-global id counters.
+:func:`fresh_ids`, the one reset of the process-global id counters, and
+:func:`examples` / :func:`hunting`, how many examples a search draws
+under the profile the run loaded.
 """
 
 import itertools
@@ -25,10 +27,28 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.errors import InvalidArgument
 
 import repro.net.packet as packet_mod
 import repro.net.traffic as traffic_mod
+
+
+def hunting() -> bool:
+    """Whether the run loaded the ``hunt`` profile
+    (``--hypothesis-profile=hunt``, registered in ``tests/conftest.py``):
+    the long searches a CI job runs outside tier-1."""
+    try:
+        return settings.default is settings.get_profile("hunt")
+    except InvalidArgument:  # imported outside the suite: no profile
+        return False
+
+
+def examples(n: int) -> int:
+    """A search's ``max_examples``: ``n`` in tier-1, ten times as many
+    under the ``hunt`` profile."""
+    return 10 * n if hunting() else n
 
 
 def fresh_ids() -> None:

@@ -4,7 +4,8 @@ and the CAM's pins.
 * :data:`op_step` / :func:`apply_op` -- one random operation on any
   :class:`~repro.hw.model.ModifierBackend` (the RTL driver or the
   functional model), and what it returned, so two backends can be
-  compared step by step;
+  compared step by step (``apply_op`` also runs a ``reset`` and a
+  router-type step);
 * the Figures 14-16 scenarios and the two operation mixes, with
   :func:`observed` (a digest of everything a waveform recorder and a
   cycle profiler saw while one ran) and their :data:`GOLDEN` digests;
@@ -62,6 +63,11 @@ op_step = st.one_of(
 
 def apply_op(impl, step):
     kind, arg = step
+    if kind == "reset":
+        return ("reset", impl.reset())
+    if kind == "rtrtype":
+        impl.set_router_type(arg)
+        return ("rtrtype", arg)
     if kind == "push":
         return ("push", impl.user_push(arg), tuple(impl.stack()))
     if kind == "pop":

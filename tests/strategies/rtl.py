@@ -30,7 +30,6 @@ from typing import List, Tuple
 from hypothesis import strategies as st
 
 from repro.hdl.comparator import EqualityComparator
-from repro.hdl.fsm import State
 from repro.hdl.signal import Wire
 from repro.hdl.simulator import MAX_SETTLE_PASSES, Component, Simulator
 from tests.strategies import arranged, chunks, lehmer, picks
@@ -353,15 +352,17 @@ def build_machine(kit, schedule):
             super().__init__(sim, "fsm", ["IDLE", "RUN", "DONE"])
             self.go = self.wire("go", 1)
 
-        def output(self) -> None:
-            reg.en.drive(1 if self.state_name == "RUN" else 0)
+        def on_IDLE(self) -> str:
+            reg.en.drive(0)
+            return "RUN" if self.go.value else "IDLE"
 
-        def transition(self) -> State:
-            if self.state_name == "IDLE":
-                return self.s("RUN" if self.go.value else "IDLE")
-            if self.state_name == "RUN":
-                return self.s("DONE" if ctr.count.value & 1 else "RUN")
-            return self.s("IDLE")
+        def on_RUN(self) -> str:
+            reg.en.drive(1)
+            return "DONE" if ctr.count.value & 1 else "RUN"
+
+        def on_DONE(self) -> str:
+            reg.en.drive(0)
+            return "IDLE"
 
     fsm = Walker()
     _Stimulus(sim, schedule, [

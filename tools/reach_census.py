@@ -51,7 +51,6 @@ OWNERS = {
     "item-6/15": "paper hardware no workload drives yet "
                  "(ROADMAP items 6 and 15)",
     "item-10": "tunnel hierarchy depth (ROADMAP item 10)",
-    "item-12": "the FSM dispatch oracle (ROADMAP item 12)",
     "bench": "a parameter the frozen benchmark (benchmarks/perf) passes",
     "entry": "a path or argv a user supplies",
     "oracle": "read by a test as its oracle (a differential suite's "
