@@ -513,17 +513,15 @@ class TEWorld(World):
         goes takes the steering onto it with it."""
         before = dict(self.sig._fec_of)
         active = self.active()
+        self.refreshed = None  # the ingress a refresh_ingress rewrote
         try:
             return self._apply(op)
         finally:
             for name, fec in self.sig._fec_of.items():
                 if name not in before:
                     self.steering[(self.sig.lsps[name].ingress, fec)] = name
-            now = self.active()
-            kind, *args = op
-            for key, lsp in now.items():
-                refreshed = kind == "refresh_ingress" and key[0] == self.name(args[0])
-                if refreshed or active.get(key, lsp) != lsp:
+            for key, lsp in self.active().items():
+                if key[0] == self.refreshed or active.get(key, lsp) != lsp:
                     self.steering[key] = lsp
             self.steering = {
                 key: lsp for key, lsp in self.steering.items()
@@ -557,9 +555,14 @@ class TEWorld(World):
                 not self.topo.has_link(a, b)
                 for name in going if name in sig.lsps
                 for a, b in sig.lsps[name].links()
+            ) or any(
+                name in going and sig._fec_of.get(name) != fec
+                for (_ingress, fec), name in self.steering.items()
             ):
-                # a teardown over a link that is gone raises half-way
-                # (see CHANGES.md): the sequences leave those LSPs up
+                # a teardown over a link that is gone raises half-way,
+                # and one of an LSP a switchover steers a FEC onto
+                # leaves the FEC pushing its freed label (see
+                # CHANGES.md): the sequences leave those LSPs up
                 return None
             if kind == "expire":
                 return sig.expire_stale(now, hold_time)
@@ -585,6 +588,7 @@ class TEWorld(World):
         if kind == "refresh_node":
             return sig.refresh_node(name)
         if kind == "refresh_ingress":
+            self.refreshed = name
             return frr.refresh_ingress(name)
         if kind == "stale":
             if name in self.nodes:
