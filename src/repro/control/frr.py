@@ -10,7 +10,9 @@ rewrite -- no reconvergence, no re-signalling on the failure path.
 pair (the backup avoids every intermediate node of the primary when
 the topology allows, otherwise it is merely link-disjoint), watches for
 link failures, and repairs affected primaries by steering their FECs
-onto the backups.
+onto the backups.  A protected path one of whose LSPs is torn down
+or expires is forgotten: there is nothing left to switch between, and
+the FEC stays on the LSP that still steers it.
 """
 
 from __future__ import annotations
@@ -61,48 +63,45 @@ class FastRerouteManager:
         egress: str,
         fec: FEC,
     ) -> ProtectedPath:
-        """Signal a primary and a disjoint backup; steer ``fec`` onto
-        the primary."""
+        """Signal a primary and a disjoint backup, then steer ``fec``
+        onto the primary.  A protection that fails leaves nothing set
+        up and ``fec`` where it was."""
+        self._forget_broken()
         if name in self.protected:
             raise SignalingError(f"{name!r} is already protected")
-        primary = self.signaler.setup(
-            f"{name}-primary",
-            ingress,
-            egress,
-            fec=fec,
-        )
-        avoid: Set[str] = set(primary.path[1:-1])
+        primary = self.signaler.setup(f"{name}-primary", ingress, egress)
         try:
-            backup_route = cspf_path(
-                self.signaler.topology,
+            backup = self.signaler.setup(
+                f"{name}-backup",
                 ingress,
                 egress,
-                avoid_nodes=avoid,
+                explicit_route=self._backup_route(ingress, egress, primary),
             )
-        except CSPFError:
-            # no node-disjoint path: fall back to avoiding the
-            # primary's links only (maximally disjoint)
-            backup_route = self._link_disjoint_route(ingress, egress, primary)
-        backup = self.signaler.setup(
-            f"{name}-backup",
-            ingress,
-            egress,
-            explicit_route=backup_route,
-        )
+        except SignalingError:
+            self.signaler.teardown(primary.name)
+            raise
         protected = ProtectedPath(
             name=name, fec=fec, primary=primary, backup=backup
         )
+        self._steer(protected, primary)
         self.protected[name] = protected
         return protected
 
-    def _link_disjoint_route(
+    def _backup_route(
         self, ingress: str, egress: str, primary: LSP
     ) -> List[str]:
-        """Maximally disjoint fallback: penalize the primary's links so
-        CSPF only reuses a link when no alternative exists (e.g. a
-        single-homed ingress).  A backup identical to the primary means
-        there is genuinely nothing to protect with."""
+        """A route avoiding every intermediate node of the primary;
+        without one, the maximally disjoint fallback: penalize the
+        primary's links so CSPF only reuses a link when no alternative
+        exists (e.g. a single-homed ingress).  A backup identical to
+        the primary means there is genuinely nothing to protect with."""
         topo = self.signaler.topology
+        try:
+            return cspf_path(
+                topo, ingress, egress, avoid_nodes=set(primary.path[1:-1])
+            )
+        except CSPFError:
+            pass
         saved = [(a, b, topo.link(a, b).metric) for a, b in primary.links()]
         try:
             for a, b, metric in saved:
@@ -117,10 +116,17 @@ class FastRerouteManager:
             )
         return route
 
+    def _forget_broken(self) -> None:
+        """Drop every protected path that lost its primary or backup."""
+        for name, protected in list(self.protected.items()):
+            if not (protected.primary.up and protected.backup.up):
+                del self.protected[name]
+
     # -- failure handling ---------------------------------------------------
     def handle_link_failure(self, a: str, b: str) -> List[str]:
         """Switch every protected FEC whose *active* LSP crosses the
         failed link onto its other LSP.  Returns the repaired names."""
+        self._forget_broken()
         failed = {(a, b), (b, a)}
         self.failed_links |= failed
         repaired = []
@@ -151,6 +157,7 @@ class FastRerouteManager:
         """A failed link came back: forget it and revert every
         protected FEC that is riding its backup while its primary is
         fully healthy again.  Returns the reverted names."""
+        self._forget_broken()
         self.failed_links -= {(a, b), (b, a)}
         reverted = []
         for protected in self.protected.values():
@@ -164,6 +171,7 @@ class FastRerouteManager:
 
     def revert(self, name: str) -> None:
         """Switch a protected FEC back onto its primary."""
+        self._forget_broken()
         protected = self.protected[name]
         if protected.active == "primary":
             return
@@ -177,6 +185,7 @@ class FastRerouteManager:
         marks).  The delegation-fallback / controller-resync
         counterpart to :meth:`RSVPTESignaler.refresh_node`.  Returns
         the number of FTN entries rewritten."""
+        self._forget_broken()
         writes = 0
         for key in sorted(self.protected):
             protected = self.protected[key]

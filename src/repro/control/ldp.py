@@ -110,9 +110,13 @@ class LDPProcess:
         egress: str,
     ) -> FECBinding:
         """Bind labels for ``fec`` terminating at ``egress``; every edge
-        router (LER) that can reach the egress gets an FTN entry."""
+        router (LER) that can reach the egress gets an FTN entry.  A
+        FEC is bound once: withdraw a binding before binding its FEC
+        again."""
         if egress not in self.nodes:
             raise KeyError(f"unknown egress {egress!r}")
+        if any(binding.fec == fec for binding in self.bindings):
+            raise ValueError(f"{fec!r} is already bound")
         binding = FECBinding(fec=fec, egress=egress)
         # a restarting router cannot advertise or accept mappings, so
         # new bindings are distributed as if it were absent; its
@@ -247,11 +251,16 @@ class LDPProcess:
         clears the stale mark), so still-valid forwarding state never
         leaves the data plane and anything dead stays stale for the
         hold-timer flush.  Emits **no** events: the network-wide state
-        does not change, only this router's copy is reasserted.
-        Returns the number of (ILM, FTN) entries rewritten.
+        does not change, only this router's copy is reasserted.  A
+        router in graceful restart takes no refresh: a withdrawal made
+        meanwhile cannot reach it, so its entries stay stale until
+        :meth:`complete_graceful_restart`.  Returns the number of
+        (ILM, FTN) entries rewritten.
         """
         if name not in self.nodes:
             raise KeyError(f"unknown node {name!r}")
+        if name in self.restarting:
+            return 0, 0
         node = self.nodes[name]
         ilm_writes = ftn_writes = 0
         for binding in self.bindings:

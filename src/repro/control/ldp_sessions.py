@@ -637,9 +637,14 @@ class MessageLDPProcess:
         clears stale marks, so still-valid forwarding state survives a
         controller orphaning untouched while dead entries stay stale
         for the flush.  Emits no events -- network-wide state does not
-        change.  Returns the number of (ILM, FTN) entries rewritten.
+        change.  Nothing is refreshed at or via a speaker in graceful
+        restart: a withdrawal made meanwhile cannot reach it, so those
+        entries stay stale until its sessions re-form.  Returns the
+        number of (ILM, FTN) entries rewritten.
         """
         speaker = self.speakers[name]
+        if speaker.restarting:
+            return 0, 0
         node = speaker.node
         ilm_writes = ftn_writes = 0
         for fec_id in sorted(speaker.local_labels):
@@ -652,7 +657,9 @@ class MessageLDPProcess:
                 ilm_writes += 1
                 continue
             nh = speaker._next_hop_to_egress(state.egress)
-            if nh is None:
+            if nh not in speaker.sessions:
+                # no next hop, or one in graceful restart: what it
+                # taught stays stale until its session re-forms
                 continue
             label_in = speaker.bindings.get(fec_id, {}).get(nh)
             if label_in is None:

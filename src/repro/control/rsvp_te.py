@@ -31,7 +31,7 @@ from repro.mpls.fec import FEC
 from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode
-from repro.net.topology import Topology
+from repro.net.topology import LinkAttributes, Topology
 from repro.obs.events import LSPEvent
 from repro.obs.telemetry import get_telemetry
 
@@ -110,9 +110,12 @@ class RSVPTESignaler:
         self.lsps: Dict[str, LSP] = {}
         #: lsp name -> last refresh timestamp (soft-state LSPs only)
         self._last_refresh: Dict[str, float] = {}
-        #: lsp name -> FEC steered onto it (its ingress FTN entry goes
-        #: with the LSP)
+        #: lsp name -> the FEC it was set up with
         self._fec_of: Dict[str, FEC] = {}
+        #: lsp name -> the links it reserved on; a removed link is
+        #: restored with its reservations, so teardown releases on
+        #: these whether or not the link is up
+        self._reserved: Dict[str, List[LinkAttributes]] = {}
         self.telemetry = get_telemetry()
 
     def _note_lsp(self, event: str, name: str, detail: str = "") -> None:
@@ -159,9 +162,11 @@ class RSVPTESignaler:
 
         # PATH downstream: verify hop adjacency and bandwidth headroom;
         # the PATH message stops at the first short hop
+        links = []
         for a, b in zip(route, route[1:]):
             self.stats.path_messages += 1
             attrs = self.topology.link(a, b)
+            links.append(attrs)
             if attrs.reservable(a) + 1e-9 < bandwidth_bps:
                 self.stats.setup_failures += 1
                 raise SetupError(
@@ -174,8 +179,8 @@ class RSVPTESignaler:
         hop_labels = self._install_route(route, cos=cos, fec=fec)
 
         # bandwidth reservation along the route
-        for a, b in zip(route, route[1:]):
-            self.topology.link(a, b).reserve(a, bandwidth_bps)
+        for a, attrs in zip(route, links):
+            attrs.reserve(a, bandwidth_bps)
 
         lsp = LSP(
             name=name,
@@ -186,6 +191,7 @@ class RSVPTESignaler:
             protocol=self.protocol,
         )
         self.lsps[name] = lsp
+        self._reserved[name] = links
         if self.soft_state:
             self._last_refresh[name] = 0.0
         if fec is not None:
@@ -220,12 +226,13 @@ class RSVPTESignaler:
             )
         return hop_labels
 
-    def _remove_forwarding(self, lsp: LSP, fec: Optional[FEC]) -> None:
+    def _remove_forwarding(self, lsp: LSP) -> None:
         """Remove the ILM entries an LSP's hop labels hold and free the
         labels -- the one way an LSP's labels leave the network -- then
-        the ingress FTN entry for ``fec`` if it still steers onto this
-        LSP (after an FRR switchover it steers onto the backup, and
-        stays).  Reservations are the caller's business."""
+        every ingress FTN entry that steers onto this LSP (the FEC it
+        was set up with, or one an FRR switchover moved onto it; an
+        entry a later LSP or a switchover took over stays).
+        Reservations are the caller's business."""
         for node_name, label in zip(lsp.path[1:], lsp.hop_labels):
             if label is None:
                 continue
@@ -233,12 +240,11 @@ class RSVPTESignaler:
             if label in ilm:
                 ilm.remove(label)
             self.allocators[node_name].release(label)
-        if fec is None:
-            return
         ftn = self.nodes[lsp.ingress].ftn
         steering = ingress_entry(lsp.path, lsp.hop_labels, lsp.cos)
-        if ftn.entry_for(fec) == steering:
-            ftn.remove(fec)
+        for fec, entry in list(ftn):
+            if entry == steering:
+                ftn.remove(fec)
 
     def _validate_route(self, route: List[str], ingress: str, egress: str) -> None:
         if len(route) < 2:
@@ -312,9 +318,9 @@ class RSVPTESignaler:
                 # finish the flow records riding the torn-down FEC
                 tel.flows.close_fec(str(getattr(fec, "prefix", fec)))
         self.stats.teardowns += 1
-        self._remove_forwarding(lsp, fec)
-        for a, b in lsp.links():
-            self.topology.link(a, b).release(a, lsp.bandwidth_bps)
+        self._remove_forwarding(lsp)
+        for a, attrs in zip(lsp.path, self._reserved.pop(name)):
+            attrs.release(a, lsp.bandwidth_bps)
         lsp.up = False
         self._note_lsp("teardown", name)
 

@@ -102,10 +102,7 @@ class FSM(Component):
             raise KeyError(f"{self.name}: unknown state {name!r}") from None
 
     def in_state(self, name: str) -> bool:
-        try:
-            return self._state_reg.value == self._codes[name]
-        except KeyError:
-            return self._state_reg.value == self._code(name)  # names the typo
+        return self._state_reg.value == self._code(name)
 
     # -- simulation hooks ------------------------------------------------------
     def settle(self) -> None:

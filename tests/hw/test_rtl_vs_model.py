@@ -288,7 +288,7 @@ class TestControlFSMs:
         assert performed == {PUSH, SWAP, POP, None}
 
     @settings(
-        max_examples=examples(30),
+        max_examples=examples(60),
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )

@@ -24,7 +24,7 @@ from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.tables import FTN, ILM, Table
 from repro.net.packet import IPv4Packet
-from tests.strategies import examples
+from tests.strategies import examples, picks
 
 
 class BankedTable:
@@ -174,44 +174,48 @@ class BankedTable:
 # Overlapping prefixes, two /24s and two hosts of equal specificity, and
 # CoS wrappers that tie with each other: built afresh per draw, so a
 # re-install hands the table an equal FEC that is a different object.
-plain_fecs = st.one_of(
-    st.sampled_from(
-        ["10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "10.1.2.0/24"]
-    ).map(PrefixFEC),
-    st.sampled_from(["10.1.1.7/32", "10.1.2.7/32"]).map(PrefixFEC),
-)
-fecs = st.one_of(
-    plain_fecs, st.builds(CoSFEC, plain_fecs, st.sampled_from([0, 46]))
-)
-nhlfes = st.builds(
-    NHLFE,
-    op=st.just(LabelOp.PUSH),
-    out_label=st.integers(16, 19),
-    next_hop=st.sampled_from(["p", "q"]),
-)
+PREFIXES = ["10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "10.1.2.0/24",
+            "10.1.1.7/32", "10.1.2.7/32"]
+
+
+def fec(i: int):
+    """Half the draws a plain prefix, half a CoS wrapper of one."""
+    plain = PrefixFEC(PREFIXES[i % 6])
+    return plain if i < 12 else CoSFEC(plain, (0, 46)[i % 2])
+
+
 #: labels 14 and 15 are reserved: an ILM install of them is refused
-labels = st.integers(14, 21)
+def label(i: int) -> int:
+    return 14 + i % 8
 
 
-def ops_over(keys):
-    """One table step: a keyed write or mark, or a whole-table call
-    (a transaction's ends drawn as often as a keyed write, so a commit
-    that changed nothing comes up)."""
-    return st.one_of(
-        st.tuples(st.just("install"), keys, nhlfes),
-        st.tuples(st.sampled_from(["remove", "mark_stale"]), keys),
-        st.tuples(st.sampled_from(["begin", "commit"])),
-        st.tuples(
-            st.sampled_from([
-                "clear", "begin", "commit", "rollback", "mark_all_stale",
-                "flush_stale",
-            ])
-        ),
-    )
+#: a step's kind by weight, out of 24: a transaction's ends drawn about
+#: as often as a keyed write, so a commit that changed nothing comes up
+KINDS = (
+    ("install",) * 6 + ("remove", "mark_stale") * 3 + ("begin", "commit") * 4
+    + ("clear", "rollback", "mark_all_stale", "flush_stale")
+)
 
 
-FTN_STEPS = st.lists(ops_over(fecs), max_size=40)
-ILM_STEPS = st.lists(ops_over(labels), max_size=40)
+def steps_over(key):
+    """Step lists over keys ``key(0..23)``: each step one draw of its
+    kind, key, out label and next hop."""
+
+    def step(raw):
+        kind, which, out, hop = raw
+        kind = KINDS[kind]
+        if kind == "install":
+            nhlfe = NHLFE(op=LabelOp.PUSH, out_label=16 + out, next_hop="pq"[hop])
+            return kind, key(which), nhlfe
+        if kind in ("remove", "mark_stale"):
+            return kind, key(which)
+        return (kind,)
+
+    return st.lists(picks(len(KINDS), 24, 4, 2).map(step), max_size=40)
+
+
+FTN_STEPS = steps_over(fec)
+ILM_STEPS = steps_over(label)
 
 PROBES = [
     IPv4Packet(src="192.0.2.1", dst=dst, dscp=dscp)
@@ -270,13 +274,13 @@ def check_ilm(steps) -> None:
     replay(ILM(), BankedTable(ftn=False), steps, observe_ilm)
 
 
-@settings(max_examples=examples(150), deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(FTN_STEPS)
 def test_the_ftn_is_the_banked_table(steps):
     check_ftn(steps)
 
 
-@settings(max_examples=examples(150), deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(ILM_STEPS)
 def test_the_ilm_is_the_banked_table(steps):
     check_ilm(steps)
