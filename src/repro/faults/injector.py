@@ -321,7 +321,7 @@ class FaultInjector:
     # -- link down/up ------------------------------------------------------
     def _inject_link_down(self, record: FaultRecord) -> None:
         a, b = record.spec.target
-        if (a, b) not in self.network._link_of:
+        if (a, b) not in self.network._channel_of:
             record.skip("link already down")
             return
         self.network.fail_link(a, b)
@@ -380,7 +380,7 @@ class FaultInjector:
     # -- link loss / corruption -------------------------------------------
     def _inject_link_loss(self, record: FaultRecord) -> None:
         a, b = record.spec.target
-        if (a, b) not in self.network._link_of:
+        if (a, b) not in self.network._channel_of:
             record.skip("link is down; loss not applied")
             return
         link = self.network.link(a, b)
@@ -395,7 +395,7 @@ class FaultInjector:
 
     def _inject_link_corrupt(self, record: FaultRecord) -> None:
         a, b = record.spec.target
-        if (a, b) not in self.network._link_of:
+        if (a, b) not in self.network._channel_of:
             record.skip("link is down; corruption not applied")
             return
         link = self.network.link(a, b)

@@ -64,12 +64,13 @@ from repro.mpls.forwarding import (
     ForwardingDecision,
     ForwardingEngine,
 )
+from repro.net.addressing import FLOW_WORKING_SET
 from repro.net.packet import IPv4Packet, MPLSPacket
 
-#: Default bound on cached decisions per node.  Each entry is one flow
-#: shape; 64k covers the 100k-concurrent-flow target with the normal
-#: per-hop key collapse (many flows share a label/CoS shape mid-path).
-DEFAULT_CAPACITY = 65_536
+#: Default bound on cached decisions per node: each entry is one flow
+#: shape, and the bound is the flow working set the simulator is sized
+#: for.
+DEFAULT_CAPACITY = FLOW_WORKING_SET
 
 # How to rebuild the output packet from the incoming one at replay
 # time.  Stored per cached decision; see _build().
@@ -80,15 +81,19 @@ _MPLS_INGRESS = 3   # MPLSPacket(stack, packet.decremented())
 _MPLS_TRANSIT = 4   # packet.with_stack(stack)
 _IP_TRANSIT = 5     # packet.inner.with_ttl(inner_ttl)
 
+_new_decision = tuple.__new__  # skips the generated NamedTuple ``__new__``
+
 
 def key_of(packet: Union[IPv4Packet, MPLSPacket]) -> tuple:
-    """The flow key: exactly the fields the engine consults."""
+    """The flow key: exactly the fields the engine consults, as ints.
+
+    A labelled packet's stack part is the stack's own memo
+    (:meth:`~repro.mpls.stack.LabelStack.key`): a hit hands every
+    packet of a flow the same cached stack object, so from the next hop
+    on the key is a stored tuple, hashed in C."""
     if isinstance(packet, MPLSPacket):
-        return (
-            packet.stack.entries,
-            packet.stack.max_depth,
-            packet.inner.ttl,
-        )
+        stack = packet.stack
+        return (stack._key or stack.key(), packet.inner.ttl)
     return (packet.dst.value, packet.ttl, packet.dscp)
 
 
@@ -185,12 +190,15 @@ class FlowCache:
             self.hits += 1
             self._entries.move_to_end(key)
             engine.replay(packet, cached.delta, count, True)
-            decision = ForwardingDecision(
-                cached.action,
-                packet=self._build(packet, cached),
-                next_hop=cached.next_hop,
-                out_interface=cached.out_interface,
-                reason=cached.reason,
+            decision = _new_decision(
+                ForwardingDecision,
+                (
+                    cached.action,
+                    self._build(packet, cached),
+                    cached.next_hop,
+                    cached.out_interface,
+                    cached.reason,
+                ),
             )
             if self.cross_check:
                 self._verify(packet, decision)

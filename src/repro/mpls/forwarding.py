@@ -175,9 +175,10 @@ def cos_of_packet(packet: Union[IPv4Packet, MPLSPacket]) -> int:
     packets derive it from the DSCP class-selector bits.
     """
     if isinstance(packet, MPLSPacket):
-        if packet.stack.is_empty:
-            return dscp_to_cos(packet.inner.dscp)
-        return packet.stack.top.cos
+        entries = packet.stack.entries
+        if entries:
+            return entries[0].cos
+        return dscp_to_cos(packet.inner.dscp)
     return dscp_to_cos(packet.dscp)
 
 

@@ -27,17 +27,21 @@ from repro.obs.events import PacketDropped, PacketForwarded
 
 def stack_labels(packet: Union[IPv4Packet, MPLSPacket]) -> tuple:
     """The packet's label stack as a tuple of label values (empty for
-    plain IP) -- the on-the-wire view telemetry and tracing record."""
+    plain IP) -- the on-the-wire view telemetry and tracing record.
+    It is the label column of the stack's memo
+    (:meth:`~repro.mpls.stack.LabelStack.key`)."""
     if isinstance(packet, MPLSPacket):
-        return tuple(e.label for e in packet.stack)
+        stack = packet.stack
+        return (stack._key or stack.key())[0]
     return ()
 
 
 def packet_ttl(packet: Union[IPv4Packet, MPLSPacket]) -> int:
     """The TTL a node sees first: the top label's, else the IP header's."""
     if isinstance(packet, MPLSPacket):
-        if not packet.stack.is_empty:
-            return packet.stack.top.ttl
+        entries = packet.stack.entries
+        if entries:
+            return entries[0].ttl
         return packet.inner.ttl
     return packet.ttl
 
@@ -168,7 +172,8 @@ class LSRNode:
             )
         else:
             decision = self._forward(packet, count, train)
-        decision = self._fill_interface(decision)
+        if decision.out_interface is None and decision.next_hop is not None:
+            decision = self._fill_interface(decision)
         self.stats.record(decision, count)
         self.observe(packet, decision, train)
         return decision

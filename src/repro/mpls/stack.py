@@ -30,9 +30,13 @@ DEFAULT_MAX_DEPTH = 3
 
 
 class LabelStack:
-    """An immutable MPLS label stack; index 0 is the top entry."""
+    """An immutable MPLS label stack; index 0 is the top entry.
 
-    __slots__ = ("_entries", "max_depth")
+    ``entries`` (the tuple of entries) and ``max_depth`` are plain
+    slots the hop reads directly; nothing writes them after the stack
+    is built, which is what keeps its :meth:`key` memo current."""
+
+    __slots__ = ("entries", "max_depth", "_key")
 
     def __init__(
         self,
@@ -45,11 +49,12 @@ class LabelStack:
             s = 1 if i == bottom else 0
             if entry.s != s:
                 fixed[i] = entry.with_s(s)
-        self._entries: Tuple[LabelEntry, ...] = tuple(fixed)
+        self.entries: Tuple[LabelEntry, ...] = tuple(fixed)
         self.max_depth = max_depth
-        if max_depth is not None and len(self._entries) > max_depth:
+        self._key: Optional[tuple] = None
+        if max_depth is not None and len(self.entries) > max_depth:
             raise StackDepthExceeded(
-                f"stack of depth {len(self._entries)} exceeds limit {max_depth}"
+                f"stack of depth {len(self.entries)} exceeds limit {max_depth}"
             )
 
     @classmethod
@@ -59,46 +64,67 @@ class LabelStack:
         """A stack over a tuple that is already well-formed (S bits
         right, depth within ``max_depth``): no per-entry work."""
         stack = cls.__new__(cls)
-        stack._entries = entries
+        stack.entries = entries
         stack.max_depth = max_depth
+        stack._key = None
         return stack
+
+    # -- the memo ---------------------------------------------------------
+    def key(self) -> tuple:
+        """The stack as plain ints, worked out on first use and kept:
+        ``(labels, cos, s, ttl, max_depth)``, one column per entry
+        field, top first.  Two stacks have equal keys exactly when
+        their entries and depth limits are equal.
+
+        The key cannot go stale: a stack is never changed after it is
+        built (``push`` / ``pop`` / ``swap`` build a new one, which
+        starts without a key).  The flow cache hashes it per hop
+        (:func:`repro.mpls.fastpath.key_of`) and telemetry takes its
+        label column (:func:`repro.mpls.router.stack_labels`); both
+        read ``_key`` first and call this only while it is None.
+        """
+        entries = self.entries
+        key = self._key = (
+            tuple([e.label for e in entries]),
+            tuple([e.cos for e in entries]),
+            tuple([e.s for e in entries]),
+            tuple([e.ttl for e in entries]),
+            self.max_depth,
+        )
+        return key
 
     # -- inspection -------------------------------------------------------
     @property
-    def entries(self) -> Tuple[LabelEntry, ...]:
-        return self._entries
-
-    @property
     def depth(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def is_empty(self) -> bool:
-        return not self._entries
+        return not self.entries
 
     @property
     def top(self) -> LabelEntry:
         """The top (most recently pushed) entry."""
-        if not self._entries:
+        if not self.entries:
             raise StackUnderflow("top of an empty label stack")
-        return self._entries[0]
+        return self.entries[0]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[LabelEntry]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LabelStack):
-            return self._entries == other._entries
+            return self.entries == other.entries
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(self.entries)
 
     def __repr__(self) -> str:
-        inner = " ".join(str(e) for e in self._entries) or "empty"
+        inner = " ".join(str(e) for e in self.entries) or "empty"
         return f"<LabelStack {inner}>"
 
     # -- operations (all return new stacks) --------------------------------
@@ -108,19 +134,19 @@ class LabelStack:
             raise StackDepthExceeded(
                 f"push would exceed max depth {self.max_depth}"
             )
-        return self._on_top(entry, self._entries)
+        return self._on_top(entry, self.entries)
 
     def pop(self) -> Tuple[LabelEntry, "LabelStack"]:
         """Remove the top entry; returns ``(entry, rest)``."""
-        if not self._entries:
+        if not self.entries:
             raise StackUnderflow("pop of an empty label stack")
-        return self._entries[0], self._of(self._entries[1:], self.max_depth)
+        return self.entries[0], self._of(self.entries[1:], self.max_depth)
 
     def swap(self, new_top: LabelEntry) -> "LabelStack":
         """Replace the top entry (a pop immediately followed by a push)."""
-        if not self._entries:
+        if not self.entries:
             raise StackUnderflow("swap on an empty label stack")
-        return self._on_top(new_top, self._entries[1:])
+        return self._on_top(new_top, self.entries[1:])
 
     def _on_top(
         self, entry: LabelEntry, rest: Tuple[LabelEntry, ...]
@@ -135,7 +161,7 @@ class LabelStack:
     # -- wire format ------------------------------------------------------
     def encode_bytes(self) -> bytes:
         """Concatenated big-endian entries, top first (wire order)."""
-        return b"".join(e.encode_bytes() for e in self._entries)
+        return b"".join(e.encode_bytes() for e in self.entries)
 
     @classmethod
     def decode_bytes(

@@ -17,48 +17,46 @@ from typing import Union
 class IPv4Address:
     """A 32-bit IPv4 address value type."""
 
-    __slots__ = ("_value",)
+    #: ``value`` is the address as an int, a plain slot (the flow
+    #: cache reads it per packet); nothing writes it after ``__init__``
+    __slots__ = ("value",)
 
     def __init__(self, value: Union[int, str, "IPv4Address"]) -> None:
         if isinstance(value, IPv4Address):
-            self._value = value._value
+            self.value = value.value
         elif isinstance(value, int):
             if not 0 <= value <= 0xFFFFFFFF:
                 raise ValueError(f"{value} is not a 32-bit address")
-            self._value = value
+            self.value = value
         elif isinstance(value, str):
-            self._value = _parse_dotted(value)
+            self.value = _parse_dotted(value)
         else:
             raise TypeError(f"cannot build an IPv4Address from {value!r}")
 
-    @property
-    def value(self) -> int:
-        return self._value
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
-            return self._value == other._value
+            return self.value == other.value
         if isinstance(other, int):
-            return self._value == other
+            return self.value == other
         if isinstance(other, str):
             try:
-                return self._value == _parse_dotted(other)
+                return self.value == _parse_dotted(other)
             except ValueError:  # not an address at all: simply unequal
                 return False
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._value)
+        return hash(self.value)
 
     def __str__(self) -> str:
-        v = self._value
+        v = self.value
         return f"{v >> 24}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
 
     def __repr__(self) -> str:
         return f"IPv4Address('{self}')"
 
     def to_bytes(self) -> bytes:
-        return self._value.to_bytes(4, "big")
+        return self.value.to_bytes(4, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IPv4Address":
@@ -67,7 +65,16 @@ class IPv4Address:
         return cls(int.from_bytes(data, "big"))
 
 
-@lru_cache(maxsize=4096)
+#: The flow working set the simulator is sized for: 64k distinct flow
+#: shapes cover the 100k-concurrent-flow target (many flows share a
+#: shape mid-path).  It bounds each node's flow cache
+#: (:data:`repro.mpls.fastpath.DEFAULT_CAPACITY`) and the parsed-address
+#: memo below, so a run that rotates through more destinations than a
+#: smaller bound holds does not miss on every parse.
+FLOW_WORKING_SET = 65_536
+
+
+@lru_cache(maxsize=FLOW_WORKING_SET)
 def _parse_dotted(text: str) -> int:
     parts = text.split(".")
     if len(parts) != 4:
@@ -116,7 +123,7 @@ class IPv4Prefix:
     def contains(self, address: Union[str, int, IPv4Address]) -> bool:
         if not isinstance(address, IPv4Address):
             address = IPv4Address(address)
-        return (address._value & self._mask) == self.network._value
+        return (address.value & self._mask) == self.network.value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Prefix):

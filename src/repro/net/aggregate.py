@@ -69,11 +69,6 @@ class FlowAggregate:
         if self.interval < 0:
             raise ValueError(f"negative aggregate interval {self.interval}")
 
-    @property
-    def length(self) -> int:
-        """Total bytes across the whole train at the current shape."""
-        return self.template.length * self.count
-
     def with_template(
         self, template: Union[IPv4Packet, MPLSPacket]
     ) -> "FlowAggregate":

@@ -39,7 +39,7 @@ from repro.mpls.router import LSRNode, RouterRole, packet_ttl, stack_labels
 from repro.net.addressing import IPv4Prefix
 from repro.net.aggregate import AggregateDelivery, FlowAggregate
 from repro.net.events import EventScheduler
-from repro.net.link import DropTailQueue, Interface, Link
+from repro.net.link import DropTailQueue, Interface, Link, SimplexChannel
 from repro.net.packet import IPv4Packet, MPLSPacket
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
@@ -281,6 +281,12 @@ def _inner(packet: Union[IPv4Packet, MPLSPacket]) -> IPv4Packet:
     return packet.inner if isinstance(packet, MPLSPacket) else packet
 
 
+def _link_key(a: str, b: str) -> Tuple[str, str]:
+    """The key of the link between ``a`` and ``b`` in
+    :attr:`MPLSNetwork.links`, whichever end is named first."""
+    return (a, b) if a <= b else (b, a)
+
+
 class MPLSNetwork:
     """A simulated MPLS domain.
 
@@ -323,7 +329,9 @@ class MPLSNetwork:
             role = roles.get(name, RouterRole.LSR)
             self.nodes[name] = node_factory(name, role)
         self.links: Dict[Tuple[str, str], Link] = {}
-        self._link_of: Dict[Tuple[str, str], Link] = {}
+        #: (node, neighbour) -> the channel out of node towards the
+        #: neighbour, for every link in service: what a hop sends on
+        self._channel_of: Dict[Tuple[str, str], SimplexChannel] = {}
         for a, b, attrs in topology.edges_with_attrs():
             if_a = f"to-{b}"
             if_b = f"to-{a}"
@@ -341,10 +349,8 @@ class MPLSNetwork:
             )
             link.forward.on_deliver = self._on_arrival
             link.reverse.on_deliver = self._on_arrival
-            key = (a, b) if a <= b else (b, a)
-            self.links[key] = link
-            self._link_of[(a, b)] = link
-            self._link_of[(b, a)] = link
+            self.links[_link_key(a, b)] = link
+            self._attach(a, b, link)
         #: LER name -> list of (prefix, sink) host attachments
         self._hosts: Dict[str, List[Tuple[IPv4Prefix, Optional[Callable]]]] = {}
         #: every delivered packet and train, and every drop, as rows
@@ -388,9 +394,14 @@ class MPLSNetwork:
     # -- wiring ----------------------------------------------------------
     def link(self, a: str, b: str) -> Link:
         try:
-            return self._link_of[(a, b)]
+            return self.links[_link_key(a, b)]
         except KeyError:
             raise KeyError(f"no link {a!r}-{b!r}") from None
+
+    def _attach(self, a: str, b: str, link: Link) -> None:
+        """Put ``link``, between ``a`` and ``b``, in the hop's table."""
+        self._channel_of[(a, b)] = link.channel_from(a)
+        self._channel_of[(b, a)] = link.channel_from(b)
 
     def attach_host(
         self,
@@ -575,8 +586,8 @@ class MPLSNetwork:
                 count,
             )
             return
-        link = self._link_of.get((node_name, decision.next_hop))
-        if link is None:
+        channel = self._channel_of.get((node_name, decision.next_hop))
+        if channel is None:
             self._record_drop(
                 now,
                 node_name,
@@ -585,10 +596,11 @@ class MPLSNetwork:
                 count,
             )
             return
-        channel = link.channel_from(node_name)
         # the link layer is count-generic: a train rides it as one unit
         unit = out if train is None else train.with_template(out)
-        accepted = channel.send(unit, unit.length, cos=cos_of_packet(out))
+        accepted = channel.send(
+            unit, out.length * count, cos=cos_of_packet(out)
+        )
         if not accepted:
             self._record_drop(
                 now,
@@ -696,10 +708,10 @@ class MPLSNetwork:
         reconvergence sees the failure.  The link itself is retained so
         :meth:`restore_link` can bring it back.
         """
+        key = _link_key(a, b)
         link = self.link(a, b)
-        self._link_of.pop((a, b))
-        self._link_of.pop((b, a))
-        key = (a, b) if a <= b else (b, a)
+        self._channel_of.pop((a, b))
+        self._channel_of.pop((b, a))
         self.links.pop(key)
         link.fail()
         attrs = None
@@ -711,15 +723,14 @@ class MPLSNetwork:
     def restore_link(self, a: str, b: str) -> Link:
         """Bring a previously failed link back into service, restoring
         its control-plane attributes (the heal half of a link fault)."""
-        key = (a, b) if a <= b else (b, a)
+        key = _link_key(a, b)
         try:
             link, attrs = self._failed_links.pop(key)
         except KeyError:
             raise KeyError(f"link {a!r}-{b!r} is not failed") from None
         link.heal()
         self.links[key] = link
-        self._link_of[(a, b)] = link
-        self._link_of[(b, a)] = link
+        self._attach(a, b, link)
         if attrs is not None and not self.topology.has_link(a, b):
             self.topology.restore_link(a, b, attrs)
         return link
@@ -727,7 +738,7 @@ class MPLSNetwork:
     def link_is_up(self, a: str, b: str) -> bool:
         """True when the adjacency exists and neither endpoint crashed."""
         return (
-            (a, b) in self._link_of
+            (a, b) in self._channel_of
             and a not in self._down_nodes
             and b not in self._down_nodes
         )

@@ -197,7 +197,7 @@ class MPLSPacket:
 
     @property
     def length(self) -> int:
-        return 4 * self.stack.depth + self.inner.length
+        return 4 * len(self.stack.entries) + self.inner.length
 
     def with_stack(self, stack: LabelStack) -> "MPLSPacket":
         copy = _new(MPLSPacket)

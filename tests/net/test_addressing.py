@@ -139,3 +139,26 @@ class TestIPv4Prefix:
         mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
         expected = (value & mask) == p.network.value
         assert p.contains(value) == expected
+
+
+class TestParseMemo:
+    def test_bounded_at_the_flow_working_set(self):
+        from repro.mpls.fastpath import DEFAULT_CAPACITY
+        from repro.net.addressing import FLOW_WORKING_SET, _parse_dotted
+
+        assert _parse_dotted.cache_info().maxsize == FLOW_WORKING_SET
+        assert DEFAULT_CAPACITY == FLOW_WORKING_SET
+
+    def test_a_rotation_of_5000_addresses_hits_on_its_second_pass(self):
+        from repro.net.addressing import _parse_dotted
+
+        rotation = [f"10.{i >> 8}.{i & 0xFF}.7" for i in range(5000)]
+        _parse_dotted.cache_clear()
+        first = [IPv4Address(text).value for text in rotation]
+        before = _parse_dotted.cache_info()
+        assert before.misses == 5000
+        second = [IPv4Address(text).value for text in rotation]
+        after = _parse_dotted.cache_info()
+        assert second == first
+        assert after.misses == before.misses
+        assert after.hits - before.hits == 5000

@@ -249,3 +249,55 @@ class TestDeliveredCountAgainstAScan:
         _assert_counts_match_a_scan(run.network, extra_ids=forged)
         leaked = sum(run.network.delivered_count(f) for f in forged)
         assert 0 < leaked < len(forged)  # some ids delivered, most did not
+
+
+# -- the hop's channel table follows every outage and repair -------------------
+def _figure1(batching):
+    topo = paper_figure1(bandwidth_bps=100e6, delay_s=1e-4)
+    net = MPLSNetwork(topo, {"ler-a": RouterRole.LER, "ler-b": RouterRole.LER})
+    net.attach_host("ler-b", "10.2.0.0/16")
+    LDPProcess(topo, net.nodes).establish_fec(
+        PrefixFEC("10.2.0.0/16"), egress="ler-b"
+    )
+    if batching:
+        net.enable_batching()
+    return net
+
+
+def _send_one(net):
+    """One packet from ler-a (whose one neighbour is lsr-1) to ler-b;
+    returns (delivered, drop reasons) for it."""
+    delivered, dropped = net.delivered_count(), len(net.drops)
+    net.inject("ler-a", IPv4Packet(src="10.1.0.5", dst="10.2.0.9"))
+    net.run()
+    reasons = [d.reason for d in net.drops.views()[dropped:]]
+    return net.delivered_count() - delivered, reasons
+
+
+@pytest.mark.parametrize("batching", [False, True], ids=["scalar", "cached"])
+def test_a_failed_link_drops_towards_the_neighbour_until_restored(batching):
+    net = _figure1(batching)
+    assert _send_one(net) == (1, [])
+    net.fail_link("ler-a", "lsr-1")
+    assert _send_one(net) == (0, ["ler-a: no link towards lsr-1"])
+    assert not net.link_is_up("ler-a", "lsr-1")
+    # restored from the other end: each direction gets its own channel
+    net.restore_link("lsr-1", "ler-a")
+    assert net.link_is_up("ler-a", "lsr-1")
+    assert _send_one(net) == (1, [])
+    assert net.link("lsr-1", "ler-a").forward.tx_packets == 2
+
+
+@pytest.mark.parametrize("batching", [False, True], ids=["scalar", "cached"])
+def test_a_crashed_neighbour_is_no_link_until_it_restarts(batching):
+    net = _figure1(batching)
+    net.fail_node("lsr-1")
+    assert _send_one(net) == (0, ["ler-a: no link towards lsr-1"])
+    assert net.restore_node("lsr-1") == [
+        ("ler-a", "lsr-1"), ("lsr-1", "lsr-2"), ("lsr-1", "lsr-3")
+    ]
+    # a cold restart: the control plane programs the tables again
+    LDPProcess(net.topology, net.nodes).establish_fec(
+        PrefixFEC("10.2.0.0/16"), egress="ler-b"
+    )
+    assert _send_one(net) == (1, [])
