@@ -310,7 +310,7 @@ class NodeAgent:
         # graceful fallback: refresh the stale entries in place from
         # the live distributed control plane -- forwarding state never
         # leaves the tables, so nothing blackholes
-        ctl._refresh_distributed(self.name)
+        ctl.plane.refresh(self.name)
         self.set_state(STATE_DISTRIBUTED)
         ctl.scheduler.after(STALE_HOLD, self._flush_stale)
 
@@ -364,17 +364,20 @@ class PCEController:
         network: Any,
         config: ControllerConfig,
         ldp: Any = None,
-        message_ldp: Any = None,
-        frr: Any = None,
         fec_specs: Sequence[Tuple[FEC, str, str]] = (),
         seed: int = 0,
+        plane: Any = None,
     ) -> None:
         self.network = network
         self.scheduler = network.scheduler
         self.config = config
-        self.ldp = ldp
-        self.message_ldp = message_ldp
-        self.frr = frr
+        if plane is None:  # a bare converged LDP process: its row
+            from repro.faults.planes import ConvergedLDP
+
+            plane = ConvergedLDP(ldp)
+        #: the distributed control plane a node is refreshed from (a row
+        #: of :data:`~repro.faults.planes.CONTROL_PLANES`)
+        self.plane = plane
         #: sorted (fec, ingress, egress) triples the PCE is responsible
         #: for -- the blackhole accounting walks exactly these
         self.fec_specs: List[Tuple[FEC, str, str]] = sorted(
@@ -624,7 +627,7 @@ class PCEController:
             node.ilm.mark_all_stale()
             node.ftn.mark_all_stale()
             with TableTransaction([node.ilm, node.ftn]):
-                rewrites = self._refresh_distributed(name)
+                rewrites = self.plane.refresh(name)
             node.ilm.flush_stale()
             node.ftn.flush_stale()
             self.resync_transactions += 1
@@ -689,22 +692,6 @@ class PCEController:
             return ("adopt", None)
         anchor, reason = max(candidates)
         return (reason, anchor)
-
-    # -- delegation refresh --------------------------------------------
-    def _refresh_distributed(self, name: str) -> int:
-        """Refresh one node's tables in place from whatever distributed
-        control plane this scenario runs.  Returns rewrite count."""
-        rewrites = 0
-        if self.ldp is not None:
-            ilm, ftn = self.ldp.refresh_node(name)
-            rewrites += ilm + ftn
-        if self.message_ldp is not None:
-            ilm, ftn = self.message_ldp.refresh_node(name)
-            rewrites += ilm + ftn
-        if self.frr is not None:
-            rewrites += self.frr.signaler.refresh_node(name)
-            rewrites += self.frr.refresh_ingress(name)
-        return rewrites
 
     # -- blackhole accounting ------------------------------------------
     def blackholed_now(self) -> List[str]:

@@ -184,11 +184,12 @@ class FastRerouteManager:
         headed at ``name`` (same active LSP; install clears stale
         marks).  The delegation-fallback / controller-resync
         counterpart to :meth:`RSVPTESignaler.refresh_node`.  Returns
-        the number of FTN entries rewritten."""
+        the number of FTN entries rewritten.  The paths re-steer in
+        protection order, the order switchovers and reverts walk them:
+        a FEC two paths carry ends on the later one's active LSP."""
         self._forget_broken()
         writes = 0
-        for key in sorted(self.protected):
-            protected = self.protected[key]
+        for protected in self.protected.values():
             if protected.active_lsp.ingress != name:
                 continue
             self._steer(protected, protected.active_lsp)

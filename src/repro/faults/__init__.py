@@ -23,12 +23,8 @@ from repro.faults.chaos import (
     build_run,
     run_scenario,
 )
-from repro.faults.injector import (
-    FaultInjector,
-    FaultRecord,
-    RestartRecord,
-    SwitchoverRecord,
-)
+from repro.faults.injector import FaultInjector, FaultRecord, RestartRecord
+from repro.faults.planes import SwitchoverRecord
 from repro.faults.scenario import (
     FaultKind,
     FaultSpec,

@@ -34,14 +34,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.device import STRATIX_EP1S40
 from repro.faults.injector import FaultInjector
+from repro.faults.planes import CONTROL_PLANES, ControlPlane
 from repro.faults.scenario import Scenario
-from repro.faults.subsystems import SUBSYSTEMS, Subsystem, _round, _rounded
-from repro.mpls.fec import PrefixFEC
+from repro.faults.subsystems import SUBSYSTEMS, Subsystem, _rounded
 from repro.net.network import MPLSNetwork
 from repro.net.traffic import CBRSource
 from repro.obs import KindCountSink
+from repro.obs.events import round9
 
 
 @dataclass
@@ -53,9 +53,8 @@ class ChaosRun:
     network: MPLSNetwork
     injector: Optional[FaultInjector] = None
     sources: List[CBRSource] = field(default_factory=list)
-    ldp: Any = None
-    message_ldp: Any = None
-    frr: Any = None
+    #: the scenario's ``control`` row, bound to its protocol process
+    control: Optional[ControlPlane] = None
     schedule: List[Any] = field(default_factory=list)
     auditor: Any = None
     oam: Any = None
@@ -116,7 +115,7 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
                 sub.build(run, configs[sub.key])
 
     arm("network")
-    _control_plane(run)
+    run.control = CONTROL_PLANES[scenario.control].build(run)
     for flow in scenario.traffic:
         source = CBRSource(
             network.scheduler,
@@ -133,9 +132,7 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
     arm("sources")
     run.injector = FaultInjector(
         network,
-        ldp=run.ldp,
-        message_ldp=run.message_ldp,
-        frr=run.frr,
+        run.control,
         seed=seed,
         security=run.security,
         controller=run.controller,
@@ -143,45 +140,6 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
     run.schedule = run.injector.apply(scenario, seed)
     arm("injector")
     return run
-
-
-def _control_plane(run: ChaosRun) -> None:
-    """The scenario's ``control`` plane, its FECs announced: each prefix
-    once, at its one egress, however many flows send to it (a
-    multipoint-to-point LSP).  The overload config, when there is one,
-    bounds message-LDP's queues."""
-    scenario, network = run.scenario, run.network
-    topology = network.topology
-    egress_of = {flow.prefix: flow.egress for flow in scenario.traffic}
-    if scenario.control == "ldp":
-        from repro.control.ldp import LDPProcess
-
-        run.ldp = LDPProcess(topology, network.nodes)
-        for prefix, egress in egress_of.items():
-            run.ldp.establish_fec(PrefixFEC(prefix), egress=egress)
-    elif scenario.control == "ldp-messages":
-        from repro.control.ldp_sessions import MessageLDPProcess
-
-        run.message_ldp = MessageLDPProcess(
-            topology,
-            network.nodes,
-            network.scheduler,
-            overload=run.overload,
-        )
-        run.message_ldp.start()
-        for prefix, egress in egress_of.items():
-            run.message_ldp.announce_fec(
-                prefix, PrefixFEC(prefix), egress=egress
-            )
-    else:  # frr
-        from repro.control.frr import FastRerouteManager
-        from repro.control.rsvp_te import RSVPTESignaler
-
-        run.frr = FastRerouteManager(RSVPTESignaler(topology, network.nodes))
-        for lsp in scenario.protection:
-            run.frr.protect(
-                lsp.name, lsp.ingress, lsp.egress, PrefixFEC(lsp.prefix)
-            )
 
 
 @dataclass
@@ -294,7 +252,7 @@ def summarize(
     # / sent-traffic
     delivered = sum(network.delivered_count(s.flow_id) for s in run.sources)
     dropped = network.drop_count()
-    availability = _round(delivered / sent) if sent else None
+    availability = round9(delivered / sent) if sent else None
 
     # packets that died inside a channel (loss, corruption, link-down
     # flush) never reach a node's drop log -- count them from the
@@ -323,10 +281,10 @@ def summarize(
         {
             "kind": r.spec.kind.value,
             "target": r.spec.label,
-            "injected_at": _round(r.injected_at),
-            "healed_at": _round(r.healed_at),
-            "recovered_at": _round(r.recovered_at),
-            "mttr_s": _round(r.mttr),
+            "injected_at": round9(r.injected_at),
+            "healed_at": round9(r.healed_at),
+            "recovered_at": round9(r.recovered_at),
+            "mttr_s": round9(r.mttr),
             "skipped": r.skipped,
             "detail": r.detail,
         }
@@ -362,36 +320,14 @@ def summarize(
                 for r in injector.records
                 if not r.skipped and r.mttr is None
             ),
-            "mean_mttr_s": _round(sum(mttrs) / len(mttrs))
+            "mean_mttr_s": round9(sum(mttrs) / len(mttrs))
             if mttrs
             else None,
-            "max_mttr_s": _round(max(mttrs)) if mttrs else None,
+            "max_mttr_s": round9(max(mttrs)) if mttrs else None,
         },
     }
 
-    if run.frr is not None:
-        clock = STRATIX_EP1S40.clock_hz
-        latencies = [s.latency_s for s in injector.switchovers]
-        report["frr"] = {
-            "switchovers": run.frr.switchovers,
-            "reverts": len(injector.reverts),
-            "switchover_latency_s": [_round(v) for v in latencies],
-            "switchover_latency_cycles": [
-                int(round(v * clock)) for v in latencies
-            ],
-        }
-    if run.message_ldp is not None:
-        mldp = run.message_ldp
-        downtimes = [d for (_, _, _, d) in mldp.sessions_recovered]
-        report["ldp_sessions"] = {
-            "lost": len(mldp.sessions_lost),
-            "recovered": len(mldp.sessions_recovered),
-            "reconnect_attempts": mldp.reconnect_attempts,
-            "abandoned": mldp.reconnects_abandoned,
-            "mean_downtime_s": _round(sum(downtimes) / len(downtimes))
-            if downtimes
-            else None,
-        }
+    report.update(run.control.section())
     if injector.restarts:
         restarts = []
         for restart in injector.restarts:
@@ -406,10 +342,10 @@ def summarize(
             restarts.append(
                 {
                     "node": restart.node,
-                    "began_at": _round(restart.began_at),
-                    "resumed_at": _round(restart.resumed_at),
-                    "hold_time_s": _round(restart.hold_time),
-                    "hold_expired_at": _round(restart.hold_expired_at),
+                    "began_at": round9(restart.began_at),
+                    "resumed_at": round9(restart.resumed_at),
+                    "hold_time_s": round9(restart.hold_time),
+                    "hold_expired_at": round9(restart.hold_expired_at),
                     "stale_marked": {
                         "ilm": restart.ilm_stale_marked,
                         "ftn": restart.ftn_stale_marked,
@@ -424,7 +360,7 @@ def summarize(
                         "ilm": restart.ilm_flushed,
                         "ftn": restart.ftn_flushed,
                     },
-                    "stale_forwarding_s": _round(
+                    "stale_forwarding_s": round9(
                         restart.stale_forwarding_s
                     ),
                     "drops_at_node_during_restart": drops_at_node,

@@ -2,9 +2,10 @@
 
 The injector owns the inject/heal lifecycle of every fault: it drives
 the data plane (:class:`~repro.net.network.MPLSNetwork` link/node
-failures, channel loss/corruption), notifies whichever control planes
-are attached after a configurable *detection delay* (FRR switchover,
-LDP reconvergence, session teardown), and records a
+failures, channel loss/corruption), tells the run's control plane (a
+row of :data:`~repro.faults.planes.CONTROL_PLANES`) after a
+*detection delay* (FRR switchover, LDP reconvergence, session
+teardown), and records a
 :class:`FaultRecord` per fault with injection/heal/recovery times so
 MTTR can be reported.
 
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.faults.planes import NO_PLANE, ControlPlane
 from repro.faults.scenario import (
     FAULT_KINDS,
     FaultSpec,
@@ -85,10 +87,6 @@ class RestartRecord:
     ilm_stale_marked: int = 0
     ftn_stale_marked: int = 0
     resumed_at: Optional[float] = None
-    #: entries still stale right after the post-restart reconvergence
-    #: (converged LDP only; message LDP refreshes over simulated time)
-    ilm_still_stale: Optional[int] = None
-    ftn_still_stale: Optional[int] = None
     hold_expired_at: Optional[float] = None
     ilm_flushed: int = 0
     ftn_flushed: int = 0
@@ -105,19 +103,6 @@ class RestartRecord:
         if self.hold_expired_at is not None:
             return self.hold_expired_at - self.began_at
         return None
-
-
-@dataclass
-class SwitchoverRecord:
-    """One FRR switchover triggered by an injected failure."""
-
-    time: float
-    link: Tuple[str, str]
-    paths: List[str] = field(default_factory=list)
-    #: failure injection -> FTN rewritten (the detection delay plus
-    #: the constant-time switchover itself, which is instantaneous in
-    #: simulated time: a single FTN write)
-    latency_s: float = 0.0
 
 
 def _methods_by_kind(cls):
@@ -153,17 +138,11 @@ class FaultInjector:
     ----------
     network:
         The running domain whose scheduler times everything.
-    ldp:
-        Optional converged :class:`~repro.control.ldp.LDPProcess`;
-        reconverged after each detected topology change.
-    message_ldp:
-        Optional :class:`~repro.control.ldp_sessions.MessageLDPProcess`;
-        its sessions are dropped on link/node faults and by
-        ``ldp-session-drop`` (reconnection is the process's own
-        backoff machinery).
-    frr:
-        Optional :class:`~repro.control.frr.FastRerouteManager`;
-        told about link failures/recoveries after the detection delay.
+    plane:
+        The run's control plane, a bound row of
+        :data:`~repro.faults.planes.CONTROL_PLANES`, told about every
+        detected link or node fault (none: ``NO_PLANE``).  A fault kind
+        whose ``controls`` do not name its row is refused.
     seed:
         Seeds the injector's private RNG (bit positions for
         corruption/bit-flips); independent of the schedule's seed.
@@ -180,26 +159,20 @@ class FaultInjector:
     def __init__(
         self,
         network,
-        ldp=None,
-        message_ldp=None,
-        frr=None,
+        plane: ControlPlane = NO_PLANE,
         seed: int = 0,
         security=None,
         controller=None,
     ) -> None:
         self.network = network
         self.scheduler = network.scheduler
-        self.ldp = ldp
-        self.message_ldp = message_ldp
-        self.frr = frr
+        self.plane = plane
         self.security = security
         self.controller = controller
         self.rng = random.Random((seed << 4) ^ 0xB17F11B)
         self.records: List[FaultRecord] = []
         self.restarts: List[RestartRecord] = []
         self._restarting: Dict[str, RestartRecord] = {}
-        self.switchovers: List[SwitchoverRecord] = []
-        self.reverts: List[Tuple[float, str]] = []
         self.scrub_reports: List[Any] = []
         self.corrupted_packets = 0
         #: link key -> [(time, up)] transition log (True = came up)
@@ -238,9 +211,7 @@ class FaultInjector:
             raise ScenarioError(
                 f"{kind} targets {spec.label}, which is not a link"
             )
-        planes = {"ldp": self.ldp, "ldp-messages": self.message_ldp,
-                  "frr": self.frr}
-        if need.controls and all(planes[c] is None for c in need.controls):
+        if need.controls and self.plane.control not in need.controls:
             feature = f" ({need.feature})" if need.feature else ""
             either = " or ".join(repr(c) for c in need.controls)
             raise ScenarioError(f"{kind}{feature} needs control = {either}")
@@ -261,7 +232,7 @@ class FaultInjector:
                 f"{kind} targets {name!r}, which is not an edge LER: forged "
                 "traffic enters over the trust boundary"
             )
-        if need.queues and not getattr(self.message_ldp, "queues", None):
+        if need.queues and not self.plane.queues:
             raise ScenarioError(
                 f"{kind} needs an 'overload' key: the exception path "
                 "lands in the bounded control queues"
@@ -328,54 +299,24 @@ class FaultInjector:
         self._mark_link(a, b, up=False)
         self.scheduler.after(
             DETECTION_DELAY_S,
-            self._links_lost, record, [(a, b)], f"link {a}-{b} down",
+            self.plane.links_lost, record, [(a, b)], f"link {a}-{b} down",
         )
 
-    def _links_lost(
-        self, record: FaultRecord, links: List[Tuple[str, str]], reason: str
+    def _links_back(
+        self, links: List[Tuple[str, str]], record: FaultRecord
     ) -> None:
-        """The control plane notices ``links`` went down: FRR switches
-        the LSPs over them to their backups, converged LDP reconverges,
-        message LDP drops the sessions that ran over them."""
-        if self.frr is not None:
-            for a, b in links:
-                repaired = self.frr.handle_link_failure(a, b)
-                if repaired:
-                    self.switchovers.append(
-                        SwitchoverRecord(
-                            time=self.scheduler.now,
-                            link=(a, b),
-                            paths=repaired,
-                            latency_s=self.scheduler.now - record.injected_at,
-                        )
-                    )
-        if self.ldp is not None:
-            self.ldp.reconverge()
-        if self.message_ldp is not None:
-            for a, b in links:
-                self.message_ldp.drop_session(a, b, reason=reason)
-
-    def _revert(self, links: List[Tuple[str, str]]) -> None:
-        """Tell FRR ``links`` are back; it reverts LSPs to their primaries."""
-        for a, b in links:
-            for name in self.frr.handle_link_recovery(a, b):
-                self.reverts.append((self.scheduler.now, name))
+        """The control plane notices ``links`` came back: the fault's
+        recovery."""
+        self.plane.links_back(links)
+        self._recovered(record)
 
     def _heal_link_down(self, record: FaultRecord) -> None:
         a, b = record.spec.target
         self.network.restore_link(a, b)
         self._mark_link(a, b, up=True)
         self.scheduler.after(
-            DETECTION_DELAY_S, self._link_heal_detected, a, b, record
+            DETECTION_DELAY_S, self._links_back, [(a, b)], record
         )
-
-    def _link_heal_detected(self, a: str, b: str, record: FaultRecord) -> None:
-        if self.frr is not None:
-            self._revert([(a, b)])
-        if self.ldp is not None:
-            self.ldp.reconverge()
-        # message LDP re-establishes on its own via the backoff retries
-        self._recovered(record)
 
     # -- link loss / corruption -------------------------------------------
     def _inject_link_loss(self, record: FaultRecord) -> None:
@@ -433,11 +374,10 @@ class FaultInjector:
         for a, b in incident:
             self._mark_link(a, b, up=False)
         record.detail = f"{len(incident)} links down"
-        if self.ldp is not None:
-            self.ldp.down_nodes.add(name)
+        self.plane.node_down(name)
         self.scheduler.after(
             DETECTION_DELAY_S,
-            self._links_lost, record, incident, f"node {name} down",
+            self.plane.links_lost, record, incident, f"node {name} down",
         )
 
     def _heal_node_crash(self, record: FaultRecord) -> None:
@@ -450,22 +390,10 @@ class FaultInjector:
         self._mark_node(name, up=True)
         for a, b in restored:
             self._mark_link(a, b, up=True)
-        if self.ldp is not None:
-            self.ldp.down_nodes.discard(name)
+        self.plane.node_up(name)
         self.scheduler.after(
-            DETECTION_DELAY_S, self._restart_detected, restored, record
+            DETECTION_DELAY_S, self._links_back, restored, record
         )
-
-    def _restart_detected(
-        self, restored: List[Tuple[str, str]], record: FaultRecord
-    ) -> None:
-        if self.ldp is not None:
-            # the cold restart cleared the node's tables; reconvergence
-            # re-programs them (and everyone routing through the node)
-            self.ldp.reconverge()
-        if self.frr is not None:
-            self._revert(restored)
-        self._recovered(record)
 
     # -- graceful (warm) restart -------------------------------------------
     def _inject_node_restart(self, record: FaultRecord) -> None:
@@ -474,8 +402,10 @@ class FaultInjector:
             record.skip("node already down or restarting")
             return
         hold_time = record.spec.params.get("hold_time", 0.25)
-        process = self.ldp if self.ldp is not None else self.message_ldp
-        ilm_marked, ftn_marked = process.begin_graceful_restart(name)
+        # either LDP row: the kind's controls name both
+        ilm_marked, ftn_marked = self.plane.process.begin_graceful_restart(
+            name
+        )
         restart = RestartRecord(
             node=name,
             began_at=self.scheduler.now,
@@ -500,18 +430,7 @@ class FaultInjector:
         restart = self._restarting.pop(name, None)
         if restart is None:
             return
-        if self.ldp is not None:
-            still_ilm, still_ftn = self.ldp.complete_graceful_restart(name)
-            restart.ilm_still_stale = still_ilm
-            restart.ftn_still_stale = still_ftn
-            record.detail += (
-                f"; resumed, {still_ilm}+{still_ftn} entries await flush"
-            )
-        else:
-            # the message process re-discovers its peers; refreshes
-            # arrive as sessions re-form over simulated time
-            self.message_ldp.complete_graceful_restart(name)
-            record.detail += "; resumed, sessions re-forming"
+        record.detail += self.plane.resume(name)
         restart.resumed_at = self.scheduler.now
         self._recovered(record)
 
@@ -519,11 +438,7 @@ class FaultInjector:
         """The forwarding-state holding timer: entries stale-marked at
         the restart and never refreshed since are flushed now, at
         exactly ``began_at + hold_time``."""
-        nodes = {restart.node}
-        if self.message_ldp is not None:
-            # helper peers stale-marked their entries routed via the
-            # restarting node; their hold timer is the same one
-            nodes.update(self.network.topology.neighbors(restart.node))
+        nodes = {restart.node, *self.plane.helpers(restart.node)}
         ilm_flushed = ftn_flushed = 0
         tel = self.network.telemetry
         for name in sorted(nodes):
@@ -550,14 +465,14 @@ class FaultInjector:
     # -- LDP session drop ---------------------------------------------------
     def _inject_ldp_session_drop(self, record: FaultRecord) -> None:
         a, b = record.spec.target
-        self.message_ldp.drop_session(a, b)
+        self.plane.process.drop_session(a, b)
         record.detail = "session reset; backoff reconnect armed"
 
     def _backfill_ldp_session_drop(self, record: FaultRecord) -> None:
         # recovery is autonomous: whenever the process's own backoff
         # machinery re-establishes the session
         want = tuple(sorted(record.spec.target))
-        for when, a, b, _downtime in self.message_ldp.sessions_recovered:
+        for when, a, b, _downtime in self.plane.process.sessions_recovered:
             if tuple(sorted((a, b))) == want and when >= record.injected_at:
                 record.recovered_at = when
                 return
@@ -635,20 +550,20 @@ class FaultInjector:
                 label=900_000 + i,
             )
             when = start + self.rng.uniform(0.0, window)
-            self.scheduler.at(when, self.message_ldp.send, msg)
+            self.scheduler.at(when, self.plane.process.send, msg)
         for i in range(hellos):
             msg = LDPMessage(
                 MsgType.HELLO, self.rng.choice(neighbors), target
             )
             when = start + self.rng.uniform(0.0, window)
-            self.scheduler.at(when, self.message_ldp.send, msg)
+            self.scheduler.at(when, self.plane.process.send, msg)
         record.detail = (
             f"{mappings} mappings + {hellos} hellos over {window:g}s"
         )
 
     def _sessions_up(self, node: str) -> bool:
         """Is every LDP session of ``node`` (one per neighbour) up?"""
-        sessions = self.message_ldp.speakers[node].sessions
+        sessions = self.plane.speakers[node].sessions
         neighbors = self.network.topology.neighbors(node)
         return all(n in sessions for n in neighbors)
 
@@ -667,7 +582,7 @@ class FaultInjector:
             return
         times = [
             when
-            for when, a, b, _downtime in self.message_ldp.sessions_recovered
+            for when, a, b, _downtime in self.plane.process.sessions_recovered
             if target in (a, b) and when >= record.injected_at
         ]
         if times:
@@ -690,7 +605,7 @@ class FaultInjector:
         start = self.scheduler.now
         packets = spec.params.get("packets", 40)
         ttl = spec.params.get("ttl", 64)
-        speaker = self.message_ldp.speakers[target]
+        speaker = self.plane.speakers[target]
         fecs = [
             f for f in sorted(speaker.local_labels)
             if not f.startswith("__")
@@ -746,7 +661,7 @@ class FaultInjector:
         self.security.begin_attack(spec.kind.value, spec.label, now)
         forged = session_token(a, b) ^ (1 + self.rng.randrange(0xFFFF))
         msg = LDPMessage(MsgType.SHUTDOWN, a, b, auth=forged)
-        self.message_ldp.send(msg)
+        self.plane.process.send(msg)
         record.detail = f"forged shutdown {a}->{b} with bad auth token"
 
     def _backfill_ldp_hijack(self, record: FaultRecord) -> None:
@@ -773,7 +688,7 @@ class FaultInjector:
         target = spec.target[0]
         monitor = self.security
         now = self.scheduler.now
-        speaker = self.message_ldp.speakers[target]
+        speaker = self.plane.speakers[target]
         node = self.network.nodes[target]
         candidates = []
         for fec_id in sorted(speaker.local_labels):
@@ -798,7 +713,7 @@ class FaultInjector:
             )
             return
         victim, label, nhlfe = candidates[0]
-        peer = self.message_ldp.speakers[nhlfe.next_hop]
+        peer = self.plane.speakers[nhlfe.next_hop]
         imposter = spec.params.get("imposter")
         imposters = [
             f for f in sorted(peer.local_labels)

@@ -151,7 +151,8 @@ class KindContract:
     #: the scenario key the kind needs (a
     #: :data:`~repro.faults.subsystems.KIND_KEYS` name)
     key: Optional[str] = None
-    #: the ``control`` values any one of which the kind needs (empty: any)
+    #: the :data:`~repro.faults.planes.CONTROL_PLANES` rows any one of
+    #: which the kind needs (empty: any)
     controls: Tuple[str, ...] = ()
     #: what those control planes provide, named in the refusal
     feature: str = ""
@@ -252,16 +253,6 @@ FAULT_KINDS: Dict[FaultKind, KindContract] = {
 }
 
 
-def _kinds(test: Callable[[KindContract], bool]) -> frozenset:
-    return frozenset(k for k, c in FAULT_KINDS.items() if test(c))
-
-
-# views of the table
-LINK_KINDS = _kinds(lambda c: c.target == "link")
-SECURITY_KINDS = _kinds(lambda c: c.key == "security")
-CONTROLLER_KINDS = _kinds(lambda c: c.key == "controller")
-FAULT_PARAMS = {kind: {name: p.description for name, p in c.params.items()}
-                for kind, c in FAULT_KINDS.items()}
 #: each kind's params as a read table: an absent or null one is absent
 _PARAMS = {kind: {name: (p.parse, None) for name, p in c.params.items()}
            for kind, c in FAULT_KINDS.items()}
@@ -527,9 +518,10 @@ class Scenario:
     controller: Annotated[_Key, _object("controller")] = None
 
     def __post_init__(self) -> None:
+        from repro.faults.planes import CONTROL_PLANES
         from repro.faults.subsystems import SUBSYSTEMS
 
-        if self.control not in ("ldp", "ldp-messages", "frr"):
+        if self.control not in CONTROL_PLANES:
             raise ScenarioError(f"unknown control plane {self.control!r}")
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")

@@ -38,17 +38,12 @@ from repro.config import (
     read,
 )
 from repro.net.events import EVENT_BUDGET
-
-
-def _round(value: Optional[float]) -> Optional[float]:
-    """Stable float formatting for reports (sub-nanosecond noise would
-    still be deterministic, but rounding keeps diffs readable)."""
-    return None if value is None else round(value, 9)
+from repro.obs.events import round9
 
 
 def _rounded(record: Mapping[str, Any]) -> Dict[str, Any]:
-    """``record`` with every float in it rounded as by :func:`_round`."""
-    return {k: round(v, 9) if isinstance(v, float) else v
+    """``record`` with every float in it rounded as by :func:`round9`."""
+    return {k: round9(v) if isinstance(v, float) else v
             for k, v in record.items()}
 
 
@@ -204,9 +199,7 @@ class Security(Subsystem):
         from repro.security import SecurityMonitor
 
         traffic = run.scenario.traffic
-        monitor = run.security = SecurityMonitor(
-            run.network, cfg, message_ldp=run.message_ldp
-        )
+        monitor = run.security = SecurityMonitor(run.network, cfg, run.control)
         monitor.flows = [
             (flow.prefix, flow.egress, source.flow_id)
             for flow, source in zip(traffic, run.sources)
@@ -288,9 +281,7 @@ class Controller(Subsystem):
         run.controller = PCEController(
             run.network,
             cfg,
-            ldp=run.ldp,
-            message_ldp=run.message_ldp,
-            frr=run.frr,
+            plane=run.control,
             fec_specs=[
                 (PrefixFEC(flow.prefix), flow.ingress, flow.egress)
                 for flow in run.scenario.traffic
@@ -320,11 +311,11 @@ class Controller(Subsystem):
             "restarts": pce.restarts,
             "failovers": [_rounded(f) for f in pce.failovers],
             "readopts": [_rounded(r) for r in pce.readopts],
-            "time_to_failover_s": _round(min(
+            "time_to_failover_s": round9(min(
                 (f["detect_s"] for f in pce.failovers if f["reason"] == "crash"),
                 default=None,
             )),
-            "time_to_readopt_s": _round(max(
+            "time_to_readopt_s": round9(max(
                 (r["restore_s"] for r in pce.readopts), default=None
             )),
             "fecs_orphaned": len(pce.orphaned_ever),
@@ -465,8 +456,8 @@ class Overload(Subsystem):
         return OverloadConfig.from_dict(raw, horizon=scenario.duration)
 
     def build(self, run, cfg):
-        mldp = run.message_ldp
-        if not cfg.enabled or mldp is None:
+        queues = run.control.queues
+        if not cfg.enabled or not queues:
             return
         from repro.control.overload import IngressShedder, ShedEntry
 
@@ -477,9 +468,7 @@ class Overload(Subsystem):
                 )
                 for flow in run.scenario.traffic
             ],
-            pressure=lambda: max(
-                q.fill_fraction for q in mldp.queues.values()
-            ),
+            pressure=lambda: max(q.fill_fraction for q in queues.values()),
             config=cfg,
             scheduler=run.network.scheduler,
         )
@@ -490,8 +479,9 @@ class Overload(Subsystem):
         from repro.control.overload import CLASS_NAMES, MessageClass
 
         section: Dict[str, Any] = {"enabled": run.overload.enabled}
-        mldp = run.message_ldp
-        if mldp is not None and mldp.queues:
+        if run.control.queues:
+            # only message LDP has bounded queues
+            mldp = run.control.process
             queues = list(mldp.queues.values())
             section["queues"] = {
                 "enqueued": sum(q.enqueued for q in queues),
@@ -537,7 +527,7 @@ class Overload(Subsystem):
                 "restore_events": [_rounded(dict(zip(("time", "prefix", "cos"), e)))
                                    for e in shedder.restore_events],
                 "packets_shed": shedder.packets_shed,
-                "recovery_time_s": _round(shedder.recovery_time_s),
+                "recovery_time_s": round9(shedder.recovery_time_s),
             }
         return {"overload": section}
 
@@ -615,7 +605,7 @@ class Flows(Subsystem):
             "top_talkers": accountant.top_talkers(5),
             "matrix_snapshots": len(collector.matrices),
             "peak_link_utilization": [
-                {"src": src, "dst": dst, "utilization": _round(util)}
+                {"src": src, "dst": dst, "utilization": round9(util)}
                 for (src, dst), util in sorted(
                     collector.peak_utilization().items()
                 )

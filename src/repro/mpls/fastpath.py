@@ -65,7 +65,7 @@ from repro.mpls.forwarding import (
     ForwardingEngine,
 )
 from repro.net.addressing import FLOW_WORKING_SET
-from repro.net.packet import IPv4Packet, MPLSPacket
+from repro.net.packet import IPv4Packet, MPLSPacket, _new, _set_inner, _set_stack
 
 #: Default bound on cached decisions per node: each entry is one flow
 #: shape, and the bound is the flow working set the simulator is sized
@@ -274,7 +274,11 @@ class FlowCache:
         if builder == _MPLS_TRANSIT:
             return packet.with_stack(cached.stack)
         if builder == _MPLS_INGRESS:
-            return MPLSPacket(cached.stack, packet.decremented())
+            # slot by slot, as ``with_stack`` builds a transit replay
+            out = _new(MPLSPacket)
+            _set_stack(out, cached.stack)
+            _set_inner(out, packet.decremented())
+            return out
         if builder == _IP_TRANSIT:
             return packet.inner.with_ttl(cached.inner_ttl)
         if builder == _IP_INGRESS:

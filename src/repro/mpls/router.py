@@ -175,7 +175,8 @@ class LSRNode:
         if decision.out_interface is None and decision.next_hop is not None:
             decision = self._fill_interface(decision)
         self.stats.record(decision, count)
-        self.observe(packet, decision, train)
+        if self.telemetry.enabled:
+            self.observe(packet, decision, train)
         return decision
 
     def _forward(
@@ -215,7 +216,8 @@ class LSRNode:
         )
         self.stats.received += 1
         self.stats.record(decision)
-        self.observe(packet, decision)
+        if self.telemetry.enabled:
+            self.observe(packet, decision)
         return decision
 
     def observe(
@@ -226,7 +228,8 @@ class LSRNode:
     ) -> None:
         """Emit the telemetry for one processing step.
 
-        No-op unless the node's telemetry is enabled; the event
+        Called only with the node's telemetry enabled (the caller reads
+        the switch, so a hop with telemetry off makes no call); the event
         stream this produces is what :class:`repro.analysis.tracer.
         NetworkTracer` and ``repro trace`` consume.  A ``train``
         advances the metrics and flow accounting by its exact
@@ -235,8 +238,6 @@ class LSRNode:
         packets instead).
         """
         tel = self.telemetry
-        if not tel.enabled:
-            return
         count = 1 if train is None else train.count
         tel.packets.labels(self.name, decision.action.value).inc(count)
         inner = packet.inner if isinstance(packet, MPLSPacket) else packet

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.obs.events import AlertCleared, AlertRaised
+from repro.obs.events import AlertCleared, AlertRaised, round9
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 _BUILTIN_SIGNALS = (
@@ -52,10 +52,6 @@ _RATE_FAMILIES = {
     "queue-shed-rate": "repro_control_queue_drops_total",
     "slo-breach-rate": "repro_slo_breaches_total",
 }
-
-
-def _round9(value: float) -> float:
-    return round(value, 9)
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,8 @@ class AlertRule:
         return {
             "name": self.name,
             "signal": self.signal,
-            "threshold": _round9(self.threshold),
-            "clear": _round9(self.clear),
+            "threshold": round9(self.threshold),
+            "clear": round9(self.clear),
             "description": self.description,
         }
 
@@ -232,8 +228,8 @@ class AlertEngine:
                         "transition": "raised",
                         "rule": rule.name,
                         "subject": subject,
-                        "time": _round9(now),
-                        "value": _round9(value),
+                        "time": round9(now),
+                        "value": round9(value),
                     }
                 )
                 tel.alert_transitions.labels(rule.name, "raised").inc()
@@ -244,7 +240,7 @@ class AlertEngine:
                     AlertRaised(
                         rule=rule.name,
                         subject=subject,
-                        value=_round9(value),
+                        value=round9(value),
                         threshold=rule.threshold,
                     )
                 )
@@ -259,10 +255,10 @@ class AlertEngine:
                     "transition": "cleared",
                     "rule": rule.name,
                     "subject": subject,
-                    "time": _round9(now),
-                    "value": _round9(value),
-                    "duration": _round9(duration),
-                    "peak": _round9(active.peak),
+                    "time": round9(now),
+                    "value": round9(value),
+                    "duration": round9(duration),
+                    "peak": round9(active.peak),
                 }
             )
             tel.alert_transitions.labels(rule.name, "cleared").inc()
@@ -273,9 +269,9 @@ class AlertEngine:
                 AlertCleared(
                     rule=rule.name,
                     subject=subject,
-                    value=_round9(value),
+                    value=round9(value),
                     clear=rule.clear,
-                    duration=_round9(duration),
+                    duration=round9(duration),
                 )
             )
 
@@ -290,8 +286,8 @@ class AlertEngine:
             {
                 "rule": active.rule.name,
                 "subject": active.subject,
-                "raised_at": _round9(active.raised_at),
-                "peak": _round9(active.peak),
+                "raised_at": round9(active.raised_at),
+                "peak": round9(active.peak),
             }
             for active in sorted(
                 self._active.values(),

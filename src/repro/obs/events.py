@@ -57,6 +57,13 @@ CLOCK_CYCLES = "cycles"
 _V1_CYCLE_KINDS = frozenset({"fsm-transition"})
 
 
+def round9(value: Optional[float]) -> Optional[float]:
+    """The report-stable rounding of every chaos report and export:
+    nine decimals (sub-nanosecond noise would still be deterministic,
+    but rounding keeps diffs readable); None stays None."""
+    return None if value is None else round(value, 9)
+
+
 @dataclass
 class Event:
     """Base record; concrete event types subclass and set ``kind``."""

@@ -51,7 +51,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.events import JSONL_SCHEMA_VERSION
+from repro.obs.events import JSONL_SCHEMA_VERSION, round9
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 #: Flow-record end reasons (the IPFIX taxonomy, plus ours).
@@ -60,11 +60,6 @@ END_ACTIVE = "active-timeout"
 END_EVICTED = "evicted"
 END_TEARDOWN = "teardown"
 END_FINAL = "final"
-
-
-def _round9(value: Optional[float]) -> Optional[float]:
-    """The report-stable rounding used across chaos exports."""
-    return None if value is None else round(value, 9)
 
 
 @dataclass
@@ -101,11 +96,11 @@ class FlowRecord:
             "seq": self.seq,
             "packets": self.packets,
             "bytes": self.bytes,
-            "first_seen": _round9(self.first_seen),
-            "last_seen": _round9(self.last_seen),
+            "first_seen": round9(self.first_seen),
+            "last_seen": round9(self.last_seen),
             "labels": list(self.labels),
             "hw_cycles": self.hw_cycles,
-            "end_time": _round9(self.end_time),
+            "end_time": round9(self.end_time),
             "end_reason": self.end_reason,
         }
 
@@ -132,8 +127,8 @@ class TrafficMatrix:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "time": _round9(self.time),
-            "interval": _round9(self.interval),
+            "time": round9(self.time),
+            "interval": round9(self.interval),
             "demands": [
                 {
                     "ingress": ingress,
@@ -141,14 +136,14 @@ class TrafficMatrix:
                     "fec": fec,
                     "packets": packets,
                     "bytes": nbytes,
-                    "rate_bps": _round9(self.rate_bps(ingress, egress, fec)),
+                    "rate_bps": round9(self.rate_bps(ingress, egress, fec)),
                 }
                 for (ingress, egress, fec), (packets, nbytes) in sorted(
                     self.demands.items()
                 )
             ],
             "link_utilization": [
-                {"src": src, "dst": dst, "utilization": _round9(util)}
+                {"src": src, "dst": dst, "utilization": round9(util)}
                 for (src, dst), util in sorted(self.utilization.items())
             ],
         }

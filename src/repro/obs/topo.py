@@ -653,112 +653,34 @@ class TopologyObserver:
         }
 
     # -- differential verification -------------------------------------------
-    def verify(
-        self,
-        network=None,
-        ldp=None,
-        message_ldp=None,
-        frr=None,
-        registry=None,
-    ) -> List[str]:
+    def verify(self, network, plane, registry=None) -> List[str]:
         """Cross-check the observed database against the ground-truth
-        objects; returns a sorted list of mismatch descriptions (empty
-        means the mirror held)."""
+        objects -- the network, the run's control plane (a row of
+        :data:`~repro.faults.planes.CONTROL_PLANES`, which checks its
+        own part) and the metric registry; returns a sorted list of
+        mismatch descriptions (empty means the mirror held)."""
         problems: List[str] = []
         view = self._view
-        if network is not None:
-            for a, b in self.link_pairs:
-                key = self._link_key(a, b)
-                observed_up = view["links"][key] != "down"
-                actual_up = network.link_is_up(a, b)
-                if observed_up != actual_up:
-                    problems.append(
-                        f"link {key}: observed "
-                        f"{'up' if observed_up else 'down'}, network says "
-                        f"{'up' if actual_up else 'down'}"
-                    )
-            for name in self.node_names:
-                observed_down = view["nodes"][name] == "down"
-                actual_down = name in network._down_nodes
-                if observed_down != actual_down:
-                    problems.append(
-                        f"node {name}: observed "
-                        f"{'down' if observed_down else 'up'}, network "
-                        f"says {'down' if actual_down else 'up'}"
-                    )
-        if message_ldp is not None:
-            for a, b in self.link_pairs:
-                observed = (
-                    view["adjacencies"].get(f"{a}>{b}") == "up"
-                    and view["adjacencies"].get(f"{b}>{a}") == "up"
-                )
-                actual = (
-                    b in message_ldp.speakers[a].sessions
-                    and a in message_ldp.speakers[b].sessions
-                )
-                if observed != actual:
-                    problems.append(
-                        f"adjacency {a}<->{b}: observed "
-                        f"{'up' if observed else 'down'}, speakers say "
-                        f"{'up' if actual else 'down'}"
-                    )
-            for fec_id, state in message_ldp.fecs.items():
-                observed_labels = {
-                    node: entry["label"]
-                    for node, entry in view["fecs"].get(fec_id, {}).items()
-                }
-                if observed_labels != dict(state.advertised):
-                    problems.append(
-                        f"fec {fec_id}: observed bindings "
-                        f"{observed_labels} != advertised "
-                        f"{dict(state.advertised)}"
-                    )
-            for fec_id in view["fecs"]:
-                if fec_id not in message_ldp.fecs:
-                    problems.append(f"fec {fec_id}: observed but unknown")
-        if ldp is not None:
-            expected: Dict[str, Dict[str, Any]] = {}
-            for binding in ldp.bindings:
-                expected[str(binding.fec)] = {
-                    node: {
-                        "label": label,
-                        "next_hop": binding.next_hops.get(node),
-                    }
-                    for node, label in binding.labels.items()
-                }
-            if view["fecs"] != expected:
-                for fec_id in sorted(set(view["fecs"]) | set(expected)):
-                    if view["fecs"].get(fec_id) != expected.get(fec_id):
-                        problems.append(
-                            f"fec {fec_id}: observed "
-                            f"{view['fecs'].get(fec_id)} != bindings "
-                            f"{expected.get(fec_id)}"
-                        )
-        if frr is not None:
-            observed_up = {
-                name
-                for name, entry in view["lsps"].items()
-                if entry["state"] == "up"
-            }
-            actual_up = set(frr.signaler.lsps)
+        for a, b in self.link_pairs:
+            key = self._link_key(a, b)
+            observed_up = view["links"][key] != "down"
+            actual_up = network.link_is_up(a, b)
             if observed_up != actual_up:
                 problems.append(
-                    f"lsps up: observed {sorted(observed_up)} != "
-                    f"signaled {sorted(actual_up)}"
+                    f"link {key}: observed "
+                    f"{'up' if observed_up else 'down'}, network says "
+                    f"{'up' if actual_up else 'down'}"
                 )
-            observed_active = dict(view["frr"])
-            actual_active = {
-                name: p.active for name, p in frr.protected.items()
-            }
-            # a protected path that never switched over has no event;
-            # absence means primary
-            for name in actual_active:
-                observed_active.setdefault(name, "primary")
-            if observed_active != actual_active:
+        for name in self.node_names:
+            observed_down = view["nodes"][name] == "down"
+            actual_down = name in network._down_nodes
+            if observed_down != actual_down:
                 problems.append(
-                    f"frr active paths: observed {observed_active} != "
-                    f"{actual_active}"
+                    f"node {name}: observed "
+                    f"{'down' if observed_down else 'up'}, network "
+                    f"says {'down' if actual_down else 'up'}"
                 )
+        problems.extend(plane.verify(view, self.link_pairs))
         if registry is not None:
             family = registry.get("repro_link_utilization_ratio")
             if family is not None:
@@ -780,9 +702,7 @@ class TopologyObserver:
         if run is not None:
             self.mismatches = self.verify(
                 network=run.network,
-                ldp=run.ldp,
-                message_ldp=run.message_ldp,
-                frr=run.frr,
+                plane=run.control,
                 registry=self._tel.registry if self._tel else None,
             )
             self.verified = not self.mismatches

@@ -164,11 +164,15 @@ class SecurityMonitor:
         self,
         network: Any,
         config: SecurityConfig,
-        message_ldp: Any = None,
+        plane: Any,
     ) -> None:
         self.network = network
         self.config = config
-        self.message_ldp = message_ldp
+        #: the run's control plane (a row of
+        #: :data:`~repro.faults.planes.CONTROL_PLANES`): message LDP's
+        #: sessions carry the auth tokens, its queues take the exception
+        #: punts and its speakers' bindings are the cross-FEC audit's
+        self.plane = plane
         self.attacks: List[AttackRecord] = []
         self._active: Dict[Tuple[str, str], AttackRecord] = {}
         #: forged flow id -> (record, fec prefix) for guard attribution
@@ -191,10 +195,9 @@ class SecurityMonitor:
 
     # -- wiring -------------------------------------------------------------
     def arm(self) -> None:
-        """Attach to the network, the edge nodes and the LDP process."""
+        """Attach to the network, the edge nodes and the control plane."""
         self.network.security_monitor = self
-        if self.message_ldp is not None:
-            self.message_ldp.security = self
+        self.plane.secure(self)
         if self.config.enabled:
             for name in sorted(self.network.nodes):
                 node = self.network.nodes[name]
@@ -356,9 +359,7 @@ class SecurityMonitor:
             detail = f"{limited} exception punt(s) rate-limited at {node}"
             self._detect(record, now, node, detail)
             self._mitigate(record, now, node, "rate-limit", detail)
-        mldp = self.message_ldp
-        if admitted and mldp is not None and getattr(mldp, "queues", None):
-            mldp.exception_load(node, admitted)
+        self.plane.exception_load(node, admitted)
 
     def note_hold_expiry_teardown(
         self, now: float, a: str, b: str, affected: List[str]
@@ -392,12 +393,10 @@ class SecurityMonitor:
         """
         if not self.config.enabled:
             return 0
-        mldp = self.message_ldp
-        if mldp is None:
-            return 0
+        speakers = self.plane.speakers
         quarantined = 0
-        for name in sorted(mldp.speakers):
-            speaker = mldp.speakers[name]
+        for name in sorted(speakers):
+            speaker = speakers[name]
             node = self.network.nodes[name]
             if node.ilm.in_transaction:
                 continue  # mid-reprogram; next pass sees the commit
@@ -408,7 +407,7 @@ class SecurityMonitor:
                 nhlfe = node.ilm.get(label)
                 if nhlfe is None or nhlfe.next_hop is None:
                     continue  # unprogrammed or egress entry
-                peer = mldp.speakers.get(nhlfe.next_hop)
+                peer = speakers.get(nhlfe.next_hop)
                 if peer is None or nhlfe.out_label is None:
                     continue
                 if nhlfe.out_label == peer.local_labels.get(fec_id):

@@ -19,6 +19,7 @@ from repro.control.controller import (
 )
 from repro.control.cspf import CSPFError, cspf_over_view
 from repro.faults import Scenario, run_scenario
+from repro.faults.planes import NO_PLANE
 from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode, RouterRole
@@ -264,5 +265,7 @@ class TestAgentStates:
             (PrefixFEC("10.2.0.0/16"), "ler-b", "ler-a"),
             (PrefixFEC("10.1.0.0/16"), "ler-a", "ler-b"),
         ]
-        ctl = PCEController(network, ControllerConfig(), fec_specs=specs)
+        ctl = PCEController(
+            network, ControllerConfig(), fec_specs=specs, plane=NO_PLANE
+        )
         assert [s[1] for s in ctl.fec_specs] == ["ler-a", "ler-b"]

@@ -209,11 +209,11 @@ class TestSPFMemo:
             "traffic": traffic, "faults": faults,
             "overload": {"enabled": True},
         }), seed=7)
-        lsdb = run.message_ldp.lsdb
+        lsdb = run.control.process.lsdb
         runs = dijkstra_runs(lsdb)
         built_at = run.network.topology.version
         run.network.run(until=duration)
         changes = run.network.topology.version - built_at
         assert changes >= 2 * len(faults) - 8  # the faults really ran
-        assert run.message_ldp.total_messages > 20 * changes
+        assert run.control.process.total_messages > 20 * changes
         assert 0 < len(runs) <= (changes + 1) * n

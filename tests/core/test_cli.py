@@ -102,7 +102,7 @@ class TestCLI:
 
 class TestChaosCLI:
     def test_list_faults_enumerates_the_taxonomy(self, capsys):
-        from repro.faults.scenario import FAULT_PARAMS, FaultKind
+        from repro.faults.scenario import FAULT_KINDS, FaultKind
 
         assert main(["chaos", "--list-faults"]) == 0
         out = capsys.readouterr().out
@@ -112,8 +112,8 @@ class TestChaosCLI:
         assert "link (two nodes)" in out
         assert "node" in out
         assert "adversarial" in out
-        for params in FAULT_PARAMS.values():
-            for name in params:
+        for row in FAULT_KINDS.values():
+            for name in row.params:
                 assert name in out
         assert "(no params)" in out  # ldp-hijack takes none
 

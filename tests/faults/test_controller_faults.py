@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import _render_fault_kinds, cmd_chaos
 from repro.faults import Scenario, ScenarioError, run_scenario
-from repro.faults.scenario import CONTROLLER_KINDS, FAULT_PARAMS, FaultKind
+from repro.faults.scenario import FAULT_KINDS, FaultKind
 from repro.obs import telemetry_session
 
 BASE = {
@@ -44,10 +44,13 @@ def _scenario(**changes):
 
 class TestTaxonomy:
     def test_both_kinds_registered(self):
-        assert FaultKind.CONTROLLER_CRASH in FAULT_PARAMS
-        assert FaultKind.CONTROLLER_PARTITION in FAULT_PARAMS
-        assert FaultKind.CONTROLLER_CRASH in CONTROLLER_KINDS
-        assert FaultKind.CONTROLLER_PARTITION in CONTROLLER_KINDS
+        controller_kinds = {
+            k for k, row in FAULT_KINDS.items() if row.key == "controller"
+        }
+        assert FaultKind.CONTROLLER_CRASH in FAULT_KINDS
+        assert FaultKind.CONTROLLER_PARTITION in FAULT_KINDS
+        assert FaultKind.CONTROLLER_CRASH in controller_kinds
+        assert FaultKind.CONTROLLER_PARTITION in controller_kinds
 
     def test_list_faults_renders_both(self):
         rendered = _render_fault_kinds()

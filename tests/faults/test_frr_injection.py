@@ -49,7 +49,7 @@ def _frr_scenario(**overrides):
 
 def _primary_core_link(run):
     """The first core link of the protected primary path."""
-    protected = run.frr.protected["p1"]
+    protected = run.control.process.protected["p1"]
     return tuple(protected.primary.path[1:3])
 
 
@@ -68,9 +68,9 @@ class TestSwitchoverUnderInjection:
 
     def test_backup_within_cycle_budget(self):
         run = self._run_with_failure()
-        assert run.frr.switchovers == 1
-        assert len(run.injector.switchovers) == 1
-        switchover = run.injector.switchovers[0]
+        assert run.control.process.switchovers == 1
+        assert len(run.control.switchovers) == 1
+        switchover = run.control.switchovers[0]
         assert switchover.paths == ["p1"]
         assert switchover.latency_s == pytest.approx(DETECTION)
         cycles = int(round(
@@ -99,12 +99,12 @@ class TestSwitchoverUnderInjection:
 
     def test_revert_restores_primary_on_heal(self):
         run = self._run_with_failure()
-        protected = run.frr.protected["p1"]
+        protected = run.control.process.protected["p1"]
         assert protected.active == "primary", (
             "heal detection must revert the protected path"
         )
-        assert run.injector.reverts, "no revert was recorded"
-        revert_time, name = run.injector.reverts[0]
+        assert run.control.reverts, "no revert was recorded"
+        revert_time, name = run.control.reverts[0]
         assert name == "p1"
         assert revert_time == pytest.approx(0.7 + DETECTION)
         # the ingress pushes the primary's first label again
@@ -120,7 +120,7 @@ class TestSwitchoverUnderInjection:
         """Kill the primary, then the backup too: the FEC is stranded
         until the primary heals, at which point recovery steers back."""
         run = build_run(_frr_scenario(duration=1.4), seed=3)
-        protected = run.frr.protected["p1"]
+        protected = run.control.process.protected["p1"]
         pa, pb = _primary_core_link(run)
         # the backup's first core link
         ba, bb = tuple(protected.backup.path[1:3])

@@ -15,6 +15,8 @@ from repro.faults import (
 )
 from repro.faults.chaos import build_run, run_scenario
 from repro.faults.injector import FaultInjector
+from repro.faults.planes import CONTROL_PLANES, ConvergedLDP
+from repro.faults.scenario import FAULT_KINDS
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.router import RouterRole
 from repro.net.network import MPLSNetwork
@@ -32,6 +34,36 @@ def _network():
     ldp = LDPProcess(topology, network.nodes)
     ldp.establish_fec(PrefixFEC("10.2.0.0/16"), egress="ler-b")
     return network, ldp
+
+
+#: the fault kinds a run needs a control plane for
+PLANE_KINDS = [kind for kind, row in FAULT_KINDS.items() if row.controls]
+
+
+def _value(param):
+    return getattr(param, "value", param)
+
+
+def _needing(kind, control):
+    """A scenario with one ``kind`` fault, run under ``control``."""
+    row = FAULT_KINDS[kind]
+    doc = {
+        "name": "bad",
+        "topology": {"kind": "paper_figure1"},
+        "control": control,
+        "traffic": [
+            {"ingress": "ler-a", "egress": "ler-b", "prefix": "10.2.0.0/16",
+             "src": "10.1.0.5", "dst": "10.2.0.9"}
+        ],
+        "faults": [{
+            "at": 0.1, "kind": kind.value,
+            "target": ["ler-a", "lsr-1"] if row.target == "link" else "ler-a",
+        }],
+        "protection": [{"name": "p1", "ingress": "ler-a", "egress": "ler-b"}],
+    }
+    if row.key is not None:
+        doc[row.key] = {}
+    return Scenario.from_dict(doc)
 
 
 def _flow(network, rate_bps=2e6, stop=1.0):
@@ -54,7 +86,7 @@ class TestWarmRestart:
         nothing at all -- the defining property of graceful restart."""
         network, ldp = _network()
         source = _flow(network, stop=0.8)
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.NODE_RESTART, at=0.2,
@@ -80,7 +112,7 @@ class TestWarmRestart:
         """A control plane that never comes back: stale entries keep
         forwarding until began_at + hold_time, then vanish."""
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.NODE_RESTART, at=0.1,
@@ -113,7 +145,7 @@ class TestWarmRestart:
     def test_forwarding_survives_until_flush_then_drops(self):
         network, ldp = _network()
         source = _flow(network, stop=0.6)
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.NODE_RESTART, at=0.1,
@@ -128,29 +160,27 @@ class TestWarmRestart:
         assert network.drops
         assert all(t >= 0.35 for t in network.drops.time)
 
-    def test_restart_needs_a_label_distribution_protocol(self):
+    @pytest.mark.parametrize("kind", PLANE_KINDS, ids=_value)
+    def test_restart_needs_a_label_distribution_protocol(self, kind):
+        """Every kind that needs a control plane -- a graceful restart
+        the LDP rows, the session and attack kinds message LDP -- is
+        refused by an injector with no plane, naming the kind."""
         network, _ = _network()
-        injector = FaultInjector(network)  # no ldp, no message_ldp
-        scenario = Scenario.from_dict(
-            {
-                "name": "bad",
-                "topology": {"kind": "paper_figure1"},
-                "traffic": [
-                    {"ingress": "ler-a", "egress": "ler-b",
-                     "prefix": "10.2.0.0/16",
-                     "src": "10.1.0.5", "dst": "10.2.0.9"}
-                ],
-                "faults": [
-                    {"at": 0.1, "kind": "node-restart", "target": "lsr-1"}
-                ],
-            }
-        )
-        with pytest.raises(ScenarioError):
-            injector.apply(scenario)
+        injector = FaultInjector(network)  # no plane
+        with pytest.raises(ScenarioError, match=f"^{kind.value} .*needs control = "):
+            injector.apply(_needing(kind, "ldp"))
+
+    @pytest.mark.parametrize("kind,control", [
+        (kind, control) for kind in PLANE_KINDS for control in CONTROL_PLANES
+        if control not in FAULT_KINDS[kind].controls
+    ], ids=_value)
+    def test_a_kind_is_refused_under_the_wrong_plane(self, kind, control):
+        with pytest.raises(ScenarioError, match=f"^{kind.value} .*needs control = "):
+            build_run(_needing(kind, control))
 
     def test_double_restart_skips(self):
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.NODE_RESTART, at=0.1,
@@ -210,13 +240,44 @@ class TestMessageLDPWarmRestart:
         assert not run.network.drops
 
 
+    def test_the_hold_timer_flushes_the_helpers_too(self):
+        """A restart that never resumes: at hold-timer expiry the helper
+        peers' entries routed via the restarting node are flushed with
+        its own (ler-a's ILM and FTN entries via lsr-1)."""
+        scenario = Scenario.from_dict({
+            "name": "gr-helpers",
+            "topology": {"kind": "paper_figure1"},
+            "control": "ldp-messages",
+            "duration": 1.0,
+            "traffic": [
+                {"ingress": "ler-a", "egress": "ler-b",
+                 "prefix": "10.2.0.0/16", "src": "10.1.0.5",
+                 "dst": "10.2.0.9", "start": 0.3, "stop": 0.9}
+            ],
+            "faults": [
+                {"at": 0.4, "kind": "node-restart", "target": "lsr-1",
+                 "hold_time": 0.2}
+            ],
+        })
+        run = build_run(scenario, seed=3)
+        run.network.run(until=0.55)
+        ler_a = run.network.nodes["ler-a"]
+        assert ler_a.ilm.stale_labels() and ler_a.ftn.stale_fecs()
+        run.network.run(until=scenario.duration)
+        restart = run.injector.restarts[0]
+        assert (restart.ilm_flushed, restart.ftn_flushed) == (2, 1)
+        for name, node in run.network.nodes.items():
+            assert not node.ilm.stale_labels(), name
+            assert not node.ftn.stale_fecs(), name
+
+
 class TestAdjacentCrashRestarts:
     def test_shared_link_stays_down_until_both_restart(self):
         """Regression for the injector/network disagreement on shared
         crash links: restarting one of two adjacent crashed nodes must
         not mark (or restore) the link between them."""
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.NODE_CRASH, at=0.1,

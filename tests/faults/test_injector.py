@@ -8,6 +8,7 @@ from repro.control.ldp import LDPProcess
 from repro.faults import FaultKind, FaultSpec, Scenario, ScenarioError
 from repro.faults.chaos import build_run, run_scenario
 from repro.faults.injector import SPOOFED_SRC, WINDOW_S, FaultInjector
+from repro.faults.planes import ConvergedLDP
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.router import RouterRole
 from repro.net.network import MPLSNetwork
@@ -46,7 +47,7 @@ class TestLinkDown:
     def test_outage_and_reconvergence(self):
         network, ldp = _network()
         source = _flow(network)
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         record = injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.LINK_DOWN,
@@ -68,7 +69,7 @@ class TestLinkDown:
 
     def test_double_injection_skips(self):
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.LINK_DOWN, at=0.1,
@@ -91,7 +92,7 @@ class TestLinkLossAndCorruption:
     def test_loss_window_loses_packets(self):
         network, ldp = _network()
         source = _flow(network)
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.LINK_LOSS, at=0.2,
@@ -108,7 +109,7 @@ class TestLinkLossAndCorruption:
     def test_corruption_flips_labels(self):
         network, ldp = _network()
         source = _flow(network)
-        injector = FaultInjector(network, ldp=ldp, seed=3)
+        injector = FaultInjector(network, ConvergedLDP(ldp), seed=3)
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.LINK_CORRUPT, at=0.1,
@@ -141,7 +142,7 @@ class TestNodeCrash:
     def test_crash_restart_reprograms_cold_tables(self):
         network, ldp = _network()
         source = _flow(network)
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(
                 kind=FaultKind.NODE_CRASH, at=0.3,
@@ -164,7 +165,7 @@ class TestNodeCrash:
 
     def test_down_node_drops_in_flight(self):
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         injector.schedule_fault(
             FaultSpec(kind=FaultKind.NODE_CRASH, at=0.0, target=("lsr-1",))
         )
@@ -176,7 +177,7 @@ class TestNodeCrash:
 class TestValidation:
     def test_unknown_target_rejected(self):
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         scenario = Scenario.from_dict(
             {
                 "name": "bad",
@@ -196,7 +197,7 @@ class TestValidation:
 
     def test_session_drop_needs_message_ldp(self):
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         scenario = Scenario.from_dict(
             {
                 "name": "bad",
@@ -217,7 +218,7 @@ class TestValidation:
 
     def test_bitflip_needs_hardware_node(self):
         network, ldp = _network()
-        injector = FaultInjector(network, ldp=ldp)
+        injector = FaultInjector(network, ConvergedLDP(ldp))
         scenario = Scenario.from_dict(
             {
                 "name": "bad",

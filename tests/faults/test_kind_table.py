@@ -19,6 +19,7 @@ import pytest
 from repro.cli import main
 from repro.faults import FaultKind, Scenario, ScenarioError, build_run
 from repro.faults.injector import FaultInjector
+from repro.faults.planes import NO_PLANE
 from repro.faults.scenario import FAULT_KINDS
 from repro.obs import telemetry_session
 
@@ -168,8 +169,8 @@ def test_every_refusal_keeps_its_text(doc, where, message):
         assert where != "build", "the run was built"
         # a run built from a file always has the key's subsystem: only
         # a hand-made injector can lack it
-        message_ldp = run.message_ldp if "monitor" in where else None
-        FaultInjector(run.network, message_ldp=message_ldp).apply(scenario)
+        plane = run.control if "monitor" in where else NO_PLANE
+        FaultInjector(run.network, plane).apply(scenario)
     assert str(exc.value) == message
 
 

@@ -47,8 +47,8 @@ CORE_FIELDS = {
 }
 #: the ChaosRun attributes that hold no subsystem
 CORE_RUN = {
-    "scenario", "seed", "network", "injector", "sources", "ldp",
-    "message_ldp", "frr", "schedule", "telemetry", "armed",
+    "scenario", "seed", "network", "injector", "sources", "control",
+    "schedule", "telemetry", "armed",
 }
 #: scenario key -> the report sections arming it adds
 SECTIONS = {

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.control.ldp import LDPProcess
 from repro.control.overload import IngressShedder, OverloadConfig, ShedEntry
 from repro.core.hwnode import HardwareLSRNode
+from repro.faults.planes import NO_PLANE
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.label import LabelEntry, LabelOp
 from repro.mpls.nhlfe import NHLFE
@@ -104,7 +105,7 @@ class _Run:
         if outcome == "php":
             pop_at_penultimate_hop(binding, net.nodes)
         net.enable_batching()
-        self.monitor = SecurityMonitor(net, SecurityConfig())
+        self.monitor = SecurityMonitor(net, SecurityConfig(), NO_PLANE)
         self.monitor.arm()
         self.shedder = IngressShedder(
             [ShedEntry(PREFIX, 0, "ler-a")],

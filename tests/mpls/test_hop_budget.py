@@ -27,7 +27,7 @@ from repro.net.topology import paper_figure1
 
 #: Python calls per flow-cache-hit train-hop over the four nodes of
 #: the path (ingress, two LSRs, egress)
-CALLS_PER_HIT_HOP = 26.5
+CALLS_PER_HIT_HOP = 25.25
 
 #: the calls a run makes once, whatever it carries: ``MPLSNetwork.run``
 #: and ``EventScheduler.run``

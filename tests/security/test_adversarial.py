@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.faults import Scenario, ScenarioError, run_scenario
-from repro.faults.scenario import FAULT_PARAMS, SECURITY_KINDS, FaultKind
+from repro.faults.scenario import FAULT_KINDS, FaultKind
 from repro.obs import telemetry_session
 
 EXAMPLES_DIR = os.path.join(
@@ -65,11 +65,13 @@ class TestScenarioParsing:
             FaultKind.XCONNECT_LEAK,
             FaultKind.TTL_FLOOD,
         }
-        assert {k.value for k in kinds} == set(SECURITY_KINDS)
+        assert {k.value for k in kinds} == {
+            k for k, row in FAULT_KINDS.items() if row.key == "security"
+        }
         assert scenario.security == {"enabled": True}
 
     def test_every_kind_has_a_param_table(self):
-        assert set(FAULT_PARAMS) == {k.value for k in FaultKind}
+        assert set(FAULT_KINDS) == {k.value for k in FaultKind}
 
     def test_misspelled_param_rejected(self):
         # the classic typo: 'losss' on a link-loss fault must not be
