@@ -1,20 +1,22 @@
-"""Batched fast path vs the scalar oracle: wall-clock throughput.
+"""Trains vs per-packet traffic: wall-clock throughput.
 
-Two legs over the Figure 1 domain:
+Every node forwards through its flow cache, so both legs of each
+comparison run the one data plane; what differs is how the demand is
+offered.  Two comparisons over the Figure 1 domain:
 
 * **e2e load leg** -- the same below-capacity CBR demand as the e2e
-  load benchmark, run once per mode.  The batched mode rides flow
-  aggregates (one event per train per hop, flow-cache replay at each
-  node) and must beat the per-packet scalar path by >= 5x.
+  load benchmark, offered once packet by packet and once as flow
+  aggregates (one event per train per hop, one cache replay per train
+  at each node).  Trains must beat packets by >= 5x.
 * **100k-concurrent-flow leg** -- 100,000 distinct flows each send a
-  16-packet train as one aggregate.  The scalar cost of the *same*
+  16-packet train as one aggregate.  The per-packet cost of the *same*
   demand is measured on a 5,000-flow subsample and scaled linearly
-  (running all 100k flows packet-by-packet takes minutes by
-  construction -- that ceiling is what the batched path removes).
+  (running all 100k flows packet by packet takes minutes by
+  construction -- that ceiling is what trains remove).
 
-The headline number lands in ``BENCH_batched_vs_scalar.json``;
-behavioral equivalence between the modes is proven separately by
-``tests/integration/test_batching_equivalence.py``.
+The headline number lands in ``BENCH_batched_vs_scalar.json``; that
+trains count exactly what their packets would is proven separately by
+``tests/integration/test_train_equivalence.py``.
 """
 
 import time
@@ -63,10 +65,9 @@ def _timed_run(net, until):
     return time.perf_counter() - start
 
 
-def _e2e_leg(batching):
+def _e2e_leg(trains):
     net = _network(LINK_BPS)
-    if batching:
-        net.enable_batching()
+    if trains:
         source = AggregateCBRSource(
             net.scheduler, net.aggregate_sink("ler-a"),
             src="10.1.0.5", dst="10.2.0.9", rate_bps=RATE_BPS,
@@ -97,9 +98,8 @@ def _flow_packet(i, seq=0):
     )
 
 
-def _scale_leg_batched():
+def _scale_leg_trains():
     net = _network(SCALE_LINK_BPS)
-    net.enable_batching()
     sink = net.aggregate_sink("ler-a")
     for i in range(FLOWS):
         aggregate = FlowAggregate(template=_flow_packet(i), count=TRAIN)
@@ -110,7 +110,7 @@ def _scale_leg_batched():
     return elapsed
 
 
-def _scale_leg_scalar_sample():
+def _scale_leg_packet_sample():
     net = _network(SCALE_LINK_BPS)
     sink = net.source_sink("ler-a")
     for i in range(SAMPLE_FLOWS):
@@ -124,45 +124,45 @@ def _scale_leg_scalar_sample():
     return elapsed
 
 
-def test_batched_vs_scalar(benchmark):
+def test_trains_vs_packets(benchmark):
     def run():
         # a fresh, disabled telemetry: whatever an earlier test left on
         # the process default (a chaos run built and never finished
         # leaves it enabled, with sinks and a flow accountant attached)
         # would tax the legs unevenly
         with telemetry_session(enabled=False):
-            scalar_sent, scalar_s = _e2e_leg(batching=False)
-            batched_sent, batched_s = _e2e_leg(batching=True)
-            assert batched_sent == scalar_sent
-            e2e_speedup = scalar_s / batched_s
+            packet_sent, packet_s = _e2e_leg(trains=False)
+            train_sent, train_s = _e2e_leg(trains=True)
+            assert train_sent == packet_sent
+            e2e_speedup = packet_s / train_s
 
-            sample_s = _scale_leg_scalar_sample()
-            scalar_100k_est = sample_s * (FLOWS / SAMPLE_FLOWS)
-            batched_100k = _scale_leg_batched()
-        scale_speedup = scalar_100k_est / batched_100k
+            sample_s = _scale_leg_packet_sample()
+            packet_100k_est = sample_s * (FLOWS / SAMPLE_FLOWS)
+            train_100k = _scale_leg_trains()
+        scale_speedup = packet_100k_est / train_100k
         return {
-            "e2e": (scalar_sent, scalar_s, batched_s, e2e_speedup),
-            "scale": (sample_s, scalar_100k_est, batched_100k,
+            "e2e": (packet_sent, packet_s, train_s, e2e_speedup),
+            "scale": (sample_s, packet_100k_est, train_100k,
                       scale_speedup),
         }
 
     results = benchmark.pedantic(run, iterations=1, rounds=1)
-    sent, scalar_s, batched_s, e2e_speedup = results["e2e"]
-    sample_s, scalar_est, batched_100k, scale_speedup = results["scale"]
+    sent, packet_s, train_s, e2e_speedup = results["e2e"]
+    sample_s, packet_est, train_100k, scale_speedup = results["scale"]
     packets = FLOWS * TRAIN
     emit(
         "batched_vs_scalar",
         render_table(
-            ["leg", "packets", "scalar s", "batched s", "speedup"],
+            ["leg", "packets", "per-packet s", "trains s", "speedup"],
             [
-                ["e2e CBR load", sent, f"{scalar_s:.3f}",
-                 f"{batched_s:.3f}", f"{e2e_speedup:.1f}x"],
+                ["e2e CBR load", sent, f"{packet_s:.3f}",
+                 f"{train_s:.3f}", f"{e2e_speedup:.1f}x"],
                 [f"{FLOWS // 1000}k flows x {TRAIN}", packets,
-                 f"{scalar_est:.1f} (est)", f"{batched_100k:.3f}",
+                 f"{packet_est:.1f} (est)", f"{train_100k:.3f}",
                  f"{scale_speedup:.1f}x"],
             ],
-            title="Batched fast path vs per-packet scalar oracle "
-            "(wall clock)",
+            title="Trains vs per-packet traffic, both through the flow "
+            "caches (wall clock)",
         ),
     )
     emit_json(
@@ -173,8 +173,8 @@ def test_batched_vs_scalar(benchmark):
         seed=None,
         concurrent_flows=FLOWS,
         train_length=TRAIN,
-        scalar_sample_flows=SAMPLE_FLOWS,
-        batched_pps=round(packets / batched_100k),
+        packet_sample_flows=SAMPLE_FLOWS,
+        train_pps=round(packets / train_100k),
         e2e_speedup=round(e2e_speedup, 1),
     )
     assert e2e_speedup >= 5

@@ -10,7 +10,7 @@ cost model.
 """
 
 from benchmarks._util import emit, emit_json
-from repro.analysis.report import render_series, render_table
+from repro.analysis.report import render_series
 from repro.control.ldp import LDPProcess
 from repro.core.timing import SoftwareCostModel
 from repro.mpls.fec import PrefixFEC

@@ -5,9 +5,9 @@ disabled, a packet costs exactly one read of the object's own telemetry
 reference (resolved once, when the object was built) and one
 ``enabled`` boolean per instrumentation site, and nothing is emitted.
 Span tracing (PR 4) and flow accounting (PR 6) must ride inside that
-budget -- the capture gates short-circuit on the same boolean the
-cycle-delta block reads, and the flow hooks only test ``tel.flows``
-after that boolean has already passed.
+budget -- the capture gate short-circuits on the absent recorder, and
+the flow hooks only test ``tel.flows`` after the boolean has already
+passed.
 
 This bench proves it with a :class:`Telemetry` subclass that counts
 every read of ``enabled``, made the default before the network is built
@@ -28,9 +28,10 @@ from repro.net.traffic import CBRSource
 from repro.obs.telemetry import Telemetry, set_telemetry
 
 #: Audited ``enabled`` reads per node-receive with telemetry disabled:
-#: one in ``HardwareLSRNode._forward``, the ladder step it overrides
-#: (shared by the span-capture gate and the cycle-delta block), and one
-#: in ``LSRNode.observe``.
+#: one in ``FlowCache.process`` (a hit's replay publishes by the flag
+#: its measured pass recorded, so it reads none) and one at the
+#: ``LSRNode.observe`` gate in ``receive``; the span-capture gate reads
+#: none without a recorder.  A cache miss adds its measured pass's read.
 READS_PER_RECEIVE = 2
 
 #: Audited reads charged per packet-hop by the network layer around the

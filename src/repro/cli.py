@@ -451,6 +451,9 @@ def cmd_chaos(
     ``controller="on"``): each one given arms its row whatever the file
     says -- the auditor at that period; overload protection, the
     security guards or the PCE switched on, or off for the baseline.
+    ``batching`` (``--batching on|off``) is accepted and ignored: every
+    node forwards through its flow cache.  It stays because the
+    benchmark harness passes it (``benchmarks/perf/probes.py:701``).
     """
     from repro.faults.subsystems import FLAGS
 
@@ -469,7 +472,7 @@ def cmd_chaos(
         for name, value in overrides.items()
         if value is not None
     }
-    ran = _run(scenario, armed, seed=seed, batching=(batching == "on"))
+    ran = _run(scenario, armed, seed=seed)
     if ran is None:
         return 1
     loaded, report = ran
@@ -696,7 +699,6 @@ def cmd_topo(
     action: str = "show",
     times: Optional[List[float]] = None,
     seed: int = 0,
-    batching: Optional[str] = None,
     export: Optional[str] = None,
     dot: Optional[str] = None,
 ) -> int:
@@ -715,8 +717,7 @@ def cmd_topo(
     times = times or []
     # the observer is the point of this command: force it on even when
     # the scenario file has no 'topo' key
-    ran = _run(scenario, {"topo": {}}, seed=seed,
-               batching=(batching == "on"))
+    ran = _run(scenario, {"topo": {}}, seed=seed)
     if ran is None:
         return 1
     _, report = ran
@@ -811,9 +812,6 @@ QUICKSTART_OR_FILE = arg(
 )
 SEED = arg("--seed", type=int, default=0,
            help="seed for the randomized fault schedule (default 0)")
-BATCHING = arg("--batching", choices=["on", "off"],
-               help="run the data plane on the batched fast path; the "
-               "output is byte-identical to the scalar run (default: off)")
 FLOW = arg("--flow", metavar="ID", type=int, action="append", dest="flows",
            help="restrict to this flow id (repeatable)")
 
@@ -848,7 +846,9 @@ COMMANDS: Tuple[Command, ...] = (
         arg("-o", "--output", metavar="FILE",
             help="write the JSON report to FILE instead of stdout"),
         OVERRIDES,
-        BATCHING,
+        arg("--batching", choices=["on", "off"],
+            help="accepted and ignored: every node forwards through its "
+            "flow cache (kept for existing scripts)"),
         arg("--list-faults", action="store_true",
             help="list the fault kinds, their targets and params, then exit"),
     )),
@@ -888,7 +888,6 @@ COMMANDS: Tuple[Command, ...] = (
         arg("times", nargs="*", type=float,
             help="timestamps for 'at' (one) and 'diff' (two)"),
         SEED,
-        BATCHING,
         arg("--export", metavar="FILE",
             help="write the queried view as JSON (byte-stable)"),
         arg("--dot", metavar="FILE",

@@ -57,10 +57,10 @@ passes (fast): a hop decided without the modifier counts in neither.
 A pass the modifier discards although the contract forwards is a pair
 the information base lost (a soft error a scrub repairs), named as a
 miss.  The node overrides the ladder's forwarding step -- sync, then
-the pass, or while batching the
-:class:`~repro.mpls.fastpath.FlowCache`, which memoizes it (the node
-is its own engine) -- and :meth:`observe`, which hands a span-sampled
-pass's phases over after the hop event.  The node advances no
+the :class:`~repro.mpls.fastpath.FlowCache`, which memoizes the pass
+(the node is its own engine), or the pass itself for a span-sampled
+packet -- and :meth:`observe`, which hands that pass's phases over
+after the hop event.  The node advances no
 :class:`~repro.mpls.forwarding.OpCounts`, mirrors no
 ``repro_mpls_ops_total`` and emits no ``LabelOpApplied``.
 
@@ -89,6 +89,7 @@ from repro.hw.model import (
     ModifierBackend,
     ScrubReport,
 )
+from repro.mpls.fastpath import FlowCache
 from repro.mpls.forwarding import (
     EMPTY_STACK,
     Action,
@@ -186,6 +187,7 @@ class HardwareLSRNode(LSRNode):
         #: software op counts it never advances stay zero
         self.engine = self
         self.counts = OpCounts()
+        self.flow_cache = FlowCache(self)
 
     # -- information-base synchronization ---------------------------------
     def _sync_info_base(self) -> None:
@@ -326,33 +328,20 @@ class HardwareLSRNode(LSRNode):
     ) -> ForwardingDecision:
         """The ladder's forwarding step: bring the information base up
         to date, then decide.  Span capture is decided head-of-packet
-        (one read of the node's own telemetry reference and one boolean
-        when telemetry is off, shared with the cycle publication;
+        (without a recorder, one read of the node's own telemetry
+        reference and no ``enabled`` read;
         benchmarks/test_bench_obs_overhead.py counts the reads): a packet
-        a recorder wants takes a real pass, since a replay has no phases
-        to give, and :meth:`observe` hands them over.  Anything else
-        takes the flow cache while batching."""
+        a recorder wants takes a measured pass, since a replay has no
+        phases to give, and :meth:`observe` hands them over.  Anything
+        else takes the flow cache."""
         self._sync_info_base()
         tel = self.telemetry
-        tel_enabled = tel.enabled
-        labelled = isinstance(packet, MPLSPacket)
-        inner = packet.inner if labelled else packet
-        if (
-            train is None
-            and tel_enabled
-            and tel.spans is not None
-            and tel.spans.wants(inner.flow_id, inner.uid)
-        ):
-            self._phase_log = []
-        elif self.flow_cache is not None:
-            return self.flow_cache.process(packet, count)
-        if labelled:
-            decision = self._hw_transit(packet)
-        else:
-            decision = self._hw_ingress(packet)
-        if tel_enabled:
-            self._publish_cycles(tel, inner.flow_id)
-        return decision
+        if train is None and tel.spans is not None and tel.enabled:
+            inner = packet.inner if isinstance(packet, MPLSPacket) else packet
+            if tel.spans.wants(inner.flow_id, inner.uid):
+                self._phase_log = []
+                return self.measure(packet)[0]
+        return self.flow_cache.process(packet, count)
 
     def observe(
         self,
@@ -381,9 +370,10 @@ class HardwareLSRNode(LSRNode):
 
     def measure(
         self, packet: Union[IPv4Packet, MPLSPacket]
-    ) -> Tuple[ForwardingDecision, Tuple[int, int, int]]:
+    ) -> Tuple[ForwardingDecision, Tuple[int, int, int, bool]]:
         """One pass, its data cycles published as one packet's cost, and
-        its deltas: data cycles, fast- and slow-path packets."""
+        its deltas: data cycles, fast- and slow-path packets, and
+        whether the pass published (telemetry was on)."""
         cycles, fast, slow = (
             self.hw_data_cycles,
             self.fast_path_packets,
@@ -396,27 +386,31 @@ class HardwareLSRNode(LSRNode):
             decision = self._hw_ingress(packet)
             flow_id = packet.flow_id
         tel = self.telemetry
-        if tel.enabled:
+        published = tel.enabled
+        if published:
             self._publish_cycles(tel, flow_id)
         return decision, (
             self.hw_data_cycles - cycles,
             self.fast_path_packets - fast,
             self.slow_path_packets - slow,
+            published,
         )
 
     def replay(
         self,
         packet: Union[IPv4Packet, MPLSPacket],
-        delta: Tuple[int, int, int],
+        delta: Tuple[int, int, int, bool],
         times: int,
         events: bool,
     ) -> None:
         """Advance the counters as ``times`` more packets through the
         measured pass: its data cycles and path counts, one per-packet
-        cycle sample each, and the level-1 LRU touch a fast-path
-        ingress makes (or eviction order would diverge).  A hardware
-        pass records no events to emit again."""
-        cycles, fast, slow = delta
+        cycle sample each if the pass published one (the cache replays
+        a pass only under the telemetry state it was measured in, so
+        the switch is not read again), and the level-1 LRU touch a
+        fast-path ingress makes (or eviction order would diverge).  A
+        hardware pass records no events to emit again."""
+        cycles, fast, slow, published = delta
         self.fast_path_packets += fast * times
         self.slow_path_packets += slow * times
         if isinstance(packet, IPv4Packet):
@@ -427,11 +421,10 @@ class HardwareLSRNode(LSRNode):
         else:
             flow_id = packet.inner.flow_id
         tel = self.telemetry
-        tel_enabled = tel.enabled
         for _ in range(times):
             self.hw_data_cycles += cycles
             self.modifier.total_cycles += cycles
-            if tel_enabled:
+            if published:
                 self._publish_cycles(tel, flow_id)
 
     def _publish_cycles(self, tel, flow_id: int) -> None:

@@ -213,14 +213,11 @@ def run_scenario(
     their FEC prefixes); the finalized recorder rides back on
     :attr:`ChaosReport.recorder` and a ``spans`` report section.
 
-    ``batching`` runs the data plane on the batched fast path (per-node
-    flow caches); the report is byte-identical to the scalar run of the
-    same seed -- that equivalence is the contract
-    ``tests/integration/test_batching_equivalence.py`` enforces.
+    ``batching`` is accepted and ignored: every node forwards through
+    its flow cache.  It stays because the benchmark harness passes it
+    (``benchmarks/perf/workloads.py:664``).
     """
     run = build_run(scenario, seed)
-    if batching:
-        run.network.enable_batching()
     recorder = None
     if sample_rate is not None:
         from repro.obs.spans import SpanRecorder

@@ -681,8 +681,8 @@ class FaultInjector:
         SEU-style direct table write: the victim's out-label is replaced
         with the next hop's binding for the imposter FEC, so leaked
         packets really do arrive at the wrong egress.  The install bumps
-        the table generation, so armed flow caches drop the stale
-        decision and the leak is identical under --batching on|off.
+        the table generation, so the flow caches drop the stale
+        decision before the next packet.
         """
         spec = record.spec
         target = spec.target[0]

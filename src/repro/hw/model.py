@@ -222,7 +222,7 @@ class ModifierBackend:
         self.total_cycles = 0
         #: bumped whenever the *active* information base may have
         #: changed (writes, bank flips, management ops, corruption,
-        #: reset); batched nodes key memoized search results on this,
+        #: reset); the nodes' flow caches key memoized passes on this,
         #: since pair positions -- and therefore search cycle counts --
         #: depend on it.  Over-invalidating a memo is safe,
         #: under-invalidating is not.

@@ -1,16 +1,20 @@
-"""The batched data-plane fast path: per-node flow caching.
+"""The data plane's decision memo: per-node flow caching.
 
-The scalar data plane re-derives the full ILM/FTN decision for every
-packet, even though consecutive packets of one flow are byte-identical
-except for their uid/seq.  This module memoizes the complete
-ILM -> NHLFE -> egress decision per *flow key* -- the tuple of fields
-the :class:`~repro.mpls.forwarding.ForwardingEngine` actually consults
--- and replays it for every subsequent packet with the same key,
-exactly as the paper's embedded architecture collapses the lookup into
-one information-base search.
+Every node forwards through its :class:`FlowCache`.  An engine pass
+re-derives the full ILM/FTN decision, even though consecutive packets
+of one flow are byte-identical except for their uid/seq.  This module
+memoizes the complete ILM -> NHLFE -> egress decision per *flow key*
+-- the tuple of fields the :class:`~repro.mpls.forwarding.
+ForwardingEngine` actually consults -- and replays it for every
+subsequent packet with the same key, exactly as the paper's embedded
+architecture collapses the lookup into one information-base search.
+The engine stays as the miss path (``measure``) and as the oracle of
+``cross_check``.
 
-Equivalence contract (enforced by ``tests/integration/
-test_batching_equivalence.py``):
+Equivalence contract (``tests/mpls/test_flow_cache_equivalence.py``
+checks a cached node against its own uncached pass; the reports,
+flow exports and tables it gives a run are pinned by
+``tests/integration/test_batching_equivalence.py``):
 
 * a replayed decision is value-identical to the decision the engine
   would have produced (action, output packet, next hop, interface,
@@ -156,7 +160,10 @@ class FlowCache:
         self.capacity = capacity
         self.cross_check = cross_check
         self._entries: "OrderedDict[tuple, _CachedDecision]" = OrderedDict()
-        self._version = engine.version()
+        #: the version the entries were filled under; the first packet
+        #: adopts its own, so a cache built with its node (before the
+        #: control plane programs the tables) counts no flush of nothing
+        self._version = None
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -167,7 +174,7 @@ class FlowCache:
         self, packet: Union[IPv4Packet, MPLSPacket], count: int = 1
     ) -> ForwardingDecision:
         """Engine-equivalent processing: replay a cached decision, or
-        compute one scalar decision and memoize it.
+        compute one engine pass and memoize it.
 
         ``count > 1`` processes ``packet`` as the template of a train
         of that many identical packets: the engine's counters advance
@@ -180,9 +187,10 @@ class FlowCache:
         if version != self._version:
             # anything a decision depends on moved since the last
             # packet: the whole cache is suspect, flush it wholesale
-            self._entries.clear()
+            if self._version is not None:
+                self._entries.clear()
+                self.invalidations += 1
             self._version = version
-            self.invalidations += 1
         key = key_of(packet)
         cached = self._entries.get(key)
         observing = engine.telemetry.enabled

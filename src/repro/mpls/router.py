@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Union
 
+from repro.mpls.fastpath import FlowCache
 from repro.mpls.forwarding import (
     Action,
     ForwardingDecision,
@@ -106,28 +107,14 @@ class LSRNode:
         #: network layer fills this in when links are attached.
         self.neighbor_interfaces: Dict[str, str] = {}
         self.engine.interfaces = self.neighbor_interfaces
-        #: the batched fast path's per-node decision cache, armed by
-        #: :meth:`enable_batching` (None = scalar processing)
-        self.flow_cache = None
+        #: the node's decision memo: every packet forwards through it,
+        #: the engine being its miss path (see :mod:`repro.mpls.fastpath`)
+        self.flow_cache = FlowCache(self.engine)
         #: trust-boundary guard for packets from *outside* the domain
         #: (RFC 4364 semantics): a callable ``(node_name, packet) ->
         #: bool`` where True rejects; the security monitor arms this on
         #: edge LERs.  None = unguarded (the legacy behaviour).
         self.external_guard = None
-
-    # -- batched fast path --------------------------------------------------
-    def enable_batching(self):
-        """Arm the flow cache over the node's engine: subsequent
-        packets replay memoized decisions (see
-        :mod:`repro.mpls.fastpath`)."""
-        from repro.mpls.fastpath import FlowCache
-
-        self.flow_cache = FlowCache(self.engine)
-        return self.flow_cache
-
-    def disable_batching(self) -> None:
-        """Back to scalar processing (the differential oracle path)."""
-        self.flow_cache = None
 
     def add_interface(self, interface: str) -> None:
         if interface in self.interfaces:
@@ -152,18 +139,10 @@ class LSRNode:
 
         An unlabelled packet arriving at a core LSR is a configuration
         error in the paper's model (only LERs border layer-2 networks),
-        so it is discarded rather than classified.  A train requires
-        batching (the flow cache supplies the per-packet operation
-        deltas that scale to the train).
+        so it is discarded rather than classified.  A train's count
+        scales the per-packet operation deltas the flow cache measured.
         """
-        if train is None:
-            count = 1
-        elif self.flow_cache is None:
-            raise RuntimeError(
-                f"{self.name}: aggregates need batching enabled"
-            )
-        else:
-            count = train.count
+        count = 1 if train is None else train.count
         self.stats.received += count
         if isinstance(packet, IPv4Packet) and not self.is_edge:
             decision = ForwardingDecision(
@@ -186,11 +165,8 @@ class LSRNode:
         train,
     ) -> ForwardingDecision:
         """The decision on ``packet`` (a train's template when
-        ``train`` is set): the flow cache's while batching, else one
-        engine pass."""
-        if self.flow_cache is not None:
-            return self.flow_cache.process(packet, count)
-        return self.engine.process(packet)
+        ``train`` is set): the flow cache's."""
+        return self.flow_cache.process(packet, count)
 
     def receive_external(
         self, packet: Union[IPv4Packet, MPLSPacket]

@@ -1,7 +1,7 @@
 """Flow aggregates: bulk traffic as (rate, count, bytes) summaries.
 
-The scalar data plane materializes one Python object chain per packet
-per hop -- three scheduler events per link, one engine decision per
+The per-packet data plane materializes one Python object chain per
+packet per hop -- three scheduler events per link, one engine decision per
 node.  At the 100k-concurrent-flow scale ROADMAP targets, that is the
 simulation's whole cost.  A :class:`FlowAggregate` represents a train
 of ``count`` identical-shape packets of one flow as a single unit: one
@@ -17,7 +17,8 @@ Semantics, and their documented limits:
   latencies are derived analytically from the aggregate's arrival
   time, so latency statistics remain per-packet,
 * metrics and flow accounting advance by exact packet/byte totals
-  (``tests/net/test_aggregates.py`` cross-checks against scalar runs),
+  (``tests/net/test_aggregates.py`` cross-checks against per-packet
+  runs),
 * the aggregate is the granularity of loss: a link-down flush, queue
   overflow or wire-loss draw takes the whole train (a burst is lost
   together), and per-packet telemetry *events* are not emitted for
@@ -25,10 +26,9 @@ Semantics, and their documented limits:
   travels as a real packet alongside the aggregate.
 
 A train crosses the same data-plane routines as a packet: its template
-is the packet, the aggregate rides along as their ``train`` argument.
-Aggregates only exist in batched mode
-(:meth:`repro.net.network.MPLSNetwork.enable_batching`), where the
-per-node caches supply the per-packet deltas a train scales.
+is the packet, the aggregate rides along as their ``train`` argument,
+and each node's flow cache supplies the per-packet deltas a train
+scales.
 """
 
 from __future__ import annotations

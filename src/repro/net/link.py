@@ -60,8 +60,7 @@ class Interface:
 
 def _units(packet: Any) -> int:
     """Packets represented by one queued/transmitted unit: 1 for a
-    scalar packet, the train length for a flow aggregate (batched
-    mode).  Keeps per-packet counters exact without the link layer
+    packet, the train length for a flow aggregate.  Keeps per-packet counters exact without the link layer
     importing the aggregate type."""
     if getattr(packet, "is_aggregate", False):
         return packet.count
@@ -204,7 +203,7 @@ class SimplexChannel:
         if self.loss_rate and self._loss_rng.random() < self.loss_rate:
             # lost on the wire: transmitted but never arrives (for an
             # aggregate the whole train is the loss unit -- one RNG
-            # draw, so the scalar path's draw sequence is untouched)
+            # draw, so a packet's draw sequence is untouched)
             self.lost += count
             if tel.enabled:
                 tel.link_drops.labels(

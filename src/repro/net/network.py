@@ -368,28 +368,17 @@ class MPLSNetwork:
         self.ingress_guard: Optional[
             Callable[[str, IPv4Packet, int], bool]
         ] = None
-        #: batched fast-path mode (see :meth:`enable_batching`)
-        self.batching = False
         #: the run's :class:`repro.security.SecurityMonitor` (attached
         #: by its ``arm()``); with one attached, TTL-expiry discards
         #: punt exception load to it and :meth:`inject_external` feeds
         #: the edge trust-boundary guard
         self.security_monitor: Optional[Any] = None
 
-    # -- batched fast path ---------------------------------------------------
     def enable_batching(self) -> None:
-        """Switch the data plane from the scalar per-packet path (the
-        differential oracle) to the batched fast path: per-node flow
-        caches plus flow-aggregate processing.
-
-        Per-packet traffic behaves identically in both modes -- same
-        decisions, same telemetry, same reports -- which
-        ``tests/integration/test_batching_equivalence.py`` asserts
-        byte-for-byte; see ``docs/batching.md`` for the contract.
+        """A no-op: every node forwards through its flow cache from the
+        start (see ``docs/batching.md``).  Kept because the benchmark
+        harness calls it (``benchmarks/perf/workloads.py:515``).
         """
-        self.batching = True
-        for node in self.nodes.values():
-            node.enable_batching()
 
     # -- wiring ----------------------------------------------------------
     def link(self, a: str, b: str) -> Link:

@@ -6,9 +6,8 @@ A :class:`TopologyObserver` subscribes to the structured event stream
 tick) and maintains a global view of the network: node and link state,
 LDP adjacencies, label bindings per FEC, RSVP-TE LSPs, active faults
 and attacks.  It adds **no instrumentation to hot paths** -- everything
-it knows arrives through events the subsystems already emit, which is
-also why a batched run and a scalar run of the same seed produce the
-same database: the observer ignores data-plane event kinds entirely.
+it knows arrives through events the subsystems already emit: the
+observer ignores data-plane event kinds entirely.
 
 Every state change is recorded as a versioned delta against periodic
 full snapshots, so the observer supports
@@ -42,8 +41,8 @@ from repro.obs.events import CallbackSink, Event
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 #: Event kinds that never change the topology database.  Data-plane
-#: kinds differ between scalar and batched runs; skipping them is what
-#: makes the database mode-independent.
+#: kinds differ between per-packet and train traffic; skipping them is
+#: what makes the database independent of how traffic is offered.
 _IGNORED_KINDS = frozenset(
     {
         "packet-forwarded",

@@ -7,9 +7,13 @@ span recorder, a flow accountant or a topology observer attached, hands
 its state to every object a later test builds outside a
 ``telemetry_session`` -- so such a test fails here, naming what it left.
 
-The ``hunt`` Hypothesis profile (``--hypothesis-profile=hunt``) is the
-CI job's long search: ten times the examples, each run drawing afresh.
-Tier-1 runs the default profile; a suite scales its explicit counts
+Tier-1 runs the ``tier1`` Hypothesis profile, loaded here: its draws
+are derandomized and no example database is read or written, so a
+commit's tier-1 verdict is a function of the commit -- the same
+examples on every run and every machine.  The ``hunt`` profile
+(``--hypothesis-profile=hunt``) is the CI job's long search: ten times
+the examples, each run drawing afresh; a counterexample it finds lands
+as an ``@example`` beside its mend.  A suite scales its explicit counts
 through :func:`tests.strategies.examples`.
 """
 
@@ -19,6 +23,8 @@ from hypothesis import settings
 from repro.obs import get_telemetry
 
 settings.register_profile("hunt", max_examples=1000, derandomize=False)
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

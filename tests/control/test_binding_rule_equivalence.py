@@ -42,7 +42,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import repro.control
@@ -709,6 +709,21 @@ TE_CASES = st.tuples(topologies(), sequences(TE_KINDS, te_op, TE_SLOTS, 6, 30))
 
 @settings(max_examples=examples(300), deadline=None)
 @given(TE_CASES)
+# found by a search: two protected paths carry 10.2.0.0/16 from n2, and
+# a refresh at the head re-steered them by path name, leaving the FEC
+# on the earlier path's LSP where switchovers and reverts, which walk
+# protection order, leave it on the later one's
+@example((
+    (["n0", "n1", "n2", "n3"],
+     {("n0", "n1"): 1, ("n0", "n2"): 1, ("n2", "n3"): 2, ("n3", "n0"): 1},
+     [True, False, True, True]),
+    [("setup", 0, 0, 0, None, 0.0, None, None),
+     ("setup", 0, 0, 0, None, 0.0, None, None),
+     ("setup", 0, 0, 0, None, 0.0, None, None),
+     ("protect", 2, 2, 7, 2),
+     ("protect", 1, 2, 5, 2),
+     ("refresh_ingress", 6)],
+))
 def test_rsvp_te_and_frr_hold_the_rule(example):
     check_te(example)
 

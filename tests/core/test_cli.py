@@ -61,6 +61,9 @@ class TestCLI:
             # were: exit 0, the flags read by no one
             ["flows", "chaos_flow_alerts.json", "--mitigation", "off"],
             ["flows", "chaos_flow_alerts.json", "--batching", "on"],
+            # was: accepted with no effect once the flow cache was the
+            # only data plane
+            ["topo", "chaos_topo.json", "--batching", "on"],
             ["flows", "chaos_flow_alerts.json", "--sample-rate", "0.5"],
             ["flows", "chaos_flow_alerts.json", "--node", "x"],
             ["table6", "--export", "f"],
@@ -79,6 +82,15 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    def test_chaos_accepts_and_ignores_batching(self, mode, tmp_path):
+        path = os.path.join(EXAMPLES_DIR, "chaos_smoke.json")
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main(["chaos", path, "--seed", "7", "-o", str(plain)]) == 0
+        assert main(["chaos", path, "--seed", "7", "--batching", mode,
+                     "-o", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
 
     def test_trace_runs_the_file_it_is_given(self, capsys):
         path = os.path.join(EXAMPLES_DIR, "chaos_smoke.json")

@@ -1,10 +1,11 @@
-"""Tests for the hardware node's batched-mode memo.
+"""Tests for the hardware node's flow-cache memo.
 
 The memo replays complete forwarding outcomes -- decision, exact
 hardware cycle deltas, LRU touches -- and is invalidated by any write
 to the information base (the modifier's ``state_version``), including
 corruption and scrub repairs, because search cycle counts depend on
-pair *positions*.
+pair *positions*.  The reference is the same node with every packet
+one uncached pass (``measure``, :func:`tests.strategies.flows.uncached`).
 """
 
 from repro.core.hwnode import HardwareLSRNode
@@ -14,6 +15,7 @@ from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import RouterRole
 from repro.mpls.stack import LabelStack
 from repro.net.packet import IPv4Packet, MPLSPacket
+from tests.strategies.flows import uncached
 
 
 def ip_pkt(dst="10.2.0.9", ttl=64, dscp=0, seq=0):
@@ -26,18 +28,16 @@ def labelled(label, ttl=20, seq=0):
     )
 
 
-def _transit_node(batching=True):
+def _transit_node(cached=True):
     node = HardwareLSRNode("lsr-1", RouterRole.LSR, ib_depth=64)
     node.ilm.install(
         100, NHLFE(op=LabelOp.SWAP, out_label=200, next_hop="lsr-2")
     )
     node.ilm.install(300, NHLFE(op=LabelOp.POP, next_hop="ler-b"))
-    if batching:
-        node.enable_batching()
-    return node
+    return node if cached else uncached(node)
 
 
-def _ingress_node(batching=True, ib_depth=64):
+def _ingress_node(cached=True, ib_depth=64):
     from repro.mpls.fec import PrefixFEC
 
     node = HardwareLSRNode("ler-a", RouterRole.LER, ib_depth=ib_depth)
@@ -45,59 +45,57 @@ def _ingress_node(batching=True, ib_depth=64):
         PrefixFEC("10.2.0.0/16"),
         NHLFE(op=LabelOp.PUSH, out_label=100, next_hop="lsr-1"),
     )
-    if batching:
-        node.enable_batching()
-    return node
+    return node if cached else uncached(node)
 
 
 class TestMemoEquivalence:
-    def test_memoized_run_matches_scalar_exactly(self):
+    def test_memoized_run_matches_uncached_passes_exactly(self):
         """N packets through the memo produce the same decisions and
-        the same cumulative cycle counters as N scalar packets."""
-        scalar = _transit_node(batching=False)
-        batched = _transit_node(batching=True)
+        the same cumulative cycle counters as N uncached passes."""
+        uncached = _transit_node(cached=False)
+        cached = _transit_node(cached=True)
         for i in range(6):
-            p_s, p_b = labelled(100, seq=i), labelled(100, seq=i)
-            d_s = scalar.receive(p_s)
-            d_b = batched.receive(p_b)
-            assert d_b.action is d_s.action
-            assert d_b.packet.stack == d_s.packet.stack
+            p_u, p_c = labelled(100, seq=i), labelled(100, seq=i)
+            d_u = uncached.receive(p_u)
+            d_c = cached.receive(p_c)
+            assert d_c.action is d_u.action
+            assert d_c.packet.stack == d_u.packet.stack
             # replay preserves each packet's own identity
-            assert d_b.packet.inner.uid == p_b.inner.uid
-            assert d_s.packet.inner.uid == p_s.inner.uid
-            assert d_b.next_hop == d_s.next_hop
-        assert batched.hw_data_cycles == scalar.hw_data_cycles
-        assert batched.fast_path_packets == scalar.fast_path_packets
+            assert d_c.packet.inner.uid == p_c.inner.uid
+            assert d_u.packet.inner.uid == p_u.inner.uid
+            assert d_c.next_hop == d_u.next_hop
+        assert cached.hw_data_cycles == uncached.hw_data_cycles
+        assert cached.fast_path_packets == uncached.fast_path_packets
         assert (
-            batched.modifier.total_cycles == scalar.modifier.total_cycles
+            cached.modifier.total_cycles == uncached.modifier.total_cycles
         )
-        assert batched.flow_cache.hits == 5
+        assert cached.flow_cache.hits == 5
 
     def test_discard_outcomes_are_memoized_too(self):
-        scalar = _transit_node(batching=False)
-        batched = _transit_node(batching=True)
+        uncached = _transit_node(cached=False)
+        cached = _transit_node(cached=True)
         for i in range(4):
-            d_s = scalar.receive(labelled(42, seq=i))  # no ILM entry
-            d_b = batched.receive(labelled(42, seq=i))
-            assert d_b.action is d_s.action is Action.DISCARD
-            assert d_b.reason == d_s.reason
-        assert batched.hw_data_cycles == scalar.hw_data_cycles
-        assert batched.flow_cache.hits == 3
+            d_u = uncached.receive(labelled(42, seq=i))  # no ILM entry
+            d_c = cached.receive(labelled(42, seq=i))
+            assert d_c.action is d_u.action is Action.DISCARD
+            assert d_c.reason == d_u.reason
+        assert cached.hw_data_cycles == uncached.hw_data_cycles
+        assert cached.flow_cache.hits == 3
 
     def test_ingress_fast_path_is_memoized_after_install(self):
-        scalar = _ingress_node(batching=False)
-        batched = _ingress_node(batching=True)
+        uncached = _ingress_node(cached=False)
+        cached = _ingress_node(cached=True)
         for i in range(5):
-            d_s = scalar.receive(ip_pkt(seq=i))
-            d_b = batched.receive(ip_pkt(seq=i))
-            assert d_b.action is d_s.action is Action.FORWARD_MPLS
-            assert d_b.packet.stack == d_s.packet.stack
-        assert batched.hw_data_cycles == scalar.hw_data_cycles
-        assert batched.slow_path_packets == scalar.slow_path_packets == 1
-        assert batched.fast_path_packets == scalar.fast_path_packets == 4
+            d_u = uncached.receive(ip_pkt(seq=i))
+            d_c = cached.receive(ip_pkt(seq=i))
+            assert d_c.action is d_u.action is Action.FORWARD_MPLS
+            assert d_c.packet.stack == d_u.packet.stack
+        assert cached.hw_data_cycles == uncached.hw_data_cycles
+        assert cached.slow_path_packets == uncached.slow_path_packets == 1
+        assert cached.fast_path_packets == uncached.fast_path_packets == 4
         # packet 1 installed the level-1 pair (a write: not memoizable),
         # packet 2 filled the memo, packets 3-5 replayed it
-        assert batched.flow_cache.hits == 3
+        assert cached.flow_cache.hits == 3
 
 
 class TestMemoInvalidation:
@@ -157,7 +155,7 @@ class TestMemoInvalidation:
 
     def test_replay_touches_the_level1_lru(self):
         """Memo hits must refresh the destination's LRU slot exactly as
-        scalar fast-path hits do, or eviction order diverges."""
+        uncached fast-path hits do, or eviction order diverges."""
         node = _ingress_node(ib_depth=2)
         node.receive(ip_pkt(dst="10.2.0.1", seq=0))
         node.receive(ip_pkt(dst="10.2.0.2", seq=1))
@@ -177,33 +175,20 @@ class TestMemoInvalidation:
 
 
 class TestAggregates:
-    def test_aggregate_processing_matches_scalar_loop(self):
+    def test_aggregate_processing_matches_a_packet_loop(self):
         from repro.net.aggregate import FlowAggregate
 
-        scalar = _transit_node(batching=False)
-        batched = _transit_node(batching=True)
+        uncached = _transit_node(cached=False)
+        cached = _transit_node(cached=True)
         for i in range(10):
-            scalar.receive(labelled(100, seq=i))
+            uncached.receive(labelled(100, seq=i))
         train = FlowAggregate(template=labelled(100), count=10)
-        batched.receive(train.template, train)
-        assert batched.hw_data_cycles == scalar.hw_data_cycles
-        assert batched.stats.received == scalar.stats.received
+        cached.receive(train.template, train)
+        assert cached.hw_data_cycles == uncached.hw_data_cycles
+        assert cached.stats.received == uncached.stats.received
         assert (
-            batched.stats.forwarded_mpls == scalar.stats.forwarded_mpls
+            cached.stats.forwarded_mpls == uncached.stats.forwarded_mpls
         )
         assert (
-            batched.modifier.total_cycles == scalar.modifier.total_cycles
+            cached.modifier.total_cycles == uncached.modifier.total_cycles
         )
-
-
-class TestDisable:
-    def test_disable_batching_returns_to_scalar(self):
-        node = _transit_node()
-        node.receive(labelled(100, seq=0))
-        node.receive(labelled(100, seq=1))
-        cache = node.flow_cache
-        assert cache.hits == 1
-        node.disable_batching()
-        node.receive(labelled(100, seq=2))
-        assert cache.hits == 1  # no further memo traffic
-        assert node.flow_cache is None

@@ -1,19 +1,20 @@
-"""Differential equivalence: batched fast path vs the scalar oracle.
+"""The flow-cached data plane, pinned to the bytes of an uncached run.
 
-The batched data plane (per-node flow caches, see
-``repro.mpls.fastpath``) must be *observably identical* to the scalar
-per-packet path: same chaos report byte for byte, same flow-accounting
-export, same final ILM/FTN tables.  Every example scenario -- chaos
-with FRR switchovers, signaling storms, graceful restarts, hardware
-scrubbing, flow alerting, span sampling -- runs twice under the same
-seed, once per mode, and the artifacts are compared verbatim.
-
-Any divergence here means the flow cache served a stale or
-wrongly-rebuilt decision; the cache is a pure memoization layer and
-has no license to change behavior.
+Every node forwards through its flow cache (``repro.mpls.fastpath``).
+The cache is a pure memoization layer and has no license to change
+behaviour, so each example scenario below -- chaos with FRR
+switchovers, signaling storms, graceful restarts, hardware scrubbing,
+flow alerting, span sampling -- must give the chaos report, the
+flow-accounting export and the final ILM/FTN tables that a run with no
+cache gave.  Those runs are recorded as sha256 digests in
+``data/batching_digests.json`` (taken from the uncached data plane
+before the cache became the only one); a divergence means the cache
+served a stale or wrongly rebuilt decision.
 """
 
+import hashlib
 import io
+import json
 import os
 
 import pytest
@@ -26,8 +27,11 @@ from repro.obs.flows import flows_to_jsonl
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "examples"
 )
+DIGESTS = os.path.join(
+    os.path.dirname(__file__), "data", "batching_digests.json"
+)
 
-# (scenario file, seed): ten seeded differential cases covering every
+# (scenario file, seed): fifteen seeded cases covering every
 # invalidation source -- LDP withdraws, FRR switchover, restart
 # flushes, scrub repairs -- plus the signaling-storm stress case
 CASES = [
@@ -46,18 +50,23 @@ CASES = [
     ("chaos_security.json", 7),
     ("chaos_security.json", 11),
     # topology observatory armed: the convergence ledger is derived
-    # from the event stream, so it must match across modes too
+    # from the event stream
     ("chaos_topo.json", 17),
     # centralized PCE armed: crash + partition failover, delegation
     # fallback and the readopt resync transaction all ride the same
-    # scheduler, so the controller section must match across modes
+    # scheduler
     ("chaos_controller.json", 19),
     ("chaos_controller.json", 29),
 ]
 
 
-def _run(path, seed, batching):
-    """One scenario run; returns (report json, flow export, tables).
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(path, seed):
+    """One scenario run; returns (report json, flow export, tables,
+    run).
 
     Runs what ``run_scenario`` runs -- ``build_run``, the network, the
     shared ``finish`` step, ``summarize`` -- but keeps the live run
@@ -67,8 +76,6 @@ def _run(path, seed, batching):
     scenario = Scenario.load(path)
     with telemetry_session():
         run = build_run(scenario, seed)
-        if batching:
-            run.network.enable_batching()
         with finish(run) as sink:
             processed = run.network.run(until=scenario.duration)
         report = summarize(run, processed, sink)
@@ -88,42 +95,53 @@ def _run(path, seed, batching):
         }
         for name, node in run.network.nodes.items()
     }
-    return report.to_json(), flows_export, tables
+    return report.to_json(), flows_export, tables, run
 
 
 @pytest.mark.parametrize("name,seed", CASES)
-def test_batched_report_is_byte_identical(name, seed):
+def test_cached_run_matches_the_uncached_digests(name, seed):
+    with open(DIGESTS) as handle:
+        want = json.load(handle)[f"{name}@{seed}"]
     path = os.path.join(EXAMPLES_DIR, name)
-    scalar_report, scalar_flows, scalar_tables = _run(path, seed, False)
-    batched_report, batched_flows, batched_tables = _run(path, seed, True)
+    report, flows, tables, run = _run(path, seed)
     with telemetry_session():
         reference = run_scenario(Scenario.load(path), seed).to_json()
-    assert scalar_report == reference
-    assert batched_report == scalar_report
-    assert batched_flows == scalar_flows
-    assert batched_tables == scalar_tables
+    assert report == reference
+    assert {
+        "report": _sha(report),
+        "flows": None if flows is None else _sha(flows),
+        "tables": _sha(json.dumps(tables, sort_keys=True)),
+    } == want
+    # the pins are exercised by real cache hits, not a cache that
+    # never engages
+    assert sum(node.flow_cache.hits for node in run.network.nodes.values())
 
 
-def test_batched_mode_actually_caches():
-    """Guard against the trivial pass: the equivalence above must be
-    exercised by real cache hits, not a cache that never engages."""
+def test_the_pins_cover_every_case_once():
+    with open(DIGESTS) as handle:
+        assert sorted(json.load(handle)) == sorted(
+            f"{name}@{seed}" for name, seed in CASES
+        )
+
+
+# -- the names the benchmark harness still calls ----------------------------------
+def test_run_scenario_ignores_batching():
     path = os.path.join(EXAMPLES_DIR, "chaos_smoke.json")
-    scenario = Scenario.load(path)
-    with telemetry_session():
-        run = build_run(scenario, seed=0)
-        run.network.enable_batching()
-        run.network.run(until=scenario.duration)
-    hits = sum(node.flow_cache.hits for node in run.network.nodes.values())
-    assert hits > 0
+    reports = []
+    for kwargs in ({}, {"batching": True}, {"batching": False}):
+        with telemetry_session():
+            reports.append(
+                run_scenario(Scenario.load(path), 7, **kwargs).to_json()
+            )
+    assert reports[1] == reports[0] == reports[2]
 
 
-def test_batched_mode_caches_on_hardware_nodes():
-    """The hardware scenario must exercise the hardware memo."""
-    path = os.path.join(EXAMPLES_DIR, "chaos_hw_scrub.json")
-    scenario = Scenario.load(path)
+def test_enable_batching_leaves_every_cache_in_place():
+    scenario = Scenario.load(os.path.join(EXAMPLES_DIR, "chaos_smoke.json"))
     with telemetry_session():
-        run = build_run(scenario, seed=3)
+        run = build_run(scenario, 7)
+        caches = {n: node.flow_cache for n, node in run.network.nodes.items()}
         run.network.enable_batching()
-        run.network.run(until=scenario.duration)
-    hits = sum(node.flow_cache.hits for node in run.network.nodes.values())
-    assert hits > 0
+        with finish(run):
+            run.network.run(until=scenario.duration)
+    assert {n: node.flow_cache for n, node in run.network.nodes.items()} == caches

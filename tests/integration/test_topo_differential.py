@@ -5,8 +5,8 @@ database purely from the telemetry event stream; this suite pins the
 three contracts that make the database trustworthy:
 
 * **ground truth** -- at end of run the observed view equals the actual
-  network/table state, for every example scenario, in both scalar and
-  batched modes (``TopologyObserver.verify`` returns no mismatches);
+  network/table state, for every example scenario
+  (``TopologyObserver.verify`` returns no mismatches);
 * **time travel** -- reconstructing the end-of-run view from snapshot +
   deltas is byte-identical to the recorded live view;
 * **byte stability** -- the ``convergence`` report section of two
@@ -48,11 +48,10 @@ def test_every_example_is_covered():
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-@pytest.mark.parametrize("batching", [False, True])
-def test_observed_view_matches_ground_truth(name, batching):
+def test_observed_view_matches_ground_truth(name):
     scenario = _load_with_topo(name)
     with telemetry_session():
-        report = run_scenario(scenario, seed=3, batching=batching)
+        report = run_scenario(scenario, seed=3)
     conv = report["convergence"]
     assert conv["mismatches"] == []
     assert conv["verified"] is True

@@ -13,7 +13,7 @@ histograms are excluded: a train arrives together by design.
 
 Also pinned here, because they used to hold only by accident of which
 twin ran: a train of one emits no per-packet event and calls no host
-sink; a real packet emits the scalar event sequence, in order.
+sink; a real packet emits the per-packet event sequence, in order.
 """
 
 import dataclasses
@@ -104,7 +104,6 @@ class _Run:
         binding = LDPProcess(topo, net.nodes).establish_fec(fec, egress="ler-b")
         if outcome == "php":
             pop_at_penultimate_hop(binding, net.nodes)
-        net.enable_batching()
         self.monitor = SecurityMonitor(net, SecurityConfig(), NO_PLANE)
         self.monitor.arm()
         self.shedder = IngressShedder(
@@ -266,7 +265,6 @@ def test_train_of_n_equals_n_packets_at_plain_ip_routers():
         net.attach_host("ler-b", PREFIX)
         populate_fibs(topo, net.nodes, {"ler-b": [PREFIX]})
         if as_train:
-            net.enable_batching()
             net.scheduler.after(
                 0.0, net.aggregate_sink("ler-a"),
                 FlowAggregate(template=_ip(), count=12),
@@ -326,7 +324,7 @@ def test_train_of_one_is_still_a_train(node_type, outcome):
         run.offer(1, as_train=True)
     per_packet = [e for e in sink.events if isinstance(e, PER_PACKET)]
     assert run.sunk == []
-    # one row, the train's: no scalar Delivery among the views
+    # one row, the train's: no per-packet Delivery among the views
     views = run.net.deliveries.views()
     assert not any(isinstance(v, Delivery) for v in views)
     if outcome == "no-link":
@@ -343,10 +341,10 @@ def test_train_of_one_is_still_a_train(node_type, outcome):
         assert [(type(v), v.count) for v in views] == [(AggregateDelivery, 1)]
 
 
-def test_real_packet_emits_the_scalar_event_sequence():
+def test_real_packet_emits_the_per_packet_event_sequence():
     """Two packets over the non-PHP LSP: every per-packet event, in
-    order -- the same whether the engine (caches off), a cache fill
-    (first packet) or a cache hit (second packet) served the hop."""
+    order -- the same whether a cache fill (first packet) or a cache
+    hit (second packet) served the hop."""
     hops = [
         [("push", "ler-a"), ("PacketForwarded", "ler-a")],
         [("swap", "lsr-1"), ("PacketForwarded", "lsr-1")],
@@ -359,18 +357,15 @@ def test_real_packet_emits_the_scalar_event_sequence():
     ]
     # the pair crosses each hop back to back (propagation > transmission)
     expected = [event for hop in hops for event in hop * 2]
-    for batching in (False, True):
-        with telemetry_session() as tel:
-            sink = tel.events.add_sink(ListSink())
-            run = _Run(LSRNode, "lsp")
-            if not batching:
-                run.net.batching = False
-                for node in run.net.nodes.values():
-                    node.disable_batching()
-            run.offer(2, as_train=False)
-        assert [
-            (getattr(e, "op", type(e).__name__), e.node)
-            for e in sink.events
-            if isinstance(e, PER_PACKET + (LabelOpApplied,))
-        ] == expected
-        assert len(run.sunk) == 2
+    with telemetry_session() as tel:
+        sink = tel.events.add_sink(ListSink())
+        run = _Run(LSRNode, "lsp")
+        run.offer(2, as_train=False)
+    assert [
+        (getattr(e, "op", type(e).__name__), e.node)
+        for e in sink.events
+        if isinstance(e, PER_PACKET + (LabelOpApplied,))
+    ] == expected
+    assert len(run.sunk) == 2
+    caches = [node.flow_cache for node in run.net.nodes.values()]
+    assert (sum(c.misses for c in caches), sum(c.hits for c in caches)) == (4, 4)

@@ -33,9 +33,10 @@ the contract.
 
 Every row runs on :class:`~repro.mpls.router.LSRNode` and on
 :class:`~repro.core.hwnode.HardwareLSRNode` -- the Figure 6 router --
-with its modifier on the functional model and on the RTL, each scalar
-and through a ``FlowCache(cross_check=True)`` (the packet three times,
-so a hardware ingress learns, fills and hits).
+with its modifier on the functional model and on the RTL, each on the
+packet once (a cache miss: one engine pass) and through a
+``FlowCache(cross_check=True)`` (the packet three times, so a hardware
+ingress learns, fills and hits).
 """
 
 from typing import NamedTuple, Optional, Tuple

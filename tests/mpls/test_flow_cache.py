@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core.hwnode import HardwareLSRNode
 from repro.mpls.fec import PrefixFEC
 from repro.mpls.forwarding import Action, ForwardingEngine
 from repro.mpls.fastpath import FlowCache, key_of
 from repro.mpls.label import LabelEntry, LabelOp
 from repro.mpls.nhlfe import NHLFE
+from repro.mpls.router import LSRNode, RouterRole
 from repro.mpls.stack import LabelStack
+from repro.net.aggregate import FlowAggregate
 from repro.net.packet import IPv4Packet, MPLSPacket
 from repro.obs import ListSink, telemetry_session
 from repro.obs.events import LabelOpApplied
@@ -160,6 +163,40 @@ class TestInvalidation:
             NHLFE(op=LabelOp.PUSH, out_label=777, next_hop="lsr-2"),
         )
         assert cache.process(ip_pkt()).packet.stack.top.label == 777
+
+
+    def test_a_cache_built_before_its_tables_counts_no_flush(self):
+        """A node builds its cache before the control plane programs
+        its tables: the first packet adopts the version it sees."""
+        engine = ForwardingEngine(node_name="lsr-1")
+        cache = FlowCache(engine)
+        engine.ilm.install(
+            200, NHLFE(op=LabelOp.SWAP, out_label=201, next_hop="lsr-3")
+        )
+        assert cache.process(labelled(200)).packet.stack.top.label == 201
+        assert cache.invalidations == 0
+        engine.ilm.install(
+            200, NHLFE(op=LabelOp.SWAP, out_label=999, next_hop="lsr-9")
+        )
+        assert cache.process(labelled(200)).packet.stack.top.label == 999
+        assert cache.invalidations == 1
+
+
+class TestOneMode:
+    @pytest.mark.parametrize("cls", [LSRNode, HardwareLSRNode])
+    def test_a_node_forwards_through_the_cache_it_was_built_with(self, cls):
+        node = cls("lsr-1", RouterRole.LSR)
+        cache = node.flow_cache
+        assert cache.engine is node.engine
+        node.ilm.install(
+            200, NHLFE(op=LabelOp.SWAP, out_label=201, next_hop="lsr-3")
+        )
+        train = FlowAggregate(template=labelled(200), count=4)
+        node.receive(train.template, train)
+        node.receive(labelled(200))
+        assert node.flow_cache is cache
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert node.stats.received == node.stats.forwarded_mpls == 5
 
 
 class TestLRU:

@@ -4,8 +4,9 @@ same node without it.
 :class:`~repro.mpls.fastpath.FlowCache` is the one decision memo for
 both node kinds: it replays a pass's decision and counter deltas while
 nothing the decision depends on has moved.  The reference is the
-simplest node there is -- the same class, batching off, every packet
-one real pass.  Both run the same script (:mod:`tests.strategies.flows`):
+simplest node there is -- the same class with every packet one pass of
+its engine (``measure``, the cache's miss path; :func:`tests.strategies.
+flows.uncached`).  Both run the same script (:mod:`tests.strategies.flows`):
 interleaved packets and trains, ILM/FTN writes, transactions, stale
 flushes and, on a hardware node, ``corrupt_pair``, ``scrub_info_base``
 and level-1 evictions (an information base 2-4 pairs deep), with
@@ -41,12 +42,12 @@ from repro.net.aggregate import FlowAggregate
 from repro.obs import ListSink, telemetry_session
 from repro.obs.metrics import Histogram
 from repro.obs.spans import SpanRecorder
-from tests.strategies.flows import apply, packet, scripts
+from tests.strategies.flows import apply, packet, scripts, uncached
 
 
 def _node(cls, role, ib_depth, capacity):
     """``cls`` programmed with one swap and one push; ``capacity`` None
-    leaves batching off."""
+    makes it the uncached reference."""
     if issubclass(cls, HardwareLSRNode):
         node = cls("n1", role, ib_depth=ib_depth)
     else:
@@ -56,8 +57,9 @@ def _node(cls, role, ib_depth, capacity):
         PrefixFEC("10.2.0.0/16"),
         NHLFE(op=LabelOp.PUSH, out_label=100, next_hop="n2"),
     )
-    if capacity is not None:
-        node.flow_cache = FlowCache(node.engine, capacity)
+    if capacity is None:
+        return uncached(node)
+    node.flow_cache = FlowCache(node.engine, capacity)
     return node
 
 
@@ -165,7 +167,7 @@ def test_the_cached_node_matches_the_uncached_one(
 # -- the cross-check mode, on a bare engine -----------------------------------------
 def _cross_checked(capacity, ops):
     """``FlowCache(cross_check=True)`` over a bare engine against a
-    scalar engine over the same tables; the cache re-derives every hit
+    bare engine over the same tables; the cache re-derives every hit
     itself and raises on a divergence."""
     engine = ForwardingEngine(node_name="n1")
     cache = FlowCache(engine, capacity=capacity, cross_check=True)
@@ -248,12 +250,12 @@ def test_a_replayed_ingress_discard_touches_level1_like_the_pass():
     # installs, fills, then a replayed discard of .1 must make .2 the LRU
     shapes = (expiring, expiring, other, other, expiring, other, expiring)
     orders = {}
-    for name, capacity in (("scalar", None), ("batched", DEFAULT_CAPACITY)):
+    for name, capacity in (("uncached", None), ("cached", DEFAULT_CAPACITY)):
         node = _node(HardwareLSRNode, RouterRole.LER, 3, capacity)
         for seq, shape in enumerate(shapes):
             node.receive(packet(shape, seq))
         orders[name] = [dst & 0xFF for dst in node._flow_cache]
-    assert orders == {"scalar": [2, 1], "batched": [2, 1]}
+    assert orders == {"uncached": [2, 1], "cached": [2, 1]}
 
 
 # -- seeded mutants the suite must catch ---------------------------------------------

@@ -47,7 +47,6 @@ def _network():
     LDPProcess(topology, net.nodes).establish_fec(
         PrefixFEC("10.2.0.0/16"), egress="ler-b"
     )
-    net.enable_batching()
     return net
 
 

@@ -1,8 +1,8 @@
-"""Aggregate <-> packet materialization edges (batched mode).
+"""Aggregate <-> packet materialization edges.
 
 Covers the boundary cases of flow aggregates: an aggregate whose
 flight spans an FRR-style table switchover, zero-length and single-packet
-aggregates, and exact accounting against the scalar oracle.
+aggregates, and exact accounting against the same demand as packets.
 """
 
 import pytest
@@ -31,7 +31,6 @@ def _network():
     net.attach_host("ler-b", "10.2.0.0/16")
     ldp = LDPProcess(topo, net.nodes)
     ldp.establish_fec(PrefixFEC("10.2.0.0/16"), egress="ler-b")
-    net.enable_batching()
     return net, ldp
 
 

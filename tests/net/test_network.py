@@ -191,7 +191,7 @@ def _assert_counts_match_a_scan(net, extra_ids=()):
 
 
 class TestDeliveredCountAgainstAScan:
-    def test_scalar_run_with_two_flows(self):
+    def test_a_packet_run_with_two_flows(self):
         net, _ = _ldp_network()
         first, second = _flow(net), _flow(net, duration=0.1, dst="10.2.0.77")
         net.run(until=1.0)
@@ -199,11 +199,10 @@ class TestDeliveredCountAgainstAScan:
         assert len(ids) == 2
         assert net.delivered_count() == first.sent + second.sent
 
-    def test_batched_run_mixes_trains_and_scalar_packets(self):
+    def test_a_run_mixing_trains_and_packets(self):
         from repro.net.aggregate import AggregateCBRSource
 
         net, _ = _ldp_network()
-        net.enable_batching()
         sources = [
             AggregateCBRSource(
                 net.scheduler,
@@ -252,15 +251,13 @@ class TestDeliveredCountAgainstAScan:
 
 
 # -- the hop's channel table follows every outage and repair -------------------
-def _figure1(batching):
+def _figure1():
     topo = paper_figure1(bandwidth_bps=100e6, delay_s=1e-4)
     net = MPLSNetwork(topo, {"ler-a": RouterRole.LER, "ler-b": RouterRole.LER})
     net.attach_host("ler-b", "10.2.0.0/16")
     LDPProcess(topo, net.nodes).establish_fec(
         PrefixFEC("10.2.0.0/16"), egress="ler-b"
     )
-    if batching:
-        net.enable_batching()
     return net
 
 
@@ -274,9 +271,8 @@ def _send_one(net):
     return net.delivered_count() - delivered, reasons
 
 
-@pytest.mark.parametrize("batching", [False, True], ids=["scalar", "cached"])
-def test_a_failed_link_drops_towards_the_neighbour_until_restored(batching):
-    net = _figure1(batching)
+def test_a_failed_link_drops_towards_the_neighbour_until_restored():
+    net = _figure1()
     assert _send_one(net) == (1, [])
     net.fail_link("ler-a", "lsr-1")
     assert _send_one(net) == (0, ["ler-a: no link towards lsr-1"])
@@ -288,9 +284,8 @@ def test_a_failed_link_drops_towards_the_neighbour_until_restored(batching):
     assert net.link("lsr-1", "ler-a").forward.tx_packets == 2
 
 
-@pytest.mark.parametrize("batching", [False, True], ids=["scalar", "cached"])
-def test_a_crashed_neighbour_is_no_link_until_it_restarts(batching):
-    net = _figure1(batching)
+def test_a_crashed_neighbour_is_no_link_until_it_restarts():
+    net = _figure1()
     net.fail_node("lsr-1")
     assert _send_one(net) == (0, ["ler-a: no link towards lsr-1"])
     assert net.restore_node("lsr-1") == [

@@ -1,4 +1,4 @@
-"""TTL-expiry equivalence: aggregate trains vs the scalar path.
+"""TTL-expiry equivalence: aggregate trains vs individual packets.
 
 A :class:`~repro.net.aggregate.FlowAggregate` whose template carries
 TTL <= 1 must behave exactly like the same train of individual
@@ -6,7 +6,7 @@ packets: the whole train is discarded at ingress (FTN lookup first,
 then the TTL check -- no decrement ever happens), the per-node
 counters scale by the train's count, and the security monitor sees the
 same count-aware exception punt.  This is the adversarial counterpart
-of the general batching-equivalence suite: the TTL-flood attack's
+of the general train-equivalence suite: the TTL-flood attack's
 defense (the exception-path rate limiter) must not care which shape
 the flood arrives in.
 """
@@ -49,19 +49,17 @@ def _packet(ttl, flow_id, seq, created_at):
     )
 
 
-def _run(batched):
+def _run(as_trains):
     scenario = Scenario.from_dict(RAW)
     with telemetry_session():
         run = build_run(scenario, seed=3)
-        if batched:
-            run.network.enable_batching()
         network = run.network
 
         def fire():
             now = network.scheduler.now
             for j, (ttl, count) in enumerate(TRAINS):
                 flow_id = 777000 + j
-                if batched:
+                if as_trains:
                     network.scheduler.after(
                         0.0, network.aggregate_sink("n0"),
                         FlowAggregate(
@@ -93,17 +91,15 @@ def _run(batched):
     }
 
 
-def test_aggregate_ttl_expiry_matches_scalar():
-    scalar = _run(batched=False)
-    batched = _run(batched=True)
-    assert batched == scalar
+def test_aggregate_ttl_expiry_matches_packets():
+    assert _run(as_trains=True) == _run(as_trains=False)
 
 
 def test_the_trains_actually_expired():
     """Guard the comparison above against a vacuous pass: the counters
     must show the full trains discarded, punted, and rate-limited."""
     expected = sum(count for _, count in TRAINS)
-    result = _run(batched=True)
+    result = _run(as_trains=True)
     reason = result["discard_reasons"]["IPv4 TTL expired at ingress"]
     assert reason == expected
     total, forwarded, limited = result["exceptions"]

@@ -10,10 +10,11 @@ something to run, and the small drivers more than one test file shares:
 * :mod:`tests.strategies.hw` -- label-stack-modifier op steps, the RTL
   scenario mixes and their pinned digests, the CAM's pins;
 * :mod:`tests.strategies.spans` -- event streams for the span recorder;
-* :mod:`tests.strategies.flows` -- packets and the op scripts a
-  forwarding node runs.
+* :mod:`tests.strategies.flows` -- packets, the op scripts a
+  forwarding node runs, and the uncached node both flow-cache suites
+  compare against.
 
-The references the suites compare against are not here: each lives in
+Any other reference a suite compares against is not here: each lives in
 the one suite that owns its surface.  No test module imports another;
 what two of them share lives here.  This module holds the draw helpers:
 :func:`picks`, and :func:`lehmer` / :func:`arranged` for an ordering,

@@ -16,7 +16,9 @@ decision depends on:
 A shape is ``("ip", destination, ttl, dscp)`` or ``("mpls", label, ttl,
 tunnelled)``; :func:`packet` builds one.  :func:`apply` applies a
 write to a node.  :func:`pop_at_penultimate_hop` hand-programs
-penultimate-hop popping, which no control plane offers.
+penultimate-hop popping, which no control plane offers, and
+:func:`uncached` turns a node into the reference its flow cache is
+compared against.
 """
 
 from hypothesis import strategies as st
@@ -48,6 +50,25 @@ def pop_at_penultimate_hop(binding, nodes):
                 NHLFE(op=LabelOp.PUSH, out_label=IMPLICIT_NULL, next_hop=nh),
             )
     nodes[egress].ilm.remove(binding.labels[egress])
+
+
+class _Uncached:
+    """Stands in for a node's flow cache: every packet is one measured
+    pass of the node's engine, and nothing is memoized."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def process(self, packet, count=1):
+        assert count == 1, "the uncached reference takes a train as packets"
+        return self.engine.measure(packet)[0]
+
+
+def uncached(node):
+    """``node`` with every hop one pass of its engine (``measure``,
+    the cache's miss path): the reference a cached node must match."""
+    node.flow_cache = _Uncached(node.engine)
+    return node
 
 
 def ip_pkt(dst="10.2.0.9", ttl=64, dscp=0):

@@ -80,14 +80,12 @@ def legs(tree: str) -> Iterator[Tuple[str, List[str]]]:
     (each leg runs with ``tree`` as its working directory)."""
     repro = ["-m", "repro"]
     for case, flag in CASES:
-        for batching in ("off", "on"):
-            tail = ["--seed", "7", *flag.split(), "--batching", batching,
-                    "-o", os.devnull]
-            yield (f"chaos {case} {flag} {batching}",
-                   [*repro, "chaos", f"examples/{case}.json", *tail])
-            if case not in HARDWARE_EXAMPLES:
-                yield (f"chaos {case} {flag} hardware {batching}",
-                       [*repro, "chaos", f"hw/{case}.json", *tail])
+        tail = ["--seed", "7", *flag.split(), "-o", os.devnull]
+        yield (f"chaos {case} {flag}",
+               [*repro, "chaos", f"examples/{case}.json", *tail])
+        if case not in HARDWARE_EXAMPLES:
+            yield (f"chaos {case} {flag} hardware",
+                   [*repro, "chaos", f"hw/{case}.json", *tail])
     yield "chaos --list-faults", [*repro, "chaos", "--list-faults"]
     for name in sorted(os.listdir(os.path.join(tree, "examples"))):
         if name.endswith(".py"):
@@ -118,7 +116,7 @@ def legs(tree: str) -> Iterator[Tuple[str, List[str]]]:
         "--top", "3", "--export", "out/flows.jsonl", "--matrix",
         "out/matrix.json", "--prom", "out/flows.prom"]
     topo = [*repro, "topo", "examples/chaos_topo.json"]
-    tail = ["--seed", "7", "--batching", "on"]
+    tail = ["--seed", "7"]
     yield "repro topo show", [*topo, *tail, "--export", "out/topo.json",
                               "--dot", "out/topo.dot"]
     yield "repro topo at", [*topo, "at", "0.5", *tail]
